@@ -62,7 +62,7 @@ func TestInnerOuterBucketCollision(t *testing.T) {
 	if decBal(src) != 975 || decBal(got) != 1025 {
 		t.Errorf("balances = %d, %d; want 975, 1025", decBal(src), decBal(got))
 	}
-	db.drain()
+	db.c.Drain()
 	for i, n := range db.nodeList() {
 		if n.ActiveTxns() != 0 {
 			t.Errorf("node %d leaked participant state", i)
@@ -120,7 +120,7 @@ func TestInnerOuterBucketCollisionSharedUpgrade(t *testing.T) {
 	if decBal(src) != 1000-1000%100 {
 		t.Errorf("hot balance = %d; want %d", decBal(src), 1000-1000%100)
 	}
-	db.drain()
+	db.c.Drain()
 	for i, n := range db.nodeList() {
 		if n.ActiveTxns() != 0 {
 			t.Errorf("node %d leaked participant state", i)

@@ -34,7 +34,7 @@ func TestPartitionHealExecuteWithRetry(t *testing.T) {
 	if _, err := db.Get(tAccounts, 0); err != nil {
 		t.Fatal(err)
 	}
-	db.net.Partition(0, 1)
+	db.c.Net.Partition(0, 1)
 
 	// Single-shot Execute during the window: the typed taxonomy.
 	_, err := db.Execute(ctx, "bank.transfer", 10, 150, 25)
@@ -67,7 +67,7 @@ func TestPartitionHealExecuteWithRetry(t *testing.T) {
 		t.Fatalf("retry loop finished during the partition window: %v", err)
 	case <-time.After(20 * time.Millisecond):
 	}
-	db.net.Heal(0, 1)
+	db.c.Net.Heal(0, 1)
 	select {
 	case err := <-done:
 		if err != nil {

@@ -2,25 +2,18 @@ package chiller
 
 import (
 	"context"
+	"errors"
 	"fmt"
-	"path/filepath"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"github.com/chillerdb/chiller/internal/cc"
-	"github.com/chillerdb/chiller/internal/cc/occ"
-	"github.com/chillerdb/chiller/internal/cc/twopl"
 	"github.com/chillerdb/chiller/internal/cluster"
-	"github.com/chillerdb/chiller/internal/core"
-	"github.com/chillerdb/chiller/internal/history"
+	"github.com/chillerdb/chiller/internal/deploy"
 	"github.com/chillerdb/chiller/internal/partition/chillerpart"
-	"github.com/chillerdb/chiller/internal/server"
 	"github.com/chillerdb/chiller/internal/stats"
 	"github.com/chillerdb/chiller/internal/storage"
-	"github.com/chillerdb/chiller/internal/tcpnet"
 	"github.com/chillerdb/chiller/internal/transport"
-	"github.com/chillerdb/chiller/internal/transport/simfab"
 	"github.com/chillerdb/chiller/internal/txn"
 	"github.com/chillerdb/chiller/internal/wal"
 )
@@ -35,40 +28,36 @@ import (
 // A DB is safe for concurrent use. Execute calls may run from any number
 // of goroutines; each is an independent coordinator.
 type DB struct {
-	cfg      config
-	net      *simfab.Network // simulated fabric; nil over TransportTCP
-	fab      *tcpnet.Fabric  // TCP client fabric; nil over TransportSim
+	cfg config
+	// Exactly one of c and client is set: the embedded in-process
+	// deployment, or the coordinator-only member of a chiller-node
+	// cluster. Both are assembled by internal/deploy, the same code the
+	// benchmark harness and the black-box checker run.
+	c      *deploy.Cluster
+	client *deploy.Client
+	// topo, dir and registry are the deployment's, whichever it is.
 	topo     *cluster.Topology
 	dir      *cluster.Directory
 	registry *txn.Registry
-	// nodes and engines are copy-on-write: AddNode swaps in a longer
-	// slice while Execute and the tooling paths read the old one
-	// lock-free, so cluster growth never stalls in-flight transactions.
-	nodes   atomic.Pointer[[]*server.Node]
-	engines atomic.Pointer[[]cc.Engine]
-	sampler *stats.Sampler
-	clock   *storage.Clock // MVCC commit clock; nil without WithMVCC
-	wals    []*wal.Log     // per-node write-ahead logs; empty without WithDurability
-	// recovered reports that Open found durable state under the
-	// WithDurability dir and replayed it into the stores; Load then
-	// yields to recovered values instead of overwriting them.
-	recovered bool
 
 	next   atomic.Uint64 // round-robin coordinator choice
 	closed atomic.Bool
 	mu     sync.Mutex // serializes Close, Repartition, and membership changes
 
-	stopBg chan struct{}  // closed by Close to stop background loops
-	bg     sync.WaitGroup // MVCC GC + auto-repartition goroutines
+	stopBg chan struct{}  // closed by Close to stop the auto-repartition loop
+	bg     sync.WaitGroup // the auto-repartition loop
 }
 
-// nodeList returns the current node slice. The slice is immutable once
-// published; callers may iterate it without holding db.mu.
-func (db *DB) nodeList() []*server.Node { return *db.nodes.Load() }
-
-// engineList returns the current engine slice (same publication rules
-// as nodeList).
-func (db *DB) engineList() []cc.Engine { return *db.engines.Load() }
+// nodeList returns the current coordinator nodes. The slice is immutable
+// once published (AddNode swaps in a longer one), so Execute and the
+// tooling paths read it lock-free and cluster growth never stalls
+// in-flight transactions.
+func (db *DB) nodeList() []*deploy.Node {
+	if db.client != nil {
+		return db.client.Nodes()
+	}
+	return db.c.Nodes()
+}
 
 // Open assembles a cluster and returns the embedded database handle.
 // With no options it is a single-partition, single-replica deployment of
@@ -104,9 +93,6 @@ func Open(opts ...Option) (*DB, error) {
 		if err := opt(&cfg); err != nil {
 			return nil, err
 		}
-	}
-	if cfg.lanes <= 0 {
-		cfg.lanes = cluster.DefaultLanes()
 	}
 	if cfg.transport == "" {
 		cfg.transport = TransportSim
@@ -149,89 +135,28 @@ func Open(opts ...Option) (*DB, error) {
 		return openTCP(cfg)
 	}
 
-	net := simfab.New(simfab.Config{
-		Latency: cfg.latency,
-		Jitter:  cfg.jitter,
-		Seed:    cfg.seed,
-	})
-	topo := cluster.NewTopology(cfg.partitions, cfg.replication)
-	dir := cluster.NewDirectory(topo, cfg.partitioner)
-	dir.SetLanes(cfg.lanes) // before node construction: nodes size their lane executors from the directory
-
-	db := &DB{
-		cfg:      cfg,
-		net:      net,
-		topo:     topo,
-		dir:      dir,
-		registry: txn.NewRegistry(),
+	c, err := deploy.NewCluster(deploy.Config{
+		Partitions:   cfg.partitions,
+		Replication:  cfg.replication,
+		Latency:      cfg.latency,
+		Jitter:       cfg.jitter,
+		Seed:         cfg.seed,
+		SampleRate:   cfg.sampleRate,
+		Lanes:        cfg.lanes,
+		VerbBatching: cfg.verbBatching,
+		WALDir:       cfg.walDir,
+		WALPolicy: wal.Policy{
+			FlushInterval: cfg.fsync.FlushInterval,
+			FlushBytes:    cfg.fsync.FlushBytes,
+			NoSync:        cfg.fsync.NoSync,
+			SnapshotBytes: cfg.fsync.SnapshotBytes,
+		},
+		MVCC: cfg.mvcc,
+	}, cfg.partitioner)
+	if err != nil {
+		return nil, fmt.Errorf("chiller: %w", err)
 	}
-	if cfg.sampleRate > 0 {
-		db.sampler = stats.NewSampler(cfg.sampleRate, cfg.seed+1)
-	}
-	if cfg.mvcc {
-		// One commit clock shared by every node: timestamps are reserved
-		// at commit points and released once a transaction's applies have
-		// landed cluster-wide, so the clock's stable watermark is a
-		// consistent snapshot boundary for the whole deployment.
-		db.clock = storage.NewClock()
-	}
-	var nodes []*server.Node
-	for p := 0; p < cfg.partitions; p++ {
-		node := server.New(net.Endpoint(simfab.NodeID(p)), storage.NewStore(),
-			db.registry, dir, cluster.PartitionID(p))
-		if db.sampler != nil {
-			node.SetSampler(db.sampler)
-		}
-		if db.clock != nil {
-			// Before WAL recovery: SetClock flips the store to versioned
-			// records, so replay rebuilds version chains at their logged
-			// commit timestamps.
-			node.SetClock(db.clock)
-		}
-		if cfg.walDir != "" {
-			// Recover-then-attach before the node registers verbs: any
-			// state a previous incarnation logged is back in the store
-			// before the first message can arrive.
-			l, rec, err := wal.Recover(filepath.Join(cfg.walDir, fmt.Sprintf("node-%d", p)), cfg.lanes, wal.Policy{
-				FlushInterval: cfg.fsync.FlushInterval,
-				FlushBytes:    cfg.fsync.FlushBytes,
-				NoSync:        cfg.fsync.NoSync,
-				SnapshotBytes: cfg.fsync.SnapshotBytes,
-			})
-			if err == nil && !rec.Empty() {
-				db.recovered = true
-				var maxTS uint64
-				if maxTS, err = server.RecoverStore(node.Store(), rec); err != nil {
-					l.Close()
-				} else if db.clock != nil {
-					db.clock.AdvanceTo(maxTS)
-				}
-			}
-			if err != nil {
-				for _, l := range db.wals {
-					l.Close()
-				}
-				net.Close()
-				return nil, fmt.Errorf("chiller: durability for node %d: %w", p, err)
-			}
-			db.wals = append(db.wals, l)
-			node.SetWAL(l)
-		}
-		occ.RegisterVerbs(node)
-		core.RegisterVerbs(node)
-		nodes = append(nodes, node)
-	}
-	var engines []cc.Engine
-	for _, n := range nodes {
-		engines = append(engines, db.buildEngine(n))
-	}
-	db.nodes.Store(&nodes)
-	db.engines.Store(&engines)
-	db.stopBg = make(chan struct{})
-	if cfg.mvcc {
-		db.bg.Add(1)
-		go db.mvccGCLoop()
-	}
+	db := &DB{cfg: cfg, c: c, topo: c.Topo, dir: c.Dir, registry: c.Registry, stopBg: make(chan struct{})}
 	if cfg.autoRepartition > 0 {
 		db.bg.Add(1)
 		go db.autoRepartitionLoop()
@@ -239,75 +164,30 @@ func Open(opts ...Option) (*DB, error) {
 	return db, nil
 }
 
-// buildEngine constructs the configured concurrency-control engine for a
-// node, wrapped in the history recorder when one was requested.
-func (db *DB) buildEngine(n *server.Node) cc.Engine {
-	var eng cc.Engine
-	switch db.cfg.engine {
-	case Engine2PL:
-		eng = twopl.New(n)
-	case EngineOCC:
-		eng = occ.New(n)
-	default:
-		chillerEng := core.New(n)
-		chillerEng.SetVerbBatching(db.cfg.verbBatching)
-		eng = chillerEng
-	}
-	if db.cfg.recorder != nil {
-		// WithHistoryRecorder: record every Run outcome at the
-		// engine boundary (reads observed, writes installed).
-		eng = history.Engine(eng, db.registry, db.cfg.recorder)
-	}
-	return eng
-}
-
-// openTCP joins a chiller-node cluster as a coordinator-only client:
-// the DB takes node ID len(peers) (outside the data topology) and a
-// partition no node primaries, so every locality check in the
-// coordination paths resolves to a remote verb over the socket. The
-// client's topology, directory, and registry must mirror the nodes' —
-// Register the same procedures the nodes registered before Execute.
+// openTCP joins a chiller-node cluster as a coordinator-only client
+// (deploy.Connect): every locality check in the coordination paths
+// resolves to a remote verb over the socket. The client's topology,
+// directory, and registry must mirror the nodes' — Register the same
+// procedures the nodes registered before Execute.
 func openTCP(cfg config) (*DB, error) {
-	fab, err := tcpnet.New(tcpnet.Config{
-		ID:         transport.NodeID(len(cfg.peers)),
-		ListenAddr: cfg.listenAddr,
-	})
+	cl, err := deploy.Connect(deploy.ClientConfig{
+		Peers:        cfg.peers,
+		ListenAddr:   cfg.listenAddr,
+		Replication:  cfg.replication,
+		Lanes:        cfg.lanes,
+		VerbBatching: cfg.verbBatching,
+	}, cfg.partitioner)
 	if err != nil {
-		return nil, fmt.Errorf("chiller: tcp client fabric: %w", err)
+		return nil, fmt.Errorf("chiller: %w", err)
 	}
-	addrs := make(map[transport.NodeID]string, len(cfg.peers))
-	for i, addr := range cfg.peers {
-		addrs[transport.NodeID(i)] = addr
-	}
-	fab.SetPeers(addrs)
-
-	topo := cluster.NewTopology(cfg.partitions, cfg.replication)
-	dir := cluster.NewDirectory(topo, cfg.partitioner)
-	dir.SetLanes(cfg.lanes)
-
-	db := &DB{
-		cfg:      cfg,
-		fab:      fab,
-		topo:     topo,
-		dir:      dir,
-		registry: txn.NewRegistry(),
-	}
-	node := server.New(fab, storage.NewStore(), db.registry, dir, cluster.PartitionID(-1))
-	occ.RegisterVerbs(node)
-	core.RegisterVerbs(node)
-	nodes := []*server.Node{node}
-	engines := []cc.Engine{db.buildEngine(node)}
-	db.nodes.Store(&nodes)
-	db.engines.Store(&engines)
-	db.stopBg = make(chan struct{})
-	return db, nil
+	return &DB{cfg: cfg, client: cl, topo: cl.Topo, dir: cl.Dir, registry: cl.Registry, stopBg: make(chan struct{})}, nil
 }
 
 // unsupported returns the typed rejection for store-touching methods on
 // a TCP-client DB (nil on the embedded simulated deployment, where the
 // stores are in-process).
 func (db *DB) unsupported(op string) error {
-	if db.fab != nil {
+	if db.client != nil {
 		return fmt.Errorf("chiller: %s over tcp: %w", op, ErrUnsupported)
 	}
 	return nil
@@ -322,32 +202,17 @@ func (db *DB) Close() error {
 	if db.closed.Swap(true) {
 		return nil
 	}
-	// Stop the background loops before taking db.mu: the auto-repartition
-	// loop acquires db.mu inside Repartition, so waiting for it while
-	// holding the lock would deadlock.
+	// Stop the auto-repartition loop before taking db.mu: it acquires
+	// db.mu inside Repartition, so waiting for it while holding the lock
+	// would deadlock.
 	close(db.stopBg)
 	db.bg.Wait()
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	db.drain()
-	if db.net != nil {
-		db.net.Close()
+	if db.client != nil {
+		return db.client.Close()
 	}
-	if db.fab != nil {
-		db.fab.Close()
-	}
-	for _, n := range db.nodeList() {
-		n.Close()
-	}
-	// WALs close last: the nodes' lane executors have drained, so every
-	// logged record is flushed before the files are released.
-	var err error
-	for _, l := range db.wals {
-		if cerr := l.Close(); cerr != nil && err == nil {
-			err = cerr
-		}
-	}
-	return err
+	return db.c.Close()
 }
 
 // Partitions returns the partition count the DB was opened with.
@@ -363,9 +228,7 @@ func (db *DB) CreateTable(t Table, buckets int) error {
 	if err := db.unsupported("CreateTable"); err != nil {
 		return err
 	}
-	for _, n := range db.nodeList() {
-		n.Store().CreateTable(storage.TableID(t), buckets)
-	}
+	db.c.CreateTable(storage.TableID(t), buckets)
 	return nil
 }
 
@@ -396,38 +259,10 @@ func (db *DB) Load(t Table, key Key, value []byte) error {
 	if err := db.unsupported("Load"); err != nil {
 		return err
 	}
-	rid := storage.RID{Table: storage.TableID(t), Key: storage.Key(key)}
-	pid := db.dir.Partition(rid)
-	// No defensive copy needed: the store copies the value into fresh
-	// immutable storage on every Insert, so the caller's buffer is never
-	// aliased and may be reused immediately.
-	nodes := db.nodeList()
-	targets := append([]simfab.NodeID{db.topo.Primary(pid)}, db.topo.Replicas(pid)...)
-	for _, target := range targets {
-		tbl := nodes[int(target)].Store().Table(rid.Table)
-		if tbl == nil {
-			return fmt.Errorf("chiller: load into missing table %d (CreateTable first)", t)
-		}
-		if db.recovered {
-			if _, _, err := tbl.Bucket(rid.Key).Get(rid.Key); err == nil {
-				continue
-			}
-		}
-		if err := tbl.Bucket(rid.Key).Insert(rid.Key, value); err != nil {
-			return fmt.Errorf("chiller: load %d/%d: %w", t, key, err)
-		}
+	if err := db.c.LoadRecord(storage.TableID(t), storage.Key(key), value); err != nil {
+		return fmt.Errorf("chiller: load %d/%d: %w", t, key, err)
 	}
 	return nil
-}
-
-// drain joins every engine's outstanding background commit work (async
-// commit tails), after which the cluster's lock state is stable.
-func (db *DB) drain() {
-	for _, e := range db.engineList() {
-		if d, ok := e.(cc.Drainer); ok {
-			d.Drain()
-		}
-	}
 }
 
 // Get reads a record's current value from its primary store, outside
@@ -442,9 +277,9 @@ func (db *DB) Get(t Table, key Key) ([]byte, error) {
 	if err := db.unsupported("Get"); err != nil {
 		return nil, err
 	}
-	db.drain()
+	db.c.Drain()
 	rid := storage.RID{Table: storage.TableID(t), Key: storage.Key(key)}
-	tbl := db.nodeList()[int(db.topo.Primary(db.dir.Partition(rid)))].Store().Table(rid.Table)
+	tbl := db.c.Nodes()[db.dir.PrimaryOf(rid)].Store().Table(rid.Table)
 	if tbl == nil {
 		return nil, fmt.Errorf("chiller: table %d: %w", t, ErrNotFound)
 	}
@@ -496,12 +331,19 @@ func (db *DB) Execute(ctx context.Context, proc string, args ...int64) (Result, 
 	if db.closed.Load() {
 		return Result{}, ErrClosed
 	}
-	if db.registry.Lookup(proc) == nil {
+	p := db.registry.Lookup(proc)
+	if p == nil {
 		return Result{}, fmt.Errorf("chiller: %q: %w", proc, ErrUnknownProc)
 	}
-	engines := db.engineList()
-	engine := engines[int(db.next.Add(1)%uint64(len(engines)))]
-	res := engine.Run(ctx, &txn.Request{Proc: proc, Args: txn.Args(args)})
+	nodes := db.nodeList()
+	engine := nodes[int(db.next.Add(1)%uint64(len(nodes)))].Engine(deploy.EngineKind(db.cfg.engine))
+	req := &txn.Request{Proc: proc, Args: txn.Args(args)}
+	res := engine.Run(ctx, req)
+	if db.cfg.recorder != nil {
+		// WithHistoryRecorder: record every outcome at the engine
+		// boundary (reads observed, writes installed).
+		db.cfg.recorder.Observe(p, req, &res)
+	}
 	if !res.Committed {
 		return Result{Distributed: res.Distributed}, abortError(ctx, proc, res)
 	}
@@ -565,7 +407,7 @@ func (db *DB) Repartition(ctx context.Context) (RepartitionReport, error) {
 	if err := db.unsupported("Repartition"); err != nil {
 		return RepartitionReport{}, err
 	}
-	if db.sampler == nil {
+	if db.c.Sampler == nil {
 		return RepartitionReport{}, fmt.Errorf("chiller: repartition needs sampling: Open with WithSampling")
 	}
 	db.mu.Lock()
@@ -574,7 +416,7 @@ func (db *DB) Repartition(ctx context.Context) (RepartitionReport, error) {
 		return RepartitionReport{}, fmt.Errorf("chiller: repartition: %w", err)
 	}
 
-	samples := db.sampler.Drain()
+	samples := db.c.Sampler.Drain()
 	if len(samples) == 0 {
 		return RepartitionReport{}, fmt.Errorf("chiller: repartition: no samples collected yet")
 	}
@@ -586,7 +428,7 @@ func (db *DB) Repartition(ctx context.Context) (RepartitionReport, error) {
 
 	res, err := chillerpart.Partition(agg, chillerpart.Config{
 		K:     db.cfg.partitions,
-		Lanes: db.cfg.lanes,
+		Lanes: db.dir.Lanes(),
 		Seed:  db.cfg.seed,
 	})
 	if err != nil {
@@ -610,7 +452,7 @@ func (db *DB) Repartition(ctx context.Context) (RepartitionReport, error) {
 		val      []byte
 		from, to cluster.PartitionID
 	}
-	nodes := db.nodeList()
+	nodes := db.c.Nodes()
 	locked := map[*storage.Bucket]bool{}
 	unlockAll := func() {
 		for b := range locked {
@@ -648,10 +490,10 @@ func (db *DB) Repartition(ctx context.Context) (RepartitionReport, error) {
 	}
 	// Copies first: a transaction routed by the new layout the instant
 	// it installs must find its record already at the new home.
-	holds := make([]map[simfab.NodeID]bool, len(moves))
+	holds := make([]map[transport.NodeID]bool, len(moves))
 	for i, m := range moves {
-		holds[i] = make(map[simfab.NodeID]bool)
-		for _, target := range append([]simfab.NodeID{db.topo.Primary(m.to)}, db.topo.Replicas(m.to)...) {
+		holds[i] = make(map[transport.NodeID]bool)
+		for _, target := range append([]transport.NodeID{db.topo.Primary(m.to)}, db.topo.Replicas(m.to)...) {
 			if tbl := nodes[int(target)].Store().Table(m.rid.Table); tbl != nil {
 				tbl.Bucket(m.rid.Key).Upsert(m.rid.Key, m.val)
 				holds[i][target] = true
@@ -664,7 +506,7 @@ func (db *DB) Repartition(ctx context.Context) (RepartitionReport, error) {
 		// machines (a node primaries one partition and replicates
 		// another); delete only from nodes that hold no copy under the
 		// new placement.
-		for _, target := range append([]simfab.NodeID{db.topo.Primary(m.from)}, db.topo.Replicas(m.from)...) {
+		for _, target := range append([]transport.NodeID{db.topo.Primary(m.from)}, db.topo.Replicas(m.from)...) {
 			if holds[i][target] {
 				continue
 			}
@@ -681,37 +523,6 @@ func (db *DB) Repartition(ctx context.Context) (RepartitionReport, error) {
 		Moved:           len(moves),
 		LookupTableSize: db.dir.LookupTableSize(),
 	}, nil
-}
-
-// MVCC garbage collection cadence: the watermark trails the clock's
-// stable point by gcRetention timestamps so in-flight snapshot readers
-// keep their versions, and advances every gcInterval so version chains
-// stay bounded under long-running write workloads.
-const (
-	gcRetention = 1024
-	gcInterval  = 5 * time.Millisecond
-)
-
-// mvccGCLoop periodically raises every store's MVCC GC watermark to the
-// commit clock's stable point minus a retention window. Without it the
-// watermark only moved during WAL recovery, so version chains grew
-// without bound for the lifetime of the process.
-func (db *DB) mvccGCLoop() {
-	defer db.bg.Done()
-	t := time.NewTicker(gcInterval)
-	defer t.Stop()
-	for {
-		select {
-		case <-db.stopBg:
-			return
-		case <-t.C:
-			if w := db.clock.Stable(); w > gcRetention {
-				for _, n := range db.nodeList() {
-					n.Store().SetWatermark(w - gcRetention)
-				}
-			}
-		}
-	}
 }
 
 // autoRepartitionLoop runs a Repartition pass every WithAutoRepartition
@@ -731,6 +542,20 @@ func (db *DB) autoRepartitionLoop() {
 	}
 }
 
+// membershipError wraps a deploy membership failure into the public
+// taxonomy: a request naming a node or partition that does not exist (or
+// one the layout cannot satisfy) is ErrBadConfig.
+func membershipError(err error, format string, args ...any) error {
+	if err == nil {
+		return nil
+	}
+	op := fmt.Sprintf(format, args...)
+	if errors.Is(err, deploy.ErrInvalid) {
+		return fmt.Errorf("chiller: %s: %v: %w", op, err, ErrBadConfig)
+	}
+	return fmt.Errorf("chiller: %s: %w", op, err)
+}
+
 // AddNode grows the simulated cluster by one node and returns its ID.
 // The node starts empty — it primaries no partition — but is a full
 // cluster member: it mirrors the existing schema, joins the fabric, and
@@ -746,57 +571,8 @@ func (db *DB) AddNode() (int, error) {
 	}
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	nodes := db.nodeList()
-	id := len(nodes)
-	st := storage.NewStore()
-	node := server.New(db.net.Endpoint(simfab.NodeID(id)), st,
-		db.registry, db.dir, cluster.PartitionID(-1))
-	if db.sampler != nil {
-		node.SetSampler(db.sampler)
-	}
-	if db.clock != nil {
-		node.SetClock(db.clock)
-	}
-	// Mirror the existing schema so handed-off ranges land in real
-	// tables with matching bucket counts rather than the tolerant
-	// replica-apply defaults.
-	if len(nodes) > 0 {
-		src := nodes[0].Store()
-		for _, tid := range src.Tables() {
-			if tbl := src.Table(tid); tbl != nil {
-				st.CreateTable(tid, tbl.NumBuckets())
-			}
-		}
-	}
-	if db.cfg.walDir != "" {
-		l, rec, err := wal.Recover(filepath.Join(db.cfg.walDir, fmt.Sprintf("node-%d", id)), db.cfg.lanes, wal.Policy{
-			FlushInterval: db.cfg.fsync.FlushInterval,
-			FlushBytes:    db.cfg.fsync.FlushBytes,
-			NoSync:        db.cfg.fsync.NoSync,
-			SnapshotBytes: db.cfg.fsync.SnapshotBytes,
-		})
-		if err == nil && !rec.Empty() {
-			var maxTS uint64
-			if maxTS, err = server.RecoverStore(st, rec); err != nil {
-				l.Close()
-			} else if db.clock != nil {
-				db.clock.AdvanceTo(maxTS)
-			}
-		}
-		if err != nil {
-			node.Close()
-			return 0, fmt.Errorf("chiller: durability for node %d: %w", id, err)
-		}
-		db.wals = append(db.wals, l)
-		node.SetWAL(l)
-	}
-	occ.RegisterVerbs(node)
-	core.RegisterVerbs(node)
-	grown := append(append([]*server.Node(nil), nodes...), node)
-	db.nodes.Store(&grown)
-	engines := append(append([]cc.Engine(nil), db.engineList()...), db.buildEngine(node))
-	db.engines.Store(&engines)
-	return id, nil
+	id, err := db.c.AddNode()
+	return id, membershipError(err, "add node")
 }
 
 // MovePartition hands primary ownership of partition p to the given
@@ -815,35 +591,7 @@ func (db *DB) MovePartition(p int, node int) error {
 	}
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	nodes := db.nodeList()
-	if p < 0 || p >= db.cfg.partitions {
-		return fmt.Errorf("chiller: no partition %d: %w", p, ErrBadConfig)
-	}
-	if node < 0 || node >= len(nodes) {
-		return fmt.Errorf("chiller: no node %d: %w", node, ErrBadConfig)
-	}
-	pid := cluster.PartitionID(p)
-	from := db.topo.Primary(pid)
-	if int(from) == node {
-		return nil
-	}
-	if err := nodes[int(from)].HandoffPartition(pid, transport.NodeID(node)); err != nil {
-		return fmt.Errorf("chiller: move partition %d: %w", p, err)
-	}
-	// Trim back to the configured replication degree. The demoted old
-	// primary sits in the last replica slot (the join appends the
-	// warming node, then the promotion swaps the old primary into the
-	// promoted node's slot), so dropping from the tail frees the old
-	// node first.
-	for {
-		reps := db.topo.Replicas(pid)
-		if len(reps) <= db.cfg.replication-1 {
-			return nil
-		}
-		if err := db.topo.RemoveReplica(pid, reps[len(reps)-1]); err != nil {
-			return fmt.Errorf("chiller: move partition %d: trim replicas: %w", p, err)
-		}
-	}
+	return membershipError(db.c.MovePartition(p, node), "move partition %d", p)
 }
 
 // RemoveNode retires a node from data ownership: every partition it
@@ -862,33 +610,5 @@ func (db *DB) RemoveNode(id int) error {
 	}
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	nodes := db.nodeList()
-	if id < 0 || id >= len(nodes) {
-		return fmt.Errorf("chiller: no node %d: %w", id, ErrBadConfig)
-	}
-	nid := transport.NodeID(id)
-	for _, part := range db.topo.Snapshot() {
-		if part.Primary != nid {
-			continue
-		}
-		reps := db.topo.Replicas(part.ID)
-		if len(reps) == 0 {
-			return fmt.Errorf("chiller: remove node %d: partition %d has no replica to absorb it: %w",
-				id, part.ID, ErrBadConfig)
-		}
-		if err := nodes[id].HandoffPartition(part.ID, reps[0]); err != nil {
-			return fmt.Errorf("chiller: remove node %d: partition %d: %w", id, part.ID, err)
-		}
-	}
-	for _, part := range db.topo.Snapshot() {
-		for _, r := range part.Replicas {
-			if r == nid {
-				if err := db.topo.RemoveReplica(part.ID, nid); err != nil {
-					return fmt.Errorf("chiller: remove node %d: %w", id, err)
-				}
-				break
-			}
-		}
-	}
-	return nil
+	return membershipError(db.c.RemoveNode(id), "remove node %d", id)
 }

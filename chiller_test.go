@@ -5,13 +5,24 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
 	"testing"
 	"time"
 
+	"github.com/chillerdb/chiller/internal/deploy"
 	"github.com/chillerdb/chiller/internal/storage"
+	"github.com/chillerdb/chiller/internal/testutil"
 )
 
 const tAccounts Table = 1
+
+// The MVCC GC cadence belongs to the assembly (internal/deploy); the
+// tests size their waits and chain-depth bounds from it.
+const (
+	gcInterval  = deploy.GCInterval
+	gcRetention = deploy.GCRetention
+)
 
 func encBal(v int64) []byte {
 	out := make([]byte, 8)
@@ -180,12 +191,12 @@ func TestExecuteExpiredDeadline(t *testing.T) {
 
 	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
 	defer cancel()
-	before := db.net.Stats().MessagesSent.Load()
+	before := db.c.Net.Stats().MessagesSent.Load()
 	_, err := db.Execute(ctx, "bank.transfer", 0, 150, 1)
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("error = %v; want context.DeadlineExceeded", err)
 	}
-	if after := db.net.Stats().MessagesSent.Load(); after != before {
+	if after := db.c.Net.Stats().MessagesSent.Load(); after != before {
 		t.Errorf("expired-deadline Execute sent %d network messages", after-before)
 	}
 }
@@ -236,7 +247,7 @@ func TestCancelMidTransactionReleasesLocks(t *testing.T) {
 	if _, err := db.Execute(context.Background(), "bank.transfer", 50, 150, 1); err != nil {
 		t.Fatalf("post-cancel conflicting transfer: %v", err)
 	}
-	db.drain() // join async commit tails before inspecting lock state
+	db.c.Drain() // join async commit tails before inspecting lock state
 	for i, n := range db.nodeList() {
 		if got := n.ActiveTxns(); got != 0 {
 			t.Errorf("node %d still holds %d transactions' participant state", i, got)
@@ -289,7 +300,7 @@ func TestCancelTwoRegionMidOuterWave(t *testing.T) {
 	// record's home — so the engine coordinates locally instead of
 	// routing the whole transaction away (routed transactions execute
 	// remotely and are not cancellable mid-flight).
-	db.next.Store(uint64(len(db.engineList())) - 1)
+	db.next.Store(uint64(len(db.nodeList())) - 1)
 
 	ctx, cancel := context.WithTimeout(context.Background(), time.Millisecond)
 	defer cancel()
@@ -303,7 +314,7 @@ func TestCancelTwoRegionMidOuterWave(t *testing.T) {
 	if _, err := db.Execute(context.Background(), "bank.transfer", 150, 0, 1); err != nil {
 		t.Fatalf("post-cancel transfer over same records: %v", err)
 	}
-	db.drain() // join async commit tails before inspecting lock state
+	db.c.Drain() // join async commit tails before inspecting lock state
 	for i, n := range db.nodeList() {
 		if got := n.ActiveTxns(); got != 0 {
 			t.Errorf("node %d leaked %d transactions' locks", i, got)
@@ -476,5 +487,22 @@ func TestWithVerbBatching(t *testing.T) {
 	// Constraint aborts still carry the typed taxonomy over doorbells.
 	if _, err := db.Execute(ctx, "bank.transfer", 0, 1, 1_000_000); !errors.Is(err, ErrConstraint) {
 		t.Fatalf("overdraft err = %v, want ErrConstraint", err)
+	}
+}
+
+// A failed Open must unwind everything it had already built. Node 1's
+// log directory is blocked by a regular file, so Open fails after node 0
+// is fully assembled — lane executors running, WAL flusher started —
+// and none of that may outlive the error.
+func TestFailedOpenLeaksNothing(t *testing.T) {
+	testutil.CheckLeaks(t)
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "node-1"), nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	db, err := Open(WithPartitions(3), WithLanes(2), WithMVCC(), WithDurability(dir))
+	if err == nil {
+		db.Close()
+		t.Fatal("Open succeeded with a node's log directory blocked by a regular file")
 	}
 }

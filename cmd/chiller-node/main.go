@@ -23,21 +23,17 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
-	"path/filepath"
 	"strings"
 	"syscall"
 	"time"
 
 	"github.com/chillerdb/chiller/internal/bench"
-	"github.com/chillerdb/chiller/internal/cc/occ"
 	"github.com/chillerdb/chiller/internal/cluster"
-	"github.com/chillerdb/chiller/internal/core"
+	"github.com/chillerdb/chiller/internal/deploy"
 	"github.com/chillerdb/chiller/internal/server"
-	"github.com/chillerdb/chiller/internal/storage"
 	"github.com/chillerdb/chiller/internal/tcpnet"
 	"github.com/chillerdb/chiller/internal/transport"
 	"github.com/chillerdb/chiller/internal/txn"
-	"github.com/chillerdb/chiller/internal/wal"
 	"github.com/chillerdb/chiller/internal/workload/tpcc"
 )
 
@@ -93,9 +89,6 @@ func run(id int, listen, peersFlag string, replication, lanes int, batching bool
 	if replication <= 0 {
 		replication = 1
 	}
-	if lanes <= 0 {
-		lanes = bench.DefaultLanes()
-	}
 
 	nodes := len(peers)
 	tcfg := bench.RemoteTPCCConfig(nodes, customers, items)
@@ -114,15 +107,13 @@ func run(id int, listen, peersFlag string, replication, lanes int, batching bool
 	}
 	fab.SetPeers(addrs)
 
-	topo := cluster.NewTopology(nodes, replication)
-	dir := cluster.NewDirectory(topo, tpcc.Partitioner(tcfg.Warehouses, tcfg.Partitions))
-	dir.SetLanes(lanes)
+	topo, dir := deploy.NewDirectory(nodes, replication, lanes, tpcc.Partitioner(tcfg.Warehouses, tcfg.Partitions))
+	lanes = dir.Lanes()
 	reg := txn.NewRegistry()
 	if err := tpcc.RegisterAll(reg); err != nil {
 		return err
 	}
 
-	st := storage.NewStore()
 	// A joiner primaries nothing at startup; ownership arrives through
 	// the handoff protocol and is tracked by the topology, not the home
 	// partition hint.
@@ -130,46 +121,31 @@ func run(id int, listen, peersFlag string, replication, lanes int, batching bool
 	if join {
 		home = cluster.PartitionID(-1)
 	}
-	node := server.New(fab, st, reg, dir, home)
+	// A restart with the same -data-dir replays the previous incarnation's
+	// snapshot+tail into the store before any peer traffic can land.
+	// chiller-node clusters run without MVCC: the commit clock is
+	// in-process and cannot span processes.
+	node, err := deploy.NewNode(fab, home, deploy.Spec{
+		Registry:     reg,
+		Dir:          dir,
+		WALDir:       dataDir,
+		VerbBatching: batching,
+	})
+	if err != nil {
+		return err
+	}
+	// Close runs the deployment close order: drain, fabric, lanes, WAL.
 	defer node.Close()
-
-	recovered := false
-	if dataDir != "" {
-		// Recover-then-attach before the node registers verbs: a restart
-		// with the same -data-dir replays the previous incarnation's
-		// snapshot+tail into the store before any peer traffic can land.
-		l, rec, err := wal.Recover(filepath.Join(dataDir, fmt.Sprintf("node-%d", id)), lanes, wal.Policy{})
-		if err != nil {
-			return fmt.Errorf("wal at %s: %w", dataDir, err)
-		}
-		defer l.Close()
-		if !rec.Empty() {
-			// maxTS is discarded: chiller-node clusters run without MVCC
-			// (the commit clock is in-process and cannot span processes).
-			if _, err := server.RecoverStore(st, rec); err != nil {
-				return fmt.Errorf("recover from %s: %w", dataDir, err)
-			}
-			recovered = true
-			fmt.Printf("chiller-node %d: recovered durable state from %s (last lsn %d)\n",
-				id, dataDir, l.LastLSN())
-		}
-		node.SetWAL(l)
+	if node.Recovered {
+		fmt.Printf("chiller-node %d: recovered durable state from %s (last lsn %d)\n",
+			id, dataDir, node.WAL().LastLSN())
 	}
 
-	occ.RegisterVerbs(node)
-	core.RegisterVerbs(node)
-	// The engine instance serves transactions routed here for
-	// coordination (§4.2 transaction placement); a node without one
-	// would reject every VerbTxnRoute.
-	chiller := core.New(node)
-	chiller.SetVerbBatching(batching)
-	defer chiller.Drain()
-
-	// The loading phase runs unconditionally — on a recovered node it
-	// yields to replayed values (strictly newer: they reflect committed
-	// transactions), so restart needs no special casing by the operator.
-	loader := bench.NodeStores{ID: transport.NodeID(id), Store: st, Topo: topo, Dir: dir, SkipExisting: recovered}
-	if err := tpcc.Load(loader, tcfg); err != nil {
+	// The loading phase runs unconditionally — the node keeps only the
+	// records it hosts, and on a recovered node it yields to replayed
+	// values (strictly newer: they reflect committed transactions), so
+	// restart needs no special casing by the operator.
+	if err := tpcc.Load(node, tcfg); err != nil {
 		return fmt.Errorf("load: %w", err)
 	}
 	tpcc.MarkHot(dir, tcfg)
@@ -188,18 +164,9 @@ func run(id int, listen, peersFlag string, replication, lanes int, batching bool
 		// joins, promotions); adopt the current one before asking for a
 		// partition. The fetch also merges any node addresses this joiner's
 		// static -peers list lacks (other joiners).
-		payload, err := fab.Call(transport.NodeID(0), server.VerbTopoGet, nil)
-		if err != nil {
-			return fmt.Errorf("fetch topology from node 0: %w", err)
+		if err := deploy.AdoptTopology(fab, topo); err != nil {
+			return err
 		}
-		parts, addrMap, err := server.DecodeTopoPayload(payload)
-		if err != nil {
-			return fmt.Errorf("decode topology: %w", err)
-		}
-		if len(addrMap) > 0 {
-			fab.SetPeers(addrMap)
-		}
-		topo.Install(parts)
 
 		if joinPart >= 0 {
 			if joinPart >= nodes {
@@ -235,7 +202,7 @@ func run(id int, listen, peersFlag string, replication, lanes int, batching bool
 		// moderate traffic would replay its entire commit history on the
 		// next start. Drain the engine first so the snapshots cover every
 		// commit this node coordinated.
-		chiller.Drain()
+		node.Drain()
 		if err := node.SnapshotAll(); err != nil {
 			fmt.Fprintf(os.Stderr, "chiller-node %d: shutdown snapshot: %v\n", id, err)
 		} else {

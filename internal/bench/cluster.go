@@ -6,248 +6,110 @@ package bench
 
 import (
 	"fmt"
-	"path/filepath"
 	"time"
 
-	"github.com/chillerdb/chiller/internal/cc"
-	"github.com/chillerdb/chiller/internal/cc/occ"
-	"github.com/chillerdb/chiller/internal/cc/twopl"
 	"github.com/chillerdb/chiller/internal/cluster"
-	"github.com/chillerdb/chiller/internal/core"
+	"github.com/chillerdb/chiller/internal/deploy"
 	"github.com/chillerdb/chiller/internal/server"
 	"github.com/chillerdb/chiller/internal/stats"
-	"github.com/chillerdb/chiller/internal/storage"
-	"github.com/chillerdb/chiller/internal/tcpnet"
-	"github.com/chillerdb/chiller/internal/transport"
 	"github.com/chillerdb/chiller/internal/transport/simfab"
-	"github.com/chillerdb/chiller/internal/txn"
 	"github.com/chillerdb/chiller/internal/wal"
 )
 
-// EngineKind selects a concurrency-control engine.
-type EngineKind string
+// The harness assembles through internal/deploy — the same code behind
+// chiller.Open and DB.AddNode/MovePartition/RemoveNode — so every figure
+// and every checker cell runs what users run. The names below keep the
+// harness vocabulary (and the benchmark seam, benchmark/README.md)
+// stable over it.
+type (
+	// EngineKind selects a concurrency-control engine.
+	EngineKind = deploy.EngineKind
+	// ClusterConfig sizes a cluster (see deploy.Config for the fields).
+	ClusterConfig = deploy.Config
+)
 
 // The three engines compared throughout §7.
 const (
-	Engine2PL     EngineKind = "2PL"
-	EngineOCC     EngineKind = "OCC"
-	EngineChiller EngineKind = "Chiller"
+	Engine2PL     = deploy.Engine2PL
+	EngineOCC     = deploy.EngineOCC
+	EngineChiller = deploy.EngineChiller
 )
 
 // Transport kinds a cluster can be assembled over.
 const (
-	// TransportSim is the in-process simulated fabric (the default).
-	TransportSim = "simnet"
-	// TransportTCP assembles the cluster over loopback TCP: every node
-	// gets its own tcpnet fabric on 127.0.0.1, and every verb crosses a
-	// real socket. Simulated-latency, jitter, and fault-injection knobs
-	// do not apply (the kernel provides the latency).
-	TransportTCP = "tcp"
+	TransportSim = deploy.TransportSim
+	TransportTCP = deploy.TransportTCP
 )
 
-// ClusterConfig sizes a simulated cluster.
-type ClusterConfig struct {
-	// Transport selects the fabric: TransportSim (default when empty) or
-	// TransportTCP.
-	Transport string
-	// Partitions is the number of partitions; each gets a primary node.
-	Partitions int
-	// Replication is the replication degree (1 = no replicas; the
-	// paper's evaluation uses 2).
-	Replication int
-	// Latency is the one-way network latency between nodes. The paper's
-	// InfiniBand EDR testbed sits around 1-2µs; the default here is 5µs
-	// which keeps the network/memory ratio honest while tolerating OS
-	// timer slop.
-	Latency time.Duration
-	// Jitter adds random extra delay in [0, Jitter).
-	Jitter time.Duration
-	// Seed makes runs reproducible.
-	Seed int64
-	// SampleRate enables access sampling on every node at the given rate
-	// (0 disables; the paper samples ~0.1%).
-	SampleRate float64
-	// Lanes is the number of single-threaded execution lanes per node —
-	// the paper's one-engine-per-core deployment (§2, §5). 0 derives a
-	// default from the host's CPU count (see DefaultLanes); 1 restores
-	// the single-engine-per-node behaviour.
-	Lanes int
-	// VerbBatching routes the Chiller engine's remote fan-outs over the
-	// doorbell-batched one-sided verb path: one doorbell per destination
-	// node per lock wave / replica scatter / commit wave instead of one
-	// RPC per verb. 2PL and OCC always use the scalar path, so flipping
-	// this A/Bs the transport for the Chiller series only.
-	VerbBatching bool
-	// Faults installs deterministic fault injection on the fabric (drop
-	// dice, delay spikes, partition verb filtering) — the chaos
-	// harness's knob (internal/check). nil runs a reliable fabric.
-	Faults *simfab.FaultPlan
-	// WALDir, when non-empty, attaches a write-ahead log to every node
-	// under WALDir/node-<id>: commit-point applies append before
-	// acknowledging, and CrashNode/RecoverNode exercise replay. Empty
-	// runs the cluster volatile (the default — benchmarks measure the
-	// paper's in-memory protocol unless durability is the experiment).
-	WALDir string
-	// WALPolicy tunes group commit and snapshotting when WALDir is set;
-	// the zero value takes wal.Open's defaults.
-	WALPolicy wal.Policy
-	// MVCC attaches a cluster-shared commit clock to every node and
-	// switches the stores to versioned records: commit-point applies are
-	// stamped with clock timestamps and read-only procedures execute on
-	// the lock-free snapshot path. Works over both transports — bench
-	// clusters keep all nodes in one process even over loopback TCP, so
-	// the clock is shared directly.
-	MVCC bool
-}
-
-// DefaultLanes derives the per-node lane count from the host CPU count
-// (shared with chiller.Open via cluster.DefaultLanes, so embedded
-// deployments and figure runs agree).
-func DefaultLanes() int { return cluster.DefaultLanes() }
-
-// Cluster is a fully-wired simulated deployment: fabric, nodes, routing
-// directory, and one engine of each kind per node.
+// Cluster is a deploy.Cluster plus what only a harness needs: crash and
+// restart of single nodes, per-verb profiles, and the bank helpers.
 type Cluster struct {
-	Cfg ClusterConfig
-	// Net is the simulated fabric; nil when the cluster runs over
-	// TransportTCP (fault injection and partition windows are
-	// simnet-only — guard on nil before using them).
-	Net      *simfab.Network
-	Topo     *cluster.Topology
-	Dir      *cluster.Directory
-	Registry *txn.Registry
-	Nodes    []*server.Node
-	Sampler  *stats.Sampler // shared global sampler (nil if disabled)
-	// Clock is the cluster-shared commit clock (nil unless Cfg.MVCC).
-	Clock *storage.Clock
-
-	fabrics []*tcpnet.Fabric // per-node TCP fabrics (TransportTCP only)
-	wals    []*wal.Log       // per-node write-ahead logs (WALDir only)
-	engines map[EngineKind][]cc.Engine
+	*deploy.Cluster
+	// Nodes mirrors the deployment's node list (node ID == index) as of
+	// construction or the last AddNode. It is a plain slice because tests
+	// and the benchmark index it; harness code that can race a membership
+	// change reads the embedded Cluster's Nodes() instead.
+	Nodes []*server.Node
 }
 
-// NewCluster builds a cluster with the given default partitioner.
+// NewCluster builds a cluster with the given default partitioner,
+// panicking if it cannot (harness callers have no recovery path). A
+// zero Latency takes the harness default of 5µs: the paper's InfiniBand
+// EDR testbed sits around 1-2µs, and 5µs keeps the network/memory ratio
+// honest while tolerating OS timer slop.
 func NewCluster(cfg ClusterConfig, def cluster.DefaultPartitioner) *Cluster {
-	if cfg.Partitions <= 0 {
-		panic("bench: Partitions must be positive")
-	}
-	if cfg.Replication <= 0 {
-		cfg.Replication = 1
-	}
 	if cfg.Latency == 0 {
 		cfg.Latency = 5 * time.Microsecond
 	}
-	if cfg.Lanes <= 0 {
-		cfg.Lanes = DefaultLanes()
+	dc, err := deploy.NewCluster(cfg, def)
+	if err != nil {
+		panic(fmt.Sprintf("bench: %v", err))
 	}
-
-	topo := cluster.NewTopology(cfg.Partitions, cfg.Replication)
-	dir := cluster.NewDirectory(topo, def)
-	dir.SetLanes(cfg.Lanes) // before node construction: nodes size their lane executors from the directory
-	reg := txn.NewRegistry()
-
-	c := &Cluster{
-		Cfg:      cfg,
-		Topo:     topo,
-		Dir:      dir,
-		Registry: reg,
-		engines:  make(map[EngineKind][]cc.Engine),
-	}
-	if cfg.SampleRate > 0 {
-		c.Sampler = stats.NewSampler(cfg.SampleRate, cfg.Seed+1)
-	}
-	if cfg.MVCC {
-		c.Clock = storage.NewClock()
-	}
-
-	// Endpoints: one simnet endpoint per node, or — over TransportTCP —
-	// one tcpnet fabric per node, every one listening on a kernel-picked
-	// loopback port before any peer map is installed (so dial order
-	// cannot race the listeners).
-	endpoints := make([]transport.Endpoint, cfg.Partitions)
-	switch cfg.Transport {
-	case "", TransportSim:
-		net := simfab.New(simfab.Config{
-			Latency: cfg.Latency,
-			Jitter:  cfg.Jitter,
-			Seed:    cfg.Seed,
-			Faults:  cfg.Faults,
-		})
-		c.Net = net
-		for p := 0; p < cfg.Partitions; p++ {
-			endpoints[p] = net.Endpoint(simfab.NodeID(p))
-		}
-	case TransportTCP:
-		if cfg.Faults != nil {
-			panic("bench: fault injection requires the simnet transport")
-		}
-		addrs := make(map[transport.NodeID]string, cfg.Partitions)
-		for p := 0; p < cfg.Partitions; p++ {
-			fab, err := tcpnet.New(tcpnet.Config{ID: transport.NodeID(p)})
-			if err != nil {
-				for _, f := range c.fabrics {
-					f.Close()
-				}
-				panic(fmt.Sprintf("bench: tcp fabric for node %d: %v", p, err))
-			}
-			c.fabrics = append(c.fabrics, fab)
-			endpoints[p] = fab
-			addrs[transport.NodeID(p)] = fab.Addr()
-		}
-		for _, fab := range c.fabrics {
-			fab.SetPeers(addrs)
-		}
-	default:
-		panic(fmt.Sprintf("bench: unknown transport %q", cfg.Transport))
-	}
-
-	for p := 0; p < cfg.Partitions; p++ {
-		ep := endpoints[p]
-		st := storage.NewStore()
-		node := server.New(ep, st, reg, dir, cluster.PartitionID(p))
-		if c.Sampler != nil {
-			node.SetSampler(c.Sampler)
-		}
-		if cfg.WALDir != "" {
-			l, err := wal.Open(filepath.Join(cfg.WALDir, fmt.Sprintf("node-%d", p)), cfg.Lanes, cfg.WALPolicy)
-			if err != nil {
-				panic(fmt.Sprintf("bench: wal for node %d: %v", p, err))
-			}
-			c.wals = append(c.wals, l)
-			node.SetWAL(l)
-		}
-		if c.Clock != nil {
-			node.SetClock(c.Clock)
-		}
-		occ.RegisterVerbs(node)
-		core.RegisterVerbs(node)
-		c.Nodes = append(c.Nodes, node)
-	}
-	for _, n := range c.Nodes {
-		c.engines[Engine2PL] = append(c.engines[Engine2PL], twopl.New(n))
-		c.engines[EngineOCC] = append(c.engines[EngineOCC], occ.New(n))
-		chiller := core.New(n)
-		chiller.SetVerbBatching(cfg.VerbBatching)
-		c.engines[EngineChiller] = append(c.engines[EngineChiller], chiller)
-	}
+	c := &Cluster{Cluster: dc}
+	c.syncNodes()
 	return c
+}
+
+func (c *Cluster) syncNodes() {
+	nodes := c.Cluster.Nodes()
+	mirror := make([]*server.Node, len(nodes))
+	for i, n := range nodes {
+		mirror[i] = n.Node
+	}
+	c.Nodes = mirror
+}
+
+// AddNode grows the cluster by one node (deploy.Cluster.AddNode) and
+// refreshes the Nodes mirror.
+func (c *Cluster) AddNode() (int, error) {
+	id, err := c.Cluster.AddNode()
+	if err == nil {
+		c.syncNodes()
+	}
+	return id, err
 }
 
 // ResetVerbMetrics zeroes every node's per-verb counters (called at the
 // warmup/measurement boundary so percentiles cover only the counted
 // window).
-func (c *Cluster) ResetVerbMetrics() {
-	for _, n := range c.Nodes {
+func (c *Cluster) ResetVerbMetrics() { resetVerbMetrics(c.Cluster.Nodes()) }
+
+// VerbProfiles aggregates every node's per-verb metrics into one profile
+// per verb kind (see verbProfiles).
+func (c *Cluster) VerbProfiles() map[string]*VerbProfile { return verbProfiles(c.Cluster.Nodes()) }
+
+func resetVerbMetrics(nodes []*deploy.Node) {
+	for _, n := range nodes {
 		n.VerbMetrics().Reset()
 	}
 }
 
-// VerbProfiles aggregates every node's per-verb metrics into one profile
-// per verb kind: summed counts, merged latency histograms, and the
-// p50/p95/p99 extracted from the merge.
-func (c *Cluster) VerbProfiles() map[string]*VerbProfile {
+// verbProfiles merges the nodes' per-verb metrics into one profile per
+// verb kind: summed counts, merged latency histograms, and the
+// p50/p95/p99 extracted from the merge. nil when nothing was observed.
+func verbProfiles(nodes []*deploy.Node) map[string]*VerbProfile {
 	out := make(map[string]*VerbProfile)
-	for _, n := range c.Nodes {
+	for _, n := range nodes {
 		for kind, snap := range n.VerbMetrics().Snapshot() {
 			p := out[kind]
 			if p == nil {
@@ -267,74 +129,13 @@ func (c *Cluster) VerbProfiles() map[string]*VerbProfile {
 	return out
 }
 
-// Engine returns the engine of the given kind coordinated at node i.
-func (c *Cluster) Engine(kind EngineKind, node int) cc.Engine {
-	return c.engines[kind][node]
-}
-
-// Drain joins every engine's outstanding background work (async commit
-// tails), after which the cluster's lock state is stable.
-func (c *Cluster) Drain() {
-	for _, engines := range c.engines {
-		for _, e := range engines {
-			if d, ok := e.(cc.Drainer); ok {
-				d.Drain()
-			}
-		}
-	}
-}
-
-// Close tears the cluster down: drain in-flight engine work first so no
-// background commit hits a closed fabric, stop the fabric, then stop
-// every node's lane executors (in that order — a closed fabric delivers
-// no new lane work, so the lanes drain deterministically).
-func (c *Cluster) Close() {
-	c.Drain()
-	if c.Net != nil {
-		c.Net.Close()
-	}
-	for _, f := range c.fabrics {
-		f.Close()
-	}
-	for _, n := range c.Nodes {
-		n.Close()
-	}
-	for _, l := range c.wals {
-		l.Close()
-	}
-}
-
-// Settle blocks until the fabric carries no in-flight message and every
-// node's lane executors have drained — the strong quiesce barrier the
-// crash schedule needs before oracle-reading or wiping a store. Engine
-// drains and participant-state polls cannot see a replica apply still
-// queued behind a one-way stream; this can. Lane work may itself send
-// messages (apply acks), so the loop runs until a lane barrier completes
-// with the fabric quiet on both sides. Call only with client traffic
-// stopped and engines drained. Over TCP it degrades to lane barriers.
-func (c *Cluster) Settle() {
-	for {
-		if c.Net != nil && !c.Net.Quiet() {
-			time.Sleep(20 * time.Microsecond)
-			continue
-		}
-		for _, n := range c.Nodes {
-			n.LaneBarrier()
-		}
-		if c.Net == nil || c.Net.Quiet() {
-			return
-		}
-	}
-}
+// Close tears the cluster down (deploy.Cluster.Close; a WAL close error
+// is of no use to a harness that is done with the run).
+func (c *Cluster) Close() { _ = c.Cluster.Close() }
 
 // WAL returns node i's write-ahead log, or nil when the cluster runs
 // volatile.
-func (c *Cluster) WAL(i int) *wal.Log {
-	if len(c.wals) == 0 {
-		return nil
-	}
-	return c.wals[i]
-}
+func (c *Cluster) WAL(i int) *wal.Log { return c.Cluster.Nodes()[i].WAL() }
 
 // CrashNode simulates killing node i: its fabric links stop carrying
 // droppable verbs (the protected control plane drains in-flight
@@ -352,9 +153,10 @@ func (c *Cluster) RestartNode(i int) { c.Net.Restart(simfab.NodeID(i)) }
 func (c *Cluster) WipeNode(i int) { c.Nodes[i].Store().Reset() }
 
 // RecoverNode replays node i's WAL (snapshot + tail) into its store —
-// the restart path. The caller reloads tables and initial values first
-// (mirroring the operator restoring a fresh deployment image); replay
-// then reapplies every logged commit on top.
+// the in-place restart path of a node whose process (and open log)
+// survived the simulated kill. The caller reloads tables and initial
+// values first (mirroring the operator restoring a fresh deployment
+// image); replay then reapplies every logged commit on top.
 func (c *Cluster) RecoverNode(i int) error {
 	l := c.WAL(i)
 	if l == nil {
@@ -375,199 +177,4 @@ func (c *Cluster) RecoverNode(i int) error {
 		c.Clock.AdvanceTo(maxTS)
 	}
 	return nil
-}
-
-// CreateTable creates the table on every node (primaries and replicas
-// share loader code; a node stores primary data of its own partition and
-// replica data of partitions replicated onto it).
-func (c *Cluster) CreateTable(id storage.TableID, buckets int) {
-	for _, n := range c.Nodes {
-		n.Store().CreateTable(id, buckets)
-	}
-}
-
-// LoadRecord routes a record to its partition (per the current directory
-// state — install partitioning layouts *before* loading) and inserts it
-// into the primary store and every replica store.
-func (c *Cluster) LoadRecord(table storage.TableID, key storage.Key, value []byte) error {
-	rid := storage.RID{Table: table, Key: key}
-	pid := c.Dir.Partition(rid)
-	targets := append([]simfab.NodeID{c.Topo.Primary(pid)}, c.Topo.Replicas(pid)...)
-	for _, t := range targets {
-		st := c.Nodes[int(t)].Store()
-		tbl := st.Table(table)
-		if tbl == nil {
-			return fmt.Errorf("bench: table %d missing on node %d", table, t)
-		}
-		if err := tbl.Bucket(key).Insert(key, value); err != nil {
-			return fmt.Errorf("bench: load %v on node %d: %w", rid, t, err)
-		}
-	}
-	return nil
-}
-
-// MustLoadRecord is LoadRecord that panics on error (loader code paths).
-func (c *Cluster) MustLoadRecord(table storage.TableID, key storage.Key, value []byte) {
-	if err := c.LoadRecord(table, key, value); err != nil {
-		panic(err)
-	}
-}
-
-// Quiesced reports whether all nodes have drained their participant
-// state (no leaked locks). The harness asserts this after every run.
-func (c *Cluster) Quiesced() bool {
-	for _, n := range c.Nodes {
-		if n.ActiveTxns() != 0 {
-			return false
-		}
-	}
-	return true
-}
-
-// AddNode grows the cluster by one node (ID = len(Nodes), preserving
-// the NodeID-equals-slice-index invariant) wired onto the same fabric:
-// simnet endpoints are created on demand; over TCP a fresh fabric is
-// dialed in and the address book merged on every existing fabric. The
-// new node owns no partition — hand one off with MovePrimary. Tables
-// are not pre-created: the tolerant replica apply and WAL-replay
-// semantics create them on first backfill or stream message.
-func (c *Cluster) AddNode() (int, error) {
-	id := len(c.Nodes)
-	var ep transport.Endpoint
-	if c.Net != nil {
-		ep = c.Net.Endpoint(simfab.NodeID(id))
-	} else {
-		fab, err := tcpnet.New(tcpnet.Config{ID: transport.NodeID(id)})
-		if err != nil {
-			return 0, fmt.Errorf("bench: tcp fabric for node %d: %w", id, err)
-		}
-		addrs := c.fabrics[0].Peers()
-		addrs[transport.NodeID(id)] = fab.Addr()
-		fab.SetPeers(addrs)
-		for _, f := range c.fabrics {
-			f.SetPeers(map[transport.NodeID]string{transport.NodeID(id): fab.Addr()})
-		}
-		c.fabrics = append(c.fabrics, fab)
-		ep = fab
-	}
-	st := storage.NewStore()
-	node := server.New(ep, st, c.Registry, c.Dir, cluster.PartitionID(-1))
-	if c.Sampler != nil {
-		node.SetSampler(c.Sampler)
-	}
-	if c.Cfg.WALDir != "" {
-		l, err := wal.Open(filepath.Join(c.Cfg.WALDir, fmt.Sprintf("node-%d", id)), c.Cfg.Lanes, c.Cfg.WALPolicy)
-		if err != nil {
-			return 0, fmt.Errorf("bench: wal for node %d: %w", id, err)
-		}
-		c.wals = append(c.wals, l)
-		node.SetWAL(l)
-	}
-	if c.Clock != nil {
-		node.SetClock(c.Clock)
-	}
-	occ.RegisterVerbs(node)
-	core.RegisterVerbs(node)
-	c.Nodes = append(c.Nodes, node)
-	c.engines[Engine2PL] = append(c.engines[Engine2PL], twopl.New(node))
-	c.engines[EngineOCC] = append(c.engines[EngineOCC], occ.New(node))
-	chiller := core.New(node)
-	chiller.SetVerbBatching(c.Cfg.VerbBatching)
-	c.engines[EngineChiller] = append(c.engines[EngineChiller], chiller)
-	return id, nil
-}
-
-// MovePrimary hands partition pid off to node `to` — an existing
-// replica (no backfill; the streams kept it synced) or a freshly added
-// node (backfilled over the same streams) — while traffic keeps
-// committing (docs/ELASTICITY.md). When the move grew the partition's
-// copy count past the configured replication degree (a warming joiner
-// became a replica and then primary), the demoted old primary is
-// dropped from the replica set: that is the point of scaling out — the
-// old node's capacity is freed, and the remaining replicas still
-// satisfy the configured degree.
-func (c *Cluster) MovePrimary(pid cluster.PartitionID, to int) error {
-	from := int(c.Topo.Primary(pid))
-	if from == to {
-		return nil
-	}
-	if err := c.Nodes[from].HandoffPartition(pid, transport.NodeID(to)); err != nil {
-		return err
-	}
-	for {
-		reps := c.Topo.Replicas(pid)
-		if len(reps) <= c.Cfg.Replication-1 {
-			return nil
-		}
-		if err := c.Topo.RemoveReplica(pid, reps[len(reps)-1]); err != nil {
-			return err
-		}
-	}
-}
-
-// RemoveNode drains node id out of the topology: every partition it
-// primaries is handed to one of that partition's synced replicas (no
-// backfill — fence, drain, flush, flip), then every replica slot it
-// still holds is dropped. The node object stays alive but idle
-// afterwards (in-process clusters cannot reap a goroutine set that
-// stragglers may still message), which is also what keeps the handoff
-// safe: in-flight stream messages to it are acknowledged, not lost.
-func (c *Cluster) RemoveNode(id int) error {
-	nid := transport.NodeID(id)
-	for _, part := range c.Topo.Snapshot() {
-		if part.Primary != nid {
-			continue
-		}
-		reps := c.Topo.Replicas(part.ID)
-		if len(reps) == 0 {
-			return fmt.Errorf("bench: partition %d has no replica to absorb node %d's primary role", part.ID, id)
-		}
-		if err := c.Nodes[id].HandoffPartition(part.ID, reps[0]); err != nil {
-			return err
-		}
-	}
-	for _, part := range c.Topo.Snapshot() {
-		for _, r := range part.Replicas {
-			if r == nid {
-				if err := c.Topo.RemoveReplica(part.ID, nid); err != nil {
-					return err
-				}
-				break
-			}
-		}
-	}
-	return nil
-}
-
-// VerifyReplicaConsistency compares, for every partition with replicas,
-// each table's records between primary and replica stores. It returns
-// the number of mismatching records (0 means consistent). Call only on a
-// quiesced cluster.
-func (c *Cluster) VerifyReplicaConsistency(table storage.TableID) (mismatches int) {
-	for p := 0; p < c.Cfg.Partitions; p++ {
-		pid := cluster.PartitionID(p)
-		primary := c.Nodes[int(c.Topo.Primary(pid))].Store().Table(table)
-		if primary == nil {
-			continue
-		}
-		for _, rn := range c.Topo.Replicas(pid) {
-			replica := c.Nodes[int(rn)].Store().Table(table)
-			if replica == nil {
-				mismatches++
-				continue
-			}
-			primary.Range(func(key storage.Key, value []byte, _ uint64) bool {
-				rid := storage.RID{Table: table, Key: key}
-				if c.Dir.Partition(rid) != pid {
-					return true // replica data of another partition
-				}
-				rv, _, err := replica.Bucket(key).Get(key)
-				if err != nil || string(rv) != string(value) {
-					mismatches++
-				}
-				return true
-			})
-		}
-	}
-	return mismatches
 }

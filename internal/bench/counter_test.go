@@ -53,7 +53,9 @@ func TestNoLostUpdatesOnHotCounter(t *testing.T) {
 				t.Fatal(err)
 			}
 			c.CreateTable(counterTable, 8)
-			c.MustLoadRecord(counterTable, 0, enc(0))
+			if err := c.LoadRecord(counterTable, 0, enc(0)); err != nil {
+				t.Fatal(err)
+			}
 			rid := storage.RID{Table: counterTable, Key: 0}
 			c.Dir.SetHot(rid, c.Dir.Partition(rid))
 

@@ -291,7 +291,7 @@ func (o Options) laneCount() int {
 	if o.Lanes > 0 {
 		return o.Lanes
 	}
-	return DefaultLanes()
+	return cluster.DefaultLanes()
 }
 
 func (o Options) tpccConfig() tpcc.Config {
@@ -888,7 +888,7 @@ func MembershipChurn(opt Options) (*Figure, error) {
 				churnErr <- err
 				return
 			}
-			churnErr <- c.MovePrimary(cluster.PartitionID(0), id)
+			churnErr <- c.MovePartition(0, id)
 		}()
 		during := run()
 		if err := <-churnErr; err != nil {

@@ -8,15 +8,8 @@ import (
 	"time"
 
 	"github.com/chillerdb/chiller/internal/cc"
-	"github.com/chillerdb/chiller/internal/cc/occ"
-	"github.com/chillerdb/chiller/internal/cc/twopl"
 	"github.com/chillerdb/chiller/internal/cluster"
-	"github.com/chillerdb/chiller/internal/core"
-	"github.com/chillerdb/chiller/internal/server"
-	"github.com/chillerdb/chiller/internal/stats"
-	"github.com/chillerdb/chiller/internal/storage"
-	"github.com/chillerdb/chiller/internal/tcpnet"
-	"github.com/chillerdb/chiller/internal/transport"
+	"github.com/chillerdb/chiller/internal/deploy"
 	"github.com/chillerdb/chiller/internal/txn"
 	"github.com/chillerdb/chiller/internal/workload/tpcc"
 )
@@ -47,105 +40,46 @@ type ConnectConfig struct {
 
 // RemoteClient coordinates transactions against a cluster of
 // chiller-node processes over TCP. It mirrors Cluster's benchmarking
-// surface (Run with the same RunConfig, per-verb profiles) but owns no
-// data: every lock, commit, and replication verb crosses a real socket,
-// so its per-verb latencies are client-observed round trips.
+// surface (Run with the same RunConfig, per-verb profiles) over a
+// deploy.Client, which owns no data: every lock, commit, and replication
+// verb crosses a real socket, so its per-verb latencies are
+// client-observed round trips.
 type RemoteClient struct {
-	Cfg      ConnectConfig
-	Topo     *cluster.Topology
-	Dir      *cluster.Directory
-	Registry *txn.Registry
-	Node     *server.Node
+	*deploy.Client
+	Cfg ConnectConfig
 
-	fab        *tcpnet.Fabric
 	partitions int
-	engines    map[EngineKind]cc.Engine
 }
 
 // Connect builds the client-side coordinator for a cluster of
-// len(cfg.Peers) chiller-node processes. It does not touch the network:
-// connections are dialed lazily on the first verb, and tcpnet's dial
-// retry absorbs nodes that are still starting up. Register procedures
-// on Registry (and install any hot-record directory entries) before
-// running transactions.
+// len(cfg.Peers) chiller-node processes (deploy.Connect: nothing is
+// dialed until the first verb). Register procedures on Registry (and
+// install any hot-record directory entries) before running transactions.
 func Connect(cfg ConnectConfig, def cluster.DefaultPartitioner) (*RemoteClient, error) {
-	if len(cfg.Peers) == 0 {
-		return nil, fmt.Errorf("bench: Connect needs at least one peer")
-	}
-	if cfg.Replication <= 0 {
-		cfg.Replication = 1
-	}
-	if cfg.Lanes <= 0 {
-		cfg.Lanes = DefaultLanes()
-	}
-
-	partitions := len(cfg.Peers)
-	clientID := transport.NodeID(partitions)
-	fab, err := tcpnet.New(tcpnet.Config{ID: clientID})
+	dc, err := deploy.Connect(deploy.ClientConfig{
+		Peers:        cfg.Peers,
+		Replication:  cfg.Replication,
+		Lanes:        cfg.Lanes,
+		VerbBatching: cfg.VerbBatching,
+	}, def)
 	if err != nil {
-		return nil, fmt.Errorf("bench: client fabric: %w", err)
+		return nil, err
 	}
-	addrs := make(map[transport.NodeID]string, partitions)
-	for i, addr := range cfg.Peers {
-		addrs[transport.NodeID(i)] = addr
-	}
-	fab.SetPeers(addrs)
-
-	topo := cluster.NewTopology(partitions, cfg.Replication)
-	dir := cluster.NewDirectory(topo, def)
-	dir.SetLanes(cfg.Lanes)
-	reg := txn.NewRegistry()
-
-	// The client node is a coordinator-only participant: partition -1
-	// matches no primary, so every locality check in the coordination
-	// paths resolves to the remote branch.
-	node := server.New(fab, storage.NewStore(), reg, dir, cluster.PartitionID(-1))
-	occ.RegisterVerbs(node)
-	core.RegisterVerbs(node)
-
-	rc := &RemoteClient{
-		Cfg:        cfg,
-		Topo:       topo,
-		Dir:        dir,
-		Registry:   reg,
-		Node:       node,
-		fab:        fab,
-		partitions: partitions,
-		engines:    make(map[EngineKind]cc.Engine),
-	}
-	rc.engines[Engine2PL] = twopl.New(node)
-	rc.engines[EngineOCC] = occ.New(node)
-	chiller := core.New(node)
-	chiller.SetVerbBatching(cfg.VerbBatching)
-	rc.engines[EngineChiller] = chiller
-	return rc, nil
+	cfg.Lanes = dc.Dir.Lanes()
+	return &RemoteClient{Client: dc, Cfg: cfg, partitions: len(cfg.Peers)}, nil
 }
 
 // Engine returns the client-side engine of the given kind.
 func (rc *RemoteClient) Engine(kind EngineKind) cc.Engine {
-	return rc.engines[kind]
+	return rc.Node.Engine(kind)
 }
 
-// RefreshTopology fetches the cluster's current layout from node 0 and
-// installs it into the client's topology, merging any node addresses
-// the client's static peer list lacks (nodes that joined after it
-// connected). Nodes cannot push layout changes to the client — they
-// have no dialable address for it — so a client that must survive
+// RefreshTopology adopts the cluster's current layout and address book
+// (deploy.AdoptTopology). Nodes cannot push layout changes to the client
+// — they have no dialable address for it — so a client that must survive
 // membership churn polls (see WatchTopology).
 func (rc *RemoteClient) RefreshTopology() error {
-	payload, err := rc.fab.Call(transport.NodeID(0), server.VerbTopoGet, nil)
-	if err != nil {
-		return fmt.Errorf("bench: fetch topology: %w", err)
-	}
-	parts, addrs, err := server.DecodeTopoPayload(payload)
-	if err != nil {
-		return fmt.Errorf("bench: decode topology: %w", err)
-	}
-	if len(addrs) > 0 {
-		rc.fab.SetPeers(addrs)
-	}
-	rc.Topo.Install(parts)
-	return nil
+	return deploy.AdoptTopology(rc.Fabric, rc.Topo)
 }
 
 // WatchTopology polls RefreshTopology every interval (default 100ms)
@@ -175,45 +109,18 @@ func (rc *RemoteClient) WatchTopology(interval time.Duration) (stop func()) {
 	return func() { once.Do(func() { close(done) }) }
 }
 
-// Drain joins outstanding background commit tails on the client.
-func (rc *RemoteClient) Drain() {
-	for _, e := range rc.engines {
-		if d, ok := e.(cc.Drainer); ok {
-			d.Drain()
-		}
-	}
-}
-
 // Close drains in-flight work and tears the client down. The remote
 // nodes keep running.
-func (rc *RemoteClient) Close() {
-	rc.Drain()
-	rc.fab.Close()
-	rc.Node.Close()
-}
+func (rc *RemoteClient) Close() { _ = rc.Client.Close() }
 
 // ResetVerbMetrics zeroes the client's per-verb counters.
-func (rc *RemoteClient) ResetVerbMetrics() {
-	rc.Node.VerbMetrics().Reset()
-}
+func (rc *RemoteClient) ResetVerbMetrics() { resetVerbMetrics(rc.Nodes()) }
 
 // VerbProfiles summarizes the client node's per-verb metrics — unlike
 // Cluster.VerbProfiles there is exactly one observing node, so every
 // latency is a client-side round trip over the kernel's loopback (or
 // real) network.
-func (rc *RemoteClient) VerbProfiles() map[string]*VerbProfile {
-	out := make(map[string]*VerbProfile)
-	for kind, snap := range rc.Node.VerbMetrics().Snapshot() {
-		p := &VerbProfile{Count: snap.Count, hist: &stats.LatencyHist{}}
-		snap.Hist.AddTo(p.hist)
-		p.refresh()
-		out[kind] = p
-	}
-	if len(out) == 0 {
-		return nil
-	}
-	return out
-}
+func (rc *RemoteClient) VerbProfiles() map[string]*VerbProfile { return verbProfiles(rc.Nodes()) }
 
 // Run drives the workload against the remote cluster with Cluster.Run's
 // client structure — Concurrency clients per partition, closed-loop by
@@ -231,7 +138,7 @@ func (rc *RemoteClient) Run(w Workload, cfg RunConfig) *Metrics {
 	if lanes <= 0 {
 		lanes = 1
 	}
-	engine := rc.engines[cfg.Engine]
+	engine := rc.Engine(cfg.Engine)
 
 	nClients := rc.partitions * cfg.Concurrency
 	shards := make([]shard, nClients*lanes)
@@ -295,7 +202,7 @@ func (rc *RemoteClient) Run(w Workload, cfg RunConfig) *Metrics {
 	elapsed := time.Since(start)
 	stop.Store(true)
 	wg.Wait()
-	rc.Drain()
+	rc.Node.Drain()
 
 	m := &Metrics{
 		Engine:   cfg.Engine,
@@ -421,58 +328,4 @@ func Figure10Remote(opt Options, peers []string) (*Figure, error) {
 		}
 	}
 	return fig, nil
-}
-
-// NodeStores routes loader records by node: it implements
-// tpcc/instacart's Loader interface for one node process, keeping only
-// the records the node is primary or replica for. chiller-node uses it
-// so every process loads exactly its share of the (deterministic)
-// dataset without any cross-process coordination.
-type NodeStores struct {
-	ID    transport.NodeID
-	Store *storage.Store
-	Topo  *cluster.Topology
-	Dir   *cluster.Directory
-	// SkipExisting makes LoadRecord leave keys the store already holds
-	// untouched instead of failing: a store pre-populated by WAL
-	// recovery keeps its replayed values (which reflect committed
-	// transactions) while the loader fills in only what is missing.
-	SkipExisting bool
-}
-
-// CreateTable implements the Loader interface.
-func (l NodeStores) CreateTable(id storage.TableID, buckets int) {
-	l.Store.CreateTable(id, buckets)
-}
-
-// LoadRecord implements the Loader interface: records homed on other
-// nodes are silently skipped.
-func (l NodeStores) LoadRecord(table storage.TableID, key storage.Key, value []byte) error {
-	rid := storage.RID{Table: table, Key: key}
-	pid := l.Dir.Partition(rid)
-	mine := l.Topo.Primary(pid) == l.ID
-	if !mine {
-		for _, r := range l.Topo.Replicas(pid) {
-			if r == l.ID {
-				mine = true
-				break
-			}
-		}
-	}
-	if !mine {
-		return nil
-	}
-	tbl := l.Store.Table(table)
-	if tbl == nil {
-		return fmt.Errorf("bench: table %d missing on node %d", table, l.ID)
-	}
-	if l.SkipExisting {
-		if _, _, err := tbl.Bucket(key).Get(key); err == nil {
-			return nil
-		}
-	}
-	if err := tbl.Bucket(key).Insert(key, value); err != nil {
-		return fmt.Errorf("bench: load %v on node %d: %w", rid, l.ID, err)
-	}
-	return nil
 }

@@ -329,9 +329,12 @@ func Run(cfg Config) (*Result, error) {
 	// verbs are blocked, so in-flight commit tails finish and the cluster
 	// stays live) plus retry-until-commit clients with a fresh nonce per
 	// attempt (the checker needs every attempt's writes unique) and
-	// jittered backoff. engs maps each partition to the engine its
-	// clients coordinate at — normally engs[p] runs on node p; after a
-	// promotion the crashed partition's slot points at the new primary.
+	// jittered backoff. Every abort reason is retried — including a
+	// snapshot read gone stale under the MVCC cells' moving GC watermark,
+	// which re-snapshots on the next attempt (as ExecuteWithRetry does).
+	// engs maps each partition to the engine its clients coordinate at —
+	// normally engs[p] runs on node p; after a promotion the crashed
+	// partition's slot points at the new primary.
 	var nonces atomic.Int64
 	var committed, aborted, gaveUp atomic.Int64
 	const maxAttempts = 2000
@@ -601,10 +604,11 @@ func crashAndRecover(cfg Config, c *bench.Cluster, maxKey storage.Key) (victim, 
 }
 
 // membershipChurn is the elastic schedule, run concurrently with
-// phase-0 clients: grow the cluster by one node, hand it a
-// seeded-random partition via the incremental handoff protocol, let it
-// serve as primary under live traffic, hand the partition back, and
-// retire the node. Every step runs against open-loop client load;
+// phase-0 clients, through the deploy.Cluster membership operations the
+// public DB.AddNode/MovePartition/RemoveNode call: grow the cluster by
+// one node, hand it a seeded-random partition via the incremental
+// handoff protocol, let it serve as primary under live traffic, hand the
+// partition back, and retire the node. Every step runs against open-loop client load;
 // transactions caught at a cutover abort with the retryable moved
 // reason and re-route on retry.
 func membershipChurn(cfg Config, c *bench.Cluster) (int, error) {
@@ -616,14 +620,14 @@ func membershipChurn(cfg Config, c *bench.Cluster) (int, error) {
 		return -1, fmt.Errorf("check: add node: %w", err)
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed ^ 0x0317))
-	pid := cluster.PartitionID(rng.Intn(cfg.Partitions))
-	old := int(c.Topo.Primary(pid))
-	if err := c.MovePrimary(pid, id); err != nil {
+	pid := rng.Intn(cfg.Partitions)
+	old := int(c.Topo.Primary(cluster.PartitionID(pid)))
+	if err := c.MovePartition(pid, id); err != nil {
 		return id, fmt.Errorf("check: handoff partition %d to node %d: %w", pid, id, err)
 	}
 	// Serve a stretch of the workload as the partition's primary.
 	time.Sleep(time.Millisecond)
-	if err := c.MovePrimary(pid, old); err != nil {
+	if err := c.MovePartition(pid, old); err != nil {
 		return id, fmt.Errorf("check: hand partition %d back to node %d: %w", pid, old, err)
 	}
 	if err := c.RemoveNode(id); err != nil {

@@ -372,12 +372,7 @@ func (e *Engine) runTwoRegion(ctx context.Context, req *txn.Request, proc *txn.P
 		// Check hooks or inner mutators). Surface loudly.
 		panic(fmt.Sprintf("core: outer mutate failed after inner commit (txn %d, proc %s): %v", txnID, proc.Name, err))
 	}
-	var repl *server.PendingReplication
-	if e.batched {
-		repl = n.ReplicateDoorbell(txnID, ts, writes)
-	} else {
-		repl = n.ReplicateAsync(txnID, ts, writes)
-	}
+	repl := n.ReplicateAsync(txnID, ts, writes)
 
 	// Wait for the inner region's replicas to acknowledge (to us, the
 	// coordinator — Figure 6) before completing the transaction.

@@ -16,9 +16,8 @@ import (
 // node is short-circuited to a direct call, modelling the co-located
 // compute/storage fast path of the NAM-DB architecture. Remote verbs are
 // timed into the node's VerbMetrics. The scalar helpers ship one RPC per
-// verb; the batched fan-outs (ReplicateDoorbell, CommitAll with batched
-// set) pack every verb bound for one node into a single doorbell — see
-// doorbell.go.
+// verb; the batched fan-out (CommitAll with batched set) packs every
+// verb bound for one node into a single doorbell — see doorbell.go.
 
 // LockRead locks and reads entries at the target node.
 func (n *Node) LockRead(target transport.NodeID, txnID uint64, entries []LockEntry) (*LockResponse, error) {
@@ -177,8 +176,8 @@ type localFwd struct {
 }
 
 // PendingReplication is an in-flight replication fan-out started by
-// Replicate, ReplicateAsync or ReplicateDoorbell. Wait gathers every
-// replica acknowledgement.
+// Replicate or ReplicateAsync. Wait gathers every replica
+// acknowledgement.
 type PendingReplication struct {
 	vm     *VerbMetrics
 	calls  []replCall
@@ -212,25 +211,16 @@ func (n *Node) forwardTo(pr *PendingReplication, pid cluster.PartitionID, txnID,
 // scatter, without waiting for acknowledgements. The caller overlaps
 // the replica round trip with other work (Chiller's coordinator runs it
 // under the inner-replica-ack wait) and joins the acks with Wait before
-// releasing any lock.
+// releasing any lock. Batched-transport engines use it too: a relay
+// completes only when the replicas ack back to the primary, and doorbell
+// frames are serviced synchronously at ring time, so parking a ring on a
+// replica round trip would forfeit exactly the overlap the scatter buys.
 func (n *Node) ReplicateAsync(txnID, ts uint64, writes map[cluster.PartitionID][]WriteOp) *PendingReplication {
 	pr := &PendingReplication{vm: n.vm}
 	for pid, ws := range writes {
 		n.forwardTo(pr, pid, txnID, ts, ws)
 	}
 	return pr
-}
-
-// ReplicateDoorbell is ReplicateAsync under a batched-transport engine.
-// Replication relays cannot ride a doorbell: a relay completes only
-// when the replicas ack back to the primary, and doorbell frames are
-// serviced synchronously at ring time — parking the ring on a replica
-// round trip would forfeit exactly the overlap the engine buys by
-// scattering. Since the relay targets partition primaries (typically
-// one or two nodes whose write sets were already coalesced per
-// partition), the scalar forward path is the batched path.
-func (n *Node) ReplicateDoorbell(txnID, ts uint64, writes map[cluster.PartitionID][]WriteOp) *PendingReplication {
-	return n.ReplicateAsync(txnID, ts, writes)
 }
 
 // Empty reports whether the fan-out has nothing in flight and no errors.

@@ -50,7 +50,7 @@ type Doorbell struct {
 
 // doorbellKinds indexes the kind counters a doorbell tracks for metric
 // attribution (the batchable verb set).
-var doorbellKinds = [...]string{KindLockRead, KindCommit, KindReplApply, KindAbort, KindSnapRead}
+var doorbellKinds = [...]string{KindLockRead, KindCommit, KindAbort, KindSnapRead}
 
 func doorbellKindIndex(verb string) int {
 	switch verb {
@@ -58,12 +58,10 @@ func doorbellKindIndex(verb string) int {
 		return 0
 	case VerbCommit:
 		return 1
-	case VerbReplApply:
-		return 2
 	case VerbAbort:
-		return 3
+		return 2
 	case VerbSnapshotRead:
-		return 4
+		return 3
 	}
 	return -1
 }
@@ -124,20 +122,6 @@ func (d *Doorbell) PostCommit(txnID, ts uint64, writes []WriteOp) int {
 	return d.count - 1
 }
 
-// PostReplApply posts a direct replica write-set apply. Substrate-only:
-// engines stopped replicating replica-direct when replication moved to
-// the primary relay (VerbReplForward — one FIFO pipe per record; a
-// relay cannot ride a doorbell because its completion waits on replica
-// acks, see ReplicateDoorbell). The frame stays a supported one-sided
-// verb for tooling and for state-sync paths that copy records outside
-// any transaction.
-func (d *Doorbell) PostReplApply(txnID, ts uint64, writes []WriteOp) int {
-	mark := d.begin(VerbReplApply)
-	EncodeWritesTo(&d.w, txnID, ts, writes)
-	d.w.EndBytes32(mark)
-	return d.count - 1
-}
-
 // PostSnapshotRead posts an MVCC snapshot-read batch: read the listed
 // records at the snapshot timestamp off the version chains, lock-free.
 // Pure snapshot-read rings stay on the droppable lock-wave envelope
@@ -168,7 +152,7 @@ func (d *Doorbell) Ring() *PendingDoorbell {
 	// protected tail verb; pure lock-wave rings are droppable by fault
 	// plans (see VerbDoorbellTail).
 	method := VerbDoorbell
-	if d.kinds[1]+d.kinds[2]+d.kinds[3] > 0 { // commit, repl-apply, abort frames
+	if d.kinds[1]+d.kinds[2] > 0 { // commit, abort frames
 		method = VerbDoorbellTail
 	}
 	// GoOneSided services the batch before returning (see its cost
@@ -362,12 +346,6 @@ func (n *Node) applyVerb(w *wire.Writer, verb string, payload []byte) {
 		txnID, ts, writes, err := DecodeWrites(payload)
 		if err == nil {
 			err = n.CommitLocal(txnID, ts, writes)
-		}
-		writeFrameError(w, err)
-	case VerbReplApply:
-		_, ts, writes, err := DecodeWrites(payload)
-		if err == nil {
-			err = ApplyWrites(n.store, ts, writes)
 		}
 		writeFrameError(w, err)
 	case VerbSnapshotRead:

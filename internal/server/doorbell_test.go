@@ -142,9 +142,11 @@ func TestDoorbellMiddleFrameAbortReleasesOnlyItsLocks(t *testing.T) {
 	}
 }
 
-// A doorbell can carry a commit and a replica apply for the same node in
-// one ring; both execute and the commit releases the locks it covers.
-func TestDoorbellCommitAndReplApply(t *testing.T) {
+// A doorbell commit applies its writes and releases the locks it
+// covers. A replica-apply frame in the same ring is rejected: applying
+// writes with neither a WAL append nor stream order is not a doorbell
+// verb, and its sibling still commits.
+func TestDoorbellCommitAppliesAndRejectsReplApply(t *testing.T) {
 	sender, dest := newTestPair(t)
 	keys := distinctKeys(t, dest, 2)
 	tbl := dest.Store().Table(1)
@@ -154,18 +156,20 @@ func TestDoorbellCommitAndReplApply(t *testing.T) {
 	}); !r.OK {
 		t.Fatalf("lock failed: %v", r.Reason)
 	}
+	before, _, _ := tbl.Bucket(keys[1]).Get(keys[1])
 
 	d := sender.NewDoorbell(dest.ID())
-	d.PostCommit(7, 0, []WriteOp{{Table: 1, Key: keys[0], Type: txn.OpUpdate, Value: []byte{0xAA}}})
-	d.PostReplApply(8, 0, []WriteOp{{Table: 1, Key: keys[1], Type: txn.OpUpdate, Value: []byte{0xBB}}})
+	commit := d.PostCommit(7, 0, []WriteOp{{Table: 1, Key: keys[0], Type: txn.OpUpdate, Value: []byte{0xAA}}})
+	repl := d.Post(VerbReplApply, EncodeWrites(8, 0, []WriteOp{{Table: 1, Key: keys[1], Type: txn.OpUpdate, Value: []byte{0xBB}}}))
 	results, err := d.Ring().Wait()
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, fr := range results {
-		if fr.Err != "" {
-			t.Fatalf("frame %d: %s", i, fr.Err)
-		}
+	if results[commit].Err != "" {
+		t.Fatalf("commit frame: %s", results[commit].Err)
+	}
+	if results[repl].Err == "" {
+		t.Fatal("replica-apply frame accepted on the doorbell path")
 	}
 	if v, _, _ := tbl.Bucket(keys[0]).Get(keys[0]); len(v) != 1 || v[0] != 0xAA {
 		t.Fatalf("commit write not applied: %v", v)
@@ -173,8 +177,8 @@ func TestDoorbellCommitAndReplApply(t *testing.T) {
 	if tbl.Bucket(keys[0]).Lock.Held() {
 		t.Fatal("commit did not release the lock")
 	}
-	if v, _, _ := tbl.Bucket(keys[1]).Get(keys[1]); len(v) != 1 || v[0] != 0xBB {
-		t.Fatalf("replica apply not applied: %v", v)
+	if v, _, _ := tbl.Bucket(keys[1]).Get(keys[1]); string(v) != string(before) {
+		t.Fatalf("rejected replica apply changed the record: %v", v)
 	}
 	if dest.ActiveTxns() != 0 {
 		t.Fatalf("ActiveTxns = %d", dest.ActiveTxns())

@@ -167,7 +167,7 @@ func (n *Node) snapshotAttempt(ctx context.Context, proc *txn.Procedure, args tx
 			pid := n.dir.Partition(rid)
 			pids[pid] = true
 			entry := SnapReadEntry{OpID: i, Table: op.Table, Key: key, MustExist: !op.Conditional}
-			if n.holdsPartition(pid) {
+			if n.HoldsPartition(pid) {
 				resp := n.SnapshotReadLocal(ts, []SnapReadEntry{entry})
 				if !resp.OK {
 					return abort(resp.Reason, "")
@@ -191,7 +191,7 @@ func (n *Node) snapshotAttempt(ctx context.Context, proc *txn.Procedure, args tx
 			resolved[i] = true
 			remaining--
 			progressed = true
-			if op.Check != nil && n.holdsPartition(pid) {
+			if op.Check != nil && n.HoldsPartition(pid) {
 				if err := op.Check(reads[i], args, reads); err != nil {
 					return abort(txn.AbortConstraint, err.Error())
 				}
@@ -223,11 +223,11 @@ func (n *Node) snapshotAttempt(ctx context.Context, proc *txn.Procedure, args tx
 	return &txn.Result{Committed: true, Reads: reads, Distributed: len(pids) > 1}
 }
 
-// holdsPartition reports whether this node stores partition pid locally,
+// HoldsPartition reports whether this node stores partition pid locally,
 // as its primary or as one of its replicas. Replica stores apply every
 // committed write at its commit timestamp via the §5 streams, so their
 // version chains answer snapshot reads exactly as the primary's do.
-func (n *Node) holdsPartition(pid cluster.PartitionID) bool {
+func (n *Node) HoldsPartition(pid cluster.PartitionID) bool {
 	topo := n.dir.Topology()
 	if topo.Primary(pid) == n.ID() {
 		return true

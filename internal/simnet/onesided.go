@@ -11,189 +11,22 @@ import (
 // One-sided verbs. In real RDMA these are serviced by the remote NIC
 // without involving the remote CPU; here they are serviced by the fabric
 // itself (never by the destination's dispatcher or a two-sided RPC
-// handler) after the same one-way latency, so the remote "CPU" stays
-// free — the property NAM-DB exploits.
+// handler), so the remote "CPU" stays free — the property NAM-DB
+// exploits.
 //
-// Three one-sided surfaces exist, lowest-level first:
-//
-//   - Scalar memory verbs (ReadRemote/WriteRemote/CompareAndSwapRemote)
-//     against registered Memory regions, which sleep inline for a round
-//     trip.
-//   - OneSidedBatch, which accumulates memory verbs against one node and
-//     rings one doorbell for the lot.
-//   - Doorbell-batched verb handlers (HandleOneSided + GoOneSided): a
-//     registered handler serviced on the one-sided path, asynchronously,
-//     so a caller can keep several doorbells to different nodes in
-//     flight. This is the engine hot path: internal/server packs a whole
-//     per-node verb batch (lock wave, replica apply, commit) into one
-//     doorbell (see its VerbDoorbell).
+// The one surface is the doorbell-batched verb handler (HandleOneSided +
+// GoOneSided): a registered handler serviced on the one-sided path,
+// asynchronously, so a caller can keep several doorbells to different
+// nodes in flight. This is the engine hot path: internal/server packs a
+// whole per-node verb batch (lock wave, commit wave) into one doorbell
+// (see its VerbDoorbell). A lock-and-read is a CAS on the bucket lock
+// word plus a record READ, which the handler performs as one atomic
+// unit.
 //
 // The one-sided path deliberately bypasses the per-link FIFO queues and
 // carries no jitter: one-sided verbs have no ordering interaction with
 // two-sided messages in our protocols. Anything that relies on per-link
 // ordering — the §5 inner replication stream — must stay two-sided.
-
-func (e *Endpoint) oneSidedDelay(to NodeID) {
-	cfg := &e.net.cfg
-	lat := cfg.Latency
-	if to == e.id {
-		lat = cfg.LocalLatency
-	}
-	if lat <= 0 {
-		return
-	}
-	// Full round trip: request + response.
-	time.Sleep(2 * lat)
-}
-
-// ReadRemote performs a one-sided READ of length len(p) at offset off in
-// the named region of node `to`, filling p.
-func (e *Endpoint) ReadRemote(to NodeID, region string, off uint64, p []byte) error {
-	dst, ok := e.net.endpoint(to)
-	if !ok {
-		return fmt.Errorf("%w: %d", ErrNoSuchNode, to)
-	}
-	m, ok := dst.region(region)
-	if !ok {
-		return fmt.Errorf("%w: %q on node %d", ErrNoSuchRegion, region, to)
-	}
-	e.oneSidedDelay(to)
-	e.net.stats.OneSidedReads.Add(1)
-	e.net.stats.MessagesSent.Add(2)
-	return m.ReadAt(off, p)
-}
-
-// WriteRemote performs a one-sided WRITE of p at offset off in the named
-// region of node `to`.
-func (e *Endpoint) WriteRemote(to NodeID, region string, off uint64, p []byte) error {
-	dst, ok := e.net.endpoint(to)
-	if !ok {
-		return fmt.Errorf("%w: %d", ErrNoSuchNode, to)
-	}
-	m, ok := dst.region(region)
-	if !ok {
-		return fmt.Errorf("%w: %q on node %d", ErrNoSuchRegion, region, to)
-	}
-	e.oneSidedDelay(to)
-	e.net.stats.MessagesSent.Add(2)
-	e.net.stats.BytesSent.Add(uint64(len(p)))
-	return m.WriteAt(off, p)
-}
-
-// OneSidedBatch accumulates one-sided memory verbs against a single
-// target node and executes them with one doorbell: the NIC-queue model
-// behind RDMA doorbell batching, where posting N work requests and
-// ringing once costs a single round trip for the whole batch instead of
-// one per verb. Operations execute in posting order; the first error
-// aborts the rest.
-//
-// The engines drive their protocols over the handler-based doorbell
-// path (GoOneSided) rather than raw memory verbs — a lock-and-read is a
-// CAS on the bucket lock word plus a record READ, which the handler
-// performs as one atomic unit; see internal/server.
-type OneSidedBatch struct {
-	ep  *Endpoint
-	to  NodeID
-	ops []onesidedOp
-}
-
-type onesidedOp struct {
-	kind    uint8 // opRead, opWrite, opCAS
-	region  string
-	off     uint64
-	buf     []byte // read destination or write source
-	old     uint64
-	new     uint64
-	casPrev *uint64
-	casOK   *bool
-}
-
-const (
-	opRead uint8 = iota + 1
-	opWrite
-	opCAS
-)
-
-// NewBatch starts a doorbell batch against node `to`.
-func (e *Endpoint) NewBatch(to NodeID) *OneSidedBatch {
-	return &OneSidedBatch{ep: e, to: to}
-}
-
-// Read posts a one-sided READ of len(p) bytes at off into p.
-func (b *OneSidedBatch) Read(region string, off uint64, p []byte) *OneSidedBatch {
-	b.ops = append(b.ops, onesidedOp{kind: opRead, region: region, off: off, buf: p})
-	return b
-}
-
-// Write posts a one-sided WRITE of p at off.
-func (b *OneSidedBatch) Write(region string, off uint64, p []byte) *OneSidedBatch {
-	b.ops = append(b.ops, onesidedOp{kind: opWrite, region: region, off: off, buf: p})
-	return b
-}
-
-// CompareAndSwap posts a one-sided CAS; the observed previous value and
-// swap outcome are stored through prev and swapped when non-nil.
-func (b *OneSidedBatch) CompareAndSwap(region string, off uint64, old, new uint64, prev *uint64, swapped *bool) *OneSidedBatch {
-	b.ops = append(b.ops, onesidedOp{
-		kind: opCAS, region: region, off: off, old: old, new: new, casPrev: prev, casOK: swapped,
-	})
-	return b
-}
-
-// Len reports the number of posted operations.
-func (b *OneSidedBatch) Len() int { return len(b.ops) }
-
-// Execute rings the doorbell: all posted operations run against the
-// target after a single round-trip delay, in posting order. The batch is
-// reset and reusable afterwards.
-func (b *OneSidedBatch) Execute() error {
-	e := b.ep
-	defer func() { b.ops = b.ops[:0] }()
-	if len(b.ops) == 0 {
-		return nil
-	}
-	dst, ok := e.net.endpoint(b.to)
-	if !ok {
-		return fmt.Errorf("%w: %d", ErrNoSuchNode, b.to)
-	}
-	// One doorbell, one round trip for the whole batch.
-	e.oneSidedDelay(b.to)
-	for i := range b.ops {
-		op := &b.ops[i]
-		m, ok := dst.region(op.region)
-		if !ok {
-			return fmt.Errorf("%w: %q on node %d", ErrNoSuchRegion, op.region, b.to)
-		}
-		switch op.kind {
-		case opRead:
-			e.net.stats.OneSidedReads.Add(1)
-			e.net.stats.MessagesSent.Add(2)
-			if err := m.ReadAt(op.off, op.buf); err != nil {
-				return err
-			}
-		case opWrite:
-			e.net.stats.MessagesSent.Add(2)
-			e.net.stats.BytesSent.Add(uint64(len(op.buf)))
-			if err := m.WriteAt(op.off, op.buf); err != nil {
-				return err
-			}
-		case opCAS:
-			e.net.stats.OneSidedCAS.Add(1)
-			e.net.stats.MessagesSent.Add(2)
-			prev, swapped, err := m.CompareAndSwap64(op.off, op.old, op.new)
-			if err != nil {
-				return err
-			}
-			if op.casPrev != nil {
-				*op.casPrev = prev
-			}
-			if op.casOK != nil {
-				*op.casOK = swapped
-			}
-		}
-	}
-	return nil
-}
 
 // OneSidedHandler services a doorbell-batched one-sided verb (see
 // transport.OneSidedHandler). In simnet it runs on the caller's side of
@@ -249,8 +82,8 @@ func (p *PendingOneSided) Reap() ([]byte, error) {
 // however many verbs it posts — doorbell batching's whole point. Unlike
 // two-sided RPC, nothing is scheduled: no link queue, no dispatcher
 // pass, no handler goroutine, no timer. The verb is serviced on the
-// caller's goroutine at ring time, like the scalar one-sided memory
-// verbs — destination state changes promptly and deterministically (a
+// caller's goroutine at ring time — destination state changes promptly
+// and deterministically (a
 // lock released by a doorbell commit is free for the next requester
 // without waiting on any scheduler), while the caller still observes the
 // full round trip at Wait. The ±one-way skew between service time and
@@ -310,24 +143,4 @@ func (e *Endpoint) CallOneSided(to NodeID, method string, payload []byte, verbs 
 		return nil, err
 	}
 	return p.Wait()
-}
-
-// CompareAndSwapRemote performs a one-sided atomic CAS on the 8 bytes at
-// off in the named region of node `to`. It returns the previously stored
-// value and whether the swap happened — exactly the semantics of the RDMA
-// ATOMIC_CMP_AND_SWP verb that NAM-DB style systems use for remote lock
-// acquisition.
-func (e *Endpoint) CompareAndSwapRemote(to NodeID, region string, off uint64, old, new uint64) (prev uint64, swapped bool, err error) {
-	dst, ok := e.net.endpoint(to)
-	if !ok {
-		return 0, false, fmt.Errorf("%w: %d", ErrNoSuchNode, to)
-	}
-	m, ok := dst.region(region)
-	if !ok {
-		return 0, false, fmt.Errorf("%w: %q on node %d", ErrNoSuchRegion, region, to)
-	}
-	e.oneSidedDelay(to)
-	e.net.stats.OneSidedCAS.Add(1)
-	e.net.stats.MessagesSent.Add(2)
-	return m.CompareAndSwap64(off, old, new)
 }

@@ -1,8 +1,7 @@
 // Package simnet simulates the RDMA-capable fabric that Chiller assumes:
 // a low-latency network with per-link in-order (FIFO) delivery, two-sided
-// RPC endpoints, and one-sided verbs — READ/WRITE/CAS against registered
-// memory regions, plus doorbell-batched one-sided verb handlers — that
-// are serviced by the fabric itself, never by the destination's
+// RPC endpoints, and one-sided verbs — doorbell-batched verb handlers
+// that are serviced by the fabric itself, never by the destination's
 // dispatcher.
 //
 // The paper's testbed was an 8-node InfiniBand EDR cluster. What Chiller's
@@ -21,16 +20,15 @@
 //     the general path; anything that must observe per-link ordering
 //     (the §5 replication stream) or run real destination-side logic
 //     (inner-region execution) uses it.
-//   - One-sided verbs (ReadRemote/WriteRemote/CompareAndSwapRemote,
-//     OneSidedBatch, and the doorbell-batched verb path GoOneSided):
-//     serviced after the same latency but without involving the
-//     destination's dispatcher, modelling NIC-executed RDMA verbs. A
+//   - One-sided verbs (the doorbell-batched verb path, HandleOneSided +
+//     GoOneSided): serviced after the same latency but without involving
+//     the destination's dispatcher, modelling NIC-executed RDMA verbs. A
 //     doorbell batch posts any number of operations against one node and
 //     rings once — one round trip for the whole batch, the per-message
 //     overhead amortization the paper's transport argument rests on.
-//     Chiller's engine drives its outer lock waves, replica applies, and
-//     commit tails over this path (see internal/server's doorbell verb
-//     and docs/NETWORK.md).
+//     Chiller's engine drives its outer lock waves and commit tails over
+//     this path (see internal/server's doorbell verb and
+//     docs/NETWORK.md).
 package simnet
 
 import (
@@ -167,11 +165,6 @@ var (
 	ErrNoSuchMethod = transport.ErrNoSuchMethod
 )
 
-// ErrNoSuchRegion is returned by one-sided verbs targeting an unregistered
-// memory region. Registered-memory verbs are a simnet extra (the engines
-// use the doorbell verb path), so this sentinel stays local.
-var ErrNoSuchRegion = fmt.Errorf("simnet: no such memory region")
-
 // Endpoint returns (creating if necessary) the endpoint for node id.
 func (n *Network) Endpoint(id NodeID) *Endpoint {
 	n.mu.Lock()
@@ -183,7 +176,6 @@ func (n *Network) Endpoint(id NodeID) *Endpoint {
 		id:       id,
 		net:      n,
 		handlers: make(map[string]RPCHandler),
-		regions:  make(map[string]Memory),
 		pending:  make(map[uint64]chan rpcResult),
 	}
 	n.nodes[id] = e
@@ -432,20 +424,6 @@ type RPCHandler = transport.RPCHandler
 // dispatcher (see transport.AsyncRPCHandler).
 type AsyncRPCHandler = transport.AsyncRPCHandler
 
-// Memory is a region that remote nodes can access with one-sided verbs.
-// Implementations must be safe for concurrent use: in real RDMA the NIC
-// writes to memory without synchronizing with host software.
-type Memory interface {
-	// ReadAt copies len(p) bytes starting at off into p.
-	ReadAt(off uint64, p []byte) error
-	// WriteAt copies p into the region starting at off.
-	WriteAt(off uint64, p []byte) error
-	// CompareAndSwap64 atomically compares the 8 bytes at off with old
-	// and, if equal, replaces them with new. It returns the value
-	// observed before the operation.
-	CompareAndSwap64(off uint64, old, new uint64) (prev uint64, swapped bool, err error)
-}
-
 // Endpoint is one node's attachment to the fabric.
 type Endpoint struct {
 	id  NodeID
@@ -455,7 +433,6 @@ type Endpoint struct {
 	handlers map[string]RPCHandler
 	async    map[string]AsyncRPCHandler
 	onesided map[string]OneSidedHandler
-	regions  map[string]Memory
 
 	pmu     sync.Mutex
 	pending map[uint64]chan rpcResult
@@ -521,14 +498,6 @@ func (e *Endpoint) HandleOneSided(method string, h OneSidedHandler) {
 		e.onesided = make(map[string]OneSidedHandler)
 	}
 	e.onesided[method] = h
-}
-
-// RegisterMemory exposes m under the given region name for one-sided
-// access by remote endpoints.
-func (e *Endpoint) RegisterMemory(region string, m Memory) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.regions[region] = m
 }
 
 // RemoteError is an application-level error returned by a remote RPC
@@ -720,12 +689,4 @@ func (e *Endpoint) failPending(err error) {
 		ch <- rpcResult{err: err}
 		delete(e.pending, id)
 	}
-}
-
-// region looks up a registered memory region.
-func (e *Endpoint) region(name string) (Memory, bool) {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	m, ok := e.regions[name]
-	return m, ok
 }

@@ -3,7 +3,6 @@ package simnet
 import (
 	"encoding/binary"
 	"errors"
-	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -208,94 +207,6 @@ func TestAsyncGoFanOut(t *testing.T) {
 	}
 }
 
-type sliceMemory struct {
-	mu  sync.Mutex
-	buf []byte
-}
-
-func (m *sliceMemory) ReadAt(off uint64, p []byte) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if int(off)+len(p) > len(m.buf) {
-		return fmt.Errorf("read out of range")
-	}
-	copy(p, m.buf[off:])
-	return nil
-}
-
-func (m *sliceMemory) WriteAt(off uint64, p []byte) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if int(off)+len(p) > len(m.buf) {
-		return fmt.Errorf("write out of range")
-	}
-	copy(m.buf[off:], p)
-	return nil
-}
-
-func (m *sliceMemory) CompareAndSwap64(off uint64, old, new uint64) (uint64, bool, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if int(off)+8 > len(m.buf) {
-		return 0, false, fmt.Errorf("cas out of range")
-	}
-	cur := binary.LittleEndian.Uint64(m.buf[off:])
-	if cur != old {
-		return cur, false, nil
-	}
-	binary.LittleEndian.PutUint64(m.buf[off:], new)
-	return cur, true, nil
-}
-
-func TestOneSidedReadWrite(t *testing.T) {
-	n := New(Config{})
-	defer n.Close()
-	a := n.Endpoint(1)
-	b := n.Endpoint(2)
-	mem := &sliceMemory{buf: make([]byte, 64)}
-	b.RegisterMemory("heap", mem)
-
-	if err := a.WriteRemote(2, "heap", 8, []byte{1, 2, 3, 4}); err != nil {
-		t.Fatal(err)
-	}
-	p := make([]byte, 4)
-	if err := a.ReadRemote(2, "heap", 8, p); err != nil {
-		t.Fatal(err)
-	}
-	if p[0] != 1 || p[3] != 4 {
-		t.Fatalf("read back %v", p)
-	}
-}
-
-func TestOneSidedCAS(t *testing.T) {
-	n := New(Config{})
-	defer n.Close()
-	a := n.Endpoint(1)
-	b := n.Endpoint(2)
-	mem := &sliceMemory{buf: make([]byte, 16)}
-	b.RegisterMemory("lock", mem)
-
-	prev, swapped, err := a.CompareAndSwapRemote(2, "lock", 0, 0, 77)
-	if err != nil || !swapped || prev != 0 {
-		t.Fatalf("first CAS: prev=%d swapped=%v err=%v", prev, swapped, err)
-	}
-	prev, swapped, err = a.CompareAndSwapRemote(2, "lock", 0, 0, 88)
-	if err != nil || swapped || prev != 77 {
-		t.Fatalf("second CAS should fail: prev=%d swapped=%v err=%v", prev, swapped, err)
-	}
-}
-
-func TestOneSidedNoSuchRegion(t *testing.T) {
-	n := New(Config{})
-	defer n.Close()
-	a := n.Endpoint(1)
-	n.Endpoint(2)
-	err := a.ReadRemote(2, "ghost", 0, make([]byte, 1))
-	if !errors.Is(err, ErrNoSuchRegion) {
-		t.Fatalf("want ErrNoSuchRegion, got %v", err)
-	}
-}
-
 func TestCloseFailsPendingRPCs(t *testing.T) {
 	n := New(Config{Latency: 50 * time.Millisecond})
 	a := n.Endpoint(1)
@@ -348,72 +259,5 @@ func TestSelfCall(t *testing.T) {
 	}
 	if e := time.Since(start); e > 500*time.Microsecond {
 		t.Logf("self call took %v; local latency should be ~0", e)
-	}
-}
-
-func TestDoorbellBatch(t *testing.T) {
-	const lat = 2 * time.Millisecond
-	n := New(Config{Latency: lat})
-	defer n.Close()
-	a := n.Endpoint(1)
-	b := n.Endpoint(2)
-	mem := &sliceMemory{buf: make([]byte, 64)}
-	b.RegisterMemory("heap", mem)
-
-	var prev uint64
-	var swapped bool
-	out := make([]byte, 4)
-	batch := a.NewBatch(2).
-		Write("heap", 0, []byte{9, 8, 7, 6}).
-		Read("heap", 0, out).
-		CompareAndSwap("heap", 8, 0, 42, &prev, &swapped)
-	if batch.Len() != 3 {
-		t.Fatalf("Len = %d", batch.Len())
-	}
-	start := time.Now()
-	if err := batch.Execute(); err != nil {
-		t.Fatal(err)
-	}
-	elapsed := time.Since(start)
-	// One doorbell: the whole batch costs a single round trip, not one
-	// per verb.
-	if elapsed < 2*lat {
-		t.Fatalf("batch finished in %v, want >= one round trip %v", elapsed, 2*lat)
-	}
-	if elapsed > 3*2*lat {
-		t.Logf("batch took %v (>1 RTT is scheduling noise, informational)", elapsed)
-	}
-	if out[0] != 9 || out[3] != 6 {
-		t.Fatalf("read back %v", out)
-	}
-	if !swapped || prev != 0 {
-		t.Fatalf("cas prev=%d swapped=%v", prev, swapped)
-	}
-	var v [8]byte
-	if err := mem.ReadAt(8, v[:]); err != nil {
-		t.Fatal(err)
-	}
-	if v[0] != 42 {
-		t.Fatalf("cas did not apply: %v", v)
-	}
-	// Batch resets for reuse; empty execute is free.
-	if batch.Len() != 0 {
-		t.Fatalf("batch not reset: %d", batch.Len())
-	}
-	if err := batch.Execute(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestDoorbellBatchErrors(t *testing.T) {
-	n := New(Config{})
-	defer n.Close()
-	a := n.Endpoint(1)
-	n.Endpoint(2)
-	if err := a.NewBatch(2).Read("ghost", 0, make([]byte, 1)).Execute(); !errors.Is(err, ErrNoSuchRegion) {
-		t.Fatalf("want ErrNoSuchRegion, got %v", err)
-	}
-	if err := a.NewBatch(99).Read("x", 0, nil).Execute(); !errors.Is(err, ErrNoSuchNode) {
-		t.Fatalf("want ErrNoSuchNode, got %v", err)
 	}
 }

@@ -411,12 +411,34 @@ func (f *Fabric) getConn(to transport.NodeID) (*conn, error) {
 		nc.Close()
 		return prev, nil
 	}
+	if !f.track(c) {
+		f.cmu.Unlock()
+		return nil, transport.ErrClosed
+	}
 	f.conns[to] = c
-	f.all[c] = struct{}{}
 	f.cmu.Unlock()
-	f.wg.Add(1)
 	go c.readLoop()
 	return c, nil
+}
+
+// track registers a new connection and accounts for its reader
+// goroutine, unless the fabric is closing — then it closes the
+// connection and reports false. Caller holds cmu. Close closes f.done
+// before it takes cmu to snapshot f.all, so a connection either is
+// registered before the snapshot (and Close fails it) or sees done
+// closed here; without the check a connection accepted or dialed in
+// between would be one whose reader nobody ever stops, and Close would
+// wait on it forever.
+func (f *Fabric) track(c *conn) bool {
+	select {
+	case <-f.done:
+		c.nc.Close()
+		return false
+	default:
+	}
+	f.all[c] = struct{}{}
+	f.wg.Add(1)
+	return true
 }
 
 // dial attempts the connection with retry and exponential backoff; the
@@ -458,10 +480,11 @@ func (f *Fabric) acceptLoop() {
 		}
 		c := newConn(f, -1, nc)
 		f.cmu.Lock()
-		f.all[c] = struct{}{}
+		ok := f.track(c)
 		f.cmu.Unlock()
-		f.wg.Add(1)
-		go c.readLoop()
+		if ok {
+			go c.readLoop()
+		}
 	}
 }
 

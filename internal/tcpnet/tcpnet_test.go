@@ -3,10 +3,12 @@ package tcpnet
 import (
 	"errors"
 	"fmt"
+	"net"
 	"sync"
 	"testing"
 	"time"
 
+	"github.com/chillerdb/chiller/internal/testutil"
 	"github.com/chillerdb/chiller/internal/transport"
 )
 
@@ -222,5 +224,90 @@ func TestClosedFabric(t *testing.T) {
 	case <-a.Closed():
 	default:
 		t.Fatal("Closed() channel not closed")
+	}
+}
+
+// lateListener hands acceptLoop exactly one connection, and only after
+// its Close was called and ready() reports true — the deterministic
+// stand-in for a peer whose connect lands while Fabric.Close is running.
+type lateListener struct {
+	conn   net.Conn
+	closed chan struct{}
+	ready  func() bool
+	once   sync.Once
+	served bool
+}
+
+func (l *lateListener) Accept() (net.Conn, error) {
+	<-l.closed
+	if l.served {
+		return nil, net.ErrClosed
+	}
+	l.served = true
+	for !l.ready() {
+		time.Sleep(100 * time.Microsecond)
+	}
+	return l.conn, nil
+}
+
+func (l *lateListener) Close() error {
+	l.once.Do(func() { close(l.closed) })
+	return nil
+}
+
+func (l *lateListener) Addr() net.Addr { return &net.TCPAddr{} }
+
+// A connection accepted after Close has snapshotted the live connections
+// must be refused and closed, not registered: nobody would ever close
+// it, its reader would block forever, and Close would wait on that
+// reader forever (the ~1-in-300 TestPeerDeathFailsInFlight hang).
+func TestCloseRefusesLateAccept(t *testing.T) {
+	testutil.CheckLeaks(t)
+	// A live peer connection: its remote end stays open, so only the
+	// fabric closing its own end can stop the reader.
+	ours, theirs := net.Pipe()
+	defer theirs.Close()
+	sentinel, sentinelPeer := net.Pipe()
+	defer sentinelPeer.Close()
+
+	f := &Fabric{
+		cfg:      Config{}.withDefaults(),
+		handlers: make(map[string]transport.RPCHandler),
+		peers:    make(map[transport.NodeID]string),
+		conns:    make(map[transport.NodeID]*conn),
+		all:      make(map[*conn]struct{}),
+		done:     make(chan struct{}),
+	}
+	// An already-registered connection marks the snapshot: Close swaps
+	// f.all for an empty map when it takes it, so once the marker is gone
+	// the late connection is guaranteed to land after the snapshot.
+	marker := newConn(f, -1, sentinel)
+	f.all[marker] = struct{}{}
+	f.ln = &lateListener{
+		conn:   ours,
+		closed: make(chan struct{}),
+		ready: func() bool {
+			f.cmu.Lock()
+			defer f.cmu.Unlock()
+			_, still := f.all[marker]
+			return !still
+		},
+	}
+	f.wg.Add(1)
+	go f.acceptLoop()
+
+	closed := make(chan struct{})
+	go func() {
+		f.Close()
+		close(closed)
+	}()
+	select {
+	case <-closed:
+	case <-time.After(2 * time.Second):
+		t.Fatal("Close hung on the reader of a connection accepted after its snapshot")
+	}
+	// The refused connection was closed by the fabric.
+	if _, err := theirs.Write([]byte{0}); err == nil {
+		t.Fatal("late connection still open after Close")
 	}
 }

@@ -29,8 +29,6 @@ type (
 	NodeID = simnet.NodeID
 	// Stats is the shared per-fabric counter block.
 	Stats = simnet.Stats
-	// Memory is a region remote nodes can access with one-sided verbs.
-	Memory = simnet.Memory
 )
 
 // New creates a simulated fabric with the given timing configuration.
@@ -43,7 +41,6 @@ var (
 	ErrUnreachable  = simnet.ErrUnreachable
 	ErrNoSuchNode   = simnet.ErrNoSuchNode
 	ErrNoSuchMethod = simnet.ErrNoSuchMethod
-	ErrNoSuchRegion = simnet.ErrNoSuchRegion
 	ErrInjectedDrop = simnet.ErrInjectedDrop
 	ErrPartitioned  = simnet.ErrPartitioned
 	ErrCrashed      = simnet.ErrCrashed

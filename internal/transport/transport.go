@@ -173,10 +173,6 @@ type Stats struct {
 	BytesSent atomic.Uint64
 	// RPCs counts two-sided request/response exchanges.
 	RPCs atomic.Uint64
-	// OneSidedReads counts one-sided READ verbs.
-	OneSidedReads atomic.Uint64
-	// OneSidedCAS counts one-sided CAS verbs.
-	OneSidedCAS atomic.Uint64
 	// Doorbells counts doorbell rings on the one-sided verb path: each
 	// is one round trip regardless of how many verbs the batch carried.
 	Doorbells atomic.Uint64

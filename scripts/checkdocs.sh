@@ -16,6 +16,10 @@
 #      harnesses program against the transport interface; composition
 #      roots reach the simulator only through internal/transport/simfab,
 #      so the TCP fabric (or a future RDMA one) stays a drop-in.
+#   5. One assembly: outside _test.go files and benchmark/, nodes are
+#      built (server.New), logs opened (wal.Recover / wal.Open) and
+#      engine verbs registered (occ/core.RegisterVerbs) only under
+#      internal/deploy — so the checker certifies the code users run.
 #
 # Exits non-zero with a list of offenders on failure.
 set -eu
@@ -44,6 +48,16 @@ offenders=$(go list -f '{{$p := .ImportPath}}{{range .Imports}}{{if eq . "github
             -e '^github.com/chillerdb/chiller/internal/transport' || true)
 if [ -n "$offenders" ]; then
     echo "packages importing internal/simnet directly (use internal/transport or internal/transport/simfab):" >&2
+    echo "$offenders" >&2
+    fail=1
+fi
+
+# --- 5. one assembly ------------------------------------------------------
+offenders=$(grep -rnE --include='*.go' \
+        'server\.New\(|wal\.(Recover|Open)\(|(occ|core)\.RegisterVerbs\(' . |
+    grep -v -e '_test\.go:' -e '^\./benchmark/' -e '^\./internal/deploy/' || true)
+if [ -n "$offenders" ]; then
+    echo "node assembly outside internal/deploy (build nodes with deploy.NewNode / deploy.NewCluster):" >&2
     echo "$offenders" >&2
     fail=1
 fi
