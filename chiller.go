@@ -136,15 +136,14 @@ func Open(opts ...Option) (*DB, error) {
 	}
 
 	c, err := deploy.NewCluster(deploy.Config{
-		Partitions:   cfg.partitions,
-		Replication:  cfg.replication,
-		Latency:      cfg.latency,
-		Jitter:       cfg.jitter,
-		Seed:         cfg.seed,
-		SampleRate:   cfg.sampleRate,
-		Lanes:        cfg.lanes,
-		VerbBatching: cfg.verbBatching,
-		WALDir:       cfg.walDir,
+		Partitions:  cfg.partitions,
+		Replication: cfg.replication,
+		Latency:     cfg.latency,
+		Jitter:      cfg.jitter,
+		Seed:        cfg.seed,
+		SampleRate:  cfg.sampleRate,
+		Lanes:       cfg.lanes,
+		WALDir:      cfg.walDir,
 		WALPolicy: wal.Policy{
 			FlushInterval: cfg.fsync.FlushInterval,
 			FlushBytes:    cfg.fsync.FlushBytes,
@@ -171,11 +170,10 @@ func Open(opts ...Option) (*DB, error) {
 // procedures the nodes registered before Execute.
 func openTCP(cfg config) (*DB, error) {
 	cl, err := deploy.Connect(deploy.ClientConfig{
-		Peers:        cfg.peers,
-		ListenAddr:   cfg.listenAddr,
-		Replication:  cfg.replication,
-		Lanes:        cfg.lanes,
-		VerbBatching: cfg.verbBatching,
+		Peers:       cfg.peers,
+		ListenAddr:  cfg.listenAddr,
+		Replication: cfg.replication,
+		Lanes:       cfg.lanes,
 	}, cfg.partitioner)
 	if err != nil {
 		return nil, fmt.Errorf("chiller: %w", err)

@@ -447,16 +447,15 @@ func TestBuilderValidation(t *testing.T) {
 	}
 }
 
-// WithVerbBatching routes the engine's fan-outs over the
-// doorbell-batched one-sided transport; results must be identical to
-// the scalar default, hot two-region transactions included.
+// The deprecated WithVerbBatching still opens a working database (it
+// sets nothing: doorbell waves are the only fan-out), hot two-region
+// transactions included.
 func TestWithVerbBatching(t *testing.T) {
 	db := openBank(t, 2, WithVerbBatching(true))
 	ctx := context.Background()
 
 	// Hot source account: transfers touching it run two-region, so the
-	// batched outer wave, replica scatter, and commit tail all exercise
-	// the doorbell path.
+	// outer lock wave, replica scatter, and commit tail all run.
 	if err := db.MarkHot(tAccounts, 0); err != nil {
 		t.Fatal(err)
 	}

@@ -26,64 +26,6 @@ import (
 	"github.com/chillerdb/chiller/internal/bench"
 )
 
-// experiment names one runnable experiment. Descriptions are one line
-// each because `-exp list` prints them as the CLI's index.
-type experiment struct {
-	name string
-	desc string
-	run  func(bench.Options) ([]*bench.Figure, error)
-}
-
-func one(fn func(bench.Options) (*bench.Figure, error)) func(bench.Options) ([]*bench.Figure, error) {
-	return func(opt bench.Options) ([]*bench.Figure, error) {
-		f, err := fn(opt)
-		if err != nil {
-			return nil, err
-		}
-		return []*bench.Figure{f}, nil
-	}
-}
-
-var experiments = []experiment{
-	{"fig7", "Instacart throughput per partitioning scheme (Hashing vs Schism vs Chiller), 2..N partitions", one(bench.Figure7)},
-	{"fig8", "distributed-transaction ratio of each scheme on the Instacart trace", one(bench.Figure8)},
-	{"lookup", "routing-metadata size: Schism's full map vs Chiller's hot-only lookup table (§7.2.2)", one(bench.LookupTableSizes)},
-	{"fig9", "TPC-C mix: throughput, abort rate, and 2PL per-procedure aborts vs concurrency per warehouse", func(opt bench.Options) ([]*bench.Figure, error) {
-		thr, abr, brk, err := bench.Figure9(opt)
-		if err != nil {
-			return nil, err
-		}
-		return []*bench.Figure{thr, abr, brk}, nil
-	}},
-	{"fig9lanes", "TPC-C throughput vs execution lanes per node (intra-node scale-out, Figure 9a companion)", one(bench.Figure9Lanes)},
-	{"fig7ro", "read-heavy bank workload: MVCC snapshot reads vs the same reads on the locking path, open-loop window sweep", one(bench.Figure7ReadHeavy)},
-	{"fig10", "NewOrder+Payment throughput as the distributed fraction sweeps 0..100%", one(bench.Figure10)},
-	{"fig10fsync", "Figure 10 shape under durability: one Chiller series per WAL fsync policy (-fsync-policy)", one(bench.Figure10Fsync)},
-	{"churn", "bank throughput before/during/after a live node join with incremental partition handoff", one(bench.MembershipChurn)},
-	{"a1", "ablation: hot-record reordering alone vs reordering plus contention-aware placement", func(opt bench.Options) ([]*bench.Figure, error) {
-		f, err := bench.AblationReorderOnly(4, opt)
-		if err != nil {
-			return nil, err
-		}
-		return []*bench.Figure{f}, nil
-	}},
-	{"a2", "ablation: min-edge-weight knob trading contention cost against distributed ratio (§4.4)", func(opt bench.Options) ([]*bench.Figure, error) {
-		f, err := bench.AblationMinEdgeWeight(4, opt)
-		if err != nil {
-			return nil, err
-		}
-		return []*bench.Figure{f}, nil
-	}},
-	{"a3", "ablation: hot-set recall vs statistics sampling rate (§4.1)", one(bench.AblationSamplingRate)},
-	{"a4", "ablation: Chiller's advantage over 2PL as one-way network latency sweeps 0..100µs", func(opt bench.Options) ([]*bench.Figure, error) {
-		f, err := bench.AblationLatency(4, opt)
-		if err != nil {
-			return nil, err
-		}
-		return []*bench.Figure{f}, nil
-	}},
-}
-
 func main() {
 	var (
 		exp        = flag.String("exp", "all", "experiment name, `all`, or `list` to print the index")
@@ -92,7 +34,6 @@ func main() {
 		replicas   = flag.Int("replication", 2, "replication degree (1 = none)")
 		seed       = flag.Int64("seed", 42, "random seed")
 		lanes      = flag.Int("lanes", 0, "execution lanes per node (0 = derive from host CPUs)")
-		batching   = flag.Bool("verb-batching", false, "route Chiller fan-outs over doorbell-batched one-sided verbs (A/B against the scalar default)")
 		products   = flag.Int("products", 20000, "Instacart catalogue size")
 		traceTxns  = flag.Int("trace", 4000, "partitioner trace size (transactions)")
 		maxParts   = flag.Int("max-partitions", 8, "Figure 7/8 partition sweep upper bound")
@@ -109,15 +50,15 @@ func main() {
 	flag.Parse()
 
 	if *exp == "list" {
-		for _, e := range experiments {
-			fmt.Printf("%-10s %s\n", e.name, e.desc)
+		for _, e := range bench.Experiments {
+			fmt.Printf("%-10s %s\n", e.Name, e.Desc)
 		}
 		return
 	}
 	if *exp != "all" {
 		found := false
-		for _, e := range experiments {
-			if e.name == *exp {
+		for _, e := range bench.Experiments {
+			if e.Name == *exp {
 				found = true
 				break
 			}
@@ -134,7 +75,6 @@ func main() {
 		Replication:    *replicas,
 		Seed:           *seed,
 		Lanes:          *lanes,
-		VerbBatching:   *batching,
 		Products:       *products,
 		TraceTxns:      *traceTxns,
 		MaxPartitions:  *maxParts,
@@ -181,22 +121,22 @@ func main() {
 		os.Exit(2)
 	}
 
-	for _, e := range experiments {
-		if *exp != "all" && *exp != e.name {
+	for _, e := range bench.Experiments {
+		if *exp != "all" && *exp != e.Name {
 			continue
 		}
 		start := time.Now()
-		fmt.Printf("=== %s — %s ===\n", e.name, e.desc)
-		figs, err := e.run(opt)
+		fmt.Printf("=== %s — %s ===\n", e.Name, e.Desc)
+		figs, err := e.Run(opt)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "%s failed: %v\n", e.name, err)
+			fmt.Fprintf(os.Stderr, "%s failed: %v\n", e.Name, err)
 			os.Exit(1)
 		}
 		for _, f := range figs {
 			f.Fprint(os.Stdout)
 			figures = append(figures, f)
 		}
-		fmt.Printf("(%s in %v)\n\n", e.name, time.Since(start).Round(time.Millisecond))
+		fmt.Printf("(%s in %v)\n\n", e.Name, time.Since(start).Round(time.Millisecond))
 	}
 
 	writeJSON(*jsonOut, figures)

@@ -44,7 +44,6 @@ func main() {
 		peersFlag   = flag.String("peers", "", "comma-separated addresses of every node, index = node ID")
 		replication = flag.Int("replication", 2, "replication degree (1 = none); must match the bench client")
 		lanes       = flag.Int("lanes", 0, "execution lanes per node (0 = derive from host CPUs); must match the bench client")
-		batching    = flag.Bool("verb-batching", false, "route this node's Chiller fan-outs (for transactions routed here) over doorbell-batched one-sided verbs")
 		customers   = flag.Int("customers", 300, "TPC-C customers per district; must match the bench client")
 		items       = flag.Int("items", 2000, "TPC-C items per warehouse; must match the bench client")
 		dataDir     = flag.String("data-dir", "", "directory for this node's write-ahead log; a restart with the same dir replays it, making acknowledged commits survive the process")
@@ -53,13 +52,13 @@ func main() {
 		joinPart    = flag.Int("join-partition", -1, "with -join: partition to take over through the incremental handoff protocol once up (-1 joins without data)")
 	)
 	flag.Parse()
-	if err := run(*id, *listen, *peersFlag, *replication, *lanes, *batching, *customers, *items, *dataDir, *peerTimeout, *join, *joinPart); err != nil {
+	if err := run(*id, *listen, *peersFlag, *replication, *lanes, *customers, *items, *dataDir, *peerTimeout, *join, *joinPart); err != nil {
 		fmt.Fprintln(os.Stderr, "chiller-node:", err)
 		os.Exit(1)
 	}
 }
 
-func run(id int, listen, peersFlag string, replication, lanes int, batching bool, customers, items int, dataDir string, peerTimeout time.Duration, join bool, joinPart int) error {
+func run(id int, listen, peersFlag string, replication, lanes, customers, items int, dataDir string, peerTimeout time.Duration, join bool, joinPart int) error {
 	if peersFlag == "" {
 		return fmt.Errorf("-peers is required")
 	}
@@ -126,10 +125,9 @@ func run(id int, listen, peersFlag string, replication, lanes int, batching bool
 	// chiller-node clusters run without MVCC: the commit clock is
 	// in-process and cannot span processes.
 	node, err := deploy.NewNode(fab, home, deploy.Spec{
-		Registry:     reg,
-		Dir:          dir,
-		WALDir:       dataDir,
-		VerbBatching: batching,
+		Registry: reg,
+		Dir:      dir,
+		WALDir:   dataDir,
 	})
 	if err != nil {
 		return err

@@ -11,7 +11,7 @@ import (
 	"github.com/chillerdb/chiller/internal/storage"
 )
 
-func batchedBankCluster(t *testing.T, lanes int, b *Bank) *Cluster {
+func laneBankCluster(t *testing.T, lanes int, b *Bank) *Cluster {
 	t.Helper()
 	const partitions = 4
 	def := cluster.RangePartitioner{
@@ -21,12 +21,11 @@ func batchedBankCluster(t *testing.T, lanes int, b *Bank) *Cluster {
 		},
 	}
 	c := NewCluster(ClusterConfig{
-		Partitions:   partitions,
-		Replication:  2,
-		Latency:      2 * time.Microsecond,
-		Seed:         7,
-		Lanes:        lanes,
-		VerbBatching: true,
+		Partitions:  partitions,
+		Replication: 2,
+		Latency:     2 * time.Microsecond,
+		Seed:        7,
+		Lanes:       lanes,
 	}, def)
 	if err := SetupBank(c, b, true); err != nil {
 		t.Fatal(err)
@@ -34,16 +33,15 @@ func batchedBankCluster(t *testing.T, lanes int, b *Bank) *Cluster {
 	return c
 }
 
-// Money conservation with the doorbell-batched transport, at one lane
-// (verbs dispatch inline on the destination — the batched sender must
-// interoperate with inline nodes) and at four (multi-lane waves coalesce
-// several frames per doorbell). The same cluster then serves a scalar
-// 2PL run, so batched and scalar senders hit the same participant state.
+// Money conservation over doorbell waves, at one lane (one frame per
+// destination) and at four (multi-lane waves coalesce several frames
+// per doorbell). The same cluster then serves a 2PL run, so two engines'
+// waves hit the same participant state.
 func TestBankConservationVerbBatching(t *testing.T) {
 	for _, lanes := range []int{1, 4} {
 		t.Run(map[int]string{1: "inline-1-lane", 4: "4-lanes"}[lanes], func(t *testing.T) {
 			b := &Bank{AccountsPerPartition: 50, RemoteProb: 0.4, HotProb: 0.2}
-			c := batchedBankCluster(t, lanes, b)
+			c := laneBankCluster(t, lanes, b)
 			defer c.Close()
 			b.MarkCelebritiesHot(c)
 
@@ -56,10 +54,10 @@ func TestBankConservationVerbBatching(t *testing.T) {
 				t.Fatalf("balance leak: %d → %d", before, after)
 			}
 
-			// Mixed operation: a scalar 2PL run against the same nodes.
+			// Mixed operation: a 2PL run against the same nodes.
 			m2 := c.RunN(b, Engine2PL, 100, 13)
 			if m2.Committed != 4*100 {
-				t.Fatalf("scalar committed %d, want 400", m2.Committed)
+				t.Fatalf("2PL committed %d, want 400", m2.Committed)
 			}
 			if after := c.TotalBalance(b); after != before {
 				t.Fatalf("balance leak after mixed run: %d → %d", before, after)
@@ -72,14 +70,13 @@ func TestBankConservationVerbBatching(t *testing.T) {
 				t.Fatalf("%d replica mismatches", mm)
 			}
 
-			// The batched transport actually ran: doorbells appear in the
-			// fabric stats and ring fewer times than the verbs they carry
-			// only when waves coalesce (guaranteed at 4 lanes with
-			// multi-record outer regions; at 1 lane each doorbell may
-			// carry a single frame).
+			// Doorbells appear in the fabric stats and ring fewer times
+			// than the verbs they carry only when waves coalesce
+			// (guaranteed at 4 lanes with multi-record outer regions; at 1
+			// lane each doorbell may carry a single frame).
 			st := c.Net.Stats()
 			if st.Doorbells.Load() == 0 {
-				t.Fatal("no doorbells rung with VerbBatching on")
+				t.Fatal("no doorbells rung")
 			}
 			if st.OneSidedVerbs.Load() < st.Doorbells.Load() {
 				t.Fatal("verb count below doorbell count")
@@ -89,10 +86,10 @@ func TestBankConservationVerbBatching(t *testing.T) {
 }
 
 // The per-verb profiles land in Metrics and in figure JSON with
-// percentiles, and batched runs report doorbell traffic.
+// percentiles, doorbell traffic included.
 func TestVerbProfilesInMetricsAndFigureJSON(t *testing.T) {
 	b := &Bank{AccountsPerPartition: 50, RemoteProb: 0.5, HotProb: 0.2}
-	c := batchedBankCluster(t, 1, b)
+	c := laneBankCluster(t, 1, b)
 	defer c.Close()
 	b.MarkCelebritiesHot(c)
 
@@ -121,14 +118,14 @@ func TestVerbProfilesInMetricsAndFigureJSON(t *testing.T) {
 		t.Fatalf("lock-read profile malformed: %+v", lr)
 	}
 
-	fig := &Figure{Name: "t", VerbBatching: true}
+	fig := &Figure{Name: "t"}
 	fig.Add("Chiller", 1, m.Throughput())
 	fig.AddVerbs("Chiller", m)
 	raw, err := json.Marshal(fig)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{`"VerbBatching":true`, `"doorbell"`, `"lock-read"`, `"P50Micros"`, `"P95Micros"`, `"P99Micros"`} {
+	for _, want := range []string{`"doorbell"`, `"lock-read"`, `"P50Micros"`, `"P95Micros"`, `"P99Micros"`} {
 		if !strings.Contains(string(raw), want) {
 			t.Fatalf("figure JSON missing %s:\n%s", want, raw)
 		}

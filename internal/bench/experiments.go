@@ -31,11 +31,6 @@ type Options struct {
 	// Lanes is the number of execution lanes per node (0 = host-derived
 	// default, see DefaultLanes). Figure 9a's lane sweep varies this.
 	Lanes int
-	// VerbBatching routes the Chiller engine's fan-outs over the
-	// doorbell-batched one-sided path (chiller-bench -verb-batching).
-	// Regenerate a figure with both settings to A/B the transport; the
-	// 2PL/OCC series are scalar either way.
-	VerbBatching bool
 
 	// Instacart experiments (Figures 7, 8, lookup table).
 	Products      int // catalogue size
@@ -139,12 +134,11 @@ func SetupInstacart(scheme string, partitions int, opt Options) (*InstacartDeplo
 	dep.Layout = layout
 
 	c := NewCluster(ClusterConfig{
-		Partitions:   partitions,
-		Replication:  opt.Replication,
-		Latency:      opt.Latency,
-		Seed:         opt.Seed,
-		Lanes:        opt.laneCount(),
-		VerbBatching: opt.VerbBatching,
+		Partitions:  partitions,
+		Replication: opt.Replication,
+		Latency:     opt.Latency,
+		Seed:        opt.Seed,
+		Lanes:       opt.laneCount(),
 	}, instacart.DefaultPartitioner(partitions))
 	if layout != nil {
 		layout.Install(c.Dir)
@@ -167,12 +161,11 @@ func SetupInstacart(scheme string, partitions int, opt Options) (*InstacartDeplo
 // scales; Chiller scales near-linearly.
 func Figure7(opt Options) (*Figure, error) {
 	fig := &Figure{
-		Name:         "Figure 7",
-		Title:        "Throughput of partitioning schemes (Instacart baskets)",
-		XLabel:       "partitions",
-		YLabel:       "txns/sec",
-		Lanes:        opt.laneCount(),
-		VerbBatching: opt.VerbBatching,
+		Name:   "Figure 7",
+		Title:  "Throughput of partitioning schemes (Instacart baskets)",
+		XLabel: "partitions",
+		YLabel: "txns/sec",
+		Lanes:  opt.laneCount(),
 	}
 	for parts := 2; parts <= opt.MaxPartitions; parts++ {
 		for _, scheme := range []string{SchemeHash, SchemeSchism, SchemeChiller} {
@@ -260,14 +253,13 @@ func SetupTPCC(opt Options, cfg tpcc.Config) (*TPCCDeployment, error) {
 		return nil, err
 	}
 	c := NewCluster(ClusterConfig{
-		Partitions:   cfg.Partitions,
-		Replication:  opt.Replication,
-		Latency:      opt.Latency,
-		Seed:         opt.Seed,
-		Lanes:        opt.laneCount(),
-		VerbBatching: opt.VerbBatching,
-		WALDir:       opt.walDir,
-		WALPolicy:    opt.walPolicy,
+		Partitions:  cfg.Partitions,
+		Replication: opt.Replication,
+		Latency:     opt.Latency,
+		Seed:        opt.Seed,
+		Lanes:       opt.laneCount(),
+		WALDir:      opt.walDir,
+		WALPolicy:   opt.walPolicy,
 	}, tpcc.Partitioner(cfg.Warehouses, cfg.Partitions))
 	if err := tpcc.RegisterAll(c.Registry); err != nil {
 		c.Close()
@@ -307,8 +299,8 @@ func (o Options) tpccConfig() tpcc.Config {
 // throughput (9a), abort rate (9b) for 2PL/OCC/Chiller, and the 2PL
 // per-procedure abort breakdown (9c), as three figures.
 func Figure9(opt Options) (thr, abr, breakdown *Figure, err error) {
-	thr = &Figure{Name: "Figure 9a", Title: "TPC-C throughput", XLabel: "concurrent txns/warehouse", YLabel: "txns/sec", Lanes: opt.laneCount(), VerbBatching: opt.VerbBatching}
-	abr = &Figure{Name: "Figure 9b", Title: "TPC-C abort rate", XLabel: "concurrent txns/warehouse", YLabel: "abort rate", Lanes: opt.laneCount(), VerbBatching: opt.VerbBatching}
+	thr = &Figure{Name: "Figure 9a", Title: "TPC-C throughput", XLabel: "concurrent txns/warehouse", YLabel: "txns/sec", Lanes: opt.laneCount()}
+	abr = &Figure{Name: "Figure 9b", Title: "TPC-C abort rate", XLabel: "concurrent txns/warehouse", YLabel: "abort rate", Lanes: opt.laneCount()}
 	breakdown = &Figure{Name: "Figure 9c", Title: "2PL abort rate by transaction type", XLabel: "concurrent txns/warehouse", YLabel: "abort rate", Lanes: opt.laneCount()}
 
 	for conc := 1; conc <= opt.MaxConcurrency; conc++ {
@@ -348,15 +340,14 @@ func Figure9(opt Options) (thr, abr, breakdown *Figure, err error) {
 // it; each added lane is another single-threaded engine over a stable
 // shard of the key space, so Chiller's throughput rises with the lane
 // count until the host runs out of cores. 2PL is included as the
-// contrast series: it never enters an inner region, so it gains only
-// the lane-aware verb dispatch.
+// contrast series: it never enters an inner region, so lanes buy it
+// only parallel replica applies.
 func Figure9Lanes(opt Options) (*Figure, error) {
 	fig := &Figure{
-		Name:         "Figure 9a (lanes)",
-		Title:        "TPC-C throughput vs execution lanes per node",
-		XLabel:       "lanes per node",
-		YLabel:       "txns/sec",
-		VerbBatching: opt.VerbBatching,
+		Name:   "Figure 9a (lanes)",
+		Title:  "TPC-C throughput vs execution lanes per node",
+		XLabel: "lanes per node",
+		YLabel: "txns/sec",
 	}
 	top := 4
 	if opt.Lanes > top {
@@ -408,12 +399,11 @@ func newOrderAbortRate(m *Metrics) float64 {
 // shape: Chiller degrades < 20%; the others fall steeply.
 func Figure10(opt Options) (*Figure, error) {
 	fig := &Figure{
-		Name:         "Figure 10",
-		Title:        "Impact of distributed transactions (NewOrder+Payment 50/50)",
-		XLabel:       "% distributed txns",
-		YLabel:       "txns/sec",
-		Lanes:        opt.laneCount(),
-		VerbBatching: opt.VerbBatching,
+		Name:   "Figure 10",
+		Title:  "Impact of distributed transactions (NewOrder+Payment 50/50)",
+		XLabel: "% distributed txns",
+		YLabel: "txns/sec",
+		Lanes:  opt.laneCount(),
 	}
 	type variant struct {
 		kind EngineKind
@@ -468,12 +458,11 @@ func Figure10(opt Options) (*Figure, error) {
 // shows no read aborts and no lock-read verbs for the audits.
 func Figure7ReadHeavy(opt Options) (*Figure, error) {
 	fig := &Figure{
-		Name:         "Figure 7 (read-heavy)",
-		Title:        "Read-heavy throughput: MVCC snapshot reads vs locking reads",
-		XLabel:       "outstanding txns per client",
-		YLabel:       "txns/sec",
-		Lanes:        opt.laneCount(),
-		VerbBatching: opt.VerbBatching,
+		Name:   "Figure 7 (read-heavy)",
+		Title:  "Read-heavy throughput: MVCC snapshot reads vs locking reads",
+		XLabel: "outstanding txns per client",
+		YLabel: "txns/sec",
+		Lanes:  opt.laneCount(),
 	}
 	for _, outstanding := range []int{1, 2, 4, 8} {
 		for _, mvcc := range []bool{false, true} {
@@ -509,13 +498,12 @@ func runReadHeavy(opt Options, parts, outstanding int, mvcc bool) (*Metrics, err
 		MaxKey: map[storage.TableID]storage.Key{BankTable: storage.Key(parts * accounts)},
 	}
 	c := NewCluster(ClusterConfig{
-		Partitions:   parts,
-		Replication:  opt.Replication,
-		Latency:      opt.Latency,
-		Seed:         opt.Seed,
-		Lanes:        opt.laneCount(),
-		VerbBatching: opt.VerbBatching,
-		MVCC:         mvcc,
+		Partitions:  parts,
+		Replication: opt.Replication,
+		Latency:     opt.Latency,
+		Seed:        opt.Seed,
+		Lanes:       opt.laneCount(),
+		MVCC:        mvcc,
 	}, def)
 	if err := SetupBank(c, b, true); err != nil {
 		c.Close()
@@ -556,12 +544,11 @@ const (
 // the WAL appends ride the async commit tails, off the contention span.
 func Figure10Fsync(opt Options) (*Figure, error) {
 	fig := &Figure{
-		Name:         "Figure 10 (fsync)",
-		Title:        "Durability cost: WAL fsync policy (Chiller, NewOrder+Payment 50/50)",
-		XLabel:       "% distributed txns",
-		YLabel:       "txns/sec",
-		Lanes:        opt.laneCount(),
-		VerbBatching: opt.VerbBatching,
+		Name:   "Figure 10 (fsync)",
+		Title:  "Durability cost: WAL fsync policy (Chiller, NewOrder+Payment 50/50)",
+		XLabel: "% distributed txns",
+		YLabel: "txns/sec",
+		Lanes:  opt.laneCount(),
 	}
 	policies := opt.FsyncPolicies
 	if len(policies) == 0 {
@@ -622,12 +609,11 @@ func Figure10Fsync(opt Options) (*Figure, error) {
 // relocated), and (c) Chiller layout + Chiller execution.
 func AblationReorderOnly(parts int, opt Options) (*Figure, error) {
 	fig := &Figure{
-		Name:         "Ablation A1",
-		Title:        "Reordering vs. reordering + contention-aware partitioning",
-		XLabel:       "variant (1=2PL/hash 2=reorder-only 3=chiller)",
-		YLabel:       "txns/sec",
-		Lanes:        opt.laneCount(),
-		VerbBatching: opt.VerbBatching,
+		Name:   "Ablation A1",
+		Title:  "Reordering vs. reordering + contention-aware partitioning",
+		XLabel: "variant (1=2PL/hash 2=reorder-only 3=chiller)",
+		YLabel: "txns/sec",
+		Lanes:  opt.laneCount(),
 	}
 	run := func(dep *InstacartDeployment, kind EngineKind, x float64, label string) {
 		m := dep.Cluster.Run(dep.W, RunConfig{
@@ -773,12 +759,11 @@ func (t txnRID) String() string { return t.s }
 // network approaches local-memory speed.
 func AblationLatency(parts int, opt Options) (*Figure, error) {
 	fig := &Figure{
-		Name:         "Ablation A4",
-		Title:        "Chiller advantage vs one-way network latency",
-		XLabel:       "latency (µs)",
-		YLabel:       "txns/sec",
-		Lanes:        opt.laneCount(),
-		VerbBatching: opt.VerbBatching,
+		Name:   "Ablation A4",
+		Title:  "Chiller advantage vs one-way network latency",
+		XLabel: "latency (µs)",
+		YLabel: "txns/sec",
+		Lanes:  opt.laneCount(),
 	}
 	for _, lat := range []time.Duration{0, 5 * time.Microsecond, 20 * time.Microsecond, 100 * time.Microsecond} {
 		for _, kind := range []EngineKind{Engine2PL, EngineChiller} {
@@ -793,12 +778,11 @@ func AblationLatency(parts int, opt Options) (*Figure, error) {
 				MaxKey: map[storage.TableID]storage.Key{BankTable: storage.Key(parts * 500)},
 			}
 			c := NewCluster(ClusterConfig{
-				Partitions:   parts,
-				Replication:  opt.Replication,
-				Latency:      lat,
-				Seed:         opt.Seed,
-				Lanes:        opt.laneCount(),
-				VerbBatching: opt.VerbBatching,
+				Partitions:  parts,
+				Replication: opt.Replication,
+				Latency:     lat,
+				Seed:        opt.Seed,
+				Lanes:       opt.laneCount(),
 			}, def)
 			if err := SetupBank(c, b, true); err != nil {
 				c.Close()
@@ -834,12 +818,11 @@ func MembershipChurn(opt Options) (*Figure, error) {
 	const parts = 3
 	const accounts = 500
 	fig := &Figure{
-		Name:         "Membership churn",
-		Title:        "Throughput across a live node join (bank transfers)",
-		XLabel:       "phase (0=before, 1=during handoff, 2=after)",
-		YLabel:       "txns/sec",
-		Lanes:        opt.laneCount(),
-		VerbBatching: opt.VerbBatching,
+		Name:   "Membership churn",
+		Title:  "Throughput across a live node join (bank transfers)",
+		XLabel: "phase (0=before, 1=during handoff, 2=after)",
+		YLabel: "txns/sec",
+		Lanes:  opt.laneCount(),
 	}
 	for _, kind := range []EngineKind{Engine2PL, EngineChiller} {
 		b := &Bank{
@@ -848,12 +831,11 @@ func MembershipChurn(opt Options) (*Figure, error) {
 			RemoteProb:           0.3,
 		}
 		c := NewCluster(ClusterConfig{
-			Partitions:   parts,
-			Replication:  opt.Replication,
-			Latency:      opt.Latency,
-			Seed:         opt.Seed,
-			Lanes:        opt.laneCount(),
-			VerbBatching: opt.VerbBatching,
+			Partitions:  parts,
+			Replication: opt.Replication,
+			Latency:     opt.Latency,
+			Seed:        opt.Seed,
+			Lanes:       opt.laneCount(),
 		}, cluster.RangePartitioner{
 			N:      parts,
 			MaxKey: map[storage.TableID]storage.Key{BankTable: storage.Key(parts * accounts)},

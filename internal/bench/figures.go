@@ -31,20 +31,14 @@ type Figure struct {
 	// Transport records the fabric the figure's runs moved bytes over —
 	// TransportSim ("simnet", the default when empty) or TransportTCP
 	// ("tcp"), so A/B runs across fabrics are self-describing the same
-	// way Lanes and VerbBatching make lane/batching A/Bs
-	// self-describing. See docs/FIGURES.md.
+	// way Lanes makes lane A/Bs self-describing. See docs/FIGURES.md.
 	Transport string `json:",omitempty"`
 	// Lanes records the per-node execution-lane count the experiment ran
 	// with, so figure JSON is self-describing about intra-node
 	// parallelism. 0 means the lane count varies within the figure (the
 	// lane-sweep figure encodes it on the X axis instead).
-	Lanes int
-	// VerbBatching records whether the Chiller engine's fan-outs rode
-	// the doorbell-batched one-sided path for this figure's runs; 2PL
-	// and OCC series are scalar either way. A/B a figure by regenerating
-	// it with the flag flipped (chiller-bench -verb-batching).
-	VerbBatching bool
-	Series       []Series
+	Lanes  int
+	Series []Series
 	// Aborts breaks each series' aborts down by reason, summed over the
 	// figure's measurement points: series label → reason label
 	// ("lock-conflict", "validation", "constraint", ...) → count. Only

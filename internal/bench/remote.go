@@ -33,9 +33,6 @@ type ConnectConfig struct {
 	// default, fine when client and nodes share a machine): verbs carry
 	// lane assignments computed from the client's directory.
 	Lanes int
-	// VerbBatching routes the client's Chiller fan-outs over the
-	// doorbell-batched one-sided path.
-	VerbBatching bool
 }
 
 // RemoteClient coordinates transactions against a cluster of
@@ -57,10 +54,9 @@ type RemoteClient struct {
 // install any hot-record directory entries) before running transactions.
 func Connect(cfg ConnectConfig, def cluster.DefaultPartitioner) (*RemoteClient, error) {
 	dc, err := deploy.Connect(deploy.ClientConfig{
-		Peers:        cfg.Peers,
-		Replication:  cfg.Replication,
-		Lanes:        cfg.Lanes,
-		VerbBatching: cfg.VerbBatching,
+		Peers:       cfg.Peers,
+		Replication: cfg.Replication,
+		Lanes:       cfg.Lanes,
 	}, def)
 	if err != nil {
 		return nil, err
@@ -266,10 +262,9 @@ func Figure10Remote(opt Options, peers []string) (*Figure, error) {
 	}
 
 	rc, err := Connect(ConnectConfig{
-		Peers:        peers,
-		Replication:  opt.Replication,
-		Lanes:        opt.laneCount(),
-		VerbBatching: opt.VerbBatching,
+		Peers:       peers,
+		Replication: opt.Replication,
+		Lanes:       opt.laneCount(),
 	}, tpcc.Partitioner(tcfg.Warehouses, tcfg.Partitions))
 	if err != nil {
 		return nil, err
@@ -288,13 +283,12 @@ func Figure10Remote(opt Options, peers []string) (*Figure, error) {
 	defer rc.WatchTopology(100 * time.Millisecond)()
 
 	fig := &Figure{
-		Name:         "Figure 10 (tcp)",
-		Title:        "Impact of distributed transactions (NewOrder+Payment 50/50, TCP cluster)",
-		XLabel:       "% distributed txns",
-		YLabel:       "txns/sec",
-		Transport:    TransportTCP,
-		Lanes:        opt.laneCount(),
-		VerbBatching: opt.VerbBatching,
+		Name:      "Figure 10 (tcp)",
+		Title:     "Impact of distributed transactions (NewOrder+Payment 50/50, TCP cluster)",
+		XLabel:    "% distributed txns",
+		YLabel:    "txns/sec",
+		Transport: TransportTCP,
+		Lanes:     opt.laneCount(),
 	}
 	type variant struct {
 		kind EngineKind

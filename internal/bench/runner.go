@@ -63,9 +63,7 @@ type Metrics struct {
 	// Verbs is the per-verb network profile of the measurement window:
 	// verb kind (server.Kind* labels: "lock-read", "commit",
 	// "repl-apply", "doorbell", ...) → count and latency percentiles,
-	// aggregated over every node. This is where the doorbell-batched
-	// path's win shows up: batched runs ring fewer, equally fast
-	// doorbells where scalar runs pay one round trip per verb.
+	// aggregated over every node.
 	Verbs map[string]*VerbProfile
 }
 

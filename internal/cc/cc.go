@@ -3,13 +3,9 @@
 // distributed 2PL with 2PC (cc/twopl), optimistic concurrency control
 // (cc/occ), and Chiller's two-region engine (internal/core).
 //
-// All three engines drive participants through one fabric API — the
-// coordinator helpers of internal/server. Chiller's engine can route its
-// fan-outs over the doorbell-batched one-sided path (one round trip per
-// destination node per wave; see docs/NETWORK.md); 2PL and OCC stay on
-// the scalar two-sided verbs, and a participant serves both kinds of
-// sender simultaneously because the two paths share their participant
-// logic.
+// All three engines reach participants the same way — server.Wave, one
+// doorbell per destination node per fan-out (see docs/NETWORK.md) — so
+// the evaluation compares execution schemes on equal transport.
 package cc
 
 import (

@@ -11,6 +11,7 @@ package occ
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"github.com/chillerdb/chiller/internal/cc"
 	"github.com/chillerdb/chiller/internal/cluster"
@@ -266,6 +267,10 @@ func validateLocal(n *server.Node, v *validateReq) (bool, txn.AbortReason) {
 // Engine is an OCC coordinator bound to a node.
 type Engine struct {
 	node *server.Node
+	// afterValidate, when set by a test, runs once phase-2 read
+	// validation has succeeded — the point from which the transaction's
+	// place in the serial order is fixed.
+	afterValidate func()
 }
 
 // New creates an OCC engine; RegisterVerbs must have been called on every
@@ -287,7 +292,7 @@ func (e *Engine) Run(ctx context.Context, req *txn.Request) txn.Result {
 	if proc.ReadOnly && n.Clock() != nil {
 		// MVCC snapshot path: lock-free, validation-free, zero verbs for
 		// replica-local partitions.
-		res, err := n.RunSnapshot(ctx, *req, false)
+		res, err := n.RunSnapshot(ctx, *req)
 		if err != nil {
 			return txn.Result{Reason: txn.AbortInternal, Detail: err.Error()}
 		}
@@ -368,7 +373,7 @@ func (e *Engine) Run(ctx context.Context, req *txn.Request) txn.Result {
 	topo := n.Directory().Topology()
 
 	// --- validation phase 1: write-lock every write set ---
-	lockedNodes := make(map[transport.NodeID]bool)
+	var lockedNodes []transport.NodeID // deduplicated
 	for pid, ws := range writes {
 		if reason, done := cc.Cancelled(ctx); done {
 			n.AbortAll(lockedNodes, txnID)
@@ -389,7 +394,9 @@ func (e *Engine) Run(ctx context.Context, req *txn.Request) txn.Result {
 				Distributed: distributed,
 			}
 		}
-		lockedNodes[target] = true
+		if !slices.Contains(lockedNodes, target) {
+			lockedNodes = append(lockedNodes, target)
+		}
 		if !ok {
 			n.AbortAll(lockedNodes, txnID)
 			if reason == txn.AbortNone {
@@ -397,6 +404,23 @@ func (e *Engine) Run(ctx context.Context, req *txn.Request) txn.Result {
 			}
 			return txn.Result{Reason: reason, Distributed: distributed}
 		}
+	}
+
+	// Reserve the commit timestamp here — under the write locks and
+	// BEFORE read validation. OCC holds no read locks, so the reserve is
+	// the only thing ordering this transaction against a later writer of
+	// a key it merely read: a validated read of k means every conflicting
+	// writer of k locks k (and so reserves) after this point, which makes
+	// timestamp order agree with serial order. Reserving after validation
+	// let such a writer slip a smaller timestamp in between, and a
+	// snapshot then saw its write without ours. Every apply below is
+	// stamped with ts, and the deferred Release — after every participant
+	// commit has gathered, or on any abort path, which applies nothing
+	// anywhere — lets the stable watermark move past it.
+	var ts uint64
+	if c := n.Clock(); c != nil {
+		ts = c.Reserve()
+		defer c.Release(ts)
 	}
 
 	// --- validation phase 2: re-check read versions under write locks ---
@@ -421,24 +445,15 @@ func (e *Engine) Run(ctx context.Context, req *txn.Request) txn.Result {
 		}
 	}
 
+	if e.afterValidate != nil {
+		e.afterValidate()
+	}
+
 	// Last cancellation point: validation succeeded but nothing is
 	// applied yet, so aborting here is still clean.
 	if reason, done := cc.Cancelled(ctx); done {
 		n.AbortAll(lockedNodes, txnID)
 		return txn.Result{Reason: reason, Distributed: distributed}
-	}
-
-	// Commit point: validation held, so the apply cannot fail. Reserve
-	// the commit timestamp under the validated write locks (per-key ts
-	// order = lock order); every apply below is stamped with it and the
-	// deferred Release — after every participant commit has gathered —
-	// lets snapshots include it. The abort paths below apply nothing
-	// (a failed relay streams to no replica), so their release just
-	// retires an unused timestamp.
-	var ts uint64
-	if c := n.Clock(); c != nil {
-		ts = c.Reserve()
-		defer c.Release(ts)
 	}
 
 	// --- commit: replicate then apply+release at each write participant ---
@@ -452,19 +467,12 @@ func (e *Engine) Run(ctx context.Context, req *txn.Request) txn.Result {
 		n.AbortAll(lockedNodes, txnID)
 		return txn.Result{Reason: server.TransportAbortReason(err), Detail: err.Error(), Distributed: distributed}
 	}
-	// Each write participant applies the concatenation of every partition
-	// it currently fronts — one partition normally, several right after a
-	// replica promotion (keying the apply by a single partition would drop
-	// the adopted partition's writes at the shared primary).
-	commitBy := make(map[transport.NodeID][]server.WriteOp, len(lockedNodes))
-	for pid, ws := range writes {
-		t := topo.Primary(pid)
-		commitBy[t] = append(commitBy[t], ws...)
-	}
-	for target, ws := range commitBy {
-		if err := n.CommitAt(target, txnID, ts, ws); err != nil {
-			return txn.Result{Reason: txn.AbortInternal, Detail: err.Error(), Distributed: distributed}
-		}
+	w := n.CommitAll(txnID, ts, lockedNodes, writes)
+	w.Wait() // synchronous second phase: the client sees applied writes
+	err := w.Errs()
+	w.Release()
+	if err != nil {
+		return txn.Result{Reason: txn.AbortInternal, Detail: err.Error(), Distributed: distributed}
 	}
 	n.SampleCommit(readRIDs, writeRIDs)
 	return txn.Result{Committed: true, Reads: reads, Distributed: distributed}

@@ -155,3 +155,78 @@ func TestConstraintAbortBeforeValidation(t *testing.T) {
 		t.Fatal("state leaked")
 	}
 }
+
+// OCC × MVCC: timestamp order must agree with serial order even though
+// OCC holds no read locks. Writer A reads k and writes j; writer B
+// overwrites k. A is parked right after its read of k validated, so the
+// serial order is fixed as A < B; B then runs to completion. No snapshot
+// — taken while A is parked or after it finishes — may show B's write
+// of k without A's write of j. (With the commit timestamp reserved after
+// validation, B got the smaller timestamp and the first snapshot showed
+// exactly that.)
+func TestSnapshotNeverSeesLaterWriterWithoutEarlier(t *testing.T) {
+	const k, j = 3, 4
+	def := cluster.RangePartitioner{N: 2, MaxKey: map[storage.TableID]storage.Key{bench.BankTable: 40}}
+	c := bench.NewCluster(bench.ClusterConfig{Partitions: 2, Latency: time.Microsecond, MVCC: true}, def)
+	t.Cleanup(c.Close)
+	if err := bench.SetupBank(c, &bench.Bank{AccountsPerPartition: 20}, true); err != nil {
+		t.Fatal(err)
+	}
+	at := func(key storage.Key) txn.KeyFunc {
+		return func(txn.Args, txn.ReadSet) (storage.Key, bool) { return key, true }
+	}
+	set := func(v int64) txn.MutateFunc {
+		return func([]byte, txn.Args, txn.ReadSet) ([]byte, error) { return bench.EncodeBalance(v), nil }
+	}
+	for _, p := range []*txn.Procedure{
+		{Name: "a.readk.writej", Ops: []txn.OpSpec{
+			{ID: 0, Type: txn.OpRead, Table: bench.BankTable, Key: at(k)},
+			{ID: 1, Type: txn.OpUpdate, Table: bench.BankTable, Key: at(j), Mutate: set(-1)},
+		}},
+		{Name: "b.writek", Ops: []txn.OpSpec{
+			{ID: 0, Type: txn.OpUpdate, Table: bench.BankTable, Key: at(k), Mutate: set(-2)},
+		}},
+		{Name: "ro.kj", ReadOnly: true, Ops: []txn.OpSpec{
+			{ID: 0, Type: txn.OpRead, Table: bench.BankTable, Key: at(k)},
+			{ID: 1, Type: txn.OpRead, Table: bench.BankTable, Key: at(j)},
+		}},
+	} {
+		if err := c.Registry.Register(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	snapshot := func(when string) {
+		t.Helper()
+		res := occ.New(c.Nodes[1]).Run(context.Background(), &txn.Request{Proc: "ro.kj"})
+		if !res.Committed {
+			t.Fatalf("%s: snapshot aborted: %+v", when, res)
+		}
+		kv, jv := bench.DecodeBalance(res.Reads[0]), bench.DecodeBalance(res.Reads[1])
+		if kv == -2 && jv != -1 {
+			t.Fatalf("%s: snapshot shows B's write of k (%d) without A's write of j (%d): not a prefix of the serial order A < B", when, kv, jv)
+		}
+	}
+
+	a := occ.New(c.Nodes[0])
+	parked, resume := make(chan struct{}), make(chan struct{})
+	a.SetAfterValidate(func() {
+		close(parked)
+		<-resume
+	})
+	aDone := make(chan txn.Result, 1)
+	go func() { aDone <- a.Run(context.Background(), &txn.Request{Proc: "a.readk.writej"}) }()
+	<-parked
+	if res := occ.New(c.Nodes[1]).Run(context.Background(), &txn.Request{Proc: "b.writek"}); !res.Committed {
+		close(resume)
+		t.Fatalf("B aborted: %+v", res)
+	}
+	snapshot("while A is parked")
+	close(resume)
+	if res := <-aDone; !res.Committed {
+		t.Fatalf("A aborted: %+v", res)
+	}
+	snapshot("after A finished")
+	if !c.Quiesced() {
+		t.Fatal("locks leaked")
+	}
+}

@@ -12,7 +12,7 @@ package twopl
 import (
 	"context"
 	"fmt"
-	"sync"
+	"slices"
 
 	"github.com/chillerdb/chiller/internal/cc"
 	"github.com/chillerdb/chiller/internal/cluster"
@@ -52,7 +52,7 @@ func (e *Engine) Run(ctx context.Context, req *txn.Request) txn.Result {
 	if proc.ReadOnly && e.node.Clock() != nil {
 		// MVCC snapshot path: lock-free, conflict-abort-free, zero verbs
 		// for replica-local partitions.
-		res, err := e.node.RunSnapshot(ctx, *req, false)
+		res, err := e.node.RunSnapshot(ctx, *req)
 		if err != nil {
 			return txn.Result{Reason: txn.AbortInternal, Detail: err.Error()}
 		}
@@ -78,10 +78,9 @@ func (e *Engine) RunOrdered(ctx context.Context, req *txn.Request, proc *txn.Pro
 	}
 
 	st := execState{
-		reads:        make(txn.ReadSet, len(proc.Ops)),
-		pending:      make(map[storage.RID][]byte),
-		writes:       make(map[cluster.PartitionID][]server.WriteOp),
-		participants: make(map[transport.NodeID]bool),
+		reads:   make(txn.ReadSet, len(proc.Ops)),
+		pending: make(map[storage.RID][]byte),
+		writes:  make(map[cluster.PartitionID][]server.WriteOp),
 	}
 
 	for idx := 0; idx < len(order); {
@@ -94,7 +93,7 @@ func (e *Engine) RunOrdered(ctx context.Context, req *txn.Request, proc *txn.Pro
 			n.AbortAll(st.participants, txnID)
 			return txn.Result{Reason: txn.ReasonOf(err), Distributed: st.distributed()}
 		}
-		st.participants[target] = true
+		st.addParticipant(target)
 
 		resp, callErr := n.LockRead(target, txnID, batch)
 		if callErr != nil {
@@ -120,8 +119,9 @@ func (e *Engine) RunOrdered(ctx context.Context, req *txn.Request, proc *txn.Pro
 	// the commit timestamp here, under the locks, so per-key timestamp
 	// order equals lock order; every apply below (replica streams,
 	// participant commits) is stamped with it. The deferred Release runs
-	// once commitAll has gathered every participant — all applies have
-	// landed cluster-wide, so snapshots may now include this timestamp.
+	// once the commit wave has gathered every participant — all applies
+	// have landed cluster-wide, so snapshots may now include this
+	// timestamp.
 	// Abort paths after the reserve apply nothing anywhere (a failed
 	// replication relay streams to no replica), so releasing there just
 	// lets the stable watermark move past an unused timestamp.
@@ -130,11 +130,11 @@ func (e *Engine) RunOrdered(ctx context.Context, req *txn.Request, proc *txn.Pro
 		ts = c.Reserve()
 		defer c.Release(ts)
 	}
-	// Replicate cold write sets, then run the commit phase of 2PC,
-	// fanned out. A replication failure aborts cleanly (nothing applied;
-	// every participant rolls back), so a transient fault there is
-	// retryable.
-	if err := replicateAll(n, txnID, ts, st.writes); err != nil {
+	// Replicate cold write sets (one overlapped scatter; Wait joins every
+	// replica ack), then run the commit phase of 2PC as one wave. A
+	// replication failure aborts cleanly (nothing applied; every
+	// participant rolls back), so a transient fault there is retryable.
+	if err := n.ReplicateAsync(txnID, ts, st.writes).Wait(); err != nil {
 		n.AbortAll(st.participants, txnID)
 		return txn.Result{
 			Reason:      server.TransportAbortReason(err),
@@ -142,7 +142,11 @@ func (e *Engine) RunOrdered(ctx context.Context, req *txn.Request, proc *txn.Pro
 			Distributed: st.distributed(),
 		}
 	}
-	if err := commitAll(n, txnID, ts, &st); err != nil {
+	w := n.CommitAll(txnID, ts, st.participants, st.writes)
+	w.Wait() // 2PC's second phase is synchronous: the client sees applied writes
+	err := w.Errs()
+	w.Release()
+	if err != nil {
 		// Post-prepare commit delivery failed: participants that did not
 		// hear the commit keep their locks; surface as internal (never
 		// retryable — the transaction's locks may be wedged).
@@ -161,7 +165,7 @@ type execState struct {
 	reads        txn.ReadSet
 	pending      map[storage.RID][]byte // buffered writes: read-your-own-writes
 	writes       map[cluster.PartitionID][]server.WriteOp
-	participants map[transport.NodeID]bool
+	participants []transport.NodeID // contacted nodes, deduplicated
 	readRIDs     []storage.RID
 	writeRIDs    []storage.RID
 	ridOf        []ridOp // per processed op, for absorb
@@ -173,6 +177,12 @@ type ridOp struct {
 }
 
 func (st *execState) distributed() bool { return len(st.participants) > 1 }
+
+func (st *execState) addParticipant(node transport.NodeID) {
+	if !slices.Contains(st.participants, node) {
+		st.participants = append(st.participants, node)
+	}
+}
 
 // nextBatch groups consecutive ops (starting at order[idx]) that target
 // the same participant and whose keys are resolvable from args and the
@@ -261,51 +271,4 @@ func (st *execState) absorb(proc *txn.Procedure, args txn.Args, batch []server.L
 		}
 	}
 	return nil
-}
-
-// replicateAll ships each partition's write set to its replicas in
-// parallel and waits for every acknowledgement.
-func replicateAll(n *server.Node, txnID, ts uint64, writes map[cluster.PartitionID][]server.WriteOp) error {
-	if len(writes) == 0 {
-		return nil
-	}
-	var wg sync.WaitGroup
-	errs := make(chan error, len(writes))
-	for pid, ws := range writes {
-		wg.Add(1)
-		go func(pid cluster.PartitionID, ws []server.WriteOp) {
-			defer wg.Done()
-			if err := n.Replicate(pid, txnID, ts, ws); err != nil {
-				errs <- err
-			}
-		}(pid, ws)
-	}
-	wg.Wait()
-	close(errs)
-	return <-errs
-}
-
-// commitAll fans the 2PC commit phase out to all participants. Each
-// participant's write set is the concatenation of every partition it is
-// currently primary for — one partition almost always, several right
-// after a replica promotion (keying by a single partition would drop
-// the adopted partition's writes at the shared primary).
-func commitAll(n *server.Node, txnID, ts uint64, st *execState) error {
-	topo := n.Directory().Topology()
-	byNode := make(map[transport.NodeID][]server.WriteOp, len(st.participants))
-	for pid, ws := range st.writes {
-		t := topo.Primary(pid)
-		byNode[t] = append(byNode[t], ws...)
-	}
-	pending := make([]*server.PendingCommit, 0, len(st.participants))
-	for target := range st.participants {
-		pending = append(pending, n.CommitAsync(target, txnID, ts, byNode[target]))
-	}
-	var firstErr error
-	for _, pc := range pending {
-		if err := pc.Wait(); err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	return firstErr
 }

@@ -133,7 +133,7 @@ func assertSIViolation(t *testing.T, rep *SIReport, code string) {
 func TestSISensitivity(t *testing.T) {
 	seed := testutil.Seed(t, 99)
 	res, err := Run(Config{
-		Engine: bench.EngineChiller, VerbBatching: true, Lanes: 2,
+		Engine: bench.EngineChiller, Lanes: 2,
 		Seed: seed, Faults: DefaultFaults(), MVCC: true,
 	})
 	if err != nil {

@@ -95,10 +95,9 @@ func TestDroppedLockWaveAbortsCleanlyAllEngines(t *testing.T) {
 	}
 }
 
-// The batched transport's lock-wave doorbells are droppable; the
-// commit-tail doorbells are protected — so even under a total drop of
-// lock doorbells, the engine aborts cleanly and a fault-free retry
-// commits and stays serializable.
+// Lock-wave doorbells are droppable; the commit-tail doorbells (which
+// also carry the abort wave) are protected — so even under a total drop
+// of lock doorbells, the engine aborts cleanly and leaks nothing.
 func TestDroppedLockDoorbellBatchedChiller(t *testing.T) {
 	var drops atomic.Int64
 	c := faultCluster(t, &simfab.FaultPlan{
@@ -111,13 +110,6 @@ func TestDroppedLockDoorbellBatchedChiller(t *testing.T) {
 			return false
 		},
 	})
-	for p := 0; p < 2; p++ {
-		ce, ok := c.Engine(bench.EngineChiller, p).(interface{ SetVerbBatching(bool) })
-		if !ok {
-			t.Fatal("Chiller engine lost SetVerbBatching")
-		}
-		ce.SetVerbBatching(true)
-	}
 	eng := c.Engine(bench.EngineChiller, 0)
 	// Hot key on partition 1 + cold key on partition 0: the outer wave
 	// targets a remote node over a (dropped) lock doorbell.

@@ -54,10 +54,8 @@ func DefaultFaults() *Faults {
 
 // Config sizes one harness run.
 type Config struct {
-	// Engine and VerbBatching pick the cell's engine and transport
-	// (VerbBatching affects EngineChiller only).
-	Engine       bench.EngineKind
-	VerbBatching bool
+	// Engine picks the cell's engine.
+	Engine bench.EngineKind
 	// Transport selects the fabric: bench.TransportSim (default) or
 	// bench.TransportTCP, which runs the cell over real loopback sockets
 	// — one tcpnet fabric per node, every verb crossing the kernel.
@@ -280,17 +278,16 @@ func Run(cfg Config) (*Result, error) {
 	}
 	maxKey := storage.Key(cfg.Partitions * cfg.Keys)
 	c := bench.NewCluster(bench.ClusterConfig{
-		Transport:    cfg.Transport,
-		Partitions:   cfg.Partitions,
-		Replication:  cfg.Replication,
-		Latency:      cfg.Latency,
-		Seed:         cfg.Seed,
-		Lanes:        cfg.Lanes,
-		VerbBatching: cfg.VerbBatching,
-		MVCC:         cfg.MVCC,
-		Faults:       plan,
-		WALDir:       walDir,
-		WALPolicy:    walPolicy,
+		Transport:   cfg.Transport,
+		Partitions:  cfg.Partitions,
+		Replication: cfg.Replication,
+		Latency:     cfg.Latency,
+		Seed:        cfg.Seed,
+		Lanes:       cfg.Lanes,
+		MVCC:        cfg.MVCC,
+		Faults:      plan,
+		WALDir:      walDir,
+		WALPolicy:   walPolicy,
 	}, cluster.RangePartitioner{N: cfg.Partitions, MaxKey: map[storage.TableID]storage.Key{CheckTable: maxKey}})
 	defer c.Close()
 

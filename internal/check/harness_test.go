@@ -12,11 +12,14 @@ import (
 	"github.com/chillerdb/chiller/internal/testutil"
 )
 
-// cell is one point of the engine × transport × lanes × crash matrix.
+// cell is one point of the engine × fabric × lanes × crash matrix. Every
+// engine's participant verbs ride doorbell waves, so the fault schedules
+// (drops, spikes, partitions) hit the lock-wave rings of all three and
+// commit/abort frames ride the protected tail. (The "-batched" in some
+// cell names dates from when that was a Chiller-only option.)
 type cell struct {
 	name      string
 	engine    bench.EngineKind
-	batched   bool
 	lanes     int
 	transport string // "" = simnet
 	crash     bool   // crash-restart schedule (WAL recovery between phases)
@@ -31,8 +34,7 @@ func matrixCells() []cell {
 		cells = append(cells,
 			cell{name: fmt.Sprintf("2pl-lanes%d", lanes), engine: bench.Engine2PL, lanes: lanes},
 			cell{name: fmt.Sprintf("occ-lanes%d", lanes), engine: bench.EngineOCC, lanes: lanes},
-			cell{name: fmt.Sprintf("chiller-scalar-lanes%d", lanes), engine: bench.EngineChiller, lanes: lanes},
-			cell{name: fmt.Sprintf("chiller-batched-lanes%d", lanes), engine: bench.EngineChiller, batched: true, lanes: lanes},
+			cell{name: fmt.Sprintf("chiller-batched-lanes%d", lanes), engine: bench.EngineChiller, lanes: lanes},
 		)
 	}
 	// Loopback-TCP cells: the same workload and checker over real
@@ -42,7 +44,7 @@ func matrixCells() []cell {
 	// dispatch ordering, and doorbell servicing at the destination.
 	cells = append(cells,
 		cell{name: "tcp-2pl", engine: bench.Engine2PL, lanes: 1, transport: bench.TransportTCP},
-		cell{name: "tcp-chiller-batched", engine: bench.EngineChiller, batched: true, lanes: 1, transport: bench.TransportTCP},
+		cell{name: "tcp-chiller-batched", engine: bench.EngineChiller, lanes: 1, transport: bench.TransportTCP},
 	)
 	// Crash-restart cells: every node runs a WAL, and between two
 	// workload phases a seeded-random node is killed, wiped, and
@@ -55,7 +57,7 @@ func matrixCells() []cell {
 	cells = append(cells,
 		cell{name: "crash-2pl", engine: bench.Engine2PL, lanes: 2, crash: true},
 		cell{name: "crash-occ", engine: bench.EngineOCC, lanes: 2, crash: true},
-		cell{name: "crash-chiller-batched", engine: bench.EngineChiller, batched: true, lanes: 2, crash: true},
+		cell{name: "crash-chiller-batched", engine: bench.EngineChiller, lanes: 2, crash: true},
 		cell{name: "crash-promote-chiller", engine: bench.EngineChiller, lanes: 1, crash: true, promote: true},
 	)
 	// MVCC cells: versioned stores, shared commit clock, the workload's
@@ -65,24 +67,23 @@ func matrixCells() []cell {
 	// recovers the victim's version chains from its WAL between phases —
 	// snapshot reads spanning the crash boundary must still certify SI.
 	for _, eng := range []struct {
-		key     string
-		kind    bench.EngineKind
-		batched bool
+		key  string
+		kind bench.EngineKind
 	}{
-		{"2pl", bench.Engine2PL, false},
-		{"occ", bench.EngineOCC, false},
-		{"chiller", bench.EngineChiller, true},
+		{"2pl", bench.Engine2PL},
+		{"occ", bench.EngineOCC},
+		{"chiller", bench.EngineChiller},
 	} {
 		for _, lanes := range []int{1, 4} {
 			cells = append(cells, cell{
 				name:   fmt.Sprintf("mvcc-%s-lanes%d", eng.key, lanes),
-				engine: eng.kind, batched: eng.batched, lanes: lanes, mvcc: true,
+				engine: eng.kind, lanes: lanes, mvcc: true,
 			})
 		}
 	}
 	cells = append(cells,
-		cell{name: "mvcc-tcp-chiller", engine: bench.EngineChiller, batched: true, lanes: 1, transport: bench.TransportTCP, mvcc: true},
-		cell{name: "mvcc-crash-chiller", engine: bench.EngineChiller, batched: true, lanes: 2, crash: true, mvcc: true},
+		cell{name: "mvcc-tcp-chiller", engine: bench.EngineChiller, lanes: 1, transport: bench.TransportTCP, mvcc: true},
+		cell{name: "mvcc-crash-chiller", engine: bench.EngineChiller, lanes: 2, crash: true, mvcc: true},
 	)
 	// Elastic cells: a node joins mid-run, takes a partition through the
 	// incremental handoff protocol under live traffic (and, on simnet,
@@ -91,8 +92,8 @@ func matrixCells() []cell {
 	// must converge on the post-churn topology, and the lost-key oracle
 	// must find every loaded key at its current primary.
 	cells = append(cells,
-		cell{name: "elastic-chiller-batched", engine: bench.EngineChiller, batched: true, lanes: 2, elastic: true},
-		cell{name: "elastic-tcp-chiller", engine: bench.EngineChiller, batched: true, lanes: 1, transport: bench.TransportTCP, elastic: true},
+		cell{name: "elastic-chiller-batched", engine: bench.EngineChiller, lanes: 2, elastic: true},
+		cell{name: "elastic-tcp-chiller", engine: bench.EngineChiller, lanes: 1, transport: bench.TransportTCP, elastic: true},
 	)
 	return cells
 }
@@ -143,16 +144,15 @@ func TestCheckerMatrix(t *testing.T) {
 			for run := 0; run < cellRuns; run++ {
 				seed := baseSeed + int64(run)*101
 				res, err := Run(Config{
-					Engine:       c.engine,
-					VerbBatching: c.batched,
-					Transport:    c.transport,
-					Lanes:        c.lanes,
-					Seed:         seed,
-					Faults:       faults,
-					Crash:        c.crash,
-					Promote:      c.promote,
-					MVCC:         c.mvcc,
-					Elastic:      c.elastic,
+					Engine:    c.engine,
+					Transport: c.transport,
+					Lanes:     c.lanes,
+					Seed:      seed,
+					Faults:    faults,
+					Crash:     c.crash,
+					Promote:   c.promote,
+					MVCC:      c.mvcc,
+					Elastic:   c.elastic,
 				})
 				if err != nil {
 					t.Fatalf("run %d (seed %d): harness: %v", run, seed, err)
@@ -184,7 +184,7 @@ func TestCheckerMatrixNoFaults(t *testing.T) {
 		c := c
 		t.Run(c.name, func(t *testing.T) {
 			t.Parallel()
-			res, err := Run(Config{Engine: c.engine, VerbBatching: c.batched, Transport: c.transport, Lanes: c.lanes, Seed: seed, Crash: c.crash, Promote: c.promote, MVCC: c.mvcc, Elastic: c.elastic})
+			res, err := Run(Config{Engine: c.engine, Transport: c.transport, Lanes: c.lanes, Seed: seed, Crash: c.crash, Promote: c.promote, MVCC: c.mvcc, Elastic: c.elastic})
 			if err != nil {
 				t.Fatalf("harness: %v", err)
 			}
@@ -205,7 +205,7 @@ func TestCheckerSensitivity(t *testing.T) {
 	seed := testutil.Seed(t, 77)
 	for _, lanes := range []int{1, 4} {
 		res, err := Run(Config{
-			Engine: bench.EngineChiller, VerbBatching: true, Lanes: lanes,
+			Engine: bench.EngineChiller, Lanes: lanes,
 			Seed: seed, Faults: DefaultFaults(),
 		})
 		if err != nil {
@@ -235,7 +235,7 @@ func TestCheckerSensitivity(t *testing.T) {
 func TestCheckerLostCommitSensitivity(t *testing.T) {
 	seed := testutil.Seed(t, 88)
 	res, err := Run(Config{
-		Engine: bench.EngineChiller, VerbBatching: true, Lanes: 2,
+		Engine: bench.EngineChiller, Lanes: 2,
 		Seed: seed, Crash: true, ForgeLostCommit: true,
 	})
 	if err != nil {

@@ -39,15 +39,6 @@ type Engine struct {
 	node     *server.Node
 	fallback *twopl.Engine
 
-	// batched routes the engine's remote fan-outs — outer lock waves,
-	// the outer replica scatter, and the commit wave — over the
-	// doorbell-batched one-sided path: one doorbell per destination node
-	// per wave instead of one RPC per verb (§3's batched one-sided
-	// verbs; see docs/NETWORK.md). The 2PL fallback for cold
-	// transactions and the inner-region delegation stay two-sided either
-	// way.
-	batched bool
-
 	gmu    sync.RWMutex
 	graphs map[string]*depgraph.Graph
 
@@ -93,16 +84,6 @@ func New(n *server.Node) *Engine {
 
 // Name implements cc.Engine.
 func (e *Engine) Name() string { return "Chiller" }
-
-// SetVerbBatching selects the engine's fan-out transport: batched (one
-// doorbell per destination node per lock wave / replica scatter / commit
-// wave) or scalar (one RPC per verb, the default). Flip it before
-// serving traffic; concurrent Run calls observing a mid-flight change
-// would mix transports harmlessly but unhelpfully.
-func (e *Engine) SetVerbBatching(on bool) { e.batched = on }
-
-// VerbBatching reports the engine's current fan-out transport.
-func (e *Engine) VerbBatching() bool { return e.batched }
 
 // Drain blocks until every background commit tail has finished. Call
 // before tearing the fabric down or asserting a quiesced cluster.
@@ -203,7 +184,7 @@ func (e *Engine) Run(ctx context.Context, req *txn.Request) txn.Result {
 		// MVCC snapshot path: lock-free, conflict-abort-free, zero verbs
 		// for replica-local partitions. Region analysis is moot — a
 		// snapshot read has no contention span to shrink.
-		res, err := n.RunSnapshot(ctx, *req, e.batched)
+		res, err := n.RunSnapshot(ctx, *req)
 		if err != nil {
 			return txn.Result{Reason: txn.AbortInternal, Detail: err.Error()}
 		}
@@ -385,17 +366,19 @@ func (e *Engine) runTwoRegion(ctx context.Context, req *txn.Request, proc *txn.P
 	// when it would otherwise block on the network — the client gets its
 	// result one round trip earlier, while the protocol order (replica
 	// acks before any lock release) is preserved inside the tail.
-	targets := make([]server.CommitTarget, len(st.parts))
-	for i, p := range st.parts {
-		targets[i] = server.CommitTarget{Node: p.node, PID: p.pid}
-	}
 	finish := func() {
 		if err := repl.Wait(); err != nil {
 			panic(fmt.Sprintf("core: outer replication failed after inner commit: %v", err))
 		}
-		if err := n.CommitAll(txnID, ts, targets, writes, e.batched); err != nil {
+		// Presumed commit: the locks release when the doorbells ring and
+		// no second-phase ack gates anything, so reap the wave instead of
+		// sleeping out a round trip nothing observes.
+		w := n.CommitAll(txnID, ts, st.nodes(false), writes)
+		w.Reap()
+		if err := w.Errs(); err != nil {
 			panic(fmt.Sprintf("core: outer commit failed after inner commit: %v", err))
 		}
+		w.Release()
 		// Every apply — inner stream, outer replicas, outer primaries —
 		// has landed; snapshots may now advance past this timestamp.
 		if c := n.Clock(); c != nil {
@@ -471,7 +454,7 @@ type participant struct {
 	pid  cluster.PartitionID
 	// locked marks the node as known to hold locks for this txn (a batch
 	// succeeded there, or failed in a way that may have left state
-	// behind); only such nodes need an abort RPC.
+	// behind); only such nodes need an abort frame.
 	locked bool
 }
 
@@ -518,13 +501,21 @@ func (st *outerState) addParticipant(node transport.NodeID, pid cluster.Partitio
 	return &st.parts[len(st.parts)-1]
 }
 
-// abortLocked sends the cleanup RPC to every node known to hold locks.
-func (st *outerState) abortLocked(n *server.Node, txnID uint64) {
+// nodes lists the contacted participants — every one, or only those
+// known to hold locks.
+func (st *outerState) nodes(lockedOnly bool) []transport.NodeID {
+	out := make([]transport.NodeID, 0, len(st.parts))
 	for _, p := range st.parts {
-		if p.locked {
-			n.AbortAt(p.node, txnID)
+		if p.locked || !lockedOnly {
+			out = append(out, p.node)
 		}
 	}
+	return out
+}
+
+// abortLocked rolls back every node known to hold locks, in one wave.
+func (st *outerState) abortLocked(n *server.Node, txnID uint64) {
+	n.AbortAll(st.nodes(true), txnID)
 }
 
 // lockOuter acquires locks and performs reads for the outer ops in
@@ -651,25 +642,19 @@ func sleepJittered(ctx context.Context, us int64) bool {
 }
 
 // lockWave groups one wave of ops by participant (node, lane) and issues
-// every batch concurrently: remote batches are started first so their
-// round trips overlap, the local batches (if any) execute while they are
-// in flight, and all responses are gathered before reads are absorbed.
-// Grouping by lane — not just node — keeps every batch single-lane, so
-// the participant can run it wholesale on the owning lane's serial
-// executor (preserving the batch's all-or-nothing rollback) and batches
-// for independent lanes of one node are processed in parallel. On
-// failure every outstanding call is still drained — its target already
-// holds locks that only the caller's abort can release — and the ops of
-// conflict-failed batches are returned so the caller may re-request
-// them. Successful sibling batches keep their locks and reads either
-// way. Checks are the caller's job (they must run only after the whole
-// wave, including re-requests, has succeeded).
-//
-// With verb batching on, all of one destination node's lane batches ride
-// a single doorbell — one round trip per node per wave, however many
-// lanes the wave touches there. Each lane batch stays its own frame, so
-// failure granularity (a frame rolls back only itself) and the
-// per-(node, lane) retry bookkeeping are identical across transports.
+// every batch in one server.Wave: all of a destination node's lane
+// batches ride a single doorbell — one round trip per node per wave,
+// however many lanes the wave touches there — the local batches (if
+// any) execute while the rings are in flight, and all responses are
+// gathered before reads are absorbed. Grouping by lane — not just
+// node — keeps every batch single-lane and its own frame, so a conflict
+// rolls back (and the re-request ladder re-issues) exactly one lane
+// batch. On failure every frame is still gathered — its target may
+// already hold locks that only the caller's abort can release — and the
+// ops of conflict-failed batches are returned so the caller may
+// re-request them. Successful sibling batches keep their locks and
+// reads either way. Checks are the caller's job (they must run only
+// after the whole wave, including re-requests, has succeeded).
 func (e *Engine) lockWave(proc *txn.Procedure, args txn.Args, txnID uint64, wave []int, st *outerState) (failedOps []int, failReason txn.AbortReason, ok bool) {
 	n := e.node
 	dir := n.Directory()
@@ -680,11 +665,6 @@ func (e *Engine) lockWave(proc *txn.Procedure, args txn.Args, txnID uint64, wave
 		lane    int
 		entries []server.LockEntry
 		ops     []int
-		pending *server.PendingLock
-		// Doorbell transport (verb batching on): the batch is frame
-		// `frame` of the shared pending doorbell `bell`.
-		bell  *server.PendingDoorbell
-		frame int
 	}
 	// Group by participant (node, lane); the common case is a handful of
 	// batches, so a linear scan over the batch list beats a map.
@@ -738,84 +718,19 @@ func (e *Engine) lockWave(proc *txn.Procedure, args txn.Args, txnID uint64, wave
 		sort.Sort(&batchSorter{entries: b.entries, ops: b.ops})
 	}
 
-	// Scatter: remote batches first, local last (it runs synchronously
-	// while the remote round trips are in flight). Batched transport
-	// rings one doorbell per remote node carrying that node's lane
-	// batches as separate frames; scalar transport issues one RPC per
-	// lane batch.
-	var rung []*server.PendingDoorbell
-	if e.batched {
-		type bellRef struct {
-			target transport.NodeID
-			d      *server.Doorbell
-		}
-		var bells []bellRef
-		for _, b := range batches {
-			if b.target == n.ID() {
-				continue
-			}
-			var d *server.Doorbell
-			for _, br := range bells {
-				if br.target == b.target {
-					d = br.d
-					break
-				}
-			}
-			if d == nil {
-				d = n.NewDoorbell(b.target)
-				bells = append(bells, bellRef{target: b.target, d: d})
-			}
-			b.frame = d.PostLockRead(txnID, b.entries)
-		}
-		for _, br := range bells {
-			pd := br.d.Ring()
-			rung = append(rung, pd)
-			for _, b := range batches {
-				if b.target == br.target {
-					b.bell = pd
-				}
-			}
-		}
-	} else {
-		for _, b := range batches {
-			if b.target != n.ID() {
-				b.pending = n.LockReadAsync(b.target, txnID, b.entries)
-			}
-		}
-	}
+	// Frame i of the wave is batch i.
+	w := n.NewWave()
 	for _, b := range batches {
-		if b.target == n.ID() {
-			b.pending = n.LockReadAsync(b.target, txnID, b.entries)
-		}
+		w.LockRead(b.target, txnID, b.entries)
 	}
-
-	// resolve yields a batch's lock response from whichever transport
-	// carried it. PendingDoorbell.Wait is idempotent, so every lane batch
-	// of one node reads its own frame from the shared completion. A frame
-	// error (undecodable payload, non-batchable verb) is a transport-level
-	// failure, exactly like a scalar call error — participant lock
-	// failures always travel inside a LockResponse.
-	resolve := func(b *nodeBatch) (*server.LockResponse, error) {
-		if b.bell == nil {
-			return b.pending.Wait()
-		}
-		results, err := b.bell.Wait()
-		if err != nil {
-			return nil, err
-		}
-		fr := results[b.frame]
-		if ferr := b.bell.Err(fr); ferr != nil {
-			return nil, ferr
-		}
-		return server.DecodeLockResponse(fr.Payload)
-	}
+	w.Wait()
 
 	// Gather every response before judging the wave: a batch that failed
 	// fast must not leave sibling calls (and the locks they acquired)
 	// untracked behind an early return.
 	failReason, failed := txn.AbortNone, false
-	for _, b := range batches {
-		resp, err := resolve(b)
+	for i, b := range batches {
+		resp, err := w.LockResponse(i)
 		if err != nil {
 			// Transport failure: assume the worst (locks may be held) —
 			// the abort wave still runs there — and classify the reason:
@@ -850,11 +765,8 @@ func (e *Engine) lockWave(proc *txn.Procedure, args txn.Args, txnID uint64, wave
 			}
 		}
 	}
-	// Every batch has been resolved: recycle the doorbell pendings (the
-	// absorbed reads alias the response buffers, not the pendings).
-	for _, pd := range rung {
-		pd.Release()
-	}
+	// The absorbed reads alias the response buffers, not the wave.
+	w.Release()
 	if failed {
 		return failedOps, failReason, false
 	}

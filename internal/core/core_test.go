@@ -11,6 +11,7 @@ import (
 	"github.com/chillerdb/chiller/internal/storage"
 	"github.com/chillerdb/chiller/internal/transport/simfab"
 	"github.com/chillerdb/chiller/internal/txn"
+	"github.com/chillerdb/chiller/internal/wire"
 )
 
 func key(k storage.Key) txn.KeyFunc {
@@ -290,32 +291,47 @@ func drainAll(engines []*Engine) {
 	}
 }
 
-// lockRecorder interposes a node's lock-and-read verb, recording each
-// batch's keys while delegating to the real handler.
+// lockRecorder interposes a node's lock-wave doorbell, recording each
+// lock-read frame's keys while servicing the frames as the node would.
 func lockRecorder(t *testing.T, n *server.Node) *[][]storage.Key {
 	t.Helper()
 	var mu sync.Mutex
 	batches := &[][]storage.Key{}
-	n.Endpoint().Handle(server.VerbLockRead, func(_ simfab.NodeID, req []byte) ([]byte, error) {
-		txnID, entries, err := server.DecodeLockRequest(req)
+	n.Endpoint().HandleOneSided(server.VerbDoorbell, func(_ simfab.NodeID, req []byte) ([]byte, error) {
+		frames, err := wire.DecodeFrames(req)
 		if err != nil {
 			return nil, err
 		}
-		keys := make([]storage.Key, len(entries))
-		for i, e := range entries {
-			keys[i] = e.Key
+		results := make([]wire.FrameResult, len(frames))
+		var w wire.Writer
+		for i, f := range frames {
+			if f.Verb != server.VerbLockRead {
+				results[i].Err = "unexpected verb " + f.Verb
+				continue
+			}
+			txnID, entries, err := server.DecodeLockRequest(f.Payload)
+			if err != nil {
+				return nil, err
+			}
+			keys := make([]storage.Key, len(entries))
+			for j, e := range entries {
+				keys[j] = e.Key
+			}
+			mu.Lock()
+			*batches = append(*batches, keys)
+			mu.Unlock()
+			start := w.Len()
+			n.LockReadLocal(txnID, entries).EncodeTo(&w)
+			results[i].Payload = w.Bytes()[start:]
 		}
-		mu.Lock()
-		*batches = append(*batches, keys)
-		mu.Unlock()
-		return n.LockReadLocal(txnID, entries).Encode(), nil
+		return wire.EncodeFrameResults(results), nil
 	})
 	return batches
 }
 
 // The outer region's ops must reach each participant as one batched
-// lock-and-read call per wave (not one round trip per op), fanned out to
-// all participants concurrently in the same wave.
+// lock-and-read frame per wave (not one round trip per op), fanned out
+// to all participants concurrently in the same wave.
 func TestLockOuterBatchGrouping(t *testing.T) {
 	engines, nodes, _ := multiHarness(t)
 	engine := engines[0]

@@ -38,8 +38,6 @@ type ClientConfig struct {
 	// the host's default lane count).
 	Replication int
 	Lanes       int
-	// VerbBatching routes the client's Chiller fan-outs over doorbells.
-	VerbBatching bool
 }
 
 // Connect builds the client. It does not touch the network beyond
@@ -61,7 +59,7 @@ func Connect(cfg ClientConfig, def cluster.DefaultPartitioner) (*Client, error) 
 
 	topo, dir := NewDirectory(len(cfg.Peers), cfg.Replication, cfg.Lanes, def)
 	reg := txn.NewRegistry()
-	node, err := NewNode(fab, -1, Spec{Registry: reg, Dir: dir, VerbBatching: cfg.VerbBatching})
+	node, err := NewNode(fab, -1, Spec{Registry: reg, Dir: dir})
 	if err != nil {
 		fab.Close()
 		return nil, err

@@ -58,11 +58,9 @@ type Config struct {
 	// default from the host's CPU count (cluster.DefaultLanes); 1 restores
 	// the single-engine-per-node behaviour.
 	Lanes int
-	// VerbBatching routes the Chiller engine's remote fan-outs over the
-	// doorbell-batched one-sided verb path: one doorbell per destination
-	// node per lock wave / replica scatter / commit wave instead of one
-	// RPC per verb. 2PL and OCC always use the scalar path, so flipping
-	// this A/Bs the transport for the Chiller series only.
+	// Deprecated: nothing reads this field — every engine's participant
+	// verbs ride doorbell waves unconditionally. It stays only because
+	// the benchmark module sets it; a benchmark-only change drops it.
 	VerbBatching bool
 	// Faults installs deterministic fault injection on the simulated
 	// fabric (drop dice, delay spikes, partition verb filtering) — the
@@ -215,13 +213,12 @@ func (c *Cluster) addNode(home cluster.PartitionID) (*Node, error) {
 		schema = nodes[0].Store()
 	}
 	n, err := newNode(ep, home, Spec{
-		Registry:     c.Registry,
-		Dir:          c.Dir,
-		Sampler:      c.Sampler,
-		Clock:        c.Clock,
-		WALDir:       c.Cfg.WALDir,
-		WALPolicy:    c.Cfg.WALPolicy,
-		VerbBatching: c.Cfg.VerbBatching,
+		Registry:  c.Registry,
+		Dir:       c.Dir,
+		Sampler:   c.Sampler,
+		Clock:     c.Clock,
+		WALDir:    c.Cfg.WALDir,
+		WALPolicy: c.Cfg.WALPolicy,
 	}, schema)
 	if err != nil {
 		if fab, ok := ep.(*tcpnet.Fabric); ok {

@@ -63,8 +63,6 @@ type Spec struct {
 	// WALDir/node-<id>, recovered and replayed at construction.
 	WALDir    string
 	WALPolicy wal.Policy
-	// VerbBatching routes the Chiller engine's fan-outs over doorbells.
-	VerbBatching bool
 }
 
 // Node is one assembled cluster member: the server node plus one engine
@@ -137,7 +135,6 @@ func newNode(ep transport.Endpoint, home cluster.PartitionID, spec Spec, schema 
 	// Every node needs a Chiller engine whichever kind its clients use:
 	// core.New registers the transaction-placement verb peers route to.
 	n.chiller = core.New(sn)
-	n.chiller.SetVerbBatching(spec.VerbBatching)
 	return n, nil
 }
 

@@ -10,28 +10,26 @@ import (
 	"github.com/chillerdb/chiller/internal/wire"
 )
 
-// Doorbell batching: every participant verb bound for one destination
-// node is packed into a single envelope (wire.Frame) and shipped as one
+// Doorbells: every participant verb bound for one destination node is
+// packed into a single envelope (wire.Frame) and shipped as one
 // one-sided doorbell ring — one round trip and one pair of fabric
-// messages for the whole batch, instead of one per verb. The verbs are
-// serviced on the one-sided path (transport.HandleOneSided): the
-// destination's dispatcher and execution lanes are never involved,
+// messages for the whole batch, however many verbs it carries. The
+// verbs are serviced on the one-sided path (transport.HandleOneSided):
+// the destination's dispatcher and execution lanes are never involved,
 // modelling NIC-executed RDMA verb processing (a lock-and-read is a CAS
 // on the bucket lock word plus a record READ; the handler performs the
 // pair as one atomic unit). Bucket lock words arbitrate all conflicts,
-// exactly as they do between lanes on the scalar path.
+// between doorbell frames and against the lanes' inner regions alike.
 //
 // Frames execute in posting order and fail independently: a frame that
 // aborts (e.g. a NO_WAIT lock conflict) rolls back only its own
 // effects — LockReadLocal's all-or-nothing rollback applies per frame —
 // and its siblings proceed. Chiller's engine posts one frame per
-// (node, lane) lock batch, so the scalar path's failure granularity is
-// preserved bit for bit.
+// (node, lane) lock batch, so a conflict costs exactly one lane batch.
 //
-// 2PL and OCC keep driving the scalar RPC verbs; both paths share the
-// participant logic (LockReadLocal, CommitLocal, ApplyWrites,
-// AbortLocal), so a node serves batched and scalar senders
-// simultaneously. See docs/NETWORK.md for the full model.
+// This file is the layer Wave (wave.go) is built on; coordinators post
+// through a Wave, which adds the per-destination grouping and the local
+// short-circuit. See docs/NETWORK.md for the full model.
 
 // Doorbell accumulates verbs bound for one destination node, encoding
 // the envelope incrementally into a pooled buffer (frame payloads are
@@ -77,12 +75,6 @@ func (n *Node) NewDoorbell(target transport.NodeID) *Doorbell {
 	return d
 }
 
-// Target returns the destination node.
-func (d *Doorbell) Target() transport.NodeID { return d.target }
-
-// Len reports the number of posted frames.
-func (d *Doorbell) Len() int { return d.count }
-
 // begin opens a frame: verb name, then the caller writes the payload
 // into the returned length region.
 func (d *Doorbell) begin(verb string) int {
@@ -118,6 +110,14 @@ func (d *Doorbell) PostLockRead(txnID uint64, entries []LockEntry) int {
 func (d *Doorbell) PostCommit(txnID, ts uint64, writes []WriteOp) int {
 	mark := d.begin(VerbCommit)
 	EncodeWritesTo(&d.w, txnID, ts, writes)
+	d.w.EndBytes32(mark)
+	return d.count - 1
+}
+
+// PostAbort posts a rollback (release locks, apply nothing).
+func (d *Doorbell) PostAbort(txnID uint64) int {
+	mark := d.begin(VerbAbort)
+	d.w.Uint64(txnID)
 	d.w.EndBytes32(mark)
 	return d.count - 1
 }
@@ -298,8 +298,7 @@ func (pd *PendingDoorbell) Err(fr wire.FrameResult) error {
 // dispatcher and lanes never see the batch. Frames execute in posting
 // order and fail independently. Request frames are decoded and response
 // frames encoded in a single streaming pass over two buffers — the batch
-// costs one response allocation however many verbs it carries, where the
-// scalar path pays one per verb.
+// costs one response allocation however many verbs it carries.
 func (n *Node) handleDoorbell(from transport.NodeID, req []byte) ([]byte, error) {
 	r := wire.NewReader(req)
 	count := r.Uint32()
@@ -325,11 +324,11 @@ func (n *Node) handleDoorbell(from transport.NodeID, req []byte) ([]byte, error)
 // two-sided path.
 var errVerbNotBatchable = errors.New("server: verb cannot ride a doorbell")
 
-// applyVerb executes one participant verb synchronously against this
-// node — the doorbell path's equivalent of the scalar RPC handlers,
-// minus lane dispatch (one-sided verbs synchronize through lock words,
-// not lanes) — and appends the frame's result (error string + response
-// payload) to w.
+// applyVerb is the one participant entry point for the four
+// coordinator verbs: it executes one frame synchronously against this
+// node, with no lane dispatch (one-sided verbs synchronize through lock
+// words, not lanes), and appends the frame's result (error string +
+// response payload) to w.
 func (n *Node) applyVerb(w *wire.Writer, verb string, payload []byte) {
 	switch verb {
 	case VerbLockRead:

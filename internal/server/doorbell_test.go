@@ -68,8 +68,8 @@ func distinctKeys(t *testing.T, n *Node, count int) []storage.Key {
 
 // A doorbell whose middle frame hits a NO_WAIT conflict must roll back
 // exactly that frame's locks: earlier and later frames keep theirs, and
-// the pre-existing holder is untouched — the scalar path's per-batch
-// all-or-nothing semantics, preserved per frame.
+// the pre-existing holder is untouched — LockReadLocal's all-or-nothing
+// rollback applies per frame.
 func TestDoorbellMiddleFrameAbortReleasesOnlyItsLocks(t *testing.T) {
 	sender, dest := newTestPair(t)
 	keys := distinctKeys(t, dest, 4)
@@ -224,8 +224,9 @@ func TestDoorbellTransportErrorNamesNode(t *testing.T) {
 	}
 }
 
-// The per-verb metrics see both scalar and batched traffic under the
-// same kind labels.
+// The per-verb metrics see the one-frame conveniences (LockRead,
+// AbortAt) and hand-built doorbells alike, under the same kind labels:
+// both ride the same ring.
 func TestVerbMetricsSeeBothTransports(t *testing.T) {
 	sender, dest := newTestPair(t)
 	keys := distinctKeys(t, dest, 2)
@@ -246,10 +247,10 @@ func TestVerbMetricsSeeBothTransports(t *testing.T) {
 
 	snap := sender.VerbMetrics().Snapshot()
 	if snap[KindLockRead].Count != 2 {
-		t.Fatalf("lock-read count = %d, want 2 (one scalar + one batched)", snap[KindLockRead].Count)
+		t.Fatalf("lock-read count = %d, want 2 (one LockRead + one posted frame)", snap[KindLockRead].Count)
 	}
-	if snap[KindDoorbell].Count != 1 {
-		t.Fatalf("doorbell count = %d, want 1", snap[KindDoorbell].Count)
+	if snap[KindDoorbell].Count != 3 {
+		t.Fatalf("doorbell count = %d, want 3 (LockRead, the posted ring, AbortAt)", snap[KindDoorbell].Count)
 	}
 	if snap[KindAbort].Count != 1 {
 		t.Fatalf("abort count = %d, want 1", snap[KindAbort].Count)

@@ -16,7 +16,7 @@ import (
 // submitted to the same lane runs strictly in submission order and never
 // overlaps, while distinct lanes run concurrently. The record→lane
 // mapping lives in the routing directory (Directory.Lane), so every
-// layer — inner-region execution, lane-aware verb dispatch, the
+// layer — inner-region execution, per-lane replica apply, the
 // partitioner's sub-partition placement — agrees on which lane owns a
 // record.
 //
@@ -111,24 +111,6 @@ func (n *Node) SubmitLane(lane int, f func()) {
 	if !n.lanes[n.laneIndex(lane)].submit(f) {
 		f()
 	}
-}
-
-// submitVerb routes a verb handler body: on a multi-lane node it goes to
-// the owning lane's executor; on a single-lane node it runs inline on
-// the caller (the fabric dispatcher), exactly as the pre-lane node did.
-// Inline is the right call at one lane because the only lane is shared
-// with inner-region execution — queueing a cheap lock or replica apply
-// behind a backlog of inner regions would stretch every outer lock hold
-// by the queue depth, the inverse of what lanes are for. With several
-// lanes the dispatcher must not do the work itself (it would serialize
-// the whole fabric), and verbs for busy lanes queue precisely because
-// that lane's records demand serialization.
-func (n *Node) submitVerb(lane int, f func()) {
-	if len(n.lanes) <= 1 {
-		f()
-		return
-	}
-	n.SubmitLane(lane, f)
 }
 
 // doneChanPool recycles the rendezvous channels WithLaneSerial blocks

@@ -11,12 +11,11 @@ import (
 // coordinator-side helpers feed: one observation per network verb round
 // trip (count + latency into a log-bucketed histogram), one count for
 // one-way sends. The benchmark harness aggregates the per-node snapshots
-// into per-verb p50/p95/p99 figures, which is how the doorbell-batched
-// path's win over the scalar path is made visible (docs/FIGURES.md).
+// into per-verb p50/p95/p99 figures (docs/FIGURES.md).
 
 // Verb kind labels used as metric keys. They name the protocol role, not
-// the wire method, so batched and scalar executions of the same verb
-// land in the same series.
+// the wire method: a doorbell ring is one "doorbell" observation plus
+// one observation per frame under the frame's own kind.
 const (
 	KindLockRead  = "lock-read"  // lock-and-read batch round trip
 	KindCommit    = "commit"     // commit (apply + release) round trip

@@ -65,7 +65,7 @@ type Node struct {
 
 	// lanes are the node's single-threaded execution lanes (see
 	// lanes.go), modelling the paper's one-execution-engine-per-core
-	// deployment (§2, §5): inner regions and lane-routed verbs on the
+	// deployment (§2, §5): inner regions and replica applies on the
 	// same lane never race each other's hot locks and the replication
 	// stream leaves each lane in commit order, while independent lanes
 	// run in parallel. The count comes from the directory (fixed at
@@ -165,16 +165,9 @@ func New(ep transport.Endpoint, st *storage.Store, reg *txn.Registry, dir *clust
 		n.laneWG.Add(1)
 		go n.lanes[i].run(&n.laneWG)
 	}
-	// Lock/read, commit, and replica-apply verbs dispatch lane-aware on
-	// multi-lane nodes: the handler body runs on the owning record's
-	// lane executor instead of inline on the fabric's single dispatcher
-	// goroutine, so work for independent lanes (and independent nodes)
-	// never serializes on the dispatcher or on another lane's inner
-	// region. Single-lane nodes keep the pre-lane inline dispatch (see
-	// submitVerb).
-	ep.HandleAsync(VerbLockRead, n.handleLockRead)
-	ep.HandleAsync(VerbCommit, n.handleCommit)
-	ep.Handle(VerbAbort, n.handleAbort)
+	// Two-sided verbs are the ones that need a serial executor or per-link
+	// FIFO: replica applies and the replication relay/streams run on the
+	// owning record's lane (see applyByLane), acks count down inline.
 	ep.HandleAsync(VerbReplApply, n.handleReplApply)
 	ep.HandleAsync(VerbReplForward, n.handleReplForward)
 	ep.HandleAsync(VerbInnerRepl, n.handleInnerRepl)
@@ -183,14 +176,10 @@ func New(ep transport.Endpoint, st *storage.Store, reg *txn.Registry, dir *clust
 	// Elasticity verbs: stream-flush marker, topology exchange, and the
 	// joiner-driven handoff trigger (see handoff.go).
 	n.registerHandoffVerbs(ep)
-	// Snapshot reads are lock-free and touch no participant state, so
-	// they run inline on the dispatcher instead of a lane (queueing a
-	// versioned read behind inner regions would add exactly the latency
-	// the MVCC path exists to avoid).
-	ep.Handle(VerbSnapshotRead, n.handleSnapshotRead)
-	// The doorbell envelope is serviced on the one-sided path: batched
-	// senders bypass the dispatcher and lanes entirely, scalar senders
-	// keep the two-sided verbs above — one node serves both at once.
+	// The four participant verbs — lock-read, commit, abort,
+	// snapshot-read — have no two-sided handler: coordinators post them
+	// as doorbell frames (wave.go) and the envelope is serviced on the
+	// one-sided path, bypassing the dispatcher and lanes entirely.
 	// Lock-wave rings and commit-tail rings are distinct verb names (so
 	// fault injection can target one without the other) served by the
 	// same handler.
@@ -285,8 +274,8 @@ func (st *partState) hasLock(b *storage.Bucket, mode storage.LockMode) (held boo
 	return false, -1
 }
 
-// LockReadLocal is the participant lock-and-read step, callable directly
-// by a local coordinator or via VerbLockRead. On failure everything this
+// LockReadLocal is the participant lock-and-read step, called directly
+// by a local coordinator's wave or by a VerbLockRead doorbell frame. On failure everything this
 // call acquired is rolled back, but locks from earlier calls for the same
 // txn remain until an explicit AbortLocal (the coordinator owns cleanup).
 func (n *Node) LockReadLocal(txnID uint64, entries []LockEntry) *LockResponse {
@@ -401,14 +390,21 @@ func (n *Node) LockReadLocal(txnID uint64, entries []LockEntry) *LockResponse {
 // on this participant. With a WAL attached, the write set is appended to
 // the log before the locks release (so per-lane log order equals commit
 // order) and the call returns only once the record's group-commit flush
-// has landed: a CommitLocal acknowledgement implies durability. Callers
-// on a lane executor must use commitLocalStart instead and take the
-// flush wait elsewhere (see handleCommit).
+// has landed: a CommitLocal acknowledgement implies durability.
 func (n *Node) CommitLocal(txnID, ts uint64, writes []WriteOp) error {
-	wait, err := n.commitLocalStart(txnID, ts, writes)
-	if err != nil {
-		return err
+	if n.FaultInjector != nil {
+		if err := n.FaultInjector(VerbCommit, txnID); err != nil {
+			return err
+		}
 	}
+	if err := ApplyWrites(n.store, ts, writes); err != nil {
+		// A write to a locked, verified record cannot legitimately fail;
+		// treat as an engine invariant violation.
+		n.releaseAll(txnID)
+		return fmt.Errorf("server: commit apply: %w", err)
+	}
+	wait := n.LogWrites(txnID, ts, writes)
+	n.releaseAll(txnID)
 	if wait != nil {
 		if ferr := wait(); ferr != nil {
 			// The writes are applied and the locks are gone; a failed
@@ -419,27 +415,6 @@ func (n *Node) CommitLocal(txnID, ts uint64, writes []WriteOp) error {
 		}
 	}
 	return nil
-}
-
-// commitLocalStart is CommitLocal without the durability wait: apply,
-// append to the WAL under the transaction's locks, release. The
-// returned wait (nil when there is nothing to flush) completes the
-// commit; it must not run on a lane executor.
-func (n *Node) commitLocalStart(txnID, ts uint64, writes []WriteOp) (func() error, error) {
-	if n.FaultInjector != nil {
-		if err := n.FaultInjector(VerbCommit, txnID); err != nil {
-			return nil, err
-		}
-	}
-	if err := ApplyWrites(n.store, ts, writes); err != nil {
-		// A write to a locked, verified record cannot legitimately fail;
-		// treat as an engine invariant violation.
-		n.releaseAll(txnID)
-		return nil, fmt.Errorf("server: commit apply: %w", err)
-	}
-	wait := n.LogWrites(txnID, ts, writes)
-	n.releaseAll(txnID)
-	return wait, nil
 }
 
 // AbortLocal releases the transaction's locks without applying writes.
@@ -578,69 +553,6 @@ func ApplyWrites(st *storage.Store, ts uint64, writes []WriteOp) error {
 }
 
 // --- RPC handlers ---
-//
-// Lane-aware handlers decode on the dispatcher (cheap) and run the
-// participant logic on the owning lane's executor. A lock batch runs
-// wholesale on the lane of its first entry: Chiller's coordinator
-// groups waves per (node, lane), so its batches are single-lane; other
-// engines (2PL/OCC) may send mixed batches, which then execute on the
-// first entry's lane — still correct, since bucket lock words arbitrate
-// across lanes, just without lane affinity. Either way the batch stays
-// whole, preserving LockReadLocal's all-or-nothing rollback.
-
-func (n *Node) handleLockRead(_ transport.NodeID, req []byte, reply func([]byte, error)) {
-	txnID, entries, err := DecodeLockRequest(req)
-	if err != nil {
-		reply(nil, err)
-		return
-	}
-	if len(entries) == 0 {
-		reply((&LockResponse{OK: true}).Encode(), nil)
-		return
-	}
-	lane := n.Lane(storage.RID{Table: entries[0].Table, Key: entries[0].Key})
-	n.submitVerb(lane, func() {
-		reply(n.LockReadLocal(txnID, entries).Encode(), nil)
-	})
-}
-
-func (n *Node) handleCommit(_ transport.NodeID, req []byte, reply func([]byte, error)) {
-	txnID, ts, writes, err := DecodeWrites(req)
-	if err != nil {
-		reply(nil, err)
-		return
-	}
-	lane := 0
-	if len(writes) > 0 {
-		lane = n.Lane(storage.RID{Table: writes[0].Table, Key: writes[0].Key})
-	}
-	n.submitVerb(lane, func() {
-		wait, cerr := n.commitLocalStart(txnID, ts, writes)
-		if wait == nil {
-			reply(nil, cerr)
-			return
-		}
-		// Ack only after the group-commit flush, but never block the
-		// lane executor on it — the flush wait rides a goroutine, the
-		// async reply keeps the fabric free, and the lane moves on to
-		// the next (already logically committed) transaction.
-		go func() {
-			if ferr := wait(); ferr != nil {
-				panic(fmt.Sprintf("server: node %d: commit %d not durable: %v", n.ID(), txnID, ferr))
-			}
-			reply(nil, cerr)
-		}()
-	})
-}
-
-func (n *Node) handleAbort(_ transport.NodeID, req []byte) ([]byte, error) {
-	txnID, err := DecodeAbort(req)
-	if err != nil {
-		return nil, err
-	}
-	n.AbortLocal(txnID)
-	return nil, nil
-}
 
 // handleReplApply applies a write set directly on a replica, each
 // record's writes on its owning lane. Engines no longer drive this verb

@@ -157,15 +157,8 @@ type LockResponse struct {
 	Reads  txn.ReadSet     // opID → value
 }
 
-// Encode serializes the response.
-func (lr *LockResponse) Encode() []byte {
-	w := wire.NewWriter(64)
-	lr.EncodeTo(w)
-	return w.Bytes()
-}
-
-// EncodeTo serializes the response into an existing writer (the doorbell
-// handler packs every frame's response into one buffer).
+// EncodeTo serializes the response into a writer (the doorbell handler
+// packs every frame's response into one buffer).
 func (lr *LockResponse) EncodeTo(w *wire.Writer) {
 	w.Bool(lr.OK)
 	w.Uint8(uint8(lr.Reason))
@@ -235,19 +228,12 @@ type SnapReadEntry struct {
 	MustExist bool
 }
 
-// EncodeSnapRead builds the VerbSnapshotRead payload: the snapshot
-// timestamp plus the records to read at it. The response is a
+// EncodeSnapReadTo appends the VerbSnapshotRead payload — the snapshot
+// timestamp plus the records to read at it — to a writer (doorbells
+// pack frame payloads straight into the envelope). The response is a
 // LockResponse (the shapes coincide: ok/reason plus an opID→value read
-// set), with AbortStaleRead as the reason when the timestamp fell
-// below the serving node's retention watermark.
-func EncodeSnapRead(ts uint64, entries []SnapReadEntry) []byte {
-	w := wire.NewWriter(16 + len(entries)*20)
-	EncodeSnapReadTo(w, ts, entries)
-	return w.Bytes()
-}
-
-// EncodeSnapReadTo appends the VerbSnapshotRead payload to an existing
-// writer (doorbells pack frame payloads straight into the envelope).
+// set), with AbortStaleRead as the reason when the timestamp fell below
+// the serving node's retention watermark.
 func EncodeSnapReadTo(w *wire.Writer, ts uint64, entries []SnapReadEntry) {
 	w.Uint64(ts)
 	w.Uint32(uint32(len(entries)))

@@ -9,6 +9,7 @@ import (
 	"github.com/chillerdb/chiller/internal/storage"
 	"github.com/chillerdb/chiller/internal/transport/simfab"
 	"github.com/chillerdb/chiller/internal/txn"
+	"github.com/chillerdb/chiller/internal/wire"
 )
 
 func newTestNode(t *testing.T) (*Node, *simfab.Network) {
@@ -254,7 +255,9 @@ func TestLockRequestWireRoundTrip(t *testing.T) {
 	}
 	// Response round trip.
 	lr := &LockResponse{OK: false, Reason: txn.AbortLockConflict, Reads: txn.ReadSet{3: []byte("x")}}
-	back, err := DecodeLockResponse(lr.Encode())
+	w := wire.NewWriter(64)
+	lr.EncodeTo(w)
+	back, err := DecodeLockResponse(w.Bytes())
 	if err != nil || back.OK || back.Reason != txn.AbortLockConflict || string(back.Reads[3]) != "x" {
 		t.Fatalf("resp = %+v err=%v", back, err)
 	}

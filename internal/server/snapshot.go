@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"time"
 
 	"github.com/chillerdb/chiller/internal/cluster"
 	"github.com/chillerdb/chiller/internal/storage"
@@ -20,8 +19,8 @@ import (
 // holds locally (as primary or replica — replicas apply versioned
 // writes from the §5 streams, so their chains carry the same stamps)
 // are read by direct store access, costing zero verbs; cold partitions
-// fall back to VerbSnapshotRead, batched per destination node and, on a
-// batched-transport engine, packed into doorbells like lock waves.
+// fall back to VerbSnapshotRead frames, batched per destination node
+// and shipped as waves like every other participant verb.
 //
 // Every engine routes ReadOnly procedures here (Run's first branch), so
 // mixed workloads pay the locking protocol only for their writes.
@@ -33,7 +32,7 @@ import (
 const snapStaleRetries = 3
 
 // snapSendRetries bounds per-batch resends of the droppable
-// VerbSnapshotRead before the attempt surfaces AbortUnreachable (the
+// snapshot-read ring before the attempt surfaces AbortUnreachable (the
 // caller's retry loop owns backoff; reads hold nothing anywhere, so a
 // resend is always safe).
 const snapSendRetries = 3
@@ -69,23 +68,9 @@ func (n *Node) SnapshotReadLocal(ts uint64, entries []SnapReadEntry) *LockRespon
 	return &LockResponse{OK: true, Reads: reads}
 }
 
-// handleSnapshotRead is the scalar VerbSnapshotRead handler. Snapshot
-// reads never take bucket lock words and never touch participant state,
-// so they run inline on the dispatcher — queueing them behind a lane's
-// inner regions would only add the latency the path exists to avoid.
-func (n *Node) handleSnapshotRead(_ transport.NodeID, req []byte) ([]byte, error) {
-	ts, entries, err := DecodeSnapRead(req)
-	if err != nil {
-		return nil, err
-	}
-	return n.SnapshotReadLocal(ts, entries).Encode(), nil
-}
-
 // RunSnapshot executes a read-only procedure at a snapshot timestamp.
 // It is the engine-shared executor: every engine's Run delegates
-// ReadOnly requests here when a commit clock is attached. batched
-// selects doorbell packing for the cold-partition fall-back verbs
-// (engines pass their transport mode through).
+// ReadOnly requests here when a commit clock is attached.
 //
 // The result is committed on success with the full read set; the only
 // abort reasons a read-only transaction can surface are AbortNotFound
@@ -95,7 +80,7 @@ func (n *Node) handleSnapshotRead(_ transport.NodeID, req []byte) ([]byte, error
 // AbortUnreachable (cold-partition reads lost to a partition that never
 // healed within the resend budget). Lock conflicts and validation
 // failures are structurally impossible.
-func (n *Node) RunSnapshot(ctx context.Context, req txn.Request, batched bool) (*txn.Result, error) {
+func (n *Node) RunSnapshot(ctx context.Context, req txn.Request) (*txn.Result, error) {
 	proc := n.registry.Lookup(req.Proc)
 	if proc == nil {
 		return nil, fmt.Errorf("server: unknown procedure %q", req.Proc)
@@ -108,7 +93,7 @@ func (n *Node) RunSnapshot(ctx context.Context, req txn.Request, batched bool) (
 	}
 	var last *txn.Result
 	for attempt := 0; attempt <= snapStaleRetries; attempt++ {
-		res := n.snapshotAttempt(ctx, proc, req.Args, batched)
+		res := n.snapshotAttempt(ctx, proc, req.Args)
 		if res.Committed || res.Reason != txn.AbortStaleRead {
 			return res, nil
 		}
@@ -120,10 +105,9 @@ func (n *Node) RunSnapshot(ctx context.Context, req txn.Request, batched bool) (
 // snapshotAttempt runs one pass at a fixed snapshot timestamp, resolving
 // operations in dependency order: every op whose pk-deps are satisfied
 // is resolved in the current round, locals by direct store access,
-// remotes batched per destination node (one verb or doorbell per node
-// per round). Procedures without pk-deps — the common shape — finish in
-// one round.
-func (n *Node) snapshotAttempt(ctx context.Context, proc *txn.Procedure, args txn.Args, batched bool) *txn.Result {
+// remotes batched per destination node (one frame per node per round).
+// Procedures without pk-deps — the common shape — finish in one round.
+func (n *Node) snapshotAttempt(ctx context.Context, proc *txn.Procedure, args txn.Args) *txn.Result {
 	ts := n.clock.Stable()
 	reads := make(txn.ReadSet, len(proc.Ops))
 	resolved := make([]bool, len(proc.Ops))
@@ -202,7 +186,7 @@ func (n *Node) snapshotAttempt(ctx context.Context, proc *txn.Procedure, args tx
 		}
 		// Ship the round's cold-partition batches and fold the values in.
 		for _, b := range batches {
-			resp, err := n.snapshotReadAt(b.node, ts, b.entries, batched)
+			resp, err := n.snapshotReadAt(b.node, ts, b.entries)
 			if err != nil {
 				return abort(txn.AbortUnreachable, fmt.Sprintf("snapshot read at node %d: %v", b.node, err))
 			}
@@ -240,43 +224,20 @@ func (n *Node) HoldsPartition(pid cluster.PartitionID) bool {
 	return false
 }
 
-// snapshotReadAt ships one snapshot-read batch to a remote node,
-// retrying within the resend budget: the verb is droppable (reads hold
-// nothing, so a resend is always safe), and like lock waves it rides a
-// doorbell under a batched-transport engine.
-func (n *Node) snapshotReadAt(target transport.NodeID, ts uint64, entries []SnapReadEntry, batched bool) (*LockResponse, error) {
-	var lastErr error
+// snapshotReadAt ships one snapshot-read batch to a remote node as a
+// one-frame wave, retrying a failed ring within the resend budget: the
+// ring is droppable like a lock wave's, and reads hold nothing, so a
+// resend is always safe.
+func (n *Node) snapshotReadAt(target transport.NodeID, ts uint64, entries []SnapReadEntry) (resp *LockResponse, err error) {
 	for try := 0; try <= snapSendRetries; try++ {
-		if batched {
-			d := n.NewDoorbell(target)
-			idx := d.PostSnapshotRead(ts, entries)
-			pd := d.Ring()
-			results, err := pd.Wait()
-			if err != nil {
-				pd.Release()
-				lastErr = err
-				continue
-			}
-			fr := results[idx]
-			if ferr := pd.Err(fr); ferr != nil {
-				pd.Release()
-				return nil, ferr
-			}
-			resp, derr := DecodeLockResponse(fr.Payload)
-			pd.Release()
-			if derr != nil {
-				return nil, derr
-			}
-			return resp, nil
+		w := n.NewWave()
+		f := w.SnapshotRead(target, ts, entries)
+		w.Wait()
+		resp, err = w.LockResponse(f)
+		w.Release()
+		if err == nil || !errors.Is(err, transport.ErrUnreachable) {
+			break
 		}
-		start := time.Now()
-		raw, err := n.ep.Call(target, VerbSnapshotRead, EncodeSnapRead(ts, entries))
-		n.vm.Observe(KindSnapRead, time.Since(start))
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		return DecodeLockResponse(raw)
 	}
-	return nil, lastErr
+	return resp, err
 }

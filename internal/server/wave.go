@@ -1,0 +1,249 @@
+package server
+
+import (
+	"errors"
+	"fmt"
+	"sync"
+
+	"github.com/chillerdb/chiller/internal/transport"
+	"github.com/chillerdb/chiller/internal/wire"
+)
+
+// Wave is the one way a coordinator reaches participants: a
+// scatter-gather of participant verbs (lock-read, commit, abort,
+// snapshot-read) that rings at most one doorbell per remote destination
+// however many frames it carries there, and serves a frame addressed to
+// the coordinator's own node by a direct call (the co-located fast path
+// of the NAM-DB architecture) while the remote rings are in flight.
+// Every engine's fan-outs — 2PL's and OCC's as much as Chiller's — are
+// waves, so a verb has exactly one wire path and one participant entry
+// point (applyVerb).
+//
+// Post frames with LockRead / Commit / Abort / SnapshotRead, each of
+// which returns a frame handle; gather once with Wait or Reap; read
+// results per frame. Frames execute in posting order per destination
+// and fail independently (see doorbell.go); a destination that fails as
+// a unit (dropped ring, partition, dead peer) fails each of its frames
+// with an error naming the node. A Wave is single-use and not safe for
+// concurrent use; Release recycles it.
+type Wave struct {
+	n        *Node
+	dests    []waveDest
+	frames   []waveFrame
+	destArr  [4]waveDest
+	frameArr [6]waveFrame
+}
+
+// waveDest is one destination node of a wave.
+type waveDest struct {
+	target  transport.NodeID
+	bell    *Doorbell        // remote destination, until rung
+	pd      *PendingDoorbell // remote destination, once rung
+	results []wire.FrameResult
+	err     error // the destination failed as a unit
+}
+
+// waveFrame is one posted verb. A remote frame is fully described by
+// (dest, slot); a local frame keeps its arguments until the gather runs
+// it and its outcome afterwards.
+type waveFrame struct {
+	dest int // index into Wave.dests
+	slot int // frame index within the destination's doorbell
+
+	kind      string // metric kind label, names the verb in errors
+	txnID, ts uint64
+	entries   []LockEntry
+	snap      []SnapReadEntry
+	writes    []WriteOp
+	resp      *LockResponse
+	err       error
+}
+
+var wavePool = sync.Pool{New: func() any { return new(Wave) }}
+
+// NewWave starts an empty fan-out coordinated by this node.
+func (n *Node) NewWave() *Wave {
+	w := wavePool.Get().(*Wave)
+	w.n = n
+	w.dests, w.frames = w.destArr[:0], w.frameArr[:0]
+	return w
+}
+
+// Release recycles the wave (and its doorbell pendings). Result
+// payloads survive: they alias the response buffers, not the wave.
+func (w *Wave) Release() {
+	for i := range w.dests {
+		if pd := w.dests[i].pd; pd != nil {
+			pd.Release()
+		}
+	}
+	// Zero what was used, not the whole inline storage.
+	clear(w.dests)
+	clear(w.frames)
+	w.n, w.dests, w.frames = nil, nil, nil
+	wavePool.Put(w)
+}
+
+// post opens a frame against target, finding or adding the destination,
+// and returns the frame plus the destination's doorbell (nil when the
+// target is this node).
+func (w *Wave) post(target transport.NodeID, kind string) (*waveFrame, *Doorbell) {
+	di := -1
+	for i := range w.dests {
+		if w.dests[i].target == target {
+			di = i
+			break
+		}
+	}
+	if di < 0 {
+		d := waveDest{target: target}
+		if target != w.n.ID() {
+			d.bell = w.n.NewDoorbell(target)
+		}
+		w.dests = append(w.dests, d)
+		di = len(w.dests) - 1
+	}
+	w.frames = append(w.frames, waveFrame{dest: di, kind: kind})
+	return &w.frames[len(w.frames)-1], w.dests[di].bell
+}
+
+// LockRead posts a lock-and-read batch and returns its frame handle.
+func (w *Wave) LockRead(target transport.NodeID, txnID uint64, entries []LockEntry) int {
+	f, bell := w.post(target, KindLockRead)
+	if bell != nil {
+		f.slot = bell.PostLockRead(txnID, entries)
+	} else {
+		f.txnID, f.entries = txnID, entries
+	}
+	return len(w.frames) - 1
+}
+
+// Commit posts a commit (apply writes + release locks).
+func (w *Wave) Commit(target transport.NodeID, txnID, ts uint64, writes []WriteOp) int {
+	f, bell := w.post(target, KindCommit)
+	if bell != nil {
+		f.slot = bell.PostCommit(txnID, ts, writes)
+	} else {
+		f.txnID, f.ts, f.writes = txnID, ts, writes
+	}
+	return len(w.frames) - 1
+}
+
+// Abort posts a rollback (release locks, apply nothing).
+func (w *Wave) Abort(target transport.NodeID, txnID uint64) int {
+	f, bell := w.post(target, KindAbort)
+	if bell != nil {
+		f.slot = bell.PostAbort(txnID)
+	} else {
+		f.txnID = txnID
+	}
+	return len(w.frames) - 1
+}
+
+// SnapshotRead posts an MVCC snapshot-read batch.
+func (w *Wave) SnapshotRead(target transport.NodeID, ts uint64, entries []SnapReadEntry) int {
+	f, bell := w.post(target, KindSnapRead)
+	if bell != nil {
+		f.slot = bell.PostSnapshotRead(ts, entries)
+	} else {
+		f.ts, f.snap = ts, entries
+	}
+	return len(w.frames) - 1
+}
+
+// Wait rings every remote destination's doorbell, runs the local frames
+// while those round trips are in flight, and blocks until every
+// completion has arrived — one round trip for the whole wave. Call
+// exactly one of Wait or Reap, once.
+func (w *Wave) Wait() { w.gather(false) }
+
+// Reap is Wait without observing the round trips — for waves no protocol
+// step is gated on (the presumed-commit tail: the frames executed at
+// ring time and only invariant violations are checked). See
+// PendingDoorbell.Reap.
+func (w *Wave) Reap() { w.gather(true) }
+
+func (w *Wave) gather(reap bool) {
+	for i := range w.dests {
+		if d := &w.dests[i]; d.bell != nil {
+			d.pd, d.bell = d.bell.Ring(), nil
+		}
+	}
+	n := w.n
+	for i := range w.frames {
+		f := &w.frames[i]
+		if w.dests[f.dest].pd != nil {
+			continue
+		}
+		switch f.kind {
+		case KindLockRead:
+			f.resp = n.LockReadLocal(f.txnID, f.entries)
+		case KindCommit:
+			f.err = n.CommitLocal(f.txnID, f.ts, f.writes)
+		case KindAbort:
+			n.AbortLocal(f.txnID)
+		case KindSnapRead:
+			f.resp = n.SnapshotReadLocal(f.ts, f.snap)
+		}
+	}
+	for i := range w.dests {
+		d := &w.dests[i]
+		if d.pd == nil {
+			continue
+		}
+		if reap {
+			d.results, d.err = d.pd.Reap()
+		} else {
+			d.results, d.err = d.pd.Wait()
+		}
+	}
+}
+
+// Err reports why a frame did not execute cleanly, naming its node: the
+// destination's unit failure (the frame may or may not have executed —
+// for a lock-read, assume the node holds locks), or the frame's own
+// verb failure. A lock-read that executed and was refused is not an
+// error; it travels inside the LockResponse.
+func (w *Wave) Err(frame int) error {
+	f := &w.frames[frame]
+	d := &w.dests[f.dest]
+	switch {
+	case d.err != nil:
+		return d.err
+	case f.err != nil:
+		return fmt.Errorf("server: %s at node %d: %w", f.kind, d.target, f.err)
+	case d.pd != nil && d.results[f.slot].Err != "":
+		return fmt.Errorf("server: %s at node %d: %s", f.kind, d.target, d.results[f.slot].Err)
+	}
+	return nil
+}
+
+// Errs joins every frame's error (not just the first), so a
+// multi-participant failure is reported in full.
+func (w *Wave) Errs() error {
+	var errs []error
+	for i := range w.frames {
+		if err := w.Err(i); err != nil {
+			errs = append(errs, err)
+		}
+	}
+	return errors.Join(errs...)
+}
+
+// LockResponse returns the response of a lock-read or snapshot-read
+// frame, or the frame's error.
+func (w *Wave) LockResponse(frame int) (*LockResponse, error) {
+	if err := w.Err(frame); err != nil {
+		return nil, err
+	}
+	f := &w.frames[frame]
+	if f.resp != nil {
+		return f.resp, nil
+	}
+	d := &w.dests[f.dest]
+	resp, err := DecodeLockResponse(d.results[f.slot].Payload)
+	if err != nil {
+		return nil, fmt.Errorf("server: %s at node %d: %w", f.kind, d.target, err)
+	}
+	return resp, nil
+}

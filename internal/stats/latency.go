@@ -16,7 +16,7 @@ import (
 //
 // Buckets cover the full uint64 nanosecond range with 8 sub-buckets per
 // power of two (≈9% relative resolution), which resolves the 10-20%
-// level differences the batched-vs-scalar A/B comparison needs while
+// level differences an A/B comparison of verb profiles needs while
 // keeping the whole histogram under 4KB of counters.
 type LatencyHist struct {
 	buckets [histBuckets]atomic.Uint64

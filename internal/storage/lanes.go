@@ -4,8 +4,8 @@ package storage
 // several independent single-threaded engines (the paper deploys "one
 // execution engine per core", §2/§5 — many engines per server). The
 // storage layer owns the stable record→lane mapping so that every layer
-// above it (core's inner-region routing, server's lane-aware verb
-// dispatch, the partitioner's sub-partition model) agrees on which lane
+// above it (core's inner-region routing and per-lane lock batches,
+// server's replica apply, the partitioner's sub-partition model) agrees on which lane
 // serializes a given record without exchanging any metadata: the mapping
 // is a pure function of the record identity and the lane count.
 

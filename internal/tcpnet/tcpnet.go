@@ -287,7 +287,7 @@ func (f *Fabric) Go(to transport.NodeID, method string, req []byte) (transport.C
 		return nil, err
 	}
 	id := c.register(call.ch)
-	if err := c.writeFrame(kindRequest, id, f.id, method, "", 0, req); err != nil {
+	if err := c.writeFrame(kindRequest, id, f.id, method, "", req); err != nil {
 		c.unregister(id)
 		return nil, err
 	}
@@ -305,12 +305,13 @@ func (f *Fabric) Send(to transport.NodeID, method string, payload []byte) error 
 	if err != nil {
 		return err
 	}
-	return c.writeFrame(kindOneWay, 0, f.id, method, "", 0, payload)
+	return c.writeFrame(kindOneWay, 0, f.id, method, "", payload)
 }
 
 // GoOneSided rings a doorbell against node to. The envelope is carried
 // opaquely and serviced by the destination's receive path; verbs is the
-// batch size, counted for the batching-factor stats on both ends.
+// batch size, counted for the batching-factor stats at this (the
+// ringing) end.
 func (f *Fabric) GoOneSided(to transport.NodeID, method string, payload []byte, verbs int) (transport.Pending, error) {
 	if verbs < 1 {
 		verbs = 1
@@ -328,7 +329,7 @@ func (f *Fabric) GoOneSided(to transport.NodeID, method string, payload []byte, 
 		return nil, err
 	}
 	id := c.register(p.ch)
-	if err := c.writeFrame(kindRing, id, f.id, method, "", uint32(verbs), payload); err != nil {
+	if err := c.writeFrame(kindRing, id, f.id, method, "", payload); err != nil {
 		c.unregister(id)
 		return nil, err
 	}
@@ -582,8 +583,8 @@ func (c *conn) broken(cause error) {
 // writeFrame encodes and ships one frame:
 //
 //	u32 length | u8 kind | u64 rpcID | u32 from | method string |
-//	err string | u32 verbs | payload bytes32
-func (c *conn) writeFrame(kind uint8, rpcID uint64, from transport.NodeID, method, errStr string, verbs uint32, payload []byte) error {
+//	err string | payload bytes32
+func (c *conn) writeFrame(kind uint8, rpcID uint64, from transport.NodeID, method, errStr string, payload []byte) error {
 	if c.dead.Load() {
 		return fmt.Errorf("%w: node %d: connection down", transport.ErrUnreachable, c.peer)
 	}
@@ -596,7 +597,6 @@ func (c *conn) writeFrame(kind uint8, rpcID uint64, from transport.NodeID, metho
 	w.Uint32(uint32(from))
 	w.String(method)
 	w.String(errStr)
-	w.Uint32(verbs)
 	w.Bytes32(payload)
 	w.SetUint32(0, uint32(w.Len()-4))
 	_, err := c.nc.Write(w.Bytes())
@@ -642,7 +642,6 @@ func (c *conn) readLoop() {
 		from := transport.NodeID(r.Uint32())
 		method := r.String()
 		errStr := r.String()
-		verbs := r.Uint32()
 		payload := r.Bytes32()
 		if r.Err() != nil {
 			c.broken(fmt.Errorf("corrupt frame: %v", r.Err()))
@@ -659,20 +658,21 @@ func (c *conn) readLoop() {
 				if err != nil {
 					errs = err.Error()
 				}
-				c.writeFrame(kindResponse, rpcID, c.fab.id, method, errs, 0, resp)
+				c.writeFrame(kindResponse, rpcID, c.fab.id, method, errs, resp)
 			})
 		case kindOneWay:
 			req := append([]byte(nil), payload...)
 			c.fab.serveLocalFrom(from, method, req, func([]byte, error) {})
 		case kindRing:
-			c.fab.stats.Doorbells.Add(1)
-			c.fab.stats.OneSidedVerbs.Add(uint64(verbs))
+			// Doorbells/OneSidedVerbs count rings, at the ringer only
+			// (GoOneSided): counting the arrival too would make a loopback
+			// cluster's summed stats read double simnet's.
 			resp, err := c.fab.serveOneSided(from, method, payload)
 			errs := ""
 			if err != nil {
 				errs = err.Error()
 			}
-			c.writeFrame(kindCompletion, rpcID, c.fab.id, method, errs, 0, resp)
+			c.writeFrame(kindCompletion, rpcID, c.fab.id, method, errs, resp)
 		case kindResponse, kindCompletion:
 			res := result{}
 			if errStr != "" {

@@ -10,6 +10,7 @@ import (
 
 	"github.com/chillerdb/chiller/internal/testutil"
 	"github.com/chillerdb/chiller/internal/transport"
+	"github.com/chillerdb/chiller/internal/transport/simfab"
 )
 
 // pair builds a two-node loopback cluster and wires the peer maps.
@@ -127,30 +128,45 @@ func TestSendFIFO(t *testing.T) {
 	}
 }
 
+// One ring is one doorbell, counted where it was rung — so a cluster's
+// summed stats read the same over loopback TCP as over simfab, whose
+// endpoints share one Stats.
 func TestDoorbell(t *testing.T) {
 	a, b := pair(t)
-	b.HandleOneSided("bell", func(from transport.NodeID, req []byte) ([]byte, error) {
-		return append([]byte("rung:"), req...), nil
-	})
-	p, err := a.GoOneSided(1, "bell", []byte("x3"), 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err := p.Wait()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(resp) != "rung:x3" {
-		t.Fatalf("resp = %q", resp)
-	}
-	if got := a.Stats().Doorbells.Load(); got != 1 {
-		t.Fatalf("caller doorbells = %d", got)
-	}
-	if got := a.Stats().OneSidedVerbs.Load(); got != 3 {
-		t.Fatalf("caller verbs = %d", got)
-	}
-	if got := b.Stats().Doorbells.Load(); got != 1 {
-		t.Fatalf("destination doorbells = %d", got)
+	sim := simfab.New(simfab.Config{})
+	defer sim.Close()
+	for name, c := range map[string]struct {
+		ringer, dest transport.Endpoint
+	}{
+		"tcpnet": {a, b},
+		"simfab": {sim.Endpoint(0), sim.Endpoint(1)},
+	} {
+		c.dest.HandleOneSided("bell", func(from transport.NodeID, req []byte) ([]byte, error) {
+			return append([]byte("rung:"), req...), nil
+		})
+		p, err := c.ringer.GoOneSided(1, "bell", []byte("x3"), 3)
+		if err != nil {
+			t.Fatal(name, err)
+		}
+		resp, err := p.Wait()
+		if err != nil {
+			t.Fatal(name, err)
+		}
+		if string(resp) != "rung:x3" {
+			t.Fatalf("%s: resp = %q", name, resp)
+		}
+		var doorbells, verbs uint64
+		seen := map[*transport.Stats]bool{}
+		for _, ep := range []transport.Endpoint{c.ringer, c.dest} {
+			if st := ep.Stats(); !seen[st] {
+				seen[st] = true
+				doorbells += st.Doorbells.Load()
+				verbs += st.OneSidedVerbs.Load()
+			}
+		}
+		if doorbells != 1 || verbs != 3 {
+			t.Fatalf("%s: summed stats = %d doorbells / %d verbs, want 1 / 3", name, doorbells, verbs)
+		}
 	}
 }
 

@@ -5,8 +5,8 @@ package wire
 // (verb name + encoded payload), rings one doorbell, and receives one
 // response envelope carrying a result per frame in posting order. The
 // encoding is deliberately dumb — a count followed by length-prefixed
-// frames — so the envelope adds two integers and the verb names to what
-// the scalar path would have sent as separate messages.
+// frames — so the envelope adds two integers and the verb names to the
+// payloads themselves.
 
 // Frame is one verb invocation inside a request envelope.
 type Frame struct {

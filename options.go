@@ -43,20 +43,19 @@ const (
 
 // config collects Open's settings; Options mutate it.
 type config struct {
-	partitions   int
-	replication  int
-	latency      time.Duration
-	jitter       time.Duration
-	lanes        int
-	seed         int64
-	engine       EngineKind
-	partitioner  cluster.DefaultPartitioner
-	sampleRate   float64
-	verbBatching bool
-	recorder     *history.Recorder
-	walDir       string
-	fsync        FsyncPolicy
-	mvcc         bool
+	partitions  int
+	replication int
+	latency     time.Duration
+	jitter      time.Duration
+	lanes       int
+	seed        int64
+	engine      EngineKind
+	partitioner cluster.DefaultPartitioner
+	sampleRate  float64
+	recorder    *history.Recorder
+	walDir      string
+	fsync       FsyncPolicy
+	mvcc        bool
 	// autoRepartition > 0 starts the background repartitioner at that
 	// interval (WithAutoRepartition).
 	autoRepartition time.Duration
@@ -139,20 +138,13 @@ func WithLanes(n int) Option {
 	}
 }
 
-// WithVerbBatching selects the fabric transport for the Chiller
-// engine's fan-outs. When on, every verb bound for one destination node
-// in an outer lock wave, replica scatter, or commit wave rides a single
-// doorbell-batched one-sided ring — one network round trip per node per
-// wave instead of one per verb, the batching the paper's transport
-// argument assumes (§3). Off (the default) keeps one RPC per verb. The
-// 2PL and OCC engines always use the scalar path, so the option only
-// affects EngineChiller deployments. See docs/NETWORK.md for the verb
-// model.
+// WithVerbBatching does nothing: every engine's participant verbs ride
+// one doorbell per destination node per wave unconditionally (see
+// docs/NETWORK.md), which is what the option used to switch on.
+//
+// Deprecated: kept so existing callers compile; remove the call.
 func WithVerbBatching(on bool) Option {
-	return func(c *config) error {
-		c.verbBatching = on
-		return nil
-	}
+	return func(*config) error { return nil }
 }
 
 // WithMVCC switches the stores to multi-version records and attaches a

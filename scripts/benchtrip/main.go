@@ -1,6 +1,6 @@
 // Command benchtrip is the throughput-regression tripwire: it compares
 // a fresh chiller-bench figure JSON against the committed baseline
-// (BENCH_fig10.json) and fails when any series the baseline knows has
+// (BENCH_churn.json) and fails when any series the baseline knows has
 // gone missing, reports a non-positive throughput point, or has lost
 // more than the tolerated fraction of its baseline mean throughput.
 //

@@ -20,6 +20,11 @@
 #      built (server.New), logs opened (wal.Recover / wal.Open) and
 #      engine verbs registered (occ/core.RegisterVerbs) only under
 #      internal/deploy — so the checker certifies the code users run.
+#   6. One fan-out: outside _test.go files and benchmark/, doorbells are
+#      built (NewDoorbell) only under internal/server — coordinators post
+#      through server.Wave — and no two-sided send or handler
+#      registration names a participant verb (VerbLockRead, VerbCommit,
+#      VerbAbort, VerbSnapshotRead): those ride doorbell frames only.
 #
 # Exits non-zero with a list of offenders on failure.
 set -eu
@@ -58,6 +63,18 @@ offenders=$(grep -rnE --include='*.go' \
     grep -v -e '_test\.go:' -e '^\./benchmark/' -e '^\./internal/deploy/' || true)
 if [ -n "$offenders" ]; then
     echo "node assembly outside internal/deploy (build nodes with deploy.NewNode / deploy.NewCluster):" >&2
+    echo "$offenders" >&2
+    fail=1
+fi
+
+# --- 6. one fan-out -------------------------------------------------------
+offenders=$( {
+    grep -rnE --include='*.go' 'NewDoorbell\(' . | grep -v -e '^\./internal/server/'
+    grep -rnE --include='*.go' \
+        '(\.(Go|Call|Send)|Handle[A-Za-z]*)\([^)]*Verb(LockRead|Commit|Abort|SnapshotRead)\b' .
+} | grep -v -e '_test\.go:' -e '^\./benchmark/' || true)
+if [ -n "$offenders" ]; then
+    echo "participant verbs off the wave (post them through server.Wave; see docs/NETWORK.md):" >&2
     echo "$offenders" >&2
     fail=1
 fi
