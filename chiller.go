@@ -458,12 +458,23 @@ func (db *DB) Repartition(ctx context.Context) (RepartitionReport, error) {
 		}
 	}
 	var moves []move
-	for rid, newPID := range res.Layout.Hot {
+	// A record the new layout no longer lists goes home to its default
+	// partition — a move like any other, not a mere routing flip onto
+	// whatever copy sits there.
+	homes := make(map[storage.RID]cluster.PartitionID, len(res.Layout.Hot))
+	for rid := range db.dir.HotEntries() {
+		homes[rid] = db.dir.Default().Partition(rid)
+	}
+	for rid, p := range res.Layout.Hot {
+		homes[rid] = p
+	}
+	for rid, newPID := range homes {
 		oldPID := db.dir.Partition(rid)
 		if oldPID == newPID {
 			continue
 		}
-		tbl := nodes[int(db.topo.Primary(oldPID))].Store().Table(rid.Table)
+		primary := nodes[int(db.topo.Primary(oldPID))]
+		tbl := primary.Store().Table(rid.Table)
 		if tbl == nil {
 			continue
 		}
@@ -479,6 +490,14 @@ func (db *DB) Repartition(ctx context.Context) (RepartitionReport, error) {
 				continue
 			}
 			locked[b] = true
+		}
+		// The lock stops new commits on the record, but an inner region
+		// unlocks at its commit point, before its replicas applied the
+		// stream: flush the old primary's streams, or a straggling
+		// message overwrites the copy below and a committed write is lost.
+		if err := primary.FlushStreams(oldPID, 0, false); err != nil {
+			unlockAll()
+			return RepartitionReport{}, fmt.Errorf("chiller: repartition: %w", err)
 		}
 		v, _, err := b.Get(rid.Key)
 		if err != nil {

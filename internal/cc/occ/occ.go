@@ -99,7 +99,7 @@ func decodeReadResp(p []byte) (*readResp, error) {
 	rr := &readResp{}
 	rr.ok = r.Bool()
 	rr.reason = txn.AbortReason(r.Uint8())
-	rr.reads = txn.DecodeReadSet(r)
+	rr.reads = txn.DecodeReadSet(r, nil)
 	rr.versions = r.Uint64s()
 	return rr, r.Err()
 }

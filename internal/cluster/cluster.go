@@ -639,11 +639,29 @@ func (d *Directory) HotWeight(rid storage.RID) float64 {
 	return 0
 }
 
-// ClearHot empties the lookup table (before installing a new layout).
-func (d *Directory) ClearHot() {
+// HotPlacement is one lookup-table row handed to InstallLayout: the
+// arguments of SetHotPlacement.
+type HotPlacement struct {
+	Partition PartitionID
+	Weight    float64
+	Lane      int
+}
+
+// InstallLayout replaces the lookup table and the full map (a complete
+// record→partition assignment, the way Schism-style tools materialize
+// their output; it yields to the lookup table and may elide entries
+// equal to the default partitioner's choice) in one step. Routing never
+// observes a half-installed layout: clearing the table and re-adding
+// rows one at a time would, for a moment, route every relocated record
+// to its default partition — a second primary for it.
+func (d *Directory) InstallLayout(hot map[storage.RID]HotPlacement, full map[storage.RID]PartitionID) {
+	next := &Directory{topo: d.topo, hot: make(map[storage.RID]hotEntry, len(hot))}
+	for rid, h := range hot {
+		next.SetHotPlacement(rid, h.Partition, h.Weight, h.Lane)
+	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	d.hot = make(map[storage.RID]hotEntry)
+	d.hot, d.full = next.hot, full
 }
 
 // LookupTableSize returns the number of hot entries — the metadata cost
@@ -667,14 +685,4 @@ func (d *Directory) HotEntries() map[storage.RID]PartitionID {
 		out[k] = v.p
 	}
 	return out
-}
-
-// InstallFullMap installs a complete record→partition assignment, the way
-// distributed-transaction-minimizing tools (Schism) materialize their
-// output. Entries equal to the default partitioner's choice may be elided
-// by the caller to shrink the table; Partition falls back automatically.
-func (d *Directory) InstallFullMap(m map[storage.RID]PartitionID) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.full = m
 }

@@ -125,9 +125,9 @@ func TestDirectoryRouting(t *testing.T) {
 		t.Fatalf("LookupTableSize = %d", d.LookupTableSize())
 	}
 
-	d.ClearHot()
+	d.InstallLayout(nil, nil)
 	if d.IsHot(rid) || d.Partition(rid) != defPart {
-		t.Fatal("ClearHot did not restore default routing")
+		t.Fatal("an empty layout did not restore default routing")
 	}
 }
 
@@ -137,7 +137,7 @@ func TestDirectoryFullMapPrecedence(t *testing.T) {
 	rid := storage.RID{Table: 1, Key: 7}
 	def := d.Partition(rid)
 	full := map[storage.RID]PartitionID{rid: (def + 1) % 4}
-	d.InstallFullMap(full)
+	d.InstallLayout(nil, full)
 	if d.Partition(rid) != (def+1)%4 {
 		t.Fatal("full map not consulted")
 	}

@@ -17,10 +17,11 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math/rand"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
@@ -113,39 +114,35 @@ func (e *Engine) graph(proc *txn.Procedure) (*depgraph.Graph, error) {
 	return g, nil
 }
 
-// resolver adapts the directory to the static-analysis interface: an
-// op's partition is known pre-execution when its key resolves from args
-// alone, or when it declares a partition-affinity hint (PartKey).
-func (e *Engine) resolver() depgraph.PartitionResolver {
+// resolve adapts the directory to the static-analysis interface
+// (depgraph.PartitionResolver): an op's partition is known pre-execution
+// when its key resolves from args alone, or when it declares a
+// partition-affinity hint (PartKey).
+func (e *Engine) resolve(op *txn.OpSpec, args txn.Args) (int, bool) {
 	dir := e.node.Directory()
-	return func(op *txn.OpSpec, args txn.Args) (int, bool) {
-		if key, ok := op.Key(args, nil); ok {
-			return int(dir.Partition(storage.RID{Table: op.Table, Key: key})), true
-		}
-		if op.PartKey != nil {
-			if pk, ok := op.PartKey(args, nil); ok {
-				pt := op.PartTable
-				if pt == 0 {
-					pt = op.Table
-				}
-				return int(dir.Partition(storage.RID{Table: pt, Key: pk})), true
-			}
-		}
-		return 0, false
+	if key, ok := op.Key(args, nil); ok {
+		return int(dir.Partition(storage.RID{Table: op.Table, Key: key})), true
 	}
+	if op.PartKey != nil {
+		if pk, ok := op.PartKey(args, nil); ok {
+			pt := op.PartTable
+			if pt == 0 {
+				pt = op.Table
+			}
+			return int(dir.Partition(storage.RID{Table: pt, Key: pk})), true
+		}
+	}
+	return 0, false
 }
 
-// hotFunc consults the lookup table of §4.4, yielding each record's
-// contention weight (0 for cold records).
-func (e *Engine) hotFunc() depgraph.HotFunc {
-	dir := e.node.Directory()
-	return func(op *txn.OpSpec, args txn.Args) float64 {
-		key, ok := op.Key(args, nil)
-		if !ok {
-			return 0
-		}
-		return dir.HotWeight(storage.RID{Table: op.Table, Key: key})
+// hot consults the lookup table of §4.4 (depgraph.HotFunc), yielding
+// each record's contention weight (0 for cold records).
+func (e *Engine) hot(op *txn.OpSpec, args txn.Args) float64 {
+	key, ok := op.Key(args, nil)
+	if !ok {
+		return 0
 	}
+	return e.node.Directory().HotWeight(storage.RID{Table: op.Table, Key: key})
 }
 
 // Decide exposes the run-time region decision for a request (used by the
@@ -159,7 +156,7 @@ func (e *Engine) Decide(req *txn.Request) (depgraph.Decision, error) {
 	if err != nil {
 		return depgraph.Decision{}, err
 	}
-	return depgraph.Decide(g, req.Args, e.resolver(), e.hotFunc()), nil
+	return depgraph.Decide(g, req.Args, e.resolve, e.hot), nil
 }
 
 // Run implements cc.Engine: steps 1-5 of §3.3, preceded by the
@@ -196,14 +193,11 @@ func (e *Engine) Run(ctx context.Context, req *txn.Request) txn.Result {
 	}
 
 	// Step 1-2: decide execution model and the inner host.
-	dec := depgraph.Decide(g, req.Args, e.resolver(), e.hotFunc())
+	dec := depgraph.Decide(g, req.Args, e.resolve, e.hot)
 	if !dec.TwoRegion {
-		// Cold transaction: normal 2PL with 2PC.
-		order := make([]int, len(proc.Ops))
-		for i := range order {
-			order[i] = i
-		}
-		return e.fallback.RunOrdered(ctx, req, proc, order)
+		// Cold transaction: normal 2PL with 2PC, in op order (which is
+		// what OuterOps lists when nothing is inner).
+		return e.fallback.RunOrdered(ctx, req, proc, dec.OuterOps)
 	}
 	if host := n.Directory().Topology().Primary(cluster.PartitionID(dec.InnerHost)); host != n.ID() {
 		// A routed transaction executes remotely and cannot be cancelled
@@ -234,13 +228,9 @@ func (e *Engine) runPlaced(ctx context.Context, req *txn.Request) txn.Result {
 	if err != nil {
 		return txn.Result{Reason: txn.AbortInternal}
 	}
-	dec := depgraph.Decide(g, req.Args, e.resolver(), e.hotFunc())
+	dec := depgraph.Decide(g, req.Args, e.resolve, e.hot)
 	if !dec.TwoRegion {
-		order := make([]int, len(proc.Ops))
-		for i := range order {
-			order[i] = i
-		}
-		return e.fallback.RunOrdered(ctx, req, proc, order)
+		return e.fallback.RunOrdered(ctx, req, proc, dec.OuterOps)
 	}
 	return e.runTwoRegion(ctx, req, proc, g, dec)
 }
@@ -258,10 +248,15 @@ func (e *Engine) runTwoRegion(ctx context.Context, req *txn.Request, proc *txn.P
 	innerPID := cluster.PartitionID(dec.InnerHost)
 	innerNode := topo.Primary(innerPID)
 
-	st := outerState{
-		reads:    make(txn.ReadSet, len(proc.Ops)),
-		innerPID: innerPID,
-		sample:   n.Sampler() != nil,
+	s := newScratch()
+	s.reads = make(txn.ReadSet, len(proc.Ops))
+	s.txnID, s.innerPID, s.sample = txnID, innerPID, n.Sampler() != nil
+	// abort rolls back the outer region's locks and retires the scratch.
+	abort := func(reason txn.AbortReason, detail string) txn.Result {
+		n.AbortAll(s.nodes(true), txnID)
+		res := txn.Result{Reason: reason, Detail: detail, Distributed: s.isDistributed()}
+		s.release()
+		return res
 	}
 
 	// Step 3: read and lock the outer region. Within the outer region the
@@ -272,16 +267,14 @@ func (e *Engine) runTwoRegion(ctx context.Context, req *txn.Request, proc *txn.P
 	// op the hot-last partial order allows to proceed is batched per
 	// participant and fanned out in one concurrent wave.
 	outerOrder := e.hotLastOrder(g, req.Args, dec.OuterOps)
-	if reason, ok := e.lockOuter(ctx, proc, req.Args, txnID, outerOrder, &st); !ok {
-		st.abortLocked(n, txnID)
-		return txn.Result{Reason: reason, Detail: st.detail, Distributed: st.isDistributed()}
+	if reason, ok := e.lockOuter(ctx, proc, req.Args, outerOrder, s); !ok {
+		return abort(reason, s.detail)
 	}
 
 	// Last cancellation point: the outer locks are held but the inner
 	// region has not been delegated, so aborting here is still clean.
 	if reason, done := cc.Cancelled(ctx); done {
-		st.abortLocked(n, txnID)
-		return txn.Result{Reason: reason, Distributed: st.isDistributed()}
+		return abort(reason, "")
 	}
 
 	// Step 4: delegate, execute, and commit the inner region. Register
@@ -293,15 +286,15 @@ func (e *Engine) runTwoRegion(ctx context.Context, req *txn.Request, proc *txn.P
 	// with the count the host actually sent (innerResponse.Streamed).
 	ack := n.ExpectPendingAcks(txnID)
 
-	ireq := &innerRequest{
+	ireq := innerRequest{
 		TxnID:    txnID,
 		Coord:    n.ID(),
 		Proc:     proc.Name,
 		Args:     req.Args,
 		InnerOps: dec.InnerOps,
-		Reads:    st.reads,
+		Reads:    s.reads,
 	}
-	iresp := e.execInner(innerNode, ireq)
+	iresp := e.execInner(s, innerNode, proc, &ireq)
 	// A lock conflict inside the inner region means some other
 	// transaction's outer region holds one of our hot records — a window
 	// of at most a couple of round trips. The outer locks we already
@@ -312,20 +305,19 @@ func (e *Engine) runTwoRegion(ctx context.Context, req *txn.Request, proc *txn.P
 	for attempt := 0; attempt < hotWaveRetries &&
 		!iresp.OK && iresp.Reason == txn.AbortLockConflict; attempt++ {
 		if !sleepJittered(ctx, hotWaveRetryBase<<attempt) {
-			iresp = &innerResponse{Reason: txn.AbortCancelled}
+			iresp = innerResponse{Reason: txn.AbortCancelled}
 			break
 		}
-		iresp = e.execInner(innerNode, ireq)
+		iresp = e.execInner(s, innerNode, proc, &ireq)
 	}
 	if !iresp.OK {
 		n.CancelInnerAcks(txnID)
 		n.ReleaseInnerWaiter(ack)
-		st.abortLocked(n, txnID)
-		return txn.Result{Reason: iresp.Reason, Detail: iresp.detail, Distributed: st.isDistributed()}
+		return abort(iresp.Reason, iresp.detail)
 	}
 	n.ResolveInnerAcks(txnID, iresp.Streamed)
 	for id, v := range iresp.Reads {
-		st.reads[id] = v
+		s.reads[id] = v
 	}
 	// The inner host reserved the transaction's commit timestamp at its
 	// unilateral commit point (under the hot records' bucket locks, so
@@ -335,7 +327,7 @@ func (e *Engine) runTwoRegion(ctx context.Context, req *txn.Request, proc *txn.P
 	// landed cluster-wide — the stable snapshot watermark never includes
 	// a half-applied transaction. Zero when MVCC is off (Release(0) is a
 	// no-op).
-	ts := iresp.TS
+	s.ts = iresp.TS
 
 	// The transaction is now committed (the inner host decided). The
 	// steps below cannot abort it; a failure here is an engine invariant
@@ -346,14 +338,13 @@ func (e *Engine) runTwoRegion(ctx context.Context, req *txn.Request, proc *txn.P
 	// and start streaming them to the outer partitions' replicas
 	// immediately, so the replica round trip overlaps the wait for the
 	// inner region's acks instead of following it.
-	writes, err := e.materializeOuterWrites(proc, req.Args, dec.OuterOps, &st)
-	if err != nil {
+	if err := e.materializeOuterWrites(proc, req.Args, dec.OuterOps, s); err != nil {
 		// Mutators of outer write ops must be infallible once the inner
 		// region has committed (all value constraints belong in reads'
 		// Check hooks or inner mutators). Surface loudly.
 		panic(fmt.Sprintf("core: outer mutate failed after inner commit (txn %d, proc %s): %v", txnID, proc.Name, err))
 	}
-	repl := n.ReplicateAsync(txnID, ts, writes)
+	s.repl = n.ReplicateAsync(txnID, s.ts, s.outer)
 
 	// Wait for the inner region's replicas to acknowledge (to us, the
 	// coordinator — Figure 6) before completing the transaction.
@@ -361,41 +352,48 @@ func (e *Engine) runTwoRegion(ctx context.Context, req *txn.Request, proc *txn.P
 	n.ReleaseInnerWaiter(ack)
 
 	// Final step: join the outer replica acks, then one parallel commit
-	// wave over every outer participant. The transaction's outcome and
-	// read set are already final, so the wave runs as a detached tail
-	// when it would otherwise block on the network — the client gets its
-	// result one round trip earlier, while the protocol order (replica
-	// acks before any lock release) is preserved inside the tail.
-	finish := func() {
-		if err := repl.Wait(); err != nil {
-			panic(fmt.Sprintf("core: outer replication failed after inner commit: %v", err))
-		}
-		// Presumed commit: the locks release when the doorbells ring and
-		// no second-phase ack gates anything, so reap the wave instead of
-		// sleeping out a round trip nothing observes.
-		w := n.CommitAll(txnID, ts, st.nodes(false), writes)
-		w.Reap()
-		if err := w.Errs(); err != nil {
-			panic(fmt.Sprintf("core: outer commit failed after inner commit: %v", err))
-		}
-		w.Release()
-		// Every apply — inner stream, outer replicas, outer primaries —
-		// has landed; snapshots may now advance past this timestamp.
-		if c := n.Clock(); c != nil {
-			c.Release(ts)
-		}
-		n.SampleCommit(st.readRIDs, st.writeRIDs)
-	}
-	if repl.Empty() && !st.hasRemoteParticipant(n.ID()) {
-		finish() // purely local: no network to wait on
+	// wave over every outer participant (finish). The transaction's
+	// outcome and read set are already final, so the wave runs as a
+	// detached tail when it would otherwise block on the network — the
+	// client gets its result one round trip earlier, while the protocol
+	// order (replica acks before any lock release) is preserved inside
+	// the tail. The tail owns the scratch from here: the result is built
+	// first, and finish hands the scratch back when it is done with it.
+	res := txn.Result{Committed: true, Reads: s.reads, Distributed: s.isDistributed()}
+	e.tails.Add(1)
+	if s.repl.Empty() && !s.hasRemoteParticipant(n.ID()) {
+		e.finish(s) // purely local: no network to wait on
 	} else {
-		e.tails.Add(1)
-		go func() {
-			defer e.tails.Done()
-			finish()
-		}()
+		go e.finish(s)
 	}
-	return txn.Result{Committed: true, Reads: st.reads, Distributed: st.isDistributed()}
+	return res
+}
+
+// finish completes a committed transaction (Drain waits for it): it
+// joins the outer replica acks, rings the commit wave, releases the
+// commit timestamp, and hands the scratch back — its last reader.
+func (e *Engine) finish(s *scratch) {
+	defer e.tails.Done()
+	n := e.node
+	if err := s.repl.Wait(); err != nil {
+		panic(fmt.Sprintf("core: outer replication failed after inner commit: %v", err))
+	}
+	// Presumed commit: the locks release when the doorbells ring and
+	// no second-phase ack gates anything, so reap the wave instead of
+	// sleeping out a round trip nothing observes.
+	w := n.CommitAll(s.txnID, s.ts, s.nodes(false), s.outer)
+	w.Reap()
+	if err := w.Errs(); err != nil {
+		panic(fmt.Sprintf("core: outer commit failed after inner commit: %v", err))
+	}
+	w.Release()
+	// Every apply — inner stream, outer replicas, outer primaries —
+	// has landed; snapshots may now advance past this timestamp.
+	if c := n.Clock(); c != nil {
+		c.Release(s.ts)
+	}
+	n.SampleCommit(s.readRIDs, s.writeRIDs)
+	s.release()
 }
 
 // hotLastOrder re-orders the outer ops so cold records are locked first
@@ -403,7 +401,7 @@ func (e *Engine) runTwoRegion(ctx context.Context, req *txn.Request, proc *txn.P
 // (v-deps never restrict order, §3.2). If the reorder is illegal it
 // returns the original ascending order.
 func (e *Engine) hotLastOrder(g *depgraph.Graph, args txn.Args, outerOps []int) []int {
-	hot := e.hotFunc()
+	hot := e.hot
 	proc := g.Proc()
 	anyHot := false
 	for _, op := range outerOps {
@@ -458,10 +456,40 @@ type participant struct {
 	locked bool
 }
 
-type outerState struct {
-	reads    txn.ReadSet
-	parts    []participant
-	innerPID cluster.PartitionID
+// nodeBatch is one (node, lane) lock-and-read batch of a lock wave.
+type nodeBatch struct {
+	target  transport.NodeID
+	lane    int
+	entries []server.LockEntry
+}
+
+// pendingOp is an outer op lockOuter has not locked yet.
+type pendingOp struct {
+	op   int
+	late bool // trailing hot block: locked only after all cold ops
+}
+
+// scratch is one transaction's working memory, pooled: what the commit
+// path needs while it runs and nobody keeps afterwards — the
+// coordinator's participants, lock-wave batches and deferred outer
+// writes, and an inner region's lock refs and write list. A transaction
+// so allocates what it hands on (its read set, the values its mutators
+// build) and little else.
+//
+// Lifetime: runTwoRegion takes one and lends it to a co-located inner
+// region; a delegated region takes its own on the inner host. Its last
+// reader releases it, once: the abort path, or finish — a committed
+// transaction's tail reads the outer writes and participants after Run
+// has returned. release drops every value pointer, so the pool pins no
+// record and nothing leaks into the next transaction. The read set is
+// the transaction's result: referenced here, never recycled.
+type scratch struct {
+	// Coordinator state.
+	txnID, ts uint64
+	reads     txn.ReadSet
+	parts     []participant
+	nodeBuf   []transport.NodeID // backs nodes()
+	innerPID  cluster.PartitionID
 	// detail carries failure context for internal/unreachable aborts
 	// (which verb failed, at which node).
 	detail string
@@ -470,19 +498,62 @@ type outerState struct {
 	sample    bool
 	readRIDs  []storage.RID
 	writeRIDs []storage.RID
+
+	// Lock waves: the ops not yet locked, the current wave, the ops of its
+	// conflict-failed batches, and the batches (each keeps its entries).
+	pend    []pendingOp
+	wave    []int
+	failed  []int
+	batches []nodeBatch
+
+	// Deferred outer writes by partition; spare keeps the groups' arrays
+	// between transactions (the keys go: the pool is process-wide, and a
+	// partition id means nothing to the next deployment).
+	outer map[cluster.PartitionID][]server.WriteOp
+	spare [][]server.WriteOp
+	repl  *server.PendingReplication
+
+	// Inner region: buffered writes — also the read-your-own-writes
+	// index — and the bucket locks held.
+	writes []server.WriteOp
+	locks  []innerLockRef
 }
 
-func (st *outerState) isDistributed() bool {
-	for _, p := range st.parts {
-		if p.pid != st.innerPID {
+var scratchPool = sync.Pool{New: func() any {
+	return &scratch{outer: make(map[cluster.PartitionID][]server.WriteOp, 2)}
+}}
+
+func newScratch() *scratch { return scratchPool.Get().(*scratch) }
+
+// release clears the scratch, value pointers included, and pools it.
+func (s *scratch) release() {
+	clear(s.writes)
+	clear(s.locks)
+	for pid, ws := range s.outer {
+		clear(ws)
+		s.spare = append(s.spare, ws[:0])
+		delete(s.outer, pid)
+	}
+	*s = scratch{
+		parts: s.parts[:0], nodeBuf: s.nodeBuf[:0],
+		readRIDs: s.readRIDs[:0], writeRIDs: s.writeRIDs[:0],
+		pend: s.pend[:0], wave: s.wave[:0], failed: s.failed[:0], batches: s.batches[:0],
+		outer: s.outer, spare: s.spare, writes: s.writes[:0], locks: s.locks[:0],
+	}
+	scratchPool.Put(s)
+}
+
+func (s *scratch) isDistributed() bool {
+	for _, p := range s.parts {
+		if p.pid != s.innerPID {
 			return true
 		}
 	}
 	return false
 }
 
-func (st *outerState) hasRemoteParticipant(self transport.NodeID) bool {
-	for _, p := range st.parts {
+func (s *scratch) hasRemoteParticipant(self transport.NodeID) bool {
+	for _, p := range s.parts {
 		if p.node != self {
 			return true
 		}
@@ -491,31 +562,45 @@ func (st *outerState) hasRemoteParticipant(self transport.NodeID) bool {
 }
 
 // addParticipant records a contacted node, deduplicating by node id.
-func (st *outerState) addParticipant(node transport.NodeID, pid cluster.PartitionID) *participant {
-	for i := range st.parts {
-		if st.parts[i].node == node {
-			return &st.parts[i]
+func (s *scratch) addParticipant(node transport.NodeID, pid cluster.PartitionID) *participant {
+	for i := range s.parts {
+		if s.parts[i].node == node {
+			return &s.parts[i]
 		}
 	}
-	st.parts = append(st.parts, participant{node: node, pid: pid})
-	return &st.parts[len(st.parts)-1]
+	s.parts = append(s.parts, participant{node: node, pid: pid})
+	return &s.parts[len(s.parts)-1]
 }
 
 // nodes lists the contacted participants — every one, or only those
-// known to hold locks.
-func (st *outerState) nodes(lockedOnly bool) []transport.NodeID {
-	out := make([]transport.NodeID, 0, len(st.parts))
-	for _, p := range st.parts {
+// known to hold locks. The result is valid until the next call.
+func (s *scratch) nodes(lockedOnly bool) []transport.NodeID {
+	s.nodeBuf = s.nodeBuf[:0]
+	for _, p := range s.parts {
 		if p.locked || !lockedOnly {
-			out = append(out, p.node)
+			s.nodeBuf = append(s.nodeBuf, p.node)
 		}
 	}
-	return out
+	return s.nodeBuf
 }
 
-// abortLocked rolls back every node known to hold locks, in one wave.
-func (st *outerState) abortLocked(n *server.Node, txnID uint64) {
-	n.AbortAll(st.nodes(true), txnID)
+// batchFor returns the current wave's batch for (target, lane), opening
+// one over a recycled entry array if there is none yet (a handful of
+// batches: a linear scan beats a map). Valid until the next call.
+func (s *scratch) batchFor(target transport.NodeID, lane int) *nodeBatch {
+	for i := range s.batches {
+		if b := &s.batches[i]; b.target == target && b.lane == lane {
+			return b
+		}
+	}
+	if len(s.batches) < cap(s.batches) {
+		s.batches = s.batches[:len(s.batches)+1]
+	} else {
+		s.batches = append(s.batches, nodeBatch{})
+	}
+	b := &s.batches[len(s.batches)-1]
+	b.target, b.lane, b.entries = target, lane, b.entries[:0]
+	return b
 }
 
 // lockOuter acquires locks and performs reads for the outer ops in
@@ -526,8 +611,8 @@ func (st *outerState) abortLocked(n *server.Node, txnID uint64) {
 // by participant node, and fans the per-node batches out as simultaneous
 // lock-and-read calls. Writes are not materialized here — outer mutators
 // may depend on inner reads.
-func (e *Engine) lockOuter(ctx context.Context, proc *txn.Procedure, args txn.Args, txnID uint64, outerOps []int, st *outerState) (txn.AbortReason, bool) {
-	hot := e.hotFunc()
+func (e *Engine) lockOuter(ctx context.Context, proc *txn.Procedure, args txn.Args, outerOps []int, s *scratch) (txn.AbortReason, bool) {
+	hot := e.hot
 
 	// hotLastOrder produces ...cold..., ...hot...; sequencing applies only
 	// to that trailing all-hot block (when the reorder was illegal the
@@ -537,14 +622,11 @@ func (e *Engine) lockOuter(ctx context.Context, proc *txn.Procedure, args txn.Ar
 		barrier--
 	}
 
-	type pendingOp struct {
-		op   int
-		late bool // trailing hot block: locked only after all cold ops
-	}
-	pend := make([]pendingOp, len(outerOps))
+	pend := s.pend[:0]
 	for i, op := range outerOps {
-		pend[i] = pendingOp{op: op, late: i >= barrier}
+		pend = append(pend, pendingOp{op: op, late: i >= barrier})
 	}
+	s.pend = pend
 
 	for len(pend) > 0 {
 		// Wave boundary: a cancelled coordinator stops acquiring and
@@ -559,25 +641,26 @@ func (e *Engine) lockOuter(ctx context.Context, proc *txn.Procedure, args txn.Ar
 				break
 			}
 		}
-		var wave []int
+		wave := s.wave[:0]
 		next := pend[:0]
 		for _, p := range pend {
 			if p.late && anyEarly {
 				next = append(next, p)
 				continue
 			}
-			if _, ok := proc.Ops[p.op].Key(args, st.reads); !ok {
+			if _, ok := proc.Ops[p.op].Key(args, s.reads); !ok {
 				next = append(next, p)
 				continue
 			}
 			wave = append(wave, p.op)
 		}
+		s.wave = wave
 		if len(wave) == 0 {
 			// Remaining keys depend on reads that can never arrive.
 			return txn.AbortInternal, false
 		}
 		lateWave := !anyEarly
-		failed, reason, ok := e.lockWave(proc, args, txnID, wave, st)
+		failed, reason, ok := e.lockWave(proc, args, wave, s)
 		// Bounded re-request of a failed trailing hot wave: the cold
 		// locks already held are uncontended by definition, so tearing
 		// everything down on a NO_WAIT conflict only to re-acquire the
@@ -592,7 +675,7 @@ func (e *Engine) lockOuter(ctx context.Context, proc *txn.Procedure, args txn.Ar
 				if !sleepJittered(ctx, hotWaveRetryBase<<attempt) {
 					return txn.AbortCancelled, false
 				}
-				failed, reason, ok = e.lockWave(proc, args, txnID, failed, st)
+				failed, reason, ok = e.lockWave(proc, args, failed, s)
 			}
 		}
 		if !ok {
@@ -603,7 +686,7 @@ func (e *Engine) lockOuter(ctx context.Context, proc *txn.Procedure, args txn.Ar
 		for _, opID := range wave {
 			op := &proc.Ops[opID]
 			if op.Check != nil {
-				if err := op.Check(st.reads[opID], args, st.reads); err != nil {
+				if err := op.Check(s.reads[opID], args, s.reads); err != nil {
 					return txn.AbortConstraint, false
 				}
 			}
@@ -645,51 +728,34 @@ func sleepJittered(ctx context.Context, us int64) bool {
 // every batch in one server.Wave: all of a destination node's lane
 // batches ride a single doorbell — one round trip per node per wave,
 // however many lanes the wave touches there — the local batches (if
-// any) execute while the rings are in flight, and all responses are
-// gathered before reads are absorbed. Grouping by lane — not just
-// node — keeps every batch single-lane and its own frame, so a conflict
-// rolls back (and the re-request ladder re-issues) exactly one lane
-// batch. On failure every frame is still gathered — its target may
-// already hold locks that only the caller's abort can release — and the
-// ops of conflict-failed batches are returned so the caller may
-// re-request them. Successful sibling batches keep their locks and
-// reads either way. Checks are the caller's job (they must run only
-// after the whole wave, including re-requests, has succeeded).
-func (e *Engine) lockWave(proc *txn.Procedure, args txn.Args, txnID uint64, wave []int, st *outerState) (failedOps []int, failReason txn.AbortReason, ok bool) {
+// any) execute while the rings are in flight, and every batch's reads
+// are gathered straight into the transaction's read set. Grouping by
+// lane — not just node — keeps every batch single-lane and its own
+// frame, so a conflict rolls back (and the re-request ladder re-issues)
+// exactly one lane batch. On failure every frame is still gathered — its
+// target may already hold locks that only the caller's abort can
+// release — and the ops of conflict-failed batches are returned so the
+// caller may re-request them (wave may be a previous call's failedOps:
+// it is consumed before they are rebuilt). Successful sibling batches
+// keep their locks and reads either way. Checks are the caller's job
+// (they must run only after the whole wave, including re-requests, has
+// succeeded).
+func (e *Engine) lockWave(proc *txn.Procedure, args txn.Args, wave []int, s *scratch) (failedOps []int, failReason txn.AbortReason, ok bool) {
 	n := e.node
 	dir := n.Directory()
 	topo := dir.Topology()
 
-	type nodeBatch struct {
-		target  transport.NodeID
-		lane    int
-		entries []server.LockEntry
-		ops     []int
-	}
-	// Group by participant (node, lane); the common case is a handful of
-	// batches, so a linear scan over the batch list beats a map.
-	var batches []*nodeBatch
+	s.batches = s.batches[:0]
 	for _, opID := range wave {
 		op := &proc.Ops[opID]
-		key, keyOK := op.Key(args, st.reads)
+		key, keyOK := op.Key(args, s.reads)
 		if !keyOK {
 			return nil, txn.AbortInternal, false
 		}
 		rid := storage.RID{Table: op.Table, Key: key}
 		pid := dir.Partition(rid)
 		target := topo.Primary(pid)
-		lane := dir.Lane(rid)
-		var b *nodeBatch
-		for _, cand := range batches {
-			if cand.target == target && cand.lane == lane {
-				b = cand
-				break
-			}
-		}
-		if b == nil {
-			b = &nodeBatch{target: target, lane: lane}
-			batches = append(batches, b)
-		}
+		b := s.batchFor(target, dir.Lane(rid))
 		b.entries = append(b.entries, server.LockEntry{
 			OpID:      op.ID,
 			Table:     op.Table,
@@ -698,8 +764,7 @@ func (e *Engine) lockWave(proc *txn.Procedure, args txn.Args, txnID uint64, wave
 			Read:      op.Type == txn.OpRead || op.Type == txn.OpUpdate,
 			MustExist: op.Type != txn.OpInsert,
 		})
-		b.ops = append(b.ops, opID)
-		st.addParticipant(target, pid)
+		s.addParticipant(target, pid)
 	}
 
 	// Canonical acquisition order within each batch: two transactions
@@ -714,32 +779,34 @@ func (e *Engine) lockWave(proc *txn.Procedure, args txn.Args, txnID uint64, wave
 	// desynchronizes those, the standard NO_WAIT answer. Response
 	// semantics are order-independent (reads are keyed by op id), and a
 	// wave is never mixed cold/hot, so hot-last ordering is unaffected.
-	for _, b := range batches {
-		sort.Sort(&batchSorter{entries: b.entries, ops: b.ops})
-	}
-
 	// Frame i of the wave is batch i.
 	w := n.NewWave()
-	for _, b := range batches {
-		w.LockRead(b.target, txnID, b.entries)
+	for i := range s.batches {
+		b := &s.batches[i]
+		slices.SortFunc(b.entries, func(x, y server.LockEntry) int {
+			return cmp.Or(cmp.Compare(x.Table, y.Table), cmp.Compare(x.Key, y.Key))
+		})
+		w.LockRead(b.target, s.txnID, b.entries, s.reads)
 	}
 	w.Wait()
 
 	// Gather every response before judging the wave: a batch that failed
 	// fast must not leave sibling calls (and the locks they acquired)
 	// untracked behind an early return.
+	failedOps = s.failed[:0]
 	failReason, failed := txn.AbortNone, false
-	for i, b := range batches {
+	for i := range s.batches {
+		b := &s.batches[i]
 		resp, err := w.LockResponse(i)
 		if err != nil {
 			// Transport failure: assume the worst (locks may be held) —
 			// the abort wave still runs there — and classify the reason:
 			// injected faults are transient (retryable after the abort),
 			// everything else is internal.
-			st.addParticipant(b.target, 0).locked = true
+			s.addParticipant(b.target, 0).locked = true
 			failReason, failed = server.TransportAbortReason(err), true
-			st.detail = fmt.Sprintf("lock wave at node %d: %v", b.target, err)
-			failedOps = nil
+			s.detail = fmt.Sprintf("lock wave at node %d: %v", b.target, err)
+			failedOps = failedOps[:0]
 			continue
 		}
 		if !resp.OK {
@@ -749,23 +816,23 @@ func (e *Engine) lockWave(proc *txn.Procedure, args txn.Args, txnID uint64, wave
 				failReason, failed = resp.Reason, true
 			}
 			if failReason == txn.AbortLockConflict {
-				failedOps = append(failedOps, b.ops...)
+				for _, le := range b.entries {
+					failedOps = append(failedOps, le.OpID)
+				}
 			}
 			continue
 		}
-		st.addParticipant(b.target, 0).locked = true
-		for i, opID := range b.ops {
-			op := &proc.Ops[opID]
-			if op.Type == txn.OpRead || op.Type == txn.OpUpdate {
-				st.reads[opID] = resp.Reads[opID]
-				if st.sample {
-					st.readRIDs = append(st.readRIDs,
-						storage.RID{Table: b.entries[i].Table, Key: b.entries[i].Key})
+		s.addParticipant(b.target, 0).locked = true
+		if s.sample {
+			for _, le := range b.entries {
+				if le.Read {
+					s.readRIDs = append(s.readRIDs, storage.RID{Table: le.Table, Key: le.Key})
 				}
 			}
 		}
 	}
-	// The absorbed reads alias the response buffers, not the wave.
+	s.failed = failedOps
+	// The gathered reads alias the response buffers, not the wave.
 	w.Release()
 	if failed {
 		return failedOps, failReason, false
@@ -773,63 +840,43 @@ func (e *Engine) lockWave(proc *txn.Procedure, args txn.Args, txnID uint64, wave
 	return nil, txn.AbortNone, true
 }
 
-// batchSorter orders a batch's lock entries (and the parallel op-id
-// slice) by (table, key).
-type batchSorter struct {
-	entries []server.LockEntry
-	ops     []int
-}
-
-func (b *batchSorter) Len() int { return len(b.entries) }
-func (b *batchSorter) Less(i, j int) bool {
-	if b.entries[i].Table != b.entries[j].Table {
-		return b.entries[i].Table < b.entries[j].Table
-	}
-	return b.entries[i].Key < b.entries[j].Key
-}
-func (b *batchSorter) Swap(i, j int) {
-	b.entries[i], b.entries[j] = b.entries[j], b.entries[i]
-	b.ops[i], b.ops[j] = b.ops[j], b.ops[i]
-}
-
 // materializeOuterWrites runs the deferred outer mutators, now that both
-// outer and inner reads are available, and groups writes by partition.
-func (e *Engine) materializeOuterWrites(proc *txn.Procedure, args txn.Args, outerOps []int, st *outerState) (map[cluster.PartitionID][]server.WriteOp, error) {
+// outer and inner reads are available, and groups the writes by
+// partition into s.outer.
+func (e *Engine) materializeOuterWrites(proc *txn.Procedure, args txn.Args, outerOps []int, s *scratch) error {
 	dir := e.node.Directory()
-	var writes map[cluster.PartitionID][]server.WriteOp
 	for _, opID := range outerOps {
 		op := &proc.Ops[opID]
 		if !op.Type.IsWrite() {
 			continue
 		}
 		// Every outer key resolved during lockOuter, so it resolves now.
-		key, ok := op.Key(args, st.reads)
+		key, ok := op.Key(args, s.reads)
 		if !ok {
-			return nil, fmt.Errorf("core: outer write op %d has no resolvable key", opID)
+			return fmt.Errorf("core: outer write op %d has no resolvable key", opID)
 		}
 		rid := storage.RID{Table: op.Table, Key: key}
 		var newVal []byte
 		if op.Type != txn.OpDelete {
 			var old []byte
 			if op.Type == txn.OpUpdate {
-				old = st.reads[opID]
+				old = s.reads[opID]
 			}
-			nv, err := op.Mutate(old, args, st.reads)
+			nv, err := op.Mutate(old, args, s.reads)
 			if err != nil {
-				return nil, err
+				return err
 			}
 			newVal = nv
 		}
 		pid := dir.Partition(rid)
-		if writes == nil {
-			writes = make(map[cluster.PartitionID][]server.WriteOp, 2)
+		ws, ok := s.outer[pid]
+		if !ok && len(s.spare) > 0 {
+			ws, s.spare = s.spare[len(s.spare)-1], s.spare[:len(s.spare)-1]
 		}
-		writes[pid] = append(writes[pid], server.WriteOp{
-			Table: op.Table, Key: rid.Key, Type: op.Type, Value: newVal,
-		})
-		if st.sample {
-			st.writeRIDs = append(st.writeRIDs, rid)
+		s.outer[pid] = append(ws, server.WriteOp{Table: op.Table, Key: key, Type: op.Type, Value: newVal})
+		if s.sample {
+			s.writeRIDs = append(s.writeRIDs, rid)
 		}
 	}
-	return writes, nil
+	return nil
 }

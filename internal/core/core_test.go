@@ -42,6 +42,17 @@ func newHarness(t *testing.T) (*Engine, *server.Node) {
 	return New(node), node
 }
 
+// execInnerLocal runs an inner region on the node's lanes with a scratch
+// of its own, as a coordinator co-located with the inner host does.
+func execInnerLocal(n *server.Node, txnID uint64, procName string, innerOps []int, reads txn.ReadSet) innerResponse {
+	if reads == nil {
+		reads = txn.ReadSet{}
+	}
+	s := newScratch()
+	defer s.release()
+	return s.execInnerOnLane(n, txnID, n.ID(), n.Registry().Lookup(procName), nil, innerOps, reads, nil)
+}
+
 func TestHotLastOrder(t *testing.T) {
 	e, node := newHarness(t)
 	proc := &txn.Procedure{
@@ -114,7 +125,7 @@ func TestExecInnerLocalCommitsUnilaterally(t *testing.T) {
 	if err := node.Registry().Register(proc); err != nil {
 		t.Fatal(err)
 	}
-	resp := ExecInnerLocal(node, 100, node.ID(), "inner", nil, []int{0}, nil, nil)
+	resp := execInnerLocal(node, 100, "inner", []int{0}, nil)
 	if !resp.OK {
 		t.Fatalf("inner aborted: %v", resp.Reason)
 	}
@@ -147,7 +158,7 @@ func TestExecInnerLocalAbortsOnConflict(t *testing.T) {
 		t.Fatal("setup")
 	}
 	defer b.Lock.Unlock(storage.LockExclusive)
-	resp := ExecInnerLocal(node, 101, node.ID(), "conflict", nil, []int{0}, nil, nil)
+	resp := execInnerLocal(node, 101, "conflict", []int{0}, nil)
 	if resp.OK || resp.Reason != txn.AbortLockConflict {
 		t.Fatalf("resp = %+v", resp)
 	}
@@ -182,7 +193,7 @@ func TestInnerLockNamespaceIsolation(t *testing.T) {
 		t.Fatal(lr.Reason)
 	}
 	// Inner region executes and commits under the same txn id.
-	resp := ExecInnerLocal(node, txnID, node.ID(), "ns", nil, []int{1}, txn.ReadSet{0: []byte{2}}, nil)
+	resp := execInnerLocal(node, txnID, "ns", []int{1}, txn.ReadSet{0: []byte{2}})
 	if !resp.OK {
 		t.Fatalf("inner: %v", resp.Reason)
 	}
@@ -415,5 +426,87 @@ func TestLockOuterHotWaveOrdering(t *testing.T) {
 	v, _, _ := nodes[1].Store().Table(1).Bucket(110).Get(110)
 	if v[0] != 2 {
 		t.Fatalf("outer-hot write lost: %v", v)
+	}
+}
+
+// A pooled scratch must carry nothing from one inner region into the
+// next: a region that aborts after buffering writes, followed on the
+// same lane by one that reads the same keys, sees the stored values —
+// both when the coordinator re-requests the region on the scratch it
+// still holds (the lock-conflict ladder) and when the scratch has been
+// through the pool in between.
+func TestScratchDoesNotLeakAbortedWrites(t *testing.T) {
+	e, node := newHarness(t)
+	for k := storage.Key(8); k <= 9; k++ { // with key 7: every op below is inner
+		node.Directory().SetHot(storage.RID{Table: 1, Key: k}, 0)
+	}
+	failing := func([]byte, txn.Args, txn.ReadSet) ([]byte, error) {
+		return nil, txn.NewAbort(txn.AbortConstraint, "always")
+	}
+	// Buffers writes to keys 7 and 8, then fails its last mutator.
+	aborter := &txn.Procedure{Name: "leak.abort", Ops: []txn.OpSpec{
+		{ID: 0, Type: txn.OpUpdate, Table: 1, Key: key(7), Mutate: setVal(99)},
+		{ID: 1, Type: txn.OpInsert, Table: 1, Key: key(8), Mutate: setVal(98)},
+		{ID: 2, Type: txn.OpUpdate, Table: 1, Key: key(9), Mutate: failing},
+	}}
+	reader := &txn.Procedure{Name: "leak.read", Ops: []txn.OpSpec{
+		{ID: 0, Type: txn.OpRead, Table: 1, Key: key(7)},
+		{ID: 1, Type: txn.OpUpdate, Table: 1, Key: key(8), Mutate: func(old []byte, _ txn.Args, _ txn.ReadSet) ([]byte, error) {
+			return []byte{old[0] + 1}, nil
+		}},
+	}}
+	node.Registry().MustRegister(aborter)
+	node.Registry().MustRegister(reader)
+	check := func(when string, reads txn.ReadSet) {
+		t.Helper()
+		if got := reads[0]; len(got) != 1 || got[0] != 7 {
+			t.Errorf("%s: read of key 7 saw %v, want the stored [7]", when, got)
+		}
+		if got := reads[1]; len(got) != 1 || got[0] != 8 {
+			t.Errorf("%s: update of key 8 read %v, want the stored [8]", when, got)
+		}
+	}
+
+	// The same scratch, re-entered without going through the pool.
+	s := newScratch()
+	if resp, _ := s.execInner(node, 1, node.ID(), aborter, nil, []int{0, 1, 2}, txn.ReadSet{}, nil); resp.OK || resp.Reason != txn.AbortConstraint {
+		t.Fatalf("aborting region: %+v", resp)
+	}
+	if len(s.writes) != 2 {
+		t.Fatalf("aborted region left %d buffered writes, want the 2 it made before failing", len(s.writes))
+	}
+	reads := txn.ReadSet{}
+	if resp, _ := s.execInner(node, 2, node.ID(), reader, nil, []int{0, 1}, reads, nil); !resp.OK {
+		t.Fatalf("reading region: %v", resp.Reason)
+	}
+	check("re-entered scratch", reads)
+	s.release()
+	if s = newScratch(); len(s.writes)+len(s.locks)+len(s.outer)+len(s.parts) != 0 || s.reads != nil {
+		t.Errorf("a pooled scratch came back dirty: %+v", s)
+	}
+	for _, w := range s.writes[:cap(s.writes)] {
+		if w.Value != nil {
+			t.Errorf("a pooled scratch still pins a value: %v", w)
+		}
+	}
+	s.release()
+
+	// Whole transactions through the engine, the scratch pooled between.
+	if res := e.Run(context.Background(), &txn.Request{Proc: "leak.abort"}); res.Committed || res.Reason != txn.AbortConstraint {
+		t.Fatalf("aborting transaction: %+v", res)
+	}
+	res := e.Run(context.Background(), &txn.Request{Proc: "leak.read"})
+	if !res.Committed {
+		t.Fatalf("reading transaction: %v %s", res.Reason, res.Detail)
+	}
+	e.Drain()
+	if got := res.Reads[0]; len(got) != 1 || got[0] != 7 {
+		t.Errorf("after an aborted transaction: read of key 7 saw %v, want [7]", got)
+	}
+	if got := res.Reads[1]; len(got) != 1 || got[0] != 9 {
+		t.Errorf("after an aborted transaction: update of key 8 read %v, want [9] (one committed increment)", got)
+	}
+	if node.ActiveTxns() != 0 {
+		t.Errorf("%d transactions still hold participant state", node.ActiveTxns())
 	}
 }

@@ -43,7 +43,7 @@ func decodeInnerRequest(p []byte) (*innerRequest, error) {
 	req.Proc = r.String()
 	req.Args = r.Int64s()
 	req.InnerOps = r.Ints()
-	req.Reads = txn.DecodeReadSet(r)
+	req.Reads = txn.DecodeReadSet(r, nil)
 	return req, r.Err()
 }
 
@@ -88,7 +88,7 @@ func decodeInnerResponse(p []byte) (*innerResponse, error) {
 	resp.Reason = txn.AbortReason(r.Uint8())
 	resp.TS = r.Uint64()
 	resp.Streamed = int(r.Uint32())
-	resp.Reads = txn.DecodeReadSet(r)
+	resp.Reads = txn.DecodeReadSet(r, nil)
 	return resp, r.Err()
 }
 
@@ -130,7 +130,7 @@ func decodeRouteResult(p []byte) (txn.Result, error) {
 	res.Reason = txn.AbortReason(r.Uint8())
 	res.Distributed = r.Bool()
 	res.Detail = r.String()
-	res.Reads = txn.DecodeReadSet(r)
+	res.Reads = txn.DecodeReadSet(r, nil)
 	return res, r.Err()
 }
 
@@ -184,7 +184,9 @@ func RegisterVerbs(n *server.Node) {
 			// the response.
 			collect := make(txn.ReadSet, len(req.InnerOps))
 			exec := func() {
-				resp, wait := execInnerLocked(n, req.TxnID, req.Coord, proc, req.Args, req.InnerOps, req.Reads, collect)
+				sc := newScratch()
+				resp, wait := sc.execInner(n, req.TxnID, req.Coord, proc, req.Args, req.InnerOps, req.Reads, collect)
+				sc.release()
 				if wait == nil {
 					reply(resp.encode(), nil)
 					return
@@ -252,31 +254,36 @@ func innerLane(n *server.Node, proc *txn.Procedure, args txn.Args, innerOps []in
 // execInner delegates the inner region: a direct call when the inner host
 // is this node (the common case after contention-aware partitioning — the
 // coordinator was placed with the hot data), an RPC otherwise. On the
-// direct path the coordinator's read set is extended in place and the
-// response carries no separate read set.
-func (e *Engine) execInner(innerNode transport.NodeID, req *innerRequest) *innerResponse {
+// direct path the region borrows the coordinator's scratch, the
+// coordinator's read set is extended in place and the response carries
+// no separate read set.
+func (e *Engine) execInner(s *scratch, innerNode transport.NodeID, proc *txn.Procedure, req *innerRequest) innerResponse {
 	if innerNode == e.node.ID() {
-		return ExecInnerLocal(e.node, req.TxnID, req.Coord, req.Proc, req.Args, req.InnerOps, req.Reads, nil)
+		return s.execInnerOnLane(e.node, req.TxnID, req.Coord, proc, req.Args, req.InnerOps, req.Reads, nil)
 	}
 	start := time.Now()
 	raw, err := e.node.Endpoint().Call(innerNode, server.VerbInnerExec, req.encode())
 	e.node.VerbMetrics().Observe(server.KindInnerExec, time.Since(start))
 	if err != nil {
-		return &innerResponse{
+		return innerResponse{
 			Reason: server.TransportAbortReason(err),
 			detail: fmt.Sprintf("inner exec at node %d: %v", innerNode, err),
 		}
 	}
 	resp, derr := decodeInnerResponse(raw)
 	if derr != nil {
-		return &innerResponse{Reason: txn.AbortInternal, detail: fmt.Sprintf("inner exec at node %d: %v", innerNode, derr)}
+		return innerResponse{Reason: txn.AbortInternal, detail: fmt.Sprintf("inner exec at node %d: %v", innerNode, derr)}
 	}
-	return resp
+	return *resp
 }
 
-// ExecInnerLocal executes and unilaterally commits an inner region on
-// this node. It is exported for the benchmark harness's single-node
-// ablations.
+// execInnerOnLane executes and unilaterally commits an inner region on
+// this node: the whole region — lock, execute, commit, stream — runs on
+// the serial executor of the lane owning its hottest record, modelling
+// the paper's single-threaded execution engines (one per core, several
+// per node): inner regions competing for the same hot record never abort
+// each other, regions on distinct lanes proceed in parallel, and the
+// replication stream leaves each lane in commit order.
 //
 // Execution acquires bucket locks even inside the inner region (the
 // paper's "general execution model", end of §3.3): static analysis alone
@@ -293,25 +300,11 @@ func (e *Engine) execInner(innerNode transport.NodeID, req *innerRequest) *inner
 // defensive copy and the merge. The returned response's Reads aliases
 // collect when non-nil (the RPC path's response set) and is nil
 // otherwise.
-func ExecInnerLocal(n *server.Node, txnID uint64, coord transport.NodeID, procName string, args txn.Args, innerOps []int, reads txn.ReadSet, collect txn.ReadSet) *innerResponse {
-	proc := n.Registry().Lookup(procName)
-	if proc == nil {
-		return &innerResponse{Reason: txn.AbortInternal}
-	}
-	if reads == nil {
-		reads = make(txn.ReadSet, len(innerOps))
-	}
-	// The whole inner region — lock, execute, commit, stream — runs on
-	// the serial executor of the lane owning its hottest record,
-	// modelling the paper's single-threaded execution engines (one per
-	// core, several per node): inner regions competing for the same hot
-	// record never abort each other, regions on distinct lanes proceed
-	// in parallel, and the replication stream leaves each lane in commit
-	// order.
-	var resp *innerResponse
+func (s *scratch) execInnerOnLane(n *server.Node, txnID uint64, coord transport.NodeID, proc *txn.Procedure, args txn.Args, innerOps []int, reads txn.ReadSet, collect txn.ReadSet) innerResponse {
+	var resp innerResponse
 	var wait func() error
 	n.WithLaneSerial(innerLane(n, proc, args, innerOps, reads), func() {
-		resp, wait = execInnerLocked(n, txnID, coord, proc, args, innerOps, reads, collect)
+		resp, wait = s.execInner(n, txnID, coord, proc, args, innerOps, reads, collect)
 	})
 	// Durability wait off the lane, on the coordinator's goroutine: the
 	// lane is free to run the next inner region while this commit's
@@ -326,25 +319,26 @@ func ExecInnerLocal(n *server.Node, txnID uint64, coord transport.NodeID, procNa
 }
 
 // innerLockRef is one bucket lock held by an in-flight inner region.
-// Inner regions keep their lock set in a local slice instead of the
+// Inner regions keep their lock set in the scratch instead of the
 // node's participant-state map: they never outlive the call (commit or
-// abort happens before returning, under the inner-execution mutex), so
-// the map bookkeeping, its locking, and the per-op LockResponse
-// allocations of the general path are pure overhead here — and on the
-// coordinator hot path that overhead dominated the profile.
+// abort happens before returning, on the owning lane), so the map
+// bookkeeping, its locking, and the per-op LockResponse allocations of
+// the general path are pure overhead here — and on the coordinator hot
+// path that overhead dominated the profile.
 type innerLockRef struct {
 	b    *storage.Bucket
 	mode storage.LockMode
 }
 
-// execInnerLocked runs the inner region on the current goroutine (the
-// owning lane's executor). The second return is the durability wait for
-// the unilateral commit — nil when nothing needs flushing — which the
-// caller must complete off-lane before acknowledging the region.
-func execInnerLocked(n *server.Node, txnID uint64, coord transport.NodeID, proc *txn.Procedure, args txn.Args, innerOps []int, reads txn.ReadSet, collect txn.ReadSet) (*innerResponse, func() error) {
-	var pending map[storage.RID][]byte // read-your-own-writes, lazily built
-	writes := make([]server.WriteOp, 0, len(innerOps))
-	locks := make([]innerLockRef, 0, len(innerOps))
+// execInner runs the inner region on the current goroutine (the owning
+// lane's executor), buffering its writes and lock refs in s; both are
+// reset on entry, so a re-requested region starts clean. The second
+// return is the durability wait for the unilateral commit — nil when
+// nothing needs flushing — which the caller must complete off-lane
+// before acknowledging the region.
+func (s *scratch) execInner(n *server.Node, txnID uint64, coord transport.NodeID, proc *txn.Procedure, args txn.Args, innerOps []int, reads txn.ReadSet, collect txn.ReadSet) (innerResponse, func() error) {
+	clear(s.writes) // a failed earlier attempt's values must not linger
+	s.writes, s.locks = s.writes[:0], s.locks[:0]
 	// The partition whose replicas receive this region's stream. Every
 	// inner op targets the single delegated partition; resolve it from
 	// the first op's record rather than this node's identity, which
@@ -360,7 +354,7 @@ func execInnerLocked(n *server.Node, txnID uint64, coord transport.NodeID, proc 
 	entered := false
 
 	release := func() {
-		for _, l := range locks {
+		for _, l := range s.locks {
 			l.b.Lock.Unlock(l.mode)
 		}
 		if entered {
@@ -368,9 +362,9 @@ func execInnerLocked(n *server.Node, txnID uint64, coord transport.NodeID, proc 
 			entered = false
 		}
 	}
-	abort := func(reason txn.AbortReason) *innerResponse {
+	abort := func(reason txn.AbortReason) (innerResponse, func() error) {
 		release()
-		return &innerResponse{Reason: reason}
+		return innerResponse{Reason: reason}, nil
 	}
 	// lock acquires b in the requested mode, deduplicating against locks
 	// this inner region already holds (same semantics as the participant
@@ -378,21 +372,21 @@ func execInnerLocked(n *server.Node, txnID uint64, coord transport.NodeID, proc 
 	// upgrades in place). The lock word still arbitrates against outer
 	// regions and remote coordinators.
 	lock := func(b *storage.Bucket, mode storage.LockMode) bool {
-		for i := range locks {
-			if locks[i].b != b {
+		for i := range s.locks {
+			if s.locks[i].b != b {
 				continue
 			}
-			if locks[i].mode == storage.LockExclusive || mode == storage.LockShared {
+			if s.locks[i].mode == storage.LockExclusive || mode == storage.LockShared {
 				return true
 			}
 			if !b.Lock.Upgrade() {
 				return false
 			}
-			locks[i].mode = storage.LockExclusive
+			s.locks[i].mode = storage.LockExclusive
 			return true
 		}
 		if b.Lock.TryLock(mode) {
-			locks = append(locks, innerLockRef{b: b, mode: mode})
+			s.locks = append(s.locks, innerLockRef{b: b, mode: mode})
 			return true
 		}
 		// Conflict — possibly with OURSELVES: an inner record may share
@@ -403,7 +397,7 @@ func execInnerLocked(n *server.Node, txnID uint64, coord transport.NodeID, proc 
 		// outer hold instead: a sufficient mode is free; held-shared
 		// upgrades in place with the participant state's bookkeeping
 		// updated so the outer release matches. Borrowed buckets are not
-		// tracked in `locks` — they stay locked until the outer region
+		// tracked in s.locks — they stay locked until the outer region
 		// commits or aborts, which is exactly the span the colliding
 		// outer record needs anyway. The check runs only on conflict, so
 		// the common no-collision path costs nothing.
@@ -423,16 +417,16 @@ func execInnerLocked(n *server.Node, txnID uint64, coord transport.NodeID, proc 
 
 	for _, opID := range innerOps {
 		if opID < 0 || opID >= len(proc.Ops) {
-			return abort(txn.AbortInternal), nil
+			return abort(txn.AbortInternal)
 		}
 		op := &proc.Ops[opID]
 		key, ok := op.Key(args, reads)
 		if !ok {
-			return abort(txn.AbortInternal), nil
+			return abort(txn.AbortInternal)
 		}
 		tbl := n.Store().Table(op.Table)
 		if tbl == nil {
-			return abort(txn.AbortInternal), nil
+			return abort(txn.AbortInternal)
 		}
 		if !innerPIDSet {
 			innerPID = n.Directory().Partition(storage.RID{Table: op.Table, Key: key})
@@ -441,25 +435,33 @@ func execInnerLocked(n *server.Node, txnID uint64, coord transport.NodeID, proc 
 			// re-route. AbortMoved is retryable at the client, and the
 			// retry re-reads the directory, landing on the new primary.
 			if !n.EnterPartition(innerPID) {
-				return abort(txn.AbortMoved), nil
+				return abort(txn.AbortMoved)
 			}
 			entered = true
 		}
 		b := tbl.Bucket(key)
 		if !lock(b, op.Type.LockMode()) {
-			return abort(txn.AbortLockConflict), nil
+			return abort(txn.AbortLockConflict)
 		}
 
 		read := op.Type == txn.OpRead || op.Type == txn.OpUpdate
 		if read || op.Type != txn.OpInsert {
-			rid := storage.RID{Table: op.Table, Key: key}
-			v, pend := pending[rid]
-			if !pend {
+			// Read your own writes: the region's latest buffered write
+			// to the record, if any, is its current value. The write
+			// list is the index: a region is a few dozen ops at most.
+			var v []byte
+			own := false
+			for i := len(s.writes) - 1; i >= 0 && !own; i-- {
+				if w := &s.writes[i]; w.Key == key && w.Table == op.Table {
+					v, own = w.Value, true
+				}
+			}
+			if !own {
 				var err error
 				v, _, err = b.Get(key)
 				if err != nil {
 					if op.Type != txn.OpInsert {
-						return abort(txn.AbortNotFound), nil
+						return abort(txn.AbortNotFound)
 					}
 					v = nil
 				}
@@ -473,7 +475,7 @@ func execInnerLocked(n *server.Node, txnID uint64, coord transport.NodeID, proc 
 		}
 		if op.Check != nil {
 			if err := op.Check(reads[opID], args, reads); err != nil {
-				return abort(txn.AbortConstraint), nil
+				return abort(txn.AbortConstraint)
 			}
 		}
 		if op.Type.IsWrite() {
@@ -485,27 +487,23 @@ func execInnerLocked(n *server.Node, txnID uint64, coord transport.NodeID, proc 
 				}
 				nv, err := op.Mutate(old, args, reads)
 				if err != nil {
-					return abort(txn.AbortConstraint), nil
+					return abort(txn.AbortConstraint)
 				}
 				newVal = nv
 			}
-			if pending == nil {
-				pending = make(map[storage.RID][]byte, len(innerOps))
-			}
-			pending[storage.RID{Table: op.Table, Key: key}] = newVal
-			writes = append(writes, server.WriteOp{
+			s.writes = append(s.writes, server.WriteOp{
 				Table: op.Table, Key: key, Type: op.Type, Value: newVal,
 			})
 		}
 	}
+	writes := s.writes
 
 	// Unilateral commit: stream to the replicas, apply the writes, and
 	// release the inner locks. From the apply onward the transaction is
 	// committed (§3.3 step 4); the outer region can no longer abort it.
 	if n.FaultInjector != nil {
 		if err := n.FaultInjector(server.VerbCommit, txnID); err != nil {
-			release()
-			return &innerResponse{Reason: txn.AbortInternal}, nil
+			return abort(txn.AbortInternal)
 		}
 	}
 
@@ -554,22 +552,22 @@ func execInnerLocked(n *server.Node, txnID uint64, coord transport.NodeID, proc 
 				// every fault plan protects the stream).
 				panic(fmt.Sprintf("core: inner replication stream partially sent (%d replicas) then failed (txn %d): %v", sent, txnID, err))
 			}
-			release()
 			if clock != nil {
 				clock.Release(ts)
 			}
-			return &innerResponse{Reason: txn.AbortInternal}, nil
+			return abort(txn.AbortInternal)
 		}
 		streamed = sent
 	}
-	if err := server.ApplyWrites(n.Store(), ts, writes); err != nil {
+	// The values are the ones this region's mutators just built: the
+	// store takes them as they are (txn.MutateFunc's ownership rule).
+	if err := server.ApplyWrites(n.Store(), ts, writes, true); err != nil {
 		// A write to a locked, verified record cannot legitimately fail;
 		// engine invariant violation.
-		release()
 		if clock != nil {
 			clock.Release(ts)
 		}
-		return &innerResponse{Reason: txn.AbortInternal}, nil
+		return abort(txn.AbortInternal)
 	}
 	// Append to the lane's WAL while the bucket locks are still held —
 	// log order must equal commit order — then release. The flush wait
@@ -577,12 +575,12 @@ func execInnerLocked(n *server.Node, txnID uint64, coord transport.NodeID, proc 
 	// acknowledgement, so the reply must not leave the node before the
 	// record is durable, but the wait must happen OFF this lane's
 	// executor (blocking it would cap the lane at one inner region per
-	// fsync batch; see ExecInnerLocal and RegisterVerbs).
+	// fsync batch; see execInnerOnLane and RegisterVerbs).
 	wait := n.LogWrites(txnID, ts, writes)
 	release()
 	// A region with no writes streamed nothing; Streamed = 0 resolves the
 	// coordinator's pending ack wait immediately (no self-ack loop — the
 	// coordinator no longer guesses the replica count from its own
 	// topology view).
-	return &innerResponse{OK: true, Reads: collect, TS: ts, Streamed: streamed}, wait
+	return innerResponse{OK: true, Reads: collect, TS: ts, Streamed: streamed}, wait
 }

@@ -78,8 +78,10 @@ func keysOnLane(t *testing.T, lane, lanes, count int, avoid map[storage.Key]bool
 }
 
 func runInner(n *server.Node, key storage.Key) *txn.Result {
-	resp := ExecInnerLocal(n, n.NextTxnID(), n.ID(), "lanes.touch",
-		txn.Args{int64(key)}, []int{0}, nil, nil)
+	s := newScratch()
+	defer s.release()
+	resp := s.execInnerOnLane(n, n.NextTxnID(), n.ID(), n.Registry().Lookup("lanes.touch"),
+		txn.Args{int64(key)}, []int{0}, txn.ReadSet{}, nil)
 	return &txn.Result{Committed: resp.OK, Reason: resp.Reason}
 }
 

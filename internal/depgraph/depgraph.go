@@ -181,7 +181,10 @@ func Decide(g *Graph, args txn.Args, resolve PartitionResolver, hot HotFunc) Dec
 		part   int
 		weight float64
 	}
-	candidates := make([]cand, 0, len(ops))
+	// The working set is on the stack up to decideStack ops (longer
+	// procedures spill to the heap); split is the one allocation.
+	var candBuf [decideStack]cand
+	candidates := candBuf[:0]
 	for i := range ops {
 		w := hot(&ops[i], args)
 		if w <= 0 {
@@ -203,12 +206,12 @@ func Decide(g *Graph, args txn.Args, resolve PartitionResolver, hot HotFunc) Dec
 			candidates = append(candidates, cand{op: i, part: hp, weight: w})
 		}
 	}
+	split := make([]int, len(ops))
 	if len(candidates) == 0 {
-		all := make([]int, len(ops))
-		for i := range all {
-			all[i] = i
+		for i := range split {
+			split[i] = i
 		}
-		return Decision{TwoRegion: false, InnerHost: -1, OuterOps: all}
+		return Decision{TwoRegion: false, InnerHost: -1, OuterOps: split}
 	}
 
 	// Step 2: pick the partition carrying the largest hot contention
@@ -230,7 +233,11 @@ func Decide(g *Graph, args txn.Args, resolve PartitionResolver, hot HotFunc) Dec
 		}
 	}
 
-	inner := make([]bool, len(ops))
+	var innerBuf [decideStack]bool
+	inner := innerBuf[:]
+	if len(ops) > decideStack {
+		inner = make([]bool, len(ops))
+	}
 	for _, c := range candidates {
 		if c.part != best {
 			continue
@@ -240,7 +247,15 @@ func Decide(g *Graph, args txn.Args, resolve PartitionResolver, hot HotFunc) Dec
 			inner[d] = true
 		}
 	}
-	d := Decision{TwoRegion: true, InnerHost: best}
+	nInner := 0
+	for _, in := range inner[:len(ops)] {
+		if in {
+			nInner++
+		}
+	}
+	// Both op lists share split: inner ops fill its front, outer ops the
+	// rest, and the capacity cut keeps an append to InnerOps off OuterOps.
+	d := Decision{TwoRegion: true, InnerHost: best, InnerOps: split[:0:nInner], OuterOps: split[nInner:nInner]}
 	for i := range ops {
 		if inner[i] {
 			d.InnerOps = append(d.InnerOps, i)
@@ -250,6 +265,10 @@ func Decide(g *Graph, args txn.Args, resolve PartitionResolver, hot HotFunc) Dec
 	}
 	return d
 }
+
+// decideStack is the procedure length up to which Decide's working set
+// stays on the stack (a 15-line TPC-C NewOrder has 35 ops).
+const decideStack = 64
 
 // ExecutionOrder returns the full op order implied by a decision: outer
 // ops first, then inner ops, each group in ascending op-ID order. This is

@@ -40,26 +40,19 @@ func (l *Layout) LookupTableSize() int {
 	return len(l.Hot) + len(l.Full)
 }
 
-// Install applies the layout to a directory: hot entries go into the
-// lookup table; a full map (if any) is installed wholesale.
+// Install applies the layout to a directory in one atomic step: hot
+// entries go into the lookup table; a full map (if any) is installed
+// wholesale.
 func (l *Layout) Install(dir *cluster.Directory) {
-	dir.ClearHot()
-	if l.Full != nil {
-		dir.InstallFullMap(l.Full)
-	} else {
-		dir.InstallFullMap(nil)
-	}
+	hot := make(map[storage.RID]cluster.HotPlacement, len(l.Hot))
 	for rid, p := range l.Hot {
-		w, haveW := l.Weight[rid]
-		if !haveW {
-			w = 1
+		h := cluster.HotPlacement{Partition: p, Weight: l.Weight[rid], Lane: -1}
+		if lane, ok := l.Lane[rid]; ok {
+			h.Lane = lane
 		}
-		lane, haveLane := l.Lane[rid]
-		if !haveLane {
-			lane = -1
-		}
-		dir.SetHotPlacement(rid, p, w, lane)
+		hot[rid] = h
 	}
+	dir.InstallLayout(hot, l.Full)
 }
 
 // Router answers record→partition queries.

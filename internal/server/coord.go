@@ -20,11 +20,14 @@ import (
 // LockRead locks and reads entries at the target node: a one-frame wave.
 func (n *Node) LockRead(target transport.NodeID, txnID uint64, entries []LockEntry) (*LockResponse, error) {
 	w := n.NewWave()
-	f := w.LockRead(target, txnID, entries)
+	f := w.LockRead(target, txnID, entries, nil)
 	w.Wait()
 	resp, err := w.LockResponse(f)
 	w.Release()
-	return resp, err
+	if err != nil {
+		return nil, err
+	}
+	return &resp, nil
 }
 
 // AbortAt rolls one participant back: a one-frame AbortAll.
@@ -63,14 +66,20 @@ func (n *Node) AbortAll(participants []transport.NodeID, txnID uint64) {
 // that is what releases its read locks.
 func (n *Node) CommitAll(txnID, ts uint64, participants []transport.NodeID, writes map[cluster.PartitionID][]WriteOp) *Wave {
 	topo := n.dir.Topology()
-	byNode := make(map[transport.NodeID][]WriteOp, len(participants))
-	for pid, ws := range writes {
-		t := topo.Primary(pid)
-		byNode[t] = append(byNode[t], ws...)
-	}
 	w := n.NewWave()
 	for _, p := range participants {
-		w.Commit(p, txnID, ts, byNode[p])
+		var ws []WriteOp
+		for pid, pw := range writes {
+			if topo.Primary(pid) != p {
+				continue
+			}
+			if ws == nil {
+				ws = pw // the one-partition case shares the caller's slice
+			} else {
+				ws = append(ws[:len(ws):len(ws)], pw...) // copies: never grows into pw's neighbours
+			}
+		}
+		w.Commit(p, txnID, ts, ws)
 	}
 	return w
 }

@@ -308,12 +308,11 @@ func (n *Node) handleDoorbell(from transport.NodeID, req []byte) ([]byte, error)
 	w := wire.NewWriter(16 + len(req))
 	w.Uint32(count)
 	for i := uint32(0); i < count; i++ {
-		verb := r.String()
-		payload := r.Bytes32()
+		f := r.Frame()
 		if err := r.Err(); err != nil {
 			return nil, err
 		}
-		n.applyVerb(w, verb, payload)
+		n.applyVerb(w, f.Verb, f.Payload)
 	}
 	return w.Bytes(), nil
 }

@@ -52,30 +52,8 @@ func (n *Node) LogWrites(txnID, ts uint64, writes []WriteOp) func() error {
 	if n.wal == nil || len(writes) == 0 {
 		return nil
 	}
-	if len(n.lanes) <= 1 {
-		return n.logLane(txnID, ts, 0, writes)
-	}
-	// Group per lane, mirroring applyByLane's linear scan.
-	type group struct {
-		lane   int
-		writes []WriteOp
-	}
-	var groups []*group
-	for _, w := range writes {
-		lane := n.Lane(storage.RID{Table: w.Table, Key: w.Key})
-		var g *group
-		for _, cand := range groups {
-			if cand.lane == lane {
-				g = cand
-				break
-			}
-		}
-		if g == nil {
-			g = &group{lane: lane}
-			groups = append(groups, g)
-		}
-		g.writes = append(g.writes, w)
-	}
+	var buf [4]laneGroup
+	groups := n.groupByLane(writes, buf[:])
 	if len(groups) == 1 {
 		return n.logLane(txnID, ts, groups[0].lane, groups[0].writes)
 	}

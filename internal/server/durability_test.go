@@ -27,7 +27,7 @@ func TestCleanShutdownSnapshotBoundsReplay(t *testing.T) {
 				Type: txn.OpUpdate, Table: 1, Key: storage.Key(i % 10),
 				Value: []byte{byte(i), byte(i >> 8)},
 			}}
-			if err := ApplyWrites(n.Store(), 0, writes); err != nil {
+			if err := ApplyWrites(n.Store(), 0, writes, false); err != nil {
 				t.Fatal(err)
 			}
 			if wait := n.LogWrites(uint64(i+1), 0, writes); wait != nil {

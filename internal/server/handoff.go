@@ -171,7 +171,7 @@ func (n *Node) HandoffPartition(pid cluster.PartitionID, to transport.NodeID) er
 		n.Unfence(pid)
 		return abort(err)
 	}
-	if err := n.flushStreams(pid, to, warming); err != nil {
+	if err := n.FlushStreams(pid, to, warming); err != nil {
 		n.Unfence(pid)
 		return abort(err)
 	}
@@ -189,12 +189,14 @@ func (n *Node) HandoffPartition(pid cluster.PartitionID, to transport.NodeID) er
 	return nil
 }
 
-// flushStreams round-trips VerbHandoffFlush to every stream target of
+// FlushStreams round-trips VerbHandoffFlush to every stream target of
 // pid. Per-link FIFO orders each request behind all earlier stream
 // sends on that link; the reply certifies the target's lanes applied
-// them. The warming target additionally raises its MVCC watermark (its
-// version history below the backfill horizon does not exist).
-func (n *Node) flushStreams(pid cluster.PartitionID, warmingNode transport.NodeID, warming bool) error {
+// them — what any layout change needs before it reads a record whose
+// locks it holds. The warming target (a handoff's; pass false without
+// one) additionally raises its MVCC watermark (its version history
+// below the backfill horizon does not exist).
+func (n *Node) FlushStreams(pid cluster.PartitionID, warmingNode transport.NodeID, warming bool) error {
 	targets := n.dir.Topology().StreamTargets(pid)
 	type flushCall struct {
 		call   transport.Call

@@ -3,6 +3,7 @@ package server
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -222,42 +223,20 @@ func (n *Node) applyByLane(txnID, ts uint64, writes []WriteOp, done func(error))
 			done(err)
 		}()
 	}
-	if len(writes) == 0 || len(n.lanes) <= 1 {
-		if len(writes) == 0 {
-			done(nil)
-			return
-		}
-		wait, err := applyLog(0, writes)
-		finish(wait, err)
+	if len(writes) == 0 {
+		done(nil)
 		return
 	}
-	// Group by lane; write sets are small, so a linear scan over a tiny
-	// slice of groups beats a map (same reasoning as core's lock waves).
-	type group struct {
-		lane   int
-		writes []WriteOp
-	}
-	var groups []*group
-	for _, w := range writes {
-		lane := n.Lane(storage.RID{Table: w.Table, Key: w.Key})
-		var g *group
-		for _, cand := range groups {
-			if cand.lane == lane {
-				g = cand
-				break
-			}
-		}
-		if g == nil {
-			g = &group{lane: lane}
-			groups = append(groups, g)
-		}
-		g.writes = append(g.writes, w)
-	}
+	var buf [4]laneGroup
+	groups := n.groupByLane(writes, buf[:])
 	if len(groups) == 1 {
 		g := groups[0]
+		if len(n.lanes) <= 1 {
+			finish(applyLog(g.lane, g.writes)) // inline, as before lanes
+			return
+		}
 		n.SubmitLane(g.lane, func() {
-			wait, err := applyLog(g.lane, g.writes)
-			finish(wait, err)
+			finish(applyLog(g.lane, g.writes))
 		})
 		return
 	}
@@ -267,7 +246,6 @@ func (n *Node) applyByLane(txnID, ts uint64, writes []WriteOp, done func(error))
 	var errs []error
 	var waits []func() error
 	for _, g := range groups {
-		g := g
 		n.SubmitLane(g.lane, func() {
 			wait, err := applyLog(g.lane, g.writes)
 			errMu.Lock()
@@ -298,4 +276,47 @@ func (n *Node) applyByLane(txnID, ts uint64, writes []WriteOp, done func(error))
 			}
 		})
 	}
+}
+
+// laneGroup is one lane's share of a write set.
+type laneGroup struct {
+	lane   int
+	writes []WriteOp
+}
+
+// groupByLane splits a write set by owning lane, each share keeping the
+// set's order. Every write's lane is resolved once; the shares are then
+// dealt, lane by lane in order of first appearance, into one array of
+// the set's exact size — the call's one allocation while the groups fit
+// buf (a small array off the caller's stack). A set that belongs to one
+// lane costs none: its group is the caller's slice, not a copy.
+func (n *Node) groupByLane(writes []WriteOp, buf []laneGroup) []laneGroup {
+	var laneBuf [64]int // on the stack up to 64 writes
+	lanes := laneBuf[:0]
+	groups := buf[:0]
+	for i := range writes {
+		lane := 0
+		if len(n.lanes) > 1 {
+			lane = n.Lane(storage.RID{Table: writes[i].Table, Key: writes[i].Key})
+		}
+		lanes = append(lanes, lane)
+		if !slices.ContainsFunc(groups, func(g laneGroup) bool { return g.lane == lane }) {
+			groups = append(groups, laneGroup{lane: lane})
+		}
+	}
+	if len(groups) == 1 {
+		groups[0].writes = writes
+		return groups
+	}
+	dealt := make([]WriteOp, 0, len(writes))
+	for g := range groups {
+		start := len(dealt)
+		for i, lane := range lanes {
+			if lane == groups[g].lane {
+				dealt = append(dealt, writes[i])
+			}
+		}
+		groups[g].writes = dealt[start:len(dealt):len(dealt)]
+	}
+	return groups
 }

@@ -22,6 +22,7 @@ import (
 	"github.com/chillerdb/chiller/internal/transport"
 	"github.com/chillerdb/chiller/internal/txn"
 	"github.com/chillerdb/chiller/internal/wal"
+	"github.com/chillerdb/chiller/internal/wire"
 )
 
 // AccessObserver receives sampled transaction access sets; the statistics
@@ -275,10 +276,21 @@ func (st *partState) hasLock(b *storage.Bucket, mode storage.LockMode) (held boo
 }
 
 // LockReadLocal is the participant lock-and-read step, called directly
-// by a local coordinator's wave or by a VerbLockRead doorbell frame. On failure everything this
-// call acquired is rolled back, but locks from earlier calls for the same
-// txn remain until an explicit AbortLocal (the coordinator owns cleanup).
+// by a local coordinator's wave or by a VerbLockRead doorbell frame. On
+// failure everything this call acquired is rolled back, but locks from
+// earlier calls for the same txn remain until an explicit AbortLocal
+// (the coordinator owns cleanup).
 func (n *Node) LockReadLocal(txnID uint64, entries []LockEntry) *LockResponse {
+	resp := &LockResponse{}
+	n.lockRead(txnID, entries, resp)
+	return resp
+}
+
+// lockRead is LockReadLocal into a caller-held response. The reads go
+// into resp.Reads when the caller preset it (a coordinator's own-node
+// batches write straight into the transaction's read set), else into a
+// set built on the first read; a failed batch takes its reads back out.
+func (n *Node) lockRead(txnID uint64, entries []LockEntry, resp *LockResponse) {
 	var st *partState
 	for {
 		st = n.getState(txnID, true)
@@ -290,7 +302,8 @@ func (n *Node) LockReadLocal(txnID uint64, entries []LockEntry) *LockResponse {
 	}
 	defer st.mu.Unlock()
 	acquired := 0 // locks appended to st.locks by this call
-	rollback := func() {
+	done := 0     // entries whose read may already be in resp.Reads
+	fail := func(reason txn.AbortReason) {
 		// Release and remove the suffix this call acquired.
 		n.stMu.Lock()
 		for _, l := range st.locks[len(st.locks)-acquired:] {
@@ -298,29 +311,27 @@ func (n *Node) LockReadLocal(txnID uint64, entries []LockEntry) *LockResponse {
 			n.partPins[l.pid]--
 		}
 		st.locks = st.locks[:len(st.locks)-acquired]
-		n.stMu.Unlock()
-	}
-	fail := func(reason txn.AbortReason) *LockResponse {
-		rollback()
 		// A transaction that holds nothing here needs no abort round
 		// trip: drop the empty state now so the coordinator can skip the
 		// cleanup RPC on the NO_WAIT retry path. Deleting only this
 		// exact state (and flagging it) keeps a concurrent sibling
 		// batch — queued on st.mu with the stale pointer — from
 		// appending locks to an orphan.
-		n.stMu.Lock()
 		if len(st.locks) == 0 && n.state[txnID] == st {
 			delete(n.state, txnID)
 			st.dropped = true
 		}
 		n.stMu.Unlock()
-		return &LockResponse{OK: false, Reason: reason}
+		for _, e := range entries[:done] {
+			delete(resp.Reads, e.OpID)
+		}
+		resp.OK, resp.Reason = false, reason
 	}
-	var reads txn.ReadSet // lazily built: many batches are write-only
-	for _, e := range entries {
+	for i, e := range entries {
 		tbl := n.store.Table(e.Table)
 		if tbl == nil {
-			return fail(txn.AbortInternal)
+			fail(txn.AbortInternal)
+			return
 		}
 		b := tbl.Bucket(e.Key)
 
@@ -335,7 +346,8 @@ func (n *Node) LockReadLocal(txnID uint64, entries []LockEntry) *LockResponse {
 			// check: the held lock already pins the partition, and a
 			// drain waits for this transaction either way.
 			if !b.Lock.Upgrade() {
-				return fail(txn.AbortLockConflict)
+				fail(txn.AbortLockConflict)
+				return
 			}
 			n.stMu.Lock()
 			st.locks[idx].mode = storage.LockExclusive
@@ -351,7 +363,8 @@ func (n *Node) LockReadLocal(txnID uint64, entries []LockEntry) *LockResponse {
 			n.stMu.Lock()
 			if n.fenced[pid] || n.dir.Topology().Primary(pid) != n.ID() {
 				n.stMu.Unlock()
-				return fail(txn.AbortMoved)
+				fail(txn.AbortMoved)
+				return
 			}
 			n.partPins[pid]++
 			n.stMu.Unlock()
@@ -359,9 +372,13 @@ func (n *Node) LockReadLocal(txnID uint64, entries []LockEntry) *LockResponse {
 				n.stMu.Lock()
 				n.partPins[pid]--
 				n.stMu.Unlock()
-				return fail(txn.AbortLockConflict)
+				fail(txn.AbortLockConflict)
+				return
 			}
 			n.stMu.Lock()
+			if st.locks == nil {
+				st.locks = make([]lockRef, 0, len(entries))
+			}
 			st.locks = append(st.locks, lockRef{bucket: b, mode: e.Mode, pid: pid})
 			n.stMu.Unlock()
 			acquired++
@@ -371,33 +388,43 @@ func (n *Node) LockReadLocal(txnID uint64, entries []LockEntry) *LockResponse {
 			v, _, err := b.Get(e.Key)
 			if err != nil {
 				if e.MustExist {
-					return fail(txn.AbortNotFound)
+					fail(txn.AbortNotFound)
+					return
 				}
 				v = nil
 			}
 			if e.Read {
-				if reads == nil {
-					reads = make(txn.ReadSet, len(entries))
+				if resp.Reads == nil { // lazily built: many batches are write-only
+					resp.Reads = make(txn.ReadSet, len(entries))
 				}
-				reads[e.OpID] = v
+				resp.Reads[e.OpID] = v
+				done = i + 1
 			}
 		}
 	}
-	return &LockResponse{OK: true, Reads: reads}
+	resp.OK = true
 }
 
 // CommitLocal applies the write set and releases the transaction's locks
 // on this participant. With a WAL attached, the write set is appended to
 // the log before the locks release (so per-lane log order equals commit
 // order) and the call returns only once the record's group-commit flush
-// has landed: a CommitLocal acknowledgement implies durability.
+// has landed: a CommitLocal acknowledgement implies durability. The
+// values are copied: a commit frame's alias the doorbell buffer.
 func (n *Node) CommitLocal(txnID, ts uint64, writes []WriteOp) error {
+	return n.commitLocal(txnID, ts, writes, false)
+}
+
+// commitLocal is CommitLocal with the values' ownership stated (see
+// ApplyWrites): a wave passes owned for the coordinator's own node,
+// where the values are the ones the transaction's mutators built.
+func (n *Node) commitLocal(txnID, ts uint64, writes []WriteOp, owned bool) error {
 	if n.FaultInjector != nil {
 		if err := n.FaultInjector(VerbCommit, txnID); err != nil {
 			return err
 		}
 	}
-	if err := ApplyWrites(n.store, ts, writes); err != nil {
+	if err := ApplyWrites(n.store, ts, writes, owned); err != nil {
 		// A write to a locked, verified record cannot legitimately fail;
 		// treat as an engine invariant violation.
 		n.releaseAll(txnID)
@@ -504,49 +531,49 @@ func (n *Node) LeavePartition(pid cluster.PartitionID) {
 }
 
 // ApplyWrites applies a write set to a store (used by participants at
-// commit and by replicas). Inserts that find the key already present
-// degrade to updates, which makes replica application idempotent. ts is
-// the transaction's commit timestamp; when the store retains versions
+// commit and by inner regions). Inserts that find the key already present
+// degrade to updates, which makes application idempotent. ts is the
+// transaction's commit timestamp; when the store retains versions
 // (MVCC) the overwritten values go onto the version chains stamped with
 // it, otherwise it is ignored.
-func ApplyWrites(st *storage.Store, ts uint64, writes []WriteOp) error {
+//
+// owned hands the value buffers to the store uncopied
+// (storage.Bucket.PutOwned): only for values a transaction's mutators
+// built on this node, which txn.MutateFunc's contract makes the
+// engine's — an inner region's writes, a coordinator's own-node commit.
+// A decoded write set aliases its receive buffer and must pass false.
+// Stores that retain versions copy either way.
+func ApplyWrites(st *storage.Store, ts uint64, writes []WriteOp, owned bool) error {
 	mvcc := st.MVCCEnabled()
-	for _, w := range writes {
+	for i := range writes {
+		w := &writes[i]
 		tbl := st.Table(w.Table)
 		if tbl == nil {
 			return fmt.Errorf("server: no table %d", w.Table)
 		}
-		if mvcc {
-			switch w.Type {
-			case txn.OpUpdate:
-				if err := tbl.PutAt(w.Key, w.Value, ts); err != nil {
-					return fmt.Errorf("server: update %v/%d: %w", w.Table, w.Key, err)
-				}
-			case txn.OpInsert:
-				tbl.UpsertAt(w.Key, w.Value, ts)
-			case txn.OpDelete:
-				if err := tbl.DeleteAt(w.Key, ts); err != nil && err != storage.ErrNotFound {
-					return err
-				}
-			default:
-				return fmt.Errorf("server: bad write type %v", w.Type)
-			}
-			continue
-		}
-		b := tbl.Bucket(w.Key)
-		switch w.Type {
-		case txn.OpUpdate:
-			if err := b.Put(w.Key, w.Value); err != nil {
-				return fmt.Errorf("server: update %v/%d: %w", w.Table, w.Key, err)
-			}
-		case txn.OpInsert:
-			b.Upsert(w.Key, w.Value)
-		case txn.OpDelete:
-			if err := b.Delete(w.Key); err != nil && err != storage.ErrNotFound {
-				return err
-			}
+		var err error
+		switch {
+		case w.Type == txn.OpUpdate && mvcc:
+			err = tbl.PutAt(w.Key, w.Value, ts)
+		case w.Type == txn.OpUpdate && owned:
+			err = tbl.Bucket(w.Key).PutOwned(w.Key, w.Value)
+		case w.Type == txn.OpUpdate:
+			err = tbl.Bucket(w.Key).Put(w.Key, w.Value)
+		case w.Type == txn.OpInsert && mvcc:
+			tbl.UpsertAt(w.Key, w.Value, ts)
+		case w.Type == txn.OpInsert && owned:
+			tbl.Bucket(w.Key).UpsertOwned(w.Key, w.Value)
+		case w.Type == txn.OpInsert:
+			tbl.Bucket(w.Key).Upsert(w.Key, w.Value)
+		case w.Type == txn.OpDelete && mvcc:
+			err = tbl.DeleteAt(w.Key, ts)
+		case w.Type == txn.OpDelete:
+			err = tbl.Bucket(w.Key).Delete(w.Key)
 		default:
 			return fmt.Errorf("server: bad write type %v", w.Type)
+		}
+		if err != nil && (w.Type != txn.OpDelete || err != storage.ErrNotFound) {
+			return fmt.Errorf("server: %v %v/%d: %w", w.Type, w.Table, w.Key, err)
 		}
 	}
 	return nil
@@ -659,22 +686,18 @@ func (n *Node) ForwardRepl(pid cluster.PartitionID, ts uint64, writes []WriteOp,
 
 // EncodeInnerRepl builds the one-way primary→replica message.
 func EncodeInnerRepl(txnID, ts uint64, coordinator transport.NodeID, writes []WriteOp) []byte {
-	base := EncodeWrites(txnID, ts, writes)
-	out := make([]byte, 0, len(base)+4)
-	out = append(out, base...)
-	out = append(out, byte(coordinator), byte(coordinator>>8), byte(coordinator>>16), byte(coordinator>>24))
-	return out
+	w := wire.NewWriter(writesSize(writes) + 4)
+	EncodeWritesTo(w, txnID, ts, writes)
+	w.Uint32(uint32(coordinator))
+	return w.Bytes()
 }
 
 // DecodeInnerRepl parses the primary→replica message.
 func DecodeInnerRepl(p []byte) (txnID, ts uint64, coordinator transport.NodeID, writes []WriteOp, err error) {
-	if len(p) < 4 {
-		return 0, 0, 0, nil, fmt.Errorf("server: short inner-repl message")
-	}
-	body, tail := p[:len(p)-4], p[len(p)-4:]
-	txnID, ts, writes, err = DecodeWrites(body)
-	coordinator = transport.NodeID(uint32(tail[0]) | uint32(tail[1])<<8 | uint32(tail[2])<<16 | uint32(tail[3])<<24)
-	return txnID, ts, coordinator, writes, err
+	r := wire.NewReader(p)
+	txnID, ts, writes = decodeWrites(r)
+	coordinator = transport.NodeID(r.Uint32())
+	return txnID, ts, coordinator, writes, r.Err()
 }
 
 // handleInnerRepl runs on a replica: apply the streamed write set —

@@ -134,18 +134,15 @@ func EncodeLockRequestTo(w *wire.Writer, txnID uint64, entries []LockEntry) {
 func DecodeLockRequest(p []byte) (txnID uint64, entries []LockEntry, err error) {
 	r := wire.NewReader(p)
 	txnID = r.Uint64()
-	n := r.Uint32()
-	entries = make([]LockEntry, 0, n)
-	for i := uint32(0); i < n; i++ {
-		e := LockEntry{
-			OpID:  int(r.Uint32()),
-			Table: storage.TableID(r.Uint32()),
-			Key:   storage.Key(r.Uint64()),
-			Mode:  storage.LockMode(r.Uint8()),
-		}
+	entries = make([]LockEntry, r.Count(19)) // the encoded size of one entry
+	for i := range entries {
+		e := &entries[i]
+		e.OpID = int(r.Uint32())
+		e.Table = storage.TableID(r.Uint32())
+		e.Key = storage.Key(r.Uint64())
+		e.Mode = storage.LockMode(r.Uint8())
 		e.Read = r.Bool()
 		e.MustExist = r.Bool()
-		entries = append(entries, e)
 	}
 	return txnID, entries, r.Err()
 }
@@ -167,19 +164,35 @@ func (lr *LockResponse) EncodeTo(w *wire.Writer) {
 
 // DecodeLockResponse parses a LockResponse.
 func DecodeLockResponse(p []byte) (*LockResponse, error) {
-	r := wire.NewReader(p)
 	lr := &LockResponse{}
+	return lr, lr.decode(p)
+}
+
+// decode parses p into lr, adding the reads to lr.Reads when the caller
+// preset it (a wave gathering into the transaction's read set).
+func (lr *LockResponse) decode(p []byte) error {
+	r := wire.NewReader(p)
 	lr.OK = r.Bool()
 	lr.Reason = txn.AbortReason(r.Uint8())
-	lr.Reads = txn.DecodeReadSet(r)
-	return lr, r.Err()
+	lr.Reads = txn.DecodeReadSet(r, lr.Reads)
+	return r.Err()
+}
+
+// writesSize is the exact encoded size of a write set, so every encode
+// is one allocation (a guess blind to value lengths regrows twice).
+func writesSize(writes []WriteOp) int {
+	n := 20 // txn id, timestamp, count
+	for i := range writes {
+		n += 17 + len(writes[i].Value) // table, key, type, value length
+	}
+	return n
 }
 
 // EncodeWrites serializes a write set with a transaction id header and
 // the transaction's commit timestamp (0 when MVCC is off — applies
 // then skip version retention).
 func EncodeWrites(txnID, ts uint64, writes []WriteOp) []byte {
-	w := wire.NewWriter(24 + len(writes)*32)
+	w := wire.NewWriter(writesSize(writes))
 	EncodeWritesTo(w, txnID, ts, writes)
 	return w.Bytes()
 }
@@ -189,7 +202,8 @@ func EncodeWritesTo(w *wire.Writer, txnID, ts uint64, writes []WriteOp) {
 	w.Uint64(txnID)
 	w.Uint64(ts)
 	w.Uint32(uint32(len(writes)))
-	for _, wr := range writes {
+	for i := range writes {
+		wr := &writes[i]
 		w.Uint32(uint32(wr.Table))
 		w.Uint64(uint64(wr.Key))
 		w.Uint8(uint8(wr.Type))
@@ -198,24 +212,28 @@ func EncodeWritesTo(w *wire.Writer, txnID, ts uint64, writes []WriteOp) {
 }
 
 // DecodeWrites parses a write-set payload. Values alias the payload
-// buffer: every apply path copies into storage (Bucket.Put/Insert), so
-// an extra copy here would only feed the garbage collector.
+// buffer: every apply path of a decoded write set copies into storage,
+// so an extra copy here would only feed the garbage collector.
 func DecodeWrites(p []byte) (txnID, ts uint64, writes []WriteOp, err error) {
 	r := wire.NewReader(p)
+	txnID, ts, writes = decodeWrites(r)
+	return txnID, ts, writes, r.Err()
+}
+
+// decodeWrites reads a write set off r, leaving r at whatever follows
+// it (the inner-replication message appends the waiter's node id).
+func decodeWrites(r *wire.Reader) (txnID, ts uint64, writes []WriteOp) {
 	txnID = r.Uint64()
 	ts = r.Uint64()
-	n := r.Uint32()
-	writes = make([]WriteOp, 0, n)
-	for i := uint32(0); i < n; i++ {
-		wr := WriteOp{
-			Table: storage.TableID(r.Uint32()),
-			Key:   storage.Key(r.Uint64()),
-			Type:  txn.OpType(r.Uint8()),
-		}
+	writes = make([]WriteOp, r.Count(17)) // an entry with an empty value
+	for i := range writes {
+		wr := &writes[i]
+		wr.Table = storage.TableID(r.Uint32())
+		wr.Key = storage.Key(r.Uint64())
+		wr.Type = txn.OpType(r.Uint8())
 		wr.Value = r.Bytes32()
-		writes = append(writes, wr)
 	}
-	return txnID, ts, writes, r.Err()
+	return txnID, ts, writes
 }
 
 // SnapReadEntry is one record of a snapshot-read request.
@@ -249,16 +267,13 @@ func EncodeSnapReadTo(w *wire.Writer, ts uint64, entries []SnapReadEntry) {
 func DecodeSnapRead(p []byte) (ts uint64, entries []SnapReadEntry, err error) {
 	r := wire.NewReader(p)
 	ts = r.Uint64()
-	n := r.Uint32()
-	entries = make([]SnapReadEntry, 0, n)
-	for i := uint32(0); i < n; i++ {
-		e := SnapReadEntry{
-			OpID:  int(r.Uint32()),
-			Table: storage.TableID(r.Uint32()),
-			Key:   storage.Key(r.Uint64()),
-		}
+	entries = make([]SnapReadEntry, r.Count(17)) // the encoded size of one entry
+	for i := range entries {
+		e := &entries[i]
+		e.OpID = int(r.Uint32())
+		e.Table = storage.TableID(r.Uint32())
+		e.Key = storage.Key(r.Uint64())
 		e.MustExist = r.Bool()
-		entries = append(entries, e)
 	}
 	return ts, entries, r.Err()
 }

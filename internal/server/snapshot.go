@@ -228,7 +228,7 @@ func (n *Node) HoldsPartition(pid cluster.PartitionID) bool {
 // one-frame wave, retrying a failed ring within the resend budget: the
 // ring is droppable like a lock wave's, and reads hold nothing, so a
 // resend is always safe.
-func (n *Node) snapshotReadAt(target transport.NodeID, ts uint64, entries []SnapReadEntry) (resp *LockResponse, err error) {
+func (n *Node) snapshotReadAt(target transport.NodeID, ts uint64, entries []SnapReadEntry) (resp LockResponse, err error) {
 	for try := 0; try <= snapSendRetries; try++ {
 		w := n.NewWave()
 		f := w.SnapshotRead(target, ts, entries)

@@ -6,6 +6,7 @@ import (
 	"sync"
 
 	"github.com/chillerdb/chiller/internal/transport"
+	"github.com/chillerdb/chiller/internal/txn"
 	"github.com/chillerdb/chiller/internal/wire"
 )
 
@@ -55,8 +56,11 @@ type waveFrame struct {
 	entries   []LockEntry
 	snap      []SnapReadEntry
 	writes    []WriteOp
-	resp      *LockResponse
-	err       error
+	// resp is a read frame's response: filled at the gather (local) or
+	// at LockResponse (remote), into the Reads LockRead preset, if any.
+	resp    LockResponse
+	decoded bool
+	err     error
 }
 
 var wavePool = sync.Pool{New: func() any { return new(Wave) }}
@@ -107,9 +111,13 @@ func (w *Wave) post(target transport.NodeID, kind string) (*waveFrame, *Doorbell
 	return &w.frames[len(w.frames)-1], w.dests[di].bell
 }
 
-// LockRead posts a lock-and-read batch and returns its frame handle.
-func (w *Wave) LockRead(target transport.NodeID, txnID uint64, entries []LockEntry) int {
+// LockRead posts a lock-and-read batch and returns its frame handle. Its
+// reads are added to into when non-nil (a coordinator gathers every
+// participant's reads into the transaction's one set), else returned in
+// a set of their own.
+func (w *Wave) LockRead(target transport.NodeID, txnID uint64, entries []LockEntry, into txn.ReadSet) int {
 	f, bell := w.post(target, KindLockRead)
+	f.resp.Reads = into
 	if bell != nil {
 		f.slot = bell.PostLockRead(txnID, entries)
 	} else {
@@ -177,14 +185,17 @@ func (w *Wave) gather(reap bool) {
 		}
 		switch f.kind {
 		case KindLockRead:
-			f.resp = n.LockReadLocal(f.txnID, f.entries)
+			n.lockRead(f.txnID, f.entries, &f.resp)
 		case KindCommit:
-			f.err = n.CommitLocal(f.txnID, f.ts, f.writes)
+			// The coordinator's own values: handed to the store, not
+			// copied (see commitLocal).
+			f.err = n.commitLocal(f.txnID, f.ts, f.writes, true)
 		case KindAbort:
 			n.AbortLocal(f.txnID)
 		case KindSnapRead:
-			f.resp = n.SnapshotReadLocal(f.ts, f.snap)
+			f.resp = *n.SnapshotReadLocal(f.ts, f.snap)
 		}
+		f.decoded = true
 	}
 	for i := range w.dests {
 		d := &w.dests[i]
@@ -232,18 +243,17 @@ func (w *Wave) Errs() error {
 
 // LockResponse returns the response of a lock-read or snapshot-read
 // frame, or the frame's error.
-func (w *Wave) LockResponse(frame int) (*LockResponse, error) {
+func (w *Wave) LockResponse(frame int) (LockResponse, error) {
 	if err := w.Err(frame); err != nil {
-		return nil, err
+		return LockResponse{}, err
 	}
 	f := &w.frames[frame]
-	if f.resp != nil {
-		return f.resp, nil
+	if !f.decoded {
+		d := &w.dests[f.dest]
+		if err := f.resp.decode(d.results[f.slot].Payload); err != nil {
+			return LockResponse{}, fmt.Errorf("server: %s at node %d: %w", f.kind, d.target, err)
+		}
+		f.decoded = true
 	}
-	d := &w.dests[f.dest]
-	resp, err := DecodeLockResponse(d.results[f.slot].Payload)
-	if err != nil {
-		return nil, fmt.Errorf("server: %s at node %d: %w", f.kind, d.target, err)
-	}
-	return resp, nil
+	return f.resp, nil
 }

@@ -192,11 +192,10 @@ func (t *Table) ReadAt(key Key, ts uint64) ([]byte, error) {
 	b := t.Bucket(key)
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	cur, i := b.findAny(key)
-	if cur == nil {
+	e, _, _ := b.seek(key, false)
+	if e == nil {
 		return nil, ErrNotFound
 	}
-	e := &cur.entries[i]
 	if e.ts <= ts {
 		if e.dead {
 			return nil, ErrNotFound
@@ -217,23 +216,11 @@ func (t *Table) ReadAt(key Key, ts uint64) ([]byte, error) {
 }
 
 // PutAt is Put stamped with a commit timestamp: the overwritten value
-// is retained on the version chain when MVCC is on.
+// is retained on the version chain when MVCC is on. The timestamped
+// writes always copy the value (the hand-over of PutOwned is not
+// offered here: a version chain already costs an allocation per write).
 func (t *Table) PutAt(key Key, value []byte, ts uint64) error {
-	b := t.Bucket(key)
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	cur, i := b.find(key)
-	if cur == nil {
-		return ErrNotFound
-	}
-	e := &cur.entries[i]
-	v := make([]byte, len(value))
-	copy(v, value)
-	t.retain(e)
-	e.value = v
-	e.version++
-	e.ts = ts
-	return nil
+	return t.Bucket(key).write(key, value, ts, update, false, t)
 }
 
 // InsertAt is Insert stamped with a commit timestamp. Under MVCC a
@@ -242,47 +229,12 @@ func (t *Table) PutAt(key Key, value []byte, ts uint64) error {
 // snapshots between the delete and this insert), and tombstone slots
 // of other keys are never reused — their chains must stay readable.
 func (t *Table) InsertAt(key Key, value []byte, ts uint64) error {
-	if t.mv == nil || !t.mv.on.Load() {
-		return t.Bucket(key).insertStamped(key, value, ts, true)
-	}
-	b := t.Bucket(key)
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if cur, i := b.findAny(key); cur != nil {
-		e := &cur.entries[i]
-		if !e.dead {
-			return ErrExists
-		}
-		v := make([]byte, len(value))
-		copy(v, value)
-		t.retain(e)
-		e.value = v
-		e.dead = false
-		e.version++
-		e.ts = ts
-		return nil
-	}
-	v := make([]byte, len(value))
-	copy(v, value)
-	cur := b
-	for {
-		if len(cur.entries) < bucketCapacity {
-			cur.entries = append(cur.entries, entry{key: key, value: v, version: 1, ts: ts})
-			return nil
-		}
-		if cur.overflow == nil {
-			cur.overflow = &Bucket{}
-		}
-		cur = cur.overflow
-	}
+	return t.Bucket(key).write(key, value, ts, insert, false, t)
 }
 
 // UpsertAt is Upsert stamped with a commit timestamp.
 func (t *Table) UpsertAt(key Key, value []byte, ts uint64) {
-	if err := t.PutAt(key, value, ts); err == nil {
-		return
-	}
-	_ = t.InsertAt(key, value, ts)
+	_ = t.Bucket(key).write(key, value, ts, upsert, false, t) // upsert cannot fail
 }
 
 // DeleteAt is Delete stamped with a commit timestamp: the tombstone is
@@ -292,11 +244,10 @@ func (t *Table) DeleteAt(key Key, ts uint64) error {
 	b := t.Bucket(key)
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	cur, i := b.find(key)
-	if cur == nil {
+	e, _, _ := b.seek(key, true)
+	if e == nil {
 		return ErrNotFound
 	}
-	e := &cur.entries[i]
 	t.retain(e)
 	e.dead = true
 	e.value = nil
@@ -311,11 +262,11 @@ func (t *Table) VersionTS(key Key) (uint64, error) {
 	b := t.Bucket(key)
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	cur, i := b.find(key)
-	if cur == nil {
+	e, _, _ := b.seek(key, true)
+	if e == nil {
 		return 0, ErrNotFound
 	}
-	return cur.entries[i].ts, nil
+	return e.ts, nil
 }
 
 // ChainDepth reports how many retained versions (beyond the live one)
@@ -324,12 +275,12 @@ func (t *Table) ChainDepth(key Key) int {
 	b := t.Bucket(key)
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	cur, i := b.findAny(key)
-	if cur == nil {
+	e, _, _ := b.seek(key, false)
+	if e == nil {
 		return 0
 	}
 	n := 0
-	for v := cur.entries[i].prev; v != nil; v = v.prev {
+	for v := e.prev; v != nil; v = v.prev {
 		n++
 	}
 	return n
@@ -366,51 +317,5 @@ func (t *Table) RangeTS(fn func(key Key, value []byte, version, ts uint64) bool)
 				return
 			}
 		}
-	}
-}
-
-// findAny is find including tombstoned entries: MVCC readers need the
-// tombstone's chain; live-value paths use find, which skips the dead.
-func (b *Bucket) findAny(key Key) (*Bucket, int) {
-	for cur := b; cur != nil; cur = cur.overflow {
-		for i := range cur.entries {
-			if cur.entries[i].key == key {
-				return cur, i
-			}
-		}
-	}
-	return nil, -1
-}
-
-// insertStamped is the non-MVCC insert path with a timestamp stamp
-// (kept identical to Insert, including tombstone-slot reuse).
-func (b *Bucket) insertStamped(key Key, value []byte, ts uint64, reuseTombstones bool) error {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if cur, _ := b.find(key); cur != nil {
-		return ErrExists
-	}
-	v := make([]byte, len(value))
-	copy(v, value)
-	if reuseTombstones {
-		for cur := b; cur != nil; cur = cur.overflow {
-			for i := range cur.entries {
-				if cur.entries[i].dead {
-					cur.entries[i] = entry{key: key, value: v, version: 1, ts: ts}
-					return nil
-				}
-			}
-		}
-	}
-	cur := b
-	for {
-		if len(cur.entries) < bucketCapacity {
-			cur.entries = append(cur.entries, entry{key: key, value: v, version: 1, ts: ts})
-			return nil
-		}
-		if cur.overflow == nil {
-			cur.overflow = &Bucket{}
-		}
-		cur = cur.overflow
 	}
 }

@@ -179,17 +179,6 @@ type Bucket struct {
 
 const bucketCapacity = 8
 
-func (b *Bucket) find(key Key) (*Bucket, int) {
-	for cur := b; cur != nil; cur = cur.overflow {
-		for i := range cur.entries {
-			if cur.entries[i].key == key && !cur.entries[i].dead {
-				return cur, i
-			}
-		}
-	}
-	return nil, -1
-}
-
 // Get returns the value and its version. The caller is expected to hold
 // the bucket lock in at least shared mode when running under 2PL; OCC
 // calls Get without a lock and validates the version later.
@@ -201,90 +190,157 @@ func (b *Bucket) find(key Key) (*Bucket, int) {
 func (b *Bucket) Get(key Key) (value []byte, version uint64, err error) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	cur, i := b.find(key)
-	if cur == nil {
+	e, _, _ := b.seek(key, true)
+	if e == nil {
 		return nil, 0, ErrNotFound
 	}
-	return cur.entries[i].value, cur.entries[i].version, nil
+	return e.value, e.version, nil
 }
 
 // Version returns the record's current version without copying the value.
 func (b *Bucket) Version(key Key) (uint64, error) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	cur, i := b.find(key)
-	if cur == nil {
+	e, _, _ := b.seek(key, true)
+	if e == nil {
 		return 0, ErrNotFound
 	}
-	return cur.entries[i].version, nil
+	return e.version, nil
 }
 
-// Put updates an existing record in place, bumping its version.
-func (b *Bucket) Put(key Key, value []byte) error {
+// writeMode says what a write requires of the key's current state.
+type writeMode uint8
+
+const (
+	upsert writeMode = iota // insert or overwrite
+	update                  // the key must be live, else ErrNotFound
+	insert                  // the key must not be live, else ErrExists
+)
+
+// seek is the one walk over a bucket chain, for reads and writes alike.
+// It returns key's entry — the live one, or with reuse off (MVCC, where
+// a tombstone keeps its version chain) key's own tombstone too — or nil
+// plus where a new record goes: a tombstone slot to recycle when reuse
+// is on (slot >= 0), else the first bucket with room, else the chain's
+// last bucket (slot < 0).
+func (b *Bucket) seek(key Key, reuse bool) (e *entry, at *Bucket, slot int) {
+	slot = -1
+	var room, last *Bucket
+	for cur := b; cur != nil; cur = cur.overflow {
+		for i := range cur.entries {
+			c := &cur.entries[i]
+			if c.key == key && (!c.dead || !reuse) {
+				return c, nil, -1
+			}
+			if c.dead && reuse && slot < 0 {
+				at, slot = cur, i
+			}
+		}
+		if room == nil && len(cur.entries) < bucketCapacity {
+			room = cur
+		}
+		last = cur
+	}
+	switch {
+	case slot >= 0:
+		return nil, at, slot
+	case room != nil:
+		return nil, room, -1
+	}
+	return nil, last, -1
+}
+
+// add places a new record where seek said, chaining an overflow bucket
+// when the chain is full.
+func (at *Bucket) add(slot int, e entry) {
+	if slot >= 0 {
+		at.entries[slot] = e
+		return
+	}
+	if len(at.entries) >= bucketCapacity {
+		at.overflow = &Bucket{}
+		at = at.overflow
+	}
+	at.entries = append(at.entries, e)
+}
+
+// write is the one record-write path: a single seek under the bucket
+// mutex, then overwrite key's record or place a new one. With a table
+// (the timestamped Table.*At calls) the record is stamped with ts and,
+// under MVCC, the overwritten state is retained on its version chain —
+// a tombstoned key is resurrected in place, chain intact.
+//
+// Stored values are immutable and exactly as long as their content.
+// write copies value unless owned says the caller hands it over: it
+// built the slice and nothing will write through it again. A value
+// handed over with spare capacity is still copied to its length, so no
+// record pins more memory than it holds.
+func (b *Bucket) write(key Key, value []byte, ts uint64, mode writeMode, owned bool, t *Table) error {
+	mvcc := t != nil && t.mv != nil && t.mv.on.Load()
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	cur, i := b.find(key)
-	if cur == nil {
+	e, at, slot := b.seek(key, !mvcc)
+	live := e != nil && !e.dead
+	switch {
+	case mode == update && !live:
 		return ErrNotFound
+	case mode == insert && live:
+		return ErrExists
 	}
-	v := make([]byte, len(value))
-	copy(v, value)
-	cur.entries[i].value = v
-	cur.entries[i].version++
+	if !owned || cap(value) != len(value) {
+		v := make([]byte, len(value))
+		copy(v, value)
+		value = v
+	}
+	if e == nil {
+		at.add(slot, entry{key: key, value: value, version: 1, ts: ts})
+		return nil
+	}
+	if t != nil {
+		t.retain(e)
+		e.ts = ts
+	}
+	e.value, e.dead = value, false
+	e.version++
 	return nil
+}
+
+// Put updates an existing record, bumping its version. The value is
+// copied; see PutOwned.
+func (b *Bucket) Put(key Key, value []byte) error {
+	return b.write(key, value, 0, update, false, nil)
+}
+
+// PutOwned is Put for a value handed over instead of copied (see write).
+func (b *Bucket) PutOwned(key Key, value []byte) error {
+	return b.write(key, value, 0, update, true, nil)
 }
 
 // Insert adds a new record. It fails with ErrExists if key is present.
 func (b *Bucket) Insert(key Key, value []byte) error {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if cur, _ := b.find(key); cur != nil {
-		return ErrExists
-	}
-	v := make([]byte, len(value))
-	copy(v, value)
-	// Reuse a tombstone slot anywhere in the chain first.
-	for cur := b; cur != nil; cur = cur.overflow {
-		for i := range cur.entries {
-			if cur.entries[i].dead {
-				cur.entries[i] = entry{key: key, value: v, version: 1}
-				return nil
-			}
-		}
-	}
-	// Append to the first bucket in the chain with room.
-	cur := b
-	for {
-		if len(cur.entries) < bucketCapacity {
-			cur.entries = append(cur.entries, entry{key: key, value: v, version: 1})
-			return nil
-		}
-		if cur.overflow == nil {
-			cur.overflow = &Bucket{}
-		}
-		cur = cur.overflow
-	}
+	return b.write(key, value, 0, insert, false, nil)
 }
 
 // Upsert inserts or overwrites.
 func (b *Bucket) Upsert(key Key, value []byte) {
-	if err := b.Put(key, value); err == nil {
-		return
-	}
-	_ = b.Insert(key, value)
+	_ = b.write(key, value, 0, upsert, false, nil) // upsert cannot fail
+}
+
+// UpsertOwned is Upsert for a handed-over value (see PutOwned).
+func (b *Bucket) UpsertOwned(key Key, value []byte) {
+	_ = b.write(key, value, 0, upsert, true, nil) // upsert cannot fail
 }
 
 // Delete tombstones a record.
 func (b *Bucket) Delete(key Key) error {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	cur, i := b.find(key)
-	if cur == nil {
+	e, _, _ := b.seek(key, true)
+	if e == nil {
 		return ErrNotFound
 	}
-	cur.entries[i].dead = true
-	cur.entries[i].value = nil
-	cur.entries[i].version++
+	e.dead, e.value = true, nil
+	e.version++
 	return nil
 }
 

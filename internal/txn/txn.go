@@ -83,7 +83,8 @@ func (rs ReadSet) Clone() ReadSet {
 
 // Encode serializes the read set (sorted by op ID for determinism).
 func (rs ReadSet) Encode(w *wire.Writer) {
-	ids := make([]int, 0, len(rs))
+	var buf [64]int // on the stack for any procedure of up to 64 ops
+	ids := buf[:0]
 	for id := range rs {
 		ids = append(ids, id)
 	}
@@ -95,21 +96,27 @@ func (rs ReadSet) Encode(w *wire.Writer) {
 	}
 }
 
-// DecodeReadSet deserializes a read set. Values alias the decode buffer:
-// read-set values are treated as immutable everywhere (mutators build new
-// slices), so the copy would be pure garbage-collector feed.
-func DecodeReadSet(r *wire.Reader) ReadSet {
-	n := r.Uint32()
+// DecodeReadSet deserializes a read set into rs, which is allocated when
+// nil (a coordinator passes the transaction's one set to gather every
+// participant's reads in). Values alias the decode buffer: read-set
+// values are treated as immutable everywhere (mutators build new
+// slices), so the copy would be pure garbage-collector feed. A decode
+// error returns nil and may leave rs partly extended.
+func DecodeReadSet(r *wire.Reader, rs ReadSet) ReadSet {
+	n := r.Count(8) // op id + value length
 	if r.Err() != nil {
 		return nil
 	}
-	rs := make(ReadSet, n)
-	for i := uint32(0); i < n; i++ {
+	if rs == nil {
+		rs = make(ReadSet, n)
+	}
+	for i := 0; i < n; i++ {
 		id := int(r.Uint32())
-		rs[id] = r.Bytes32()
+		v := r.Bytes32()
 		if r.Err() != nil {
 			return nil
 		}
+		rs[id] = v
 	}
 	return rs
 }
@@ -122,6 +129,16 @@ type KeyFunc func(args Args, reads ReadSet) (key storage.Key, ok bool)
 // MutateFunc computes the new value for an update/insert. old is nil for
 // inserts. Returning an error aborts the transaction (a value constraint
 // violation, e.g. insufficient balance).
+//
+// Ownership: old, args and every value in reads are read-only (the
+// store's own buffers, or a decoded message). The returned slice is
+// handed over to the engine, which stores it on the executing node
+// without copying: build it fresh (or return old or a read value
+// untouched) and never write through it again. The store defends the
+// common slip — a slice with spare capacity, such as an interior window
+// of a reused buffer or the result of append, is copied to its exact
+// length — but a full-capacity alias of memory that is later modified
+// corrupts the record.
 type MutateFunc func(old []byte, args Args, reads ReadSet) ([]byte, error)
 
 // CheckFunc validates a value immediately after it is read; an error

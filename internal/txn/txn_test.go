@@ -84,7 +84,7 @@ func TestReadSetEncodeDecode(t *testing.T) {
 	rs := ReadSet{3: []byte("c"), 1: []byte("a"), 2: nil}
 	w := wire.NewWriter(0)
 	rs.Encode(w)
-	got := DecodeReadSet(wire.NewReader(w.Bytes()))
+	got := DecodeReadSet(wire.NewReader(w.Bytes()), nil)
 	if len(got) != 3 {
 		t.Fatalf("decoded %d entries", len(got))
 	}

@@ -1,5 +1,7 @@
 package wire
 
+import "sync/atomic"
+
 // Batched verb envelope. A doorbell batch ships every verb bound for one
 // destination node as a single fabric operation: the sender posts frames
 // (verb name + encoded payload), rings one doorbell, and receives one
@@ -40,16 +42,40 @@ func EncodeFrames(frames []Frame) []byte {
 	return w.Bytes()
 }
 
+// minFrame is an empty frame's (or result's) size: two length prefixes.
+const minFrame = 8
+
+// Frame decodes the next frame of a request envelope, allocating
+// nothing: the payload aliases the buffer and the verb is interned.
+func (r *Reader) Frame() Frame {
+	verb := r.Bytes32()
+	f := Frame{Payload: r.Bytes32()}
+	if len(verb) == 0 {
+		return f
+	}
+	// Verbs are a dozen short constants: a small direct-mapped cache of
+	// the names seen turns the per-frame string into a comparison (a
+	// forged name costs its own string and a slot).
+	slot := &verbNames[(len(verb)*31+int(verb[0])+int(verb[len(verb)-1]))%len(verbNames)]
+	if s := slot.Load(); s != nil && *s == string(verb) {
+		f.Verb = *s
+		return f
+	}
+	name := string(verb)
+	slot.Store(&name)
+	f.Verb = name
+	return f
+}
+
+var verbNames [16]atomic.Pointer[string]
+
 // DecodeFrames parses a request envelope. Frame payloads alias p; the
 // verb handlers decode them before the buffer is reused.
 func DecodeFrames(p []byte) ([]Frame, error) {
 	r := NewReader(p)
-	n := r.Uint32()
-	frames := make([]Frame, 0, n)
-	for i := uint32(0); i < n; i++ {
-		f := Frame{Verb: r.String()}
-		f.Payload = r.Bytes32()
-		frames = append(frames, f)
+	frames := make([]Frame, r.Count(minFrame))
+	for i := range frames {
+		frames[i] = r.Frame()
 	}
 	return frames, r.Err()
 }
@@ -72,12 +98,10 @@ func EncodeFrameResults(results []FrameResult) []byte {
 // DecodeFrameResults parses a response envelope. Result payloads alias p.
 func DecodeFrameResults(p []byte) ([]FrameResult, error) {
 	r := NewReader(p)
-	n := r.Uint32()
-	results := make([]FrameResult, 0, n)
-	for i := uint32(0); i < n; i++ {
-		fr := FrameResult{Err: r.String()}
-		fr.Payload = r.Bytes32()
-		results = append(results, fr)
+	results := make([]FrameResult, r.Count(minFrame))
+	for i := range results {
+		results[i].Err = r.String()
+		results[i].Payload = r.Bytes32()
 	}
 	return results, r.Err()
 }

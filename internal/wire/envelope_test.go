@@ -3,6 +3,8 @@ package wire
 import (
 	"bytes"
 	"testing"
+
+	"github.com/chillerdb/chiller/internal/testutil"
 )
 
 func TestFrameEnvelopeRoundTrip(t *testing.T) {
@@ -47,5 +49,26 @@ func TestFrameEnvelopeTruncated(t *testing.T) {
 	}
 	if out, err := DecodeFrames(EncodeFrames(nil)); err != nil || len(out) != 0 {
 		t.Fatalf("empty envelope: %v %v", out, err)
+	}
+}
+
+// Decoding an envelope allocates the frame slice and nothing per frame:
+// payloads alias the buffer and verb names are interned.
+func TestDecodeFramesAllocations(t *testing.T) {
+	if testutil.Race {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	frames := make([]Frame, 4)
+	for i := range frames {
+		frames[i] = Frame{Verb: "lr", Payload: make([]byte, 64)}
+	}
+	enc := EncodeFrames(frames)
+	got := testing.AllocsPerRun(100, func() {
+		if out, err := DecodeFrames(enc); err != nil || len(out) != 4 || out[3].Verb != "lr" {
+			t.Fatalf("decode: %v %v", out, err)
+		}
+	})
+	if got > 1 {
+		t.Errorf("DecodeFrames: %v allocations per envelope, want 1", got)
 	}
 }

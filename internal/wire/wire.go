@@ -241,53 +241,41 @@ func (r *Reader) String() string {
 	return string(p)
 }
 
-// Uint64s decodes a count-prefixed slice of 64-bit integers.
-func (r *Reader) Uint64s() []uint64 {
+// Count decodes a 32-bit element count and checks it against the bytes
+// left: count entries of at least min bytes each must fit, or the count
+// is corrupt and an allocation sized by it could claim gigabytes for a
+// few bytes of message. A bad count reads as 0 with ErrShort set.
+func (r *Reader) Count(min int) int {
 	n := r.Uint32()
-	if r.err != nil || n == 0 {
+	if r.err != nil {
+		return 0
+	}
+	if int64(n)*int64(min) > int64(r.Remaining()) {
+		r.err = fmt.Errorf("%w: count %d of %d-byte entries exceeds remaining %d bytes", ErrShort, n, min, r.Remaining())
+		return 0
+	}
+	return int(n)
+}
+
+// integers decodes a count-prefixed slice of 64-bit integers (nil when
+// empty).
+func integers[T int | int64 | uint64](r *Reader) []T {
+	n := r.Count(8)
+	if n == 0 {
 		return nil
 	}
-	if int(n)*8 > r.Remaining() {
-		r.err = fmt.Errorf("%w: uint64s count %d exceeds remaining %d bytes", ErrShort, n, r.Remaining())
-		return nil
-	}
-	out := make([]uint64, n)
+	out := make([]T, n)
 	for i := range out {
-		out[i] = r.Uint64()
+		out[i] = T(r.Uint64())
 	}
 	return out
 }
+
+// Uint64s decodes a count-prefixed slice of 64-bit integers.
+func (r *Reader) Uint64s() []uint64 { return integers[uint64](r) }
 
 // Int64s decodes a count-prefixed slice of signed 64-bit integers.
-func (r *Reader) Int64s() []int64 {
-	n := r.Uint32()
-	if r.err != nil || n == 0 {
-		return nil
-	}
-	if int(n)*8 > r.Remaining() {
-		r.err = fmt.Errorf("%w: int64s count %d exceeds remaining %d bytes", ErrShort, n, r.Remaining())
-		return nil
-	}
-	out := make([]int64, n)
-	for i := range out {
-		out[i] = r.Int64()
-	}
-	return out
-}
+func (r *Reader) Int64s() []int64 { return integers[int64](r) }
 
 // Ints decodes a count-prefixed slice of ints.
-func (r *Reader) Ints() []int {
-	n := r.Uint32()
-	if r.err != nil || n == 0 {
-		return nil
-	}
-	if int(n)*8 > r.Remaining() {
-		r.err = fmt.Errorf("%w: ints count %d exceeds remaining %d bytes", ErrShort, n, r.Remaining())
-		return nil
-	}
-	out := make([]int, n)
-	for i := range out {
-		out[i] = int(r.Int64())
-	}
-	return out
-}
+func (r *Reader) Ints() []int { return integers[int](r) }

@@ -32,7 +32,9 @@ type KeyFunc func(args Args, reads Reads) (key Key, ok bool)
 
 // MutateFunc computes an update/insert's new value. old is the current
 // value (nil for inserts). Returning an error aborts the transaction
-// with ErrConstraint.
+// with ErrConstraint. old, args and reads are read-only, and the
+// returned slice becomes the database's: build it fresh (or return old
+// untouched) and never write through it afterwards.
 type MutateFunc func(old []byte, args Args, reads Reads) ([]byte, error)
 
 // CheckFunc validates a value right after it is read; an error aborts
