@@ -42,8 +42,13 @@ var (
 	// ErrUnreachable is a transient transport fault before the commit
 	// point: a participant could not be reached (dropped message,
 	// network partition), everything the transaction held was released,
-	// and a retry may succeed once the network heals. Retryable (see
-	// Retry); it also matches ErrInternal, so existing
+	// and a retry may succeed once the network heals. It is also what a
+	// failed routing hop returns — a transaction with hot records is
+	// shipped to the node that owns them, and if that call fails nothing
+	// is executed at the origin instead. (Over TCP a call that breaks
+	// mid-connection is at-most-once, not never-happened: the routed
+	// transaction may have committed; see docs/NETWORK.md.) Retryable
+	// (see Retry); it also matches ErrInternal, so existing
 	// "ErrInternal-family" handling keeps working.
 	ErrUnreachable = errors.New("participant unreachable")
 	// ErrStaleRead means a read-only snapshot transaction's timestamp
@@ -54,7 +59,9 @@ var (
 	ErrStaleRead = errors.New("stale snapshot read")
 	// ErrMoved means the transaction addressed a node that no longer (or
 	// not yet) owns one of its partitions: a live membership change or a
-	// hot-record migration installed a new routing layout mid-flight.
+	// hot-record migration installed a new routing layout mid-flight —
+	// including a request routed to the node that owned its hot records
+	// when it left and no longer does on arrival (it took no lock there).
 	// Retryable — the retry consults the updated directory and routes to
 	// the new owner. See docs/ELASTICITY.md.
 	ErrMoved = errors.New("partition moved")

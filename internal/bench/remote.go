@@ -2,15 +2,12 @@ package bench
 
 import (
 	"fmt"
-	"math/rand"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"github.com/chillerdb/chiller/internal/cc"
 	"github.com/chillerdb/chiller/internal/cluster"
 	"github.com/chillerdb/chiller/internal/deploy"
-	"github.com/chillerdb/chiller/internal/txn"
 	"github.com/chillerdb/chiller/internal/workload/tpcc"
 )
 
@@ -124,110 +121,9 @@ func (rc *RemoteClient) VerbProfiles() map[string]*VerbProfile { return verbProf
 // client shares the single client-side engine (there is one coordinator
 // process, as opposed to the simulated cluster's one engine per node).
 func (rc *RemoteClient) Run(w Workload, cfg RunConfig) *Metrics {
-	if cfg.Concurrency <= 0 {
-		cfg.Concurrency = 1
-	}
-	if cfg.Duration <= 0 {
-		cfg.Duration = 500 * time.Millisecond
-	}
-	lanes := cfg.Outstanding
-	if lanes <= 0 {
-		lanes = 1
-	}
 	engine := rc.Engine(cfg.Engine)
-
-	nClients := rc.partitions * cfg.Concurrency
-	shards := make([]shard, nClients*lanes)
-	for i := range shards {
-		shards[i].byReason = make(map[txn.AbortReason]uint64)
-		shards[i].byProc = make(map[string]*ProcMetrics)
-	}
-	var counting atomic.Bool
-	var stop atomic.Bool
-
-	var wg sync.WaitGroup
-	clientID := 0
-	for p := 0; p < rc.partitions; p++ {
-		for k := 0; k < cfg.Concurrency; k++ {
-			id, part := clientID, p
-			clientID++
-			if lanes == 1 {
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					sh := &shards[id]
-					rng := rand.New(rand.NewSource(cfg.Seed + int64(id)*7919))
-					for !stop.Load() {
-						runOne(engine, w.Next(part, rng), sh, rng, &cfg, &counting, &stop)
-					}
-				}()
-				continue
-			}
-			reqCh := make(chan *txn.Request)
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				defer close(reqCh)
-				rng := rand.New(rand.NewSource(cfg.Seed + int64(id)*7919))
-				for !stop.Load() {
-					reqCh <- w.Next(part, rng)
-				}
-			}()
-			for l := 0; l < lanes; l++ {
-				sh := &shards[id*lanes+l]
-				laneSeed := cfg.Seed + int64(id*lanes+l)*104729
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					rng := rand.New(rand.NewSource(laneSeed))
-					for req := range reqCh {
-						runOne(engine, req, sh, rng, &cfg, &counting, &stop)
-					}
-				}()
-			}
-		}
-	}
-
-	warmup := time.Duration(float64(cfg.Duration) * cfg.WarmupFraction)
-	time.Sleep(warmup)
-	rc.ResetVerbMetrics()
-	counting.Store(true)
-	start := time.Now()
-	time.Sleep(cfg.Duration - warmup)
-	counting.Store(false)
-	elapsed := time.Since(start)
-	stop.Store(true)
-	wg.Wait()
-	rc.Node.Drain()
-
-	m := &Metrics{
-		Engine:   cfg.Engine,
-		Workload: w.Name(),
-		Lanes:    rc.Cfg.Lanes,
-		Elapsed:  elapsed,
-		ByReason: make(map[txn.AbortReason]uint64),
-		ByProc:   make(map[string]*ProcMetrics),
-		Verbs:    rc.VerbProfiles(),
-	}
-	for i := range shards {
-		sh := &shards[i]
-		m.Committed += sh.committed
-		m.Aborted += sh.aborted
-		m.Distributed += sh.distributed
-		for r, n := range sh.byReason {
-			m.ByReason[r] += n
-		}
-		for p, pm := range sh.byProc {
-			agg := m.ByProc[p]
-			if agg == nil {
-				agg = &ProcMetrics{}
-				m.ByProc[p] = agg
-			}
-			agg.Committed += pm.Committed
-			agg.Aborted += pm.Aborted
-		}
-	}
-	return m
+	engineFor := func(int) cc.Engine { return engine }
+	return runClients(rc.partitions, rc.Cfg.Lanes, engineFor, rc.ResetVerbMetrics, rc.Node.Drain, rc.VerbProfiles, w, cfg)
 }
 
 // RemoteTPCCConfig is the TPC-C shape a chiller-node cluster of n nodes

@@ -145,12 +145,46 @@ func (m *Metrics) ProcAbortRate(proc string) float64 {
 	return float64(pm.Aborted) / float64(pm.Committed+pm.Aborted)
 }
 
+// shard is one client's private tally; a run sums them into Metrics.
 type shard struct {
 	committed   uint64
 	aborted     uint64
 	distributed uint64
 	byReason    map[txn.AbortReason]uint64
 	byProc      map[string]*ProcMetrics
+}
+
+func newShard() shard {
+	return shard{byReason: make(map[txn.AbortReason]uint64), byProc: make(map[string]*ProcMetrics)}
+}
+
+func newMetrics(kind EngineKind, w Workload, lanes int) *Metrics {
+	return &Metrics{
+		Engine:   kind,
+		Workload: w.Name(),
+		Lanes:    lanes,
+		ByReason: make(map[txn.AbortReason]uint64),
+		ByProc:   make(map[string]*ProcMetrics),
+	}
+}
+
+// add folds one client's tally into the run's totals.
+func (m *Metrics) add(sh *shard) {
+	m.Committed += sh.committed
+	m.Aborted += sh.aborted
+	m.Distributed += sh.distributed
+	for r, n := range sh.byReason {
+		m.ByReason[r] += n
+	}
+	for p, pm := range sh.byProc {
+		agg := m.ByProc[p]
+		if agg == nil {
+			agg = &ProcMetrics{}
+			m.ByProc[p] = agg
+		}
+		agg.Committed += pm.Committed
+		agg.Aborted += pm.Aborted
+	}
 }
 
 // runOne executes one request to completion (with retry policy) against
@@ -202,6 +236,17 @@ func runOne(engine cc.Engine, req *txn.Request, sh *shard, rng *rand.Rand, cfg *
 // cfg.Outstanding transactions in flight per client when set (open
 // loop).
 func (c *Cluster) Run(w Workload, cfg RunConfig) *Metrics {
+	engineFor := func(p int) cc.Engine { return c.Engine(cfg.Engine, p) }
+	return runClients(c.Cfg.Partitions, c.Cfg.Lanes, engineFor, c.ResetVerbMetrics, c.Drain, c.VerbProfiles, w, cfg)
+}
+
+// runClients is the measurement loop behind Cluster.Run and
+// RemoteClient.Run: cfg.Concurrency clients per partition, partition p's
+// bound to engineFor(p); reset zeroes the verb metrics when the warm-up
+// ends, drain joins the engines' commit tails after the clients stop,
+// and profiles reads the window's per-verb profile. lanesLabel is
+// recorded as Metrics.Lanes.
+func runClients(partitions, lanesLabel int, engineFor func(int) cc.Engine, reset, drain func(), profiles func() map[string]*VerbProfile, w Workload, cfg RunConfig) *Metrics {
 	if cfg.Concurrency <= 0 {
 		cfg.Concurrency = 1
 	}
@@ -213,19 +258,17 @@ func (c *Cluster) Run(w Workload, cfg RunConfig) *Metrics {
 		lanes = 1
 	}
 
-	nClients := c.Cfg.Partitions * cfg.Concurrency
-	shards := make([]shard, nClients*lanes)
+	shards := make([]shard, partitions*cfg.Concurrency*lanes)
 	for i := range shards {
-		shards[i].byReason = make(map[txn.AbortReason]uint64)
-		shards[i].byProc = make(map[string]*ProcMetrics)
+		shards[i] = newShard()
 	}
 	var counting atomic.Bool
 	var stop atomic.Bool
 
 	var wg sync.WaitGroup
 	clientID := 0
-	for p := 0; p < c.Cfg.Partitions; p++ {
-		engine := c.Engine(cfg.Engine, p)
+	for p := 0; p < partitions; p++ {
+		engine := engineFor(p)
 		for k := 0; k < cfg.Concurrency; k++ {
 			id, part := clientID, p
 			clientID++
@@ -271,7 +314,7 @@ func (c *Cluster) Run(w Workload, cfg RunConfig) *Metrics {
 
 	warmup := time.Duration(float64(cfg.Duration) * cfg.WarmupFraction)
 	time.Sleep(warmup)
-	c.ResetVerbMetrics()
+	reset()
 	counting.Store(true)
 	start := time.Now()
 	time.Sleep(cfg.Duration - warmup)
@@ -279,34 +322,13 @@ func (c *Cluster) Run(w Workload, cfg RunConfig) *Metrics {
 	elapsed := time.Since(start)
 	stop.Store(true)
 	wg.Wait()
-	c.Drain()
+	drain()
 
-	m := &Metrics{
-		Engine:   cfg.Engine,
-		Workload: w.Name(),
-		Lanes:    c.Cfg.Lanes,
-		Elapsed:  elapsed,
-		ByReason: make(map[txn.AbortReason]uint64),
-		ByProc:   make(map[string]*ProcMetrics),
-		Verbs:    c.VerbProfiles(),
-	}
+	m := newMetrics(cfg.Engine, w, lanesLabel)
+	m.Elapsed = elapsed
+	m.Verbs = profiles()
 	for i := range shards {
-		sh := &shards[i]
-		m.Committed += sh.committed
-		m.Aborted += sh.aborted
-		m.Distributed += sh.distributed
-		for r, n := range sh.byReason {
-			m.ByReason[r] += n
-		}
-		for p, pm := range sh.byProc {
-			agg := m.ByProc[p]
-			if agg == nil {
-				agg = &ProcMetrics{}
-				m.ByProc[p] = agg
-			}
-			agg.Committed += pm.Committed
-			agg.Aborted += pm.Aborted
-		}
+		m.add(&shards[i])
 	}
 	return m
 }
@@ -315,49 +337,31 @@ func (c *Cluster) Run(w Workload, cfg RunConfig) *Metrics {
 // client per partition, retries until commit) — used by correctness
 // tests where a fixed amount of work must land.
 func (c *Cluster) RunN(w Workload, kind EngineKind, nPerPartition int, seed int64) *Metrics {
-	m := &Metrics{
-		Engine:   kind,
-		Workload: w.Name(),
-		Lanes:    c.Cfg.Lanes,
-		ByReason: make(map[txn.AbortReason]uint64),
-		ByProc:   make(map[string]*ProcMetrics),
-	}
-	var mu sync.Mutex
+	cfg := RunConfig{Retry: true}
+	var counting, stop atomic.Bool
+	counting.Store(true)
+	shards := make([]shard, c.Cfg.Partitions)
 	var wg sync.WaitGroup
-	for p := 0; p < c.Cfg.Partitions; p++ {
+	for p := range shards {
+		shards[p] = newShard()
 		wg.Add(1)
 		go func(part int) {
 			defer wg.Done()
 			engine := c.Engine(kind, part)
+			// Backoff jitter draws from its own stream, so a partition's
+			// request sequence depends on the seed alone, not on aborts.
 			rng := rand.New(rand.NewSource(seed + int64(part)))
+			jitter := rand.New(rand.NewSource(seed ^ int64(part+1)*104729))
 			for i := 0; i < nPerPartition; i++ {
-				req := w.Next(part, rng)
-				for {
-					res := engine.Run(context.Background(), req)
-					mu.Lock()
-					pm := m.ByProc[req.Proc]
-					if pm == nil {
-						pm = &ProcMetrics{}
-						m.ByProc[req.Proc] = pm
-					}
-					if res.Committed {
-						m.Committed++
-						pm.Committed++
-						if res.Distributed {
-							m.Distributed++
-						}
-						mu.Unlock()
-						break
-					}
-					m.Aborted++
-					pm.Aborted++
-					m.ByReason[res.Reason]++
-					mu.Unlock()
-				}
+				runOne(engine, w.Next(part, rng), &shards[part], jitter, &cfg, &counting, &stop)
 			}
 		}(p)
 	}
 	wg.Wait()
 	c.Drain()
+	m := newMetrics(kind, w, c.Cfg.Lanes)
+	for i := range shards {
+		m.add(&shards[i])
+	}
 	return m
 }

@@ -22,19 +22,13 @@ import (
 	"github.com/chillerdb/chiller/internal/wire"
 )
 
-// Verb names (registered by RegisterVerbs).
-const (
-	verbRead     = server.VerbOCCRead
-	verbValidate = server.VerbOCCValid
-)
-
 // RegisterVerbs installs the OCC-specific handlers on a node. It must be
 // called on every node that can serve OCC transactions.
 func RegisterVerbs(n *server.Node) {
-	n.Endpoint().Handle(verbRead, func(_ transport.NodeID, req []byte) ([]byte, error) {
+	n.Endpoint().Handle(server.VerbOCCRead, func(_ transport.NodeID, req []byte) ([]byte, error) {
 		return handleRead(n, req)
 	})
-	n.Endpoint().Handle(verbValidate, func(_ transport.NodeID, req []byte) ([]byte, error) {
+	n.Endpoint().Handle(server.VerbOCCValid, func(_ transport.NodeID, req []byte) ([]byte, error) {
 		return handleValidate(n, req)
 	})
 }
@@ -483,7 +477,7 @@ func (e *Engine) readOne(target transport.NodeID, opID int, rid storage.RID, mus
 	if target == e.node.ID() {
 		return readLocal(e.node, entries)
 	}
-	raw, err := e.node.Endpoint().Call(target, verbRead, encodeReadReq(entries))
+	raw, err := e.node.Endpoint().Call(target, server.VerbOCCRead, encodeReadReq(entries))
 	if err != nil {
 		return &readResp{
 			reason: server.TransportAbortReason(err),
@@ -502,7 +496,7 @@ func (e *Engine) validateAt(target transport.NodeID, v *validateReq) (bool, txn.
 		ok, reason := validateLocal(e.node, v)
 		return ok, reason, nil
 	}
-	raw, err := e.node.Endpoint().Call(target, verbValidate, v.encode())
+	raw, err := e.node.Endpoint().Call(target, server.VerbOCCValid, v.encode())
 	if err != nil {
 		return false, txn.AbortNone, err
 	}

@@ -3,11 +3,16 @@
 //
 // A transaction whose records include hot items is split into an outer
 // region (cold records, locked first, committed last) and an inner region
-// (hot records, delegated to the single partition that owns them). The
-// inner host executes and commits its part unilaterally: once the outer
-// locks are all held, the transaction's fate rests entirely on the inner
-// region, so the hot records' contention span shrinks from two-plus
-// network round trips to the local execution time of the inner region.
+// (hot records, all on the single partition that owns them). The node
+// that primaries that partition — the inner host — coordinates the
+// transaction (requests originating elsewhere are routed to it, §4.2)
+// and executes and commits the inner region unilaterally, as local work:
+// once the outer locks are all held, the transaction's fate rests
+// entirely on the inner region, so the hot records' contention span
+// shrinks from two-plus network round trips to the local execution time
+// of the inner region. Where the paper's §3.3 step 4 delegates the inner
+// region by RPC, this engine has no such verb: placing the coordinator
+// on the inner host is the only shape a two-region transaction takes.
 //
 // Fault-tolerance for the inner region's early commit point uses the
 // replication protocol of §5 (see package server's inner-replication
@@ -51,8 +56,9 @@ type Engine struct {
 	tails sync.WaitGroup
 }
 
-// New creates a Chiller engine on a node. RegisterVerbs must have been
-// called on every node in the cluster.
+// New creates a Chiller engine on a node and registers the
+// transaction-placement verb peers route to: every node of the cluster
+// needs one, whichever engine its own clients use.
 func New(n *server.Node) *Engine {
 	e := &Engine{
 		node:     n,
@@ -76,7 +82,7 @@ func New(n *server.Node) *Engine {
 			// client whose context does not travel on the wire; the
 			// originating engine stops routing once its context is done,
 			// and a routed transaction runs to completion here.
-			res := e.runPlaced(context.Background(), req)
+			res := e.run(context.Background(), req, true)
 			reply(encodeRouteResult(&res), nil)
 		}()
 	})
@@ -161,17 +167,27 @@ func (e *Engine) Decide(req *txn.Request) (depgraph.Decision, error) {
 
 // Run implements cc.Engine: steps 1-5 of §3.3, preceded by the
 // transaction-placement step of §4.2 — a two-region transaction whose
-// inner host is another partition is routed there, so that its inner
-// region executes as local work and the hot-record span never contains
-// the delegation round trip.
+// inner host is another node is routed there and coordinated by that
+// node's engine, so the inner region is always local work of its
+// coordinator and the hot-record span never contains a delegation round
+// trip.
 //
 // Cancellation of ctx is honored at every protocol boundary before the
-// inner region commits: between outer lock waves, inside the hot-wave
-// and inner re-request ladders, and before delegation. A cancelled
+// inner region commits: before routing, between outer lock waves, and
+// inside the hot-wave and inner re-request ladders. A cancelled
 // transaction releases every outer lock it holds and reports
-// txn.AbortCancelled. Once the inner host has committed, the transaction
-// is committed; the remaining steps run to completion regardless of ctx.
+// txn.AbortCancelled. Once the inner region has committed, the
+// transaction is committed; the remaining steps run to completion
+// regardless of ctx.
 func (e *Engine) Run(ctx context.Context, req *txn.Request) txn.Result {
+	return e.run(ctx, req, false)
+}
+
+// run decides a request's execution model and either coordinates it here
+// or routes it to its inner host. routed marks a request that already
+// took its one route hop (the VerbTxnRoute handler): it is never
+// forwarded again, so a layout change mid-flight cannot loop it.
+func (e *Engine) run(ctx context.Context, req *txn.Request, routed bool) txn.Result {
 	n := e.node
 	proc := n.Registry().Lookup(req.Proc)
 	if proc == nil {
@@ -199,43 +215,28 @@ func (e *Engine) Run(ctx context.Context, req *txn.Request) txn.Result {
 		// what OuterOps lists when nothing is inner).
 		return e.fallback.RunOrdered(ctx, req, proc, dec.OuterOps)
 	}
-	if host := n.Directory().Topology().Primary(cluster.PartitionID(dec.InnerHost)); host != n.ID() {
-		// A routed transaction executes remotely and cannot be cancelled
-		// mid-flight; don't start one on a context that is already done.
-		if reason, done := cc.Cancelled(ctx); done {
-			return txn.Result{Reason: reason}
-		}
-		if res, ok := e.route(host, req); ok {
-			return res
-		}
-		// Routing unavailable (e.g. fabric closing): coordinate from
-		// here; the inner region falls back to remote delegation.
+	host := n.Directory().Topology().Primary(cluster.PartitionID(dec.InnerHost))
+	switch {
+	case host == n.ID():
+		return e.runTwoRegion(ctx, req, proc, g, dec)
+	case routed:
+		// The origin's directory named this node the inner host and ours
+		// does not (a handoff landed in between). Nothing is locked yet;
+		// like a fenced partition, the retry re-reads the directory.
+		return txn.Result{Reason: txn.AbortMoved,
+			Detail: fmt.Sprintf("routed to node %d, inner host is node %d", n.ID(), host)}
 	}
-	return e.runTwoRegion(ctx, req, proc, g, dec)
-}
-
-// runPlaced coordinates a routed request on this node (the request's
-// inner host). The placement decision is recomputed — the directory is
-// identical cluster-wide, so the result is the same, and a stale route
-// (layout change mid-flight) degrades to remote delegation rather than
-// a loop: requests are routed at most once.
-func (e *Engine) runPlaced(ctx context.Context, req *txn.Request) txn.Result {
-	proc := e.node.Registry().Lookup(req.Proc)
-	if proc == nil {
-		return txn.Result{Reason: txn.AbortInternal}
+	// A routed transaction executes remotely and cannot be cancelled
+	// mid-flight; don't start one on a context that is already done.
+	if reason, done := cc.Cancelled(ctx); done {
+		return txn.Result{Reason: reason}
 	}
-	g, err := e.graph(proc)
-	if err != nil {
-		return txn.Result{Reason: txn.AbortInternal}
-	}
-	dec := depgraph.Decide(g, req.Args, e.resolve, e.hot)
-	if !dec.TwoRegion {
-		return e.fallback.RunOrdered(ctx, req, proc, dec.OuterOps)
-	}
-	return e.runTwoRegion(ctx, req, proc, g, dec)
+	return e.route(host, req)
 }
 
 // runTwoRegion executes steps 3-5 of §3.3 with this node coordinating.
+// Precondition: this node primaries the inner partition (dec.InnerHost),
+// so the inner region is a call on one of its own lanes.
 func (e *Engine) runTwoRegion(ctx context.Context, req *txn.Request, proc *txn.Procedure, g *depgraph.Graph, dec depgraph.Decision) txn.Result {
 	n := e.node
 	txnID := req.ID
@@ -243,18 +244,13 @@ func (e *Engine) runTwoRegion(ctx context.Context, req *txn.Request, proc *txn.P
 		txnID = n.NextTxnID()
 	}
 
-	dir := n.Directory()
-	topo := dir.Topology()
-	innerPID := cluster.PartitionID(dec.InnerHost)
-	innerNode := topo.Primary(innerPID)
-
 	s := newScratch()
 	s.reads = make(txn.ReadSet, len(proc.Ops))
-	s.txnID, s.innerPID, s.sample = txnID, innerPID, n.Sampler() != nil
+	s.txnID, s.innerPID, s.sample = txnID, cluster.PartitionID(dec.InnerHost), n.Sampler() != nil
 	// abort rolls back the outer region's locks and retires the scratch.
-	abort := func(reason txn.AbortReason, detail string) txn.Result {
+	abort := func(reason txn.AbortReason) txn.Result {
 		n.AbortAll(s.nodes(true), txnID)
-		res := txn.Result{Reason: reason, Detail: detail, Distributed: s.isDistributed()}
+		res := txn.Result{Reason: reason, Detail: s.detail, Distributed: s.isDistributed()}
 		s.release()
 		return res
 	}
@@ -268,70 +264,46 @@ func (e *Engine) runTwoRegion(ctx context.Context, req *txn.Request, proc *txn.P
 	// participant and fanned out in one concurrent wave.
 	outerOrder := e.hotLastOrder(g, req.Args, dec.OuterOps)
 	if reason, ok := e.lockOuter(ctx, proc, req.Args, outerOrder, s); !ok {
-		return abort(reason, s.detail)
+		return abort(reason)
 	}
 
 	// Last cancellation point: the outer locks are held but the inner
-	// region has not been delegated, so aborting here is still clean.
+	// region has not run, so aborting here is still clean.
 	if reason, done := cc.Cancelled(ctx); done {
-		return abort(reason, "")
+		return abort(reason)
 	}
 
-	// Step 4: delegate, execute, and commit the inner region. Register
-	// the replica-ack waiter first so acks cannot race registration. The
-	// expected ack count is NOT sized from this coordinator's topology
-	// view: mid-handoff the inner host streams to a warming replica this
-	// view may not know about (or has just stopped streaming to one it
-	// still lists), so the waiter registers pending and is resolved below
-	// with the count the host actually sent (innerResponse.Streamed).
-	ack := n.ExpectPendingAcks(txnID)
-
-	ireq := innerRequest{
-		TxnID:    txnID,
-		Coord:    n.ID(),
-		Proc:     proc.Name,
-		Args:     req.Args,
-		InnerOps: dec.InnerOps,
-		Reads:    s.reads,
-	}
-	iresp := e.execInner(s, innerNode, proc, &ireq)
-	// A lock conflict inside the inner region means some other
+	// Step 4: execute and commit the inner region, on the lane owning its
+	// hottest record. A lock conflict inside it means some other
 	// transaction's outer region holds one of our hot records — a window
 	// of at most a couple of round trips. The outer locks we already
 	// hold are cold (uncontended), so tearing the transaction down and
 	// re-acquiring them costs far more than briefly re-requesting the
 	// inner region; as with the hot-wave re-request, the bound keeps
 	// cross-transaction stalls finite and participants stay NO_WAIT.
-	for attempt := 0; attempt < hotWaveRetries &&
-		!iresp.OK && iresp.Reason == txn.AbortLockConflict; attempt++ {
+	reason := s.execInnerOnLane(n, proc, req.Args, dec.InnerOps)
+	for attempt := 0; attempt < hotWaveRetries && reason == txn.AbortLockConflict; attempt++ {
 		if !sleepJittered(ctx, hotWaveRetryBase<<attempt) {
-			iresp = innerResponse{Reason: txn.AbortCancelled}
+			reason = txn.AbortCancelled
 			break
 		}
-		iresp = e.execInner(s, innerNode, proc, &ireq)
+		reason = s.execInnerOnLane(n, proc, req.Args, dec.InnerOps)
 	}
-	if !iresp.OK {
-		n.CancelInnerAcks(txnID)
-		n.ReleaseInnerWaiter(ack)
-		return abort(iresp.Reason, iresp.detail)
+	if reason != txn.AbortNone {
+		return abort(reason)
 	}
-	n.ResolveInnerAcks(txnID, iresp.Streamed)
-	for id, v := range iresp.Reads {
-		s.reads[id] = v
-	}
-	// The inner host reserved the transaction's commit timestamp at its
-	// unilateral commit point (under the hot records' bucket locks, so
-	// per-key timestamp order equals lock order) and stamped the inner
-	// stream with it; every outer apply below carries the same stamp, and
-	// the coordinator releases it only after the whole commit wave has
-	// landed cluster-wide — the stable snapshot watermark never includes
-	// a half-applied transaction. Zero when MVCC is off (Release(0) is a
-	// no-op).
-	s.ts = iresp.TS
-
-	// The transaction is now committed (the inner host decided). The
+	// The transaction is now committed (the inner region decided). The
 	// steps below cannot abort it; a failure here is an engine invariant
 	// violation, not a transaction abort.
+	//
+	// The region reserved the commit timestamp s.ts at its unilateral
+	// commit point (under the hot records' bucket locks, so per-key
+	// timestamp order equals lock order) and stamped the inner stream
+	// with it; every outer apply below carries the same stamp, and finish
+	// releases it only after the whole commit wave has landed
+	// cluster-wide — the stable snapshot watermark never includes a
+	// half-applied transaction. Zero when MVCC is off (Release(0) is a
+	// no-op).
 
 	// Step 5: commit the outer region. Compute the deferred outer writes
 	// — their mutators may consume values produced by the inner region —
@@ -348,8 +320,8 @@ func (e *Engine) runTwoRegion(ctx context.Context, req *txn.Request, proc *txn.P
 
 	// Wait for the inner region's replicas to acknowledge (to us, the
 	// coordinator — Figure 6) before completing the transaction.
-	<-ack.Done()
-	n.ReleaseInnerWaiter(ack)
+	<-s.ack.Done()
+	n.ReleaseInnerWaiter(s.ack)
 
 	// Final step: join the outer replica acks, then one parallel commit
 	// wave over every outer participant (finish). The transaction's
@@ -476,9 +448,8 @@ type pendingOp struct {
 // so allocates what it hands on (its read set, the values its mutators
 // build) and little else.
 //
-// Lifetime: runTwoRegion takes one and lends it to a co-located inner
-// region; a delegated region takes its own on the inner host. Its last
-// reader releases it, once: the abort path, or finish — a committed
+// Lifetime: runTwoRegion takes one and its inner region runs on it. Its
+// last reader releases it, once: the abort path, or finish — a committed
 // transaction's tail reads the outer writes and participants after Run
 // has returned. release drops every value pointer, so the pool pins no
 // record and nothing leaks into the next transaction. The read set is
@@ -514,9 +485,11 @@ type scratch struct {
 	repl  *server.PendingReplication
 
 	// Inner region: buffered writes — also the read-your-own-writes
-	// index — and the bucket locks held.
+	// index — the bucket locks held, and once it committed (with ts) the
+	// waiter for its replicas' acks.
 	writes []server.WriteOp
 	locks  []innerLockRef
+	ack    *server.AckWaiter
 }
 
 var scratchPool = sync.Pool{New: func() any {

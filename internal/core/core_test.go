@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"strings"
 	"sync"
 	"testing"
 
@@ -38,19 +39,29 @@ func newHarness(t *testing.T) (*Engine, *server.Node) {
 	}
 	dir.SetHot(storage.RID{Table: 1, Key: 7}, 0)
 	node := server.New(net.Endpoint(0), st, txn.NewRegistry(), dir, 0)
-	RegisterVerbs(node)
 	return New(node), node
 }
 
-// execInnerLocal runs an inner region on the node's lanes with a scratch
-// of its own, as a coordinator co-located with the inner host does.
-func execInnerLocal(n *server.Node, txnID uint64, procName string, innerOps []int, reads txn.ReadSet) innerResponse {
+// execInnerOn runs an inner region on the node's lanes with a scratch of
+// its own, as runTwoRegion does once the outer region is locked, and
+// joins the replica acks of a committed one (txn.AbortNone).
+func execInnerOn(n *server.Node, txnID uint64, proc *txn.Procedure, args txn.Args, innerOps []int, reads txn.ReadSet) txn.AbortReason {
+	s := newScratch()
+	defer s.release()
+	s.txnID, s.reads = txnID, reads
+	reason := s.execInnerOnLane(n, proc, args, innerOps)
+	if reason == txn.AbortNone {
+		<-s.ack.Done()
+		n.ReleaseInnerWaiter(s.ack)
+	}
+	return reason
+}
+
+func execInnerLocal(n *server.Node, txnID uint64, procName string, innerOps []int, reads txn.ReadSet) txn.AbortReason {
 	if reads == nil {
 		reads = txn.ReadSet{}
 	}
-	s := newScratch()
-	defer s.release()
-	return s.execInnerOnLane(n, txnID, n.ID(), n.Registry().Lookup(procName), nil, innerOps, reads, nil)
+	return execInnerOn(n, txnID, n.Registry().Lookup(procName), nil, innerOps, reads)
 }
 
 func TestHotLastOrder(t *testing.T) {
@@ -125,9 +136,8 @@ func TestExecInnerLocalCommitsUnilaterally(t *testing.T) {
 	if err := node.Registry().Register(proc); err != nil {
 		t.Fatal(err)
 	}
-	resp := execInnerLocal(node, 100, "inner", []int{0}, nil)
-	if !resp.OK {
-		t.Fatalf("inner aborted: %v", resp.Reason)
+	if reason := execInnerLocal(node, 100, "inner", []int{0}, nil); reason != txn.AbortNone {
+		t.Fatalf("inner aborted: %v", reason)
 	}
 	// Committed immediately: value visible, locks released.
 	v, _, err := node.Store().Table(1).Bucket(7).Get(7)
@@ -158,9 +168,8 @@ func TestExecInnerLocalAbortsOnConflict(t *testing.T) {
 		t.Fatal("setup")
 	}
 	defer b.Lock.Unlock(storage.LockExclusive)
-	resp := execInnerLocal(node, 101, "conflict", []int{0}, nil)
-	if resp.OK || resp.Reason != txn.AbortLockConflict {
-		t.Fatalf("resp = %+v", resp)
+	if reason := execInnerLocal(node, 101, "conflict", []int{0}, nil); reason != txn.AbortLockConflict {
+		t.Fatalf("reason = %v, want a lock conflict", reason)
 	}
 	// Original value intact.
 	v, _, _ := b.Get(7)
@@ -193,39 +202,14 @@ func TestInnerLockNamespaceIsolation(t *testing.T) {
 		t.Fatal(lr.Reason)
 	}
 	// Inner region executes and commits under the same txn id.
-	resp := execInnerLocal(node, txnID, "ns", []int{1}, txn.ReadSet{0: []byte{2}})
-	if !resp.OK {
-		t.Fatalf("inner: %v", resp.Reason)
+	if reason := execInnerLocal(node, txnID, "ns", []int{1}, txn.ReadSet{0: []byte{2}}); reason != txn.AbortNone {
+		t.Fatalf("inner: %v", reason)
 	}
 	// The outer shared lock must still be held.
 	if !node.Store().Table(1).Bucket(2).Lock.Held() {
 		t.Fatal("inner commit released the outer lock")
 	}
 	node.AbortLocal(txnID)
-}
-
-func TestInnerRequestWireRoundTrip(t *testing.T) {
-	req := &innerRequest{
-		TxnID:    7,
-		Coord:    3,
-		Proc:     "p",
-		Args:     txn.Args{1, 2},
-		InnerOps: []int{0, 2},
-		Reads:    txn.ReadSet{1: []byte("v")},
-	}
-	got, err := decodeInnerRequest(req.encode())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.TxnID != 7 || got.Coord != 3 || got.Proc != "p" ||
-		len(got.Args) != 2 || len(got.InnerOps) != 2 || string(got.Reads[1]) != "v" {
-		t.Fatalf("got %+v", got)
-	}
-	resp := &innerResponse{OK: true, Reads: txn.ReadSet{0: []byte("r")}}
-	rgot, err := decodeInnerResponse(resp.encode())
-	if err != nil || !rgot.OK || string(rgot.Reads[0]) != "r" {
-		t.Fatalf("resp %+v err=%v", rgot, err)
-	}
 }
 
 func TestRunFallsBackForColdTxn(t *testing.T) {
@@ -270,8 +254,13 @@ func TestRunUnknownProc(t *testing.T) {
 // multiHarness builds a 3-node cluster with table 1 range-partitioned:
 // keys [0,100) on node 0, [100,200) on node 1, [200,300) on node 2.
 func multiHarness(t *testing.T) ([]*Engine, []*server.Node, *simfab.Network) {
+	return faultyMultiHarness(t, nil)
+}
+
+// faultyMultiHarness is multiHarness on a fabric with a fault plan.
+func faultyMultiHarness(t *testing.T, plan *simfab.FaultPlan) ([]*Engine, []*server.Node, *simfab.Network) {
 	t.Helper()
-	net := simfab.New(simfab.Config{})
+	net := simfab.New(simfab.Config{Faults: plan})
 	t.Cleanup(net.Close)
 	topo := cluster.NewTopology(3, 1)
 	dir := cluster.NewDirectory(topo, cluster.RangePartitioner{
@@ -289,7 +278,6 @@ func multiHarness(t *testing.T) ([]*Engine, []*server.Node, *simfab.Network) {
 			}
 		}
 		nodes[i] = server.New(net.Endpoint(simfab.NodeID(i)), st, reg, dir, cluster.PartitionID(i))
-		RegisterVerbs(nodes[i])
 		engines[i] = New(nodes[i])
 	}
 	return engines, nodes, net
@@ -300,6 +288,90 @@ func drainAll(engines []*Engine) {
 	for _, e := range engines {
 		e.Drain()
 	}
+}
+
+// placedProc registers a two-region procedure on the multi-node harness:
+// a cold read on node 0 (outer) and an update of hot key 110, which makes
+// node 1 the inner host.
+func placedProc(t *testing.T, nodes []*server.Node) *txn.Request {
+	t.Helper()
+	nodes[0].Directory().SetHot(storage.RID{Table: 1, Key: 110}, 1)
+	nodes[0].Registry().MustRegister(&txn.Procedure{
+		Name: "placed",
+		Ops: []txn.OpSpec{
+			{ID: 0, Type: txn.OpRead, Table: 1, Key: key(10)},
+			{ID: 1, Type: txn.OpUpdate, Table: 1, Key: key(110), Mutate: setVal(77)},
+		},
+	})
+	return &txn.Request{Proc: "placed"}
+}
+
+// assertUntouched fails unless the hot record still holds its loaded
+// value and no node holds participant state or the hot bucket's lock.
+func assertUntouched(t *testing.T, nodes []*server.Node) {
+	t.Helper()
+	b := nodes[1].Store().Table(1).Bucket(110)
+	if v, _, err := b.Get(110); err != nil || len(v) != 1 || v[0] != 110 {
+		t.Errorf("hot record = %v (err %v), want the loaded [110]", v, err)
+	}
+	if b.Lock.Held() {
+		t.Error("hot bucket still locked")
+	}
+	for _, n := range nodes {
+		if n.ActiveTxns() != 0 {
+			t.Errorf("node %d holds %d transactions' participant state", n.ID(), n.ActiveTxns())
+		}
+	}
+}
+
+// A route call that fails is a retryable abort naming the inner host:
+// the origin executes nothing itself (the routed copy may have run — a
+// real wire is at-most-once), and the same request commits once it
+// reaches the host.
+func TestFailedRouteAbortsUnreachableWithoutExecuting(t *testing.T) {
+	engines, nodes, _ := faultyMultiHarness(t, &simfab.FaultPlan{
+		DropProb:  1,
+		Droppable: func(m string) bool { return m == server.VerbTxnRoute },
+	})
+	req := placedProc(t, nodes)
+	res := engines[0].Run(context.Background(), req)
+	if res.Committed || res.Reason != txn.AbortUnreachable {
+		t.Fatalf("res = %+v, want an unreachable abort", res)
+	}
+	if !strings.Contains(res.Detail, "node 1") {
+		t.Errorf("detail %q does not name the inner host", res.Detail)
+	}
+	drainAll(engines)
+	assertUntouched(t, nodes)
+
+	if res := engines[1].Run(context.Background(), req); !res.Committed {
+		t.Fatalf("on its inner host the request aborted: %v %s", res.Reason, res.Detail)
+	}
+	drainAll(engines)
+	if v, _, _ := nodes[1].Store().Table(1).Bucket(110).Get(110); len(v) != 1 || v[0] != 77 {
+		t.Fatalf("hot record = %v after the commit, want [77]", v)
+	}
+}
+
+// A routed request that lands on a node which is not its inner host
+// (the origin's layout was stale) aborts moved before taking any lock;
+// it is not forwarded again and not coordinated from the wrong node.
+func TestRouteToWrongHostAbortsMoved(t *testing.T) {
+	engines, nodes, _ := multiHarness(t)
+	req := placedProc(t, nodes)
+	raw, err := nodes[0].Endpoint().Call(2, server.VerbTxnRoute, encodeRouteRequest(req))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := decodeRouteResult(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Committed || res.Reason != txn.AbortMoved {
+		t.Fatalf("res = %+v, want a moved abort", res)
+	}
+	drainAll(engines)
+	assertUntouched(t, nodes)
 }
 
 // lockRecorder interposes a node's lock-wave doorbell, recording each
@@ -469,15 +541,17 @@ func TestScratchDoesNotLeakAbortedWrites(t *testing.T) {
 
 	// The same scratch, re-entered without going through the pool.
 	s := newScratch()
-	if resp, _ := s.execInner(node, 1, node.ID(), aborter, nil, []int{0, 1, 2}, txn.ReadSet{}, nil); resp.OK || resp.Reason != txn.AbortConstraint {
-		t.Fatalf("aborting region: %+v", resp)
+	s.txnID, s.reads = 1, txn.ReadSet{}
+	if reason, _ := s.execInner(node, aborter, nil, []int{0, 1, 2}); reason != txn.AbortConstraint {
+		t.Fatalf("aborting region: %v", reason)
 	}
 	if len(s.writes) != 2 {
 		t.Fatalf("aborted region left %d buffered writes, want the 2 it made before failing", len(s.writes))
 	}
 	reads := txn.ReadSet{}
-	if resp, _ := s.execInner(node, 2, node.ID(), reader, nil, []int{0, 1}, reads, nil); !resp.OK {
-		t.Fatalf("reading region: %v", resp.Reason)
+	s.txnID, s.reads = 2, reads
+	if reason, _ := s.execInner(node, reader, nil, []int{0, 1}); reason != txn.AbortNone {
+		t.Fatalf("reading region: %v", reason)
 	}
 	check("re-entered scratch", reads)
 	s.release()

@@ -11,87 +11,6 @@ import (
 	"github.com/chillerdb/chiller/internal/wire"
 )
 
-// innerRequest is the RPC the coordinator sends to the inner host
-// (step 4 of §3.3): "all information needed to execute and commit the
-// transaction (transaction ID, all remaining operation IDs, input
-// parameters, etc.)".
-type innerRequest struct {
-	TxnID    uint64
-	Coord    transport.NodeID
-	Proc     string
-	Args     txn.Args
-	InnerOps []int
-	Reads    txn.ReadSet // outer-region values the inner ops may need
-}
-
-func (r *innerRequest) encode() []byte {
-	w := wire.NewWriter(128)
-	w.Uint64(r.TxnID)
-	w.Uint32(uint32(r.Coord))
-	w.String(r.Proc)
-	w.Int64s(r.Args)
-	w.Ints(r.InnerOps)
-	r.Reads.Encode(w)
-	return w.Bytes()
-}
-
-func decodeInnerRequest(p []byte) (*innerRequest, error) {
-	r := wire.NewReader(p)
-	req := &innerRequest{}
-	req.TxnID = r.Uint64()
-	req.Coord = transport.NodeID(r.Uint32())
-	req.Proc = r.String()
-	req.Args = r.Int64s()
-	req.InnerOps = r.Ints()
-	req.Reads = txn.DecodeReadSet(r, nil)
-	return req, r.Err()
-}
-
-// innerResponse reports the inner host's unilateral decision plus the
-// values it read (the coordinator needs them to materialize outer writes
-// with v-deps on the inner region — e.g. Figure 4's cost value flowing
-// back to the customer-balance update).
-type innerResponse struct {
-	OK     bool
-	Reason txn.AbortReason
-	Reads  txn.ReadSet
-	// TS is the commit timestamp the inner host reserved at its
-	// unilateral commit point (zero when MVCC is off). The coordinator
-	// stamps every outer apply with it and releases it once the commit
-	// wave has landed cluster-wide.
-	TS uint64
-	// Streamed is how many replication-stream messages the inner host
-	// sent for this region — the number of acks the coordinator must
-	// wait out. It is a count the host alone knows: the stream targets
-	// are captured from the host's topology snapshot, which can include
-	// a warming replica mid-handoff that the coordinator's view lacks.
-	Streamed int
-	// detail is coordinator-local failure context (transport errors on
-	// the delegation RPC); it never travels on the wire.
-	detail string
-}
-
-func (r *innerResponse) encode() []byte {
-	w := wire.NewWriter(64)
-	w.Bool(r.OK)
-	w.Uint8(uint8(r.Reason))
-	w.Uint64(r.TS)
-	w.Uint32(uint32(r.Streamed))
-	r.Reads.Encode(w)
-	return w.Bytes()
-}
-
-func decodeInnerResponse(p []byte) (*innerResponse, error) {
-	r := wire.NewReader(p)
-	resp := &innerResponse{}
-	resp.OK = r.Bool()
-	resp.Reason = txn.AbortReason(r.Uint8())
-	resp.TS = r.Uint64()
-	resp.Streamed = int(r.Uint32())
-	resp.Reads = txn.DecodeReadSet(r, nil)
-	return resp, r.Err()
-}
-
 // encodeRouteRequest serializes a transaction-placement request.
 func encodeRouteRequest(req *txn.Request) []byte {
 	w := wire.NewWriter(64 + len(req.Args)*8)
@@ -135,85 +54,26 @@ func decodeRouteResult(p []byte) (txn.Result, error) {
 }
 
 // route ships the request to its inner host for coordination there
-// (§4.2's transaction placement). ok=false means routing could not be
-// attempted and the caller should coordinate locally.
-func (e *Engine) route(host transport.NodeID, req *txn.Request) (txn.Result, bool) {
+// (§4.2's transaction placement) and returns that coordinator's verdict.
+// A route that fails is a retryable abort naming the host, never a
+// second execution from here: over a real wire a failed call is
+// at-most-once, not never-happened (docs/NETWORK.md), so the routed copy
+// may have committed.
+func (e *Engine) route(host transport.NodeID, req *txn.Request) txn.Result {
 	start := time.Now()
 	raw, err := e.node.Endpoint().Call(host, server.VerbTxnRoute, encodeRouteRequest(req))
 	e.node.VerbMetrics().Observe(server.KindRoute, time.Since(start))
-	if err != nil {
-		return txn.Result{}, false
+	var res txn.Result
+	if err == nil {
+		res, err = decodeRouteResult(raw)
 	}
-	res, derr := decodeRouteResult(raw)
-	if derr != nil {
-		return txn.Result{Reason: txn.AbortInternal}, true
+	if err != nil { // an undecodable reply classifies as internal
+		return txn.Result{
+			Reason: server.TransportAbortReason(err),
+			Detail: fmt.Sprintf("route to inner host node %d: %v", host, err),
+		}
 	}
-	return res, true
-}
-
-// RegisterVerbs installs the inner-region execution handler on a node.
-// Every node that can host an inner region needs it.
-func RegisterVerbs(n *server.Node) {
-	n.Endpoint().HandleAsync(server.VerbInnerExec, func(_ transport.NodeID, raw []byte, reply func([]byte, error)) {
-		// Inner execution is the heaviest handler in the system, so
-		// neither it nor its request decode may run inline on the
-		// fabric's dispatcher. On a single-lane node the lane is known
-		// without decoding, so the whole request (decode included)
-		// ships straight to lane 0; on a multi-lane node a fresh
-		// goroutine decodes and decides the lane, then submits the
-		// region to the owning lane's serial executor with the reply
-		// firing from the lane (pre-submission order is irrelevant —
-		// same-lane order is established by the submission itself).
-		// Ordering of the replication stream is guaranteed per lane
-		// (commit order == stream order on a lane; cross-lane conflicts
-		// are ordered by the bucket locks held across the stream send),
-		// not by delivery order.
-		serve := func(raw []byte) {
-			req, err := decodeInnerRequest(raw)
-			if err != nil {
-				reply(nil, err)
-				return
-			}
-			proc := n.Registry().Lookup(req.Proc)
-			if proc == nil {
-				reply((&innerResponse{Reason: txn.AbortInternal}).encode(), nil)
-				return
-			}
-			// req.Reads was freshly decoded, so the inner region
-			// extends it in place; collect gathers the inner reads for
-			// the response.
-			collect := make(txn.ReadSet, len(req.InnerOps))
-			exec := func() {
-				sc := newScratch()
-				resp, wait := sc.execInner(n, req.TxnID, req.Coord, proc, req.Args, req.InnerOps, req.Reads, collect)
-				sc.release()
-				if wait == nil {
-					reply(resp.encode(), nil)
-					return
-				}
-				// The reply is the region's commit acknowledgement:
-				// hold it until the WAL flush lands, but on a fresh
-				// goroutine so the lane executor moves on to the next
-				// inner region while this one's fsync batch is pending.
-				go func() {
-					if err := wait(); err != nil {
-						panic(fmt.Sprintf("core: inner commit %d not durable: %v", req.TxnID, err))
-					}
-					reply(resp.encode(), nil)
-				}()
-			}
-			if n.NumLanes() <= 1 {
-				exec() // already on lane 0
-				return
-			}
-			n.SubmitLane(innerLane(n, proc, req.Args, req.InnerOps, req.Reads), exec)
-		}
-		if n.NumLanes() <= 1 {
-			n.SubmitLane(0, func() { serve(raw) })
-			return
-		}
-		go serve(raw)
-	})
+	return res
 }
 
 // innerLane picks the execution lane that serializes an inner region:
@@ -251,32 +111,6 @@ func innerLane(n *server.Node, proc *txn.Procedure, args txn.Args, innerOps []in
 	return lane
 }
 
-// execInner delegates the inner region: a direct call when the inner host
-// is this node (the common case after contention-aware partitioning — the
-// coordinator was placed with the hot data), an RPC otherwise. On the
-// direct path the region borrows the coordinator's scratch, the
-// coordinator's read set is extended in place and the response carries
-// no separate read set.
-func (e *Engine) execInner(s *scratch, innerNode transport.NodeID, proc *txn.Procedure, req *innerRequest) innerResponse {
-	if innerNode == e.node.ID() {
-		return s.execInnerOnLane(e.node, req.TxnID, req.Coord, proc, req.Args, req.InnerOps, req.Reads, nil)
-	}
-	start := time.Now()
-	raw, err := e.node.Endpoint().Call(innerNode, server.VerbInnerExec, req.encode())
-	e.node.VerbMetrics().Observe(server.KindInnerExec, time.Since(start))
-	if err != nil {
-		return innerResponse{
-			Reason: server.TransportAbortReason(err),
-			detail: fmt.Sprintf("inner exec at node %d: %v", innerNode, err),
-		}
-	}
-	resp, derr := decodeInnerResponse(raw)
-	if derr != nil {
-		return innerResponse{Reason: txn.AbortInternal, detail: fmt.Sprintf("inner exec at node %d: %v", innerNode, derr)}
-	}
-	return *resp
-}
-
 // execInnerOnLane executes and unilaterally commits an inner region on
 // this node: the whole region — lock, execute, commit, stream — runs on
 // the serial executor of the lane owning its hottest record, modelling
@@ -294,17 +128,15 @@ func (e *Engine) execInner(s *scratch, innerNode transport.NodeID, proc *txn.Pro
 // outer locks the coordinator may hold on this same node under the same
 // transaction id.
 //
-// reads is the working read set (the outer region's values on entry); it
-// is extended IN PLACE with the inner region's reads, which lets a
-// co-located coordinator hand over its own read set and skip both the
-// defensive copy and the merge. The returned response's Reads aliases
-// collect when non-nil (the RPC path's response set) and is nil
-// otherwise.
-func (s *scratch) execInnerOnLane(n *server.Node, txnID uint64, coord transport.NodeID, proc *txn.Procedure, args txn.Args, innerOps []int, reads txn.ReadSet, collect txn.ReadSet) innerResponse {
-	var resp innerResponse
+// The region works on the coordinator's own scratch: s.reads (the outer
+// region's values on entry) is extended in place with the inner reads,
+// and on success — txn.AbortNone — s.ts and s.ack carry the commit
+// timestamp and the replica-ack waiter.
+func (s *scratch) execInnerOnLane(n *server.Node, proc *txn.Procedure, args txn.Args, innerOps []int) txn.AbortReason {
+	var reason txn.AbortReason
 	var wait func() error
-	n.WithLaneSerial(innerLane(n, proc, args, innerOps, reads), func() {
-		resp, wait = s.execInner(n, txnID, coord, proc, args, innerOps, reads, collect)
+	n.WithLaneSerial(innerLane(n, proc, args, innerOps, s.reads), func() {
+		reason, wait = s.execInner(n, proc, args, innerOps)
 	})
 	// Durability wait off the lane, on the coordinator's goroutine: the
 	// lane is free to run the next inner region while this commit's
@@ -312,10 +144,10 @@ func (s *scratch) execInnerOnLane(n *server.Node, txnID uint64, coord transport.
 	// build outer writes on) the region before it is durable.
 	if wait != nil {
 		if err := wait(); err != nil {
-			panic(fmt.Sprintf("core: inner commit %d not durable: %v", txnID, err))
+			panic(fmt.Sprintf("core: inner commit %d not durable: %v", s.txnID, err))
 		}
 	}
-	return resp
+	return reason
 }
 
 // innerLockRef is one bucket lock held by an in-flight inner region.
@@ -335,18 +167,18 @@ type innerLockRef struct {
 // reset on entry, so a re-requested region starts clean. The second
 // return is the durability wait for the unilateral commit — nil when
 // nothing needs flushing — which the caller must complete off-lane
-// before acknowledging the region.
-func (s *scratch) execInner(n *server.Node, txnID uint64, coord transport.NodeID, proc *txn.Procedure, args txn.Args, innerOps []int, reads txn.ReadSet, collect txn.ReadSet) (innerResponse, func() error) {
+// before building on the region.
+func (s *scratch) execInner(n *server.Node, proc *txn.Procedure, args txn.Args, innerOps []int) (txn.AbortReason, func() error) {
 	clear(s.writes) // a failed earlier attempt's values must not linger
 	s.writes, s.locks = s.writes[:0], s.locks[:0]
+	txnID, reads := s.txnID, s.reads
 	// The partition whose replicas receive this region's stream. Every
-	// inner op targets the single delegated partition; resolve it from
-	// the first op's record rather than this node's identity, which
-	// diverge after a replica promotion (the new primary executes inner
-	// regions for the adopted partition). Falls back to the node's own
-	// partition for a region with no ops.
-	innerPID := n.Partition()
-	innerPIDSet := false
+	// inner op targets the one inner partition; it is resolved again here
+	// from the first op's record, under the directory as it is now, rather
+	// than taken from the coordinator's decision: a hot-record migration
+	// that re-homed the record since then must abort the region (the pin
+	// below fails), not let it commit into the copy left behind.
+	innerPID := s.innerPID
 	// entered tracks the partition pin taken at innerPID resolution; the
 	// pin holds the handoff fence open (DrainPartition waits it out), so
 	// a mid-flight partition move can never flip routing under a region
@@ -359,12 +191,11 @@ func (s *scratch) execInner(n *server.Node, txnID uint64, coord transport.NodeID
 		}
 		if entered {
 			n.LeavePartition(innerPID)
-			entered = false
 		}
 	}
-	abort := func(reason txn.AbortReason) (innerResponse, func() error) {
+	abort := func(reason txn.AbortReason) (txn.AbortReason, func() error) {
 		release()
-		return innerResponse{Reason: reason}, nil
+		return reason, nil
 	}
 	// lock acquires b in the requested mode, deduplicating against locks
 	// this inner region already holds (same semantics as the participant
@@ -428,9 +259,8 @@ func (s *scratch) execInner(n *server.Node, txnID uint64, coord transport.NodeID
 		if tbl == nil {
 			return abort(txn.AbortInternal)
 		}
-		if !innerPIDSet {
+		if !entered {
 			innerPID = n.Directory().Partition(storage.RID{Table: op.Table, Key: key})
-			innerPIDSet = true
 			// Fenced (mid-handoff) or no longer primary: the region must
 			// re-route. AbortMoved is retryable at the client, and the
 			// retry re-reads the directory, landing on the new primary.
@@ -468,9 +298,6 @@ func (s *scratch) execInner(n *server.Node, txnID uint64, coord transport.NodeID
 			}
 			if read {
 				reads[opID] = v
-				if collect != nil {
-					collect[opID] = v
-				}
 			}
 		}
 		if op.Check != nil {
@@ -510,12 +337,12 @@ func (s *scratch) execInner(n *server.Node, txnID uint64, coord transport.NodeID
 	// Reserve the transaction's commit timestamp here — under the inner
 	// region's bucket locks, past the last abortable check — so per-key
 	// timestamp order equals lock order on the hot records. The stamp
-	// covers the inner stream, the local apply, and (carried back in the
-	// response) every outer apply; the coordinator releases it at the end
-	// of its commit tail. The re-request ladder cannot double-reserve: a
-	// lock conflict aborts before this point, and a committed region
-	// (reserved) answers OK, which ends the ladder. The two failure paths
-	// below release immediately — they apply nothing anywhere.
+	// covers the inner stream, the local apply, and (through s.ts) every
+	// outer apply; the coordinator releases it at the end of its commit
+	// tail. The re-request ladder cannot double-reserve: a lock conflict
+	// aborts before this point, and a committed region ends the ladder.
+	// The two failure paths below release immediately — they apply nothing
+	// anywhere.
 	var ts uint64
 	clock := n.Clock()
 	if clock != nil {
@@ -523,64 +350,63 @@ func (s *scratch) execInner(n *server.Node, txnID uint64, coord transport.NodeID
 	}
 
 	// Stream the new values to this partition's replicas without
-	// waiting; replicas acknowledge to the coordinator (Figure 6). The
-	// stream is enqueued *before* the local apply and before the bucket
-	// locks release, for two load-bearing reasons: (a) conflicting inner
-	// regions (on other lanes, or outer regions of other transactions)
-	// are serialized only by these locks, so sending under them keeps
-	// stream order equal to commit order for every record (per-link FIFO
-	// delivery and per-lane replica apply do the rest); and (b) the send
-	// is the last step that can fail (fabric closing, partition window) —
-	// failing it before anything is applied lets the inner region abort
-	// cleanly instead of stranding a half-applied transaction that the
-	// coordinator reports as aborted. The send is a local enqueue and
-	// never waits on the network.
+	// waiting; replicas acknowledge to this node, the coordinator
+	// (Figure 6). The stream is enqueued *before* the local apply and
+	// before the bucket locks release, for two load-bearing reasons: (a)
+	// conflicting inner regions (on other lanes, or outer regions of other
+	// transactions) are serialized only by these locks, so sending under
+	// them keeps stream order equal to commit order for every record
+	// (per-link FIFO delivery and per-lane replica apply do the rest); and
+	// (b) the send is the last step that can fail (fabric closing,
+	// partition window) — failing it before anything is applied lets the
+	// inner region abort cleanly instead of stranding a half-applied
+	// transaction that the coordinator reports as aborted. The send is a
+	// local enqueue and never waits on the network.
 	// Capture the stream targets once, while the bucket locks (and the
-	// partition pin) are held: the same snapshot sizes the coordinator's
-	// ack wait (Streamed, below) and receives the sends, so a warming
-	// replica added mid-handoff is either in both or in neither.
-	targets := n.Directory().Topology().StreamTargets(innerPID)
-	streamed := 0
+	// partition pin) are held: the same snapshot sizes the ack wait —
+	// registered before the first send, so no ack can race past it — and
+	// receives the sends, so a warming replica added mid-handoff is either
+	// in both or in neither. A region with no writes streams nothing and
+	// its waiter is born fired.
+	var targets []transport.NodeID
 	if len(writes) > 0 {
-		sent, err := n.StreamInnerRepl(targets, txnID, ts, coord, writes)
-		if err != nil {
-			if sent > 0 {
-				// A partially-sent stream means some replica will apply a
-				// write set this abort disowns; no compensation exists, so
-				// surface the invariant violation (only reachable by a
-				// blunt-mode partition or a mid-traffic fabric Close —
-				// every fault plan protects the stream).
-				panic(fmt.Sprintf("core: inner replication stream partially sent (%d replicas) then failed (txn %d): %v", sent, txnID, err))
-			}
-			if clock != nil {
-				clock.Release(ts)
-			}
-			return abort(txn.AbortInternal)
+		targets = n.Directory().Topology().StreamTargets(innerPID)
+	}
+	ack := n.ExpectInnerAcks(txnID, len(targets))
+	fail := func() (txn.AbortReason, func() error) {
+		n.CancelInnerAcks(txnID)
+		n.ReleaseInnerWaiter(ack)
+		if clock != nil {
+			clock.Release(ts)
 		}
-		streamed = sent
+		return abort(txn.AbortInternal)
+	}
+	if sent, err := n.StreamInnerRepl(targets, txnID, ts, writes); err != nil {
+		if sent > 0 {
+			// A partially-sent stream means some replica will apply a
+			// write set this abort disowns; no compensation exists, so
+			// surface the invariant violation (only reachable by a
+			// blunt-mode partition or a mid-traffic fabric Close —
+			// every fault plan protects the stream).
+			panic(fmt.Sprintf("core: inner replication stream partially sent (%d replicas) then failed (txn %d): %v", sent, txnID, err))
+		}
+		return fail()
 	}
 	// The values are the ones this region's mutators just built: the
 	// store takes them as they are (txn.MutateFunc's ownership rule).
 	if err := server.ApplyWrites(n.Store(), ts, writes, true); err != nil {
 		// A write to a locked, verified record cannot legitimately fail;
 		// engine invariant violation.
-		if clock != nil {
-			clock.Release(ts)
-		}
-		return abort(txn.AbortInternal)
+		return fail()
 	}
 	// Append to the lane's WAL while the bucket locks are still held —
 	// log order must equal commit order — then release. The flush wait
-	// is returned to the caller: the inner region's reply is its commit
-	// acknowledgement, so the reply must not leave the node before the
-	// record is durable, but the wait must happen OFF this lane's
-	// executor (blocking it would cap the lane at one inner region per
-	// fsync batch; see execInnerOnLane and RegisterVerbs).
+	// is returned to the caller: the coordinator must not build on (or
+	// acknowledge) the region before the record is durable, but the wait
+	// must happen OFF this lane's executor (blocking it would cap the
+	// lane at one inner region per fsync batch; see execInnerOnLane).
 	wait := n.LogWrites(txnID, ts, writes)
 	release()
-	// A region with no writes streamed nothing; Streamed = 0 resolves the
-	// coordinator's pending ack wait immediately (no self-ack loop — the
-	// coordinator no longer guesses the replica count from its own
-	// topology view).
-	return innerResponse{OK: true, Reads: collect, TS: ts, Streamed: streamed}, wait
+	s.ts, s.ack = ts, ack
+	return txn.AbortNone, wait
 }

@@ -50,7 +50,6 @@ func lanedNode(t *testing.T, lanes int, hook func(k storage.Key)) *server.Node {
 		t.Fatal(err)
 	}
 	n := server.New(net.Endpoint(0), st, reg, dir, 0)
-	RegisterVerbs(n)
 	t.Cleanup(func() {
 		net.Close()
 		n.Close()
@@ -78,11 +77,9 @@ func keysOnLane(t *testing.T, lane, lanes, count int, avoid map[storage.Key]bool
 }
 
 func runInner(n *server.Node, key storage.Key) *txn.Result {
-	s := newScratch()
-	defer s.release()
-	resp := s.execInnerOnLane(n, n.NextTxnID(), n.ID(), n.Registry().Lookup("lanes.touch"),
-		txn.Args{int64(key)}, []int{0}, txn.ReadSet{}, nil)
-	return &txn.Result{Committed: resp.OK, Reason: resp.Reason}
+	reason := execInnerOn(n, n.NextTxnID(), n.Registry().Lookup("lanes.touch"),
+		txn.Args{int64(key)}, []int{0}, txn.ReadSet{})
+	return &txn.Result{Committed: reason == txn.AbortNone, Reason: reason}
 }
 
 // Inner regions whose hot records live on distinct lanes must execute

@@ -178,28 +178,29 @@ func (pr *PendingReplication) Wait() error {
 	return errors.Join(pr.errs...)
 }
 
-// StreamInnerRepl sends the inner-region write set to each stream target
-// of the inner partition as a one-way message and returns immediately:
-// per §5 the inner primary "moves on to the next transaction" without
-// waiting. The targets will ack to the coordinator, not to us. This
-// stream is the one path that must stay two-sided: it relies on per-link
-// FIFO delivery for the §5 in-order-apply property, which the one-sided
-// doorbell path does not provide.
+// StreamInnerRepl sends a write set to each stream target of its
+// partition as a one-way message and returns immediately: per §5 the
+// primary "moves on to the next transaction" without waiting. The
+// targets ack to this node — the transaction's coordinator for an inner
+// region, the relaying primary for forwarded outer replication — under
+// txnID. This stream is the one path that must stay two-sided: it relies
+// on per-link FIFO delivery for the §5 in-order-apply property, which
+// the one-sided doorbell path does not provide.
 //
 // The caller captures targets (Topology.StreamTargets) in the same
-// snapshot it sizes its ack wait with — passing them explicitly keeps
-// the count and the sends agreeing even while a handoff mutates the
-// topology concurrently.
+// snapshot it sizes its ack wait with (ExpectInnerAcks, before calling) —
+// passing them explicitly keeps the count and the sends agreeing even
+// while a handoff mutates the topology concurrently.
 //
 // On failure, sent reports how many sends had already gone out: callers
 // abort cleanly only when sent == 0 (nothing reached any replica); a
 // partial stream has no compensation path and is an engine invariant
 // violation.
-func (n *Node) StreamInnerRepl(targets []transport.NodeID, txnID, ts uint64, coordinator transport.NodeID, writes []WriteOp) (sent int, err error) {
+func (n *Node) StreamInnerRepl(targets []transport.NodeID, txnID, ts uint64, writes []WriteOp) (sent int, err error) {
 	if len(targets) == 0 {
 		return 0, nil
 	}
-	payload := EncodeInnerRepl(txnID, ts, coordinator, writes)
+	payload := EncodeInnerRepl(txnID, ts, n.ID(), writes)
 	for _, r := range targets {
 		if err := n.ep.Send(r, VerbInnerRepl, payload); err != nil {
 			return sent, fmt.Errorf("server: inner repl to node %d: %w", r, err)

@@ -318,7 +318,7 @@ func (n *Node) handleDoorbell(from transport.NodeID, req []byte) ([]byte, error)
 }
 
 // errVerbNotBatchable rejects frames for verbs that need the
-// destination's CPU (inner execution, routing) or its per-link FIFO
+// destination's CPU (routing, the replication relay) or its per-link FIFO
 // ordering (the inner replication stream) and therefore must stay on the
 // two-sided path.
 var errVerbNotBatchable = errors.New("server: verb cannot ride a doorbell")

@@ -143,9 +143,9 @@ func TestDoorbellMiddleFrameAbortReleasesOnlyItsLocks(t *testing.T) {
 }
 
 // A doorbell commit applies its writes and releases the locks it
-// covers. A replica-apply frame in the same ring is rejected: applying
-// writes with neither a WAL append nor stream order is not a doorbell
-// verb, and its sibling still commits.
+// covers. A replication-stream frame in the same ring is rejected:
+// applying writes outside the per-link FIFO's stream order is not a
+// doorbell verb, and its sibling still commits.
 func TestDoorbellCommitAppliesAndRejectsReplApply(t *testing.T) {
 	sender, dest := newTestPair(t)
 	keys := distinctKeys(t, dest, 2)
@@ -160,7 +160,7 @@ func TestDoorbellCommitAppliesAndRejectsReplApply(t *testing.T) {
 
 	d := sender.NewDoorbell(dest.ID())
 	commit := d.PostCommit(7, 0, []WriteOp{{Table: 1, Key: keys[0], Type: txn.OpUpdate, Value: []byte{0xAA}}})
-	repl := d.Post(VerbReplApply, EncodeWrites(8, 0, []WriteOp{{Table: 1, Key: keys[1], Type: txn.OpUpdate, Value: []byte{0xBB}}}))
+	repl := d.Post(VerbInnerRepl, EncodeInnerRepl(8, 0, sender.ID(), []WriteOp{{Table: 1, Key: keys[1], Type: txn.OpUpdate, Value: []byte{0xBB}}}))
 	results, err := d.Ring().Wait()
 	if err != nil {
 		t.Fatal(err)
@@ -192,7 +192,7 @@ func TestDoorbellRejectsNonBatchableVerb(t *testing.T) {
 	keys := distinctKeys(t, dest, 1)
 
 	d := sender.NewDoorbell(dest.ID())
-	bad := d.Post(VerbInnerExec, []byte{1, 2, 3})
+	bad := d.Post(VerbTxnRoute, []byte{1, 2, 3})
 	good := d.PostLockRead(5, []LockEntry{
 		{OpID: 0, Table: 1, Key: keys[0], Mode: storage.LockShared, Read: true, MustExist: true},
 	})

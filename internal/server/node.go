@@ -169,7 +169,6 @@ func New(ep transport.Endpoint, st *storage.Store, reg *txn.Registry, dir *clust
 	// Two-sided verbs are the ones that need a serial executor or per-link
 	// FIFO: replica applies and the replication relay/streams run on the
 	// owning record's lane (see applyByLane), acks count down inline.
-	ep.HandleAsync(VerbReplApply, n.handleReplApply)
 	ep.HandleAsync(VerbReplForward, n.handleReplForward)
 	ep.HandleAsync(VerbInnerRepl, n.handleInnerRepl)
 	ep.Handle(VerbInnerAck, n.handleInnerAck)
@@ -581,20 +580,6 @@ func ApplyWrites(st *storage.Store, ts uint64, writes []WriteOp, owned bool) err
 
 // --- RPC handlers ---
 
-// handleReplApply applies a write set directly on a replica, each
-// record's writes on its owning lane. Engines no longer drive this verb
-// (they forward through the partition primary, see handleReplForward,
-// so every record has exactly one replication pipe); it remains for
-// tooling and direct-apply tests.
-func (n *Node) handleReplApply(_ transport.NodeID, req []byte, reply func([]byte, error)) {
-	txnID, ts, writes, err := DecodeWrites(req)
-	if err != nil {
-		reply(nil, err)
-		return
-	}
-	n.applyByLane(txnID, ts, writes, func(aerr error) { reply(nil, aerr) })
-}
-
 // fwdAckBit namespaces the synthetic ack ids of forwarded replication
 // relays away from real transaction ids (node<<40|seq never sets the
 // top bit), so forward acks and inner-region acks share the node's ack
@@ -650,7 +635,7 @@ func (n *Node) ForwardRepl(pid cluster.PartitionID, ts uint64, writes []WriteOp,
 	}
 	fid := n.NextTxnID() | fwdAckBit
 	ack := n.ExpectInnerAcks(fid, len(targets))
-	if sent, err := n.StreamInnerRepl(targets, fid, ts, n.ID(), writes); err != nil {
+	if sent, err := n.StreamInnerRepl(targets, fid, ts, writes); err != nil {
 		if sent > 0 {
 			// Part of the stream is out: some replica will apply a write
 			// set whose transaction is about to report failure. There is
@@ -755,8 +740,8 @@ func (n *Node) handleInnerAck(_ transport.NodeID, req []byte) ([]byte, error) {
 }
 
 // ExpectInnerAcks registers that the local coordinator will wait for
-// `count` replica acks for txnID. It must be called *before* the inner
-// RPC is sent, so acks can never race past registration. The returned
+// `count` replica acks for txnID. It must be called *before* the stream
+// is sent, so acks can never race past registration. The returned
 // waiter's Done channel receives when all acks arrive (immediately if
 // count <= 0). Hand the waiter back with ReleaseInnerWaiter when done.
 func (n *Node) ExpectInnerAcks(txnID uint64, count int) *AckWaiter {
@@ -774,9 +759,8 @@ func (n *Node) ExpectInnerAcks(txnID uint64, count int) *AckWaiter {
 }
 
 // pendingAckSentinel is the provisional remaining-count a waiter is
-// registered with before its sender knows how many acks to expect (the
-// stream-target count is only final once the inner region captured its
-// topology snapshot). It is far above any real replica count, so early
+// registered with before its sender knows how many acks to expect (a
+// backfill learns its message count only by sending). It is far above any real replica count, so early
 // acks can decrement but never fire the waiter; ResolveInnerAcks
 // subtracts the sentinel back out once the true count is known. Shares
 // the countdown arithmetic of handleInnerAck race-free for every
@@ -784,8 +768,9 @@ func (n *Node) ExpectInnerAcks(txnID uint64, count int) *AckWaiter {
 const pendingAckSentinel = 1 << 50
 
 // ExpectPendingAcks registers a waiter for txnID before the number of
-// expected acks is known. Pair with ResolveInnerAcks (success) or
-// CancelInnerAcks (abort).
+// expected acks is known (BackfillPartition; a sender that knows its
+// targets up front uses ExpectInnerAcks). Pair with ResolveInnerAcks
+// (success) or CancelInnerAcks (abort).
 func (n *Node) ExpectPendingAcks(txnID uint64) *AckWaiter {
 	w := ackPool.Get().(*AckWaiter)
 	w.remaining = pendingAckSentinel
@@ -796,7 +781,7 @@ func (n *Node) ExpectPendingAcks(txnID uint64) *AckWaiter {
 }
 
 // ResolveInnerAcks fixes a pending waiter's expected ack count to
-// streamed (the number of stream targets actually sent to). If every
+// streamed (the number of stream messages actually sent). If every
 // ack already arrived — or streamed is zero — the waiter fires now.
 func (n *Node) ResolveInnerAcks(txnID uint64, streamed int) {
 	n.ackMu.Lock()

@@ -7,14 +7,12 @@ import (
 )
 
 // Verb names for the RPC methods every node serves. Engine-specific verbs
-// (OCC validation, Chiller inner execution) are registered by their
-// packages using these same encoding helpers.
+// (OCC validation, Chiller transaction placement) are registered by
+// their packages using these same encoding helpers.
 const (
 	VerbLockRead  = "lr"    // lock buckets + read records (2PL expanding phase)
 	VerbCommit    = "cm"    // apply writes, release locks (2PC phase 2)
 	VerbAbort     = "ab"    // roll back, release locks
-	VerbReplApply = "repl"  // primary→replica write-set apply (outer region)
-	VerbInnerExec = "inner" // coordinator→inner-host delegation (Chiller)
 	VerbTxnRoute  = "route" // client→coordinator transaction placement (Chiller)
 	VerbInnerRepl = "irepl" // primary→replica stream (one-way; inner + forwarded outer)
 	VerbInnerAck  = "irack" // replica→coordinator / replica→primary ack (one-way)
@@ -29,7 +27,6 @@ const (
 	VerbReplForward = "rfwd"
 	VerbOCCRead     = "ord" // OCC unlocked read
 	VerbOCCValid    = "ovl" // OCC validate + write-lock
-	VerbOCCFinish   = "ofn" // OCC commit or abort after validation
 	// VerbSnapshotRead reads records at a snapshot timestamp from a
 	// node's version chains (MVCC): lock-free, off the lane schedules,
 	// serving the read-only transaction path for partitions the
@@ -80,7 +77,7 @@ const (
 // the protected control plane.
 func PreCommitVerbs(method string) bool {
 	switch method {
-	case VerbLockRead, VerbOCCRead, VerbOCCValid, VerbInnerExec, VerbTxnRoute, VerbDoorbell, VerbSnapshotRead:
+	case VerbLockRead, VerbOCCRead, VerbOCCValid, VerbTxnRoute, VerbDoorbell, VerbSnapshotRead:
 		return true
 	}
 	return false

@@ -25,8 +25,8 @@ import (
 //
 //   - FaultPlan.Droppable selects the verbs the drop dice and partition
 //     windows apply to. The chaos harness restricts faults to the
-//     pre-commit-point protocol (lock waves, OCC read/validate, inner
-//     delegation, routing, lock-wave doorbells), where NO_WAIT abort +
+//     pre-commit-point protocol (lock waves, OCC read/validate,
+//     routing, lock-wave doorbells), where NO_WAIT abort +
 //     retry is the designed recovery path. Post-commit-point verbs
 //     (commit, abort, replica apply, the inner replication stream and
 //     its acks) ride a protected control plane: dropping them would not

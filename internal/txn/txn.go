@@ -236,7 +236,7 @@ func (p *Procedure) Validate() error {
 }
 
 // Registry maps procedure names to definitions. Every node in the cluster
-// holds the same registry so any node can execute a delegated inner region.
+// holds the same registry so any node can coordinate a routed transaction.
 type Registry struct {
 	mu    sync.RWMutex
 	procs map[string]*Procedure

@@ -1,9 +1,10 @@
 #!/usr/bin/env sh
 # allocgate.sh — the machine-independent performance tripwire: runs each
 # workload named in scripts/alloc_ceilings.txt once, traced, for two
-# seconds at seed 42, and fails when a per-commit allocation count
-# exceeds its committed ceiling or the run's own correctness checks
-# fail. Allocation counts do not depend on the host's speed, so unlike
+# seconds at seed 42, and fails when a per-commit count — allocations,
+# allocated bytes, messages, doorbells, RPCs: whichever metrics the file
+# lists — exceeds its committed ceiling or the run's own correctness
+# checks fail. These counts do not depend on the host's speed, so unlike
 # the timing metrics (advisory in CI) this gate blocks.
 set -eu
 

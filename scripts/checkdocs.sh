@@ -18,7 +18,7 @@
 #      so the TCP fabric (or a future RDMA one) stays a drop-in.
 #   5. One assembly: outside _test.go files and benchmark/, nodes are
 #      built (server.New), logs opened (wal.Recover / wal.Open) and
-#      engine verbs registered (occ/core.RegisterVerbs) only under
+#      engine verbs registered (occ.RegisterVerbs) only under
 #      internal/deploy — so the checker certifies the code users run.
 #   6. One fan-out: outside _test.go files and benchmark/, doorbells are
 #      built (NewDoorbell) only under internal/server — coordinators post
@@ -59,7 +59,7 @@ fi
 
 # --- 5. one assembly ------------------------------------------------------
 offenders=$(grep -rnE --include='*.go' \
-        'server\.New\(|wal\.(Recover|Open)\(|(occ|core)\.RegisterVerbs\(' . |
+        'server\.New\(|wal\.(Recover|Open)\(|occ\.RegisterVerbs\(' . |
     grep -v -e '_test\.go:' -e '^\./benchmark/' -e '^\./internal/deploy/' || true)
 if [ -n "$offenders" ]; then
     echo "node assembly outside internal/deploy (build nodes with deploy.NewNode / deploy.NewCluster):" >&2

@@ -89,7 +89,6 @@ func startTCPTestCluster(t *testing.T, parts int) ([]string, []*storage.Store) {
 		st.CreateTable(storage.TableID(tcpAccounts), 256)
 		node := server.New(fab, st, reg, dir, cluster.PartitionID(i))
 		occ.RegisterVerbs(node)
-		core.RegisterVerbs(node)
 		eng := core.New(node)
 		stores[i] = st
 		for k := storage.Key(0); k < 200; k++ {
