@@ -393,7 +393,9 @@ type RepartitionReport struct {
 // paper) over the access samples collected since the last pass: records
 // whose contention likelihood crosses the threshold are placed — and
 // physically moved — so transactions co-locate with their contended
-// data, and the hot lookup table is rewritten. Requires WithSampling.
+// data, and the hot lookup table is rewritten. Requires WithSampling;
+// a pass that finds no sample to work from changes nothing and returns
+// ErrNoSamples.
 //
 // Call it from a maintenance window: in-flight transactions racing a
 // repartition pass may abort against moving records. ctx is consulted
@@ -416,7 +418,7 @@ func (db *DB) Repartition(ctx context.Context) (RepartitionReport, error) {
 
 	samples := db.c.Sampler.Drain()
 	if len(samples) == 0 {
-		return RepartitionReport{}, fmt.Errorf("chiller: repartition: no samples collected yet")
+		return RepartitionReport{}, fmt.Errorf("chiller: repartition: %w", ErrNoSamples)
 	}
 	agg := stats.NewAggregate()
 	agg.Add(samples)
@@ -543,8 +545,9 @@ func (db *DB) Repartition(ctx context.Context) (RepartitionReport, error) {
 }
 
 // autoRepartitionLoop runs a Repartition pass every WithAutoRepartition
-// interval. Passes are best-effort: one with no fresh samples (or one
-// racing Close) is skipped, not fatal.
+// interval. Passes are best-effort: one with no fresh samples
+// (ErrNoSamples) is a no-op tick, and any other failure — a pass racing
+// Close, say — is skipped, not fatal.
 func (db *DB) autoRepartitionLoop() {
 	defer db.bg.Done()
 	t := time.NewTicker(db.cfg.autoRepartition)

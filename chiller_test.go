@@ -447,48 +447,6 @@ func TestBuilderValidation(t *testing.T) {
 	}
 }
 
-// The deprecated WithVerbBatching still opens a working database (it
-// sets nothing: doorbell waves are the only fan-out), hot two-region
-// transactions included.
-func TestWithVerbBatching(t *testing.T) {
-	db := openBank(t, 2, WithVerbBatching(true))
-	ctx := context.Background()
-
-	// Hot source account: transfers touching it run two-region, so the
-	// outer lock wave, replica scatter, and commit tail all run.
-	if err := db.MarkHot(tAccounts, 0); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 40; i++ {
-		dst := Key(1 + (i*7)%199)
-		if dst == 0 {
-			dst = 1
-		}
-		if _, err := db.ExecuteWithRetry(ctx, Retry{}, "bank.transfer", 0, int64(dst), 5); err != nil {
-			t.Fatalf("transfer %d: %v", i, err)
-		}
-	}
-	if v, err := db.Get(tAccounts, 0); err != nil || decBal(v) != 1000-40*5 {
-		t.Fatalf("hot balance = %d, %v; want %d", decBal(v), err, 1000-40*5)
-	}
-	// Conservation across the whole bank.
-	var total int64
-	for k := Key(0); k < 200; k++ {
-		v, err := db.Get(tAccounts, k)
-		if err != nil {
-			t.Fatal(err)
-		}
-		total += decBal(v)
-	}
-	if total != 200*1000 {
-		t.Fatalf("total = %d, want %d", total, 200*1000)
-	}
-	// Constraint aborts still carry the typed taxonomy over doorbells.
-	if _, err := db.Execute(ctx, "bank.transfer", 0, 1, 1_000_000); !errors.Is(err, ErrConstraint) {
-		t.Fatalf("overdraft err = %v, want ErrConstraint", err)
-	}
-}
-
 // A failed Open must unwind everything it had already built. Node 1's
 // log directory is blocked by a regular file, so Open fails after node 0
 // is fully assembled — lane executors running, WAL flusher started —

@@ -2,6 +2,7 @@ package chiller
 
 import (
 	"context"
+	"errors"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -51,7 +52,14 @@ func TestRepartitionRaceLosesNoWrites(t *testing.T) {
 	}
 
 	for pass := 0; pass < 5; pass++ {
-		if _, err := db.Repartition(ctx); err != nil {
+		_, err := db.Repartition(ctx)
+		// No commit landed in the window yet: retry later, as the sentinel
+		// says, for up to a second of the writers' traffic.
+		for tries := 0; errors.Is(err, ErrNoSamples) && tries < 1000; tries++ {
+			time.Sleep(time.Millisecond)
+			_, err = db.Repartition(ctx)
+		}
+		if err != nil {
 			close(stop)
 			wg.Wait()
 			t.Fatalf("repartition pass %d: %v", pass, err)

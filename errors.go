@@ -82,6 +82,11 @@ var (
 	// (see cmd/chiller-node). Register, Execute, and Close are the TCP
 	// client surface.
 	ErrUnsupported = errors.New("operation not supported over this transport")
+	// ErrNoSamples is returned by Repartition when no transaction has
+	// been sampled since the previous pass: there is nothing to
+	// partition by, the layout is untouched, and the pass is worth
+	// retrying later, once traffic has run.
+	ErrNoSamples = errors.New("no samples collected yet")
 )
 
 // AbortError is the concrete error type Execute returns for aborted

@@ -8,11 +8,16 @@
 // routes through the default partitioner — for the Instacart workload this
 // makes the table roughly 10x smaller than Schism's full record→partition
 // map.
+//
+// The table is insert-only open addressing over atomic slots, read with
+// no lock; writers serialize on a mutex, store a slot's present bit last
+// and publish a grown or replaced table through one atomic pointer.
 package cluster
 
 import (
 	"errors"
 	"fmt"
+	"math"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -482,7 +487,8 @@ func (f FuncPartitioner) Name() string {
 // Directory routes records to partitions: hot records via the lookup
 // table, everything else via the default partitioner. It also answers
 // hotness queries for the run-time region decision. Safe for concurrent
-// use; the read path is a single map probe.
+// use; the read path takes no lock: one pointer load, then a probe of
+// the open-addressing lookup table (see hotTable).
 type Directory struct {
 	topo *Topology
 	def  DefaultPartitioner
@@ -493,36 +499,121 @@ type Directory struct {
 	// record→lane mapping without consulting the record's home node.
 	lanes int
 
-	mu  sync.RWMutex
-	hot map[storage.RID]hotEntry
+	mu     sync.Mutex // serializes writers: SetHotPlacement, growth, InstallLayout
+	layout atomic.Pointer[layout]
+}
+
+// layout is what routing reads, published as one pointer so that a
+// reader never pairs a new lookup table with an old full map.
+type layout struct {
+	hot hotTable
 	// full, when non-nil, is a complete record→partition map as built by
 	// Schism-style partitioners; it takes precedence over def but not
-	// over hot. Chiller itself never populates it.
+	// over hot. Chiller itself never populates it, and nothing writes it
+	// once it is published.
 	full map[storage.RID]PartitionID
 }
 
-// hotEntry is one lookup-table row: the record's home partition plus its
-// contention weight (§4.3's contention likelihood). The weight lets the
+// hotTable is the §4.4 lookup table: insert-only open addressing with
+// linear probing at load <= 1/2, read without locks. Only a writer
+// holding Directory.mu stores to a slot, and it stores meta last, so a
+// reader that sees a present meta sees that row's key and weight. A full
+// table is not rehashed in place: the writer fills one twice the size
+// and publishes it in a new layout.
+type hotTable struct {
+	slots []hotSlot // len is a power of two
+	rows  int       // occupied slots; guarded by Directory.mu
+}
+
+// hotSlot is one lookup-table row: the record's home partition, its
+// contention weight (§4.3's contention likelihood, which lets the
 // run-time region decision pick the inner host with the largest
-// contention mass instead of merely the most hot records. lane, when
-// >= 0, pins the record to one of its node's execution lanes (the
-// partitioner treats lanes as sub-partitions); -1 defers to the stable
-// hash mapping.
-type hotEntry struct {
-	p    PartitionID
-	w    float64
-	lane int
+// contention mass instead of merely the most hot records) and, when
+// pinned, its execution lane on that partition's node.
+type hotSlot struct {
+	key    atomic.Uint64
+	meta   atomic.Uint64 // table<<32 | partition<<16 | (lane+1)<<1 | present; 0 = empty slot
+	weight atomic.Uint64 // math.Float64bits
+}
+
+// What hotSlot.meta has room for; SetHotPlacement rejects anything
+// beyond. Table ids keep all of their 32 bits.
+const (
+	maxHotPartition = 1<<16 - 1 // 16 bits
+	maxHotLane      = 1<<15 - 2 // lane+1 in 15 bits
+)
+
+func metaPartition(m uint64) PartitionID { return PartitionID(m >> 16 & maxHotPartition) }
+
+// metaLane returns the pinned lane, or -1 for the stable hash mapping
+// (and for the zero meta of a miss).
+func metaLane(m uint64) int { return int(m>>1&(1<<15-1)) - 1 }
+
+// newHotTable returns an empty table with room for rows rows.
+func newHotTable(rows int) hotTable {
+	n := 8
+	for n < 2*rows {
+		n *= 2
+	}
+	return hotTable{slots: make([]hotSlot, n)}
+}
+
+// rid returns the record of a present slot whose meta word is m.
+func (s *hotSlot) rid(m uint64) storage.RID {
+	return storage.RID{Table: storage.TableID(m >> 32), Key: storage.Key(s.key.Load())}
+}
+
+// find probes for rid. It returns rid's slot and the meta word read from
+// it, or, with a zero meta, the empty slot that ended the probe (at most
+// half the slots are taken, so there is one).
+func (t *hotTable) find(rid storage.RID) (*hotSlot, uint64) {
+	slots, mask := t.slots, uint64(len(t.slots)-1)
+	h := uint64(rid.Key) ^ uint64(rid.Table)<<32
+	h ^= h >> 32
+	for i := h * 0x9E3779B97F4A7C15 >> 32; ; i++ {
+		s := &slots[i&mask]
+		m := s.meta.Load()
+		if m == 0 || s.rid(m) == rid {
+			return s, m
+		}
+	}
+}
+
+// set writes rid's row, in place when it has one. It reports false,
+// having written nothing, when a new row would take the table past half
+// full. The caller holds Directory.mu or has not published t yet.
+func (t *hotTable) set(rid storage.RID, meta, weight uint64) bool {
+	s, m := t.find(rid)
+	if m == 0 {
+		if 2*(t.rows+1) > len(t.slots) {
+			return false
+		}
+		t.rows++
+		s.key.Store(uint64(rid.Key))
+	}
+	s.weight.Store(weight)
+	s.meta.Store(meta)
+	return true
+}
+
+// grown returns a table of twice the slots holding t's rows.
+func (t *hotTable) grown() hotTable {
+	next := newHotTable(len(t.slots))
+	for i := range t.slots {
+		s := &t.slots[i]
+		if m := s.meta.Load(); m != 0 {
+			next.set(s.rid(m), m, s.weight.Load())
+		}
+	}
+	return next
 }
 
 // NewDirectory creates a directory over the topology with the given
 // default partitioner.
 func NewDirectory(topo *Topology, def DefaultPartitioner) *Directory {
-	return &Directory{
-		topo:  topo,
-		def:   def,
-		lanes: 1,
-		hot:   make(map[storage.RID]hotEntry),
-	}
+	d := &Directory{topo: topo, def: def, lanes: 1}
+	d.layout.Store(&layout{hot: newHotTable(0)})
+	return d
 }
 
 // Topology returns the directory's topology.
@@ -551,11 +642,9 @@ func (d *Directory) Lane(rid storage.RID) int {
 	if d.lanes <= 1 {
 		return 0
 	}
-	d.mu.RLock()
-	e, ok := d.hot[rid]
-	d.mu.RUnlock()
-	if ok && e.lane >= 0 {
-		return e.lane % d.lanes
+	_, m := d.layout.Load().hot.find(rid)
+	if lane := metaLane(m); lane >= 0 {
+		return lane % d.lanes
 	}
 	return storage.LaneOf(rid, d.lanes)
 }
@@ -565,18 +654,13 @@ func (d *Directory) Default() DefaultPartitioner { return d.def }
 
 // Partition routes a record.
 func (d *Directory) Partition(rid storage.RID) PartitionID {
-	d.mu.RLock()
-	if e, ok := d.hot[rid]; ok {
-		d.mu.RUnlock()
-		return e.p
+	l := d.layout.Load()
+	if _, m := l.hot.find(rid); m != 0 {
+		return metaPartition(m)
 	}
-	if d.full != nil {
-		if p, ok := d.full[rid]; ok {
-			d.mu.RUnlock()
-			return p
-		}
+	if p, ok := l.full[rid]; ok {
+		return p
 	}
-	d.mu.RUnlock()
 	return d.def.Partition(rid)
 }
 
@@ -587,10 +671,8 @@ func (d *Directory) PrimaryOf(rid storage.RID) transport.NodeID {
 
 // IsHot reports whether the record is in the hot lookup table.
 func (d *Directory) IsHot(rid storage.RID) bool {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	_, ok := d.hot[rid]
-	return ok
+	_, m := d.layout.Load().hot.find(rid)
+	return m != 0
 }
 
 // SetHot places a hot record on a partition (a lookup-table entry) with
@@ -612,29 +694,44 @@ func (d *Directory) SetHotWeight(rid storage.RID, p PartitionID, w float64) {
 // contention weight and, when lane >= 0, an explicit execution lane on
 // that partition's node — the full sub-partition placement emitted by
 // the contention-centric partitioner when it treats lanes as
-// sub-partitions.
+// sub-partitions. It panics on a partition the topology does not have
+// and on a partition or lane too large for a lookup-table slot.
 func (d *Directory) SetHotPlacement(rid storage.RID, p PartitionID, w float64, lane int) {
-	if int(p) < 0 || int(p) >= d.topo.NumPartitions() {
-		panic(fmt.Sprintf("cluster: partition %d out of range", p))
-	}
-	if w <= 0 {
-		w = 1
-	}
-	if lane < 0 {
-		lane = -1
-	}
+	meta, weight := d.row(rid, HotPlacement{Partition: p, Weight: w, Lane: lane})
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	d.hot[rid] = hotEntry{p: p, w: w, lane: lane}
+	cur := d.layout.Load()
+	if cur.hot.set(rid, meta, weight) {
+		return
+	}
+	next := &layout{hot: cur.hot.grown(), full: cur.full}
+	next.hot.set(rid, meta, weight)
+	d.layout.Store(next)
+}
+
+// row validates one placement and packs it into a slot's meta and
+// weight words.
+func (d *Directory) row(rid storage.RID, h HotPlacement) (meta, weight uint64) {
+	if h.Partition < 0 || int(h.Partition) >= d.topo.NumPartitions() || h.Partition > maxHotPartition {
+		panic(fmt.Sprintf("cluster: partition %d out of range", h.Partition))
+	}
+	if h.Lane > maxHotLane {
+		panic(fmt.Sprintf("cluster: lane %d of %v does not fit a lookup-table slot (max %d)", h.Lane, rid, maxHotLane))
+	}
+	if h.Weight <= 0 {
+		h.Weight = 1
+	}
+	if h.Lane < 0 {
+		h.Lane = -1
+	}
+	return uint64(rid.Table)<<32 | uint64(h.Partition)<<16 | uint64(h.Lane+1)<<1 | 1, math.Float64bits(h.Weight)
 }
 
 // HotWeight returns the record's contention weight, or 0 when the record
 // is not in the lookup table.
 func (d *Directory) HotWeight(rid storage.RID) float64 {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	if e, ok := d.hot[rid]; ok {
-		return e.w
+	if s, m := d.layout.Load().hot.find(rid); m != 0 {
+		return math.Float64frombits(s.weight.Load())
 	}
 	return 0
 }
@@ -655,34 +752,36 @@ type HotPlacement struct {
 // rows one at a time would, for a moment, route every relocated record
 // to its default partition — a second primary for it.
 func (d *Directory) InstallLayout(hot map[storage.RID]HotPlacement, full map[storage.RID]PartitionID) {
-	next := &Directory{topo: d.topo, hot: make(map[storage.RID]hotEntry, len(hot))}
+	next := &layout{hot: newHotTable(len(hot)), full: full}
 	for rid, h := range hot {
-		next.SetHotPlacement(rid, h.Partition, h.Weight, h.Lane)
+		meta, weight := d.row(rid, h)
+		next.hot.set(rid, meta, weight)
 	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	d.hot, d.full = next.hot, full
+	d.layout.Store(next)
 }
 
 // LookupTableSize returns the number of hot entries — the metadata cost
 // compared in §7.2.2.
 func (d *Directory) LookupTableSize() int {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	n := len(d.hot)
-	if d.full != nil {
-		n += len(d.full)
-	}
-	return n
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	l := d.layout.Load()
+	return l.hot.rows + len(l.full)
 }
 
 // HotEntries returns a snapshot of the lookup table.
 func (d *Directory) HotEntries() map[storage.RID]PartitionID {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	out := make(map[storage.RID]PartitionID, len(d.hot))
-	for k, v := range d.hot {
-		out[k] = v.p
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	hot := &d.layout.Load().hot
+	out := make(map[storage.RID]PartitionID, hot.rows)
+	for i := range hot.slots {
+		s := &hot.slots[i]
+		if m := s.meta.Load(); m != 0 {
+			out[s.rid(m)] = metaPartition(m)
+		}
 	}
 	return out
 }

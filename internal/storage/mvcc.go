@@ -156,14 +156,14 @@ type version struct {
 	prev  *version
 }
 
-// retain pushes e's current state onto its version chain (MVCC on
-// only) and lazily prunes versions the watermark has passed. Caller
-// holds the bucket's internal mutex.
-func (t *Table) retain(e *entry) {
+// retain pushes e's current state (dead says it is a tombstone) onto
+// its version chain (MVCC on only) and lazily prunes versions the
+// watermark has passed. Caller holds the bucket's internal mutex.
+func (t *Table) retain(e *entry, dead bool) {
 	if t.mv == nil || !t.mv.on.Load() {
 		return
 	}
-	e.prev = &version{ts: e.ts, value: e.value, dead: e.dead, prev: e.prev}
+	e.prev = &version{ts: e.ts, value: e.value, dead: dead, prev: e.prev}
 	// Prune: chains are in strictly decreasing timestamp order (per-key
 	// writes are lock-ordered and timestamps are reserved under those
 	// locks), so everything past the first version at or below the
@@ -192,12 +192,13 @@ func (t *Table) ReadAt(key Key, ts uint64) ([]byte, error) {
 	b := t.Bucket(key)
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	e, _, _ := b.seek(key, false)
-	if e == nil {
+	at, i, ok := b.seek(key, false)
+	if !ok {
 		return nil, ErrNotFound
 	}
+	e := &at.entries[i]
 	if e.ts <= ts {
-		if e.dead {
+		if at.isDead(i) {
 			return nil, ErrNotFound
 		}
 		return e.value, nil
@@ -244,16 +245,7 @@ func (t *Table) DeleteAt(key Key, ts uint64) error {
 	b := t.Bucket(key)
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	e, _, _ := b.seek(key, true)
-	if e == nil {
-		return ErrNotFound
-	}
-	t.retain(e)
-	e.dead = true
-	e.value = nil
-	e.version++
-	e.ts = ts
-	return nil
+	return b.tombstone(key, t, ts)
 }
 
 // VersionTS returns the commit timestamp of the key's current value
@@ -262,11 +254,11 @@ func (t *Table) VersionTS(key Key) (uint64, error) {
 	b := t.Bucket(key)
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	e, _, _ := b.seek(key, true)
-	if e == nil {
+	at, i, ok := b.seek(key, true)
+	if !ok {
 		return 0, ErrNotFound
 	}
-	return e.ts, nil
+	return at.entries[i].ts, nil
 }
 
 // ChainDepth reports how many retained versions (beyond the live one)
@@ -275,12 +267,12 @@ func (t *Table) ChainDepth(key Key) int {
 	b := t.Bucket(key)
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	e, _, _ := b.seek(key, false)
-	if e == nil {
+	at, i, ok := b.seek(key, false)
+	if !ok {
 		return 0
 	}
 	n := 0
-	for v := e.prev; v != nil; v = v.prev {
+	for v := at.entries[i].prev; v != nil; v = v.prev {
 		n++
 	}
 	return n
@@ -293,27 +285,8 @@ func (t *Table) ChainDepth(key Key) int {
 // unspecified; fn must not call back into the same bucket.
 func (t *Table) RangeTS(fn func(key Key, value []byte, version, ts uint64) bool) {
 	for i := range t.buckets {
-		b := &t.buckets[i]
-		b.mu.Lock()
-		type rec struct {
-			k  Key
-			v  []byte
-			n  uint64
-			ts uint64
-		}
-		var recs []rec
-		for cur := b; cur != nil; cur = cur.overflow {
-			for j := range cur.entries {
-				if !cur.entries[j].dead {
-					v := make([]byte, len(cur.entries[j].value))
-					copy(v, cur.entries[j].value)
-					recs = append(recs, rec{cur.entries[j].key, v, cur.entries[j].version, cur.entries[j].ts})
-				}
-			}
-		}
-		b.mu.Unlock()
-		for _, r := range recs {
-			if !fn(r.k, r.v, r.n, r.ts) {
+		for _, r := range t.buckets[i].SnapshotTS() {
+			if !fn(r.Key, r.Value, r.Version, r.TS) {
 				return
 			}
 		}

@@ -8,11 +8,16 @@
 // Locking granularity is the bucket, exactly as in the paper: "buckets are
 // locked when any of their records are being accessed, and the lock
 // remains until the transaction commits or aborts."
+//
+// A bucket's header is one 64-byte cache line holding a one-byte key
+// fingerprint per entry and a tombstone bitmask, so a chain walk reads
+// an entry's own line only when its fingerprint matches.
 package storage
 
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 	"sync"
 )
 
@@ -153,12 +158,12 @@ func mix64(x uint64) uint64 {
 	return x
 }
 
-// entry is one record slot inside a bucket.
+// entry is one record slot inside a bucket: 56 bytes. Whether the slot
+// is a tombstone is a bit of its bucket's dead mask, not a field here.
 type entry struct {
 	key     Key
 	value   []byte
 	version uint64
-	dead    bool // tombstone left by Delete
 	// ts is the commit timestamp of the current value (0 = initial
 	// load, visible to every snapshot); prev chains retained older
 	// versions, newest first (MVCC only — nil otherwise). See mvcc.go.
@@ -169,15 +174,30 @@ type entry struct {
 // Bucket holds a small set of records plus an embedded lock word. Buckets
 // never split; an over-full bucket chains to an overflow bucket, as in the
 // paper.
+//
+// The header is exactly one 64-byte cache line — lock word, mutex, eight
+// one-byte key fingerprints, the tombstone bitmask, the entries slice, the
+// overflow pointer — and a chain walk decides from it alone which entries
+// are worth reading: an entry's own line is touched only when its
+// fingerprint matches (see docs/ARCHITECTURE.md, "What a lookup touches").
 type Bucket struct {
 	Lock LockWord
 
-	mu       sync.Mutex // protects entries + overflow pointer
+	mu       sync.Mutex            // protects everything below
+	tags     [bucketCapacity]uint8 // tags[i] = tagOf(entries[i].key), i < len(entries)
+	dead     uint8                 // bit i set: entries[i] is a tombstone left by Delete
 	entries  []entry
 	overflow *Bucket
 }
 
 const bucketCapacity = 8
+
+// tagOf is a key's one-byte fingerprint: the top byte of a Fibonacci
+// hash, independent of the bits bucketIndex keeps.
+func tagOf(key Key) uint8 { return uint8(uint64(key) * 0x9E3779B97F4A7C15 >> 56) }
+
+// isDead reports whether slot i of this bucket is a tombstone.
+func (b *Bucket) isDead(i int) bool { return b.dead>>uint(i)&1 != 0 }
 
 // Get returns the value and its version. The caller is expected to hold
 // the bucket lock in at least shared mode when running under 2PL; OCC
@@ -190,22 +210,22 @@ const bucketCapacity = 8
 func (b *Bucket) Get(key Key) (value []byte, version uint64, err error) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	e, _, _ := b.seek(key, true)
-	if e == nil {
+	at, i, ok := b.seek(key, true)
+	if !ok {
 		return nil, 0, ErrNotFound
 	}
-	return e.value, e.version, nil
+	return at.entries[i].value, at.entries[i].version, nil
 }
 
 // Version returns the record's current version without copying the value.
 func (b *Bucket) Version(key Key) (uint64, error) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	e, _, _ := b.seek(key, true)
-	if e == nil {
+	at, i, ok := b.seek(key, true)
+	if !ok {
 		return 0, ErrNotFound
 	}
-	return e.version, nil
+	return at.entries[i].version, nil
 }
 
 // writeMode says what a write requires of the key's current state.
@@ -218,21 +238,23 @@ const (
 )
 
 // seek is the one walk over a bucket chain, for reads and writes alike.
-// It returns key's entry — the live one, or with reuse off (MVCC, where
-// a tombstone keeps its version chain) key's own tombstone too — or nil
-// plus where a new record goes: a tombstone slot to recycle when reuse
-// is on (slot >= 0), else the first bucket with room, else the chain's
-// last bucket (slot < 0).
-func (b *Bucket) seek(key Key, reuse bool) (e *entry, at *Bucket, slot int) {
+// With ok it returns key's entry, at.entries[slot] — the live one, or
+// with reuse off (MVCC, where a tombstone keeps its version chain) key's
+// own tombstone too. Without, it returns where a new record goes: a
+// tombstone slot to recycle when reuse is on (slot >= 0), else the first
+// bucket with room, else the chain's last bucket (slot < 0). It reads an
+// entry only when the header's fingerprint for it matches.
+func (b *Bucket) seek(key Key, reuse bool) (at *Bucket, slot int, ok bool) {
+	tag := tagOf(key)
 	slot = -1
 	var room, last *Bucket
 	for cur := b; cur != nil; cur = cur.overflow {
 		for i := range cur.entries {
-			c := &cur.entries[i]
-			if c.key == key && (!c.dead || !reuse) {
-				return c, nil, -1
+			dead := cur.isDead(i)
+			if cur.tags[i] == tag && !(dead && reuse) && cur.entries[i].key == key {
+				return cur, i, true
 			}
-			if c.dead && reuse && slot < 0 {
+			if dead && reuse && slot < 0 {
 				at, slot = cur, i
 			}
 		}
@@ -243,25 +265,28 @@ func (b *Bucket) seek(key Key, reuse bool) (e *entry, at *Bucket, slot int) {
 	}
 	switch {
 	case slot >= 0:
-		return nil, at, slot
+		return at, slot, false
 	case room != nil:
-		return nil, room, -1
+		return room, -1, false
 	}
-	return nil, last, -1
+	return last, -1, false
 }
 
 // add places a new record where seek said, chaining an overflow bucket
-// when the chain is full.
+// when the chain is full, and (re-)tags the slot it wrote.
 func (at *Bucket) add(slot int, e entry) {
 	if slot >= 0 {
 		at.entries[slot] = e
-		return
+	} else {
+		if len(at.entries) >= bucketCapacity {
+			at.overflow = &Bucket{}
+			at = at.overflow
+		}
+		slot = len(at.entries)
+		at.entries = append(at.entries, e)
 	}
-	if len(at.entries) >= bucketCapacity {
-		at.overflow = &Bucket{}
-		at = at.overflow
-	}
-	at.entries = append(at.entries, e)
+	at.tags[slot] = tagOf(e.key)
+	at.dead &^= 1 << uint(slot)
 }
 
 // write is the one record-write path: a single seek under the bucket
@@ -279,8 +304,8 @@ func (b *Bucket) write(key Key, value []byte, ts uint64, mode writeMode, owned b
 	mvcc := t != nil && t.mv != nil && t.mv.on.Load()
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	e, at, slot := b.seek(key, !mvcc)
-	live := e != nil && !e.dead
+	at, slot, found := b.seek(key, !mvcc)
+	live := found && !at.isDead(slot)
 	switch {
 	case mode == update && !live:
 		return ErrNotFound
@@ -292,16 +317,18 @@ func (b *Bucket) write(key Key, value []byte, ts uint64, mode writeMode, owned b
 		copy(v, value)
 		value = v
 	}
-	if e == nil {
+	if !found {
 		at.add(slot, entry{key: key, value: value, version: 1, ts: ts})
 		return nil
 	}
+	e := &at.entries[slot]
 	if t != nil {
-		t.retain(e)
+		t.retain(e, !live)
 		e.ts = ts
 	}
-	e.value, e.dead = value, false
+	e.value = value
 	e.version++
+	at.dead &^= 1 << uint(slot)
 	return nil
 }
 
@@ -335,26 +362,36 @@ func (b *Bucket) UpsertOwned(key Key, value []byte) {
 func (b *Bucket) Delete(key Key) error {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	e, _, _ := b.seek(key, true)
-	if e == nil {
+	return b.tombstone(key, nil, 0)
+}
+
+// tombstone marks key's live entry dead in its bucket's mask; with a
+// table (DeleteAt) the tombstone is a new version stamped ts. Caller
+// holds b.mu.
+func (b *Bucket) tombstone(key Key, t *Table, ts uint64) error {
+	at, i, ok := b.seek(key, true)
+	if !ok {
 		return ErrNotFound
 	}
-	e.dead, e.value = true, nil
+	e := &at.entries[i]
+	if t != nil {
+		t.retain(e, false)
+		e.ts = ts
+	}
+	e.value = nil
 	e.version++
+	at.dead |= 1 << uint(i)
 	return nil
 }
 
-// Len reports the number of live records in the bucket chain.
+// Len reports the number of live records in the bucket chain, from the
+// headers alone.
 func (b *Bucket) Len() int {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	n := 0
 	for cur := b; cur != nil; cur = cur.overflow {
-		for i := range cur.entries {
-			if !cur.entries[i].dead {
-				n++
-			}
-		}
+		n += len(cur.entries) - bits.OnesCount8(cur.dead)
 	}
 	return n
 }
@@ -371,13 +408,14 @@ func (b *Bucket) ChainLength() int {
 	return n
 }
 
-// SnapshotRecord is one record captured by Bucket.SnapshotTS for a
-// partition backfill: the live value plus the commit timestamp that
+// SnapshotRecord is one live record captured by Bucket.SnapshotTS: the
+// value (a copy), its version counter and the commit timestamp that
 // produced it.
 type SnapshotRecord struct {
-	Key   Key
-	Value []byte
-	TS    uint64
+	Key     Key
+	Value   []byte
+	Version uint64
+	TS      uint64
 }
 
 // SnapshotTS copies the bucket chain's live records with their commit
@@ -392,10 +430,10 @@ func (b *Bucket) SnapshotTS() []SnapshotRecord {
 	var recs []SnapshotRecord
 	for cur := b; cur != nil; cur = cur.overflow {
 		for i := range cur.entries {
-			if !cur.entries[i].dead {
-				v := make([]byte, len(cur.entries[i].value))
-				copy(v, cur.entries[i].value)
-				recs = append(recs, SnapshotRecord{Key: cur.entries[i].key, Value: v, TS: cur.entries[i].ts})
+			if e := &cur.entries[i]; !cur.isDead(i) {
+				v := make([]byte, len(e.value))
+				copy(v, e.value)
+				recs = append(recs, SnapshotRecord{Key: e.key, Value: v, Version: e.version, TS: e.ts})
 			}
 		}
 	}
@@ -405,31 +443,7 @@ func (b *Bucket) SnapshotTS() []SnapshotRecord {
 // Range calls fn for every live record in the table. fn must not call back
 // into the same bucket. Iteration order is unspecified.
 func (t *Table) Range(fn func(key Key, value []byte, version uint64) bool) {
-	for i := range t.buckets {
-		b := &t.buckets[i]
-		b.mu.Lock()
-		type rec struct {
-			k Key
-			v []byte
-			n uint64
-		}
-		var recs []rec
-		for cur := b; cur != nil; cur = cur.overflow {
-			for j := range cur.entries {
-				if !cur.entries[j].dead {
-					v := make([]byte, len(cur.entries[j].value))
-					copy(v, cur.entries[j].value)
-					recs = append(recs, rec{cur.entries[j].key, v, cur.entries[j].version})
-				}
-			}
-		}
-		b.mu.Unlock()
-		for _, r := range recs {
-			if !fn(r.k, r.v, r.n) {
-				return
-			}
-		}
-	}
+	t.RangeTS(func(key Key, value []byte, version, _ uint64) bool { return fn(key, value, version) })
 }
 
 // Len reports the number of live records in the table.

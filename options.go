@@ -138,15 +138,6 @@ func WithLanes(n int) Option {
 	}
 }
 
-// WithVerbBatching does nothing: every engine's participant verbs ride
-// one doorbell per destination node per wave unconditionally (see
-// docs/NETWORK.md), which is what the option used to switch on.
-//
-// Deprecated: kept so existing callers compile; remove the call.
-func WithVerbBatching(on bool) Option {
-	return func(*config) error { return nil }
-}
-
 // WithMVCC switches the stores to multi-version records and attaches a
 // cluster-shared commit clock: every commit-point apply (primary and
 // replica alike) is stamped with a commit timestamp, and procedures
