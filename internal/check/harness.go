@@ -123,8 +123,9 @@ type Config struct {
 	// fresh temp dir, removed when the run ends.
 	WALDir string
 	// WALPolicy tunes group commit/snapshotting for crash cells; the
-	// zero value takes the harness default (NoSync — the simulated
-	// crash never loses the page cache — with a tight flush interval).
+	// zero value takes the harness default, the policy the benchmark
+	// and the public API's NoSync run (NoSync — the simulated crash
+	// never loses the page cache — and nothing else set).
 	WALPolicy wal.Policy
 	// ForgeLostCommit is the checker-sensitivity hook: after recovery
 	// it silently reverts one recovered record to its initial value,
@@ -271,10 +272,8 @@ func Run(cfg Config) (*Result, error) {
 	walPolicy := cfg.WALPolicy
 	if cfg.Crash && walPolicy == (wal.Policy{}) {
 		// The simulated crash keeps the process (and so the page cache)
-		// alive, so NoSync loses nothing while keeping the cell fast;
-		// the tight interval keeps group-commit waits off the critical
-		// path at the harness's tiny transaction sizes.
-		walPolicy = wal.Policy{FlushInterval: 100 * time.Microsecond, NoSync: true}
+		// alive, so NoSync loses nothing while keeping the cell fast.
+		walPolicy = wal.Policy{NoSync: true}
 	}
 	maxKey := storage.Key(cfg.Partitions * cfg.Keys)
 	c := bench.NewCluster(bench.ClusterConfig{

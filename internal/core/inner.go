@@ -8,6 +8,7 @@ import (
 	"github.com/chillerdb/chiller/internal/storage"
 	"github.com/chillerdb/chiller/internal/transport"
 	"github.com/chillerdb/chiller/internal/txn"
+	"github.com/chillerdb/chiller/internal/wal"
 	"github.com/chillerdb/chiller/internal/wire"
 )
 
@@ -134,18 +135,16 @@ func innerLane(n *server.Node, proc *txn.Procedure, args txn.Args, innerOps []in
 // timestamp and the replica-ack waiter.
 func (s *scratch) execInnerOnLane(n *server.Node, proc *txn.Procedure, args txn.Args, innerOps []int) txn.AbortReason {
 	var reason txn.AbortReason
-	var wait func() error
+	var durable wal.Ticket
 	n.WithLaneSerial(innerLane(n, proc, args, innerOps, s.reads), func() {
-		reason, wait = s.execInner(n, proc, args, innerOps)
+		reason, durable = s.execInner(n, proc, args, innerOps)
 	})
 	// Durability wait off the lane, on the coordinator's goroutine: the
 	// lane is free to run the next inner region while this commit's
 	// group flush lands, and the coordinator cannot acknowledge (or
 	// build outer writes on) the region before it is durable.
-	if wait != nil {
-		if err := wait(); err != nil {
-			panic(fmt.Sprintf("core: inner commit %d not durable: %v", s.txnID, err))
-		}
+	if err := durable.Wait(); err != nil {
+		panic(fmt.Sprintf("core: inner commit %d not durable: %v", s.txnID, err))
 	}
 	return reason
 }
@@ -165,10 +164,10 @@ type innerLockRef struct {
 // execInner runs the inner region on the current goroutine (the owning
 // lane's executor), buffering its writes and lock refs in s; both are
 // reset on entry, so a re-requested region starts clean. The second
-// return is the durability wait for the unilateral commit — nil when
-// nothing needs flushing — which the caller must complete off-lane
+// return is the durability ticket of the unilateral commit — zero when
+// nothing needs flushing — which the caller must wait out off-lane
 // before building on the region.
-func (s *scratch) execInner(n *server.Node, proc *txn.Procedure, args txn.Args, innerOps []int) (txn.AbortReason, func() error) {
+func (s *scratch) execInner(n *server.Node, proc *txn.Procedure, args txn.Args, innerOps []int) (txn.AbortReason, wal.Ticket) {
 	clear(s.writes) // a failed earlier attempt's values must not linger
 	s.writes, s.locks = s.writes[:0], s.locks[:0]
 	txnID, reads := s.txnID, s.reads
@@ -193,9 +192,9 @@ func (s *scratch) execInner(n *server.Node, proc *txn.Procedure, args txn.Args, 
 			n.LeavePartition(innerPID)
 		}
 	}
-	abort := func(reason txn.AbortReason) (txn.AbortReason, func() error) {
+	abort := func(reason txn.AbortReason) (txn.AbortReason, wal.Ticket) {
 		release()
-		return reason, nil
+		return reason, wal.Ticket{}
 	}
 	// lock acquires b in the requested mode, deduplicating against locks
 	// this inner region already holds (same semantics as the participant
@@ -373,7 +372,7 @@ func (s *scratch) execInner(n *server.Node, proc *txn.Procedure, args txn.Args, 
 		targets = n.Directory().Topology().StreamTargets(innerPID)
 	}
 	ack := n.ExpectInnerAcks(txnID, len(targets))
-	fail := func() (txn.AbortReason, func() error) {
+	fail := func() (txn.AbortReason, wal.Ticket) {
 		n.CancelInnerAcks(txnID)
 		n.ReleaseInnerWaiter(ack)
 		if clock != nil {
@@ -400,13 +399,13 @@ func (s *scratch) execInner(n *server.Node, proc *txn.Procedure, args txn.Args, 
 		return fail()
 	}
 	// Append to the lane's WAL while the bucket locks are still held —
-	// log order must equal commit order — then release. The flush wait
-	// is returned to the caller: the coordinator must not build on (or
+	// log order must equal commit order — then release. The ticket is
+	// returned to the caller: the coordinator must not build on (or
 	// acknowledge) the region before the record is durable, but the wait
 	// must happen OFF this lane's executor (blocking it would cap the
-	// lane at one inner region per fsync batch; see execInnerOnLane).
-	wait := n.LogWrites(txnID, ts, writes)
+	// lane at one inner region per flush; see execInnerOnLane).
+	durable := n.LogWrites(txnID, ts, writes)
 	release()
 	s.ts, s.ack = ts, ack
-	return txn.AbortNone, wait
+	return txn.AbortNone, durable
 }

@@ -40,43 +40,36 @@ func (n *Node) SnapshotErr() error {
 }
 
 // LogWrites appends a committed write set to the WAL, one record per
-// owning lane, and returns a function that blocks until every record's
-// group-commit flush lands — or nil when there is nothing to wait on
-// (no WAL attached, or an empty write set), so callers can skip the
-// wait without spawning anything. Call it after ApplyWrites while the
-// transaction still holds its locks; call the returned wait after
-// releasing them, and never on a lane executor (the flush wait must
-// extend neither lock hold times nor the lane's serial schedule — that
-// is the whole point of group commit riding the async tails).
-func (n *Node) LogWrites(txnID, ts uint64, writes []WriteOp) func() error {
+// owning lane, and returns the ticket of the last one: LSNs are
+// node-global and batches land in order, so it covers the whole set. The
+// zero Ticket — no WAL attached, or an empty write set — is already
+// durable. Call it after ApplyWrites while the transaction still holds
+// its locks; Wait on the ticket after releasing them, and never on a
+// lane executor (the flush wait must extend neither lock hold times nor
+// the lane's serial schedule — that is the whole point of group commit
+// riding the async tails).
+func (n *Node) LogWrites(txnID, ts uint64, writes []WriteOp) wal.Ticket {
+	var tk wal.Ticket
 	if n.wal == nil || len(writes) == 0 {
-		return nil
+		return tk
 	}
 	var buf [4]laneGroup
-	groups := n.groupByLane(writes, buf[:])
-	if len(groups) == 1 {
-		return n.logLane(txnID, ts, groups[0].lane, groups[0].writes)
+	for _, g := range n.groupByLane(writes, buf[:]) {
+		tk = n.logLane(txnID, ts, g.lane, g.writes)
 	}
-	waits := make([]func() error, len(groups))
-	for i, g := range groups {
-		waits[i] = n.logLane(txnID, ts, g.lane, g.writes)
-	}
-	return func() error {
-		for _, w := range waits {
-			if err := w(); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
+	return tk
 }
 
-// logLane appends one lane's slice of a write set and arms the lane's
-// snapshot trigger.
-func (n *Node) logLane(txnID, ts uint64, lane int, writes []WriteOp) func() error {
-	tk := n.wal.Append(lane, wal.RecCommit, EncodeWrites(txnID, ts, writes))
+// logLane appends one lane's slice of a write set, encoded straight
+// into the lane's log buffer, and arms the lane's snapshot trigger.
+func (n *Node) logLane(txnID, ts uint64, lane int, writes []WriteOp) wal.Ticket {
+	tk := n.wal.AppendFunc(lane, wal.RecCommit, func(dst []byte) []byte {
+		w := wire.AppendTo(dst)
+		EncodeWritesTo(&w, txnID, ts, writes)
+		return w.Bytes()
+	})
 	n.maybeSnapshot(lane)
-	return tk.Wait
+	return tk
 }
 
 // maybeSnapshot starts a background snapshot of the lane when its log

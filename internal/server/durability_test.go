@@ -30,10 +30,8 @@ func TestCleanShutdownSnapshotBoundsReplay(t *testing.T) {
 			if err := ApplyWrites(n.Store(), 0, writes, false); err != nil {
 				t.Fatal(err)
 			}
-			if wait := n.LogWrites(uint64(i+1), 0, writes); wait != nil {
-				if err := wait(); err != nil {
-					t.Fatal(err)
-				}
+			if err := n.LogWrites(uint64(i+1), 0, writes).Wait(); err != nil {
+				t.Fatal(err)
 			}
 		}
 	}

@@ -5,9 +5,9 @@ import (
 	"fmt"
 	"slices"
 	"sync"
-	"sync/atomic"
 
 	"github.com/chillerdb/chiller/internal/storage"
+	"github.com/chillerdb/chiller/internal/wal"
 )
 
 // Execution lanes: each node shards its execution engine into N
@@ -182,16 +182,17 @@ func (n *Node) Lane(rid storage.RID) int {
 //
 // With a WAL attached, each lane's slice of the write set is appended
 // to that lane's log right after applying (still on the lane executor,
-// so log order = apply order) and done is deferred to a goroutine that
-// waits out the group-commit flush — replicas are durable too, which is
-// what makes post-crash replica promotion safe. A flush failure here is
+// so log order = apply order) and done is registered on the group-commit
+// batch of the set's last record: it runs once the flush has landed, on
+// no goroutine of its own — replicas are durable too, which is what
+// makes post-crash replica promotion safe. A flush failure here is
 // fatal (see CommitLocal).
 func (n *Node) applyByLane(txnID, ts uint64, writes []WriteOp, done func(error)) {
 	// applyLog runs on the lane executor (or inline at <=1 lane): apply
 	// one lane's slice, then append it to the lane's log while still on
 	// the executor — the next stream message for this lane cannot apply,
 	// let alone append, until this closure returns, so log order = apply
-	// order per lane. The returned wait is nil when nothing was logged.
+	// order per lane. The ticket is zero when nothing was logged.
 	//
 	// The apply is tolerant (replayWrites, not the strict ApplyWrites):
 	// a warming node added mid-handoff legitimately sees commit-stream
@@ -199,29 +200,26 @@ func (n *Node) applyByLane(txnID, ts uint64, writes []WriteOp, done func(error))
 	// to a missing key must land as an insert, and a missing table must
 	// be created, exactly the WAL-replay semantics. Primaries keep the
 	// strict apply (CommitLocal); only replicated write sets come here.
-	applyLog := func(lane int, ws []WriteOp) (func() error, error) {
-		if err := replayWrites(n.store, ts, ws); err != nil {
-			return nil, err
-		}
-		if n.wal == nil {
-			return nil, nil
+	applyLog := func(lane int, ws []WriteOp) (wal.Ticket, error) {
+		if err := replayWrites(n.store, ts, ws); err != nil || n.wal == nil {
+			return wal.Ticket{}, err
 		}
 		return n.logLane(txnID, ts, lane, ws), nil
 	}
-	// finish invokes done, waiting out the group-commit flush first on a
-	// fresh goroutine (never on the invoking lane executor or fabric
-	// dispatcher — an fsync batch must not stall them).
-	finish := func(wait func() error, err error) {
-		if wait == nil {
+	// finish invokes done once tk is durable. The flush is never waited
+	// for here — this is a lane executor or the fabric dispatcher, and a
+	// write or fsync must not stall them: the log's flusher calls back.
+	finish := func(tk wal.Ticket, err error) {
+		if n.wal == nil { // no callback closure on the volatile path
 			done(err)
 			return
 		}
-		go func() {
-			if ferr := wait(); ferr != nil {
+		tk.Notify(func(ferr error) {
+			if ferr != nil {
 				panic(fmt.Sprintf("server: node %d: replica apply %d not durable: %v", n.ID(), txnID, ferr))
 			}
 			done(err)
-		}()
+		})
 	}
 	if len(writes) == 0 {
 		done(nil)
@@ -240,39 +238,26 @@ func (n *Node) applyByLane(txnID, ts uint64, writes []WriteOp, done func(error))
 		})
 		return
 	}
-	var pending atomic.Int32
-	pending.Store(int32(len(groups)))
-	var errMu sync.Mutex
+	// One ticket stands for the set: the highest LSN any lane logged.
+	var mu sync.Mutex
+	pending := len(groups)
 	var errs []error
-	var waits []func() error
+	var last wal.Ticket
 	for _, g := range groups {
 		n.SubmitLane(g.lane, func() {
-			wait, err := applyLog(g.lane, g.writes)
-			errMu.Lock()
+			tk, err := applyLog(g.lane, g.writes)
+			mu.Lock()
 			if err != nil {
 				errs = append(errs, err)
 			}
-			if wait != nil {
-				waits = append(waits, wait)
+			if tk.LSN() > last.LSN() {
+				last = tk
 			}
-			errMu.Unlock()
-			if pending.Add(-1) == 0 {
-				errMu.Lock()
-				err := errors.Join(errs...)
-				all := waits
-				errMu.Unlock()
-				if len(all) == 0 {
-					finish(nil, err)
-					return
-				}
-				finish(func() error {
-					for _, w := range all {
-						if werr := w(); werr != nil {
-							return werr
-						}
-					}
-					return nil
-				}, err)
+			pending--
+			joined := pending == 0
+			mu.Unlock()
+			if joined {
+				finish(last, errors.Join(errs...))
 			}
 		})
 	}

@@ -429,16 +429,14 @@ func (n *Node) commitLocal(txnID, ts uint64, writes []WriteOp, owned bool) error
 		n.releaseAll(txnID)
 		return fmt.Errorf("server: commit apply: %w", err)
 	}
-	wait := n.LogWrites(txnID, ts, writes)
+	tk := n.LogWrites(txnID, ts, writes)
 	n.releaseAll(txnID)
-	if wait != nil {
-		if ferr := wait(); ferr != nil {
-			// The writes are applied and the locks are gone; a failed
-			// flush cannot be unwound and every later commit shares the
-			// broken disk. Same invariant class as a failed post-commit
-			// apply.
-			panic(fmt.Sprintf("server: node %d: commit %d not durable: %v", n.ID(), txnID, ferr))
-		}
+	if ferr := tk.Wait(); ferr != nil {
+		// The writes are applied and the locks are gone; a failed
+		// flush cannot be unwound and every later commit shares the
+		// broken disk. Same invariant class as a failed post-commit
+		// apply.
+		panic(fmt.Sprintf("server: node %d: commit %d not durable: %v", n.ID(), txnID, ferr))
 	}
 	return nil
 }

@@ -173,7 +173,7 @@ func (r *Recovered) Empty() bool {
 // Log it keeps across a simulated kill.
 func (l *Log) Replay() (*Recovered, error) {
 	// Drain userspace buffers so the files hold everything appended.
-	l.flushOnce()
+	l.sync()
 	rec := &Recovered{}
 	for i := range l.lanes {
 		var cutoff uint64

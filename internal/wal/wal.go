@@ -13,14 +13,17 @@
 // consistently even when a record migrates lanes (MarkHot,
 // Repartition) between runs.
 //
-// Group commit: Append writes the framed record into the lane file's
-// userspace buffer and returns a Ticket; a single flusher goroutine
-// batches the flush+fsync of every dirty lane on a configurable
-// interval/byte threshold and then releases every ticket the batch
-// covers. An acknowledged commit therefore waits for exactly one fsync,
-// shared with every other commit in the same window — the paper's async
-// commit tails absorb the wait without holding locks (callers release
-// their bucket locks before Ticket.Wait).
+// Group commit is self-clocked: Append frames the record straight into
+// the lane's reused userspace buffer and joins the open batch; a single
+// flusher goroutine runs whenever a batch has members and sleeps only
+// when none does. A batch is therefore whatever arrived while the
+// previous write (and fsync) was in progress — a lone committer pays one
+// write, load forms its own batches, and no timer sits on the commit
+// path. Completion is per batch: the waiters parked on a batch and the
+// callbacks registered on it are released together once its records are
+// on file (and fsynced unless NoSync). The paper's async commit tails
+// absorb the wait without holding locks (callers release their bucket
+// locks before Ticket.Wait).
 //
 // On-disk record framing (little-endian, matching internal/wire):
 //
@@ -28,7 +31,7 @@
 //
 // len counts type+lsn+payload; crc is IEEE CRC-32 over the same bytes.
 // Payloads are opaque to this package — internal/server encodes write
-// sets with its existing wire codecs (EncodeWrites).
+// sets with its existing wire codecs, in place (AppendFunc).
 //
 // See docs/DURABILITY.md for the recovery sequence and the
 // fsync-vs-throughput tradeoffs.
@@ -36,6 +39,7 @@ package wal
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"os"
@@ -57,14 +61,23 @@ const recHeaderSize = 8
 // recBodyPrefix is type u8 + lsn u64, the framed bytes before the payload.
 const recBodyPrefix = 9
 
+// maxSpareBuf is the largest drained lane buffer kept for reuse; a burst
+// that grew one past it gives the memory back.
+const maxSpareBuf = 1 << 20
+
+// ErrClosed is the result of a ticket taken after Close: its record was
+// never written.
+var ErrClosed = errors.New("wal: log closed")
+
 // Policy configures group commit and snapshotting.
 type Policy struct {
-	// FlushInterval is the longest a committed record waits for its
-	// fsync batch (default 200µs). Shorter favors latency, longer
-	// favors batching.
+	// FlushInterval, when > 0, is an opt-in linger: the flusher holds a
+	// batch open that long after its first record arrives, trading
+	// commit latency for larger batches (fewer fsyncs). The default, 0,
+	// flushes as soon as there is something to flush.
 	FlushInterval time.Duration
-	// FlushBytes triggers an early flush once this many unflushed bytes
-	// accumulate across lanes (default 256 KiB).
+	// FlushBytes cuts a linger short once this many bytes are waiting
+	// (default 256 KiB). Ignored while FlushInterval is 0.
 	FlushBytes int
 	// NoSync skips the fsync syscall: records are still written to the
 	// OS (surviving process death within the same boot, which is what
@@ -77,9 +90,6 @@ type Policy struct {
 }
 
 func (p Policy) withDefaults() Policy {
-	if p.FlushInterval <= 0 {
-		p.FlushInterval = 200 * time.Microsecond
-	}
 	if p.FlushBytes <= 0 {
 		p.FlushBytes = 256 << 10
 	}
@@ -88,22 +98,42 @@ func (p Policy) withDefaults() Policy {
 
 // Stats counts the log's activity; all fields update atomically.
 type Stats struct {
-	// Appends counts Append calls; Flushes counts fsync batches. The
-	// ratio Appends/Flushes is the achieved group-commit factor.
+	// Appends counts Append calls; Flushes counts batches that wrote
+	// records. The ratio Appends/Flushes is the achieved group-commit
+	// factor.
 	Appends atomic.Uint64
 	Flushes atomic.Uint64
 	// Snapshots counts completed snapshot+truncate cycles.
 	Snapshots atomic.Uint64
 }
 
-// laneLog is one lane's append state.
+// laneLog is one lane's append state. Its two buffers swap at every
+// flush and are reused, so steady-state appends allocate nothing.
 type laneLog struct {
 	mu        sync.Mutex // serializes appends and snapshot/truncate
 	wmu       sync.Mutex // serializes file writes vs truncation (mu → wmu)
 	f         *os.File
-	buf       []byte // userspace write buffer, drained by the flusher
+	buf       []byte // records framed since the last drain
+	spare     []byte // the drained buffer of the pair; flusher-owned
 	sinceSnap int64  // bytes appended since the last snapshot
-	dirty     bool   // has unflushed buffered or unsynced data
+}
+
+// batch is one group commit: every ticket taken while it was open.
+// The flusher seals it (opens the next), drains the lanes, and releases
+// it; n, bytes, landed and after are guarded by Log.fmu.
+type batch struct {
+	flushed sync.WaitGroup // released once the batch's records are on file
+	err     error          // the flusher's sticky error; read after flushed
+	n       int            // tickets joined
+	bytes   int            // framed bytes joined (the linger's threshold)
+	landed  bool
+	after   []func(error) // Ticket.Notify registrations
+}
+
+func newBatch() *batch {
+	b := &batch{}
+	b.flushed.Add(1)
+	return b
 }
 
 // Log is a node's write-ahead log: one append-only file per lane plus
@@ -122,13 +152,17 @@ type Log struct {
 	// cleanly. Callers decide whether a corrupt tail is fatal.
 	Corruption []error
 
-	fmu          sync.Mutex // flusher state
-	flushedLSN   uint64
-	flushErr     error
-	unflushed    int
-	flushCond    *sync.Cond
-	nudge        chan struct{}
-	done         chan struct{}
+	fmu    sync.Mutex
+	open   *batch // the batch new tickets join
+	closed bool
+	// wake carries "the open batch has work" (and Close) to a parked
+	// flusher; one pending token covers any number of senders.
+	wake chan struct{}
+	// Flusher-owned: the sticky write/fsync error and a recycled
+	// callback slice for the next batch.
+	flushErr  error
+	afterFree []func(error)
+
 	flusherGone  sync.WaitGroup
 	snapInFlight []atomic.Bool
 }
@@ -150,11 +184,10 @@ func Open(dir string, lanes int, policy Policy) (*Log, error) {
 		dir:          dir,
 		policy:       policy.withDefaults(),
 		lanes:        make([]*laneLog, lanes),
-		nudge:        make(chan struct{}, 1),
-		done:         make(chan struct{}),
+		open:         newBatch(),
+		wake:         make(chan struct{}, 1),
 		snapInFlight: make([]atomic.Bool, lanes),
 	}
-	l.flushCond = sync.NewCond(&l.fmu)
 	var maxLSN uint64
 	for i := range l.lanes {
 		path := l.lanePath(i)
@@ -210,27 +243,47 @@ func (l *Log) snapPath(lane int) string {
 	return filepath.Join(l.dir, fmt.Sprintf("lane-%03d.snap", lane))
 }
 
-// Ticket is one append's durability handle: Wait blocks until the
-// record's fsync batch lands (immediately if it already has).
+// Ticket is one append's durability handle: the batch its record joined.
+// Batches land in order and a landed batch covers every LSN at or below
+// its members', so of several tickets the one with the highest LSN
+// stands for all of them. The zero Ticket is already durable.
 type Ticket struct {
 	l   *Log
+	b   *batch
 	lsn uint64
 }
 
+// LSN returns the log sequence number of the ticket's record.
+func (t Ticket) LSN() uint64 { return t.lsn }
+
 // Wait blocks until the ticket's record is durable per the policy
-// (flushed, and fsynced unless NoSync). It returns the flusher's sticky
+// (written, and fsynced unless NoSync). It returns the flusher's sticky
 // error if the disk failed — after which no append is durable.
 func (t Ticket) Wait() error {
-	if t.l == nil {
+	if t.b == nil {
 		return nil
 	}
-	l := t.l
-	l.fmu.Lock()
-	defer l.fmu.Unlock()
-	for l.flushedLSN < t.lsn && l.flushErr == nil {
-		l.flushCond.Wait()
+	t.b.flushed.Wait()
+	return t.b.err
+}
+
+// Notify arranges for f to be called with Wait's result once the
+// ticket's record is durable, without parking a goroutine on it: f runs
+// on the flusher after the batch's waiters are released, or at once on
+// the caller when the batch has already landed. f must not block.
+func (t Ticket) Notify(f func(error)) {
+	if t.b == nil {
+		f(nil)
+		return
 	}
-	return l.flushErr
+	t.l.fmu.Lock()
+	if !t.b.landed {
+		t.b.after = append(t.b.after, f)
+		t.l.fmu.Unlock()
+		return
+	}
+	t.l.fmu.Unlock()
+	f(t.b.err)
 }
 
 // Append frames payload as a record of the given type on the lane's
@@ -240,118 +293,167 @@ func (t Ticket) Wait() error {
 // serialize on the lane's mutex (callers already hold the records'
 // bucket locks, so this adds no new ordering constraint).
 func (l *Log) Append(lane int, typ uint8, payload []byte) Ticket {
+	return l.AppendFunc(lane, typ, func(dst []byte) []byte { return append(dst, payload...) })
+}
+
+// AppendFunc is Append for a payload that does not exist yet: enc
+// appends it to dst — the lane's buffer, past the record's framing —
+// and returns the extended slice, so the payload is encoded once, where
+// it will be written from. enc runs under the lane's mutex and must do
+// nothing but append.
+func (l *Log) AppendFunc(lane int, typ uint8, enc func(dst []byte) []byte) Ticket {
 	ll := l.lanes[lane%len(l.lanes)]
 	ll.mu.Lock()
 	lsn := l.lsn.Add(1)
-	ll.buf = appendRecord(ll.buf, typ, lsn, payload)
-	ll.sinceSnap += int64(recHeaderSize + recBodyPrefix + len(payload))
-	ll.dirty = true
+	start := len(ll.buf)
+	ll.buf = enc(append(ll.buf, make([]byte, recHeaderSize+recBodyPrefix)...))
+	size := len(ll.buf) - start
+	sealRecord(ll.buf[start:], typ, lsn)
+	ll.sinceSnap += int64(size)
 	ll.mu.Unlock()
-
 	l.stats.Appends.Add(1)
+
+	// Join after the record is in the buffer: whoever seals this batch
+	// drains the lanes afterwards and so finds it.
+	return Ticket{l: l, b: l.join(size), lsn: lsn}
+}
+
+// join adds one member of size framed bytes to the open batch and makes
+// sure the flusher knows the batch has work.
+func (l *Log) join(size int) *batch {
 	l.fmu.Lock()
-	l.unflushed += recHeaderSize + recBodyPrefix + len(payload)
-	over := l.unflushed >= l.policy.FlushBytes
+	b := l.open
+	b.n++
+	b.bytes += size
+	wake := b.n == 1 || (b.bytes >= l.policy.FlushBytes && b.bytes-size < l.policy.FlushBytes)
 	l.fmu.Unlock()
-	if over {
-		select {
-		case l.nudge <- struct{}{}:
-		default:
-		}
+	if wake {
+		l.wakeFlusher()
 	}
-	return Ticket{l: l, lsn: lsn}
+	return b
 }
 
-// appendRecord frames one record onto buf.
-func appendRecord(buf []byte, typ uint8, lsn uint64, payload []byte) []byte {
-	body := recBodyPrefix + len(payload)
-	var hdr [recHeaderSize + recBodyPrefix]byte
-	binary.LittleEndian.PutUint32(hdr[0:], uint32(body))
-	hdr[8] = typ
-	binary.LittleEndian.PutUint64(hdr[9:], lsn)
-	crc := crc32.NewIEEE()
-	crc.Write(hdr[8:])
-	crc.Write(payload)
-	binary.LittleEndian.PutUint32(hdr[4:], crc.Sum32())
-	buf = append(buf, hdr[:]...)
-	return append(buf, payload...)
+func (l *Log) wakeFlusher() {
+	select {
+	case l.wake <- struct{}{}:
+	default: // a pending token already covers this one
+	}
 }
 
-// flusher is the group-commit loop: wake on the interval timer or a
-// byte-threshold nudge, write out every dirty lane buffer, fsync the
-// dirty files, and release every ticket the batch covers.
+// sealRecord fills in the framing of rec, a whole record whose payload
+// is already in place.
+func sealRecord(rec []byte, typ uint8, lsn uint64) {
+	binary.LittleEndian.PutUint32(rec[0:], uint32(len(rec)-recHeaderSize))
+	rec[recHeaderSize] = typ
+	binary.LittleEndian.PutUint64(rec[recHeaderSize+1:], lsn)
+	binary.LittleEndian.PutUint32(rec[4:], crc32.ChecksumIEEE(rec[recHeaderSize:]))
+}
+
+// sync waits until every record appended before the call is on file.
+func (l *Log) sync() { l.join(0).flushed.Wait() }
+
+// flusher is the group-commit loop. It parks only after seeing the open
+// batch empty under fmu, and the append that makes it non-empty sends a
+// wake after releasing fmu — so a record that lands after its lane was
+// drained always starts the next flush.
 func (l *Log) flusher() {
 	defer l.flusherGone.Done()
+	for {
+		l.fmu.Lock()
+		if l.open.n == 0 {
+			if l.closed {
+				// Tickets taken from here on resolve to ErrClosed.
+				l.open.err, l.open.landed = ErrClosed, true
+				l.open.flushed.Done()
+				l.fmu.Unlock()
+				return
+			}
+			l.fmu.Unlock()
+			<-l.wake
+			continue
+		}
+		if l.policy.FlushInterval > 0 && l.open.bytes < l.policy.FlushBytes && !l.closed {
+			l.fmu.Unlock()
+			l.linger()
+			l.fmu.Lock()
+		}
+		b := l.open
+		l.open = newBatch()
+		l.open.after, l.afterFree = l.afterFree, nil
+		l.fmu.Unlock()
+		l.flush(b)
+	}
+}
+
+// linger holds the open batch for the opt-in FlushInterval, cut short
+// by the byte threshold or Close.
+func (l *Log) linger() {
 	timer := time.NewTimer(l.policy.FlushInterval)
 	defer timer.Stop()
 	for {
 		select {
-		case <-l.done:
-			l.flushOnce() // final drain so Close leaves nothing buffered
-			return
-		case <-l.nudge:
 		case <-timer.C:
-		}
-		l.flushOnce()
-		if !timer.Stop() {
-			select {
-			case <-timer.C:
-			default:
+			return
+		case <-l.wake:
+			l.fmu.Lock()
+			cut := l.closed || l.open.bytes >= l.policy.FlushBytes
+			l.fmu.Unlock()
+			if cut {
+				return
 			}
 		}
-		timer.Reset(l.policy.FlushInterval)
 	}
 }
 
-// flushOnce drains every dirty lane buffer to its file (fsyncing unless
-// NoSync) and advances the flushed-LSN watermark. Taking each lane's
-// mutex means an in-flight Append finishes its buffer write first, so
-// every LSN at or below the pre-batch watermark is on disk when the
-// batch completes.
-func (l *Log) flushOnce() {
-	// Watermark first: any append that gets an LSN after this read will
-	// be flushed either by this batch (harmless over-delivery) or the
-	// next one, and is never signalled early.
-	watermark := l.lsn.Load()
-	var firstErr error
-	flushedAny := false
+// flush drains every lane buffer to its file (fsyncing unless NoSync)
+// and releases the sealed batch b. Every member's record was in its
+// lane's buffer before b was sealed, and so was every record with a
+// lower LSN (an LSN is assigned and its record framed under one hold of
+// the lane's mutex, which the drain takes in turn) — unless an earlier
+// flush already wrote it.
+func (l *Log) flush(b *batch) {
+	wrote := false
 	for _, ll := range l.lanes {
 		ll.mu.Lock()
-		buf := ll.buf
-		ll.buf = nil
-		dirty := ll.dirty
-		ll.dirty = false
+		out := ll.buf
+		if len(out) == 0 {
+			ll.mu.Unlock()
+			continue
+		}
+		ll.buf, ll.spare = ll.spare, nil
 		ll.mu.Unlock()
 		// wmu keeps this write from interleaving with a concurrent
 		// Snapshot truncation (which holds mu, then wmu) — without it a
 		// stale buffer could land mid-truncate at a racing file offset.
 		ll.wmu.Lock()
-		if len(buf) > 0 {
-			if _, err := ll.f.Write(buf); err != nil && firstErr == nil {
-				firstErr = fmt.Errorf("wal: write: %w", err)
-			}
-			flushedAny = true
-		}
-		if dirty && !l.policy.NoSync {
-			if err := ll.f.Sync(); err != nil && firstErr == nil {
-				firstErr = fmt.Errorf("wal: fsync: %w", err)
-			}
+		_, err := ll.f.Write(out)
+		if err == nil && !l.policy.NoSync {
+			err = ll.f.Sync()
 		}
 		ll.wmu.Unlock()
+		if err != nil && l.flushErr == nil {
+			l.flushErr = fmt.Errorf("wal: flush: %w", err)
+		}
+		wrote = true
+		if cap(out) <= maxSpareBuf {
+			ll.spare = out[:0]
+		}
 	}
-	if flushedAny {
+	if wrote {
 		l.stats.Flushes.Add(1)
 	}
+	b.err = l.flushErr
 	l.fmu.Lock()
-	if firstErr != nil && l.flushErr == nil {
-		l.flushErr = firstErr
-	}
-	if watermark > l.flushedLSN {
-		l.flushedLSN = watermark
-	}
-	l.unflushed = 0
+	b.landed = true
+	after := b.after
+	b.after = nil
 	l.fmu.Unlock()
-	l.flushCond.Broadcast()
+	b.flushed.Done()
+	for _, f := range after {
+		f(b.err)
+	}
+	clear(after)
+	l.afterFree = after[:0]
 }
 
 // NeedsSnapshot reports whether the lane's log has grown past the
@@ -404,9 +506,9 @@ func (l *Log) Snapshot(lane int, build func() []byte) error {
 	// Truncate the lane log: buffered-but-unwritten records all have
 	// LSN <= cutoff (their appends finished before we took the lane
 	// mutex) and are covered by the snapshot, so the buffer drops too.
-	// wmu waits out any in-flight flusher write of a stale buffer.
-	ll.buf = nil
-	ll.dirty = false
+	// Their tickets land with the next flush. wmu waits out any in-flight
+	// flusher write of a stale buffer.
+	ll.buf = ll.buf[:0]
 	ll.wmu.Lock()
 	defer ll.wmu.Unlock()
 	if err := ll.f.Truncate(0); err != nil {
@@ -423,14 +525,17 @@ func (l *Log) Snapshot(lane int, build func() []byte) error {
 // LastLSN returns the most recently assigned LSN.
 func (l *Log) LastLSN() uint64 { return l.lsn.Load() }
 
-// Close flushes and fsyncs outstanding records and closes the files.
+// Close flushes and fsyncs outstanding records — every ticket taken
+// before the call lands — and closes the files.
 func (l *Log) Close() error {
-	select {
-	case <-l.done:
+	l.fmu.Lock()
+	if l.closed {
+		l.fmu.Unlock()
 		return nil
-	default:
 	}
-	close(l.done)
+	l.closed = true
+	l.fmu.Unlock()
+	l.wakeFlusher()
 	l.flusherGone.Wait()
 	var firstErr error
 	for _, ll := range l.lanes {

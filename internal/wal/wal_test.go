@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -363,6 +364,190 @@ func TestFlushByteThreshold(t *testing.T) {
 	}
 }
 
+// TestSoloAppendNeedsNoTimer pins the idle floor of the default policy:
+// a lone committer's wait is one write, not a flush window. 2 000
+// sequential Append+Wait took ~2.2 s behind the 200 µs timer.
+func TestSoloAppendNeedsNoTimer(t *testing.T) {
+	l, err := Open(t.TempDir(), 2, Policy{NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	const n = 2000
+	payload := make([]byte, 256)
+	start := time.Now()
+	for i := 0; i < n; i++ {
+		if err := l.Append(i%2, RecCommit, payload).Wait(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if took := time.Since(start); took > time.Second {
+		t.Fatalf("%d solo appends took %v: something is sleeping on the commit path", n, took)
+	}
+	if got := l.stats.Flushes.Load(); got != n {
+		t.Fatalf("flushes %d, want one per solo append (%d)", got, n)
+	}
+}
+
+// TestAckedRecordIsOnFile is the durability contract: once Wait
+// returns, a fresh read of the lane file — the log still open, other
+// appenders still running — finds that LSN with a valid CRC. Under
+// either policy, and through Notify as well as Wait.
+func TestAckedRecordIsOnFile(t *testing.T) {
+	for name, p := range map[string]Policy{"nosync": {NoSync: true}, "fsync": {}} {
+		t.Run(name, func(t *testing.T) {
+			const lanes, workers, perWorker = 2, 4, 40
+			l, err := Open(t.TempDir(), lanes, p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer l.Close()
+			onFile := func(lane int, lsn uint64) bool {
+				tail, err := readLaneTail(l.lanePath(lane), lane, 0) // stops at a bad CRC
+				if err != nil {
+					t.Error(err)
+				}
+				for _, r := range tail {
+					if r.LSN == lsn {
+						return true
+					}
+				}
+				return false
+			}
+			var wg sync.WaitGroup
+			for w := 0; w < workers; w++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					lane := w % lanes
+					for i := 0; i < perWorker; i++ {
+						tk := l.Append(lane, RecCommit, []byte(fmt.Sprintf("w%d-%d", w, i)))
+						if i%2 == 0 {
+							if err := tk.Wait(); err != nil {
+								t.Error(err)
+								return
+							}
+						} else {
+							acked := make(chan error, 1)
+							tk.Notify(func(err error) { acked <- err })
+							if err := <-acked; err != nil {
+								t.Error(err)
+								return
+							}
+						}
+						if !onFile(lane, tk.LSN()) {
+							t.Errorf("lsn %d acknowledged but not on lane %d's file", tk.LSN(), lane)
+							return
+						}
+					}
+				}()
+			}
+			wg.Wait()
+		})
+	}
+}
+
+// TestNoLostWakeup pins the self-clocked flusher's one hazard: a record
+// appended after its lane was drained but before the flusher parks must
+// start the next flush. Eight appenders in append-then-wait lockstep
+// keep the flusher on the edge of idle; a lost wake-up leaves a Wait
+// parked for good, which the watchdog turns into a failure.
+func TestNoLostWakeup(t *testing.T) {
+	run := 2 * time.Second
+	if testing.Short() {
+		run = 500 * time.Millisecond
+	}
+	const appenders, limit = 8, 100 * time.Millisecond
+	l, err := Open(t.TempDir(), 4, Policy{NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var waitingSince [appenders]atomic.Int64 // unix nanos; 0 = not in Wait
+	var stop atomic.Bool
+	var wg sync.WaitGroup
+	for a := 0; a < appenders; a++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for !stop.Load() {
+				tk := l.Append(a%4, RecCommit, []byte("lockstep"))
+				waitingSince[a].Store(time.Now().UnixNano())
+				err := tk.Wait()
+				waitingSince[a].Store(0)
+				if errors.Is(err, ErrClosed) && stop.Load() {
+					return // appended across the Close below
+				}
+				if err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	for deadline := time.Now().Add(run); time.Now().Before(deadline) && !t.Failed(); {
+		time.Sleep(5 * time.Millisecond)
+		for a := range waitingSince {
+			if since := waitingSince[a].Load(); since != 0 && time.Since(time.Unix(0, since)) > limit {
+				t.Errorf("appender %d has waited over %v for its flush (lost wake-up?)", a, limit)
+			}
+		}
+	}
+	stop.Store(true)
+	// Close drains, which also frees an appender a lost wake-up stranded.
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	wg.Wait()
+	t.Logf("%d appends in %d flushes", l.stats.Appends.Load(), l.stats.Flushes.Load())
+}
+
+// TestFlushErrorIsSticky checks a failed write fails its own batch and
+// every later one — Wait and Notify alike — instead of acknowledging
+// records the disk never took.
+func TestFlushErrorIsSticky(t *testing.T) {
+	l, err := Open(t.TempDir(), 2, Policy{NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	if err := l.Append(0, RecCommit, []byte("fine")).Wait(); err != nil {
+		t.Fatal(err)
+	}
+	l.lanes[0].f.Close() // the disk goes away under lane 0
+	if err := l.Append(0, RecCommit, []byte("lost")).Wait(); err == nil {
+		t.Fatal("a record that failed to write was acknowledged")
+	}
+	// Lane 1's file is healthy, but no append is durable after a failure.
+	tk := l.Append(1, RecCommit, []byte("after"))
+	if err := tk.Wait(); err == nil {
+		t.Fatal("flush error was not sticky")
+	}
+	notified := make(chan error, 1)
+	tk.Notify(func(err error) { notified <- err })
+	if err := <-notified; err == nil {
+		t.Fatal("Notify on a landed, failed batch reported success")
+	}
+}
+
+// TestTicketAfterClose checks Close lands every earlier ticket and that
+// a ticket taken afterwards fails instead of parking forever.
+func TestTicketAfterClose(t *testing.T) {
+	l, err := Open(t.TempDir(), 1, Policy{NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := l.Append(0, RecCommit, []byte("before"))
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := before.Wait(); err != nil {
+		t.Fatalf("ticket taken before Close: %v", err)
+	}
+	if err := l.Append(0, RecCommit, []byte("after")).Wait(); !errors.Is(err, ErrClosed) {
+		t.Fatalf("ticket taken after Close: %v, want ErrClosed", err)
+	}
+}
+
 // TestCloseIdempotent checks double Close is safe.
 func TestCloseIdempotent(t *testing.T) {
 	l, err := Open(t.TempDir(), 1, testPolicy())
@@ -375,4 +560,13 @@ func TestCloseIdempotent(t *testing.T) {
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// appendRecord frames one record onto buf, as AppendFunc does in a lane
+// buffer.
+func appendRecord(buf []byte, typ uint8, lsn uint64, payload []byte) []byte {
+	start := len(buf)
+	buf = append(append(buf, make([]byte, recHeaderSize+recBodyPrefix)...), payload...)
+	sealRecord(buf[start:], typ, lsn)
+	return buf
 }

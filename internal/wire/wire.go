@@ -35,6 +35,11 @@ func NewWriter(n int) *Writer {
 	return &Writer{buf: make([]byte, 0, n)}
 }
 
+// AppendTo returns a Writer that appends to buf, so a message can be
+// encoded in place at the end of a buffer its caller owns; Bytes
+// returns buf extended by whatever was written.
+func AppendTo(buf []byte) Writer { return Writer{buf: buf} }
+
 // Bytes returns the encoded message. The slice aliases the Writer's
 // internal buffer and is invalidated by further writes.
 func (w *Writer) Bytes() []byte { return w.buf }

@@ -253,12 +253,16 @@ func WithAutoRepartition(interval time.Duration) Option {
 // cadence (see WithDurability). The zero value takes the engine
 // defaults. See docs/DURABILITY.md for the trade-offs.
 type FsyncPolicy struct {
-	// FlushInterval is the longest a committed transaction's
-	// acknowledgement waits for its fsync batch (default 200µs).
-	// Shorter favors commit latency, longer favors batching.
+	// FlushInterval, when > 0, is an opt-in linger: the log holds each
+	// group-commit batch open that long after its first record arrives,
+	// so more commits share one fsync and every acknowledgement waits
+	// that much longer. The default, 0, flushes as soon as there is
+	// something to flush — a batch is whatever commits arrived during
+	// the previous write+fsync, and a lone commit waits for exactly one.
 	FlushInterval time.Duration
-	// FlushBytes triggers an early flush once this many unflushed log
-	// bytes accumulate on a node (default 256 KiB).
+	// FlushBytes cuts a linger short once this many unflushed log
+	// bytes accumulate on a node (default 256 KiB). It has no effect
+	// while FlushInterval is 0.
 	FlushBytes int
 	// NoSync skips the fsync syscall: records still reach the OS
 	// (surviving process death within the same boot) but not a power
