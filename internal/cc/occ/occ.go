@@ -451,17 +451,17 @@ func (e *Engine) Run(ctx context.Context, req *txn.Request) txn.Result {
 	}
 
 	// --- commit: replicate then apply+release at each write participant ---
-	// One overlapped scatter (the relays run concurrently; Wait joins
-	// every replica ack) — serializing the per-partition relays would
-	// stretch the validated-lock hold window by a round trip per
-	// partition. A replication failure aborts cleanly (nothing applied
-	// yet; every participant rolls back), so a transient fault there is
-	// retryable — the same classification twopl gives this stage.
-	if err := n.ReplicateAsync(txnID, ts, writes).Wait(); err != nil {
+	// One replicate wave (the primaries stream concurrently; every replica
+	// ack is joined) — serializing the partitions would stretch the
+	// validated-lock hold window by a round trip each. An error means no
+	// replica received anything (a partly streamed fan-out is Node.Replicate's
+	// to surface), so the abort is clean and retryable, as in twopl.
+	if err := n.Replicate(txnID, ts, lockedNodes, writes); err != nil {
 		n.AbortAll(lockedNodes, txnID)
 		return txn.Result{Reason: server.TransportAbortReason(err), Detail: err.Error(), Distributed: distributed}
 	}
-	w := n.CommitAll(txnID, ts, lockedNodes, writes)
+	w := n.NewWave()
+	w.CommitAll(txnID, ts, lockedNodes, writes)
 	w.Wait() // synchronous second phase: the client sees applied writes
 	err := w.Errs()
 	w.Release()

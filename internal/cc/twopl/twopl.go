@@ -122,19 +122,19 @@ func (e *Engine) RunOrdered(ctx context.Context, req *txn.Request, proc *txn.Pro
 	// once the commit wave has gathered every participant — all applies
 	// have landed cluster-wide, so snapshots may now include this
 	// timestamp.
-	// Abort paths after the reserve apply nothing anywhere (a failed
-	// replication relay streams to no replica), so releasing there just
+	// Abort paths after the reserve apply nothing anywhere (a replication
+	// phase that fails streamed to no replica), so releasing there just
 	// lets the stable watermark move past an unused timestamp.
 	var ts uint64
 	if c := n.Clock(); c != nil {
 		ts = c.Reserve()
 		defer c.Release(ts)
 	}
-	// Replicate cold write sets (one overlapped scatter; Wait joins every
-	// replica ack), then run the commit phase of 2PC as one wave. A
-	// replication failure aborts cleanly (nothing applied; every
-	// participant rolls back), so a transient fault there is retryable.
-	if err := n.ReplicateAsync(txnID, ts, st.writes).Wait(); err != nil {
+	// Replicate the write sets (one replicate wave, every replica ack
+	// joined), then run the commit phase of 2PC as one wave. An error means
+	// no replica received anything (a partly streamed fan-out is
+	// Node.Replicate's to surface), so the abort is clean and retryable.
+	if err := n.Replicate(txnID, ts, st.participants, st.writes); err != nil {
 		n.AbortAll(st.participants, txnID)
 		return txn.Result{
 			Reason:      server.TransportAbortReason(err),
@@ -142,7 +142,8 @@ func (e *Engine) RunOrdered(ctx context.Context, req *txn.Request, proc *txn.Pro
 			Distributed: st.distributed(),
 		}
 	}
-	w := n.CommitAll(txnID, ts, st.participants, st.writes)
+	w := n.NewWave()
+	w.CommitAll(txnID, ts, st.participants, st.writes)
 	w.Wait() // 2PC's second phase is synchronous: the client sees applied writes
 	err := w.Errs()
 	w.Release()

@@ -8,17 +8,20 @@ import (
 	"time"
 
 	"github.com/chillerdb/chiller/internal/bench"
+	"github.com/chillerdb/chiller/internal/cc"
 	"github.com/chillerdb/chiller/internal/cluster"
+	"github.com/chillerdb/chiller/internal/core"
 	"github.com/chillerdb/chiller/internal/server"
 	"github.com/chillerdb/chiller/internal/storage"
+	"github.com/chillerdb/chiller/internal/testutil"
 	"github.com/chillerdb/chiller/internal/transport/simfab"
 	"github.com/chillerdb/chiller/internal/txn"
 )
 
-// Engine-level fault taxonomy: a dropped replication relay must surface
-// as an unreachable-family abort whose detail names the destination
-// node, and the transaction must have aborted cleanly (no leaked
-// locks) so a later retry commits.
+// Engine-level fault taxonomy: a replicate frame whose stream cannot
+// leave the primary must surface as an unreachable-family abort whose
+// detail names the destination node, and the transaction must have
+// aborted cleanly (no leaked locks) so a later retry commits.
 
 func faultCluster(t *testing.T, plan *simfab.FaultPlan) *bench.Cluster {
 	t.Helper()
@@ -45,16 +48,17 @@ func faultCluster(t *testing.T, plan *simfab.FaultPlan) *bench.Cluster {
 }
 
 func TestDroppedReplicationRelaySurfacesUnreachable(t *testing.T) {
-	// Drop every replication forward: the transaction's writes cannot
-	// replicate, so 2PL must abort cleanly with a node-naming
-	// unreachable error.
+	// Drop every stream send: each replicate frame fails at its primary
+	// before anything reached a replica, so 2PL must abort cleanly with
+	// a node-naming unreachable error.
 	c := faultCluster(t, &simfab.FaultPlan{
 		DropProb:  1,
-		Droppable: func(m string) bool { return m == server.VerbReplForward },
+		Droppable: func(m string) bool { return m == server.VerbInnerRepl },
 	})
 	eng := c.Engine(bench.Engine2PL, 0)
-	// Cross-partition RMW so the replication fan-out includes a remote
-	// relay (the local relay bypasses the fabric).
+	// Cross-partition RMW so the replicate wave has a frame the
+	// coordinator serves itself (its error keeps its type) and one a
+	// remote primary serves over a doorbell.
 	req := &txn.Request{Proc: ProcRMW2, Args: txn.Args{1, 9, 1}}
 	res := eng.Run(context.Background(), req)
 	if res.Committed {
@@ -68,6 +72,79 @@ func TestDroppedReplicationRelaySurfacesUnreachable(t *testing.T) {
 	}
 	if !c.Quiesced() {
 		t.Fatal("aborted transaction leaked participant state")
+	}
+}
+
+// Every write of a record reaches its replicas on one pipe — the
+// primary's per-link FIFO stream — whether the record was in the inner
+// region of the transaction that wrote it (the region streams at its
+// commit) or in the outer region (a replicate frame streams at the
+// primary, under the same bucket lock). So when two transactions write
+// the record one after the other, the replica ends with the later value
+// in both lock orders, even while delay spikes hold the earlier stream
+// message back: a write set sent to the replicas from anywhere but the
+// primary would overtake it.
+func TestInnerAndOuterWritesReplicateInLockOrder(t *testing.T) {
+	c := faultCluster(t, &simfab.FaultPlan{
+		Seed:       testutil.Seed(t, 7),
+		DelayProb:  0.5,
+		DelaySpike: 300 * time.Microsecond,
+		Droppable:  func(string) bool { return false },
+	})
+	const x, y, cold = storage.Key(1), storage.Key(9), storage.Key(10) // x on partition 0; y, cold on 1
+	c.Dir.SetHotWeight(storage.RID{Table: CheckTable, Key: x}, 0, 1)
+	c.Dir.SetHotWeight(storage.RID{Table: CheckTable, Key: y}, 1, 5)
+	// A writes x in its inner region (coordinated on x's primary); B's
+	// inner region is the hotter y, so it writes x in its outer region.
+	type writer struct {
+		eng  cc.Engine
+		args func(nonce int64) txn.Args
+	}
+	a := writer{c.Engine(bench.EngineChiller, 0), func(n int64) txn.Args { return txn.Args{int64(x), int64(cold), n} }}
+	b := writer{c.Engine(bench.EngineChiller, 1), func(n int64) txn.Args { return txn.Args{int64(x), int64(y), n} }}
+	for w, wantInner := range map[*writer]int{&a: 0, &b: 1} {
+		dec, err := w.eng.(*core.Engine).Decide(&txn.Request{Proc: ProcRMW2, Args: w.args(0)})
+		if err != nil || !dec.TwoRegion || dec.InnerHost != wantInner {
+			t.Fatalf("decision %+v (%v), want a two-region transaction with inner host %d", dec, err, wantInner)
+		}
+	}
+	nonceAt := func(node int) int64 {
+		v, _, err := c.Nodes[node].Store().Table(CheckTable).Bucket(x).Get(x)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return DecodeNonce(v)
+	}
+	commit := func(w writer, nonce int64) {
+		req := &txn.Request{Proc: ProcRMW2, Args: w.args(nonce)}
+		for !w.eng.Run(context.Background(), req).Committed {
+			time.Sleep(20 * time.Microsecond)
+		}
+	}
+	for round := int64(1); round <= 60; round++ {
+		first, second := a, b
+		if round%2 == 0 {
+			first, second = b, a
+		}
+		done := make(chan struct{})
+		go func() { commit(first, round); close(done) }()
+		// The second writer starts once the primary shows the first one's
+		// value: it takes x's lock after the first released it, while the
+		// first one's stream message may still be in flight.
+		for nonceAt(0) != round {
+			time.Sleep(5 * time.Microsecond)
+		}
+		commit(second, -round)
+		<-done
+		c.Drain()
+		c.Settle()
+		if p, r := nonceAt(0), nonceAt(1); p != -round || r != -round {
+			t.Fatalf("round %d (inner-region writer first: %v): primary holds nonce %d, replica %d, want %d on both",
+				round, round%2 == 1, p, r, -round)
+		}
+	}
+	if n := c.VerifyReplicaConsistency(CheckTable); n != 0 {
+		t.Fatalf("%d replica mismatches", n)
 	}
 }
 

@@ -19,6 +19,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -166,11 +167,11 @@ func (t *Topology) StreamTargets(p PartitionID) []transport.NodeID {
 
 // Promote makes the given replica of partition p its primary, demoting
 // the old primary to the replica slot — the recovery protocol's answer
-// to a primary dying, and the cutover step of a live handoff:
-// replication strictly precedes every commit wave (outer writes relay
-// through the primary's FIFO streams, inner commits stream before
-// applying), so a replica holds every acknowledged commit and can serve
-// the partition the moment routing flips.
+// to a primary dying, and the cutover step of a live handoff: every
+// write set joins the primary's FIFO stream before it applies there (a
+// replicate frame ahead of the commit frame, an inner region at its
+// commit), so once the streams have drained a replica holds every
+// commit and can serve the partition the moment routing flips.
 //
 // The flip itself is atomic (snapshot swap), but Promote does not drain
 // in-flight transactions — the caller establishes that either by
@@ -358,6 +359,16 @@ func (t *Topology) NumNodes() int {
 		}
 	}
 	return int(max) + 1
+}
+
+// HasNode reports whether the layout names n (a coordinator-only client is not).
+func (t *Topology) HasNode(n transport.NodeID) bool {
+	for _, info := range t.load() {
+		if info.Primary == n || slices.Contains(info.Replicas, n) || slices.Contains(info.Warming, n) {
+			return true
+		}
+	}
+	return false
 }
 
 // PartitionOfNode returns the partition primaried on the given node, or

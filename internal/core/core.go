@@ -15,10 +15,11 @@
 // on the inner host is the only shape a two-region transaction takes.
 //
 // Fault-tolerance for the inner region's early commit point uses the
-// replication protocol of §5 (see package server's inner-replication
-// verbs): the inner primary streams new values to its replicas without
-// waiting, the replicas acknowledge to the coordinator, and the
-// coordinator only completes the outer region after those acks.
+// replication protocol of §5 (see package server's replication stream):
+// the inner primary streams new values to its replicas without waiting,
+// the replicas acknowledge to the coordinator, and the coordinator only
+// completes the outer region after those acks. The outer primaries then
+// replicate by the same rule, and the commit tail joins their acks.
 package core
 
 import (
@@ -48,10 +49,10 @@ type Engine struct {
 	gmu    sync.RWMutex
 	graphs map[string]*depgraph.Graph
 
-	// tails tracks background commit waves: once the inner region has
-	// committed and its replicas have acked, the outer commit messages
-	// are fire-and-forget from the transaction's perspective (2PC with
-	// presumed commit needs no second-phase acks), so Run hands them to a
+	// tails tracks background commit tails: once the inner region has
+	// committed and its replicas have acked, the outer region's wave is
+	// fire-and-forget from the transaction's perspective (2PC with
+	// presumed commit needs no second-phase acks), so Run hands it to a
 	// tail and returns. Drain joins them for tests and shutdown.
 	tails sync.WaitGroup
 }
@@ -306,62 +307,63 @@ func (e *Engine) runTwoRegion(ctx context.Context, req *txn.Request, proc *txn.P
 	// no-op).
 
 	// Step 5: commit the outer region. Compute the deferred outer writes
-	// — their mutators may consume values produced by the inner region —
-	// and start streaming them to the outer partitions' replicas
-	// immediately, so the replica round trip overlaps the wait for the
-	// inner region's acks instead of following it.
+	// now — their mutators may consume values produced by the inner region
+	// — so the work overlaps the wait for the inner region's acks.
 	if err := e.materializeOuterWrites(proc, req.Args, dec.OuterOps, s); err != nil {
 		// Mutators of outer write ops must be infallible once the inner
 		// region has committed (all value constraints belong in reads'
 		// Check hooks or inner mutators). Surface loudly.
 		panic(fmt.Sprintf("core: outer mutate failed after inner commit (txn %d, proc %s): %v", txnID, proc.Name, err))
 	}
-	s.repl = n.ReplicateAsync(txnID, s.ts, s.outer)
 
 	// Wait for the inner region's replicas to acknowledge (to us, the
 	// coordinator — Figure 6) before completing the transaction.
-	<-s.ack.Done()
-	n.ReleaseInnerWaiter(s.ack)
+	if err := n.AwaitAcks(txnID, s.ack); err != nil {
+		// The fabric closed under a committed inner region: the outer region
+		// can be neither completed nor (the abort wave fails too) rolled back.
+		s.detail = "after inner commit: " + err.Error()
+		return abort(txn.AbortInternal)
+	}
 
-	// Final step: join the outer replica acks, then one parallel commit
-	// wave over every outer participant (finish). The transaction's
-	// outcome and read set are already final, so the wave runs as a
-	// detached tail when it would otherwise block on the network — the
-	// client gets its result one round trip earlier, while the protocol
-	// order (replica acks before any lock release) is preserved inside
-	// the tail. The tail owns the scratch from here: the result is built
-	// first, and finish hands the scratch back when it is done with it.
+	// Final step: one wave over every outer participant (finish). The
+	// transaction's outcome and read set are already final, so the wave
+	// runs as a detached tail when it would otherwise block on the network
+	// — the client gets its result one round trip earlier. The tail owns
+	// the scratch from here: the result is built first, finish releases it.
 	res := txn.Result{Committed: true, Reads: s.reads, Distributed: s.isDistributed()}
+	w := n.NewWave()
+	replicating := w.ReplicateAll(txnID, s.ts, s.nodes(false), s.outer)
+	w.CommitAll(txnID, s.ts, s.nodes(false), s.outer)
 	e.tails.Add(1)
-	if s.repl.Empty() && !s.hasRemoteParticipant(n.ID()) {
-		e.finish(s) // purely local: no network to wait on
+	if !replicating && !s.hasRemoteParticipant(n.ID()) {
+		e.finish(s, w) // purely local: no network to wait on
 	} else {
-		go e.finish(s)
+		go e.finish(s, w)
 	}
 	return res
 }
 
-// finish completes a committed transaction (Drain waits for it): it
-// joins the outer replica acks, rings the commit wave, releases the
-// commit timestamp, and hands the scratch back — its last reader.
-func (e *Engine) finish(s *scratch) {
+// finish completes a committed transaction (Drain waits for it). Each
+// outer participant gets a replicate and a commit frame in one ring: it
+// streams the write set under the transaction's locks, then applies and
+// releases — no lock waits on a replica. finish joins the replicas' acks,
+// releases the commit timestamp, and hands the scratch back, its last reader.
+func (e *Engine) finish(s *scratch, w *server.Wave) {
 	defer e.tails.Done()
 	n := e.node
-	if err := s.repl.Wait(); err != nil {
-		panic(fmt.Sprintf("core: outer replication failed after inner commit: %v", err))
-	}
 	// Presumed commit: the locks release when the doorbells ring and
 	// no second-phase ack gates anything, so reap the wave instead of
 	// sleeping out a round trip nothing observes.
-	w := n.CommitAll(s.txnID, s.ts, s.nodes(false), s.outer)
 	w.Reap()
 	if err := w.Errs(); err != nil {
 		panic(fmt.Sprintf("core: outer commit failed after inner commit: %v", err))
 	}
+	err := w.JoinReplicas()
 	w.Release()
 	// Every apply — inner stream, outer replicas, outer primaries —
-	// has landed; snapshots may now advance past this timestamp.
-	if c := n.Clock(); c != nil {
+	// has landed; snapshots may now advance past this timestamp. Not so
+	// if the fabric closed before the outer replicas acked (ErrClosed).
+	if c := n.Clock(); c != nil && err == nil {
 		c.Release(s.ts)
 	}
 	n.SampleCommit(s.readRIDs, s.writeRIDs)
@@ -482,7 +484,6 @@ type scratch struct {
 	// partition id means nothing to the next deployment).
 	outer map[cluster.PartitionID][]server.WriteOp
 	spare [][]server.WriteOp
-	repl  *server.PendingReplication
 
 	// Inner region: buffered writes — also the read-your-own-writes
 	// index — the bucket locks held, and once it committed (with ts) the

@@ -5,11 +5,13 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"github.com/chillerdb/chiller/internal/cluster"
 	"github.com/chillerdb/chiller/internal/depgraph"
 	"github.com/chillerdb/chiller/internal/server"
 	"github.com/chillerdb/chiller/internal/storage"
+	"github.com/chillerdb/chiller/internal/testutil"
 	"github.com/chillerdb/chiller/internal/transport/simfab"
 	"github.com/chillerdb/chiller/internal/txn"
 	"github.com/chillerdb/chiller/internal/wire"
@@ -50,9 +52,8 @@ func execInnerOn(n *server.Node, txnID uint64, proc *txn.Procedure, args txn.Arg
 	defer s.release()
 	s.txnID, s.reads = txnID, reads
 	reason := s.execInnerOnLane(n, proc, args, innerOps)
-	if reason == txn.AbortNone {
-		<-s.ack.Done()
-		n.ReleaseInnerWaiter(s.ack)
+	if reason == txn.AbortNone && n.AwaitAcks(txnID, s.ack) != nil {
+		panic("fabric closed under an inner region")
 	}
 	return reason
 }
@@ -259,10 +260,16 @@ func multiHarness(t *testing.T) ([]*Engine, []*server.Node, *simfab.Network) {
 
 // faultyMultiHarness is multiHarness on a fabric with a fault plan.
 func faultyMultiHarness(t *testing.T, plan *simfab.FaultPlan) ([]*Engine, []*server.Node, *simfab.Network) {
+	return replicatedHarness(t, plan, 1)
+}
+
+// replicatedHarness is faultyMultiHarness at a replication degree
+// (partition p's replicas are the next nodes round). Its cleanup drains
+// the engines, closes the fabric and stops the nodes' lanes.
+func replicatedHarness(t *testing.T, plan *simfab.FaultPlan, replication int) ([]*Engine, []*server.Node, *simfab.Network) {
 	t.Helper()
 	net := simfab.New(simfab.Config{Faults: plan})
-	t.Cleanup(net.Close)
-	topo := cluster.NewTopology(3, 1)
+	topo := cluster.NewTopology(3, replication)
 	dir := cluster.NewDirectory(topo, cluster.RangePartitioner{
 		N: 3, MaxKey: map[storage.TableID]storage.Key{1: 300},
 	})
@@ -280,6 +287,13 @@ func faultyMultiHarness(t *testing.T, plan *simfab.FaultPlan) ([]*Engine, []*ser
 		nodes[i] = server.New(net.Endpoint(simfab.NodeID(i)), st, reg, dir, cluster.PartitionID(i))
 		engines[i] = New(nodes[i])
 	}
+	t.Cleanup(func() {
+		drainAll(engines)
+		net.Close()
+		for _, n := range nodes {
+			n.Close()
+		}
+	})
 	return engines, nodes, net
 }
 
@@ -372,6 +386,54 @@ func TestRouteToWrongHostAbortsMoved(t *testing.T) {
 	}
 	drainAll(engines)
 	assertUntouched(t, nodes)
+}
+
+// No wait without an exit: a committed transaction's tail whose outer
+// replica never acks ends when the fabric closes instead of parking
+// Drain — and every goroutine it started — past Close.
+func TestTailExitsWhenFabricClosesMidJoin(t *testing.T) {
+	testutil.CheckLeaks(t)
+	engines, nodes, net := replicatedHarness(t, nil, 2)
+	// Inner region: hot key 110 on node 1 (its replica, node 2, acks).
+	// Outer region: key 210 on node 2, whose replica — node 0 — swallows
+	// the stream, so the tail's join can only end with the fabric.
+	nodes[0].Directory().SetHot(storage.RID{Table: 1, Key: 110}, 1)
+	nodes[0].Registry().MustRegister(&txn.Procedure{
+		Name: "tail",
+		Ops: []txn.OpSpec{
+			{ID: 0, Type: txn.OpUpdate, Table: 1, Key: key(210), Mutate: setVal(21)},
+			{ID: 1, Type: txn.OpUpdate, Table: 1, Key: key(110), Mutate: setVal(11)},
+		},
+	})
+	nodes[0].Endpoint().HandleAsync(server.VerbInnerRepl, func(simfab.NodeID, []byte, func([]byte, error)) {})
+
+	if res := engines[1].Run(context.Background(), &txn.Request{Proc: "tail"}); !res.Committed {
+		t.Fatalf("aborted: %v %s", res.Reason, res.Detail)
+	}
+	// The commit frame rode the replicate frame's ring: the outer lock is
+	// gone and the write applied although no outer replica has acked.
+	b := nodes[2].Store().Table(1).Bucket(210)
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		if v, _, _ := b.Get(210); len(v) == 1 && v[0] == 21 && !b.Lock.Held() {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("outer primary never applied and released")
+		}
+	}
+	drained := make(chan struct{})
+	go func() { engines[1].Drain(); close(drained) }()
+	select {
+	case <-drained:
+		t.Fatal("the tail finished without its outer replica's ack")
+	case <-time.After(20 * time.Millisecond):
+	}
+	net.Close()
+	select {
+	case <-drained:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the tail outlived the fabric")
+	}
 }
 
 // lockRecorder interposes a node's lock-wave doorbell, recording each

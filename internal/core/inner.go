@@ -380,7 +380,7 @@ func (s *scratch) execInner(n *server.Node, proc *txn.Procedure, args txn.Args, 
 		}
 		return abort(txn.AbortInternal)
 	}
-	if sent, err := n.StreamInnerRepl(targets, txnID, ts, writes); err != nil {
+	if sent, err := n.StreamInnerRepl(targets, n.ID(), txnID, ts, writes); err != nil {
 		if sent > 0 {
 			// A partially-sent stream means some replica will apply a
 			// write set this abort disowns; no compensation exists, so

@@ -66,6 +66,7 @@ func TestVerbCensus(t *testing.T) {
 			}
 		}
 	}
+	replicates := map[string]bool{} // package directory → posts replicate frames
 	root := filepath.Join("..", "..")
 	err = filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
@@ -95,10 +96,13 @@ func TestVerbCensus(t *testing.T) {
 				case *ast.Ident:
 					fn = fun.Name
 				}
-				if strings.HasPrefix(fn, "Handle") {
+				switch {
+				case strings.HasPrefix(fn, "Handle"):
 					mark(handled, n.Args)
-				} else if sendFuncs[fn] {
+				case sendFuncs[fn]:
 					mark(sent, n.Args)
+				case fn == "ReplicateAll" || fn == "Replicate":
+					replicates[filepath.ToSlash(filepath.Dir(path))] = true
 				}
 			case *ast.AssignStmt: // method := VerbDoorbell, later sent
 				mark(sent, n.Rhs)
@@ -135,5 +139,10 @@ func TestVerbCensus(t *testing.T) {
 	sort.Strings(dead)
 	for _, d := range dead {
 		t.Error(d)
+	}
+	for _, engine := range []string{"internal/core", "internal/cc/twopl", "internal/cc/occ"} {
+		if !replicates["../../"+engine] {
+			t.Errorf("%s never posts a replicate frame: its outer writes take some other way to the replicas", engine)
+		}
 	}
 }

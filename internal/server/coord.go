@@ -3,7 +3,6 @@ package server
 import (
 	"errors"
 	"fmt"
-	"time"
 
 	"github.com/chillerdb/chiller/internal/cluster"
 	"github.com/chillerdb/chiller/internal/storage"
@@ -13,9 +12,9 @@ import (
 // Coordinator-side helpers. Every engine (2PL/2PC, OCC, Chiller) reaches
 // participants through a Wave (wave.go): one doorbell per remote
 // destination, a direct call for the coordinator's own node. The helpers
-// here are the waves every engine shares — a single lock-read, the abort
-// wave, the commit wave — plus the replication relay, which stays
-// two-sided because it rides the primaries' per-link FIFO streams.
+// here are the waves every engine shares — a single lock-read, the abort,
+// replicate and commit waves — and what a replicate frame does at the
+// primary: the §5 stream, two-sided because it rides per-link FIFO.
 
 // LockRead locks and reads entries at the target node: a one-frame wave.
 func (n *Node) LockRead(target transport.NodeID, txnID uint64, entries []LockEntry) (*LockResponse, error) {
@@ -51,156 +50,132 @@ func (n *Node) AbortAll(participants []transport.NodeID, txnID uint64) {
 	w.Release()
 }
 
-// CommitAll posts the commit phase at every participant as one wave and
-// returns it un-rung: the caller gathers with Wait (2PL's and OCC's
-// synchronous second phase) or Reap (Chiller's presumed-commit tail,
-// where the locks release at ring time and no second-phase ack gates
-// anything), reads the joined outcome from Errs — every error names the
-// participant it came from — and Releases.
-//
-// Each participant applies the concatenation of every partition it is
-// currently primary for — one partition almost always, several right
-// after a replica promotion (keying the write set by the one partition
-// that first routed to a node would drop the adopted partition's
-// writes). A participant with no writes still gets its commit frame:
-// that is what releases its read locks.
-func (n *Node) CommitAll(txnID, ts uint64, participants []transport.NodeID, writes map[cluster.PartitionID][]WriteOp) *Wave {
-	topo := n.dir.Topology()
-	w := n.NewWave()
-	for _, p := range participants {
-		var ws []WriteOp
-		for pid, pw := range writes {
-			if topo.Primary(pid) != p {
-				continue
-			}
-			if ws == nil {
-				ws = pw // the one-partition case shares the caller's slice
-			} else {
-				ws = append(ws[:len(ws):len(ws)], pw...) // copies: never grows into pw's neighbours
-			}
+// participantWrites returns the write set participant p applies — every
+// partition it is currently primary for: one almost always, several right
+// after a replica promotion (keying the set by the partition that first
+// routed to a node would drop an adopted partition's writes) — and
+// whether any of them has a stream target.
+func participantWrites(topo *cluster.Topology, p transport.NodeID, writes map[cluster.PartitionID][]WriteOp) (ws []WriteOp, replicated bool) {
+	for pid, pw := range writes {
+		if len(pw) == 0 || topo.Primary(pid) != p {
+			continue
 		}
+		replicated = replicated || len(topo.StreamTargets(pid)) > 0
+		if ws == nil {
+			ws = pw // the one-partition case shares the caller's slice
+		} else {
+			ws = append(ws[:len(ws):len(ws)], pw...) // copies: never grows into pw's neighbours
+		}
+	}
+	return ws, replicated
+}
+
+// ReplicateAll posts a replicate frame (see Node.replicateLocal) at every
+// participant with writes to replicate — ahead of its commit frame, so it
+// streams under the transaction's locks — and reports whether it posted
+// any. A participant with no stream target here (replication degree 1)
+// gets none: a presence test made under the locks — the backfill of a
+// target added later waits for those — never a count.
+func (w *Wave) ReplicateAll(txnID, ts uint64, participants []transport.NodeID, writes map[cluster.PartitionID][]WriteOp) bool {
+	topo := w.n.dir.Topology()
+	for _, p := range participants {
+		ws, replicated := participantWrites(topo, p, writes)
+		if !replicated {
+			continue
+		}
+		w.ackID = txnID | outerAckBit
+		if f, bell := w.post(p, KindReplicate); bell != nil {
+			f.slot = bell.PostReplicate(w.ackID, ts, ws)
+		} else {
+			f.ts, f.writes = ts, ws
+		}
+	}
+	return w.ackID != 0
+}
+
+// CommitAll posts the commit phase (apply writes, release locks) at every
+// participant — one with no writes too: that releases its read locks.
+// The caller gathers with Wait (2PL's and OCC's synchronous second phase)
+// or Reap (Chiller's presumed-commit tail: the locks release at ring time,
+// nothing gates on a second-phase ack) and reads Errs. Behind ReplicateAll
+// on one wave, a participant streams and releases in a single ring.
+func (w *Wave) CommitAll(txnID, ts uint64, participants []transport.NodeID, writes map[cluster.PartitionID][]WriteOp) {
+	topo := w.n.dir.Topology()
+	for _, p := range participants {
+		ws, _ := participantWrites(topo, p, writes)
 		w.Commit(p, txnID, ts, ws)
 	}
-	return w
 }
 
-// replCall is one in-flight replication forward RPC.
-type replCall struct {
-	call   transport.Call
-	target transport.NodeID
-	start  time.Time
-}
-
-// localFwd is an in-flight relay on this node (the coordinator is the
-// partition's primary — the common case). start brackets the relay's
-// stream→apply→ack round trip for the KindReplApply latency histogram,
-// which would otherwise only see the rare remote-forward leg.
-type localFwd struct {
-	ch     chan error
-	target transport.NodeID
-	start  time.Time
-}
-
-// PendingReplication is an in-flight replication fan-out started by
-// ReplicateAsync. Wait gathers every replica acknowledgement.
-type PendingReplication struct {
-	vm     *VerbMetrics
-	calls  []replCall
-	locals []localFwd
-	errs   []error
-}
-
-// forwardTo starts one partition's replication relay: a direct local
-// relay when this node is the partition's primary, a forward RPC to the
-// primary otherwise.
-func (n *Node) forwardTo(pr *PendingReplication, pid cluster.PartitionID, txnID, ts uint64, ws []WriteOp) {
-	if len(ws) == 0 || len(n.dir.Topology().StreamTargets(pid)) == 0 {
-		return
+// Replicate is the replication phase of the lock-holding baselines (2PL,
+// OCC): a replicate wave, then the join of every replica ack, before the
+// caller's commit wave may release a lock. An error means nothing reached
+// any replica — the caller aborts cleanly — or fabric teardown cut the
+// join short (transport.ErrClosed). A failure after one partition's
+// stream went out cannot be compensated — some replica applies a write
+// set whose transaction aborts — and is an invariant violation.
+func (n *Node) Replicate(txnID, ts uint64, participants []transport.NodeID, writes map[cluster.PartitionID][]WriteOp) error {
+	w := n.NewWave()
+	defer w.Release()
+	if !w.ReplicateAll(txnID, ts, participants, writes) {
+		return nil
 	}
-	primary := n.dir.Topology().Primary(pid)
-	if primary == n.ID() {
-		lf := localFwd{ch: make(chan error, 1), target: primary, start: time.Now()}
-		n.ForwardRepl(pid, ts, ws, func(err error) { lf.ch <- err })
-		pr.locals = append(pr.locals, lf)
-		return
+	w.Wait()
+	err := w.Errs()
+	if err != nil && w.streamed > 0 {
+		panic(fmt.Sprintf("server: node %d: txn %d replicated to %d replica(s), then failed: %v", n.ID(), txnID, w.streamed, err))
 	}
-	c, err := n.ep.Go(primary, VerbReplForward, EncodeWrites(txnID, ts, ws))
-	if err != nil {
-		pr.errs = append(pr.errs, fmt.Errorf("server: replicate to node %d: %w", primary, err))
-		return
-	}
-	pr.calls = append(pr.calls, replCall{call: c, target: primary, start: time.Now()})
+	return errors.Join(err, w.JoinReplicas()) // after a clean failure there is nothing to wait for
 }
 
-// ReplicateAsync starts every partition's replication relay in one
-// scatter, without waiting for acknowledgements. The caller overlaps
-// the replica round trip with other work (Chiller's coordinator runs it
-// under the inner-replica-ack wait) and joins the acks with Wait before
-// releasing any lock. The relay is not a doorbell verb: it completes
-// only when the replicas ack back to the primary, and doorbell frames
-// are serviced synchronously at ring time, so parking a ring on a
-// replica round trip would forfeit exactly the overlap the scatter buys.
-func (n *Node) ReplicateAsync(txnID, ts uint64, writes map[cluster.PartitionID][]WriteOp) *PendingReplication {
-	pr := &PendingReplication{vm: n.vm}
-	for pid, ws := range writes {
-		n.forwardTo(pr, pid, txnID, ts, ws)
-	}
-	return pr
-}
-
-// Empty reports whether the fan-out has nothing in flight and no errors.
-func (pr *PendingReplication) Empty() bool {
-	return len(pr.calls) == 0 && len(pr.locals) == 0 && len(pr.errs) == 0
-}
-
-// Wait drains every outstanding replica acknowledgement and returns the
-// join of all errors (not just the first), so a multi-replica failure is
-// reported in full. Every error names the relaying primary; when a
-// specific replica failed, the wrapped cause names that replica too
-// (StreamInnerRepl's errors carry the replica node).
-func (pr *PendingReplication) Wait() error {
-	for _, c := range pr.calls {
-		_, err := c.call.Wait()
-		pr.vm.Observe(KindReplApply, time.Since(c.start))
-		if err != nil {
-			pr.errs = append(pr.errs, fmt.Errorf("server: replication relay via node %d: %w", c.target, err))
+// replicateLocal serves a replicate frame: it streams writes — records of
+// partitions this node is primary for — to each partition's stream
+// targets, which ack to ackTo under ackID, and returns the sends made.
+// It runs at ring time, under the bucket locks the transaction holds
+// here (its commit frame is posted behind it), so stream order at the
+// replicas equals lock order at the primary for every write of a record,
+// inner or outer. Each run of one partition's writes is one message; the
+// count sizes the coordinator's wait, which so follows a handoff's targets.
+func (n *Node) replicateLocal(ackTo transport.NodeID, ackID, ts uint64, writes []WriteOp) (sent int, err error) {
+	if n.FaultInjector != nil {
+		if err := n.FaultInjector(VerbReplicate, ackID&^outerAckBit); err != nil {
+			return 0, err
 		}
 	}
-	pr.calls = nil
-	for _, lf := range pr.locals {
-		err := <-lf.ch
-		pr.vm.Observe(KindReplApply, time.Since(lf.start))
-		if err != nil {
-			pr.errs = append(pr.errs, fmt.Errorf("server: replication relay via node %d: %w", lf.target, err))
-		}
+	partition := func(w *WriteOp) cluster.PartitionID {
+		return n.dir.Partition(storage.RID{Table: w.Table, Key: w.Key})
 	}
-	pr.locals = nil
-	return errors.Join(pr.errs...)
+	topo := n.dir.Topology()
+	for len(writes) > 0 && err == nil {
+		pid, run := partition(&writes[0]), 1
+		for run < len(writes) && partition(&writes[run]) == pid {
+			run++
+		}
+		s, serr := n.StreamInnerRepl(topo.StreamTargets(pid), ackTo, ackID, ts, writes[:run])
+		sent, writes, err = sent+s, writes[run:], serr
+	}
+	return sent, err
 }
 
 // StreamInnerRepl sends a write set to each stream target of its
 // partition as a one-way message and returns immediately: per §5 the
 // primary "moves on to the next transaction" without waiting. The
-// targets ack to this node — the transaction's coordinator for an inner
-// region, the relaying primary for forwarded outer replication — under
-// txnID. This stream is the one path that must stay two-sided: it relies
-// on per-link FIFO delivery for the §5 in-order-apply property, which
-// the one-sided doorbell path does not provide.
+// targets ack to ackTo, the transaction's coordinator, under txnID. This
+// stream is the one path that must stay two-sided: the §5 in-order-apply
+// property relies on per-link FIFO, which doorbells do not provide.
 //
-// The caller captures targets (Topology.StreamTargets) in the same
-// snapshot it sizes its ack wait with (ExpectInnerAcks, before calling) —
-// passing them explicitly keeps the count and the sends agreeing even
-// while a handoff mutates the topology concurrently.
+// The caller captures targets (Topology.StreamTargets) in the snapshot
+// the ack wait is sized by (an inner region registers the count first, a
+// replicate frame returns it), so the two agree across a handoff.
 //
 // On failure, sent reports how many sends had already gone out: callers
-// abort cleanly only when sent == 0 (nothing reached any replica); a
-// partial stream has no compensation path and is an engine invariant
-// violation.
-func (n *Node) StreamInnerRepl(targets []transport.NodeID, txnID, ts uint64, writes []WriteOp) (sent int, err error) {
+// abort cleanly only when sent == 0; a partial stream has no
+// compensation path and is an engine invariant violation.
+func (n *Node) StreamInnerRepl(targets []transport.NodeID, ackTo transport.NodeID, txnID, ts uint64, writes []WriteOp) (sent int, err error) {
 	if len(targets) == 0 {
 		return 0, nil
 	}
-	payload := EncodeInnerRepl(txnID, ts, n.ID(), writes)
+	payload := EncodeInnerRepl(txnID, ts, ackTo, writes)
 	for _, r := range targets {
 		if err := n.ep.Send(r, VerbInnerRepl, payload); err != nil {
 			return sent, fmt.Errorf("server: inner repl to node %d: %w", r, err)

@@ -48,7 +48,7 @@ type Doorbell struct {
 
 // doorbellKinds indexes the kind counters a doorbell tracks for metric
 // attribution (the batchable verb set).
-var doorbellKinds = [...]string{KindLockRead, KindCommit, KindAbort, KindSnapRead}
+var doorbellKinds = [...]string{KindLockRead, KindCommit, KindAbort, KindSnapRead, KindReplicate}
 
 func doorbellKindIndex(verb string) int {
 	switch verb {
@@ -60,6 +60,8 @@ func doorbellKindIndex(verb string) int {
 		return 2
 	case VerbSnapshotRead:
 		return 3
+	case VerbReplicate:
+		return 4
 	}
 	return -1
 }
@@ -114,6 +116,15 @@ func (d *Doorbell) PostCommit(txnID, ts uint64, writes []WriteOp) int {
 	return d.count - 1
 }
 
+// PostReplicate posts a replicate frame (see Node.replicateLocal); the
+// replicas ack to this node under ackID.
+func (d *Doorbell) PostReplicate(ackID, ts uint64, writes []WriteOp) int {
+	mark := d.begin(VerbReplicate)
+	EncodeWritesTo(&d.w, ackID, ts, writes)
+	d.w.EndBytes32(mark)
+	return d.count - 1
+}
+
 // PostAbort posts a rollback (release locks, apply nothing).
 func (d *Doorbell) PostAbort(txnID uint64) int {
 	mark := d.begin(VerbAbort)
@@ -152,7 +163,7 @@ func (d *Doorbell) Ring() *PendingDoorbell {
 	// protected tail verb; pure lock-wave rings are droppable by fault
 	// plans (see VerbDoorbellTail).
 	method := VerbDoorbell
-	if d.kinds[1]+d.kinds[2] > 0 { // commit, abort frames
+	if d.kinds[1]+d.kinds[2]+d.kinds[4] > 0 { // commit, abort, replicate frames
 		method = VerbDoorbellTail
 	}
 	// GoOneSided services the batch before returning (see its cost
@@ -312,23 +323,23 @@ func (n *Node) handleDoorbell(from transport.NodeID, req []byte) ([]byte, error)
 		if err := r.Err(); err != nil {
 			return nil, err
 		}
-		n.applyVerb(w, f.Verb, f.Payload)
+		n.applyVerb(w, from, f.Verb, f.Payload)
 	}
 	return w.Bytes(), nil
 }
 
 // errVerbNotBatchable rejects frames for verbs that need the
-// destination's CPU (routing, the replication relay) or its per-link FIFO
-// ordering (the inner replication stream) and therefore must stay on the
-// two-sided path.
+// destination's CPU (routing) or its per-link FIFO ordering (the
+// replication stream itself) and therefore must stay on the two-sided
+// path.
 var errVerbNotBatchable = errors.New("server: verb cannot ride a doorbell")
 
-// applyVerb is the one participant entry point for the four
-// coordinator verbs: it executes one frame synchronously against this
-// node, with no lane dispatch (one-sided verbs synchronize through lock
-// words, not lanes), and appends the frame's result (error string +
-// response payload) to w.
-func (n *Node) applyVerb(w *wire.Writer, verb string, payload []byte) {
+// applyVerb is the one participant entry point for the five coordinator
+// verbs: it executes one frame from coordinator `from` synchronously
+// against this node, with no lane dispatch (one-sided verbs synchronize
+// through lock words, not lanes), and appends the frame's result (error
+// string + response payload) to w.
+func (n *Node) applyVerb(w *wire.Writer, from transport.NodeID, verb string, payload []byte) {
 	switch verb {
 	case VerbLockRead:
 		txnID, entries, err := DecodeLockRequest(payload)
@@ -346,6 +357,17 @@ func (n *Node) applyVerb(w *wire.Writer, verb string, payload []byte) {
 			err = n.CommitLocal(txnID, ts, writes)
 		}
 		writeFrameError(w, err)
+	case VerbReplicate:
+		ackID, ts, writes, err := DecodeWrites(payload)
+		sent := 0
+		if err == nil {
+			sent, err = n.replicateLocal(from, ackID, ts, writes)
+		}
+		// The count travels beside a failure too (see Wave.gather).
+		writeFrameErr(w, err)
+		mark := w.BeginBytes32()
+		w.Uint32(uint32(sent))
+		w.EndBytes32(mark)
 	case VerbSnapshotRead:
 		ts, entries, err := DecodeSnapRead(payload)
 		if err != nil {
@@ -369,10 +391,15 @@ func (n *Node) applyVerb(w *wire.Writer, verb string, payload []byte) {
 
 // writeFrameError appends a payload-less frame result.
 func writeFrameError(w *wire.Writer, err error) {
+	writeFrameErr(w, err)
+	w.Bytes32(nil)
+}
+
+// writeFrameErr appends a frame result's error string; its payload follows.
+func writeFrameErr(w *wire.Writer, err error) {
 	if err != nil {
 		w.String(err.Error())
 	} else {
 		w.String("")
 	}
-	w.Bytes32(nil)
 }

@@ -39,8 +39,8 @@ import (
 // rejects new work, and only for the fence→flip window (microseconds of
 // drain, one flush round trip).
 
-// backfillBit namespaces backfill stream ids away from real transaction
-// ids and forwarded-relay ids (fwdAckBit), so all three ack kinds share
+// backfillBit namespaces backfill stream ids away from transaction ids
+// and their outer-ack keys (outerAckBit), so all three ack kinds share
 // the node's ack table without collisions.
 const backfillBit = uint64(1) << 62
 
@@ -70,7 +70,7 @@ type PeerDirectory interface {
 func (n *Node) BackfillPartition(pid cluster.PartitionID, to transport.NodeID) error {
 	fid := n.NextTxnID() | backfillBit
 	ack := n.ExpectPendingAcks(fid)
-	sent := 0
+	sent, target := 0, []transport.NodeID{to}
 	var serr error
 	for _, tid := range n.store.Tables() {
 		tbl := n.store.Table(tid)
@@ -97,12 +97,11 @@ func (n *Node) BackfillPartition(pid cluster.PartitionID, to transport.NodeID) e
 				byTS[r.TS] = append(byTS[r.TS], WriteOp{Table: tbl.ID(), Key: r.Key, Type: txn.OpInsert, Value: r.Value})
 			}
 			for ts, ws := range byTS {
-				if err := n.ep.Send(to, VerbInnerRepl, EncodeInnerRepl(fid, ts, n.ID(), ws)); err != nil {
-					serr = fmt.Errorf("server: backfill of partition %d to node %d: %w", pid, to, err)
+				s, err := n.StreamInnerRepl(target, n.ID(), fid, ts, ws)
+				if sent += s; err != nil {
+					serr = fmt.Errorf("server: backfill of partition %d: %w", pid, err)
 					break
 				}
-				sent++
-				n.vm.Add(KindInnerRepl)
 			}
 			b.Lock.Unlock(storage.LockShared)
 			if serr != nil {
@@ -116,15 +115,7 @@ func (n *Node) BackfillPartition(pid cluster.PartitionID, to transport.NodeID) e
 		return serr
 	}
 	n.ResolveInnerAcks(fid, sent)
-	select {
-	case <-ack.Done():
-		n.ReleaseInnerWaiter(ack)
-		return nil
-	case <-n.ep.Closed():
-		n.CancelInnerAcks(fid)
-		n.ReleaseInnerWaiter(ack)
-		return transport.ErrClosed
-	}
+	return n.AwaitAcks(fid, ack)
 }
 
 // HandoffPartition runs the full handoff protocol above, moving the

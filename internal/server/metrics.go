@@ -20,7 +20,8 @@ const (
 	KindLockRead  = "lock-read"  // lock-and-read batch round trip
 	KindCommit    = "commit"     // commit (apply + release) round trip
 	KindAbort     = "abort"      // abort round trip
-	KindReplApply = "repl-apply" // outer write-set replica apply round trip
+	KindReplicate = "replicate"  // replicate frame (primary streams an outer write set) round trip
+	KindReplApply = "repl-apply" // per replicating transaction: its replicate ring → last replica ack
 	// KindInnerExec labelled the inner-region delegation round trip. The
 	// verb is gone (the inner region runs where its coordinator runs) and
 	// nothing is recorded under it; the label stays only because the
@@ -36,7 +37,7 @@ const (
 // verbKinds is the fixed key set; VerbMetrics maps are never mutated
 // after construction, so lookups are lock-free.
 var verbKinds = []string{
-	KindLockRead, KindCommit, KindAbort, KindReplApply,
+	KindLockRead, KindCommit, KindAbort, KindReplicate, KindReplApply,
 	KindRoute, KindInnerRepl, KindInnerAck, KindDoorbell, KindSnapRead,
 }
 

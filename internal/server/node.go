@@ -37,7 +37,6 @@ type Node struct {
 	store    *storage.Store
 	registry *txn.Registry
 	dir      *cluster.Directory
-	part     cluster.PartitionID
 
 	txnSeq atomic.Uint64
 
@@ -58,8 +57,8 @@ type Node struct {
 	// reach zero.
 	partPins map[cluster.PartitionID]int
 
-	// Pending inner-region replication acks awaited by local
-	// coordinators: txnID → countdown channel.
+	// Pending replica acks awaited by local coordinators (a transaction's
+	// inner acks, its outer acks, a backfill's): ack id → countdown.
 	ackMu   sync.Mutex
 	acks    map[uint64]*AckWaiter
 	sampler AccessObserver
@@ -75,8 +74,8 @@ type Node struct {
 	laneWG    sync.WaitGroup
 	closeOnce sync.Once
 
-	// FaultInjector, when non-nil, is consulted before commits; tests
-	// use it to simulate participant failures.
+	// FaultInjector, when non-nil, is consulted before commits and
+	// replicate frames; tests use it to simulate participant failures.
 	FaultInjector func(verb string, txnID uint64) error
 
 	// wal, when non-nil, is the node's write-ahead log: commit-point
@@ -149,7 +148,6 @@ func New(ep transport.Endpoint, st *storage.Store, reg *txn.Registry, dir *clust
 		store:    st,
 		registry: reg,
 		dir:      dir,
-		part:     part,
 		state:    make(map[uint64]*partState),
 		fenced:   make(map[cluster.PartitionID]bool),
 		partPins: make(map[cluster.PartitionID]int),
@@ -167,16 +165,15 @@ func New(ep transport.Endpoint, st *storage.Store, reg *txn.Registry, dir *clust
 		go n.lanes[i].run(&n.laneWG)
 	}
 	// Two-sided verbs are the ones that need a serial executor or per-link
-	// FIFO: replica applies and the replication relay/streams run on the
-	// owning record's lane (see applyByLane), acks count down inline.
-	ep.HandleAsync(VerbReplForward, n.handleReplForward)
+	// FIFO: the replication stream's applies run on the owning record's
+	// lane (see applyByLane), acks count down inline.
 	ep.HandleAsync(VerbInnerRepl, n.handleInnerRepl)
 	ep.Handle(VerbInnerAck, n.handleInnerAck)
 	ep.Handle(VerbPing, func(transport.NodeID, []byte) ([]byte, error) { return nil, nil })
 	// Elasticity verbs: stream-flush marker, topology exchange, and the
 	// joiner-driven handoff trigger (see handoff.go).
 	n.registerHandoffVerbs(ep)
-	// The four participant verbs — lock-read, commit, abort,
+	// The five participant verbs — lock-read, replicate, commit, abort,
 	// snapshot-read — have no two-sided handler: coordinators post them
 	// as doorbell frames (wave.go) and the envelope is serviced on the
 	// one-sided path, bypassing the dispatcher and lanes entirely.
@@ -205,9 +202,6 @@ func (n *Node) Registry() *txn.Registry { return n.registry }
 
 // Directory returns the routing directory.
 func (n *Node) Directory() *cluster.Directory { return n.dir }
-
-// Partition returns the partition this node primaries.
-func (n *Node) Partition() cluster.PartitionID { return n.part }
 
 // SetClock installs the cluster-shared commit clock and enables version
 // retention on the node's store. Call at deployment time, before traffic.
@@ -576,98 +570,15 @@ func ApplyWrites(st *storage.Store, ts uint64, writes []WriteOp, owned bool) err
 	return nil
 }
 
-// --- RPC handlers ---
+// outerAckBit keys a transaction's outer replica acks apart from its
+// inner region's, which arrive under the bare transaction id
+// (node<<40|seq never sets the top bit): it can await both at once.
+const outerAckBit = uint64(1) << 63
 
-// fwdAckBit namespaces the synthetic ack ids of forwarded replication
-// relays away from real transaction ids (node<<40|seq never sets the
-// top bit), so forward acks and inner-region acks share the node's ack
-// table without collisions.
-const fwdAckBit = uint64(1) << 63
+// --- The replication stream (§5, Figure 6) ---
 
-// handleReplForward runs on a partition primary: relay an outer-region
-// write set onto the primary's §5 per-link FIFO replication streams and
-// reply once every replica of this partition has acknowledged back to
-// us. Because the coordinator issues the forward while it still holds
-// the records' bucket locks (replication strictly precedes the commit
-// wave), the relay's stream position orders it against every inner
-// region of this partition: stream order at the replicas equals
-// bucket-lock order at the primary for all writes, inner and outer —
-// the property direct coordinator→replica RPCs could not give (they
-// race the inner stream on a different link; the chaos harness caught
-// exactly that as a replica mismatch under delay spikes).
-func (n *Node) handleReplForward(_ transport.NodeID, req []byte, reply func([]byte, error)) {
-	_, ts, writes, err := DecodeWrites(req)
-	if err != nil {
-		reply(nil, err)
-		return
-	}
-	if len(writes) == 0 {
-		reply(nil, nil)
-		return
-	}
-	// The forward carries one partition's write group (coordinators fan
-	// out per partition); resolve which from the records rather than
-	// from this node's identity — after a replica promotion a node
-	// relays for partitions other than its own.
-	pid := n.dir.Partition(storage.RID{Table: writes[0].Table, Key: writes[0].Key})
-	n.ForwardRepl(pid, ts, writes, func(aerr error) { reply(nil, aerr) })
-}
-
-// ForwardRepl streams writes (records of one partition this node is
-// primary for — usually its own, or an adopted one after a replica
-// promotion) to that partition's replicas and calls done once every
-// replica acked — immediately when the partition has no replicas.
-// Callable directly by a co-located coordinator (the common case: a
-// transaction's writes mostly target its coordinator's partition). A
-// fabric teardown racing the ack wait fails the relay with ErrClosed
-// instead of hanging (acks are one-way and die silently with the
-// dispatcher).
-func (n *Node) ForwardRepl(pid cluster.PartitionID, ts uint64, writes []WriteOp, done func(error)) {
-	// One topology snapshot sizes the ack wait AND addresses the sends:
-	// a handoff flipping a warming node into the replica set mid-call
-	// can therefore never make the count disagree with the stream.
-	targets := n.dir.Topology().StreamTargets(pid)
-	if len(targets) == 0 {
-		done(nil)
-		return
-	}
-	fid := n.NextTxnID() | fwdAckBit
-	ack := n.ExpectInnerAcks(fid, len(targets))
-	if sent, err := n.StreamInnerRepl(targets, fid, ts, writes); err != nil {
-		if sent > 0 {
-			// Part of the stream is out: some replica will apply a write
-			// set whose transaction is about to report failure. There is
-			// no compensation path — surface the invariant violation
-			// instead of diverging the replicas silently. Unreachable
-			// under any fault plan (the stream is protected); only a
-			// blunt-mode partition or a mid-traffic Close can get here.
-			panic(fmt.Sprintf("server: node %d: replication stream partially sent (%d of %d) then failed: %v",
-				n.ID(), sent, len(targets), err))
-		}
-		n.CancelInnerAcks(fid)
-		n.ReleaseInnerWaiter(ack)
-		done(err)
-		return
-	}
-	go func() {
-		select {
-		case <-ack.Done():
-			n.ReleaseInnerWaiter(ack)
-			done(nil)
-		case <-n.ep.Closed():
-			n.CancelInnerAcks(fid)
-			n.ReleaseInnerWaiter(ack)
-			done(transport.ErrClosed)
-		}
-	}()
-}
-
-// --- Inner-region replication (§5, Figure 6) ---
-
-// innerReplMsg layout: writes payload (with txnID) followed by the
-// coordinator node id appended by the primary.
-
-// EncodeInnerRepl builds the one-way primary→replica message.
+// EncodeInnerRepl builds the one-way primary→replica message: a write
+// set, then the node to ack to.
 func EncodeInnerRepl(txnID, ts uint64, coordinator transport.NodeID, writes []WriteOp) []byte {
 	w := wire.NewWriter(writesSize(writes) + 4)
 	EncodeWritesTo(w, txnID, ts, writes)
@@ -685,18 +596,16 @@ func DecodeInnerRepl(p []byte) (txnID, ts uint64, coordinator transport.NodeID, 
 
 // handleInnerRepl runs on a replica: apply the streamed write set —
 // each record on its owning lane, preserving the stream's per-record
-// arrival order (see applyByLane) — then notify the waiter named in
-// the message (the transaction's coordinator for inner regions, the
-// relaying primary for forwarded outer replication; the inner primary
-// itself has already moved on, Fig 6).
+// arrival order (see applyByLane) — then ack to the node the message
+// names: the transaction's coordinator (the primary that streamed has
+// already moved on, Fig 6), or the primary itself for a backfill.
 //
-// A replica that cannot apply must not go silent: the stream is
-// one-way, so a swallowed error would leave the waiter counting acks
-// forever (wedging the coordinator and every lock the transaction
-// holds). Apply failures on a locked, already-committed write set are
-// engine invariant violations — same class as a failed post-commit
-// apply at a primary — so they surface loudly instead.
-func (n *Node) handleInnerRepl(_ transport.NodeID, req []byte, reply func([]byte, error)) {
+// A replica that cannot apply must not go silent: the stream is one-way,
+// so a swallowed error would leave the waiter counting acks forever.
+// Apply failures on a locked, already-committed write set are engine
+// invariant violations — same class as a failed post-commit apply at a
+// primary — so they surface loudly instead.
+func (n *Node) handleInnerRepl(from transport.NodeID, req []byte, reply func([]byte, error)) {
 	txnID, ts, coord, writes, err := DecodeInnerRepl(req)
 	if err != nil {
 		panic(fmt.Sprintf("server: replica %d: undecodable replication stream message: %v", n.ID(), err))
@@ -705,36 +614,61 @@ func (n *Node) handleInnerRepl(_ transport.NodeID, req []byte, reply func([]byte
 		if aerr != nil {
 			panic(fmt.Sprintf("server: replica %d: apply of committed write set failed: %v", n.ID(), aerr))
 		}
-		n.vm.Add(KindInnerAck)
-		if err := n.ep.Send(coord, VerbInnerAck, EncodeAbort(txnID)); err != nil && !errors.Is(err, transport.ErrClosed) {
-			// Same wedge as a swallowed apply failure: an undelivered ack
-			// leaves the waiter counting forever. The ack verb rides the
-			// protected control plane under every fault plan, so a failed
-			// send here (outside fabric teardown) is an invariant
-			// violation, not an injected fault.
-			panic(fmt.Sprintf("server: replica %d: ack to node %d undeliverable: %v", n.ID(), coord, err))
-		}
+		n.ackCoordinator(from, coord, txnID)
 		reply(nil, nil)
 	})
 }
 
-// handleInnerAck runs on the coordinator: count down the waiter.
+// ackCoordinator sends a replica's ack for a write set via streamed
+// here. A coordinator-only client (deploy.Client) joins no layout, so no
+// address book names it: a replica without a route to it hands the ack
+// to via, which the client dialed to ring the replicate frame.
+//
+// An undelivered ack leaves the waiter counting forever, and acks ride
+// the protected control plane under every fault plan: a failed send
+// (outside fabric teardown) to a member of the layout is an invariant
+// violation. A client that left took its waiter with it.
+func (n *Node) ackCoordinator(via, coord transport.NodeID, id uint64) {
+	n.vm.Add(KindInnerAck)
+	err := n.ep.Send(coord, VerbInnerAck, EncodeAbort(id))
+	if errors.Is(err, transport.ErrNoSuchNode) && via != n.ID() {
+		w := wire.NewWriter(12)
+		w.Uint64(id)
+		w.Uint32(uint32(coord))
+		err = n.ep.Send(via, VerbInnerAck, w.Bytes())
+	}
+	if err != nil && !errors.Is(err, transport.ErrClosed) && n.dir.Topology().HasNode(coord) {
+		panic(fmt.Sprintf("server: replica %d: ack to node %d undeliverable: %v", n.ID(), coord, err))
+	}
+}
+
+// handleInnerAck runs on the coordinator: count down the waiter. An ack
+// naming another node is one its replica could not address: pass it on.
 func (n *Node) handleInnerAck(_ transport.NodeID, req []byte) ([]byte, error) {
-	txnID, err := DecodeAbort(req)
-	if err != nil {
+	r := wire.NewReader(req)
+	txnID := r.Uint64()
+	if err := r.Err(); err != nil {
 		return nil, err
 	}
+	if len(req) > 8 {
+		if coord := transport.NodeID(r.Uint32()); r.Err() == nil && coord != n.ID() {
+			return nil, n.ep.Send(coord, VerbInnerAck, req[:8])
+		}
+	}
+	n.countDown(txnID, 1)
+	return nil, nil
+}
+
+// countDown takes by off the waiter registered under id, firing it at zero.
+func (n *Node) countDown(id uint64, by int) {
 	n.ackMu.Lock()
-	w, ok := n.acks[txnID]
-	if ok {
-		w.remaining--
-		if w.remaining <= 0 {
-			delete(n.acks, txnID)
+	if w, ok := n.acks[id]; ok {
+		if w.remaining -= by; w.remaining <= 0 {
+			delete(n.acks, id)
 			w.ch <- struct{}{} // cap 1, single signaller: never blocks
 		}
 	}
 	n.ackMu.Unlock()
-	return nil, nil
 }
 
 // ExpectInnerAcks registers that the local coordinator will wait for
@@ -757,40 +691,27 @@ func (n *Node) ExpectInnerAcks(txnID uint64, count int) *AckWaiter {
 }
 
 // pendingAckSentinel is the provisional remaining-count a waiter is
-// registered with before its sender knows how many acks to expect (a
-// backfill learns its message count only by sending). It is far above any real replica count, so early
-// acks can decrement but never fire the waiter; ResolveInnerAcks
-// subtracts the sentinel back out once the true count is known. Shares
-// the countdown arithmetic of handleInnerAck race-free for every
-// interleaving of acks and resolution.
+// registered with before its sender knows how many acks to expect. It is
+// far above any real replica count, so early acks can decrement but
+// never fire the waiter; ResolveInnerAcks subtracts it back out once the
+// true count is known — the countdown arithmetic of handleInnerAck,
+// race-free for every interleaving of acks and resolution.
 const pendingAckSentinel = 1 << 50
 
 // ExpectPendingAcks registers a waiter for txnID before the number of
-// expected acks is known (BackfillPartition; a sender that knows its
+// expected acks is known (a wave's replicate frames are counted by the
+// primaries serving them, a backfill by sending; a sender that knows its
 // targets up front uses ExpectInnerAcks). Pair with ResolveInnerAcks
 // (success) or CancelInnerAcks (abort).
 func (n *Node) ExpectPendingAcks(txnID uint64) *AckWaiter {
-	w := ackPool.Get().(*AckWaiter)
-	w.remaining = pendingAckSentinel
-	n.ackMu.Lock()
-	n.acks[txnID] = w
-	n.ackMu.Unlock()
-	return w
+	return n.ExpectInnerAcks(txnID, pendingAckSentinel)
 }
 
 // ResolveInnerAcks fixes a pending waiter's expected ack count to
 // streamed (the number of stream messages actually sent). If every
 // ack already arrived — or streamed is zero — the waiter fires now.
 func (n *Node) ResolveInnerAcks(txnID uint64, streamed int) {
-	n.ackMu.Lock()
-	if w, ok := n.acks[txnID]; ok {
-		w.remaining -= pendingAckSentinel - streamed
-		if w.remaining <= 0 {
-			delete(n.acks, txnID)
-			w.ch <- struct{}{} // cap 1, single signaller: never blocks
-		}
-	}
-	n.ackMu.Unlock()
+	n.countDown(txnID, pendingAckSentinel-streamed)
 }
 
 // CancelInnerAcks discards a registered waiter (inner region aborted, so
@@ -810,6 +731,21 @@ func (n *Node) ReleaseInnerWaiter(w *AckWaiter) {
 	default:
 	}
 	ackPool.Put(w)
+}
+
+// AwaitAcks blocks until the waiter registered under id fires and hands it
+// back to the pool. Fabric teardown (acks die silently with the dispatcher)
+// cancels the registration and returns transport.ErrClosed instead.
+func (n *Node) AwaitAcks(id uint64, w *AckWaiter) error {
+	select {
+	case <-w.Done():
+		n.ReleaseInnerWaiter(w)
+		return nil
+	case <-n.ep.Closed():
+		n.CancelInnerAcks(id)
+		n.ReleaseInnerWaiter(w)
+		return transport.ErrClosed
+	}
 }
 
 // HeldLockMode reports whether txnID's participant state on this node

@@ -14,19 +14,16 @@ const (
 	VerbCommit    = "cm"    // apply writes, release locks (2PC phase 2)
 	VerbAbort     = "ab"    // roll back, release locks
 	VerbTxnRoute  = "route" // client→coordinator transaction placement (Chiller)
-	VerbInnerRepl = "irepl" // primary→replica stream (one-way; inner + forwarded outer)
-	VerbInnerAck  = "irack" // replica→coordinator / replica→primary ack (one-way)
-	// VerbReplForward relays an outer-region write set through the owning
-	// partition's primary onto its §5 FIFO replication streams, replying
-	// once every replica acked. Routing all replication of a record
-	// through one pipe (its primary's per-link stream) is what makes
-	// replica apply order equal bucket-lock order even when a record is
-	// inner in one transaction and outer in another — direct
-	// coordinator→replica RPCs race the inner stream on a different link
-	// (caught by the chaos harness, internal/check).
-	VerbReplForward = "rfwd"
-	VerbOCCRead     = "ord" // OCC unlocked read
-	VerbOCCValid    = "ovl" // OCC validate + write-lock
+	VerbInnerRepl = "irepl" // primary→replica stream (one-way; inner and outer write sets)
+	VerbInnerAck  = "irack" // replica→coordinator ack (one-way)
+	// VerbReplicate is the replicate frame (Node.replicateLocal): served at a
+	// partition's primary under the transaction's bucket locks, it puts an
+	// outer write set on the primary's §5 stream — the one pipe every write
+	// of a record rides, so replica apply order equals lock order (sends from
+	// elsewhere race the inner stream; the chaos harness caught that).
+	VerbReplicate = "repl"
+	VerbOCCRead   = "ord" // OCC unlocked read
+	VerbOCCValid  = "ovl" // OCC validate + write-lock
 	// VerbSnapshotRead reads records at a snapshot timestamp from a
 	// node's version chains (MVCC): lock-free, off the lane schedules,
 	// serving the read-only transaction path for partitions the
@@ -36,7 +33,7 @@ const (
 	VerbSnapshotRead = "sr"
 	VerbDoorbell     = "db1" // doorbell-batched one-sided verb envelope (see doorbell.go)
 	// VerbDoorbellTail is the doorbell envelope for rings that carry any
-	// post-commit-point frame (commit, replica apply, abort). It is
+	// post-commit-point frame (replicate, commit, abort). It is
 	// served by the same handler as VerbDoorbell; the distinct name lets
 	// the fault injector (simnet.FaultPlan.Droppable) target pre-commit
 	// lock-wave doorbells while the commit tail stays on the protected

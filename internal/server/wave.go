@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"time"
 
 	"github.com/chillerdb/chiller/internal/transport"
 	"github.com/chillerdb/chiller/internal/txn"
@@ -11,28 +12,41 @@ import (
 )
 
 // Wave is the one way a coordinator reaches participants: a
-// scatter-gather of participant verbs (lock-read, commit, abort,
-// snapshot-read) that rings at most one doorbell per remote destination
-// however many frames it carries there, and serves a frame addressed to
-// the coordinator's own node by a direct call (the co-located fast path
-// of the NAM-DB architecture) while the remote rings are in flight.
-// Every engine's fan-outs — 2PL's and OCC's as much as Chiller's — are
-// waves, so a verb has exactly one wire path and one participant entry
-// point (applyVerb).
+// scatter-gather of participant verbs (lock-read, replicate, commit,
+// abort, snapshot-read) that rings at most one doorbell per remote
+// destination however many frames it carries there, and serves a frame
+// addressed to the coordinator's own node by a direct call (the
+// co-located fast path of the NAM-DB architecture) while the remote
+// rings are in flight. Every engine's fan-outs — 2PL's and OCC's as much
+// as Chiller's — are waves, so a verb has exactly one wire path and one
+// participant entry point (applyVerb).
 //
 // Post frames with LockRead / Commit / Abort / SnapshotRead, each of
-// which returns a frame handle; gather once with Wait or Reap; read
-// results per frame. Frames execute in posting order per destination
-// and fail independently (see doorbell.go); a destination that fails as
-// a unit (dropped ring, partition, dead peer) fails each of its frames
-// with an error naming the node. A Wave is single-use and not safe for
-// concurrent use; Release recycles it.
+// which returns a frame handle (ReplicateAll and CommitAll post a
+// transaction's); gather once with Wait or Reap; read results per frame. Frames execute in posting order per
+// destination and fail independently (see doorbell.go); a destination
+// that fails as a unit (dropped ring, partition, dead peer) fails each
+// of its frames with an error naming the node. A Wave is single-use and
+// not safe for concurrent use; Release recycles it.
+//
+// A replicate frame makes its destination, a partition's primary, stream
+// the write set to its replicas, which ack to this node (JoinReplicas).
+// Engines differ only in what they compose: Chiller's tail posts
+// [replicate, commit] per participant in one wave and joins after the
+// locks are gone; 2PL and OCC replicate, join, then commit (Node.Replicate).
 type Wave struct {
 	n        *Node
 	dests    []waveDest
 	frames   []waveFrame
 	destArr  [4]waveDest
 	frameArr [6]waveFrame
+
+	// ackID, set by a replicate frame, keys the replicas' acks: the gather
+	// registers ack pending and resolves it with the sends the primaries report.
+	ackID    uint64
+	ack      *AckWaiter
+	rung     time.Time
+	streamed int
 }
 
 // waveDest is one destination node of a wave.
@@ -58,9 +72,10 @@ type waveFrame struct {
 	writes    []WriteOp
 	// resp is a read frame's response: filled at the gather (local) or
 	// at LockResponse (remote), into the Reads LockRead preset, if any.
-	resp    LockResponse
-	decoded bool
-	err     error
+	resp     LockResponse
+	decoded  bool
+	streamed int // a replicate frame's send count
+	err      error
 }
 
 var wavePool = sync.Pool{New: func() any { return new(Wave) }}
@@ -85,6 +100,7 @@ func (w *Wave) Release() {
 	clear(w.dests)
 	clear(w.frames)
 	w.n, w.dests, w.frames = nil, nil, nil
+	w.ackID, w.ack, w.streamed = 0, nil, 0
 	wavePool.Put(w)
 }
 
@@ -168,10 +184,15 @@ func (w *Wave) Wait() { w.gather(false) }
 // Reap is Wait without observing the round trips — for waves no protocol
 // step is gated on (the presumed-commit tail: the frames executed at
 // ring time and only invariant violations are checked). See
-// PendingDoorbell.Reap.
-func (w *Wave) Reap() { w.gather(true) }
+// PendingDoorbell.Reap. A wave that replicates observes them regardless:
+// its caller waits out the longer replica-ack path anyway.
+func (w *Wave) Reap() { w.gather(w.ackID == 0) }
 
 func (w *Wave) gather(reap bool) {
+	if w.ackID != 0 {
+		// Before any ring, so no ack can race past the registration.
+		w.ack, w.rung = w.n.ExpectPendingAcks(w.ackID), time.Now()
+	}
 	for i := range w.dests {
 		if d := &w.dests[i]; d.bell != nil {
 			d.pd, d.bell = d.bell.Ring(), nil
@@ -186,6 +207,8 @@ func (w *Wave) gather(reap bool) {
 		switch f.kind {
 		case KindLockRead:
 			n.lockRead(f.txnID, f.entries, &f.resp)
+		case KindReplicate:
+			f.streamed, f.err = n.replicateLocal(n.ID(), w.ackID, f.ts, f.writes)
 		case KindCommit:
 			// The coordinator's own values: handed to the store, not
 			// copied (see commitLocal).
@@ -208,6 +231,33 @@ func (w *Wave) gather(reap bool) {
 			d.results, d.err = d.pd.Wait()
 		}
 	}
+	if w.ack != nil {
+		// A remote frame's send count arrives in its result, beside an error
+		// too (Node.Replicate); a ring that failed as a unit sent nothing.
+		for i := range w.frames {
+			f := &w.frames[i]
+			if d := &w.dests[f.dest]; f.kind == KindReplicate && d.pd != nil && d.err == nil {
+				f.streamed = int(wire.NewReader(d.results[f.slot].Payload).Uint32())
+			}
+			w.streamed += f.streamed
+		}
+		n.ResolveInnerAcks(w.ackID, w.streamed)
+	}
+}
+
+// JoinReplicas blocks until every replica streamed to has acked (at once
+// without a replicate frame) and observes KindReplApply, ring → last ack;
+// fabric teardown ends it with transport.ErrClosed. Call after the gather.
+func (w *Wave) JoinReplicas() error {
+	if w.ack == nil {
+		return nil
+	}
+	err := w.n.AwaitAcks(w.ackID, w.ack)
+	w.ack = nil
+	if err == nil && w.streamed > 0 {
+		w.n.vm.Observe(KindReplApply, time.Since(w.rung))
+	}
+	return err
 }
 
 // Err reports why a frame did not execute cleanly, naming its node: the

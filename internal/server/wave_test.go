@@ -20,8 +20,12 @@ import (
 // gathered, "other" for any two-sided traffic.
 type spyEndpoint struct {
 	transport.Endpoint
-	mu     sync.Mutex
-	events []string
+	mu       sync.Mutex
+	events   []string
+	lastRing string // the doorbell envelope verb of the latest ring
+	// closeFabric tears the whole cluster's fabric down (idempotent; the
+	// cluster's cleanup calls it too).
+	closeFabric func()
 }
 
 func (s *spyEndpoint) log(ev string) {
@@ -40,6 +44,9 @@ func (s *spyEndpoint) take() string {
 
 func (s *spyEndpoint) GoOneSided(to transport.NodeID, method string, payload []byte, verbs int) (transport.Pending, error) {
 	s.log("ring")
+	s.mu.Lock()
+	s.lastRing = method
+	s.mu.Unlock()
 	p, err := s.Endpoint.GoOneSided(to, method, payload, verbs)
 	if err != nil {
 		return nil, err
@@ -78,9 +85,10 @@ func (p *spyPending) Reap() ([]byte, error) {
 }
 
 // waveCluster builds nodes 0..3 on the named fabric, table 1 hash
-// partitioned across them with keys 0..79 loaded everywhere; node 0's
-// endpoint is wrapped in the returned spy.
-func waveCluster(t *testing.T, fabric string) ([]*Node, *spyEndpoint) {
+// partitioned across them at the given replication degree, with keys
+// 0..79 loaded everywhere; node 0's endpoint is wrapped in the returned
+// spy.
+func waveCluster(t *testing.T, fabric string, replication int) ([]*Node, *spyEndpoint) {
 	t.Helper()
 	const n = 4
 	eps := make([]transport.Endpoint, n)
@@ -112,9 +120,9 @@ func waveCluster(t *testing.T, fabric string) ([]*Node, *spyEndpoint) {
 			}
 		}
 	}
-	spy := &spyEndpoint{Endpoint: eps[0]}
+	spy := &spyEndpoint{Endpoint: eps[0], closeFabric: closeFabric}
 	eps[0] = spy
-	dir := cluster.NewDirectory(cluster.NewTopology(n, 1), cluster.HashPartitioner{N: n})
+	dir := cluster.NewDirectory(cluster.NewTopology(n, replication), cluster.HashPartitioner{N: n})
 	nodes := make([]*Node, n)
 	for i := range nodes {
 		st := storage.NewStore()
@@ -145,7 +153,7 @@ func TestWave(t *testing.T) {
 	for _, fabric := range []string{"simfab", "tcpnet"} {
 		t.Run(fabric, func(t *testing.T) {
 			testutil.CheckLeaks(t)
-			nodes, spy := waveCluster(t, fabric)
+			nodes, spy := waveCluster(t, fabric, 1)
 			coord := nodes[0]
 			held := func(n *Node, k storage.Key) bool { return n.Store().Table(1).Bucket(k).Lock.Held() }
 
@@ -206,7 +214,8 @@ func TestWave(t *testing.T) {
 				t.Fatalf("local lock-read: %+v, %v", r, err)
 			}
 			w.Release()
-			w = coord.CommitAll(8, 0, []transport.NodeID{0}, map[cluster.PartitionID][]WriteOp{
+			w = coord.NewWave()
+			w.CommitAll(8, 0, []transport.NodeID{0}, map[cluster.PartitionID][]WriteOp{
 				0: {{Table: 1, Key: k0, Type: txn.OpUpdate, Value: []byte{0xAA}}},
 			})
 			w.Reap()

@@ -16,6 +16,10 @@
 // needs — falls out of TCP's byte ordering plus the receiver invoking
 // handlers inline on the connection's reader goroutine.
 //
+// A peer no address book names (a coordinator-only client joins no
+// layout) is reachable from every node it has dialed: sends to it ride
+// the connection it opened, the reverse route.
+//
 // # Doorbells
 //
 // The doorbell envelope (internal/wire Frame/FrameResult, built by
@@ -112,7 +116,7 @@ type Fabric struct {
 	peers map[transport.NodeID]string
 
 	cmu   sync.Mutex
-	conns map[transport.NodeID]*conn // outbound, lazily dialed
+	conns map[transport.NodeID]*conn // outbound, lazily dialed (or a reverse route, see readLoop)
 	all   map[*conn]struct{}         // every live conn, inbound included
 
 	done      chan struct{}
@@ -618,6 +622,7 @@ func (c *conn) readLoop() {
 	defer c.fab.wg.Done()
 	var lenBuf [4]byte
 	var buf []byte
+	routed := c.peer >= 0
 	for {
 		if _, err := io.ReadFull(c.nc, lenBuf[:]); err != nil {
 			c.broken(err)
@@ -646,6 +651,17 @@ func (c *conn) readLoop() {
 		if r.Err() != nil {
 			c.broken(fmt.Errorf("corrupt frame: %v", r.Err()))
 			return
+		}
+		if !routed { // the route back to a dialer no address book names
+			routed = true
+			c.fab.pmu.RLock()
+			_, known := c.fab.peers[from]
+			c.fab.pmu.RUnlock()
+			if !known {
+				c.fab.cmu.Lock()
+				c.fab.conns[from] = c
+				c.fab.cmu.Unlock()
+			}
 		}
 		switch kind {
 		case kindRequest:

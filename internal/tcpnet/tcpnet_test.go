@@ -327,3 +327,57 @@ func TestCloseRefusesLateAccept(t *testing.T) {
 		t.Fatal("late connection still open after Close")
 	}
 }
+
+// A peer no address book names is reachable over the connection it
+// dialed: a node can answer a coordinator-only client with sends and
+// calls of its own, until that connection is gone.
+func TestReverseRouteToAddresslessPeer(t *testing.T) {
+	testutil.CheckLeaks(t)
+	node, err := New(Config{ID: 0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer node.Close()
+	client, err := New(Config{ID: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer client.Close()
+	client.SetPeers(map[transport.NodeID]string{0: node.Addr()})
+
+	if err := node.Send(7, "ack", nil); !errors.Is(err, transport.ErrNoSuchNode) {
+		t.Fatalf("send before the client dialed: %v, want ErrNoSuchNode", err)
+	}
+	node.Handle("hello", func(transport.NodeID, []byte) ([]byte, error) { return nil, nil })
+	acks := make(chan string, 1)
+	client.Handle("ack", func(from transport.NodeID, req []byte) ([]byte, error) {
+		acks <- fmt.Sprintf("%d:%s", from, req)
+		return []byte("got"), nil
+	})
+	if _, err := client.Call(0, "hello", nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := node.Send(7, "ack", []byte("one-way")); err != nil {
+		t.Fatal(err)
+	}
+	if got := <-acks; got != "0:one-way" {
+		t.Fatalf("client received %q", got)
+	}
+	if resp, err := node.Call(7, "ack", []byte("call")); err != nil || string(resp) != "got" {
+		t.Fatalf("call over the reverse route: %q, %v", resp, err)
+	}
+	<-acks
+
+	client.Close()
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		err := node.Send(7, "ack", nil)
+		if errors.Is(err, transport.ErrNoSuchNode) {
+			break // the route went with the connection
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("send after the client left: %v, want ErrNoSuchNode", err)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}

@@ -40,12 +40,6 @@ func RegisterAll(reg *txn.Registry) error {
 	return nil
 }
 
-func argKey(i int, f func(v int64) storage.Key) txn.KeyFunc {
-	return func(args txn.Args, _ txn.ReadSet) (storage.Key, bool) {
-		return f(args[i]), true
-	}
-}
-
 // newOrderProcedure builds the NewOrder variant with n lines.
 //
 // args: [0]=w [1]=d [2]=c, then per line i: [3+3i]=item [4+3i]=supplyW

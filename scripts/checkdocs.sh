@@ -23,8 +23,9 @@
 #   6. One fan-out: outside _test.go files and benchmark/, doorbells are
 #      built (NewDoorbell) only under internal/server — coordinators post
 #      through server.Wave — and no two-sided send or handler
-#      registration names a participant verb (VerbLockRead, VerbCommit,
-#      VerbAbort, VerbSnapshotRead): those ride doorbell frames only.
+#      registration names a participant verb (VerbLockRead,
+#      VerbReplicate, VerbCommit, VerbAbort, VerbSnapshotRead): those ride
+#      doorbell frames only.
 #
 # Exits non-zero with a list of offenders on failure.
 set -eu
@@ -71,7 +72,7 @@ fi
 offenders=$( {
     grep -rnE --include='*.go' 'NewDoorbell\(' . | grep -v -e '^\./internal/server/'
     grep -rnE --include='*.go' \
-        '(\.(Go|Call|Send)|Handle[A-Za-z]*)\([^)]*Verb(LockRead|Commit|Abort|SnapshotRead)\b' .
+        '(\.(Go|Call|Send)|Handle[A-Za-z]*)\([^)]*Verb(LockRead|Replicate|Commit|Abort|SnapshotRead)\b' .
 } | grep -v -e '_test\.go:' -e '^\./benchmark/' || true)
 if [ -n "$offenders" ]; then
     echo "participant verbs off the wave (post them through server.Wave; see docs/NETWORK.md):" >&2

@@ -55,15 +55,16 @@ func tcpPartitioner(parts int) cluster.DefaultPartitioner {
 // startTCPTestCluster brings up `parts` in-process node "processes"
 // over real loopback sockets — the same wiring cmd/chiller-node does,
 // minus the process boundary — each loading its share of 200 accounts
-// at balance 1000. It returns the peer list and the per-node stores for
-// post-commit inspection.
-func startTCPTestCluster(t *testing.T, parts int) ([]string, []*storage.Store) {
+// at balance 1000 (replicas start empty: the replication stream's apply
+// inserts what it does not find). It returns the peer list and the
+// per-node stores for post-commit inspection.
+func startTCPTestCluster(t *testing.T, parts, replication int) ([]string, []*storage.Store) {
 	t.Helper()
 	proc, err := tcpTransferProc().build()
 	if err != nil {
 		t.Fatal(err)
 	}
-	topo := cluster.NewTopology(parts, 1)
+	topo := cluster.NewTopology(parts, replication)
 	fabs := make([]*tcpnet.Fabric, parts)
 	addrs := make(map[transport.NodeID]string, parts)
 	peers := make([]string, parts)
@@ -111,7 +112,7 @@ func startTCPTestCluster(t *testing.T, parts int) ([]string, []*storage.Store) {
 }
 
 func TestOpenTCPExecute(t *testing.T) {
-	peers, stores := startTCPTestCluster(t, 2)
+	peers, stores := startTCPTestCluster(t, 2, 1)
 	db, err := Open(
 		WithTransport(TransportTCP),
 		WithPeers(peers...),
@@ -173,6 +174,63 @@ func TestOpenTCPExecute(t *testing.T) {
 			t.Fatalf("balances = %d/%d, want 975/1025", read(0, 10), read(1, 150))
 		}
 		time.Sleep(time.Millisecond)
+	}
+}
+
+// A coordinator-only client replicates like any coordinator: the
+// primaries stream its write sets and the replicas ack to it, for each
+// engine's way of composing the replicate wave. No node has an address
+// for the client, so an ack rides a connection the client dialed: the
+// replica's own, or — for a replica the client never talked to, as in
+// the single-partition transfer each client starts with — the primary's.
+func TestOpenTCPReplicatedCommit(t *testing.T) {
+	peers, stores := startTCPTestCluster(t, 3, 2)
+	balance := func(node int, k storage.Key) int64 {
+		t.Helper()
+		v, _, err := stores[node].Table(storage.TableID(tcpAccounts)).Bucket(k).Get(k)
+		if err != nil {
+			t.Fatalf("node %d key %d: %v", node, k, err)
+		}
+		return tcpDec(v)
+	}
+	for i, kind := range []EngineKind{EngineChiller, Engine2PL, EngineOCC} {
+		db, err := Open(
+			WithTransport(TransportTCP),
+			WithPeers(peers...),
+			WithReplication(2),
+			WithEngine(kind),
+			WithRangePartitioner(map[Table]Key{tcpAccounts: 200}),
+		)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := db.Register(tcpTransferProc()); err != nil {
+			t.Fatal(err)
+		}
+		// Keys 10 and 11 live on node 0 (replica: node 1), key 150 on
+		// node 2 (replica: node 0).
+		for _, dst := range []int64{11, 150} {
+			if _, err := db.ExecuteWithRetry(context.Background(), Retry{}, "bank.transfer", 10, dst, 25); err != nil {
+				t.Fatalf("%s: transfer to %d: %v", kind, dst, err)
+			}
+		}
+		if err := db.Close(); err != nil { // drains the commit tails: every replica has acked
+			t.Fatal(err)
+		}
+		n := int64(i + 1)
+		for _, c := range []struct {
+			node int
+			key  storage.Key
+			want int64
+		}{
+			{0, 10, 1000 - 50*n}, {1, 10, 1000 - 50*n},
+			{0, 11, 1000 + 25*n}, {1, 11, 1000 + 25*n},
+			{2, 150, 1000 + 25*n}, {0, 150, 1000 + 25*n},
+		} {
+			if got := balance(c.node, c.key); got != c.want {
+				t.Fatalf("%s: node %d key %d = %d, want %d", kind, c.node, c.key, got, c.want)
+			}
+		}
 	}
 }
 
