@@ -191,8 +191,7 @@ func (m *Metrics) add(sh *shard) {
 // an engine, recording outcomes into sh. It returns when the request
 // committed, retry is off, or the run stopped.
 func runOne(engine cc.Engine, req *txn.Request, sh *shard, rng *rand.Rand, cfg *RunConfig, counting, stop *atomic.Bool) {
-	backoff := time.Duration(0)
-	for {
+	for retry := 1; ; retry++ {
 		res := engine.Run(context.Background(), req)
 		count := counting.Load()
 		pm := sh.byProc[req.Proc]
@@ -221,12 +220,7 @@ func runOne(engine cc.Engine, req *txn.Request, sh *shard, rng *rand.Rand, cfg *
 		// Randomized exponential backoff between retries (standard
 		// NO_WAIT practice): identical requests replayed at spin speed
 		// livelock against each other and flood the fabric.
-		if backoff == 0 {
-			backoff = 2 * time.Microsecond
-		} else if backoff < time.Millisecond {
-			backoff *= 2
-		}
-		time.Sleep(time.Duration(rng.Int63n(int64(backoff)) + 1))
+		time.Sleep(cc.Jitter(rng, cc.BackoffCeiling(retry, 2*time.Microsecond, time.Millisecond)))
 	}
 }
 

@@ -3,9 +3,14 @@
 // distributed 2PL with 2PC (cc/twopl), optimistic concurrency control
 // (cc/occ), and Chiller's two-region engine (internal/core).
 //
-// All three engines reach participants the same way — server.Wave, one
-// doorbell per destination node per fan-out (see docs/NETWORK.md) — so
-// the evaluation compares execution schemes on equal transport.
+// All three run on one transaction context and one op interpreter (Txn):
+// an engine is a lock/validate policy over it, so a stored procedure
+// means the same under each. Every lock-read, replicate, commit and abort
+// reaches its participants as a server.Wave — one doorbell per
+// destination node per fan-out (docs/NETWORK.md) — so the evaluation
+// compares execution schemes on equal transport. OCC's unlocked
+// execution reads and its phase-2 version checks are what stays
+// two-sided: one call per record or participant, listed there too.
 package cc
 
 import (

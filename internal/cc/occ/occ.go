@@ -11,10 +11,9 @@ package occ
 import (
 	"context"
 	"fmt"
-	"slices"
+	"sync"
 
 	"github.com/chillerdb/chiller/internal/cc"
-	"github.com/chillerdb/chiller/internal/cluster"
 	"github.com/chillerdb/chiller/internal/server"
 	"github.com/chillerdb/chiller/internal/storage"
 	"github.com/chillerdb/chiller/internal/transport"
@@ -98,33 +97,18 @@ func decodeReadResp(p []byte) (*readResp, error) {
 	return rr, r.Err()
 }
 
-// validate request: phase 1 locks the write set, phase 2 checks read
-// versions. Both phases park their effects in the node's participant
-// state so the shared commit/abort verbs finish the protocol.
-const (
-	phaseLock  uint8 = 1
-	phaseCheck uint8 = 2
-)
-
+// A validate request is phase 2 of validation: the versions the
+// execution phase observed at one participant, re-checked under the
+// write locks phase 1 took (phase 1 is a lock-read wave, cc.Txn.LockWave).
 type validateReq struct {
-	txnID uint64
-	phase uint8
-	// phase 1: write-set keys to lock.
-	writeKeys []storage.RID
-	// phase 2: read versions to check.
+	txnID    uint64
 	readKeys []storage.RID
 	versions []uint64
 }
 
 func (v *validateReq) encode() []byte {
-	w := wire.NewWriter(64)
+	w := wire.NewWriter(16 + len(v.readKeys)*20)
 	w.Uint64(v.txnID)
-	w.Uint8(v.phase)
-	w.Uint32(uint32(len(v.writeKeys)))
-	for _, k := range v.writeKeys {
-		w.Uint32(uint32(k.Table))
-		w.Uint64(uint64(k.Key))
-	}
 	w.Uint32(uint32(len(v.readKeys)))
 	for i, k := range v.readKeys {
 		w.Uint32(uint32(k.Table))
@@ -138,14 +122,6 @@ func decodeValidateReq(p []byte) (*validateReq, error) {
 	r := wire.NewReader(p)
 	v := &validateReq{}
 	v.txnID = r.Uint64()
-	v.phase = r.Uint8()
-	nw := r.Uint32()
-	for i := uint32(0); i < nw; i++ {
-		v.writeKeys = append(v.writeKeys, storage.RID{
-			Table: storage.TableID(r.Uint32()),
-			Key:   storage.Key(r.Uint64()),
-		})
-	}
 	nr := r.Uint32()
 	for i := uint32(0); i < nr; i++ {
 		v.readKeys = append(v.readKeys, storage.RID{
@@ -205,55 +181,38 @@ func handleValidate(n *server.Node, req []byte) ([]byte, error) {
 }
 
 func validateLocal(n *server.Node, v *validateReq) (bool, txn.AbortReason) {
-	switch v.phase {
-	case phaseLock:
-		entries := make([]server.LockEntry, 0, len(v.writeKeys))
-		for _, k := range v.writeKeys {
-			entries = append(entries, server.LockEntry{
-				Table: k.Table, Key: k.Key,
-				Mode: storage.LockExclusive,
-			})
+	for i, k := range v.readKeys {
+		tbl := n.Store().Table(k.Table)
+		if tbl == nil {
+			return false, txn.AbortValidation
 		}
-		resp := n.LockReadLocal(v.txnID, entries)
-		if !resp.OK {
-			return false, resp.Reason
+		b := tbl.Bucket(k.Key)
+		cur, err := b.Version(k.Key)
+		if err != nil {
+			cur = 0
 		}
-		return true, txn.AbortNone
-	case phaseCheck:
-		for i, k := range v.readKeys {
-			tbl := n.Store().Table(k.Table)
-			if tbl == nil {
-				return false, txn.AbortValidation
-			}
-			b := tbl.Bucket(k.Key)
-			cur, err := b.Version(k.Key)
-			if err != nil {
-				cur = 0
-			}
-			if cur != v.versions[i] {
-				return false, txn.AbortValidation
-			}
-			// An unchanged version is not enough: a concurrent writer
-			// past its lock phase (1) holds this bucket exclusively and
-			// WILL install a new version whatever we observe now. With a
-			// multi-partition writer applying partition by partition,
-			// skipping this check admits read skew: the reader sees the
-			// writer's value on one partition and validates the stale
-			// version on another while its lock is still held (caught by
-			// the serializability checker, internal/check). The read
-			// validates only if no other transaction write-locks the
-			// bucket; our own write lock (read ∩ write set) is fine.
-			if _, held := n.HeldLockMode(v.txnID, b); held {
-				continue
-			}
-			if !b.Lock.TryLock(storage.LockShared) {
-				return false, txn.AbortValidation
-			}
-			b.Lock.Unlock(storage.LockShared)
+		if cur != v.versions[i] {
+			return false, txn.AbortValidation
 		}
-		return true, txn.AbortNone
+		// An unchanged version is not enough: a concurrent writer
+		// past its lock phase (1) holds this bucket exclusively and
+		// WILL install a new version whatever we observe now. With a
+		// multi-partition writer applying partition by partition,
+		// skipping this check admits read skew: the reader sees the
+		// writer's value on one partition and validates the stale
+		// version on another while its lock is still held (caught by
+		// the serializability checker, internal/check). The read
+		// validates only if no other transaction write-locks the
+		// bucket; our own write lock (read ∩ write set) is fine.
+		if _, held := n.HeldLockMode(v.txnID, b); held {
+			continue
+		}
+		if !b.Lock.TryLock(storage.LockShared) {
+			return false, txn.AbortValidation
+		}
+		b.Lock.Unlock(storage.LockShared)
 	}
-	return false, txn.AbortInternal
+	return true, txn.AbortNone
 }
 
 // --- coordinator engine ---
@@ -274,130 +233,97 @@ func New(n *server.Node) *Engine { return &Engine{node: n} }
 // Name implements cc.Engine.
 func (e *Engine) Name() string { return "OCC" }
 
-// Run implements cc.Engine. Cancellation is honored during the
-// execution phase and before each validation phase; once validation has
-// succeeded the transaction commits regardless of ctx.
+// observed is one unlocked read of the execution phase: the record, the
+// version it had, and the node that served it and will re-check it.
+type observed struct {
+	node    transport.NodeID
+	rid     storage.RID
+	version uint64
+}
+
+// scratch is an OCC transaction's working memory, pooled: the shared
+// context, the reads to validate, and phase 2's request, rebuilt per
+// participant over the same arrays.
+type scratch struct {
+	*cc.Txn
+	seen  []observed
+	check validateReq
+}
+
+var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
+
+func (s *scratch) release() {
+	s.Txn.Release()
+	s.Txn, s.seen = nil, s.seen[:0]
+	scratchPool.Put(s)
+}
+
+// Run implements cc.Engine. OCC's policy over cc.Txn: every op takes its
+// meaning during an execution phase that reads without locks and only
+// buffers; validation then write-locks the write set (phase 1, one
+// lock-read wave) and re-checks the versions read (phase 2). Cancellation
+// is honored during the execution phase and before each validation
+// phase; once validation has succeeded the transaction commits
+// regardless of ctx.
 func (e *Engine) Run(ctx context.Context, req *txn.Request) txn.Result {
 	n := e.node
-	proc := n.Registry().Lookup(req.Proc)
-	if proc == nil {
-		return txn.Result{Reason: txn.AbortInternal}
+	proc, res, ok := cc.Begin(ctx, n, req)
+	if !ok {
+		return res
 	}
-	if proc.ReadOnly && n.Clock() != nil {
-		// MVCC snapshot path: lock-free, validation-free, zero verbs for
-		// replica-local partitions.
-		res, err := n.RunSnapshot(ctx, *req)
-		if err != nil {
-			return txn.Result{Reason: txn.AbortInternal, Detail: err.Error()}
-		}
-		return *res
-	}
-	txnID := req.ID
-	if txnID == 0 {
-		txnID = n.NextTxnID()
-	}
-
-	reads := make(txn.ReadSet, len(proc.Ops))
-	pending := make(map[storage.RID][]byte)
-	versions := make(map[storage.RID]uint64)
-	writes := make(map[cluster.PartitionID][]server.WriteOp)
-	readParts := make(map[cluster.PartitionID][]storage.RID)
-	var readRIDs, writeRIDs []storage.RID
-	partsTouched := make(map[cluster.PartitionID]bool)
+	s := scratchPool.Get().(*scratch)
+	s.Txn = cc.NewTxn(n, req, proc)
+	defer s.release()
+	dir := n.Directory()
 
 	// --- execution phase: unlocked reads, buffered writes ---
+	// Nothing is locked yet, so an abort here leaves no state on any
+	// participant.
 	for i := range proc.Ops {
 		if reason, done := cc.Cancelled(ctx); done {
-			// Nothing locked yet: the execution phase holds no state on
-			// any participant.
-			return txn.Result{Reason: reason, Distributed: len(partsTouched) > 1}
+			return s.Abort(n, reason)
 		}
 		op := &proc.Ops[i]
-		key, ok := op.Key(req.Args, reads)
+		key, ok := op.Key(req.Args, s.Reads)
 		if !ok {
-			return txn.Result{Reason: txn.AbortInternal}
+			return s.Abort(n, txn.AbortInternal)
 		}
 		rid := storage.RID{Table: op.Table, Key: key}
-		pid := n.Directory().Partition(rid)
-		partsTouched[pid] = true
-		target := n.Directory().Topology().Primary(pid)
-
-		needsRead := op.Type == txn.OpRead || op.Type == txn.OpUpdate
-		if needsRead {
-			if pv, ok := pending[rid]; ok {
-				reads[i] = pv
-			} else {
-				rr := e.readOne(target, i, rid, op.Type != txn.OpInsert)
-				if !rr.ok {
-					return txn.Result{Reason: rr.reason, Detail: rr.detail, Distributed: len(partsTouched) > 1}
-				}
-				reads[i] = rr.reads[i]
-				versions[rid] = rr.versions[0]
-				readParts[pid] = append(readParts[pid], rid)
-				readRIDs = append(readRIDs, rid)
+		pid := dir.Partition(rid)
+		target := dir.Topology().Primary(pid)
+		s.Participant(target, pid)
+		le := s.Entry(op, key)
+		if le.MustExist {
+			// The op depends on the stored record — its value, or just
+			// its existence: read it, and validate that version later.
+			rr := e.readOne(target, le)
+			if !rr.ok {
+				s.Detail = rr.detail
+				return s.Abort(n, rr.reason)
 			}
+			if le.Read {
+				s.Reads[i] = rr.reads[i]
+			}
+			s.seen = append(s.seen, observed{node: target, rid: rid, version: rr.versions[0]})
 		}
-		if op.Check != nil {
-			if err := op.Check(reads[i], req.Args, reads); err != nil {
-				return txn.Result{Reason: txn.AbortConstraint, Distributed: len(partsTouched) > 1}
-			}
+		if reason := s.Step(op, req.Args, key, pid, false); reason != txn.AbortNone {
+			return s.Abort(n, reason)
 		}
 		if op.Type.IsWrite() {
-			var old []byte
-			if op.Type == txn.OpUpdate {
-				old = reads[i]
-			}
-			var newVal []byte
-			if op.Type != txn.OpDelete {
-				nv, err := op.Mutate(old, req.Args, reads)
-				if err != nil {
-					return txn.Result{Reason: txn.AbortConstraint, Distributed: len(partsTouched) > 1}
-				}
-				newVal = nv
-			}
-			pending[rid] = newVal
-			writes[pid] = append(writes[pid], server.WriteOp{
-				Table: op.Table, Key: key, Type: op.Type, Value: newVal,
-			})
-			writeRIDs = append(writeRIDs, rid)
+			// Phase 1 only locks: what the write depends on was read
+			// above and is validated in phase 2.
+			le.Read, le.MustExist = false, false
+			b := s.BatchFor(target, 0)
+			b.Entries = append(b.Entries, le)
 		}
 	}
 
-	distributed := len(partsTouched) > 1
-	topo := n.Directory().Topology()
-
-	// --- validation phase 1: write-lock every write set ---
-	var lockedNodes []transport.NodeID // deduplicated
-	for pid, ws := range writes {
-		if reason, done := cc.Cancelled(ctx); done {
-			n.AbortAll(lockedNodes, txnID)
-			return txn.Result{Reason: reason, Distributed: distributed}
-		}
-		target := topo.Primary(pid)
-		keys := make([]storage.RID, 0, len(ws))
-		for _, w := range ws {
-			keys = append(keys, storage.RID{Table: w.Table, Key: w.Key})
-		}
-		v := &validateReq{txnID: txnID, phase: phaseLock, writeKeys: keys}
-		ok, reason, err := e.validateAt(target, v)
-		if err != nil {
-			n.AbortAll(lockedNodes, txnID)
-			return txn.Result{
-				Reason:      server.TransportAbortReason(err),
-				Detail:      fmt.Sprintf("validate at node %d: %v", target, err),
-				Distributed: distributed,
-			}
-		}
-		if !slices.Contains(lockedNodes, target) {
-			lockedNodes = append(lockedNodes, target)
-		}
-		if !ok {
-			n.AbortAll(lockedNodes, txnID)
-			if reason == txn.AbortNone {
-				reason = txn.AbortValidation
-			}
-			return txn.Result{Reason: reason, Distributed: distributed}
-		}
+	// --- validation phase 1: write-lock every write set, in one wave ---
+	if reason, done := cc.Cancelled(ctx); done {
+		return s.Abort(n, reason)
+	}
+	if reason, ok := s.LockWave(n); !ok {
+		return s.Abort(n, reason)
 	}
 
 	// Reserve the commit timestamp here — under the write locks and
@@ -407,35 +333,28 @@ func (e *Engine) Run(ctx context.Context, req *txn.Request) txn.Result {
 	// writer of k locks k (and so reserves) after this point, which makes
 	// timestamp order agree with serial order. Reserving after validation
 	// let such a writer slip a smaller timestamp in between, and a
-	// snapshot then saw its write without ours. Every apply below is
-	// stamped with ts, and the deferred Release — after every participant
+	// snapshot then saw its write without ours. Every apply of the tail is
+	// stamped with it, and the deferred Release — after every participant
 	// commit has gathered, or on any abort path, which applies nothing
 	// anywhere — lets the stable watermark move past it.
-	var ts uint64
 	if c := n.Clock(); c != nil {
-		ts = c.Reserve()
-		defer c.Release(ts)
+		s.TS = c.Reserve()
+		defer c.Release(s.TS)
 	}
 
 	// --- validation phase 2: re-check read versions under write locks ---
-	for pid, rids := range readParts {
-		target := topo.Primary(pid)
-		v := &validateReq{txnID: txnID, phase: phaseCheck, readKeys: rids}
-		for _, rid := range rids {
-			v.versions = append(v.versions, versions[rid])
+	for i := range s.Parts {
+		target := s.Parts[i].Node
+		ok, reason, err := e.validateAt(target, s)
+		if err != nil {
+			s.Detail = fmt.Sprintf("validate at node %d: %v", target, err)
+			return s.Abort(n, server.TransportAbortReason(err))
 		}
-		ok, vreason, err := e.validateAt(target, v)
-		if err != nil || !ok {
-			n.AbortAll(lockedNodes, txnID)
-			reason, detail := vreason, ""
+		if !ok {
 			if reason == txn.AbortNone {
 				reason = txn.AbortValidation
 			}
-			if err != nil {
-				reason = server.TransportAbortReason(err)
-				detail = fmt.Sprintf("validate at node %d: %v", target, err)
-			}
-			return txn.Result{Reason: reason, Detail: detail, Distributed: distributed}
+			return s.Abort(n, reason)
 		}
 	}
 
@@ -446,34 +365,18 @@ func (e *Engine) Run(ctx context.Context, req *txn.Request) txn.Result {
 	// Last cancellation point: validation succeeded but nothing is
 	// applied yet, so aborting here is still clean.
 	if reason, done := cc.Cancelled(ctx); done {
-		n.AbortAll(lockedNodes, txnID)
-		return txn.Result{Reason: reason, Distributed: distributed}
+		return s.Abort(n, reason)
 	}
-
-	// --- commit: replicate then apply+release at each write participant ---
-	// One replicate wave (the primaries stream concurrently; every replica
-	// ack is joined) — serializing the partitions would stretch the
-	// validated-lock hold window by a round trip each. An error means no
-	// replica received anything (a partly streamed fan-out is Node.Replicate's
-	// to surface), so the abort is clean and retryable, as in twopl.
-	if err := n.Replicate(txnID, ts, lockedNodes, writes); err != nil {
-		n.AbortAll(lockedNodes, txnID)
-		return txn.Result{Reason: server.TransportAbortReason(err), Detail: err.Error(), Distributed: distributed}
-	}
-	w := n.NewWave()
-	w.CommitAll(txnID, ts, lockedNodes, writes)
-	w.Wait() // synchronous second phase: the client sees applied writes
-	err := w.Errs()
-	w.Release()
-	if err != nil {
-		return txn.Result{Reason: txn.AbortInternal, Detail: err.Error(), Distributed: distributed}
-	}
-	n.SampleCommit(readRIDs, writeRIDs)
-	return txn.Result{Committed: true, Reads: reads, Distributed: distributed}
+	// Commit: the shared synchronous tail, over the write participants.
+	// Its replicate wave streams from every primary concurrently —
+	// serializing the partitions would stretch the validated-lock hold
+	// window by a round trip each.
+	return s.Commit(n)
 }
 
-func (e *Engine) readOne(target transport.NodeID, opID int, rid storage.RID, mustExist bool) *readResp {
-	entries := []readEntry{{opID: opID, table: rid.Table, key: rid.Key, mustExist: mustExist}}
+// readOne reads the record le names at target, unlocked.
+func (e *Engine) readOne(target transport.NodeID, le server.LockEntry) *readResp {
+	entries := []readEntry{{opID: le.OpID, table: le.Table, key: le.Key, mustExist: le.MustExist}}
 	if target == e.node.ID() {
 		return readLocal(e.node, entries)
 	}
@@ -491,8 +394,20 @@ func (e *Engine) readOne(target transport.NodeID, opID int, rid storage.RID, mus
 	return rr
 }
 
-func (e *Engine) validateAt(target transport.NodeID, v *validateReq) (bool, txn.AbortReason, error) {
-	if target == e.node.ID() {
+// validateAt runs phase 2 at target over the reads it served (a
+// participant that served none validates trivially).
+func (e *Engine) validateAt(target transport.NodeID, s *scratch) (bool, txn.AbortReason, error) {
+	v := &s.check
+	v.txnID, v.readKeys, v.versions = s.ID, v.readKeys[:0], v.versions[:0]
+	for _, o := range s.seen {
+		if o.node == target {
+			v.readKeys, v.versions = append(v.readKeys, o.rid), append(v.versions, o.version)
+		}
+	}
+	switch {
+	case len(v.readKeys) == 0:
+		return true, txn.AbortNone, nil
+	case target == e.node.ID():
 		ok, reason := validateLocal(e.node, v)
 		return ok, reason, nil
 	}

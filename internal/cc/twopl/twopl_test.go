@@ -57,42 +57,6 @@ func TestLocalAndRemoteTransfer(t *testing.T) {
 	}
 }
 
-func TestBatchingEquivalence(t *testing.T) {
-	// The same transaction must produce the same effects with and
-	// without request batching.
-	for _, disable := range []bool{false, true} {
-		c, _ := newBankCluster(t, 2)
-		e := twopl.New(c.Nodes[0])
-		e.DisableBatching = disable
-		res := e.Run(context.Background(), &txn.Request{Proc: bench.BankTransferProc, Args: txn.Args{0, 1, 7}})
-		if !res.Committed {
-			t.Fatalf("disable=%v: aborted %v", disable, res.Reason)
-		}
-		v, _, _ := c.Nodes[0].Store().Table(bench.BankTable).Bucket(0).Get(0)
-		if bench.DecodeBalance(v) != bench.InitialBalance-7 {
-			t.Fatalf("disable=%v: balance %d", disable, bench.DecodeBalance(v))
-		}
-	}
-}
-
-func TestRunOrderedCustomOrder(t *testing.T) {
-	c, _ := newBankCluster(t, 1)
-	e := twopl.New(c.Nodes[0])
-	proc := c.Registry.Lookup(bench.BankTransferProc)
-	// Credit before debit: legal (no pk-deps) and must commit with the
-	// same net effect.
-	res := e.RunOrdered(context.Background(), &txn.Request{
-		Proc: bench.BankTransferProc, Args: txn.Args{3, 4, 9},
-	}, proc, []int{1, 0})
-	if !res.Committed {
-		t.Fatalf("reordered run aborted: %v", res.Reason)
-	}
-	v, _, _ := c.Nodes[0].Store().Table(bench.BankTable).Bucket(3).Get(3)
-	if bench.DecodeBalance(v) != bench.InitialBalance-9 {
-		t.Fatalf("balance = %d", bench.DecodeBalance(v))
-	}
-}
-
 func TestAbortReleasesRemoteLocks(t *testing.T) {
 	c, _ := newBankCluster(t, 2)
 	e := twopl.New(c.Nodes[0])

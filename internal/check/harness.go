@@ -380,12 +380,7 @@ func Run(cfg Config) (*Result, error) {
 							aborted.Add(1)
 							// Jittered exponential backoff, capped so a whole
 							// partition window fits in the retry budget.
-							shift := attempt
-							if shift > 7 {
-								shift = 7
-							}
-							base := int64(2<<shift) * int64(time.Microsecond)
-							time.Sleep(time.Duration(rng.Int63n(base) + 1))
+							time.Sleep(cc.Jitter(rng, cc.BackoffCeiling(attempt+1, 2*time.Microsecond, 256*time.Microsecond)))
 						}
 						if !ok {
 							gaveUp.Add(1)

@@ -338,29 +338,6 @@ func (t *Topology) Install(parts []PartitionInfo) {
 	t.view.Store(&parts)
 }
 
-// NumNodes returns the number of member nodes implied by the layout:
-// one past the highest node ID appearing as a primary, replica, or
-// warming node.
-func (t *Topology) NumNodes() int {
-	max := transport.NodeID(-1)
-	for _, info := range t.load() {
-		if info.Primary > max {
-			max = info.Primary
-		}
-		for _, r := range info.Replicas {
-			if r > max {
-				max = r
-			}
-		}
-		for _, r := range info.Warming {
-			if r > max {
-				max = r
-			}
-		}
-	}
-	return int(max) + 1
-}
-
 // HasNode reports whether the layout names n (a coordinator-only client is not).
 func (t *Topology) HasNode(n transport.NodeID) bool {
 	for _, info := range t.load() {

@@ -26,7 +26,6 @@ import (
 	"cmp"
 	"context"
 	"fmt"
-	"math/rand"
 	"slices"
 	"sync"
 	"time"
@@ -190,19 +189,11 @@ func (e *Engine) Run(ctx context.Context, req *txn.Request) txn.Result {
 // forwarded again, so a layout change mid-flight cannot loop it.
 func (e *Engine) run(ctx context.Context, req *txn.Request, routed bool) txn.Result {
 	n := e.node
-	proc := n.Registry().Lookup(req.Proc)
-	if proc == nil {
-		return txn.Result{Reason: txn.AbortInternal}
-	}
-	if proc.ReadOnly && n.Clock() != nil {
-		// MVCC snapshot path: lock-free, conflict-abort-free, zero verbs
-		// for replica-local partitions. Region analysis is moot — a
-		// snapshot read has no contention span to shrink.
-		res, err := n.RunSnapshot(ctx, *req)
-		if err != nil {
-			return txn.Result{Reason: txn.AbortInternal, Detail: err.Error()}
-		}
-		return *res
+	// A snapshot read (cc.Begin's preamble) needs no region analysis: it
+	// has no contention span to shrink.
+	proc, res, ok := cc.Begin(ctx, n, req)
+	if !ok {
+		return res
 	}
 	g, err := e.graph(proc)
 	if err != nil {
@@ -212,9 +203,8 @@ func (e *Engine) run(ctx context.Context, req *txn.Request, routed bool) txn.Res
 	// Step 1-2: decide execution model and the inner host.
 	dec := depgraph.Decide(g, req.Args, e.resolve, e.hot)
 	if !dec.TwoRegion {
-		// Cold transaction: normal 2PL with 2PC, in op order (which is
-		// what OuterOps lists when nothing is inner).
-		return e.fallback.RunOrdered(ctx, req, proc, dec.OuterOps)
+		// Cold transaction: normal 2PL with 2PC, in procedure order.
+		return e.fallback.Run(ctx, req)
 	}
 	host := n.Directory().Topology().Primary(cluster.PartitionID(dec.InnerHost))
 	switch {
@@ -240,18 +230,14 @@ func (e *Engine) run(ctx context.Context, req *txn.Request, routed bool) txn.Res
 // so the inner region is a call on one of its own lanes.
 func (e *Engine) runTwoRegion(ctx context.Context, req *txn.Request, proc *txn.Procedure, g *depgraph.Graph, dec depgraph.Decision) txn.Result {
 	n := e.node
-	txnID := req.ID
-	if txnID == 0 {
-		txnID = n.NextTxnID()
-	}
-
-	s := newScratch()
-	s.reads = make(txn.ReadSet, len(proc.Ops))
-	s.txnID, s.innerPID, s.sample = txnID, cluster.PartitionID(dec.InnerHost), n.Sampler() != nil
+	s := newScratch(n, req, proc)
+	// This node takes part through the inner region, whether or not an
+	// outer op locks here too: the transaction is distributed iff any
+	// other node does.
+	s.Participant(n.ID(), cluster.PartitionID(dec.InnerHost))
 	// abort rolls back the outer region's locks and retires the scratch.
 	abort := func(reason txn.AbortReason) txn.Result {
-		n.AbortAll(s.nodes(true), txnID)
-		res := txn.Result{Reason: reason, Detail: s.detail, Distributed: s.isDistributed()}
+		res := s.Abort(n, reason)
 		s.release()
 		return res
 	}
@@ -284,7 +270,7 @@ func (e *Engine) runTwoRegion(ctx context.Context, req *txn.Request, proc *txn.P
 	// cross-transaction stalls finite and participants stay NO_WAIT.
 	reason := s.execInnerOnLane(n, proc, req.Args, dec.InnerOps)
 	for attempt := 0; attempt < hotWaveRetries && reason == txn.AbortLockConflict; attempt++ {
-		if !sleepJittered(ctx, hotWaveRetryBase<<attempt) {
+		if !rerequestPause(ctx, attempt) {
 			reason = txn.AbortCancelled
 			break
 		}
@@ -297,7 +283,7 @@ func (e *Engine) runTwoRegion(ctx context.Context, req *txn.Request, proc *txn.P
 	// steps below cannot abort it; a failure here is an engine invariant
 	// violation, not a transaction abort.
 	//
-	// The region reserved the commit timestamp s.ts at its unilateral
+	// The region reserved the commit timestamp s.TS at its unilateral
 	// commit point (under the hot records' bucket locks, so per-key
 	// timestamp order equals lock order) and stamped the inner stream
 	// with it; every outer apply below carries the same stamp, and finish
@@ -309,19 +295,22 @@ func (e *Engine) runTwoRegion(ctx context.Context, req *txn.Request, proc *txn.P
 	// Step 5: commit the outer region. Compute the deferred outer writes
 	// now — their mutators may consume values produced by the inner region
 	// — so the work overlaps the wait for the inner region's acks.
-	if err := e.materializeOuterWrites(proc, req.Args, dec.OuterOps, s); err != nil {
+	if reason := e.materializeOuter(proc, req.Args, dec.OuterOps, s); reason != txn.AbortNone {
 		// Mutators of outer write ops must be infallible once the inner
 		// region has committed (all value constraints belong in reads'
-		// Check hooks or inner mutators). Surface loudly.
-		panic(fmt.Sprintf("core: outer mutate failed after inner commit (txn %d, proc %s): %v", txnID, proc.Name, err))
+		// Check hooks or inner mutators). The same holds for the Check of
+		// an outer op that an earlier op of the transaction shadows: its
+		// value exists only now, so it is evaluated here, past the point
+		// where it could abort. Surface loudly.
+		panic(fmt.Sprintf("core: outer op failed after inner commit (txn %d, proc %s): %v", s.ID, proc.Name, reason))
 	}
 
 	// Wait for the inner region's replicas to acknowledge (to us, the
 	// coordinator — Figure 6) before completing the transaction.
-	if err := n.AwaitAcks(txnID, s.ack); err != nil {
+	if err := n.AwaitAcks(s.ID, s.ack); err != nil {
 		// The fabric closed under a committed inner region: the outer region
 		// can be neither completed nor (the abort wave fails too) rolled back.
-		s.detail = "after inner commit: " + err.Error()
+		s.Detail = "after inner commit: " + err.Error()
 		return abort(txn.AbortInternal)
 	}
 
@@ -330,12 +319,12 @@ func (e *Engine) runTwoRegion(ctx context.Context, req *txn.Request, proc *txn.P
 	// runs as a detached tail when it would otherwise block on the network
 	// — the client gets its result one round trip earlier. The tail owns
 	// the scratch from here: the result is built first, finish releases it.
-	res := txn.Result{Committed: true, Reads: s.reads, Distributed: s.isDistributed()}
-	w := n.NewWave()
-	replicating := w.ReplicateAll(txnID, s.ts, s.nodes(false), s.outer)
-	w.CommitAll(txnID, s.ts, s.nodes(false), s.outer)
+	res := txn.Result{Committed: true, Reads: s.Reads, Distributed: s.Distributed()}
+	w, outer := n.NewWave(), s.WriteSets()
+	replicating := w.ReplicateAll(s.ID, s.TS, s.Locked(), outer)
+	w.CommitAll(s.ID, s.TS, s.Locked(), outer)
 	e.tails.Add(1)
-	if !replicating && !s.hasRemoteParticipant(n.ID()) {
+	if !replicating && !s.Distributed() {
 		e.finish(s, w) // purely local: no network to wait on
 	} else {
 		go e.finish(s, w)
@@ -364,9 +353,9 @@ func (e *Engine) finish(s *scratch, w *server.Wave) {
 	// has landed; snapshots may now advance past this timestamp. Not so
 	// if the fabric closed before the outer replicas acked (ErrClosed).
 	if c := n.Clock(); c != nil && err == nil {
-		c.Release(s.ts)
+		c.Release(s.TS)
 	}
-	n.SampleCommit(s.readRIDs, s.writeRIDs)
+	s.SampleCommit(n)
 	s.release()
 }
 
@@ -417,164 +406,47 @@ func (e *Engine) hotLastOrder(g *depgraph.Graph, args txn.Args, outerOps []int) 
 	return reordered
 }
 
-// participant is one outer-region node the coordinator has contacted.
-// The list is tiny (a handful of nodes), so all lookups are linear scans
-// over a slice rather than map operations — this is the per-transaction
-// hot path.
-type participant struct {
-	node transport.NodeID
-	pid  cluster.PartitionID
-	// locked marks the node as known to hold locks for this txn (a batch
-	// succeeded there, or failed in a way that may have left state
-	// behind); only such nodes need an abort frame.
-	locked bool
-}
-
-// nodeBatch is one (node, lane) lock-and-read batch of a lock wave.
-type nodeBatch struct {
-	target  transport.NodeID
-	lane    int
-	entries []server.LockEntry
-}
-
 // pendingOp is an outer op lockOuter has not locked yet.
 type pendingOp struct {
 	op   int
 	late bool // trailing hot block: locked only after all cold ops
 }
 
-// scratch is one transaction's working memory, pooled: what the commit
-// path needs while it runs and nobody keeps afterwards — the
-// coordinator's participants, lock-wave batches and deferred outer
-// writes, and an inner region's lock refs and write list. A transaction
-// so allocates what it hands on (its read set, the values its mutators
-// build) and little else.
+// scratch is one two-region transaction's working memory, pooled: the
+// shared coordinator context (cc.Txn: read set, participants, lock-wave
+// batches, the write set) plus what only this policy needs — the outer
+// region's wave plan and the inner region's lock refs and ack waiter.
 //
 // Lifetime: runTwoRegion takes one and its inner region runs on it. Its
 // last reader releases it, once: the abort path, or finish — a committed
 // transaction's tail reads the outer writes and participants after Run
-// has returned. release drops every value pointer, so the pool pins no
-// record and nothing leaks into the next transaction. The read set is
-// the transaction's result: referenced here, never recycled.
+// has returned.
 type scratch struct {
-	// Coordinator state.
-	txnID, ts uint64
-	reads     txn.ReadSet
-	parts     []participant
-	nodeBuf   []transport.NodeID // backs nodes()
-	innerPID  cluster.PartitionID
-	// detail carries failure context for internal/unreachable aborts
-	// (which verb failed, at which node).
-	detail string
-	// sample gates access-set collection: the RID slices are only needed
-	// when a statistics observer is installed.
-	sample    bool
-	readRIDs  []storage.RID
-	writeRIDs []storage.RID
+	*cc.Txn
 
-	// Lock waves: the ops not yet locked, the current wave, the ops of its
-	// conflict-failed batches, and the batches (each keeps its entries).
-	pend    []pendingOp
-	wave    []int
-	failed  []int
-	batches []nodeBatch
+	// Lock waves: the ops not yet locked and the current wave.
+	pend []pendingOp
+	wave []int
 
-	// Deferred outer writes by partition; spare keeps the groups' arrays
-	// between transactions (the keys go: the pool is process-wide, and a
-	// partition id means nothing to the next deployment).
-	outer map[cluster.PartitionID][]server.WriteOp
-	spare [][]server.WriteOp
-
-	// Inner region: buffered writes — also the read-your-own-writes
-	// index — the bucket locks held, and once it committed (with ts) the
-	// waiter for its replicas' acks.
-	writes []server.WriteOp
-	locks  []innerLockRef
-	ack    *server.AckWaiter
+	// Inner region: the bucket locks held and, once it committed (with
+	// TS), the waiter for its replicas' acks.
+	locks []innerLockRef
+	ack   *server.AckWaiter
 }
 
-var scratchPool = sync.Pool{New: func() any {
-	return &scratch{outer: make(map[cluster.PartitionID][]server.WriteOp, 2)}
-}}
+var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
 
-func newScratch() *scratch { return scratchPool.Get().(*scratch) }
+func newScratch(n *server.Node, req *txn.Request, proc *txn.Procedure) *scratch {
+	s := scratchPool.Get().(*scratch)
+	s.Txn = cc.NewTxn(n, req, proc)
+	return s
+}
 
-// release clears the scratch, value pointers included, and pools it.
+// release retires the context and pools the scratch.
 func (s *scratch) release() {
-	clear(s.writes)
-	clear(s.locks)
-	for pid, ws := range s.outer {
-		clear(ws)
-		s.spare = append(s.spare, ws[:0])
-		delete(s.outer, pid)
-	}
-	*s = scratch{
-		parts: s.parts[:0], nodeBuf: s.nodeBuf[:0],
-		readRIDs: s.readRIDs[:0], writeRIDs: s.writeRIDs[:0],
-		pend: s.pend[:0], wave: s.wave[:0], failed: s.failed[:0], batches: s.batches[:0],
-		outer: s.outer, spare: s.spare, writes: s.writes[:0], locks: s.locks[:0],
-	}
+	s.Txn.Release()
+	*s = scratch{pend: s.pend[:0], wave: s.wave[:0], locks: s.locks[:0]}
 	scratchPool.Put(s)
-}
-
-func (s *scratch) isDistributed() bool {
-	for _, p := range s.parts {
-		if p.pid != s.innerPID {
-			return true
-		}
-	}
-	return false
-}
-
-func (s *scratch) hasRemoteParticipant(self transport.NodeID) bool {
-	for _, p := range s.parts {
-		if p.node != self {
-			return true
-		}
-	}
-	return false
-}
-
-// addParticipant records a contacted node, deduplicating by node id.
-func (s *scratch) addParticipant(node transport.NodeID, pid cluster.PartitionID) *participant {
-	for i := range s.parts {
-		if s.parts[i].node == node {
-			return &s.parts[i]
-		}
-	}
-	s.parts = append(s.parts, participant{node: node, pid: pid})
-	return &s.parts[len(s.parts)-1]
-}
-
-// nodes lists the contacted participants — every one, or only those
-// known to hold locks. The result is valid until the next call.
-func (s *scratch) nodes(lockedOnly bool) []transport.NodeID {
-	s.nodeBuf = s.nodeBuf[:0]
-	for _, p := range s.parts {
-		if p.locked || !lockedOnly {
-			s.nodeBuf = append(s.nodeBuf, p.node)
-		}
-	}
-	return s.nodeBuf
-}
-
-// batchFor returns the current wave's batch for (target, lane), opening
-// one over a recycled entry array if there is none yet (a handful of
-// batches: a linear scan beats a map). Valid until the next call.
-func (s *scratch) batchFor(target transport.NodeID, lane int) *nodeBatch {
-	for i := range s.batches {
-		if b := &s.batches[i]; b.target == target && b.lane == lane {
-			return b
-		}
-	}
-	if len(s.batches) < cap(s.batches) {
-		s.batches = s.batches[:len(s.batches)+1]
-	} else {
-		s.batches = append(s.batches, nodeBatch{})
-	}
-	b := &s.batches[len(s.batches)-1]
-	b.target, b.lane, b.entries = target, lane, b.entries[:0]
-	return b
 }
 
 // lockOuter acquires locks and performs reads for the outer ops in
@@ -622,7 +494,7 @@ func (e *Engine) lockOuter(ctx context.Context, proc *txn.Procedure, args txn.Ar
 				next = append(next, p)
 				continue
 			}
-			if _, ok := proc.Ops[p.op].Key(args, s.reads); !ok {
+			if _, ok := proc.Ops[p.op].Key(args, s.Reads); !ok {
 				next = append(next, p)
 				continue
 			}
@@ -634,7 +506,7 @@ func (e *Engine) lockOuter(ctx context.Context, proc *txn.Procedure, args txn.Ar
 			return txn.AbortInternal, false
 		}
 		lateWave := !anyEarly
-		failed, reason, ok := e.lockWave(proc, args, wave, s)
+		reason, ok := e.lockWave(proc, args, wave, s)
 		// Bounded re-request of a failed trailing hot wave: the cold
 		// locks already held are uncontended by definition, so tearing
 		// everything down on a NO_WAIT conflict only to re-acquire the
@@ -645,24 +517,24 @@ func (e *Engine) lockOuter(ctx context.Context, proc *txn.Procedure, args txn.Ar
 		// turning into deadlock).
 		if !ok && lateWave {
 			for attempt := 0; attempt < hotWaveRetries &&
-				!ok && reason == txn.AbortLockConflict && len(failed) > 0; attempt++ {
-				if !sleepJittered(ctx, hotWaveRetryBase<<attempt) {
+				!ok && reason == txn.AbortLockConflict && len(s.Failed) > 0; attempt++ {
+				if !rerequestPause(ctx, attempt) {
 					return txn.AbortCancelled, false
 				}
-				failed, reason, ok = e.lockWave(proc, args, failed, s)
+				reason, ok = e.lockWave(proc, args, s.Failed, s)
 			}
 		}
 		if !ok {
 			return reason, false
 		}
-		// Checks run once the whole wave's reads are in, in wave op
-		// order, so a Check may consult any read the wave produced.
+		// Ops are observed (their Checks run) once the whole wave's reads
+		// are in, in wave op order, so a Check may consult any read the
+		// wave produced. Every key of the wave resolved when it was built.
 		for _, opID := range wave {
 			op := &proc.Ops[opID]
-			if op.Check != nil {
-				if err := op.Check(s.reads[opID], args, s.reads); err != nil {
-					return txn.AbortConstraint, false
-				}
+			key, _ := op.Key(args, s.Reads)
+			if reason := s.Observe(op, args, key); reason != txn.AbortNone {
+				return reason, false
 			}
 		}
 		pend = next
@@ -679,66 +551,41 @@ const (
 	hotWaveRetryBase = 20 // microseconds; attempt k sleeps ~base<<k
 )
 
-// sleepJittered sleeps a uniformly jittered duration in [us, 2*us) µs,
-// or until ctx is done — reporting false so re-request ladders stop
-// immediately on cancellation instead of burning their remaining rungs.
-func sleepJittered(ctx context.Context, us int64) bool {
-	d := time.Duration(us+rand.Int63n(us)) * time.Microsecond
-	if ctx.Done() == nil {
-		time.Sleep(d)
-		return true
-	}
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-t.C:
-		return true
-	case <-ctx.Done():
-		return false
-	}
+// rerequestPause sleeps out rung attempt of a re-request ladder: a
+// uniformly jittered pause in (c, 2c], c = hotWaveRetryBase<<attempt µs,
+// or until ctx is done (false).
+func rerequestPause(ctx context.Context, attempt int) bool {
+	c := cc.BackoffCeiling(attempt+1, hotWaveRetryBase*time.Microsecond, 0)
+	return cc.Sleep(ctx, c+cc.Jitter(nil, c))
 }
 
 // lockWave groups one wave of ops by participant (node, lane) and issues
-// every batch in one server.Wave: all of a destination node's lane
-// batches ride a single doorbell — one round trip per node per wave,
-// however many lanes the wave touches there — the local batches (if
-// any) execute while the rings are in flight, and every batch's reads
-// are gathered straight into the transaction's read set. Grouping by
-// lane — not just node — keeps every batch single-lane and its own
-// frame, so a conflict rolls back (and the re-request ladder re-issues)
-// exactly one lane batch. On failure every frame is still gathered — its
-// target may already hold locks that only the caller's abort can
-// release — and the ops of conflict-failed batches are returned so the
-// caller may re-request them (wave may be a previous call's failedOps:
-// it is consumed before they are rebuilt). Successful sibling batches
-// keep their locks and reads either way. Checks are the caller's job
-// (they must run only after the whole wave, including re-requests, has
-// succeeded).
-func (e *Engine) lockWave(proc *txn.Procedure, args txn.Args, wave []int, s *scratch) (failedOps []int, failReason txn.AbortReason, ok bool) {
-	n := e.node
-	dir := n.Directory()
+// every batch in one wave (cc.Txn.LockWave): all of a destination node's
+// lane batches ride a single doorbell — one round trip per node per wave,
+// however many lanes the wave touches there — and the local batches (if
+// any) execute while the rings are in flight. Grouping by lane — not just
+// node — keeps every batch single-lane and its own frame, so a conflict
+// rolls back (and the re-request ladder re-issues) exactly one lane
+// batch: on failure s.Failed lists the ops of the conflict-refused
+// batches (wave may be a previous call's s.Failed: it is consumed before
+// they are rebuilt). Observing the ops is the caller's job (it must
+// happen only after the whole wave, re-requests included, has succeeded).
+func (e *Engine) lockWave(proc *txn.Procedure, args txn.Args, wave []int, s *scratch) (txn.AbortReason, bool) {
+	dir := e.node.Directory()
 	topo := dir.Topology()
 
-	s.batches = s.batches[:0]
+	s.Batches = s.Batches[:0]
 	for _, opID := range wave {
 		op := &proc.Ops[opID]
-		key, keyOK := op.Key(args, s.reads)
+		key, keyOK := op.Key(args, s.Reads)
 		if !keyOK {
-			return nil, txn.AbortInternal, false
+			return txn.AbortInternal, false
 		}
 		rid := storage.RID{Table: op.Table, Key: key}
 		pid := dir.Partition(rid)
-		target := topo.Primary(pid)
-		b := s.batchFor(target, dir.Lane(rid))
-		b.entries = append(b.entries, server.LockEntry{
-			OpID:      op.ID,
-			Table:     op.Table,
-			Key:       key,
-			Mode:      op.Type.LockMode(),
-			Read:      op.Type == txn.OpRead || op.Type == txn.OpUpdate,
-			MustExist: op.Type != txn.OpInsert,
-		})
-		s.addParticipant(target, pid)
+		b := s.BatchFor(topo.Primary(pid), dir.Lane(rid))
+		b.Entries = append(b.Entries, s.Entry(op, key))
+		s.Participant(b.Target, pid)
 	}
 
 	// Canonical acquisition order within each batch: two transactions
@@ -753,104 +600,33 @@ func (e *Engine) lockWave(proc *txn.Procedure, args txn.Args, wave []int, s *scr
 	// desynchronizes those, the standard NO_WAIT answer. Response
 	// semantics are order-independent (reads are keyed by op id), and a
 	// wave is never mixed cold/hot, so hot-last ordering is unaffected.
-	// Frame i of the wave is batch i.
-	w := n.NewWave()
-	for i := range s.batches {
-		b := &s.batches[i]
-		slices.SortFunc(b.entries, func(x, y server.LockEntry) int {
+	for i := range s.Batches {
+		slices.SortFunc(s.Batches[i].Entries, func(x, y server.LockEntry) int {
 			return cmp.Or(cmp.Compare(x.Table, y.Table), cmp.Compare(x.Key, y.Key))
 		})
-		w.LockRead(b.target, s.txnID, b.entries, s.reads)
 	}
-	w.Wait()
-
-	// Gather every response before judging the wave: a batch that failed
-	// fast must not leave sibling calls (and the locks they acquired)
-	// untracked behind an early return.
-	failedOps = s.failed[:0]
-	failReason, failed := txn.AbortNone, false
-	for i := range s.batches {
-		b := &s.batches[i]
-		resp, err := w.LockResponse(i)
-		if err != nil {
-			// Transport failure: assume the worst (locks may be held) —
-			// the abort wave still runs there — and classify the reason:
-			// injected faults are transient (retryable after the abort),
-			// everything else is internal.
-			s.addParticipant(b.target, 0).locked = true
-			failReason, failed = server.TransportAbortReason(err), true
-			s.detail = fmt.Sprintf("lock wave at node %d: %v", b.target, err)
-			failedOps = failedOps[:0]
-			continue
-		}
-		if !resp.OK {
-			// A failed batch rolled itself back; the node holds locks
-			// only if an earlier wave succeeded there (flag already set).
-			if !failed {
-				failReason, failed = resp.Reason, true
-			}
-			if failReason == txn.AbortLockConflict {
-				for _, le := range b.entries {
-					failedOps = append(failedOps, le.OpID)
-				}
-			}
-			continue
-		}
-		s.addParticipant(b.target, 0).locked = true
-		if s.sample {
-			for _, le := range b.entries {
-				if le.Read {
-					s.readRIDs = append(s.readRIDs, storage.RID{Table: le.Table, Key: le.Key})
-				}
-			}
-		}
-	}
-	s.failed = failedOps
-	// The gathered reads alias the response buffers, not the wave.
-	w.Release()
-	if failed {
-		return failedOps, failReason, false
-	}
-	return nil, txn.AbortNone, true
+	return s.LockWave(e.node)
 }
 
-// materializeOuterWrites runs the deferred outer mutators, now that both
-// outer and inner reads are available, and groups the writes by
-// partition into s.outer.
-func (e *Engine) materializeOuterWrites(proc *txn.Procedure, args txn.Args, outerOps []int, s *scratch) error {
+// materializeOuter gives the outer ops their deferred half, in op order,
+// now that both outer and inner reads are available: an op an earlier op
+// of the transaction wrote to is observed again — its read-set entry
+// becomes that write's value, which is what history's replay needs to
+// reproduce the committed write — and every write op's mutator runs, its
+// result buffered by partition for the commit tail.
+func (e *Engine) materializeOuter(proc *txn.Procedure, args txn.Args, outerOps []int, s *scratch) txn.AbortReason {
 	dir := e.node.Directory()
 	for _, opID := range outerOps {
 		op := &proc.Ops[opID]
-		if !op.Type.IsWrite() {
-			continue
-		}
 		// Every outer key resolved during lockOuter, so it resolves now.
-		key, ok := op.Key(args, s.reads)
+		key, ok := op.Key(args, s.Reads)
 		if !ok {
-			return fmt.Errorf("core: outer write op %d has no resolvable key", opID)
+			return txn.AbortInternal
 		}
-		rid := storage.RID{Table: op.Table, Key: key}
-		var newVal []byte
-		if op.Type != txn.OpDelete {
-			var old []byte
-			if op.Type == txn.OpUpdate {
-				old = s.reads[opID]
-			}
-			nv, err := op.Mutate(old, args, s.reads)
-			if err != nil {
-				return err
-			}
-			newVal = nv
-		}
-		pid := dir.Partition(rid)
-		ws, ok := s.outer[pid]
-		if !ok && len(s.spare) > 0 {
-			ws, s.spare = s.spare[len(s.spare)-1], s.spare[:len(s.spare)-1]
-		}
-		s.outer[pid] = append(ws, server.WriteOp{Table: op.Table, Key: key, Type: op.Type, Value: newVal})
-		if s.sample {
-			s.writeRIDs = append(s.writeRIDs, rid)
+		pid := dir.Partition(storage.RID{Table: op.Table, Key: key})
+		if reason := s.Step(op, args, key, pid, true); reason != txn.AbortNone {
+			return reason
 		}
 	}
-	return nil
+	return txn.AbortNone
 }

@@ -48,9 +48,9 @@ func newHarness(t *testing.T) (*Engine, *server.Node) {
 // its own, as runTwoRegion does once the outer region is locked, and
 // joins the replica acks of a committed one (txn.AbortNone).
 func execInnerOn(n *server.Node, txnID uint64, proc *txn.Procedure, args txn.Args, innerOps []int, reads txn.ReadSet) txn.AbortReason {
-	s := newScratch()
+	s := newScratch(n, &txn.Request{ID: txnID}, proc)
 	defer s.release()
-	s.txnID, s.reads = txnID, reads
+	s.Reads = reads
 	reason := s.execInnerOnLane(n, proc, args, innerOps)
 	if reason == txn.AbortNone && n.AwaitAcks(txnID, s.ack) != nil {
 		panic("fabric closed under an inner region")
@@ -602,30 +602,30 @@ func TestScratchDoesNotLeakAbortedWrites(t *testing.T) {
 	}
 
 	// The same scratch, re-entered without going through the pool.
-	s := newScratch()
-	s.txnID, s.reads = 1, txn.ReadSet{}
+	s := newScratch(node, &txn.Request{ID: 1}, aborter)
 	if reason, _ := s.execInner(node, aborter, nil, []int{0, 1, 2}); reason != txn.AbortConstraint {
 		t.Fatalf("aborting region: %v", reason)
 	}
-	if len(s.writes) != 2 {
-		t.Fatalf("aborted region left %d buffered writes, want the 2 it made before failing", len(s.writes))
+	if got := len(s.WriteSets()[0]); got != 2 {
+		t.Fatalf("aborted region left %d buffered writes, want the 2 it made before failing", got)
 	}
 	reads := txn.ReadSet{}
-	s.txnID, s.reads = 2, reads
+	s.ID, s.Reads = 2, reads
 	if reason, _ := s.execInner(node, reader, nil, []int{0, 1}); reason != txn.AbortNone {
 		t.Fatalf("reading region: %v", reason)
 	}
 	check("re-entered scratch", reads)
 	s.release()
-	if s = newScratch(); len(s.writes)+len(s.locks)+len(s.outer)+len(s.parts) != 0 || s.reads != nil {
+	s = scratchPool.Get().(*scratch)
+	if len(s.locks)+len(s.pend)+len(s.wave) != 0 || s.Txn != nil || s.ack != nil {
 		t.Errorf("a pooled scratch came back dirty: %+v", s)
 	}
-	for _, w := range s.writes[:cap(s.writes)] {
-		if w.Value != nil {
-			t.Errorf("a pooled scratch still pins a value: %v", w)
+	for _, l := range s.locks[:cap(s.locks)] {
+		if l.b != nil {
+			t.Errorf("a pooled scratch still pins a bucket: %v", l)
 		}
 	}
-	s.release()
+	scratchPool.Put(s) // its context went back to cc's pool: TestReleasePinsNothing (internal/cc)
 
 	// Whole transactions through the engine, the scratch pooled between.
 	if res := e.Run(context.Background(), &txn.Request{Proc: "leak.abort"}); res.Committed || res.Reason != txn.AbortConstraint {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"github.com/chillerdb/chiller/internal/cluster"
 	"github.com/chillerdb/chiller/internal/server"
 	"github.com/chillerdb/chiller/internal/storage"
 	"github.com/chillerdb/chiller/internal/transport"
@@ -129,14 +130,14 @@ func innerLane(n *server.Node, proc *txn.Procedure, args txn.Args, innerOps []in
 // outer locks the coordinator may hold on this same node under the same
 // transaction id.
 //
-// The region works on the coordinator's own scratch: s.reads (the outer
+// The region works on the coordinator's own scratch: s.Reads (the outer
 // region's values on entry) is extended in place with the inner reads,
-// and on success — txn.AbortNone — s.ts and s.ack carry the commit
+// and on success — txn.AbortNone — s.TS and s.ack carry the commit
 // timestamp and the replica-ack waiter.
 func (s *scratch) execInnerOnLane(n *server.Node, proc *txn.Procedure, args txn.Args, innerOps []int) txn.AbortReason {
 	var reason txn.AbortReason
 	var durable wal.Ticket
-	n.WithLaneSerial(innerLane(n, proc, args, innerOps, s.reads), func() {
+	n.WithLaneSerial(innerLane(n, proc, args, innerOps, s.Reads), func() {
 		reason, durable = s.execInner(n, proc, args, innerOps)
 	})
 	// Durability wait off the lane, on the coordinator's goroutine: the
@@ -144,7 +145,7 @@ func (s *scratch) execInnerOnLane(n *server.Node, proc *txn.Procedure, args txn.
 	// group flush lands, and the coordinator cannot acknowledge (or
 	// build outer writes on) the region before it is durable.
 	if err := durable.Wait(); err != nil {
-		panic(fmt.Sprintf("core: inner commit %d not durable: %v", s.txnID, err))
+		panic(fmt.Sprintf("core: inner commit %d not durable: %v", s.ID, err))
 	}
 	return reason
 }
@@ -162,22 +163,23 @@ type innerLockRef struct {
 }
 
 // execInner runs the inner region on the current goroutine (the owning
-// lane's executor), buffering its writes and lock refs in s; both are
-// reset on entry, so a re-requested region starts clean. The second
-// return is the durability ticket of the unilateral commit — zero when
-// nothing needs flushing — which the caller must wait out off-lane
-// before building on the region.
+// lane's executor): the inner region's policy over cc.Txn takes each
+// op's bucket lock on this lane, reads under it, and gives the op its
+// meaning at once. The buffered writes are reset on entry (the lock refs
+// when the region lets go of them), so a re-requested region starts
+// clean. The second return is the durability ticket of the unilateral
+// commit — zero when nothing needs flushing — which the caller must wait
+// out off-lane before building on the region.
 func (s *scratch) execInner(n *server.Node, proc *txn.Procedure, args txn.Args, innerOps []int) (txn.AbortReason, wal.Ticket) {
-	clear(s.writes) // a failed earlier attempt's values must not linger
-	s.writes, s.locks = s.writes[:0], s.locks[:0]
-	txnID, reads := s.txnID, s.reads
+	s.Unbuffer() // a failed earlier attempt's values must not linger
+	txnID, reads := s.ID, s.Reads
 	// The partition whose replicas receive this region's stream. Every
-	// inner op targets the one inner partition; it is resolved again here
-	// from the first op's record, under the directory as it is now, rather
+	// inner op targets the one inner partition; it is resolved here from
+	// the first op's record, under the directory as it is now, rather
 	// than taken from the coordinator's decision: a hot-record migration
 	// that re-homed the record since then must abort the region (the pin
 	// below fails), not let it commit into the copy left behind.
-	innerPID := s.innerPID
+	var innerPID cluster.PartitionID
 	// entered tracks the partition pin taken at innerPID resolution; the
 	// pin holds the handoff fence open (DrainPartition waits it out), so
 	// a mid-flight partition move can never flip routing under a region
@@ -188,6 +190,8 @@ func (s *scratch) execInner(n *server.Node, proc *txn.Procedure, args txn.Args, 
 		for _, l := range s.locks {
 			l.b.Lock.Unlock(l.mode)
 		}
+		clear(s.locks) // the pooled scratch pins no bucket
+		s.locks = s.locks[:0]
 		if entered {
 			n.LeavePartition(innerPID)
 		}
@@ -268,61 +272,28 @@ func (s *scratch) execInner(n *server.Node, proc *txn.Procedure, args txn.Args, 
 			}
 			entered = true
 		}
+		// The entry says what the lock word and the store owe this op: a
+		// record the region has already written is neither read nor
+		// required to exist (the own-write index is its current value).
+		le := s.Entry(op, key)
 		b := tbl.Bucket(key)
-		if !lock(b, op.Type.LockMode()) {
+		if !lock(b, le.Mode) {
 			return abort(txn.AbortLockConflict)
 		}
-
-		read := op.Type == txn.OpRead || op.Type == txn.OpUpdate
-		if read || op.Type != txn.OpInsert {
-			// Read your own writes: the region's latest buffered write
-			// to the record, if any, is its current value. The write
-			// list is the index: a region is a few dozen ops at most.
-			var v []byte
-			own := false
-			for i := len(s.writes) - 1; i >= 0 && !own; i-- {
-				if w := &s.writes[i]; w.Key == key && w.Table == op.Table {
-					v, own = w.Value, true
-				}
+		if le.MustExist {
+			v, _, err := b.Get(key)
+			if err != nil {
+				return abort(txn.AbortNotFound)
 			}
-			if !own {
-				var err error
-				v, _, err = b.Get(key)
-				if err != nil {
-					if op.Type != txn.OpInsert {
-						return abort(txn.AbortNotFound)
-					}
-					v = nil
-				}
-			}
-			if read {
+			if le.Read {
 				reads[opID] = v
 			}
 		}
-		if op.Check != nil {
-			if err := op.Check(reads[opID], args, reads); err != nil {
-				return abort(txn.AbortConstraint)
-			}
-		}
-		if op.Type.IsWrite() {
-			var newVal []byte
-			if op.Type != txn.OpDelete {
-				var old []byte
-				if op.Type == txn.OpUpdate {
-					old = reads[opID]
-				}
-				nv, err := op.Mutate(old, args, reads)
-				if err != nil {
-					return abort(txn.AbortConstraint)
-				}
-				newVal = nv
-			}
-			s.writes = append(s.writes, server.WriteOp{
-				Table: op.Table, Key: key, Type: op.Type, Value: newVal,
-			})
+		if reason := s.Step(op, args, key, innerPID, false); reason != txn.AbortNone {
+			return abort(reason)
 		}
 	}
-	writes := s.writes
+	writes := s.WriteSets()[innerPID]
 
 	// Unilateral commit: stream to the replicas, apply the writes, and
 	// release the inner locks. From the apply onward the transaction is
@@ -406,6 +377,9 @@ func (s *scratch) execInner(n *server.Node, proc *txn.Procedure, args txn.Args, 
 	// lane at one inner region per flush; see execInnerOnLane).
 	durable := n.LogWrites(txnID, ts, writes)
 	release()
-	s.ts, s.ack = ts, ack
+	// Applied, streamed and logged: the tail must not commit them again.
+	// Their values stay in the own-write index for the outer ops.
+	s.DropWrites()
+	s.TS, s.ack = ts, ack
 	return txn.AbortNone, durable
 }

@@ -40,12 +40,6 @@ type edge struct {
 	w  int64
 }
 
-// NumVertices returns the vertex count.
-func (g *Graph) NumVertices() int { return g.n }
-
-// VertexWeight returns vertex v's weight.
-func (g *Graph) VertexWeight(v int) int64 { return g.vw[v] }
-
 // TotalVertexWeight returns the sum of all vertex weights.
 func (g *Graph) TotalVertexWeight() int64 { return g.totW }
 

@@ -148,15 +148,3 @@ func Records(trace []stats.TxnSample) []storage.RID {
 	}
 	return out
 }
-
-// HotPartitions lists the partition of each hot entry (diagnostics).
-func (l *Layout) HotPartitions() []cluster.PartitionID {
-	if l == nil {
-		return nil
-	}
-	out := make([]cluster.PartitionID, 0, len(l.Hot))
-	for _, p := range l.Hot {
-		out = append(out, p)
-	}
-	return out
-}

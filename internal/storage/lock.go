@@ -105,6 +105,3 @@ func (l *LockWord) HeldExclusive() bool { return l.v.Load()&exclusiveBit != 0 }
 func (l *LockWord) SharedCount() int {
 	return int(l.v.Load() &^ exclusiveBit)
 }
-
-// Raw returns the raw 64-bit lock word (the value an RDMA READ would see).
-func (l *LockWord) Raw() uint64 { return l.v.Load() }

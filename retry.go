@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"math/rand"
 	"time"
+
+	"github.com/chillerdb/chiller/internal/cc"
 )
 
 // Retry is a jittered-exponential-backoff retry policy for transient
@@ -52,28 +54,12 @@ func (r Retry) cap() time.Duration {
 // sleep after the first failed attempt uses retry 1): base doubling per
 // retry, capped at MaxBackoff.
 func (r Retry) ceiling(retry int) time.Duration {
-	c, max := r.base(), r.cap()
-	for i := 1; i < retry; i++ {
-		if c >= max {
-			return max
-		}
-		c *= 2
-	}
-	if c > max {
-		return max
-	}
-	return c
+	return cc.BackoffCeiling(retry, r.base(), r.cap())
 }
 
 // jitter draws the sleep before the given retry: uniform in
 // (0, ceiling(retry)].
-func (r Retry) jitter(retry int) time.Duration {
-	c := int64(r.ceiling(retry))
-	if r.Rand != nil {
-		return time.Duration(r.Rand.Int63n(c) + 1)
-	}
-	return time.Duration(rand.Int63n(c) + 1)
-}
+func (r Retry) jitter(retry int) time.Duration { return cc.Jitter(r.Rand, r.ceiling(retry)) }
 
 // Do runs fn until it commits, fails a non-retryable way, exhausts
 // MaxAttempts, or ctx is done — whichever comes first. The returned
@@ -87,11 +73,7 @@ func (r Retry) Do(ctx context.Context, fn func(context.Context) (Result, error))
 		if r.MaxAttempts > 0 && attempt >= r.MaxAttempts {
 			return res, err
 		}
-		t := time.NewTimer(r.jitter(attempt))
-		select {
-		case <-t.C:
-		case <-ctx.Done():
-			t.Stop()
+		if !cc.Sleep(ctx, r.jitter(attempt)) {
 			return res, fmt.Errorf("chiller: retry abandoned after %d attempts: %w", attempt, ctx.Err())
 		}
 	}

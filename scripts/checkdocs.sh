@@ -26,6 +26,14 @@
 #      registration names a participant verb (VerbLockRead,
 #      VerbReplicate, VerbCommit, VerbAbort, VerbSnapshotRead): those ride
 #      doorbell frames only.
+#   7. One op interpreter: outside _test.go files, benchmark/ and
+#      internal/history (the checker's independent replay, a separate
+#      copy on purpose), an OpSpec's Mutate and its Check are each called
+#      from exactly one file — cc.Txn, which every engine's locking path
+#      runs on — so a procedure means the same under each. The snapshot
+#      read path (internal/server/snapshot.go) is the one exemption: a
+#      read-only procedure writes nothing its reads could be shadowed by,
+#      and internal/server cannot import the engines' package.
 #
 # Exits non-zero with a list of offenders on failure.
 set -eu
@@ -79,6 +87,18 @@ if [ -n "$offenders" ]; then
     echo "$offenders" >&2
     fail=1
 fi
+
+# --- 7. one op interpreter ------------------------------------------------
+for hook in Mutate Check; do
+    callers=$(grep -rlE --include='*.go' "[]A-Za-z0-9_]\\.$hook\\(" . |
+        grep -v -e '_test\.go$' -e '^\./benchmark/' -e '^\./internal/history/' \
+                -e '^\./internal/server/snapshot\.go$' || true)
+    if [ "$(printf '%s\n' "$callers" | grep -c .)" -ne 1 ]; then
+        echo "an op's $hook must be called from exactly one file (cc.Txn gives an op its meaning), found:" >&2
+        echo "${callers:-(none)}" >&2
+        fail=1
+    fi
+done
 
 # --- 3. markdown links --------------------------------------------------
 # Pull out ](target) occurrences, keep relative targets, strip anchors.
