@@ -293,8 +293,9 @@ func (db *DB) Get(t Table, key Key) ([]byte, error) {
 
 // Result reports a committed transaction's outcome.
 type Result struct {
-	// Distributed reports whether the transaction touched more than one
-	// partition.
+	// Distributed reports whether more than one node took part in the
+	// transaction (a snapshot read served entirely from partitions the
+	// coordinating node holds is not distributed).
 	Distributed bool
 
 	reads txn.ReadSet

@@ -100,8 +100,8 @@ type AbortError struct {
 	// which verb failed and at which destination node (e.g. "commit at
 	// node 2: ..."). Empty for application-level aborts.
 	Detail string
-	// Distributed reports whether the transaction had touched more than
-	// one partition when it aborted.
+	// Distributed reports whether more than one node had taken part in
+	// the transaction when it aborted.
 	Distributed bool
 
 	reason txn.AbortReason

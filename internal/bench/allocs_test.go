@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/chillerdb/chiller/internal/cluster"
 	"github.com/chillerdb/chiller/internal/core"
 	"github.com/chillerdb/chiller/internal/storage"
 	"github.com/chillerdb/chiller/internal/testutil"
@@ -135,6 +136,36 @@ func TestBaselineCommitPathAllocations(t *testing.T) {
 		if got > tc.ceiling {
 			t.Errorf("one distributed 10-line NewOrder under %s: %v allocations, ceiling %v", engine.Name(), got, tc.ceiling)
 		}
+	}
+}
+
+// One local 3-read snapshot audit on the Chiller engine: the snapshot
+// policy runs on the pooled cc.Txn and reads straight into the read set,
+// so the read set's map is all it allocates. The ceiling is the measured
+// 2 plus a tenth (it was 13 when the snapshot path had an interpreter of
+// its own and a response and a map per read).
+func TestSnapshotAuditAllocations(t *testing.T) {
+	if testutil.Race {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	b := &Bank{AccountsPerPartition: 10}
+	c := NewCluster(ClusterConfig{Partitions: 1, Replication: 1, Latency: time.Nanosecond, MVCC: true},
+		cluster.RangePartitioner{N: 1, MaxKey: map[storage.TableID]storage.Key{BankTable: 10}})
+	defer c.Close()
+	if err := SetupBank(c, b, true); err != nil {
+		t.Fatal(err)
+	}
+	req := &txn.Request{Proc: BankSnapAuditProc, Args: txn.Args{1, 2, 3}}
+	engine := c.Engine(EngineChiller, 0)
+	const ceiling = 2
+	got := testing.AllocsPerRun(200, func() {
+		if res := engine.Run(context.Background(), req); !res.Committed || res.Distributed {
+			t.Fatalf("audit: %+v", res)
+		}
+	})
+	t.Logf("one local 3-read snapshot audit: %v allocations (ceiling %d)", got, ceiling)
+	if got > ceiling {
+		t.Errorf("one local 3-read snapshot audit: %v allocations, ceiling %d", got, ceiling)
 	}
 }
 

@@ -1,10 +1,15 @@
 package bench
 
 import (
+	"context"
 	"testing"
 	"time"
 
+	"github.com/chillerdb/chiller/internal/cluster"
 	"github.com/chillerdb/chiller/internal/server"
+	"github.com/chillerdb/chiller/internal/storage"
+	"github.com/chillerdb/chiller/internal/transport"
+	"github.com/chillerdb/chiller/internal/txn"
 )
 
 // readHeavyAcceptanceOptions is the configuration the snapshot path is
@@ -59,5 +64,58 @@ func TestMVCCReadHeavyAcceptance(t *testing.T) {
 	if vp := on.Verbs[server.KindSnapRead]; vp != nil && vp.Count != 0 {
 		t.Errorf("snapshot audits issued %d %s verbs on a fully-replicated cluster, want 0",
 			vp.Count, server.KindSnapRead)
+	}
+}
+
+// A snapshot read costs one round trip per dependency round, however many
+// cold nodes the round reads: the round is one wave, so the cold nodes'
+// rings are in flight together. bank-ro-mvcc's layout (4 partitions,
+// replication 2) leaves node 0 holding partitions 0 and 3, so an audit of
+// one account on each of partitions 0, 1 and 2 reads two cold nodes in
+// its one round. It rings one doorbell per cold node — none for the local
+// read, none resent — and on a fabric slow enough to dwarf the CPU its
+// fastest run takes one round trip, where ringing the nodes one after
+// another took two.
+func TestSnapshotRoundIsOneRoundTrip(t *testing.T) {
+	const oneWay = 2 * time.Millisecond
+	b := &Bank{AccountsPerPartition: 10}
+	c := NewCluster(ClusterConfig{Partitions: 4, Replication: 2, Latency: oneWay, MVCC: true},
+		cluster.RangePartitioner{N: 4, MaxKey: map[storage.TableID]storage.Key{BankTable: 40}})
+	defer c.Close()
+	if err := SetupBank(c, b, true); err != nil {
+		t.Fatal(err)
+	}
+	coord := c.Nodes[0]
+	cold := map[transport.NodeID]bool{}
+	var args txn.Args
+	for p := 0; p < 3; p++ {
+		k := b.CelebrityKey(p)
+		if pid := c.Dir.Partition(storage.RID{Table: BankTable, Key: k}); !coord.HoldsPartition(pid) {
+			cold[c.Topo.Primary(pid)] = true
+		}
+		args = append(args, int64(k))
+	}
+	if len(cold) != 2 {
+		t.Fatalf("the audit reads %d cold nodes, want 2", len(cold))
+	}
+	req := &txn.Request{Proc: BankSnapAuditProc, Args: args}
+	engine := c.Engine(EngineChiller, 0)
+	const runs = 10
+	stats := coord.Endpoint().Stats()
+	before := stats.Doorbells.Load()
+	fastest := time.Hour
+	for i := 0; i < runs; i++ {
+		start := time.Now()
+		res := engine.Run(context.Background(), req)
+		fastest = min(fastest, time.Since(start))
+		if !res.Committed || !res.Distributed {
+			t.Fatalf("audit: %+v", res)
+		}
+	}
+	if got := float64(stats.Doorbells.Load()-before) / runs; got != float64(len(cold)) {
+		t.Errorf("%.2f doorbells per audit, want %d: one per cold node", got, len(cold))
+	}
+	if rtt := 2 * oneWay; fastest >= rtt*3/2 {
+		t.Errorf("fastest audit took %v, want one round trip (%v), not one per cold node", fastest, rtt)
 	}
 }

@@ -13,11 +13,11 @@ import (
 )
 
 // Txn is one transaction's coordinator context, and the only interpreter
-// of a stored-procedure op. 2PL, OCC and Chiller's outer and inner
-// regions are lock/validate policies over it: a policy decides when an
-// op's record is locked, read and validated; Entry, Observe and Step
-// decide what the op means (docs/ARCHITECTURE.md, "What an op means"),
-// so a procedure means one thing under every engine.
+// of a stored-procedure op. 2PL, OCC, Chiller's outer and inner regions
+// and MVCC snapshot reads are lock/validate policies over it: a policy
+// decides when an op's record is locked, read and validated; Entry,
+// Observe and Step decide what the op means (docs/ARCHITECTURE.md, "What
+// an op means"), so a procedure means one thing under every engine.
 //
 // A Txn is pooled: NewTxn takes one, its last reader Releases it, once.
 // It allocates what the transaction hands on — the read set, the values
@@ -35,10 +35,13 @@ type Txn struct {
 	// Parts lists the nodes taking part, deduplicated: a handful, so
 	// every lookup is a linear scan.
 	Parts []Participant
-	// Batches is the lock wave being built (BatchFor, LockWave); Failed
-	// lists the ops of its conflict-refused batches after LockWave.
+	// Batches is the wave being built (BatchFor, then LockWave or the
+	// snapshot policy's read wave); Failed lists the ops of its
+	// conflict-refused batches after LockWave.
 	Batches []Batch
 	Failed  []int
+	// round is the snapshot policy's current round, in op order.
+	round []server.LockEntry
 	// writes is the buffered write set, one group per partition (a
 	// handful), each in Step order; the groups' arrays are recycled in
 	// place. byPID is the same set as the map the server's waves take.
@@ -93,20 +96,17 @@ var txnPool = sync.Pool{New: func() any {
 }}
 
 // Begin resolves req's procedure and runs the preamble every engine
-// shares: with MVCC on, a read-only procedure takes the snapshot path —
-// lock-free, conflict-abort-free, zero verbs for replica-local
-// partitions. ok=false means res is the transaction's outcome.
+// shares: with MVCC on, a read-only procedure runs the snapshot policy
+// (snapshot.go) instead of the engine's — lock-free,
+// conflict-abort-free, zero verbs for the partitions this node holds.
+// ok=false means res is the transaction's outcome.
 func Begin(ctx context.Context, n *server.Node, req *txn.Request) (proc *txn.Procedure, res txn.Result, ok bool) {
 	proc = n.Registry().Lookup(req.Proc)
 	if proc == nil {
 		return nil, txn.Result{Reason: txn.AbortInternal}, false
 	}
 	if proc.ReadOnly && n.Clock() != nil {
-		snap, err := n.RunSnapshot(ctx, *req)
-		if err != nil {
-			return nil, txn.Result{Reason: txn.AbortInternal, Detail: err.Error()}, false
-		}
-		return nil, *snap, false
+		return nil, runSnapshot(ctx, n, req, proc), false
 	}
 	return proc, txn.Result{}, true
 }
@@ -129,7 +129,7 @@ func (t *Txn) Release() {
 	t.DropWrites()
 	clear(t.owns)
 	*t = Txn{
-		Parts: t.Parts[:0], Batches: t.Batches[:0], Failed: t.Failed[:0],
+		Parts: t.Parts[:0], Batches: t.Batches[:0], Failed: t.Failed[:0], round: t.round[:0],
 		writes: t.writes, byPID: t.byPID, owns: t.owns[:0], nodeBuf: t.nodeBuf[:0],
 		readRIDs: t.readRIDs[:0], writeRIDs: t.writeRIDs[:0],
 	}

@@ -23,7 +23,9 @@ import (
 // can be executed — 2PL, OCC, and Chiller's cold (2PL fallback), outer
 // and inner paths — and must mean the same under each: same outcome,
 // same read set, same stored values on primaries and replicas
-// (docs/ARCHITECTURE.md, "What an op means").
+// (docs/ARCHITECTURE.md, "What an op means"). Read-only procedures also
+// run as MVCC snapshot reads, the sixth way, and must agree with the
+// locking paths.
 const semTable storage.TableID = 7
 
 // Records: semK and semK2 exist, semNew does not; semHot is the other
@@ -64,6 +66,9 @@ type semShape struct {
 	name   string
 	engine bench.EngineKind
 	hot    storage.Key // 0: nothing is hot
+	// mvcc runs the procedure declared ReadOnly on an MVCC cluster: the
+	// snapshot policy.
+	mvcc bool
 }
 
 // semOutcome is everything a run must agree on.
@@ -135,13 +140,13 @@ func TestOpSemanticsAgree(t *testing.T) {
 						// invariant violation (core.runTwoRegion), observable
 						// where the coordinator runs on the caller's goroutine.
 						if nodes == 1 {
-							if _, err := semRun(nodes, sh, proc); err == nil || !strings.Contains(err.Error(), "after inner commit") {
+							if _, err := semRun(nodes, nodes, sh, proc); err == nil || !strings.Contains(err.Error(), "after inner commit") {
 								t.Errorf("%s: err = %v, want the after-inner-commit panic", sh.name, err)
 							}
 						}
 						continue
 					}
-					got, err := semRun(nodes, sh, proc)
+					got, err := semRun(nodes, nodes, sh, proc)
 					if err != nil {
 						t.Fatalf("%s: %v", sh.name, err)
 					}
@@ -163,14 +168,81 @@ func TestOpSemanticsAgree(t *testing.T) {
 			})
 		}
 	}
+
+	// Read-only procedures: the snapshot policy must mean what the locking
+	// paths mean. Two nodes at replication 1, so node 0 reads semHot with a
+	// cold frame and the rest of the records locally.
+	readAfter := func(op int) txn.CheckFunc {
+		return func(_ []byte, _ txn.Args, reads txn.ReadSet) error {
+			if reads[op] == nil {
+				return fmt.Errorf("op %d not read yet", op)
+			}
+			return nil
+		}
+	}
+	// keyFrom resolves a key from op's value, plus d.
+	keyFrom := func(op, d int) txn.KeyFunc {
+		return func(_ txn.Args, reads txn.ReadSet) (storage.Key, bool) {
+			if v, ok := reads[op]; ok && len(v) == 1 {
+				return storage.Key(int(v[0]) + d), true
+			}
+			return 0, false
+		}
+	}
+	missing := read(semNew, nil)
+	missing.Conditional = true
+	chain := []txn.OpSpec{read(semK, nil), read(0, nil), read(0, nil)}
+	chain[1].Key, chain[1].PKDeps = keyFrom(0, int(semHot)-10), []int{0} // semK holds 10
+	chain[2].Key, chain[2].PKDeps = keyFrom(1, int(semK2)-30), []int{1}  // semHot holds 30
+	roCases := []struct {
+		name   string
+		ops    []txn.OpSpec
+		aborts bool
+	}{
+		{name: "cold;local+check-on-cold", ops: []txn.OpSpec{read(semHot, nil), read(semK, readAfter(0))}},
+		{name: "conditional-missing", ops: []txn.OpSpec{read(semK, nil), missing}, aborts: true},
+		{name: "pk-chain-across-nodes", ops: chain},
+		{name: "failing-check", ops: []txn.OpSpec{read(semK, nil), read(semHot, semWant(99))}, aborts: true},
+	}
+	roShapes := []semShape{
+		{name: "2PL", engine: bench.Engine2PL},
+		{name: "OCC", engine: bench.EngineOCC},
+		{name: "Chiller", engine: bench.EngineChiller},
+		{name: "snapshot under 2PL", engine: bench.Engine2PL, mvcc: true},
+		{name: "snapshot under OCC", engine: bench.EngineOCC, mvcc: true},
+		{name: "snapshot under Chiller", engine: bench.EngineChiller, mvcc: true},
+	}
+	for _, tc := range roCases {
+		t.Run("readonly/"+tc.name, func(t *testing.T) {
+			var first semOutcome
+			for i, sh := range roShapes {
+				ops := append([]txn.OpSpec(nil), tc.ops...)
+				for id := range ops {
+					ops[id].ID = id
+				}
+				got, err := semRun(2, 1, sh, &txn.Procedure{Name: "sem", Ops: ops})
+				if err != nil {
+					t.Fatalf("%s: %v", sh.name, err)
+				}
+				if got.committed == tc.aborts {
+					t.Errorf("%s: %v", sh.name, got)
+				}
+				if i == 0 {
+					first = got
+				} else if got != first {
+					t.Errorf("%s disagrees with %s:\n  got  %v\n  want %v", sh.name, roShapes[0].name, got, first)
+				}
+			}
+		})
+	}
 }
 
-// semRun executes proc once on a fresh cluster of the given size under
-// the given shape. A panic of the coordinator on the calling goroutine
-// is returned as the error.
-func semRun(nodes int, sh semShape, proc *txn.Procedure) (out semOutcome, err error) {
+// semRun executes proc once on a fresh cluster of the given size and
+// replication under the given shape, coordinated by node 0. A panic of
+// the coordinator on the calling goroutine is returned as the error.
+func semRun(nodes, replication int, sh semShape, proc *txn.Procedure) (out semOutcome, err error) {
 	c := bench.NewCluster(bench.ClusterConfig{
-		Partitions: nodes, Replication: nodes, Latency: time.Microsecond, Lanes: 2,
+		Partitions: nodes, Replication: replication, Latency: time.Microsecond, Lanes: 2, MVCC: sh.mvcc,
 	}, cluster.RangePartitioner{N: nodes, MaxKey: map[storage.TableID]storage.Key{semTable: storage.Key(20 * nodes)}})
 	defer c.Close()
 	c.CreateTable(semTable, 64)
@@ -185,6 +257,7 @@ func semRun(nodes int, sh semShape, proc *txn.Procedure) (out semOutcome, err er
 			return out, err
 		}
 	}
+	proc.ReadOnly = sh.mvcc
 	if err := c.Registry.Register(proc); err != nil {
 		return out, err
 	}

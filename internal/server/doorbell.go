@@ -138,9 +138,9 @@ func (d *Doorbell) PostAbort(txnID uint64) int {
 // Pure snapshot-read rings stay on the droppable lock-wave envelope
 // (VerbSnapshotRead has no kind counter among the post-commit tail
 // kinds), matching the verb's droppable classification.
-func (d *Doorbell) PostSnapshotRead(ts uint64, entries []SnapReadEntry) int {
+func (d *Doorbell) PostSnapshotRead(ts uint64, entries []LockEntry) int {
 	mark := d.begin(VerbSnapshotRead)
-	EncodeSnapReadTo(&d.w, ts, entries)
+	EncodeLockRequestTo(&d.w, ts, entries)
 	d.w.EndBytes32(mark)
 	return d.count - 1
 }
@@ -341,15 +341,23 @@ var errVerbNotBatchable = errors.New("server: verb cannot ride a doorbell")
 // string + response payload) to w.
 func (n *Node) applyVerb(w *wire.Writer, from transport.NodeID, verb string, payload []byte) {
 	switch verb {
-	case VerbLockRead:
-		txnID, entries, err := DecodeLockRequest(payload)
+	case VerbLockRead, VerbSnapshotRead:
+		// One request encoding: a snapshot read's timestamp rides in the
+		// transaction id's slot.
+		id, entries, err := DecodeLockRequest(payload)
 		if err != nil {
 			writeFrameError(w, err)
 			return
 		}
+		var resp LockResponse
+		if verb == VerbLockRead {
+			n.lockRead(id, entries, &resp)
+		} else {
+			n.SnapshotReadLocal(id, entries, &resp)
+		}
 		w.String("")
 		mark := w.BeginBytes32()
-		n.LockReadLocal(txnID, entries).EncodeTo(w)
+		resp.EncodeTo(w)
 		w.EndBytes32(mark)
 	case VerbCommit:
 		txnID, ts, writes, err := DecodeWrites(payload)
@@ -367,16 +375,6 @@ func (n *Node) applyVerb(w *wire.Writer, from transport.NodeID, verb string, pay
 		writeFrameErr(w, err)
 		mark := w.BeginBytes32()
 		w.Uint32(uint32(sent))
-		w.EndBytes32(mark)
-	case VerbSnapshotRead:
-		ts, entries, err := DecodeSnapRead(payload)
-		if err != nil {
-			writeFrameError(w, err)
-			return
-		}
-		w.String("")
-		mark := w.BeginBytes32()
-		n.SnapshotReadLocal(ts, entries).EncodeTo(w)
 		w.EndBytes32(mark)
 	case VerbAbort:
 		txnID, err := DecodeAbort(payload)

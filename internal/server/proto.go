@@ -27,9 +27,11 @@ const (
 	// VerbSnapshotRead reads records at a snapshot timestamp from a
 	// node's version chains (MVCC): lock-free, off the lane schedules,
 	// serving the read-only transaction path for partitions the
-	// coordinator holds no local replica of. Droppable — a lost snapshot
-	// read is retried by the coordinator (reads hold nothing anywhere),
-	// and like lock waves it batches over doorbells.
+	// coordinator holds no local replica of. Its payload is a lock
+	// request with the timestamp in the id slot, its response a
+	// LockResponse. Droppable — a lost one aborts the attempt
+	// unreachable and the caller's retry loop re-runs it (reads hold
+	// nothing anywhere).
 	VerbSnapshotRead = "sr"
 	VerbDoorbell     = "db1" // doorbell-batched one-sided verb envelope (see doorbell.go)
 	// VerbDoorbellTail is the doorbell envelope for rings that carry any
@@ -110,7 +112,9 @@ func EncodeLockRequest(txnID uint64, entries []LockEntry) []byte {
 }
 
 // EncodeLockRequestTo appends the VerbLockRead payload to an existing
-// writer (doorbells pack frame payloads straight into the envelope).
+// writer (doorbells pack frame payloads straight into the envelope). A
+// VerbSnapshotRead payload is the same, with the snapshot timestamp in
+// place of the transaction id.
 func EncodeLockRequestTo(w *wire.Writer, txnID uint64, entries []LockEntry) {
 	w.Uint64(txnID)
 	w.Uint32(uint32(len(entries)))
@@ -228,48 +232,6 @@ func decodeWrites(r *wire.Reader) (txnID, ts uint64, writes []WriteOp) {
 		wr.Value = r.Bytes32()
 	}
 	return txnID, ts, writes
-}
-
-// SnapReadEntry is one record of a snapshot-read request.
-type SnapReadEntry struct {
-	OpID  int
-	Table storage.TableID
-	Key   storage.Key
-	// MustExist aborts with AbortNotFound when the key had no live
-	// version at the snapshot timestamp.
-	MustExist bool
-}
-
-// EncodeSnapReadTo appends the VerbSnapshotRead payload — the snapshot
-// timestamp plus the records to read at it — to a writer (doorbells
-// pack frame payloads straight into the envelope). The response is a
-// LockResponse (the shapes coincide: ok/reason plus an opID→value read
-// set), with AbortStaleRead as the reason when the timestamp fell below
-// the serving node's retention watermark.
-func EncodeSnapReadTo(w *wire.Writer, ts uint64, entries []SnapReadEntry) {
-	w.Uint64(ts)
-	w.Uint32(uint32(len(entries)))
-	for _, e := range entries {
-		w.Uint32(uint32(e.OpID))
-		w.Uint32(uint32(e.Table))
-		w.Uint64(uint64(e.Key))
-		w.Bool(e.MustExist)
-	}
-}
-
-// DecodeSnapRead parses the VerbSnapshotRead payload.
-func DecodeSnapRead(p []byte) (ts uint64, entries []SnapReadEntry, err error) {
-	r := wire.NewReader(p)
-	ts = r.Uint64()
-	entries = make([]SnapReadEntry, r.Count(17)) // the encoded size of one entry
-	for i := range entries {
-		e := &entries[i]
-		e.OpID = int(r.Uint32())
-		e.Table = storage.TableID(r.Uint32())
-		e.Key = storage.Key(r.Uint64())
-		e.MustExist = r.Bool()
-	}
-	return ts, entries, r.Err()
 }
 
 // EncodeAbort serializes an abort request.

@@ -36,7 +36,6 @@ func TestForgedCountsRejected(t *testing.T) {
 		{"server.DecodeWrites", func() error { _, _, _, err := DecodeWrites(count(7, 9)); return err }},
 		{"server.DecodeInnerRepl", func() error { _, _, _, _, err := DecodeInnerRepl(count(7, 9)); return err }},
 		{"server.DecodeLockRequest", func() error { _, _, err := DecodeLockRequest(count(7)); return err }},
-		{"server.DecodeSnapRead", func() error { _, _, err := DecodeSnapRead(count(7)); return err }},
 		{"server.DecodeLockResponse", func() error {
 			var w wire.Writer
 			w.Bool(true)

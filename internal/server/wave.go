@@ -68,10 +68,9 @@ type waveFrame struct {
 	kind      string // metric kind label, names the verb in errors
 	txnID, ts uint64
 	entries   []LockEntry
-	snap      []SnapReadEntry
 	writes    []WriteOp
 	// resp is a read frame's response: filled at the gather (local) or
-	// at LockResponse (remote), into the Reads LockRead preset, if any.
+	// at LockResponse (remote), into the Reads its poster preset, if any.
 	resp     LockResponse
 	decoded  bool
 	streamed int // a replicate frame's send count
@@ -164,13 +163,15 @@ func (w *Wave) Abort(target transport.NodeID, txnID uint64) int {
 	return len(w.frames) - 1
 }
 
-// SnapshotRead posts an MVCC snapshot-read batch.
-func (w *Wave) SnapshotRead(target transport.NodeID, ts uint64, entries []SnapReadEntry) int {
+// SnapshotRead posts an MVCC snapshot-read batch at timestamp ts and
+// returns its frame handle; its reads are gathered like LockRead's.
+func (w *Wave) SnapshotRead(target transport.NodeID, ts uint64, entries []LockEntry, into txn.ReadSet) int {
 	f, bell := w.post(target, KindSnapRead)
+	f.resp.Reads = into
 	if bell != nil {
 		f.slot = bell.PostSnapshotRead(ts, entries)
 	} else {
-		f.ts, f.snap = ts, entries
+		f.ts, f.entries = ts, entries
 	}
 	return len(w.frames) - 1
 }
@@ -216,7 +217,7 @@ func (w *Wave) gather(reap bool) {
 		case KindAbort:
 			n.AbortLocal(f.txnID)
 		case KindSnapRead:
-			f.resp = *n.SnapshotReadLocal(f.ts, f.snap)
+			n.SnapshotReadLocal(f.ts, f.entries, &f.resp)
 		}
 		f.decoded = true
 	}

@@ -412,7 +412,8 @@ type Result struct {
 	// injected-fault tests and operators can attribute the failure. Empty
 	// for application-level aborts.
 	Detail string
-	// Distributed reports whether the transaction touched more than one
-	// partition.
+	// Distributed reports whether more than one node took part in the
+	// transaction (a snapshot read counts the node that served each read:
+	// one served entirely from locally held partitions is not).
 	Distributed bool
 }

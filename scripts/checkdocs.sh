@@ -30,10 +30,8 @@
 #      internal/history (the checker's independent replay, a separate
 #      copy on purpose), an OpSpec's Mutate and its Check are each called
 #      from exactly one file — cc.Txn, which every engine's locking path
-#      runs on — so a procedure means the same under each. The snapshot
-#      read path (internal/server/snapshot.go) is the one exemption: a
-#      read-only procedure writes nothing its reads could be shadowed by,
-#      and internal/server cannot import the engines' package.
+#      and the MVCC snapshot path run on — so a procedure means the same
+#      under each.
 #
 # Exits non-zero with a list of offenders on failure.
 set -eu
@@ -91,8 +89,7 @@ fi
 # --- 7. one op interpreter ------------------------------------------------
 for hook in Mutate Check; do
     callers=$(grep -rlE --include='*.go' "[]A-Za-z0-9_]\\.$hook\\(" . |
-        grep -v -e '_test\.go$' -e '^\./benchmark/' -e '^\./internal/history/' \
-                -e '^\./internal/server/snapshot\.go$' || true)
+        grep -v -e '_test\.go$' -e '^\./benchmark/' -e '^\./internal/history/' || true)
     if [ "$(printf '%s\n' "$callers" | grep -c .)" -ne 1 ]; then
         echo "an op's $hook must be called from exactly one file (cc.Txn gives an op its meaning), found:" >&2
         echo "${callers:-(none)}" >&2
