@@ -10,7 +10,7 @@
 // baseline engines (internal/cc/...), primary-backup and inner-region
 // replication plus per-core execution lanes (internal/server), the
 // statistics service (internal/stats), a multilevel graph partitioner
-// (internal/metis), and TPC-C, Instacart and YCSB workloads
+// (internal/metis), and the TPC-C and Instacart workloads
 // (internal/workload/...). Every node shards its execution engine into
 // single-threaded lanes — the paper's one-engine-per-core deployment —
 // so per-node throughput scales with cores while same-record work stays

@@ -119,3 +119,37 @@ func TestSnapshotRoundIsOneRoundTrip(t *testing.T) {
 		t.Errorf("fastest audit took %v, want one round trip (%v), not one per cold node", fastest, rtt)
 	}
 }
+
+// OCC reaches its participants by waves too: a transfer between two
+// accounts the coordinator holds neither of costs one read round (both
+// reads in one wave), one write-lock wave, one validate wave and one
+// commit wave — four round trips, where reading and validating at one
+// node after another took six — and no two-sided call.
+func TestOCCIsFourRoundTrips(t *testing.T) {
+	const oneWay = 2 * time.Millisecond
+	c := NewCluster(ClusterConfig{Partitions: 3, Latency: oneWay},
+		cluster.RangePartitioner{N: 3, MaxKey: map[storage.TableID]storage.Key{BankTable: 30}})
+	defer c.Close()
+	if err := SetupBank(c, &Bank{AccountsPerPartition: 10}, true); err != nil {
+		t.Fatal(err)
+	}
+	req := &txn.Request{Proc: BankTransferProc, Args: txn.Args{15, 25, 1}} // partitions 1 and 2
+	engine := c.Engine(EngineOCC, 0)
+	stats := c.Nodes[0].Endpoint().Stats()
+	before := stats.RPCs.Load()
+	fastest := time.Hour
+	for i := 0; i < 10; i++ {
+		start := time.Now()
+		res := engine.Run(context.Background(), req)
+		fastest = min(fastest, time.Since(start))
+		if !res.Committed || !res.Distributed {
+			t.Fatalf("transfer: %+v", res)
+		}
+	}
+	if rpcs := stats.RPCs.Load() - before; rpcs != 0 {
+		t.Errorf("%d two-sided calls, want 0", rpcs)
+	}
+	if rtt := 2 * oneWay; fastest > rtt*9/2 {
+		t.Errorf("fastest transfer took %v, want four round trips (%v)", fastest, 4*rtt)
+	}
+}

@@ -7,13 +7,12 @@
 // an engine is a lock/validate policy over it, so a stored procedure
 // means the same under each. With MVCC on, a read-only procedure runs a
 // fourth policy over the same Txn under every engine (Begin): snapshot
-// reads, lock-free, one wave per dependency round. Every lock-read,
-// snapshot-read, replicate, commit and abort reaches its participants as
-// a server.Wave — one doorbell per destination node per fan-out
-// (docs/NETWORK.md) — so the evaluation compares execution schemes on
-// equal transport. OCC's unlocked execution reads and its phase-2
-// version checks are what stays two-sided: one call per record or
-// participant, listed there too.
+// reads, lock-free. OCC's execution phase and the snapshot policy share
+// one loop, Txn.Rounds: one read wave per dependency round. Every
+// lock-read, read, validate, snapshot-read, replicate, commit and abort
+// reaches its participants as a server.Wave — one doorbell per
+// destination node per fan-out (docs/NETWORK.md) — so the evaluation
+// compares execution schemes on equal transport.
 package cc
 
 import (

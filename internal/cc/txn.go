@@ -24,8 +24,8 @@ import (
 // its mutators build — and recycles the rest. A policy with working
 // memory of its own embeds the *Txn in its own pooled scratch.
 type Txn struct {
-	// ID is the transaction id, TS its commit timestamp once reserved
-	// (zero when MVCC is off).
+	// ID is the transaction id, TS its commit timestamp once reserved —
+	// a snapshot read's, its snapshot timestamp (zero when MVCC is off).
 	ID, TS uint64
 	// Reads is the transaction's result: referenced here, never recycled.
 	Reads txn.ReadSet
@@ -35,13 +35,14 @@ type Txn struct {
 	// Parts lists the nodes taking part, deduplicated: a handful, so
 	// every lookup is a linear scan.
 	Parts []Participant
-	// Batches is the wave being built (BatchFor, then LockWave or the
-	// snapshot policy's read wave); Failed lists the ops of its
-	// conflict-refused batches after LockWave.
+	// Batches is the lock wave being built (BatchFor, then LockWave);
+	// Failed lists the ops of its conflict-refused batches after LockWave.
 	Batches []Batch
 	Failed  []int
-	// round is the snapshot policy's current round, in op order.
-	round []server.LockEntry
+	// round is the current dependency round's ops (Rounds), in op order;
+	// served holds, per node, the reads Rounds made there.
+	round  []roundOp
+	served []served
 	// writes is the buffered write set, one group per partition (a
 	// handful), each in Step order; the groups' arrays are recycled in
 	// place. byPID is the same set as the map the server's waves take.
@@ -74,6 +75,23 @@ type Batch struct {
 	Target  transport.NodeID
 	Lane    int
 	Entries []server.LockEntry
+}
+
+// roundOp is one op of the current round: its entry and where it routes.
+type roundOp struct {
+	le     server.LockEntry
+	pid    cluster.PartitionID
+	target transport.NodeID
+}
+
+// served is one node's share of the reads Rounds made: their entries in
+// op order, the versions an unlocked read saw (OCC validates them), how
+// many went out in earlier rounds, and the frame of the wave in flight.
+type served struct {
+	target      transport.NodeID
+	entries     []server.LockEntry
+	versions    []uint64
+	sent, frame int
 }
 
 // writeGroup is the buffered writes of one partition.
@@ -129,7 +147,7 @@ func (t *Txn) Release() {
 	t.DropWrites()
 	clear(t.owns)
 	*t = Txn{
-		Parts: t.Parts[:0], Batches: t.Batches[:0], Failed: t.Failed[:0], round: t.round[:0],
+		Parts: t.Parts[:0], Batches: t.Batches[:0], Failed: t.Failed[:0], round: t.round[:0], served: t.served[:0],
 		writes: t.writes, byPID: t.byPID, owns: t.owns[:0], nodeBuf: t.nodeBuf[:0],
 		readRIDs: t.readRIDs[:0], writeRIDs: t.writeRIDs[:0],
 	}
@@ -179,6 +197,24 @@ func (t *Txn) BatchFor(target transport.NodeID, lane int) *Batch {
 	b := &t.Batches[len(t.Batches)-1]
 	b.Target, b.Lane, b.Entries = target, lane, b.Entries[:0]
 	return b
+}
+
+// servedBy returns target's share of the reads, opening one over
+// recycled arrays if there is none yet, as BatchFor does.
+func (t *Txn) servedBy(target transport.NodeID) *served {
+	for i := range t.served {
+		if s := &t.served[i]; s.target == target {
+			return s
+		}
+	}
+	if len(t.served) < cap(t.served) {
+		t.served = t.served[:len(t.served)+1]
+	} else {
+		t.served = append(t.served, served{})
+	}
+	s := &t.served[len(t.served)-1]
+	s.target, s.entries, s.versions, s.sent = target, s.entries[:0], s.versions[:0], 0
+	return s
 }
 
 // own finds, among the transaction's writes to rid, the latest one by an
@@ -266,6 +302,126 @@ func (t *Txn) LockWave(n *server.Node) (txn.AbortReason, bool) {
 	}
 	w.Release() // the gathered reads alias the response buffers, not the wave
 	return reason, !failed
+}
+
+// Rounds is the execution phase of the policies that read before they
+// lock, if they lock at all: OCC's, whose reads (kind server.KindRead)
+// are unlocked and see the records' current versions, and the snapshot
+// policy's, whose reads (server.KindSnapRead) are at snapshot timestamp
+// TS and served here for every partition this node holds (primary or
+// replica: replica chains carry the same stamps). It runs proc's ops in
+// dependency rounds. A round is the run of ops not yet stepped, in
+// procedure order, up to the first whose key does not resolve yet (2PL's
+// batching rule without its one-partition limit): the round's reads go
+// out as one wave, and then its ops are stepped in op order — so an
+// earlier op's own write is announced before a later op's Entry, and a
+// Check sees every earlier op's value. A procedure without pk-deps, the
+// common shape, is one round. A write op's lock entry joins Batches, for
+// the caller's LockWave.
+func (t *Txn) Rounds(ctx context.Context, n *server.Node, proc *txn.Procedure, args txn.Args, kind string) txn.AbortReason {
+	dir := n.Directory()
+	for next := 0; next < len(proc.Ops); {
+		if reason, done := Cancelled(ctx); done {
+			return reason
+		}
+		t.round = t.round[:0]
+		for ; next < len(proc.Ops); next++ {
+			op := &proc.Ops[next]
+			key, ok := op.Key(args, t.Reads)
+			if !ok {
+				break
+			}
+			pid := dir.Partition(storage.RID{Table: op.Table, Key: key})
+			target := dir.Topology().Primary(pid)
+			if kind == server.KindSnapRead && n.HoldsPartition(pid) {
+				target = n.ID()
+			}
+			t.Participant(target, pid)
+			le := t.Entry(op, key)
+			if le.MustExist {
+				// The op depends on the stored record — its value, or just
+				// its existence: read it.
+				s := t.servedBy(target)
+				s.entries = append(s.entries, le)
+			}
+			t.round = append(t.round, roundOp{le: le, pid: pid, target: target})
+		}
+		if len(t.round) == 0 {
+			t.Detail = fmt.Sprintf("op %d key unresolvable in procedure order", next)
+			return txn.AbortInternal
+		}
+		if reason := t.servedWave(n, kind); reason != txn.AbortNone {
+			return reason
+		}
+		for _, r := range t.round {
+			op := &proc.Ops[r.le.OpID]
+			if reason := t.Step(op, args, r.le.Key, r.pid, false); reason != txn.AbortNone {
+				return reason
+			}
+			if op.Type.IsWrite() {
+				// Locking needs no read: what the write depends on was read
+				// in its round.
+				le := r.le
+				le.Read, le.MustExist = false, false
+				b := t.BatchFor(r.target, 0)
+				b.Entries = append(b.Entries, le)
+			}
+		}
+	}
+	return txn.AbortNone
+}
+
+// ValidateWave is OCC's phase 2, under phase 1's write locks: one
+// validate frame per node that served reads, all on one wave, re-checks
+// the versions Rounds saw there (server.Node.validateLocal).
+func (t *Txn) ValidateWave(n *server.Node) txn.AbortReason {
+	return t.servedWave(n, server.KindValidate)
+}
+
+// servedWave posts one frame of the given kind per node in served as one
+// server.Wave — a read carries the entries of the current round, a
+// validation all of them — gathers a read's values straight into Reads
+// and its versions beside its entries, and returns the first refusal's
+// reason, a transport failure's if any (a lost ring is AbortUnreachable,
+// which the caller's retry loop re-runs).
+func (t *Txn) servedWave(n *server.Node, kind string) txn.AbortReason {
+	w := n.NewWave()
+	for i := range t.served {
+		s := &t.served[i]
+		s.frame = -1
+		switch fresh := s.entries[s.sent:]; {
+		case kind == server.KindValidate:
+			s.frame = w.Validate(s.target, t.ID, s.entries, s.versions)
+		case len(fresh) == 0:
+		case kind == server.KindSnapRead:
+			s.frame = w.SnapshotRead(s.target, t.TS, fresh, t.Reads)
+		default:
+			s.frame = w.Read(s.target, fresh, t.Reads, s.versions)
+		}
+	}
+	w.Wait()
+	reason := txn.AbortNone
+	for i := range t.served {
+		s := &t.served[i]
+		if s.frame < 0 {
+			continue
+		}
+		s.sent = len(s.entries)
+		resp, err := w.LockResponse(s.frame)
+		switch {
+		case err != nil:
+			reason = server.TransportAbortReason(err)
+			t.Detail = fmt.Sprintf("%s at node %d: %v", kind, s.target, err)
+		case !resp.OK:
+			if reason == txn.AbortNone {
+				reason = resp.Reason
+			}
+		case kind == server.KindRead:
+			s.versions = resp.Versions
+		}
+	}
+	w.Release() // the gathered reads alias the response buffers, not the wave
+	return reason
 }
 
 // Observe is the first half of an op's meaning: the value it sees — the

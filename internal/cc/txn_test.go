@@ -60,7 +60,7 @@ func TestReleasePinsNothing(t *testing.T) {
 	run(c)
 	c.Release()
 
-	if len(c.Parts)+len(c.Batches)+len(c.Failed)+len(c.writes)+len(c.byPID)+len(c.owns)+len(c.readRIDs)+len(c.writeRIDs) != 0 ||
+	if len(c.Parts)+len(c.Batches)+len(c.Failed)+len(c.round)+len(c.served)+len(c.writes)+len(c.byPID)+len(c.owns)+len(c.readRIDs)+len(c.writeRIDs) != 0 ||
 		c.Reads != nil || c.ID != 0 || c.TS != 0 || c.Detail != "" || c.sample {
 		t.Errorf("a released context is dirty: %+v", c)
 	}

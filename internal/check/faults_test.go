@@ -172,6 +172,28 @@ func TestDroppedLockWaveAbortsCleanlyAllEngines(t *testing.T) {
 	}
 }
 
+// OCC's validate ring is droppable like its read and lock rings. Losing
+// it, with phase 1's write locks held at the remote participant, must end
+// the transaction unreachable and release those locks (the abort rides
+// the protected tail envelope).
+func TestDroppedValidateRingAbortsCleanly(t *testing.T) {
+	var rings atomic.Int64
+	c := faultCluster(t, &simfab.FaultPlan{
+		DropProb: 1,
+		Droppable: func(m string) bool {
+			// Node 0's pre-commit rings to node 1: read, lock, validate.
+			return m == server.VerbDoorbell && rings.Add(1) == 3
+		},
+	})
+	res := c.Engine(bench.EngineOCC, 0).Run(context.Background(), &txn.Request{Proc: ProcRMW2, Args: txn.Args{1, 9, 1}})
+	if res.Committed || res.Reason != txn.AbortUnreachable || !strings.HasPrefix(res.Detail, server.KindValidate+" at node 1") {
+		t.Fatalf("want an unreachable abort at the validate wave, got %v (%s)", res.Reason, res.Detail)
+	}
+	if !c.Quiesced() {
+		t.Fatal("phase 1's write locks leaked")
+	}
+}
+
 // Lock-wave doorbells are droppable; the commit-tail doorbells (which
 // also carry the abort wave) are protected — so even under a total drop
 // of lock doorbells, the engine aborts cleanly and leaks nothing.

@@ -44,6 +44,7 @@ func matrixCells() []cell {
 	// dispatch ordering, and doorbell servicing at the destination.
 	cells = append(cells,
 		cell{name: "tcp-2pl", engine: bench.Engine2PL, lanes: 1, transport: bench.TransportTCP},
+		cell{name: "tcp-occ", engine: bench.EngineOCC, lanes: 1, transport: bench.TransportTCP},
 		cell{name: "tcp-chiller-batched", engine: bench.EngineChiller, lanes: 1, transport: bench.TransportTCP},
 	)
 	// Crash-restart cells: every node runs a WAL, and between two

@@ -194,6 +194,11 @@ func TestOpSemanticsAgree(t *testing.T) {
 	chain := []txn.OpSpec{read(semK, nil), read(0, nil), read(0, nil)}
 	chain[1].Key, chain[1].PKDeps = keyFrom(0, int(semHot)-10), []int{0} // semK holds 10
 	chain[2].Key, chain[2].PKDeps = keyFrom(1, int(semK2)-30), []int{1}  // semHot holds 30
+	// A round stops at the first op whose key does not resolve yet, so
+	// the op after it is stepped after it: its Check sees the waiting op's
+	// value, as under 2PL.
+	waiting := []txn.OpSpec{read(semK, nil), read(0, nil), read(semK2, readAfter(1))}
+	waiting[1].Key, waiting[1].PKDeps = keyFrom(0, int(semHot)-10), []int{0}
 	roCases := []struct {
 		name   string
 		ops    []txn.OpSpec
@@ -202,6 +207,7 @@ func TestOpSemanticsAgree(t *testing.T) {
 		{name: "cold;local+check-on-cold", ops: []txn.OpSpec{read(semHot, nil), read(semK, readAfter(0))}},
 		{name: "conditional-missing", ops: []txn.OpSpec{read(semK, nil), missing}, aborts: true},
 		{name: "pk-chain-across-nodes", ops: chain},
+		{name: "check-after-pk-dep", ops: waiting},
 		{name: "failing-check", ops: []txn.OpSpec{read(semK, nil), read(semHot, semWant(99))}, aborts: true},
 	}
 	roShapes := []semShape{

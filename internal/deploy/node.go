@@ -128,7 +128,6 @@ func newNode(ep transport.Endpoint, home cluster.PartitionID, spec Spec, schema 
 		}
 		sn.SetWAL(l)
 	}
-	occ.RegisterVerbs(sn)
 	n.twoPL = twopl.New(sn)
 	n.occ = occ.New(sn)
 	// Every node needs a Chiller engine whichever kind its clients use:

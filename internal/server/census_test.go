@@ -12,17 +12,22 @@ import (
 )
 
 // sendFuncs are the calls that put a verb on the wire: the transport's
-// sends and the doorbell's frame builder.
+// sends and the doorbell's frame builders (the wave's for the frames in
+// the lock-request encoding).
 var sendFuncs = map[string]bool{
-	"Call": true, "Go": true, "Send": true, "CallOneSided": true, "GoOneSided": true, "begin": true,
+	"Call": true, "Go": true, "Send": true, "CallOneSided": true, "GoOneSided": true, "begin": true, "entries": true,
 }
+
+// twoSided are the endpoint's two-sided sends.
+var twoSided = map[string]bool{"Call": true, "Go": true, "Send": true}
 
 // Verb census: every Verb* constant in proto.go must be sent and handled
 // by code that ships — named by at least one send (a transport call, a
 // doorbell post, or the method variable of one) and by one Handle*
 // registration or applyVerb frame case, outside _test.go files and
 // benchmark/. A verb nobody sends is a second path the checker never
-// certifies.
+// certifies. The engines in internal/cc reach participants only by
+// waves: none of their files makes a two-sided send.
 func TestVerbCensus(t *testing.T) {
 	fset := token.NewFileSet()
 	proto, err := parser.ParseFile(fset, "proto.go", nil, 0)
@@ -102,6 +107,9 @@ func TestVerbCensus(t *testing.T) {
 					mark(handled, n.Args)
 				case sendFuncs[fn]:
 					mark(sent, n.Args)
+					if twoSided[fn] && strings.HasPrefix(filepath.ToSlash(path), "../../internal/cc/") {
+						t.Errorf("%s: %s is a two-sided send; an engine reaches participants by waves", fset.Position(n.Pos()), fn)
+					}
 				case fn == "ReplicateAll" || fn == "Replicate":
 					replicates[filepath.ToSlash(filepath.Dir(path))] = true
 				case fn == "Commit":

@@ -48,7 +48,7 @@ type Doorbell struct {
 
 // doorbellKinds indexes the kind counters a doorbell tracks for metric
 // attribution (the batchable verb set).
-var doorbellKinds = [...]string{KindLockRead, KindCommit, KindAbort, KindSnapRead, KindReplicate}
+var doorbellKinds = [...]string{KindLockRead, KindCommit, KindAbort, KindSnapRead, KindReplicate, KindRead, KindValidate}
 
 func doorbellKindIndex(verb string) int {
 	switch verb {
@@ -62,6 +62,10 @@ func doorbellKindIndex(verb string) int {
 		return 3
 	case VerbReplicate:
 		return 4
+	case VerbRead:
+		return 5
+	case VerbValidate:
+		return 6
 	}
 	return -1
 }
@@ -102,8 +106,20 @@ func (d *Doorbell) Post(verb string, payload []byte) int {
 
 // PostLockRead posts a lock-and-read batch.
 func (d *Doorbell) PostLockRead(txnID uint64, entries []LockEntry) int {
-	mark := d.begin(VerbLockRead)
-	EncodeLockRequestTo(&d.w, txnID, entries)
+	return d.postEntries(VerbLockRead, txnID, entries, nil)
+}
+
+// postEntries posts a frame in the lock-request encoding: a lock-read, a
+// snapshot read, a read or a validate frame, the last followed by the
+// versions to check. None of them has a kind counter among the
+// post-commit tail kinds, so a ring of them alone stays on the droppable
+// envelope, matching the verbs' droppable classification.
+func (d *Doorbell) postEntries(verb string, id uint64, entries []LockEntry, versions []uint64) int {
+	mark := d.begin(verb)
+	EncodeLockRequestTo(&d.w, id, entries)
+	if verb == VerbValidate {
+		d.w.Uint64s(versions)
+	}
 	d.w.EndBytes32(mark)
 	return d.count - 1
 }
@@ -129,18 +145,6 @@ func (d *Doorbell) PostReplicate(ackID, ts uint64, writes []WriteOp) int {
 func (d *Doorbell) PostAbort(txnID uint64) int {
 	mark := d.begin(VerbAbort)
 	d.w.Uint64(txnID)
-	d.w.EndBytes32(mark)
-	return d.count - 1
-}
-
-// PostSnapshotRead posts an MVCC snapshot-read batch: read the listed
-// records at the snapshot timestamp off the version chains, lock-free.
-// Pure snapshot-read rings stay on the droppable lock-wave envelope
-// (VerbSnapshotRead has no kind counter among the post-commit tail
-// kinds), matching the verb's droppable classification.
-func (d *Doorbell) PostSnapshotRead(ts uint64, entries []LockEntry) int {
-	mark := d.begin(VerbSnapshotRead)
-	EncodeLockRequestTo(&d.w, ts, entries)
 	d.w.EndBytes32(mark)
 	return d.count - 1
 }
@@ -334,30 +338,46 @@ func (n *Node) handleDoorbell(from transport.NodeID, req []byte) ([]byte, error)
 // path.
 var errVerbNotBatchable = errors.New("server: verb cannot ride a doorbell")
 
-// applyVerb is the one participant entry point for the five coordinator
+// applyVerb is the one participant entry point for the seven coordinator
 // verbs: it executes one frame from coordinator `from` synchronously
 // against this node, with no lane dispatch (one-sided verbs synchronize
 // through lock words, not lanes), and appends the frame's result (error
 // string + response payload) to w.
 func (n *Node) applyVerb(w *wire.Writer, from transport.NodeID, verb string, payload []byte) {
 	switch verb {
-	case VerbLockRead, VerbSnapshotRead:
+	case VerbLockRead, VerbSnapshotRead, VerbRead, VerbValidate:
 		// One request encoding: a snapshot read's timestamp rides in the
-		// transaction id's slot.
-		id, entries, err := DecodeLockRequest(payload)
-		if err != nil {
+		// transaction id's slot, a validation's versions follow it.
+		r := wire.NewReader(payload)
+		id, entries := decodeLockRequest(r)
+		var versions []uint64
+		if verb == VerbValidate {
+			versions = make([]uint64, r.Count(8)) // not r.Uint64s: r would escape
+			for i := range versions {
+				versions[i] = r.Uint64()
+			}
+		}
+		if err := r.Err(); err != nil {
 			writeFrameError(w, err)
 			return
 		}
 		var resp LockResponse
-		if verb == VerbLockRead {
+		switch verb {
+		case VerbLockRead:
 			n.lockRead(id, entries, &resp)
-		} else {
+		case VerbSnapshotRead:
 			n.SnapshotReadLocal(id, entries, &resp)
+		case VerbRead:
+			n.readLocal(entries, &resp)
+		default:
+			n.validateLocal(id, entries, versions, &resp)
 		}
 		w.String("")
 		mark := w.BeginBytes32()
 		resp.EncodeTo(w)
+		if verb == VerbRead {
+			w.Uint64s(resp.Versions)
+		}
 		w.EndBytes32(mark)
 	case VerbCommit:
 		txnID, ts, writes, err := DecodeWrites(payload)

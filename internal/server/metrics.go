@@ -32,6 +32,8 @@ const (
 	KindInnerAck  = "inner-ack"  // one-way replica→coordinator ack send
 	KindDoorbell  = "doorbell"   // whole doorbell-batch round trip
 	KindSnapRead  = "snap-read"  // MVCC snapshot-read batch round trip
+	KindRead      = "read"       // OCC unlocked read batch round trip
+	KindValidate  = "validate"   // OCC phase-2 validate round trip
 )
 
 // verbKinds is the fixed key set; VerbMetrics maps are never mutated
@@ -39,6 +41,7 @@ const (
 var verbKinds = []string{
 	KindLockRead, KindCommit, KindAbort, KindReplicate, KindReplApply,
 	KindRoute, KindInnerRepl, KindInnerAck, KindDoorbell, KindSnapRead,
+	KindRead, KindValidate,
 }
 
 // verbStat holds one kind's round-trip latency histogram (the sample

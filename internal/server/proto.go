@@ -6,11 +6,20 @@ import (
 	"github.com/chillerdb/chiller/internal/wire"
 )
 
-// Verb names for the RPC methods every node serves. Engine-specific verbs
-// (OCC validation, Chiller transaction placement) are registered by
-// their packages using these same encoding helpers.
+// Verb names for the RPC methods every node serves. The one
+// engine-specific verb (Chiller's transaction placement) is registered by
+// its package using these same encoding helpers.
 const (
-	VerbLockRead  = "lr"    // lock buckets + read records (2PL expanding phase)
+	VerbLockRead = "lr" // lock buckets + read records (2PL expanding phase)
+	// VerbRead reads records without locking (OCC's execution phase): a
+	// lock request whose id slot is unused, served lock-free by
+	// Bucket.Get; its response is a LockResponse followed by each entry's
+	// version. VerbValidate is OCC's phase 2: a lock request, the
+	// transaction id in its slot, followed by the versions read — each
+	// re-checked under the write locks phase 1 took (Node.validateLocal);
+	// its response is a LockResponse without reads.
+	VerbRead      = "rd"
+	VerbValidate  = "vl"
 	VerbCommit    = "cm"    // apply writes, release locks (2PC phase 2)
 	VerbAbort     = "ab"    // roll back, release locks
 	VerbTxnRoute  = "route" // client→coordinator transaction placement (Chiller)
@@ -22,8 +31,6 @@ const (
 	// of a record rides, so replica apply order equals lock order (sends from
 	// elsewhere race the inner stream; the chaos harness caught that).
 	VerbReplicate = "repl"
-	VerbOCCRead   = "ord" // OCC unlocked read
-	VerbOCCValid  = "ovl" // OCC validate + write-lock
 	// VerbSnapshotRead reads records at a snapshot timestamp from a
 	// node's version chains (MVCC): lock-free, off the lane schedules,
 	// serving the read-only transaction path for partitions the
@@ -73,10 +80,12 @@ const (
 // aborting the transaction and retrying: the pre-commit-point fan-outs.
 // Chaos harnesses pass this as simnet.FaultPlan.Droppable; everything
 // else (commit, abort, replication, the inner stream and its acks) is
-// the protected control plane.
+// the protected control plane. The read-side frames (lock-read, read,
+// validate, snapshot-read) only ever ride the droppable VerbDoorbell
+// envelope, which is what a fault plan sees.
 func PreCommitVerbs(method string) bool {
 	switch method {
-	case VerbLockRead, VerbOCCRead, VerbOCCValid, VerbTxnRoute, VerbDoorbell, VerbSnapshotRead:
+	case VerbLockRead, VerbRead, VerbValidate, VerbTxnRoute, VerbDoorbell, VerbSnapshotRead:
 		return true
 	}
 	return false
@@ -114,7 +123,8 @@ func EncodeLockRequest(txnID uint64, entries []LockEntry) []byte {
 // EncodeLockRequestTo appends the VerbLockRead payload to an existing
 // writer (doorbells pack frame payloads straight into the envelope). A
 // VerbSnapshotRead payload is the same, with the snapshot timestamp in
-// place of the transaction id.
+// place of the transaction id; so are VerbRead's and VerbValidate's
+// (see their constants).
 func EncodeLockRequestTo(w *wire.Writer, txnID uint64, entries []LockEntry) {
 	w.Uint64(txnID)
 	w.Uint32(uint32(len(entries)))
@@ -131,6 +141,13 @@ func EncodeLockRequestTo(w *wire.Writer, txnID uint64, entries []LockEntry) {
 // DecodeLockRequest parses the VerbLockRead payload.
 func DecodeLockRequest(p []byte) (txnID uint64, entries []LockEntry, err error) {
 	r := wire.NewReader(p)
+	txnID, entries = decodeLockRequest(r)
+	return txnID, entries, r.Err()
+}
+
+// decodeLockRequest reads a lock request off r, leaving r at whatever
+// follows it (a validate frame's versions).
+func decodeLockRequest(r *wire.Reader) (txnID uint64, entries []LockEntry) {
 	txnID = r.Uint64()
 	entries = make([]LockEntry, r.Count(19)) // the encoded size of one entry
 	for i := range entries {
@@ -142,14 +159,18 @@ func DecodeLockRequest(p []byte) (txnID uint64, entries []LockEntry, err error) 
 		e.Read = r.Bool()
 		e.MustExist = r.Bool()
 	}
-	return txnID, entries, r.Err()
+	return txnID, entries
 }
 
-// LockResponse reports the result of a lock-and-read request.
+// LockResponse reports the result of a lock-and-read request, and of the
+// other frames in its encoding (snapshot read, read, validate).
 type LockResponse struct {
 	OK     bool
 	Reason txn.AbortReason // set when !OK
 	Reads  txn.ReadSet     // opID → value
+	// Versions is a read frame's only: each entry's version, in entry
+	// order (0: absent), appended to what the caller preset.
+	Versions []uint64
 }
 
 // EncodeTo serializes the response into a writer (the doorbell handler
@@ -163,16 +184,22 @@ func (lr *LockResponse) EncodeTo(w *wire.Writer) {
 // DecodeLockResponse parses a LockResponse.
 func DecodeLockResponse(p []byte) (*LockResponse, error) {
 	lr := &LockResponse{}
-	return lr, lr.decode(p)
+	return lr, lr.decode(p, false)
 }
 
 // decode parses p into lr, adding the reads to lr.Reads when the caller
-// preset it (a wave gathering into the transaction's read set).
-func (lr *LockResponse) decode(p []byte) error {
+// preset it (a wave gathering into the transaction's read set), and
+// with versions a read frame's versions to lr.Versions.
+func (lr *LockResponse) decode(p []byte, versions bool) error {
 	r := wire.NewReader(p)
 	lr.OK = r.Bool()
 	lr.Reason = txn.AbortReason(r.Uint8())
 	lr.Reads = txn.DecodeReadSet(r, lr.Reads)
+	if versions {
+		for n := r.Count(8); n > 0; n-- {
+			lr.Versions = append(lr.Versions, r.Uint64())
+		}
+	}
 	return r.Err()
 }
 

@@ -12,18 +12,19 @@ import (
 )
 
 // Wave is the one way a coordinator reaches participants: a
-// scatter-gather of participant verbs (lock-read, replicate, commit,
-// abort, snapshot-read) that rings at most one doorbell per remote
-// destination however many frames it carries there, and serves a frame
-// addressed to the coordinator's own node by a direct call (the
-// co-located fast path of the NAM-DB architecture) while the remote
-// rings are in flight. Every engine's fan-outs — 2PL's and OCC's as much
-// as Chiller's — are waves, so a verb has exactly one wire path and one
-// participant entry point (applyVerb).
+// scatter-gather of participant verbs (lock-read, read, validate,
+// replicate, commit, abort, snapshot-read) that rings at most one
+// doorbell per remote destination however many frames it carries there,
+// and serves a frame addressed to the coordinator's own node by a direct
+// call (the co-located fast path of the NAM-DB architecture) while the
+// remote rings are in flight. Every engine's fan-outs — 2PL's and OCC's
+// as much as Chiller's — are waves, so a verb has exactly one wire path
+// and one participant entry point (applyVerb).
 //
-// Post frames with LockRead / Commit / Abort / SnapshotRead, each of
-// which returns a frame handle (ReplicateAll and CommitAll post a
-// transaction's); gather once with Wait or Reap; read results per frame. Frames execute in posting order per
+// Post frames with LockRead / Read / Validate / Commit / Abort /
+// SnapshotRead, each of which returns a frame handle (ReplicateAll and
+// CommitAll post a transaction's); gather once with Wait or Reap; read
+// results per frame. Frames execute in posting order per
 // destination and fail independently (see doorbell.go); a destination
 // that fails as a unit (dropped ring, partition, dead peer) fails each
 // of its frames with an error naming the node. A Wave is single-use and
@@ -68,6 +69,7 @@ type waveFrame struct {
 	kind      string // metric kind label, names the verb in errors
 	txnID, ts uint64
 	entries   []LockEntry
+	versions  []uint64 // a validate frame's
 	writes    []WriteOp
 	// resp is a read frame's response: filled at the gather (local) or
 	// at LockResponse (remote), into the Reads its poster preset, if any.
@@ -131,12 +133,39 @@ func (w *Wave) post(target transport.NodeID, kind string) (*waveFrame, *Doorbell
 // participant's reads into the transaction's one set), else returned in
 // a set of their own.
 func (w *Wave) LockRead(target transport.NodeID, txnID uint64, entries []LockEntry, into txn.ReadSet) int {
-	f, bell := w.post(target, KindLockRead)
+	return w.entries(KindLockRead, VerbLockRead, target, txnID, entries, nil, into)
+}
+
+// SnapshotRead posts an MVCC snapshot-read batch at timestamp ts and
+// returns its frame handle; its reads are gathered like LockRead's.
+func (w *Wave) SnapshotRead(target transport.NodeID, ts uint64, entries []LockEntry, into txn.ReadSet) int {
+	return w.entries(KindSnapRead, VerbSnapshotRead, target, ts, entries, nil, into)
+}
+
+// Read posts an unlocked read batch (OCC's execution phase) and returns
+// its frame handle: its reads are gathered like LockRead's, and each
+// entry's version is appended to versions, in entry order, in the
+// frame's LockResponse.Versions.
+func (w *Wave) Read(target transport.NodeID, entries []LockEntry, into txn.ReadSet, versions []uint64) int {
+	f := w.entries(KindRead, VerbRead, target, 0, entries, nil, into)
+	w.frames[f].resp.Versions = versions
+	return f
+}
+
+// Validate posts OCC's phase 2 at target: the versions entries were read
+// at, re-checked under txnID's write locks (Node.validateLocal).
+func (w *Wave) Validate(target transport.NodeID, txnID uint64, entries []LockEntry, versions []uint64) int {
+	return w.entries(KindValidate, VerbValidate, target, txnID, entries, versions, nil)
+}
+
+// entries posts a frame in the lock-request encoding.
+func (w *Wave) entries(kind, verb string, target transport.NodeID, id uint64, entries []LockEntry, versions []uint64, into txn.ReadSet) int {
+	f, bell := w.post(target, kind)
 	f.resp.Reads = into
 	if bell != nil {
-		f.slot = bell.PostLockRead(txnID, entries)
+		f.slot = bell.postEntries(verb, id, entries, versions)
 	} else {
-		f.txnID, f.entries = txnID, entries
+		f.txnID, f.entries, f.versions = id, entries, versions
 	}
 	return len(w.frames) - 1
 }
@@ -159,19 +188,6 @@ func (w *Wave) Abort(target transport.NodeID, txnID uint64) int {
 		f.slot = bell.PostAbort(txnID)
 	} else {
 		f.txnID = txnID
-	}
-	return len(w.frames) - 1
-}
-
-// SnapshotRead posts an MVCC snapshot-read batch at timestamp ts and
-// returns its frame handle; its reads are gathered like LockRead's.
-func (w *Wave) SnapshotRead(target transport.NodeID, ts uint64, entries []LockEntry, into txn.ReadSet) int {
-	f, bell := w.post(target, KindSnapRead)
-	f.resp.Reads = into
-	if bell != nil {
-		f.slot = bell.PostSnapshotRead(ts, entries)
-	} else {
-		f.ts, f.entries = ts, entries
 	}
 	return len(w.frames) - 1
 }
@@ -217,7 +233,11 @@ func (w *Wave) gather(reap bool) {
 		case KindAbort:
 			n.AbortLocal(f.txnID)
 		case KindSnapRead:
-			n.SnapshotReadLocal(f.ts, f.entries, &f.resp)
+			n.SnapshotReadLocal(f.txnID, f.entries, &f.resp) // the timestamp, in the id slot
+		case KindRead:
+			n.readLocal(f.entries, &f.resp)
+		case KindValidate:
+			n.validateLocal(f.txnID, f.entries, f.versions, &f.resp)
 		}
 		f.decoded = true
 	}
@@ -292,8 +312,9 @@ func (w *Wave) Errs() error {
 	return errors.Join(errs...)
 }
 
-// LockResponse returns the response of a lock-read or snapshot-read
-// frame, or the frame's error.
+// LockResponse returns the response of a frame in the lock-request
+// encoding (lock-read, read, validate, snapshot-read), or the frame's
+// error.
 func (w *Wave) LockResponse(frame int) (LockResponse, error) {
 	if err := w.Err(frame); err != nil {
 		return LockResponse{}, err
@@ -301,7 +322,7 @@ func (w *Wave) LockResponse(frame int) (LockResponse, error) {
 	f := &w.frames[frame]
 	if !f.decoded {
 		d := &w.dests[f.dest]
-		if err := f.resp.decode(d.results[f.slot].Payload); err != nil {
+		if err := f.resp.decode(d.results[f.slot].Payload, f.kind == KindRead); err != nil {
 			return LockResponse{}, fmt.Errorf("server: %s at node %d: %w", f.kind, d.target, err)
 		}
 		f.decoded = true

@@ -17,21 +17,24 @@
 #      roots reach the simulator only through internal/transport/simfab,
 #      so the TCP fabric (or a future RDMA one) stays a drop-in.
 #   5. One assembly: outside _test.go files and benchmark/, nodes are
-#      built (server.New), logs opened (wal.Recover / wal.Open) and
-#      engine verbs registered (occ.RegisterVerbs) only under
-#      internal/deploy — so the checker certifies the code users run.
+#      built (server.New) and logs opened (wal.Recover / wal.Open) only
+#      under internal/deploy — so the checker certifies the code users run.
 #   6. One fan-out: outside _test.go files and benchmark/, doorbells are
 #      built (NewDoorbell) only under internal/server — coordinators post
 #      through server.Wave — and no two-sided send or handler
-#      registration names a participant verb (VerbLockRead,
-#      VerbReplicate, VerbCommit, VerbAbort, VerbSnapshotRead): those ride
-#      doorbell frames only.
+#      registration names a participant verb (VerbLockRead, VerbRead,
+#      VerbValidate, VerbReplicate, VerbCommit, VerbAbort,
+#      VerbSnapshotRead): those ride doorbell frames only.
 #   7. One op interpreter: outside _test.go files, benchmark/ and
 #      internal/history (the checker's independent replay, a separate
 #      copy on purpose), an OpSpec's Mutate and its Check are each called
 #      from exactly one file — cc.Txn, which every engine's locking path
 #      and the MVCC snapshot path run on — so a procedure means the same
 #      under each.
+#   8. Nothing unrun: every non-main package under internal/ is imported
+#      by some other package — of the module, its tests or benchmark/.
+#      internal/check is the one exemption: it is the checker, run by its
+#      own tests.
 #
 # Exits non-zero with a list of offenders on failure.
 set -eu
@@ -66,7 +69,7 @@ fi
 
 # --- 5. one assembly ------------------------------------------------------
 offenders=$(grep -rnE --include='*.go' \
-        'server\.New\(|wal\.(Recover|Open)\(|occ\.RegisterVerbs\(' . |
+        'server\.New\(|wal\.(Recover|Open)\(' . |
     grep -v -e '_test\.go:' -e '^\./benchmark/' -e '^\./internal/deploy/' || true)
 if [ -n "$offenders" ]; then
     echo "node assembly outside internal/deploy (build nodes with deploy.NewNode / deploy.NewCluster):" >&2
@@ -78,7 +81,7 @@ fi
 offenders=$( {
     grep -rnE --include='*.go' 'NewDoorbell\(' . | grep -v -e '^\./internal/server/'
     grep -rnE --include='*.go' \
-        '(\.(Go|Call|Send)|Handle[A-Za-z]*)\([^)]*Verb(LockRead|Replicate|Commit|Abort|SnapshotRead)\b' .
+        '(\.(Go|Call|Send)|Handle[A-Za-z]*)\([^)]*Verb(LockRead|Read|Validate|Replicate|Commit|Abort|SnapshotRead)\b' .
 } | grep -v -e '_test\.go:' -e '^\./benchmark/' || true)
 if [ -n "$offenders" ]; then
     echo "participant verbs off the wave (post them through server.Wave; see docs/NETWORK.md):" >&2
@@ -96,6 +99,24 @@ for hook in Mutate Check; do
         fail=1
     fi
 done
+
+# --- 8. nothing unrun ------------------------------------------------------
+# "importer imported" pairs over the module, its tests and benchmark/; a
+# package's own external tests (package x_test) do not count.
+edges=$( {
+    go list -f '{{$p := .ImportPath}}{{range .Imports}}{{$p}} {{.}}{{println}}{{end}}{{range .TestImports}}{{$p}} {{.}}{{println}}{{end}}{{range .XTestImports}}{{$p}} {{.}}{{println}}{{end}}' ./...
+    (cd benchmark && go list -f '{{$p := .ImportPath}}{{range .Imports}}{{$p}} {{.}}{{println}}{{end}}{{range .TestImports}}{{$p}} {{.}}{{println}}{{end}}' ./...)
+} | awk '$1 != $2 { print $2 }' | sort -u)
+unimported=$(go list -f '{{if ne .Name "main"}}{{.ImportPath}}{{end}}' ./internal/... |
+    grep -v -e '^$' -e '/internal/check$' |
+    while read -r pkg; do
+        printf '%s\n' "$edges" | grep -qxF "$pkg" || echo "$pkg"
+    done)
+if [ -n "$unimported" ]; then
+    echo "packages nothing imports (delete them, or import them from what runs):" >&2
+    echo "$unimported" >&2
+    fail=1
+fi
 
 # --- 3. markdown links --------------------------------------------------
 # Pull out ](target) occurrences, keep relative targets, strip anchors.

@@ -8,7 +8,6 @@ import (
 	"testing"
 	"time"
 
-	"github.com/chillerdb/chiller/internal/cc/occ"
 	"github.com/chillerdb/chiller/internal/cluster"
 	"github.com/chillerdb/chiller/internal/core"
 	"github.com/chillerdb/chiller/internal/server"
@@ -89,7 +88,6 @@ func startTCPTestCluster(t *testing.T, parts, replication int) ([]string, []*sto
 		st := storage.NewStore()
 		st.CreateTable(storage.TableID(tcpAccounts), 256)
 		node := server.New(fab, st, reg, dir, cluster.PartitionID(i))
-		occ.RegisterVerbs(node)
 		eng := core.New(node)
 		stores[i] = st
 		for k := storage.Key(0); k < 200; k++ {
