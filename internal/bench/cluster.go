@@ -12,7 +12,7 @@ import (
 	"github.com/chillerdb/chiller/internal/deploy"
 	"github.com/chillerdb/chiller/internal/server"
 	"github.com/chillerdb/chiller/internal/stats"
-	"github.com/chillerdb/chiller/internal/transport/simfab"
+	"github.com/chillerdb/chiller/internal/transport"
 	"github.com/chillerdb/chiller/internal/wal"
 )
 
@@ -137,14 +137,14 @@ func (c *Cluster) Close() { _ = c.Cluster.Close() }
 // volatile.
 func (c *Cluster) WAL(i int) *wal.Log { return c.Cluster.Nodes()[i].WAL() }
 
-// CrashNode simulates killing node i: its fabric links stop carrying
-// droppable verbs (the protected control plane drains in-flight
-// commits; see simnet.Crash) and, once the caller has quiesced the
-// cluster, WipeNode models the memory loss. Simnet only.
-func (c *Cluster) CrashNode(i int) { c.Net.Crash(simfab.NodeID(i)) }
+// CrashNode simulates killing node i: its links stop carrying droppable
+// verbs (the protected control plane drains in-flight commits; see
+// transport.Faults.Crash) and, once the caller has quiesced the cluster,
+// WipeNode models the memory loss.
+func (c *Cluster) CrashNode(i int) { c.Faults.Crash(transport.NodeID(i)) }
 
 // RestartNode revives a crashed node's links.
-func (c *Cluster) RestartNode(i int) { c.Net.Restart(simfab.NodeID(i)) }
+func (c *Cluster) RestartNode(i int) { c.Faults.Restart(transport.NodeID(i)) }
 
 // WipeNode drops node i's volatile store — the crash's memory loss.
 // Call only on a quiesced cluster (no in-flight transactions touch the

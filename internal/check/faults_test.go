@@ -14,7 +14,7 @@ import (
 	"github.com/chillerdb/chiller/internal/server"
 	"github.com/chillerdb/chiller/internal/storage"
 	"github.com/chillerdb/chiller/internal/testutil"
-	"github.com/chillerdb/chiller/internal/transport/simfab"
+	"github.com/chillerdb/chiller/internal/transport"
 	"github.com/chillerdb/chiller/internal/txn"
 )
 
@@ -23,7 +23,7 @@ import (
 // detail names the destination node, and the transaction must have
 // aborted cleanly (no leaked locks) so a later retry commits.
 
-func faultCluster(t *testing.T, plan *simfab.FaultPlan) *bench.Cluster {
+func faultCluster(t *testing.T, plan *transport.FaultPlan) *bench.Cluster {
 	t.Helper()
 	maxKey := storage.Key(2 * 8)
 	c := bench.NewCluster(bench.ClusterConfig{
@@ -51,7 +51,7 @@ func TestDroppedReplicationRelaySurfacesUnreachable(t *testing.T) {
 	// Drop every stream send: each replicate frame fails at its primary
 	// before anything reached a replica, so 2PL must abort cleanly with
 	// a node-naming unreachable error.
-	c := faultCluster(t, &simfab.FaultPlan{
+	c := faultCluster(t, &transport.FaultPlan{
 		DropProb:  1,
 		Droppable: func(m string) bool { return m == server.VerbInnerRepl },
 	})
@@ -85,7 +85,7 @@ func TestDroppedReplicationRelaySurfacesUnreachable(t *testing.T) {
 // message back: a write set sent to the replicas from anywhere but the
 // primary would overtake it.
 func TestInnerAndOuterWritesReplicateInLockOrder(t *testing.T) {
-	c := faultCluster(t, &simfab.FaultPlan{
+	c := faultCluster(t, &transport.FaultPlan{
 		Seed:       testutil.Seed(t, 7),
 		DelayProb:  0.5,
 		DelaySpike: 300 * time.Microsecond,
@@ -152,7 +152,7 @@ func TestDroppedLockWaveAbortsCleanlyAllEngines(t *testing.T) {
 	for _, kind := range []bench.EngineKind{bench.Engine2PL, bench.EngineOCC, bench.EngineChiller} {
 		kind := kind
 		t.Run(string(kind), func(t *testing.T) {
-			c := faultCluster(t, &simfab.FaultPlan{
+			c := faultCluster(t, &transport.FaultPlan{
 				DropProb:  1,
 				Droppable: server.PreCommitVerbs,
 			})
@@ -178,7 +178,7 @@ func TestDroppedLockWaveAbortsCleanlyAllEngines(t *testing.T) {
 // the protected tail envelope).
 func TestDroppedValidateRingAbortsCleanly(t *testing.T) {
 	var rings atomic.Int64
-	c := faultCluster(t, &simfab.FaultPlan{
+	c := faultCluster(t, &transport.FaultPlan{
 		DropProb: 1,
 		Droppable: func(m string) bool {
 			// Node 0's pre-commit rings to node 1: read, lock, validate.
@@ -199,7 +199,7 @@ func TestDroppedValidateRingAbortsCleanly(t *testing.T) {
 // of lock doorbells, the engine aborts cleanly and leaks nothing.
 func TestDroppedLockDoorbellBatchedChiller(t *testing.T) {
 	var drops atomic.Int64
-	c := faultCluster(t, &simfab.FaultPlan{
+	c := faultCluster(t, &transport.FaultPlan{
 		DropProb: 1,
 		Droppable: func(m string) bool {
 			if m == server.VerbDoorbell {

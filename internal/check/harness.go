@@ -15,7 +15,7 @@ import (
 	"github.com/chillerdb/chiller/internal/history"
 	"github.com/chillerdb/chiller/internal/server"
 	"github.com/chillerdb/chiller/internal/storage"
-	"github.com/chillerdb/chiller/internal/transport/simfab"
+	"github.com/chillerdb/chiller/internal/transport"
 	"github.com/chillerdb/chiller/internal/wal"
 )
 
@@ -58,12 +58,12 @@ type Config struct {
 	Engine bench.EngineKind
 	// Transport selects the fabric: bench.TransportSim (default) or
 	// bench.TransportTCP, which runs the cell over real loopback sockets
-	// — one tcpnet fabric per node, every verb crossing the kernel.
-	// Fault injection (Faults) is simnet-only: the simulator owns the
-	// drop dice and partition filters, so a TCP cell must run with
-	// Faults == nil. What the TCP cell buys is black-box checking of the
-	// real wire path: framing, per-connection FIFO, and the inline
-	// dispatch ordering all feed the same serializability checker.
+	// — one tcpnet fabric per node, every verb crossing the kernel. The
+	// fault schedule (Faults) runs on either: the injector wraps every
+	// node endpoint, whatever the fabric. What the TCP cell adds is
+	// black-box checking of the real wire path under that schedule:
+	// framing, per-connection FIFO, and the inline dispatch ordering all
+	// feed the same checker.
 	Transport string
 	// Partitions, Replication, Lanes size the cluster (defaults 3, 2, 1).
 	Partitions  int
@@ -101,7 +101,9 @@ type Config struct {
 	// retry — and is revived mid-phase. Every end-of-run check (history
 	// serializability, replica consistency, quiesce) then covers the
 	// recovered state, and a direct pre-crash/post-recovery diff counts
-	// acknowledged-then-lost commits as named violations. Simnet only.
+	// acknowledged-then-lost commits as named violations. Simnet only:
+	// wiping a store needs the fabric-level quiesce barrier
+	// (deploy.Cluster.Settle), which only the simulator can see.
 	Crash bool
 	// Promote additionally runs the primary-death recovery protocol: the
 	// crashed node's partition is promoted to one of its replicas while
@@ -232,9 +234,6 @@ func (r *Result) Err() error {
 // Run executes one chaos cell and checks its history.
 func Run(cfg Config) (*Result, error) {
 	cfg.defaults()
-	if cfg.Transport == bench.TransportTCP && cfg.Faults != nil {
-		return nil, fmt.Errorf("check: fault injection requires the simnet transport")
-	}
 	if cfg.Crash && cfg.Transport == bench.TransportTCP {
 		return nil, fmt.Errorf("check: the crash schedule requires the simnet transport")
 	}
@@ -245,9 +244,9 @@ func Run(cfg Config) (*Result, error) {
 		return nil, fmt.Errorf("check: Elastic and Crash schedules cannot combine")
 	}
 
-	var plan *simfab.FaultPlan
+	var plan *transport.FaultPlan
 	if cfg.Faults != nil {
-		plan = &simfab.FaultPlan{
+		plan = &transport.FaultPlan{
 			Seed:       cfg.Seed,
 			DropProb:   cfg.Faults.DropProb,
 			DelayProb:  cfg.Faults.DelayProb,
@@ -258,7 +257,7 @@ func Run(cfg Config) (*Result, error) {
 		// A crash needs a verb filter even with no drop dice: Crash cuts
 		// only droppable verbs (the protected control plane must drain),
 		// and a nil plan would make every verb fair game.
-		plan = &simfab.FaultPlan{Seed: cfg.Seed, Droppable: server.PreCommitVerbs}
+		plan = &transport.FaultPlan{Seed: cfg.Seed, Droppable: server.PreCommitVerbs}
 	}
 	walDir := cfg.WALDir
 	if cfg.Crash && walDir == "" {
@@ -343,14 +342,14 @@ func Run(cfg Config) (*Result, error) {
 				defer faultWG.Done()
 				frng := rand.New(rand.NewSource(cfg.Seed ^ 0x7a57 + int64(phase)*0x9e37))
 				for i := 0; i < cfg.Faults.PartitionWindows; i++ {
-					a := simfab.NodeID(frng.Intn(cfg.Partitions))
-					b := simfab.NodeID((int(a) + 1 + frng.Intn(cfg.Partitions-1)) % cfg.Partitions)
-					c.Net.Partition(a, b)
+					a := transport.NodeID(frng.Intn(cfg.Partitions))
+					b := transport.NodeID((int(a) + 1 + frng.Intn(cfg.Partitions-1)) % cfg.Partitions)
+					c.Faults.Partition(a, b)
 					if !sleepOrStop(stopFaults, cfg.Faults.WindowLen) {
-						c.Net.Heal(a, b)
+						c.Faults.Heal(a, b)
 						return
 					}
-					c.Net.Heal(a, b)
+					c.Faults.Heal(a, b)
 					if !sleepOrStop(stopFaults, cfg.Faults.WindowGap) {
 						return
 					}
@@ -399,9 +398,7 @@ func Run(cfg Config) (*Result, error) {
 	// commit tails, then give participant state a few grace rounds to
 	// drain.
 	settle := func() bool {
-		if c.Net != nil {
-			c.Net.HealAll()
-		}
+		c.Faults.HealAll()
 		c.Drain()
 		// Fabric-level barrier: engine drains join coordinator work, but a
 		// replica apply queued behind a one-way stream leaves no state to
@@ -518,7 +515,7 @@ func Run(cfg Config) (*Result, error) {
 func crashAndRecover(cfg Config, c *bench.Cluster, maxKey storage.Key) (victim, lost int, err error) {
 	crng := rand.New(rand.NewSource(cfg.Seed ^ 0x0dd5))
 	v := crng.Intn(cfg.Partitions)
-	var promoteTo simfab.NodeID
+	var promoteTo transport.NodeID
 	if cfg.Promote {
 		promoteTo = c.Topo.Replicas(cluster.PartitionID(v))[0]
 	}
@@ -544,9 +541,9 @@ func crashAndRecover(cfg Config, c *bench.Cluster, maxKey storage.Key) (victim, 
 	st.CreateTable(CheckTable, 4096)
 	for k := storage.Key(0); k < maxKey; k++ {
 		pid := c.Dir.Partition(storage.RID{Table: CheckTable, Key: k})
-		hosted := c.Topo.Primary(pid) == simfab.NodeID(v)
+		hosted := c.Topo.Primary(pid) == transport.NodeID(v)
 		for _, r := range c.Topo.Replicas(pid) {
-			hosted = hosted || r == simfab.NodeID(v)
+			hosted = hosted || r == transport.NodeID(v)
 		}
 		if hosted {
 			st.Bucket(CheckTable, k).Upsert(k, InitialVal(k))

@@ -37,11 +37,10 @@ func matrixCells() []cell {
 			cell{name: fmt.Sprintf("chiller-batched-lanes%d", lanes), engine: bench.EngineChiller, lanes: lanes},
 		)
 	}
-	// Loopback-TCP cells: the same workload and checker over real
-	// kernel sockets (one tcpnet fabric per node). Fault injection is
-	// simnet-only, so these cells run fault-free — what they check is
-	// the wire path itself: framing, per-connection FIFO, inline
-	// dispatch ordering, and doorbell servicing at the destination.
+	// Loopback-TCP cells: the same workload, fault schedule and checker
+	// over real kernel sockets (one tcpnet fabric per node) — framing,
+	// per-connection FIFO, inline dispatch ordering, and doorbell
+	// servicing at the destination, under drops, spikes and partitions.
 	cells = append(cells,
 		cell{name: "tcp-2pl", engine: bench.Engine2PL, lanes: 1, transport: bench.TransportTCP},
 		cell{name: "tcp-occ", engine: bench.EngineOCC, lanes: 1, transport: bench.TransportTCP},
@@ -87,8 +86,8 @@ func matrixCells() []cell {
 		cell{name: "mvcc-crash-chiller", engine: bench.EngineChiller, lanes: 2, crash: true, mvcc: true},
 	)
 	// Elastic cells: a node joins mid-run, takes a partition through the
-	// incremental handoff protocol under live traffic (and, on simnet,
-	// under the default fault schedule), serves it, hands it back, and
+	// incremental handoff protocol under live traffic and the default
+	// fault schedule, serves it, hands it back, and
 	// is retired. The history must still check serializable, replicas
 	// must converge on the post-churn topology, and the lost-key oracle
 	// must find every loaded key at its current primary.
@@ -132,16 +131,13 @@ func TestCheckerMatrix(t *testing.T) {
 		t.Run(c.name, func(t *testing.T) {
 			t.Parallel()
 			cellRuns := runs
-			faults := DefaultFaults()
-			if c.transport == bench.TransportTCP {
-				// Fault injection is simnet-only; the TCP cells run
-				// fault-free, and one deterministic run suffices for the
-				// short-mode PR gate.
-				faults = nil
-				if testing.Short() && cellRuns > 1 {
-					cellRuns = 1
-				}
+			tcp := c.transport == bench.TransportTCP
+			if tcp && testing.Short() && cellRuns > 1 {
+				// Real sockets are the slow cells: one pass suffices for
+				// the short-mode PR gate.
+				cellRuns = 1
 			}
+			unreachable := 0
 			for run := 0; run < cellRuns; run++ {
 				seed := baseSeed + int64(run)*101
 				res, err := Run(Config{
@@ -149,7 +145,7 @@ func TestCheckerMatrix(t *testing.T) {
 					Transport: c.transport,
 					Lanes:     c.lanes,
 					Seed:      seed,
-					Faults:    faults,
+					Faults:    DefaultFaults(),
 					Crash:     c.crash,
 					Promote:   c.promote,
 					MVCC:      c.mvcc,
@@ -170,6 +166,17 @@ func TestCheckerMatrix(t *testing.T) {
 					// path certified nothing.
 					t.Fatalf("run %d (seed %d): no snapshot reads committed", run, seed)
 				}
+				for _, txn := range res.Recorder.Txns() {
+					if txn.Reason == "unreachable" {
+						unreachable++
+					}
+				}
+			}
+			t.Logf("%d unreachable aborts over %d run(s)", unreachable, cellRuns)
+			if tcp && unreachable == 0 {
+				// A green TCP cell whose fault schedule never fired ran
+				// fault-free and certified nothing about faults on the wire.
+				t.Fatalf("%d run(s) recorded no unreachable abort", cellRuns)
 			}
 		})
 	}

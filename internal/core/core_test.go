@@ -12,6 +12,7 @@ import (
 	"github.com/chillerdb/chiller/internal/server"
 	"github.com/chillerdb/chiller/internal/storage"
 	"github.com/chillerdb/chiller/internal/testutil"
+	"github.com/chillerdb/chiller/internal/transport"
 	"github.com/chillerdb/chiller/internal/transport/simfab"
 	"github.com/chillerdb/chiller/internal/txn"
 	"github.com/chillerdb/chiller/internal/wire"
@@ -259,16 +260,17 @@ func multiHarness(t *testing.T) ([]*Engine, []*server.Node, *simfab.Network) {
 }
 
 // faultyMultiHarness is multiHarness on a fabric with a fault plan.
-func faultyMultiHarness(t *testing.T, plan *simfab.FaultPlan) ([]*Engine, []*server.Node, *simfab.Network) {
+func faultyMultiHarness(t *testing.T, plan *transport.FaultPlan) ([]*Engine, []*server.Node, *simfab.Network) {
 	return replicatedHarness(t, plan, 1)
 }
 
 // replicatedHarness is faultyMultiHarness at a replication degree
 // (partition p's replicas are the next nodes round). Its cleanup drains
 // the engines, closes the fabric and stops the nodes' lanes.
-func replicatedHarness(t *testing.T, plan *simfab.FaultPlan, replication int) ([]*Engine, []*server.Node, *simfab.Network) {
+func replicatedHarness(t *testing.T, plan *transport.FaultPlan, replication int) ([]*Engine, []*server.Node, *simfab.Network) {
 	t.Helper()
-	net := simfab.New(simfab.Config{Faults: plan})
+	net := simfab.New(simfab.Config{})
+	faults := transport.NewFaults(plan)
 	topo := cluster.NewTopology(3, replication)
 	dir := cluster.NewDirectory(topo, cluster.RangePartitioner{
 		N: 3, MaxKey: map[storage.TableID]storage.Key{1: 300},
@@ -284,7 +286,7 @@ func replicatedHarness(t *testing.T, plan *simfab.FaultPlan, replication int) ([
 				t.Fatal(err)
 			}
 		}
-		nodes[i] = server.New(net.Endpoint(simfab.NodeID(i)), st, reg, dir, cluster.PartitionID(i))
+		nodes[i] = server.New(faults.Wrap(net.Endpoint(simfab.NodeID(i))), st, reg, dir, cluster.PartitionID(i))
 		engines[i] = New(nodes[i])
 	}
 	t.Cleanup(func() {
@@ -343,7 +345,7 @@ func assertUntouched(t *testing.T, nodes []*server.Node) {
 // real wire is at-most-once), and the same request commits once it
 // reaches the host.
 func TestFailedRouteAbortsUnreachableWithoutExecuting(t *testing.T) {
-	engines, nodes, _ := faultyMultiHarness(t, &simfab.FaultPlan{
+	engines, nodes, _ := faultyMultiHarness(t, &transport.FaultPlan{
 		DropProb:  1,
 		Droppable: func(m string) bool { return m == server.VerbTxnRoute },
 	})

@@ -29,8 +29,8 @@ const (
 	TransportSim = "simnet"
 	// TransportTCP assembles the cluster over loopback TCP: every node
 	// gets its own tcpnet fabric on 127.0.0.1, and every verb crosses a
-	// real socket. Simulated-latency, jitter, and fault-injection knobs
-	// do not apply (the kernel provides the latency).
+	// real socket. Simulated latency and jitter do not apply (the kernel
+	// provides the latency); fault injection does.
 	TransportTCP = "tcp"
 )
 
@@ -62,10 +62,12 @@ type Config struct {
 	// verbs ride doorbell waves unconditionally. It stays only because
 	// the benchmark module sets it; a benchmark-only change drops it.
 	VerbBatching bool
-	// Faults installs deterministic fault injection on the simulated
-	// fabric (drop dice, delay spikes, partition verb filtering) — the
-	// chaos harness's knob (internal/check). nil runs a reliable fabric.
-	Faults *simfab.FaultPlan
+	// Faults is the plan of the cluster's fault injector (drop dice,
+	// delay spikes, the verb filter partitions and crashes honor) — the
+	// chaos harness's knob (internal/check). It works on either transport.
+	// nil rolls no dice; Cluster.Faults still cuts partitions, then on
+	// every verb.
+	Faults *transport.FaultPlan
 	// WALDir, when non-empty, attaches a write-ahead log to every node
 	// under WALDir/node-<id>: commit-point applies append before
 	// acknowledging, and whatever a previous incarnation logged there is
@@ -100,9 +102,11 @@ type Cluster struct {
 	// applied.
 	Cfg Config
 	// Net is the simulated fabric; nil when the cluster runs over
-	// TransportTCP (fault injection and partition windows are
-	// simnet-only — guard on nil before using them).
-	Net      *simfab.Network
+	// TransportTCP.
+	Net *simfab.Network
+	// Faults is the fault injector every node endpoint is wrapped in, on
+	// either transport: partition windows, crashes, and Cfg.Faults' dice.
+	Faults   *transport.Faults
 	Topo     *cluster.Topology
 	Dir      *cluster.Directory
 	Registry *txn.Registry
@@ -134,7 +138,7 @@ func NewCluster(cfg Config, def cluster.DefaultPartitioner) (*Cluster, error) {
 	if cfg.Replication <= 0 {
 		cfg.Replication = 1
 	}
-	c := &Cluster{Registry: txn.NewRegistry(), stop: make(chan struct{})}
+	c := &Cluster{Registry: txn.NewRegistry(), Faults: transport.NewFaults(cfg.Faults), stop: make(chan struct{})}
 	c.Topo, c.Dir = NewDirectory(cfg.Partitions, cfg.Replication, cfg.Lanes, def)
 	cfg.Lanes = c.Dir.Lanes()
 	switch cfg.Transport {
@@ -143,12 +147,8 @@ func NewCluster(cfg Config, def cluster.DefaultPartitioner) (*Cluster, error) {
 			Latency: cfg.Latency,
 			Jitter:  cfg.Jitter,
 			Seed:    cfg.Seed,
-			Faults:  cfg.Faults,
 		})
-	case TransportTCP:
-		if cfg.Faults != nil {
-			return nil, fmt.Errorf("deploy: fault injection requires the simnet transport: %w", ErrInvalid)
-		}
+	case TransportTCP: // addNode gives every node a fabric of its own
 	default:
 		return nil, fmt.Errorf("deploy: unknown transport %q: %w", cfg.Transport, ErrInvalid)
 	}
@@ -183,27 +183,28 @@ func NewCluster(cfg Config, def cluster.DefaultPartitioner) (*Cluster, error) {
 // published; callers may iterate it without synchronization.
 func (c *Cluster) Nodes() []*Node { return *c.nodes.Load() }
 
-// addNode builds node len(Nodes()) on the cluster's fabric and publishes
-// it. Simfab endpoints are created on demand; over TCP a fresh fabric
-// listens on a kernel-picked loopback port and the address book is
-// merged both ways. No traffic addresses the node before it is
-// published, so dial order cannot race its listener.
+// addNode builds node len(Nodes()) on the cluster's fabric, wrapped in
+// the cluster's fault injector, and publishes it. Simfab endpoints are
+// created on demand; over TCP a fresh fabric listens on a kernel-picked
+// loopback port and the address book is merged both ways. No traffic
+// addresses the node before it is published, so dial order cannot race
+// its listener.
 func (c *Cluster) addNode(home cluster.PartitionID) (*Node, error) {
 	nodes := c.Nodes()
 	id := transport.NodeID(len(nodes))
 	var ep transport.Endpoint
+	var fab *tcpnet.Fabric
 	if c.Net != nil {
 		ep = c.Net.Endpoint(id)
 	} else {
-		fab, err := tcpnet.New(tcpnet.Config{ID: id})
-		if err != nil {
+		var err error
+		if fab, err = tcpnet.New(tcpnet.Config{ID: id}); err != nil {
 			return nil, fmt.Errorf("deploy: tcp fabric for node %d: %w", id, err)
 		}
 		addrs := map[transport.NodeID]string{id: fab.Addr()}
 		for _, n := range nodes {
-			peer := n.Endpoint().(*tcpnet.Fabric)
-			addrs[n.ID()] = peer.Addr()
-			peer.SetPeers(map[transport.NodeID]string{id: fab.Addr()})
+			addrs[n.ID()] = n.fab.Addr()
+			n.fab.SetPeers(map[transport.NodeID]string{id: fab.Addr()})
 		}
 		fab.SetPeers(addrs)
 		ep = fab
@@ -212,7 +213,7 @@ func (c *Cluster) addNode(home cluster.PartitionID) (*Node, error) {
 	if len(nodes) > 0 {
 		schema = nodes[0].Store()
 	}
-	n, err := newNode(ep, home, Spec{
+	n, err := newNode(c.Faults.Wrap(ep), fab, home, Spec{
 		Registry:  c.Registry,
 		Dir:       c.Dir,
 		Sampler:   c.Sampler,
@@ -221,7 +222,7 @@ func (c *Cluster) addNode(home cluster.PartitionID) (*Node, error) {
 		WALPolicy: c.Cfg.WALPolicy,
 	}, schema)
 	if err != nil {
-		if fab, ok := ep.(*tcpnet.Fabric); ok {
+		if fab != nil {
 			fab.Close()
 		}
 		return nil, err

@@ -4,11 +4,14 @@ import (
 	"context"
 	"encoding/binary"
 	"fmt"
+	"sync/atomic"
 	"testing"
 
 	"github.com/chillerdb/chiller/internal/cluster"
+	"github.com/chillerdb/chiller/internal/server"
 	"github.com/chillerdb/chiller/internal/storage"
 	"github.com/chillerdb/chiller/internal/testutil"
+	"github.com/chillerdb/chiller/internal/transport"
 	"github.com/chillerdb/chiller/internal/txn"
 	"github.com/chillerdb/chiller/internal/wal"
 )
@@ -65,132 +68,152 @@ func run(t *testing.T, c *Cluster, kind EngineKind, node int, src, dst int64) {
 // One table over the one assembly: every fabric × durability × MVCC
 // combination is built, loaded, driven by each engine, grown, churned,
 // shrunk and closed through the same code, and nothing it started may
-// outlive Close.
+// outlive Close. The "/faults" rows do it all again under pre-commit
+// drop dice, on each fabric.
 func TestClusterLifecycle(t *testing.T) {
 	const partitions, replication = 3, 2
-	for _, transport := range []string{TransportSim, TransportTCP} {
-		for _, durable := range []bool{false, true} {
-			for _, mvcc := range []bool{false, true} {
-				name := fmt.Sprintf("%s/wal=%v/mvcc=%v", transport, durable, mvcc)
-				t.Run(name, func(t *testing.T) {
-					testutil.CheckLeaks(t)
-					cfg := Config{
-						Transport:   transport,
-						Partitions:  partitions,
-						Replication: replication,
-						Lanes:       2,
-						MVCC:        mvcc,
-					}
-					if durable {
-						cfg.WALDir = t.TempDir()
-						cfg.WALPolicy = wal.Policy{NoSync: true}
-					}
-					c, err := NewCluster(cfg, cluster.RangePartitioner{
-						N:      partitions,
-						MaxKey: map[storage.TableID]storage.Key{accounts: partitions * perPartition},
-					})
-					if err != nil {
-						t.Fatal(err)
-					}
-					defer c.Close() // idempotent: a no-op after the checked Close below
-
-					if err := c.Registry.Register(transfer()); err != nil {
-						t.Fatal(err)
-					}
-					c.CreateTable(accounts, 64)
-					c.CreateTable(journal, 16)
-					for k := 0; k < partitions*perPartition; k++ {
-						if err := c.LoadRecord(accounts, storage.Key(k), balance(startBalance)); err != nil {
-							t.Fatal(err)
-						}
-					}
-
-					// One distributed transaction per engine, each from a
-					// different coordinator.
-					for i, kind := range []EngineKind{Engine2PL, EngineOCC, EngineChiller} {
-						run(t, c, kind, i, int64(i*perPartition), int64(((i+1)%partitions)*perPartition+1))
-					}
-
-					id, err := c.AddNode()
-					if err != nil {
-						t.Fatal(err)
-					}
-					if id != partitions || len(c.Nodes()) != partitions+1 {
-						t.Fatalf("AddNode id = %d with %d nodes, want id %d", id, len(c.Nodes()), partitions)
-					}
-					src, joiner := c.Nodes()[0].Store(), c.Nodes()[id].Store()
-					for _, tid := range src.Tables() {
-						tbl := joiner.Table(tid)
-						if tbl == nil || tbl.NumBuckets() != src.Table(tid).NumBuckets() {
-							t.Fatalf("joiner does not mirror table %d with %d buckets: %v", tid, src.Table(tid).NumBuckets(), tbl)
-						}
-					}
-					if mvcc != joiner.MVCCEnabled() {
-						t.Fatalf("joiner MVCC = %v, want %v", joiner.MVCCEnabled(), mvcc)
-					}
-					if durable != (c.Nodes()[id].WAL() != nil) {
-						t.Fatalf("joiner WAL attached = %v, want %v", c.Nodes()[id].WAL() != nil, durable)
-					}
-
-					// There and back: the joiner serves partition 1 as primary
-					// (coordinating a transaction itself), then hands it home.
-					home := int(c.Topo.Primary(1))
-					for _, to := range []int{id, home} {
-						if err := c.MovePartition(1, to); err != nil {
-							t.Fatalf("move partition 1 to node %d: %v", to, err)
-						}
-						if got := int(c.Topo.Primary(1)); got != to {
-							t.Fatalf("partition 1 primary = %d, want %d", got, to)
-						}
-						if reps := c.Topo.Replicas(1); len(reps) != replication-1 {
-							t.Fatalf("partition 1 replicas %v not trimmed to degree %d", reps, replication)
-						}
-						run(t, c, EngineChiller, id, perPartition+2, 3)
-					}
-
-					if err := c.RemoveNode(id); err != nil {
-						t.Fatal(err)
-					}
-					for _, part := range c.Topo.Snapshot() {
-						if int(part.Primary) == id {
-							t.Fatalf("removed node still primaries partition %d", part.ID)
-						}
-						for _, r := range part.Replicas {
-							if int(r) == id {
-								t.Fatalf("removed node still replicates partition %d", part.ID)
-							}
-						}
-					}
-
-					c.Drain()
-					c.Settle()
-					if !c.Quiesced() {
-						t.Fatal("participant state leaked")
-					}
-					if n := c.VerifyReplicaConsistency(accounts); n != 0 {
-						t.Fatalf("%d replica mismatches", n)
-					}
-					var total int64
-					for k := 0; k < partitions*perPartition; k++ {
-						rid := storage.RID{Table: accounts, Key: storage.Key(k)}
-						v, _, err := c.Nodes()[c.Dir.PrimaryOf(rid)].Store().Bucket(accounts, rid.Key).Get(rid.Key)
-						if err != nil {
-							t.Fatalf("account %d lost: %v", k, err)
-						}
-						total += int64(binary.LittleEndian.Uint64(v))
-					}
-					if want := int64(partitions * perPartition * startBalance); total != want {
-						t.Fatalf("total balance %d, want %d", total, want)
-					}
-
-					if err := c.Close(); err != nil {
-						t.Fatal(err)
-					}
-					if _, err := c.AddNode(); err == nil {
-						t.Fatal("AddNode succeeded on a closed cluster")
-					}
-				})
+	type row struct{ durable, mvcc, faults bool }
+	rows := []row{{false, false, false}, {false, true, false}, {true, false, false}, {true, true, false}, {true, true, true}}
+	for _, fabric := range []string{TransportSim, TransportTCP} {
+		for _, r := range rows {
+			durable, mvcc := r.durable, r.mvcc
+			name := fmt.Sprintf("%s/wal=%v/mvcc=%v", fabric, durable, mvcc)
+			if r.faults {
+				name += "/faults"
 			}
+			t.Run(name, func(t *testing.T) {
+				testutil.CheckLeaks(t)
+				cfg := Config{
+					Transport:   fabric,
+					Partitions:  partitions,
+					Replication: replication,
+					Lanes:       2,
+					MVCC:        mvcc,
+				}
+				var drops atomic.Int64
+				if r.faults {
+					// With no partition cut, the injector asks Droppable only
+					// once the dice have rolled a drop.
+					cfg.Faults = &transport.FaultPlan{Seed: 39, DropProb: 0.05, Droppable: func(m string) bool {
+						if !server.PreCommitVerbs(m) {
+							return false
+						}
+						drops.Add(1)
+						return true
+					}}
+				}
+				if durable {
+					cfg.WALDir = t.TempDir()
+					cfg.WALPolicy = wal.Policy{NoSync: true}
+				}
+				c, err := NewCluster(cfg, cluster.RangePartitioner{
+					N:      partitions,
+					MaxKey: map[storage.TableID]storage.Key{accounts: partitions * perPartition},
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer c.Close() // idempotent: a no-op after the checked Close below
+
+				if err := c.Registry.Register(transfer()); err != nil {
+					t.Fatal(err)
+				}
+				c.CreateTable(accounts, 64)
+				c.CreateTable(journal, 16)
+				for k := 0; k < partitions*perPartition; k++ {
+					if err := c.LoadRecord(accounts, storage.Key(k), balance(startBalance)); err != nil {
+						t.Fatal(err)
+					}
+				}
+
+				// One distributed transaction per engine, each from a
+				// different coordinator.
+				for i, kind := range []EngineKind{Engine2PL, EngineOCC, EngineChiller} {
+					run(t, c, kind, i, int64(i*perPartition), int64(((i+1)%partitions)*perPartition+1))
+				}
+
+				id, err := c.AddNode()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if id != partitions || len(c.Nodes()) != partitions+1 {
+					t.Fatalf("AddNode id = %d with %d nodes, want id %d", id, len(c.Nodes()), partitions)
+				}
+				src, joiner := c.Nodes()[0].Store(), c.Nodes()[id].Store()
+				for _, tid := range src.Tables() {
+					tbl := joiner.Table(tid)
+					if tbl == nil || tbl.NumBuckets() != src.Table(tid).NumBuckets() {
+						t.Fatalf("joiner does not mirror table %d with %d buckets: %v", tid, src.Table(tid).NumBuckets(), tbl)
+					}
+				}
+				if mvcc != joiner.MVCCEnabled() {
+					t.Fatalf("joiner MVCC = %v, want %v", joiner.MVCCEnabled(), mvcc)
+				}
+				if durable != (c.Nodes()[id].WAL() != nil) {
+					t.Fatalf("joiner WAL attached = %v, want %v", c.Nodes()[id].WAL() != nil, durable)
+				}
+
+				// There and back: the joiner serves partition 1 as primary
+				// (coordinating a transaction itself), then hands it home.
+				home := int(c.Topo.Primary(1))
+				for _, to := range []int{id, home} {
+					if err := c.MovePartition(1, to); err != nil {
+						t.Fatalf("move partition 1 to node %d: %v", to, err)
+					}
+					if got := int(c.Topo.Primary(1)); got != to {
+						t.Fatalf("partition 1 primary = %d, want %d", got, to)
+					}
+					if reps := c.Topo.Replicas(1); len(reps) != replication-1 {
+						t.Fatalf("partition 1 replicas %v not trimmed to degree %d", reps, replication)
+					}
+					run(t, c, EngineChiller, id, perPartition+2, 3)
+				}
+
+				if err := c.RemoveNode(id); err != nil {
+					t.Fatal(err)
+				}
+				for _, part := range c.Topo.Snapshot() {
+					if int(part.Primary) == id {
+						t.Fatalf("removed node still primaries partition %d", part.ID)
+					}
+					for _, rep := range part.Replicas {
+						if int(rep) == id {
+							t.Fatalf("removed node still replicates partition %d", part.ID)
+						}
+					}
+				}
+
+				c.Drain()
+				c.Settle()
+				if !c.Quiesced() {
+					t.Fatal("participant state leaked")
+				}
+				if n := c.VerifyReplicaConsistency(accounts); n != 0 {
+					t.Fatalf("%d replica mismatches", n)
+				}
+				var total int64
+				for k := 0; k < partitions*perPartition; k++ {
+					rid := storage.RID{Table: accounts, Key: storage.Key(k)}
+					v, _, err := c.Nodes()[c.Dir.PrimaryOf(rid)].Store().Bucket(accounts, rid.Key).Get(rid.Key)
+					if err != nil {
+						t.Fatalf("account %d lost: %v", k, err)
+					}
+					total += int64(binary.LittleEndian.Uint64(v))
+				}
+				if want := int64(partitions * perPartition * startBalance); total != want {
+					t.Fatalf("total balance %d, want %d", total, want)
+				}
+
+				if r.faults && drops.Load() == 0 {
+					t.Fatal("the fault plan dropped nothing: the row ran fault-free")
+				}
+				if err := c.Close(); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := c.AddNode(); err == nil {
+					t.Fatal("AddNode succeeded on a closed cluster")
+				}
+			})
 		}
 	}
 }

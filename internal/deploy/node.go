@@ -73,26 +73,31 @@ type Node struct {
 	// node's WAL directory and replayed it into the store.
 	Recovered bool
 
+	// fab is the node's own TCP fabric, whose lifetime is the node's; nil
+	// on simfab, whose Network the Cluster closes.
+	fab     *tcpnet.Fabric
 	twoPL   *twopl.Engine
 	occ     *occ.Engine
 	chiller *core.Engine
 }
 
-// NewNode builds a node on ep that calls partition home its own (-1 for
-// a coordinator-only client or a joiner that owns nothing yet). On error
-// everything it started is stopped again; ep stays the caller's.
-func NewNode(ep transport.Endpoint, home cluster.PartitionID, spec Spec) (*Node, error) {
-	return newNode(ep, home, spec, nil)
+// NewNode builds a node on fab that calls partition home its own (-1 for
+// a coordinator-only client or a joiner that owns nothing yet). The node
+// owns fab from then on: Close closes it. On error everything it started
+// is stopped again and fab stays the caller's.
+func NewNode(fab *tcpnet.Fabric, home cluster.PartitionID, spec Spec) (*Node, error) {
+	return newNode(fab, fab, home, spec, nil)
 }
 
-// newNode is NewNode with the tables of schema (when non-nil) created
-// before WAL replay, so a joiner's recovered and handed-off records land
-// in tables with the cluster's bucket counts rather than the tolerant
-// replica-apply defaults.
-func newNode(ep transport.Endpoint, home cluster.PartitionID, spec Spec, schema *storage.Store) (*Node, error) {
+// newNode builds a node on ep, owning fab (nil when ep is a simfab
+// endpoint). The tables of schema (when non-nil) are created before WAL
+// replay, so a joiner's recovered and handed-off records land in tables
+// with the cluster's bucket counts rather than the tolerant replica-apply
+// defaults.
+func newNode(ep transport.Endpoint, fab *tcpnet.Fabric, home cluster.PartitionID, spec Spec, schema *storage.Store) (*Node, error) {
 	st := storage.NewStore()
 	sn := server.New(ep, st, spec.Registry, spec.Dir, home)
-	n := &Node{Node: sn}
+	n := &Node{Node: sn, fab: fab}
 	if spec.Sampler != nil {
 		sn.SetSampler(spec.Sampler)
 	}
@@ -153,12 +158,11 @@ func (n *Node) Engine(kind EngineKind) cc.Engine {
 // coordinated (only the Chiller engine completes commits asynchronously).
 func (n *Node) Drain() { n.chiller.Drain() }
 
-// closeFabric closes the node's endpoint when it is a TCP fabric: a
-// fabric serves exactly one node, so its lifetime is the node's. Simfab
+// closeFabric closes the node's TCP fabric, if it has one. Simfab
 // endpoints belong to their Network, which the Cluster closes.
 func (n *Node) closeFabric() {
-	if f, ok := n.Endpoint().(*tcpnet.Fabric); ok {
-		f.Close()
+	if n.fab != nil {
+		n.fab.Close()
 	}
 }
 

@@ -49,15 +49,6 @@ const backfillBit = uint64(1) << 62
 // wedged coordinator and the handoff aborts rather than forcing a flip.
 const handoffDrainTimeout = 10 * time.Second
 
-// PeerDirectory is the optional fabric interface for transports that
-// address peers by explicit endpoint addresses (tcpnet). Fabrics with
-// implicit addressing (simnet) do not implement it and need no address
-// exchange during membership changes.
-type PeerDirectory interface {
-	SetPeers(map[transport.NodeID]string)
-	Peers() map[transport.NodeID]string
-}
-
 // BackfillPartition streams every record of partition pid this node
 // holds to the warming target over the §5 replication stream verb,
 // returning once the target acknowledged every message. Writers keep
@@ -222,7 +213,7 @@ func (n *Node) RunHandoff(pid cluster.PartitionID, to transport.NodeID) ([]byte,
 		return nil, err
 	}
 	payload := n.EncodeTopoPayload()
-	if pd, ok := n.ep.(PeerDirectory); ok {
+	if pd, ok := n.ep.(transport.PeerDirectory); ok {
 		if _, err := n.ep.Call(to, VerbTopoSet, payload); err != nil {
 			return payload, fmt.Errorf("server: topology broadcast to joiner %d: %w", to, err)
 		}
@@ -281,7 +272,7 @@ func (n *Node) handleTopoSet(_ transport.NodeID, req []byte) ([]byte, error) {
 	}
 	// Merge addresses before installing the layout, so routing to a
 	// node the new layout introduces never misses its address.
-	if pd, ok := n.ep.(PeerDirectory); ok && len(addrs) > 0 {
+	if pd, ok := n.ep.(transport.PeerDirectory); ok && len(addrs) > 0 {
 		pd.SetPeers(addrs)
 	}
 	n.dir.Topology().Install(parts)
@@ -299,7 +290,7 @@ func (n *Node) handleHandoff(_ transport.NodeID, req []byte, reply func([]byte, 
 	}
 	go func() {
 		if addr != "" {
-			if pd, ok := n.ep.(PeerDirectory); ok {
+			if pd, ok := n.ep.(transport.PeerDirectory); ok {
 				pd.SetPeers(map[transport.NodeID]string{newNode: addr})
 			}
 		}
@@ -313,7 +304,7 @@ func (n *Node) EncodeTopoPayload() []byte {
 	w := wire.NewWriter(256)
 	cluster.EncodeTopologyTo(w, n.dir.Topology())
 	var addrs map[transport.NodeID]string
-	if pd, ok := n.ep.(PeerDirectory); ok {
+	if pd, ok := n.ep.(transport.PeerDirectory); ok {
 		addrs = pd.Peers()
 	}
 	w.Uint32(uint32(len(addrs)))

@@ -44,10 +44,10 @@ const (
 	// VerbDoorbellTail is the doorbell envelope for rings that carry any
 	// post-commit-point frame (replicate, commit, abort). It is
 	// served by the same handler as VerbDoorbell; the distinct name lets
-	// the fault injector (simnet.FaultPlan.Droppable) target pre-commit
-	// lock-wave doorbells while the commit tail stays on the protected
-	// control plane — dropping a commit frame would wedge participant
-	// locks, not exercise a recovery path. See internal/simnet/faults.go.
+	// the fault injector (transport.FaultPlan.Droppable) target pre-commit
+	// doorbells while the commit tail stays on the protected control
+	// plane — dropping a commit frame would wedge participant locks, not
+	// exercise a recovery path. See internal/transport/faults.go.
 	VerbDoorbellTail = "db2"
 	// VerbPing is a trivial liveness probe: empty request, empty reply.
 	// chiller-node uses it at startup to verify every peer is reachable
@@ -76,19 +76,16 @@ const (
 	VerbHandoff = "hoff"
 )
 
-// PreCommitVerbs is the verb set whose loss an engine recovers from by
-// aborting the transaction and retrying: the pre-commit-point fan-outs.
-// Chaos harnesses pass this as simnet.FaultPlan.Droppable; everything
-// else (commit, abort, replication, the inner stream and its acks) is
-// the protected control plane. The read-side frames (lock-read, read,
-// validate, snapshot-read) only ever ride the droppable VerbDoorbell
-// envelope, which is what a fault plan sees.
+// PreCommitVerbs is the set of method names, as a fabric sees them,
+// whose loss an engine recovers from by aborting the transaction and
+// retrying: the pre-commit doorbell envelope and transaction routing.
+// Chaos harnesses pass this as transport.FaultPlan.Droppable; everything
+// else (the commit-tail envelope, the inner stream and its acks, the
+// handoff verbs) is the protected control plane. The pre-commit frames
+// (lock-read, read, validate, snapshot-read) never reach a fabric as a
+// method: they ride inside VerbDoorbell.
 func PreCommitVerbs(method string) bool {
-	switch method {
-	case VerbLockRead, VerbRead, VerbValidate, VerbTxnRoute, VerbDoorbell, VerbSnapshotRead:
-		return true
-	}
-	return false
+	return method == VerbDoorbell || method == VerbTxnRoute
 }
 
 // LockEntry is one lock-and-read request item.

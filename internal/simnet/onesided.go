@@ -103,14 +103,6 @@ func (e *Endpoint) GoOneSided(to NodeID, method string, payload []byte, verbs in
 	if verbs < 1 {
 		verbs = 1
 	}
-	// Fault injection applies at ring time, exactly like a two-sided
-	// request send: a dropped or partitioned ring fails at the caller
-	// before the batch is serviced, so the destination never sees a
-	// half-rung doorbell. Delay spikes push the completion time out.
-	spike, ferr := e.net.requestFault(nil, e.id, to, method)
-	if ferr != nil {
-		return nil, ferr
-	}
 	cfg := &e.net.cfg
 	oneway := cfg.Latency
 	if to == e.id {
@@ -131,7 +123,7 @@ func (e *Endpoint) GoOneSided(to NodeID, method string, payload []byte, verbs in
 	} else {
 		p.payload, p.err = h(e.id, payload)
 	}
-	p.at = time.Now().Add(2*oneway + spike)
+	p.at = time.Now().Add(2 * oneway)
 	return p, nil
 }
 

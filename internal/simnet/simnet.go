@@ -29,6 +29,13 @@
 //     Chiller's engine drives its outer lock waves and commit tails over
 //     this path (see internal/server's doorbell verb and
 //     docs/NETWORK.md).
+//
+// # Failure semantics
+//
+// The fabric itself never loses a message: sends fail only on a closed
+// fabric or an unknown node. Drops, delay spikes, partitions and crashes
+// are injected above it by transport.Faults, the one fault layer both
+// fabrics run under.
 package simnet
 
 import (
@@ -63,10 +70,6 @@ type Config struct {
 	// the queue is full, modelling a bounded QP send queue. 0 means a
 	// default of 1024.
 	QueueDepth int
-	// Faults installs deterministic fault injection (drop dice, delay
-	// spikes, and the verb filter partitions honor). nil disables the
-	// dice; runtime Partition windows work either way. See faults.go.
-	Faults *FaultPlan
 }
 
 // Stats aggregates fabric-wide counters (see transport.Stats).
@@ -75,9 +78,8 @@ type Stats = transport.Stats
 // Network is the fabric. Create one per simulated cluster, then create an
 // Endpoint per node.
 type Network struct {
-	cfg    Config
-	stats  Stats
-	faults faultState
+	cfg   Config
+	stats Stats
 
 	mu     sync.RWMutex
 	nodes  map[NodeID]*Endpoint
@@ -117,7 +119,6 @@ func New(cfg Config) *Network {
 		nudge: make(chan struct{}, 1),
 		done:  make(chan struct{}),
 	}
-	n.faults.plan = cfg.Faults
 	n.wg.Add(1)
 	go n.dispatch()
 	return n
@@ -200,11 +201,6 @@ type link struct {
 	local bool
 	rng   *rand.Rand
 	rngMu sync.Mutex // protects jitter draws made on the send path
-
-	// Fault dice (see faults.go): lazily seeded from the fault plan so a
-	// fabric without faults pays nothing.
-	frng   *rand.Rand
-	frngMu sync.Mutex
 
 	qmu    sync.Mutex
 	q      []*envelope
@@ -382,9 +378,8 @@ func (l *link) latency() time.Duration {
 	return base
 }
 
-// send enqueues msg for delivery after the link latency plus extra (a
-// fault-injected delay spike, usually 0).
-func (l *link) send(msg message, extra time.Duration) error {
+// send enqueues msg for delivery after the link latency.
+func (l *link) send(msg message) error {
 	select {
 	case <-l.net.done:
 		return ErrClosed
@@ -392,7 +387,7 @@ func (l *link) send(msg message, extra time.Duration) error {
 	}
 	env := envPool.Get().(*envelope)
 	env.msg = msg
-	env.deliver = time.Now().Add(l.latency() + extra)
+	env.deliver = time.Now().Add(l.latency())
 
 	l.net.inflight.Add(1)
 	l.qmu.Lock()
@@ -553,10 +548,6 @@ func (e *Endpoint) Go(to NodeID, method string, req []byte) (transport.Call, err
 	if err != nil {
 		return nil, err
 	}
-	spike, ferr := e.net.requestFault(l, e.id, to, method)
-	if ferr != nil {
-		return nil, ferr
-	}
 	id := e.rpcSeq.Add(1)
 	c := callPool.Get().(*Call)
 	c.method = method
@@ -571,7 +562,7 @@ func (e *Endpoint) Go(to NodeID, method string, req []byte) (transport.Call, err
 		method:  method,
 		payload: req,
 	}
-	if err := l.send(msg, spike); err != nil {
+	if err := l.send(msg); err != nil {
 		e.pmu.Lock()
 		delete(e.pending, id)
 		e.pmu.Unlock()
@@ -669,17 +660,13 @@ func (e *Endpoint) Send(to NodeID, method string, payload []byte) error {
 	if err != nil {
 		return err
 	}
-	spike, ferr := e.net.requestFault(l, e.id, to, method)
-	if ferr != nil {
-		return ferr
-	}
 	return l.send(message{
 		kind:    kindRequest,
 		rpcID:   0,
 		from:    e.id,
 		method:  method,
 		payload: payload,
-	}, spike)
+	})
 }
 
 func (e *Endpoint) failPending(err error) {

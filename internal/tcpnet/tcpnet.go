@@ -36,10 +36,12 @@
 // Dial failures (after retry with backoff) and broken connections
 // surface as errors wrapping transport.ErrUnreachable, which
 // internal/server maps to txn.AbortUnreachable — the same retryable
-// taxonomy as simnet's injected drops. Unlike simnet, a send that fails
-// mid-connection cannot guarantee the request had no remote effect (the
-// kernel may have delivered bytes before the reset); tcpnet is
-// at-most-once per request, and the engines' recovery path (abort and
+// taxonomy as the injected drops of transport.Faults, the fault layer
+// that wraps this fabric exactly as it wraps simnet's. Unlike an
+// injected drop, which fails before the request reaches the wire, a send
+// that fails mid-connection cannot guarantee the request had no remote
+// effect (the kernel may have delivered bytes before the reset); tcpnet
+// is at-most-once per request, and the engines' recovery path (abort and
 // retry with a fresh transaction) tolerates that window.
 package tcpnet
 
@@ -167,7 +169,7 @@ func (f *Fabric) SetPeers(peers map[transport.NodeID]string) {
 }
 
 // Peers returns a copy of the current node-ID→address map. Together
-// with SetPeers it satisfies server.PeerDirectory, which is how
+// with SetPeers it satisfies transport.PeerDirectory, which is how
 // membership changes propagate the address book between processes.
 func (f *Fabric) Peers() map[transport.NodeID]string {
 	f.pmu.RLock()
@@ -281,7 +283,7 @@ func (f *Fabric) Go(to transport.NodeID, method string, req []byte) (transport.C
 	call := newCall()
 	if to == f.id {
 		f.stats.RPCs.Add(1)
-		f.serveLocal(method, req, func(resp []byte, err error) {
+		f.serve(f.id, method, req, func(resp []byte, err error) {
 			call.ch <- result{payload: resp, err: err}
 		})
 		return call, nil
@@ -302,7 +304,7 @@ func (f *Fabric) Go(to transport.NodeID, method string, req []byte) (transport.C
 // Send delivers a one-way message (no response).
 func (f *Fabric) Send(to transport.NodeID, method string, payload []byte) error {
 	if to == f.id {
-		f.serveLocal(method, payload, func([]byte, error) {})
+		f.serve(f.id, method, payload, func([]byte, error) {})
 		return nil
 	}
 	c, err := f.getConn(to)
@@ -351,8 +353,9 @@ func (f *Fabric) CallOneSided(to transport.NodeID, method string, payload []byte
 	return p.Wait()
 }
 
-// serveLocal runs a two-sided handler for a self-addressed message.
-func (f *Fabric) serveLocal(method string, req []byte, reply func([]byte, error)) {
+// serve runs the two-sided handler for a request from node from — a
+// remote peer or this node itself.
+func (f *Fabric) serve(from transport.NodeID, method string, req []byte, reply func([]byte, error)) {
 	f.hmu.RLock()
 	h, ok := f.handlers[method]
 	var ah transport.AsyncRPCHandler
@@ -362,9 +365,9 @@ func (f *Fabric) serveLocal(method string, req []byte, reply func([]byte, error)
 	f.hmu.RUnlock()
 	switch {
 	case ah != nil:
-		ah(f.id, req, reply)
+		ah(from, req, reply)
 	case ok:
-		resp, err := h(f.id, req)
+		resp, err := h(from, req)
 		reply(resp, err)
 	default:
 		reply(nil, fmt.Errorf("%w: %s", transport.ErrNoSuchMethod, method))
@@ -669,7 +672,7 @@ func (c *conn) readLoop() {
 			// submission, async replies), and buf is reused for the next
 			// frame: copy out.
 			req := append([]byte(nil), payload...)
-			c.fab.serveLocalFrom(from, method, req, func(resp []byte, err error) {
+			c.fab.serve(from, method, req, func(resp []byte, err error) {
 				errs := ""
 				if err != nil {
 					errs = err.Error()
@@ -678,7 +681,7 @@ func (c *conn) readLoop() {
 			})
 		case kindOneWay:
 			req := append([]byte(nil), payload...)
-			c.fab.serveLocalFrom(from, method, req, func([]byte, error) {})
+			c.fab.serve(from, method, req, func([]byte, error) {})
 		case kindRing:
 			// Doorbells/OneSidedVerbs count rings, at the ringer only
 			// (GoOneSided): counting the arrival too would make a loopback
@@ -701,25 +704,5 @@ func (c *conn) readLoop() {
 			c.broken(fmt.Errorf("unknown frame kind %d", kind))
 			return
 		}
-	}
-}
-
-// serveLocalFrom runs a two-sided handler for a remote request.
-func (f *Fabric) serveLocalFrom(from transport.NodeID, method string, req []byte, reply func([]byte, error)) {
-	f.hmu.RLock()
-	h, ok := f.handlers[method]
-	var ah transport.AsyncRPCHandler
-	if !ok && f.async != nil {
-		ah, ok = f.async[method]
-	}
-	f.hmu.RUnlock()
-	switch {
-	case ah != nil:
-		ah(from, req, reply)
-	case ok:
-		resp, err := h(from, req)
-		reply(resp, err)
-	default:
-		reply(nil, fmt.Errorf("no such method: %s", method))
 	}
 }

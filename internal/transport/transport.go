@@ -8,15 +8,19 @@
 // Two implementations exist:
 //
 //   - internal/simnet — the in-process simulated fabric. Deterministic,
-//     configurable latency, fault injection; the testing and
-//     paper-reproduction backend. Doorbell verbs are serviced on the
-//     caller's goroutine at ring time, modelling NIC-executed RDMA.
+//     configurable latency; the testing and paper-reproduction backend.
+//     Doorbell verbs are serviced on the caller's goroutine at ring
+//     time, modelling NIC-executed RDMA.
 //   - internal/tcpnet — length-prefixed frames over persistent per-link
 //     TCP connections, one OS process per node. Doorbell verbs are
 //     serviced at the destination on its receive path (TCP has no
 //     remote-memory primitive), but still as one envelope per ring: the
 //     batching — one round trip for N verbs — survives the transport
 //     swap, which is what the paper's cost model actually needs.
+//
+// Neither implements fault injection. Faults (faults.go) is the one
+// fault layer: an Endpoint wrapper that drops, delays, partitions and
+// crashes at the sender, the same way over either fabric.
 //
 // The contract is deliberately small and asynchronous so a third
 // backend (RDMA verbs, io_uring + registered buffers) can slot in

@@ -4,10 +4,10 @@
 #   1. The root package and every internal/ and cmd/ package must carry
 #      a package doc comment (go/doc extracts it; an empty .Doc means
 #      the comment is missing).
-#   2. The fabric packages (internal/simnet, internal/wire) must
-#      document every exported symbol — their godoc is the reference for
-#      the network/verb model (docs/NETWORK.md) — enforced by
-#      scripts/doccheck.
+#   2. The fabric packages (internal/simnet, internal/transport,
+#      internal/wire) must document every exported symbol — their godoc
+#      is the reference for the network/verb model (docs/NETWORK.md) —
+#      enforced by scripts/doccheck.
 #   3. Every relative markdown link in README.md and docs/ must point at
 #      a file or directory that exists (anchors are stripped; external
 #      http(s)/mailto links are skipped).
@@ -35,6 +35,10 @@
 #      by some other package — of the module, its tests or benchmark/.
 #      internal/check is the one exemption: it is the checker, run by its
 #      own tests.
+#   9. One fault layer: drops, spikes, partitions and crashes live in
+#      internal/transport (Faults, an Endpoint wrapper) and nowhere in a
+#      fabric — no .go file under internal/simnet or internal/tcpnet names
+#      the fault plan, its errors or a private fault roll.
 #
 # Exits non-zero with a list of offenders on failure.
 set -eu
@@ -51,7 +55,7 @@ if [ -n "$missing" ]; then
 fi
 
 # --- 2. exported-symbol docs in the fabric packages ---------------------
-if ! go run ./scripts/doccheck internal/simnet internal/wire; then
+if ! go run ./scripts/doccheck internal/simnet internal/transport internal/wire; then
     fail=1
 fi
 
@@ -115,6 +119,16 @@ unimported=$(go list -f '{{if ne .Name "main"}}{{.ImportPath}}{{end}}' ./interna
 if [ -n "$unimported" ]; then
     echo "packages nothing imports (delete them, or import them from what runs):" >&2
     echo "$unimported" >&2
+    fail=1
+fi
+
+# --- 9. one fault layer ---------------------------------------------------
+offenders=$(grep -rnE --include='*.go' \
+        'FaultPlan|ErrInjectedDrop|ErrPartitioned|ErrCrashed|rollFault|requestFault' \
+        internal/simnet internal/tcpnet || true)
+if [ -n "$offenders" ]; then
+    echo "fault injection inside a fabric (it belongs to transport.Faults, which wraps every fabric):" >&2
+    echo "$offenders" >&2
     fail=1
 fi
 
