@@ -145,8 +145,6 @@ func Open(opts ...Option) (*DB, error) {
 		Lanes:       cfg.lanes,
 		WALDir:      cfg.walDir,
 		WALPolicy: wal.Policy{
-			FlushInterval: cfg.fsync.FlushInterval,
-			FlushBytes:    cfg.fsync.FlushBytes,
 			NoSync:        cfg.fsync.NoSync,
 			SnapshotBytes: cfg.fsync.SnapshotBytes,
 		},

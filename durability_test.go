@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"testing"
-	"time"
 )
 
 // openDurableBank is openBank over a WithDurability dir. The loading
@@ -15,7 +14,7 @@ func openDurableBank(t *testing.T, dir string, opts ...Option) *DB {
 	t.Helper()
 	return openBank(t, 3, append([]Option{
 		WithDurability(dir),
-		WithFsyncPolicy(FsyncPolicy{NoSync: true, FlushInterval: 50 * time.Microsecond}),
+		WithFsyncPolicy(FsyncPolicy{NoSync: true}),
 	}, opts...)...)
 }
 
@@ -88,11 +87,11 @@ func TestDurabilityOptionValidation(t *testing.T) {
 	if _, err := Open(WithDurability("")); !errors.Is(err, ErrBadConfig) {
 		t.Fatalf("empty dir: err = %v, want ErrBadConfig", err)
 	}
-	if _, err := Open(WithFsyncPolicy(FsyncPolicy{FlushInterval: time.Millisecond})); !errors.Is(err, ErrBadConfig) {
+	if _, err := Open(WithFsyncPolicy(FsyncPolicy{NoSync: true})); !errors.Is(err, ErrBadConfig) {
 		t.Fatalf("fsync policy without durability: err = %v, want ErrBadConfig", err)
 	}
-	if _, err := Open(WithFsyncPolicy(FsyncPolicy{FlushInterval: -1})); !errors.Is(err, ErrBadConfig) {
-		t.Fatalf("negative interval: err = %v, want ErrBadConfig", err)
+	if _, err := Open(WithDurability(t.TempDir()), WithFsyncPolicy(FsyncPolicy{SnapshotBytes: -1})); !errors.Is(err, ErrBadConfig) {
+		t.Fatalf("negative snapshot bytes: err = %v, want ErrBadConfig", err)
 	}
 	if _, err := Open(
 		WithTransport(TransportTCP),

@@ -124,6 +124,9 @@ func runsPerCell(t *testing.T) int {
 // written to CHILLER_CHECKER_ARTIFACTS (or the system temp dir) for
 // offline replay — see docs/TESTING.md.
 func TestCheckerMatrix(t *testing.T) {
+	// The cells run in parallel, so the leak check spans the matrix: no
+	// goroutine any cell started may outlive its cluster's Close.
+	testutil.CheckLeaks(t)
 	runs := runsPerCell(t)
 	baseSeed := testutil.Seed(t, 20260729)
 	for _, c := range matrixCells() {
@@ -187,6 +190,7 @@ func TestCheckerMatrix(t *testing.T) {
 // cell that would expose a fault-injection artifact masquerading as an
 // engine bug).
 func TestCheckerMatrixNoFaults(t *testing.T) {
+	testutil.CheckLeaks(t)
 	seed := testutil.Seed(t, 4242)
 	for _, c := range matrixCells() {
 		c := c

@@ -307,7 +307,7 @@ func (e *Engine) runTwoRegion(ctx context.Context, req *txn.Request, proc *txn.P
 
 	// Wait for the inner region's replicas to acknowledge (to us, the
 	// coordinator — Figure 6) before completing the transaction.
-	if err := n.AwaitAcks(s.ID, s.ack); err != nil {
+	if err := s.ack.Await(); err != nil {
 		// The fabric closed under a committed inner region: the outer region
 		// can be neither completed nor (the abort wave fails too) rolled back.
 		s.Detail = "after inner commit: " + err.Error()
@@ -321,7 +321,7 @@ func (e *Engine) runTwoRegion(ctx context.Context, req *txn.Request, proc *txn.P
 	// the scratch from here: the result is built first, finish releases it.
 	res := txn.Result{Committed: true, Reads: s.Reads, Distributed: s.Distributed()}
 	w, outer := n.NewWave(), s.WriteSets()
-	replicating := w.ReplicateAll(s.ID, s.TS, s.Locked(), outer)
+	replicating := w.ReplicateAll(s.TS, s.Locked(), outer)
 	w.CommitAll(s.ID, s.TS, s.Locked(), outer)
 	e.tails.Add(1)
 	if !replicating && !s.Distributed() {
@@ -431,7 +431,7 @@ type scratch struct {
 	// Inner region: the bucket locks held and, once it committed (with
 	// TS), the waiter for its replicas' acks.
 	locks []innerLockRef
-	ack   *server.AckWaiter
+	ack   *server.Acks
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(scratch) }}

@@ -53,7 +53,7 @@ func execInnerOn(n *server.Node, txnID uint64, proc *txn.Procedure, args txn.Arg
 	defer s.release()
 	s.Reads = reads
 	reason := s.execInnerOnLane(n, proc, args, innerOps)
-	if reason == txn.AbortNone && n.AwaitAcks(txnID, s.ack) != nil {
+	if reason == txn.AbortNone && s.ack.Await() != nil {
 		panic("fabric closed under an inner region")
 	}
 	return reason
@@ -261,13 +261,15 @@ func multiHarness(t *testing.T) ([]*Engine, []*server.Node, *simfab.Network) {
 
 // faultyMultiHarness is multiHarness on a fabric with a fault plan.
 func faultyMultiHarness(t *testing.T, plan *transport.FaultPlan) ([]*Engine, []*server.Node, *simfab.Network) {
-	return replicatedHarness(t, plan, 1)
+	engines, nodes, net, _ := replicatedHarness(t, plan, 1)
+	return engines, nodes, net
 }
 
 // replicatedHarness is faultyMultiHarness at a replication degree
-// (partition p's replicas are the next nodes round). Its cleanup drains
-// the engines, closes the fabric and stops the nodes' lanes.
-func replicatedHarness(t *testing.T, plan *transport.FaultPlan, replication int) ([]*Engine, []*server.Node, *simfab.Network) {
+// (partition p's replicas are the next nodes round), also returning the
+// fault injector every endpoint is wrapped in. Its cleanup drains the
+// engines, closes the fabric and stops the nodes' lanes.
+func replicatedHarness(t *testing.T, plan *transport.FaultPlan, replication int) ([]*Engine, []*server.Node, *simfab.Network, *transport.Faults) {
 	t.Helper()
 	net := simfab.New(simfab.Config{})
 	faults := transport.NewFaults(plan)
@@ -296,7 +298,7 @@ func replicatedHarness(t *testing.T, plan *transport.FaultPlan, replication int)
 			n.Close()
 		}
 	})
-	return engines, nodes, net
+	return engines, nodes, net, faults
 }
 
 // drainAll joins every engine's background commit tails.
@@ -395,7 +397,7 @@ func TestRouteToWrongHostAbortsMoved(t *testing.T) {
 // Drain — and every goroutine it started — past Close.
 func TestTailExitsWhenFabricClosesMidJoin(t *testing.T) {
 	testutil.CheckLeaks(t)
-	engines, nodes, net := replicatedHarness(t, nil, 2)
+	engines, nodes, net, _ := replicatedHarness(t, nil, 2)
 	// Inner region: hot key 110 on node 1 (its replica, node 2, acks).
 	// Outer region: key 210 on node 2, whose replica — node 0 — swallows
 	// the stream, so the tail's join can only end with the fabric.
@@ -436,6 +438,82 @@ func TestTailExitsWhenFabricClosesMidJoin(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("the tail outlived the fabric")
 	}
+}
+
+// An inner region's unilateral commit fails cleanly only while nothing
+// has reached any replica. A first send that fails aborts the region:
+// nothing is applied anywhere, its commit timestamp and its locks are
+// released, it holds no ack waiter, and the same region commits once the
+// link heals. A failure after one replica got the write set panics.
+func TestInnerStreamFailsCleanlyOnlyBeforeAnySend(t *testing.T) {
+	proc := &txn.Procedure{Name: "hot", Ops: []txn.OpSpec{
+		{ID: 0, Type: txn.OpUpdate, Table: 1, Key: key(110), Mutate: setVal(77)},
+	}}
+	// Inline, not on a lane: the partial-send panic must reach this goroutine.
+	commit := func(n *server.Node) (*scratch, txn.AbortReason) {
+		s := newScratch(n, &txn.Request{ID: n.NextTxnID()}, proc)
+		s.Reads = txn.ReadSet{}
+		reason, durable := s.execInner(n, proc, nil, []int{0})
+		if err := durable.Wait(); err != nil {
+			t.Fatal(err)
+		}
+		return s, reason
+	}
+	value := func(n *server.Node) []byte {
+		v, _, _ := n.Store().Table(1).Bucket(110).Get(110)
+		return v
+	}
+
+	t.Run("first-send", func(t *testing.T) {
+		_, nodes, _, faults := replicatedHarness(t, nil, 2) // partition 1 streams to node 2
+		clock := storage.NewClock()
+		for _, n := range nodes {
+			n.SetClock(clock)
+		}
+		faults.Partition(1, 2)
+		s, reason := commit(nodes[1])
+		if reason != txn.AbortInternal || !strings.Contains(s.Detail, "node 2") {
+			t.Fatalf("reason %v (%q), want an internal abort naming the replica", reason, s.Detail)
+		}
+		if s.ack != nil || s.TS != 0 {
+			t.Fatal("an aborted region kept an ack waiter or a commit timestamp")
+		}
+		s.release()
+		if got := clock.Stable(); got != 1 {
+			t.Fatalf("stable timestamp %d, want 1: the failed commit's reservation was not released", got)
+		}
+		if v := value(nodes[1]); len(v) != 1 || v[0] != 110 {
+			t.Fatalf("primary holds %v, want the loaded [110]", v)
+		}
+		if v := value(nodes[2]); v != nil {
+			t.Fatalf("replica holds %v, want nothing", v)
+		}
+		assertUntouched(t, nodes)
+
+		faults.HealAll()
+		s, reason = commit(nodes[1])
+		if reason != txn.AbortNone {
+			t.Fatalf("after the heal: %v %s", reason, s.Detail)
+		}
+		if err := s.ack.Await(); err != nil {
+			t.Fatal(err)
+		}
+		s.release()
+		if p, r := value(nodes[1]), value(nodes[2]); len(p) != 1 || p[0] != 77 || len(r) != 1 || r[0] != 77 {
+			t.Fatalf("primary %v, replica %v after the heal, want [77] on both", p, r)
+		}
+	})
+
+	t.Run("after-one-send", func(t *testing.T) {
+		_, nodes, _, faults := replicatedHarness(t, nil, 3) // partition 1 streams to node 2, then node 0
+		faults.Partition(1, 0)
+		defer func() {
+			if r := recover(); r == nil {
+				t.Fatal("a partly streamed inner region was reported as a clean abort")
+			}
+		}()
+		commit(nodes[1])
+	})
 }
 
 // lockRecorder interposes a node's lock-wave doorbell, recording each

@@ -114,7 +114,7 @@ func innerLane(n *server.Node, proc *txn.Procedure, args txn.Args, innerOps []in
 }
 
 // execInnerOnLane executes and unilaterally commits an inner region on
-// this node: the whole region — lock, execute, commit, stream — runs on
+// this node: the whole region — lock, execute, stream, apply — runs on
 // the serial executor of the lane owning its hottest record, modelling
 // the paper's single-threaded execution engines (one per core, several
 // per node): inner regions competing for the same hot record never abort
@@ -228,25 +228,12 @@ func (s *scratch) execInner(n *server.Node, proc *txn.Procedure, args txn.Args, 
 		// already locked on this node (records are disjoint, buckets are
 		// hashed), and NO_WAIT against our own outer lock would
 		// self-abort the transaction on every retry, forever. Borrow the
-		// outer hold instead: a sufficient mode is free; held-shared
-		// upgrades in place with the participant state's bookkeeping
-		// updated so the outer release matches. Borrowed buckets are not
-		// tracked in s.locks — they stay locked until the outer region
-		// commits or aborts, which is exactly the span the colliding
-		// outer record needs anyway. The check runs only on conflict, so
-		// the common no-collision path costs nothing.
-		heldMode, held := n.HeldLockMode(txnID, b)
-		if !held {
-			return false
-		}
-		if heldMode == storage.LockExclusive || mode == storage.LockShared {
-			return true
-		}
-		if !b.Lock.Upgrade() {
-			return false
-		}
-		n.PromoteHeldLock(txnID, b)
-		return true
+		// outer hold instead. Borrowed buckets are not tracked in s.locks
+		// — they stay locked until the outer region commits or aborts,
+		// which is exactly the span the colliding outer record needs
+		// anyway. The check runs only on conflict, so the common
+		// no-collision path costs nothing.
+		return n.BorrowLock(txnID, b, mode)
 	}
 
 	for _, opID := range innerOps {
@@ -293,89 +280,28 @@ func (s *scratch) execInner(n *server.Node, proc *txn.Procedure, args txn.Args, 
 			return abort(reason)
 		}
 	}
-	writes := s.WriteSets()[innerPID]
-
-	// Unilateral commit: stream to the replicas, apply the writes, and
-	// release the inner locks. From the apply onward the transaction is
-	// committed (§3.3 step 4); the outer region can no longer abort it.
-	if n.FaultInjector != nil {
-		if err := n.FaultInjector(server.VerbCommit, txnID); err != nil {
-			return abort(txn.AbortInternal)
-		}
-	}
-
-	// Reserve the transaction's commit timestamp here — under the inner
-	// region's bucket locks, past the last abortable check — so per-key
-	// timestamp order equals lock order on the hot records. The stamp
-	// covers the inner stream, the local apply, and (through s.ts) every
-	// outer apply; the coordinator releases it at the end of its commit
-	// tail. The re-request ladder cannot double-reserve: a lock conflict
-	// aborts before this point, and a committed region ends the ladder.
-	// The two failure paths below release immediately — they apply nothing
-	// anywhere.
+	// Unilateral commit (§3.3 step 4). Reserve the commit timestamp here —
+	// under the hot records' locks, past the last abortable check — so
+	// per-key timestamp order equals lock order. It stamps the inner stream
+	// and apply and (through s.TS) every outer apply; the coordinator
+	// releases it at the end of its tail. The re-request ladder cannot
+	// double-reserve: a lock conflict aborts before this point.
 	var ts uint64
 	clock := n.Clock()
 	if clock != nil {
 		ts = clock.Reserve()
 	}
-
-	// Stream the new values to this partition's replicas without
-	// waiting; replicas acknowledge to this node, the coordinator
-	// (Figure 6). The stream is enqueued *before* the local apply and
-	// before the bucket locks release, for two load-bearing reasons: (a)
-	// conflicting inner regions (on other lanes, or outer regions of other
-	// transactions) are serialized only by these locks, so sending under
-	// them keeps stream order equal to commit order for every record
-	// (per-link FIFO delivery and per-lane replica apply do the rest); and
-	// (b) the send is the last step that can fail (fabric closing,
-	// partition window) — failing it before anything is applied lets the
-	// inner region abort cleanly instead of stranding a half-applied
-	// transaction that the coordinator reports as aborted. The send is a
-	// local enqueue and never waits on the network.
-	// Capture the stream targets once, while the bucket locks (and the
-	// partition pin) are held: the same snapshot sizes the ack wait —
-	// registered before the first send, so no ack can race past it — and
-	// receives the sends, so a warming replica added mid-handoff is either
-	// in both or in neither. A region with no writes streams nothing and
-	// its waiter is born fired.
-	var targets []transport.NodeID
-	if len(writes) > 0 {
-		targets = n.Directory().Topology().StreamTargets(innerPID)
-	}
-	ack := n.ExpectInnerAcks(txnID, len(targets))
-	fail := func() (txn.AbortReason, wal.Ticket) {
-		n.CancelInnerAcks(txnID)
-		n.ReleaseInnerWaiter(ack)
+	// Stream, apply and log, as a participant's [replicate, commit] frames
+	// do; a failed first send applied nothing anywhere. The durability
+	// wait happens off this lane (see execInnerOnLane).
+	ack, durable, err := n.CommitInner(innerPID, txnID, ts, s.WriteSets()[innerPID])
+	if err != nil {
 		if clock != nil {
 			clock.Release(ts)
 		}
+		s.Detail = "inner commit: " + err.Error()
 		return abort(txn.AbortInternal)
 	}
-	if sent, err := n.StreamInnerRepl(targets, n.ID(), txnID, ts, writes); err != nil {
-		if sent > 0 {
-			// A partially-sent stream means some replica will apply a
-			// write set this abort disowns; no compensation exists, so
-			// surface the invariant violation (only reachable by a
-			// blunt-mode partition or a mid-traffic fabric Close —
-			// every fault plan protects the stream).
-			panic(fmt.Sprintf("core: inner replication stream partially sent (%d replicas) then failed (txn %d): %v", sent, txnID, err))
-		}
-		return fail()
-	}
-	// The values are the ones this region's mutators just built: the
-	// store takes them as they are (txn.MutateFunc's ownership rule).
-	if err := server.ApplyWrites(n.Store(), ts, writes, true); err != nil {
-		// A write to a locked, verified record cannot legitimately fail;
-		// engine invariant violation.
-		return fail()
-	}
-	// Append to the lane's WAL while the bucket locks are still held —
-	// log order must equal commit order — then release. The ticket is
-	// returned to the caller: the coordinator must not build on (or
-	// acknowledge) the region before the record is durable, but the wait
-	// must happen OFF this lane's executor (blocking it would cap the
-	// lane at one inner region per flush; see execInnerOnLane).
-	durable := n.LogWrites(txnID, ts, writes)
 	release()
 	// Applied, streamed and logged: the tail must not commit them again.
 	// Their values stay in the own-write index for the outer ops.

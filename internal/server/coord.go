@@ -7,6 +7,7 @@ import (
 	"github.com/chillerdb/chiller/internal/cluster"
 	"github.com/chillerdb/chiller/internal/storage"
 	"github.com/chillerdb/chiller/internal/transport"
+	"github.com/chillerdb/chiller/internal/wal"
 )
 
 // Coordinator-side helpers. Every engine (2PL/2PC, OCC, Chiller) reaches
@@ -76,21 +77,23 @@ func participantWrites(topo *cluster.Topology, p transport.NodeID, writes map[cl
 // any. A participant with no stream target here (replication degree 1)
 // gets none: a presence test made under the locks — the backfill of a
 // target added later waits for those — never a count.
-func (w *Wave) ReplicateAll(txnID, ts uint64, participants []transport.NodeID, writes map[cluster.PartitionID][]WriteOp) bool {
+func (w *Wave) ReplicateAll(ts uint64, participants []transport.NodeID, writes map[cluster.PartitionID][]WriteOp) bool {
 	topo := w.n.dir.Topology()
 	for _, p := range participants {
 		ws, replicated := participantWrites(topo, p, writes)
 		if !replicated {
 			continue
 		}
-		w.ackID = txnID | outerAckBit
+		if w.ack == nil {
+			w.ack = w.n.OpenAcks()
+		}
 		if f, bell := w.post(p, KindReplicate); bell != nil {
-			f.slot = bell.PostReplicate(w.ackID, ts, ws)
+			f.slot = bell.PostReplicate(w.ack.id, ts, ws)
 		} else {
 			f.ts, f.writes = ts, ws
 		}
 	}
-	return w.ackID != 0
+	return w.ack != nil
 }
 
 // CommitAll posts the commit phase (apply writes, release locks) at every
@@ -117,7 +120,7 @@ func (w *Wave) CommitAll(txnID, ts uint64, participants []transport.NodeID, writ
 func (n *Node) Replicate(txnID, ts uint64, participants []transport.NodeID, writes map[cluster.PartitionID][]WriteOp) error {
 	w := n.NewWave()
 	defer w.Release()
-	if !w.ReplicateAll(txnID, ts, participants, writes) {
+	if !w.ReplicateAll(ts, participants, writes) {
 		return nil
 	}
 	w.Wait()
@@ -138,7 +141,7 @@ func (n *Node) Replicate(txnID, ts uint64, participants []transport.NodeID, writ
 // count sizes the coordinator's wait, which so follows a handoff's targets.
 func (n *Node) replicateLocal(ackTo transport.NodeID, ackID, ts uint64, writes []WriteOp) (sent int, err error) {
 	if n.FaultInjector != nil {
-		if err := n.FaultInjector(VerbReplicate, ackID&^outerAckBit); err != nil {
+		if err := n.FaultInjector(VerbReplicate, ackID); err != nil {
 			return 0, err
 		}
 	}
@@ -151,31 +154,55 @@ func (n *Node) replicateLocal(ackTo transport.NodeID, ackID, ts uint64, writes [
 		for run < len(writes) && partition(&writes[run]) == pid {
 			run++
 		}
-		s, serr := n.StreamInnerRepl(topo.StreamTargets(pid), ackTo, ackID, ts, writes[:run])
+		s, serr := n.stream(topo.StreamTargets(pid), ackTo, ackID, ts, writes[:run])
 		sent, writes, err = sent+s, writes[run:], serr
 	}
 	return sent, err
 }
 
-// StreamInnerRepl sends a write set to each stream target of its
-// partition as a one-way message and returns immediately: per §5 the
-// primary "moves on to the next transaction" without waiting. The
-// targets ack to ackTo, the transaction's coordinator, under txnID. This
-// stream is the one path that must stay two-sided: the §5 in-order-apply
-// property relies on per-link FIFO, which doorbells do not provide.
-//
-// The caller captures targets (Topology.StreamTargets) in the snapshot
-// the ack wait is sized by (an inner region registers the count first, a
-// replicate frame returns it), so the two agree across a handoff.
-//
-// On failure, sent reports how many sends had already gone out: callers
-// abort cleanly only when sent == 0; a partial stream has no
-// compensation path and is an engine invariant violation.
-func (n *Node) StreamInnerRepl(targets []transport.NodeID, ackTo transport.NodeID, txnID, ts uint64, writes []WriteOp) (sent int, err error) {
+// CommitInner is an inner region's unilateral commit (§3.3 step 4) at
+// pid's primary, under the region's locks, by the steps of a
+// participant's [replicate, commit] frames: stream to pid's targets, which
+// ack to this node, the coordinator (Figure 6); apply; log. The caller
+// releases its locks, waits on the ticket and awaits the waiter — nil when
+// nothing was streamed. Streaming first keeps stream order equal to commit
+// order and makes the send the last step that can fail: a failed first
+// send leaves nothing applied anywhere. A failure after one send cannot
+// be compensated and panics.
+func (n *Node) CommitInner(pid cluster.PartitionID, txnID, ts uint64, writes []WriteOp) (*Acks, wal.Ticket, error) {
+	var acks *Acks
+	if targets := n.dir.Topology().StreamTargets(pid); len(writes) > 0 && len(targets) > 0 {
+		acks = n.OpenAcks()
+		sent, err := n.stream(targets, n.ID(), acks.id, ts, writes)
+		if err != nil {
+			if sent > 0 {
+				panic(fmt.Sprintf("server: node %d: inner region of txn %d streamed to %d replica(s), then failed: %v", n.ID(), txnID, sent, err))
+			}
+			acks.Cancel()
+			return nil, wal.Ticket{}, err
+		}
+		acks.Resolve(sent)
+	}
+	tk, err := n.applyLog(txnID, ts, writes, true) // the mutators' own values
+	if err != nil {
+		acks.Cancel()
+		return nil, tk, err
+	}
+	return acks, tk, nil
+}
+
+// stream is the one sender onto the §5 replication stream: a one-way
+// message to each of targets, which ack to ackTo under ackID (an Acks
+// opened there); per §5 the primary "moves on" without waiting. It stays
+// two-sided: in-order apply relies on per-link FIFO, which doorbells do
+// not provide. On failure, sent counts the sends already out: callers
+// abort cleanly only when it is 0; a partial stream is an invariant
+// violation.
+func (n *Node) stream(targets []transport.NodeID, ackTo transport.NodeID, ackID, ts uint64, writes []WriteOp) (sent int, err error) {
 	if len(targets) == 0 {
 		return 0, nil
 	}
-	payload := EncodeInnerRepl(txnID, ts, ackTo, writes)
+	payload := EncodeInnerRepl(ackID, ts, ackTo, writes)
 	for _, r := range targets {
 		if err := n.ep.Send(r, VerbInnerRepl, payload); err != nil {
 			return sent, fmt.Errorf("server: inner repl to node %d: %w", r, err)

@@ -39,16 +39,15 @@ func (n *Node) SnapshotErr() error {
 	return nil
 }
 
-// LogWrites appends a committed write set to the WAL, one record per
+// logWrites appends a committed write set to the WAL, one record per
 // owning lane, and returns the ticket of the last one: LSNs are
 // node-global and batches land in order, so it covers the whole set. The
 // zero Ticket — no WAL attached, or an empty write set — is already
-// durable. Call it after ApplyWrites while the transaction still holds
-// its locks; Wait on the ticket after releasing them, and never on a
-// lane executor (the flush wait must extend neither lock hold times nor
-// the lane's serial schedule — that is the whole point of group commit
-// riding the async tails).
-func (n *Node) LogWrites(txnID, ts uint64, writes []WriteOp) wal.Ticket {
+// durable. Wait on it after releasing the transaction's locks, and never
+// on a lane executor (the flush wait must extend neither lock hold times
+// nor the lane's serial schedule — that is the whole point of group
+// commit riding the async tails).
+func (n *Node) logWrites(txnID, ts uint64, writes []WriteOp) wal.Ticket {
 	var tk wal.Ticket
 	if n.wal == nil || len(writes) == 0 {
 		return tk
@@ -210,7 +209,7 @@ func RecoverStore(st *storage.Store, rec *wal.Recovered) (maxTS uint64, err erro
 }
 
 // replayWrites applies a logged write set with pure upsert semantics:
-// unlike the live ApplyWrites, an update to a key the store does not
+// unlike the live applyWrites, an update to a key the store does not
 // hold yet must succeed (the key's insert may live in a snapshot the
 // crash predates, with initial values re-loaded by the caller). On an
 // MVCC store the replay is stamped, so chains above the watermark come

@@ -2,7 +2,6 @@ package server
 
 import (
 	"testing"
-	"time"
 
 	"github.com/chillerdb/chiller/internal/storage"
 	"github.com/chillerdb/chiller/internal/txn"
@@ -18,7 +17,7 @@ import (
 func TestCleanShutdownSnapshotBoundsReplay(t *testing.T) {
 	const lanes = 2
 	const commits = 40
-	policy := wal.Policy{FlushInterval: 50 * time.Microsecond, NoSync: true}
+	policy := wal.Policy{NoSync: true}
 
 	commitSome := func(t *testing.T, n *Node) {
 		t.Helper()
@@ -27,10 +26,10 @@ func TestCleanShutdownSnapshotBoundsReplay(t *testing.T) {
 				Type: txn.OpUpdate, Table: 1, Key: storage.Key(i % 10),
 				Value: []byte{byte(i), byte(i >> 8)},
 			}}
-			if err := ApplyWrites(n.Store(), 0, writes, false); err != nil {
+			if err := applyWrites(n.Store(), 0, writes, false); err != nil {
 				t.Fatal(err)
 			}
-			if err := n.LogWrites(uint64(i+1), 0, writes).Wait(); err != nil {
+			if err := n.logWrites(uint64(i+1), 0, writes).Wait(); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -39,11 +39,6 @@ import (
 // rejects new work, and only for the fence→flip window (microseconds of
 // drain, one flush round trip).
 
-// backfillBit namespaces backfill stream ids away from transaction ids
-// and their outer-ack keys (outerAckBit), so all three ack kinds share
-// the node's ack table without collisions.
-const backfillBit = uint64(1) << 62
-
 // handoffDrainTimeout bounds the fence→drain wait; NO_WAIT locking
 // finishes pinned transactions in microseconds, so hitting this means a
 // wedged coordinator and the handoff aborts rather than forcing a flip.
@@ -59,8 +54,7 @@ const handoffDrainTimeout = 10 * time.Second
 // order. Duplicate applies (a record both backfilled and streamed by a
 // racing commit) are idempotent at equal timestamps.
 func (n *Node) BackfillPartition(pid cluster.PartitionID, to transport.NodeID) error {
-	fid := n.NextTxnID() | backfillBit
-	ack := n.ExpectPendingAcks(fid)
+	acks := n.OpenAcks()
 	sent, target := 0, []transport.NodeID{to}
 	var serr error
 	for _, tid := range n.store.Tables() {
@@ -88,7 +82,7 @@ func (n *Node) BackfillPartition(pid cluster.PartitionID, to transport.NodeID) e
 				byTS[r.TS] = append(byTS[r.TS], WriteOp{Table: tbl.ID(), Key: r.Key, Type: txn.OpInsert, Value: r.Value})
 			}
 			for ts, ws := range byTS {
-				s, err := n.StreamInnerRepl(target, n.ID(), fid, ts, ws)
+				s, err := n.stream(target, n.ID(), acks.id, ts, ws)
 				if sent += s; err != nil {
 					serr = fmt.Errorf("server: backfill of partition %d: %w", pid, err)
 					break
@@ -101,12 +95,11 @@ func (n *Node) BackfillPartition(pid cluster.PartitionID, to transport.NodeID) e
 		}
 	}
 	if serr != nil {
-		n.CancelInnerAcks(fid)
-		n.ReleaseInnerWaiter(ack)
+		acks.Cancel()
 		return serr
 	}
-	n.ResolveInnerAcks(fid, sent)
-	return n.AwaitAcks(fid, ack)
+	acks.Resolve(sent)
+	return acks.Await()
 }
 
 // HandoffPartition runs the full handoff protocol above, moving the

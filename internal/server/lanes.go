@@ -116,7 +116,7 @@ func (n *Node) SubmitLane(lane int, f func()) {
 
 // doneChanPool recycles the rendezvous channels WithLaneSerial blocks
 // on; at benchmark rates a fresh channel per inner region was measurable
-// allocation churn (same reasoning as the AckWaiter pool).
+// allocation churn (same reasoning as the Acks pool).
 var doneChanPool = sync.Pool{
 	New: func() any { return make(chan struct{}, 1) },
 }
@@ -194,7 +194,7 @@ func (n *Node) applyByLane(txnID, ts uint64, writes []WriteOp, done func(error))
 	// let alone append, until this closure returns, so log order = apply
 	// order per lane. The ticket is zero when nothing was logged.
 	//
-	// The apply is tolerant (replayWrites, not the strict ApplyWrites):
+	// The apply is tolerant (replayWrites, not the strict applyWrites):
 	// a warming node added mid-handoff legitimately sees commit-stream
 	// messages for records its backfill has not copied yet — an update
 	// to a missing key must land as an insert, and a missing table must

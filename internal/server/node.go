@@ -57,10 +57,11 @@ type Node struct {
 	// reach zero.
 	partPins map[cluster.PartitionID]int
 
-	// Pending replica acks awaited by local coordinators (a transaction's
-	// inner acks, its outer acks, a backfill's): ack id → countdown.
+	// Pending replica acks awaited here (see Acks): ack id → waiter. Ids
+	// come from ackSeq, so every sender's acks share one namespace.
 	ackMu   sync.Mutex
-	acks    map[uint64]*AckWaiter
+	ackSeq  uint64
+	acks    map[uint64]*Acks
 	sampler AccessObserver
 
 	// lanes are the node's single-threaded execution lanes (see
@@ -74,9 +75,10 @@ type Node struct {
 	laneWG    sync.WaitGroup
 	closeOnce sync.Once
 
-	// FaultInjector, when non-nil, is consulted before commits and
-	// replicate frames; tests use it to simulate participant failures.
-	FaultInjector func(verb string, txnID uint64) error
+	// FaultInjector, when non-nil, is consulted before commit frames (with
+	// the transaction's id) and replicate frames (with the id the stream
+	// acks under); tests use it to simulate participant failures.
+	FaultInjector func(verb string, id uint64) error
 
 	// wal, when non-nil, is the node's write-ahead log: commit-point
 	// applies append to it before acknowledging (see durability.go).
@@ -91,22 +93,6 @@ type Node struct {
 	// (MVCC deployments only). Engines Reserve from it at their commit
 	// points and read-only transactions snapshot at its Stable watermark.
 	clock *storage.Clock
-}
-
-// AckWaiter tracks one transaction's pending inner-replica acks. Waiters
-// are pooled: at benchmark rates the per-transaction waiter+channel pair
-// was measurable allocation churn.
-type AckWaiter struct {
-	remaining int
-	ch        chan struct{} // buffered(1): signalled when remaining hits 0
-}
-
-// Done returns the channel that receives exactly one token when every
-// expected ack has arrived.
-func (w *AckWaiter) Done() <-chan struct{} { return w.ch }
-
-var ackPool = sync.Pool{
-	New: func() any { return &AckWaiter{ch: make(chan struct{}, 1)} },
 }
 
 // partState tracks one transaction's footprint on this participant.
@@ -151,7 +137,7 @@ func New(ep transport.Endpoint, st *storage.Store, reg *txn.Registry, dir *clust
 		state:    make(map[uint64]*partState),
 		fenced:   make(map[cluster.PartitionID]bool),
 		partPins: make(map[cluster.PartitionID]int),
-		acks:     make(map[uint64]*AckWaiter),
+		acks:     make(map[uint64]*Acks),
 		vm:       NewVerbMetrics(),
 	}
 	nLanes := dir.Lanes()
@@ -409,7 +395,7 @@ func (n *Node) CommitLocal(txnID, ts uint64, writes []WriteOp) error {
 }
 
 // commitLocal is CommitLocal with the values' ownership stated (see
-// ApplyWrites): a wave passes owned for the coordinator's own node,
+// applyWrites): a wave passes owned for the coordinator's own node,
 // where the values are the ones the transaction's mutators built.
 func (n *Node) commitLocal(txnID, ts uint64, writes []WriteOp, owned bool) error {
 	if n.FaultInjector != nil {
@@ -417,14 +403,11 @@ func (n *Node) commitLocal(txnID, ts uint64, writes []WriteOp, owned bool) error
 			return err
 		}
 	}
-	if err := ApplyWrites(n.store, ts, writes, owned); err != nil {
-		// A write to a locked, verified record cannot legitimately fail;
-		// treat as an engine invariant violation.
-		n.releaseAll(txnID)
-		return fmt.Errorf("server: commit apply: %w", err)
-	}
-	tk := n.LogWrites(txnID, ts, writes)
+	tk, err := n.applyLog(txnID, ts, writes, owned)
 	n.releaseAll(txnID)
+	if err != nil {
+		return err
+	}
 	if ferr := tk.Wait(); ferr != nil {
 		// The writes are applied and the locks are gone; a failed
 		// flush cannot be unwound and every later commit shares the
@@ -521,9 +504,20 @@ func (n *Node) LeavePartition(pid cluster.PartitionID) {
 	n.stMu.Unlock()
 }
 
-// ApplyWrites applies a write set to a store (used by participants at
-// commit and by inner regions). Inserts that find the key already present
-// degrade to updates, which makes application idempotent. ts is the
+// applyLog is a write set's commit point at its primary — a commit
+// frame's, an inner region's: apply, then log. Call it under the
+// transaction's locks (log order must equal commit order); release them,
+// then wait on the ticket. An apply error is an engine invariant
+// violation: a write to a locked, verified record cannot fail.
+func (n *Node) applyLog(txnID, ts uint64, writes []WriteOp, owned bool) (wal.Ticket, error) {
+	if err := applyWrites(n.store, ts, writes, owned); err != nil {
+		return wal.Ticket{}, fmt.Errorf("server: commit apply: %w", err)
+	}
+	return n.logWrites(txnID, ts, writes), nil
+}
+
+// applyWrites applies a write set to a store. Inserts that find the key
+// already present degrade to updates, which makes application idempotent. ts is the
 // transaction's commit timestamp; when the store retains versions
 // (MVCC) the overwritten values go onto the version chains stamped with
 // it, otherwise it is ignored.
@@ -534,7 +528,7 @@ func (n *Node) LeavePartition(pid cluster.PartitionID) {
 // engine's — an inner region's writes, a coordinator's own-node commit.
 // A decoded write set aliases its receive buffer and must pass false.
 // Stores that retain versions copy either way.
-func ApplyWrites(st *storage.Store, ts uint64, writes []WriteOp, owned bool) error {
+func applyWrites(st *storage.Store, ts uint64, writes []WriteOp, owned bool) error {
 	mvcc := st.MVCCEnabled()
 	for i := range writes {
 		w := &writes[i]
@@ -569,11 +563,6 @@ func ApplyWrites(st *storage.Store, ts uint64, writes []WriteOp, owned bool) err
 	}
 	return nil
 }
-
-// outerAckBit keys a transaction's outer replica acks apart from its
-// inner region's, which arrive under the bare transaction id
-// (node<<40|seq never sets the top bit): it can await both at once.
-const outerAckBit = uint64(1) << 63
 
 // --- The replication stream (§5, Figure 6) ---
 
@@ -662,128 +651,107 @@ func (n *Node) handleInnerAck(_ transport.NodeID, req []byte) ([]byte, error) {
 // countDown takes by off the waiter registered under id, firing it at zero.
 func (n *Node) countDown(id uint64, by int) {
 	n.ackMu.Lock()
-	if w, ok := n.acks[id]; ok {
-		if w.remaining -= by; w.remaining <= 0 {
+	if a, ok := n.acks[id]; ok {
+		if a.remaining -= by; a.remaining <= 0 {
 			delete(n.acks, id)
-			w.ch <- struct{}{} // cap 1, single signaller: never blocks
+			a.ch <- struct{}{} // cap 1, single signaller: never blocks
 		}
 	}
 	n.ackMu.Unlock()
 }
 
-// ExpectInnerAcks registers that the local coordinator will wait for
-// `count` replica acks for txnID. It must be called *before* the stream
-// is sent, so acks can never race past registration. The returned
-// waiter's Done channel receives when all acks arrive (immediately if
-// count <= 0). Hand the waiter back with ReleaseInnerWaiter when done.
-func (n *Node) ExpectInnerAcks(txnID uint64, count int) *AckWaiter {
-	w := ackPool.Get().(*AckWaiter)
-	if count <= 0 {
-		w.remaining = 0
-		w.ch <- struct{}{}
-		return w
+// Acks is one wait for replica acks on the §5 replication stream — an
+// inner region's, a wave's replicate frames', a backfill's — used the
+// same way by every sender: OpenAcks before the first send, so no ack can
+// race past it; Resolve with the sends made, or Cancel; Await. Pooled:
+// per-transaction waiters were measurable allocation churn.
+type Acks struct {
+	n         *Node
+	id        uint64 // the stream messages carry it; replicas ack under it
+	remaining int
+	ch        chan struct{} // buffered(1): signalled when remaining hits 0
+}
+
+var ackPool = sync.Pool{
+	New: func() any { return &Acks{ch: make(chan struct{}, 1)} },
+}
+
+// pendingAcks is the count a waiter opens with: far above any real
+// replica count, so early acks count down but cannot fire it; Resolve
+// subtracts it back out, race-free for every interleaving.
+const pendingAcks = 1 << 50
+
+// OpenAcks registers a pending wait under a fresh id.
+func (n *Node) OpenAcks() *Acks {
+	a := ackPool.Get().(*Acks)
+	a.n, a.remaining = n, pendingAcks
+	n.ackMu.Lock()
+	n.ackSeq++
+	a.id = n.ackSeq
+	n.acks[a.id] = a
+	n.ackMu.Unlock()
+	return a
+}
+
+// Resolve fixes the wait at sent acks, the stream messages actually sent.
+// If every ack already arrived — or sent is zero — the waiter fires now.
+func (a *Acks) Resolve(sent int) { a.n.countDown(a.id, pendingAcks-sent) }
+
+// Cancel discards the wait (nothing to join: the send failed, or the
+// joiner gave up) and recycles the waiter; a late ack is ignored. A nil
+// waiter is a no-op.
+func (a *Acks) Cancel() {
+	if a == nil {
+		return
 	}
-	w.remaining = count
-	n.ackMu.Lock()
-	n.acks[txnID] = w
-	n.ackMu.Unlock()
-	return w
-}
-
-// pendingAckSentinel is the provisional remaining-count a waiter is
-// registered with before its sender knows how many acks to expect. It is
-// far above any real replica count, so early acks can decrement but
-// never fire the waiter; ResolveInnerAcks subtracts it back out once the
-// true count is known — the countdown arithmetic of handleInnerAck,
-// race-free for every interleaving of acks and resolution.
-const pendingAckSentinel = 1 << 50
-
-// ExpectPendingAcks registers a waiter for txnID before the number of
-// expected acks is known (a wave's replicate frames are counted by the
-// primaries serving them, a backfill by sending; a sender that knows its
-// targets up front uses ExpectInnerAcks). Pair with ResolveInnerAcks
-// (success) or CancelInnerAcks (abort).
-func (n *Node) ExpectPendingAcks(txnID uint64) *AckWaiter {
-	return n.ExpectInnerAcks(txnID, pendingAckSentinel)
-}
-
-// ResolveInnerAcks fixes a pending waiter's expected ack count to
-// streamed (the number of stream messages actually sent). If every
-// ack already arrived — or streamed is zero — the waiter fires now.
-func (n *Node) ResolveInnerAcks(txnID uint64, streamed int) {
-	n.countDown(txnID, pendingAckSentinel-streamed)
-}
-
-// CancelInnerAcks discards a registered waiter (inner region aborted, so
-// no replication will happen).
-func (n *Node) CancelInnerAcks(txnID uint64) {
-	n.ackMu.Lock()
-	delete(n.acks, txnID)
-	n.ackMu.Unlock()
-}
-
-// ReleaseInnerWaiter returns a waiter to the pool. The caller must have
-// either received from Done or cancelled the registration; any stale
-// token is drained here so the waiter is reusable.
-func (n *Node) ReleaseInnerWaiter(w *AckWaiter) {
+	a.n.ackMu.Lock()
+	delete(a.n.acks, a.id)
+	a.n.ackMu.Unlock()
 	select {
-	case <-w.ch:
+	case <-a.ch: // fired before the cancel: drain, so the waiter is reusable
 	default:
 	}
-	ackPool.Put(w)
+	a.n = nil
+	ackPool.Put(a)
 }
 
-// AwaitAcks blocks until the waiter registered under id fires and hands it
-// back to the pool. Fabric teardown (acks die silently with the dispatcher)
-// cancels the registration and returns transport.ErrClosed instead.
-func (n *Node) AwaitAcks(id uint64, w *AckWaiter) error {
-	select {
-	case <-w.Done():
-		n.ReleaseInnerWaiter(w)
+// Await blocks until every resolved ack has arrived and recycles the
+// waiter. Fabric teardown (acks die silently with the dispatcher)
+// cancels it and returns transport.ErrClosed instead. A nil waiter —
+// nothing was streamed for — returns at once.
+func (a *Acks) Await() error {
+	if a == nil {
 		return nil
-	case <-n.ep.Closed():
-		n.CancelInnerAcks(id)
-		n.ReleaseInnerWaiter(w)
+	}
+	select {
+	case <-a.ch:
+		a.n = nil
+		ackPool.Put(a)
+		return nil
+	case <-a.n.ep.Closed():
+		a.Cancel()
 		return transport.ErrClosed
 	}
 }
 
-// HeldLockMode reports whether txnID's participant state on this node
-// already holds bucket b, and in which mode. The inner-region executor
-// consults it to detect bucket sharing between a transaction's outer and
-// inner regions: records are disjoint by construction, but bucket-level
-// locking can hash an outer record and an inner record into one bucket,
-// and NO_WAIT would otherwise self-abort the transaction forever.
-func (n *Node) HeldLockMode(txnID uint64, b *storage.Bucket) (storage.LockMode, bool) {
+// BorrowLock reports whether txnID's participant state on this node
+// already holds bucket b in a mode covering mode, upgrading a shared hold
+// in place (lock word and bookkeeping) when mode is exclusive. An inner
+// region borrows the hold of a bucket it shares with its transaction's
+// outer region: records are disjoint by construction, but bucket-level
+// locking can hash an outer and an inner record into one bucket, and
+// NO_WAIT would otherwise self-abort the transaction forever.
+func (n *Node) BorrowLock(txnID uint64, b *storage.Bucket, mode storage.LockMode) bool {
 	n.stMu.Lock()
 	defer n.stMu.Unlock()
 	st := n.state[txnID]
 	if st == nil {
-		return 0, false
+		return false
 	}
-	for _, l := range st.locks {
-		if l.bucket == b {
-			return l.mode, true
-		}
+	held, i := st.hasLock(b, mode)
+	if held || i < 0 || !b.Lock.Upgrade() {
+		return held
 	}
-	return 0, false
-}
-
-// PromoteHeldLock records that bucket b's lock, held by txnID's
-// participant state, was upgraded to exclusive (the lock word itself was
-// already upgraded by the caller), so the eventual release matches the
-// held mode.
-func (n *Node) PromoteHeldLock(txnID uint64, b *storage.Bucket) {
-	n.stMu.Lock()
-	defer n.stMu.Unlock()
-	st := n.state[txnID]
-	if st == nil {
-		return
-	}
-	for i := range st.locks {
-		if st.locks[i].bucket == b {
-			st.locks[i].mode = storage.LockExclusive
-			return
-		}
-	}
+	st.locks[i].mode = storage.LockExclusive
+	return true
 }

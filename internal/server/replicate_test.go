@@ -88,9 +88,9 @@ func TestWaveReplicateThenCommit(t *testing.T) {
 			spy.take()
 
 			var order []string
-			primary.FaultInjector = func(verb string, txnID uint64) error {
-				if txnID != 7 {
-					t.Errorf("%s frame injected for txn %#x, want 7", verb, txnID)
+			primary.FaultInjector = func(verb string, id uint64) error {
+				if verb == VerbCommit && id != 7 {
+					t.Errorf("commit frame injected for txn %#x, want 7", id)
 				}
 				if !primary.Store().Table(1).Bucket(k).Lock.Held() {
 					t.Errorf("%s frame ran after the lock was released", verb)
@@ -100,7 +100,7 @@ func TestWaveReplicateThenCommit(t *testing.T) {
 			}
 			writes := map[cluster.PartitionID][]WriteOp{1: update(k, 0xB1)}
 			w := coord.NewWave()
-			w.ReplicateAll(7, 0, []transport.NodeID{1}, writes)
+			w.ReplicateAll(0, []transport.NodeID{1}, writes)
 			w.CommitAll(7, 0, []transport.NodeID{1}, writes)
 			w.Reap() // a replicating wave observes the round trip regardless
 			if err := w.Errs(); err != nil {
@@ -145,7 +145,7 @@ func TestWaveLocalCommitTakesNoWaiter(t *testing.T) {
 	writes := map[cluster.PartitionID][]WriteOp{0: update(k, 0xC1)}
 	allocs := testing.AllocsPerRun(1, func() {
 		w := coord.NewWave()
-		if w.ReplicateAll(8, 0, []transport.NodeID{0}, writes) {
+		if w.ReplicateAll(0, []transport.NodeID{0}, writes) {
 			t.Error("a replicate frame was posted for a partition with no stream target")
 		}
 		w.CommitAll(8, 0, []transport.NodeID{0}, writes)
@@ -178,9 +178,9 @@ func TestReplicateCountsTargetsAtThePrimary(t *testing.T) {
 	topo := coord.Directory().Topology()
 	replica := topo.Replicas(1)[0]
 	k := distinctKeys(t, primary, 1)[0]
-	post := func(txnID uint64, v byte) *Wave {
+	post := func(v byte) *Wave {
 		w := coord.NewWave()
-		if !w.ReplicateAll(txnID, 0, []transport.NodeID{1}, map[cluster.PartitionID][]WriteOp{1: update(k, v)}) {
+		if !w.ReplicateAll(0, []transport.NodeID{1}, map[cluster.PartitionID][]WriteOp{1: update(k, v)}) {
 			t.Fatal("no replicate frame posted for a replicated partition")
 		}
 		return w
@@ -189,7 +189,7 @@ func TestReplicateCountsTargetsAtThePrimary(t *testing.T) {
 	// Added: node 3 starts warming after the frame was posted. Its apply
 	// is held back, so the join must still be waiting once the synced
 	// replica has acked.
-	w := post(21, 0xD1)
+	w := post(0xD1)
 	release := gateStream(t, nodes[3])
 	if err := topo.AddWarming(1, 3); err != nil {
 		t.Fatal(err)
@@ -210,7 +210,7 @@ func TestReplicateCountsTargetsAtThePrimary(t *testing.T) {
 
 	// Removed: both targets leave after the frame was posted. Nothing is
 	// streamed and the join returns at once.
-	w = post(22, 0xD2)
+	w = post(0xD2)
 	topo.RemoveWarming(1, 3)
 	if err := topo.RemoveReplica(1, replica); err != nil {
 		t.Fatal(err)
@@ -244,7 +244,7 @@ func TestReplicaJoinExitsOnClose(t *testing.T) {
 			k := distinctKeys(t, primary, 2)
 
 			w := coord.NewWave()
-			w.ReplicateAll(31, 0, []transport.NodeID{1}, map[cluster.PartitionID][]WriteOp{1: update(k[0], 0xE1)})
+			w.ReplicateAll(0, []transport.NodeID{1}, map[cluster.PartitionID][]WriteOp{1: update(k[0], 0xE1)})
 			w.Wait()
 			if err := w.Errs(); err != nil || w.streamed != 1 {
 				t.Fatalf("streamed = %d (%v), want 1", w.streamed, err)
@@ -303,4 +303,38 @@ func TestReplicatePhaseFailsCleanlyOnlyBeforeAnySend(t *testing.T) {
 		}
 	}()
 	_ = coord.Replicate(42, 0, []transport.NodeID{1, 2}, writes)
+}
+
+// An inner region's commit takes an ack waiter only when it streams, and
+// a first send that fails leaves none behind and applies nothing.
+func TestCommitInnerWaiter(t *testing.T) {
+	nodes, spy := waveCluster(t, "simfab", 2)
+	primary := nodes[1]
+	replica := nodes[primary.Directory().Topology().Replicas(1)[0]]
+	k := distinctKeys(t, primary, 1)[0]
+
+	if acks, _, err := primary.CommitInner(1, 51, 0, nil); acks != nil || err != nil {
+		t.Fatalf("no writes: waiter %v, err %v; want neither", acks, err)
+	}
+	acks, _, err := primary.CommitInner(1, 52, 0, update(k, 0xA1))
+	if err != nil || acks == nil {
+		t.Fatalf("waiter %v, err %v; want a waiter", acks, err)
+	}
+	if err := acks.Await(); err != nil {
+		t.Fatal(err)
+	}
+	if v := valueAt(t, replica, k); v != 0xA1 {
+		t.Fatalf("replica holds %#x once joined, want 0xa1", v)
+	}
+
+	spy.closeFabric()
+	if acks, _, err := primary.CommitInner(1, 53, 0, update(k, 0xA2)); acks != nil || err == nil {
+		t.Fatalf("after close: waiter %v, err %v; want an error and no waiter", acks, err)
+	}
+	if v := valueAt(t, primary, k); v != 0xA1 {
+		t.Fatalf("a failed commit applied %#x at the primary", v)
+	}
+	if len(primary.acks) != 0 {
+		t.Fatalf("%d ack registrations left behind by a clean failure", len(primary.acks))
+	}
 }

@@ -3,10 +3,10 @@ package server
 import (
 	"errors"
 	"testing"
-	"time"
 
 	"github.com/chillerdb/chiller/internal/cluster"
 	"github.com/chillerdb/chiller/internal/storage"
+	"github.com/chillerdb/chiller/internal/transport"
 	"github.com/chillerdb/chiller/internal/transport/simfab"
 	"github.com/chillerdb/chiller/internal/txn"
 	"github.com/chillerdb/chiller/internal/wire"
@@ -197,47 +197,71 @@ func TestInnerReplEncodeDecode(t *testing.T) {
 	}
 }
 
-func TestExpectInnerAcks(t *testing.T) {
-	n, _ := newTestNode(t)
-	w := n.ExpectInnerAcks(9, 2)
-	select {
-	case <-w.Done():
-		t.Fatal("signalled before acks")
-	default:
+// The one ack waiter every stream sender uses: acks that arrive before
+// Resolve count down without firing it; Resolve(0) fires at once; Cancel
+// leaves nothing behind and a late ack is ignored; Await ends on fabric
+// teardown.
+func TestAckWaiter(t *testing.T) {
+	n, net := newTestNode(t)
+	ack := func(a *Acks) {
+		t.Helper()
+		if _, err := n.handleInnerAck(0, EncodeAbort(a.id)); err != nil {
+			t.Fatal(err)
+		}
 	}
-	// Deliver two acks through the handler path.
-	if _, err := n.handleInnerAck(0, EncodeAbort(9)); err != nil {
+	fired := func(a *Acks) bool {
+		t.Helper()
+		select {
+		case <-a.ch:
+			a.ch <- struct{}{} // put the token back for Await
+			return true
+		default:
+			return false
+		}
+	}
+
+	a := n.OpenAcks()
+	aID := a.id
+	ack(a) // arrives before the sender has counted its sends
+	if fired(a) {
+		t.Fatal("an open waiter fired before Resolve")
+	}
+	a.Resolve(2)
+	if fired(a) {
+		t.Fatal("fired after one of two acks")
+	}
+	ack(a)
+	if err := a.Await(); err != nil {
 		t.Fatal(err)
 	}
-	select {
-	case <-w.Done():
-		t.Fatal("signalled after one ack")
-	default:
+
+	if b := n.OpenAcks(); b.id == aID {
+		t.Fatal("two waiters share an id")
+	} else {
+		b.Resolve(0) // nothing was sent: fires now
+		if err := b.Await(); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if _, err := n.handleInnerAck(0, EncodeAbort(9)); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case <-w.Done():
-	case <-time.After(time.Second):
-		t.Fatal("not signalled after all acks")
-	}
-	n.ReleaseInnerWaiter(w)
-	// Zero expected acks: immediately ready.
-	w0 := n.ExpectInnerAcks(10, 0)
-	select {
-	case <-w0.Done():
-	default:
-		t.Fatal("zero-count waiter not pre-signalled")
-	}
-	n.ReleaseInnerWaiter(w0)
-	// Cancel discards; a released waiter must come back reusable even if
-	// it was never signalled.
-	wc := n.ExpectInnerAcks(11, 1)
-	n.CancelInnerAcks(11)
-	n.ReleaseInnerWaiter(wc)
-	if _, err := n.handleInnerAck(0, EncodeAbort(11)); err != nil {
+
+	c := n.OpenAcks()
+	id := c.id
+	c.Cancel()
+	if _, err := n.handleInnerAck(0, EncodeAbort(id)); err != nil {
 		t.Fatal("late ack after cancel should be ignored, not error")
+	}
+
+	d := n.OpenAcks()
+	d.Resolve(1) // the replica never acks
+	net.Close()
+	if err := d.Await(); !errors.Is(err, transport.ErrClosed) {
+		t.Fatalf("Await after Close = %v, want ErrClosed", err)
+	}
+	if len(n.acks) != 0 {
+		t.Fatalf("%d ack registrations left behind", len(n.acks))
+	}
+	if err := (*Acks)(nil).Await(); err != nil {
+		t.Fatalf("a nil waiter (nothing streamed) = %v", err)
 	}
 }
 

@@ -110,7 +110,7 @@ func (n *Node) validateLocal(txnID uint64, entries []LockEntry, versions []uint6
 		// serializability checker, internal/check). The read validates
 		// only if no other transaction write-locks the bucket — a NO_WAIT
 		// shared probe; our own write lock (read ∩ write set) is fine.
-		if _, held := n.HeldLockMode(txnID, b); held {
+		if n.BorrowLock(txnID, b, storage.LockShared) {
 			continue
 		}
 		if !b.Lock.TryLock(storage.LockShared) {

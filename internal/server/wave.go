@@ -42,10 +42,9 @@ type Wave struct {
 	destArr  [4]waveDest
 	frameArr [6]waveFrame
 
-	// ackID, set by a replicate frame, keys the replicas' acks: the gather
-	// registers ack pending and resolves it with the sends the primaries report.
-	ackID    uint64
-	ack      *AckWaiter
+	// ack, opened by the first replicate frame, is the replicas' acks: the
+	// gather resolves it with the sends the primaries report.
+	ack      *Acks
 	rung     time.Time
 	streamed int
 }
@@ -100,8 +99,9 @@ func (w *Wave) Release() {
 	// Zero what was used, not the whole inline storage.
 	clear(w.dests)
 	clear(w.frames)
+	w.ack.Cancel() // never joined: nothing may wait on it any more
 	w.n, w.dests, w.frames = nil, nil, nil
-	w.ackID, w.ack, w.streamed = 0, nil, 0
+	w.ack, w.streamed = nil, 0
 	wavePool.Put(w)
 }
 
@@ -203,12 +203,11 @@ func (w *Wave) Wait() { w.gather(false) }
 // ring time and only invariant violations are checked). See
 // PendingDoorbell.Reap. A wave that replicates observes them regardless:
 // its caller waits out the longer replica-ack path anyway.
-func (w *Wave) Reap() { w.gather(w.ackID == 0) }
+func (w *Wave) Reap() { w.gather(w.ack == nil) }
 
 func (w *Wave) gather(reap bool) {
-	if w.ackID != 0 {
-		// Before any ring, so no ack can race past the registration.
-		w.ack, w.rung = w.n.ExpectPendingAcks(w.ackID), time.Now()
+	if w.ack != nil {
+		w.rung = time.Now()
 	}
 	for i := range w.dests {
 		if d := &w.dests[i]; d.bell != nil {
@@ -225,7 +224,7 @@ func (w *Wave) gather(reap bool) {
 		case KindLockRead:
 			n.lockRead(f.txnID, f.entries, &f.resp)
 		case KindReplicate:
-			f.streamed, f.err = n.replicateLocal(n.ID(), w.ackID, f.ts, f.writes)
+			f.streamed, f.err = n.replicateLocal(n.ID(), w.ack.id, f.ts, f.writes)
 		case KindCommit:
 			// The coordinator's own values: handed to the store, not
 			// copied (see commitLocal).
@@ -262,7 +261,7 @@ func (w *Wave) gather(reap bool) {
 			}
 			w.streamed += f.streamed
 		}
-		n.ResolveInnerAcks(w.ackID, w.streamed)
+		w.ack.Resolve(w.streamed)
 	}
 }
 
@@ -270,10 +269,7 @@ func (w *Wave) gather(reap bool) {
 // without a replicate frame) and observes KindReplApply, ring → last ack;
 // fabric teardown ends it with transport.ErrClosed. Call after the gather.
 func (w *Wave) JoinReplicas() error {
-	if w.ack == nil {
-		return nil
-	}
-	err := w.n.AwaitAcks(w.ackID, w.ack)
+	err := w.ack.Await()
 	w.ack = nil
 	if err == nil && w.streamed > 0 {
 		w.n.vm.Observe(KindReplApply, time.Since(w.rung))

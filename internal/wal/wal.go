@@ -46,7 +46,6 @@ import (
 	"path/filepath"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // Record types.
@@ -71,14 +70,6 @@ var ErrClosed = errors.New("wal: log closed")
 
 // Policy configures group commit and snapshotting.
 type Policy struct {
-	// FlushInterval, when > 0, is an opt-in linger: the flusher holds a
-	// batch open that long after its first record arrives, trading
-	// commit latency for larger batches (fewer fsyncs). The default, 0,
-	// flushes as soon as there is something to flush.
-	FlushInterval time.Duration
-	// FlushBytes cuts a linger short once this many bytes are waiting
-	// (default 256 KiB). Ignored while FlushInterval is 0.
-	FlushBytes int
 	// NoSync skips the fsync syscall: records are still written to the
 	// OS (surviving process death within the same boot, which is what
 	// the simulated crash harness exercises) but not a power failure.
@@ -87,13 +78,6 @@ type Policy struct {
 	// grows past this many bytes since its last snapshot reports that
 	// it wants one. 0 disables automatic snapshot pressure.
 	SnapshotBytes int64
-}
-
-func (p Policy) withDefaults() Policy {
-	if p.FlushBytes <= 0 {
-		p.FlushBytes = 256 << 10
-	}
-	return p
 }
 
 // Stats counts the log's activity; all fields update atomically.
@@ -120,12 +104,11 @@ type laneLog struct {
 
 // batch is one group commit: every ticket taken while it was open.
 // The flusher seals it (opens the next), drains the lanes, and releases
-// it; n, bytes, landed and after are guarded by Log.fmu.
+// it; n, landed and after are guarded by Log.fmu.
 type batch struct {
 	flushed sync.WaitGroup // released once the batch's records are on file
 	err     error          // the flusher's sticky error; read after flushed
 	n       int            // tickets joined
-	bytes   int            // framed bytes joined (the linger's threshold)
 	landed  bool
 	after   []func(error) // Ticket.Notify registrations
 }
@@ -182,7 +165,7 @@ func Open(dir string, lanes int, policy Policy) (*Log, error) {
 	}
 	l := &Log{
 		dir:          dir,
-		policy:       policy.withDefaults(),
+		policy:       policy,
 		lanes:        make([]*laneLog, lanes),
 		open:         newBatch(),
 		wake:         make(chan struct{}, 1),
@@ -315,17 +298,16 @@ func (l *Log) AppendFunc(lane int, typ uint8, enc func(dst []byte) []byte) Ticke
 
 	// Join after the record is in the buffer: whoever seals this batch
 	// drains the lanes afterwards and so finds it.
-	return Ticket{l: l, b: l.join(size), lsn: lsn}
+	return Ticket{l: l, b: l.join(), lsn: lsn}
 }
 
-// join adds one member of size framed bytes to the open batch and makes
-// sure the flusher knows the batch has work.
-func (l *Log) join(size int) *batch {
+// join adds one member to the open batch and makes sure the flusher
+// knows the batch has work.
+func (l *Log) join() *batch {
 	l.fmu.Lock()
 	b := l.open
 	b.n++
-	b.bytes += size
-	wake := b.n == 1 || (b.bytes >= l.policy.FlushBytes && b.bytes-size < l.policy.FlushBytes)
+	wake := b.n == 1
 	l.fmu.Unlock()
 	if wake {
 		l.wakeFlusher()
@@ -350,7 +332,7 @@ func sealRecord(rec []byte, typ uint8, lsn uint64) {
 }
 
 // sync waits until every record appended before the call is on file.
-func (l *Log) sync() { l.join(0).flushed.Wait() }
+func (l *Log) sync() { l.join().flushed.Wait() }
 
 // flusher is the group-commit loop. It parks only after seeing the open
 // batch empty under fmu, and the append that makes it non-empty sends a
@@ -372,36 +354,11 @@ func (l *Log) flusher() {
 			<-l.wake
 			continue
 		}
-		if l.policy.FlushInterval > 0 && l.open.bytes < l.policy.FlushBytes && !l.closed {
-			l.fmu.Unlock()
-			l.linger()
-			l.fmu.Lock()
-		}
 		b := l.open
 		l.open = newBatch()
 		l.open.after, l.afterFree = l.afterFree, nil
 		l.fmu.Unlock()
 		l.flush(b)
-	}
-}
-
-// linger holds the open batch for the opt-in FlushInterval, cut short
-// by the byte threshold or Close.
-func (l *Log) linger() {
-	timer := time.NewTimer(l.policy.FlushInterval)
-	defer timer.Stop()
-	for {
-		select {
-		case <-timer.C:
-			return
-		case <-l.wake:
-			l.fmu.Lock()
-			cut := l.closed || l.open.bytes >= l.policy.FlushBytes
-			l.fmu.Unlock()
-			if cut {
-				return
-			}
-		}
 	}
 }
 

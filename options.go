@@ -253,17 +253,6 @@ func WithAutoRepartition(interval time.Duration) Option {
 // cadence (see WithDurability). The zero value takes the engine
 // defaults. See docs/DURABILITY.md for the trade-offs.
 type FsyncPolicy struct {
-	// FlushInterval, when > 0, is an opt-in linger: the log holds each
-	// group-commit batch open that long after its first record arrives,
-	// so more commits share one fsync and every acknowledgement waits
-	// that much longer. The default, 0, flushes as soon as there is
-	// something to flush — a batch is whatever commits arrived during
-	// the previous write+fsync, and a lone commit waits for exactly one.
-	FlushInterval time.Duration
-	// FlushBytes cuts a linger short once this many unflushed log
-	// bytes accumulate on a node (default 256 KiB). It has no effect
-	// while FlushInterval is 0.
-	FlushBytes int
 	// NoSync skips the fsync syscall: records still reach the OS
 	// (surviving process death within the same boot) but not a power
 	// failure. Substantially faster; the durability contract weakens
@@ -299,12 +288,6 @@ func WithDurability(dir string) Option {
 // write-ahead log attached by WithDurability (which it requires).
 func WithFsyncPolicy(p FsyncPolicy) Option {
 	return func(c *config) error {
-		if p.FlushInterval < 0 {
-			return fmt.Errorf("chiller: negative flush interval %v: %w", p.FlushInterval, ErrBadConfig)
-		}
-		if p.FlushBytes < 0 {
-			return fmt.Errorf("chiller: negative flush bytes %d: %w", p.FlushBytes, ErrBadConfig)
-		}
 		if p.SnapshotBytes < 0 {
 			return fmt.Errorf("chiller: negative snapshot bytes %d: %w", p.SnapshotBytes, ErrBadConfig)
 		}

@@ -39,6 +39,11 @@
 #      internal/transport (Faults, an Endpoint wrapper) and nowhere in a
 #      fabric — no .go file under internal/simnet or internal/tcpnet names
 #      the fault plan, its errors or a private fault roll.
+#  10. One way onto the replication stream: every sender waits for its
+#      replica acks through one waiter (server.Acks, ids from a node-local
+#      counter), and the WAL's group commit is self-clocked — no non-test
+#      .go file names the deleted ack-id namespace bits, per-sender ack
+#      methods or linger knob.
 #
 # Exits non-zero with a list of offenders on failure.
 set -eu
@@ -128,6 +133,16 @@ offenders=$(grep -rnE --include='*.go' \
         internal/simnet internal/tcpnet || true)
 if [ -n "$offenders" ]; then
     echo "fault injection inside a fabric (it belongs to transport.Faults, which wraps every fabric):" >&2
+    echo "$offenders" >&2
+    fail=1
+fi
+
+# --- 10. one way onto the replication stream -------------------------------
+offenders=$(grep -rnE --include='*.go' --exclude='*_test.go' \
+        'outerAckBit|backfillBit|ExpectInnerAcks|ExpectPendingAcks|ResolveInnerAcks|CancelInnerAcks|ReleaseInnerWaiter|FlushInterval' \
+        . || true)
+if [ -n "$offenders" ]; then
+    echo "a second way onto the replication stream (open a server.Acks), or the WAL linger:" >&2
     echo "$offenders" >&2
     fail=1
 fi
