@@ -5,7 +5,9 @@ import (
 	"go/parser"
 	"go/token"
 	"io/fs"
+	"maps"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -15,19 +17,28 @@ import (
 // sends and the doorbell's frame builders (the wave's for the frames in
 // the lock-request encoding).
 var sendFuncs = map[string]bool{
-	"Call": true, "Go": true, "Send": true, "CallOneSided": true, "GoOneSided": true, "begin": true, "entries": true,
+	"Call": true, "Send": true, "CallOneSided": true, "GoOneSided": true, "begin": true, "entries": true,
 }
 
 // twoSided are the endpoint's two-sided sends.
-var twoSided = map[string]bool{"Call": true, "Go": true, "Send": true}
+var twoSided = map[string]bool{"Call": true, "Send": true}
+
+// twoSidedVerbs are the verbs a two-sided send may name: routing, the
+// handoff and topology control plane, the §5 stream and its acks, and
+// the liveness ping. Everything else a transaction does rides a wave.
+var twoSidedVerbs = map[string]bool{
+	"VerbTxnRoute": true, "VerbTopoGet": true, "VerbTopoSet": true, "VerbHandoff": true,
+	"VerbHandoffFlush": true, "VerbInnerRepl": true, "VerbInnerAck": true, "VerbPing": true,
+}
 
 // Verb census: every Verb* constant in proto.go must be sent and handled
 // by code that ships — named by at least one send (a transport call, a
 // doorbell post, or the method variable of one) and by one Handle*
 // registration or applyVerb frame case, outside _test.go files and
 // benchmark/. A verb nobody sends is a second path the checker never
-// certifies. The engines in internal/cc reach participants only by
-// waves: none of their files makes a two-sided send.
+// certifies. Two-sided sends name only twoSidedVerbs, and the engines in
+// internal/cc reach participants only by waves: none of their files
+// makes a two-sided send.
 func TestVerbCensus(t *testing.T) {
 	fset := token.NewFileSet()
 	proto, err := parser.ParseFile(fset, "proto.go", nil, 0)
@@ -50,6 +61,11 @@ func TestVerbCensus(t *testing.T) {
 	}
 	if len(sent) < 10 {
 		t.Fatalf("found only %d Verb constants in proto.go — the census is looking in the wrong place", len(sent))
+	}
+	for v := range twoSidedVerbs {
+		if _, ok := sent[v]; !ok {
+			t.Errorf("twoSidedVerbs names %s, which proto.go does not declare", v)
+		}
 	}
 
 	// verbIn reports the verb constant e names (VerbX or server.VerbX).
@@ -107,8 +123,16 @@ func TestVerbCensus(t *testing.T) {
 					mark(handled, n.Args)
 				case sendFuncs[fn]:
 					mark(sent, n.Args)
-					if twoSided[fn] && strings.HasPrefix(filepath.ToSlash(path), "../../internal/cc/") {
+					if !twoSided[fn] {
+						break
+					}
+					if strings.HasPrefix(filepath.ToSlash(path), "../../internal/cc/") {
 						t.Errorf("%s: %s is a two-sided send; an engine reaches participants by waves", fset.Position(n.Pos()), fn)
+					}
+					for _, a := range n.Args {
+						if v, ok := verbIn(a); ok && !twoSidedVerbs[v] {
+							t.Errorf("%s: %s sends %s two-sided; only %v may be", fset.Position(n.Pos()), fn, v, slices.Sorted(maps.Keys(twoSidedVerbs)))
+						}
 					}
 				case fn == "ReplicateAll" || fn == "Replicate":
 					replicates[filepath.ToSlash(filepath.Dir(path))] = true

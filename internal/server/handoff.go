@@ -165,31 +165,20 @@ func (n *Node) HandoffPartition(pid cluster.PartitionID, to transport.NodeID) er
 }
 
 // FlushStreams round-trips VerbHandoffFlush to every stream target of
-// pid. Per-link FIFO orders each request behind all earlier stream
-// sends on that link; the reply certifies the target's lanes applied
-// them — what any layout change needs before it reads a record whose
-// locks it holds. The warming target (a handoff's; pass false without
-// one) additionally raises its MVCC watermark (its version history
-// below the backfill horizon does not exist).
+// pid, one call after another (a partition has at most
+// replication-factor targets, and only a layout change flushes). Per-link
+// FIFO orders each request behind all earlier stream sends on that link;
+// the reply certifies the target's lanes applied them — what any layout
+// change needs before it reads a record whose locks it holds. The
+// warming target (a handoff's; pass false without one) additionally
+// raises its MVCC watermark (its version history below the backfill
+// horizon does not exist). A failed target does not stop the others;
+// the error joins one failure per target, each naming its node.
 func (n *Node) FlushStreams(pid cluster.PartitionID, warmingNode transport.NodeID, warming bool) error {
-	targets := n.dir.Topology().StreamTargets(pid)
-	type flushCall struct {
-		call   transport.Call
-		target transport.NodeID
-	}
-	var calls []flushCall
 	var errs []error
-	for _, t := range targets {
-		c, err := n.ep.Go(t, VerbHandoffFlush, EncodeHandoffFlush(pid, warming && t == warmingNode))
-		if err != nil {
+	for _, t := range n.dir.Topology().StreamTargets(pid) {
+		if _, err := n.ep.Call(t, VerbHandoffFlush, EncodeHandoffFlush(pid, warming && t == warmingNode)); err != nil {
 			errs = append(errs, fmt.Errorf("server: handoff flush at node %d: %w", t, err))
-			continue
-		}
-		calls = append(calls, flushCall{call: c, target: t})
-	}
-	for _, c := range calls {
-		if _, err := c.call.Wait(); err != nil {
-			errs = append(errs, fmt.Errorf("server: handoff flush at node %d: %w", c.target, err))
 		}
 	}
 	return errors.Join(errs...)

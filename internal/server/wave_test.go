@@ -54,11 +54,6 @@ func (s *spyEndpoint) GoOneSided(to transport.NodeID, method string, payload []b
 	return &spyPending{Pending: p, s: s}, nil
 }
 
-func (s *spyEndpoint) Go(to transport.NodeID, method string, req []byte) (transport.Call, error) {
-	s.log("other")
-	return s.Endpoint.Go(to, method, req)
-}
-
 func (s *spyEndpoint) Call(to transport.NodeID, method string, req []byte) ([]byte, error) {
 	s.log("other")
 	return s.Endpoint.Call(to, method, req)

@@ -28,15 +28,10 @@ import (
 // two-sided messages in our protocols. Anything that relies on per-link
 // ordering — the §5 inner replication stream — must stay two-sided.
 
-// OneSidedHandler services a doorbell-batched one-sided verb (see
-// transport.OneSidedHandler). In simnet it runs on the caller's side of
-// the wire — the destination's dispatcher and lanes are never involved.
-type OneSidedHandler = transport.OneSidedHandler
-
-// PendingOneSided is an in-flight doorbell ring started by GoOneSided.
+// pendingOneSided is an in-flight doorbell ring started by GoOneSided.
 // Pendings are pooled: Wait recycles the value, so it must not be used
 // again after Wait returns.
-type PendingOneSided struct {
+type pendingOneSided struct {
 	payload []byte
 	err     error
 	// at is the simulated completion time; Wait sleeps out the residual
@@ -44,14 +39,14 @@ type PendingOneSided struct {
 	at time.Time
 }
 
-var oneSidedPool = sync.Pool{New: func() any { return new(PendingOneSided) }}
+var oneSidedPool = sync.Pool{New: func() any { return new(pendingOneSided) }}
 
 // Wait reaps the doorbell's completion, sleeping out any residual
 // simulated latency so the caller observes a full round trip from the
 // ring. A caller that reaps late (it overlapped other work past the
 // round trip) returns immediately. Wait must be called exactly once; it
-// recycles the PendingOneSided.
-func (p *PendingOneSided) Wait() ([]byte, error) {
+// recycles the pendingOneSided.
+func (p *pendingOneSided) Wait() ([]byte, error) {
 	if d := time.Until(p.at); d > 0 {
 		time.Sleep(d)
 	}
@@ -64,10 +59,10 @@ func (p *PendingOneSided) Wait() ([]byte, error) {
 // checks for invariant violations, for example: the destination's state
 // changed at ring time either way, and no protocol step is gated on the
 // completion. Like Wait, call it exactly once; it recycles the
-// PendingOneSided.
-func (p *PendingOneSided) Reap() ([]byte, error) {
+// pendingOneSided.
+func (p *pendingOneSided) Reap() ([]byte, error) {
 	payload, err := p.payload, p.err
-	*p = PendingOneSided{}
+	*p = pendingOneSided{}
 	oneSidedPool.Put(p)
 	return payload, err
 }
@@ -93,11 +88,11 @@ func (p *PendingOneSided) Reap() ([]byte, error) {
 func (e *Endpoint) GoOneSided(to NodeID, method string, payload []byte, verbs int) (transport.Pending, error) {
 	dst, ok := e.net.endpoint(to)
 	if !ok {
-		return nil, fmt.Errorf("%w: %d", ErrNoSuchNode, to)
+		return nil, fmt.Errorf("%w: %d", transport.ErrNoSuchNode, to)
 	}
 	select {
 	case <-e.net.done:
-		return nil, ErrClosed
+		return nil, transport.ErrClosed
 	default:
 	}
 	if verbs < 1 {
@@ -114,15 +109,8 @@ func (e *Endpoint) GoOneSided(to NodeID, method string, payload []byte, verbs in
 	st.MessagesSent.Add(2)
 	st.BytesSent.Add(uint64(len(payload)))
 
-	dst.mu.RLock()
-	h := dst.onesided[method]
-	dst.mu.RUnlock()
-	p := oneSidedPool.Get().(*PendingOneSided)
-	if h == nil {
-		p.err = fmt.Errorf("%w: one-sided %s", ErrNoSuchMethod, method)
-	} else {
-		p.payload, p.err = h(e.id, payload)
-	}
+	p := oneSidedPool.Get().(*pendingOneSided)
+	p.payload, p.err = dst.ServeOneSided(e.id, method, payload)
 	p.at = time.Now().Add(2 * oneway)
 	return p, nil
 }

@@ -82,14 +82,14 @@ func TestGoOneSidedErrors(t *testing.T) {
 	a := net.Endpoint(1)
 	net.Endpoint(2)
 
-	if _, err := a.GoOneSided(9, "x", nil, 1); !errors.Is(err, ErrNoSuchNode) {
+	if _, err := a.GoOneSided(9, "x", nil, 1); !errors.Is(err, transport.ErrNoSuchNode) {
 		t.Fatalf("unknown node: %v", err)
 	}
-	if _, err := a.CallOneSided(2, "missing", nil, 1); !errors.Is(err, ErrNoSuchMethod) {
+	if _, err := a.CallOneSided(2, "missing", nil, 1); !errors.Is(err, transport.ErrNoSuchMethod) {
 		t.Fatalf("unknown method: %v", err)
 	}
 	net.Close()
-	if _, err := a.GoOneSided(2, "x", nil, 1); !errors.Is(err, ErrClosed) {
+	if _, err := a.GoOneSided(2, "x", nil, 1); !errors.Is(err, transport.ErrClosed) {
 		t.Fatalf("closed fabric: %v", err)
 	}
 }

@@ -14,12 +14,12 @@
 //
 // The fabric offers two transports:
 //
-//   - Two-sided RPC (Call/Go/Send): messages traverse a per-link FIFO
+//   - Two-sided RPC (Call/Send): messages traverse a per-link FIFO
 //     queue drained by a single dispatcher goroutine, and handlers run at
 //     the destination — on its dispatcher or its execution lanes. This is
-//     the general path; anything that must observe per-link ordering
-//     (the §5 replication stream) or run real destination-side logic
-//     (inner-region execution) uses it.
+//     the path for what must observe per-link ordering (the §5
+//     replication stream) or run real destination-side logic
+//     (transaction routing, the handoff control plane).
 //   - One-sided verbs (the doorbell-batched verb path, HandleOneSided +
 //     GoOneSided): serviced after the same latency but without involving
 //     the destination's dispatcher, modelling NIC-executed RDMA verbs. A
@@ -133,7 +133,8 @@ func (n *Network) Stats() *Stats { return &n.stats }
 // cluster) — with traffic running it is a momentary snapshot.
 func (n *Network) Quiet() bool { return n.inflight.Load() == 0 }
 
-// Close tears the fabric down. Outstanding RPCs fail with ErrClosed.
+// Close tears the fabric down. Outstanding calls fail with
+// transport.ErrClosed.
 func (n *Network) Close() {
 	n.mu.Lock()
 	if n.closed {
@@ -141,30 +142,11 @@ func (n *Network) Close() {
 		return
 	}
 	n.closed = true
-	eps := make([]*Endpoint, 0, len(n.nodes))
-	for _, e := range n.nodes {
-		eps = append(eps, e)
-	}
 	n.mu.Unlock()
 
 	close(n.done)
 	n.wg.Wait()
-	for _, e := range eps {
-		e.failPending(ErrClosed)
-	}
 }
-
-// The shared transport sentinels, re-exported: one error value across
-// fabrics, so errors.Is classification is backend-independent.
-var (
-	// ErrClosed is returned for operations on a closed fabric.
-	ErrClosed = transport.ErrClosed
-	// ErrNoSuchNode is returned when addressing an unregistered node.
-	ErrNoSuchNode = transport.ErrNoSuchNode
-	// ErrNoSuchMethod is returned when the destination has no handler
-	// for the requested RPC method.
-	ErrNoSuchMethod = transport.ErrNoSuchMethod
-)
 
 // Endpoint returns (creating if necessary) the endpoint for node id.
 func (n *Network) Endpoint(id NodeID) *Endpoint {
@@ -173,12 +155,7 @@ func (n *Network) Endpoint(id NodeID) *Endpoint {
 	if e, ok := n.nodes[id]; ok {
 		return e
 	}
-	e := &Endpoint{
-		id:       id,
-		net:      n,
-		handlers: make(map[string]RPCHandler),
-		pending:  make(map[uint64]chan rpcResult),
-	}
+	e := &Endpoint{id: id, net: n}
 	n.nodes[id] = e
 	return e
 }
@@ -218,19 +195,15 @@ type envelope struct {
 // garbage showed up in allocation profiles.
 var envPool = sync.Pool{New: func() any { return new(envelope) }}
 
+// message is a request on a link. Responses never traverse one (see
+// call.respond); reply is where the handler's answer goes: the caller's
+// completion for a Call, transport.NoReply for a one-way Send.
 type message struct {
-	kind    uint8 // kindRequest or kindResponse
-	rpcID   uint64
+	reply   func([]byte, error)
 	from    NodeID
 	method  string
 	payload []byte
-	err     string
 }
-
-const (
-	kindRequest uint8 = iota + 1
-	kindResponse
-)
 
 func (n *Network) getLink(from, to NodeID) (*link, error) {
 	key := linkKey{from, to}
@@ -239,7 +212,7 @@ func (n *Network) getLink(from, to NodeID) (*link, error) {
 	closed := n.closed
 	n.mu.RUnlock()
 	if closed {
-		return nil, ErrClosed
+		return nil, transport.ErrClosed
 	}
 	if ok {
 		return l, nil
@@ -247,7 +220,7 @@ func (n *Network) getLink(from, to NodeID) (*link, error) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	if n.closed {
-		return nil, ErrClosed
+		return nil, transport.ErrClosed
 	}
 	if l, ok = n.links[key]; ok {
 		return l, nil
@@ -314,7 +287,7 @@ func (n *Network) dispatch() {
 				*env = envelope{}
 				envPool.Put(env)
 				if dst, ok := n.endpoint(l.to); ok {
-					dst.dispatch(msg)
+					dst.Serve(msg.from, msg.method, msg.payload, msg.reply)
 				}
 				n.inflight.Add(-1)
 				now = time.Now()
@@ -382,7 +355,7 @@ func (l *link) latency() time.Duration {
 func (l *link) send(msg message) error {
 	select {
 	case <-l.net.done:
-		return ErrClosed
+		return transport.ErrClosed
 	default:
 	}
 	env := envPool.Get().(*envelope)
@@ -412,35 +385,15 @@ func (l *link) send(msg message) error {
 	return nil
 }
 
-// RPCHandler serves a two-sided RPC (see transport.RPCHandler).
-type RPCHandler = transport.RPCHandler
-
-// AsyncRPCHandler serves a two-sided RPC without blocking the fabric's
-// dispatcher (see transport.AsyncRPCHandler).
-type AsyncRPCHandler = transport.AsyncRPCHandler
-
-// Endpoint is one node's attachment to the fabric.
+// Endpoint is one node's attachment to the fabric. Its handler table is
+// the embedded transport.Handlers: two-sided handlers run inline on the
+// dispatcher (preserving per-link ordering of handler starts; handlers
+// that need concurrency hand off to their own goroutines or lanes), and
+// one-sided handlers on the ringing caller's goroutine (onesided.go).
 type Endpoint struct {
+	transport.Handlers
 	id  NodeID
 	net *Network
-
-	mu       sync.RWMutex
-	handlers map[string]RPCHandler
-	async    map[string]AsyncRPCHandler
-	onesided map[string]OneSidedHandler
-
-	pmu     sync.Mutex
-	pending map[uint64]chan rpcResult
-	rpcSeq  atomic.Uint64
-}
-
-type rpcResult struct {
-	payload []byte
-	err     error
-	// at is the simulated arrival time of the response; Call.Wait sleeps
-	// out any residual so callers observe a full round trip even though
-	// the result is handed over directly (see deliverResponse).
-	at time.Time
 }
 
 // ID returns the endpoint's node ID.
@@ -453,227 +406,92 @@ func (e *Endpoint) Stats() *Stats { return &e.net.stats }
 // Closed returns a channel that is closed when the fabric shuts down.
 // Long waits that are completed by one-way messages (ack countdowns)
 // select on it so a teardown racing in-flight work fails the wait with
-// ErrClosed instead of hanging — one-way messages die silently with the
-// dispatcher, unlike pending RPCs, which Close fails explicitly.
+// transport.ErrClosed instead of hanging, as a pending Call does.
 func (e *Endpoint) Closed() <-chan struct{} { return e.net.done }
 
-// Handle registers h for RPC method name. Registering the same method twice
-// replaces the previous handler.
-func (e *Endpoint) Handle(method string, h RPCHandler) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.handlers[method] = h
-}
-
-// HandleAsync registers an asynchronous handler for method: the fabric
-// invokes it inline (preserving per-link ordering of handler starts) but
-// does not wait for the response, which the handler delivers through the
-// reply callback whenever it is ready.
-func (e *Endpoint) HandleAsync(method string, h AsyncRPCHandler) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.async == nil {
-		e.async = make(map[string]AsyncRPCHandler)
+// link returns the link to node to, which must exist.
+func (e *Endpoint) link(to NodeID) (*link, error) {
+	if _, ok := e.net.endpoint(to); !ok {
+		return nil, fmt.Errorf("%w: %d", transport.ErrNoSuchNode, to)
 	}
-	e.async[method] = h
+	return e.net.getLink(e.id, to)
 }
 
-// HandleOneSided registers h to service the named one-sided verb against
-// this endpoint. Unlike two-sided handlers, h is run by the fabric on the
-// caller's side of the wire — the destination's dispatcher and execution
-// lanes are never involved, the property that keeps the remote "CPU" free
-// in the NAM-DB architecture. h must therefore be safe to call from any
-// goroutine and must synchronize through the destination's own data
-// structures (bucket lock words, mutexes), exactly as NIC-executed RDMA
-// verbs synchronize through memory.
-func (e *Endpoint) HandleOneSided(method string, h OneSidedHandler) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.onesided == nil {
-		e.onesided = make(map[string]OneSidedHandler)
-	}
-	e.onesided[method] = h
-}
-
-// RemoteError is an application-level error returned by a remote RPC
-// handler, distinguished from transport failures (see
-// transport.RemoteError).
-type RemoteError = transport.RemoteError
-
-// Call performs a synchronous RPC to node `to`, blocking through one
-// network round trip (two one-way latencies).
-func (e *Endpoint) Call(to NodeID, method string, req []byte) ([]byte, error) {
-	c, err := e.Go(to, method, req)
-	if err != nil {
-		return nil, err
-	}
-	return c.Wait()
-}
-
-// Call is an in-flight asynchronous RPC created by Endpoint.Go. Calls
-// are pooled: Wait recycles the call, so a Call must not be used again
-// after Wait returns.
-type Call struct {
+// call is one in-flight Call. The pool binds its reply once, so serving
+// a call allocates nothing; a call the fabric's close abandoned is never
+// recycled, so a late reply cannot land in a reuse.
+type call struct {
+	l      *link
 	method string
 	ch     chan rpcResult
+	reply  func([]byte, error)
 }
 
-var callPool = sync.Pool{
-	New: func() any { return &Call{ch: make(chan rpcResult, 1)} },
+type rpcResult struct {
+	payload []byte
+	err     error
+	// at is the simulated arrival time of the response; Call sleeps out
+	// any residual so callers observe a full round trip even though the
+	// result is handed over directly (see respond).
+	at time.Time
 }
 
-// Wait blocks until the response (or failure) arrives, sleeping out any
-// residual simulated latency so the caller observes the configured round
-// trip. Wait must be called exactly once; it recycles the Call.
-func (c *Call) Wait() ([]byte, error) {
-	res := <-c.ch
-	callPool.Put(c)
-	if d := time.Until(res.at); d > 0 {
-		time.Sleep(d)
+var callPool = sync.Pool{New: func() any {
+	c := &call{ch: make(chan rpcResult, 1)}
+	c.reply = c.respond
+	return c
+}}
+
+// respond hands the response directly to the caller, stamped with its
+// simulated arrival time. Responses never traverse a link: each is
+// independent, so per-link FIFO — which the replication protocol needs
+// for *requests* — buys nothing here, and skipping the reverse queue
+// halves the scheduling cost of every round trip.
+func (c *call) respond(resp []byte, err error) {
+	st := &c.l.net.stats
+	st.MessagesSent.Add(1)
+	st.BytesSent.Add(uint64(len(resp)))
+	res := rpcResult{payload: resp, at: time.Now().Add(c.l.latency())}
+	if err != nil {
+		res = rpcResult{err: &transport.RemoteError{Method: c.method, Msg: err.Error()}, at: res.at}
 	}
-	if res.err != nil {
-		return nil, res.err
-	}
-	return res.payload, nil
+	c.ch <- res
 }
 
-// Go starts an asynchronous RPC. The returned Call's Wait method yields
-// the response. Multiple Go calls may be outstanding simultaneously; this
-// is how Chiller's coordinator fans out outer-region lock requests.
-func (e *Endpoint) Go(to NodeID, method string, req []byte) (transport.Call, error) {
-	if _, ok := e.net.endpoint(to); !ok {
-		return nil, fmt.Errorf("%w: %d", ErrNoSuchNode, to)
-	}
-	l, err := e.net.getLink(e.id, to)
+// Call performs a synchronous RPC to node `to`, blocking through one
+// network round trip (two one-way latencies). A fabric that closes
+// first fails it with transport.ErrClosed.
+func (e *Endpoint) Call(to NodeID, method string, req []byte) ([]byte, error) {
+	l, err := e.link(to)
 	if err != nil {
 		return nil, err
 	}
-	id := e.rpcSeq.Add(1)
-	c := callPool.Get().(*Call)
-	c.method = method
-	e.pmu.Lock()
-	e.pending[id] = c.ch
-	e.pmu.Unlock()
-
-	msg := message{
-		kind:    kindRequest,
-		rpcID:   id,
-		from:    e.id,
-		method:  method,
-		payload: req,
-	}
-	if err := l.send(msg); err != nil {
-		e.pmu.Lock()
-		delete(e.pending, id)
-		e.pmu.Unlock()
+	c := callPool.Get().(*call)
+	c.l, c.method = l, method
+	if err := l.send(message{reply: c.reply, from: e.id, method: method, payload: req}); err != nil {
 		callPool.Put(c)
 		return nil, err
 	}
 	e.net.stats.RPCs.Add(1)
-	return c, nil
-}
-
-// dispatch runs on the link drain goroutine of the *incoming* link.
-// Requests are served on fresh goroutines so a slow handler doesn't block
-// in-order delivery of subsequent messages... except that would break FIFO
-// observation guarantees for the replication protocol. Instead, handler
-// invocation happens inline (preserving per-link ordering of handler
-// starts) and handlers that need concurrency spawn their own goroutines.
-func (e *Endpoint) dispatch(msg message) {
-	if msg.kind == kindRequest {
-		e.serve(msg)
+	var res rpcResult
+	select {
+	case res = <-c.ch:
+		callPool.Put(c)
+	case <-e.net.done:
+		return nil, transport.ErrClosed
 	}
-}
-
-// serve runs the handler and hands the response directly to the caller's
-// completion channel, stamped with its simulated arrival time (Call.Wait
-// sleeps out the residual). Responses never traverse a link: each RPC's
-// response is independent, so per-link FIFO — which the replication
-// protocol needs for *requests* — buys nothing here, and skipping the
-// reverse-link queue halves the scheduling cost of every round trip.
-func (e *Endpoint) serve(msg message) {
-	e.mu.RLock()
-	h, ok := e.handlers[msg.method]
-	var ah AsyncRPCHandler
-	if !ok && e.async != nil {
-		ah, ok = e.async[msg.method]
+	if d := time.Until(res.at); d > 0 {
+		time.Sleep(d)
 	}
-	e.mu.RUnlock()
-
-	if ah != nil {
-		from, rpcID, method := msg.from, msg.rpcID, msg.method
-		ah(from, msg.payload, func(resp []byte, err error) {
-			e.respond(from, rpcID, method, resp, err)
-		})
-		return
-	}
-	var resp []byte
-	var err error
-	if !ok {
-		err = fmt.Errorf("%w: %s", ErrNoSuchMethod, msg.method)
-	} else {
-		resp, err = h(msg.from, msg.payload)
-	}
-	e.respond(msg.from, msg.rpcID, msg.method, resp, err)
-}
-
-// respond ships an RPC response back to the caller, stamped with the
-// reverse link's latency.
-func (e *Endpoint) respond(from NodeID, rpcID uint64, method string, resp []byte, err error) {
-	caller, okc := e.net.endpoint(from)
-	if !okc {
-		return
-	}
-	back, lerr := e.net.getLink(e.id, from)
-	if lerr != nil {
-		return
-	}
-	e.net.stats.MessagesSent.Add(1)
-	e.net.stats.BytesSent.Add(uint64(len(resp)))
-	res := rpcResult{payload: resp, at: time.Now().Add(back.latency())}
-	if err != nil {
-		res = rpcResult{err: &RemoteError{Method: method, Msg: err.Error()}, at: res.at}
-	}
-	caller.deliverResponse(rpcID, res)
-}
-
-// deliverResponse completes a pending RPC.
-func (e *Endpoint) deliverResponse(rpcID uint64, res rpcResult) {
-	e.pmu.Lock()
-	ch, ok := e.pending[rpcID]
-	if ok {
-		delete(e.pending, rpcID)
-	}
-	e.pmu.Unlock()
-	if ok {
-		ch <- res
-	}
+	return res.payload, res.err
 }
 
 // Send delivers a one-way message (no response) to node `to`. Used by the
 // inner-region replication stream, where the primary must not wait.
 func (e *Endpoint) Send(to NodeID, method string, payload []byte) error {
-	if _, ok := e.net.endpoint(to); !ok {
-		return fmt.Errorf("%w: %d", ErrNoSuchNode, to)
-	}
-	l, err := e.net.getLink(e.id, to)
+	l, err := e.link(to)
 	if err != nil {
 		return err
 	}
-	return l.send(message{
-		kind:    kindRequest,
-		rpcID:   0,
-		from:    e.id,
-		method:  method,
-		payload: payload,
-	})
-}
-
-func (e *Endpoint) failPending(err error) {
-	e.pmu.Lock()
-	defer e.pmu.Unlock()
-	for id, ch := range e.pending {
-		ch <- rpcResult{err: err}
-		delete(e.pending, id)
-	}
+	return l.send(message{reply: transport.NoReply, from: e.id, method: method, payload: payload})
 }

@@ -42,7 +42,7 @@ func TestRPCRemoteError(t *testing.T) {
 		return nil, errors.New("boom")
 	})
 	_, err := a.Call(2, "fail", nil)
-	var re *RemoteError
+	var re *transport.RemoteError
 	if !errors.As(err, &re) {
 		t.Fatalf("want RemoteError, got %v", err)
 	}
@@ -57,7 +57,7 @@ func TestRPCNoSuchMethod(t *testing.T) {
 	a := n.Endpoint(1)
 	n.Endpoint(2)
 	_, err := a.Call(2, "nope", nil)
-	var re *RemoteError
+	var re *transport.RemoteError
 	if !errors.As(err, &re) {
 		t.Fatalf("want RemoteError, got %v", err)
 	}
@@ -68,7 +68,7 @@ func TestRPCNoSuchNode(t *testing.T) {
 	defer n.Close()
 	a := n.Endpoint(1)
 	_, err := a.Call(99, "echo", nil)
-	if !errors.Is(err, ErrNoSuchNode) {
+	if !errors.Is(err, transport.ErrNoSuchNode) {
 		t.Fatalf("want ErrNoSuchNode, got %v", err)
 	}
 }
@@ -186,42 +186,41 @@ func TestAsyncGoFanOut(t *testing.T) {
 		})
 	}
 	start := time.Now()
-	calls := make([]transport.Call, 0, fan)
+	errs := make(chan error, fan)
 	for i := 1; i <= fan; i++ {
-		c, err := coord.Go(NodeID(i), "work", nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		calls = append(calls, c)
+		go func() {
+			_, err := coord.Call(NodeID(i), "work", nil)
+			errs <- err
+		}()
 	}
-	for _, c := range calls {
-		if _, err := c.Wait(); err != nil {
+	for range fan {
+		if err := <-errs; err != nil {
 			t.Fatal(err)
 		}
 	}
 	elapsed := time.Since(start)
-	// Fanned-out calls overlap: total should be much closer to one RTT
-	// than to fan sequential RTTs.
+	// Calls from concurrent goroutines overlap: total should be much
+	// closer to one RTT than to fan sequential RTTs.
 	if elapsed > 3*2*200*time.Microsecond*fan/2 {
 		t.Logf("fan-out elapsed %v (informational)", elapsed)
 	}
 }
 
+// A call whose handler never replies is failed by the fabric's close.
 func TestCloseFailsPendingRPCs(t *testing.T) {
-	n := New(Config{Latency: 50 * time.Millisecond})
+	n := New(Config{})
 	a := n.Endpoint(1)
-	b := n.Endpoint(2)
-	b.Handle("slow", func(NodeID, []byte) ([]byte, error) { return nil, nil })
+	served := make(chan struct{})
+	n.Endpoint(2).HandleAsync("hang", func(NodeID, []byte, func([]byte, error)) { close(served) })
 
-	c, err := a.Go(2, "slow", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	go n.Close()
-	_, err = c.Wait()
-	if err == nil {
-		t.Log("call completed before close; acceptable race")
-	} else if !errors.Is(err, ErrClosed) {
+	errc := make(chan error, 1)
+	go func() {
+		_, err := a.Call(2, "hang", nil)
+		errc <- err
+	}()
+	<-served
+	n.Close()
+	if err := <-errc; !errors.Is(err, transport.ErrClosed) {
 		t.Fatalf("want ErrClosed, got %v", err)
 	}
 }

@@ -102,17 +102,14 @@ func (c Config) withDefaults() Config {
 }
 
 // Fabric is one node's attachment to the TCP cluster. It implements
-// transport.Endpoint.
+// transport.Endpoint; its handler table is the embedded
+// transport.Handlers.
 type Fabric struct {
+	transport.Handlers
 	cfg   Config
 	id    transport.NodeID
 	ln    net.Listener
 	stats transport.Stats
-
-	hmu      sync.RWMutex
-	handlers map[string]transport.RPCHandler
-	async    map[string]transport.AsyncRPCHandler
-	onesided map[string]transport.OneSidedHandler
 
 	pmu   sync.RWMutex
 	peers map[transport.NodeID]string
@@ -140,14 +137,13 @@ func New(cfg Config) (*Fabric, error) {
 		return nil, fmt.Errorf("tcpnet: listen %s: %w", addr, err)
 	}
 	f := &Fabric{
-		cfg:      cfg,
-		id:       cfg.ID,
-		ln:       ln,
-		handlers: make(map[string]transport.RPCHandler),
-		peers:    make(map[transport.NodeID]string),
-		conns:    make(map[transport.NodeID]*conn),
-		all:      make(map[*conn]struct{}),
-		done:     make(chan struct{}),
+		cfg:   cfg,
+		id:    cfg.ID,
+		ln:    ln,
+		peers: make(map[transport.NodeID]string),
+		conns: make(map[transport.NodeID]*conn),
+		all:   make(map[*conn]struct{}),
+		done:  make(chan struct{}),
 	}
 	f.wg.Add(1)
 	go f.acceptLoop()
@@ -211,100 +207,66 @@ func (f *Fabric) Close() {
 	})
 }
 
-// Handle registers h for two-sided method.
-func (f *Fabric) Handle(method string, h transport.RPCHandler) {
-	f.hmu.Lock()
-	defer f.hmu.Unlock()
-	f.handlers[method] = h
-}
-
-// HandleAsync registers an asynchronous two-sided handler.
-func (f *Fabric) HandleAsync(method string, h transport.AsyncRPCHandler) {
-	f.hmu.Lock()
-	defer f.hmu.Unlock()
-	if f.async == nil {
-		f.async = make(map[string]transport.AsyncRPCHandler)
-	}
-	f.async[method] = h
-}
-
-// HandleOneSided registers h to service the named doorbell verb.
-func (f *Fabric) HandleOneSided(method string, h transport.OneSidedHandler) {
-	f.hmu.Lock()
-	defer f.hmu.Unlock()
-	if f.onesided == nil {
-		f.onesided = make(map[string]transport.OneSidedHandler)
-	}
-	f.onesided[method] = h
-}
-
-// result completes one in-flight call.
+// result completes one in-flight call or ring.
 type result struct {
 	payload []byte
 	err     error
 }
 
-// tcpCall is an in-flight two-sided call. Unlike simnet there is no
-// simulated-latency residual to sleep out: Wait blocks on the wire.
-type tcpCall struct{ ch chan result }
-
-func newCall() *tcpCall { return &tcpCall{ch: make(chan result, 1)} }
+// pending is an in-flight call or doorbell ring. Unlike simnet there is
+// no simulated-latency residual to sleep out: Wait blocks on the wire,
+// and Reap is the same operation (nothing to skip).
+type pending struct{ ch chan result }
 
 // Wait blocks until the response or failure arrives.
-func (c *tcpCall) Wait() ([]byte, error) {
-	res := <-c.ch
-	return res.payload, res.err
-}
-
-// tcpPending is an in-flight doorbell ring; Wait and Reap are the same
-// operation on a real network (nothing to skip).
-type tcpPending struct{ ch chan result }
-
-// Wait blocks until the completion arrives.
-func (p *tcpPending) Wait() ([]byte, error) {
+func (p *pending) Wait() ([]byte, error) {
 	res := <-p.ch
 	return res.payload, res.err
 }
 
 // Reap is Wait: the wire owes us a completion either way.
-func (p *tcpPending) Reap() ([]byte, error) { return p.Wait() }
+func (p *pending) Reap() ([]byte, error) { return p.Wait() }
 
-// Call performs a synchronous two-sided call.
-func (f *Fabric) Call(to transport.NodeID, method string, req []byte) ([]byte, error) {
-	c, err := f.Go(to, method, req)
-	if err != nil {
-		return nil, err
-	}
-	return c.Wait()
-}
-
-// Go starts an asynchronous two-sided call.
-func (f *Fabric) Go(to transport.NodeID, method string, req []byte) (transport.Call, error) {
-	call := newCall()
+// post ships one request that expects an answer — a call (kindRequest)
+// or a ring (kindRing) — and returns where the answer lands. A request
+// to this node itself is served inline, off the wire.
+func (f *Fabric) post(to transport.NodeID, kind uint8, method string, payload []byte) (*pending, error) {
+	p := &pending{ch: make(chan result, 1)}
 	if to == f.id {
-		f.stats.RPCs.Add(1)
-		f.serve(f.id, method, req, func(resp []byte, err error) {
-			call.ch <- result{payload: resp, err: err}
-		})
-		return call, nil
+		if kind == kindRing {
+			resp, err := f.ServeOneSided(f.id, method, payload)
+			p.ch <- result{payload: resp, err: err}
+		} else {
+			f.Serve(f.id, method, payload, func(resp []byte, err error) { p.ch <- result{payload: resp, err: err} })
+		}
+		return p, nil
 	}
 	c, err := f.getConn(to)
 	if err != nil {
 		return nil, err
 	}
-	id := c.register(call.ch)
-	if err := c.writeFrame(kindRequest, id, f.id, method, "", req); err != nil {
+	id := c.register(p.ch)
+	if err := c.writeFrame(kind, id, f.id, method, "", payload); err != nil {
 		c.unregister(id)
 		return nil, err
 	}
+	return p, nil
+}
+
+// Call performs a synchronous two-sided call.
+func (f *Fabric) Call(to transport.NodeID, method string, req []byte) ([]byte, error) {
+	p, err := f.post(to, kindRequest, method, req)
+	if err != nil {
+		return nil, err
+	}
 	f.stats.RPCs.Add(1)
-	return call, nil
+	return p.Wait()
 }
 
 // Send delivers a one-way message (no response).
 func (f *Fabric) Send(to transport.NodeID, method string, payload []byte) error {
 	if to == f.id {
-		f.serve(f.id, method, payload, func([]byte, error) {})
+		f.Serve(f.id, method, payload, transport.NoReply)
 		return nil
 	}
 	c, err := f.getConn(to)
@@ -319,28 +281,12 @@ func (f *Fabric) Send(to transport.NodeID, method string, payload []byte) error 
 // batch size, counted for the batching-factor stats at this (the
 // ringing) end.
 func (f *Fabric) GoOneSided(to transport.NodeID, method string, payload []byte, verbs int) (transport.Pending, error) {
-	if verbs < 1 {
-		verbs = 1
-	}
-	p := &tcpPending{ch: make(chan result, 1)}
-	if to == f.id {
-		f.stats.Doorbells.Add(1)
-		f.stats.OneSidedVerbs.Add(uint64(verbs))
-		payload2, err := f.serveOneSided(f.id, method, payload)
-		p.ch <- result{payload: payload2, err: err}
-		return p, nil
-	}
-	c, err := f.getConn(to)
+	p, err := f.post(to, kindRing, method, payload)
 	if err != nil {
 		return nil, err
 	}
-	id := c.register(p.ch)
-	if err := c.writeFrame(kindRing, id, f.id, method, "", payload); err != nil {
-		c.unregister(id)
-		return nil, err
-	}
 	f.stats.Doorbells.Add(1)
-	f.stats.OneSidedVerbs.Add(uint64(verbs))
+	f.stats.OneSidedVerbs.Add(uint64(max(verbs, 1)))
 	return p, nil
 }
 
@@ -351,38 +297,6 @@ func (f *Fabric) CallOneSided(to transport.NodeID, method string, payload []byte
 		return nil, err
 	}
 	return p.Wait()
-}
-
-// serve runs the two-sided handler for a request from node from — a
-// remote peer or this node itself.
-func (f *Fabric) serve(from transport.NodeID, method string, req []byte, reply func([]byte, error)) {
-	f.hmu.RLock()
-	h, ok := f.handlers[method]
-	var ah transport.AsyncRPCHandler
-	if !ok && f.async != nil {
-		ah, ok = f.async[method]
-	}
-	f.hmu.RUnlock()
-	switch {
-	case ah != nil:
-		ah(from, req, reply)
-	case ok:
-		resp, err := h(from, req)
-		reply(resp, err)
-	default:
-		reply(nil, fmt.Errorf("%w: %s", transport.ErrNoSuchMethod, method))
-	}
-}
-
-// serveOneSided runs a doorbell handler.
-func (f *Fabric) serveOneSided(from transport.NodeID, method string, payload []byte) ([]byte, error) {
-	f.hmu.RLock()
-	h := f.onesided[method]
-	f.hmu.RUnlock()
-	if h == nil {
-		return nil, fmt.Errorf("%w: one-sided %s", transport.ErrNoSuchMethod, method)
-	}
-	return h(from, payload)
 }
 
 // getConn returns (dialing if necessary) the outbound connection to a
@@ -672,7 +586,7 @@ func (c *conn) readLoop() {
 			// submission, async replies), and buf is reused for the next
 			// frame: copy out.
 			req := append([]byte(nil), payload...)
-			c.fab.serve(from, method, req, func(resp []byte, err error) {
+			c.fab.Serve(from, method, req, func(resp []byte, err error) {
 				errs := ""
 				if err != nil {
 					errs = err.Error()
@@ -681,12 +595,12 @@ func (c *conn) readLoop() {
 			})
 		case kindOneWay:
 			req := append([]byte(nil), payload...)
-			c.fab.serve(from, method, req, func([]byte, error) {})
+			c.fab.Serve(from, method, req, transport.NoReply)
 		case kindRing:
 			// Doorbells/OneSidedVerbs count rings, at the ringer only
 			// (GoOneSided): counting the arrival too would make a loopback
 			// cluster's summed stats read double simnet's.
-			resp, err := c.fab.serveOneSided(from, method, payload)
+			resp, err := c.fab.ServeOneSided(from, method, payload)
 			errs := ""
 			if err != nil {
 				errs = err.Error()

@@ -57,21 +57,19 @@ func TestAsyncHandlerAndConcurrentCalls(t *testing.T) {
 		}()
 	})
 	const fan = 32
-	calls := make([]transport.Call, fan)
+	errs := make(chan error, fan)
 	for i := 0; i < fan; i++ {
-		c, err := a.Go(1, "slowdouble", []byte{byte(i)})
-		if err != nil {
-			t.Fatal(err)
-		}
-		calls[i] = c
+		go func() {
+			resp, err := a.Call(1, "slowdouble", []byte{byte(i)})
+			if err == nil && resp[0] != byte(i*2) {
+				err = fmt.Errorf("call %d: got %d", i, resp[0])
+			}
+			errs <- err
+		}()
 	}
-	for i, c := range calls {
-		resp, err := c.Wait()
-		if err != nil {
+	for range fan {
+		if err := <-errs; err != nil {
 			t.Fatal(err)
-		}
-		if resp[0] != byte(i*2) {
-			t.Fatalf("call %d: got %d", i, resp[0])
 		}
 	}
 }
@@ -205,15 +203,19 @@ func TestUnreachable(t *testing.T) {
 
 func TestPeerDeathFailsInFlight(t *testing.T) {
 	a, b := pair(t)
+	served := make(chan struct{})
 	b.HandleAsync("hang", func(_ transport.NodeID, _ []byte, reply func([]byte, error)) {
 		// Never reply; the caller must be failed by the broken conn.
+		close(served)
 	})
-	c, err := a.Go(1, "hang", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	errc := make(chan error, 1)
+	go func() {
+		_, err := a.Call(1, "hang", nil)
+		errc <- err
+	}()
+	<-served
 	b.Close()
-	if _, err := c.Wait(); !errors.Is(err, transport.ErrUnreachable) && !errors.Is(err, transport.ErrClosed) {
+	if err := <-errc; !errors.Is(err, transport.ErrUnreachable) && !errors.Is(err, transport.ErrClosed) {
 		t.Fatalf("want unreachable/closed, got %v", err)
 	}
 	// The fabric recovers: once the peer is back (new fabric, same
@@ -287,12 +289,11 @@ func TestCloseRefusesLateAccept(t *testing.T) {
 	defer sentinelPeer.Close()
 
 	f := &Fabric{
-		cfg:      Config{}.withDefaults(),
-		handlers: make(map[string]transport.RPCHandler),
-		peers:    make(map[transport.NodeID]string),
-		conns:    make(map[transport.NodeID]*conn),
-		all:      make(map[*conn]struct{}),
-		done:     make(chan struct{}),
+		cfg:   Config{}.withDefaults(),
+		peers: make(map[transport.NodeID]string),
+		conns: make(map[transport.NodeID]*conn),
+		all:   make(map[*conn]struct{}),
+		done:  make(chan struct{}),
 	}
 	// An already-registered connection marks the snapshot: Close swaps
 	// f.all for an empty map when it takes it, so once the marker is gone

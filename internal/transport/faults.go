@@ -222,7 +222,7 @@ func (f *Faults) roll(p *FaultPlan, from, to NodeID) (drop, spike bool) {
 	return drop, spike
 }
 
-// Wrap returns ep with every request send — Go, Call, Send, GoOneSided,
+// Wrap returns ep with every request send — Call, Send, GoOneSided,
 // CallOneSided — checked against the injector first. Handler
 // registration, ID, Closed and Stats pass straight through. The result
 // implements PeerDirectory exactly when ep does.
@@ -265,13 +265,6 @@ func (e *faultyEndpoint) Call(to NodeID, method string, req []byte) ([]byte, err
 		return nil, err
 	}
 	return e.Endpoint.Call(to, method, req)
-}
-
-func (e *faultyEndpoint) Go(to NodeID, method string, req []byte) (Call, error) {
-	if err := e.gate(to, method); err != nil {
-		return nil, err
-	}
-	return e.Endpoint.Go(to, method, req)
 }
 
 func (e *faultyEndpoint) Send(to NodeID, method string, payload []byte) error {

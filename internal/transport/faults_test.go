@@ -254,9 +254,6 @@ func TestDropHasNoRemoteEffect(t *testing.T) {
 		if _, err := a.Call(2, "m", nil); !errors.Is(err, transport.ErrInjectedDrop) {
 			t.Fatalf("call: %v", err)
 		}
-		if _, err := a.Go(2, "m", nil); !errors.Is(err, transport.ErrInjectedDrop) {
-			t.Fatalf("go: %v", err)
-		}
 		if err := a.Send(2, "m", nil); !errors.Is(err, transport.ErrInjectedDrop) {
 			t.Fatalf("send: %v", err)
 		}

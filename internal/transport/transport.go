@@ -22,17 +22,21 @@
 // fault layer: an Endpoint wrapper that drops, delays, partitions and
 // crashes at the sender, the same way over either fabric.
 //
-// The contract is deliberately small and asynchronous so a third
-// backend (RDMA verbs, io_uring + registered buffers) can slot in
-// without touching the engines: everything an engine posts returns a
-// completion handle (Call, Pending), and per-link FIFO of *request
-// handler starts* is the only ordering guarantee — the §5 inner
-// replication stream depends on it, nothing else does.
+// The contract is exactly what its callers use, so a third backend
+// (RDMA verbs, io_uring + registered buffers) can slot in without
+// touching the engines: a synchronous Call for the control plane and
+// transaction routing, a one-way Send for the §5 stream, and doorbell
+// rings (GoOneSided) completing through a Pending for everything a
+// transaction does. Per-link FIFO of *request handler starts* is the
+// only ordering guarantee — the §5 inner replication stream depends on
+// it, nothing else does. Both fabrics serve from one handler table,
+// Handlers.
 package transport
 
 import (
 	"errors"
 	"fmt"
+	"sync"
 	"sync/atomic"
 )
 
@@ -93,13 +97,70 @@ type AsyncRPCHandler func(from NodeID, req []byte, reply func([]byte, error))
 // destination's dispatcher or execution lanes.
 type OneSidedHandler func(from NodeID, req []byte) ([]byte, error)
 
-// Call is an in-flight two-sided call started by Endpoint.Go.
-//
-// Wait blocks until the response or failure arrives and must be called
-// exactly once: implementations pool their Call values, so a Call is
-// invalid after Wait returns.
-type Call interface {
-	Wait() ([]byte, error)
+// NoReply is the reply a one-way Send's handler gets: nobody waits for
+// it, so it goes nowhere and counts no message.
+func NoReply([]byte, error) {}
+
+// Handlers is the handler table both fabrics serve from. Two-sided
+// handlers are stored in one form, asynchronous — Handle adapts a
+// synchronous one — so a fabric serves every request one way. The zero
+// value is ready to use; a fabric embeds it, which makes the three
+// registration methods its own.
+type Handlers struct {
+	mu       sync.RWMutex
+	twoSided map[string]AsyncRPCHandler
+	oneSided map[string]OneSidedHandler
+}
+
+// Handle registers h for two-sided method. Registering the same method
+// twice replaces the handler.
+func (t *Handlers) Handle(method string, h RPCHandler) {
+	t.HandleAsync(method, func(from NodeID, req []byte, reply func([]byte, error)) { reply(h(from, req)) })
+}
+
+// HandleAsync registers an asynchronous two-sided handler for method.
+func (t *Handlers) HandleAsync(method string, h AsyncRPCHandler) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if t.twoSided == nil {
+		t.twoSided = make(map[string]AsyncRPCHandler)
+	}
+	t.twoSided[method] = h
+}
+
+// HandleOneSided registers h to service the named one-sided verb.
+func (t *Handlers) HandleOneSided(method string, h OneSidedHandler) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if t.oneSided == nil {
+		t.oneSided = make(map[string]OneSidedHandler)
+	}
+	t.oneSided[method] = h
+}
+
+// Serve runs the two-sided handler for a request from node from. reply
+// is called exactly once: by the handler, or with ErrNoSuchMethod when
+// none is registered.
+func (t *Handlers) Serve(from NodeID, method string, req []byte, reply func([]byte, error)) {
+	t.mu.RLock()
+	h := t.twoSided[method]
+	t.mu.RUnlock()
+	if h == nil {
+		reply(nil, fmt.Errorf("%w: %s", ErrNoSuchMethod, method))
+		return
+	}
+	h(from, req, reply)
+}
+
+// ServeOneSided runs the one-sided handler for a ring from node from.
+func (t *Handlers) ServeOneSided(from NodeID, method string, req []byte) ([]byte, error) {
+	t.mu.RLock()
+	h := t.oneSided[method]
+	t.mu.RUnlock()
+	if h == nil {
+		return nil, fmt.Errorf("%w: one-sided %s", ErrNoSuchMethod, method)
+	}
+	return h(from, req)
 }
 
 // Pending is an in-flight doorbell ring started by Endpoint.GoOneSided.
@@ -121,10 +182,13 @@ type Pending interface {
 // goroutines at once.
 //
 // Ordering contract: request handler starts on one (from, to) link
-// occur in send order, for both Go/Call and Send. Responses carry no
+// occur in send order, for both Call and Send. Responses carry no
 // ordering. One-sided verbs have no ordering interaction with two-sided
 // traffic — anything that needs per-link FIFO (the §5 inner replication
 // stream) must stay two-sided.
+//
+// Every method has a caller outside the fabrics (TestEndpointHasCallers
+// keeps it so): a method nothing calls is a path nobody certifies.
 type Endpoint interface {
 	// ID returns this node's identity.
 	ID() NodeID
@@ -143,14 +207,14 @@ type Endpoint interface {
 	// against this endpoint.
 	HandleOneSided(method string, h OneSidedHandler)
 
-	// Call performs a synchronous two-sided call (Go + Wait).
+	// Call performs a synchronous two-sided call: the control plane and
+	// transaction routing. It blocks through the round trip; a fabric
+	// that closes first fails it with ErrClosed.
 	Call(to NodeID, method string, req []byte) ([]byte, error)
-	// Go starts an asynchronous two-sided call. Multiple calls may be
-	// outstanding; this is how the coordinator fans out lock waves.
-	Go(to NodeID, method string, req []byte) (Call, error)
-	// Send delivers a one-way message (no response, no completion).
-	// Used by the inner-region replication stream, where the primary
-	// must not wait; per-link FIFO applies.
+	// Send delivers a one-way message (no response, no completion): one
+	// message on the fabric. Used by the inner-region replication
+	// stream, where the primary must not wait; per-link FIFO applies.
+	// The handler's reply is NoReply.
 	Send(to NodeID, method string, payload []byte) error
 
 	// GoOneSided rings a doorbell: the named one-sided verb is serviced
@@ -170,8 +234,8 @@ type Endpoint interface {
 // Stats aggregates fabric-wide counters. All fields are updated
 // atomically and may be read concurrently with traffic.
 type Stats struct {
-	// MessagesSent counts every one-way traversal of the fabric,
-	// including the two legs of each RPC and one-sided round trip.
+	// MessagesSent counts every one-way traversal of the fabric: the
+	// two legs of each call and one-sided round trip, one per Send.
 	MessagesSent atomic.Uint64
 	// BytesSent counts payload bytes shipped.
 	BytesSent atomic.Uint64

@@ -90,7 +90,7 @@ fi
 offenders=$( {
     grep -rnE --include='*.go' 'NewDoorbell\(' . | grep -v -e '^\./internal/server/'
     grep -rnE --include='*.go' \
-        '(\.(Go|Call|Send)|Handle[A-Za-z]*)\([^)]*Verb(LockRead|Read|Validate|Replicate|Commit|Abort|SnapshotRead)\b' .
+        '(\.(Call|Send)|Handle[A-Za-z]*)\([^)]*Verb(LockRead|Read|Validate|Replicate|Commit|Abort|SnapshotRead)\b' .
 } | grep -v -e '_test\.go:' -e '^\./benchmark/' || true)
 if [ -n "$offenders" ]; then
     echo "participant verbs off the wave (post them through server.Wave; see docs/NETWORK.md):" >&2
