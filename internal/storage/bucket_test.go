@@ -5,18 +5,94 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
 	"unsafe"
 )
 
-// The bucket header is one cache line and the entry shrank to pay for
-// it; a field added to either shows up here, not as a slow lookup.
+// The bucket header is one cache line, a record slot is half of one and
+// a stamped record's history is two words; a field added to any of them
+// shows up here, not as a slow lookup or a bigger heap.
 func TestBucketLayoutPinned(t *testing.T) {
-	if got := unsafe.Sizeof(Bucket{}); got != 64 {
-		t.Errorf("unsafe.Sizeof(Bucket{}) = %d, want 64", got)
+	for _, c := range []struct {
+		name      string
+		got, want uintptr
+	}{
+		{"Bucket", unsafe.Sizeof(Bucket{}), 64},
+		{"entry", unsafe.Sizeof(entry{}), 32},
+		{"history", unsafe.Sizeof(history{}), 16},
+	} {
+		if c.got != c.want {
+			t.Errorf("unsafe.Sizeof(%s{}) = %d, want %d", c.name, c.got, c.want)
+		}
 	}
-	if got := unsafe.Sizeof(entry{}); got != 56 {
-		t.Errorf("unsafe.Sizeof(entry{}) = %d, want 56", got)
+}
+
+// What one record costs the heap: its slot, its share of the bucket
+// array and of its bucket's entry array, and its value. At three records
+// per bucket and 24-byte values that is ~84 B; the bound fails a 56-byte
+// slot (~114 B).
+func TestRecordFootprint(t *testing.T) {
+	const records = 200_000
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	tbl := NewStore().CreateTable(1, records/3)
+	value := make([]byte, 24)
+	for k := Key(0); k < records; k++ {
+		if err := tbl.Bucket(k).Insert(k, value); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(tbl)
+	perRecord := float64(int64(after.HeapAlloc)-int64(before.HeapAlloc)) / records
+	t.Logf("%.1f B per record", perRecord)
+	if perRecord > 96 {
+		t.Fatalf("%.1f B per record, want <= 96", perRecord)
+	}
+}
+
+// Allocations per write: a value copy, and nothing else unless the
+// record is stamped. A record's history is allocated once, by its first
+// nonzero stamp; an MVCC overwrite adds the retained version.
+func TestWriteAllocations(t *testing.T) {
+	const runs = 100
+	value := make([]byte, 24)
+	loaded := func(s *Store) *Table {
+		tbl := s.CreateTable(1, 1024)
+		for k := Key(0); k <= runs; k++ {
+			tbl.UpsertAt(k, value, 0)
+		}
+		return tbl
+	}
+	tbl := loaded(NewStore())
+	mv := NewStore()
+	mv.EnableMVCC()
+	mvt := loaded(mv)
+	var k Key
+	next := func() Key { k = (k + 1) % (runs + 1); return k }
+	ts := uint64(0)
+	for _, c := range []struct {
+		name string
+		want float64
+		fn   func()
+	}{
+		{"Put", 1, func() { k := next(); sinkErr = tbl.Bucket(k).Put(k, value) }},
+		{"PutOwned", 0, func() { k := next(); sinkErr = tbl.Bucket(k).PutOwned(k, value) }},
+		{"UpsertAt(ts 0)", 1, func() { tbl.UpsertAt(next(), value, 0) }},
+		// AllocsPerRun makes runs+1 calls: each stamps a record for the
+		// first time.
+		{"first UpsertAt(ts>0)", 2, func() { ts++; tbl.UpsertAt(next(), value, ts) }},
+		{"second UpsertAt(ts>0)", 1, func() { ts++; tbl.UpsertAt(next(), value, ts) }},
+		{"first MVCC PutAt", 3, func() { ts++; sinkErr = mvt.PutAt(next(), value, ts) }},
+		{"MVCC PutAt", 2, func() { ts++; sinkErr = mvt.PutAt(next(), value, ts) }},
+	} {
+		k = runs
+		if got := testing.AllocsPerRun(runs, c.fn); got != c.want || sinkErr != nil {
+			t.Errorf("%s: %v allocs per call (err %v), want %v", c.name, got, sinkErr, c.want)
+		}
 	}
 }
 
@@ -191,7 +267,10 @@ func TestWalksSkipDeadSlots(t *testing.T) {
 
 // A map is the oracle for every write mode, with and without version
 // retention, on a table small enough that chains run several buckets
-// long and tombstones pile up.
+// long and tombstones pile up. Under MVCC the model also keeps each
+// key's versions, pruned as the store prunes them, and every few hundred
+// ops the watermark rises and ReadAt and ChainDepth are checked against
+// it.
 func TestBucketAgainstModel(t *testing.T) {
 	for _, mvcc := range []bool{false, true} {
 		t.Run(fmt.Sprintf("mvcc=%v", mvcc), func(t *testing.T) {
@@ -201,8 +280,22 @@ func TestBucketAgainstModel(t *testing.T) {
 			}
 			tbl := s.CreateTable(1, 16)
 			model := map[Key][]byte{}
+			versions := map[Key][]stamped{} // oldest first
+			wrote := func(k Key, ts uint64, v []byte) {
+				vs := append(versions[k], stamped{ts, v})
+				// Keep what retain keeps: everything from the newest
+				// version at or below the watermark on.
+				for j := len(vs) - 1; j >= 0; j-- {
+					if vs[j].ts <= s.Watermark() {
+						vs = vs[j:]
+						break
+					}
+				}
+				versions[k] = vs
+			}
 			rng := rand.New(rand.NewSource(21))
-			for i := 1; i <= 30_000; i++ {
+			const ops = 30_000
+			for i := 1; i <= ops; i++ {
 				k, v, ts := Key(rng.Intn(600)), []byte{byte(i), byte(i >> 8)}, uint64(i)
 				old, present := model[k]
 				var err, want error
@@ -212,19 +305,23 @@ func TestBucketAgainstModel(t *testing.T) {
 						want = ErrExists
 					} else {
 						model[k] = v
+						wrote(k, ts, v)
 					}
 				case 1:
 					if err = tbl.PutAt(k, v, ts); present {
 						model[k] = v
+						wrote(k, ts, v)
 					} else {
 						want = ErrNotFound
 					}
 				case 2:
 					tbl.UpsertAt(k, v, ts)
 					model[k] = v
+					wrote(k, ts, v)
 				case 3:
 					if err = tbl.DeleteAt(k, ts); present {
 						delete(model, k)
+						wrote(k, ts, nil)
 					} else {
 						want = ErrNotFound
 					}
@@ -239,6 +336,10 @@ func TestBucketAgainstModel(t *testing.T) {
 				if !errors.Is(err, want) {
 					t.Fatalf("op %d on key %d (present %v): err %v, want %v", i, k, present, err, want)
 				}
+				if mvcc && i%300 == 0 {
+					s.SetWatermark(uint64(max(0, i-rng.Intn(1000))))
+					checkSnapshots(t, tbl, versions, uint64(i), rng)
+				}
 			}
 			if tbl.Len() != len(model) {
 				t.Fatalf("Len = %d, model has %d", tbl.Len(), len(model))
@@ -250,6 +351,15 @@ func TestBucketAgainstModel(t *testing.T) {
 				return true
 			})
 			if mvcc {
+				// With the watermark at now, one more write to each key
+				// prunes its chain to the version it replaced.
+				s.SetWatermark(ops)
+				for k := range versions {
+					tbl.UpsertAt(k, nil, ops+1)
+					if n := tbl.ChainDepth(k); n != 1 {
+						t.Fatalf("key %d: chain depth %d after a write above the watermark, want 1", k, n)
+					}
+				}
 				return
 			}
 			// Tombstones were recycled: no chain outgrew its live peak by much.
@@ -259,6 +369,37 @@ func TestBucketAgainstModel(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// stamped is one version of a key in TestBucketAgainstModel's model.
+type stamped struct {
+	ts    uint64
+	value []byte // nil: the key was deleted at ts
+}
+
+// checkSnapshots compares ReadAt at random snapshots in [watermark, now]
+// and every key's ChainDepth with the model's versions of each key.
+func checkSnapshots(t *testing.T, tbl *Table, versions map[Key][]stamped, now uint64, rng *rand.Rand) {
+	t.Helper()
+	w := tbl.mv.watermark.Load()
+	for range 200 {
+		k, snap := Key(rng.Intn(600)), w+uint64(rng.Int63n(int64(now-w+1)))
+		var want []byte
+		for _, v := range versions[k] {
+			if v.ts <= snap {
+				want = v.value
+			}
+		}
+		got, err := tbl.ReadAt(k, snap)
+		if want == nil && !errors.Is(err, ErrNotFound) || want != nil && (err != nil || !bytes.Equal(got, want)) {
+			t.Fatalf("ReadAt(%d, %d) at watermark %d = %v, %v; model has %v", k, snap, w, got, err, want)
+		}
+	}
+	for k, vs := range versions {
+		if got := tbl.ChainDepth(k); got != len(vs)-1 {
+			t.Fatalf("key %d: chain depth %d at watermark %d, model retains %d older versions", k, got, w, len(vs)-1)
+		}
 	}
 }
 

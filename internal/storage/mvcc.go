@@ -146,6 +146,16 @@ func (s *Store) SetWatermark(ts uint64) {
 // Watermark returns the current GC watermark.
 func (s *Store) Watermark() uint64 { return s.mv.watermark.Load() }
 
+// history is what a record carries once it has been stamped: the
+// current value's commit timestamp and its retained older versions,
+// newest first (MVCC only — nil otherwise). It hangs off the slot
+// (entry.hist) so that the records of a clockless store, whose stamps
+// are all 0, never pay for it.
+type history struct {
+	ts   uint64
+	prev *version
+}
+
 // version is one retained committed version of a record, linked newest
 // first. value slices are the same immutable buffers the live entry
 // held (Put installs fresh copies), so retention is pointer-cheap.
@@ -163,13 +173,17 @@ func (t *Table) retain(e *entry, dead bool) {
 	if t.mv == nil || !t.mv.on.Load() {
 		return
 	}
-	e.prev = &version{ts: e.ts, value: e.value, dead: dead, prev: e.prev}
+	if e.hist == nil {
+		e.hist = &history{}
+	}
+	h := e.hist
+	h.prev = &version{ts: h.ts, value: e.value(), dead: dead, prev: h.prev}
 	// Prune: chains are in strictly decreasing timestamp order (per-key
 	// writes are lock-ordered and timestamps are reserved under those
 	// locks), so everything past the first version at or below the
 	// watermark is invisible to every servable snapshot.
 	w := t.mv.watermark.Load()
-	for v := e.prev; v != nil; v = v.prev {
+	for v := h.prev; v != nil; v = v.prev {
 		if v.ts <= w {
 			v.prev = nil
 			return
@@ -197,13 +211,13 @@ func (t *Table) ReadAt(key Key, ts uint64) ([]byte, error) {
 		return nil, ErrNotFound
 	}
 	e := &at.entries[i]
-	if e.ts <= ts {
+	if e.ts() <= ts {
 		if at.isDead(i) {
 			return nil, ErrNotFound
 		}
-		return e.value, nil
+		return e.value(), nil
 	}
-	for v := e.prev; v != nil; v = v.prev {
+	for v := e.hist.prev; v != nil; v = v.prev { // a stamp above ts: hist != nil
 		if v.ts <= ts {
 			if v.dead {
 				return nil, ErrNotFound
@@ -258,7 +272,7 @@ func (t *Table) VersionTS(key Key) (uint64, error) {
 	if !ok {
 		return 0, ErrNotFound
 	}
-	return at.entries[i].ts, nil
+	return at.entries[i].ts(), nil
 }
 
 // ChainDepth reports how many retained versions (beyond the live one)
@@ -272,8 +286,10 @@ func (t *Table) ChainDepth(key Key) int {
 		return 0
 	}
 	n := 0
-	for v := at.entries[i].prev; v != nil; v = v.prev {
-		n++
+	if h := at.entries[i].hist; h != nil {
+		for v := h.prev; v != nil; v = v.prev {
+			n++
+		}
 	}
 	return n
 }

@@ -11,7 +11,10 @@
 //
 // A bucket's header is one 64-byte cache line holding a one-byte key
 // fingerprint per entry and a tombstone bitmask, so a chain walk reads
-// an entry's own line only when its fingerprint matches.
+// an entry's own line only when its fingerprint matches. A record slot
+// is half a line; a record's commit timestamp and MVCC chain live
+// behind one pointer that only its first nonzero stamp allocates. A
+// stored value is at most 4 GiB - 1 bytes.
 package storage
 
 import (
@@ -19,6 +22,7 @@ import (
 	"fmt"
 	"math/bits"
 	"sync"
+	"unsafe"
 )
 
 // TableID identifies a table within a store.
@@ -158,17 +162,51 @@ func mix64(x uint64) uint64 {
 	return x
 }
 
-// entry is one record slot inside a bucket: 56 bytes. Whether the slot
-// is a tombstone is a bit of its bucket's dead mask, not a field here.
+// entry is one record slot inside a bucket: 32 bytes, so two slots
+// share a cache line and none straddles one. Whether the slot is a
+// tombstone is a bit of its bucket's dead mask, not a field here.
+//
+//	0       8                16     20        24      32
+//	| key   | val (pointer)  | n    | version | hist  |
+//
+// The value is an immutable byte slice stored as its data pointer and
+// length (its capacity equals its length); value and setValue are the
+// only conversions. version wraps at 2^32 — its one consumer, OCC
+// validation, tests it for equality.
 type entry struct {
 	key     Key
-	value   []byte
-	version uint64
-	// ts is the commit timestamp of the current value (0 = initial
-	// load, visible to every snapshot); prev chains retained older
-	// versions, newest first (MVCC only — nil otherwise). See mvcc.go.
-	ts   uint64
-	prev *version
+	val     unsafe.Pointer
+	n       uint32
+	version uint32
+	// hist holds the current value's commit timestamp and the retained
+	// MVCC versions (see mvcc.go). nil means timestamp 0 and no chain:
+	// a record pays for it only from its first nonzero stamp, which a
+	// clockless store never makes.
+	hist *history
+}
+
+// value returns the record's immutable value (nil for a tombstone).
+func (e *entry) value() []byte { return unsafe.Slice((*byte)(e.val), e.n) }
+
+// setValue stores v, whose capacity must equal its length.
+func (e *entry) setValue(v []byte) { e.val, e.n = unsafe.Pointer(unsafe.SliceData(v)), uint32(len(v)) }
+
+// ts returns the commit timestamp of the record's current value.
+func (e *entry) ts() uint64 {
+	if e.hist == nil {
+		return 0
+	}
+	return e.hist.ts
+}
+
+// stamp sets the current value's commit timestamp, allocating the
+// record's history on its first nonzero stamp.
+func (e *entry) stamp(ts uint64) {
+	if e.hist != nil {
+		e.hist.ts = ts
+	} else if ts != 0 {
+		e.hist = &history{ts: ts}
+	}
 }
 
 // Bucket holds a small set of records plus an embedded lock word. Buckets
@@ -214,7 +252,8 @@ func (b *Bucket) Get(key Key) (value []byte, version uint64, err error) {
 	if !ok {
 		return nil, 0, ErrNotFound
 	}
-	return at.entries[i].value, at.entries[i].version, nil
+	e := &at.entries[i]
+	return e.value(), uint64(e.version), nil
 }
 
 // Version returns the record's current version without copying the value.
@@ -225,7 +264,7 @@ func (b *Bucket) Version(key Key) (uint64, error) {
 	if !ok {
 		return 0, ErrNotFound
 	}
-	return at.entries[i].version, nil
+	return uint64(at.entries[i].version), nil
 }
 
 // writeMode says what a write requires of the key's current state.
@@ -318,15 +357,18 @@ func (b *Bucket) write(key Key, value []byte, ts uint64, mode writeMode, owned b
 		value = v
 	}
 	if !found {
-		at.add(slot, entry{key: key, value: value, version: 1, ts: ts})
+		e := entry{key: key, version: 1}
+		e.setValue(value)
+		e.stamp(ts)
+		at.add(slot, e)
 		return nil
 	}
 	e := &at.entries[slot]
 	if t != nil {
 		t.retain(e, !live)
-		e.ts = ts
+		e.stamp(ts)
 	}
-	e.value = value
+	e.setValue(value)
 	e.version++
 	at.dead &^= 1 << uint(slot)
 	return nil
@@ -376,9 +418,9 @@ func (b *Bucket) tombstone(key Key, t *Table, ts uint64) error {
 	e := &at.entries[i]
 	if t != nil {
 		t.retain(e, false)
-		e.ts = ts
+		e.stamp(ts)
 	}
-	e.value = nil
+	e.setValue(nil)
 	e.version++
 	at.dead |= 1 << uint(i)
 	return nil
@@ -431,9 +473,9 @@ func (b *Bucket) SnapshotTS() []SnapshotRecord {
 	for cur := b; cur != nil; cur = cur.overflow {
 		for i := range cur.entries {
 			if e := &cur.entries[i]; !cur.isDead(i) {
-				v := make([]byte, len(e.value))
-				copy(v, e.value)
-				recs = append(recs, SnapshotRecord{Key: e.key, Value: v, Version: e.version, TS: e.ts})
+				v := make([]byte, e.n)
+				copy(v, e.value())
+				recs = append(recs, SnapshotRecord{Key: e.key, Value: v, Version: uint64(e.version), TS: e.ts()})
 			}
 		}
 	}
