@@ -130,6 +130,9 @@ func Open(opts ...Option) (*DB, error) {
 	if cfg.autoRepartition > 0 && cfg.sampleRate <= 0 {
 		return nil, fmt.Errorf("chiller: WithAutoRepartition requires WithSampling: %w", ErrBadConfig)
 	}
+	if cfg.autoRepartition > 0 && cfg.walDir != "" {
+		return nil, fmt.Errorf("chiller: WithAutoRepartition cannot combine with WithDurability (Repartition is not logged): %w", ErrBadConfig)
+	}
 
 	if cfg.transport == TransportTCP {
 		return openTCP(cfg)
@@ -399,12 +402,19 @@ type RepartitionReport struct {
 // Call it from a maintenance window: in-flight transactions racing a
 // repartition pass may abort against moving records. ctx is consulted
 // between phases; a cancelled pass leaves the previous layout intact.
+//
+// A DB opened WithDurability returns ErrUnsupported: the moved copies and
+// the new layout bypass the write-ahead log, so a reopened DB would route
+// a moved record back to its old home at its pre-move value.
 func (db *DB) Repartition(ctx context.Context) (RepartitionReport, error) {
 	if db.closed.Load() {
 		return RepartitionReport{}, ErrClosed
 	}
 	if err := db.unsupported("Repartition"); err != nil {
 		return RepartitionReport{}, err
+	}
+	if db.cfg.walDir != "" {
+		return RepartitionReport{}, fmt.Errorf("chiller: Repartition on a durable DB (the layout is not logged): %w", ErrUnsupported)
 	}
 	if db.c.Sampler == nil {
 		return RepartitionReport{}, fmt.Errorf("chiller: repartition needs sampling: Open with WithSampling")

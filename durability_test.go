@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"testing"
+	"time"
 )
 
 // openDurableBank is openBank over a WithDurability dir. The loading
@@ -80,6 +81,22 @@ func TestDurabilityCleanRestart(t *testing.T) {
 	}
 	if got, err := db2.Get(tAccounts, 7); err != nil || decBal(got) != 1250 {
 		t.Fatalf("recovered balance 7 = %d (%v), want 1250", decBal(got), err)
+	}
+}
+
+// Until the hot layout is logged, a durable DB refuses to repartition:
+// moved copies never reach the WAL, so a reopened DB would route a moved
+// record back to its old home at its pre-move value.
+func TestDurabilityRefusesRepartition(t *testing.T) {
+	db := openDurableBank(t, t.TempDir(), WithSampling(1))
+	if _, err := db.Execute(context.Background(), "bank.transfer", 10, 250, 1); err != nil {
+		t.Fatalf("transfer: %v", err)
+	}
+	if _, err := db.Repartition(context.Background()); !errors.Is(err, ErrUnsupported) {
+		t.Fatalf("Repartition on a durable DB: err = %v, want ErrUnsupported", err)
+	}
+	if _, err := Open(WithDurability(t.TempDir()), WithSampling(1), WithAutoRepartition(time.Second)); !errors.Is(err, ErrBadConfig) {
+		t.Fatalf("WithAutoRepartition + WithDurability: err = %v, want ErrBadConfig", err)
 	}
 }
 

@@ -80,7 +80,8 @@ var (
 	// when the DB joined a remote cluster over TCP: the data lives in
 	// other processes, which size, load, and mark their stores at startup
 	// (see cmd/chiller-node). Register, Execute, and Close are the TCP
-	// client surface.
+	// client surface. Repartition on a WithDurability DB returns it too:
+	// the layout change is not logged.
 	ErrUnsupported = errors.New("operation not supported over this transport")
 	// ErrNoSamples is returned by Repartition when no transaction has
 	// been sampled since the previous pass: there is nothing to

@@ -12,7 +12,6 @@ import (
 	"github.com/chillerdb/chiller/internal/deploy"
 	"github.com/chillerdb/chiller/internal/server"
 	"github.com/chillerdb/chiller/internal/stats"
-	"github.com/chillerdb/chiller/internal/transport"
 	"github.com/chillerdb/chiller/internal/wal"
 )
 
@@ -41,12 +40,14 @@ const (
 	TransportTCP = deploy.TransportTCP
 )
 
-// Cluster is a deploy.Cluster plus what only a harness needs: crash and
-// restart of single nodes, per-verb profiles, and the bank helpers.
+// Cluster is a deploy.Cluster plus what only a harness needs: a plain
+// node slice, per-verb profiles, and the bank helpers. Crashes and
+// restarts are the deployment's own: Faults.Crash/Restart cut and revive
+// a node's links, and Reopen restarts it through deploy's construction.
 type Cluster struct {
 	*deploy.Cluster
 	// Nodes mirrors the deployment's node list (node ID == index) as of
-	// construction or the last AddNode. It is a plain slice because tests
+	// construction or the last AddNode or Reopen. It is a plain slice because tests
 	// and the benchmark index it; harness code that can race a membership
 	// change reads the embedded Cluster's Nodes() instead.
 	Nodes []*server.Node
@@ -87,6 +88,16 @@ func (c *Cluster) AddNode() (int, error) {
 		c.syncNodes()
 	}
 	return id, err
+}
+
+// Reopen restarts node i in place (deploy.Cluster.Reopen) and refreshes
+// the Nodes mirror.
+func (c *Cluster) Reopen(i int) (*deploy.Node, error) {
+	n, err := c.Cluster.Reopen(i)
+	if err == nil {
+		c.syncNodes()
+	}
+	return n, err
 }
 
 // ResetVerbMetrics zeroes every node's per-verb counters (called at the
@@ -136,45 +147,3 @@ func (c *Cluster) Close() { _ = c.Cluster.Close() }
 // WAL returns node i's write-ahead log, or nil when the cluster runs
 // volatile.
 func (c *Cluster) WAL(i int) *wal.Log { return c.Cluster.Nodes()[i].WAL() }
-
-// CrashNode simulates killing node i: its links stop carrying droppable
-// verbs (the protected control plane drains in-flight commits; see
-// transport.Faults.Crash) and, once the caller has quiesced the cluster,
-// WipeNode models the memory loss.
-func (c *Cluster) CrashNode(i int) { c.Faults.Crash(transport.NodeID(i)) }
-
-// RestartNode revives a crashed node's links.
-func (c *Cluster) RestartNode(i int) { c.Faults.Restart(transport.NodeID(i)) }
-
-// WipeNode drops node i's volatile store — the crash's memory loss.
-// Call only on a quiesced cluster (no in-flight transactions touch the
-// node); pair with a reload of initial state plus RecoverNode before
-// RestartNode.
-func (c *Cluster) WipeNode(i int) { c.Nodes[i].Store().Reset() }
-
-// RecoverNode replays node i's WAL (snapshot + tail) into its store —
-// the in-place restart path of a node whose process (and open log)
-// survived the simulated kill. The caller reloads tables and initial
-// values first (mirroring the operator restoring a fresh deployment
-// image); replay then reapplies every logged commit on top.
-func (c *Cluster) RecoverNode(i int) error {
-	l := c.WAL(i)
-	if l == nil {
-		return fmt.Errorf("bench: node %d has no WAL", i)
-	}
-	rec, err := l.Replay()
-	if err != nil {
-		return err
-	}
-	maxTS, err := server.RecoverStore(c.Nodes[i].Store(), rec)
-	if err != nil {
-		return err
-	}
-	if c.Clock != nil {
-		// Future commits must stamp past everything the replayed log
-		// already installed, or the recovered chains would go non-
-		// monotonic.
-		c.Clock.AdvanceTo(maxTS)
-	}
-	return nil
-}

@@ -2,7 +2,6 @@ package bench
 
 import (
 	"fmt"
-	"sync"
 	"time"
 
 	"github.com/chillerdb/chiller/internal/cc"
@@ -65,41 +64,6 @@ func Connect(cfg ConnectConfig, def cluster.DefaultPartitioner) (*RemoteClient, 
 // Engine returns the client-side engine of the given kind.
 func (rc *RemoteClient) Engine(kind EngineKind) cc.Engine {
 	return rc.Node.Engine(kind)
-}
-
-// RefreshTopology adopts the cluster's current layout and address book
-// (deploy.AdoptTopology). Nodes cannot push layout changes to the client
-// — they have no dialable address for it — so a client that must survive
-// membership churn polls (see WatchTopology).
-func (rc *RemoteClient) RefreshTopology() error {
-	return deploy.AdoptTopology(rc.Fabric, rc.Topo)
-}
-
-// WatchTopology polls RefreshTopology every interval (default 100ms)
-// until the returned stop func is called, so the client follows live
-// node joins and partition handoffs: a transaction aborted with the
-// moved reason retries against the refreshed layout. Safe to call once
-// per client; errors (a node mid-restart) leave the previous layout in
-// place and are retried next tick.
-func (rc *RemoteClient) WatchTopology(interval time.Duration) (stop func()) {
-	if interval <= 0 {
-		interval = 100 * time.Millisecond
-	}
-	done := make(chan struct{})
-	var once sync.Once
-	go func() {
-		t := time.NewTicker(interval)
-		defer t.Stop()
-		for {
-			select {
-			case <-done:
-				return
-			case <-t.C:
-				_ = rc.RefreshTopology()
-			}
-		}
-	}()
-	return func() { once.Do(func() { close(done) }) }
 }
 
 // Close drains in-flight work and tears the client down. The remote
@@ -172,11 +136,28 @@ func Figure10Remote(opt Options, peers []string) (*Figure, error) {
 	tpcc.MarkHot(rc.Dir, tcfg)
 	// Adopt the cluster's current layout and follow it for the sweep's
 	// duration: the CI churn job live-adds a node mid-sweep, and the
-	// client must route to whoever primaries each partition now.
-	if err := rc.RefreshTopology(); err != nil {
+	// client must route to whoever primaries each partition now. Nodes
+	// cannot push a layout to the client (it has no dialable address), so
+	// it polls; a failed poll (a node mid-restart) keeps the previous
+	// layout, and a moved-abort retries against the next one.
+	if err := deploy.AdoptTopology(rc.Fabric, rc.Topo); err != nil {
 		return nil, err
 	}
-	defer rc.WatchTopology(100 * time.Millisecond)()
+	stop, polled := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(polled)
+		t := time.NewTicker(100 * time.Millisecond)
+		defer t.Stop()
+		for {
+			select {
+			case <-stop:
+				return
+			case <-t.C:
+				_ = deploy.AdoptTopology(rc.Fabric, rc.Topo)
+			}
+		}
+	}()
+	defer func() { close(stop); <-polled }()
 
 	fig := &Figure{
 		Name:      "Figure 10 (tcp)",

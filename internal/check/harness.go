@@ -95,15 +95,15 @@ type Config struct {
 
 	// Crash enables the crash-restart schedule: every node gets a
 	// write-ahead log, and between two workload phases a seeded-random
-	// node is crashed (its links cut), its volatile store wiped, the
-	// deployment image re-loaded, and the WAL replayed on top. The node
-	// stays down into phase two — transactions needing it abort and
-	// retry — and is revived mid-phase. Every end-of-run check (history
-	// serializability, replica consistency, quiesce) then covers the
-	// recovered state, and a direct pre-crash/post-recovery diff counts
-	// acknowledged-then-lost commits as named violations. Simnet only:
-	// wiping a store needs the fabric-level quiesce barrier
-	// (deploy.Cluster.Settle), which only the simulator can see.
+	// node is crashed (its droppable links cut) and restarted through
+	// deploy.Cluster.Reopen — the construction chiller.Open and
+	// chiller-node run: WAL recovery into a fresh store, then the loader
+	// rerun on top, yielding to recovered keys. The node stays down into
+	// phase two — transactions needing it abort and retry — and is
+	// revived mid-phase. Every end-of-run check (history serializability,
+	// replica consistency, quiesce) then covers the recovered state, and
+	// a direct pre-crash/post-recovery diff counts acknowledged-then-lost
+	// commits as named violations. Works over both transports.
 	Crash bool
 	// Promote additionally runs the primary-death recovery protocol: the
 	// crashed node's partition is promoted to one of its replicas while
@@ -234,9 +234,6 @@ func (r *Result) Err() error {
 // Run executes one chaos cell and checks its history.
 func Run(cfg Config) (*Result, error) {
 	cfg.defaults()
-	if cfg.Crash && cfg.Transport == bench.TransportTCP {
-		return nil, fmt.Errorf("check: the crash schedule requires the simnet transport")
-	}
 	if cfg.Promote && (!cfg.Crash || cfg.Replication < 2) {
 		return nil, fmt.Errorf("check: Promote requires Crash and Replication >= 2")
 	}
@@ -395,16 +392,11 @@ func Run(cfg Config) (*Result, error) {
 
 	// settle quiesces the cluster between phases and at the end of the
 	// run: heal partitions (crashed nodes stay crashed), join the async
-	// commit tails, then give participant state a few grace rounds to
-	// drain.
+	// commit tails and the lane executors' queued work, then give
+	// participant state a few grace rounds to drain.
 	settle := func() bool {
 		c.Faults.HealAll()
 		c.Drain()
-		// Fabric-level barrier: engine drains join coordinator work, but a
-		// replica apply queued behind a one-way stream leaves no state to
-		// poll — Settle waits until no message is in flight and every lane
-		// executor has drained, so the crash schedule may safely read or
-		// wipe stores.
 		c.Settle()
 		for i := 0; i < 50; i++ {
 			if c.Quiesced() {
@@ -443,6 +435,8 @@ func Run(cfg Config) (*Result, error) {
 			return nil, err
 		}
 		crashed, lost = v, nLost
+		// The victim's clients coordinate at its new incarnation.
+		engines[crashed] = history.Engine(c.Engine(cfg.Engine, crashed), c.Registry, rec)
 
 		// Phase two starts with the recovered node still down — its links
 		// carry only the protected control plane — and revives it
@@ -452,7 +446,7 @@ func Run(cfg Config) (*Result, error) {
 		go func() {
 			defer reviveWG.Done()
 			time.Sleep(2 * time.Millisecond)
-			c.RestartNode(crashed)
+			c.Faults.Restart(transport.NodeID(crashed))
 		}()
 		engs := engines
 		if cfg.Promote {
@@ -505,13 +499,13 @@ func Run(cfg Config) (*Result, error) {
 }
 
 // crashAndRecover is the inter-phase crash schedule: pick a seeded-random
-// victim, oracle-snapshot its acknowledged state, crash and wipe it,
-// restore a fresh deployment image, replay its WAL, and diff the result
-// against the oracle — every divergence is an acknowledged-then-lost
-// commit. With Promote it then flips the victim's partition to a replica
-// (the primary-death recovery protocol) while the victim is still down.
-// Called only on a quiesced cluster; the victim's links stay cut when it
-// returns.
+// victim, oracle-snapshot its acknowledged state, crash it and restart it
+// through deploy.Cluster.Reopen, rerun the loader on the new node, and
+// diff its store against the oracle — every divergence is an
+// acknowledged-then-lost commit. With Promote it then flips the victim's
+// partition to a replica (the primary-death recovery protocol) while the
+// victim is still down. Called only on a quiesced cluster; the victim's
+// links stay cut when it returns.
 func crashAndRecover(cfg Config, c *bench.Cluster, maxKey storage.Key) (victim, lost int, err error) {
 	crng := rand.New(rand.NewSource(cfg.Seed ^ 0x0dd5))
 	v := crng.Intn(cfg.Partitions)
@@ -523,42 +517,33 @@ func crashAndRecover(cfg Config, c *bench.Cluster, maxKey storage.Key) (victim, 
 	// Oracle: the victim's full table image at the moment of the crash.
 	// Everything here was acknowledged (the cluster is quiesced), so
 	// recovery must reproduce it exactly.
-	st := c.Nodes[v].Store()
 	oracle := make(map[storage.Key]string)
-	if tbl := st.Table(CheckTable); tbl != nil {
+	if tbl := c.Nodes[v].Store().Table(CheckTable); tbl != nil {
 		tbl.Range(func(k storage.Key, val []byte, _ uint64) bool {
 			oracle[k] = string(val)
 			return true
 		})
 	}
 
-	c.CrashNode(v)
-	c.WipeNode(v)
-
-	// The operator restart path: restore the fresh deployment image
-	// (table plus initial values of every key the node hosts as primary
-	// or replica), then replay the WAL on top.
-	st.CreateTable(CheckTable, 4096)
+	c.Faults.Crash(transport.NodeID(v))
+	n, err := c.Reopen(v)
+	if err != nil {
+		return v, 0, fmt.Errorf("check: reopen node %d: %w", v, err)
+	}
+	// The restarted deployment reruns its loading phase, which yields to
+	// every key the WAL replay restored.
 	for k := storage.Key(0); k < maxKey; k++ {
-		pid := c.Dir.Partition(storage.RID{Table: CheckTable, Key: k})
-		hosted := c.Topo.Primary(pid) == transport.NodeID(v)
-		for _, r := range c.Topo.Replicas(pid) {
-			hosted = hosted || r == transport.NodeID(v)
-		}
-		if hosted {
-			st.Bucket(CheckTable, k).Upsert(k, InitialVal(k))
+		if err := n.LoadRecord(CheckTable, k, InitialVal(k)); err != nil {
+			return v, 0, fmt.Errorf("check: reload node %d: %w", v, err)
 		}
 	}
-	if err := c.RecoverNode(v); err != nil {
-		return v, 0, fmt.Errorf("check: recover node %d: %w", v, err)
-	}
+	tbl := n.Store().Table(CheckTable)
 
 	// Checker-sensitivity hook: silently revert one recovered record,
 	// simulating a durability bug that lost an acknowledged commit. The
 	// oracle diff below MUST flag it.
 	if cfg.ForgeLostCommit {
 		forged := false
-		tbl := st.Table(CheckTable)
 		tbl.Range(func(k storage.Key, val []byte, _ uint64) bool {
 			if string(val) != string(InitialVal(k)) {
 				tbl.Bucket(k).Upsert(k, InitialVal(k))
@@ -575,7 +560,6 @@ func crashAndRecover(cfg Config, c *bench.Cluster, maxKey storage.Key) (victim, 
 		}
 	}
 
-	tbl := st.Table(CheckTable)
 	for k, want := range oracle {
 		got, _, gerr := tbl.Bucket(k).Get(k)
 		if gerr != nil || string(got) != want {

@@ -47,8 +47,9 @@ func matrixCells() []cell {
 		cell{name: "tcp-chiller-batched", engine: bench.EngineChiller, lanes: 1, transport: bench.TransportTCP},
 	)
 	// Crash-restart cells: every node runs a WAL, and between two
-	// workload phases a seeded-random node is killed, wiped, and
-	// recovered by snapshot+tail replay — then phase two races traffic
+	// workload phases a seeded-random node is crashed and reopened
+	// through deploy's node construction — WAL recovery into a fresh
+	// store, the loader rerun on top — then phase two races traffic
 	// against its revival. The promote cell additionally runs the
 	// primary-death protocol: the crashed partition fails over to its
 	// replica while the node is down. Recovered histories must check
@@ -59,6 +60,7 @@ func matrixCells() []cell {
 		cell{name: "crash-occ", engine: bench.EngineOCC, lanes: 2, crash: true},
 		cell{name: "crash-chiller-batched", engine: bench.EngineChiller, lanes: 2, crash: true},
 		cell{name: "crash-promote-chiller", engine: bench.EngineChiller, lanes: 1, crash: true, promote: true},
+		cell{name: "crash-tcp-chiller", engine: bench.EngineChiller, lanes: 1, transport: bench.TransportTCP, crash: true},
 	)
 	// MVCC cells: versioned stores, shared commit clock, the workload's
 	// read-only slice on the lock-free snapshot path (ProcSRO). The
@@ -243,23 +245,25 @@ func TestCheckerSensitivity(t *testing.T) {
 // record after WAL replay — exactly what a durability bug that dropped
 // an acknowledged commit would look like — and the run MUST flag it as a
 // lost-commit violation. A green crash matrix is only meaningful if this
-// forgery is caught.
+// forgery is caught — on either fabric.
 func TestCheckerLostCommitSensitivity(t *testing.T) {
 	seed := testutil.Seed(t, 88)
-	res, err := Run(Config{
-		Engine: bench.EngineChiller, Lanes: 2,
-		Seed: seed, Crash: true, ForgeLostCommit: true,
-	})
-	if err != nil {
-		t.Fatalf("harness: %v", err)
-	}
-	if res.LostCommits == 0 {
-		t.Fatal("forged lost commit not counted (durability check has no teeth)")
-	}
-	if err := res.Err(); err == nil {
-		t.Fatal("forged lost commit checked clean")
-	} else {
-		t.Logf("caught as expected: %v", err)
+	for _, fabric := range []string{bench.TransportSim, bench.TransportTCP} {
+		res, err := Run(Config{
+			Engine: bench.EngineChiller, Transport: fabric, Lanes: 2,
+			Seed: seed, Crash: true, ForgeLostCommit: true,
+		})
+		if err != nil {
+			t.Fatalf("%s: harness: %v", fabric, err)
+		}
+		if res.LostCommits == 0 {
+			t.Fatalf("%s: forged lost commit not counted (durability check has no teeth)", fabric)
+		}
+		if err := res.Err(); err == nil {
+			t.Fatalf("%s: forged lost commit checked clean", fabric)
+		} else {
+			t.Logf("%s: caught as expected: %v", fabric, err)
+		}
 	}
 }
 

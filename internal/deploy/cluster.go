@@ -213,14 +213,7 @@ func (c *Cluster) addNode(home cluster.PartitionID) (*Node, error) {
 	if len(nodes) > 0 {
 		schema = nodes[0].Store()
 	}
-	n, err := newNode(c.Faults.Wrap(ep), fab, home, Spec{
-		Registry:  c.Registry,
-		Dir:       c.Dir,
-		Sampler:   c.Sampler,
-		Clock:     c.Clock,
-		WALDir:    c.Cfg.WALDir,
-		WALPolicy: c.Cfg.WALPolicy,
-	}, schema)
+	n, err := newNode(c.Faults.Wrap(ep), fab, home, c.spec(), schema)
 	if err != nil {
 		if fab != nil {
 			fab.Close()
@@ -229,6 +222,58 @@ func (c *Cluster) addNode(home cluster.PartitionID) (*Node, error) {
 	}
 	grown := append(append(make([]*Node, 0, len(nodes)+1), nodes...), n)
 	c.nodes.Store(&grown)
+	return n, nil
+}
+
+// spec is what every node of the cluster is built with.
+func (c *Cluster) spec() Spec {
+	return Spec{
+		Registry:  c.Registry,
+		Dir:       c.Dir,
+		Sampler:   c.Sampler,
+		Clock:     c.Clock,
+		WALDir:    c.Cfg.WALDir,
+		WALPolicy: c.Cfg.WALPolicy,
+	}
+}
+
+// Reopen restarts node i in place, through the production restart path:
+// it drains the node's engines, stops its lane executors and closes its
+// WAL, then builds a new node on the same endpoint with the construction
+// chiller.Open, AddNode and chiller-node run — SetClock → wal.Recover →
+// RecoverStore → Clock.AdvanceTo → SetWAL → engines — and publishes it
+// in slot i. The new node's handlers replace the old one's on the
+// endpoint (over TCP, on the same tcpnet.Fabric, so peers keep their
+// connections). Its store starts with the old store's tables and holds
+// what the WAL replayed; rerun the loading phase through its LoadRecord,
+// which yields to recovered keys. Call only on a quiesced cluster: no
+// transaction may touch the node across the call. On error slot i keeps
+// the stopped node, and the cluster is fit only for Close.
+func (c *Cluster) Reopen(i int) (*Node, error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.closed {
+		return nil, fmt.Errorf("deploy: reopen node %d: cluster closed", i)
+	}
+	nodes := c.Nodes()
+	if i < 0 || i >= len(nodes) {
+		return nil, fmt.Errorf("deploy: no node %d: %w", i, ErrInvalid)
+	}
+	old := nodes[i]
+	old.Drain()
+	old.Node.Close()
+	if err := old.closeWAL(); err != nil {
+		return nil, fmt.Errorf("deploy: reopen node %d: %w", i, err)
+	}
+	// No home partition: server.New keeps none, the topology names what
+	// the node serves.
+	n, err := newNode(old.Endpoint(), old.fab, -1, c.spec(), old.Store())
+	if err != nil {
+		return nil, err
+	}
+	reopened := append([]*Node(nil), nodes...)
+	reopened[i] = n
+	c.nodes.Store(&reopened)
 	return n, nil
 }
 
@@ -305,26 +350,16 @@ func (c *Cluster) Drain() {
 	}
 }
 
-// Settle blocks until the fabric carries no in-flight message and every
-// node's lane executors have drained — the strong quiesce barrier a
-// crash schedule needs before oracle-reading or wiping a store. Engine
-// drains and participant-state polls cannot see a replica apply still
-// queued behind a one-way stream; this can. Lane work may itself send
-// messages (apply acks), so the loop runs until a lane barrier completes
-// with the fabric quiet on both sides. Call only with client traffic
-// stopped and engines drained. Over TCP it degrades to lane barriers.
+// Settle runs one lane barrier per node: every lane executor drains the
+// work queued before the call. With client traffic stopped and engines
+// drained (Drain), that completes the quiesce barrier a crash schedule
+// needs before it reads a store or reopens a node, on either fabric:
+// every replication-stream send is awaited through server.Acks and a
+// replica acks only after its apply and WAL flush, so a drained engine
+// leaves no apply in flight — only lane work can remain.
 func (c *Cluster) Settle() {
-	for {
-		if c.Net != nil && !c.Net.Quiet() {
-			time.Sleep(20 * time.Microsecond)
-			continue
-		}
-		for _, n := range c.Nodes() {
-			n.LaneBarrier()
-		}
-		if c.Net == nil || c.Net.Quiet() {
-			return
-		}
+	for _, n := range c.Nodes() {
+		n.LaneBarrier()
 	}
 }
 

@@ -218,36 +218,43 @@ func TestClusterLifecycle(t *testing.T) {
 	}
 }
 
+// bank builds a cluster of cfg.Partitions range partitions of
+// perPartition accounts each, registers transfer, and loads every
+// account with startBalance.
+func bank(t *testing.T, cfg Config) *Cluster {
+	t.Helper()
+	c, err := NewCluster(cfg, cluster.RangePartitioner{
+		N:      cfg.Partitions,
+		MaxKey: map[storage.TableID]storage.Key{accounts: storage.Key(cfg.Partitions * perPartition)},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Registry.Register(transfer()); err != nil {
+		t.Fatal(err)
+	}
+	c.CreateTable(accounts, 64)
+	for k := 0; k < cfg.Partitions*perPartition; k++ {
+		if err := c.LoadRecord(accounts, storage.Key(k), balance(startBalance)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return c
+}
+
 // A durable cluster reopened over the same directory replays its logs
 // (clock before replay, recover before the engine verbs), and the
 // loading phase rerun on top yields to the recovered values.
 func TestClusterRecoversAndLoadYields(t *testing.T) {
 	testutil.CheckLeaks(t)
 	cfg := Config{Partitions: 2, Replication: 2, Lanes: 2, MVCC: true, WALDir: t.TempDir(), WALPolicy: wal.Policy{NoSync: true}}
-	part := cluster.RangePartitioner{N: 2, MaxKey: map[storage.TableID]storage.Key{accounts: 2 * perPartition}}
-	open := func() *Cluster {
-		c, err := NewCluster(cfg, part)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := c.Registry.Register(transfer()); err != nil {
-			t.Fatal(err)
-		}
-		c.CreateTable(accounts, 64)
-		for k := 0; k < 2*perPartition; k++ {
-			if err := c.LoadRecord(accounts, storage.Key(k), balance(startBalance)); err != nil {
-				t.Fatal(err)
-			}
-		}
-		return c
-	}
-	c := open()
+	c := bank(t, cfg)
 	run(t, c, EngineChiller, 0, 0, perPartition)
 	if err := c.Close(); err != nil {
 		t.Fatal(err)
 	}
 
-	c = open()
+	c = bank(t, cfg)
 	defer c.Close()
 	for _, n := range c.Nodes() {
 		if !n.Recovered {
@@ -265,4 +272,89 @@ func TestClusterRecoversAndLoadYields(t *testing.T) {
 	// The recovered clock is past every replayed version: new commits and
 	// snapshots keep working.
 	run(t, c, EngineChiller, 1, 1, perPartition+1)
+}
+
+// Settle is one lane barrier per node because a drained engine leaves
+// no replica apply in flight: every stream send is awaited through
+// server.Acks, and a replica acks only after its apply. So right after
+// Drain — no Settle — every replica copy already holds each engine's
+// committed writes, inner-region (a hot account) and outer alike.
+func TestDrainedCommitIsOnEveryReplica(t *testing.T) {
+	for _, fabric := range []string{TransportSim, TransportTCP} {
+		t.Run(fabric, func(t *testing.T) {
+			testutil.CheckLeaks(t)
+			const partitions = 3
+			c := bank(t, Config{Transport: fabric, Partitions: partitions, Replication: 2, Lanes: 2})
+			defer c.Close()
+			for p := 0; p < partitions; p++ {
+				rid := storage.RID{Table: accounts, Key: storage.Key(p * perPartition)}
+				c.Dir.SetHot(rid, cluster.PartitionID(p))
+			}
+			for i, kind := range []EngineKind{Engine2PL, EngineOCC, EngineChiller} {
+				for round := 0; round < 10; round++ {
+					src := int64(((i + round) % partitions) * perPartition)
+					dst := int64(((i+round+1)%partitions)*perPartition + 1 + round%(perPartition-1))
+					run(t, c, kind, i, src, dst)
+					c.Drain()
+					if n := c.VerifyReplicaConsistency(accounts); n != 0 {
+						t.Fatalf("%s round %d: %d replica copies behind their primary after Drain", kind, round, n)
+					}
+				}
+			}
+		})
+	}
+}
+
+// Reopen restarts a node through the construction Open runs: the new
+// node replays its WAL, the loader rerun on it yields to what replay
+// restored, it takes over the endpoint's handlers, and it serves
+// traffic — as coordinator and as participant — on either fabric.
+func TestReopenServesRecoveredState(t *testing.T) {
+	for _, fabric := range []string{TransportSim, TransportTCP} {
+		t.Run(fabric, func(t *testing.T) {
+			testutil.CheckLeaks(t)
+			const partitions = 2
+			c := bank(t, Config{Transport: fabric, Partitions: partitions, Replication: 2, Lanes: 2,
+				WALDir: t.TempDir(), WALPolicy: wal.Policy{NoSync: true}})
+			defer c.Close()
+			run(t, c, EngineChiller, 0, 0, perPartition)
+			c.Drain()
+			c.Settle()
+
+			old := c.Nodes()[1]
+			n, err := c.Reopen(1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n == old || c.Nodes()[1] != n || !n.Recovered {
+				t.Fatalf("Reopen did not publish a recovered node in slot 1 (recovered %v)", n.Recovered)
+			}
+			for k := 0; k < partitions*perPartition; k++ {
+				if err := n.LoadRecord(accounts, storage.Key(k), balance(startBalance)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			// Replication 2 of 2: the reopened node holds every account.
+			for key, want := range map[storage.Key]int64{0: startBalance - 1, perPartition: startBalance + 1, 1: startBalance} {
+				v, _, err := n.Store().Bucket(accounts, key).Get(key)
+				if err != nil || int64(binary.LittleEndian.Uint64(v)) != want {
+					t.Fatalf("reopened node: account %d = %v (%v), want %d", key, v, err, want)
+				}
+			}
+
+			run(t, c, EngineChiller, 1, perPartition+1, 1)
+			run(t, c, Engine2PL, 0, 2, perPartition+2)
+			c.Drain()
+			c.Settle()
+			if n := c.VerifyReplicaConsistency(accounts); n != 0 {
+				t.Fatalf("%d replica mismatches after traffic through the reopened node", n)
+			}
+			if err := c.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := c.Reopen(0); err == nil {
+				t.Fatal("Reopen succeeded on a closed cluster")
+			}
+		})
+	}
 }

@@ -8,8 +8,9 @@
 // used directly by processes that host exactly one node (chiller-node,
 // and the coordinator-only TCP clients through Connect). Cluster is the
 // in-process multi-node deployment over either fabric, with the
-// membership operations (AddNode, MovePartition, RemoveNode) and the
-// background MVCC garbage collector.
+// membership operations (AddNode, MovePartition, RemoveNode), the
+// in-place restart of one node through the same construction (Reopen)
+// and the background MVCC garbage collector.
 //
 // Construction order (see docs/ARCHITECTURE.md "Assembly" for why each
 // step sits where it does): directory lanes → store → server node →

@@ -140,9 +140,8 @@ func (n *Node) WithLaneSerial(lane int, f func()) {
 
 // LaneBarrier blocks until every lane executor has drained the work
 // queued before the call. It says nothing about work submitted after it
-// starts — a useful barrier only on a quiesced cluster (the crash
-// schedule's pre-wipe fence: replica applies ride one-way streams, so
-// no participant state betrays a still-queued apply).
+// starts — a useful barrier only on a quiesced cluster
+// (deploy.Cluster.Settle runs one per node).
 func (n *Node) LaneBarrier() {
 	var wg sync.WaitGroup
 	wg.Add(len(n.lanes))

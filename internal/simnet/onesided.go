@@ -98,10 +98,9 @@ func (e *Endpoint) GoOneSided(to NodeID, method string, payload []byte, verbs in
 	if verbs < 1 {
 		verbs = 1
 	}
-	cfg := &e.net.cfg
-	oneway := cfg.Latency
+	oneway := e.net.cfg.Latency
 	if to == e.id {
-		oneway = cfg.LocalLatency
+		oneway = 0
 	}
 	st := &e.net.stats
 	st.Doorbells.Add(1)

@@ -42,7 +42,6 @@ import (
 	"fmt"
 	"math/rand"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"github.com/chillerdb/chiller/internal/transport"
@@ -53,23 +52,18 @@ import (
 // tests and the simfab adapter read naturally.
 type NodeID = transport.NodeID
 
-// Config controls the fabric's timing model.
+// Config controls the fabric's timing model. A node messaging itself
+// takes the loopback shortcut: no Latency (Jitter still applies to its
+// two-sided sends). Link queues are unbounded.
 type Config struct {
 	// Latency is the one-way delay for messages between distinct nodes.
 	// With RDMA this is on the order of 1-3us; classic TCP is 30-100us.
 	Latency time.Duration
 	// Jitter adds a uniformly distributed extra delay in [0, Jitter).
 	Jitter time.Duration
-	// LocalLatency is the delay for a node messaging itself (loopback
-	// shortcut, normally 0).
-	LocalLatency time.Duration
 	// Seed seeds the jitter source; 0 means a fixed default so runs are
 	// reproducible unless the caller opts into variation.
 	Seed int64
-	// QueueDepth is the per-link send queue capacity. Sends block when
-	// the queue is full, modelling a bounded QP send queue. 0 means a
-	// default of 1024.
-	QueueDepth int
 }
 
 // Stats aggregates fabric-wide counters (see transport.Stats).
@@ -96,22 +90,12 @@ type Network struct {
 	active []*link // links with queued messages
 	nudge  chan struct{}
 	done   chan struct{}
-
-	// inflight counts messages between send-enqueue and the return of
-	// their destination handler (handlers run inline on the dispatcher).
-	// Quiet() reads it: the chaos harness's crash schedule needs a
-	// fabric-level quiesce barrier because one-way streams (replica
-	// applies) leave no participant state to poll.
-	inflight atomic.Int64
 }
 
 type linkKey struct{ from, to NodeID }
 
 // New creates a fabric with the given timing configuration.
 func New(cfg Config) *Network {
-	if cfg.QueueDepth <= 0 {
-		cfg.QueueDepth = 1024
-	}
 	n := &Network{
 		cfg:   cfg,
 		nodes: make(map[NodeID]*Endpoint),
@@ -126,12 +110,6 @@ func New(cfg Config) *Network {
 
 // Stats returns the fabric counters.
 func (n *Network) Stats() *Stats { return &n.stats }
-
-// Quiet reports whether no message is currently in flight: every sent
-// message has been delivered and its destination handler has returned.
-// Only meaningful on a fabric with no concurrent senders (a quiesced
-// cluster) — with traffic running it is a momentary snapshot.
-func (n *Network) Quiet() bool { return n.inflight.Load() == 0 }
 
 // Close tears the fabric down. Outstanding calls fail with
 // transport.ErrClosed.
@@ -289,7 +267,6 @@ func (n *Network) dispatch() {
 				if dst, ok := n.endpoint(l.to); ok {
 					dst.Serve(msg.from, msg.method, msg.payload, msg.reply)
 				}
-				n.inflight.Add(-1)
 				now = time.Now()
 			}
 		}
@@ -341,7 +318,7 @@ func (l *link) latency() time.Duration {
 	cfg := &l.net.cfg
 	base := cfg.Latency
 	if l.local {
-		base = cfg.LocalLatency
+		base = 0
 	}
 	if cfg.Jitter > 0 {
 		l.rngMu.Lock()
@@ -362,7 +339,6 @@ func (l *link) send(msg message) error {
 	env.msg = msg
 	env.deliver = time.Now().Add(l.latency())
 
-	l.net.inflight.Add(1)
 	l.qmu.Lock()
 	l.q = append(l.q, env)
 	register := !l.queued

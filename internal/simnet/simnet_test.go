@@ -245,7 +245,7 @@ func TestStatsCounters(t *testing.T) {
 }
 
 func TestSelfCall(t *testing.T) {
-	n := New(Config{Latency: time.Millisecond, LocalLatency: 0})
+	n := New(Config{Latency: time.Millisecond})
 	defer n.Close()
 	a := n.Endpoint(1)
 	a.Handle("self", func(from NodeID, req []byte) ([]byte, error) {

@@ -262,19 +262,6 @@ func (t *Table) DeleteAt(key Key, ts uint64) error {
 	return b.tombstone(key, t, ts)
 }
 
-// VersionTS returns the commit timestamp of the key's current value
-// (0 for initial loads), for diagnostics and recovery accounting.
-func (t *Table) VersionTS(key Key) (uint64, error) {
-	b := t.Bucket(key)
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	at, i, ok := b.seek(key, true)
-	if !ok {
-		return 0, ErrNotFound
-	}
-	return at.entries[i].ts(), nil
-}
-
 // ChainDepth reports how many retained versions (beyond the live one)
 // key carries — the GC observability hook tests assert pruning with.
 func (t *Table) ChainDepth(key Key) int {
@@ -297,7 +284,7 @@ func (t *Table) ChainDepth(key Key) int {
 // RangeTS is Range with each record's commit timestamp: the WAL
 // snapshot builder uses it so recovered records keep their stamps (the
 // value and its ts are captured under one bucket-mutex hold, which a
-// Range + VersionTS pair could not guarantee). Iteration order is
+// Range followed by a per-key timestamp lookup could not guarantee). Iteration order is
 // unspecified; fn must not call back into the same bucket.
 func (t *Table) RangeTS(fn func(key Key, value []byte, version, ts uint64) bool) {
 	for i := range t.buckets {

@@ -81,17 +81,6 @@ func (s *Store) CreateTable(id TableID, nBuckets int) *Table {
 	return t
 }
 
-// Reset drops every table, returning the store to its freshly-created
-// state. It models a crash wiping volatile memory: the chaos harness
-// calls it on a "killed" node before replaying the write-ahead log back
-// in. Callers must have quiesced the store first — no transaction may
-// hold bucket locks or be mid-apply.
-func (s *Store) Reset() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.tables = make(map[TableID]*Table)
-}
-
 // Table returns the table with the given id, or nil.
 func (s *Store) Table(id TableID) *Table {
 	s.mu.RLock()

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -29,47 +28,43 @@ func (e *CorruptError) Error() string {
 	return fmt.Sprintf("wal: lane %d: CRC mismatch at offset %d (lsn field %d); log truncated to valid prefix", e.Lane, e.Offset, e.LSN)
 }
 
-// scanLaneFile walks a lane file and returns the length of its valid
-// prefix, the max LSN seen in that prefix, and a *CorruptError if the
-// scan stopped on a CRC mismatch (nil for a clean file or a torn tail).
-func scanLaneFile(path string, lane int) (valid int64, maxLSN uint64, corrupt *CorruptError, err error) {
+// walkLane is the one reader of the record framing: it hands each valid
+// record of a lane file to fn, in file order, and returns the length of
+// the valid prefix. payload aliases a buffer read for this walk alone. A
+// torn final record — a short write at EOF, the normal crash artifact —
+// ends the walk silently; a length that cannot frame a record or a CRC
+// mismatch ends it with a *CorruptError naming the spot. A missing file
+// is empty.
+func walkLane(path string, lane int, fn func(typ uint8, lsn uint64, payload []byte)) (valid int64, corrupt *CorruptError, err error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		if errors.Is(err, os.ErrNotExist) {
-			return 0, 0, nil, nil
+			return 0, nil, nil
 		}
-		return 0, 0, nil, fmt.Errorf("wal: scan lane %d: %w", lane, err)
+		return 0, nil, fmt.Errorf("wal: read lane %d: %w", lane, err)
 	}
-	off := int64(0)
 	for {
-		rest := data[off:]
-		if len(rest) == 0 {
-			return off, maxLSN, nil, nil
-		}
+		rest := data[valid:]
 		if len(rest) < recHeaderSize {
-			// Torn header at EOF: drop it.
-			return off, maxLSN, nil, nil
+			return valid, nil, nil // clean end, or a torn header
 		}
 		body := int64(binary.LittleEndian.Uint32(rest[0:]))
 		wantCRC := binary.LittleEndian.Uint32(rest[4:])
 		if body < recBodyPrefix {
 			// A length that cannot frame a record is corruption, not a
 			// torn tail — name it.
-			return off, maxLSN, &CorruptError{Lane: lane, Offset: off}, nil
+			return valid, &CorruptError{Lane: lane, Offset: valid}, nil
 		}
 		if int64(len(rest)) < recHeaderSize+body {
-			// Torn record at EOF: drop it.
-			return off, maxLSN, nil, nil
+			return valid, nil, nil // torn record
 		}
 		rec := rest[recHeaderSize : recHeaderSize+body]
 		lsn := binary.LittleEndian.Uint64(rec[1:])
 		if crc32.ChecksumIEEE(rec) != wantCRC {
-			return off, maxLSN, &CorruptError{Lane: lane, Offset: off, LSN: lsn}, nil
+			return valid, &CorruptError{Lane: lane, Offset: valid, LSN: lsn}, nil
 		}
-		if lsn > maxLSN {
-			maxLSN = lsn
-		}
-		off += recHeaderSize + body
+		fn(rec[0], lsn, rec[recBodyPrefix:])
+		valid += recHeaderSize + body
 	}
 }
 
@@ -169,8 +164,7 @@ func (r *Recovered) Empty() bool {
 // Replay flushes outstanding appends and reads the durable state back:
 // each lane's snapshot (if any) plus the log records past its cutoff,
 // with tails merged across lanes by LSN. The log remains usable for
-// appends afterwards — the crash harness replays through the same open
-// Log it keeps across a simulated kill.
+// appends afterwards.
 func (l *Log) Replay() (*Recovered, error) {
 	// Drain userspace buffers so the files hold everything appended.
 	l.sync()
@@ -215,44 +209,14 @@ func Recover(dir string, lanes int, policy Policy) (*Log, *Recovered, error) {
 }
 
 // readLaneTail reads the valid records of a lane file with LSN beyond
-// cutoff. Torn tails and CRC mismatches stop the scan (the prefix is
-// returned), mirroring Open's tolerance.
+// cutoff. Torn tails and corruption end the walk without an error (the
+// prefix is returned): Open is where corruption is reported and cut off.
 func readLaneTail(path string, lane int, cutoff uint64) ([]TailRecord, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		if errors.Is(err, os.ErrNotExist) {
-			return nil, nil
-		}
-		return nil, fmt.Errorf("wal: replay lane %d: %w", lane, err)
-	}
-	defer f.Close()
-	data, err := io.ReadAll(f)
-	if err != nil {
-		return nil, fmt.Errorf("wal: replay lane %d: %w", lane, err)
-	}
 	var out []TailRecord
-	off := 0
-	for {
-		rest := data[off:]
-		if len(rest) < recHeaderSize {
-			return out, nil
-		}
-		body := int(binary.LittleEndian.Uint32(rest[0:]))
-		wantCRC := binary.LittleEndian.Uint32(rest[4:])
-		if body < recBodyPrefix || len(rest) < recHeaderSize+body {
-			return out, nil
-		}
-		recBytes := rest[recHeaderSize : recHeaderSize+body]
-		if crc32.ChecksumIEEE(recBytes) != wantCRC {
-			return out, nil
-		}
-		typ := recBytes[0]
-		lsn := binary.LittleEndian.Uint64(recBytes[1:])
+	_, _, err := walkLane(path, lane, func(typ uint8, lsn uint64, payload []byte) {
 		if lsn > cutoff {
-			payload := make([]byte, body-recBodyPrefix)
-			copy(payload, recBytes[recBodyPrefix:])
 			out = append(out, TailRecord{Lane: lane, LSN: lsn, Type: typ, Payload: payload})
 		}
-		off += recHeaderSize + body
-	}
+	})
+	return out, err
 }

@@ -174,7 +174,7 @@ func Open(dir string, lanes int, policy Policy) (*Log, error) {
 	var maxLSN uint64
 	for i := range l.lanes {
 		path := l.lanePath(i)
-		valid, laneMax, corrupt, err := scanLaneFile(path, i)
+		valid, corrupt, err := walkLane(path, i, func(_ uint8, lsn uint64, _ []byte) { maxLSN = max(maxLSN, lsn) })
 		if err != nil {
 			return nil, err
 		}
@@ -196,9 +196,6 @@ func Open(dir string, lanes int, policy Policy) (*Log, error) {
 			return nil, fmt.Errorf("wal: seek lane %d: %w", i, err)
 		}
 		l.lanes[i] = &laneLog{f: f, sinceSnap: valid}
-		if laneMax > maxLSN {
-			maxLSN = laneMax
-		}
 		if cut, _, err := readSnapshotFile(l.snapPath(i)); err == nil && cut > maxLSN {
 			maxLSN = cut
 		}

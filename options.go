@@ -237,7 +237,8 @@ func WithSampling(rate float64) Option {
 // paper's contention-centric partitioning run continuously instead of
 // from a maintenance window. Passes with no fresh samples are skipped.
 // Requires WithSampling; simulation-only (over TransportTCP the stores
-// live in the node processes). See docs/ELASTICITY.md.
+// live in the node processes); cannot combine with WithDurability (see
+// DB.Repartition). See docs/ELASTICITY.md.
 func WithAutoRepartition(interval time.Duration) Option {
 	return func(c *config) error {
 		if interval <= 0 {

@@ -17,8 +17,10 @@
 #      roots reach the simulator only through internal/transport/simfab,
 #      so the TCP fabric (or a future RDMA one) stays a drop-in.
 #   5. One assembly: outside _test.go files and benchmark/, nodes are
-#      built (server.New) and logs opened (wal.Recover / wal.Open) only
-#      under internal/deploy — so the checker certifies the code users run.
+#      built (server.New), logs opened (wal.Recover / wal.Open) and
+#      replayed into a store (server.RecoverStore) only under
+#      internal/deploy — so the checker certifies the code users run,
+#      restarts included.
 #   6. One fan-out: outside _test.go files and benchmark/, doorbells are
 #      built (NewDoorbell) only under internal/server — coordinators post
 #      through server.Wave — and no two-sided send or handler
@@ -78,7 +80,7 @@ fi
 
 # --- 5. one assembly ------------------------------------------------------
 offenders=$(grep -rnE --include='*.go' \
-        'server\.New\(|wal\.(Recover|Open)\(' . |
+        'server\.(New|RecoverStore)\(|wal\.(Recover|Open)\(' . |
     grep -v -e '_test\.go:' -e '^\./benchmark/' -e '^\./internal/deploy/' || true)
 if [ -n "$offenders" ]; then
     echo "node assembly outside internal/deploy (build nodes with deploy.NewNode / deploy.NewCluster):" >&2
