@@ -11,7 +11,9 @@
 //
 // The table is insert-only open addressing over atomic slots, read with
 // no lock; writers serialize on a mutex, store a slot's present bit last
-// and publish a grown or replaced table through one atomic pointer.
+// and publish a grown or replaced table through one atomic pointer. A
+// table whose every record is hot at its home is one rule beside the
+// rows, not a row per record.
 package cluster
 
 import (
@@ -487,7 +489,7 @@ type Directory struct {
 	// record→lane mapping without consulting the record's home node.
 	lanes int
 
-	mu     sync.Mutex // serializes writers: SetHotPlacement, growth, InstallLayout
+	mu     sync.Mutex // serializes writers: SetHotPlacement, SetHotTable, growth, InstallLayout
 	layout atomic.Pointer[layout]
 }
 
@@ -495,6 +497,11 @@ type Directory struct {
 // reader never pairs a new lookup table with an old full map.
 type layout struct {
 	hot hotTable
+	// rules are the hot tables (SetHotTable): every record of such a
+	// table is hot at its home placement with weight 1. Readers consult
+	// them only after the row probe misses. Copied on write, never
+	// modified once published.
+	rules []storage.TableID
 	// full, when non-nil, is a complete record→partition map as built by
 	// Schism-style partitioners; it takes precedence over def but not
 	// over hot. Chiller itself never populates it, and nothing writes it
@@ -657,10 +664,12 @@ func (d *Directory) PrimaryOf(rid storage.RID) transport.NodeID {
 	return d.topo.Primary(d.Partition(rid))
 }
 
-// IsHot reports whether the record is in the hot lookup table.
+// IsHot reports whether the record is in the hot lookup table, as a row
+// or through its table's rule.
 func (d *Directory) IsHot(rid storage.RID) bool {
-	_, m := d.layout.Load().hot.find(rid)
-	return m != 0
+	l := d.layout.Load()
+	_, m := l.hot.find(rid)
+	return m != 0 || slices.Contains(l.rules, rid.Table)
 }
 
 // SetHot places a hot record on a partition (a lookup-table entry) with
@@ -692,9 +701,25 @@ func (d *Directory) SetHotPlacement(rid storage.RID, p PartitionID, w float64, l
 	if cur.hot.set(rid, meta, weight) {
 		return
 	}
-	next := &layout{hot: cur.hot.grown(), full: cur.full}
+	next := &layout{hot: cur.hot.grown(), rules: cur.rules, full: cur.full}
 	next.hot.set(rid, meta, weight)
 	d.layout.Store(next)
+}
+
+// SetHotTable declares every record of a table hot at its home placement
+// (where Partition routes it, on the stable hash lane) with SetHot's
+// neutral weight of 1: one rule where per-record marking takes a row per
+// record. A row of the table keeps its own partition, lane and weight.
+// Setting a table again changes nothing.
+func (d *Directory) SetHotTable(table storage.TableID) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	next := *d.layout.Load()
+	if slices.Contains(next.rules, table) {
+		return
+	}
+	next.rules = append(slices.Clone(next.rules), table)
+	d.layout.Store(&next)
 }
 
 // row validates one placement and packs it into a slot's meta and
@@ -715,11 +740,16 @@ func (d *Directory) row(rid storage.RID, h HotPlacement) (meta, weight uint64) {
 	return uint64(rid.Table)<<32 | uint64(h.Partition)<<16 | uint64(h.Lane+1)<<1 | 1, math.Float64bits(h.Weight)
 }
 
-// HotWeight returns the record's contention weight, or 0 when the record
-// is not in the lookup table.
+// HotWeight returns the record's contention weight — its row's, else 1
+// through its table's rule — or 0 when the record is not in the lookup
+// table.
 func (d *Directory) HotWeight(rid storage.RID) float64 {
-	if s, m := d.layout.Load().hot.find(rid); m != 0 {
+	l := d.layout.Load()
+	if s, m := l.hot.find(rid); m != 0 {
 		return math.Float64frombits(s.weight.Load())
+	}
+	if slices.Contains(l.rules, rid.Table) {
+		return 1
 	}
 	return 0
 }
@@ -732,13 +762,14 @@ type HotPlacement struct {
 	Lane      int
 }
 
-// InstallLayout replaces the lookup table and the full map (a complete
-// record→partition assignment, the way Schism-style tools materialize
-// their output; it yields to the lookup table and may elide entries
-// equal to the default partitioner's choice) in one step. Routing never
-// observes a half-installed layout: clearing the table and re-adding
-// rows one at a time would, for a moment, route every relocated record
-// to its default partition — a second primary for it.
+// InstallLayout replaces the lookup table's rows and the full map (a
+// complete record→partition assignment, the way Schism-style tools
+// materialize their output; it yields to the lookup table and may elide
+// entries equal to the default partitioner's choice) in one step; the
+// hot-table rules stay. Routing never observes a half-installed layout:
+// clearing the table and re-adding rows one at a time would, for a
+// moment, route every relocated record to its default partition — a
+// second primary for it.
 func (d *Directory) InstallLayout(hot map[storage.RID]HotPlacement, full map[storage.RID]PartitionID) {
 	next := &layout{hot: newHotTable(len(hot)), full: full}
 	for rid, h := range hot {
@@ -747,19 +778,22 @@ func (d *Directory) InstallLayout(hot map[storage.RID]HotPlacement, full map[sto
 	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
+	next.rules = d.layout.Load().rules
 	d.layout.Store(next)
 }
 
-// LookupTableSize returns the number of hot entries — the metadata cost
-// compared in §7.2.2.
+// LookupTableSize returns the number of hot entries — rows, one per
+// hot-table rule, and full-map entries: the metadata cost compared in
+// §7.2.2.
 func (d *Directory) LookupTableSize() int {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	l := d.layout.Load()
-	return l.hot.rows + len(l.full)
+	return l.hot.rows + len(l.rules) + len(l.full)
 }
 
-// HotEntries returns a snapshot of the lookup table.
+// HotEntries returns a snapshot of the lookup table's rows (hot-table
+// rules name no record and are not listed).
 func (d *Directory) HotEntries() map[storage.RID]PartitionID {
 	d.mu.Lock()
 	defer d.mu.Unlock()

@@ -22,6 +22,10 @@ import (
 // no step allows. Each install is followed by enough fresh rows to grow
 // the table four times (the full map must ride along), and each odd step
 // rewrites the hot base rows in place.
+//
+// Table 1 is a hot table, declared once at step 0, which every install
+// and growth must carry: a base key of table 1 routed by the full map is
+// hot with weight 1; one with a row answers from its row.
 func TestDirectoryReadersAgainstOneWriter(t *testing.T) {
 	const (
 		base   = 512  // keys 0..base-1 are checked
@@ -42,7 +46,11 @@ func TestDirectoryReadersAgainstOneWriter(t *testing.T) {
 	want := func(k, step int) answer {
 		install := step &^ 1
 		if k%2 != install/2%2 { // routed by the full map of the last install
-			return answer{part: PartitionID(1 + (k+install)%63), lane: storage.LaneOf(rid(k), lanes)}
+			a := answer{part: PartitionID(1 + (k+install)%63), lane: storage.LaneOf(rid(k), lanes)}
+			if rid(k).Table == 1 {
+				a.hot, a.weight = true, 1
+			}
+			return a
 		}
 		return answer{hot: true, part: PartitionID(1 + (k+step)%63), lane: (k + step) % lanes, weight: float64(k*1000 + step + 1)}
 	}
@@ -50,6 +58,9 @@ func TestDirectoryReadersAgainstOneWriter(t *testing.T) {
 	var started, done atomic.Int64
 	write := func(step int) {
 		started.Store(int64(step))
+		if step == 0 {
+			d.SetHotTable(1)
+		}
 		if step%2 == 0 {
 			hot, full := map[storage.RID]HotPlacement{}, map[storage.RID]PartitionID{}
 			for k := 0; k < base; k++ {
@@ -63,8 +74,11 @@ func TestDirectoryReadersAgainstOneWriter(t *testing.T) {
 			for k := base; k < base+extras; k++ {
 				d.SetHot(storage.RID{Table: 9, Key: storage.Key(step*extras + k)}, 5)
 			}
-			if got, want := d.LookupTableSize(), base/2+extras+base/2; got != want {
+			if got, want := d.LookupTableSize(), base/2+extras+base/2+1; got != want {
 				t.Errorf("step %d: LookupTableSize = %d, want %d", step, got, want)
+			}
+			if far := (storage.RID{Table: 1, Key: 1 << 40}); !d.IsHot(far) || d.HotWeight(far) != 1 {
+				t.Errorf("step %d: the table-1 rule did not survive the install and growth", step)
 			}
 		} else {
 			for k := 0; k < base; k++ {
@@ -128,6 +142,66 @@ func TestSetHotPlacementUpdatesInPlace(t *testing.T) {
 	}
 	if got, want := d.Lane(rid), storage.LaneOf(rid, 4); got != want {
 		t.Fatalf("Lane = %d after unpinning, want the hash lane %d", got, want)
+	}
+}
+
+// A hot-table rule makes every record of its table hot at its home
+// placement with weight 1, and answers only where no row does: a row
+// inside the table keeps its partition, pinned lane and weight. Rules
+// survive growth and InstallLayout, count once each in LookupTableSize
+// and stay out of HotEntries.
+func TestHotTableRules(t *testing.T) {
+	def := HashPartitioner{N: 4}
+	d := NewDirectory(NewTopology(4, 1), def)
+	d.SetLanes(4)
+	type answer struct {
+		part   PartitionID
+		lane   int
+		hot    bool
+		weight float64
+	}
+	check := func(when string, rid storage.RID, want answer) {
+		t.Helper()
+		if got := (answer{d.Partition(rid), d.Lane(rid), d.IsHot(rid), d.HotWeight(rid)}); got != want {
+			t.Fatalf("%s: %v answers %+v, want %+v", when, rid, got, want)
+		}
+	}
+	home := func(rid storage.RID, hot bool) answer {
+		a := answer{def.Partition(rid), storage.LaneOf(rid, 4), hot, 0}
+		if hot {
+			a.weight = 1
+		}
+		return a
+	}
+	row, other, cold := storage.RID{Table: 3, Key: 7}, storage.RID{Table: 3, Key: 8}, storage.RID{Table: 4, Key: 7}
+	d.SetHotPlacement(row, 2, 5, 1)
+	d.SetHotTable(3)
+	check("rule", other, home(other, true))
+	check("rule", row, answer{2, 1, true, 5})
+	check("rule", cold, home(cold, false))
+
+	d.SetHotTable(3)
+	d.SetHotTable(5)
+	if n, rows := d.LookupTableSize(), d.HotEntries(); n != 3 || len(rows) != 1 || rows[row] != 2 {
+		t.Fatalf("LookupTableSize = %d, HotEntries = %v; want 3 (a row and two rules) and only the row", n, rows)
+	}
+
+	for i := 0; i < 100; i++ {
+		d.SetHot(storage.RID{Table: 9, Key: storage.Key(i)}, 0)
+	}
+	check("after growth", other, home(other, true))
+	check("after growth", row, answer{2, 1, true, 5})
+	if n := d.LookupTableSize(); n != 103 {
+		t.Fatalf("after growth LookupTableSize = %d, want 103", n)
+	}
+
+	full := storage.RID{Table: 5, Key: 1}
+	d.InstallLayout(map[storage.RID]HotPlacement{other: {Partition: 1, Weight: 4, Lane: 3}}, map[storage.RID]PartitionID{full: 3})
+	check("after InstallLayout", row, home(row, true))
+	check("after InstallLayout", other, answer{1, 3, true, 4})
+	check("after InstallLayout", full, answer{3, storage.LaneOf(full, 4), true, 1})
+	if n, rows := d.LookupTableSize(), d.HotEntries(); n != 4 || len(rows) != 1 || rows[other] != 1 {
+		t.Fatalf("after InstallLayout LookupTableSize = %d, HotEntries = %v; want 4 and only %v", n, rows, other)
 	}
 }
 
@@ -203,18 +277,21 @@ func TestHotPlacementPackingLimits(t *testing.T) {
 var sinkPartition PartitionID
 
 // The layer number behind cluster.dir_partition_ns: one routing probe
-// against a 400 k-row lookup table (TPC-C stock marked hot), for rows in
-// the table and for cold records that fall through to the partitioner.
+// against a 400 k-row lookup table with one hot-table rule beside it,
+// for rows in the table, for records of the rule's table (which miss the
+// rows and fall through to the partitioner, as every TPC-C record does)
+// and for cold records.
 func BenchmarkDirectoryPartition(b *testing.B) {
 	const rows = 400_000
 	d := NewDirectory(NewTopology(4, 1), HashPartitioner{N: 4})
 	for i := 0; i < rows; i++ {
 		d.SetHot(storage.RID{Table: 3, Key: storage.Key(i)}, PartitionID(i%4))
 	}
+	d.SetHotTable(5)
 	for _, bc := range []struct {
 		name  string
 		table storage.TableID
-	}{{"hit", 3}, {"miss", 4}} {
+	}{{"hit", 3}, {"rule", 5}, {"miss", 4}} {
 		b.Run(bc.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				sinkPartition = d.Partition(storage.RID{Table: bc.table, Key: storage.Key(i * 7919 % rows)})
