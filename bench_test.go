@@ -152,7 +152,7 @@ func BenchmarkFigure10(b *testing.B) {
 func BenchmarkAblationReorderOnly(b *testing.B) {
 	opt := benchOptions()
 	for i := 0; i < b.N; i++ {
-		fig, err := bench.AblationReorderOnly(4, opt)
+		fig, err := bench.AblationReorderOnly(opt)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -163,7 +163,7 @@ func BenchmarkAblationReorderOnly(b *testing.B) {
 func BenchmarkAblationMinWeight(b *testing.B) {
 	opt := benchOptions()
 	for i := 0; i < b.N; i++ {
-		fig, err := bench.AblationMinEdgeWeight(4, opt)
+		fig, err := bench.AblationMinEdgeWeight(opt)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -290,7 +290,7 @@ func BenchmarkInstacartBasketGen(b *testing.B) {
 func BenchmarkAblationLatency(b *testing.B) {
 	opt := benchOptions()
 	for i := 0; i < b.N; i++ {
-		fig, err := bench.AblationLatency(4, opt)
+		fig, err := bench.AblationLatency(opt)
 		if err != nil {
 			b.Fatal(err)
 		}

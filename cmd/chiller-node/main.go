@@ -27,7 +27,6 @@ import (
 	"syscall"
 	"time"
 
-	"github.com/chillerdb/chiller/internal/bench"
 	"github.com/chillerdb/chiller/internal/cluster"
 	"github.com/chillerdb/chiller/internal/deploy"
 	"github.com/chillerdb/chiller/internal/server"
@@ -90,7 +89,7 @@ func run(id int, listen, peersFlag string, replication, lanes, customers, items 
 	}
 
 	nodes := len(peers)
-	tcfg := bench.RemoteTPCCConfig(nodes, customers, items)
+	tcfg := tpcc.WarehousePerNode(nodes, customers, items)
 	if err := tcfg.Validate(); err != nil {
 		return err
 	}

@@ -97,7 +97,6 @@ func TestVerbProfilesInMetricsAndFigureJSON(t *testing.T) {
 		Engine:      EngineChiller,
 		Concurrency: 2,
 		Duration:    150 * time.Millisecond,
-		Retry:       true,
 		Seed:        3,
 	})
 	if m.Committed == 0 {

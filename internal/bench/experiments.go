@@ -48,11 +48,6 @@ type Options struct {
 	// (Figure10Fsync) compares, from FsyncNone, FsyncNoSync, FsyncSync.
 	// Empty runs all three.
 	FsyncPolicies []string
-
-	// walDir/walPolicy attach a write-ahead log to clusters built by
-	// SetupTPCC. Internal: Figure10Fsync sets them per measurement.
-	walDir    string
-	walPolicy wal.Policy
 }
 
 // DefaultOptions returns a configuration that completes each figure in
@@ -74,210 +69,6 @@ func DefaultOptions() Options {
 	}
 }
 
-// Scheme names for the partitioning comparison.
-const (
-	SchemeHash    = "Hashing"
-	SchemeSchism  = "Schism"
-	SchemeChiller = "Chiller"
-)
-
-// InstacartDeployment is a cluster prepared for one partitioning scheme.
-type InstacartDeployment struct {
-	Cluster *Cluster
-	W       *instacart.Workload
-	Layout  *partition.Layout
-	Agg     *stats.Aggregate
-	Engine  EngineKind
-	Scheme  string
-}
-
-// SetupInstacart builds an Instacart cluster under the named scheme:
-// Hashing (default layout, 2PL), Schism (min-distributed-txn layout,
-// 2PL), or Chiller (contention-centric layout + two-region execution).
-func SetupInstacart(scheme string, partitions int, opt Options) (*InstacartDeployment, error) {
-	icfg := instacart.Config{
-		Products:   opt.Products,
-		Partitions: partitions,
-		Seed:       opt.Seed,
-	}.Defaults()
-	w := instacart.NewWorkload(icfg)
-	rng := rand.New(rand.NewSource(opt.Seed + int64(partitions)))
-	// Calibrate the lock window so a record's λ approximates its
-	// expected number of concurrent holders: trace-share × concurrent
-	// clients. Only the true head (shares above a few percent) crosses
-	// the hot threshold then, as in the paper's lookup-table discussion.
-	lockWindows := float64(opt.TraceTxns) / float64(partitions*opt.Concurrency)
-	agg := w.BuildAggregate(opt.TraceTxns, rng, lockWindows)
-
-	dep := &InstacartDeployment{W: w, Agg: agg, Scheme: scheme}
-	var layout *partition.Layout
-	switch scheme {
-	case SchemeHash:
-		dep.Engine = Engine2PL
-	case SchemeSchism:
-		l, err := schism.Partition(agg.Txns(), schism.Config{K: partitions, Seed: opt.Seed})
-		if err != nil {
-			return nil, err
-		}
-		layout, dep.Engine = l, Engine2PL
-	case SchemeChiller:
-		res, err := chillerpart.Partition(agg, chillerpart.Config{
-			K: partitions, Lanes: opt.laneCount(), Seed: opt.Seed, HotThreshold: 0.05,
-		})
-		if err != nil {
-			return nil, err
-		}
-		layout, dep.Engine = res.Layout, EngineChiller
-	default:
-		return nil, fmt.Errorf("bench: unknown scheme %q", scheme)
-	}
-	dep.Layout = layout
-
-	c := NewCluster(ClusterConfig{
-		Partitions:  partitions,
-		Replication: opt.Replication,
-		Latency:     opt.Latency,
-		Seed:        opt.Seed,
-		Lanes:       opt.laneCount(),
-	}, instacart.DefaultPartitioner(partitions))
-	if layout != nil {
-		layout.Install(c.Dir)
-	}
-	if err := instacart.RegisterAll(c.Registry); err != nil {
-		c.Close()
-		return nil, err
-	}
-	if err := instacart.Load(c, icfg); err != nil {
-		c.Close()
-		return nil, err
-	}
-	dep.Cluster = c
-	return dep, nil
-}
-
-// Figure7 reproduces the partitioning-scheme throughput comparison:
-// Instacart NewOrder baskets, 2..MaxPartitions partitions, one series per
-// scheme. The paper's shape: Schism ≈ +50% over Hashing but neither
-// scales; Chiller scales near-linearly.
-func Figure7(opt Options) (*Figure, error) {
-	fig := &Figure{
-		Name:   "Figure 7",
-		Title:  "Throughput of partitioning schemes (Instacart baskets)",
-		XLabel: "partitions",
-		YLabel: "txns/sec",
-		Lanes:  opt.laneCount(),
-	}
-	for parts := 2; parts <= opt.MaxPartitions; parts++ {
-		for _, scheme := range []string{SchemeHash, SchemeSchism, SchemeChiller} {
-			dep, err := SetupInstacart(scheme, parts, opt)
-			if err != nil {
-				return nil, err
-			}
-			m := dep.Cluster.Run(dep.W, RunConfig{
-				Engine:         dep.Engine,
-				Concurrency:    opt.Concurrency,
-				Duration:       opt.Duration,
-				Retry:          true,
-				WarmupFraction: 0.25,
-				Seed:           opt.Seed,
-			})
-			dep.Cluster.Close()
-			fig.Add(scheme, float64(parts), m.Throughput())
-			fig.AddAborts(scheme, m)
-			fig.AddVerbs(scheme, m)
-		}
-	}
-	return fig, nil
-}
-
-// Figure8 reproduces the distributed-transaction-ratio comparison over
-// the same sweep, evaluated on the workload trace (as the paper does):
-// Schism lowest, Chiller higher (≈60% more at 2 partitions, narrowing).
-func Figure8(opt Options) (*Figure, error) {
-	fig := &Figure{
-		Name:   "Figure 8",
-		Title:  "Ratio of distributed transactions",
-		XLabel: "partitions",
-		YLabel: "ratio",
-	}
-	for parts := 2; parts <= opt.MaxPartitions; parts++ {
-		for _, scheme := range []string{SchemeHash, SchemeSchism, SchemeChiller} {
-			dep, err := SetupInstacart(scheme, parts, opt)
-			if err != nil {
-				return nil, err
-			}
-			router := partition.RouterFor(dep.Layout, instacart.DefaultPartitioner(parts))
-			ratio := partition.DistributedRatio(dep.Agg.Txns(), router)
-			dep.Cluster.Close()
-			fig.Add(scheme, float64(parts), ratio)
-		}
-	}
-	return fig, nil
-}
-
-// LookupTableSizes reproduces the §7.2.2 metadata comparison: routing
-// entries needed by Schism (every record in the trace) versus Chiller
-// (hot records only), per partition count.
-func LookupTableSizes(opt Options) (*Figure, error) {
-	fig := &Figure{
-		Name:   "§7.2.2",
-		Title:  "Lookup table size (routing entries)",
-		XLabel: "partitions",
-		YLabel: "entries",
-	}
-	for parts := 2; parts <= opt.MaxPartitions; parts += 2 {
-		for _, scheme := range []string{SchemeSchism, SchemeChiller} {
-			dep, err := SetupInstacart(scheme, parts, opt)
-			if err != nil {
-				return nil, err
-			}
-			fig.Add(scheme, float64(parts), float64(dep.Layout.LookupTableSize()))
-			dep.Cluster.Close()
-		}
-	}
-	return fig, nil
-}
-
-// TPCCDeployment is a cluster loaded with TPC-C.
-type TPCCDeployment struct {
-	Cluster *Cluster
-	W       *tpcc.Workload
-	Cfg     tpcc.Config
-}
-
-// SetupTPCC builds a warehouse-partitioned TPC-C cluster (the layout is
-// identical for every engine, per §7.3.1).
-func SetupTPCC(opt Options, cfg tpcc.Config) (*TPCCDeployment, error) {
-	cfg = cfg.Defaults()
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	c := NewCluster(ClusterConfig{
-		Partitions:  cfg.Partitions,
-		Replication: opt.Replication,
-		Latency:     opt.Latency,
-		Seed:        opt.Seed,
-		Lanes:       opt.laneCount(),
-		WALDir:      opt.walDir,
-		WALPolicy:   opt.walPolicy,
-	}, tpcc.Partitioner(cfg.Warehouses, cfg.Partitions))
-	if err := tpcc.RegisterAll(c.Registry); err != nil {
-		c.Close()
-		return nil, err
-	}
-	if err := tpcc.Load(c, cfg); err != nil {
-		c.Close()
-		return nil, err
-	}
-	tpcc.MarkHot(c.Dir, cfg)
-	w, err := tpcc.NewWorkload(cfg)
-	if err != nil {
-		c.Close()
-		return nil, err
-	}
-	return &TPCCDeployment{Cluster: c, W: w, Cfg: cfg}, nil
-}
-
 // laneCount resolves the per-node lane count (0 = host default).
 func (o Options) laneCount() int {
 	if o.Lanes > 0 {
@@ -286,50 +77,402 @@ func (o Options) laneCount() int {
 	return cluster.DefaultLanes()
 }
 
+// clusterConfig is the simulated cluster every measurement point starts
+// from; the point's builder sets the partition count and anything the
+// sweep varies.
+func (o Options) clusterConfig() ClusterConfig {
+	return ClusterConfig{Replication: o.Replication, Latency: o.Latency, Seed: o.Seed, Lanes: o.laneCount()}
+}
+
+// figure starts a figure of live runs, which records its lane count.
+func (o Options) figure(name, title, xLabel string) *Figure {
+	return &Figure{Name: name, Title: title, XLabel: xLabel, YLabel: "txns/sec", Lanes: o.laneCount()}
+}
+
+// A point is one measurement of a sweep: series label at x, driven on
+// engine kind by conc clients per partition, each keeping outstanding
+// transactions in flight (0 = closed loop). An experiment is its grid
+// of points plus how to build the cluster each one runs on.
+type point struct {
+	label       string
+	x           float64
+	kind        EngineKind
+	conc        int
+	outstanding int
+}
+
+// grid crosses xs with series, x-major: for every x, one point per
+// series.
+func grid(xs []float64, series ...point) []point {
+	out := make([]point, 0, len(xs)*len(series))
+	for _, x := range xs {
+		for _, s := range series {
+			s.x = x
+			out = append(out, s)
+		}
+	}
+	return out
+}
+
+// span returns lo, lo+step, ... up to hi.
+func span(lo, hi, step int) []float64 {
+	var xs []float64
+	for x := lo; x <= hi; x += step {
+		xs = append(xs, float64(x))
+	}
+	return xs
+}
+
+// measure runs one point through run — a Cluster's Run, or Figure10Remote's
+// loop over a TCP client — for the sweep's window, a quarter of it
+// warm-up.
+func (o Options) measure(run func(Workload, RunConfig) *Metrics, w Workload, p point) *Metrics {
+	return run(w, RunConfig{Engine: p.kind, Concurrency: p.conc, Outstanding: p.outstanding, Duration: o.Duration, Seed: o.Seed})
+}
+
+// sweep measures every point of a grid on a fresh cluster from build,
+// closed again before the next point, and hands the metrics to record.
+func (o Options) sweep(points []point, build func(point) (*Cluster, Workload, error), record func(point, *Metrics)) error {
+	for _, p := range points {
+		c, w, err := build(p)
+		if err != nil {
+			return err
+		}
+		m := o.measure(c.Run, w, p)
+		c.Close()
+		record(p, m)
+	}
+	return nil
+}
+
+// record lands one live point in its series: the window's throughput,
+// abort profile and verb profile.
+func (f *Figure) record(p point, m *Metrics) {
+	f.Add(p.label, p.x, m.Throughput())
+	f.AddAborts(p.label, m)
+	f.AddVerbs(p.label, m)
+}
+
+// loaded builds a cluster and runs setup on it, closing it again if
+// setup fails.
+func loaded(cfg ClusterConfig, def cluster.DefaultPartitioner, setup func(*Cluster) error) (*Cluster, error) {
+	c := NewCluster(cfg, def)
+	if err := setup(c); err != nil {
+		c.Close()
+		return nil, err
+	}
+	return c, nil
+}
+
+// --- Instacart: partitioning schemes (Figures 7, 8, §7.2.2, A1-A3) ---
+
+// Scheme names for the partitioning comparison.
+const (
+	SchemeHash    = "Hashing"
+	SchemeSchism  = "Schism"
+	SchemeChiller = "Chiller"
+)
+
+var schemes = []string{SchemeHash, SchemeSchism, SchemeChiller}
+
+// instacartLayout is the partitioner's half of an Instacart point: the
+// workload, its sampled trace statistics, and a scheme's layout (nil for
+// Hashing). Computing it builds no cluster, so the trace-only figures
+// never build one.
+type instacartLayout struct {
+	cfg    instacart.Config
+	w      *instacart.Workload
+	agg    *stats.Aggregate
+	layout *partition.Layout
+}
+
+// newInstacartLayout samples the trace for parts partitions and
+// partitions it under the named scheme: Hashing (default layout, 2PL),
+// Schism (min-distributed-txn layout, 2PL), or Chiller
+// (contention-centric layout + two-region execution).
+func newInstacartLayout(scheme string, parts int, opt Options) (*instacartLayout, error) {
+	l := &instacartLayout{cfg: instacart.Config{Products: opt.Products, Partitions: parts, Seed: opt.Seed}.Defaults()}
+	l.w = instacart.NewWorkload(l.cfg)
+	// Calibrate the lock window so a record's λ approximates its
+	// expected number of concurrent holders: trace-share × concurrent
+	// clients. Only the true head (shares above a few percent) crosses
+	// the hot threshold then, as in the paper's lookup-table discussion.
+	rng := rand.New(rand.NewSource(opt.Seed + int64(parts)))
+	l.agg = l.w.BuildAggregate(opt.TraceTxns, rng, float64(opt.TraceTxns)/float64(parts*opt.Concurrency))
+	var err error
+	switch scheme {
+	case SchemeHash:
+	case SchemeSchism:
+		l.layout, err = schism.Partition(l.agg.Txns(), schism.Config{K: parts, Seed: opt.Seed})
+	case SchemeChiller:
+		var res *chillerpart.Result
+		res, err = chillerpart.Partition(l.agg, chillerpart.Config{K: parts, Lanes: opt.laneCount(), Seed: opt.Seed, HotThreshold: 0.05})
+		if err == nil {
+			l.layout = res.Layout
+		}
+	default:
+		err = fmt.Errorf("bench: unknown scheme %q", scheme)
+	}
+	return l, err
+}
+
+// router routes the trace under the layout.
+func (l *instacartLayout) router() partition.Router {
+	return partition.RouterFor(l.layout, instacart.DefaultPartitioner(l.cfg.Partitions))
+}
+
+// cluster builds the replicated cluster the layout describes and loads
+// the catalogue onto it.
+func (l *instacartLayout) cluster(opt Options) (*Cluster, error) {
+	cfg := opt.clusterConfig()
+	cfg.Partitions = l.cfg.Partitions
+	return loaded(cfg, instacart.DefaultPartitioner(l.cfg.Partitions), func(c *Cluster) error {
+		if l.layout != nil {
+			l.layout.Install(c.Dir)
+		}
+		if err := instacart.RegisterAll(c.Registry); err != nil {
+			return err
+		}
+		return instacart.Load(c, l.cfg)
+	})
+}
+
+// schemePoints sweeps the partition counts xs, one series per scheme,
+// each on its scheme's engine: Chiller's layout is made for two-region
+// execution, Hashing and Schism run 2PL.
+func schemePoints(opt Options, xs []float64, schemes ...string) []point {
+	series := make([]point, len(schemes))
+	for i, s := range schemes {
+		series[i] = point{label: s, kind: Engine2PL, conc: opt.Concurrency}
+		if s == SchemeChiller {
+			series[i].kind = EngineChiller
+		}
+	}
+	return grid(xs, series...)
+}
+
+// Figure7 reproduces the partitioning-scheme throughput comparison:
+// Instacart NewOrder baskets, 2..MaxPartitions partitions, one series per
+// scheme. The paper's shape: Schism ≈ +50% over Hashing but neither
+// scales; Chiller scales near-linearly.
+func Figure7(opt Options) (*Figure, error) {
+	fig := opt.figure("Figure 7", "Throughput of partitioning schemes (Instacart baskets)", "partitions")
+	return fig, opt.sweep(schemePoints(opt, span(2, opt.MaxPartitions, 1), schemes...), func(p point) (*Cluster, Workload, error) {
+		l, err := newInstacartLayout(p.label, int(p.x), opt)
+		if err != nil {
+			return nil, nil, err
+		}
+		c, err := l.cluster(opt)
+		return c, l.w, err
+	}, fig.record)
+}
+
+// tracePoints evaluates metric on the layout of every point, without a
+// cluster.
+func tracePoints(opt Options, fig *Figure, points []point, metric func(*instacartLayout) float64) (*Figure, error) {
+	for _, p := range points {
+		l, err := newInstacartLayout(p.label, int(p.x), opt)
+		if err != nil {
+			return nil, err
+		}
+		fig.Add(p.label, p.x, metric(l))
+	}
+	return fig, nil
+}
+
+// Figure8 reproduces the distributed-transaction-ratio comparison over
+// the same sweep, evaluated on the workload trace (as the paper does):
+// Schism lowest, Chiller higher (≈60% more at 2 partitions, narrowing).
+func Figure8(opt Options) (*Figure, error) {
+	fig := &Figure{Name: "Figure 8", Title: "Ratio of distributed transactions", XLabel: "partitions", YLabel: "ratio"}
+	return tracePoints(opt, fig, schemePoints(opt, span(2, opt.MaxPartitions, 1), schemes...), func(l *instacartLayout) float64 {
+		return partition.DistributedRatio(l.agg.Txns(), l.router())
+	})
+}
+
+// LookupTableSizes reproduces the §7.2.2 metadata comparison: routing
+// entries needed by Schism (every record in the trace) versus Chiller
+// (hot records only), per partition count.
+func LookupTableSizes(opt Options) (*Figure, error) {
+	fig := &Figure{Name: "§7.2.2", Title: "Lookup table size (routing entries)", XLabel: "partitions", YLabel: "entries"}
+	points := schemePoints(opt, span(2, opt.MaxPartitions, 2), SchemeSchism, SchemeChiller)
+	return tracePoints(opt, fig, points, func(l *instacartLayout) float64 {
+		return float64(l.layout.LookupTableSize())
+	})
+}
+
+// ablationParts is the cluster size of the Instacart ablations.
+const ablationParts = 4
+
+// AblationReorderOnly isolates the paper's claim that re-ordering without
+// re-partitioning "only leads to limited performance improvements" (§1):
+// it runs the Instacart workload under (a) hash layout + 2PL, (b) hash
+// layout + Chiller execution (reorder only: hot records flagged but not
+// relocated), and (c) Chiller layout + Chiller execution.
+func AblationReorderOnly(opt Options) (*Figure, error) {
+	fig := opt.figure("Ablation A1", "Reordering vs. reordering + contention-aware partitioning", "variant (1=2PL/hash 2=reorder-only 3=chiller)")
+	points := []point{
+		{label: "throughput", x: 1, kind: Engine2PL, conc: opt.Concurrency},
+		{label: "throughput", x: 2, kind: EngineChiller, conc: opt.Concurrency},
+		{label: "throughput", x: 3, kind: EngineChiller, conc: opt.Concurrency},
+	}
+	// x 1 and 2 run the hash layout, 2 with its hot records flagged in
+	// place; x 3 runs Chiller's layout.
+	return fig, opt.sweep(points, func(p point) (*Cluster, Workload, error) {
+		scheme := SchemeHash
+		if p.x == 3 {
+			scheme = SchemeChiller
+		}
+		l, err := newInstacartLayout(scheme, ablationParts, opt)
+		if err != nil {
+			return nil, nil, err
+		}
+		c, err := l.cluster(opt)
+		if err == nil && p.x == 2 {
+			// Hot records flagged at their *hash* homes: the engine
+			// reorders, nothing moves.
+			for _, rs := range l.agg.Records() {
+				if rs.Pc > 0.05 {
+					c.Dir.SetHot(rs.RID, c.Dir.Default().Partition(rs.RID))
+				}
+			}
+		}
+		return c, l.w, err
+	}, func(p point, m *Metrics) { fig.Add(p.label, p.x, m.Throughput()) })
+}
+
+// AblationMinEdgeWeight exercises the §4.4 co-optimization knob: sweep
+// the minimum edge weight and report both the distributed-transaction
+// ratio and the contention cost of the resulting layouts.
+func AblationMinEdgeWeight(opt Options) (*Figure, error) {
+	fig := &Figure{
+		Name:   "Ablation A2",
+		Title:  "Co-optimizing contention and distribution (min edge weight)",
+		XLabel: "min edge weight",
+		YLabel: "ratio / normalized cost",
+	}
+	l, err := newInstacartLayout(SchemeHash, ablationParts, opt)
+	if err != nil {
+		return nil, err
+	}
+	base := chillerpart.ContentionCost(l.agg, l.router(), ablationParts)
+	if base == 0 {
+		base = 1
+	}
+	for _, mw := range []float64{0, 0.01, 0.05, 0.2, 1.0} {
+		res, err := chillerpart.Partition(l.agg, chillerpart.Config{
+			K: ablationParts, Seed: opt.Seed, HotThreshold: 0.05, MinEdgeWeight: mw,
+		})
+		if err != nil {
+			return nil, err
+		}
+		route := partition.RouterFor(res.Layout, instacart.DefaultPartitioner(ablationParts))
+		fig.Add("distributed-ratio", mw, partition.DistributedRatio(l.agg.Txns(), route))
+		fig.Add("contention-cost", mw, chillerpart.ContentionCost(l.agg, route, ablationParts)/base)
+	}
+	return fig, nil
+}
+
+// AblationSamplingRate exercises §4.1's claim that light sampling
+// suffices: partition layouts computed from traces sampled at different
+// rates are compared by the hot-set overlap with the full-trace layout.
+func AblationSamplingRate(opt Options) (*Figure, error) {
+	fig := &Figure{
+		Name:   "Ablation A3",
+		Title:  "Sampling-rate sensitivity of the hot set",
+		XLabel: "sampling rate",
+		YLabel: "hot-set recall",
+	}
+	icfg := instacart.Config{Products: opt.Products, Partitions: ablationParts, Seed: opt.Seed}.Defaults()
+	full := instacart.NewWorkload(icfg).Trace(opt.TraceTxns*10, rand.New(rand.NewSource(opt.Seed)))
+	hotSet := func(samples []stats.TxnSample, rate float64) []storage.RID {
+		agg := stats.NewAggregate()
+		agg.Add(samples)
+		agg.Finalize(rate, float64(opt.TraceTxns)/5)
+		return agg.HotSet(0.05)
+	}
+	reference := make(map[storage.RID]bool)
+	for _, r := range hotSet(full, 1) {
+		reference[r] = true
+	}
+	if len(reference) == 0 {
+		return nil, fmt.Errorf("bench: empty reference hot set")
+	}
+	for _, rate := range []float64{0.001, 0.01, 0.1, 1.0} {
+		sampler := stats.NewSampler(rate, opt.Seed+7)
+		for _, t := range full {
+			sampler.ObserveTxn(t.Reads, t.Writes)
+		}
+		hit := 0
+		for _, r := range hotSet(sampler.Drain(), rate) {
+			if reference[r] {
+				hit++
+			}
+		}
+		fig.Add("recall", rate, float64(hit)/float64(len(reference)))
+	}
+	return fig, nil
+}
+
+// --- TPC-C (Figures 9, 10) ---
+
+// loadTPCC builds a warehouse-partitioned TPC-C cluster loaded with cfg's
+// database, and cfg's workload (the layout is identical for every
+// engine, per §7.3.1).
+func loadTPCC(ccfg ClusterConfig, cfg tpcc.Config) (*Cluster, Workload, error) {
+	w, err := tpcc.NewWorkload(cfg)
+	if err != nil {
+		return nil, nil, err
+	}
+	ccfg.Partitions = cfg.Partitions
+	c, err := loaded(ccfg, tpcc.Partitioner(cfg.Warehouses, cfg.Partitions), func(c *Cluster) error {
+		if err := tpcc.RegisterAll(c.Registry); err != nil {
+			return err
+		}
+		if err := tpcc.Load(c, cfg); err != nil {
+			return err
+		}
+		tpcc.MarkHot(c.Dir, cfg)
+		return nil
+	})
+	return c, w, err
+}
+
+// tpccConfig is the sweeps' TPC-C database: one warehouse per engine,
+// as in §7.3.1.
 func (o Options) tpccConfig() tpcc.Config {
-	return tpcc.Config{
-		Warehouses:           o.Warehouses,
-		Partitions:           o.Warehouses, // one warehouse per engine, as in §7.3.1
-		CustomersPerDistrict: o.Customers,
-		Items:                o.Items,
-	}.Defaults()
+	return tpcc.WarehousePerNode(o.Warehouses, o.Customers, o.Items)
 }
 
 // Figure9 reproduces the concurrency sweep on the full TPC-C mix:
 // throughput (9a), abort rate (9b) for 2PL/OCC/Chiller, and the 2PL
 // per-procedure abort breakdown (9c), as three figures.
 func Figure9(opt Options) (thr, abr, breakdown *Figure, err error) {
-	thr = &Figure{Name: "Figure 9a", Title: "TPC-C throughput", XLabel: "concurrent txns/warehouse", YLabel: "txns/sec", Lanes: opt.laneCount()}
-	abr = &Figure{Name: "Figure 9b", Title: "TPC-C abort rate", XLabel: "concurrent txns/warehouse", YLabel: "abort rate", Lanes: opt.laneCount()}
-	breakdown = &Figure{Name: "Figure 9c", Title: "2PL abort rate by transaction type", XLabel: "concurrent txns/warehouse", YLabel: "abort rate", Lanes: opt.laneCount()}
-
+	const xLabel = "concurrent txns/warehouse"
+	thr = opt.figure("Figure 9a", "TPC-C throughput", xLabel)
+	abr = &Figure{Name: "Figure 9b", Title: "TPC-C abort rate", XLabel: xLabel, YLabel: "abort rate", Lanes: opt.laneCount()}
+	breakdown = &Figure{Name: "Figure 9c", Title: "2PL abort rate by transaction type", XLabel: xLabel, YLabel: "abort rate", Lanes: opt.laneCount()}
+	var points []point
 	for conc := 1; conc <= opt.MaxConcurrency; conc++ {
 		for _, kind := range []EngineKind{Engine2PL, EngineOCC, EngineChiller} {
-			dep, derr := SetupTPCC(opt, opt.tpccConfig())
-			if derr != nil {
-				return nil, nil, nil, derr
-			}
-			m := dep.Cluster.Run(dep.W, RunConfig{
-				Engine:         kind,
-				Concurrency:    conc,
-				Duration:       opt.Duration,
-				Retry:          true,
-				WarmupFraction: 0.25,
-				Seed:           opt.Seed,
-			})
-			dep.Cluster.Close()
-			thr.Add(string(kind), float64(conc), m.Throughput())
-			abr.Add(string(kind), float64(conc), m.AbortRate())
-			abr.AddAborts(string(kind), m)
-			thr.AddVerbs(string(kind), m)
-			if kind == Engine2PL {
-				breakdown.Add("New-order", float64(conc), newOrderAbortRate(m))
-				breakdown.Add("Payment", float64(conc), m.ProcAbortRate(tpcc.ProcPayment))
-				breakdown.Add("Stock-level", float64(conc), m.ProcAbortRate(tpcc.ProcStockLevel))
-			}
+			points = append(points, point{label: string(kind), x: float64(conc), kind: kind, conc: conc})
 		}
 	}
-	return thr, abr, breakdown, nil
+	cfg := opt.tpccConfig()
+	err = opt.sweep(points, func(point) (*Cluster, Workload, error) {
+		return loadTPCC(opt.clusterConfig(), cfg)
+	}, func(p point, m *Metrics) {
+		thr.Add(p.label, p.x, m.Throughput())
+		thr.AddVerbs(p.label, m)
+		abr.Add(p.label, p.x, m.AbortRate())
+		abr.AddAborts(p.label, m)
+		if p.kind == Engine2PL {
+			breakdown.Add("New-order", p.x, newOrderAbortRate(m))
+			breakdown.Add("Payment", p.x, m.ProcAbortRate(tpcc.ProcPayment))
+			breakdown.Add("Stock-level", p.x, m.ProcAbortRate(tpcc.ProcStockLevel))
+		}
+	})
+	return thr, abr, breakdown, err
 }
 
 // Figure9Lanes extends Figure 9a with the intra-node scale-out sweep:
@@ -343,39 +486,17 @@ func Figure9(opt Options) (thr, abr, breakdown *Figure, err error) {
 // contrast series: it never enters an inner region, so lanes buy it
 // only parallel replica applies.
 func Figure9Lanes(opt Options) (*Figure, error) {
-	fig := &Figure{
-		Name:   "Figure 9a (lanes)",
-		Title:  "TPC-C throughput vs execution lanes per node",
-		XLabel: "lanes per node",
-		YLabel: "txns/sec",
-	}
-	top := 4
-	if opt.Lanes > top {
-		top = opt.Lanes
-	}
-	for lanes := 1; lanes <= top; lanes++ {
-		lopt := opt
-		lopt.Lanes = lanes
-		for _, kind := range []EngineKind{Engine2PL, EngineChiller} {
-			dep, err := SetupTPCC(lopt, lopt.tpccConfig())
-			if err != nil {
-				return nil, err
-			}
-			m := dep.Cluster.Run(dep.W, RunConfig{
-				Engine:         kind,
-				Concurrency:    opt.MaxConcurrency,
-				Duration:       opt.Duration,
-				Retry:          true,
-				WarmupFraction: 0.25,
-				Seed:           opt.Seed,
-			})
-			dep.Cluster.Close()
-			fig.Add(string(kind), float64(lanes), m.Throughput())
-			fig.AddAborts(string(kind), m)
-			fig.AddVerbs(string(kind), m)
-		}
-	}
-	return fig, nil
+	fig := opt.figure("Figure 9a (lanes)", "TPC-C throughput vs execution lanes per node", "lanes per node")
+	fig.Lanes = 0 // on the X axis
+	cfg := opt.tpccConfig()
+	points := grid(span(1, max(4, opt.Lanes), 1),
+		point{label: string(Engine2PL), kind: Engine2PL, conc: opt.MaxConcurrency},
+		point{label: string(EngineChiller), kind: EngineChiller, conc: opt.MaxConcurrency})
+	return fig, opt.sweep(points, func(p point) (*Cluster, Workload, error) {
+		ccfg := opt.clusterConfig()
+		ccfg.Lanes = int(p.x)
+		return loadTPCC(ccfg, cfg)
+	}, fig.record)
 }
 
 // newOrderAbortRate aggregates the per-cart-size NewOrder variants.
@@ -393,134 +514,36 @@ func newOrderAbortRate(m *Metrics) float64 {
 	return float64(aborted) / float64(committed+aborted)
 }
 
+// newOrderPayment is Figure 10's mix over base: NewOrder and Payment
+// 50/50, each transaction remote with probability pct %.
+func newOrderPayment(base tpcc.Config, pct float64) tpcc.Config {
+	cfg := base
+	cfg.NewOrderPct, cfg.PaymentPct = 50, 50
+	cfg.OrderStatusPct, cfg.DeliveryPct, cfg.StockLevelPct = 0, 0, 0
+	cfg.TxnLevelRemote = true
+	cfg.TxnRemoteProb = pct / 100
+	return cfg
+}
+
+// fig10Series are Figure 10's series: 2PL and OCC at one and at five
+// transactions per warehouse, Chiller at five.
+var fig10Series = []point{
+	{label: "2PL (1 txn)", kind: Engine2PL, conc: 1},
+	{label: "OCC (1 txn)", kind: EngineOCC, conc: 1},
+	{label: "2PL (5 txn)", kind: Engine2PL, conc: 5},
+	{label: "OCC (5 txn)", kind: EngineOCC, conc: 5},
+	{label: "Chiller (5 txn)", kind: EngineChiller, conc: 5},
+}
+
 // Figure10 reproduces the distributed-transaction sweep: NewOrder and
 // Payment 50/50, transaction-level remote probability 0..100%, with
 // 2PL(1), 2PL(5), OCC(1), OCC(5) and Chiller(5) series. The paper's
 // shape: Chiller degrades < 20%; the others fall steeply.
 func Figure10(opt Options) (*Figure, error) {
-	fig := &Figure{
-		Name:   "Figure 10",
-		Title:  "Impact of distributed transactions (NewOrder+Payment 50/50)",
-		XLabel: "% distributed txns",
-		YLabel: "txns/sec",
-		Lanes:  opt.laneCount(),
-	}
-	type variant struct {
-		kind EngineKind
-		conc int
-	}
-	variants := []variant{
-		{Engine2PL, 1}, {EngineOCC, 1},
-		{Engine2PL, 5}, {EngineOCC, 5},
-		{EngineChiller, 5},
-	}
-	for pct := 0; pct <= 100; pct += 20 {
-		cfg := opt.tpccConfig()
-		cfg.NewOrderPct, cfg.PaymentPct = 50, 50
-		cfg.OrderStatusPct, cfg.DeliveryPct, cfg.StockLevelPct = 0, 0, 0
-		cfg.TxnLevelRemote = true
-		cfg.TxnRemoteProb = float64(pct) / 100
-		for _, v := range variants {
-			dep, err := SetupTPCC(opt, cfg)
-			if err != nil {
-				return nil, err
-			}
-			m := dep.Cluster.Run(dep.W, RunConfig{
-				Engine:         v.kind,
-				Concurrency:    v.conc,
-				Duration:       opt.Duration,
-				Retry:          true,
-				WarmupFraction: 0.25,
-				Seed:           opt.Seed,
-			})
-			dep.Cluster.Close()
-			label := fmt.Sprintf("%s (%d txn)", v.kind, v.conc)
-			fig.Add(label, float64(pct), m.Throughput())
-			fig.AddAborts(label, m)
-			fig.AddVerbs(label, m)
-		}
-	}
-	return fig, nil
-}
-
-// Figure7ReadHeavy is the MVCC companion sweep: a read-heavy bank
-// workload (85% three-account read-only audits, 15% contended
-// transfers) on the Chiller engine, open-loop window swept on the X
-// axis, with the audits executed both ways — on the locking path
-// ("locking reads") and as ReadOnly snapshot transactions on an MVCC
-// cluster ("MVCC snapshot reads"). The expected shape: the snapshot
-// series pulls away as the window widens (snapshot reads take no locks,
-// never abort, and resolve replica-locally with zero verbs, so they
-// neither queue behind writers nor pay network round trips), while the
-// locking series is capped by lock conflicts against the transfer
-// traffic on the celebrity accounts. The per-series abort and verb
-// profiles in the figure JSON carry the evidence: the snapshot series
-// shows no read aborts and no lock-read verbs for the audits.
-func Figure7ReadHeavy(opt Options) (*Figure, error) {
-	fig := &Figure{
-		Name:   "Figure 7 (read-heavy)",
-		Title:  "Read-heavy throughput: MVCC snapshot reads vs locking reads",
-		XLabel: "outstanding txns per client",
-		YLabel: "txns/sec",
-		Lanes:  opt.laneCount(),
-	}
-	for _, outstanding := range []int{1, 2, 4, 8} {
-		for _, mvcc := range []bool{false, true} {
-			m, err := runReadHeavy(opt, 4, outstanding, mvcc)
-			if err != nil {
-				return nil, err
-			}
-			label := "locking reads"
-			if mvcc {
-				label = "MVCC snapshot reads"
-			}
-			fig.Add(label, float64(outstanding), m.Throughput())
-			fig.AddAborts(label, m)
-			fig.AddVerbs(label, m)
-		}
-	}
-	return fig, nil
-}
-
-// runReadHeavy runs one read-heavy bank measurement; mvcc selects both
-// the cluster's versioned stores and the ReadOnly audit variant.
-func runReadHeavy(opt Options, parts, outstanding int, mvcc bool) (*Metrics, error) {
-	const accounts = 400
-	b := &Bank{
-		AccountsPerPartition: accounts,
-		HotProb:              0.6,
-		RemoteProb:           0.5,
-		ReadOnlyProb:         0.85,
-		SnapshotReads:        mvcc,
-	}
-	def := cluster.RangePartitioner{
-		N:      parts,
-		MaxKey: map[storage.TableID]storage.Key{BankTable: storage.Key(parts * accounts)},
-	}
-	c := NewCluster(ClusterConfig{
-		Partitions:  parts,
-		Replication: opt.Replication,
-		Latency:     opt.Latency,
-		Seed:        opt.Seed,
-		Lanes:       opt.laneCount(),
-		MVCC:        mvcc,
-	}, def)
-	if err := SetupBank(c, b, true); err != nil {
-		c.Close()
-		return nil, err
-	}
-	b.MarkCelebritiesHot(c)
-	m := c.Run(b, RunConfig{
-		Engine:         EngineChiller,
-		Concurrency:    opt.Concurrency,
-		Duration:       opt.Duration,
-		Retry:          true,
-		WarmupFraction: 0.25,
-		Seed:           opt.Seed,
-		Outstanding:    outstanding,
-	})
-	c.Close()
-	return m, nil
+	fig := opt.figure("Figure 10", "Impact of distributed transactions (NewOrder+Payment 50/50)", "% distributed txns")
+	return fig, opt.sweep(grid(span(0, 100, 20), fig10Series...), func(p point) (*Cluster, Workload, error) {
+		return loadTPCC(opt.clusterConfig(), newOrderPayment(opt.tpccConfig(), p.x))
+	}, fig.record)
 }
 
 // Fsync policy names for the Figure 10 durability sweep.
@@ -543,213 +566,105 @@ const (
 // across the batch) rather than growing with the distributed fraction —
 // the WAL appends ride the async commit tails, off the contention span.
 func Figure10Fsync(opt Options) (*Figure, error) {
-	fig := &Figure{
-		Name:   "Figure 10 (fsync)",
-		Title:  "Durability cost: WAL fsync policy (Chiller, NewOrder+Payment 50/50)",
-		XLabel: "% distributed txns",
-		YLabel: "txns/sec",
-		Lanes:  opt.laneCount(),
-	}
 	policies := opt.FsyncPolicies
 	if len(policies) == 0 {
 		policies = []string{FsyncNone, FsyncNoSync, FsyncSync}
 	}
-	for _, pol := range policies {
+	series := make([]point, len(policies))
+	for i, pol := range policies {
 		switch pol {
 		case FsyncNone, FsyncNoSync, FsyncSync:
 		default:
 			return nil, fmt.Errorf("bench: unknown fsync policy %q (want %s, %s or %s)",
 				pol, FsyncNone, FsyncNoSync, FsyncSync)
 		}
+		series[i] = point{label: pol, kind: EngineChiller, conc: 5}
 	}
-	for pct := 0; pct <= 100; pct += 25 {
-		cfg := opt.tpccConfig()
-		cfg.NewOrderPct, cfg.PaymentPct = 50, 50
-		cfg.OrderStatusPct, cfg.DeliveryPct, cfg.StockLevelPct = 0, 0, 0
-		cfg.TxnLevelRemote = true
-		cfg.TxnRemoteProb = float64(pct) / 100
-		for _, pol := range policies {
-			wopt := opt
-			if pol != FsyncNone {
-				dir, err := os.MkdirTemp("", "chiller-fsync-")
-				if err != nil {
-					return nil, err
-				}
-				wopt.walDir = dir
-				wopt.walPolicy = wal.Policy{NoSync: pol == FsyncNoSync}
+	// Every point logs into a fresh directory under one root, removed
+	// however the sweep ends.
+	root, err := os.MkdirTemp("", "chiller-fsync-")
+	if err != nil {
+		return nil, err
+	}
+	defer os.RemoveAll(root)
+	fig := opt.figure("Figure 10 (fsync)", "Durability cost: WAL fsync policy (Chiller, NewOrder+Payment 50/50)", "% distributed txns")
+	return fig, opt.sweep(grid(span(0, 100, 25), series...), func(p point) (*Cluster, Workload, error) {
+		ccfg := opt.clusterConfig()
+		if p.label != FsyncNone {
+			dir, err := os.MkdirTemp(root, p.label+"-")
+			if err != nil {
+				return nil, nil, err
 			}
-			dep, err := SetupTPCC(wopt, cfg)
+			ccfg.WALDir, ccfg.WALPolicy = dir, wal.Policy{NoSync: p.label == FsyncNoSync}
+		}
+		return loadTPCC(ccfg, newOrderPayment(opt.tpccConfig(), p.x))
+	}, fig.record)
+}
+
+// --- bank: MVCC reads, network latency, membership churn ---
+
+// loadBank loads b onto parts range partitions of a cluster built
+// from ccfg; a bank issuing snapshot reads gets versioned stores.
+func loadBank(ccfg ClusterConfig, b *Bank, parts int) (*Cluster, error) {
+	ccfg.Partitions, ccfg.MVCC = parts, b.SnapshotReads
+	def := cluster.RangePartitioner{
+		N:      parts,
+		MaxKey: map[storage.TableID]storage.Key{BankTable: storage.Key(parts * b.AccountsPerPartition)},
+	}
+	return loaded(ccfg, def, func(c *Cluster) error { return SetupBank(c, b, true) })
+}
+
+// readHeavyBank is Figure 7 (read-heavy)'s workload: 85% three-account
+// audits beside contended transfers; mvcc issues the audits as snapshot
+// reads.
+func readHeavyBank(mvcc bool) *Bank {
+	return &Bank{AccountsPerPartition: 400, HotProb: 0.6, RemoteProb: 0.5, ReadOnlyProb: 0.85, SnapshotReads: mvcc}
+}
+
+// runReadHeavy runs one read-heavy bank measurement on Chiller with the
+// celebrities hot; mvcc selects both the cluster's versioned stores and
+// the ReadOnly audit variant.
+func runReadHeavy(opt Options, parts, outstanding int, mvcc bool) (*Metrics, error) {
+	b := readHeavyBank(mvcc)
+	c, err := loadBank(opt.clusterConfig(), b, parts)
+	if err != nil {
+		return nil, err
+	}
+	defer c.Close()
+	b.MarkCelebritiesHot(c)
+	return opt.measure(c.Run, b, point{kind: EngineChiller, conc: opt.Concurrency, outstanding: outstanding}), nil
+}
+
+// Figure7ReadHeavy is the MVCC companion sweep: a read-heavy bank
+// workload (85% three-account read-only audits, 15% contended
+// transfers) on the Chiller engine, open-loop window swept on the X
+// axis, with the audits executed both ways — on the locking path
+// ("locking reads") and as ReadOnly snapshot transactions on an MVCC
+// cluster ("MVCC snapshot reads"). The expected shape: the snapshot
+// series pulls away as the window widens (snapshot reads take no locks,
+// never abort, and resolve replica-locally with zero verbs, so they
+// neither queue behind writers nor pay network round trips), while the
+// locking series is capped by lock conflicts against the transfer
+// traffic on the celebrity accounts. The per-series abort and verb
+// profiles in the figure JSON carry the evidence: the snapshot series
+// shows no read aborts and no lock-read verbs for the audits.
+func Figure7ReadHeavy(opt Options) (*Figure, error) {
+	fig := opt.figure("Figure 7 (read-heavy)", "Read-heavy throughput: MVCC snapshot reads vs locking reads", "outstanding txns per client")
+	for _, outstanding := range []int{1, 2, 4, 8} {
+		for _, mvcc := range []bool{false, true} {
+			m, err := runReadHeavy(opt, 4, outstanding, mvcc)
 			if err != nil {
 				return nil, err
 			}
-			m := dep.Cluster.Run(dep.W, RunConfig{
-				Engine:         EngineChiller,
-				Concurrency:    5,
-				Duration:       opt.Duration,
-				Retry:          true,
-				WarmupFraction: 0.25,
-				Seed:           opt.Seed,
-			})
-			dep.Cluster.Close()
-			if wopt.walDir != "" {
-				os.RemoveAll(wopt.walDir)
+			label := "locking reads"
+			if mvcc {
+				label = "MVCC snapshot reads"
 			}
-			fig.Add(pol, float64(pct), m.Throughput())
-			fig.AddAborts(pol, m)
-			fig.AddVerbs(pol, m)
+			fig.record(point{label: label, x: float64(outstanding)}, m)
 		}
 	}
 	return fig, nil
 }
-
-// AblationReorderOnly isolates the paper's claim that re-ordering without
-// re-partitioning "only leads to limited performance improvements" (§1):
-// it runs the Instacart workload under (a) hash layout + 2PL, (b) hash
-// layout + Chiller execution (reorder only: hot records flagged but not
-// relocated), and (c) Chiller layout + Chiller execution.
-func AblationReorderOnly(parts int, opt Options) (*Figure, error) {
-	fig := &Figure{
-		Name:   "Ablation A1",
-		Title:  "Reordering vs. reordering + contention-aware partitioning",
-		XLabel: "variant (1=2PL/hash 2=reorder-only 3=chiller)",
-		YLabel: "txns/sec",
-		Lanes:  opt.laneCount(),
-	}
-	run := func(dep *InstacartDeployment, kind EngineKind, x float64, label string) {
-		m := dep.Cluster.Run(dep.W, RunConfig{
-			Engine:         kind,
-			Concurrency:    opt.Concurrency,
-			Duration:       opt.Duration,
-			Retry:          true,
-			WarmupFraction: 0.25,
-			Seed:           opt.Seed,
-		})
-		fig.Add(label, x, m.Throughput())
-	}
-	// (a) hash + 2PL.
-	dep, err := SetupInstacart(SchemeHash, parts, opt)
-	if err != nil {
-		return nil, err
-	}
-	run(dep, Engine2PL, 1, "throughput")
-	dep.Cluster.Close()
-
-	// (b) hash layout + two-region execution: mark hot records at their
-	// *hash* homes so the engine reorders but nothing moves.
-	dep, err = SetupInstacart(SchemeHash, parts, opt)
-	if err != nil {
-		return nil, err
-	}
-	for _, rs := range dep.Agg.Records() {
-		if rs.Pc > 0.05 {
-			dep.Cluster.Dir.SetHot(rs.RID, dep.Cluster.Dir.Default().Partition(rs.RID))
-		}
-	}
-	run(dep, EngineChiller, 2, "throughput")
-	dep.Cluster.Close()
-
-	// (c) full Chiller.
-	dep, err = SetupInstacart(SchemeChiller, parts, opt)
-	if err != nil {
-		return nil, err
-	}
-	run(dep, EngineChiller, 3, "throughput")
-	dep.Cluster.Close()
-	return fig, nil
-}
-
-// AblationMinEdgeWeight exercises the §4.4 co-optimization knob: sweep
-// the minimum edge weight and report both the distributed-transaction
-// ratio and the contention cost of the resulting layouts.
-func AblationMinEdgeWeight(parts int, opt Options) (*Figure, error) {
-	fig := &Figure{
-		Name:   "Ablation A2",
-		Title:  "Co-optimizing contention and distribution (min edge weight)",
-		XLabel: "min edge weight",
-		YLabel: "ratio / normalized cost",
-	}
-	icfg := instacart.Config{Products: opt.Products, Partitions: parts, Seed: opt.Seed}.Defaults()
-	w := instacart.NewWorkload(icfg)
-	rng := rand.New(rand.NewSource(opt.Seed))
-	agg := w.BuildAggregate(opt.TraceTxns, rng, float64(opt.TraceTxns)/float64(parts*opt.Concurrency))
-	def := instacart.DefaultPartitioner(parts)
-
-	base := chillerpart.ContentionCost(agg, partition.RouterFor(nil, def), parts)
-	if base == 0 {
-		base = 1
-	}
-	for _, mw := range []float64{0, 0.01, 0.05, 0.2, 1.0} {
-		res, err := chillerpart.Partition(agg, chillerpart.Config{
-			K: parts, Seed: opt.Seed, HotThreshold: 0.05, MinEdgeWeight: mw,
-		})
-		if err != nil {
-			return nil, err
-		}
-		router := partition.RouterFor(res.Layout, def)
-		fig.Add("distributed-ratio", mw, partition.DistributedRatio(agg.Txns(), router))
-		fig.Add("contention-cost", mw, chillerpart.ContentionCost(agg, router, parts)/base)
-	}
-	return fig, nil
-}
-
-// AblationSamplingRate exercises §4.1's claim that light sampling
-// suffices: partition layouts computed from traces sampled at different
-// rates are compared by the hot-set overlap with the full-trace layout.
-func AblationSamplingRate(opt Options) (*Figure, error) {
-	fig := &Figure{
-		Name:   "Ablation A3",
-		Title:  "Sampling-rate sensitivity of the hot set",
-		XLabel: "sampling rate",
-		YLabel: "hot-set recall",
-	}
-	icfg := instacart.Config{Products: opt.Products, Partitions: 4, Seed: opt.Seed}.Defaults()
-	w := instacart.NewWorkload(icfg)
-	rng := rand.New(rand.NewSource(opt.Seed))
-	full := w.Trace(opt.TraceTxns*10, rng)
-
-	reference := hotSetOf(full, 1, opt)
-	if len(reference) == 0 {
-		return nil, fmt.Errorf("bench: empty reference hot set")
-	}
-	for _, rate := range []float64{0.001, 0.01, 0.1, 1.0} {
-		sampler := stats.NewSampler(rate, opt.Seed+7)
-		for _, t := range full {
-			sampler.ObserveTxn(t.Reads, t.Writes)
-		}
-		agg := stats.NewAggregate()
-		agg.Add(sampler.Drain())
-		agg.Finalize(rate, float64(opt.TraceTxns)/5)
-		got := agg.HotSet(0.05)
-		hit := 0
-		gotSet := make(map[string]bool, len(got))
-		for _, r := range got {
-			gotSet[r.String()] = true
-		}
-		for _, r := range reference {
-			if gotSet[r.String()] {
-				hit++
-			}
-		}
-		fig.Add("recall", rate, float64(hit)/float64(len(reference)))
-	}
-	return fig, nil
-}
-
-func hotSetOf(trace []stats.TxnSample, rate float64, opt Options) []txnRID {
-	agg := stats.NewAggregate()
-	agg.Add(trace)
-	agg.Finalize(rate, float64(opt.TraceTxns)/5)
-	hs := agg.HotSet(0.05)
-	out := make([]txnRID, len(hs))
-	for i, r := range hs {
-		out[i] = txnRID{r.String()}
-	}
-	return out
-}
-
-type txnRID struct{ s string }
-
-func (t txnRID) String() string { return t.s }
 
 // AblationLatency sweeps the simulated one-way network latency and
 // reports Chiller's throughput advantage over 2PL on the hot-heavy bank
@@ -757,53 +672,21 @@ func (t txnRID) String() string { return t.s }
 // span is measured in network round trips, so the two-region model's win
 // should grow as the network slows — and shrink toward parity as the
 // network approaches local-memory speed.
-func AblationLatency(parts int, opt Options) (*Figure, error) {
-	fig := &Figure{
-		Name:   "Ablation A4",
-		Title:  "Chiller advantage vs one-way network latency",
-		XLabel: "latency (µs)",
-		YLabel: "txns/sec",
-		Lanes:  opt.laneCount(),
-	}
-	for _, lat := range []time.Duration{0, 5 * time.Microsecond, 20 * time.Microsecond, 100 * time.Microsecond} {
-		for _, kind := range []EngineKind{Engine2PL, EngineChiller} {
-			b := &Bank{
-				AccountsPerPartition: 500,
-				HotProb:              0.6,
-				RemoteProb:           0.3,
-				GlobalCelebrity:      true,
-			}
-			def := cluster.RangePartitioner{
-				N:      parts,
-				MaxKey: map[storage.TableID]storage.Key{BankTable: storage.Key(parts * 500)},
-			}
-			c := NewCluster(ClusterConfig{
-				Partitions:  parts,
-				Replication: opt.Replication,
-				Latency:     lat,
-				Seed:        opt.Seed,
-				Lanes:       opt.laneCount(),
-			}, def)
-			if err := SetupBank(c, b, true); err != nil {
-				c.Close()
-				return nil, err
-			}
+func AblationLatency(opt Options) (*Figure, error) {
+	fig := opt.figure("Ablation A4", "Chiller advantage vs one-way network latency", "latency (µs)")
+	points := grid([]float64{0, 5, 20, 100},
+		point{label: string(Engine2PL), kind: Engine2PL, conc: 2 * opt.Concurrency},
+		point{label: string(EngineChiller), kind: EngineChiller, conc: 2 * opt.Concurrency})
+	return fig, opt.sweep(points, func(p point) (*Cluster, Workload, error) {
+		b := &Bank{AccountsPerPartition: 500, HotProb: 0.6, RemoteProb: 0.3, GlobalCelebrity: true}
+		ccfg := opt.clusterConfig()
+		ccfg.Latency = time.Duration(p.x) * time.Microsecond
+		c, err := loadBank(ccfg, b, ablationParts)
+		if err == nil {
 			b.MarkCelebritiesHot(c)
-			m := c.Run(b, RunConfig{
-				Engine:         kind,
-				Concurrency:    opt.Concurrency * 2,
-				Duration:       opt.Duration,
-				WarmupFraction: 0.25,
-				Retry:          true,
-				Seed:           opt.Seed,
-			})
-			c.Close()
-			fig.Add(string(kind), float64(lat.Microseconds()), m.Throughput())
-			fig.AddAborts(string(kind), m)
-			fig.AddVerbs(string(kind), m)
 		}
-	}
-	return fig, nil
+		return c, b, err
+	}, fig.record)
 }
 
 // MembershipChurn measures throughput across a live membership change:
@@ -815,74 +698,39 @@ func AblationLatency(parts int, opt Options) (*Figure, error) {
 // quiesce: the paper-faithful outcome is a dip bounded by the fenced
 // partition's share, never a stall to zero.
 func MembershipChurn(opt Options) (*Figure, error) {
-	const parts = 3
-	const accounts = 500
-	fig := &Figure{
-		Name:   "Membership churn",
-		Title:  "Throughput across a live node join (bank transfers)",
-		XLabel: "phase (0=before, 1=during handoff, 2=after)",
-		YLabel: "txns/sec",
-		Lanes:  opt.laneCount(),
-	}
+	fig := opt.figure("Membership churn", "Throughput across a live node join (bank transfers)", "phase (0=before, 1=during handoff, 2=after)")
 	for _, kind := range []EngineKind{Engine2PL, EngineChiller} {
-		b := &Bank{
-			AccountsPerPartition: accounts,
-			HotProb:              0.2,
-			RemoteProb:           0.3,
-		}
-		c := NewCluster(ClusterConfig{
-			Partitions:  parts,
-			Replication: opt.Replication,
-			Latency:     opt.Latency,
-			Seed:        opt.Seed,
-			Lanes:       opt.laneCount(),
-		}, cluster.RangePartitioner{
-			N:      parts,
-			MaxKey: map[storage.TableID]storage.Key{BankTable: storage.Key(parts * accounts)},
-		})
-		if err := SetupBank(c, b, true); err != nil {
-			c.Close()
+		b := &Bank{AccountsPerPartition: 500, HotProb: 0.2, RemoteProb: 0.3}
+		c, err := loadBank(opt.clusterConfig(), b, 3)
+		if err != nil {
 			return nil, err
 		}
-		run := func() *Metrics {
-			return c.Run(b, RunConfig{
-				Engine:         kind,
-				Concurrency:    opt.Concurrency,
-				Duration:       opt.Duration,
-				Retry:          true,
-				WarmupFraction: 0.25,
-				Seed:           opt.Seed,
-			})
-		}
-
-		before := run()
-		fig.Add(string(kind), 0, before.Throughput())
-		fig.AddAborts(string(kind), before)
-
-		// The churn overlaps the measured window: wait out the warmup
-		// quarter, then add a node and hand it partition 0 while clients
-		// keep issuing transfers against the moving range.
-		churnErr := make(chan error, 1)
-		go func() {
-			time.Sleep(opt.Duration / 4)
-			id, err := c.AddNode()
-			if err != nil {
-				churnErr <- err
-				return
+		for phase := 0; phase < 3; phase++ {
+			// The churn overlaps the measured window: wait out the warmup
+			// quarter, then add a node and hand it partition 0 while
+			// clients keep issuing transfers against the moving range.
+			churned := make(chan error, 1)
+			if phase == 1 {
+				go func() {
+					time.Sleep(opt.Duration / 4)
+					id, err := c.AddNode()
+					if err == nil {
+						err = c.MovePartition(0, id)
+					}
+					churned <- err
+				}()
+			} else {
+				churned <- nil
 			}
-			churnErr <- c.MovePartition(0, id)
-		}()
-		during := run()
-		if err := <-churnErr; err != nil {
-			c.Close()
-			return nil, err
+			p := point{label: string(kind), x: float64(phase), kind: kind, conc: opt.Concurrency}
+			m := opt.measure(c.Run, b, p)
+			if err := <-churned; err != nil {
+				c.Close()
+				return nil, err
+			}
+			fig.Add(p.label, p.x, m.Throughput())
+			fig.AddAborts(p.label, m)
 		}
-		fig.Add(string(kind), 1, during.Throughput())
-		fig.AddAborts(string(kind), during)
-
-		after := run()
-		fig.Add(string(kind), 2, after.Throughput())
-		fig.AddAborts(string(kind), after)
 		c.Close()
 	}
 	return fig, nil

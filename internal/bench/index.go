@@ -36,26 +36,8 @@ var Experiments = []Experiment{
 	{"fig10", "NewOrder+Payment throughput as the distributed fraction sweeps 0..100%", one(Figure10)},
 	{"fig10fsync", "Figure 10 shape under durability: one Chiller series per WAL fsync policy (-fsync-policy)", one(Figure10Fsync)},
 	{"churn", "bank throughput before/during/after a live node join with incremental partition handoff", one(MembershipChurn)},
-	{"a1", "ablation: hot-record reordering alone vs reordering plus contention-aware placement", func(opt Options) ([]*Figure, error) {
-		f, err := AblationReorderOnly(4, opt)
-		if err != nil {
-			return nil, err
-		}
-		return []*Figure{f}, nil
-	}},
-	{"a2", "ablation: min-edge-weight knob trading contention cost against distributed ratio (§4.4)", func(opt Options) ([]*Figure, error) {
-		f, err := AblationMinEdgeWeight(4, opt)
-		if err != nil {
-			return nil, err
-		}
-		return []*Figure{f}, nil
-	}},
+	{"a1", "ablation: hot-record reordering alone vs reordering plus contention-aware placement", one(AblationReorderOnly)},
+	{"a2", "ablation: min-edge-weight knob trading contention cost against distributed ratio (§4.4)", one(AblationMinEdgeWeight)},
 	{"a3", "ablation: hot-set recall vs statistics sampling rate (§4.1)", one(AblationSamplingRate)},
-	{"a4", "ablation: Chiller's advantage over 2PL as one-way network latency sweeps 0..100µs", func(opt Options) ([]*Figure, error) {
-		f, err := AblationLatency(4, opt)
-		if err != nil {
-			return nil, err
-		}
-		return []*Figure{f}, nil
-	}},
+	{"a4", "ablation: Chiller's advantage over 2PL as one-way network latency sweeps 0..100µs", one(AblationLatency)},
 }

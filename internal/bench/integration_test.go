@@ -70,7 +70,6 @@ func TestBankClosedLoopRun(t *testing.T) {
 		Engine:      EngineChiller,
 		Concurrency: 3,
 		Duration:    200 * time.Millisecond,
-		Retry:       true,
 		Seed:        5,
 	})
 	if m.Committed == 0 {

@@ -72,7 +72,6 @@ func TestBankConservationWithLanes(t *testing.T) {
 		Engine:      EngineChiller,
 		Concurrency: 6,
 		Duration:    150 * time.Millisecond,
-		Retry:       true,
 		Seed:        17,
 	})
 	if cm.Committed == 0 {

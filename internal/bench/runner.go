@@ -23,23 +23,21 @@ type Workload interface {
 	Next(partition int, rng *rand.Rand) *txn.Request
 }
 
-// RunConfig drives a closed-loop measurement.
+// RunConfig drives a closed-loop measurement. Aborted transactions are
+// re-run with the same request until they commit, and every abort is
+// counted — the closed-loop behaviour the paper's throughput numbers
+// imply.
 type RunConfig struct {
 	// Engine selects the concurrency-control engine.
 	Engine EngineKind
 	// Concurrency is the number of closed-loop clients per partition —
 	// the "concurrent transactions per warehouse" knob of Figure 9.
 	Concurrency int
-	// Duration is the measurement window.
+	// Duration is the run's window: its first quarter warms up, and the
+	// counters cover the rest.
 	Duration time.Duration
-	// WarmupFraction of Duration is run before counters reset (0-0.5).
-	WarmupFraction float64
 	// Seed makes client request streams reproducible.
 	Seed int64
-	// Retry re-runs aborted transactions (with the same request) until
-	// they commit. Aborts are still counted. This is the closed-loop
-	// behaviour the paper's throughput numbers imply.
-	Retry bool
 	// Outstanding switches a client to open-loop issuance with the given
 	// window: the client keeps up to Outstanding transactions in flight
 	// at once, modelling the paper's single-threaded execution engines
@@ -187,10 +185,10 @@ func (m *Metrics) add(sh *shard) {
 	}
 }
 
-// runOne executes one request to completion (with retry policy) against
-// an engine, recording outcomes into sh. It returns when the request
-// committed, retry is off, or the run stopped.
-func runOne(engine cc.Engine, req *txn.Request, sh *shard, rng *rand.Rand, cfg *RunConfig, counting, stop *atomic.Bool) {
+// runOne executes one request to completion against an engine, retrying
+// aborts, and records outcomes into sh. It returns when the request
+// committed or the run stopped.
+func runOne(engine cc.Engine, req *txn.Request, sh *shard, rng *rand.Rand, counting, stop *atomic.Bool) {
 	for retry := 1; ; retry++ {
 		res := engine.Run(context.Background(), req)
 		count := counting.Load()
@@ -214,7 +212,7 @@ func runOne(engine cc.Engine, req *txn.Request, sh *shard, rng *rand.Rand, cfg *
 			pm.Aborted++
 			sh.byReason[res.Reason]++
 		}
-		if !cfg.Retry || stop.Load() {
+		if stop.Load() {
 			return
 		}
 		// Randomized exponential backoff between retries (standard
@@ -235,11 +233,11 @@ func (c *Cluster) Run(w Workload, cfg RunConfig) *Metrics {
 }
 
 // runClients is the measurement loop behind Cluster.Run and
-// RemoteClient.Run: cfg.Concurrency clients per partition, partition p's
-// bound to engineFor(p); reset zeroes the verb metrics when the warm-up
-// ends, drain joins the engines' commit tails after the clients stop,
-// and profiles reads the window's per-verb profile. lanesLabel is
-// recorded as Metrics.Lanes.
+// Figure10Remote's TCP client: cfg.Concurrency clients per partition,
+// partition p's bound to engineFor(p); reset zeroes the verb metrics
+// when the warm-up ends, drain joins the engines' commit tails after
+// the clients stop, and profiles reads the window's per-verb profile.
+// lanesLabel is recorded as Metrics.Lanes.
 func runClients(partitions, lanesLabel int, engineFor func(int) cc.Engine, reset, drain func(), profiles func() map[string]*VerbProfile, w Workload, cfg RunConfig) *Metrics {
 	if cfg.Concurrency <= 0 {
 		cfg.Concurrency = 1
@@ -273,7 +271,7 @@ func runClients(partitions, lanesLabel int, engineFor func(int) cc.Engine, reset
 					sh := &shards[id]
 					rng := rand.New(rand.NewSource(cfg.Seed + int64(id)*7919))
 					for !stop.Load() {
-						runOne(engine, w.Next(part, rng), sh, rng, &cfg, &counting, &stop)
+						runOne(engine, w.Next(part, rng), sh, rng, &counting, &stop)
 					}
 				}()
 				continue
@@ -299,14 +297,14 @@ func runClients(partitions, lanesLabel int, engineFor func(int) cc.Engine, reset
 					defer wg.Done()
 					rng := rand.New(rand.NewSource(laneSeed))
 					for req := range reqCh {
-						runOne(engine, req, sh, rng, &cfg, &counting, &stop)
+						runOne(engine, req, sh, rng, &counting, &stop)
 					}
 				}()
 			}
 		}
 	}
 
-	warmup := time.Duration(float64(cfg.Duration) * cfg.WarmupFraction)
+	warmup := cfg.Duration / 4
 	time.Sleep(warmup)
 	reset()
 	counting.Store(true)
@@ -331,7 +329,6 @@ func runClients(partitions, lanesLabel int, engineFor func(int) cc.Engine, reset
 // client per partition, retries until commit) — used by correctness
 // tests where a fixed amount of work must land.
 func (c *Cluster) RunN(w Workload, kind EngineKind, nPerPartition int, seed int64) *Metrics {
-	cfg := RunConfig{Retry: true}
 	var counting, stop atomic.Bool
 	counting.Store(true)
 	shards := make([]shard, c.Cfg.Partitions)
@@ -347,7 +344,7 @@ func (c *Cluster) RunN(w Workload, kind EngineKind, nPerPartition int, seed int6
 			rng := rand.New(rand.NewSource(seed + int64(part)))
 			jitter := rand.New(rand.NewSource(seed ^ int64(part+1)*104729))
 			for i := 0; i < nPerPartition; i++ {
-				runOne(engine, w.Next(part, rng), &shards[part], jitter, &cfg, &counting, &stop)
+				runOne(engine, w.Next(part, rng), &shards[part], jitter, &counting, &stop)
 			}
 		}(p)
 	}

@@ -51,7 +51,6 @@ func TestRunCountsAbortReasons(t *testing.T) {
 		Engine:      Engine2PL,
 		Concurrency: 4,
 		Duration:    100 * time.Millisecond,
-		Retry:       true,
 		Seed:        9,
 	})
 	if m.Aborted == 0 {
@@ -96,7 +95,6 @@ func TestRunOpenLoopOutstanding(t *testing.T) {
 		Engine:      Engine2PL,
 		Concurrency: 1,
 		Duration:    150 * time.Millisecond,
-		Retry:       true,
 		Seed:        7,
 	})
 	open := c.Run(b, RunConfig{
@@ -104,7 +102,6 @@ func TestRunOpenLoopOutstanding(t *testing.T) {
 		Concurrency: 1,
 		Outstanding: 8,
 		Duration:    150 * time.Millisecond,
-		Retry:       true,
 		Seed:        7,
 	})
 	if open.Committed == 0 {

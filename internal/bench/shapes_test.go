@@ -214,7 +214,7 @@ func TestFigure10Shapes(t *testing.T) {
 func TestAblationReorderShapes(t *testing.T) {
 	opt := testOptions()
 	retryShapes(t, "Ablation A1", func() ([]string, error) {
-		a1, err := AblationReorderOnly(4, opt)
+		a1, err := AblationReorderOnly(opt)
 		if err != nil {
 			return nil, err
 		}
@@ -229,7 +229,7 @@ func TestAblationReorderShapes(t *testing.T) {
 
 func TestAblationLatency(t *testing.T) {
 	opt := testOptions()
-	fig, err := AblationLatency(3, opt)
+	fig, err := AblationLatency(opt)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,9 +9,9 @@ import (
 	"sync/atomic"
 	"time"
 
-	"github.com/chillerdb/chiller/internal/bench"
 	"github.com/chillerdb/chiller/internal/cc"
 	"github.com/chillerdb/chiller/internal/cluster"
+	"github.com/chillerdb/chiller/internal/deploy"
 	"github.com/chillerdb/chiller/internal/history"
 	"github.com/chillerdb/chiller/internal/server"
 	"github.com/chillerdb/chiller/internal/storage"
@@ -55,9 +55,9 @@ func DefaultFaults() *Faults {
 // Config sizes one harness run.
 type Config struct {
 	// Engine picks the cell's engine.
-	Engine bench.EngineKind
-	// Transport selects the fabric: bench.TransportSim (default) or
-	// bench.TransportTCP, which runs the cell over real loopback sockets
+	Engine deploy.EngineKind
+	// Transport selects the fabric: deploy.TransportSim (default) or
+	// deploy.TransportTCP, which runs the cell over real loopback sockets
 	// — one tcpnet fabric per node, every verb crossing the kernel. The
 	// fault schedule (Faults) runs on either: the injector wraps every
 	// node endpoint, whatever the fabric. What the TCP cell adds is
@@ -161,7 +161,7 @@ func (cfg *Config) defaults() {
 		cfg.Keys = 16
 	}
 	if cfg.Engine == "" {
-		cfg.Engine = bench.EngineChiller
+		cfg.Engine = deploy.EngineChiller
 	}
 }
 
@@ -272,7 +272,7 @@ func Run(cfg Config) (*Result, error) {
 		walPolicy = wal.Policy{NoSync: true}
 	}
 	maxKey := storage.Key(cfg.Partitions * cfg.Keys)
-	c := bench.NewCluster(bench.ClusterConfig{
+	c, err := deploy.NewCluster(deploy.Config{
 		Transport:   cfg.Transport,
 		Partitions:  cfg.Partitions,
 		Replication: cfg.Replication,
@@ -284,6 +284,9 @@ func Run(cfg Config) (*Result, error) {
 		WALDir:      walDir,
 		WALPolicy:   walPolicy,
 	}, cluster.RangePartitioner{N: cfg.Partitions, MaxKey: map[storage.TableID]storage.Key{CheckTable: maxKey}})
+	if err != nil {
+		return nil, err
+	}
 	defer c.Close()
 
 	if err := RegisterProcs(c.Registry); err != nil {
@@ -466,7 +469,7 @@ func Run(cfg Config) (*Result, error) {
 	if cfg.Elastic {
 		for k := storage.Key(0); k < maxKey; k++ {
 			pid := c.Dir.Partition(storage.RID{Table: CheckTable, Key: k})
-			tbl := c.Nodes[int(c.Topo.Primary(pid))].Store().Table(CheckTable)
+			tbl := c.Nodes()[int(c.Topo.Primary(pid))].Store().Table(CheckTable)
 			if tbl == nil {
 				lostKeys++
 				continue
@@ -506,7 +509,7 @@ func Run(cfg Config) (*Result, error) {
 // partition to a replica (the primary-death recovery protocol) while the
 // victim is still down. Called only on a quiesced cluster; the victim's
 // links stay cut when it returns.
-func crashAndRecover(cfg Config, c *bench.Cluster, maxKey storage.Key) (victim, lost int, err error) {
+func crashAndRecover(cfg Config, c *deploy.Cluster, maxKey storage.Key) (victim, lost int, err error) {
 	crng := rand.New(rand.NewSource(cfg.Seed ^ 0x0dd5))
 	v := crng.Intn(cfg.Partitions)
 	var promoteTo transport.NodeID
@@ -518,7 +521,7 @@ func crashAndRecover(cfg Config, c *bench.Cluster, maxKey storage.Key) (victim, 
 	// Everything here was acknowledged (the cluster is quiesced), so
 	// recovery must reproduce it exactly.
 	oracle := make(map[storage.Key]string)
-	if tbl := c.Nodes[v].Store().Table(CheckTable); tbl != nil {
+	if tbl := c.Nodes()[v].Store().Table(CheckTable); tbl != nil {
 		tbl.Range(func(k storage.Key, val []byte, _ uint64) bool {
 			oracle[k] = string(val)
 			return true
@@ -583,7 +586,7 @@ func crashAndRecover(cfg Config, c *bench.Cluster, maxKey storage.Key) (victim, 
 // partition back, and retire the node. Every step runs against open-loop client load;
 // transactions caught at a cutover abort with the retryable moved
 // reason and re-route on retry.
-func membershipChurn(cfg Config, c *bench.Cluster) (int, error) {
+func membershipChurn(cfg Config, c *deploy.Cluster) (int, error) {
 	// Let traffic build before the join so the warming stream and the
 	// backfill genuinely race live commits.
 	time.Sleep(500 * time.Microsecond)

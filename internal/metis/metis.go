@@ -50,8 +50,16 @@ func (g *Graph) Degree(v int) int { return len(g.adj[v]) }
 type Builder struct {
 	n  int
 	vw []int64
-	// edge accumulation: map from packed (min,max) pair to weight
-	edges map[[2]int32]int64
+	// edges accumulates merged edges in first-insertion order, so the
+	// built graph — and every seeded partitioning of it — is a function
+	// of the AddEdge sequence; index maps a (min,max) pair to its slot.
+	edges []builtEdge
+	index map[[2]int32]int
+}
+
+type builtEdge struct {
+	u, v int32
+	w    int64
 }
 
 // NewBuilder creates a builder for a graph with n vertices, all weight 1.
@@ -60,7 +68,7 @@ func NewBuilder(n int) *Builder {
 	for i := range vw {
 		vw[i] = 1
 	}
-	return &Builder{n: n, vw: vw, edges: make(map[[2]int32]int64)}
+	return &Builder{n: n, vw: vw, index: make(map[[2]int32]int)}
 }
 
 // SetVertexWeight assigns vertex v's weight (≥ 0).
@@ -80,7 +88,13 @@ func (b *Builder) AddEdge(u, v int, w int64) {
 	if u > v {
 		u, v = v, u
 	}
-	b.edges[[2]int32{int32(u), int32(v)}] += w
+	key := [2]int32{int32(u), int32(v)}
+	if i, ok := b.index[key]; ok {
+		b.edges[i].w += w
+		return
+	}
+	b.index[key] = len(b.edges)
+	b.edges = append(b.edges, builtEdge{u: key[0], v: key[1], w: w})
 }
 
 // Build finalizes the graph.
@@ -89,10 +103,9 @@ func (b *Builder) Build() *Graph {
 	for _, w := range b.vw {
 		g.totW += w
 	}
-	for k, w := range b.edges {
-		u, v := int(k[0]), int(k[1])
-		g.adj[u] = append(g.adj[u], edge{to: int32(v), w: w})
-		g.adj[v] = append(g.adj[v], edge{to: int32(u), w: w})
+	for _, e := range b.edges {
+		g.adj[e.u] = append(g.adj[e.u], edge{to: e.v, w: e.w})
+		g.adj[e.v] = append(g.adj[e.v], edge{to: e.u, w: e.w})
 	}
 	return g
 }
@@ -218,25 +231,46 @@ func coarsen(g *Graph, rng *rand.Rand) (*Graph, []int) {
 		}
 		nc++
 	}
-	// Build the coarse graph.
-	b := NewBuilder(nc)
-	cw := make([]int64, nc)
-	for v := 0; v < g.n; v++ {
-		cw[fine2coarse[v]] += g.vw[v]
+	// Build the coarse graph directly: coarse vertex cv's edges merge its
+	// fine vertices' edges, pos[cu] being the slot of neighbour cu in
+	// cv's list (-1 when absent), so the adjacency order follows the
+	// fine graph's and no map is involved.
+	cg := &Graph{n: nc, adj: make([][]edge, nc), vw: make([]int64, nc), totW: g.totW}
+	pos := make([]int, nc)
+	for v := range pos {
+		pos[v] = -1
 	}
-	for i, w := range cw {
-		b.SetVertexWeight(i, w)
-	}
-	for v := 0; v < g.n; v++ {
+	for v, u := range match {
+		cg.vw[fine2coarse[v]] += g.vw[v]
+		if u < v {
+			continue // v's edges merge into u's coarse vertex
+		}
 		cv := fine2coarse[v]
-		for _, e := range g.adj[v] {
-			cu := fine2coarse[int(e.to)]
-			if cv < cu { // add each undirected edge once
-				b.AddEdge(cv, cu, e.w)
+		members, n := [2]int{v, u}, 2
+		if u == v {
+			n = 1
+		}
+		var adj []edge
+		for _, f := range members[:n] {
+			for _, e := range g.adj[f] {
+				cu := fine2coarse[e.to]
+				if cu == cv {
+					continue
+				}
+				if p := pos[cu]; p >= 0 {
+					adj[p].w += e.w
+				} else {
+					pos[cu] = len(adj)
+					adj = append(adj, edge{to: int32(cu), w: e.w})
+				}
 			}
 		}
+		for _, e := range adj {
+			pos[e.to] = -1
+		}
+		cg.adj[cv] = adj
 	}
-	return b.Build(), fine2coarse
+	return cg, fine2coarse
 }
 
 // initialPartition greedily grows k regions from random seeds; several

@@ -195,15 +195,20 @@ func TestLargeGraphCompletes(t *testing.T) {
 	}
 }
 
+// The same edges and seed give the same partitioning — from two graphs
+// built separately, so the build itself must be deterministic too. The
+// graph is large enough to be coarsened, where adjacency order matters.
 func TestDeterministicForSeed(t *testing.T) {
-	b := NewBuilder(100)
-	rng := testutil.Rand(t, 4)
-	for i := 0; i < 300; i++ {
-		b.AddEdge(rng.Intn(100), rng.Intn(100), 1)
+	build := func() *Graph {
+		b := NewBuilder(1000)
+		rng := testutil.Rand(t, 4)
+		for i := 0; i < 3000; i++ {
+			b.AddEdge(rng.Intn(1000), rng.Intn(1000), int64(1+rng.Intn(5)))
+		}
+		return b.Build()
 	}
-	g := b.Build()
-	r1, _ := Partition(g, 4, 0.1, 42)
-	r2, _ := Partition(g, 4, 0.1, 42)
+	r1, _ := Partition(build(), 4, 0.1, 42)
+	r2, _ := Partition(build(), 4, 0.1, 42)
 	for i := range r1.Assign {
 		if r1.Assign[i] != r2.Assign[i] {
 			t.Fatal("same seed produced different partitionings")

@@ -260,11 +260,12 @@ func ContentionCost(agg *stats.Aggregate, route partition.Router, k int) float64
 		for _, w := range t.Writes {
 			visit(w)
 		}
-		// Inner host: the partition with the most contention mass.
+		// Inner host: the partition with the most contention mass, the
+		// lowest id on a tie (the map's order is random).
 		var inner cluster.PartitionID
 		best := -1.0
 		for p, c := range counts {
-			if c > best {
+			if c > best || (c == best && p < inner) {
 				inner, best = p, c
 			}
 		}

@@ -1,6 +1,8 @@
 package chillerpart
 
 import (
+	"maps"
+	"math/rand"
 	"testing"
 
 	"github.com/chillerdb/chiller/internal/cluster"
@@ -217,4 +219,62 @@ func TestLanesAsSubPartitions(t *testing.T) {
 		}
 	}
 	_ = partition.RouterFor(res.Layout, cluster.HashPartitioner{N: k})
+}
+
+// skewedAggregate builds an aggregate from a seeded trace: 600
+// transactions of four accesses over 400 records, a third of them on the
+// first 20 — enough records crossing the hot threshold, and enough
+// edges, that an unstable graph build shows up as a different layout.
+func skewedAggregate(seed int64) *stats.Aggregate {
+	rng := rand.New(rand.NewSource(seed))
+	samples := make([]stats.TxnSample, 600)
+	for i := range samples {
+		for j := 0; j < 4; j++ {
+			k := storage.Key(rng.Intn(400))
+			if rng.Intn(3) == 0 {
+				k = storage.Key(rng.Intn(20))
+			}
+			if j%2 == 0 {
+				samples[i].Reads = append(samples[i].Reads, rid(k))
+			} else {
+				samples[i].Writes = append(samples[i].Writes, rid(k))
+			}
+		}
+	}
+	agg := stats.NewAggregate()
+	agg.Add(samples)
+	agg.Finalize(1, 30)
+	return agg
+}
+
+// A seeded partitioner is a function of its trace: aggregates built
+// from the same trace give the same layout, run after run.
+func TestSameTraceSameLayout(t *testing.T) {
+	cfg := Config{K: 4, Seed: 42, HotThreshold: 0.05}
+	first, err := Partition(skewedAggregate(7), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(first.Layout.Hot) == 0 {
+		t.Fatal("no hot records: the trace exercises nothing")
+	}
+	for i := 0; i < 5; i++ {
+		again, err := Partition(skewedAggregate(7), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !maps.Equal(first.Layout.Hot, again.Layout.Hot) {
+			t.Fatalf("repeat %d placed %d hot records differently", i, diffCount(first.Layout.Hot, again.Layout.Hot))
+		}
+	}
+}
+
+func diffCount(a, b map[storage.RID]cluster.PartitionID) int {
+	n := 0
+	for r, p := range a {
+		if q, ok := b[r]; !ok || q != p {
+			n++
+		}
+	}
+	return n
 }

@@ -76,6 +76,21 @@ func (c Config) Defaults() Config {
 	return c
 }
 
+// WarehousePerNode is the deployment §7.3.1 evaluates: one warehouse per
+// partition and node (one per execution engine), sized by customers per
+// district and items per warehouse, standard mix. chiller-node processes
+// load it and the bench client that sweeps them drives it, both through
+// this function, so the two sides agree by construction; the simulated
+// sweeps use it too.
+func WarehousePerNode(nodes, customers, items int) Config {
+	return Config{
+		Warehouses:           nodes,
+		Partitions:           nodes,
+		CustomersPerDistrict: customers,
+		Items:                items,
+	}.Defaults()
+}
+
 // Validate checks the configuration.
 func (c Config) Validate() error {
 	if c.Warehouses <= 0 || c.Partitions <= 0 {

@@ -46,6 +46,10 @@
 #      counter), and the WAL's group commit is self-clocked — no non-test
 #      .go file names the deleted ack-id namespace bits, per-sender ack
 #      methods or linger knob.
+#  11. One importer of the figure harness: outside _test.go files and
+#      benchmark/, only cmd/chiller-bench imports internal/bench — the
+#      checker assembles on internal/deploy, and chiller-node shares only
+#      the TPC-C sizing (tpcc.WarehousePerNode) with the bench client.
 #
 # Exits non-zero with a list of offenders on failure.
 set -eu
@@ -145,6 +149,16 @@ offenders=$(grep -rnE --include='*.go' --exclude='*_test.go' \
         . || true)
 if [ -n "$offenders" ]; then
     echo "a second way onto the replication stream (open a server.Acks), or the WAL linger:" >&2
+    echo "$offenders" >&2
+    fail=1
+fi
+
+# --- 11. one importer of the figure harness ------------------------------
+offenders=$(grep -rlE --include='*.go' --exclude='*_test.go' \
+        '"github.com/chillerdb/chiller/internal/bench"' . |
+    grep -v -e '^\./benchmark/' -e '^\./cmd/chiller-bench/' || true)
+if [ -n "$offenders" ]; then
+    echo "internal/bench imported outside cmd/chiller-bench (assemble with internal/deploy):" >&2
     echo "$offenders" >&2
     fail=1
 fi
