@@ -232,7 +232,7 @@ func BenchmarkMetisPartition(b *testing.B) {
 	g := builder.Build()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := metis.Partition(g, 8, 0.1, int64(i)); err != nil {
+		if _, err := metis.Partition(g, 8, int64(i)); err != nil {
 			b.Fatal(err)
 		}
 	}

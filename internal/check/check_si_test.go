@@ -4,7 +4,7 @@ import (
 	"strings"
 	"testing"
 
-	"github.com/chillerdb/chiller/internal/bench"
+	"github.com/chillerdb/chiller/internal/deploy"
 	"github.com/chillerdb/chiller/internal/history"
 	"github.com/chillerdb/chiller/internal/storage"
 	"github.com/chillerdb/chiller/internal/testutil"
@@ -133,8 +133,8 @@ func assertSIViolation(t *testing.T, rep *SIReport, code string) {
 func TestSISensitivity(t *testing.T) {
 	seed := testutil.Seed(t, 99)
 	res, err := Run(Config{
-		Engine: bench.EngineChiller, Lanes: 2,
-		Seed: seed, Faults: DefaultFaults(), MVCC: true,
+		Engine: deploy.EngineChiller, Lanes: 2,
+		Seed: seed, Faults: true, MVCC: true,
 	})
 	if err != nil {
 		t.Fatalf("harness: %v", err)

@@ -7,10 +7,10 @@ import (
 	"testing"
 	"time"
 
-	"github.com/chillerdb/chiller/internal/bench"
 	"github.com/chillerdb/chiller/internal/cc"
 	"github.com/chillerdb/chiller/internal/cluster"
 	"github.com/chillerdb/chiller/internal/core"
+	"github.com/chillerdb/chiller/internal/deploy"
 	"github.com/chillerdb/chiller/internal/server"
 	"github.com/chillerdb/chiller/internal/storage"
 	"github.com/chillerdb/chiller/internal/testutil"
@@ -23,10 +23,10 @@ import (
 // detail names the destination node, and the transaction must have
 // aborted cleanly (no leaked locks) so a later retry commits.
 
-func faultCluster(t *testing.T, plan *transport.FaultPlan) *bench.Cluster {
+func faultCluster(t *testing.T, plan *transport.FaultPlan) *deploy.Cluster {
 	t.Helper()
 	maxKey := storage.Key(2 * 8)
-	c := bench.NewCluster(bench.ClusterConfig{
+	c, err := deploy.NewCluster(deploy.Config{
 		Partitions:  2,
 		Replication: 2,
 		Latency:     2 * time.Microsecond,
@@ -34,7 +34,10 @@ func faultCluster(t *testing.T, plan *transport.FaultPlan) *bench.Cluster {
 		Lanes:       1,
 		Faults:      plan,
 	}, cluster.RangePartitioner{N: 2, MaxKey: map[storage.TableID]storage.Key{CheckTable: maxKey}})
-	t.Cleanup(c.Close)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { c.Close() })
 	if err := RegisterProcs(c.Registry); err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +58,7 @@ func TestDroppedReplicationRelaySurfacesUnreachable(t *testing.T) {
 		DropProb:  1,
 		Droppable: func(m string) bool { return m == server.VerbInnerRepl },
 	})
-	eng := c.Engine(bench.Engine2PL, 0)
+	eng := c.Engine(deploy.Engine2PL, 0)
 	// Cross-partition RMW so the replicate wave has a frame the
 	// coordinator serves itself (its error keeps its type) and one a
 	// remote primary serves over a doorbell.
@@ -100,8 +103,8 @@ func TestInnerAndOuterWritesReplicateInLockOrder(t *testing.T) {
 		eng  cc.Engine
 		args func(nonce int64) txn.Args
 	}
-	a := writer{c.Engine(bench.EngineChiller, 0), func(n int64) txn.Args { return txn.Args{int64(x), int64(cold), n} }}
-	b := writer{c.Engine(bench.EngineChiller, 1), func(n int64) txn.Args { return txn.Args{int64(x), int64(y), n} }}
+	a := writer{c.Engine(deploy.EngineChiller, 0), func(n int64) txn.Args { return txn.Args{int64(x), int64(cold), n} }}
+	b := writer{c.Engine(deploy.EngineChiller, 1), func(n int64) txn.Args { return txn.Args{int64(x), int64(y), n} }}
 	for w, wantInner := range map[*writer]int{&a: 0, &b: 1} {
 		dec, err := w.eng.(*core.Engine).Decide(&txn.Request{Proc: ProcRMW2, Args: w.args(0)})
 		if err != nil || !dec.TwoRegion || dec.InnerHost != wantInner {
@@ -109,7 +112,7 @@ func TestInnerAndOuterWritesReplicateInLockOrder(t *testing.T) {
 		}
 	}
 	nonceAt := func(node int) int64 {
-		v, _, err := c.Nodes[node].Store().Table(CheckTable).Bucket(x).Get(x)
+		v, _, err := c.Nodes()[node].Store().Table(CheckTable).Bucket(x).Get(x)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -149,7 +152,7 @@ func TestInnerAndOuterWritesReplicateInLockOrder(t *testing.T) {
 }
 
 func TestDroppedLockWaveAbortsCleanlyAllEngines(t *testing.T) {
-	for _, kind := range []bench.EngineKind{bench.Engine2PL, bench.EngineOCC, bench.EngineChiller} {
+	for _, kind := range []deploy.EngineKind{deploy.Engine2PL, deploy.EngineOCC, deploy.EngineChiller} {
 		kind := kind
 		t.Run(string(kind), func(t *testing.T) {
 			c := faultCluster(t, &transport.FaultPlan{
@@ -185,7 +188,7 @@ func TestDroppedValidateRingAbortsCleanly(t *testing.T) {
 			return m == server.VerbDoorbell && rings.Add(1) == 3
 		},
 	})
-	res := c.Engine(bench.EngineOCC, 0).Run(context.Background(), &txn.Request{Proc: ProcRMW2, Args: txn.Args{1, 9, 1}})
+	res := c.Engine(deploy.EngineOCC, 0).Run(context.Background(), &txn.Request{Proc: ProcRMW2, Args: txn.Args{1, 9, 1}})
 	if res.Committed || res.Reason != txn.AbortUnreachable || !strings.HasPrefix(res.Detail, server.KindValidate+" at node 1") {
 		t.Fatalf("want an unreachable abort at the validate wave, got %v (%s)", res.Reason, res.Detail)
 	}
@@ -209,7 +212,7 @@ func TestDroppedLockDoorbellBatchedChiller(t *testing.T) {
 			return false
 		},
 	})
-	eng := c.Engine(bench.EngineChiller, 0)
+	eng := c.Engine(deploy.EngineChiller, 0)
 	// Hot key on partition 1 + cold key on partition 0: the outer wave
 	// targets a remote node over a (dropped) lock doorbell.
 	rid := storage.RID{Table: CheckTable, Key: 8}

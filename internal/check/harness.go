@@ -25,34 +25,31 @@ import (
 // one cell of the cross-product matrix (engine × lanes × transport ×
 // faults) the nightly job sweeps.
 
-// Faults configures the harness's fault schedule.
-type Faults struct {
-	// DropProb drops each pre-commit verb send with this probability
-	// (exercising the abort/retry path).
-	DropProb float64
-	// DelayProb/DelaySpike hit any message with an extra latency spike.
-	DelayProb  float64
-	DelaySpike time.Duration
-	// PartitionWindows cuts a random node pair for WindowLen, heals,
-	// waits WindowGap, and repeats this many times during the run.
-	PartitionWindows int
-	WindowLen        time.Duration
-	WindowGap        time.Duration
-}
+// The rest of the cell's shape: every matrix cell runs this cluster and
+// this many clients, and only the engine, fabric, lanes and schedules
+// vary.
+const (
+	cellReplication = 2
+	cellLatency     = 2 * time.Microsecond // simulated one-way latency
+	cellClients     = 3                    // concurrent clients per partition
+	cellTxns        = 15                   // transactions each client commits
+)
 
-// DefaultFaults is the schedule the checker matrix runs with.
-func DefaultFaults() *Faults {
-	return &Faults{
-		DropProb:         0.02,
-		DelayProb:        0.02,
-		DelaySpike:       200 * time.Microsecond,
-		PartitionWindows: 3,
-		WindowLen:        2 * time.Millisecond,
-		WindowGap:        3 * time.Millisecond,
-	}
-}
+// The fault schedule a Config.Faults cell runs. Each pre-commit verb
+// send is dropped with dropProb (exercising the abort/retry path); any
+// message is hit by a delaySpike with delayProb; and partitionWindows
+// times per phase a random node pair is cut for windowLen, healed, and
+// left alone for windowGap.
+const (
+	dropProb         = 0.02
+	delayProb        = 0.02
+	delaySpike       = 200 * time.Microsecond
+	partitionWindows = 3
+	windowLen        = 2 * time.Millisecond
+	windowGap        = 3 * time.Millisecond
+)
 
-// Config sizes one harness run.
+// Config picks one cell of the matrix.
 type Config struct {
 	// Engine picks the cell's engine.
 	Engine deploy.EngineKind
@@ -65,23 +62,12 @@ type Config struct {
 	// framing, per-connection FIFO, and the inline dispatch ordering all
 	// feed the same checker.
 	Transport string
-	// Partitions, Replication, Lanes size the cluster (defaults 3, 2, 1).
-	Partitions  int
-	Replication int
-	Lanes       int
-	// Latency is the simulated one-way latency (default 2µs).
-	Latency time.Duration
+	// Lanes is the number of execution lanes per node (default 1).
+	Lanes int
 	// Seed makes the run's workload and fault dice reproducible.
 	Seed int64
-	// Clients is the number of concurrent clients per partition
-	// (default 3); Txns is how many transactions each client commits
-	// (default 15).
-	Clients int
-	Txns    int
-	// Keys is the number of records per partition (default 16).
-	Keys int
-	// Faults is the fault schedule; nil runs a reliable fabric.
-	Faults *Faults
+	// Faults runs the fault schedule; false runs a reliable fabric.
+	Faults bool
 
 	// MVCC runs the cell with versioned stores and a cluster commit
 	// clock: the workload's read-only slice switches to ProcSRO (the
@@ -94,13 +80,14 @@ type Config struct {
 	MVCC bool
 
 	// Crash enables the crash-restart schedule: every node gets a
-	// write-ahead log, and between two workload phases a seeded-random
-	// node is crashed (its droppable links cut) and restarted through
-	// deploy.Cluster.Reopen — the construction chiller.Open and
-	// chiller-node run: WAL recovery into a fresh store, then the loader
-	// rerun on top, yielding to recovered keys. The node stays down into
-	// phase two — transactions needing it abort and retry — and is
-	// revived mid-phase. Every end-of-run check (history serializability,
+	// NoSync write-ahead log in a fresh temp dir (the simulated crash
+	// keeps the process, and so the page cache, alive), and between two
+	// workload phases a seeded-random node is crashed (its droppable
+	// links cut) and restarted through deploy.Cluster.Reopen — the
+	// construction chiller.Open and chiller-node run: WAL recovery into
+	// a fresh store, then the loader rerun on top, yielding to recovered
+	// keys. The node stays down into phase two — transactions needing it
+	// abort and retry — and is revived mid-phase. Every end-of-run check (history serializability,
 	// replica consistency, quiesce) then covers the recovered state, and
 	// a direct pre-crash/post-recovery diff counts acknowledged-then-lost
 	// commits as named violations. Works over both transports.
@@ -109,7 +96,7 @@ type Config struct {
 	// crashed node's partition is promoted to one of its replicas while
 	// the node is down, phase-two clients of that partition coordinate
 	// at the new primary, and the recovered node rejoins as a replica.
-	// Requires Crash and Replication >= 2.
+	// Requires Crash.
 	Promote bool
 	// Elastic runs a membership-change schedule concurrently with the
 	// workload: a fresh node joins mid-phase and receives a seeded-random
@@ -121,14 +108,6 @@ type Config struct {
 	// key is still present at its current primary (Result.LostKeys).
 	// Works over both transports; incompatible with Crash.
 	Elastic bool
-	// WALDir roots the per-node logs when Crash is set; empty uses a
-	// fresh temp dir, removed when the run ends.
-	WALDir string
-	// WALPolicy tunes group commit/snapshotting for crash cells; the
-	// zero value takes the harness default, the policy the benchmark
-	// and the public API's NoSync run (NoSync — the simulated crash
-	// never loses the page cache — and nothing else set).
-	WALPolicy wal.Policy
 	// ForgeLostCommit is the checker-sensitivity hook: after recovery
 	// it silently reverts one recovered record to its initial value,
 	// forging a lost acknowledged commit the run MUST flag.
@@ -136,29 +115,8 @@ type Config struct {
 }
 
 func (cfg *Config) defaults() {
-	if cfg.Partitions <= 0 {
-		cfg.Partitions = 3
-	}
-	if cfg.Replication <= 0 {
-		cfg.Replication = 2
-	}
-	if cfg.Replication > cfg.Partitions {
-		cfg.Replication = cfg.Partitions
-	}
 	if cfg.Lanes <= 0 {
 		cfg.Lanes = 1
-	}
-	if cfg.Latency <= 0 {
-		cfg.Latency = 2 * time.Microsecond
-	}
-	if cfg.Clients <= 0 {
-		cfg.Clients = 3
-	}
-	if cfg.Txns <= 0 {
-		cfg.Txns = 15
-	}
-	if cfg.Keys <= 0 {
-		cfg.Keys = 16
 	}
 	if cfg.Engine == "" {
 		cfg.Engine = deploy.EngineChiller
@@ -234,20 +192,20 @@ func (r *Result) Err() error {
 // Run executes one chaos cell and checks its history.
 func Run(cfg Config) (*Result, error) {
 	cfg.defaults()
-	if cfg.Promote && (!cfg.Crash || cfg.Replication < 2) {
-		return nil, fmt.Errorf("check: Promote requires Crash and Replication >= 2")
+	if cfg.Promote && !cfg.Crash {
+		return nil, fmt.Errorf("check: Promote requires Crash")
 	}
 	if cfg.Elastic && cfg.Crash {
 		return nil, fmt.Errorf("check: Elastic and Crash schedules cannot combine")
 	}
 
 	var plan *transport.FaultPlan
-	if cfg.Faults != nil {
+	if cfg.Faults {
 		plan = &transport.FaultPlan{
 			Seed:       cfg.Seed,
-			DropProb:   cfg.Faults.DropProb,
-			DelayProb:  cfg.Faults.DelayProb,
-			DelaySpike: cfg.Faults.DelaySpike,
+			DropProb:   dropProb,
+			DelayProb:  delayProb,
+			DelaySpike: delaySpike,
 			Droppable:  server.PreCommitVerbs,
 		}
 	} else if cfg.Crash {
@@ -256,34 +214,29 @@ func Run(cfg Config) (*Result, error) {
 		// and a nil plan would make every verb fair game.
 		plan = &transport.FaultPlan{Seed: cfg.Seed, Droppable: server.PreCommitVerbs}
 	}
-	walDir := cfg.WALDir
-	if cfg.Crash && walDir == "" {
+	var walDir string
+	var walPolicy wal.Policy
+	if cfg.Crash {
 		d, err := os.MkdirTemp("", "chiller-wal-")
 		if err != nil {
 			return nil, fmt.Errorf("check: wal dir: %w", err)
 		}
 		defer os.RemoveAll(d)
-		walDir = d
+		walDir, walPolicy = d, wal.Policy{NoSync: true}
 	}
-	walPolicy := cfg.WALPolicy
-	if cfg.Crash && walPolicy == (wal.Policy{}) {
-		// The simulated crash keeps the process (and so the page cache)
-		// alive, so NoSync loses nothing while keeping the cell fast.
-		walPolicy = wal.Policy{NoSync: true}
-	}
-	maxKey := storage.Key(cfg.Partitions * cfg.Keys)
+	maxKey := storage.Key(cellPartitions * cellKeys)
 	c, err := deploy.NewCluster(deploy.Config{
 		Transport:   cfg.Transport,
-		Partitions:  cfg.Partitions,
-		Replication: cfg.Replication,
-		Latency:     cfg.Latency,
+		Partitions:  cellPartitions,
+		Replication: cellReplication,
+		Latency:     cellLatency,
 		Seed:        cfg.Seed,
 		Lanes:       cfg.Lanes,
 		MVCC:        cfg.MVCC,
 		Faults:      plan,
 		WALDir:      walDir,
 		WALPolicy:   walPolicy,
-	}, cluster.RangePartitioner{N: cfg.Partitions, MaxKey: map[storage.TableID]storage.Key{CheckTable: maxKey}})
+	}, cluster.RangePartitioner{N: cellPartitions, MaxKey: map[storage.TableID]storage.Key{CheckTable: maxKey}})
 	if err != nil {
 		return nil, err
 	}
@@ -299,23 +252,17 @@ func Run(cfg Config) (*Result, error) {
 		}
 	}
 
-	gen := &Generator{
-		Partitions:    cfg.Partitions,
-		Keys:          cfg.Keys,
-		HotProb:       0.6,
-		RemoteProb:    0.5,
-		SnapshotReads: cfg.MVCC,
-	}
+	gen := &Generator{SnapshotReads: cfg.MVCC}
 	// Mark each partition's celebrity hot so Chiller exercises the
 	// two-region path (ignored by 2PL/OCC).
-	for p := 0; p < cfg.Partitions; p++ {
-		rid := storage.RID{Table: CheckTable, Key: gen.HotKey(p)}
+	for p := 0; p < cellPartitions; p++ {
+		rid := storage.RID{Table: CheckTable, Key: hotKey(p)}
 		c.Dir.SetHot(rid, c.Dir.Default().Partition(rid))
 	}
 
 	rec := history.NewRecorder()
-	engines := make([]cc.Engine, cfg.Partitions)
-	for p := 0; p < cfg.Partitions; p++ {
+	engines := make([]cc.Engine, cellPartitions)
+	for p := 0; p < cellPartitions; p++ {
 		engines[p] = history.Engine(c.Engine(cfg.Engine, p), c.Registry, rec)
 	}
 
@@ -336,35 +283,35 @@ func Run(cfg Config) (*Result, error) {
 	runPhase := func(phase int, engs []cc.Engine) {
 		stopFaults := make(chan struct{})
 		var faultWG sync.WaitGroup
-		if cfg.Faults != nil && cfg.Faults.PartitionWindows > 0 && cfg.Partitions > 1 {
+		if cfg.Faults {
 			faultWG.Add(1)
 			go func() {
 				defer faultWG.Done()
 				frng := rand.New(rand.NewSource(cfg.Seed ^ 0x7a57 + int64(phase)*0x9e37))
-				for i := 0; i < cfg.Faults.PartitionWindows; i++ {
-					a := transport.NodeID(frng.Intn(cfg.Partitions))
-					b := transport.NodeID((int(a) + 1 + frng.Intn(cfg.Partitions-1)) % cfg.Partitions)
+				for i := 0; i < partitionWindows; i++ {
+					a := transport.NodeID(frng.Intn(cellPartitions))
+					b := transport.NodeID((int(a) + 1 + frng.Intn(cellPartitions-1)) % cellPartitions)
 					c.Faults.Partition(a, b)
-					if !sleepOrStop(stopFaults, cfg.Faults.WindowLen) {
+					if !sleepOrStop(stopFaults, windowLen) {
 						c.Faults.Heal(a, b)
 						return
 					}
 					c.Faults.Heal(a, b)
-					if !sleepOrStop(stopFaults, cfg.Faults.WindowGap) {
+					if !sleepOrStop(stopFaults, windowGap) {
 						return
 					}
 				}
 			}()
 		}
 		var wg sync.WaitGroup
-		for p := 0; p < cfg.Partitions; p++ {
-			for cl := 0; cl < cfg.Clients; cl++ {
+		for p := 0; p < cellPartitions; p++ {
+			for cl := 0; cl < cellClients; cl++ {
 				wg.Add(1)
 				go func(part, client int) {
 					defer wg.Done()
 					eng := engs[part]
 					rng := rand.New(rand.NewSource(cfg.Seed + int64(part*1009+client)*7919 + int64(phase)*31337))
-					for i := 0; i < cfg.Txns; i++ {
+					for i := 0; i < cellTxns; i++ {
 						req := gen.Next(part, rng)
 						ok := false
 						for attempt := 0; attempt < maxAttempts; attempt++ {
@@ -511,7 +458,7 @@ func Run(cfg Config) (*Result, error) {
 // links stay cut when it returns.
 func crashAndRecover(cfg Config, c *deploy.Cluster, maxKey storage.Key) (victim, lost int, err error) {
 	crng := rand.New(rand.NewSource(cfg.Seed ^ 0x0dd5))
-	v := crng.Intn(cfg.Partitions)
+	v := crng.Intn(cellPartitions)
 	var promoteTo transport.NodeID
 	if cfg.Promote {
 		promoteTo = c.Topo.Replicas(cluster.PartitionID(v))[0]
@@ -595,7 +542,7 @@ func membershipChurn(cfg Config, c *deploy.Cluster) (int, error) {
 		return -1, fmt.Errorf("check: add node: %w", err)
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed ^ 0x0317))
-	pid := rng.Intn(cfg.Partitions)
+	pid := rng.Intn(cellPartitions)
 	old := int(c.Topo.Primary(cluster.PartitionID(pid)))
 	if err := c.MovePartition(pid, id); err != nil {
 		return id, fmt.Errorf("check: handoff partition %d to node %d: %w", pid, id, err)

@@ -7,7 +7,7 @@ import (
 	"strconv"
 	"testing"
 
-	"github.com/chillerdb/chiller/internal/bench"
+	"github.com/chillerdb/chiller/internal/deploy"
 	"github.com/chillerdb/chiller/internal/history"
 	"github.com/chillerdb/chiller/internal/testutil"
 )
@@ -19,7 +19,7 @@ import (
 // cell names dates from when that was a Chiller-only option.)
 type cell struct {
 	name      string
-	engine    bench.EngineKind
+	engine    deploy.EngineKind
 	lanes     int
 	transport string // "" = simnet
 	crash     bool   // crash-restart schedule (WAL recovery between phases)
@@ -32,9 +32,9 @@ func matrixCells() []cell {
 	var cells []cell
 	for _, lanes := range []int{1, 4} {
 		cells = append(cells,
-			cell{name: fmt.Sprintf("2pl-lanes%d", lanes), engine: bench.Engine2PL, lanes: lanes},
-			cell{name: fmt.Sprintf("occ-lanes%d", lanes), engine: bench.EngineOCC, lanes: lanes},
-			cell{name: fmt.Sprintf("chiller-batched-lanes%d", lanes), engine: bench.EngineChiller, lanes: lanes},
+			cell{name: fmt.Sprintf("2pl-lanes%d", lanes), engine: deploy.Engine2PL, lanes: lanes},
+			cell{name: fmt.Sprintf("occ-lanes%d", lanes), engine: deploy.EngineOCC, lanes: lanes},
+			cell{name: fmt.Sprintf("chiller-batched-lanes%d", lanes), engine: deploy.EngineChiller, lanes: lanes},
 		)
 	}
 	// Loopback-TCP cells: the same workload, fault schedule and checker
@@ -42,9 +42,9 @@ func matrixCells() []cell {
 	// per-connection FIFO, inline dispatch ordering, and doorbell
 	// servicing at the destination, under drops, spikes and partitions.
 	cells = append(cells,
-		cell{name: "tcp-2pl", engine: bench.Engine2PL, lanes: 1, transport: bench.TransportTCP},
-		cell{name: "tcp-occ", engine: bench.EngineOCC, lanes: 1, transport: bench.TransportTCP},
-		cell{name: "tcp-chiller-batched", engine: bench.EngineChiller, lanes: 1, transport: bench.TransportTCP},
+		cell{name: "tcp-2pl", engine: deploy.Engine2PL, lanes: 1, transport: deploy.TransportTCP},
+		cell{name: "tcp-occ", engine: deploy.EngineOCC, lanes: 1, transport: deploy.TransportTCP},
+		cell{name: "tcp-chiller-batched", engine: deploy.EngineChiller, lanes: 1, transport: deploy.TransportTCP},
 	)
 	// Crash-restart cells: every node runs a WAL, and between two
 	// workload phases a seeded-random node is crashed and reopened
@@ -56,11 +56,11 @@ func matrixCells() []cell {
 	// serializable and the recovered store must match the acknowledged
 	// pre-crash state exactly (LostCommits == 0).
 	cells = append(cells,
-		cell{name: "crash-2pl", engine: bench.Engine2PL, lanes: 2, crash: true},
-		cell{name: "crash-occ", engine: bench.EngineOCC, lanes: 2, crash: true},
-		cell{name: "crash-chiller-batched", engine: bench.EngineChiller, lanes: 2, crash: true},
-		cell{name: "crash-promote-chiller", engine: bench.EngineChiller, lanes: 1, crash: true, promote: true},
-		cell{name: "crash-tcp-chiller", engine: bench.EngineChiller, lanes: 1, transport: bench.TransportTCP, crash: true},
+		cell{name: "crash-2pl", engine: deploy.Engine2PL, lanes: 2, crash: true},
+		cell{name: "crash-occ", engine: deploy.EngineOCC, lanes: 2, crash: true},
+		cell{name: "crash-chiller-batched", engine: deploy.EngineChiller, lanes: 2, crash: true},
+		cell{name: "crash-promote-chiller", engine: deploy.EngineChiller, lanes: 1, crash: true, promote: true},
+		cell{name: "crash-tcp-chiller", engine: deploy.EngineChiller, lanes: 1, transport: deploy.TransportTCP, crash: true},
 	)
 	// MVCC cells: versioned stores, shared commit clock, the workload's
 	// read-only slice on the lock-free snapshot path (ProcSRO). The
@@ -70,11 +70,11 @@ func matrixCells() []cell {
 	// snapshot reads spanning the crash boundary must still certify SI.
 	for _, eng := range []struct {
 		key  string
-		kind bench.EngineKind
+		kind deploy.EngineKind
 	}{
-		{"2pl", bench.Engine2PL},
-		{"occ", bench.EngineOCC},
-		{"chiller", bench.EngineChiller},
+		{"2pl", deploy.Engine2PL},
+		{"occ", deploy.EngineOCC},
+		{"chiller", deploy.EngineChiller},
 	} {
 		for _, lanes := range []int{1, 4} {
 			cells = append(cells, cell{
@@ -84,8 +84,8 @@ func matrixCells() []cell {
 		}
 	}
 	cells = append(cells,
-		cell{name: "mvcc-tcp-chiller", engine: bench.EngineChiller, lanes: 1, transport: bench.TransportTCP, mvcc: true},
-		cell{name: "mvcc-crash-chiller", engine: bench.EngineChiller, lanes: 2, crash: true, mvcc: true},
+		cell{name: "mvcc-tcp-chiller", engine: deploy.EngineChiller, lanes: 1, transport: deploy.TransportTCP, mvcc: true},
+		cell{name: "mvcc-crash-chiller", engine: deploy.EngineChiller, lanes: 2, crash: true, mvcc: true},
 	)
 	// Elastic cells: a node joins mid-run, takes a partition through the
 	// incremental handoff protocol under live traffic and the default
@@ -94,8 +94,8 @@ func matrixCells() []cell {
 	// must converge on the post-churn topology, and the lost-key oracle
 	// must find every loaded key at its current primary.
 	cells = append(cells,
-		cell{name: "elastic-chiller-batched", engine: bench.EngineChiller, lanes: 2, elastic: true},
-		cell{name: "elastic-tcp-chiller", engine: bench.EngineChiller, lanes: 1, transport: bench.TransportTCP, elastic: true},
+		cell{name: "elastic-chiller-batched", engine: deploy.EngineChiller, lanes: 2, elastic: true},
+		cell{name: "elastic-tcp-chiller", engine: deploy.EngineChiller, lanes: 1, transport: deploy.TransportTCP, elastic: true},
 	)
 	return cells
 }
@@ -136,7 +136,7 @@ func TestCheckerMatrix(t *testing.T) {
 		t.Run(c.name, func(t *testing.T) {
 			t.Parallel()
 			cellRuns := runs
-			tcp := c.transport == bench.TransportTCP
+			tcp := c.transport == deploy.TransportTCP
 			if tcp && testing.Short() && cellRuns > 1 {
 				// Real sockets are the slow cells: one pass suffices for
 				// the short-mode PR gate.
@@ -150,7 +150,7 @@ func TestCheckerMatrix(t *testing.T) {
 					Transport: c.transport,
 					Lanes:     c.lanes,
 					Seed:      seed,
-					Faults:    DefaultFaults(),
+					Faults:    true,
 					Crash:     c.crash,
 					Promote:   c.promote,
 					MVCC:      c.mvcc,
@@ -219,8 +219,8 @@ func TestCheckerSensitivity(t *testing.T) {
 	seed := testutil.Seed(t, 77)
 	for _, lanes := range []int{1, 4} {
 		res, err := Run(Config{
-			Engine: bench.EngineChiller, Lanes: lanes,
-			Seed: seed, Faults: DefaultFaults(),
+			Engine: deploy.EngineChiller, Lanes: lanes,
+			Seed: seed, Faults: true,
 		})
 		if err != nil {
 			t.Fatalf("lanes=%d: harness: %v", lanes, err)
@@ -248,9 +248,9 @@ func TestCheckerSensitivity(t *testing.T) {
 // forgery is caught — on either fabric.
 func TestCheckerLostCommitSensitivity(t *testing.T) {
 	seed := testutil.Seed(t, 88)
-	for _, fabric := range []string{bench.TransportSim, bench.TransportTCP} {
+	for _, fabric := range []string{deploy.TransportSim, deploy.TransportTCP} {
 		res, err := Run(Config{
-			Engine: bench.EngineChiller, Transport: fabric, Lanes: 2,
+			Engine: deploy.EngineChiller, Transport: fabric, Lanes: 2,
 			Seed: seed, Crash: true, ForgeLostCommit: true,
 		})
 		if err != nil {

@@ -9,8 +9,8 @@ import (
 	"testing"
 	"time"
 
-	"github.com/chillerdb/chiller/internal/bench"
 	"github.com/chillerdb/chiller/internal/cluster"
+	"github.com/chillerdb/chiller/internal/deploy"
 	"github.com/chillerdb/chiller/internal/storage"
 	"github.com/chillerdb/chiller/internal/transport"
 	"github.com/chillerdb/chiller/internal/txn"
@@ -64,7 +64,7 @@ func semWant(v byte) txn.CheckFunc {
 
 type semShape struct {
 	name   string
-	engine bench.EngineKind
+	engine deploy.EngineKind
 	hot    storage.Key // 0: nothing is hot
 	// mvcc runs the procedure declared ReadOnly on an MVCC cluster: the
 	// snapshot policy.
@@ -118,11 +118,11 @@ func TestOpSemanticsAgree(t *testing.T) {
 		for _, tc := range cases {
 			t.Run(fmt.Sprintf("%dnode/%s", nodes, tc.name), func(t *testing.T) {
 				shapes := []semShape{
-					{name: "2PL", engine: bench.Engine2PL},
-					{name: "OCC", engine: bench.EngineOCC},
-					{name: "Chiller cold", engine: bench.EngineChiller},
-					{name: "Chiller outer", engine: bench.EngineChiller, hot: semHot},
-					{name: "Chiller inner", engine: bench.EngineChiller, hot: tc.key},
+					{name: "2PL", engine: deploy.Engine2PL},
+					{name: "OCC", engine: deploy.EngineOCC},
+					{name: "Chiller cold", engine: deploy.EngineChiller},
+					{name: "Chiller outer", engine: deploy.EngineChiller, hot: semHot},
+					{name: "Chiller inner", engine: deploy.EngineChiller, hot: tc.key},
 				}
 				var first semOutcome
 				for i, sh := range shapes {
@@ -211,12 +211,12 @@ func TestOpSemanticsAgree(t *testing.T) {
 		{name: "failing-check", ops: []txn.OpSpec{read(semK, nil), read(semHot, semWant(99))}, aborts: true},
 	}
 	roShapes := []semShape{
-		{name: "2PL", engine: bench.Engine2PL},
-		{name: "OCC", engine: bench.EngineOCC},
-		{name: "Chiller", engine: bench.EngineChiller},
-		{name: "snapshot under 2PL", engine: bench.Engine2PL, mvcc: true},
-		{name: "snapshot under OCC", engine: bench.EngineOCC, mvcc: true},
-		{name: "snapshot under Chiller", engine: bench.EngineChiller, mvcc: true},
+		{name: "2PL", engine: deploy.Engine2PL},
+		{name: "OCC", engine: deploy.EngineOCC},
+		{name: "Chiller", engine: deploy.EngineChiller},
+		{name: "snapshot under 2PL", engine: deploy.Engine2PL, mvcc: true},
+		{name: "snapshot under OCC", engine: deploy.EngineOCC, mvcc: true},
+		{name: "snapshot under Chiller", engine: deploy.EngineChiller, mvcc: true},
 	}
 	for _, tc := range roCases {
 		t.Run("readonly/"+tc.name, func(t *testing.T) {
@@ -247,9 +247,12 @@ func TestOpSemanticsAgree(t *testing.T) {
 // replication under the given shape, coordinated by node 0. A panic of
 // the coordinator on the calling goroutine is returned as the error.
 func semRun(nodes, replication int, sh semShape, proc *txn.Procedure) (out semOutcome, err error) {
-	c := bench.NewCluster(bench.ClusterConfig{
+	c, err := deploy.NewCluster(deploy.Config{
 		Partitions: nodes, Replication: replication, Latency: time.Microsecond, Lanes: 2, MVCC: sh.mvcc,
 	}, cluster.RangePartitioner{N: nodes, MaxKey: map[storage.TableID]storage.Key{semTable: storage.Key(20 * nodes)}})
+	if err != nil {
+		return out, err
+	}
 	defer c.Close()
 	c.CreateTable(semTable, 64)
 	if sh.hot != 0 {
@@ -290,7 +293,7 @@ func semRun(nodes, replication int, sh semShape, proc *txn.Procedure) (out semOu
 	for _, k := range []storage.Key{semK, semK2, semNew, semHot} {
 		pid := c.Dir.Partition(storage.RID{Table: semTable, Key: k})
 		for _, node := range append([]transport.NodeID{c.Topo.Primary(pid)}, c.Topo.Replicas(pid)...) {
-			v, _, gerr := c.Nodes[node].Store().Table(semTable).Bucket(k).Get(k)
+			v, _, gerr := c.Nodes()[node].Store().Table(semTable).Bucket(k).Get(k)
 			if gerr != nil {
 				v = nil
 			}

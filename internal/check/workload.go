@@ -102,25 +102,30 @@ func RegisterProcs(reg *txn.Registry) error {
 	return nil
 }
 
-// Generator draws randomized chaos requests. Keys are range-partitioned:
-// partition p owns [p*Keys, (p+1)*Keys), and key p*Keys is p's hot
+// The chaos cell's keyspace and key choice, the same in every matrix
+// cell. Keys are range-partitioned: partition p owns
+// [p*cellKeys, (p+1)*cellKeys), and key p*cellKeys is p's hot
 // (celebrity) record.
-type Generator struct {
-	Partitions int
-	Keys       int // keys per partition
-	// HotProb is the probability a transaction touches some partition's
+const (
+	cellPartitions = 3
+	cellKeys       = 16 // records per partition
+	// hotProb is the probability a transaction touches some partition's
 	// hot key (exercising Chiller's two-region path).
-	HotProb float64
-	// RemoteProb is the probability each non-first key lives on a
-	// different partition than the first.
-	RemoteProb float64
+	hotProb = 0.6
+	// remoteProb is the probability each key lives on a partition drawn
+	// at random rather than the transaction's own.
+	remoteProb = 0.5
+)
+
+// Generator draws randomized chaos requests over the cell's keys.
+type Generator struct {
 	// SnapshotReads swaps ProcSRO in for ProcRO, so the read-only slice
 	// of the mix runs on the MVCC snapshot path. Set on MVCC cells.
 	SnapshotReads bool
 }
 
-// HotKey returns partition p's hot record.
-func (g *Generator) HotKey(p int) storage.Key { return storage.Key(p * g.Keys) }
+// hotKey returns partition p's hot record.
+func hotKey(p int) storage.Key { return storage.Key(p * cellKeys) }
 
 // Next draws one request originating at partition part. The nonce
 // argument (last) is left 0 — the harness stamps a fresh nonce per
@@ -146,14 +151,14 @@ func (g *Generator) Next(part int, rng *rand.Rand) *txn.Request {
 	pick := func(hot bool) int64 {
 		for {
 			p := part
-			if g.Partitions > 1 && rng.Float64() < g.RemoteProb {
-				p = rng.Intn(g.Partitions)
+			if rng.Float64() < remoteProb {
+				p = rng.Intn(cellPartitions)
 			}
 			var k int64
 			if hot {
-				k = int64(g.HotKey(p))
+				k = int64(hotKey(p))
 			} else {
-				k = int64(p*g.Keys + rng.Intn(g.Keys))
+				k = int64(p*cellKeys + rng.Intn(cellKeys))
 			}
 			if !used[k] {
 				used[k] = true
@@ -163,7 +168,7 @@ func (g *Generator) Next(part int, rng *rand.Rand) *txn.Request {
 		}
 	}
 	hotIdx := -1
-	if rng.Float64() < g.HotProb {
+	if rng.Float64() < hotProb {
 		hotIdx = rng.Intn(nKeys)
 	}
 	for i := 0; i < nKeys; i++ {

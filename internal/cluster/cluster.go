@@ -350,17 +350,6 @@ func (t *Topology) HasNode(n transport.NodeID) bool {
 	return false
 }
 
-// PartitionOfNode returns the partition primaried on the given node, or
-// -1 if none.
-func (t *Topology) PartitionOfNode(n transport.NodeID) PartitionID {
-	for _, p := range t.load() {
-		if p.Primary == n {
-			return p.ID
-		}
-	}
-	return -1
-}
-
 // EncodeTopologyTo appends the topology's current layout to a wire
 // writer (the payload of the topology-exchange verbs).
 func EncodeTopologyTo(w *wire.Writer, t *Topology) {

@@ -50,16 +50,6 @@ func TestTopologySingleNodeReplication(t *testing.T) {
 	}
 }
 
-func TestPartitionOfNode(t *testing.T) {
-	topo := NewTopology(3, 1)
-	if got := topo.PartitionOfNode(2); got != 2 {
-		t.Fatalf("PartitionOfNode(2) = %d", got)
-	}
-	if got := topo.PartitionOfNode(99); got != -1 {
-		t.Fatalf("PartitionOfNode(99) = %d, want -1", got)
-	}
-}
-
 func TestHashPartitionerInRangeAndStable(t *testing.T) {
 	h := HashPartitioner{N: 5}
 	f := func(table uint32, key uint64) bool {

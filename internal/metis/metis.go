@@ -120,9 +120,13 @@ type Result struct {
 	Loads []int64
 }
 
-// Partition computes a k-way partitioning of g with imbalance tolerance
-// epsilon (e.g. 0.05 allows each partition 5% above the average load).
-func Partition(g *Graph, k int, epsilon float64, seed int64) (*Result, error) {
+// epsilon is the imbalance tolerance: each partition may carry 10%
+// more than the average load.
+const epsilon = 0.1
+
+// Partition computes a k-way partitioning of g within the epsilon
+// imbalance tolerance.
+func Partition(g *Graph, k int, seed int64) (*Result, error) {
 	if k <= 0 {
 		return nil, fmt.Errorf("metis: k = %d", k)
 	}
@@ -132,9 +136,6 @@ func Partition(g *Graph, k int, epsilon float64, seed int64) (*Result, error) {
 	if k == 1 {
 		assign := make([]int, g.n)
 		return finish(g, k, assign), nil
-	}
-	if epsilon <= 0 {
-		epsilon = 0.05
 	}
 	rng := rand.New(rand.NewSource(seed))
 
@@ -156,7 +157,7 @@ func Partition(g *Graph, k int, epsilon float64, seed int64) (*Result, error) {
 
 	// --- initial partitioning on the coarsest graph ---
 	coarsest := levels[len(levels)-1].g
-	maxLoad := maxLoadFor(g.totW, k, epsilon)
+	maxLoad := maxLoadFor(g.totW, k)
 	best := initialPartition(coarsest, k, maxLoad, rng)
 	refine(coarsest, k, best, maxLoad, 8)
 
@@ -180,7 +181,7 @@ type level struct {
 	fine2coarse []int
 }
 
-func maxLoadFor(total int64, k int, epsilon float64) int64 {
+func maxLoadFor(total int64, k int) int64 {
 	mu := float64(total) / float64(k)
 	ml := int64(mu * (1 + epsilon))
 	if ml < 1 {

@@ -26,7 +26,7 @@ func TestPartitionK1(t *testing.T) {
 	for i := 0; i < 9; i++ {
 		b.AddEdge(i, i+1, 1)
 	}
-	res, err := Partition(b.Build(), 1, 0.05, 1)
+	res, err := Partition(b.Build(), 1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,7 +41,7 @@ func TestPartitionK1(t *testing.T) {
 }
 
 func TestPartitionEmptyGraph(t *testing.T) {
-	res, err := Partition(NewBuilder(0).Build(), 4, 0.05, 1)
+	res, err := Partition(NewBuilder(0).Build(), 4, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +51,7 @@ func TestPartitionEmptyGraph(t *testing.T) {
 }
 
 func TestPartitionInvalidK(t *testing.T) {
-	if _, err := Partition(NewBuilder(2).Build(), 0, 0.05, 1); err == nil {
+	if _, err := Partition(NewBuilder(2).Build(), 0, 1); err == nil {
 		t.Fatal("k=0 accepted")
 	}
 }
@@ -71,7 +71,7 @@ func TestTwoClusters(t *testing.T) {
 	}
 	b.AddEdge(0, half, 1) // bridge
 	g := b.Build()
-	res, err := Partition(g, 2, 0.1, 7)
+	res, err := Partition(g, 2, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,11 +100,11 @@ func TestBalanceConstraintRespected(t *testing.T) {
 	}
 	g := b.Build()
 	for _, k := range []int{2, 4, 8} {
-		res, err := Partition(g, k, 0.1, 11)
+		res, err := Partition(g, k, 11)
 		if err != nil {
 			t.Fatal(err)
 		}
-		maxLoad := maxLoadFor(g.TotalVertexWeight(), k, 0.1)
+		maxLoad := maxLoadFor(g.TotalVertexWeight(), k)
 		for p, l := range res.Loads {
 			if l > maxLoad {
 				t.Errorf("k=%d partition %d load %d > max %d", k, p, l, maxLoad)
@@ -117,9 +117,9 @@ func TestBalanceConstraintRespected(t *testing.T) {
 }
 
 func TestZeroWeightVerticesAreFree(t *testing.T) {
-	// Star graphs Chiller builds have r-vertices with weight 0 under the
-	// txn-count load metric: they must move freely without breaking
-	// balance.
+	// Star graphs Chiller builds have r-vertices with weight 0 under
+	// §4.3's transaction-count load: they must move freely without
+	// breaking balance.
 	b := NewBuilder(6)
 	for i := 0; i < 6; i++ {
 		b.SetVertexWeight(i, 0)
@@ -133,7 +133,7 @@ func TestZeroWeightVerticesAreFree(t *testing.T) {
 	b.AddEdge(1, 5, 10)
 	b.AddEdge(2, 4, 1)
 	g := b.Build()
-	res, err := Partition(g, 2, 0.05, 5)
+	res, err := Partition(g, 2, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +158,7 @@ func TestRefineImprovesRandomAssignment(t *testing.T) {
 		assign[i] = rng.Intn(2)
 	}
 	before := Cut(g, assign)
-	refine(g, 2, assign, maxLoadFor(g.TotalVertexWeight(), 2, 0.1), 20)
+	refine(g, 2, assign, maxLoadFor(g.TotalVertexWeight(), 2), 20)
 	after := Cut(g, assign)
 	if after >= before {
 		t.Fatalf("refine did not improve: %d → %d", before, after)
@@ -178,7 +178,7 @@ func TestLargeGraphCompletes(t *testing.T) {
 		}
 	}
 	g := b.Build()
-	res, err := Partition(g, 8, 0.1, 17)
+	res, err := Partition(g, 8, 17)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,8 +207,8 @@ func TestDeterministicForSeed(t *testing.T) {
 		}
 		return b.Build()
 	}
-	r1, _ := Partition(build(), 4, 0.1, 42)
-	r2, _ := Partition(build(), 4, 0.1, 42)
+	r1, _ := Partition(build(), 4, 42)
+	r2, _ := Partition(build(), 4, 42)
 	for i := range r1.Assign {
 		if r1.Assign[i] != r2.Assign[i] {
 			t.Fatal("same seed produced different partitionings")

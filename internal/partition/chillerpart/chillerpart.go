@@ -24,33 +24,6 @@ import (
 	"github.com/chillerdb/chiller/internal/storage"
 )
 
-// LoadMetric selects the balance objective of §4.3.
-type LoadMetric uint8
-
-const (
-	// LoadTxnCount balances the number of transactions executed per
-	// partition (t-vertices weigh 1, r-vertices 0).
-	LoadTxnCount LoadMetric = iota
-	// LoadRecordCount balances the number of records hosted
-	// (r-vertices weigh 1, t-vertices 0).
-	LoadRecordCount
-	// LoadAccessCount balances record accesses (r-vertices weigh
-	// reads+writes, t-vertices 0).
-	LoadAccessCount
-)
-
-func (m LoadMetric) String() string {
-	switch m {
-	case LoadTxnCount:
-		return "txn-count"
-	case LoadRecordCount:
-		return "record-count"
-	case LoadAccessCount:
-		return "access-count"
-	}
-	return fmt.Sprintf("load(%d)", uint8(m))
-}
-
 // Config controls the partitioning.
 type Config struct {
 	// K is the number of partitions.
@@ -63,15 +36,11 @@ type Config struct {
 	// single-threaded engine that serializes its inner region — not just
 	// its hot node, extending the §4.2 placement argument one level down.
 	Lanes int
-	// Epsilon is the balance slack (default 0.1).
-	Epsilon float64
 	// Seed drives the randomized phases.
 	Seed int64
 	// HotThreshold is the contention likelihood above which a record
 	// earns a lookup-table entry (default 0.05).
 	HotThreshold float64
-	// Load selects the balance metric (default LoadTxnCount).
-	Load LoadMetric
 	// MinEdgeWeight, when positive, adds a floor weight to every edge —
 	// the co-optimization of §4.4 that also discourages distributed
 	// transactions. Expressed in the same unit as contention likelihood
@@ -106,9 +75,6 @@ func Partition(agg *stats.Aggregate, cfg Config) (*Result, error) {
 	if cfg.K <= 0 {
 		return nil, fmt.Errorf("chillerpart: K = %d", cfg.K)
 	}
-	if cfg.Epsilon <= 0 {
-		cfg.Epsilon = 0.1
-	}
 	if cfg.HotThreshold <= 0 {
 		cfg.HotThreshold = 0.05
 	}
@@ -129,32 +95,11 @@ func Partition(agg *stats.Aggregate, cfg Config) (*Result, error) {
 	// Vertices: records first [0, nR), then t-vertices [nR, nR+nT).
 	b := metis.NewBuilder(nR + nT)
 
-	// Load metric → vertex weights.
-	accessCount := make([]int64, nR)
-	for _, t := range trace {
-		for _, r := range t.Reads {
-			accessCount[index[r]]++
-		}
-		for _, w := range t.Writes {
-			accessCount[index[w]]++
-		}
-	}
+	// The load §4.3 balances is the number of transactions a partition
+	// executes: t-vertices keep the builder's weight 1, r-vertices
+	// weigh 0.
 	for i := 0; i < nR; i++ {
-		switch cfg.Load {
-		case LoadTxnCount:
-			b.SetVertexWeight(i, 0)
-		case LoadRecordCount:
-			b.SetVertexWeight(i, 1)
-		case LoadAccessCount:
-			b.SetVertexWeight(i, accessCount[i])
-		}
-	}
-	for i := 0; i < nT; i++ {
-		if cfg.Load == LoadTxnCount {
-			b.SetVertexWeight(nR+i, 1)
-		} else {
-			b.SetVertexWeight(nR+i, 0)
-		}
+		b.SetVertexWeight(i, 0)
 	}
 
 	// Star edges: t-vertex ↔ each accessed record, weight ∝ Pc + floor.
@@ -190,7 +135,7 @@ func Partition(agg *stats.Aggregate, cfg Config) (*Result, error) {
 	// s%lanes); metis balances the K×lanes parts, which balances both
 	// nodes and the lanes within them.
 	g := b.Build()
-	res, err := metis.Partition(g, cfg.K*lanes, cfg.Epsilon, cfg.Seed)
+	res, err := metis.Partition(g, cfg.K*lanes, cfg.Seed)
 	if err != nil {
 		return nil, err
 	}

@@ -124,22 +124,6 @@ func TestContentionCostLowerThanHash(t *testing.T) {
 	}
 }
 
-func TestLoadMetrics(t *testing.T) {
-	agg := figure5Aggregate(20)
-	for _, m := range []LoadMetric{LoadTxnCount, LoadRecordCount, LoadAccessCount} {
-		res, err := Partition(agg, Config{K: 2, Seed: 7, Load: m})
-		if err != nil {
-			t.Fatalf("%v: %v", m, err)
-		}
-		if res.Layout == nil {
-			t.Fatalf("%v: nil layout", m)
-		}
-		if m.String() == "" {
-			t.Fatal("empty metric name")
-		}
-	}
-}
-
 func TestMinEdgeWeightCoOptimization(t *testing.T) {
 	// With a large floor weight every record is pulled toward its
 	// transactions: fewer distributed transactions, like Schism.

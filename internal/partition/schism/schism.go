@@ -25,23 +25,14 @@ import (
 type Config struct {
 	// K is the number of partitions.
 	K int
-	// Epsilon is the balance slack (default 0.1).
-	Epsilon float64
 	// Seed drives the randomized phases.
 	Seed int64
-	// MaxCliqueEdges caps the number of co-access pairs contributed by a
-	// single large transaction (a clique on n records has n(n−1)/2
-	// edges; Schism-style tools cap or sample these). 0 means no cap.
-	MaxCliqueEdges int
 }
 
 // Partition builds the co-access graph from the trace and partitions it.
 func Partition(trace []stats.TxnSample, cfg Config) (*partition.Layout, error) {
 	if cfg.K <= 0 {
 		return nil, fmt.Errorf("schism: K = %d", cfg.K)
-	}
-	if cfg.Epsilon <= 0 {
-		cfg.Epsilon = 0.1
 	}
 
 	// Index the records.
@@ -55,19 +46,14 @@ func Partition(trace []stats.TxnSample, cfg Config) (*partition.Layout, error) {
 	// Vertex weight 1: Schism balances the number of records hosted.
 	for _, t := range trace {
 		members := txnRecords(t, index)
-		added := 0
 		for i := 0; i < len(members); i++ {
 			for j := i + 1; j < len(members); j++ {
-				if cfg.MaxCliqueEdges > 0 && added >= cfg.MaxCliqueEdges {
-					break
-				}
 				b.AddEdge(members[i], members[j], 1)
-				added++
 			}
 		}
 	}
 	g := b.Build()
-	res, err := metis.Partition(g, cfg.K, cfg.Epsilon, cfg.Seed)
+	res, err := metis.Partition(g, cfg.K, cfg.Seed)
 	if err != nil {
 		return nil, err
 	}

@@ -42,7 +42,7 @@ func TestPartitionBalances(t *testing.T) {
 	for i := 0; i < 40; i++ {
 		trace = append(trace, stats.TxnSample{Writes: []storage.RID{rid(storage.Key(i))}})
 	}
-	layout, err := Partition(trace, Config{K: 2, Epsilon: 0.1, Seed: 3})
+	layout, err := Partition(trace, Config{K: 2, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,22 +73,5 @@ func TestGraphEdgesQuadraticInTxnSize(t *testing.T) {
 	trace := []stats.TxnSample{{Writes: recs}}
 	if got := GraphEdges(trace); got != 45 {
 		t.Fatalf("GraphEdges = %d, want 45", got)
-	}
-}
-
-func TestMaxCliqueEdgesCap(t *testing.T) {
-	var recs []storage.RID
-	for i := 0; i < 20; i++ {
-		recs = append(recs, rid(storage.Key(i)))
-	}
-	trace := []stats.TxnSample{{Writes: recs}}
-	// The cap only limits edges fed to the partitioner; it must not
-	// crash and the layout must still cover all records.
-	layout, err := Partition(trace, Config{K: 2, Seed: 1, MaxCliqueEdges: 10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(layout.Full) != 20 {
-		t.Fatalf("layout covers %d records, want 20", len(layout.Full))
 	}
 }

@@ -52,33 +52,36 @@ func OrderKey(part int, seq uint64) storage.Key {
 	return storage.Key(uint64(part)<<orderPartShift | (seq & (1<<orderPartShift - 1)))
 }
 
-// Config shapes the generator.
-//
 // Baskets have category ("aisle") structure, like the real dataset: each
 // basket draws most of its items from one primary category, so popular
 // items co-occur with their category-mates. This co-purchase correlation
 // is what makes contention-aware partitioning effective — with fully
 // independent item draws no layout could co-locate a basket's hot items.
+const (
+	// categories is the number of aisles (fewer when the catalogue is
+	// smaller); products are split into contiguous equal-size category
+	// blocks and category 0 holds the bananas.
+	categories = 25
+	// primaryFrac is the fraction of basket items drawn from the
+	// basket's primary category.
+	primaryFrac = 0.75
+	// categoryZipfS skews category popularity; itemZipfS skews item
+	// popularity within a category.
+	categoryZipfS = 1.3
+	itemZipfS     = 1.1
+)
+
+// topShares are per-basket inclusion probabilities of the most popular
+// products: 0.15 banana, 0.08 strawberries — the dataset's published
+// head.
+var topShares = [...]float64{0.15, 0.08}
+
+// Config shapes the generator.
 type Config struct {
 	// Products is the catalogue size (the dataset has ~50k).
 	Products int
 	// Partitions is the cluster size.
 	Partitions int
-	// Categories is the number of aisles (default 25); products are
-	// split into contiguous equal-size category blocks and category 0
-	// holds the bananas.
-	Categories int
-	// TopShares are per-basket inclusion probabilities of the most
-	// popular products (defaults: 0.15 banana, 0.08 strawberries —
-	// the dataset's published head).
-	TopShares []float64
-	// PrimaryFrac is the fraction of basket items drawn from the
-	// basket's primary category (default 0.75).
-	PrimaryFrac float64
-	// CategoryZipfS skews category popularity (default 1.3).
-	CategoryZipfS float64
-	// ItemZipfS skews item popularity within a category (default 1.4).
-	ItemZipfS float64
 	// Seed drives basket composition.
 	Seed int64
 }
@@ -90,24 +93,6 @@ func (c Config) Defaults() Config {
 	}
 	if c.Partitions == 0 {
 		c.Partitions = 2
-	}
-	if c.Categories == 0 {
-		c.Categories = 25
-	}
-	if c.Categories > c.Products {
-		c.Categories = c.Products
-	}
-	if len(c.TopShares) == 0 {
-		c.TopShares = []float64{0.15, 0.08}
-	}
-	if c.PrimaryFrac == 0 {
-		c.PrimaryFrac = 0.75
-	}
-	if c.CategoryZipfS == 0 {
-		c.CategoryZipfS = 1.3
-	}
-	if c.ItemZipfS == 0 {
-		c.ItemZipfS = 1.1
 	}
 	return c
 }
@@ -213,43 +198,31 @@ func DefaultPartitioner(partitions int) cluster.FuncPartitioner {
 
 // Workload generates baskets. Safe for concurrent use.
 type Workload struct {
-	cfg Config
-	seq atomic.Uint64
+	categories int // min(categories, Products)
+	catSize    int // products per category
+	seq        atomic.Uint64
 }
 
 // NewWorkload builds a generator.
 func NewWorkload(cfg Config) *Workload {
-	return &Workload{cfg: cfg.Defaults()}
+	cfg = cfg.Defaults()
+	cats := min(categories, cfg.Products)
+	return &Workload{categories: cats, catSize: max(1, cfg.Products/cats)}
 }
-
-// Config returns the generator's configuration.
-func (w *Workload) Config() Config { return w.cfg }
 
 // Name implements bench.Workload.
 func (w *Workload) Name() string { return "instacart" }
 
 // CategoryOf returns a product's category.
 func (w *Workload) CategoryOf(product int64) int {
-	catSize := w.cfg.Products / w.cfg.Categories
-	if catSize < 1 {
-		catSize = 1
-	}
-	c := int(product) / catSize
-	if c >= w.cfg.Categories {
-		c = w.cfg.Categories - 1
-	}
-	return c
+	return min(int(product)/w.catSize, w.categories-1)
 }
 
 // itemInCategory draws a product from a category with within-category
 // rank skew (rank 0 is the category's banana).
 func (w *Workload) itemInCategory(cat int, rng *rand.Rand) int64 {
-	catSize := w.cfg.Products / w.cfg.Categories
-	if catSize < 1 {
-		catSize = 1
-	}
-	z := rand.NewZipf(rng, w.cfg.ItemZipfS, 3, uint64(catSize-1))
-	return int64(cat*catSize) + int64(z.Uint64())
+	z := rand.NewZipf(rng, itemZipfS, 3, uint64(w.catSize-1))
+	return int64(cat*w.catSize) + int64(z.Uint64())
 }
 
 // Basket draws a basket's product ids: the dataset's head products by
@@ -267,16 +240,16 @@ func (w *Workload) Basket(rng *rand.Rand) []int64 {
 	}
 	// Head products by inclusion probability (all live in category 0,
 	// like produce staples).
-	for i, share := range w.cfg.TopShares {
+	for i, share := range topShares {
 		if len(basket) < n && rng.Float64() < share {
 			add(int64(i))
 		}
 	}
-	catZipf := rand.NewZipf(rng, w.cfg.CategoryZipfS, 2, uint64(w.cfg.Categories-1))
+	catZipf := rand.NewZipf(rng, categoryZipfS, 2, uint64(w.categories-1))
 	primary := int(catZipf.Uint64())
 	for len(basket) < n {
 		cat := primary
-		if rng.Float64() >= w.cfg.PrimaryFrac {
+		if rng.Float64() >= primaryFrac {
 			cat = int(catZipf.Uint64())
 		}
 		add(w.itemInCategory(cat, rng))

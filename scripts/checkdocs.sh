@@ -48,8 +48,9 @@
 #      methods or linger knob.
 #  11. One importer of the figure harness: outside _test.go files and
 #      benchmark/, only cmd/chiller-bench imports internal/bench — the
-#      checker assembles on internal/deploy, and chiller-node shares only
-#      the TPC-C sizing (tpcc.WarehousePerNode) with the bench client.
+#      checker assembles on internal/deploy, its tests included, and
+#      chiller-node shares only the TPC-C sizing (tpcc.WarehousePerNode)
+#      with the bench client.
 #
 # Exits non-zero with a list of offenders on failure.
 set -eu
@@ -154,9 +155,12 @@ if [ -n "$offenders" ]; then
 fi
 
 # --- 11. one importer of the figure harness ------------------------------
-offenders=$(grep -rlE --include='*.go' --exclude='*_test.go' \
-        '"github.com/chillerdb/chiller/internal/bench"' . |
-    grep -v -e '^\./benchmark/' -e '^\./cmd/chiller-bench/' || true)
+offenders=$({
+    grep -rlE --include='*.go' --exclude='*_test.go' \
+        '"github.com/chillerdb/chiller/internal/bench"' .
+    grep -rlE --include='*_test.go' \
+        '"github.com/chillerdb/chiller/internal/bench"' ./internal/check
+} | grep -v -e '^\./benchmark/' -e '^\./cmd/chiller-bench/' || true)
 if [ -n "$offenders" ]; then
     echo "internal/bench imported outside cmd/chiller-bench (assemble with internal/deploy):" >&2
     echo "$offenders" >&2
