@@ -88,8 +88,9 @@ func TestRepartitionRaceLosesNoWrites(t *testing.T) {
 }
 
 // The MVCC GC watermark must advance during pure uptime (not only at
-// WAL recovery), keeping version chains bounded under a long-running
-// write workload.
+// WAL recovery) and collect what it passes: a hot record's chain stays
+// near the retention window under a long-running write workload, and a
+// record written once and then left alone carries no chain at all.
 func TestMVCCChainDepthBounded(t *testing.T) {
 	db := openBank(t, 1, WithMVCC())
 	bump := NewProc("acct.bump")
@@ -101,25 +102,24 @@ func TestMVCCChainDepthBounded(t *testing.T) {
 	}
 
 	ctx := context.Background()
-	const writes = 6000
+	const cold, writes = 1, 6000
+	if _, err := db.ExecuteWithRetry(ctx, Retry{}, "acct.bump", cold); err != nil {
+		t.Fatal(err)
+	}
 	for i := 0; i < writes; i++ {
 		if _, err := db.ExecuteWithRetry(ctx, Retry{}, "acct.bump", 0); err != nil {
 			t.Fatalf("bump %d: %v", i, err)
 		}
 	}
-
-	// Let the GC loop observe the stable clock, then one more write so
-	// the (lazy, on-write) prune runs against the advanced watermark.
+	// Let the GC loop observe the stable clock; no write follows.
 	time.Sleep(10 * gcInterval)
-	if _, err := db.ExecuteWithRetry(ctx, Retry{}, "acct.bump", 0); err != nil {
-		t.Fatal(err)
-	}
 
 	st := db.nodeList()[0].Store()
 	if st.Watermark() == 0 {
 		t.Fatal("GC watermark never advanced under pure uptime")
 	}
-	depth := st.Table(storage.TableID(tAccounts)).ChainDepth(storage.Key(0))
+	accounts := st.Table(storage.TableID(tAccounts))
+	depth := accounts.ChainDepth(storage.Key(0))
 	if depth == 0 {
 		t.Fatal("no versions retained — MVCC off?")
 	}
@@ -127,6 +127,9 @@ func TestMVCCChainDepthBounded(t *testing.T) {
 	// bound, not near the full write count.
 	if depth > 2*gcRetention {
 		t.Fatalf("version chain depth %d exceeds retention bound %d (writes: %d)", depth, 2*gcRetention, writes)
+	}
+	if n := accounts.ChainDepth(storage.Key(cold)); n != 0 {
+		t.Fatalf("a record written once, %d commits before the watermark: chain depth %d, want 0", writes, n)
 	}
 }
 

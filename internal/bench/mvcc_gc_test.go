@@ -12,10 +12,11 @@ import (
 )
 
 // The second input of the root package's TestMVCCChainDepthBounded: the
-// same bound, on a cluster built through NewCluster — the assembly the
+// same bounds, on a cluster built through NewCluster — the assembly the
 // checker's mvcc-* cells and the benchmark run. The GC watermark must
-// advance during pure uptime, keeping version chains near the retention
-// window rather than the write count.
+// advance during pure uptime, keeping a hot record's chain near the
+// retention window rather than the write count and collecting the chain
+// of a record written once and then left alone.
 func TestMVCCChainDepthBounded(t *testing.T) {
 	c := NewCluster(ClusterConfig{Partitions: 1, Lanes: 1, MVCC: true},
 		cluster.RangePartitioner{N: 1, MaxKey: map[storage.TableID]storage.Key{BankTable: 8}})
@@ -24,31 +25,36 @@ func TestMVCCChainDepthBounded(t *testing.T) {
 	if err := SetupBank(c, b, true); err != nil {
 		t.Fatal(err)
 	}
-	bump := func() {
+	transfer := func(from, to int64) {
 		t.Helper()
-		req := &txn.Request{Proc: BankTransferProc, Args: txn.Args{0, 1, 1}}
+		req := &txn.Request{Proc: BankTransferProc, Args: txn.Args{from, to, 1}}
 		for !c.Engine(EngineChiller, 0).Run(context.Background(), req).Committed {
 		}
 	}
 	const writes = 6000
+	transfer(2, 3) // the cold pair: written once
 	for i := 0; i < writes; i++ {
-		bump()
+		transfer(0, 1)
 	}
-	// Let the GC loop observe the stable clock, then one more write so
-	// the (lazy, on-write) prune runs against the advanced watermark.
-	time.Sleep(10 * deploy.GCInterval)
-	bump()
 	c.Drain()
+	// Let the GC loop observe the stable clock; no write follows.
+	time.Sleep(10 * deploy.GCInterval)
 
 	st := c.Nodes[0].Store()
 	if st.Watermark() == 0 {
 		t.Fatal("GC watermark never advanced under pure uptime")
 	}
-	depth := st.Table(BankTable).ChainDepth(0)
+	accounts := st.Table(BankTable)
+	depth := accounts.ChainDepth(0)
 	if depth == 0 {
 		t.Fatal("no versions retained — MVCC off?")
 	}
 	if depth > 2*deploy.GCRetention {
 		t.Fatalf("version chain depth %d exceeds retention bound %d (writes: %d)", depth, 2*deploy.GCRetention, writes)
+	}
+	for _, k := range []storage.Key{2, 3} {
+		if n := accounts.ChainDepth(k); n != 0 {
+			t.Fatalf("account %d, written once %d commits before the watermark: chain depth %d, want 0", k, writes, n)
+		}
 	}
 }

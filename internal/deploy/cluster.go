@@ -278,7 +278,8 @@ func (c *Cluster) Reopen(i int) (*Node, error) {
 }
 
 // gcLoop periodically raises every store's MVCC GC watermark to the
-// commit clock's stable point minus a retention window. Without it the
+// commit clock's stable point minus a retention window; each raise
+// sweeps the chains it passed on this goroutine. Without it the
 // watermark only moves during WAL recovery and version chains grow for
 // the lifetime of the process.
 func (c *Cluster) gcLoop() {

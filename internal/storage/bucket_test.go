@@ -56,7 +56,8 @@ func TestRecordFootprint(t *testing.T) {
 
 // Allocations per write: a value copy, and nothing else unless the
 // record is stamped. A record's history is allocated once, by its first
-// nonzero stamp; an MVCC overwrite adds the retained version.
+// nonzero stamp; an MVCC overwrite adds the retained version, and
+// neither queueing it for the sweep nor the sweep adds anything.
 func TestWriteAllocations(t *testing.T) {
 	const runs = 100
 	value := make([]byte, 24)
@@ -88,6 +89,8 @@ func TestWriteAllocations(t *testing.T) {
 		{"second UpsertAt(ts>0)", 1, func() { ts++; tbl.UpsertAt(next(), value, ts) }},
 		{"first MVCC PutAt", 3, func() { ts++; sinkErr = mvt.PutAt(next(), value, ts) }},
 		{"MVCC PutAt", 2, func() { ts++; sinkErr = mvt.PutAt(next(), value, ts) }},
+		// Queueing the record and sweeping it allocate nothing.
+		{"MVCC PutAt, watermark trailing", 2, func() { ts++; sinkErr = mvt.PutAt(next(), value, ts); mv.SetWatermark(ts - 8) }},
 	} {
 		k = runs
 		if got := testing.AllocsPerRun(runs, c.fn); got != c.want || sinkErr != nil {
@@ -268,9 +271,9 @@ func TestWalksSkipDeadSlots(t *testing.T) {
 // A map is the oracle for every write mode, with and without version
 // retention, on a table small enough that chains run several buckets
 // long and tombstones pile up. Under MVCC the model also keeps each
-// key's versions, pruned as the store prunes them, and every few hundred
-// ops the watermark rises and ReadAt and ChainDepth are checked against
-// it.
+// key's versions, and every few hundred ops the watermark rises, the
+// model drops what the sweep drops, and ReadAt and ChainDepth are
+// checked against it.
 func TestBucketAgainstModel(t *testing.T) {
 	for _, mvcc := range []bool{false, true} {
 		t.Run(fmt.Sprintf("mvcc=%v", mvcc), func(t *testing.T) {
@@ -281,17 +284,19 @@ func TestBucketAgainstModel(t *testing.T) {
 			tbl := s.CreateTable(1, 16)
 			model := map[Key][]byte{}
 			versions := map[Key][]stamped{} // oldest first
-			wrote := func(k Key, ts uint64, v []byte) {
-				vs := append(versions[k], stamped{ts, v})
-				// Keep what retain keeps: everything from the newest
-				// version at or below the watermark on.
-				for j := len(vs) - 1; j >= 0; j-- {
-					if vs[j].ts <= s.Watermark() {
-						vs = vs[j:]
-						break
+			wrote := func(k Key, ts uint64, v []byte) { versions[k] = append(versions[k], stamped{ts, v}) }
+			// Keep what the sweep keeps: everything from the newest
+			// version at or below the watermark on, the live one included.
+			setWatermark := func(w uint64) {
+				s.SetWatermark(w)
+				for k, vs := range versions {
+					for j := len(vs) - 1; j >= 0; j-- {
+						if vs[j].ts <= s.Watermark() {
+							versions[k] = vs[j:]
+							break
+						}
 					}
 				}
-				versions[k] = vs
 			}
 			rng := rand.New(rand.NewSource(21))
 			const ops = 30_000
@@ -337,7 +342,7 @@ func TestBucketAgainstModel(t *testing.T) {
 					t.Fatalf("op %d on key %d (present %v): err %v, want %v", i, k, present, err, want)
 				}
 				if mvcc && i%300 == 0 {
-					s.SetWatermark(uint64(max(0, i-rng.Intn(1000))))
+					setWatermark(uint64(max(0, i-rng.Intn(1000))))
 					checkSnapshots(t, tbl, versions, uint64(i), rng)
 				}
 			}
@@ -351,13 +356,24 @@ func TestBucketAgainstModel(t *testing.T) {
 				return true
 			})
 			if mvcc {
-				// With the watermark at now, one more write to each key
-				// prunes its chain to the version it replaced.
-				s.SetWatermark(ops)
+				// With the watermark at now no chain is left; a write
+				// above it retains the version it replaced until the
+				// watermark passes the write.
+				setWatermark(ops)
+				checkSnapshots(t, tbl, versions, ops, rng)
 				for k := range versions {
+					if n := tbl.ChainDepth(k); n != 0 {
+						t.Fatalf("key %d: chain depth %d with the watermark at the last write, want 0", k, n)
+					}
 					tbl.UpsertAt(k, nil, ops+1)
 					if n := tbl.ChainDepth(k); n != 1 {
 						t.Fatalf("key %d: chain depth %d after a write above the watermark, want 1", k, n)
+					}
+				}
+				s.SetWatermark(ops + 1)
+				for k := range versions {
+					if n := tbl.ChainDepth(k); n != 0 {
+						t.Fatalf("key %d: chain depth %d once the watermark passed its write, want 0", k, n)
 					}
 				}
 				return

@@ -118,6 +118,11 @@ func (c *Clock) AdvanceTo(ts uint64) {
 type mvccMeta struct {
 	on        atomic.Bool
 	watermark atomic.Uint64
+	// pending queues the records whose chains a rising watermark may
+	// cut, in the order their writes landed; sweeping keeps
+	// SetWatermark's sweep single flight.
+	pending  gcQueue
+	sweeping sync.Mutex
 }
 
 // EnableMVCC turns on version retention for every table of the store.
@@ -128,16 +133,39 @@ func (s *Store) EnableMVCC() { s.mv.on.Store(true) }
 // MVCCEnabled reports whether the store retains version chains.
 func (s *Store) MVCCEnabled() bool { return s.mv.on.Load() }
 
-// SetWatermark raises the GC watermark: versions at or below it may be
-// pruned (the newest such version per key is kept — it is the visible
-// version for snapshots at the watermark itself), and ReadAt rejects
-// snapshots below it with ErrStaleRead. Recovery sets it to the highest
-// timestamp whose older history a WAL snapshot discarded. The watermark
-// never moves backward.
+// SetWatermark raises the GC watermark and collects what it passed.
+// ReadAt rejects snapshots below the watermark with ErrStaleRead, so a
+// chain need only keep what a snapshot at or above it can read: every
+// version above the watermark and the newest at or below it — nothing
+// older, and no chain at all once the live version is at or below it.
+// The watermark never moves backward. Recovery sets it to the highest
+// timestamp whose older history a WAL snapshot discarded; in steady
+// state the deployment's GC loop raises it.
+//
+// The sweep runs on the caller's goroutine, and only one runs at a
+// time: it cuts the chain of every record whose queued write is at or
+// below the watermark, in write order, stopping at the first that is
+// not. A caller that finds a sweep running returns at once; the next
+// call picks up what it left.
 func (s *Store) SetWatermark(ts uint64) {
 	for {
 		cur := s.mv.watermark.Load()
 		if ts <= cur || s.mv.watermark.CompareAndSwap(cur, ts) {
+			break
+		}
+	}
+	if !s.mv.on.Load() || !s.mv.sweeping.TryLock() {
+		return
+	}
+	defer s.mv.sweeping.Unlock()
+	w := s.mv.watermark.Load()
+	var batch [64]pendingPrune
+	for {
+		n := s.mv.pending.take(batch[:], w)
+		for _, p := range batch[:n] {
+			p.t.prune(p.key, w)
+		}
+		if n < len(batch) {
 			return
 		}
 	}
@@ -145,6 +173,51 @@ func (s *Store) SetWatermark(ts uint64) {
 
 // Watermark returns the current GC watermark.
 func (s *Store) Watermark() uint64 { return s.mv.watermark.Load() }
+
+// pendingPrune names a record whose chain grew by a write at ts.
+type pendingPrune struct {
+	t   *Table
+	key Key
+	ts  uint64
+}
+
+// gcQueue is a FIFO ring of pendingPrunes that grows by doubling and
+// never shrinks, so a write pushes without allocating once the ring
+// has reached the backlog one retention window holds. Its mutex is
+// innermost: push runs under a bucket mutex, and take's caller takes
+// bucket mutexes only after take has returned.
+type gcQueue struct {
+	mu      sync.Mutex
+	ring    []pendingPrune // len is a power of two
+	head, n int
+}
+
+func (q *gcQueue) push(p pendingPrune) {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	if q.n == len(q.ring) {
+		grown := make([]pendingPrune, max(256, 2*len(q.ring)))
+		q.n = copy(grown, q.ring[q.head:])
+		q.n += copy(grown[q.n:], q.ring[:q.head])
+		q.ring, q.head = grown, 0
+	}
+	q.ring[(q.head+q.n)&(len(q.ring)-1)] = p
+	q.n++
+}
+
+// take moves the oldest entries into dst, as many as fit, stopping at
+// the first whose write is above w, and returns how many it moved.
+func (q *gcQueue) take(dst []pendingPrune, w uint64) int {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	n := 0
+	for ; n < len(dst) && q.n > 0 && q.ring[q.head].ts <= w; n++ {
+		dst[n] = q.ring[q.head]
+		q.head = (q.head + 1) & (len(q.ring) - 1)
+		q.n--
+	}
+	return n
+}
 
 // history is what a record carries once it has been stamped: the
 // current value's commit timestamp and its retained older versions,
@@ -167,9 +240,10 @@ type version struct {
 }
 
 // retain pushes e's current state (dead says it is a tombstone) onto
-// its version chain (MVCC on only) and lazily prunes versions the
-// watermark has passed. Caller holds the bucket's internal mutex.
-func (t *Table) retain(e *entry, dead bool) {
+// its version chain before a write stamped ts replaces it, and queues
+// the record for the sweep that cuts the chain once the watermark
+// reaches ts (MVCC on only). Caller holds the bucket's internal mutex.
+func (t *Table) retain(e *entry, dead bool, ts uint64) {
 	if t.mv == nil || !t.mv.on.Load() {
 		return
 	}
@@ -178,11 +252,27 @@ func (t *Table) retain(e *entry, dead bool) {
 	}
 	h := e.hist
 	h.prev = &version{ts: h.ts, value: e.value(), dead: dead, prev: h.prev}
-	// Prune: chains are in strictly decreasing timestamp order (per-key
-	// writes are lock-ordered and timestamps are reserved under those
-	// locks), so everything past the first version at or below the
-	// watermark is invisible to every servable snapshot.
-	w := t.mv.watermark.Load()
+	t.mv.pending.push(pendingPrune{t: t, key: e.key, ts: ts})
+}
+
+// prune cuts key's chain to what a snapshot at or above w can read.
+// Chains are in strictly decreasing timestamp order (per-key writes are
+// lock-ordered and timestamps are reserved under those locks), so that
+// is nothing when the live version is at or below w, and otherwise
+// everything up to the first retained version at or below w.
+func (t *Table) prune(key Key, w uint64) {
+	b := t.Bucket(key)
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	at, i, ok := b.seek(key, false)
+	if !ok || at.entries[i].hist == nil {
+		return
+	}
+	h := at.entries[i].hist
+	if h.ts <= w {
+		h.prev = nil
+		return
+	}
 	for v := h.prev; v != nil; v = v.prev {
 		if v.ts <= w {
 			v.prev = nil
@@ -200,12 +290,16 @@ func (t *Table) retain(e *entry, dead bool) {
 //
 // The returned slice is immutable (the same contract Get carries).
 func (t *Table) ReadAt(key Key, ts uint64) ([]byte, error) {
-	if t.mv != nil && ts < t.mv.watermark.Load() {
-		return nil, ErrStaleRead
-	}
 	b := t.Bucket(key)
 	b.mu.Lock()
 	defer b.mu.Unlock()
+	// Test the watermark under the mutex every prune takes. A prune
+	// runs only after the watermark it prunes to was published, so with
+	// ts not below the watermark now, no prune that could drop a version
+	// ts needs has run, and none can run before the read is done.
+	if t.mv != nil && ts < t.mv.watermark.Load() {
+		return nil, ErrStaleRead
+	}
 	at, i, ok := b.seek(key, false)
 	if !ok {
 		return nil, ErrNotFound

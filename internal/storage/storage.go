@@ -354,7 +354,7 @@ func (b *Bucket) write(key Key, value []byte, ts uint64, mode writeMode, owned b
 	}
 	e := &at.entries[slot]
 	if t != nil {
-		t.retain(e, !live)
+		t.retain(e, !live, ts)
 		e.stamp(ts)
 	}
 	e.setValue(value)
@@ -406,7 +406,7 @@ func (b *Bucket) tombstone(key Key, t *Table, ts uint64) error {
 	}
 	e := &at.entries[i]
 	if t != nil {
-		t.retain(e, false)
+		t.retain(e, false, ts)
 		e.stamp(ts)
 	}
 	e.setValue(nil)
