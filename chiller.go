@@ -523,7 +523,11 @@ func (db *DB) Repartition(ctx context.Context) (RepartitionReport, error) {
 		holds[i] = make(map[transport.NodeID]bool)
 		for _, target := range append([]transport.NodeID{db.topo.Primary(m.to)}, db.topo.Replicas(m.to)...) {
 			if tbl := nodes[int(target)].Store().Table(m.rid.Table); tbl != nil {
-				tbl.Bucket(m.rid.Key).Upsert(m.rid.Key, m.val)
+				// An unstamped copy: a node that already holds the
+				// record (it replicates both homes) keeps its stamp.
+				if b := tbl.Bucket(m.rid.Key); b.Insert(m.rid.Key, m.val) == storage.ErrExists {
+					_ = b.Put(m.rid.Key, m.val)
+				}
 				holds[i][target] = true
 			}
 		}

@@ -55,50 +55,64 @@ func TestCommitLocalAndRemote(t *testing.T) {
 }
 
 // A concurrent committed write between the optimistic read and validation
-// must abort the transaction (version check).
+// must abort the transaction (version check) — an overwrite, and a
+// delete and re-insert of the key, which must not bring the version the
+// reader saw back.
 func TestValidationDetectsStaleRead(t *testing.T) {
-	c := newBankCluster(t, 1)
-	node := c.Nodes[0]
+	for _, c := range []struct {
+		name      string
+		interfere func(b *storage.Bucket) error
+	}{
+		{"put", func(b *storage.Bucket) error { return b.Put(5, bench.EncodeBalance(1)) }},
+		{"delete+insert", func(b *storage.Bucket) error {
+			if err := b.Delete(5); err != nil {
+				return err
+			}
+			return b.Insert(5, bench.EncodeBalance(1))
+		}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			cl := newBankCluster(t, 1)
+			node := cl.Nodes[0]
 
-	// Interpose: run the OCC transaction but mutate the record under it
-	// by committing a conflicting change between execution and
-	// validation. We simulate the race deterministically by bumping the
-	// version directly after reads would have happened — easiest via a
-	// custom procedure whose mutate hook performs the interference.
-	tbl := node.Store().Table(bench.BankTable)
-	var once sync.Once
-	interfere := &txn.Procedure{
-		Name: "occ.interfere",
-		Ops: []txn.OpSpec{
-			{
-				ID: 0, Type: txn.OpUpdate, Table: bench.BankTable,
-				Key: func(txn.Args, txn.ReadSet) (storage.Key, bool) { return 5, true },
-				Mutate: func(old []byte, _ txn.Args, _ txn.ReadSet) ([]byte, error) {
-					// After this op's optimistic read, sneak in a
-					// conflicting committed write (version bump).
-					once.Do(func() {
-						if err := tbl.Bucket(5).Put(5, bench.EncodeBalance(1)); err != nil {
-							t.Errorf("interfere: %v", err)
-						}
-					})
-					return bench.EncodeBalance(bench.DecodeBalance(old) + 1), nil
+			// Interpose: run the OCC transaction but mutate the record
+			// under it by committing a conflicting change between
+			// execution and validation, deterministically, from the
+			// mutate hook that runs after the op's optimistic read.
+			b := node.Store().Table(bench.BankTable).Bucket(5)
+			var once sync.Once
+			interfere := &txn.Procedure{
+				Name: "occ.interfere",
+				Ops: []txn.OpSpec{
+					{
+						ID: 0, Type: txn.OpUpdate, Table: bench.BankTable,
+						Key: func(txn.Args, txn.ReadSet) (storage.Key, bool) { return 5, true },
+						Mutate: func(old []byte, _ txn.Args, _ txn.ReadSet) ([]byte, error) {
+							once.Do(func() {
+								if err := c.interfere(b); err != nil {
+									t.Errorf("interfere: %v", err)
+								}
+							})
+							return bench.EncodeBalance(bench.DecodeBalance(old) + 1), nil
+						},
+					},
 				},
-			},
-		},
-	}
-	if err := c.Registry.Register(interfere); err != nil {
-		t.Fatal(err)
-	}
-	e := occ.New(node)
-	res := e.Run(context.Background(), &txn.Request{Proc: "occ.interfere"})
-	if res.Committed {
-		t.Fatal("stale read committed")
-	}
-	if res.Reason != txn.AbortValidation {
-		t.Fatalf("reason = %v, want validation", res.Reason)
-	}
-	if !c.Quiesced() {
-		t.Fatal("locks leaked after validation abort")
+			}
+			if err := cl.Registry.Register(interfere); err != nil {
+				t.Fatal(err)
+			}
+			e := occ.New(node)
+			res := e.Run(context.Background(), &txn.Request{Proc: "occ.interfere"})
+			if res.Committed {
+				t.Fatal("stale read committed")
+			}
+			if res.Reason != txn.AbortValidation {
+				t.Fatalf("reason = %v, want validation", res.Reason)
+			}
+			if !cl.Quiesced() {
+				t.Fatal("locks leaked after validation abort")
+			}
+		})
 	}
 }
 

@@ -496,7 +496,7 @@ func crashAndRecover(cfg Config, c *deploy.Cluster, maxKey storage.Key) (victim,
 		forged := false
 		tbl.Range(func(k storage.Key, val []byte, _ uint64) bool {
 			if string(val) != string(InitialVal(k)) {
-				tbl.Bucket(k).Upsert(k, InitialVal(k))
+				_ = tbl.Bucket(k).Put(k, InitialVal(k)) // k is live: Range found it
 				forged = true
 				return false
 			}
@@ -504,7 +504,7 @@ func crashAndRecover(cfg Config, c *deploy.Cluster, maxKey storage.Key) (victim,
 		})
 		if !forged {
 			for k := range oracle {
-				tbl.Bucket(k).Upsert(k, []byte("forged-lost-commit"))
+				_ = tbl.Bucket(k).Put(k, []byte("forged-lost-commit")) // every oracle key was loaded
 				break
 			}
 		}

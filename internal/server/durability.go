@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"github.com/chillerdb/chiller/internal/storage"
-	"github.com/chillerdb/chiller/internal/txn"
 	"github.com/chillerdb/chiller/internal/wal"
 	"github.com/chillerdb/chiller/internal/wire"
 )
@@ -195,60 +194,20 @@ func RecoverStore(st *storage.Store, rec *wal.Recovered) (maxTS uint64, err erro
 		if err != nil {
 			return 0, fmt.Errorf("server: recover lsn %d: %w", tr.LSN, err)
 		}
-		if err := replayWrites(st, ts, writes); err != nil {
+		if err := applyWrites(st, ts, writes, false, true); err != nil {
 			return 0, fmt.Errorf("server: recover lsn %d: %w", tr.LSN, err)
 		}
 		if ts > maxTS {
 			maxTS = ts
 		}
 	}
-	if st.MVCCEnabled() {
-		st.SetWatermark(snapTS)
-	}
+	st.SetWatermark(snapTS)
 	return maxTS, nil
-}
-
-// replayWrites applies a logged write set with pure upsert semantics:
-// unlike the live applyWrites, an update to a key the store does not
-// hold yet must succeed (the key's insert may live in a snapshot the
-// crash predates, with initial values re-loaded by the caller). On an
-// MVCC store the replay is stamped, so chains above the watermark come
-// back readable.
-func replayWrites(st *storage.Store, ts uint64, writes []WriteOp) error {
-	mvcc := st.MVCCEnabled()
-	for _, w := range writes {
-		tbl := st.Table(w.Table)
-		if tbl == nil {
-			tbl = st.CreateTable(w.Table, 0)
-		}
-		if mvcc {
-			switch w.Type {
-			case txn.OpDelete:
-				if err := tbl.DeleteAt(w.Key, ts); err != nil && err != storage.ErrNotFound {
-					return err
-				}
-			default:
-				tbl.UpsertAt(w.Key, w.Value, ts)
-			}
-			continue
-		}
-		b := tbl.Bucket(w.Key)
-		switch w.Type {
-		case txn.OpDelete:
-			if err := b.Delete(w.Key); err != nil && err != storage.ErrNotFound {
-				return err
-			}
-		default:
-			b.Upsert(w.Key, w.Value)
-		}
-	}
-	return nil
 }
 
 // applyLaneSnapshot loads one lane snapshot, returning the highest
 // record timestamp it carried.
 func applyLaneSnapshot(st *storage.Store, p []byte) (maxTS uint64, err error) {
-	mvcc := st.MVCCEnabled()
 	r := wire.NewReader(p)
 	for r.Err() == nil && r.Remaining() > 0 {
 		tid := storage.TableID(r.Uint32())
@@ -265,11 +224,7 @@ func applyLaneSnapshot(st *storage.Store, p []byte) (maxTS uint64, err error) {
 			if ts > maxTS {
 				maxTS = ts
 			}
-			if mvcc {
-				tbl.UpsertAt(key, val, ts)
-			} else {
-				tbl.Bucket(key).Upsert(key, val)
-			}
+			tbl.UpsertAt(key, val, ts)
 		}
 	}
 	if err := r.Err(); err != nil {

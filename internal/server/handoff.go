@@ -232,7 +232,7 @@ func (n *Node) handleHandoffFlush(_ transport.NodeID, req []byte, reply func([]b
 	}
 	go func() {
 		n.LaneBarrier()
-		if warming && n.clock != nil && n.store.MVCCEnabled() {
+		if warming && n.clock != nil {
 			// The handed-off range's version history below the backfill
 			// horizon does not exist on this store: snapshot reads below
 			// it must stale-abort (and retry at a fresher snapshot)

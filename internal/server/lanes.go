@@ -193,14 +193,14 @@ func (n *Node) applyByLane(txnID, ts uint64, writes []WriteOp, done func(error))
 	// let alone append, until this closure returns, so log order = apply
 	// order per lane. The ticket is zero when nothing was logged.
 	//
-	// The apply is tolerant (replayWrites, not the strict applyWrites):
+	// The apply is tolerant, where a primary's is strict (applyWrites):
 	// a warming node added mid-handoff legitimately sees commit-stream
 	// messages for records its backfill has not copied yet — an update
 	// to a missing key must land as an insert, and a missing table must
 	// be created, exactly the WAL-replay semantics. Primaries keep the
 	// strict apply (CommitLocal); only replicated write sets come here.
 	applyLog := func(lane int, ws []WriteOp) (wal.Ticket, error) {
-		if err := replayWrites(n.store, ts, ws); err != nil || n.wal == nil {
+		if err := applyWrites(n.store, ts, ws, false, true); err != nil || n.wal == nil {
 			return wal.Ticket{}, err
 		}
 		return n.logLane(txnID, ts, lane, ws), nil

@@ -510,54 +510,53 @@ func (n *Node) LeavePartition(pid cluster.PartitionID) {
 // then wait on the ticket. An apply error is an engine invariant
 // violation: a write to a locked, verified record cannot fail.
 func (n *Node) applyLog(txnID, ts uint64, writes []WriteOp, owned bool) (wal.Ticket, error) {
-	if err := applyWrites(n.store, ts, writes, owned); err != nil {
+	if err := applyWrites(n.store, ts, writes, owned, false); err != nil {
 		return wal.Ticket{}, fmt.Errorf("server: commit apply: %w", err)
 	}
 	return n.logWrites(txnID, ts, writes), nil
 }
 
-// applyWrites applies a write set to a store. Inserts that find the key
-// already present degrade to updates, which makes application idempotent. ts is the
-// transaction's commit timestamp; when the store retains versions
-// (MVCC) the overwritten values go onto the version chains stamped with
-// it, otherwise it is ignored.
+// applyWrites applies a write set to a store through its one record
+// write, storage.Table.Write, stamped with the transaction's commit
+// timestamp ts (0 without a commit clock); the store decides whether
+// the overwritten values are retained. Inserts that find the key
+// already present degrade to updates, which makes application
+// idempotent, and a delete of a missing key is a no-op.
 //
-// owned hands the value buffers to the store uncopied
-// (storage.Bucket.PutOwned): only for values a transaction's mutators
-// built on this node, which txn.MutateFunc's contract makes the
-// engine's — an inner region's writes, a coordinator's own-node commit.
-// A decoded write set aliases its receive buffer and must pass false.
-// Stores that retain versions copy either way.
-func applyWrites(st *storage.Store, ts uint64, writes []WriteOp, owned bool) error {
-	mvcc := st.MVCCEnabled()
+// tolerant is for replicas and WAL replay: an update of a key the
+// store does not hold yet lands as an insert (a warming node's backfill
+// may not have copied it, a replayed key's insert may live in a
+// snapshot the crash predates) and a missing table is created. A
+// primary applies strictly: there the record is locked and verified.
+//
+// owned hands the value buffers to the store uncopied: only for values
+// a transaction's mutators built on this node, which txn.MutateFunc's
+// contract makes the engine's — an inner region's writes, a
+// coordinator's own-node commit. A decoded write set aliases its
+// receive buffer and must pass false.
+func applyWrites(st *storage.Store, ts uint64, writes []WriteOp, owned, tolerant bool) error {
 	for i := range writes {
 		w := &writes[i]
 		tbl := st.Table(w.Table)
+		if tbl == nil && tolerant {
+			tbl = st.CreateTable(w.Table, 0)
+		}
 		if tbl == nil {
 			return fmt.Errorf("server: no table %d", w.Table)
 		}
-		var err error
+		var mode storage.WriteMode
 		switch {
-		case w.Type == txn.OpUpdate && mvcc:
-			err = tbl.PutAt(w.Key, w.Value, ts)
-		case w.Type == txn.OpUpdate && owned:
-			err = tbl.Bucket(w.Key).PutOwned(w.Key, w.Value)
-		case w.Type == txn.OpUpdate:
-			err = tbl.Bucket(w.Key).Put(w.Key, w.Value)
-		case w.Type == txn.OpInsert && mvcc:
-			tbl.UpsertAt(w.Key, w.Value, ts)
-		case w.Type == txn.OpInsert && owned:
-			tbl.Bucket(w.Key).UpsertOwned(w.Key, w.Value)
-		case w.Type == txn.OpInsert:
-			tbl.Bucket(w.Key).Upsert(w.Key, w.Value)
-		case w.Type == txn.OpDelete && mvcc:
-			err = tbl.DeleteAt(w.Key, ts)
+		case w.Type == txn.OpUpdate && !tolerant:
+			mode = storage.WriteUpdate
+		case w.Type == txn.OpUpdate, w.Type == txn.OpInsert:
+			mode = storage.WriteUpsert
 		case w.Type == txn.OpDelete:
-			err = tbl.Bucket(w.Key).Delete(w.Key)
+			mode = storage.WriteDelete
 		default:
 			return fmt.Errorf("server: bad write type %v", w.Type)
 		}
-		if err != nil && (w.Type != txn.OpDelete || err != storage.ErrNotFound) {
+		err := tbl.Write(w.Key, w.Value, ts, mode, owned)
+		if err != nil && (mode != storage.WriteDelete || err != storage.ErrNotFound) {
 			return fmt.Errorf("server: %v %v/%d: %w", w.Type, w.Table, w.Key, err)
 		}
 	}

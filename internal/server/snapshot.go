@@ -97,7 +97,7 @@ func (n *Node) validateLocal(txnID uint64, entries []LockEntry, versions []uint6
 			return
 		}
 		b := tbl.Bucket(e.Key)
-		if cur, _ := b.Version(e.Key); cur != versions[i] {
+		if _, cur, _ := b.Get(e.Key); cur != versions[i] {
 			return
 		}
 		// An unchanged version is not enough: a concurrent writer past

@@ -54,10 +54,11 @@ func TestRecordFootprint(t *testing.T) {
 	}
 }
 
-// Allocations per write: a value copy, and nothing else unless the
-// record is stamped. A record's history is allocated once, by its first
-// nonzero stamp; an MVCC overwrite adds the retained version, and
-// neither queueing it for the sweep nor the sweep adds anything.
+// Allocations per write: a value copy unless the value is handed over,
+// and nothing else unless the record is stamped. A record's history is
+// allocated once, by its first nonzero stamp; an MVCC overwrite adds
+// the retained version, and neither queueing it for the sweep nor the
+// sweep adds anything.
 func TestWriteAllocations(t *testing.T) {
 	const runs = 100
 	value := make([]byte, 24)
@@ -81,7 +82,7 @@ func TestWriteAllocations(t *testing.T) {
 		fn   func()
 	}{
 		{"Put", 1, func() { k := next(); sinkErr = tbl.Bucket(k).Put(k, value) }},
-		{"PutOwned", 0, func() { k := next(); sinkErr = tbl.Bucket(k).PutOwned(k, value) }},
+		{"owned Write", 0, func() { sinkErr = tbl.Write(next(), value, 0, WriteUpdate, true) }},
 		{"UpsertAt(ts 0)", 1, func() { tbl.UpsertAt(next(), value, 0) }},
 		// AllocsPerRun makes runs+1 calls: each stamps a record for the
 		// first time.
@@ -89,6 +90,7 @@ func TestWriteAllocations(t *testing.T) {
 		{"second UpsertAt(ts>0)", 1, func() { ts++; tbl.UpsertAt(next(), value, ts) }},
 		{"first MVCC PutAt", 3, func() { ts++; sinkErr = mvt.PutAt(next(), value, ts) }},
 		{"MVCC PutAt", 2, func() { ts++; sinkErr = mvt.PutAt(next(), value, ts) }},
+		{"MVCC owned Write", 1, func() { ts++; sinkErr = mvt.Write(next(), value, ts, WriteUpdate, true) }},
 		// Queueing the record and sweeping it allocate nothing.
 		{"MVCC PutAt, watermark trailing", 2, func() { ts++; sinkErr = mvt.PutAt(next(), value, ts); mv.SetWatermark(ts - 8) }},
 	} {
@@ -143,84 +145,104 @@ func TestEqualFingerprints(t *testing.T) {
 	}
 }
 
-// Without MVCC a tombstone is a free slot: the next insert takes it,
-// re-tags it and clears its dead bit, and the key that died there is not
-// found through the new tenant's tag or its own.
+// Without MVCC a tombstone carries no history. The key's own insert
+// finds it and resurrects it in place, its version counting on: a
+// reader of version 1 must not validate against a re-inserted
+// version 1. Another key's insert takes it as a free slot, re-tags it
+// and clears its dead bit, and the key that died there is not found
+// through the new tenant's tag or its own.
 func TestTombstoneSlotIsRetagged(t *testing.T) {
-	b := NewStore().CreateTable(1, 1).Bucket(0)
-	old, next := Key(1), Key(2)
-	for tagOf(next) == tagOf(old) {
-		next++
+	old, other := Key(1), Key(2)
+	for tagOf(other) == tagOf(old) {
+		other++
 	}
-	if err := b.Insert(old, []byte("x")); err != nil {
-		t.Fatal(err)
-	}
-	if err := b.Delete(old); err != nil {
-		t.Fatal(err)
-	}
-	if b.dead != 1 || b.Len() != 0 {
-		t.Fatalf("after delete: dead mask %08b, Len %d", b.dead, b.Len())
-	}
-	if err := b.Insert(next, []byte("y")); err != nil {
-		t.Fatal(err)
-	}
-	if len(b.entries) != 1 || b.dead != 0 || b.tags[0] != tagOf(next) {
-		t.Fatalf("slot not recycled: %d entries, dead mask %08b, tag %#x (want %#x)", len(b.entries), b.dead, b.tags[0], tagOf(next))
-	}
-	if _, _, err := b.Get(old); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("the slot's previous key: %v", err)
-	}
-	if err := b.Insert(old, []byte("z")); err != nil || len(b.entries) != 2 {
-		t.Fatalf("re-insert of the deleted key: %v, %d entries", err, len(b.entries))
+	for _, next := range []Key{old, other} {
+		b := NewStore().CreateTable(1, 1).Bucket(0)
+		if err := b.Insert(old, []byte("x")); err != nil {
+			t.Fatal(err)
+		}
+		if err := b.Delete(old); err != nil {
+			t.Fatal(err)
+		}
+		if b.dead != 1 || b.Len() != 0 {
+			t.Fatalf("after delete: dead mask %08b, Len %d", b.dead, b.Len())
+		}
+		if err := b.Insert(next, []byte("y")); err != nil {
+			t.Fatal(err)
+		}
+		if len(b.entries) != 1 || b.dead != 0 || b.tags[0] != tagOf(next) {
+			t.Fatalf("insert of key %d: slot not taken: %d entries, dead mask %08b, tag %#x (want %#x)", next, len(b.entries), b.dead, b.tags[0], tagOf(next))
+		}
+		if next == old {
+			if _, ver, err := b.Get(old); err != nil || ver != 3 {
+				t.Fatalf("Insert, Delete, Insert of one key: version %d (%v), want 3", ver, err)
+			}
+			continue
+		}
+		if _, _, err := b.Get(old); !errors.Is(err, ErrNotFound) {
+			t.Fatalf("the slot's previous key: %v", err)
+		}
+		if err := b.Insert(old, []byte("z")); err != nil || len(b.entries) != 2 {
+			t.Fatalf("re-insert of the deleted key: %v, %d entries", err, len(b.entries))
+		}
 	}
 }
 
 // Under MVCC a tombstone still heads a version chain: another key's
-// insert must not take its slot, and the key's own insert finds it and
+// insert must not take its slot — stamped, or unstamped as a loader's
+// or Repartition's is — and the key's own insert finds it and
 // resurrects it in place.
 func TestMVCCTombstoneIsKeptAndFound(t *testing.T) {
-	s := NewStore()
-	s.EnableMVCC()
-	tbl := s.CreateTable(1, 1)
-	b := tbl.Bucket(0)
-	if err := tbl.InsertAt(1, []byte("a1"), 1); err != nil {
-		t.Fatal(err)
-	}
-	if err := tbl.DeleteAt(1, 2); err != nil {
-		t.Fatal(err)
-	}
-	if err := tbl.PutAt(1, []byte("no"), 3); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("update of a deleted key: %v", err)
-	}
-	if err := tbl.InsertAt(2, []byte("b3"), 3); err != nil {
-		t.Fatal(err)
-	}
-	if len(b.entries) != 2 || b.dead != 1 || b.entries[0].key != 1 {
-		t.Fatalf("key 2 took key 1's tombstone: %d entries, dead mask %08b", len(b.entries), b.dead)
-	}
-	if v, err := tbl.ReadAt(1, 1); err != nil || string(v) != "a1" {
-		t.Fatalf("ReadAt(1, ts 1) = %q, %v", v, err)
-	}
-	if _, err := tbl.ReadAt(1, 3); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("ReadAt(1, ts 3) after the delete: %v", err)
-	}
-	if _, _, err := b.Get(1); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("Get of a deleted key: %v", err)
-	}
-
-	if err := tbl.InsertAt(1, []byte("a4"), 4); err != nil {
-		t.Fatal(err)
-	}
-	if len(b.entries) != 2 || b.dead != 0 || tbl.ChainDepth(1) != 2 {
-		t.Fatalf("not resurrected in place: %d entries, dead mask %08b, chain depth %d", len(b.entries), b.dead, tbl.ChainDepth(1))
-	}
-	for ts, want := range map[uint64]string{1: "a1", 4: "a4"} {
-		if v, err := tbl.ReadAt(1, ts); err != nil || string(v) != want {
-			t.Fatalf("ReadAt(1, ts %d) = %q, %v; want %q", ts, v, err, want)
+	for _, stamped := range []bool{true, false} {
+		s := NewStore()
+		s.EnableMVCC()
+		tbl := s.CreateTable(1, 1)
+		b := tbl.Bucket(0)
+		if err := tbl.Write(1, []byte("a1"), 1, WriteInsert, false); err != nil {
+			t.Fatal(err)
 		}
-	}
-	if _, err := tbl.ReadAt(1, 3); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("ReadAt(1, ts 3) between delete and re-insert: %v", err)
+		if err := tbl.Write(1, nil, 2, WriteDelete, false); err != nil {
+			t.Fatal(err)
+		}
+		if err := tbl.PutAt(1, []byte("no"), 3); !errors.Is(err, ErrNotFound) {
+			t.Fatalf("update of a deleted key: %v", err)
+		}
+		var err error
+		if stamped {
+			err = tbl.Write(2, []byte("b3"), 3, WriteInsert, false)
+		} else {
+			err = b.Insert(2, []byte("b3"))
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(b.entries) != 2 || b.dead != 1 || b.entries[0].key != 1 {
+			t.Fatalf("stamped %v: key 2 took key 1's tombstone: %d entries, dead mask %08b", stamped, len(b.entries), b.dead)
+		}
+		if v, err := tbl.ReadAt(1, 1); err != nil || string(v) != "a1" {
+			t.Fatalf("stamped %v: ReadAt(1, ts 1) = %q, %v", stamped, v, err)
+		}
+		if _, err := tbl.ReadAt(1, 3); !errors.Is(err, ErrNotFound) {
+			t.Fatalf("ReadAt(1, ts 3) after the delete: %v", err)
+		}
+		if _, _, err := b.Get(1); !errors.Is(err, ErrNotFound) {
+			t.Fatalf("Get of a deleted key: %v", err)
+		}
+
+		if err := tbl.Write(1, []byte("a4"), 4, WriteInsert, false); err != nil {
+			t.Fatal(err)
+		}
+		if len(b.entries) != 2 || b.dead != 0 || tbl.ChainDepth(1) != 2 {
+			t.Fatalf("not resurrected in place: %d entries, dead mask %08b, chain depth %d", len(b.entries), b.dead, tbl.ChainDepth(1))
+		}
+		for ts, want := range map[uint64]string{1: "a1", 4: "a4"} {
+			if v, err := tbl.ReadAt(1, ts); err != nil || string(v) != want {
+				t.Fatalf("ReadAt(1, ts %d) = %q, %v; want %q", ts, v, err, want)
+			}
+		}
+		if _, err := tbl.ReadAt(1, 3); !errors.Is(err, ErrNotFound) {
+			t.Fatalf("ReadAt(1, ts 3) between delete and re-insert: %v", err)
+		}
 	}
 }
 
@@ -230,7 +252,7 @@ func TestWalksSkipDeadSlots(t *testing.T) {
 	b := tbl.Bucket(0)
 	live := map[Key]bool{}
 	for k := Key(0); k < 20; k++ {
-		if err := tbl.InsertAt(k, []byte{byte(k)}, uint64(k)); err != nil {
+		if err := tbl.Write(k, []byte{byte(k)}, uint64(k), WriteInsert, false); err != nil {
 			t.Fatal(err)
 		}
 		live[k] = true
@@ -268,12 +290,14 @@ func TestWalksSkipDeadSlots(t *testing.T) {
 	check("Range", seen)
 }
 
-// A map is the oracle for every write mode, with and without version
-// retention, on a table small enough that chains run several buckets
-// long and tombstones pile up. Under MVCC the model also keeps each
-// key's versions, and every few hundred ops the watermark rises, the
-// model drops what the sweep drops, and ReadAt and ChainDepth are
-// checked against it.
+// A map is the oracle for every write mode, copied and handed over,
+// with and without version retention, on a table small enough that
+// chains run several buckets long and tombstones pile up. Every write
+// goes through Table.Write, stamped as production stamps it: with the
+// op's index under MVCC, with 0 on a clockless store. Under MVCC the
+// model also keeps each key's versions, and every few hundred ops the
+// watermark rises, the model drops what the sweep drops, and ReadAt and
+// ChainDepth are checked against it.
 func TestBucketAgainstModel(t *testing.T) {
 	for _, mvcc := range []bool{false, true} {
 		t.Run(fmt.Sprintf("mvcc=%v", mvcc), func(t *testing.T) {
@@ -301,30 +325,33 @@ func TestBucketAgainstModel(t *testing.T) {
 			rng := rand.New(rand.NewSource(21))
 			const ops = 30_000
 			for i := 1; i <= ops; i++ {
-				k, v, ts := Key(rng.Intn(600)), []byte{byte(i), byte(i >> 8)}, uint64(i)
+				k, v, ts := Key(rng.Intn(600)), []byte{byte(i), byte(i >> 8)}, uint64(0)
+				if mvcc {
+					ts = uint64(i)
+				}
 				old, present := model[k]
 				var err, want error
-				switch rng.Intn(5) {
+				switch op := rng.Intn(6); op {
 				case 0:
-					if err = tbl.InsertAt(k, v, ts); present {
+					if err = tbl.Write(k, v, ts, WriteInsert, false); present {
 						want = ErrExists
 					} else {
 						model[k] = v
 						wrote(k, ts, v)
 					}
 				case 1:
-					if err = tbl.PutAt(k, v, ts); present {
+					if err = tbl.Write(k, v, ts, WriteUpdate, false); present {
 						model[k] = v
 						wrote(k, ts, v)
 					} else {
 						want = ErrNotFound
 					}
-				case 2:
-					tbl.UpsertAt(k, v, ts)
+				case 2, 5: // 5 hands the value over, as an own-node commit does
+					err = tbl.Write(k, v, ts, WriteUpsert, op == 5)
 					model[k] = v
 					wrote(k, ts, v)
 				case 3:
-					if err = tbl.DeleteAt(k, ts); present {
+					if err = tbl.Write(k, nil, ts, WriteDelete, false); present {
 						delete(model, k)
 						wrote(k, ts, nil)
 					} else {

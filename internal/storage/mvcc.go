@@ -264,7 +264,7 @@ func (t *Table) prune(key Key, w uint64) {
 	b := t.Bucket(key)
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	at, i, ok := b.seek(key, false)
+	at, i, ok := b.seek(key)
 	if !ok || at.entries[i].hist == nil {
 		return
 	}
@@ -300,7 +300,7 @@ func (t *Table) ReadAt(key Key, ts uint64) ([]byte, error) {
 	if t.mv != nil && ts < t.mv.watermark.Load() {
 		return nil, ErrStaleRead
 	}
-	at, i, ok := b.seek(key, false)
+	at, i, ok := b.seek(key)
 	if !ok {
 		return nil, ErrNotFound
 	}
@@ -324,36 +324,29 @@ func (t *Table) ReadAt(key Key, ts uint64) ([]byte, error) {
 	return nil, ErrNotFound
 }
 
-// PutAt is Put stamped with a commit timestamp: the overwritten value
-// is retained on the version chain when MVCC is on. The timestamped
-// writes always copy the value (the hand-over of PutOwned is not
-// offered here: a version chain already costs an allocation per write).
+// Write is the one stamped record write, which every commit apply
+// takes: primaries, replicas, WAL replay and snapshot loads alike. ts
+// is the transaction's commit timestamp, 0 on a clockless store; the
+// store, not the caller, decides what a stamp costs — under MVCC the
+// overwritten state (a tombstone too) is retained on the version chain
+// until the watermark passes ts, otherwise nothing is retained and a
+// record stamped 0 carries no history. A tombstoned key is resurrected
+// in place (see seek), so its version keeps counting and, under MVCC,
+// the key reads as absent for snapshots between its delete and its
+// re-insert. owned hands value over uncopied (see Bucket.write).
+func (t *Table) Write(key Key, value []byte, ts uint64, mode WriteMode, owned bool) error {
+	return t.Bucket(key).write(t, key, value, ts, mode, owned)
+}
+
+// PutAt is an update stamped with ts. PutAt and UpsertAt stay as
+// wrappers of Write because benchmark/ compiles against them.
 func (t *Table) PutAt(key Key, value []byte, ts uint64) error {
-	return t.Bucket(key).write(key, value, ts, update, false, t)
+	return t.Write(key, value, ts, WriteUpdate, false)
 }
 
-// InsertAt is Insert stamped with a commit timestamp. Under MVCC a
-// tombstoned key is resurrected in place with its chain intact (the
-// tombstone becomes a retained version: the key reads as absent for
-// snapshots between the delete and this insert), and tombstone slots
-// of other keys are never reused — their chains must stay readable.
-func (t *Table) InsertAt(key Key, value []byte, ts uint64) error {
-	return t.Bucket(key).write(key, value, ts, insert, false, t)
-}
-
-// UpsertAt is Upsert stamped with a commit timestamp.
+// UpsertAt is an insert-or-overwrite stamped with ts.
 func (t *Table) UpsertAt(key Key, value []byte, ts uint64) {
-	_ = t.Bucket(key).write(key, value, ts, upsert, false, t) // upsert cannot fail
-}
-
-// DeleteAt is Delete stamped with a commit timestamp: the tombstone is
-// a new version, and the deleted value stays readable for older
-// snapshots.
-func (t *Table) DeleteAt(key Key, ts uint64) error {
-	b := t.Bucket(key)
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.tombstone(key, t, ts)
+	_ = t.Write(key, value, ts, WriteUpsert, false) // upsert cannot fail
 }
 
 // ChainDepth reports how many retained versions (beyond the live one)
@@ -362,7 +355,7 @@ func (t *Table) ChainDepth(key Key) int {
 	b := t.Bucket(key)
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	at, i, ok := b.seek(key, false)
+	at, i, ok := b.seek(key)
 	if !ok {
 		return 0
 	}

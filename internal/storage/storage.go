@@ -230,59 +230,51 @@ func (b *Bucket) isDead(i int) bool { return b.dead>>uint(i)&1 != 0 }
 // the bucket lock in at least shared mode when running under 2PL; OCC
 // calls Get without a lock and validates the version later.
 //
-// The returned slice is IMMUTABLE and never changes after the call: Put
-// replaces a record's value slice with a fresh copy instead of mutating
-// it in place, so readers hold a consistent snapshot without paying a
+// The returned slice is IMMUTABLE and never changes after the call: a
+// write replaces a record's value slice instead of mutating it in place, so readers hold a consistent snapshot without paying a
 // defensive copy on the hottest path in the system.
 func (b *Bucket) Get(key Key) (value []byte, version uint64, err error) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	at, i, ok := b.seek(key, true)
-	if !ok {
+	at, i, ok := b.seek(key)
+	if !ok || at.isDead(i) {
 		return nil, 0, ErrNotFound
 	}
 	e := &at.entries[i]
 	return e.value(), uint64(e.version), nil
 }
 
-// Version returns the record's current version without copying the value.
-func (b *Bucket) Version(key Key) (uint64, error) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	at, i, ok := b.seek(key, true)
-	if !ok {
-		return 0, ErrNotFound
-	}
-	return uint64(at.entries[i].version), nil
-}
-
-// writeMode says what a write requires of the key's current state.
-type writeMode uint8
+// WriteMode says what a write requires of the key's current state and
+// what it leaves behind.
+type WriteMode uint8
 
 const (
-	upsert writeMode = iota // insert or overwrite
-	update                  // the key must be live, else ErrNotFound
-	insert                  // the key must not be live, else ErrExists
+	WriteUpsert WriteMode = iota // insert or overwrite
+	WriteUpdate                  // the key must be live, else ErrNotFound
+	WriteInsert                  // the key must not be live, else ErrExists
+	WriteDelete                  // the key must be live, else ErrNotFound; leaves a tombstone
 )
 
-// seek is the one walk over a bucket chain, for reads and writes alike.
-// With ok it returns key's entry, at.entries[slot] — the live one, or
-// with reuse off (MVCC, where a tombstone keeps its version chain) key's
-// own tombstone too. Without, it returns where a new record goes: a
-// tombstone slot to recycle when reuse is on (slot >= 0), else the first
-// bucket with room, else the chain's last bucket (slot < 0). It reads an
-// entry only when the header's fingerprint for it matches.
-func (b *Bucket) seek(key Key, reuse bool) (at *Bucket, slot int, ok bool) {
+// seek is the one walk over a bucket chain, for reads and writes alike,
+// with one rule on every store. With ok it returns key's own entry,
+// at.entries[slot], live or tombstone: a key has at most one entry, so
+// a re-insert resurrects it in place and its version keeps counting.
+// Without, it returns where a new record goes: another key's tombstone
+// that carries no history (slot >= 0) — every tombstone of a clockless
+// store, none that an MVCC store stamped, whose chain must stay
+// readable — else the first bucket with room, else the chain's last
+// bucket (slot < 0). It reads an entry only when the header's
+// fingerprint for it matches.
+func (b *Bucket) seek(key Key) (at *Bucket, slot int, ok bool) {
 	tag := tagOf(key)
 	slot = -1
 	var room, last *Bucket
 	for cur := b; cur != nil; cur = cur.overflow {
 		for i := range cur.entries {
-			dead := cur.isDead(i)
-			if cur.tags[i] == tag && !(dead && reuse) && cur.entries[i].key == key {
+			if cur.tags[i] == tag && cur.entries[i].key == key {
 				return cur, i, true
 			}
-			if dead && reuse && slot < 0 {
+			if slot < 0 && cur.isDead(i) && cur.entries[i].hist == nil {
 				at, slot = cur, i
 			}
 		}
@@ -318,29 +310,31 @@ func (at *Bucket) add(slot int, e entry) {
 }
 
 // write is the one record-write path: a single seek under the bucket
-// mutex, then overwrite key's record or place a new one. With a table
-// (the timestamped Table.*At calls) the record is stamped with ts and,
-// under MVCC, the overwritten state is retained on its version chain —
-// a tombstoned key is resurrected in place, chain intact.
+// mutex, then overwrite key's entry — a delete leaves it a tombstone —
+// or place a new one. With a table (Table.Write) the record is stamped
+// with ts, and the store decides retention: under MVCC the overwritten
+// state goes onto its version chain. Without one (the unstamped Bucket
+// writes) an existing record keeps its stamp and chain.
 //
 // Stored values are immutable and exactly as long as their content.
 // write copies value unless owned says the caller hands it over: it
 // built the slice and nothing will write through it again. A value
 // handed over with spare capacity is still copied to its length, so no
 // record pins more memory than it holds.
-func (b *Bucket) write(key Key, value []byte, ts uint64, mode writeMode, owned bool, t *Table) error {
-	mvcc := t != nil && t.mv != nil && t.mv.on.Load()
+func (b *Bucket) write(t *Table, key Key, value []byte, ts uint64, mode WriteMode, owned bool) error {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	at, slot, found := b.seek(key, !mvcc)
+	at, slot, found := b.seek(key)
 	live := found && !at.isDead(slot)
 	switch {
-	case mode == update && !live:
+	case !live && (mode == WriteUpdate || mode == WriteDelete):
 		return ErrNotFound
-	case mode == insert && live:
+	case live && mode == WriteInsert:
 		return ErrExists
 	}
-	if !owned || cap(value) != len(value) {
+	if mode == WriteDelete {
+		value = nil
+	} else if !owned || cap(value) != len(value) {
 		v := make([]byte, len(value))
 		copy(v, value)
 		value = v
@@ -359,60 +353,30 @@ func (b *Bucket) write(key Key, value []byte, ts uint64, mode writeMode, owned b
 	}
 	e.setValue(value)
 	e.version++
-	at.dead &^= 1 << uint(slot)
+	if mode == WriteDelete {
+		at.dead |= 1 << uint(slot)
+	} else {
+		at.dead &^= 1 << uint(slot)
+	}
 	return nil
 }
 
 // Put updates an existing record, bumping its version. The value is
-// copied; see PutOwned.
+// copied. Put, Insert and Delete are the unstamped writes (loaders,
+// Repartition, probes; benchmark/ compiles against them); a commit
+// applies through Table.Write.
 func (b *Bucket) Put(key Key, value []byte) error {
-	return b.write(key, value, 0, update, false, nil)
-}
-
-// PutOwned is Put for a value handed over instead of copied (see write).
-func (b *Bucket) PutOwned(key Key, value []byte) error {
-	return b.write(key, value, 0, update, true, nil)
+	return b.write(nil, key, value, 0, WriteUpdate, false)
 }
 
 // Insert adds a new record. It fails with ErrExists if key is present.
 func (b *Bucket) Insert(key Key, value []byte) error {
-	return b.write(key, value, 0, insert, false, nil)
-}
-
-// Upsert inserts or overwrites.
-func (b *Bucket) Upsert(key Key, value []byte) {
-	_ = b.write(key, value, 0, upsert, false, nil) // upsert cannot fail
-}
-
-// UpsertOwned is Upsert for a handed-over value (see PutOwned).
-func (b *Bucket) UpsertOwned(key Key, value []byte) {
-	_ = b.write(key, value, 0, upsert, true, nil) // upsert cannot fail
+	return b.write(nil, key, value, 0, WriteInsert, false)
 }
 
 // Delete tombstones a record.
 func (b *Bucket) Delete(key Key) error {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.tombstone(key, nil, 0)
-}
-
-// tombstone marks key's live entry dead in its bucket's mask; with a
-// table (DeleteAt) the tombstone is a new version stamped ts. Caller
-// holds b.mu.
-func (b *Bucket) tombstone(key Key, t *Table, ts uint64) error {
-	at, i, ok := b.seek(key, true)
-	if !ok {
-		return ErrNotFound
-	}
-	e := &at.entries[i]
-	if t != nil {
-		t.retain(e, false, ts)
-		e.stamp(ts)
-	}
-	e.setValue(nil)
-	e.version++
-	at.dead |= 1 << uint(i)
-	return nil
+	return b.write(nil, key, nil, 0, WriteDelete, false)
 }
 
 // Len reports the number of live records in the bucket chain, from the

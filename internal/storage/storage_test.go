@@ -136,7 +136,7 @@ func TestVersionMonotonic(t *testing.T) {
 		if err := b.Put(3, []byte("b")); err != nil {
 			t.Fatal(err)
 		}
-		ver, err := b.Version(3)
+		_, ver, err := b.Get(3)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -51,6 +51,10 @@
 #      checker assembles on internal/deploy, its tests included, and
 #      chiller-node shares only the TPC-C sizing (tpcc.WarehousePerNode)
 #      with the bench client.
+#  12. One record write: outside internal/storage, _test.go files and
+#      benchmark/, no .go file calls MVCCEnabled — every apply goes
+#      through storage.Table.Write, and the store alone decides what a
+#      stamp retains.
 #
 # Exits non-zero with a list of offenders on failure.
 set -eu
@@ -163,6 +167,15 @@ offenders=$({
 } | grep -v -e '^\./benchmark/' -e '^\./cmd/chiller-bench/' || true)
 if [ -n "$offenders" ]; then
     echo "internal/bench imported outside cmd/chiller-bench (assemble with internal/deploy):" >&2
+    echo "$offenders" >&2
+    fail=1
+fi
+
+# --- 12. one record write --------------------------------------------------
+offenders=$(grep -rnE --include='*.go' --exclude='*_test.go' 'MVCCEnabled\(' . |
+    grep -v -e '^\./internal/storage/' -e '^\./benchmark/' || true)
+if [ -n "$offenders" ]; then
+    echo "the store kind read outside internal/storage (apply through storage.Table.Write; the store decides retention):" >&2
     echo "$offenders" >&2
     fail=1
 fi
