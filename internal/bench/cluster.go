@@ -42,8 +42,9 @@ const (
 
 // Cluster is a deploy.Cluster plus what only a harness needs: a plain
 // node slice, per-verb profiles, and the bank helpers. Crashes and
-// restarts are the deployment's own: Faults.Crash/Restart cut and revive
-// a node's links, and Reopen restarts it through deploy's construction.
+// restarts are the deployment's own: Faults.Partition/Heal cut a node
+// from every other and revive its links, and Reopen restarts it through
+// deploy's construction.
 type Cluster struct {
 	*deploy.Cluster
 	// Nodes mirrors the deployment's node list (node ID == index) as of

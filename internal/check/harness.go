@@ -82,8 +82,8 @@ type Config struct {
 	// Crash enables the crash-restart schedule: every node gets a
 	// NoSync write-ahead log in a fresh temp dir (the simulated crash
 	// keeps the process, and so the page cache, alive), and between two
-	// workload phases a seeded-random node is crashed (its droppable
-	// links cut) and restarted through deploy.Cluster.Reopen — the
+	// workload phases a seeded-random node is crashed (partitioned from
+	// every other node) and restarted through deploy.Cluster.Reopen — the
 	// construction chiller.Open and chiller-node run: WAL recovery into
 	// a fresh store, then the loader rerun on top, yielding to recovered
 	// keys. The node stays down into phase two — transactions needing it
@@ -209,9 +209,10 @@ func Run(cfg Config) (*Result, error) {
 			Droppable:  server.PreCommitVerbs,
 		}
 	} else if cfg.Crash {
-		// A crash needs a verb filter even with no drop dice: Crash cuts
-		// only droppable verbs (the protected control plane must drain),
-		// and a nil plan would make every verb fair game.
+		// A crash needs a verb filter even with no drop dice: its
+		// partition cuts only droppable verbs (the protected control
+		// plane must drain), and a nil plan would make every verb fair
+		// game.
 		plan = &transport.FaultPlan{Seed: cfg.Seed, Droppable: server.PreCommitVerbs}
 	}
 	var walDir string
@@ -341,7 +342,7 @@ func Run(cfg Config) (*Result, error) {
 	}
 
 	// settle quiesces the cluster between phases and at the end of the
-	// run: heal partitions (crashed nodes stay crashed), join the async
+	// run: heal partitions, join the async
 	// commit tails and the lane executors' queued work, then give
 	// participant state a few grace rounds to drain.
 	settle := func() bool {
@@ -391,12 +392,14 @@ func Run(cfg Config) (*Result, error) {
 		// Phase two starts with the recovered node still down — its links
 		// carry only the protected control plane — and revives it
 		// mid-phase, so the history covers traffic that raced the outage.
+		// Cuts nest, so a fault window over one of the victim's links
+		// does not revive it early.
 		var reviveWG sync.WaitGroup
 		reviveWG.Add(1)
 		go func() {
 			defer reviveWG.Done()
 			time.Sleep(2 * time.Millisecond)
-			c.Faults.Restart(transport.NodeID(crashed))
+			eachLink(crashed, c.Faults.Heal)
 		}()
 		engs := engines
 		if cfg.Promote {
@@ -448,6 +451,17 @@ func Run(cfg Config) (*Result, error) {
 	return res, nil
 }
 
+// eachLink calls edit on the link between node v and every other node:
+// the crash schedule cuts its victim off with Faults.Partition and
+// revives it with Faults.Heal.
+func eachLink(v int, edit func(a, b transport.NodeID)) {
+	for i := 0; i < cellPartitions; i++ {
+		if i != v {
+			edit(transport.NodeID(v), transport.NodeID(i))
+		}
+	}
+}
+
 // crashAndRecover is the inter-phase crash schedule: pick a seeded-random
 // victim, oracle-snapshot its acknowledged state, crash it and restart it
 // through deploy.Cluster.Reopen, rerun the loader on the new node, and
@@ -475,7 +489,7 @@ func crashAndRecover(cfg Config, c *deploy.Cluster, maxKey storage.Key) (victim,
 		})
 	}
 
-	c.Faults.Crash(transport.NodeID(v))
+	eachLink(v, c.Faults.Partition)
 	n, err := c.Reopen(v)
 	if err != nil {
 		return v, 0, fmt.Errorf("check: reopen node %d: %w", v, err)

@@ -151,8 +151,8 @@ func (e *Engine) hot(op *txn.OpSpec, args txn.Args) float64 {
 	return e.node.Directory().HotWeight(storage.RID{Table: op.Table, Key: key})
 }
 
-// Decide exposes the run-time region decision for a request (used by the
-// benchmark harness and tests to inspect planned regions).
+// Decide exposes the plan Run executes for a request, so tests and the
+// ledger's probes can inspect it.
 func (e *Engine) Decide(req *txn.Request) (depgraph.Decision, error) {
 	proc := e.node.Registry().Lookup(req.Proc)
 	if proc == nil {
@@ -209,7 +209,7 @@ func (e *Engine) run(ctx context.Context, req *txn.Request, routed bool) txn.Res
 	host := n.Directory().Topology().Primary(cluster.PartitionID(dec.InnerHost))
 	switch {
 	case host == n.ID():
-		return e.runTwoRegion(ctx, req, proc, g, dec)
+		return e.runTwoRegion(ctx, req, proc, dec)
 	case routed:
 		// The origin's directory named this node the inner host and ours
 		// does not (a handoff landed in between). Nothing is locked yet;
@@ -228,7 +228,7 @@ func (e *Engine) run(ctx context.Context, req *txn.Request, routed bool) txn.Res
 // runTwoRegion executes steps 3-5 of §3.3 with this node coordinating.
 // Precondition: this node primaries the inner partition (dec.InnerHost),
 // so the inner region is a call on one of its own lanes.
-func (e *Engine) runTwoRegion(ctx context.Context, req *txn.Request, proc *txn.Procedure, g *depgraph.Graph, dec depgraph.Decision) txn.Result {
+func (e *Engine) runTwoRegion(ctx context.Context, req *txn.Request, proc *txn.Procedure, dec depgraph.Decision) txn.Result {
 	n := e.node
 	s := newScratch(n, req, proc)
 	// This node takes part through the inner region, whether or not an
@@ -243,14 +243,13 @@ func (e *Engine) runTwoRegion(ctx context.Context, req *txn.Request, proc *txn.P
 	}
 
 	// Step 3: read and lock the outer region. Within the outer region the
-	// lock order is itself re-ordered hot-last (§3: locks on the most
-	// contended records are acquired last "if possible"): a hot record
-	// that could not join the inner region still gets the shortest span
-	// the outer region can give it. Lock acquisition is pipelined: every
-	// op the hot-last partial order allows to proceed is batched per
-	// participant and fanned out in one concurrent wave.
-	outerOrder := e.hotLastOrder(g, req.Args, dec.OuterOps)
-	if reason, ok := e.lockOuter(ctx, proc, req.Args, outerOrder, s); !ok {
+	// plan's late ops are locked last (§3: locks on the most contended
+	// records are acquired last "if possible"): a hot record that could
+	// not join the inner region still gets the shortest span the outer
+	// region can give it. Lock acquisition is pipelined: every op whose
+	// key resolves is batched per participant and fanned out in one
+	// concurrent wave.
+	if reason, ok := e.lockOuter(ctx, proc, req.Args, &dec, s); !ok {
 		return abort(reason)
 	}
 
@@ -260,21 +259,27 @@ func (e *Engine) runTwoRegion(ctx context.Context, req *txn.Request, proc *txn.P
 		return abort(reason)
 	}
 
-	// Step 4: execute and commit the inner region, on the lane owning its
-	// hottest record. A lock conflict inside it means some other
-	// transaction's outer region holds one of our hot records — a window
-	// of at most a couple of round trips. The outer locks we already
-	// hold are cold (uncontended), so tearing the transaction down and
-	// re-acquiring them costs far more than briefly re-requesting the
-	// inner region; as with the hot-wave re-request, the bound keeps
-	// cross-transaction stalls finite and participants stay NO_WAIT.
-	reason := s.execInnerOnLane(n, proc, req.Args, dec.InnerOps)
+	// Step 4: execute and commit the inner region, on the lane owning the
+	// plan's hottest record, chosen once: inner regions competing for that
+	// record share one single-threaded lane and never NO_WAIT-abort each
+	// other (lock words arbitrate any other overlap). A lock conflict
+	// inside it means some other transaction's outer region holds one of
+	// our hot records — a window of at most a couple of round trips. The
+	// outer locks we already hold are cold (uncontended), so tearing the
+	// transaction down and re-acquiring them costs far more than briefly
+	// re-requesting the inner region; as with the hot-wave re-request, the
+	// bound keeps cross-transaction stalls finite and participants stay
+	// NO_WAIT.
+	hottest := &proc.Ops[dec.Hottest]
+	hotKey, _ := hottest.Key(req.Args, nil) // a hot op's key resolves from args
+	lane := n.Directory().Lane(storage.RID{Table: hottest.Table, Key: hotKey})
+	reason := s.execInnerOnLane(n, lane, proc, req.Args, dec.InnerOps)
 	for attempt := 0; attempt < hotWaveRetries && reason == txn.AbortLockConflict; attempt++ {
 		if !rerequestPause(ctx, attempt) {
 			reason = txn.AbortCancelled
 			break
 		}
-		reason = s.execInnerOnLane(n, proc, req.Args, dec.InnerOps)
+		reason = s.execInnerOnLane(n, lane, proc, req.Args, dec.InnerOps)
 	}
 	if reason != txn.AbortNone {
 		return abort(reason)
@@ -359,59 +364,6 @@ func (e *Engine) finish(s *scratch, w *server.Wave) {
 	s.release()
 }
 
-// hotLastOrder re-orders the outer ops so cold records are locked first
-// and hot records last, provided the result still satisfies every pk-dep
-// (v-deps never restrict order, §3.2). If the reorder is illegal it
-// returns the original ascending order.
-func (e *Engine) hotLastOrder(g *depgraph.Graph, args txn.Args, outerOps []int) []int {
-	hot := e.hot
-	proc := g.Proc()
-	anyHot := false
-	for _, op := range outerOps {
-		if hot(&proc.Ops[op], args) > 0 {
-			anyHot = true
-			break
-		}
-	}
-	if !anyHot {
-		return outerOps
-	}
-	reordered := make([]int, 0, len(outerOps))
-	var hotOps []int
-	for _, op := range outerOps {
-		if hot(&proc.Ops[op], args) > 0 {
-			hotOps = append(hotOps, op)
-		} else {
-			reordered = append(reordered, op)
-		}
-	}
-	reordered = append(reordered, hotOps...)
-	// Legality check over the full execution order implied for this
-	// transaction: reordered outer ops must still respect pk-deps among
-	// themselves (inner ops run after and are unaffected).
-	pos := make([]int, len(proc.Ops))
-	for i := range pos {
-		pos[i] = -1 // not an outer op
-	}
-	for i, op := range reordered {
-		pos[op] = i
-	}
-	for _, op := range reordered {
-		for _, dep := range proc.Ops[op].PKDeps {
-			if p := pos[dep]; p >= 0 && p > pos[op] {
-				return outerOps // illegal: keep original order
-			}
-		}
-	}
-	return reordered
-}
-
-// pendingOp is an outer op lockOuter has not locked yet.
-type pendingOp struct {
-	op   int
-	late bool // trailing hot block: locked only after all cold ops
-}
-
 // scratch is one two-region transaction's working memory, pooled: the
 // shared coordinator context (cc.Txn: read set, participants, lock-wave
 // batches, the write set) plus what only this policy needs — the outer
@@ -425,7 +377,7 @@ type scratch struct {
 	*cc.Txn
 
 	// Lock waves: the ops not yet locked and the current wave.
-	pend []pendingOp
+	pend []int
 	wave []int
 
 	// Inner region: the bucket locks held and, once it committed (with
@@ -450,72 +402,63 @@ func (s *scratch) release() {
 }
 
 // lockOuter acquires locks and performs reads for the outer ops in
-// concurrent waves. Each wave takes every remaining op the hot-last
-// partial order admits — an op is held back only while its key is still
-// unresolvable (a pk-dep on an earlier outer read) or while it belongs to
-// the trailing hot block and cold ops are still pending — groups the wave
-// by participant node, and fans the per-node batches out as simultaneous
+// concurrent waves, in the plan's two phases: the early ops, then the
+// late ones (an early op never pk-depends on a late one). Each wave takes
+// every op of the phase whose key resolves — an op is held back only
+// while its key depends on an earlier outer read — groups the wave by
+// participant node, and fans the per-node batches out as simultaneous
 // lock-and-read calls. Writes are not materialized here — outer mutators
 // may depend on inner reads.
-func (e *Engine) lockOuter(ctx context.Context, proc *txn.Procedure, args txn.Args, outerOps []int, s *scratch) (txn.AbortReason, bool) {
-	hot := e.hot
-
-	// hotLastOrder produces ...cold..., ...hot...; sequencing applies only
-	// to that trailing all-hot block (when the reorder was illegal the
-	// order is ascending and hot ops sit mid-list, carrying no barrier).
-	barrier := len(outerOps)
-	for barrier > 0 && hot(&proc.Ops[outerOps[barrier-1]], args) > 0 {
-		barrier--
+func (e *Engine) lockOuter(ctx context.Context, proc *txn.Procedure, args txn.Args, dec *depgraph.Decision, s *scratch) (txn.AbortReason, bool) {
+	early, late := s.pend[:0], dec.Late
+	for _, op := range dec.OuterOps {
+		if len(late) > 0 && late[0] == op {
+			late = late[1:]
+		} else {
+			early = append(early, op)
+		}
 	}
-
-	pend := s.pend[:0]
-	for i, op := range outerOps {
-		pend = append(pend, pendingOp{op: op, late: i >= barrier})
+	s.pend = early
+	if reason, ok := e.lockWaves(ctx, proc, args, early, false, s); !ok {
+		return reason, false
 	}
-	s.pend = pend
+	s.pend = append(early[:0], dec.Late...)
+	return e.lockWaves(ctx, proc, args, s.pend, true, s)
+}
 
+// lockWaves locks one phase's ops, pend, wave by wave; it consumes pend.
+// A late phase's failed wave climbs the bounded re-request ladder.
+func (e *Engine) lockWaves(ctx context.Context, proc *txn.Procedure, args txn.Args, pend []int, late bool, s *scratch) (txn.AbortReason, bool) {
 	for len(pend) > 0 {
 		// Wave boundary: a cancelled coordinator stops acquiring and
 		// lets the caller release what earlier waves locked.
 		if reason, done := cc.Cancelled(ctx); done {
 			return reason, false
 		}
-		anyEarly := false
-		for _, p := range pend {
-			if !p.late {
-				anyEarly = true
-				break
-			}
-		}
 		wave := s.wave[:0]
 		next := pend[:0]
-		for _, p := range pend {
-			if p.late && anyEarly {
-				next = append(next, p)
-				continue
+		for _, op := range pend {
+			if _, ok := proc.Ops[op].Key(args, s.Reads); ok {
+				wave = append(wave, op)
+			} else {
+				next = append(next, op)
 			}
-			if _, ok := proc.Ops[p.op].Key(args, s.Reads); !ok {
-				next = append(next, p)
-				continue
-			}
-			wave = append(wave, p.op)
 		}
 		s.wave = wave
 		if len(wave) == 0 {
 			// Remaining keys depend on reads that can never arrive.
 			return txn.AbortInternal, false
 		}
-		lateWave := !anyEarly
 		reason, ok := e.lockWave(proc, args, wave, s)
-		// Bounded re-request of a failed trailing hot wave: the cold
-		// locks already held are uncontended by definition, so tearing
+		// Bounded re-request of a failed late wave: the cold locks
+		// already held are uncontended by definition, so tearing
 		// everything down on a NO_WAIT conflict only to re-acquire the
 		// same cold locks wastes round trips and lengthens every span.
 		// The coordinator instead re-issues just the failed hot batches a
 		// few times (participants never block — this is still NO_WAIT at
 		// the lock table; the bound keeps cross-transaction stalls from
 		// turning into deadlock).
-		if !ok && lateWave {
+		if !ok && late {
 			for attempt := 0; attempt < hotWaveRetries &&
 				!ok && reason == txn.AbortLockConflict && len(s.Failed) > 0; attempt++ {
 				if !rerequestPause(ctx, attempt) {
@@ -599,7 +542,8 @@ func (e *Engine) lockWave(proc *txn.Procedure, args txn.Args, wave []int, s *scr
 	// the jittered backoff (here and in the closed-loop runner) is what
 	// desynchronizes those, the standard NO_WAIT answer. Response
 	// semantics are order-independent (reads are keyed by op id), and a
-	// wave is never mixed cold/hot, so hot-last ordering is unaffected.
+	// wave never mixes early and late ops, so hot-last ordering is
+	// unaffected.
 	for i := range s.Batches {
 		slices.SortFunc(s.Batches[i].Entries, func(x, y server.LockEntry) int {
 			return cmp.Or(cmp.Compare(x.Table, y.Table), cmp.Compare(x.Key, y.Key))

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"github.com/chillerdb/chiller/internal/cluster"
-	"github.com/chillerdb/chiller/internal/depgraph"
 	"github.com/chillerdb/chiller/internal/server"
 	"github.com/chillerdb/chiller/internal/storage"
 	"github.com/chillerdb/chiller/internal/testutil"
@@ -45,14 +44,17 @@ func newHarness(t *testing.T) (*Engine, *server.Node) {
 	return New(node), node
 }
 
-// execInnerOn runs an inner region on the node's lanes with a scratch of
-// its own, as runTwoRegion does once the outer region is locked, and
-// joins the replica acks of a committed one (txn.AbortNone).
+// execInnerOn runs an inner region on the lane of its first op's record
+// with a scratch of its own, as runTwoRegion does once the outer region is
+// locked, and joins the replica acks of a committed one (txn.AbortNone).
 func execInnerOn(n *server.Node, txnID uint64, proc *txn.Procedure, args txn.Args, innerOps []int, reads txn.ReadSet) txn.AbortReason {
 	s := newScratch(n, &txn.Request{ID: txnID}, proc)
 	defer s.release()
 	s.Reads = reads
-	reason := s.execInnerOnLane(n, proc, args, innerOps)
+	op := &proc.Ops[innerOps[0]]
+	k, _ := op.Key(args, reads)
+	lane := n.Directory().Lane(storage.RID{Table: op.Table, Key: k})
+	reason := s.execInnerOnLane(n, lane, proc, args, innerOps)
 	if reason == txn.AbortNone && s.ack.Await() != nil {
 		panic("fabric closed under an inner region")
 	}
@@ -64,67 +66,6 @@ func execInnerLocal(n *server.Node, txnID uint64, procName string, innerOps []in
 		reads = txn.ReadSet{}
 	}
 	return execInnerOn(n, txnID, n.Registry().Lookup(procName), nil, innerOps, reads)
-}
-
-func TestHotLastOrder(t *testing.T) {
-	e, node := newHarness(t)
-	proc := &txn.Procedure{
-		Name: "p",
-		Ops: []txn.OpSpec{
-			{ID: 0, Type: txn.OpUpdate, Table: 1, Key: key(7), Mutate: setVal(1)}, // hot
-			{ID: 1, Type: txn.OpRead, Table: 1, Key: key(2)},
-			{ID: 2, Type: txn.OpRead, Table: 1, Key: key(3)},
-		},
-	}
-	if err := node.Registry().Register(proc); err != nil {
-		t.Fatal(err)
-	}
-	g, err := depgraph.Build(proc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := e.hotLastOrder(g, nil, []int{0, 1, 2})
-	want := []int{1, 2, 0}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("order = %v, want %v", got, want)
-		}
-	}
-	// No hot ops: unchanged.
-	got2 := e.hotLastOrder(g, nil, []int{1, 2})
-	if len(got2) != 2 || got2[0] != 1 {
-		t.Fatalf("cold order changed: %v", got2)
-	}
-}
-
-func TestHotLastOrderRespectsPKDeps(t *testing.T) {
-	e, node := newHarness(t)
-	// Cold op 1's key depends on hot op 0's read: moving 0 after 1 is
-	// illegal, so the original order must be kept.
-	proc := &txn.Procedure{
-		Name: "dep",
-		Ops: []txn.OpSpec{
-			{ID: 0, Type: txn.OpRead, Table: 1, Key: key(7)}, // hot
-			{ID: 1, Type: txn.OpRead, Table: 1, Key: func(_ txn.Args, reads txn.ReadSet) (storage.Key, bool) {
-				v, ok := reads[0]
-				if !ok {
-					return 0, false
-				}
-				return storage.Key(v[0] % 10), true
-			}, PKDeps: []int{0}},
-		},
-	}
-	if err := node.Registry().Register(proc); err != nil {
-		t.Fatal(err)
-	}
-	g, err := depgraph.Build(proc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := e.hotLastOrder(g, nil, []int{0, 1})
-	if got[0] != 0 || got[1] != 1 {
-		t.Fatalf("illegal reorder accepted: %v", got)
-	}
 }
 
 func TestExecInnerLocalCommitsUnilaterally(t *testing.T) {

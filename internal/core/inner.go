@@ -78,44 +78,9 @@ func (e *Engine) route(host transport.NodeID, req *txn.Request) txn.Result {
 	return res
 }
 
-// innerLane picks the execution lane that serializes an inner region:
-// the lane owning the region's most contended record (by the §4.4
-// lookup table's weight), so all inner regions competing for the same
-// hot record land on the same single-threaded lane and never NO_WAIT-
-// abort each other — the per-lane restatement of the paper's
-// single-threaded-engine argument. Records whose keys depend on inner
-// reads are skipped (unresolvable pre-execution); a region with no
-// resolvable key runs on lane 0. Conflicts between regions placed on
-// different lanes (overlap on a record that is hottest in neither) are
-// still arbitrated by the bucket lock words, backed by the
-// coordinator's bounded re-request ladder.
-func innerLane(n *server.Node, proc *txn.Procedure, args txn.Args, innerOps []int, reads txn.ReadSet) int {
-	dir := n.Directory()
-	if dir.Lanes() <= 1 {
-		return 0
-	}
-	lane, bestW := 0, -1.0
-	for _, opID := range innerOps {
-		if opID < 0 || opID >= len(proc.Ops) {
-			continue
-		}
-		op := &proc.Ops[opID]
-		key, ok := op.Key(args, reads)
-		if !ok {
-			continue
-		}
-		rid := storage.RID{Table: op.Table, Key: key}
-		if w := dir.HotWeight(rid); w > bestW {
-			bestW = w
-			lane = dir.Lane(rid)
-		}
-	}
-	return lane
-}
-
 // execInnerOnLane executes and unilaterally commits an inner region on
 // this node: the whole region — lock, execute, stream, apply — runs on
-// the serial executor of the lane owning its hottest record, modelling
+// the serial executor of lane (the lane owning its hottest record), modelling
 // the paper's single-threaded execution engines (one per core, several
 // per node): inner regions competing for the same hot record never abort
 // each other, regions on distinct lanes proceed in parallel, and the
@@ -134,10 +99,10 @@ func innerLane(n *server.Node, proc *txn.Procedure, args txn.Args, innerOps []in
 // region's values on entry) is extended in place with the inner reads,
 // and on success — txn.AbortNone — s.TS and s.ack carry the commit
 // timestamp and the replica-ack waiter.
-func (s *scratch) execInnerOnLane(n *server.Node, proc *txn.Procedure, args txn.Args, innerOps []int) txn.AbortReason {
+func (s *scratch) execInnerOnLane(n *server.Node, lane int, proc *txn.Procedure, args txn.Args, innerOps []int) txn.AbortReason {
 	var reason txn.AbortReason
 	var durable wal.Ticket
-	n.WithLaneSerial(innerLane(n, proc, args, innerOps, s.Reads), func() {
+	n.WithLaneSerial(lane, func() {
 		reason, durable = s.execInner(n, proc, args, innerOps)
 	})
 	// Durability wait off the lane, on the coordinator's goroutine: the

@@ -8,12 +8,15 @@
 // value can be computed, not when its lock can be taken.
 //
 // At run time, given the partitioning and the hot-record lookup table, the
-// Decide function selects the inner host and splits the operations into
-// the outer and inner regions (steps 1-2 of §3.3).
+// Decide function returns a transaction's whole plan: the inner host, the
+// split of the operations into the outer and inner regions (steps 1-2 of
+// §3.3), the outer locks postponed to the end of the expanding phase, and
+// the inner op whose record's lane serializes the inner region.
 package depgraph
 
 import (
 	"fmt"
+	"slices"
 
 	"github.com/chillerdb/chiller/internal/txn"
 )
@@ -26,8 +29,6 @@ type Graph struct {
 	// pkDesc[i] lists ops whose key depends transitively on op i, in
 	// ascending order.
 	pkDesc [][]int
-	// vChildren[i] lists ops whose new value depends on op i.
-	vChildren [][]int
 }
 
 // Build constructs the graph from a procedure's declared dependencies.
@@ -42,14 +43,10 @@ func Build(p *txn.Procedure) (*Graph, error) {
 		proc:       p,
 		pkChildren: make([][]int, n),
 		pkDesc:     make([][]int, n),
-		vChildren:  make([][]int, n),
 	}
 	for i := range p.Ops {
 		for _, d := range p.Ops[i].PKDeps {
 			g.pkChildren[d] = append(g.pkChildren[d], i)
-		}
-		for _, d := range p.Ops[i].VDeps {
-			g.vChildren[d] = append(g.vChildren[d], i)
 		}
 	}
 	// Transitive closure over pk edges. Ops are topologically ordered by
@@ -89,9 +86,6 @@ func (g *Graph) PKChildren(i int) []int { return g.pkChildren[i] }
 
 // PKDescendants returns ops whose key transitively depends on op i.
 func (g *Graph) PKDescendants(i int) []int { return g.pkDesc[i] }
-
-// VChildren returns ops whose value computation depends on op i.
-func (g *Graph) VChildren(i int) []int { return g.vChildren[i] }
 
 // ValidOrder reports whether executing ops in the given order respects
 // every pk-dep (an op must run after all its pk-parents). order must be a
@@ -136,7 +130,8 @@ type PartitionResolver func(op *txn.OpSpec, args txn.Args) (partition int, ok bo
 // records are by definition identifiable up front).
 type HotFunc func(op *txn.OpSpec, args txn.Args) float64
 
-// Decision is the outcome of the run-time region split (§3.3 steps 1-2).
+// Decision is a transaction's plan: the run-time region split (§3.3
+// steps 1-2) and the order and lane the engine executes it in.
 type Decision struct {
 	// TwoRegion is true when the transaction should run under the
 	// two-region model. False means no hot records were found (or no
@@ -150,6 +145,14 @@ type Decision struct {
 	InnerOps []int
 	// OuterOps are the remaining op IDs in ascending order.
 	OuterOps []int
+	// Late are the outer ops locked after every other outer op, in
+	// ascending order: the hot ops that could not join the inner region.
+	// nil when there are none.
+	Late []int
+	// Hottest is the inner op with the largest contention weight (the
+	// first one on a tie); -1 without an inner region. Its record's lane
+	// serializes the inner region.
+	Hottest int
 }
 
 // InnerSet returns the inner ops as a membership set.
@@ -161,8 +164,7 @@ func (d *Decision) InnerSet() map[int]bool {
 	return m
 }
 
-// Decide performs the run-time region decision for one transaction
-// instance:
+// Decide plans one transaction instance:
 //
 //  1. Every op touching a hot record is examined. A hot op h is an inner
 //     candidate iff every op whose key transitively depends on h can be
@@ -174,6 +176,10 @@ func (d *Decision) InnerSet() map[int]bool {
 //     region is the union of the winning candidates and their pk
 //     descendants. Closure over pk-deps holds by construction: every
 //     descendant of an inner op is inner.
+//  3. The hot outer ops are locked last, "if possible" (§3): all of them
+//     when no cold outer op's key pk-depends on one, otherwise only those
+//     that trail the last cold outer op. The hottest inner op names the
+//     inner region's lane.
 func Decide(g *Graph, args txn.Args, resolve PartitionResolver, hot HotFunc) Decision {
 	ops := g.proc.Ops
 	type cand struct {
@@ -182,11 +188,16 @@ func Decide(g *Graph, args txn.Args, resolve PartitionResolver, hot HotFunc) Dec
 		weight float64
 	}
 	// The working set is on the stack up to decideStack ops (longer
-	// procedures spill to the heap); split is the one allocation.
+	// procedures spill to the heap); the op lists are the one allocation.
 	var candBuf [decideStack]cand
-	candidates := candBuf[:0]
+	var weightBuf [decideStack]float64
+	candidates, weight := candBuf[:0], weightBuf[:]
+	if len(ops) > decideStack {
+		weight = make([]float64, len(ops))
+	}
 	for i := range ops {
 		w := hot(&ops[i], args)
+		weight[i] = w
 		if w <= 0 {
 			continue
 		}
@@ -206,12 +217,12 @@ func Decide(g *Graph, args txn.Args, resolve PartitionResolver, hot HotFunc) Dec
 			candidates = append(candidates, cand{op: i, part: hp, weight: w})
 		}
 	}
-	split := make([]int, len(ops))
 	if len(candidates) == 0 {
+		split := make([]int, len(ops))
 		for i := range split {
 			split[i] = i
 		}
-		return Decision{TwoRegion: false, InnerHost: -1, OuterOps: split}
+		return Decision{TwoRegion: false, InnerHost: -1, OuterOps: split, Hottest: -1}
 	}
 
 	// Step 2: pick the partition carrying the largest hot contention
@@ -247,20 +258,52 @@ func Decide(g *Graph, args txn.Args, resolve PartitionResolver, hot HotFunc) Dec
 			inner[d] = true
 		}
 	}
-	nInner := 0
-	for _, in := range inner[:len(ops)] {
-		if in {
-			nInner++
+
+	// Step 3: the outer lock order. Moving a hot op behind a cold one is
+	// illegal only when the cold op's key pk-depends on it (an outer op
+	// never pk-depends on an inner one).
+	allLate, lastCold := true, -1
+	for i := range ops {
+		if inner[i] || weight[i] > 0 {
+			continue
+		}
+		lastCold = i
+		for _, d := range ops[i].PKDeps {
+			if weight[d] > 0 {
+				allLate = false
+			}
 		}
 	}
-	// Both op lists share split: inner ops fill its front, outer ops the
-	// rest, and the capacity cut keeps an append to InnerOps off OuterOps.
-	d := Decision{TwoRegion: true, InnerHost: best, InnerOps: split[:0:nInner], OuterOps: split[nInner:nInner]}
+	late := func(i int) bool { return !inner[i] && weight[i] > 0 && (allLate || i > lastCold) }
+	nInner, nLate, hottest := 0, 0, -1
+	for i := range ops {
+		switch {
+		case inner[i]:
+			nInner++
+			if hottest == -1 || weight[i] > weight[hottest] {
+				hottest = i
+			}
+		case late(i):
+			nLate++
+		}
+	}
+	// All three op lists share split: inner ops fill its front, outer ops
+	// the middle and the late ops its tail, and the capacity cuts keep an
+	// append to one list off the next.
+	split := make([]int, len(ops)+nLate)
+	d := Decision{TwoRegion: true, InnerHost: best, InnerOps: split[:0:nInner],
+		OuterOps: split[nInner:nInner:len(ops)], Hottest: hottest}
+	if nLate > 0 {
+		d.Late = split[len(ops):len(ops)]
+	}
 	for i := range ops {
 		if inner[i] {
 			d.InnerOps = append(d.InnerOps, i)
-		} else {
-			d.OuterOps = append(d.OuterOps, i)
+			continue
+		}
+		d.OuterOps = append(d.OuterOps, i)
+		if late(i) {
+			d.Late = append(d.Late, i)
 		}
 	}
 	return d
@@ -270,25 +313,34 @@ func Decide(g *Graph, args txn.Args, resolve PartitionResolver, hot HotFunc) Dec
 // stays on the stack (a 15-line TPC-C NewOrder has 35 ops).
 const decideStack = 64
 
-// ExecutionOrder returns the full op order implied by a decision: outer
-// ops first, then inner ops, each group in ascending op-ID order. This is
-// the re-ordering of §3: lock acquisition for hot records is postponed to
-// the end of the expanding phase.
+// ExecutionOrder returns the full op order implied by a decision: the
+// outer ops not in Late, then Late, then the inner ops, each group in
+// ascending op-ID order. This is the re-ordering of §3: lock acquisition
+// for hot records is postponed to the end of the expanding phase.
 func (d *Decision) ExecutionOrder() []int {
 	out := make([]int, 0, len(d.OuterOps)+len(d.InnerOps))
-	out = append(out, d.OuterOps...)
-	out = append(out, d.InnerOps...)
-	return out
+	for _, op := range d.OuterOps {
+		if !slices.Contains(d.Late, op) {
+			out = append(out, op)
+		}
+	}
+	out = append(out, d.Late...)
+	return append(out, d.InnerOps...)
 }
 
 // CheckDecision verifies the structural invariants of a decision against
-// the graph: (a) inner+outer partition the op set, (b) no outer op has a
-// pk-dep on an inner op, and (c) the combined order is valid. It is used
-// by tests and by the engine's debug mode.
+// the graph: (a) inner+outer partition the op set and Late is a subset of
+// the outer ops, (b) no outer op has a pk-dep on an inner op, (c) the
+// execution order is valid, and (d) a two-region decision's Hottest is an
+// inner op. Tests use it to certify Decide.
 func CheckDecision(g *Graph, d *Decision) error {
 	n := len(g.proc.Ops)
+	order := d.ExecutionOrder()
+	if len(order) != len(d.OuterOps)+len(d.InnerOps) {
+		return fmt.Errorf("depgraph: late ops %v are not all outer ops", d.Late)
+	}
 	seen := make([]bool, n)
-	for _, op := range append(append([]int{}, d.OuterOps...), d.InnerOps...) {
+	for _, op := range order {
 		if op < 0 || op >= n {
 			return fmt.Errorf("depgraph: op %d out of range", op)
 		}
@@ -310,8 +362,11 @@ func CheckDecision(g *Graph, d *Decision) error {
 			}
 		}
 	}
-	if !g.ValidOrder(d.ExecutionOrder()) {
+	if !g.ValidOrder(order) {
 		return fmt.Errorf("depgraph: decision order violates pk-deps")
+	}
+	if d.TwoRegion && !inner[d.Hottest] {
+		return fmt.Errorf("depgraph: hottest op %d is not an inner op", d.Hottest)
 	}
 	return nil
 }

@@ -1,6 +1,7 @@
 package depgraph
 
 import (
+	"slices"
 	"testing"
 
 	"github.com/chillerdb/chiller/internal/storage"
@@ -49,9 +50,6 @@ func TestBuildEdges(t *testing.T) {
 	}
 	if got := g.PKChildren(1); len(got) != 1 || got[0] != 2 {
 		t.Errorf("PKChildren(1) = %v, want [2]", got)
-	}
-	if got := g.VChildren(0); len(got) != 2 {
-		t.Errorf("VChildren(0) = %v, want 2 ops", got)
 	}
 	if got := g.PKDescendants(0); len(got) != 1 || got[0] != 5 {
 		t.Errorf("PKDescendants(0) = %v", got)
@@ -244,12 +242,101 @@ func TestDecideUnresolvableHotChild(t *testing.T) {
 }
 
 func TestExecutionOrder(t *testing.T) {
-	d := Decision{TwoRegion: true, InnerHost: 1, InnerOps: []int{0, 3}, OuterOps: []int{1, 2}}
-	order := d.ExecutionOrder()
-	want := []int{1, 2, 0, 3}
-	for i := range want {
-		if order[i] != want[i] {
-			t.Fatalf("order = %v, want %v", order, want)
+	d := Decision{TwoRegion: true, InnerHost: 1, InnerOps: []int{0, 3}, OuterOps: []int{1, 2, 4}, Late: []int{1}}
+	if got, want := d.ExecutionOrder(), []int{2, 4, 1, 0, 3}; !slices.Equal(got, want) {
+		t.Fatalf("order = %v, want %v", got, want)
+	}
+}
+
+// A hot op on a losing partition stays outer and is locked after every
+// cold outer op: nothing pk-depends on it, so all of the outer region's
+// hot ops are late.
+func TestDecideLateHotOnLosingPartition(t *testing.T) {
+	p := &txn.Procedure{
+		Name: "losing",
+		Ops: []txn.OpSpec{
+			{ID: 0, Type: txn.OpUpdate, Table: 2, Key: key(7), Mutate: mut}, // hot, partition 1
+			{ID: 1, Type: txn.OpRead, Table: 1, Key: key(2)},
+			{ID: 2, Type: txn.OpRead, Table: 1, Key: key(3)},
+			{ID: 3, Type: txn.OpUpdate, Table: 3, Key: key(4), Mutate: mut}, // hot, partition 2
+			{ID: 4, Type: txn.OpUpdate, Table: 3, Key: key(5), Mutate: mut}, // hot, partition 2
+		},
+	}
+	g, _ := Build(p)
+	d := Decide(g, nil, partResolver(map[storage.TableID]int{1: 0, 2: 1, 3: 2}), hotOps(0, 3, 4))
+	if !d.TwoRegion || d.InnerHost != 2 || !slices.Equal(d.Late, []int{0}) {
+		t.Fatalf("decision = %+v, want inner host 2 and Late [0]", d)
+	}
+	if got, want := d.ExecutionOrder(), []int{1, 2, 0, 3, 4}; !slices.Equal(got, want) {
+		t.Fatalf("order = %v, want %v", got, want)
+	}
+	if err := CheckDecision(g, &d); err != nil {
+		t.Fatal(err)
+	}
+	// Only cold ops beside the inner region: nothing is late, and no
+	// late list is allocated.
+	d = Decide(g, nil, partResolver(map[storage.TableID]int{1: 0, 2: 1, 3: 2}), hotOps(3, 4))
+	if d.Late != nil {
+		t.Fatalf("Late = %v, want nil", d.Late)
+	}
+}
+
+// A hot op whose pk-child lives on another partition stays outer, and a
+// cold op's key depends on it: it cannot move behind that cold op, so
+// only the hot op trailing the last cold op is late.
+func TestDecideLateRespectsPKDeps(t *testing.T) {
+	p := &txn.Procedure{
+		Name: "dep",
+		Ops: []txn.OpSpec{
+			{ID: 0, Type: txn.OpRead, Table: 1, Key: key(1)},                   // hot, partition 1
+			{ID: 1, Type: txn.OpRead, Table: 2, Key: key(2), PKDeps: []int{0}}, // cold child, partition 0
+			{ID: 2, Type: txn.OpUpdate, Table: 3, Key: key(3), Mutate: mut},    // hot, partition 2
+			{ID: 3, Type: txn.OpUpdate, Table: 3, Key: key(4), Mutate: mut},    // hot, partition 2
+			{ID: 4, Type: txn.OpUpdate, Table: 1, Key: key(5), Mutate: mut},    // hot, partition 1
+		},
+	}
+	g, _ := Build(p)
+	d := Decide(g, nil, partResolver(map[storage.TableID]int{1: 1, 2: 0, 3: 2}), hotOps(0, 2, 3, 4))
+	if !d.TwoRegion || d.InnerHost != 2 || !slices.Equal(d.Late, []int{4}) {
+		t.Fatalf("decision = %+v, want inner host 2 and Late [4]", d)
+	}
+	if got, want := d.ExecutionOrder(), []int{0, 1, 4, 2, 3}; !slices.Equal(got, want) {
+		t.Fatalf("order = %v, want %v", got, want)
+	}
+	if err := CheckDecision(g, &d); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// Hottest is the inner op with the largest weight, the first one on a
+// tie; a transaction without an inner region has none.
+func TestDecideHottest(t *testing.T) {
+	p := &txn.Procedure{
+		Name: "weights",
+		Ops: []txn.OpSpec{
+			{ID: 0, Type: txn.OpUpdate, Table: 1, Key: key(1), Mutate: mut},
+			{ID: 1, Type: txn.OpUpdate, Table: 1, Key: key(2), Mutate: mut},
+			{ID: 2, Type: txn.OpUpdate, Table: 1, Key: key(3), Mutate: mut},
+			{ID: 3, Type: txn.OpUpdate, Table: 1, Key: key(4), Mutate: mut},
+		},
+	}
+	g, _ := Build(p)
+	resolve := partResolver(map[storage.TableID]int{1: 0})
+	weights := func(w ...float64) HotFunc {
+		return func(op *txn.OpSpec, _ txn.Args) float64 { return w[op.ID] }
+	}
+	for _, tc := range []struct {
+		w    []float64
+		want int
+	}{
+		{[]float64{1, 3, 3, 2}, 1},
+		{[]float64{0, 1, 0, 2}, 3},
+		{[]float64{2, 2, 2, 2}, 0},
+		{[]float64{0, 0, 0, 0}, -1},
+	} {
+		d := Decide(g, nil, resolve, weights(tc.w...))
+		if d.Hottest != tc.want {
+			t.Errorf("weights %v: Hottest = %d, want %d", tc.w, d.Hottest, tc.want)
 		}
 	}
 }
@@ -271,5 +358,15 @@ func TestCheckDecisionCatchesViolations(t *testing.T) {
 	bad3 := Decision{InnerOps: []int{0, 1}, OuterOps: []int{1, 2, 3, 4, 5}}
 	if err := CheckDecision(g, &bad3); err == nil {
 		t.Fatal("CheckDecision accepted duplicate ops")
+	}
+	// Late op 1 is locked after op 2, whose key pk-depends on it.
+	bad4 := Decision{TwoRegion: true, InnerHost: 2, InnerOps: []int{0, 3, 5}, OuterOps: []int{1, 2, 4}, Late: []int{1}}
+	if err := CheckDecision(g, &bad4); err == nil {
+		t.Fatal("CheckDecision accepted a late op ahead of its pk-child")
+	}
+	// A late op that is not an outer op.
+	bad5 := Decision{TwoRegion: true, InnerHost: 2, InnerOps: []int{0, 3, 5}, OuterOps: []int{1, 2, 4}, Late: []int{3}}
+	if err := CheckDecision(g, &bad5); err == nil {
+		t.Fatal("CheckDecision accepted a late inner op")
 	}
 }

@@ -11,7 +11,8 @@ import (
 // Property test: for randomly generated procedures, partition layouts and
 // hot sets, Decide must always produce a structurally valid decision —
 // inner+outer partition the op set, no outer op pk-depends on an inner
-// op, and the implied execution order respects every pk-dep.
+// op, and the implied execution order (late outer ops after the others)
+// respects every pk-dep.
 func TestDecideAlwaysValid(t *testing.T) {
 	rng := testutil.Rand(t, 20260612)
 	const trials = 2000
@@ -94,6 +95,12 @@ func TestDecideAlwaysValid(t *testing.T) {
 			}
 			if !anyHot {
 				t.Fatalf("trial %d: two-region with no hot inner op", trial)
+			}
+			// Only hot ops are postponed, and the lane comes from a hot op.
+			for _, op := range append([]int{dec.Hottest}, dec.Late...) {
+				if hot(&proc.Ops[op], nil) <= 0 {
+					t.Fatalf("trial %d: cold op %d in Late %v or Hottest %d", trial, op, dec.Late, dec.Hottest)
+				}
 			}
 		}
 	}

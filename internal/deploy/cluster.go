@@ -63,7 +63,7 @@ type Config struct {
 	// the benchmark module sets it; a benchmark-only change drops it.
 	VerbBatching bool
 	// Faults is the plan of the cluster's fault injector (drop dice,
-	// delay spikes, the verb filter partitions and crashes honor) — the
+	// delay spikes, the verb filter partitions honor) — the
 	// chaos harness's knob (internal/check). It works on either transport.
 	// nil rolls no dice; Cluster.Faults still cuts partitions, then on
 	// every verb.
@@ -105,7 +105,8 @@ type Cluster struct {
 	// TransportTCP.
 	Net *simfab.Network
 	// Faults is the fault injector every node endpoint is wrapped in, on
-	// either transport: partition windows, crashes, and Cfg.Faults' dice.
+	// either transport: partitions (a crash is a node cut from all the
+	// others) and Cfg.Faults' dice.
 	Faults   *transport.Faults
 	Topo     *cluster.Topology
 	Dir      *cluster.Directory

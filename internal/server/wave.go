@@ -18,8 +18,10 @@ import (
 // and serves a frame addressed to the coordinator's own node by a direct
 // call (the co-located fast path of the NAM-DB architecture) while the
 // remote rings are in flight. Every engine's fan-outs — 2PL's and OCC's
-// as much as Chiller's — are waves, so a verb has exactly one wire path
-// and one participant entry point (applyVerb).
+// as much as Chiller's — are waves, so a verb has exactly one wire path.
+// A remote frame is served by the destination's applyVerb; a local frame
+// by gather's own switch, which calls the same participant methods with
+// the coordinator's values in place of decoded ones.
 //
 // Post frames with LockRead / Read / Validate / Commit / Abort /
 // SnapshotRead, each of which returns a frame handle (ReplicateAll and

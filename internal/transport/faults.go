@@ -10,8 +10,9 @@ import (
 
 // Fault injection. The chaos harness (internal/check) drives a cluster
 // through deterministic failure schedules: per-message drop dice and
-// delay spikes rolled on a seeded per-link RNG, plus runtime partition
-// windows and node crashes cut and healed by the test schedule. It is one
+// delay spikes rolled on a seeded per-link RNG, plus runtime partitions
+// cut and healed by the test schedule (a crashed node is one cut from
+// every other node). It is one
 // Endpoint wrapper (Faults.Wrap), so both fabrics run the same schedules
 // and neither knows faults exist.
 //
@@ -25,8 +26,8 @@ import (
 //
 // Two knobs decide which verbs a fault may touch:
 //
-//   - FaultPlan.Droppable selects the verbs the drop dice, partition
-//     windows and crashes apply to. The chaos harness restricts faults to
+//   - FaultPlan.Droppable selects the verbs the drop dice and partitions
+//     apply to. The chaos harness restricts faults to
 //     the pre-commit-point protocol (lock-wave doorbells, routing), where
 //     NO_WAIT abort + retry is the designed recovery path.
 //     Post-commit-point verbs (the commit-tail doorbell, replica apply,
@@ -62,7 +63,7 @@ type FaultPlan struct {
 	// DelaySpike is how long a spiked request waits at its sender.
 	DelaySpike time.Duration
 	// Droppable reports whether a verb may be dropped or blocked by a
-	// partition or crash. nil means every verb is fair game (see the note
+	// partition. nil means every verb is fair game (see the note
 	// above for why harnesses should restrict this).
 	Droppable func(method string) bool
 }
@@ -74,10 +75,6 @@ var ErrInjectedDrop = fmt.Errorf("%w: message dropped (injected fault)", ErrUnre
 // ErrPartitioned marks a send blocked by a partition window. It wraps
 // ErrUnreachable.
 var ErrPartitioned = fmt.Errorf("%w: link partitioned", ErrUnreachable)
-
-// ErrCrashed marks a send blocked because one end of the link is a
-// crashed node. It wraps ErrUnreachable.
-var ErrCrashed = fmt.Errorf("%w: node crashed", ErrUnreachable)
 
 // PeerDirectory is the optional fabric interface for transports that
 // address peers by explicit endpoint addresses (tcpnet). Fabrics with
@@ -91,17 +88,17 @@ type PeerDirectory interface {
 type linkKey struct{ from, to NodeID }
 
 // Faults is one cluster's fault injector: the plan plus the runtime
-// partition cuts, crashed nodes and per-link dice. Every endpoint it
+// partition cuts and per-link dice. Every endpoint it
 // wraps shares that state, so a partition cuts both directions whichever
 // node sends.
 type Faults struct {
 	plan *FaultPlan
 
-	mu   sync.RWMutex
-	cut  map[linkKey]bool
-	down map[NodeID]bool
-	// cuts mirrors len(cut)+len(down), so the fault-free send path learns
-	// "no partitions, no crashes" from one atomic load.
+	mu sync.RWMutex
+	// cut counts the Partitions not yet healed on each directed link.
+	cut map[linkKey]int
+	// cuts mirrors len(cut), so the fault-free send path learns "no
+	// partitions" from one atomic load.
 	cuts atomic.Int64
 
 	dmu  sync.Mutex
@@ -109,61 +106,50 @@ type Faults struct {
 }
 
 // NewFaults builds an injector for plan, which may be nil: no dice, and
-// partitions and crashes cut every verb.
+// partitions cut every verb.
 func NewFaults(plan *FaultPlan) *Faults {
-	return &Faults{plan: plan, cut: make(map[linkKey]bool), down: make(map[NodeID]bool), dice: make(map[linkKey]*rand.Rand)}
+	return &Faults{plan: plan, cut: make(map[linkKey]int), dice: make(map[linkKey]*rand.Rand)}
 }
 
-// edit applies one change to the cuts and crashed nodes.
+// edit applies one change to the cuts.
 func (f *Faults) edit(change func()) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	change()
-	f.cuts.Store(int64(len(f.cut) + len(f.down)))
+	f.cuts.Store(int64(len(f.cut)))
 }
 
 // Partition cuts the links between a and b in both directions: sends of
-// droppable verbs fail with ErrPartitioned until Heal. With no plan,
+// droppable verbs fail with ErrPartitioned until Heal. Cuts nest: a link
+// cut twice carries traffic again after two Heals, so a partition window
+// over a crashed node's link does not revive it. With no plan,
 // everything on the link is blocked. In that blunt mode, quiesce
 // in-flight traffic first (drain engines' async commit tails): a Chiller
 // transaction past its inner commit treats an undeliverable outer commit
 // as an engine invariant violation and panics.
 func (f *Faults) Partition(a, b NodeID) {
-	f.edit(func() { f.cut[linkKey{a, b}], f.cut[linkKey{b, a}] = true, true })
+	f.edit(func() { f.cut[linkKey{a, b}]++; f.cut[linkKey{b, a}]++ })
 }
 
-// Heal restores the links between a and b.
+// Heal undoes one Partition of the links between a and b.
 func (f *Faults) Heal(a, b NodeID) {
-	f.edit(func() { delete(f.cut, linkKey{a, b}); delete(f.cut, linkKey{b, a}) })
+	f.edit(func() {
+		for _, k := range [2]linkKey{{a, b}, {b, a}} {
+			if f.cut[k]--; f.cut[k] <= 0 {
+				delete(f.cut, k)
+			}
+		}
+	})
 }
 
-// HealAll removes every partition. Crashed nodes stay crashed; Restart
-// is their explicit revival.
+// HealAll removes every partition.
 func (f *Faults) HealAll() { f.edit(func() { clear(f.cut) }) }
 
 // Partitioned reports whether the directed link from→to is cut.
 func (f *Faults) Partitioned(from, to NodeID) bool {
 	f.mu.RLock()
 	defer f.mu.RUnlock()
-	return f.cut[linkKey{from, to}]
-}
-
-// Crash marks a node as crashed: every droppable verb to or from it
-// fails with ErrCrashed until Restart. The protected control plane
-// (commit tails, replication streams, acks) keeps flowing, which models
-// the §3.3 presumed-commit reality — a node's in-flight commit decisions
-// drain even as new work is refused — and lets the harness quiesce
-// before wiping the node's volatile state.
-func (f *Faults) Crash(id NodeID) { f.edit(func() { f.down[id] = true }) }
-
-// Restart revives a crashed node: its links carry traffic again.
-func (f *Faults) Restart(id NodeID) { f.edit(func() { delete(f.down, id) }) }
-
-// Crashed reports whether the node is marked crashed.
-func (f *Faults) Crashed(id NodeID) bool {
-	f.mu.RLock()
-	defer f.mu.RUnlock()
-	return f.down[id]
+	return f.cut[linkKey{from, to}] > 0
 }
 
 // droppable reports whether the plan (if any) lets faults touch method.
@@ -176,13 +162,10 @@ func (f *Faults) droppable(method string) bool {
 func (f *Faults) check(from, to NodeID, method string) (time.Duration, error) {
 	if from != to && f.cuts.Load() > 0 && f.droppable(method) {
 		f.mu.RLock()
-		cut, down := f.cut[linkKey{from, to}], f.down[from] || f.down[to]
+		cut := f.cut[linkKey{from, to}] > 0
 		f.mu.RUnlock()
 		if cut {
 			return 0, fmt.Errorf("%w: node %d -> node %d", ErrPartitioned, from, to)
-		}
-		if down {
-			return 0, fmt.Errorf("%w: node %d -> node %d", ErrCrashed, from, to)
 		}
 	}
 	p := f.plan

@@ -19,8 +19,8 @@
 //     swap, which is what the paper's cost model actually needs.
 //
 // Neither implements fault injection. Faults (faults.go) is the one
-// fault layer: an Endpoint wrapper that drops, delays, partitions and
-// crashes at the sender, the same way over either fabric.
+// fault layer: an Endpoint wrapper that drops, delays and partitions at
+// the sender, the same way over either fabric.
 //
 // The contract is exactly what its callers use, so a third backend
 // (RDMA verbs, io_uring + registered buffers) can slot in without

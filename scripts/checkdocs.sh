@@ -37,7 +37,8 @@
 #      by some other package — of the module, its tests or benchmark/.
 #      internal/check is the one exemption: it is the checker, run by its
 #      own tests.
-#   9. One fault layer: drops, spikes, partitions and crashes live in
+#   9. One fault layer: drops, spikes and partitions (a crash is a node
+#      cut from all the others) live in
 #      internal/transport (Faults, an Endpoint wrapper) and nowhere in a
 #      fabric — no .go file under internal/simnet or internal/tcpnet names
 #      the fault plan, its errors or a private fault roll.
@@ -55,6 +56,11 @@
 #      benchmark/, no .go file calls MVCCEnabled — every apply goes
 #      through storage.Table.Write, and the store alone decides what a
 #      stamp retains.
+#  13. One plan: depgraph.Decide plans a Chiller transaction — its regions,
+#      the outer ops locked last and the op whose lane runs the inner
+#      region — and internal/core executes the plan without re-deriving
+#      it: no non-test .go file under internal/core names PKDeps, and
+#      exactly one calls HotWeight (the HotFunc core hands to Decide).
 #
 # Exits non-zero with a list of offenders on failure.
 set -eu
@@ -177,6 +183,15 @@ offenders=$(grep -rnE --include='*.go' --exclude='*_test.go' 'MVCCEnabled\(' . |
 if [ -n "$offenders" ]; then
     echo "the store kind read outside internal/storage (apply through storage.Table.Write; the store decides retention):" >&2
     echo "$offenders" >&2
+    fail=1
+fi
+
+# --- 13. one plan ---------------------------------------------------------
+offenders=$(grep -rnE --include='*.go' --exclude='*_test.go' 'PKDeps' internal/core || true)
+hotweight=$(grep -rnE --include='*.go' --exclude='*_test.go' 'HotWeight\(' internal/core || true)
+if [ -n "$offenders" ] || [ "$(printf '%s\n' "$hotweight" | grep -c .)" -ne 1 ]; then
+    echo "internal/core re-derives the plan (take it from depgraph.Decide; HotWeight only in the HotFunc core hands to Decide):" >&2
+    printf '%s\n' "$offenders" "$hotweight" | grep . >&2
     fail=1
 fi
 
