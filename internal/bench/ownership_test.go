@@ -12,17 +12,17 @@ import (
 	"github.com/chillerdb/chiller/internal/txn"
 )
 
-// The store keeps the slice a mutator returns instead of copying it
-// (txn.MutateFunc's ownership rule), on the inner-region apply and on a
-// coordinator's own-node commit. This is the guard for the mutators that
-// do not build a fresh exact-length value: one returns old untouched, one
-// a window into a buffer its caller reuses, one a slice with spare
-// capacity. The caller then scribbles over every buffer it still holds;
-// the stored values — primary and replica — must not change, and no
-// stored value may pin more memory than it holds. It runs on a
-// clockless store and on one that retains versions, which takes the
-// hand-over too. Run it under -race: the scribbling races any reader
-// that still aliases those buffers.
+// The store copies the slice a mutator returns into its value chunks
+// on every apply: the inner-region apply, a coordinator's own-node
+// commit, a remote commit and a replica's. This is the guard for the
+// mutators that do not build a fresh exact-length value: one returns old
+// untouched, one a window into a buffer its caller reuses, one a slice
+// with spare capacity. The caller then scribbles over every buffer it
+// still holds; the stored values — primary and replica — must not
+// change, and no stored value may expose more memory than it holds. It
+// runs on a clockless store and on one that retains versions. Run it
+// under -race: the scribbling races any reader that still aliases those
+// buffers.
 func TestMutatorValuesAreOwnedSafely(t *testing.T) {
 	for _, kind := range []EngineKind{EngineChiller, Engine2PL, EngineOCC} {
 		t.Run(string(kind), func(t *testing.T) {

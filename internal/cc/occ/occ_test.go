@@ -57,15 +57,31 @@ func TestCommitLocalAndRemote(t *testing.T) {
 // A concurrent committed write between the optimistic read and validation
 // must abort the transaction (version check) — an overwrite, and a
 // delete and re-insert of the key, which must not bring the version the
-// reader saw back.
+// reader saw back, whether the key's own tombstone is resurrected or
+// another key took its slot in between.
 func TestValidationDetectsStaleRead(t *testing.T) {
 	for _, c := range []struct {
 		name      string
-		interfere func(b *storage.Bucket) error
+		interfere func(tbl *storage.Table) error
 	}{
-		{"put", func(b *storage.Bucket) error { return b.Put(5, bench.EncodeBalance(1)) }},
-		{"delete+insert", func(b *storage.Bucket) error {
+		{"put", func(tbl *storage.Table) error { return tbl.Bucket(5).Put(5, bench.EncodeBalance(1)) }},
+		{"delete+insert", func(tbl *storage.Table) error {
+			b := tbl.Bucket(5)
 			if err := b.Delete(5); err != nil {
+				return err
+			}
+			return b.Insert(5, bench.EncodeBalance(1))
+		}},
+		{"delete, recycle, re-insert", func(tbl *storage.Table) error {
+			b := tbl.Bucket(5)
+			if err := b.Delete(5); err != nil {
+				return err
+			}
+			other := storage.Key(1000)
+			for tbl.BucketIndex(other) != tbl.BucketIndex(5) {
+				other++
+			}
+			if err := b.Insert(other, bench.EncodeBalance(1)); err != nil {
 				return err
 			}
 			return b.Insert(5, bench.EncodeBalance(1))
@@ -79,7 +95,7 @@ func TestValidationDetectsStaleRead(t *testing.T) {
 			// under it by committing a conflicting change between
 			// execution and validation, deterministically, from the
 			// mutate hook that runs after the op's optimistic read.
-			b := node.Store().Table(bench.BankTable).Bucket(5)
+			tbl := node.Store().Table(bench.BankTable)
 			var once sync.Once
 			interfere := &txn.Procedure{
 				Name: "occ.interfere",
@@ -89,7 +105,7 @@ func TestValidationDetectsStaleRead(t *testing.T) {
 						Key: func(txn.Args, txn.ReadSet) (storage.Key, bool) { return 5, true },
 						Mutate: func(old []byte, _ txn.Args, _ txn.ReadSet) ([]byte, error) {
 							once.Do(func() {
-								if err := c.interfere(b); err != nil {
+								if err := c.interfere(tbl); err != nil {
 									t.Errorf("interfere: %v", err)
 								}
 							})

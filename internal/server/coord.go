@@ -183,7 +183,7 @@ func (n *Node) CommitInner(pid cluster.PartitionID, txnID, ts uint64, writes []W
 		}
 		acks.Resolve(sent)
 	}
-	tk, err := n.applyLog(txnID, ts, writes, true) // the mutators' own values
+	tk, err := n.applyLog(txnID, ts, writes)
 	if err != nil {
 		acks.Cancel()
 		return nil, tk, err

@@ -194,7 +194,7 @@ func RecoverStore(st *storage.Store, rec *wal.Recovered) (maxTS uint64, err erro
 		if err != nil {
 			return 0, fmt.Errorf("server: recover lsn %d: %w", tr.LSN, err)
 		}
-		if err := applyWrites(st, ts, writes, false, true); err != nil {
+		if err := applyWrites(st, ts, writes, true); err != nil {
 			return 0, fmt.Errorf("server: recover lsn %d: %w", tr.LSN, err)
 		}
 		if ts > maxTS {

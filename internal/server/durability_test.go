@@ -26,7 +26,7 @@ func TestCleanShutdownSnapshotBoundsReplay(t *testing.T) {
 				Type: txn.OpUpdate, Table: 1, Key: storage.Key(i % 10),
 				Value: []byte{byte(i), byte(i >> 8)},
 			}}
-			if err := applyWrites(n.Store(), 0, writes, false, false); err != nil {
+			if err := applyWrites(n.Store(), 0, writes, false); err != nil {
 				t.Fatal(err)
 			}
 			if err := n.logWrites(uint64(i+1), 0, writes).Wait(); err != nil {

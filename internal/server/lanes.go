@@ -200,7 +200,7 @@ func (n *Node) applyByLane(txnID, ts uint64, writes []WriteOp, done func(error))
 	// be created, exactly the WAL-replay semantics. Primaries keep the
 	// strict apply (CommitLocal); only replicated write sets come here.
 	applyLog := func(lane int, ws []WriteOp) (wal.Ticket, error) {
-		if err := applyWrites(n.store, ts, ws, false, true); err != nil || n.wal == nil {
+		if err := applyWrites(n.store, ts, ws, true); err != nil || n.wal == nil {
 			return wal.Ticket{}, err
 		}
 		return n.logLane(txnID, ts, lane, ws), nil

@@ -389,21 +389,15 @@ func (n *Node) lockRead(txnID uint64, entries []LockEntry, resp *LockResponse) {
 // the log before the locks release (so per-lane log order equals commit
 // order) and the call returns only once the record's group-commit flush
 // has landed: a CommitLocal acknowledgement implies durability. The
-// values are copied: a commit frame's alias the doorbell buffer.
+// store copies the values, so a commit frame's may alias the doorbell
+// buffer.
 func (n *Node) CommitLocal(txnID, ts uint64, writes []WriteOp) error {
-	return n.commitLocal(txnID, ts, writes, false)
-}
-
-// commitLocal is CommitLocal with the values' ownership stated (see
-// applyWrites): a wave passes owned for the coordinator's own node,
-// where the values are the ones the transaction's mutators built.
-func (n *Node) commitLocal(txnID, ts uint64, writes []WriteOp, owned bool) error {
 	if n.FaultInjector != nil {
 		if err := n.FaultInjector(VerbCommit, txnID); err != nil {
 			return err
 		}
 	}
-	tk, err := n.applyLog(txnID, ts, writes, owned)
+	tk, err := n.applyLog(txnID, ts, writes)
 	n.releaseAll(txnID)
 	if err != nil {
 		return err
@@ -509,8 +503,8 @@ func (n *Node) LeavePartition(pid cluster.PartitionID) {
 // transaction's locks (log order must equal commit order); release them,
 // then wait on the ticket. An apply error is an engine invariant
 // violation: a write to a locked, verified record cannot fail.
-func (n *Node) applyLog(txnID, ts uint64, writes []WriteOp, owned bool) (wal.Ticket, error) {
-	if err := applyWrites(n.store, ts, writes, owned, false); err != nil {
+func (n *Node) applyLog(txnID, ts uint64, writes []WriteOp) (wal.Ticket, error) {
+	if err := applyWrites(n.store, ts, writes, false); err != nil {
 		return wal.Ticket{}, fmt.Errorf("server: commit apply: %w", err)
 	}
 	return n.logWrites(txnID, ts, writes), nil
@@ -529,12 +523,9 @@ func (n *Node) applyLog(txnID, ts uint64, writes []WriteOp, owned bool) (wal.Tic
 // snapshot the crash predates) and a missing table is created. A
 // primary applies strictly: there the record is locked and verified.
 //
-// owned hands the value buffers to the store uncopied: only for values
-// a transaction's mutators built on this node, which txn.MutateFunc's
-// contract makes the engine's — an inner region's writes, a
-// coordinator's own-node commit. A decoded write set aliases its
-// receive buffer and must pass false.
-func applyWrites(st *storage.Store, ts uint64, writes []WriteOp, owned, tolerant bool) error {
+// The store copies every value into its chunks, so a decoded write set
+// may alias its receive buffer.
+func applyWrites(st *storage.Store, ts uint64, writes []WriteOp, tolerant bool) error {
 	for i := range writes {
 		w := &writes[i]
 		tbl := st.Table(w.Table)
@@ -555,7 +546,7 @@ func applyWrites(st *storage.Store, ts uint64, writes []WriteOp, owned, tolerant
 		default:
 			return fmt.Errorf("server: bad write type %v", w.Type)
 		}
-		err := tbl.Write(w.Key, w.Value, ts, mode, owned)
+		err := tbl.Write(w.Key, w.Value, ts, mode)
 		if err != nil && (mode != storage.WriteDelete || err != storage.ErrNotFound) {
 			return fmt.Errorf("server: %v %v/%d: %w", w.Type, w.Table, w.Key, err)
 		}

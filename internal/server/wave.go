@@ -228,9 +228,7 @@ func (w *Wave) gather(reap bool) {
 		case KindReplicate:
 			f.streamed, f.err = n.replicateLocal(n.ID(), w.ack.id, f.ts, f.writes)
 		case KindCommit:
-			// The coordinator's own values: handed to the store, not
-			// copied (see commitLocal).
-			f.err = n.commitLocal(f.txnID, f.ts, f.writes, true)
+			f.err = n.CommitLocal(f.txnID, f.ts, f.writes)
 		case KindAbort:
 			n.AbortLocal(f.txnID)
 		case KindSnapRead:

@@ -5,22 +5,22 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"runtime"
 	"testing"
 	"unsafe"
 )
 
-// The bucket header is one cache line, a record slot is half of one and
-// a stamped record's history is two words; a field added to any of them
-// shows up here, not as a slow lookup or a bigger heap.
+// The bucket header is one cache line and a record slot a quarter of
+// one; a field added to either shows up here, not as a slow lookup or a
+// bigger heap.
 func TestBucketLayoutPinned(t *testing.T) {
 	for _, c := range []struct {
 		name      string
 		got, want uintptr
 	}{
 		{"Bucket", unsafe.Sizeof(Bucket{}), 64},
-		{"entry", unsafe.Sizeof(entry{}), 32},
-		{"history", unsafe.Sizeof(history{}), 16},
+		{"entry", unsafe.Sizeof(entry{}), 16},
 	} {
 		if c.got != c.want {
 			t.Errorf("unsafe.Sizeof(%s{}) = %d, want %d", c.name, c.got, c.want)
@@ -28,10 +28,40 @@ func TestBucketLayoutPinned(t *testing.T) {
 	}
 }
 
+// The collector scans neither slot arrays nor value chunks only as long
+// as their element types hold no pointer.
+func TestSlotsArePointerFree(t *testing.T) {
+	var walk func(reflect.Type) error
+	walk = func(typ reflect.Type) error {
+		switch typ.Kind() {
+		case reflect.Bool, reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
+			reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64,
+			reflect.Float32, reflect.Float64, reflect.Complex64, reflect.Complex128:
+			return nil
+		case reflect.Array:
+			return walk(typ.Elem())
+		case reflect.Struct:
+			for i := range typ.NumField() {
+				if err := walk(typ.Field(i).Type); err != nil {
+					return fmt.Errorf("%s.%s: %w", typ.Name(), typ.Field(i).Name, err)
+				}
+			}
+			return nil
+		}
+		return fmt.Errorf("%s is a %s, which may hold a pointer", typ, typ.Kind())
+	}
+	for _, typ := range []reflect.Type{reflect.TypeOf(entry{}), reflect.TypeOf((&values{}).chunk).Out(0).Elem()} {
+		if err := walk(typ); err != nil {
+			t.Error(err)
+		}
+	}
+}
+
 // What one record costs the heap: its slot, its share of the bucket
-// array and of its bucket's entry array, and its value. At three records
-// per bucket and 24-byte values that is ~84 B; the bound fails a 56-byte
-// slot (~114 B).
+// array and of its bucket's slot array, and its value with its length
+// prefix in a chunk. At three records per bucket and 24-byte values
+// that is ~68 B; the bound fails the 32-byte slot with a value object
+// of its own (~84 B).
 func TestRecordFootprint(t *testing.T) {
 	const records = 200_000
 	var before, after runtime.MemStats
@@ -49,22 +79,33 @@ func TestRecordFootprint(t *testing.T) {
 	runtime.KeepAlive(tbl)
 	perRecord := float64(int64(after.HeapAlloc)-int64(before.HeapAlloc)) / records
 	t.Logf("%.1f B per record", perRecord)
-	if perRecord > 96 {
-		t.Fatalf("%.1f B per record, want <= 96", perRecord)
+	if perRecord > 71 {
+		t.Fatalf("%.1f B per record, want <= 71", perRecord)
 	}
 }
 
-// Allocations per write: a value copy unless the value is handed over,
-// and nothing else unless the record is stamped. A record's history is
-// allocated once, by its first nonzero stamp; an MVCC overwrite adds
-// the retained version, and neither queueing it for the sweep nor the
+// Allocations per write: none, stamped or not — every value is copied
+// into a chunk, and a stamp is part of the record. Under MVCC an
+// overwrite retains the version it replaced, with its own copy of the
+// value, and the first record of a bucket to retain one allocates the
+// bucket's side; neither queueing the record for the sweep nor the
 // sweep adds anything.
 func TestWriteAllocations(t *testing.T) {
 	const runs = 100
 	value := make([]byte, 24)
+	// One record per bucket, so that a row counts what a bucket's first
+	// retained version costs once per call.
+	var keys []Key
+	used := map[int]bool{}
+	for k, probe := Key(0), NewStore().CreateTable(1, 1024); len(keys) <= runs; k++ {
+		if i := probe.BucketIndex(k); !used[i] {
+			used[i] = true
+			keys = append(keys, k)
+		}
+	}
 	loaded := func(s *Store) *Table {
 		tbl := s.CreateTable(1, 1024)
-		for k := Key(0); k <= runs; k++ {
+		for _, k := range keys {
 			tbl.UpsertAt(k, value, 0)
 		}
 		return tbl
@@ -73,28 +114,26 @@ func TestWriteAllocations(t *testing.T) {
 	mv := NewStore()
 	mv.EnableMVCC()
 	mvt := loaded(mv)
-	var k Key
-	next := func() Key { k = (k + 1) % (runs + 1); return k }
+	var i int
+	next := func() Key { i = (i + 1) % len(keys); return keys[i] }
 	ts := uint64(0)
 	for _, c := range []struct {
 		name string
 		want float64
 		fn   func()
 	}{
-		{"Put", 1, func() { k := next(); sinkErr = tbl.Bucket(k).Put(k, value) }},
-		{"owned Write", 0, func() { sinkErr = tbl.Write(next(), value, 0, WriteUpdate, true) }},
-		{"UpsertAt(ts 0)", 1, func() { tbl.UpsertAt(next(), value, 0) }},
-		// AllocsPerRun makes runs+1 calls: each stamps a record for the
-		// first time.
-		{"first UpsertAt(ts>0)", 2, func() { ts++; tbl.UpsertAt(next(), value, ts) }},
-		{"second UpsertAt(ts>0)", 1, func() { ts++; tbl.UpsertAt(next(), value, ts) }},
+		{"Put", 0, func() { k := next(); sinkErr = tbl.Bucket(k).Put(k, value) }},
+		{"UpsertAt(ts 0)", 0, func() { tbl.UpsertAt(next(), value, 0) }},
+		{"UpsertAt(ts>0)", 0, func() { ts++; tbl.UpsertAt(next(), value, ts) }},
+		// AllocsPerRun makes runs+1 calls: each is the first of its
+		// bucket to retain a version.
 		{"first MVCC PutAt", 3, func() { ts++; sinkErr = mvt.PutAt(next(), value, ts) }},
 		{"MVCC PutAt", 2, func() { ts++; sinkErr = mvt.PutAt(next(), value, ts) }},
-		{"MVCC owned Write", 1, func() { ts++; sinkErr = mvt.Write(next(), value, ts, WriteUpdate, true) }},
-		// Queueing the record and sweeping it allocate nothing.
-		{"MVCC PutAt, watermark trailing", 2, func() { ts++; sinkErr = mvt.PutAt(next(), value, ts); mv.SetWatermark(ts - 8) }},
+		// The sweep cut every chain of the record's bucket and dropped
+		// its side, so the next write allocates it again.
+		{"MVCC PutAt, watermark trailing", 3, func() { ts++; sinkErr = mvt.PutAt(next(), value, ts); mv.SetWatermark(ts - 8) }},
 	} {
-		k = runs
+		i = runs
 		if got := testing.AllocsPerRun(runs, c.fn); got != c.want || sinkErr != nil {
 			t.Errorf("%s: %v allocs per call (err %v), want %v", c.name, got, sinkErr, c.want)
 		}
@@ -123,7 +162,7 @@ func TestEqualFingerprints(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if b.ChainLength() != 2 || len(b.overflow.entries) != 1 || b.overflow.entries[0].key != twins[2] {
+	if b.ChainLength() != 2 || b.overflow.n != 1 || b.overflow.slots()[0].key != twins[2] {
 		t.Fatalf("the third twin is not alone in the overflow bucket (chain %d)", b.ChainLength())
 	}
 	if err := b.Put(twins[1], []byte{42}); err != nil {
@@ -150,7 +189,8 @@ func TestEqualFingerprints(t *testing.T) {
 // reader of version 1 must not validate against a re-inserted
 // version 1. Another key's insert takes it as a free slot, re-tags it
 // and clears its dead bit, and the key that died there is not found
-// through the new tenant's tag or its own.
+// through the new tenant's tag or its own; its re-insert, in another
+// slot, still starts above the version its tombstone had.
 func TestTombstoneSlotIsRetagged(t *testing.T) {
 	old, other := Key(1), Key(2)
 	for tagOf(other) == tagOf(old) {
@@ -170,8 +210,8 @@ func TestTombstoneSlotIsRetagged(t *testing.T) {
 		if err := b.Insert(next, []byte("y")); err != nil {
 			t.Fatal(err)
 		}
-		if len(b.entries) != 1 || b.dead != 0 || b.tags[0] != tagOf(next) {
-			t.Fatalf("insert of key %d: slot not taken: %d entries, dead mask %08b, tag %#x (want %#x)", next, len(b.entries), b.dead, b.tags[0], tagOf(next))
+		if b.n != 1 || b.dead != 0 || b.tags[0] != tagOf(next) {
+			t.Fatalf("insert of key %d: slot not taken: %d entries, dead mask %08b, tag %#x (want %#x)", next, b.n, b.dead, b.tags[0], tagOf(next))
 		}
 		if next == old {
 			if _, ver, err := b.Get(old); err != nil || ver != 3 {
@@ -182,8 +222,13 @@ func TestTombstoneSlotIsRetagged(t *testing.T) {
 		if _, _, err := b.Get(old); !errors.Is(err, ErrNotFound) {
 			t.Fatalf("the slot's previous key: %v", err)
 		}
-		if err := b.Insert(old, []byte("z")); err != nil || len(b.entries) != 2 {
-			t.Fatalf("re-insert of the deleted key: %v, %d entries", err, len(b.entries))
+		if err := b.Insert(old, []byte("z")); err != nil || b.n != 2 {
+			t.Fatalf("re-insert of the deleted key: %v, %d entries", err, b.n)
+		}
+		// The deleted key's tombstone was version 2, and another key took
+		// its slot: its new record must not start over at version 1.
+		if _, ver, err := b.Get(old); err != nil || ver <= 2 {
+			t.Fatalf("Insert, Delete, recycle, Insert of one key: version %d (%v), want above 2", ver, err)
 		}
 	}
 }
@@ -198,10 +243,10 @@ func TestMVCCTombstoneIsKeptAndFound(t *testing.T) {
 		s.EnableMVCC()
 		tbl := s.CreateTable(1, 1)
 		b := tbl.Bucket(0)
-		if err := tbl.Write(1, []byte("a1"), 1, WriteInsert, false); err != nil {
+		if err := tbl.Write(1, []byte("a1"), 1, WriteInsert); err != nil {
 			t.Fatal(err)
 		}
-		if err := tbl.Write(1, nil, 2, WriteDelete, false); err != nil {
+		if err := tbl.Write(1, nil, 2, WriteDelete); err != nil {
 			t.Fatal(err)
 		}
 		if err := tbl.PutAt(1, []byte("no"), 3); !errors.Is(err, ErrNotFound) {
@@ -209,15 +254,15 @@ func TestMVCCTombstoneIsKeptAndFound(t *testing.T) {
 		}
 		var err error
 		if stamped {
-			err = tbl.Write(2, []byte("b3"), 3, WriteInsert, false)
+			err = tbl.Write(2, []byte("b3"), 3, WriteInsert)
 		} else {
 			err = b.Insert(2, []byte("b3"))
 		}
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(b.entries) != 2 || b.dead != 1 || b.entries[0].key != 1 {
-			t.Fatalf("stamped %v: key 2 took key 1's tombstone: %d entries, dead mask %08b", stamped, len(b.entries), b.dead)
+		if b.n != 2 || b.dead != 1 || b.slots()[0].key != 1 {
+			t.Fatalf("stamped %v: key 2 took key 1's tombstone: %d entries, dead mask %08b", stamped, b.n, b.dead)
 		}
 		if v, err := tbl.ReadAt(1, 1); err != nil || string(v) != "a1" {
 			t.Fatalf("stamped %v: ReadAt(1, ts 1) = %q, %v", stamped, v, err)
@@ -229,11 +274,11 @@ func TestMVCCTombstoneIsKeptAndFound(t *testing.T) {
 			t.Fatalf("Get of a deleted key: %v", err)
 		}
 
-		if err := tbl.Write(1, []byte("a4"), 4, WriteInsert, false); err != nil {
+		if err := tbl.Write(1, []byte("a4"), 4, WriteInsert); err != nil {
 			t.Fatal(err)
 		}
-		if len(b.entries) != 2 || b.dead != 0 || tbl.ChainDepth(1) != 2 {
-			t.Fatalf("not resurrected in place: %d entries, dead mask %08b, chain depth %d", len(b.entries), b.dead, tbl.ChainDepth(1))
+		if b.n != 2 || b.dead != 0 || tbl.ChainDepth(1) != 2 {
+			t.Fatalf("not resurrected in place: %d entries, dead mask %08b, chain depth %d", b.n, b.dead, tbl.ChainDepth(1))
 		}
 		for ts, want := range map[uint64]string{1: "a1", 4: "a4"} {
 			if v, err := tbl.ReadAt(1, ts); err != nil || string(v) != want {
@@ -252,7 +297,7 @@ func TestWalksSkipDeadSlots(t *testing.T) {
 	b := tbl.Bucket(0)
 	live := map[Key]bool{}
 	for k := Key(0); k < 20; k++ {
-		if err := tbl.Write(k, []byte{byte(k)}, uint64(k), WriteInsert, false); err != nil {
+		if err := tbl.Write(k, []byte{byte(k)}, uint64(k), WriteInsert); err != nil {
 			t.Fatal(err)
 		}
 		live[k] = true
@@ -290,9 +335,9 @@ func TestWalksSkipDeadSlots(t *testing.T) {
 	check("Range", seen)
 }
 
-// A map is the oracle for every write mode, copied and handed over,
-// with and without version retention, on a table small enough that
-// chains run several buckets long and tombstones pile up. Every write
+// A map is the oracle for every write mode, with and without version
+// retention, on a table small enough that chains run several buckets
+// long and tombstones pile up, and whose chunks are compacted often. Every write
 // goes through Table.Write, stamped as production stamps it: with the
 // op's index under MVCC, with 0 on a clockless store. Under MVCC the
 // model also keeps each key's versions, and every few hundred ops the
@@ -333,25 +378,41 @@ func TestBucketAgainstModel(t *testing.T) {
 				var err, want error
 				switch op := rng.Intn(6); op {
 				case 0:
-					if err = tbl.Write(k, v, ts, WriteInsert, false); present {
+					if err = tbl.Write(k, v, ts, WriteInsert); present {
 						want = ErrExists
 					} else {
 						model[k] = v
 						wrote(k, ts, v)
 					}
 				case 1:
-					if err = tbl.Write(k, v, ts, WriteUpdate, false); present {
+					if err = tbl.Write(k, v, ts, WriteUpdate); present {
 						model[k] = v
 						wrote(k, ts, v)
 					} else {
 						want = ErrNotFound
 					}
-				case 2, 5: // 5 hands the value over, as an own-node commit does
-					err = tbl.Write(k, v, ts, WriteUpsert, op == 5)
+				case 2:
+					err = tbl.Write(k, v, ts, WriteUpsert)
 					model[k] = v
 					wrote(k, ts, v)
+				case 5:
+					if rng.Intn(10) != 0 {
+						err = tbl.Write(k, v, ts, WriteUpsert)
+						model[k] = v
+						wrote(k, ts, v)
+						break
+					}
+					// A value bigger than any chunk, overwritten at once:
+					// its dead bytes alone force a compaction.
+					big := bytes.Repeat(v, minDead/2+1)
+					if err = tbl.Write(k, big, ts, WriteUpsert); err == nil {
+						err = tbl.Write(k, v, ts, WriteUpsert)
+					}
+					model[k] = v
+					wrote(k, ts, big)
+					wrote(k, ts, v)
 				case 3:
-					if err = tbl.Write(k, nil, ts, WriteDelete, false); present {
+					if err = tbl.Write(k, nil, ts, WriteDelete); present {
 						delete(model, k)
 						wrote(k, ts, nil)
 					} else {
@@ -375,6 +436,9 @@ func TestBucketAgainstModel(t *testing.T) {
 			}
 			if tbl.Len() != len(model) {
 				t.Fatalf("Len = %d, model has %d", tbl.Len(), len(model))
+			}
+			if n := tbl.vals.compactions; n < 50 {
+				t.Fatalf("%d compactions, want one per value bigger than a chunk", n)
 			}
 			tbl.Range(func(k Key, v []byte, _ uint64) bool {
 				if !bytes.Equal(v, model[k]) {

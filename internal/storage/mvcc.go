@@ -219,19 +219,25 @@ func (q *gcQueue) take(dst []pendingPrune, w uint64) int {
 	return n
 }
 
-// history is what a record carries once it has been stamped: the
-// current value's commit timestamp and its retained older versions,
-// newest first (MVCC only — nil otherwise). It hangs off the slot
-// (entry.hist) so that the records of a clockless store, whose stamps
-// are all 0, never pay for it.
-type history struct {
-	ts   uint64
-	prev *version
+// retained is a bucket's MVCC side: the versions each of its records
+// retains, newest first. A bucket allocates it when one of its records
+// first retains a version, and the sweep drops it once none does.
+type retained struct {
+	prev [bucketCapacity]*version
+}
+
+// chain returns slot i's retained versions (nil for a bucket without
+// any).
+func (r *retained) chain(i int) *version {
+	if r == nil {
+		return nil
+	}
+	return r.prev[i]
 }
 
 // version is one retained committed version of a record, linked newest
-// first. value slices are the same immutable buffers the live entry
-// held (Put installs fresh copies), so retention is pointer-cheap.
+// first. It owns a copy of its value, so a chain never keeps a value
+// chunk alive and compaction never looks at chains.
 type version struct {
 	ts    uint64
 	value []byte
@@ -239,19 +245,26 @@ type version struct {
 	prev  *version
 }
 
-// retain pushes e's current state (dead says it is a tombstone) onto
-// its version chain before a write stamped ts replaces it, and queues
-// the record for the sweep that cuts the chain once the watermark
-// reaches ts (MVCC on only). Caller holds the bucket's internal mutex.
-func (t *Table) retain(e *entry, dead bool, ts uint64) {
-	if t.mv == nil || !t.mv.on.Load() {
+// retain pushes the current state of at's slot (dead says it is a
+// tombstone) onto its version chain before a write stamped ts replaces
+// it, and queues the record for the sweep that cuts the chain once the
+// watermark reaches ts (MVCC on only). Caller holds the bucket chain's
+// mutex.
+func (t *Table) retain(at *Bucket, slot int, dead bool, ts uint64) {
+	if !t.mv.on.Load() {
 		return
 	}
-	if e.hist == nil {
-		e.hist = &history{}
+	e := &at.slots()[slot]
+	val, old := t.vals.record(e.ref)
+	v := &version{ts: old, dead: dead, prev: at.side.chain(slot)}
+	if !dead {
+		v.value = make([]byte, len(val))
+		copy(v.value, val)
 	}
-	h := e.hist
-	h.prev = &version{ts: h.ts, value: e.value(), dead: dead, prev: h.prev}
+	if at.side == nil {
+		at.side = &retained{}
+	}
+	at.side.prev[slot] = v
 	t.mv.pending.push(pendingPrune{t: t, key: e.key, ts: ts})
 }
 
@@ -259,21 +272,24 @@ func (t *Table) retain(e *entry, dead bool, ts uint64) {
 // Chains are in strictly decreasing timestamp order (per-key writes are
 // lock-ordered and timestamps are reserved under those locks), so that
 // is nothing when the live version is at or below w, and otherwise
-// everything up to the first retained version at or below w.
+// everything up to the first retained version at or below w. A bucket
+// whose records retain nothing more drops its side.
 func (t *Table) prune(key Key, w uint64) {
 	b := t.Bucket(key)
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	at, i, ok := b.seek(key)
-	if !ok || at.entries[i].hist == nil {
+	if !ok || at.side.chain(i) == nil {
 		return
 	}
-	h := at.entries[i].hist
-	if h.ts <= w {
-		h.prev = nil
+	if _, live := t.vals.record(at.slots()[i].ref); live <= w {
+		at.side.prev[i] = nil
+		if at.side.prev == ([bucketCapacity]*version{}) {
+			at.side = nil
+		}
 		return
 	}
-	for v := h.prev; v != nil; v = v.prev {
+	for v := at.side.prev[i]; v != nil; v = v.prev {
 		if v.ts <= w {
 			v.prev = nil
 			return
@@ -297,21 +313,20 @@ func (t *Table) ReadAt(key Key, ts uint64) ([]byte, error) {
 	// runs only after the watermark it prunes to was published, so with
 	// ts not below the watermark now, no prune that could drop a version
 	// ts needs has run, and none can run before the read is done.
-	if t.mv != nil && ts < t.mv.watermark.Load() {
+	if ts < t.mv.watermark.Load() {
 		return nil, ErrStaleRead
 	}
 	at, i, ok := b.seek(key)
 	if !ok {
 		return nil, ErrNotFound
 	}
-	e := &at.entries[i]
-	if e.ts() <= ts {
+	if val, live := t.vals.record(at.slots()[i].ref); live <= ts {
 		if at.isDead(i) {
 			return nil, ErrNotFound
 		}
-		return e.value(), nil
+		return val, nil
 	}
-	for v := e.hist.prev; v != nil; v = v.prev { // a stamp above ts: hist != nil
+	for v := at.side.chain(i); v != nil; v = v.prev {
 		if v.ts <= ts {
 			if v.dead {
 				return nil, ErrNotFound
@@ -333,20 +348,20 @@ func (t *Table) ReadAt(key Key, ts uint64) ([]byte, error) {
 // record stamped 0 carries no history. A tombstoned key is resurrected
 // in place (see seek), so its version keeps counting and, under MVCC,
 // the key reads as absent for snapshots between its delete and its
-// re-insert. owned hands value over uncopied (see Bucket.write).
-func (t *Table) Write(key Key, value []byte, ts uint64, mode WriteMode, owned bool) error {
-	return t.Bucket(key).write(t, key, value, ts, mode, owned)
+// re-insert. value is copied (see Bucket.write).
+func (t *Table) Write(key Key, value []byte, ts uint64, mode WriteMode) error {
+	return t.Bucket(key).write(key, value, ts, mode, true)
 }
 
 // PutAt is an update stamped with ts. PutAt and UpsertAt stay as
 // wrappers of Write because benchmark/ compiles against them.
 func (t *Table) PutAt(key Key, value []byte, ts uint64) error {
-	return t.Write(key, value, ts, WriteUpdate, false)
+	return t.Write(key, value, ts, WriteUpdate)
 }
 
 // UpsertAt is an insert-or-overwrite stamped with ts.
 func (t *Table) UpsertAt(key Key, value []byte, ts uint64) {
-	_ = t.Write(key, value, ts, WriteUpsert, false) // upsert cannot fail
+	_ = t.Write(key, value, ts, WriteUpsert) // upsert cannot fail
 }
 
 // ChainDepth reports how many retained versions (beyond the live one)
@@ -360,10 +375,8 @@ func (t *Table) ChainDepth(key Key) int {
 		return 0
 	}
 	n := 0
-	if h := at.entries[i].hist; h != nil {
-		for v := h.prev; v != nil; v = v.prev {
-			n++
-		}
+	for v := at.side.chain(i); v != nil; v = v.prev {
+		n++
 	}
 	return n
 }

@@ -147,9 +147,9 @@ func TestSweepAgainstConcurrentOracles(t *testing.T) {
 				var err error
 				switch {
 				case !live[k]:
-					err = tbl.Write(Key(k), v, ts, WriteInsert, false)
+					err = tbl.Write(Key(k), v, ts, WriteInsert)
 				case rng.Intn(4) == 0:
-					err, v = tbl.Write(Key(k), nil, ts, WriteDelete, false), nil
+					err, v = tbl.Write(Key(k), nil, ts, WriteDelete), nil
 				default:
 					err = tbl.PutAt(Key(k), v, ts)
 				}

@@ -12,9 +12,10 @@
 // A bucket's header is one 64-byte cache line holding a one-byte key
 // fingerprint per entry and a tombstone bitmask, so a chain walk reads
 // an entry's own line only when its fingerprint matches. A record slot
-// is half a line; a record's commit timestamp and MVCC chain live
-// behind one pointer that only its first nonzero stamp allocates. A
-// stored value is at most 4 GiB - 1 bytes.
+// is 16 bytes and holds no pointer: its key, its version and a ref into
+// its table's value chunks (values.go), where the value sits behind its
+// commit stamp. Neither slot arrays nor chunks are scanned by the
+// collector; only the bucket headers are.
 package storage
 
 import (
@@ -77,6 +78,9 @@ func (s *Store) CreateTable(id TableID, nBuckets int) *Table {
 		buckets: make([]Bucket, nBuckets),
 		mv:      s.mv,
 	}
+	for i := range t.buckets {
+		t.buckets[i].table = t
+	}
 	s.tables[id] = t
 	return t
 }
@@ -114,6 +118,7 @@ type Table struct {
 	id      TableID
 	buckets []Bucket
 	mv      *mvccMeta // shared with the owning Store
+	vals    values
 }
 
 // ID returns the table's identifier.
@@ -151,51 +156,21 @@ func mix64(x uint64) uint64 {
 	return x
 }
 
-// entry is one record slot inside a bucket: 32 bytes, so two slots
-// share a cache line and none straddles one. Whether the slot is a
-// tombstone is a bit of its bucket's dead mask, not a field here.
+// entry is one record slot inside a bucket: 16 bytes and no pointer,
+// so four slots share a cache line and slot arrays are not scanned by
+// the collector. Whether the slot is a tombstone is a bit of its
+// bucket's dead mask, not a field here.
 //
-//	0       8                16     20        24      32
-//	| key   | val (pointer)  | n    | version | hist  |
+//	0       8     12        16
+//	| key   | ref | version |
 //
-// The value is an immutable byte slice stored as its data pointer and
-// length (its capacity equals its length); value and setValue are the
-// only conversions. version wraps at 2^32 — its one consumer, OCC
+// ref names the record's value and commit stamp in its table's chunks
+// (see values.go). version wraps at 2^32 — its one consumer, OCC
 // validation, tests it for equality.
 type entry struct {
 	key     Key
-	val     unsafe.Pointer
-	n       uint32
+	ref     uint32
 	version uint32
-	// hist holds the current value's commit timestamp and the retained
-	// MVCC versions (see mvcc.go). nil means timestamp 0 and no chain:
-	// a record pays for it only from its first nonzero stamp, which a
-	// clockless store never makes.
-	hist *history
-}
-
-// value returns the record's immutable value (nil for a tombstone).
-func (e *entry) value() []byte { return unsafe.Slice((*byte)(e.val), e.n) }
-
-// setValue stores v, whose capacity must equal its length.
-func (e *entry) setValue(v []byte) { e.val, e.n = unsafe.Pointer(unsafe.SliceData(v)), uint32(len(v)) }
-
-// ts returns the commit timestamp of the record's current value.
-func (e *entry) ts() uint64 {
-	if e.hist == nil {
-		return 0
-	}
-	return e.hist.ts
-}
-
-// stamp sets the current value's commit timestamp, allocating the
-// record's history on its first nonzero stamp.
-func (e *entry) stamp(ts uint64) {
-	if e.hist != nil {
-		e.hist.ts = ts
-	} else if ts != 0 {
-		e.hist = &history{ts: ts}
-	}
 }
 
 // Bucket holds a small set of records plus an embedded lock word. Buckets
@@ -203,18 +178,26 @@ func (e *entry) stamp(ts uint64) {
 // paper.
 //
 // The header is exactly one 64-byte cache line — lock word, mutex, eight
-// one-byte key fingerprints, the tombstone bitmask, the entries slice, the
-// overflow pointer — and a chain walk decides from it alone which entries
-// are worth reading: an entry's own line is touched only when its
-// fingerprint matches (see docs/ARCHITECTURE.md, "What a lookup touches").
+// one-byte key fingerprints, the tombstone bitmask, the slot count and
+// capacity, the version floor, and pointers to the slots, the overflow
+// bucket, the table and the retained versions — and a chain walk decides
+// from it alone which entries are worth reading: an entry's own line is
+// touched only when its fingerprint matches (see docs/ARCHITECTURE.md,
+// "What a lookup touches").
 type Bucket struct {
 	Lock LockWord
 
-	mu       sync.Mutex            // protects everything below
-	tags     [bucketCapacity]uint8 // tags[i] = tagOf(entries[i].key), i < len(entries)
-	dead     uint8                 // bit i set: entries[i] is a tombstone left by Delete
-	entries  []entry
+	mu    sync.Mutex            // protects everything below
+	tags  [bucketCapacity]uint8 // tags[i] = tagOf(slots()[i].key), i < n
+	dead  uint8                 // bit i set: slot i is a tombstone left by Delete
+	n     uint8                 // slots in use
+	room  uint8                 // slots allocated
+	floor uint32                // versions recycled in this chain (head bucket only): a new record starts above it
+	// entries is the first of room slots, allocated as a []entry.
+	entries  *entry
 	overflow *Bucket
+	table    *Table
+	side     *retained // MVCC versions retained by this bucket's records; nil without any
 }
 
 const bucketCapacity = 8
@@ -226,13 +209,19 @@ func tagOf(key Key) uint8 { return uint8(uint64(key) * 0x9E3779B97F4A7C15 >> 56)
 // isDead reports whether slot i of this bucket is a tombstone.
 func (b *Bucket) isDead(i int) bool { return b.dead>>uint(i)&1 != 0 }
 
+// slots returns the bucket's records.
+func (b *Bucket) slots() []entry { return unsafe.Slice(b.entries, b.n) }
+
 // Get returns the value and its version. The caller is expected to hold
 // the bucket lock in at least shared mode when running under 2PL; OCC
 // calls Get without a lock and validates the version later.
 //
-// The returned slice is IMMUTABLE and never changes after the call: a
-// write replaces a record's value slice instead of mutating it in place, so readers hold a consistent snapshot without paying a
-// defensive copy on the hottest path in the system.
+// The returned slice is IMMUTABLE and never changes after the call: it
+// aliases the record's bytes in a value chunk, which a write never
+// overwrites (it appends) and compaction never reuses, so readers hold a
+// consistent snapshot without paying a defensive copy on the hottest
+// path in the system. Its capacity equals its length, so an append by
+// the caller cannot reach the chunk.
 func (b *Bucket) Get(key Key) (value []byte, version uint64, err error) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -240,8 +229,9 @@ func (b *Bucket) Get(key Key) (value []byte, version uint64, err error) {
 	if !ok || at.isDead(i) {
 		return nil, 0, ErrNotFound
 	}
-	e := &at.entries[i]
-	return e.value(), uint64(e.version), nil
+	e := &at.slots()[i]
+	value, _ = b.table.vals.record(e.ref)
+	return value, uint64(e.version), nil
 }
 
 // WriteMode says what a write requires of the key's current state and
@@ -257,7 +247,7 @@ const (
 
 // seek is the one walk over a bucket chain, for reads and writes alike,
 // with one rule on every store. With ok it returns key's own entry,
-// at.entries[slot], live or tombstone: a key has at most one entry, so
+// at.slots()[slot], live or tombstone: a key has at most one entry, so
 // a re-insert resurrects it in place and its version keeps counting.
 // Without, it returns where a new record goes: another key's tombstone
 // that carries no history (slot >= 0) — every tombstone of a clockless
@@ -270,15 +260,17 @@ func (b *Bucket) seek(key Key) (at *Bucket, slot int, ok bool) {
 	slot = -1
 	var room, last *Bucket
 	for cur := b; cur != nil; cur = cur.overflow {
-		for i := range cur.entries {
-			if cur.tags[i] == tag && cur.entries[i].key == key {
+		es := cur.slots()
+		for i := range es {
+			if cur.tags[i] == tag && es[i].key == key {
 				return cur, i, true
 			}
-			if slot < 0 && cur.isDead(i) && cur.entries[i].hist == nil {
+			// A tombstone stamped 0 has ref 0 (values.go).
+			if slot < 0 && cur.isDead(i) && es[i].ref == 0 && cur.side.chain(i) == nil {
 				at, slot = cur, i
 			}
 		}
-		if room == nil && len(cur.entries) < bucketCapacity {
+		if room == nil && cur.n < bucketCapacity {
 			room = cur
 		}
 		last = cur
@@ -295,70 +287,86 @@ func (b *Bucket) seek(key Key) (at *Bucket, slot int, ok bool) {
 // add places a new record where seek said, chaining an overflow bucket
 // when the chain is full, and (re-)tags the slot it wrote.
 func (at *Bucket) add(slot int, e entry) {
-	if slot >= 0 {
-		at.entries[slot] = e
-	} else {
-		if len(at.entries) >= bucketCapacity {
-			at.overflow = &Bucket{}
+	if slot < 0 {
+		if at.n >= bucketCapacity {
+			at.overflow = &Bucket{table: at.table}
 			at = at.overflow
 		}
-		slot = len(at.entries)
-		at.entries = append(at.entries, e)
+		if at.n == at.room {
+			room := max(2, 2*at.room)
+			grown := make([]entry, room)
+			copy(grown, at.slots())
+			at.entries, at.room = unsafe.SliceData(grown), room
+		}
+		slot = int(at.n)
+		at.n++
 	}
+	at.slots()[slot] = e
 	at.tags[slot] = tagOf(e.key)
 	at.dead &^= 1 << uint(slot)
 }
 
 // write is the one record-write path: a single seek under the bucket
 // mutex, then overwrite key's entry — a delete leaves it a tombstone —
-// or place a new one. With a table (Table.Write) the record is stamped
-// with ts, and the store decides retention: under MVCC the overwritten
-// state goes onto its version chain. Without one (the unstamped Bucket
-// writes) an existing record keeps its stamp and chain.
+// or place a new one, and compact the table's chunks, outside the
+// mutex, when the write left too many dead bytes behind. A stamped
+// write (Table.Write) stamps the record with ts, and the store decides
+// retention: under MVCC the overwritten state goes onto its version
+// chain. An unstamped one (the Bucket writes) keeps an existing
+// record's stamp and chain.
 //
-// Stored values are immutable and exactly as long as their content.
-// write copies value unless owned says the caller hands it over: it
-// built the slice and nothing will write through it again. A value
-// handed over with spare capacity is still copied to its length, so no
-// record pins more memory than it holds.
-func (b *Bucket) write(t *Table, key Key, value []byte, ts uint64, mode WriteMode, owned bool) error {
+// Every write copies value into the table's chunks, so the caller keeps
+// its slice.
+func (b *Bucket) write(key Key, value []byte, ts uint64, mode WriteMode, stamped bool) error {
 	b.mu.Lock()
-	defer b.mu.Unlock()
+	compact, err := b.writeLocked(key, value, ts, mode, stamped)
+	b.mu.Unlock()
+	if compact {
+		b.table.compact()
+	}
+	return err
+}
+
+// writeLocked is write under b.mu; compact reports that the table is
+// due for compaction.
+func (b *Bucket) writeLocked(key Key, value []byte, ts uint64, mode WriteMode, stamped bool) (compact bool, err error) {
 	at, slot, found := b.seek(key)
 	live := found && !at.isDead(slot)
 	switch {
 	case !live && (mode == WriteUpdate || mode == WriteDelete):
-		return ErrNotFound
+		return false, ErrNotFound
 	case live && mode == WriteInsert:
-		return ErrExists
+		return false, ErrExists
 	}
 	if mode == WriteDelete {
 		value = nil
-	} else if !owned || cap(value) != len(value) {
-		v := make([]byte, len(value))
-		copy(v, value)
-		value = v
 	}
+	t := b.table
 	if !found {
-		e := entry{key: key, version: 1}
-		e.setValue(value)
-		e.stamp(ts)
+		if slot >= 0 {
+			// Recycling another key's tombstone (its ref is 0): a record
+			// that key gets later must not repeat a version it had.
+			b.floor = max(b.floor, at.slots()[slot].version)
+		}
+		e := entry{key: key, version: b.floor + 1}
+		e.ref, compact = t.vals.put(value, ts, 0)
 		at.add(slot, e)
-		return nil
+		return compact, nil
 	}
-	e := &at.entries[slot]
-	if t != nil {
-		t.retain(e, !live, ts)
-		e.stamp(ts)
+	e := &at.slots()[slot]
+	if stamped {
+		t.retain(at, slot, !live, ts)
+	} else {
+		_, ts = t.vals.record(e.ref)
 	}
-	e.setValue(value)
+	e.ref, compact = t.vals.put(value, ts, e.ref)
 	e.version++
 	if mode == WriteDelete {
 		at.dead |= 1 << uint(slot)
 	} else {
 		at.dead &^= 1 << uint(slot)
 	}
-	return nil
+	return compact, nil
 }
 
 // Put updates an existing record, bumping its version. The value is
@@ -366,17 +374,17 @@ func (b *Bucket) write(t *Table, key Key, value []byte, ts uint64, mode WriteMod
 // Repartition, probes; benchmark/ compiles against them); a commit
 // applies through Table.Write.
 func (b *Bucket) Put(key Key, value []byte) error {
-	return b.write(nil, key, value, 0, WriteUpdate, false)
+	return b.write(key, value, 0, WriteUpdate, false)
 }
 
 // Insert adds a new record. It fails with ErrExists if key is present.
 func (b *Bucket) Insert(key Key, value []byte) error {
-	return b.write(nil, key, value, 0, WriteInsert, false)
+	return b.write(key, value, 0, WriteInsert, false)
 }
 
 // Delete tombstones a record.
 func (b *Bucket) Delete(key Key) error {
-	return b.write(nil, key, nil, 0, WriteDelete, false)
+	return b.write(key, nil, 0, WriteDelete, false)
 }
 
 // Len reports the number of live records in the bucket chain, from the
@@ -386,7 +394,7 @@ func (b *Bucket) Len() int {
 	defer b.mu.Unlock()
 	n := 0
 	for cur := b; cur != nil; cur = cur.overflow {
-		n += len(cur.entries) - bits.OnesCount8(cur.dead)
+		n += int(cur.n) - bits.OnesCount8(cur.dead)
 	}
 	return n
 }
@@ -424,11 +432,12 @@ func (b *Bucket) SnapshotTS() []SnapshotRecord {
 	defer b.mu.Unlock()
 	var recs []SnapshotRecord
 	for cur := b; cur != nil; cur = cur.overflow {
-		for i := range cur.entries {
-			if e := &cur.entries[i]; !cur.isDead(i) {
-				v := make([]byte, e.n)
-				copy(v, e.value())
-				recs = append(recs, SnapshotRecord{Key: e.key, Value: v, Version: uint64(e.version), TS: e.ts()})
+		for i, e := range cur.slots() {
+			if !cur.isDead(i) {
+				val, ts := b.table.vals.record(e.ref)
+				v := make([]byte, len(val))
+				copy(v, val)
+				recs = append(recs, SnapshotRecord{Key: e.key, Value: v, Version: uint64(e.version), TS: ts})
 			}
 		}
 	}

@@ -132,13 +132,10 @@ type KeyFunc func(args Args, reads ReadSet) (key storage.Key, ok bool)
 //
 // Ownership: old, args and every value in reads are read-only (the
 // store's own buffers, or a decoded message). The returned slice is
-// handed over to the engine, which stores it on the executing node
-// without copying: build it fresh (or return old or a read value
-// untouched) and never write through it again. The store defends the
-// common slip — a slice with spare capacity, such as an interior window
-// of a reused buffer or the result of append, is copied to its exact
-// length — but a full-capacity alias of memory that is later modified
-// corrupts the record.
+// handed over to the engine, which encodes, logs and replicates it and
+// copies it into the store when the transaction commits: build it fresh
+// (or return old or a read value untouched) and never write through it
+// again.
 type MutateFunc func(old []byte, args Args, reads ReadSet) ([]byte, error)
 
 // CheckFunc validates a value immediately after it is read; an error

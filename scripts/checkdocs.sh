@@ -61,6 +61,10 @@
 #      region — and internal/core executes the plan without re-deriving
 #      it: no non-test .go file under internal/core names PKDeps, and
 #      exactly one calls HotWeight (the HotFunc core hands to Decide).
+#  14. Pointer-free records stay the store's business: no non-test .go
+#      file outside internal/storage imports unsafe — slot arrays and
+#      value chunks are the one place that converts pointers, and the
+#      layout tests there pin what the collector may not scan.
 #
 # Exits non-zero with a list of offenders on failure.
 set -eu
@@ -192,6 +196,15 @@ hotweight=$(grep -rnE --include='*.go' --exclude='*_test.go' 'HotWeight\(' inter
 if [ -n "$offenders" ] || [ "$(printf '%s\n' "$hotweight" | grep -c .)" -ne 1 ]; then
     echo "internal/core re-derives the plan (take it from depgraph.Decide; HotWeight only in the HotFunc core hands to Decide):" >&2
     printf '%s\n' "$offenders" "$hotweight" | grep . >&2
+    fail=1
+fi
+
+# --- 14. unsafe only in the store ------------------------------------------
+offenders=$(grep -rnE --include='*.go' --exclude='*_test.go' '^[[:space:]]*(import[[:space:]]+)?"unsafe"' . |
+    grep -v -e '^\./internal/storage/' || true)
+if [ -n "$offenders" ]; then
+    echo "unsafe imported outside internal/storage:" >&2
+    echo "$offenders" >&2
     fail=1
 fi
 
