@@ -245,7 +245,10 @@ func (db *DB) Register(p *Proc) error {
 
 // Load inserts a record directly, bypassing transaction execution: it
 // routes by the current directory state and writes the primary and every
-// replica copy. Use it for initial data loading, before traffic.
+// replica copy. Use it for initial data loading, before traffic. Load is
+// safe for concurrent use on distinct keys, so a loader may spread its
+// independent slices (partitions, key ranges) across goroutines; every
+// record is still routed by the directory, never by the caller.
 //
 // On a DB recovered from a WithDurability dir, Load yields to recovery:
 // a key the replayed log already holds keeps its recovered value (which

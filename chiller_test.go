@@ -463,3 +463,44 @@ func TestFailedOpenLeaksNothing(t *testing.T) {
 		t.Fatal("Open succeeded with a node's log directory blocked by a regular file")
 	}
 }
+
+// Load is safe for concurrent use: goroutines loading disjoint keys
+// leave every key readable at its value, primary and replica alike.
+func TestConcurrentLoad(t *testing.T) {
+	db, err := Open(WithPartitions(3), WithReplication(2), WithSeed(7),
+		WithRangePartitioner(map[Table]Key{tAccounts: 3000}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { db.Close() })
+	if err := db.CreateTable(tAccounts, 1024); err != nil {
+		t.Fatal(err)
+	}
+	const loaders, each = 6, 500
+	errs := make(chan error, loaders)
+	for g := 0; g < loaders; g++ {
+		go func() {
+			for k := Key(g * each); k < Key((g+1)*each); k++ {
+				if err := db.Load(tAccounts, k, encBal(int64(k)+1)); err != nil {
+					errs <- err
+					return
+				}
+			}
+			errs <- nil
+		}()
+	}
+	for g := 0; g < loaders; g++ {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
+	}
+	for k := Key(0); k < loaders*each; k++ {
+		v, err := db.Get(tAccounts, k)
+		if err != nil || decBal(v) != int64(k)+1 {
+			t.Fatalf("key %d: %d, %v; want %d", k, decBal(v), err, int64(k)+1)
+		}
+	}
+	if mm := db.c.VerifyReplicaConsistency(storage.TableID(tAccounts)); mm != 0 {
+		t.Fatalf("%d replica mismatches", mm)
+	}
+}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 
+	"github.com/chillerdb/chiller/internal/cluster"
 	"github.com/chillerdb/chiller/internal/storage"
 	"github.com/chillerdb/chiller/internal/txn"
 )
@@ -125,8 +126,9 @@ func bankAuditProcedure(name string, readOnly bool) *txn.Procedure {
 const InitialBalance int64 = 10_000
 
 // SetupBank registers the bank procedures, creates the account table, and
-// loads AccountsPerPartition accounts per partition. Call after any
-// partitioning layout is installed.
+// loads AccountsPerPartition accounts per partition, one partition's key
+// range per cluster.LoadSlices slice. Call after any partitioning layout
+// is installed.
 func SetupBank(c *Cluster, b *Bank, allowOverdraft bool) error {
 	b.Partitions = c.Cfg.Partitions
 	if b.Amount == 0 {
@@ -142,13 +144,15 @@ func SetupBank(c *Cluster, b *Bank, allowOverdraft bool) error {
 		return err
 	}
 	c.CreateTable(BankTable, 4096)
-	total := b.AccountsPerPartition * b.Partitions
-	for k := 0; k < total; k++ {
-		if err := c.LoadRecord(BankTable, storage.Key(k), EncodeBalance(InitialBalance)); err != nil {
-			return err
+	app := b.AccountsPerPartition
+	return cluster.LoadSlices(c, b.Partitions, func(p int, load cluster.LoadFunc) error {
+		for k := p * app; k < (p+1)*app; k++ {
+			if err := load(BankTable, storage.Key(k), EncodeBalance(InitialBalance)); err != nil {
+				return err
+			}
 		}
-	}
-	return nil
+		return nil
+	})
 }
 
 // CelebrityKey returns partition p's hot account key.

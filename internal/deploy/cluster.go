@@ -390,7 +390,10 @@ func (c *Cluster) CreateTable(id storage.TableID, buckets int) {
 // into the primary store and every replica store, bypassing transaction
 // execution. On a cluster that recovered durable state a key the replay
 // already restored keeps its recovered value. With CreateTable it
-// implements the workload Loader interfaces.
+// implements cluster.Loader: it is safe for concurrent use on distinct
+// keys (the node list and the directory are read lock-free, and each
+// insert takes only its bucket's lock), so cluster.LoadSlices may call
+// it from every core.
 func (c *Cluster) LoadRecord(table storage.TableID, key storage.Key, value []byte) error {
 	pid := c.Dir.Partition(storage.RID{Table: table, Key: key})
 	nodes := c.Nodes()

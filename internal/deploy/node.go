@@ -194,8 +194,9 @@ func (n *Node) CreateTable(id storage.TableID, buckets int) {
 // LoadRecord inserts the record if this node is primary or replica of
 // its partition and silently skips it otherwise, so every process of a
 // multi-process cluster can run the same deterministic loader and keep
-// exactly its share. With CreateTable it implements the workload Loader
-// interfaces. Recovered nodes keep replayed values (see load).
+// exactly its share. With CreateTable it implements cluster.Loader, safe
+// for concurrent use on distinct keys. Recovered nodes keep replayed
+// values (see load).
 func (n *Node) LoadRecord(table storage.TableID, key storage.Key, value []byte) error {
 	if !n.HoldsPartition(n.Directory().Partition(storage.RID{Table: table, Key: key})) {
 		return nil

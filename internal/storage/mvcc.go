@@ -27,6 +27,7 @@ package storage
 
 import (
 	"errors"
+	"sort"
 	"sync"
 	"sync/atomic"
 )
@@ -49,57 +50,94 @@ var ErrStaleRead = errors.New("storage: snapshot below version retention window"
 // returned timestamp, and calls Release once ALL applies have landed
 // cluster-wide (the end of its async commit tail). Read-only
 // transactions call Stable and read at that timestamp.
+//
+// Reservations are increasing, so the in-flight timestamps sit in a
+// FIFO ring in reservation order, each with a released flag. Release
+// pops the released prefix and publishes the stable point, so Stable
+// is one atomic load; Reserve and Release serialize on mu.
 type Clock struct {
 	mu       sync.Mutex
 	next     uint64
-	inflight map[uint64]struct{}
+	inflight fifo[reservation]
+	stable   atomic.Uint64
+}
+
+// reservation is one in-flight timestamp of the Clock's ring.
+type reservation struct {
+	ts       uint64
+	released bool
 }
 
 // NewClock returns a clock starting at timestamp 1 for the first
 // reservation. Timestamp 0 is reserved for pre-history state (initial
 // loads), visible to every snapshot.
-func NewClock() *Clock {
-	return &Clock{inflight: make(map[uint64]struct{})}
-}
+func NewClock() *Clock { return &Clock{} }
 
 // Reserve allocates the next commit timestamp and marks it in flight.
 // Call at the commit point, while the transaction's locks are held, so
-// per-key timestamp order equals lock order.
+// per-key timestamp order equals lock order. The stable point does not
+// move: it stays below the new timestamp.
 func (c *Clock) Reserve() uint64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.next++
-	ts := c.next
-	c.inflight[ts] = struct{}{}
-	return ts
+	c.inflight.push(reservation{ts: c.next})
+	return c.next
 }
 
 // Release marks a reserved timestamp fully applied cluster-wide (or
-// abandoned by an abort that applied nothing). Releasing 0 is a no-op
-// so callers without a reservation need no branch.
+// abandoned by an abort that applied nothing). Releasing 0, or a
+// timestamp not in flight, is a no-op so callers without a reservation
+// need no branch.
 func (c *Clock) Release(ts uint64) {
 	if ts == 0 {
 		return
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	delete(c.inflight, ts)
+	r := c.find(ts)
+	if r == nil {
+		return
+	}
+	r.released = true
+	for q := &c.inflight; q.n > 0 && q.at(0).released; {
+		q.pop()
+	}
+	c.publish()
+}
+
+// find returns in-flight timestamp ts's reservation, or nil. The ring
+// is sorted and, unless AdvanceTo skipped ahead while reservations were
+// in flight, dense, so ts's offset from the oldest is its position.
+func (c *Clock) find(ts uint64) *reservation {
+	q := &c.inflight
+	if q.n == 0 || ts < q.at(0).ts {
+		return nil
+	}
+	i := int(min(ts-q.at(0).ts, uint64(q.n)))
+	if i == q.n || q.at(i).ts != ts {
+		i = sort.Search(q.n, func(i int) bool { return q.at(i).ts >= ts })
+	}
+	if i == q.n || q.at(i).ts != ts {
+		return nil
+	}
+	return q.at(i)
+}
+
+// publish stores the stable point, under mu: one below the oldest
+// in-flight timestamp, or next when none is in flight.
+func (c *Clock) publish() {
+	if c.inflight.n == 0 {
+		c.stable.Store(c.next)
+	} else {
+		c.stable.Store(c.inflight.at(0).ts - 1)
+	}
 }
 
 // Stable returns the largest S such that every timestamp <= S has been
 // released: a snapshot at S observes a fully-applied prefix of the
 // commit order on every node.
-func (c *Clock) Stable() uint64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	s := c.next
-	for ts := range c.inflight {
-		if ts-1 < s {
-			s = ts - 1
-		}
-	}
-	return s
-}
+func (c *Clock) Stable() uint64 { return c.stable.Load() }
 
 // AdvanceTo raises the clock past timestamps observed in recovered
 // state, so post-recovery reservations never collide with replayed
@@ -109,6 +147,7 @@ func (c *Clock) AdvanceTo(ts uint64) {
 	defer c.mu.Unlock()
 	if ts > c.next {
 		c.next = ts
+		c.publish()
 	}
 }
 
@@ -181,28 +220,18 @@ type pendingPrune struct {
 	ts  uint64
 }
 
-// gcQueue is a FIFO ring of pendingPrunes that grows by doubling and
-// never shrinks, so a write pushes without allocating once the ring
-// has reached the backlog one retention window holds. Its mutex is
-// innermost: push runs under a bucket mutex, and take's caller takes
-// bucket mutexes only after take has returned.
+// gcQueue is the FIFO of pendingPrunes. Its mutex is innermost: push
+// runs under a bucket mutex, and take's caller takes bucket mutexes
+// only after take has returned.
 type gcQueue struct {
-	mu      sync.Mutex
-	ring    []pendingPrune // len is a power of two
-	head, n int
+	mu sync.Mutex
+	q  fifo[pendingPrune]
 }
 
 func (q *gcQueue) push(p pendingPrune) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	if q.n == len(q.ring) {
-		grown := make([]pendingPrune, max(256, 2*len(q.ring)))
-		q.n = copy(grown, q.ring[q.head:])
-		q.n += copy(grown[q.n:], q.ring[:q.head])
-		q.ring, q.head = grown, 0
-	}
-	q.ring[(q.head+q.n)&(len(q.ring)-1)] = p
-	q.n++
+	q.q.push(p)
 }
 
 // take moves the oldest entries into dst, as many as fit, stopping at
@@ -211,12 +240,38 @@ func (q *gcQueue) take(dst []pendingPrune, w uint64) int {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	n := 0
-	for ; n < len(dst) && q.n > 0 && q.ring[q.head].ts <= w; n++ {
-		dst[n] = q.ring[q.head]
-		q.head = (q.head + 1) & (len(q.ring) - 1)
-		q.n--
+	for ; n < len(dst) && q.q.n > 0 && q.q.at(0).ts <= w; n++ {
+		dst[n] = *q.q.at(0)
+		q.q.pop()
 	}
 	return n
+}
+
+// fifo is a ring that grows by doubling and never shrinks, so pushes
+// stop allocating once it has reached its steady backlog (a retention
+// window of writes, the commits in flight). Callers synchronize.
+type fifo[T any] struct {
+	ring    []T // len is a power of two
+	head, n int
+}
+
+func (f *fifo[T]) push(v T) {
+	if f.n == len(f.ring) {
+		grown := make([]T, max(256, 2*len(f.ring)))
+		copy(grown[copy(grown, f.ring[f.head:]):], f.ring[:f.head])
+		f.ring, f.head = grown, 0
+	}
+	*f.at(f.n) = v
+	f.n++
+}
+
+// at returns the i'th oldest entry, i < n.
+func (f *fifo[T]) at(i int) *T { return &f.ring[(f.head+i)&(len(f.ring)-1)] }
+
+// pop drops the oldest entry.
+func (f *fifo[T]) pop() {
+	f.head = (f.head + 1) & (len(f.ring) - 1)
+	f.n--
 }
 
 // retained is a bucket's MVCC side: the versions each of its records

@@ -162,23 +162,25 @@ func DecodeStock(p []byte) int64 {
 	return int64(binary.LittleEndian.Uint64(p))
 }
 
-// Loader matches bench.Cluster's loading surface.
-type Loader interface {
-	CreateTable(id storage.TableID, buckets int)
-	LoadRecord(table storage.TableID, key storage.Key, value []byte) error
-}
+// productsPerSlice is the size of the product ranges Load spreads
+// across the cores.
+const productsPerSlice = 4096
 
-// Load creates the tables and stocks the catalogue.
-func Load(l Loader, cfg Config) error {
+// Load creates the tables and stocks the catalogue, one product range
+// per cluster.LoadSlices slice.
+func Load(l cluster.Loader, cfg Config) error {
 	cfg = cfg.Defaults()
 	l.CreateTable(TableProducts, 1<<15)
 	l.CreateTable(TableOrders, 1<<12)
-	for p := 0; p < cfg.Products; p++ {
-		if err := l.LoadRecord(TableProducts, storage.Key(p), EncodeStock(1_000_000)); err != nil {
-			return err
+	slices := (cfg.Products + productsPerSlice - 1) / productsPerSlice
+	return cluster.LoadSlices(l, slices, func(i int, load cluster.LoadFunc) error {
+		for p := i * productsPerSlice; p < min((i+1)*productsPerSlice, cfg.Products); p++ {
+			if err := load(TableProducts, storage.Key(p), EncodeStock(1_000_000)); err != nil {
+				return err
+			}
 		}
-	}
-	return nil
+		return nil
+	})
 }
 
 // DefaultPartitioner is the "Hashing" baseline of Figure 7: products by

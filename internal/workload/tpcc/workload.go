@@ -108,17 +108,12 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// Loader abstracts the cluster's data-loading interface (bench.Cluster
-// satisfies it).
-type Loader interface {
-	CreateTable(id storage.TableID, buckets int)
-	LoadRecord(table storage.TableID, key storage.Key, value []byte) error
-}
-
-// Load creates the tables and populates them. Each district is seeded
-// with one delivered order (oid 0, ten lines) so OrderStatus and Delivery
-// always find a latest order; d_next_o_id starts at 1.
-func Load(l Loader, cfg Config) error {
+// Load creates the tables and populates them, one warehouse per
+// cluster.LoadSlices slice: a warehouse's records depend on nothing
+// outside it. Each district is seeded with one delivered order (oid 0,
+// ten lines) so OrderStatus and Delivery always find a latest order;
+// d_next_o_id starts at 1.
+func Load(l cluster.Loader, cfg Config) error {
 	if err := cfg.Validate(); err != nil {
 		return err
 	}
@@ -130,49 +125,46 @@ func Load(l Loader, cfg Config) error {
 	l.CreateTable(TableNewOrder, 1<<12)
 	l.CreateTable(TableOrderLine, 1<<15)
 	l.CreateTable(TableHistory, 1<<12)
+	return cluster.LoadSlices(l, cfg.Warehouses, func(w int, load cluster.LoadFunc) error {
+		return loadWarehouse(load, cfg, w)
+	})
+}
 
-	for w := 0; w < cfg.Warehouses; w++ {
-		if err := l.LoadRecord(TableWarehouse, WarehouseKey(w), (Warehouse{Tax: int64((w*37 + 11) % 2000)}).Encode()); err != nil {
+// loadWarehouse loads warehouse w's records.
+func loadWarehouse(load cluster.LoadFunc, cfg Config, w int) error {
+	if err := load(TableWarehouse, WarehouseKey(w), (Warehouse{Tax: int64((w*37 + 11) % 2000)}).Encode()); err != nil {
+		return err
+	}
+	for d := 0; d < DistrictsPerWarehouse; d++ {
+		if err := load(TableDistrict, DistrictKey(w, d), (District{NextOID: 1, Tax: int64((d*53 + 7) % 2000)}).Encode()); err != nil {
 			return err
 		}
-		for d := 0; d < DistrictsPerWarehouse; d++ {
-			if err := l.LoadRecord(TableDistrict, DistrictKey(w, d), (District{NextOID: 1, Tax: int64((d*53 + 7) % 2000)}).Encode()); err != nil {
+		for c := 0; c < cfg.CustomersPerDistrict; c++ {
+			cust := Customer{Balance: -1000, Discount: int64((c*29 + 3) % 5000)}
+			if err := load(TableCustomer, CustomerKey(w, d, c), cust.Encode()); err != nil {
 				return err
-			}
-			for c := 0; c < cfg.CustomersPerDistrict; c++ {
-				cust := Customer{Balance: -1000, Discount: int64((c*29 + 3) % 5000)}
-				if err := l.LoadRecord(TableCustomer, CustomerKey(w, d, c), cust.Encode()); err != nil {
-					return err
-				}
-			}
-			// Seed order 0 with ten lines for customer 0.
-			ok := OrderKey(w, d, 0)
-			if err := l.LoadRecord(TableOrder, ok, (Order{CustomerID: 0, OLCnt: 10, CarrierID: 1}).Encode()); err != nil {
-				return err
-			}
-			for line := 0; line < 10; line++ {
-				item := int64((d*10 + line) % max(cfg.Items, 1))
-				olv := OrderLine{ItemID: item, SupplyW: int64(w), Quantity: 5, Amount: 5 * ItemPrice(item)}
-				if err := l.LoadRecord(TableOrderLine, OrderLineKey(ok, line), olv.Encode()); err != nil {
-					return err
-				}
 			}
 		}
-		for i := 0; i < cfg.Items; i++ {
-			st := Stock{Quantity: int64(10 + (i*7+w)%91)}
-			if err := l.LoadRecord(TableStock, StockKey(w, i), st.Encode()); err != nil {
+		// Seed order 0 with ten lines for customer 0.
+		ok := OrderKey(w, d, 0)
+		if err := load(TableOrder, ok, (Order{CustomerID: 0, OLCnt: 10, CarrierID: 1}).Encode()); err != nil {
+			return err
+		}
+		for line := 0; line < 10; line++ {
+			item := int64((d*10 + line) % max(cfg.Items, 1))
+			olv := OrderLine{ItemID: item, SupplyW: int64(w), Quantity: 5, Amount: 5 * ItemPrice(item)}
+			if err := load(TableOrderLine, OrderLineKey(ok, line), olv.Encode()); err != nil {
 				return err
 			}
+		}
+	}
+	for i := 0; i < cfg.Items; i++ {
+		st := Stock{Quantity: int64(10 + (i*7+w)%91)}
+		if err := load(TableStock, StockKey(w, i), st.Encode()); err != nil {
+			return err
 		}
 	}
 	return nil
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // MarkHot declares the contended tables hot, so Chiller's run-time

@@ -65,6 +65,10 @@
 #      file outside internal/storage imports unsafe — slot arrays and
 #      value chunks are the one place that converts pointers, and the
 #      layout tests there pin what the collector may not scan.
+#  15. One load fan-out: no non-test .go file under internal/workload,
+#      nor internal/bench/bank.go, starts a goroutine — a loader splits
+#      its data into independent slices and cluster.LoadSlices alone
+#      spreads them across the cores.
 #
 # Exits non-zero with a list of offenders on failure.
 set -eu
@@ -204,6 +208,15 @@ offenders=$(grep -rnE --include='*.go' --exclude='*_test.go' '^[[:space:]]*(impo
     grep -v -e '^\./internal/storage/' || true)
 if [ -n "$offenders" ]; then
     echo "unsafe imported outside internal/storage:" >&2
+    echo "$offenders" >&2
+    fail=1
+fi
+
+# --- 15. one load fan-out ---------------------------------------------------
+offenders=$(grep -rnE --include='*.go' --exclude='*_test.go' '^[[:space:]]*go[[:space:]]+[^[:space:]]' \
+    internal/workload internal/bench/bank.go || true)
+if [ -n "$offenders" ]; then
+    echo "a loader starts its own goroutine (split the load into slices and run them with cluster.LoadSlices):" >&2
     echo "$offenders" >&2
     fail=1
 fi
