@@ -367,7 +367,7 @@ func (e *Engine) finish(s *scratch, w *server.Wave) {
 // scratch is one two-region transaction's working memory, pooled: the
 // shared coordinator context (cc.Txn: read set, participants, lock-wave
 // batches, the write set) plus what only this policy needs — the outer
-// region's wave plan and the inner region's lock refs and ack waiter.
+// region's wave plan and the inner region's ack waiter.
 //
 // Lifetime: runTwoRegion takes one and its inner region runs on it. Its
 // last reader releases it, once: the abort path, or finish — a committed
@@ -380,10 +380,9 @@ type scratch struct {
 	pend []int
 	wave []int
 
-	// Inner region: the bucket locks held and, once it committed (with
-	// TS), the waiter for its replicas' acks.
-	locks []innerLockRef
-	ack   *server.Acks
+	// Inner region: once it committed (with TS), the waiter for its
+	// replicas' acks.
+	ack *server.Acks
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
@@ -397,7 +396,7 @@ func newScratch(n *server.Node, req *txn.Request, proc *txn.Procedure) *scratch 
 // release retires the context and pools the scratch.
 func (s *scratch) release() {
 	s.Txn.Release()
-	*s = scratch{pend: s.pend[:0], wave: s.wave[:0], locks: s.locks[:0]}
+	*s = scratch{pend: s.pend[:0], wave: s.wave[:0]}
 	scratchPool.Put(s)
 }
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -153,6 +154,98 @@ func TestInnerLockNamespaceIsolation(t *testing.T) {
 		t.Fatal("inner commit released the outer lock")
 	}
 	node.AbortLocal(txnID)
+}
+
+// The pin rule, on both lock steps: a transaction pins a partition at
+// its first lock there and holds the pin until its state here retires. A
+// fence raised inside an inner region — here by an op's Check — does not
+// abort the region that pinned the partition, and a drain waits for the
+// region's end. A later transaction's first lock there, by a region or a
+// batch, aborts AbortMoved and leaves no state and no pin; a transaction
+// that already holds a lock there goes on locking, by either step.
+func TestPinRuleOnBothLockSteps(t *testing.T) {
+	_, node := newHarness(t)
+	drained := make(chan error, 1)
+	fence := func([]byte, txn.Args, txn.ReadSet) error {
+		node.Fence(0)
+		go func() { drained <- node.DrainPartition(0, 10*time.Second) }()
+		return nil
+	}
+	stillPinned := func([]byte, txn.Args, txn.ReadSet) error {
+		select {
+		case err := <-drained:
+			return fmt.Errorf("the drain returned (%v) inside the region", err)
+		case <-time.After(20 * time.Millisecond):
+			return nil
+		}
+	}
+	node.Registry().MustRegister(&txn.Procedure{Name: "pin.fence", Ops: []txn.OpSpec{
+		{ID: 0, Type: txn.OpRead, Table: 1, Key: key(7), Check: fence},
+		{ID: 1, Type: txn.OpUpdate, Table: 1, Key: key(8), Mutate: setVal(80), Check: stillPinned},
+	}})
+	node.Registry().MustRegister(&txn.Procedure{Name: "pin.inner", Ops: []txn.OpSpec{
+		{ID: 0, Type: txn.OpUpdate, Table: 1, Key: key(7), Mutate: setVal(70)},
+	}})
+	noPins := func(when string) {
+		t.Helper()
+		if n := node.ActiveTxns(); n != 0 {
+			t.Errorf("%s: %d transactions hold state", when, n)
+		}
+		if err := node.DrainPartition(0, 0); err != nil {
+			t.Errorf("%s: %v", when, err)
+		}
+	}
+
+	if reason := execInnerLocal(node, 300, "pin.fence", []int{0, 1}, nil); reason != txn.AbortNone {
+		t.Fatalf("a region fenced after its first lock: %v", reason)
+	}
+	select {
+	case err := <-drained:
+		if err != nil {
+			t.Fatalf("drain after the region: %v", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("the drain outlived the region")
+	}
+	if v, _, _ := node.Store().Table(1).Bucket(8).Get(8); len(v) != 1 || v[0] != 80 {
+		t.Fatalf("the fenced region's write: %v", v)
+	}
+	noPins("after the fenced region")
+
+	// The partition stays fenced: a new transaction's first lock aborts.
+	if reason := execInnerLocal(node, 301, "pin.inner", []int{0}, nil); reason != txn.AbortMoved {
+		t.Fatalf("a region's first lock in a fenced partition: %v, want moved", reason)
+	}
+	noPins("after the refused region")
+	if r := node.LockReadLocal(302, []server.LockEntry{
+		{OpID: 0, Table: 1, Key: 3, Mode: storage.LockShared, Read: true, MustExist: true},
+	}); r.OK || r.Reason != txn.AbortMoved {
+		t.Fatalf("a batch's first lock in a fenced partition: %+v, want moved", r)
+	}
+	noPins("after the refused batch")
+
+	// A transaction that pinned the partition before the fence goes on.
+	node.Unfence(0)
+	if r := node.LockReadLocal(303, []server.LockEntry{
+		{OpID: 0, Table: 1, Key: 2, Mode: storage.LockShared, Read: true, MustExist: true},
+	}); !r.OK {
+		t.Fatalf("first batch: %v", r.Reason)
+	}
+	node.Fence(0)
+	if r := node.LockReadLocal(303, []server.LockEntry{
+		{OpID: 1, Table: 1, Key: 4, Mode: storage.LockExclusive, Read: true, MustExist: true},
+	}); !r.OK {
+		t.Fatalf("a later batch of a transaction that pinned the fenced partition: %v", r.Reason)
+	}
+	if reason := execInnerLocal(node, 303, "pin.inner", []int{0}, nil); reason != txn.AbortNone {
+		t.Fatalf("the region of a transaction that pinned the fenced partition: %v", reason)
+	}
+	if err := node.DrainPartition(0, time.Millisecond); err == nil {
+		t.Fatal("a drain passed a transaction that still holds locks")
+	}
+	node.AbortLocal(303)
+	noPins("after the pinned transaction aborted")
+	node.Unfence(0)
 }
 
 func TestRunFallsBackForColdTxn(t *testing.T) {
@@ -638,13 +731,8 @@ func TestScratchDoesNotLeakAbortedWrites(t *testing.T) {
 	check("re-entered scratch", reads)
 	s.release()
 	s = scratchPool.Get().(*scratch)
-	if len(s.locks)+len(s.pend)+len(s.wave) != 0 || s.Txn != nil || s.ack != nil {
+	if len(s.pend)+len(s.wave) != 0 || s.Txn != nil || s.ack != nil {
 		t.Errorf("a pooled scratch came back dirty: %+v", s)
-	}
-	for _, l := range s.locks[:cap(s.locks)] {
-		if l.b != nil {
-			t.Errorf("a pooled scratch still pins a bucket: %v", l)
-		}
 	}
 	scratchPool.Put(s) // its context went back to cc's pool: TestReleasePinsNothing (internal/cc)
 

@@ -90,10 +90,9 @@ func (e *Engine) route(host transport.NodeID, req *txn.Request) txn.Result {
 // paper's "general execution model", end of §3.3): static analysis alone
 // cannot guarantee that no other transaction touches these records in an
 // outer region, and the lock cost is negligible next to a message delay.
-// The inner region's locks are tracked privately (never in the node's
-// participant-state map), so committing the inner region cannot release
-// outer locks the coordinator may hold on this same node under the same
-// transaction id.
+// The region is one lock step on the transaction's participant state
+// here (server.Region): it shares the outer region's holds, and
+// committing it releases only the locks it took.
 //
 // The region works on the coordinator's own scratch: s.Reads (the outer
 // region's values on entry) is extended in place with the inner reads,
@@ -115,134 +114,47 @@ func (s *scratch) execInnerOnLane(n *server.Node, lane int, proc *txn.Procedure,
 	return reason
 }
 
-// innerLockRef is one bucket lock held by an in-flight inner region.
-// Inner regions keep their lock set in the scratch instead of the
-// node's participant-state map: they never outlive the call (commit or
-// abort happens before returning, on the owning lane), so the map
-// bookkeeping, its locking, and the per-op LockResponse allocations of
-// the general path are pure overhead here — and on the coordinator hot
-// path that overhead dominated the profile.
-type innerLockRef struct {
-	b    *storage.Bucket
-	mode storage.LockMode
-}
-
 // execInner runs the inner region on the current goroutine (the owning
-// lane's executor): the inner region's policy over cc.Txn takes each
-// op's bucket lock on this lane, reads under it, and gives the op its
-// meaning at once. The buffered writes are reset on entry (the lock refs
-// when the region lets go of them), so a re-requested region starts
-// clean. The second return is the durability ticket of the unilateral
-// commit — zero when nothing needs flushing — which the caller must wait
-// out off-lane before building on the region.
+// lane's executor) as one lock step: the inner region's policy over
+// cc.Txn takes each op's bucket lock, reads under it, and gives the op
+// its meaning at once. The buffered writes are reset on entry, so a
+// re-requested region starts clean. The second return is the durability
+// ticket of the unilateral commit — zero when nothing needs flushing —
+// which the caller must wait out off-lane before building on the region.
 func (s *scratch) execInner(n *server.Node, proc *txn.Procedure, args txn.Args, innerOps []int) (txn.AbortReason, wal.Ticket) {
 	s.Unbuffer() // a failed earlier attempt's values must not linger
-	txnID, reads := s.ID, s.Reads
+	r := n.BeginRegion(s.ID)
+	defer r.End()
 	// The partition whose replicas receive this region's stream. Every
 	// inner op targets the one inner partition; it is resolved here from
 	// the first op's record, under the directory as it is now, rather
 	// than taken from the coordinator's decision: a hot-record migration
-	// that re-homed the record since then must abort the region (the pin
-	// below fails), not let it commit into the copy left behind.
+	// that re-homed the record since then must abort the region (its
+	// first lock there fails the primary check), not let it commit into
+	// the copy left behind. The pin that lock takes holds the handoff
+	// fence open (DrainPartition waits it out), so a partition move can
+	// never flip routing under a region about to commit here.
 	var innerPID cluster.PartitionID
-	// entered tracks the partition pin taken at innerPID resolution; the
-	// pin holds the handoff fence open (DrainPartition waits it out), so
-	// a mid-flight partition move can never flip routing under a region
-	// that is about to unilaterally commit here.
-	entered := false
-
-	release := func() {
-		for _, l := range s.locks {
-			l.b.Lock.Unlock(l.mode)
-		}
-		clear(s.locks) // the pooled scratch pins no bucket
-		s.locks = s.locks[:0]
-		if entered {
-			n.LeavePartition(innerPID)
-		}
-	}
-	abort := func(reason txn.AbortReason) (txn.AbortReason, wal.Ticket) {
-		release()
-		return reason, wal.Ticket{}
-	}
-	// lock acquires b in the requested mode, deduplicating against locks
-	// this inner region already holds (same semantics as the participant
-	// state's hasLock: shared is covered by exclusive, shared→exclusive
-	// upgrades in place). The lock word still arbitrates against outer
-	// regions and remote coordinators.
-	lock := func(b *storage.Bucket, mode storage.LockMode) bool {
-		for i := range s.locks {
-			if s.locks[i].b != b {
-				continue
-			}
-			if s.locks[i].mode == storage.LockExclusive || mode == storage.LockShared {
-				return true
-			}
-			if !b.Lock.Upgrade() {
-				return false
-			}
-			s.locks[i].mode = storage.LockExclusive
-			return true
-		}
-		if b.Lock.TryLock(mode) {
-			s.locks = append(s.locks, innerLockRef{b: b, mode: mode})
-			return true
-		}
-		// Conflict — possibly with OURSELVES: an inner record may share
-		// a bucket with a record the same transaction's outer region has
-		// already locked on this node (records are disjoint, buckets are
-		// hashed), and NO_WAIT against our own outer lock would
-		// self-abort the transaction on every retry, forever. Borrow the
-		// outer hold instead. Borrowed buckets are not tracked in s.locks
-		// — they stay locked until the outer region commits or aborts,
-		// which is exactly the span the colliding outer record needs
-		// anyway. The check runs only on conflict, so the common
-		// no-collision path costs nothing.
-		return n.BorrowLock(txnID, b, mode)
-	}
-
-	for _, opID := range innerOps {
+	for i, opID := range innerOps {
 		if opID < 0 || opID >= len(proc.Ops) {
-			return abort(txn.AbortInternal)
+			return txn.AbortInternal, wal.Ticket{}
 		}
 		op := &proc.Ops[opID]
-		key, ok := op.Key(args, reads)
+		key, ok := op.Key(args, s.Reads)
 		if !ok {
-			return abort(txn.AbortInternal)
+			return txn.AbortInternal, wal.Ticket{}
 		}
-		tbl := n.Store().Table(op.Table)
-		if tbl == nil {
-			return abort(txn.AbortInternal)
-		}
-		if !entered {
+		if i == 0 {
 			innerPID = n.Directory().Partition(storage.RID{Table: op.Table, Key: key})
-			// Fenced (mid-handoff) or no longer primary: the region must
-			// re-route. AbortMoved is retryable at the client, and the
-			// retry re-reads the directory, landing on the new primary.
-			if !n.EnterPartition(innerPID) {
-				return abort(txn.AbortMoved)
-			}
-			entered = true
 		}
 		// The entry says what the lock word and the store owe this op: a
 		// record the region has already written is neither read nor
 		// required to exist (the own-write index is its current value).
-		le := s.Entry(op, key)
-		b := tbl.Bucket(key)
-		if !lock(b, le.Mode) {
-			return abort(txn.AbortLockConflict)
-		}
-		if le.MustExist {
-			v, _, err := b.Get(key)
-			if err != nil {
-				return abort(txn.AbortNotFound)
-			}
-			if le.Read {
-				reads[opID] = v
-			}
+		if reason := r.LockRead(s.Entry(op, key), innerPID, s.Reads); reason != txn.AbortNone {
+			return reason, wal.Ticket{}
 		}
 		if reason := s.Step(op, args, key, innerPID, false); reason != txn.AbortNone {
-			return abort(reason)
+			return reason, wal.Ticket{}
 		}
 	}
 	// Unilateral commit (§3.3 step 4). Reserve the commit timestamp here —
@@ -258,16 +170,16 @@ func (s *scratch) execInner(n *server.Node, proc *txn.Procedure, args txn.Args, 
 	}
 	// Stream, apply and log, as a participant's [replicate, commit] frames
 	// do; a failed first send applied nothing anywhere. The durability
-	// wait happens off this lane (see execInnerOnLane).
-	ack, durable, err := n.CommitInner(innerPID, txnID, ts, s.WriteSets()[innerPID])
+	// wait happens off this lane (see execInnerOnLane), after End has
+	// released the region's locks.
+	ack, durable, err := n.CommitInner(innerPID, s.ID, ts, s.WriteSets()[innerPID])
 	if err != nil {
 		if clock != nil {
 			clock.Release(ts)
 		}
 		s.Detail = "inner commit: " + err.Error()
-		return abort(txn.AbortInternal)
+		return txn.AbortInternal, wal.Ticket{}
 	}
-	release()
 	// Applied, streamed and logged: the tail must not commit them again.
 	// Their values stay in the own-write index for the outer ops.
 	s.DropWrites()

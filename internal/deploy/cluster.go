@@ -247,7 +247,8 @@ func (c *Cluster) spec() Spec {
 // endpoint (over TCP, on the same tcpnet.Fabric, so peers keep their
 // connections). Its store starts with the old store's tables and holds
 // what the WAL replayed; rerun the loading phase through its LoadRecord,
-// which yields to recovered keys. Call only on a quiesced cluster: no
+// which yields to recovered keys. Its transaction and ack ids continue
+// the old node's. Call only on a quiesced cluster: no
 // transaction may touch the node across the call. On error slot i keeps
 // the stopped node, and the cluster is fit only for Close.
 func (c *Cluster) Reopen(i int) (*Node, error) {
@@ -272,6 +273,7 @@ func (c *Cluster) Reopen(i int) (*Node, error) {
 	if err != nil {
 		return nil, err
 	}
+	n.ContinueIDs(old.LastIDs()) // quiesced: nothing has minted on n yet
 	reopened := append([]*Node(nil), nodes...)
 	reopened[i] = n
 	c.nodes.Store(&reopened)

@@ -358,3 +358,40 @@ func TestReopenServesRecoveredState(t *testing.T) {
 		})
 	}
 }
+
+// A reopened node mints past every id its predecessor minted: a
+// transaction id a participant may still hold state under, or an ack id
+// a replica may still ack, must never name new work.
+func TestReopenContinuesIDs(t *testing.T) {
+	testutil.CheckLeaks(t)
+	c := bank(t, Config{Transport: TransportSim, Partitions: 2, Replication: 2})
+	defer c.Close()
+	run(t, c, EngineChiller, 1, perPartition, 0) // coordinated by node 1: an inner region, replica acks
+	c.Drain()
+	c.Settle()
+	old := c.Nodes()[1]
+	lastTxn := old.NextTxnID()
+	_, lastAck := old.LastIDs()
+	if lastAck == 0 {
+		t.Fatal("node 1 minted no ack id before the reopen")
+	}
+	n, err := c.Reopen(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if id := n.NextTxnID(); id <= lastTxn {
+		t.Errorf("reopened node minted txn id %#x, not past %#x", id, lastTxn)
+	}
+	a := n.OpenAcks()
+	defer a.Cancel()
+	if _, ack := n.LastIDs(); ack <= lastAck {
+		t.Errorf("reopened node minted ack id %d, not past %d", ack, lastAck)
+	}
+	// No WAL: the reopened node holds only what the loader reruns.
+	for k := 0; k < 2*perPartition; k++ {
+		if err := n.LoadRecord(accounts, storage.Key(k), balance(startBalance)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run(t, c, EngineChiller, 1, perPartition+1, 1)
+}

@@ -13,6 +13,7 @@ package server
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -40,22 +41,28 @@ type Node struct {
 
 	txnSeq atomic.Uint64
 
-	// Participant transaction state (locks held on behalf of remote
-	// coordinators, and by local coordinators for uniformity). stMu also
-	// guards the handoff cutover state below: fencing and pinning must
+	// Participant transaction state: one per transaction holding locks
+	// here, for remote coordinators and the local one alike, its inner
+	// region included. stMu guards the map, the fences and the pins —
+	// never a state's locks (partState.mu does): fencing and pinning must
 	// be one critical section, or a drain could miss a transaction that
 	// passed the fence check but had not yet made its pin visible.
 	stMu  sync.Mutex
 	state map[uint64]*partState
-	// fenced marks partitions mid-handoff on this node: new lock
-	// acquisitions and inner regions abort with AbortMoved while
-	// transactions already pinned run to completion (no global quiesce).
+	// fenced marks partitions mid-handoff on this node: a transaction's
+	// first lock in one aborts with AbortMoved while transactions that
+	// already pinned it run to completion (no global quiesce).
 	fenced map[cluster.PartitionID]bool
-	// partPins counts in-flight local work per partition — one pin per
-	// held bucket lock plus one per executing inner region. A handoff
-	// drains a partition by fencing it and waiting for its pins to
-	// reach zero.
+	// partPins counts, per partition, the transactions whose state here
+	// pins it: a transaction pins a partition at its first lock there and
+	// lets go when its state retires. A handoff drains a partition by
+	// fencing it and waiting for its pins to reach zero.
 	partPins map[cluster.PartitionID]int
+	// statePool recycles this node's retired states. Per node: one
+	// transaction holds states on several nodes under one id, so a state
+	// recycled across nodes could pass a stale fetch's id check on the
+	// wrong node.
+	statePool sync.Pool
 
 	// Pending replica acks awaited here (see Acks): ack id → waiter. Ids
 	// come from ackSeq, so every sender's acks share one namespace.
@@ -95,32 +102,34 @@ type Node struct {
 	clock *storage.Clock
 }
 
-// partState tracks one transaction's footprint on this participant.
+// partState is one transaction's lock list on this participant: the
+// locks of its lock-read batches and of its inner region, and the
+// partitions they pin. Pooled: a retired state, its arrays included, is
+// the node's next transaction's.
 type partState struct {
-	// mu serializes LockReadLocal calls for this transaction on this
-	// participant. With lane-aware fan-out a coordinator may issue
-	// several per-lane batches of ONE wave to the same node
-	// concurrently; the suffix-based rollback below is only correct
-	// while a single batch mutates locks at a time. Different
-	// transactions' batches still run fully in parallel — that is where
-	// lanes earn their throughput — and same-transaction batches on one
-	// node are a handful of local lock words, so the serialization is
-	// invisible next to a network round trip.
+	// mu serializes the transaction's lock steps here (Region) and guards
+	// everything below. With lane-aware fan-out a coordinator may issue
+	// several per-lane batches of ONE wave to the same node concurrently;
+	// a step's rollback — the suffix of locks it took — is only correct
+	// while a single step mutates the list at a time. Different
+	// transactions' steps still run fully in parallel, and same-transaction
+	// batches on one node are a handful of local lock words, so the
+	// serialization is invisible next to a network round trip.
 	mu    sync.Mutex
+	txnID uint64
 	locks []lockRef
-	// dropped marks a state the empty-fail fast path removed from the
-	// node's map while another same-transaction batch was already
-	// holding the pointer and queueing on mu; the late batch must
-	// re-fetch a live state or its locks would be orphaned.
-	dropped bool
+	pins  []cluster.PartitionID
+	// retired marks a state out of the node's map. Whoever fetched the
+	// pointer before that — a step of the same transaction queueing on
+	// mu — finds it retired, or recycled under another id, and must fetch
+	// a live state, or its locks would be orphaned. States recycle only
+	// within their node, so a matching id is this node's live state.
+	retired bool
 }
 
 type lockRef struct {
 	bucket *storage.Bucket
 	mode   storage.LockMode
-	// pid is the partition the record routed to at acquisition time;
-	// the release path unpins it.
-	pid cluster.PartitionID
 }
 
 // New creates a node bound to an endpoint, owning the primary store for
@@ -140,6 +149,7 @@ func New(ep transport.Endpoint, st *storage.Store, reg *txn.Registry, dir *clust
 		acks:     make(map[uint64]*Acks),
 		vm:       NewVerbMetrics(),
 	}
+	n.statePool.New = func() any { return new(partState) }
 	nLanes := dir.Lanes()
 	if nLanes < 1 {
 		nLanes = 1
@@ -213,23 +223,23 @@ func (n *Node) NextTxnID() uint64 {
 	return uint64(n.ep.ID())<<40 | n.txnSeq.Add(1)
 }
 
-func (n *Node) getState(txnID uint64, create bool) *partState {
-	n.stMu.Lock()
-	defer n.stMu.Unlock()
-	st, ok := n.state[txnID]
-	if !ok && create {
-		st = &partState{}
-		n.state[txnID] = st
-	}
-	return st
+// LastIDs reports the sequences behind the last transaction id and the
+// last ack id this node minted.
+func (n *Node) LastIDs() (txnSeq, ackSeq uint64) {
+	n.ackMu.Lock()
+	defer n.ackMu.Unlock()
+	return n.txnSeq.Load(), n.ackSeq
 }
 
-func (n *Node) dropState(txnID uint64) *partState {
-	n.stMu.Lock()
-	defer n.stMu.Unlock()
-	st := n.state[txnID]
-	delete(n.state, txnID)
-	return st
+// ContinueIDs makes the node mint past the given sequences: a node
+// restarted on an endpoint continues its predecessor's (LastIDs), so no
+// id it mints names a transaction a participant may still hold state
+// under, or a wait a replica may still ack. Call before it serves.
+func (n *Node) ContinueIDs(txnSeq, ackSeq uint64) {
+	n.txnSeq.Store(txnSeq)
+	n.ackMu.Lock()
+	n.ackSeq = ackSeq
+	n.ackMu.Unlock()
 }
 
 // ActiveTxns reports how many transactions currently hold participant
@@ -240,18 +250,149 @@ func (n *Node) ActiveTxns() int {
 	return len(n.state)
 }
 
-// hasLock reports whether the state already covers bucket b with a mode
-// at least as strong as mode.
-func (st *partState) hasLock(b *storage.Bucket, mode storage.LockMode) (held bool, idx int) {
-	for i, l := range st.locks {
-		if l.bucket == b {
-			if l.mode == storage.LockExclusive || mode == storage.LockShared {
-				return true, i
+// Region is one lock step of a transaction at this node — a lock-read
+// batch, or an inner region (§3.3 step 4) — over the transaction's one
+// lock list here: BeginRegion, LockRead per record, then End or Keep.
+// A step dedupes and upgrades against every lock the transaction holds
+// on this node, whichever step took it, so an inner record hashed into
+// an outer record's bucket shares that hold instead of NO_WAIT-aborting
+// its own transaction. Steps of one transaction are serialized; the
+// caller must not keep a Region past End or Keep.
+type Region struct {
+	n     *Node
+	st    *partState
+	start int // st.locks[start:] are this step's
+}
+
+// BeginRegion opens a lock step for txnID, creating its state here if it
+// holds none.
+func (n *Node) BeginRegion(txnID uint64) Region {
+	st := n.lockState(txnID, true)
+	return Region{n: n, st: st, start: len(st.locks)}
+}
+
+// lockState returns txnID's state here with its mu held — nil if there is
+// none and create is false.
+func (n *Node) lockState(txnID uint64, create bool) *partState {
+	for {
+		n.stMu.Lock()
+		st := n.state[txnID]
+		if st == nil {
+			if create {
+				st = n.statePool.Get().(*partState)
+				st.mu.Lock() // only a stale fetch can hold it, and it lets go
+				st.txnID, st.retired = txnID, false
+				n.state[txnID] = st
 			}
-			return false, i // held shared, need exclusive → upgrade
+			n.stMu.Unlock()
+			return st
+		}
+		n.stMu.Unlock()
+		st.mu.Lock()
+		if st.txnID == txnID && !st.retired {
+			return st
+		}
+		st.mu.Unlock() // retired since the lookup: fetch again
+	}
+}
+
+// LockRead locks e's bucket in e's mode, NO_WAIT, and reads the record
+// under it: its value into reads[e.OpID] when e.Read (nil for an absent
+// record), its existence checked when e.MustExist. pid is the partition
+// the caller routed the record to: the transaction's first lock in it is
+// refused with AbortMoved when pid is fenced or no longer primaried here,
+// and otherwise pins it until the state retires, so a drain waits the
+// transaction out. A refused record leaves what the step took so far;
+// End releases it.
+func (r *Region) LockRead(e LockEntry, pid cluster.PartitionID, reads txn.ReadSet) txn.AbortReason {
+	st, n := r.st, r.n
+	tbl := n.store.Table(e.Table)
+	if tbl == nil {
+		return txn.AbortInternal
+	}
+	if !slices.Contains(st.pins, pid) {
+		n.stMu.Lock()
+		moved := n.fenced[pid] || n.dir.Topology().Primary(pid) != n.ID()
+		if !moved {
+			n.partPins[pid]++
+		}
+		n.stMu.Unlock()
+		if moved {
+			return txn.AbortMoved
+		}
+		st.pins = append(st.pins, pid)
+	}
+	b := tbl.Bucket(e.Key)
+	switch i := st.find(b); {
+	case i < 0:
+		if !b.Lock.TryLock(e.Mode) {
+			return txn.AbortLockConflict
+		}
+		st.locks = append(st.locks, lockRef{bucket: b, mode: e.Mode})
+	case st.locks[i].mode < e.Mode: // held shared, exclusive requested
+		if !b.Lock.Upgrade() {
+			return txn.AbortLockConflict
+		}
+		st.locks[i].mode = storage.LockExclusive
+	}
+	if e.Read || e.MustExist {
+		v, _, err := b.Get(e.Key)
+		if err != nil && e.MustExist {
+			return txn.AbortNotFound
+		}
+		if e.Read {
+			reads[e.OpID] = v
 		}
 	}
-	return false, -1
+	return txn.AbortNone
+}
+
+// End closes the step, releasing exactly the locks it took — an upgrade
+// of an earlier step's lock stays until the transaction's commit or
+// abort. A state left holding nothing retires: a transaction that holds
+// nothing here needs no abort round trip, so a coordinator can skip the
+// cleanup frame on the NO_WAIT retry path.
+func (r *Region) End() {
+	st := r.st
+	for _, l := range st.locks[r.start:] {
+		l.bucket.Lock.Unlock(l.mode)
+	}
+	clear(st.locks[r.start:]) // the state pins no bucket it let go of
+	st.locks = st.locks[:r.start]
+	if len(st.locks) > 0 {
+		st.mu.Unlock()
+		return
+	}
+	r.n.retire(st)
+}
+
+// Keep closes the step keeping its locks: they release with the
+// transaction's commit or abort.
+func (r *Region) Keep() { r.st.mu.Unlock() }
+
+// find returns the index of the lock the state holds on b, or -1.
+func (st *partState) find(b *storage.Bucket) int {
+	for i := range st.locks {
+		if st.locks[i].bucket == b {
+			return i
+		}
+	}
+	return -1
+}
+
+// retire takes st, its locks released and its mu held, out of the map,
+// lets go of its pins, unlocks it and pools it.
+func (n *Node) retire(st *partState) {
+	n.stMu.Lock()
+	delete(n.state, st.txnID)
+	for _, pid := range st.pins {
+		n.partPins[pid]--
+	}
+	n.stMu.Unlock()
+	st.pins = st.pins[:0]
+	st.retired = true
+	st.mu.Unlock()
+	n.statePool.Put(st)
 }
 
 // LockReadLocal is the participant lock-and-read step, called directly
@@ -265,122 +406,33 @@ func (n *Node) LockReadLocal(txnID uint64, entries []LockEntry) *LockResponse {
 	return resp
 }
 
-// lockRead is LockReadLocal into a caller-held response. The reads go
-// into resp.Reads when the caller preset it (a coordinator's own-node
-// batches write straight into the transaction's read set), else into a
-// set built on the first read; a failed batch takes its reads back out.
+// lockRead is LockReadLocal into a caller-held response: one lock step
+// over the batch. The reads go into resp.Reads when the caller preset it
+// (a coordinator's own-node batches write straight into the
+// transaction's read set), else into a set built on the first read; a
+// failed batch takes its reads back out.
 func (n *Node) lockRead(txnID uint64, entries []LockEntry, resp *LockResponse) {
-	var st *partState
-	for {
-		st = n.getState(txnID, true)
-		st.mu.Lock()
-		if !st.dropped {
-			break
-		}
-		st.mu.Unlock() // raced the empty-fail delete: fetch a live state
-	}
-	defer st.mu.Unlock()
-	acquired := 0 // locks appended to st.locks by this call
-	done := 0     // entries whose read may already be in resp.Reads
-	fail := func(reason txn.AbortReason) {
-		// Release and remove the suffix this call acquired.
-		n.stMu.Lock()
-		for _, l := range st.locks[len(st.locks)-acquired:] {
-			l.bucket.Lock.Unlock(l.mode)
-			n.partPins[l.pid]--
-		}
-		st.locks = st.locks[:len(st.locks)-acquired]
-		// A transaction that holds nothing here needs no abort round
-		// trip: drop the empty state now so the coordinator can skip the
-		// cleanup RPC on the NO_WAIT retry path. Deleting only this
-		// exact state (and flagging it) keeps a concurrent sibling
-		// batch — queued on st.mu with the stale pointer — from
-		// appending locks to an orphan.
-		if len(st.locks) == 0 && n.state[txnID] == st {
-			delete(n.state, txnID)
-			st.dropped = true
-		}
-		n.stMu.Unlock()
-		for _, e := range entries[:done] {
-			delete(resp.Reads, e.OpID)
-		}
-		resp.OK, resp.Reason = false, reason
-	}
+	r := n.BeginRegion(txnID)
 	for i, e := range entries {
-		tbl := n.store.Table(e.Table)
-		if tbl == nil {
-			fail(txn.AbortInternal)
+		if e.Read && resp.Reads == nil { // lazily built: many batches are write-only
+			resp.Reads = make(txn.ReadSet, len(entries))
+		}
+		// Resolved here, not taken from the coordinator: it routed against
+		// a layout a live handoff or hot-record migration may since have
+		// replaced.
+		pid := n.dir.Partition(storage.RID{Table: e.Table, Key: e.Key})
+		if reason := r.LockRead(e, pid, resp.Reads); reason != txn.AbortNone {
+			r.End()
+			for _, e := range entries[:i] {
+				if e.Read {
+					delete(resp.Reads, e.OpID)
+				}
+			}
+			resp.OK, resp.Reason = false, reason
 			return
 		}
-		b := tbl.Bucket(e.Key)
-
-		n.stMu.Lock()
-		held, idx := st.hasLock(b, e.Mode)
-		n.stMu.Unlock()
-		switch {
-		case held:
-			// Already sufficiently locked by this txn.
-		case idx >= 0:
-			// Held shared, exclusive requested: try upgrade. No fence
-			// check: the held lock already pins the partition, and a
-			// drain waits for this transaction either way.
-			if !b.Lock.Upgrade() {
-				fail(txn.AbortLockConflict)
-				return
-			}
-			n.stMu.Lock()
-			st.locks[idx].mode = storage.LockExclusive
-			n.stMu.Unlock()
-		default:
-			// Re-resolve the record's partition at acquisition time and
-			// verify this node still primaries it: the coordinator routed
-			// against a layout that a live handoff or hot-record migration
-			// may since have replaced. Fence check and pin are one stMu
-			// critical section, so a concurrent drain either sees the pin
-			// or this call sees the fence — never neither.
-			pid := n.dir.Partition(storage.RID{Table: e.Table, Key: e.Key})
-			n.stMu.Lock()
-			if n.fenced[pid] || n.dir.Topology().Primary(pid) != n.ID() {
-				n.stMu.Unlock()
-				fail(txn.AbortMoved)
-				return
-			}
-			n.partPins[pid]++
-			n.stMu.Unlock()
-			if !b.Lock.TryLock(e.Mode) {
-				n.stMu.Lock()
-				n.partPins[pid]--
-				n.stMu.Unlock()
-				fail(txn.AbortLockConflict)
-				return
-			}
-			n.stMu.Lock()
-			if st.locks == nil {
-				st.locks = make([]lockRef, 0, len(entries))
-			}
-			st.locks = append(st.locks, lockRef{bucket: b, mode: e.Mode, pid: pid})
-			n.stMu.Unlock()
-			acquired++
-		}
-
-		if e.Read || e.MustExist {
-			v, _, err := b.Get(e.Key)
-			if err != nil {
-				if e.MustExist {
-					fail(txn.AbortNotFound)
-					return
-				}
-				v = nil
-			}
-			if e.Read {
-				if resp.Reads == nil { // lazily built: many batches are write-only
-					resp.Reads = make(txn.ReadSet, len(entries))
-				}
-				resp.Reads[e.OpID] = v
-				done = i + 1
-			}
-		}
 	}
+	r.Keep()
 	resp.OK = true
 }
 
@@ -417,29 +469,21 @@ func (n *Node) AbortLocal(txnID uint64) {
 	n.releaseAll(txnID)
 }
 
+// releaseAll releases the transaction's locks here and retires its
+// state: End of a step over its whole list.
 func (n *Node) releaseAll(txnID uint64) {
-	st := n.dropState(txnID)
-	if st == nil {
-		return
-	}
-	for _, l := range st.locks {
-		l.bucket.Lock.Unlock(l.mode)
-	}
-	if len(st.locks) > 0 {
-		n.stMu.Lock()
-		for _, l := range st.locks {
-			n.partPins[l.pid]--
-		}
-		n.stMu.Unlock()
+	if st := n.lockState(txnID, false); st != nil {
+		r := Region{n: n, st: st}
+		r.End()
 	}
 }
 
 // --- Handoff cutover state (fence, pin, drain; see handoff.go) ---
 
-// Fence blocks new lock acquisitions and inner regions for partition
-// pid on this node: they abort with AbortMoved (retryable — the retry
-// re-reads the directory) while transactions already holding locks or
-// pins run to completion. Commits of pinned transactions still apply
+// Fence closes partition pid on this node to new transactions: a
+// transaction's first lock in it aborts with AbortMoved (retryable — the
+// retry re-reads the directory) while transactions that already pinned it
+// run to completion. Commits of pinned transactions still apply
 // here; the fence only closes the front door.
 func (n *Node) Fence(pid cluster.PartitionID) {
 	n.stMu.Lock()
@@ -474,28 +518,6 @@ func (n *Node) DrainPartition(pid cluster.PartitionID, timeout time.Duration) er
 		}
 		time.Sleep(20 * time.Microsecond)
 	}
-}
-
-// EnterPartition pins pid for an inner region (which acquires its hot
-// locks outside LockReadLocal). It reports false when the partition is
-// fenced or no longer primaried here — the engine aborts the region
-// with AbortMoved. Every successful Enter must be paired with
-// LeavePartition.
-func (n *Node) EnterPartition(pid cluster.PartitionID) bool {
-	n.stMu.Lock()
-	defer n.stMu.Unlock()
-	if n.fenced[pid] || n.dir.Topology().Primary(pid) != n.ID() {
-		return false
-	}
-	n.partPins[pid]++
-	return true
-}
-
-// LeavePartition releases an EnterPartition pin.
-func (n *Node) LeavePartition(pid cluster.PartitionID) {
-	n.stMu.Lock()
-	n.partPins[pid]--
-	n.stMu.Unlock()
 }
 
 // applyLog is a write set's commit point at its primary — a commit
@@ -722,26 +744,4 @@ func (a *Acks) Await() error {
 		a.Cancel()
 		return transport.ErrClosed
 	}
-}
-
-// BorrowLock reports whether txnID's participant state on this node
-// already holds bucket b in a mode covering mode, upgrading a shared hold
-// in place (lock word and bookkeeping) when mode is exclusive. An inner
-// region borrows the hold of a bucket it shares with its transaction's
-// outer region: records are disjoint by construction, but bucket-level
-// locking can hash an outer and an inner record into one bucket, and
-// NO_WAIT would otherwise self-abort the transaction forever.
-func (n *Node) BorrowLock(txnID uint64, b *storage.Bucket, mode storage.LockMode) bool {
-	n.stMu.Lock()
-	defer n.stMu.Unlock()
-	st := n.state[txnID]
-	if st == nil {
-		return false
-	}
-	held, i := st.hasLock(b, mode)
-	if held || i < 0 || !b.Lock.Upgrade() {
-		return held
-	}
-	st.locks[i].mode = storage.LockExclusive
-	return true
 }

@@ -91,6 +91,12 @@ func (n *Node) validateLocal(txnID uint64, entries []LockEntry, versions []uint6
 		return
 	}
 	resp.Reason = txn.AbortValidation
+	// The transaction's own locks here: phase 1 is over, so no step of it
+	// runs beside this one.
+	st := n.lockState(txnID, false)
+	if st != nil {
+		defer st.mu.Unlock()
+	}
 	for i, e := range entries {
 		tbl := n.store.Table(e.Table)
 		if tbl == nil {
@@ -110,7 +116,7 @@ func (n *Node) validateLocal(txnID uint64, entries []LockEntry, versions []uint6
 		// serializability checker, internal/check). The read validates
 		// only if no other transaction write-locks the bucket — a NO_WAIT
 		// shared probe; our own write lock (read ∩ write set) is fine.
-		if n.BorrowLock(txnID, b, storage.LockShared) {
+		if st != nil && st.find(b) >= 0 {
 			continue
 		}
 		if !b.Lock.TryLock(storage.LockShared) {

@@ -69,6 +69,13 @@
 #      nor internal/bench/bank.go, starts a goroutine — a loader splits
 #      its data into independent slices and cluster.LoadSlices alone
 #      spreads them across the cores.
+#  16. One lock list: a transaction's locks at a node are its participant
+#      state's, taken and released through server.Region and the
+#      commit/abort release — no non-test .go file under internal/core or
+#      internal/cc calls a bucket lock word's TryLock, Upgrade or Unlock
+#      or names LockWord, and no .go file names the deleted second list
+#      or its bridges (BorrowLock, EnterPartition, LeavePartition,
+#      innerLockRef).
 #
 # Exits non-zero with a list of offenders on failure.
 set -eu
@@ -217,6 +224,18 @@ offenders=$(grep -rnE --include='*.go' --exclude='*_test.go' '^[[:space:]]*go[[:
     internal/workload internal/bench/bank.go || true)
 if [ -n "$offenders" ]; then
     echo "a loader starts its own goroutine (split the load into slices and run them with cluster.LoadSlices):" >&2
+    echo "$offenders" >&2
+    fail=1
+fi
+
+# --- 16. one lock list ------------------------------------------------------
+offenders=$({
+    grep -rnE --include='*.go' --exclude='*_test.go' '\.Lock\.(TryLock|Upgrade|Unlock)\(|LockWord' \
+        internal/core internal/cc
+    grep -rnwE --include='*.go' 'BorrowLock|EnterPartition|LeavePartition|innerLockRef' .
+} || true)
+if [ -n "$offenders" ]; then
+    echo "a lock list beside the participant state (lock through server.Region):" >&2
     echo "$offenders" >&2
     fail=1
 fi
