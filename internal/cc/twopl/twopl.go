@@ -71,7 +71,7 @@ func (e *Engine) Run(ctx context.Context, req *txn.Request) txn.Result {
 			p := dir.Partition(storage.RID{Table: op.Table, Key: key})
 			if b == nil {
 				pid, b = p, t.BatchFor(dir.Topology().Primary(p), 0)
-				t.Participant(b.Target, pid)
+				t.Participant(b.Target)
 			} else if p != pid {
 				break
 			}

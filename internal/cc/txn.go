@@ -61,8 +61,6 @@ type Txn struct {
 // Participant is one node the coordinator has contacted.
 type Participant struct {
 	Node transport.NodeID
-	// PID is the partition that first routed here.
-	PID cluster.PartitionID
 	// Locked marks the node as known to hold locks for this transaction
 	// (a batch succeeded there, or failed in a way that may have left
 	// state behind); only such nodes get abort and commit frames.
@@ -155,13 +153,13 @@ func (t *Txn) Release() {
 }
 
 // Participant records a contacted node, deduplicating by node id.
-func (t *Txn) Participant(node transport.NodeID, pid cluster.PartitionID) *Participant {
+func (t *Txn) Participant(node transport.NodeID) *Participant {
 	for i := range t.Parts {
 		if t.Parts[i].Node == node {
 			return &t.Parts[i]
 		}
 	}
-	t.Parts = append(t.Parts, Participant{Node: node, PID: pid})
+	t.Parts = append(t.Parts, Participant{Node: node})
 	return &t.Parts[len(t.Parts)-1]
 }
 
@@ -281,7 +279,7 @@ func (t *Txn) LockWave(n *server.Node) (txn.AbortReason, bool) {
 			// the abort wave still runs there — and classify the reason:
 			// injected faults are transient (retryable after the abort),
 			// everything else is internal.
-			t.Participant(b.Target, 0).Locked = true
+			t.Participant(b.Target).Locked = true
 			reason, failed = server.TransportAbortReason(err), true
 			t.Detail = fmt.Sprintf("lock-read at node %d: %v", b.Target, err)
 			t.Failed = t.Failed[:0]
@@ -297,7 +295,7 @@ func (t *Txn) LockWave(n *server.Node) (txn.AbortReason, bool) {
 				}
 			}
 		default:
-			t.Participant(b.Target, 0).Locked = true
+			t.Participant(b.Target).Locked = true
 		}
 	}
 	w.Release() // the gathered reads alias the response buffers, not the wave
@@ -336,7 +334,7 @@ func (t *Txn) Rounds(ctx context.Context, n *server.Node, proc *txn.Procedure, a
 			if kind == server.KindSnapRead && n.HoldsPartition(pid) {
 				target = n.ID()
 			}
-			t.Participant(target, pid)
+			t.Participant(target)
 			le := t.Entry(op, key)
 			if le.MustExist {
 				// The op depends on the stored record — its value, or just

@@ -33,7 +33,7 @@ func TestReleasePinsNothing(t *testing.T) {
 			key, _ := ops[i].Key(nil, nil)
 			b := c.BatchFor(1, i%2)
 			b.Entries = append(b.Entries, c.Entry(&ops[i], key))
-			c.Participant(b.Target, 0).Locked = true
+			c.Participant(b.Target).Locked = true
 			if reason := c.Step(&ops[i], nil, key, 0, false); reason != txn.AbortNone {
 				t.Fatalf("op %d: %v", i, reason)
 			}

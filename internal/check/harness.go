@@ -148,15 +148,10 @@ type Result struct {
 	// is an acknowledged-then-lost commit, the violation durability
 	// exists to rule out. Always 0 without Config.Crash.
 	LostCommits int
-	// CrashedNode is the node the crash schedule hit (-1 when none).
-	CrashedNode int
 	// LostKeys counts loaded keys absent from their current primary
 	// after the membership schedule settled — each one is a record the
 	// handoff dropped. Always 0 without Config.Elastic.
 	LostKeys int
-	// ElasticNode is the node the membership schedule added (-1 when
-	// none).
-	ElasticNode int
 }
 
 // Err folds every end-of-run assertion into one error: the history must
@@ -363,12 +358,11 @@ func Run(cfg Config) (*Result, error) {
 	// live traffic, with no global quiesce.
 	var memberWG sync.WaitGroup
 	var memberErr error
-	elasticNode := -1
 	if cfg.Elastic {
 		memberWG.Add(1)
 		go func() {
 			defer memberWG.Done()
-			elasticNode, memberErr = membershipChurn(cfg, c)
+			memberErr = membershipChurn(cfg, c)
 		}()
 	}
 	runPhase(0, engines)
@@ -438,9 +432,7 @@ func Run(cfg Config) (*Result, error) {
 		ReplicaMismatches: c.VerifyReplicaConsistency(CheckTable),
 		Quiesced:          quiesced,
 		LostCommits:       lost,
-		CrashedNode:       crashed,
 		LostKeys:          lostKeys,
-		ElasticNode:       elasticNode,
 	}
 	if cfg.MVCC {
 		res.SI = SnapshotIsolation(rec.Txns(), Options{IsInitial: IsInitialVal})
@@ -547,29 +539,29 @@ func crashAndRecover(cfg Config, c *deploy.Cluster, maxKey storage.Key) (victim,
 // partition back, and retire the node. Every step runs against open-loop client load;
 // transactions caught at a cutover abort with the retryable moved
 // reason and re-route on retry.
-func membershipChurn(cfg Config, c *deploy.Cluster) (int, error) {
+func membershipChurn(cfg Config, c *deploy.Cluster) error {
 	// Let traffic build before the join so the warming stream and the
 	// backfill genuinely race live commits.
 	time.Sleep(500 * time.Microsecond)
 	id, err := c.AddNode()
 	if err != nil {
-		return -1, fmt.Errorf("check: add node: %w", err)
+		return fmt.Errorf("check: add node: %w", err)
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed ^ 0x0317))
 	pid := rng.Intn(cellPartitions)
 	old := int(c.Topo.Primary(cluster.PartitionID(pid)))
 	if err := c.MovePartition(pid, id); err != nil {
-		return id, fmt.Errorf("check: handoff partition %d to node %d: %w", pid, id, err)
+		return fmt.Errorf("check: handoff partition %d to node %d: %w", pid, id, err)
 	}
 	// Serve a stretch of the workload as the partition's primary.
 	time.Sleep(time.Millisecond)
 	if err := c.MovePartition(pid, old); err != nil {
-		return id, fmt.Errorf("check: hand partition %d back to node %d: %w", pid, old, err)
+		return fmt.Errorf("check: hand partition %d back to node %d: %w", pid, old, err)
 	}
 	if err := c.RemoveNode(id); err != nil {
-		return id, fmt.Errorf("check: remove node %d: %w", id, err)
+		return fmt.Errorf("check: remove node %d: %w", id, err)
 	}
-	return id, nil
+	return nil
 }
 
 func sleepOrStop(stop <-chan struct{}, d time.Duration) bool {

@@ -189,8 +189,6 @@ func TestOpSemanticsAgree(t *testing.T) {
 			return 0, false
 		}
 	}
-	missing := read(semNew, nil)
-	missing.Conditional = true
 	chain := []txn.OpSpec{read(semK, nil), read(0, nil), read(0, nil)}
 	chain[1].Key, chain[1].PKDeps = keyFrom(0, int(semHot)-10), []int{0} // semK holds 10
 	chain[2].Key, chain[2].PKDeps = keyFrom(1, int(semK2)-30), []int{1}  // semHot holds 30
@@ -205,7 +203,7 @@ func TestOpSemanticsAgree(t *testing.T) {
 		aborts bool
 	}{
 		{name: "cold;local+check-on-cold", ops: []txn.OpSpec{read(semHot, nil), read(semK, readAfter(0))}},
-		{name: "conditional-missing", ops: []txn.OpSpec{read(semK, nil), missing}, aborts: true},
+		{name: "conditional-missing", ops: []txn.OpSpec{read(semK, nil), read(semNew, nil)}, aborts: true}, // a read of a missing key
 		{name: "pk-chain-across-nodes", ops: chain},
 		{name: "check-after-pk-dep", ops: waiting},
 		{name: "failing-check", ops: []txn.OpSpec{read(semK, nil), read(semHot, semWant(99))}, aborts: true},

@@ -234,7 +234,7 @@ func (e *Engine) runTwoRegion(ctx context.Context, req *txn.Request, proc *txn.P
 	// This node takes part through the inner region, whether or not an
 	// outer op locks here too: the transaction is distributed iff any
 	// other node does.
-	s.Participant(n.ID(), cluster.PartitionID(dec.InnerHost))
+	s.Participant(n.ID())
 	// abort rolls back the outer region's locks and retires the scratch.
 	abort := func(reason txn.AbortReason) txn.Result {
 		res := s.Abort(n, reason)
@@ -346,9 +346,8 @@ func (e *Engine) finish(s *scratch, w *server.Wave) {
 	defer e.tails.Done()
 	n := e.node
 	// Presumed commit: the locks release when the doorbells ring and
-	// no second-phase ack gates anything, so reap the wave instead of
-	// sleeping out a round trip nothing observes.
-	w.Reap()
+	// no second-phase ack gates the client, which already has its result.
+	w.Wait()
 	if err := w.Errs(); err != nil {
 		panic(fmt.Sprintf("core: outer commit failed after inner commit: %v", err))
 	}
@@ -527,7 +526,7 @@ func (e *Engine) lockWave(proc *txn.Procedure, args txn.Args, wave []int, s *scr
 		pid := dir.Partition(rid)
 		b := s.BatchFor(topo.Primary(pid), dir.Lane(rid))
 		b.Entries = append(b.Entries, s.Entry(op, key))
-		s.Participant(b.Target, pid)
+		s.Participant(b.Target)
 	}
 
 	// Canonical acquisition order within each batch: two transactions

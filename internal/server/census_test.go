@@ -14,10 +14,9 @@ import (
 )
 
 // sendFuncs are the calls that put a verb on the wire: the transport's
-// sends and the doorbell's frame builders (the wave's for the frames in
-// the lock-request encoding).
+// sends. A participant verb is sent as a frame (see TestVerbCensus).
 var sendFuncs = map[string]bool{
-	"Call": true, "Send": true, "CallOneSided": true, "GoOneSided": true, "begin": true, "entries": true,
+	"Call": true, "Send": true, "CallOneSided": true, "GoOneSided": true,
 }
 
 // twoSided are the endpoint's two-sided sends.
@@ -32,13 +31,15 @@ var twoSidedVerbs = map[string]bool{
 }
 
 // Verb census: every Verb* constant in proto.go must be sent and handled
-// by code that ships — named by at least one send (a transport call, a
-// doorbell post, or the method variable of one) and by one Handle*
-// registration or applyVerb frame case, outside _test.go files and
-// benchmark/. A verb nobody sends is a second path the checker never
-// certifies. Two-sided sends name only twoSidedVerbs, and the engines in
-// internal/cc reach participants only by waves: none of their files
-// makes a two-sided send.
+// by code that ships, outside _test.go files and benchmark/. A verb is
+// sent when a transport call, or the method variable of one, names it;
+// a participant verb vX when a frame of it is posted — the verb a
+// Wave.open call or a frame literal names — and its Verb* name is vX's
+// row in the verbs table. A verb is handled by a Handle* registration, a
+// participant verb by a case of Node.serve. A verb nobody sends is a
+// second path the checker never certifies. Two-sided sends name only
+// twoSidedVerbs, and the engines in internal/cc reach participants only
+// by waves: none of their files makes a two-sided send.
 func TestVerbCensus(t *testing.T) {
 	fset := token.NewFileSet()
 	proto, err := parser.ParseFile(fset, "proto.go", nil, 0)
@@ -46,21 +47,43 @@ func TestVerbCensus(t *testing.T) {
 		t.Fatal(err)
 	}
 	sent, handled := map[string]bool{}, map[string]bool{}
+	participant := map[string]string{} // vX → its row's Verb* name ("" without a row)
 	for _, d := range proto.Decls {
 		gd, ok := d.(*ast.GenDecl)
-		if !ok || gd.Tok != token.CONST {
+		if !ok {
 			continue
 		}
+		enum := false // the const block of the verb type
 		for _, spec := range gd.Specs {
-			for _, name := range spec.(*ast.ValueSpec).Names {
-				if strings.HasPrefix(name.Name, "Verb") {
+			vs, ok := spec.(*ast.ValueSpec)
+			if !ok {
+				continue
+			}
+			if typ, ok := vs.Type.(*ast.Ident); ok && gd.Tok == token.CONST {
+				enum = typ.Name == "verb"
+			}
+			for i, name := range vs.Names {
+				switch {
+				case gd.Tok == token.CONST && strings.HasPrefix(name.Name, "Verb"):
 					sent[name.Name], handled[name.Name] = false, false
+				case enum && name.Name != "numVerbs":
+					participant[name.Name] = ""
+				case gd.Tok == token.VAR && name.Name == "verbs":
+					for _, row := range vs.Values[i].(*ast.CompositeLit).Elts {
+						kv := row.(*ast.KeyValueExpr)
+						participant[kv.Key.(*ast.Ident).Name] = kv.Value.(*ast.CompositeLit).Elts[0].(*ast.Ident).Name
+					}
 				}
 			}
 		}
 	}
-	if len(sent) < 10 {
-		t.Fatalf("found only %d Verb constants in proto.go — the census is looking in the wrong place", len(sent))
+	if len(sent) < 10 || len(participant) != 7 {
+		t.Fatalf("found %d Verb constants and %d participant verbs in proto.go — the census is looking in the wrong place", len(sent), len(participant))
+	}
+	for v, name := range participant {
+		if name == "" {
+			t.Errorf("participant verb %s has no row in the verbs table", v)
+		}
 	}
 	for v := range twoSidedVerbs {
 		if _, ok := sent[v]; !ok {
@@ -84,6 +107,14 @@ func TestVerbCensus(t *testing.T) {
 		for _, e := range exprs {
 			if v, ok := verbIn(e); ok {
 				set[v] = true
+			}
+		}
+	}
+	// pmark marks the Verb* name of each participant verb exprs name.
+	pmark := func(set map[string]bool, exprs ...ast.Expr) {
+		for _, e := range exprs {
+			if id, ok := e.(*ast.Ident); ok && participant[id.Name] != "" {
+				set[participant[id.Name]] = true
 			}
 		}
 	}
@@ -119,6 +150,8 @@ func TestVerbCensus(t *testing.T) {
 					fn = fun.Name
 				}
 				switch {
+				case fn == "open": // Wave.open(target, vX)
+					pmark(sent, n.Args...)
 				case strings.HasPrefix(fn, "Handle"):
 					mark(handled, n.Args)
 				case sendFuncs[fn]:
@@ -141,13 +174,21 @@ func TestVerbCensus(t *testing.T) {
 				}
 			case *ast.AssignStmt: // method := VerbDoorbell, later sent
 				mark(sent, n.Rhs)
+			case *ast.CompositeLit: // frame{verb: vX, ...}
+				if typ, ok := n.Type.(*ast.Ident); ok && typ.Name == "frame" {
+					for _, el := range n.Elts {
+						if kv, ok := el.(*ast.KeyValueExpr); ok && kv.Key.(*ast.Ident).Name == "verb" {
+							pmark(sent, kv.Value)
+						}
+					}
+				}
 			case *ast.FuncDecl:
-				if n.Name.Name != "applyVerb" {
+				if n.Name.Name != "serve" || n.Recv == nil {
 					break
 				}
 				ast.Inspect(n, func(c ast.Node) bool {
 					if cc, ok := c.(*ast.CaseClause); ok {
-						mark(handled, cc.List)
+						pmark(handled, cc.List...)
 					}
 					return true
 				})

@@ -87,21 +87,20 @@ func (w *Wave) ReplicateAll(ts uint64, participants []transport.NodeID, writes m
 		if w.ack == nil {
 			w.ack = w.n.OpenAcks()
 		}
-		if f, bell := w.post(p, KindReplicate); bell != nil {
-			f.slot = bell.PostReplicate(w.ack.id, ts, ws)
-		} else {
-			f.ts, f.writes = ts, ws
-		}
+		f := w.open(p, vReplicate)
+		f.id, f.ts, f.writes = w.ack.id, ts, ws
+		w.post(f)
 	}
 	return w.ack != nil
 }
 
 // CommitAll posts the commit phase (apply writes, release locks) at every
 // participant — one with no writes too: that releases its read locks.
-// The caller gathers with Wait (2PL's and OCC's synchronous second phase)
-// or Reap (Chiller's presumed-commit tail: the locks release at ring time,
-// nothing gates on a second-phase ack) and reads Errs. Behind ReplicateAll
-// on one wave, a participant streams and releases in a single ring.
+// The caller gathers with Wait — 2PL's and OCC's synchronous second
+// phase, or Chiller's presumed-commit tail, where the locks release at
+// ring time and the wait runs off the client's path — and reads Errs.
+// Behind ReplicateAll on one wave, a participant streams and releases in
+// a single ring.
 func (w *Wave) CommitAll(txnID, ts uint64, participants []transport.NodeID, writes map[cluster.PartitionID][]WriteOp) {
 	topo := w.n.dir.Topology()
 	for _, p := range participants {

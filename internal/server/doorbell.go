@@ -28,14 +28,15 @@ import (
 // (node, lane) lock batch, so a conflict costs exactly one lane batch.
 //
 // This file is the layer Wave (wave.go) is built on; coordinators post
-// through a Wave, which adds the per-destination grouping and the local
-// short-circuit. See docs/NETWORK.md for the full model.
+// through a Wave, which adds the per-destination grouping and serves a
+// frame for the coordinator's own node through the same Node.serve,
+// without a ring. See docs/NETWORK.md for the full model.
 
 // Doorbell accumulates verbs bound for one destination node, encoding
 // the envelope incrementally into a pooled buffer (frame payloads are
-// written in place — no per-frame allocation). Post frames with Post (or
-// the typed helpers, which encode straight into the envelope), then Ring
-// once. The zero Doorbell is not valid; use Node.NewDoorbell. Doorbells
+// written in place — no per-frame allocation). Post frames with Post or
+// PostLockRead (a wave posts its frames straight into the envelope), then
+// Ring once. The zero Doorbell is not valid; use Node.NewDoorbell. Doorbells
 // are pooled: Ring recycles the builder, so it must not be touched
 // afterwards.
 type Doorbell struct {
@@ -43,31 +44,7 @@ type Doorbell struct {
 	target transport.NodeID
 	w      wire.Writer
 	count  int
-	kinds  [len(doorbellKinds)]uint32 // posted-frame count per metric kind
-}
-
-// doorbellKinds indexes the kind counters a doorbell tracks for metric
-// attribution (the batchable verb set).
-var doorbellKinds = [...]string{KindLockRead, KindCommit, KindAbort, KindSnapRead, KindReplicate, KindRead, KindValidate}
-
-func doorbellKindIndex(verb string) int {
-	switch verb {
-	case VerbLockRead:
-		return 0
-	case VerbCommit:
-		return 1
-	case VerbAbort:
-		return 2
-	case VerbSnapshotRead:
-		return 3
-	case VerbReplicate:
-		return 4
-	case VerbRead:
-		return 5
-	case VerbValidate:
-		return 6
-	}
-	return -1
+	kinds  [numVerbs]uint32 // posted-frame count per participant verb
 }
 
 var doorbellPool = sync.Pool{New: func() any { return new(Doorbell) }}
@@ -81,24 +58,13 @@ func (n *Node) NewDoorbell(target transport.NodeID) *Doorbell {
 	return d
 }
 
-// begin opens a frame: verb name, then the caller writes the payload
-// into the returned length region.
-func (d *Doorbell) begin(verb string) int {
-	d.w.String(verb)
-	if i := doorbellKindIndex(verb); i >= 0 {
-		d.kinds[i]++
-	}
-	d.count++
-	return d.w.BeginBytes32()
-}
-
 // Post appends a verb frame with a pre-encoded payload and returns its
 // index, which addresses the frame's result in the slice Wait returns.
-func (d *Doorbell) Post(verb string, payload []byte) int {
-	d.w.String(verb)
+func (d *Doorbell) Post(name string, payload []byte) int {
+	d.w.String(name)
 	d.w.Bytes32(payload)
-	if i := doorbellKindIndex(verb); i >= 0 {
-		d.kinds[i]++
+	if v, ok := verbNamed(name); ok {
+		d.kinds[v]++
 	}
 	d.count++
 	return d.count - 1
@@ -106,46 +72,17 @@ func (d *Doorbell) Post(verb string, payload []byte) int {
 
 // PostLockRead posts a lock-and-read batch.
 func (d *Doorbell) PostLockRead(txnID uint64, entries []LockEntry) int {
-	return d.postEntries(VerbLockRead, txnID, entries, nil)
+	return d.post(&frame{verb: vLockRead, id: txnID, entries: entries})
 }
 
-// postEntries posts a frame in the lock-request encoding: a lock-read, a
-// snapshot read, a read or a validate frame, the last followed by the
-// versions to check. None of them has a kind counter among the
-// post-commit tail kinds, so a ring of them alone stays on the droppable
-// envelope, matching the verbs' droppable classification.
-func (d *Doorbell) postEntries(verb string, id uint64, entries []LockEntry, versions []uint64) int {
-	mark := d.begin(verb)
-	EncodeLockRequestTo(&d.w, id, entries)
-	if verb == VerbValidate {
-		d.w.Uint64s(versions)
-	}
+// post encodes a participant frame straight into the envelope.
+func (d *Doorbell) post(f *frame) int {
+	d.w.String(verbs[f.verb].name)
+	mark := d.w.BeginBytes32()
+	f.encodeTo(&d.w)
 	d.w.EndBytes32(mark)
-	return d.count - 1
-}
-
-// PostCommit posts a commit (apply writes + release locks).
-func (d *Doorbell) PostCommit(txnID, ts uint64, writes []WriteOp) int {
-	mark := d.begin(VerbCommit)
-	EncodeWritesTo(&d.w, txnID, ts, writes)
-	d.w.EndBytes32(mark)
-	return d.count - 1
-}
-
-// PostReplicate posts a replicate frame (see Node.replicateLocal); the
-// replicas ack to this node under ackID.
-func (d *Doorbell) PostReplicate(ackID, ts uint64, writes []WriteOp) int {
-	mark := d.begin(VerbReplicate)
-	EncodeWritesTo(&d.w, ackID, ts, writes)
-	d.w.EndBytes32(mark)
-	return d.count - 1
-}
-
-// PostAbort posts a rollback (release locks, apply nothing).
-func (d *Doorbell) PostAbort(txnID uint64) int {
-	mark := d.begin(VerbAbort)
-	d.w.Uint64(txnID)
-	d.w.EndBytes32(mark)
+	d.kinds[f.verb]++
+	d.count++
 	return d.count - 1
 }
 
@@ -167,8 +104,10 @@ func (d *Doorbell) Ring() *PendingDoorbell {
 	// protected tail verb; pure lock-wave rings are droppable by fault
 	// plans (see VerbDoorbellTail).
 	method := VerbDoorbell
-	if d.kinds[1]+d.kinds[2]+d.kinds[4] > 0 { // commit, abort, replicate frames
-		method = VerbDoorbellTail
+	for v, n := range d.kinds {
+		if n > 0 && verbs[v].tail {
+			method = VerbDoorbellTail
+		}
 	}
 	// GoOneSided services the batch before returning (see its cost
 	// model), so the envelope buffer can be recycled immediately.
@@ -186,7 +125,7 @@ func (d *Doorbell) Ring() *PendingDoorbell {
 // release recycles the builder (the envelope buffer keeps its capacity).
 func (d *Doorbell) release() {
 	d.count = 0
-	d.kinds = [len(doorbellKinds)]uint32{}
+	d.kinds = [numVerbs]uint32{}
 	d.n = nil
 	doorbellPool.Put(d)
 }
@@ -198,7 +137,7 @@ type PendingDoorbell struct {
 	pending transport.Pending
 	target  transport.NodeID
 	frames  int
-	kinds   [len(doorbellKinds)]uint32
+	kinds   [numVerbs]uint32
 	start   time.Time
 	vm      *VerbMetrics
 
@@ -226,45 +165,17 @@ func (pd *PendingDoorbell) Release() {
 // failures are reported in the results' Err fields instead. Errors carry
 // the destination node id.
 func (pd *PendingDoorbell) Wait() ([]wire.FrameResult, error) {
-	return pd.wait(false)
-}
-
-// Reap is Wait without the residual round-trip sleep — for completions
-// no protocol step is gated on (the presumed-commit tail: the commit
-// executed at ring time and only invariant violations are checked). It
-// shares Wait's idempotence. Because the caller never observes a round
-// trip, reaped doorbells record count-only metrics (like one-way
-// sends) — a time.Since here would measure the caller's reap timing,
-// not a transport property.
-func (pd *PendingDoorbell) Reap() ([]wire.FrameResult, error) {
-	return pd.wait(true)
-}
-
-func (pd *PendingDoorbell) wait(reap bool) ([]wire.FrameResult, error) {
 	if pd.waited {
 		return pd.results, pd.err
 	}
 	pd.waited = true
-	var raw []byte
-	var err error
-	if reap {
-		raw, err = pd.pending.Reap()
-	} else {
-		raw, err = pd.pending.Wait()
-	}
+	raw, err := pd.pending.Wait()
 	pd.pending = nil
 	if pd.vm != nil {
-		if reap {
-			pd.vm.Add(KindDoorbell)
-			for i, n := range pd.kinds {
-				pd.vm.AddN(doorbellKinds[i], uint64(n))
-			}
-		} else {
-			rtt := time.Since(pd.start)
-			pd.vm.Observe(KindDoorbell, rtt)
-			for i, n := range pd.kinds {
-				pd.vm.ObserveN(doorbellKinds[i], rtt, uint64(n))
-			}
+		rtt := time.Since(pd.start)
+		pd.vm.Observe(KindDoorbell, rtt)
+		for v, n := range pd.kinds {
+			pd.vm.ObserveN(verbs[v].kind, rtt, uint64(n))
 		}
 	}
 	if err != nil {
@@ -338,86 +249,63 @@ func (n *Node) handleDoorbell(from transport.NodeID, req []byte) ([]byte, error)
 // path.
 var errVerbNotBatchable = errors.New("server: verb cannot ride a doorbell")
 
-// applyVerb is the one participant entry point for the seven coordinator
-// verbs: it executes one frame from coordinator `from` synchronously
-// against this node, with no lane dispatch (one-sided verbs synchronize
-// through lock words, not lanes), and appends the frame's result (error
-// string + response payload) to w.
-func (n *Node) applyVerb(w *wire.Writer, from transport.NodeID, verb string, payload []byte) {
-	switch verb {
-	case VerbLockRead, VerbSnapshotRead, VerbRead, VerbValidate:
-		// One request encoding: a snapshot read's timestamp rides in the
-		// transaction id's slot, a validation's versions follow it.
-		r := wire.NewReader(payload)
-		id, entries := decodeLockRequest(r)
-		var versions []uint64
-		if verb == VerbValidate {
-			versions = make([]uint64, r.Count(8)) // not r.Uint64s: r would escape
-			for i := range versions {
-				versions[i] = r.Uint64()
-			}
-		}
-		if err := r.Err(); err != nil {
-			writeFrameError(w, err)
-			return
-		}
-		var resp LockResponse
-		switch verb {
-		case VerbLockRead:
-			n.lockRead(id, entries, &resp)
-		case VerbSnapshotRead:
-			n.SnapshotReadLocal(id, entries, &resp)
-		case VerbRead:
-			n.readLocal(entries, &resp)
-		default:
-			n.validateLocal(id, entries, versions, &resp)
-		}
-		w.String("")
-		mark := w.BeginBytes32()
-		resp.EncodeTo(w)
-		if verb == VerbRead {
-			w.Uint64s(resp.Versions)
-		}
-		w.EndBytes32(mark)
-	case VerbCommit:
-		txnID, ts, writes, err := DecodeWrites(payload)
-		if err == nil {
-			err = n.CommitLocal(txnID, ts, writes)
-		}
-		writeFrameError(w, err)
-	case VerbReplicate:
-		ackID, ts, writes, err := DecodeWrites(payload)
-		sent := 0
-		if err == nil {
-			sent, err = n.replicateLocal(from, ackID, ts, writes)
-		}
-		// The count travels beside a failure too (see Wave.gather).
-		writeFrameErr(w, err)
-		mark := w.BeginBytes32()
-		w.Uint32(uint32(sent))
-		w.EndBytes32(mark)
-	case VerbAbort:
-		txnID, err := DecodeAbort(payload)
-		if err == nil {
-			n.AbortLocal(txnID)
-		}
-		writeFrameError(w, err)
-	default:
-		writeFrameError(w, fmt.Errorf("%w: %q", errVerbNotBatchable, verb))
+// applyVerb serves one doorbell frame from coordinator `from`: it
+// decodes the frame, serves it, and appends its result (error string +
+// response payload) to w. A frame in the lock-request encoding answers
+// with its LockResponse, a read frame's followed by the versions; a
+// replicate frame with its send count, beside a failure too (see
+// Wave.Wait).
+func (n *Node) applyVerb(w *wire.Writer, from transport.NodeID, name string, payload []byte) {
+	var f frame
+	var resp LockResponse
+	sent := 0
+	v, ok := verbNamed(name)
+	var err error
+	if !ok {
+		err = fmt.Errorf("%w: %q", errVerbNotBatchable, name)
+	} else if err = f.decode(v, payload); err == nil {
+		sent, err = n.serve(from, &f, &resp)
 	}
-}
-
-// writeFrameError appends a payload-less frame result.
-func writeFrameError(w *wire.Writer, err error) {
-	writeFrameErr(w, err)
-	w.Bytes32(nil)
-}
-
-// writeFrameErr appends a frame result's error string; its payload follows.
-func writeFrameErr(w *wire.Writer, err error) {
 	if err != nil {
 		w.String(err.Error())
 	} else {
 		w.String("")
 	}
+	mark := w.BeginBytes32()
+	switch {
+	case v == vReplicate:
+		w.Uint32(uint32(sent))
+	case err == nil && !verbs[v].tail:
+		resp.EncodeTo(w)
+		if v == vRead {
+			w.Uint64s(resp.Versions)
+		}
+	}
+	w.EndBytes32(mark)
+}
+
+// serve is the one participant dispatch: every participant verb a
+// coordinator posts runs here against this node, decoded off a doorbell
+// (applyVerb) or straight from the wave of a coordinator on this node
+// (Wave.Wait), synchronously and with no lane dispatch — one-sided verbs
+// synchronize through lock words, not lanes. A frame in the lock-request
+// encoding answers into resp; a replicate frame returns its send count.
+func (n *Node) serve(from transport.NodeID, f *frame, resp *LockResponse) (sent int, err error) {
+	switch f.verb {
+	case vLockRead:
+		n.lockRead(f.id, f.entries, resp)
+	case vSnapshotRead:
+		n.SnapshotReadLocal(f.id, f.entries, resp) // the timestamp, in the id slot
+	case vRead:
+		n.readLocal(f.entries, resp)
+	case vValidate:
+		n.validateLocal(f.id, f.entries, f.versions, resp)
+	case vReplicate:
+		return n.replicateLocal(from, f.id, f.ts, f.writes)
+	case vCommit:
+		return 0, n.CommitLocal(f.id, f.ts, f.writes)
+	case vAbort:
+		n.AbortLocal(f.id)
+	}
+	return 0, nil
 }

@@ -159,7 +159,7 @@ func TestDoorbellCommitAppliesAndRejectsReplApply(t *testing.T) {
 	before, _, _ := tbl.Bucket(keys[1]).Get(keys[1])
 
 	d := sender.NewDoorbell(dest.ID())
-	commit := d.PostCommit(7, 0, []WriteOp{{Table: 1, Key: keys[0], Type: txn.OpUpdate, Value: []byte{0xAA}}})
+	commit := d.Post(VerbCommit, EncodeWrites(7, 0, []WriteOp{{Table: 1, Key: keys[0], Type: txn.OpUpdate, Value: []byte{0xAA}}}))
 	repl := d.Post(VerbInnerRepl, EncodeInnerRepl(8, 0, sender.ID(), []WriteOp{{Table: 1, Key: keys[1], Type: txn.OpUpdate, Value: []byte{0xBB}}}))
 	results, err := d.Ring().Wait()
 	if err != nil {
@@ -218,7 +218,7 @@ func TestDoorbellRejectsNonBatchableVerb(t *testing.T) {
 func TestDoorbellTransportErrorNamesNode(t *testing.T) {
 	sender, _ := newTestPair(t)
 	d := sender.NewDoorbell(42)
-	d.PostCommit(1, 0, nil)
+	d.Post(VerbCommit, EncodeWrites(1, 0, nil))
 	if _, err := d.Ring().Wait(); err == nil || !strings.Contains(err.Error(), "node 42") {
 		t.Fatalf("err = %v", err)
 	}

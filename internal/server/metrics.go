@@ -100,17 +100,12 @@ func (m *VerbMetrics) ObserveN(kind string, d time.Duration, n uint64) {
 
 // Add records one one-way send of the given kind (no latency: the sender
 // never observes a completion).
-func (m *VerbMetrics) Add(kind string) { m.AddN(kind, 1) }
-
-// AddN records n completions of the given kind without latency samples
-// (one-way sends, and reaped presumed-commit doorbells whose round trip
-// nothing observes).
-func (m *VerbMetrics) AddN(kind string, n uint64) {
-	if m == nil || n == 0 {
+func (m *VerbMetrics) Add(kind string) {
+	if m == nil {
 		return
 	}
 	if c := m.ones[kind]; c != nil {
-		c.n.Add(n)
+		c.n.Add(1)
 	}
 }
 

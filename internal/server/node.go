@@ -395,11 +395,11 @@ func (n *Node) retire(st *partState) {
 	n.statePool.Put(st)
 }
 
-// LockReadLocal is the participant lock-and-read step, called directly
-// by a local coordinator's wave or by a VerbLockRead doorbell frame. On
-// failure everything this call acquired is rolled back, but locks from
-// earlier calls for the same txn remain until an explicit AbortLocal
-// (the coordinator owns cleanup).
+// LockReadLocal is the participant lock-and-read step as a direct call;
+// a lock-read frame, local or off a doorbell, takes the same step
+// (lockRead) through Node.serve. On failure everything this call
+// acquired is rolled back, but locks from earlier calls for the same txn
+// remain until an explicit AbortLocal (the coordinator owns cleanup).
 func (n *Node) LockReadLocal(txnID uint64, entries []LockEntry) *LockResponse {
 	resp := &LockResponse{}
 	n.lockRead(txnID, entries, resp)

@@ -88,6 +88,100 @@ func PreCommitVerbs(method string) bool {
 	return method == VerbDoorbell || method == VerbTxnRoute
 }
 
+// verb is a participant verb: one of the seven frames a coordinator's
+// wave posts, whether it rides a doorbell or is served on the
+// coordinator's own node (Node.serve).
+type verb uint8
+
+const (
+	vLockRead verb = iota
+	vCommit
+	vAbort
+	vSnapshotRead
+	vReplicate
+	vRead
+	vValidate
+	numVerbs
+)
+
+// verbs is the one table of participant verbs: name is the wire
+// constant, kind the metric label, and tail marks a post-commit-point
+// frame — a ring carrying one ships on VerbDoorbellTail. The other four
+// are in the lock-request encoding and answer with a LockResponse.
+var verbs = [numVerbs]struct {
+	name, kind string
+	tail       bool
+}{
+	vLockRead:     {VerbLockRead, KindLockRead, false},
+	vCommit:       {VerbCommit, KindCommit, true},
+	vAbort:        {VerbAbort, KindAbort, true},
+	vSnapshotRead: {VerbSnapshotRead, KindSnapRead, false},
+	vReplicate:    {VerbReplicate, KindReplicate, true},
+	vRead:         {VerbRead, KindRead, false},
+	vValidate:     {VerbValidate, KindValidate, false},
+}
+
+// verbNamed returns the participant verb with the given wire name.
+func verbNamed(name string) (verb, bool) {
+	for v := range verbs {
+		if verbs[v].name == name {
+			return verb(v), true
+		}
+	}
+	return 0, false
+}
+
+// frame is one participant request, as a wave posts it and as its
+// destination decodes it. id is the transaction id — a replicate
+// frame's ack id, a snapshot read's timestamp — and ts a write set's
+// commit timestamp.
+type frame struct {
+	verb     verb
+	id, ts   uint64
+	entries  []LockEntry
+	versions []uint64 // a validate frame's
+	writes   []WriteOp
+}
+
+// encodeTo appends f's payload to w: a write set (commit, replicate),
+// the bare id (abort), or a lock request, a validate frame's followed by
+// the versions to check.
+func (f *frame) encodeTo(w *wire.Writer) {
+	switch f.verb {
+	case vCommit, vReplicate:
+		EncodeWritesTo(w, f.id, f.ts, f.writes)
+	case vAbort:
+		w.Uint64(f.id)
+	default:
+		EncodeLockRequestTo(w, f.id, f.entries)
+		if f.verb == vValidate {
+			w.Uint64s(f.versions)
+		}
+	}
+}
+
+// decode parses a payload of verb v into f. Write values alias p (see
+// DecodeWrites).
+func (f *frame) decode(v verb, p []byte) error {
+	r := wire.NewReader(p)
+	f.verb = v
+	switch v {
+	case vCommit, vReplicate:
+		f.id, f.ts, f.writes = decodeWrites(r)
+	case vAbort:
+		f.id = r.Uint64()
+	default:
+		f.id, f.entries = decodeLockRequest(r)
+		if v == vValidate {
+			f.versions = make([]uint64, r.Count(8)) // not r.Uint64s: r would escape
+			for i := range f.versions {
+				f.versions[i] = r.Uint64()
+			}
+		}
+	}
+	return r.Err()
+}
+
 // LockEntry is one lock-and-read request item.
 type LockEntry struct {
 	OpID  int
@@ -263,11 +357,4 @@ func EncodeAbort(txnID uint64) []byte {
 	w := wire.NewWriter(8)
 	w.Uint64(txnID)
 	return w.Bytes()
-}
-
-// DecodeAbort parses an abort request.
-func DecodeAbort(p []byte) (uint64, error) {
-	r := wire.NewReader(p)
-	id := r.Uint64()
-	return id, r.Err()
 }

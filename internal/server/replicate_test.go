@@ -102,7 +102,7 @@ func TestWaveReplicateThenCommit(t *testing.T) {
 			w := coord.NewWave()
 			w.ReplicateAll(0, []transport.NodeID{1}, writes)
 			w.CommitAll(7, 0, []transport.NodeID{1}, writes)
-			w.Reap() // a replicating wave observes the round trip regardless
+			w.Wait()
 			if err := w.Errs(); err != nil {
 				t.Fatal(err)
 			}
@@ -149,7 +149,7 @@ func TestWaveLocalCommitTakesNoWaiter(t *testing.T) {
 			t.Error("a replicate frame was posted for a partition with no stream target")
 		}
 		w.CommitAll(8, 0, []transport.NodeID{0}, writes)
-		w.Reap()
+		w.Wait()
 		if w.ack != nil || len(coord.acks) != 0 {
 			t.Error("a wave with no replicate frame registered an ack waiter")
 		}

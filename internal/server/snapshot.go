@@ -13,8 +13,8 @@ import (
 // validation, at the records' current versions. None enters a lane
 // schedule or holds a lock word, so none can conflict-abort. The
 // coordinator halves are policies over cc.Txn like every other engine's;
-// a wave runs the frames for this node by direct call, the rest arrive as
-// VerbSnapshotRead, VerbRead and VerbValidate frames.
+// Node.serve runs the frames, a wave's for this node as posted and the
+// rest decoded off VerbSnapshotRead, VerbRead and VerbValidate frames.
 
 // SnapshotReadLocal serves a snapshot-read batch — lock-request entries,
 // of which only the record and MustExist matter — against this node's

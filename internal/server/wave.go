@@ -18,15 +18,15 @@ import (
 // and serves a frame addressed to the coordinator's own node by a direct
 // call (the co-located fast path of the NAM-DB architecture) while the
 // remote rings are in flight. Every engine's fan-outs — 2PL's and OCC's
-// as much as Chiller's — are waves, so a verb has exactly one wire path.
-// A remote frame is served by the destination's applyVerb; a local frame
-// by gather's own switch, which calls the same participant methods with
-// the coordinator's values in place of decoded ones.
+// as much as Chiller's — are waves, so a verb has exactly one wire path,
+// and one dispatch: a frame is served by Node.serve, at the destination
+// once decoded off its doorbell, or on the coordinator's own node as
+// posted.
 //
 // Post frames with LockRead / Read / Validate / Commit / Abort /
 // SnapshotRead, each of which returns a frame handle (ReplicateAll and
-// CommitAll post a transaction's); gather once with Wait or Reap; read
-// results per frame. Frames execute in posting order per
+// CommitAll post a transaction's); gather once with Wait; read results
+// per frame. Frames execute in posting order per
 // destination and fail independently (see doorbell.go); a destination
 // that fails as a unit (dropped ring, partition, dead peer) fails each
 // of its frames with an error naming the node. A Wave is single-use and
@@ -60,20 +60,18 @@ type waveDest struct {
 	err     error // the destination failed as a unit
 }
 
-// waveFrame is one posted verb. A remote frame is fully described by
-// (dest, slot); a local frame keeps its arguments until the gather runs
-// it and its outcome afterwards.
+// waveFrame is one posted frame. A remote frame is encoded into its
+// destination's doorbell at post and addressed by (dest, slot) once rung;
+// a local frame is served from its arguments at the gather, which keeps
+// its outcome.
 type waveFrame struct {
+	frame
 	dest int // index into Wave.dests
 	slot int // frame index within the destination's doorbell
 
-	kind      string // metric kind label, names the verb in errors
-	txnID, ts uint64
-	entries   []LockEntry
-	versions  []uint64 // a validate frame's
-	writes    []WriteOp
-	// resp is a read frame's response: filled at the gather (local) or
-	// at LockResponse (remote), into the Reads its poster preset, if any.
+	// resp is the response of a frame in the lock-request encoding:
+	// filled at the gather (local) or at LockResponse (remote), into the
+	// Reads its poster preset, if any.
 	resp     LockResponse
 	decoded  bool
 	streamed int // a replicate frame's send count
@@ -107,10 +105,9 @@ func (w *Wave) Release() {
 	wavePool.Put(w)
 }
 
-// post opens a frame against target, finding or adding the destination,
-// and returns the frame plus the destination's doorbell (nil when the
-// target is this node).
-func (w *Wave) post(target transport.NodeID, kind string) (*waveFrame, *Doorbell) {
+// open adds a frame of verb v against target, finding or adding the
+// destination, for its poster to fill in place and hand to post.
+func (w *Wave) open(target transport.NodeID, v verb) *waveFrame {
 	di := -1
 	for i := range w.dests {
 		if w.dests[i].target == target {
@@ -126,8 +123,17 @@ func (w *Wave) post(target transport.NodeID, kind string) (*waveFrame, *Doorbell
 		w.dests = append(w.dests, d)
 		di = len(w.dests) - 1
 	}
-	w.frames = append(w.frames, waveFrame{dest: di, kind: kind})
-	return &w.frames[len(w.frames)-1], w.dests[di].bell
+	w.frames = append(w.frames, waveFrame{frame: frame{verb: v}, dest: di})
+	return &w.frames[len(w.frames)-1]
+}
+
+// post encodes the frame open returned into its destination's doorbell
+// (a local frame waits for the gather) and returns its handle.
+func (w *Wave) post(f *waveFrame) int {
+	if bell := w.dests[f.dest].bell; bell != nil {
+		f.slot = bell.post(&f.frame)
+	}
+	return len(w.frames) - 1
 }
 
 // LockRead posts a lock-and-read batch and returns its frame handle. Its
@@ -135,13 +141,17 @@ func (w *Wave) post(target transport.NodeID, kind string) (*waveFrame, *Doorbell
 // participant's reads into the transaction's one set), else returned in
 // a set of their own.
 func (w *Wave) LockRead(target transport.NodeID, txnID uint64, entries []LockEntry, into txn.ReadSet) int {
-	return w.entries(KindLockRead, VerbLockRead, target, txnID, entries, nil, into)
+	f := w.open(target, vLockRead)
+	f.id, f.entries, f.resp.Reads = txnID, entries, into
+	return w.post(f)
 }
 
 // SnapshotRead posts an MVCC snapshot-read batch at timestamp ts and
 // returns its frame handle; its reads are gathered like LockRead's.
 func (w *Wave) SnapshotRead(target transport.NodeID, ts uint64, entries []LockEntry, into txn.ReadSet) int {
-	return w.entries(KindSnapRead, VerbSnapshotRead, target, ts, entries, nil, into)
+	f := w.open(target, vSnapshotRead)
+	f.id, f.entries, f.resp.Reads = ts, entries, into
+	return w.post(f)
 }
 
 // Read posts an unlocked read batch (OCC's execution phase) and returns
@@ -149,65 +159,38 @@ func (w *Wave) SnapshotRead(target transport.NodeID, ts uint64, entries []LockEn
 // entry's version is appended to versions, in entry order, in the
 // frame's LockResponse.Versions.
 func (w *Wave) Read(target transport.NodeID, entries []LockEntry, into txn.ReadSet, versions []uint64) int {
-	f := w.entries(KindRead, VerbRead, target, 0, entries, nil, into)
-	w.frames[f].resp.Versions = versions
-	return f
+	f := w.open(target, vRead)
+	f.entries, f.resp.Reads, f.resp.Versions = entries, into, versions
+	return w.post(f)
 }
 
 // Validate posts OCC's phase 2 at target: the versions entries were read
 // at, re-checked under txnID's write locks (Node.validateLocal).
 func (w *Wave) Validate(target transport.NodeID, txnID uint64, entries []LockEntry, versions []uint64) int {
-	return w.entries(KindValidate, VerbValidate, target, txnID, entries, versions, nil)
-}
-
-// entries posts a frame in the lock-request encoding.
-func (w *Wave) entries(kind, verb string, target transport.NodeID, id uint64, entries []LockEntry, versions []uint64, into txn.ReadSet) int {
-	f, bell := w.post(target, kind)
-	f.resp.Reads = into
-	if bell != nil {
-		f.slot = bell.postEntries(verb, id, entries, versions)
-	} else {
-		f.txnID, f.entries, f.versions = id, entries, versions
-	}
-	return len(w.frames) - 1
+	f := w.open(target, vValidate)
+	f.id, f.entries, f.versions = txnID, entries, versions
+	return w.post(f)
 }
 
 // Commit posts a commit (apply writes + release locks).
 func (w *Wave) Commit(target transport.NodeID, txnID, ts uint64, writes []WriteOp) int {
-	f, bell := w.post(target, KindCommit)
-	if bell != nil {
-		f.slot = bell.PostCommit(txnID, ts, writes)
-	} else {
-		f.txnID, f.ts, f.writes = txnID, ts, writes
-	}
-	return len(w.frames) - 1
+	f := w.open(target, vCommit)
+	f.id, f.ts, f.writes = txnID, ts, writes
+	return w.post(f)
 }
 
 // Abort posts a rollback (release locks, apply nothing).
 func (w *Wave) Abort(target transport.NodeID, txnID uint64) int {
-	f, bell := w.post(target, KindAbort)
-	if bell != nil {
-		f.slot = bell.PostAbort(txnID)
-	} else {
-		f.txnID = txnID
-	}
-	return len(w.frames) - 1
+	f := w.open(target, vAbort)
+	f.id = txnID
+	return w.post(f)
 }
 
-// Wait rings every remote destination's doorbell, runs the local frames
-// while those round trips are in flight, and blocks until every
-// completion has arrived — one round trip for the whole wave. Call
-// exactly one of Wait or Reap, once.
-func (w *Wave) Wait() { w.gather(false) }
-
-// Reap is Wait without observing the round trips — for waves no protocol
-// step is gated on (the presumed-commit tail: the frames executed at
-// ring time and only invariant violations are checked). See
-// PendingDoorbell.Reap. A wave that replicates observes them regardless:
-// its caller waits out the longer replica-ack path anyway.
-func (w *Wave) Reap() { w.gather(w.ack == nil) }
-
-func (w *Wave) gather(reap bool) {
+// Wait rings every remote destination's doorbell, serves the local
+// frames while those round trips are in flight, and blocks until every
+// completion has arrived — one round trip for the whole wave. Call it
+// once.
+func (w *Wave) Wait() {
 	if w.ack != nil {
 		w.rung = time.Now()
 	}
@@ -218,36 +201,13 @@ func (w *Wave) gather(reap bool) {
 	}
 	n := w.n
 	for i := range w.frames {
-		f := &w.frames[i]
-		if w.dests[f.dest].pd != nil {
-			continue
+		if f := &w.frames[i]; w.dests[f.dest].pd == nil {
+			f.streamed, f.err = n.serve(n.ID(), &f.frame, &f.resp)
+			f.decoded = true
 		}
-		switch f.kind {
-		case KindLockRead:
-			n.lockRead(f.txnID, f.entries, &f.resp)
-		case KindReplicate:
-			f.streamed, f.err = n.replicateLocal(n.ID(), w.ack.id, f.ts, f.writes)
-		case KindCommit:
-			f.err = n.CommitLocal(f.txnID, f.ts, f.writes)
-		case KindAbort:
-			n.AbortLocal(f.txnID)
-		case KindSnapRead:
-			n.SnapshotReadLocal(f.txnID, f.entries, &f.resp) // the timestamp, in the id slot
-		case KindRead:
-			n.readLocal(f.entries, &f.resp)
-		case KindValidate:
-			n.validateLocal(f.txnID, f.entries, f.versions, &f.resp)
-		}
-		f.decoded = true
 	}
 	for i := range w.dests {
-		d := &w.dests[i]
-		if d.pd == nil {
-			continue
-		}
-		if reap {
-			d.results, d.err = d.pd.Reap()
-		} else {
+		if d := &w.dests[i]; d.pd != nil {
 			d.results, d.err = d.pd.Wait()
 		}
 	}
@@ -256,7 +216,7 @@ func (w *Wave) gather(reap bool) {
 		// too (Node.Replicate); a ring that failed as a unit sent nothing.
 		for i := range w.frames {
 			f := &w.frames[i]
-			if d := &w.dests[f.dest]; f.kind == KindReplicate && d.pd != nil && d.err == nil {
+			if d := &w.dests[f.dest]; f.verb == vReplicate && d.pd != nil && d.err == nil {
 				f.streamed = int(wire.NewReader(d.results[f.slot].Payload).Uint32())
 			}
 			w.streamed += f.streamed
@@ -282,16 +242,16 @@ func (w *Wave) JoinReplicas() error {
 // for a lock-read, assume the node holds locks), or the frame's own
 // verb failure. A lock-read that executed and was refused is not an
 // error; it travels inside the LockResponse.
-func (w *Wave) Err(frame int) error {
-	f := &w.frames[frame]
+func (w *Wave) Err(i int) error {
+	f := &w.frames[i]
 	d := &w.dests[f.dest]
 	switch {
 	case d.err != nil:
 		return d.err
 	case f.err != nil:
-		return fmt.Errorf("server: %s at node %d: %w", f.kind, d.target, f.err)
+		return fmt.Errorf("server: %s at node %d: %w", verbs[f.verb].kind, d.target, f.err)
 	case d.pd != nil && d.results[f.slot].Err != "":
-		return fmt.Errorf("server: %s at node %d: %s", f.kind, d.target, d.results[f.slot].Err)
+		return fmt.Errorf("server: %s at node %d: %s", verbs[f.verb].kind, d.target, d.results[f.slot].Err)
 	}
 	return nil
 }
@@ -311,15 +271,15 @@ func (w *Wave) Errs() error {
 // LockResponse returns the response of a frame in the lock-request
 // encoding (lock-read, read, validate, snapshot-read), or the frame's
 // error.
-func (w *Wave) LockResponse(frame int) (LockResponse, error) {
-	if err := w.Err(frame); err != nil {
+func (w *Wave) LockResponse(i int) (LockResponse, error) {
+	if err := w.Err(i); err != nil {
 		return LockResponse{}, err
 	}
-	f := &w.frames[frame]
+	f := &w.frames[i]
 	if !f.decoded {
 		d := &w.dests[f.dest]
-		if err := f.resp.decode(d.results[f.slot].Payload, f.kind == KindRead); err != nil {
-			return LockResponse{}, fmt.Errorf("server: %s at node %d: %w", f.kind, d.target, err)
+		if err := f.resp.decode(d.results[f.slot].Payload, f.verb == vRead); err != nil {
+			return LockResponse{}, fmt.Errorf("server: %s at node %d: %w", verbs[f.verb].kind, d.target, err)
 		}
 		f.decoded = true
 	}

@@ -74,11 +74,6 @@ func (p *spyPending) Wait() ([]byte, error) {
 	return p.Pending.Wait()
 }
 
-func (p *spyPending) Reap() ([]byte, error) {
-	p.s.log("wait")
-	return p.Pending.Reap()
-}
-
 // waveCluster builds nodes 0..3 on the named fabric, table 1 hash
 // partitioned across them at the given replication degree, with keys
 // 0..79 loaded everywhere; node 0's endpoint is wrapped in the returned
@@ -213,7 +208,7 @@ func TestWave(t *testing.T) {
 			w.CommitAll(8, 0, []transport.NodeID{0}, map[cluster.PartitionID][]WriteOp{
 				0: {{Table: 1, Key: k0, Type: txn.OpUpdate, Value: []byte{0xAA}}},
 			})
-			w.Reap()
+			w.Wait()
 			if err := w.Errs(); err != nil {
 				t.Fatal(err)
 			}

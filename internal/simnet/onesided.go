@@ -41,26 +41,15 @@ type pendingOneSided struct {
 
 var oneSidedPool = sync.Pool{New: func() any { return new(pendingOneSided) }}
 
-// Wait reaps the doorbell's completion, sleeping out any residual
+// Wait collects the doorbell's completion, sleeping out any residual
 // simulated latency so the caller observes a full round trip from the
-// ring. A caller that reaps late (it overlapped other work past the
+// ring. A caller that waits late (it overlapped other work past the
 // round trip) returns immediately. Wait must be called exactly once; it
 // recycles the pendingOneSided.
 func (p *pendingOneSided) Wait() ([]byte, error) {
 	if d := time.Until(p.at); d > 0 {
 		time.Sleep(d)
 	}
-	return p.Reap()
-}
-
-// Reap collects the completion without sleeping out the residual
-// simulated latency. Use it only where nothing downstream depends on
-// observing the full round trip — a presumed-commit tail that merely
-// checks for invariant violations, for example: the destination's state
-// changed at ring time either way, and no protocol step is gated on the
-// completion. Like Wait, call it exactly once; it recycles the
-// pendingOneSided.
-func (p *pendingOneSided) Reap() ([]byte, error) {
 	payload, err := p.payload, p.err
 	*p = pendingOneSided{}
 	oneSidedPool.Put(p)

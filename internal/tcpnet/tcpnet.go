@@ -214,8 +214,7 @@ type result struct {
 }
 
 // pending is an in-flight call or doorbell ring. Unlike simnet there is
-// no simulated-latency residual to sleep out: Wait blocks on the wire,
-// and Reap is the same operation (nothing to skip).
+// no simulated-latency residual to sleep out: Wait blocks on the wire.
 type pending struct{ ch chan result }
 
 // Wait blocks until the response or failure arrives.
@@ -223,9 +222,6 @@ func (p *pending) Wait() ([]byte, error) {
 	res := <-p.ch
 	return res.payload, res.err
 }
-
-// Reap is Wait: the wire owes us a completion either way.
-func (p *pending) Reap() ([]byte, error) { return p.Wait() }
 
 // post ships one request that expects an answer — a call (kindRequest)
 // or a ring (kindRing) — and returns where the answer lands. A request

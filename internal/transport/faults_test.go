@@ -308,7 +308,7 @@ func TestFaultFreeWrapperAllocatesNothing(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			p.Reap()
+			p.Wait()
 		})
 	}
 	if r, w := ring(raw), ring(wrapped); w > r {

@@ -164,17 +164,13 @@ func (t *Handlers) ServeOneSided(from NodeID, method string, req []byte) ([]byte
 }
 
 // Pending is an in-flight doorbell ring started by Endpoint.GoOneSided.
-// Exactly one of Wait or Reap must be called, once: implementations
-// pool their Pending values.
+// Wait must be called exactly once: implementations pool their Pending
+// values.
 type Pending interface {
 	// Wait blocks until the ring's completion, observing the full round
 	// trip (simnet sleeps out residual simulated latency; tcpnet blocks
 	// on the wire).
 	Wait() ([]byte, error)
-	// Reap collects the completion without insisting on observing the
-	// full round trip. Use it only where nothing downstream is gated on
-	// the completion — a presumed-commit tail, for example.
-	Reap() ([]byte, error)
 }
 
 // Endpoint is one node's attachment to the fabric. Implementations must

@@ -169,9 +169,6 @@ type OpSpec struct {
 	// VDeps lists operation IDs whose read value this op's Mutate needs.
 	// Value dependencies do not restrict lock acquisition order (§3.2).
 	VDeps []int
-	// Conditional marks ops guarded by a branch (blue edges in Fig 4);
-	// informational in this implementation.
-	Conditional bool
 	// Mutate computes the new value (update/insert only).
 	Mutate MutateFunc
 	// Check validates the read value (optional).

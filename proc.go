@@ -175,13 +175,6 @@ func (o *Op) CoLocatedWith(table Table, key KeyFunc) *Op {
 	return o
 }
 
-// Conditional marks an op guarded by an application-level branch
-// (informational).
-func (o *Op) Conditional() *Op {
-	o.spec.Conditional = true
-	return o
-}
-
 // build assembles the internal procedure.
 func (p *Proc) build() (*txn.Procedure, error) {
 	if p == nil {

@@ -240,6 +240,30 @@ if [ -n "$offenders" ]; then
     fail=1
 fi
 
+# --- 17. one participant dispatch -------------------------------------------
+# The participant steps run only from Node.serve (LockReadLocal, the
+# benchmark probes' entry point, may call lockRead), and a ring has one
+# way to complete.
+offenders=$({
+    find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path './.*' |
+        xargs awk '
+            FNR == 1 { fn = "" }
+            /^func / { fn = $0; next }
+            /^}/ { fn = ""; next }
+            /^[[:space:]]*\/\// { next }
+            /(^|[^[:alnum:]_])(lockRead|readLocal|validateLocal|SnapshotReadLocal|replicateLocal|CommitLocal|AbortLocal)\(/ {
+                if (fn ~ /\) serve\(/) next
+                if (fn ~ /\) LockReadLocal\(/ && $0 ~ /[^[:alnum:]_]lockRead\(/) next
+                print FILENAME ":" FNR ":" $0
+            }'
+    grep -rnwE --include='*.go' 'Reap|PostCommit|PostReplicate|PostAbort|doorbellKinds|doorbellKindIndex' .
+} || true)
+if [ -n "$offenders" ]; then
+    echo "a participant step served outside Node.serve, or a second way to post or complete a ring:" >&2
+    echo "$offenders" >&2
+    fail=1
+fi
+
 # --- 3. markdown links --------------------------------------------------
 # Pull out ](target) occurrences, keep relative targets, strip anchors.
 for md in README.md docs/*.md; do
