@@ -289,10 +289,10 @@ func (db *DB) Get(t Table, key Key) ([]byte, error) {
 	if err != nil {
 		return nil, fmt.Errorf("chiller: get %d/%d: %w", t, key, ErrNotFound)
 	}
-	// Copy out: the store's value buffers are shared with concurrent
-	// readers and replicas; handing one to the caller would let writes
-	// through the returned slice corrupt the database.
-	return append([]byte(nil), v...), nil
+	if len(v) == 0 {
+		return nil, nil // an empty value reads as nil, as in Result.Read
+	}
+	return v, nil // Get copied it: the caller's to keep and change
 }
 
 // Result reports a committed transaction's outcome.

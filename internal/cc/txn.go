@@ -29,6 +29,12 @@ type Txn struct {
 	ID, TS uint64
 	// Reads is the transaction's result: referenced here, never recycled.
 	Reads txn.ReadSet
+	// Buf holds the bytes of the values this node's reads put in Reads —
+	// its own-node frames' and the inner region's — so a read allocates
+	// nothing. Like Reads it is never recycled: Release keeps only the
+	// part no value was copied into, for the next transaction to copy
+	// into (storage.Buf.Drop).
+	Buf storage.Buf
 	// Detail carries failure context for internal/unreachable aborts
 	// (which verb failed, at which node).
 	Detail string
@@ -144,7 +150,9 @@ func NewTxn(n *server.Node, req *txn.Request, proc *txn.Procedure) *Txn {
 func (t *Txn) Release() {
 	t.DropWrites()
 	clear(t.owns)
+	t.Buf.Drop()
 	*t = Txn{
+		Buf:   t.Buf,
 		Parts: t.Parts[:0], Batches: t.Batches[:0], Failed: t.Failed[:0], round: t.round[:0], served: t.served[:0],
 		writes: t.writes, byPID: t.byPID, owns: t.owns[:0], nodeBuf: t.nodeBuf[:0],
 		readRIDs: t.readRIDs[:0], writeRIDs: t.writeRIDs[:0],
@@ -265,7 +273,7 @@ func (t *Txn) LockWave(n *server.Node) (txn.AbortReason, bool) {
 	w := n.NewWave()
 	for i := range t.Batches {
 		b := &t.Batches[i]
-		w.LockRead(b.Target, t.ID, b.Entries, t.Reads)
+		w.LockRead(b.Target, t.ID, b.Entries, t.Reads, &t.Buf)
 	}
 	w.Wait()
 	t.Failed = t.Failed[:0]
@@ -392,9 +400,9 @@ func (t *Txn) servedWave(n *server.Node, kind string) txn.AbortReason {
 			s.frame = w.Validate(s.target, t.ID, s.entries, s.versions)
 		case len(fresh) == 0:
 		case kind == server.KindSnapRead:
-			s.frame = w.SnapshotRead(s.target, t.TS, fresh, t.Reads)
+			s.frame = w.SnapshotRead(s.target, t.TS, fresh, t.Reads, &t.Buf)
 		default:
-			s.frame = w.Read(s.target, fresh, t.Reads, s.versions)
+			s.frame = w.Read(s.target, fresh, t.Reads, &t.Buf, s.versions)
 		}
 	}
 	w.Wait()

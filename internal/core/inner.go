@@ -150,7 +150,7 @@ func (s *scratch) execInner(n *server.Node, proc *txn.Procedure, args txn.Args, 
 		// The entry says what the lock word and the store owe this op: a
 		// record the region has already written is neither read nor
 		// required to exist (the own-write index is its current value).
-		if reason := r.LockRead(s.Entry(op, key), innerPID, s.Reads); reason != txn.AbortNone {
+		if reason := r.LockRead(s.Entry(op, key), innerPID, s.Reads, &s.Buf); reason != txn.AbortNone {
 			return reason, wal.Ticket{}
 		}
 		if reason := s.Step(op, args, key, innerPID, false); reason != txn.AbortNone {

@@ -20,7 +20,7 @@ import (
 // LockRead locks and reads entries at the target node: a one-frame wave.
 func (n *Node) LockRead(target transport.NodeID, txnID uint64, entries []LockEntry) (*LockResponse, error) {
 	w := n.NewWave()
-	f := w.LockRead(target, txnID, entries, nil)
+	f := w.LockRead(target, txnID, entries, nil, nil)
 	w.Wait()
 	resp, err := w.LockResponse(f)
 	w.Release()

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"time"
 
+	"github.com/chillerdb/chiller/internal/storage"
 	"github.com/chillerdb/chiller/internal/transport"
 	"github.com/chillerdb/chiller/internal/wire"
 )
@@ -224,7 +225,9 @@ func (pd *PendingDoorbell) Err(fr wire.FrameResult) error {
 // dispatcher and lanes never see the batch. Frames execute in posting
 // order and fail independently. Request frames are decoded and response
 // frames encoded in a single streaming pass over two buffers — the batch
-// costs one response allocation however many verbs it carries.
+// costs one response allocation however many verbs it carries — and the
+// values a frame reads are copied into pooled scratch, reused once the
+// frame's response is encoded.
 func (n *Node) handleDoorbell(from transport.NodeID, req []byte) ([]byte, error) {
 	r := wire.NewReader(req)
 	count := r.Uint32()
@@ -233,15 +236,20 @@ func (n *Node) handleDoorbell(from transport.NodeID, req []byte) ([]byte, error)
 	}
 	w := wire.NewWriter(16 + len(req))
 	w.Uint32(count)
+	scratch := scratchPool.Get().(*storage.Buf)
+	defer scratchPool.Put(scratch)
 	for i := uint32(0); i < count; i++ {
 		f := r.Frame()
 		if err := r.Err(); err != nil {
 			return nil, err
 		}
-		n.applyVerb(w, from, f.Verb, f.Payload)
+		n.applyVerb(w, from, f.Verb, f.Payload, scratch)
 	}
 	return w.Bytes(), nil
 }
+
+// scratchPool holds the buffers doorbell frames read values into.
+var scratchPool = sync.Pool{New: func() any { return new(storage.Buf) }}
 
 // errVerbNotBatchable rejects frames for verbs that need the
 // destination's CPU (routing) or its per-link FIFO ordering (the
@@ -254,10 +262,12 @@ var errVerbNotBatchable = errors.New("server: verb cannot ride a doorbell")
 // response payload) to w. A frame in the lock-request encoding answers
 // with its LockResponse, a read frame's followed by the versions; a
 // replicate frame with its send count, beside a failure too (see
-// Wave.Wait).
-func (n *Node) applyVerb(w *wire.Writer, from transport.NodeID, name string, payload []byte) {
+// Wave.Wait). The frame's reads are copied into scratch, which is reset
+// once they are encoded.
+func (n *Node) applyVerb(w *wire.Writer, from transport.NodeID, name string, payload []byte, scratch *storage.Buf) {
+	defer scratch.Reset()
 	var f frame
-	var resp LockResponse
+	resp := LockResponse{buf: scratch}
 	sent := 0
 	v, ok := verbNamed(name)
 	var err error

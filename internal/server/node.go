@@ -297,14 +297,14 @@ func (n *Node) lockState(txnID uint64, create bool) *partState {
 }
 
 // LockRead locks e's bucket in e's mode, NO_WAIT, and reads the record
-// under it: its value into reads[e.OpID] when e.Read (nil for an absent
-// record), its existence checked when e.MustExist. pid is the partition
+// under it: its value, copied into buf, into reads[e.OpID] when e.Read
+// (nil for an absent record), its existence checked when e.MustExist. pid is the partition
 // the caller routed the record to: the transaction's first lock in it is
 // refused with AbortMoved when pid is fenced or no longer primaried here,
 // and otherwise pins it until the state retires, so a drain waits the
 // transaction out. A refused record leaves what the step took so far;
 // End releases it.
-func (r *Region) LockRead(e LockEntry, pid cluster.PartitionID, reads txn.ReadSet) txn.AbortReason {
+func (r *Region) LockRead(e LockEntry, pid cluster.PartitionID, reads txn.ReadSet, buf *storage.Buf) txn.AbortReason {
 	st, n := r.st, r.n
 	tbl := n.store.Table(e.Table)
 	if tbl == nil {
@@ -336,7 +336,7 @@ func (r *Region) LockRead(e LockEntry, pid cluster.PartitionID, reads txn.ReadSe
 		st.locks[i].mode = storage.LockExclusive
 	}
 	if e.Read || e.MustExist {
-		v, _, err := b.Get(e.Key)
+		v, _, err := b.GetInto(e.Key, buf)
 		if err != nil && e.MustExist {
 			return txn.AbortNotFound
 		}
@@ -409,8 +409,8 @@ func (n *Node) LockReadLocal(txnID uint64, entries []LockEntry) *LockResponse {
 // lockRead is LockReadLocal into a caller-held response: one lock step
 // over the batch. The reads go into resp.Reads when the caller preset it
 // (a coordinator's own-node batches write straight into the
-// transaction's read set), else into a set built on the first read; a
-// failed batch takes its reads back out.
+// transaction's read set), else into a set built on the first read,
+// their bytes into resp.buf; a failed batch takes its reads back out.
 func (n *Node) lockRead(txnID uint64, entries []LockEntry, resp *LockResponse) {
 	r := n.BeginRegion(txnID)
 	for i, e := range entries {
@@ -421,7 +421,7 @@ func (n *Node) lockRead(txnID uint64, entries []LockEntry, resp *LockResponse) {
 		// a layout a live handoff or hot-record migration may since have
 		// replaced.
 		pid := n.dir.Partition(storage.RID{Table: e.Table, Key: e.Key})
-		if reason := r.LockRead(e, pid, resp.Reads); reason != txn.AbortNone {
+		if reason := r.LockRead(e, pid, resp.Reads, resp.buf); reason != txn.AbortNone {
 			r.End()
 			for _, e := range entries[:i] {
 				if e.Read {

@@ -259,6 +259,11 @@ type LockResponse struct {
 	OK     bool
 	Reason txn.AbortReason // set when !OK
 	Reads  txn.ReadSet     // opID → value
+	// buf is where a frame served on this node copies the values it
+	// reads: a coordinator's own-node frame into its transaction's
+	// buffer, a doorbell's into the ring's scratch; nil makes each a
+	// fresh copy. Decoded reads alias the response payload instead.
+	buf *storage.Buf
 	// Versions is a read frame's only: each entry's version, in entry
 	// order (0: absent), appended to what the caller preset.
 	Versions []uint64

@@ -266,7 +266,7 @@ func TestLockStepsAgainstModel(t *testing.T) {
 				for _, e := range entries[:stop] {
 					pid := n.dir.Partition(storage.RID{Table: e.Table, Key: e.Key})
 					want := m.lock(s, tbl.Bucket(e.Key), e, pid, &taken)
-					if got := r.LockRead(e, pid, reads); got != want {
+					if got := r.LockRead(e, pid, reads, new(storage.Buf)); got != want {
 						t.Fatalf("seed %d step %d: txn %d %s: key %d %v, model %v", seed, step, id, what, e.Key, got, want)
 					}
 					if want != txn.AbortNone {
@@ -337,7 +337,7 @@ func TestLockStepsConcurrent(t *testing.T) {
 					}
 					r := n.BeginRegion(id)
 					for _, e := range entries {
-						if r.LockRead(e, n.dir.Partition(storage.RID{Table: 1, Key: e.Key}), txn.ReadSet{}) != txn.AbortNone {
+						if r.LockRead(e, n.dir.Partition(storage.RID{Table: 1, Key: e.Key}), txn.ReadSet{}, nil) != txn.AbortNone {
 							break
 						}
 					}
@@ -397,7 +397,7 @@ func TestStatesStayOnTheirNode(t *testing.T) {
 		time.Sleep(time.Millisecond) // let the batch fetch the state
 		r.End()                      // empty: the state retires under the waiting batch
 		ry := y.BeginRegion(id)
-		if got := ry.LockRead(ye, y.dir.Partition(storage.RID{Table: 1, Key: 1}), txn.ReadSet{}); got != txn.AbortNone {
+		if got := ry.LockRead(ye, y.dir.Partition(storage.RID{Table: 1, Key: 1}), txn.ReadSet{}, nil); got != txn.AbortNone {
 			t.Fatalf("round %d: node 1 lock: %v", round, got)
 		}
 		ry.Keep()

@@ -102,23 +102,23 @@ var errRefused = errors.New("refused")
 // procedure-level test cannot isolate.
 var frameCases = []frameCase{
 	{name: "lock-read", post: func(w *Wave, k []storage.Key, _ storage.Key, _ []uint64) int {
-		return w.LockRead(1, 7, []LockEntry{xlock(0, k[0]), sread(1, k[1])}, nil)
+		return w.LockRead(1, 7, []LockEntry{xlock(0, k[0]), sread(1, k[1])}, nil, new(storage.Buf))
 	}},
 	{name: "lock-read/no-wait-conflict", reason: txn.AbortLockConflict, prep: func(t *testing.T, n *Node, k []storage.Key, _ storage.Key) []uint64 {
 		lockFor(t, n, 99, k[1])
 		return nil
 	}, post: func(w *Wave, k []storage.Key, _ storage.Key, _ []uint64) int {
-		return w.LockRead(1, 7, []LockEntry{sread(0, k[0]), xlock(1, k[1])}, nil)
+		return w.LockRead(1, 7, []LockEntry{sread(0, k[0]), xlock(1, k[1])}, nil, new(storage.Buf))
 	}},
 	{name: "lock-read/must-exist-missing", reason: txn.AbortNotFound, post: func(w *Wave, k []storage.Key, m storage.Key, _ []uint64) int {
-		return w.LockRead(1, 7, []LockEntry{sread(0, k[0]), sread(1, m)}, nil)
+		return w.LockRead(1, 7, []LockEntry{sread(0, k[0]), sread(1, m)}, nil, new(storage.Buf))
 	}},
 	{name: "read", post: func(w *Wave, k []storage.Key, m storage.Key, _ []uint64) int {
 		insert := LockEntry{OpID: 2, Table: 1, Key: m} // an insert's: versioned, not read
-		return w.Read(1, []LockEntry{sread(0, k[0]), sread(1, k[1]), insert}, nil, nil)
+		return w.Read(1, []LockEntry{sread(0, k[0]), sread(1, k[1]), insert}, nil, new(storage.Buf), nil)
 	}},
 	{name: "read/must-exist-missing", reason: txn.AbortNotFound, post: func(w *Wave, k []storage.Key, m storage.Key, _ []uint64) int {
-		return w.Read(1, []LockEntry{sread(0, k[0]), sread(1, m)}, nil, nil)
+		return w.Read(1, []LockEntry{sread(0, k[0]), sread(1, m)}, nil, new(storage.Buf), nil)
 	}},
 	{name: "validate", prep: func(t *testing.T, n *Node, k []storage.Key, _ storage.Key) []uint64 {
 		lockFor(t, n, 7, k[0])
@@ -142,14 +142,14 @@ var frameCases = []frameCase{
 		return nil
 	}, post: func(w *Wave, k []storage.Key, m storage.Key, _ []uint64) int {
 		maybe := LockEntry{OpID: 2, Table: 1, Key: m, Read: true} // absent, and allowed to be
-		return w.SnapshotRead(1, 100, []LockEntry{sread(0, k[0]), sread(1, k[1]), maybe}, nil)
+		return w.SnapshotRead(1, 100, []LockEntry{sread(0, k[0]), sread(1, k[1]), maybe}, nil, new(storage.Buf))
 	}},
 	{name: "snapshot-read/stale", reason: txn.AbortStaleRead, prep: func(t *testing.T, n *Node, _ []storage.Key, _ storage.Key) []uint64 {
 		n.Store().EnableMVCC()
 		n.Store().SetWatermark(10)
 		return nil
 	}, post: func(w *Wave, k []storage.Key, _ storage.Key, _ []uint64) int {
-		return w.SnapshotRead(1, 5, []LockEntry{sread(0, k[0])}, nil)
+		return w.SnapshotRead(1, 5, []LockEntry{sread(0, k[0])}, nil, new(storage.Buf))
 	}},
 	{name: "commit", prep: func(t *testing.T, n *Node, k []storage.Key, _ storage.Key) []uint64 {
 		lockFor(t, n, 7, k[0], k[1])
@@ -255,11 +255,14 @@ func serveFrame(t *testing.T, fabric string, c frameCase, coord int) frameOutcom
 			t.Fatal(err)
 		}
 		out.OK, out.Reason, out.Versions = resp.OK, resp.Reason, resp.Versions
-		for op, v := range resp.Reads { // the wire tells no empty value or set from none
+		for op, v := range resp.Reads { // the wire tells no empty set from none
 			if out.Reads == nil {
 				out.Reads = map[int]string{}
 			}
 			out.Reads[op] = fmt.Sprintf("%x", v)
+			if v == nil {
+				out.Reads[op] = "absent"
+			}
 		}
 	}
 	if w.ack != nil {

@@ -21,9 +21,10 @@ import (
 // store into resp: each entry's value at the snapshot timestamp,
 // lock-free. The reads go into resp.Reads when the caller preset it (a
 // coordinator's own-node frame writes straight into the transaction's
-// read set), else into a set built here. A timestamp below the store's
-// retention watermark fails the whole batch with AbortStaleRead — the
-// coordinator re-takes a fresher snapshot and restarts the transaction.
+// read set), else into a set built here, their bytes into resp.buf. A
+// timestamp below the store's retention watermark fails the whole batch
+// with AbortStaleRead — the coordinator re-takes a fresher snapshot and
+// restarts the transaction.
 func (n *Node) SnapshotReadLocal(ts uint64, entries []LockEntry, resp *LockResponse) {
 	if resp.Reads == nil {
 		resp.Reads = make(txn.ReadSet, len(entries))
@@ -34,7 +35,7 @@ func (n *Node) SnapshotReadLocal(ts uint64, entries []LockEntry, resp *LockRespo
 		if tbl == nil {
 			return
 		}
-		v, err := tbl.ReadAt(e.Key, ts)
+		v, err := tbl.ReadAtInto(e.Key, ts, resp.buf)
 		switch {
 		case err == nil:
 			resp.Reads[e.OpID] = v
@@ -55,7 +56,7 @@ func (n *Node) SnapshotReadLocal(ts uint64, entries []LockEntry, resp *LockRespo
 }
 
 // readLocal serves a read batch like SnapshotReadLocal, but at the
-// records' current state (Bucket.Get, which leaves the lock word alone):
+// records' current state (Bucket.GetInto, which leaves the lock word alone):
 // each Read entry's value, and every entry's version appended to
 // resp.Versions in entry order (0 for an absent record).
 func (n *Node) readLocal(entries []LockEntry, resp *LockResponse) {
@@ -68,7 +69,7 @@ func (n *Node) readLocal(entries []LockEntry, resp *LockResponse) {
 		if tbl == nil {
 			return
 		}
-		v, ver, err := tbl.Bucket(e.Key).Get(e.Key)
+		v, ver, err := tbl.Bucket(e.Key).GetInto(e.Key, resp.buf)
 		if err != nil && e.MustExist {
 			resp.Reason = txn.AbortNotFound
 			return
@@ -103,7 +104,7 @@ func (n *Node) validateLocal(txnID uint64, entries []LockEntry, versions []uint6
 			return
 		}
 		b := tbl.Bucket(e.Key)
-		if _, cur, _ := b.Get(e.Key); cur != versions[i] {
+		if b.Version(e.Key) != versions[i] {
 			return
 		}
 		// An unchanged version is not enough: a concurrent writer past

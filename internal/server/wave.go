@@ -6,6 +6,7 @@ import (
 	"sync"
 	"time"
 
+	"github.com/chillerdb/chiller/internal/storage"
 	"github.com/chillerdb/chiller/internal/transport"
 	"github.com/chillerdb/chiller/internal/txn"
 	"github.com/chillerdb/chiller/internal/wire"
@@ -139,18 +140,20 @@ func (w *Wave) post(f *waveFrame) int {
 // LockRead posts a lock-and-read batch and returns its frame handle. Its
 // reads are added to into when non-nil (a coordinator gathers every
 // participant's reads into the transaction's one set), else returned in
-// a set of their own.
-func (w *Wave) LockRead(target transport.NodeID, txnID uint64, entries []LockEntry, into txn.ReadSet) int {
+// a set of their own. Served on the coordinator's own node, the frame
+// copies the values it reads into buf (fresh memory when nil); a remote
+// frame's alias its response.
+func (w *Wave) LockRead(target transport.NodeID, txnID uint64, entries []LockEntry, into txn.ReadSet, buf *storage.Buf) int {
 	f := w.open(target, vLockRead)
-	f.id, f.entries, f.resp.Reads = txnID, entries, into
+	f.id, f.entries, f.resp.Reads, f.resp.buf = txnID, entries, into, buf
 	return w.post(f)
 }
 
 // SnapshotRead posts an MVCC snapshot-read batch at timestamp ts and
 // returns its frame handle; its reads are gathered like LockRead's.
-func (w *Wave) SnapshotRead(target transport.NodeID, ts uint64, entries []LockEntry, into txn.ReadSet) int {
+func (w *Wave) SnapshotRead(target transport.NodeID, ts uint64, entries []LockEntry, into txn.ReadSet, buf *storage.Buf) int {
 	f := w.open(target, vSnapshotRead)
-	f.id, f.entries, f.resp.Reads = ts, entries, into
+	f.id, f.entries, f.resp.Reads, f.resp.buf = ts, entries, into, buf
 	return w.post(f)
 }
 
@@ -158,9 +161,9 @@ func (w *Wave) SnapshotRead(target transport.NodeID, ts uint64, entries []LockEn
 // its frame handle: its reads are gathered like LockRead's, and each
 // entry's version is appended to versions, in entry order, in the
 // frame's LockResponse.Versions.
-func (w *Wave) Read(target transport.NodeID, entries []LockEntry, into txn.ReadSet, versions []uint64) int {
+func (w *Wave) Read(target transport.NodeID, entries []LockEntry, into txn.ReadSet, buf *storage.Buf, versions []uint64) int {
 	f := w.open(target, vRead)
-	f.entries, f.resp.Reads, f.resp.Versions = entries, into, versions
+	f.entries, f.resp.Reads, f.resp.buf, f.resp.Versions = entries, into, buf, versions
 	return w.post(f)
 }
 

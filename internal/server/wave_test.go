@@ -157,9 +157,9 @@ func TestWave(t *testing.T) {
 				t.Fatalf("pre-lock: %v", r.Reason)
 			}
 			w := coord.NewWave()
-			fOK := w.LockRead(1, 7, []LockEntry{xlock(0, k1[0])}, nil)
-			fConflict := w.LockRead(1, 7, []LockEntry{xlock(1, k1[1]), xlock(2, k1[2])}, nil)
-			fOther := w.LockRead(2, 7, []LockEntry{xlock(3, k2[0])}, nil)
+			fOK := w.LockRead(1, 7, []LockEntry{xlock(0, k1[0])}, nil, nil)
+			fConflict := w.LockRead(1, 7, []LockEntry{xlock(1, k1[1]), xlock(2, k1[2])}, nil, nil)
+			fOther := w.LockRead(2, 7, []LockEntry{xlock(3, k2[0])}, nil, nil)
 			w.Wait()
 			if got := spy.take(); got != "ring ring wait wait" {
 				t.Fatalf("fabric use = %q, want one doorbell per destination, rung before the gather", got)
@@ -198,7 +198,7 @@ func TestWave(t *testing.T) {
 			k0 := distinctKeys(t, coord, 1)[0]
 			before := coord.Endpoint().Stats().MessagesSent.Load()
 			w = coord.NewWave()
-			f := w.LockRead(0, 8, []LockEntry{xlock(0, k0)}, nil)
+			f := w.LockRead(0, 8, []LockEntry{xlock(0, k0)}, nil, nil)
 			w.Wait()
 			if r, err := w.LockResponse(f); err != nil || !r.OK {
 				t.Fatalf("local lock-read: %+v, %v", r, err)
@@ -228,9 +228,9 @@ func TestWave(t *testing.T) {
 			// node: every frame bound there fails (its node may hold locks
 			// — the caller must abort there), siblings elsewhere succeed.
 			w = coord.NewWave()
-			fLost1 := w.LockRead(42, 9, []LockEntry{xlock(0, 1)}, nil)
-			fGood := w.LockRead(3, 9, []LockEntry{xlock(1, distinctKeys(t, nodes[3], 1)[0])}, nil)
-			fLost2 := w.LockRead(42, 9, []LockEntry{xlock(2, 2)}, nil)
+			fLost1 := w.LockRead(42, 9, []LockEntry{xlock(0, 1)}, nil, nil)
+			fGood := w.LockRead(3, 9, []LockEntry{xlock(1, distinctKeys(t, nodes[3], 1)[0])}, nil, nil)
+			fLost2 := w.LockRead(42, 9, []LockEntry{xlock(2, 2)}, nil, nil)
 			w.Wait()
 			for _, f := range []int{fLost1, fLost2} {
 				_, err := w.LockResponse(f)

@@ -342,7 +342,10 @@ func TestWalksSkipDeadSlots(t *testing.T) {
 // op's index under MVCC, with 0 on a clockless store. Under MVCC the
 // model also keeps each key's versions, and every few hundred ops the
 // watermark rises, the model drops what the sweep drops, and ReadAt and
-// ChainDepth are checked against it.
+// ChainDepth are checked against it. A reader keeps values it read —
+// copied into one buffer it never resets — across the writes that
+// follow, almost all of them same-size overwrites in place, and each
+// must still hold the bytes it was read with.
 func TestBucketAgainstModel(t *testing.T) {
 	for _, mvcc := range []bool{false, true} {
 		t.Run(fmt.Sprintf("mvcc=%v", mvcc), func(t *testing.T) {
@@ -368,6 +371,9 @@ func TestBucketAgainstModel(t *testing.T) {
 				}
 			}
 			rng := rand.New(rand.NewSource(21))
+			var buf Buf
+			type held struct{ got, want []byte }
+			var kept []held
 			const ops = 30_000
 			for i := 1; i <= ops; i++ {
 				k, v, ts := Key(rng.Intn(600)), []byte{byte(i), byte(i >> 8)}, uint64(0)
@@ -420,14 +426,23 @@ func TestBucketAgainstModel(t *testing.T) {
 					}
 				case 4:
 					var got []byte
-					if got, _, err = tbl.Bucket(k).Get(k); !present {
+					if got, _, err = tbl.Bucket(k).GetInto(k, &buf); !present {
 						want = ErrNotFound
 					} else if !bytes.Equal(got, old) {
 						t.Fatalf("op %d: Get(%d) = %v, model has %v", i, k, got, old)
+					} else if len(kept) < 64 {
+						kept = append(kept, held{got, old})
+					} else {
+						kept[rng.Intn(len(kept))] = held{got, old}
 					}
 				}
 				if !errors.Is(err, want) {
 					t.Fatalf("op %d on key %d (present %v): err %v, want %v", i, k, present, err, want)
+				}
+				for _, h := range kept {
+					if !bytes.Equal(h.got, h.want) {
+						t.Fatalf("op %d: a value read earlier changed under its reader: %v, was %v", i, h.got, h.want)
+					}
 				}
 				if mvcc && i%300 == 0 {
 					setWatermark(uint64(max(0, i-rng.Intn(1000))))
@@ -530,15 +545,18 @@ func chained(n, length int) (*Table, []Key) {
 // The layer numbers behind storage.get_ns and storage.put_ns, at the
 // chain lengths the ledger's storage.max_bucket_chain row sees: a read
 // pays one header line per bucket walked plus the entry lines whose
-// fingerprint matches (usually one).
+// fingerprint matches (usually one), and copies the value out — here
+// into a reused buffer, as the hot paths do.
 func BenchmarkBucketGet(b *testing.B) {
 	for _, length := range []int{1, 2, 4} {
 		b.Run(fmt.Sprintf("chain=%d", length), func(b *testing.B) {
 			tbl, keys := chained(1<<14, length)
+			var buf Buf
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				k := keys[i*7919%len(keys)]
-				sinkValue, _, sinkErr = tbl.Bucket(k).Get(k)
+				sinkValue, _, sinkErr = tbl.Bucket(k).GetInto(k, &buf)
+				buf.Reset()
 			}
 		})
 	}

@@ -352,15 +352,21 @@ func (t *Table) prune(key Key, w uint64) {
 	}
 }
 
-// ReadAt returns the value of key visible at snapshot timestamp ts:
-// the newest version with version-ts <= ts. It takes only the bucket's
-// internal mutex (never the transactional lock word), so it cannot
-// conflict-abort and never blocks behind a transaction's lock span.
-// ErrNotFound means the key did not exist at ts; ErrStaleRead means ts
-// predates the retention window.
-//
-// The returned slice is immutable (the same contract Get carries).
+// ReadAt returns a copy of the value of key visible at snapshot
+// timestamp ts, in fresh memory: a cold read. ReadAtInto is the same
+// read into a caller's buffer.
 func (t *Table) ReadAt(key Key, ts uint64) ([]byte, error) {
+	return t.ReadAtInto(key, ts, nil)
+}
+
+// ReadAtInto returns the value of key visible at snapshot timestamp ts
+// — the newest version with version-ts <= ts — copied into buf under the
+// bucket mutex (fresh memory when buf is nil), as GetInto copies. It
+// takes only the bucket's internal mutex (never the transactional lock
+// word), so it cannot conflict-abort and never blocks behind a
+// transaction's lock span. ErrNotFound means the key did not exist at
+// ts; ErrStaleRead means ts predates the retention window.
+func (t *Table) ReadAtInto(key Key, ts uint64, buf *Buf) ([]byte, error) {
 	b := t.Bucket(key)
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -379,14 +385,14 @@ func (t *Table) ReadAt(key Key, ts uint64) ([]byte, error) {
 		if at.isDead(i) {
 			return nil, ErrNotFound
 		}
-		return val, nil
+		return buf.copy(val), nil
 	}
 	for v := at.side.chain(i); v != nil; v = v.prev {
 		if v.ts <= ts {
 			if v.dead {
 				return nil, ErrNotFound
 			}
-			return v.value, nil
+			return buf.copy(v.value), nil
 		}
 	}
 	// Every retained version is newer than ts. With ts at or above the

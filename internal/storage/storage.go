@@ -14,8 +14,15 @@
 // an entry's own line only when its fingerprint matches. A record slot
 // is 16 bytes and holds no pointer: its key, its version and a ref into
 // its table's value chunks (values.go), where the value sits behind its
-// commit stamp. Neither slot arrays nor chunks are scanned by the
-// collector; only the bucket headers are.
+// commit stamp. All of a record's memory belongs to its table: slot
+// arrays and overflow buckets are carved from the table's slab
+// (slab.go), values from its chunks. Neither slot chunks nor value
+// chunks are scanned by the collector.
+//
+// A record stays where it is written: an overwrite of the same size
+// rewrites its bytes in place, under the bucket mutex. So reads copy
+// out — Get and ReadAt copy the value, under the same mutex, into
+// memory the caller owns (Buf).
 package storage
 
 import (
@@ -23,6 +30,7 @@ import (
 	"fmt"
 	"math/bits"
 	"sync"
+	"time"
 	"unsafe"
 )
 
@@ -119,6 +127,7 @@ type Table struct {
 	buckets []Bucket
 	mv      *mvccMeta // shared with the owning Store
 	vals    values
+	slab    slab
 }
 
 // ID returns the table's identifier.
@@ -180,7 +189,8 @@ type entry struct {
 // The header is exactly one 64-byte cache line — lock word, mutex, eight
 // one-byte key fingerprints, the tombstone bitmask, the slot count and
 // capacity, the version floor, and pointers to the slots, the overflow
-// bucket, the table and the retained versions — and a chain walk decides
+// bucket, the table and the retained versions — the slots and an
+// overflow bucket carved from the table's slab — and a chain walk decides
 // from it alone which entries are worth reading: an entry's own line is
 // touched only when its fingerprint matches (see docs/ARCHITECTURE.md,
 // "What a lookup touches").
@@ -191,9 +201,9 @@ type Bucket struct {
 	tags  [bucketCapacity]uint8 // tags[i] = tagOf(slots()[i].key), i < n
 	dead  uint8                 // bit i set: slot i is a tombstone left by Delete
 	n     uint8                 // slots in use
-	room  uint8                 // slots allocated
+	room  uint8                 // slots in the array: 0, 2, 4 or 8
 	floor uint32                // versions recycled in this chain (head bucket only): a new record starts above it
-	// entries is the first of room slots, allocated as a []entry.
+	// entries is the first of room slots, an array of the table's slab.
 	entries  *entry
 	overflow *Bucket
 	table    *Table
@@ -212,17 +222,20 @@ func (b *Bucket) isDead(i int) bool { return b.dead>>uint(i)&1 != 0 }
 // slots returns the bucket's records.
 func (b *Bucket) slots() []entry { return unsafe.Slice(b.entries, b.n) }
 
-// Get returns the value and its version. The caller is expected to hold
-// the bucket lock in at least shared mode when running under 2PL; OCC
-// calls Get without a lock and validates the version later.
-//
-// The returned slice is IMMUTABLE and never changes after the call: it
-// aliases the record's bytes in a value chunk, which a write never
-// overwrites (it appends) and compaction never reuses, so readers hold a
-// consistent snapshot without paying a defensive copy on the hottest
-// path in the system. Its capacity equals its length, so an append by
-// the caller cannot reach the chunk.
+// Get returns a copy of the value and its version, or ErrNotFound: a
+// cold read, in fresh memory. GetInto is the same read into a caller's
+// buffer.
 func (b *Bucket) Get(key Key) (value []byte, version uint64, err error) {
+	return b.GetInto(key, nil)
+}
+
+// GetInto returns the value, copied into buf under the bucket mutex
+// (fresh memory when buf is nil), and its version. The caller is
+// expected to hold the bucket lock in at least shared mode when running
+// under 2PL; OCC calls it without a lock and validates the version
+// later. The copy is the caller's: a later write of the record, in place
+// or not, leaves it alone.
+func (b *Bucket) GetInto(key Key, buf *Buf) (value []byte, version uint64, err error) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	at, i, ok := b.seek(key)
@@ -231,8 +244,62 @@ func (b *Bucket) Get(key Key) (value []byte, version uint64, err error) {
 	}
 	e := &at.slots()[i]
 	value, _ = b.table.vals.record(e.ref)
-	return value, uint64(e.version), nil
+	return buf.copy(value), uint64(e.version), nil
 }
+
+// Version returns key's version, 0 when it is absent: what OCC's
+// validation re-checks, without the value.
+func (b *Bucket) Version(key Key) uint64 {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if at, i, ok := b.seek(key); ok && !at.isDead(i) {
+		return uint64(at.slots()[i].version)
+	}
+	return 0
+}
+
+// Buf is memory reads copy values into, so a hot path copies without
+// allocating per read. Each value is capped at its length, so an append
+// to one cannot write into the next. A full Buf moves on to a new array,
+// at least twice the size, and leaves the values it handed out where
+// they are. The zero Buf is empty; a nil *Buf makes every copy fresh
+// memory.
+type Buf struct{ b []byte }
+
+// minBuf is the smallest array a Buf allocates.
+const minBuf = 4 << 10
+
+// copy returns a copy of v in the buffer.
+func (b *Buf) copy(v []byte) []byte {
+	if len(v) == 0 {
+		return emptyValue
+	}
+	var dst []byte
+	if b == nil {
+		dst = make([]byte, len(v))
+	} else {
+		if cap(b.b)-len(b.b) < len(v) {
+			b.b = make([]byte, 0, max(minBuf, 2*cap(b.b), len(v)))
+		}
+		i := len(b.b)
+		b.b = b.b[:i+len(v)]
+		dst = b.b[i : i+len(v) : i+len(v)]
+	}
+	copy(dst, v)
+	return dst
+}
+
+// Reset reuses the buffer's memory: later copies overwrite every value
+// it handed out, so call it only once none is in use (a doorbell's
+// scratch, once the frame's response is encoded).
+func (b *Buf) Reset() { b.b = b.b[:0] }
+
+// Drop keeps only the part of the buffer it never handed out, so the
+// values it did hand out are never overwritten: they stay valid for as
+// long as they are referenced, as a transaction's read set must. A
+// buffer that serves one transaction after another therefore allocates
+// once per minBuf bytes read, not once per transaction.
+func (b *Buf) Drop() { b.b = b.b[len(b.b):] }
 
 // WriteMode says what a write requires of the key's current state and
 // what it leaves behind.
@@ -289,14 +356,11 @@ func (b *Bucket) seek(key Key) (at *Bucket, slot int, ok bool) {
 func (at *Bucket) add(slot int, e entry) {
 	if slot < 0 {
 		if at.n >= bucketCapacity {
-			at.overflow = &Bucket{table: at.table}
+			at.overflow = at.table.slab.bucket(at.table)
 			at = at.overflow
 		}
 		if at.n == at.room {
-			room := max(2, 2*at.room)
-			grown := make([]entry, room)
-			copy(grown, at.slots())
-			at.entries, at.room = unsafe.SliceData(grown), room
+			at.table.slab.grow(at)
 		}
 		slot = int(at.n)
 		at.n++
@@ -448,6 +512,37 @@ func (b *Bucket) SnapshotTS() []SnapshotRecord {
 // into the same bucket. Iteration order is unspecified.
 func (t *Table) Range(fn func(key Key, value []byte, version uint64) bool) {
 	t.RangeTS(func(key Key, value []byte, version, _ uint64) bool { return fn(key, value, version) })
+}
+
+// TableStats is what a table's memory holds and what keeping it has
+// cost.
+type TableStats struct {
+	// SlabBytes is the table's slot and bucket chunks: SlabInUse of them
+	// is what its buckets hold, SlabFree what waits on the free lists,
+	// and the rest the uncarved tails of the newest chunks.
+	SlabBytes, SlabInUse, SlabFree int
+	// ValueBytes is the value chunks' bytes, DeadBytes what compaction
+	// would reclaim of them.
+	ValueBytes, DeadBytes int
+	// Compactions counts the completed ones; CompactTime is their total
+	// duration, CompactMax the longest.
+	Compactions             int
+	CompactTime, CompactMax time.Duration
+}
+
+// Stats reports the table's counters.
+func (t *Table) Stats() TableStats {
+	var st TableStats
+	t.slab.mu.Lock()
+	st.SlabBytes, st.SlabFree = t.slab.chunkBytes, t.slab.freeBytes
+	st.SlabInUse = t.slab.slotBytes + t.slab.overflows*bucketSize
+	t.slab.mu.Unlock()
+	v := &t.vals
+	v.mu.Lock()
+	st.ValueBytes, st.DeadBytes = v.used, v.used-v.live
+	st.Compactions, st.CompactTime, st.CompactMax = v.compactions, v.compactTime, v.compactMax
+	v.mu.Unlock()
+	return st
 }
 
 // Len reports the number of live records in the table.

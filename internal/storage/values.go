@@ -5,11 +5,12 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
+	"time"
 )
 
-// A table's values live in append-only byte chunks, which hold no
-// pointers, so the collector never scans them; a record slot names its
-// value by a 32-bit ref instead of a pointer. A record in a chunk is
+// A table's values live in byte chunks, which hold no pointers, so the
+// collector never scans them; a record slot names its value by a 32-bit
+// ref instead of a pointer. A record in a chunk is
 //
 //	uvarint(len<<1 | stamped) | stamp (8 bytes, only if stamped) | value
 //
@@ -25,12 +26,15 @@ import (
 // holds at most 2^14-1 chunks at once: 4 GiB of chunk bytes when they
 // are full-sized. A write beyond that panics; it never wraps.
 //
-// A chunk's bytes are never written after a ref to them is published:
-// an overwrite appends and leaves the old bytes dead. Compaction copies
-// the live records of every chunk into fresh ones, under each bucket's
-// mutex, and drops the old chunks; a reader still holding a slice into
-// one keeps it alive, so readers never see bytes change. A freed chunk
-// id gets a fresh array when it is reused.
+// A record is updated in place: a write whose record has the header of
+// the one it replaces — the same length, the same stamp width — writes
+// over the old bytes under the bucket mutex, leaves nothing dead and
+// takes no table-wide lock. Only a write that resizes a record, or a
+// delete, appends and leaves the old bytes dead. Compaction copies the
+// live records of every chunk into fresh ones, under each bucket's
+// mutex, and drops the old chunks. Readers copy a value out under the
+// bucket mutex (Buf), so no reader ever holds chunk bytes. A freed
+// chunk id gets a fresh array when it is reused.
 const (
 	offsetBits = 18
 	offsetMask = 1<<offsetBits - 1
@@ -65,8 +69,11 @@ type values struct {
 	// sealed one, the filled part of the open one — and live the bytes of
 	// the records slots refer to; the difference is what compaction
 	// would reclaim.
-	used, live  int
-	compactions int // completed
+	used, live int
+	// compactions counts the completed ones; compactTime is their total
+	// duration, compactMax the longest.
+	compactions             int
+	compactTime, compactMax time.Duration
 
 	compacting sync.Mutex // single flight
 }
@@ -103,10 +110,11 @@ func (v *values) size(ref uint32) int {
 	return n + int(h&1)*8 + int(h>>1)
 }
 
-// put appends a record for val stamped ts, turns the record at old dead
-// (0: none), and returns the new record's ref and whether the table is
-// due for compaction. Caller holds the mutex of the bucket whose slot
-// will hold the ref.
+// put stores a record for val stamped ts in place of the record at old
+// (0: none), and returns its ref and whether the table is due for
+// compaction. A record with old's header is written over old's bytes;
+// any other is appended, and old's bytes turn dead. Caller holds the
+// mutex of the bucket whose slot holds old and will hold the ref.
 func (v *values) put(val []byte, ts uint64, old uint32) (ref uint32, compact bool) {
 	h := uint64(len(val)) << 1
 	if ts != 0 {
@@ -117,6 +125,13 @@ func (v *values) put(val []byte, ts uint64, old uint32) (ref uint32, compact boo
 	if ts != 0 {
 		binary.LittleEndian.PutUint64(hdr[n:], ts)
 		n += 8
+	}
+	if old != 0 {
+		c, off := v.chunk(old), int(old&offsetMask)
+		if oh, _ := binary.Uvarint(c[off:]); oh == h {
+			copy(c[off+copy(c[off:], hdr[:n]):], val)
+			return old, false
+		}
 	}
 	dead := v.size(old)
 	v.mu.Lock()
@@ -238,6 +253,7 @@ func (t *Table) compact() {
 // and drops those chunks. Writers keep going meanwhile; what they append
 // lands in new chunks. Caller holds v.compacting.
 func (t *Table) reclaim() {
+	start := time.Now()
 	v := &t.vals
 	v.mu.Lock()
 	v.seal()
@@ -266,7 +282,10 @@ func (t *Table) reclaim() {
 
 	v.mu.Lock()
 	defer v.mu.Unlock()
+	d := time.Since(start)
 	v.compactions++
+	v.compactTime += d
+	v.compactMax = max(v.compactMax, d)
 	for id := range dir {
 		if old[id] {
 			v.used -= len(dir[id])

@@ -12,21 +12,27 @@ import (
 
 // valueOf is the value key k holds after its seq'th write: the key, the
 // sequence number, then a filler whose length and bytes both follow from
-// them, so that a torn or misplaced value cannot pass for another.
+// them, so that a torn or misplaced value cannot pass for another. The
+// length changes every fourth write, so three writes in four overwrite
+// in place and the fourth resizes.
 func valueOf(k Key, seq uint64) []byte {
 	v := binary.LittleEndian.AppendUint64(nil, uint64(k))
 	v = binary.LittleEndian.AppendUint64(v, seq)
-	return append(v, bytes.Repeat([]byte{byte(k) ^ byte(seq)}, int(16+(uint64(k)*7+seq)%200))...)
+	return append(v, bytes.Repeat([]byte{byte(k) ^ byte(seq)}, int(16+(uint64(k)*7+seq/4)%200))...)
 }
 
 // Writers overwrite a small table until its chunks have been compacted
-// several times, while readers keep every slice Get and ReadAt hand
-// them and re-check each, byte for byte, against the copy they took
-// when they got it: a record that moves must leave the bytes a reader
-// holds as they were. Afterwards every key holds its writer's last
-// value and the table's dead bytes are below the compaction threshold.
-// Run it under -race: a compaction that wrote into a chunk a reader
-// can see would race the reader's re-check.
+// several times — in place, and by resizes that leave dead bytes —
+// while readers copy values out with Get and ReadAt into buffers of
+// their own. Every value read must be one a writer wrote, whole: a read
+// that copied a record while a writer rewrote it in place, or while
+// compaction moved it, would be torn. Each reader also keeps values it
+// read and re-checks them, byte for byte, against the copy it took: its
+// buffer, never reset, must not be written again, and no write may
+// reach it. Afterwards every key holds its writer's last value and the
+// table's dead bytes are below the compaction threshold. Run it under
+// -race: a write into bytes a reader copies outside the bucket mutex is
+// a race.
 func TestCompactionUnderLoad(t *testing.T) {
 	const (
 		keys, writers = 48, 3
@@ -45,6 +51,10 @@ func TestCompactionUnderLoad(t *testing.T) {
 		go func() {
 			defer readers.Done()
 			rng := rand.New(rand.NewSource(int64(r)))
+			var buf Buf
+			whole := func(k Key, v []byte) bool {
+				return cap(v) == len(v) && len(v) >= 16 && binary.LittleEndian.Uint64(v) == uint64(k) && bytes.Equal(v, valueOf(k, binary.LittleEndian.Uint64(v[8:])))
+			}
 			type held struct{ got, want []byte }
 			var kept []held
 			keep := func(got []byte) {
@@ -57,14 +67,18 @@ func TestCompactionUnderLoad(t *testing.T) {
 			}
 			for !done.Load() {
 				k := Key(rng.Intn(keys))
-				if v, _, err := tbl.Bucket(k).Get(k); err == nil {
-					if cap(v) != len(v) || binary.LittleEndian.Uint64(v) != uint64(k) || !bytes.Equal(v, valueOf(k, binary.LittleEndian.Uint64(v[8:]))) {
+				if v, _, err := tbl.Bucket(k).GetInto(k, &buf); err == nil {
+					if !whole(k, v) {
 						t.Errorf("Get(%d) = %x: not a value key %d was written", k, v, k)
 						return
 					}
 					keep(v)
 				}
-				if v, err := tbl.ReadAt(k, clock.Stable()); err == nil {
+				if v, err := tbl.ReadAtInto(k, clock.Stable(), &buf); err == nil {
+					if !whole(k, v) {
+						t.Errorf("ReadAt(%d) = %x: not a value key %d was written", k, v, k)
+						return
+					}
 					keep(v)
 				} else if !errors.Is(err, ErrNotFound) && !errors.Is(err, ErrStaleRead) {
 					t.Errorf("ReadAt(%d): %v", k, err)

@@ -81,7 +81,9 @@ func (rs ReadSet) Clone() ReadSet {
 	return out
 }
 
-// Encode serializes the read set (sorted by op ID for determinism).
+// Encode serializes the read set (sorted by op ID for determinism). A
+// nil value — an absent record an op may read — stays nil across the
+// wire, apart from a present empty one.
 func (rs ReadSet) Encode(w *wire.Writer) {
 	var buf [64]int // on the stack for any procedure of up to 64 ops
 	ids := buf[:0]
@@ -92,16 +94,17 @@ func (rs ReadSet) Encode(w *wire.Writer) {
 	w.Uint32(uint32(len(ids)))
 	for _, id := range ids {
 		w.Uint32(uint32(id))
-		w.Bytes32(rs[id])
+		w.OptBytes32(rs[id])
 	}
 }
 
 // DecodeReadSet deserializes a read set into rs, which is allocated when
 // nil (a coordinator passes the transaction's one set to gather every
-// participant's reads in). Values alias the decode buffer: read-set
-// values are treated as immutable everywhere (mutators build new
-// slices), so the copy would be pure garbage-collector feed. A decode
-// error returns nil and may leave rs partly extended.
+// participant's reads in). Values alias the decode buffer, each capped at
+// its length: read-set values are treated as immutable everywhere
+// (mutators build new slices), so the copy would be pure
+// garbage-collector feed. A decode error returns nil and may leave rs
+// partly extended.
 func DecodeReadSet(r *wire.Reader, rs ReadSet) ReadSet {
 	n := r.Count(8) // op id + value length
 	if r.Err() != nil {
@@ -112,7 +115,7 @@ func DecodeReadSet(r *wire.Reader, rs ReadSet) ReadSet {
 	}
 	for i := 0; i < n; i++ {
 		id := int(r.Uint32())
-		v := r.Bytes32()
+		v := r.OptBytes32()
 		if r.Err() != nil {
 			return nil
 		}

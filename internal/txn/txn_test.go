@@ -80,19 +80,25 @@ func TestRegistry(t *testing.T) {
 	}
 }
 
+// A nil value (an absent record) and an empty one (a present record of
+// length 0) stay apart across the wire, and a decoded value is capped at
+// its length, so an append cannot write into the next.
 func TestReadSetEncodeDecode(t *testing.T) {
-	rs := ReadSet{3: []byte("c"), 1: []byte("a"), 2: nil}
+	rs := ReadSet{3: []byte("c"), 1: []byte("a"), 2: nil, 4: []byte{}}
 	w := wire.NewWriter(0)
 	rs.Encode(w)
 	got := DecodeReadSet(wire.NewReader(w.Bytes()), nil)
-	if len(got) != 3 {
+	if len(got) != 4 {
 		t.Fatalf("decoded %d entries", len(got))
 	}
-	if string(got[1]) != "a" || string(got[3]) != "c" {
+	if string(got[1]) != "a" || string(got[3]) != "c" || cap(got[1]) != 1 {
 		t.Fatalf("decoded %v", got)
 	}
-	if len(got[2]) != 0 {
-		t.Fatalf("nil value decoded as %v", got[2])
+	if got[2] != nil {
+		t.Fatalf("nil value decoded as %#v", got[2])
+	}
+	if got[4] == nil || len(got[4]) != 0 {
+		t.Fatalf("empty value decoded as %#v", got[4])
 	}
 }
 

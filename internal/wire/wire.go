@@ -89,6 +89,20 @@ func (w *Writer) Bytes32(p []byte) {
 	w.buf = append(w.buf, p...)
 }
 
+// nilBytes is the length prefix OptBytes32 writes for a nil slice: no
+// slice a 32-bit prefix can carry is that long.
+const nilBytes = math.MaxUint32
+
+// OptBytes32 appends p like Bytes32, but nil as a length no slice has,
+// so that Reader.OptBytes32 tells a nil p from an empty one.
+func (w *Writer) OptBytes32(p []byte) {
+	if p == nil {
+		w.Uint32(nilBytes)
+		return
+	}
+	w.Bytes32(p)
+}
+
 // SetUint32 overwrites the 32-bit value previously written at byte
 // offset off (e.g. a count prefix backpatched once the count is known).
 func (w *Writer) SetUint32(off int, v uint32) {
@@ -166,7 +180,7 @@ func (r *Reader) take(n int, field string) []byte {
 		r.err = fmt.Errorf("%w: reading %s (%d bytes at offset %d of %d)", ErrShort, field, n, r.off, len(r.buf))
 		return nil
 	}
-	p := r.buf[r.off : r.off+n]
+	p := r.buf[r.off : r.off+n : r.off+n] // an append cannot reach what follows
 	r.off += n
 	return p
 }
@@ -221,6 +235,16 @@ func (r *Reader) Float64() float64 { return math.Float64frombits(r.Uint64()) }
 func (r *Reader) Bytes32() []byte {
 	n := r.Uint32()
 	if r.err != nil {
+		return nil
+	}
+	return r.take(int(n), "bytes32")
+}
+
+// OptBytes32 decodes what Writer.OptBytes32 wrote: nil for a nil slice,
+// else the slice, aliasing the underlying buffer as Bytes32's does.
+func (r *Reader) OptBytes32() []byte {
+	n := r.Uint32()
+	if r.err != nil || n == nilBytes {
 		return nil
 	}
 	return r.take(int(n), "bytes32")

@@ -264,6 +264,17 @@ if [ -n "$offenders" ]; then
     fail=1
 fi
 
+# --- 18. one record memory --------------------------------------------------
+# Slot arrays and overflow buckets are carved from their table's slab;
+# a Go object per bucket is what the slab replaced.
+offenders=$(grep -rnE --include='*.go' --exclude='*_test.go' 'make\(\[\]entry|&Bucket\{' internal/storage |
+    grep -v '^internal/storage/slab\.go:' || true)
+if [ -n "$offenders" ]; then
+    echo "a slot array or an overflow bucket allocated outside the table's slab (internal/storage/slab.go):" >&2
+    echo "$offenders" >&2
+    fail=1
+fi
+
 # --- 3. markdown links --------------------------------------------------
 # Pull out ](target) occurrences, keep relative targets, strip anchors.
 for md in README.md docs/*.md; do
