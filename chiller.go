@@ -119,8 +119,8 @@ func Open(opts ...Option) (*DB, error) {
 	switch p := cfg.partitioner.(type) {
 	case nil:
 		cfg.partitioner = cluster.HashPartitioner{N: cfg.partitions}
-	case rangePartitioner:
-		p.n = cfg.partitions
+	case cluster.RangePartitioner:
+		p.N = cfg.partitions
 		cfg.partitioner = p
 	}
 
@@ -195,8 +195,9 @@ func (db *DB) unsupported(op string) error {
 // Close quiesces and tears the cluster down: every engine's outstanding
 // background commit work is drained first (so no async commit tail hits
 // a closed fabric and no lock outlives the handle), then the fabric and
-// the nodes' lane executors stop. Close is idempotent; after it every
-// other method returns ErrClosed.
+// the nodes' lane executors stop. A durable DB's Close returns its logs'
+// close errors joined with any background snapshot that failed. Close
+// is idempotent; after it every other method returns ErrClosed.
 func (db *DB) Close() error {
 	if db.closed.Swap(true) {
 		return nil
@@ -405,6 +406,10 @@ type RepartitionReport struct {
 // Call it from a maintenance window: in-flight transactions racing a
 // repartition pass may abort against moving records. ctx is consulted
 // between phases; a cancelled pass leaves the previous layout intact.
+// Under WithMVCC a moved copy keeps its commit stamp, and a node that
+// gains a record it lacked raises its GC watermark to that stamp, so a
+// snapshot read older than the stamp aborts there (retryably) instead of
+// missing history.
 //
 // A DB opened WithDurability returns ErrUnsupported: the moved copies and
 // the new layout bypass the write-ahead log, so a reopened DB would route
@@ -455,13 +460,14 @@ func (db *DB) Repartition(ctx context.Context) (RepartitionReport, error) {
 	// moving record the old primary bucket's lock word is held
 	// exclusively across the whole move, so concurrent writers hit a
 	// NO_WAIT conflict and retry instead of committing into the copy
-	// window; the value is re-read under that lock, the copies land at
-	// the new home BEFORE the layout flips routing to it, and the old
-	// copies are deleted only after the flip. Load-time replicas of
-	// unmoved records are untouched.
+	// window; the value and its commit stamp are re-read under that
+	// lock, the copies land at the new home BEFORE the layout flips
+	// routing to it, and the old copies are deleted only after the flip.
+	// Load-time replicas of unmoved records are untouched.
 	type move struct {
 		rid      storage.RID
 		val      []byte
+		ts       uint64 // the value's commit stamp, 0 without a clock
 		from, to cluster.PartitionID
 	}
 	nodes := db.c.Nodes()
@@ -513,29 +519,60 @@ func (db *DB) Repartition(ctx context.Context) (RepartitionReport, error) {
 			unlockAll()
 			return RepartitionReport{}, fmt.Errorf("chiller: repartition: %w", err)
 		}
-		v, _, err := b.Get(rid.Key)
-		if err != nil {
-			continue // sampled but since deleted
+		// A record sampled but since deleted is not in the snapshot.
+		for _, r := range b.SnapshotTS() {
+			if r.Key == rid.Key {
+				moves = append(moves, move{rid: rid, val: r.Value, ts: r.TS, from: oldPID, to: newPID})
+				break
+			}
 		}
-		moves = append(moves, move{rid: rid, val: v, from: oldPID, to: newPID})
+	}
+	// A node that gains a record it lacked holds no version of it older
+	// than the copy's stamp. Once every timestamp up to the newest moved
+	// stamp has been applied, such a node's watermark rises there — as a
+	// warming handoff target's does — so an older snapshot stale-aborts
+	// and retries fresher instead of reading the record as absent.
+	clock := db.c.Clock
+	var newest uint64
+	for _, m := range moves {
+		newest = max(newest, m.ts)
+	}
+	for clock != nil && clock.Stable() < newest {
+		if err := ctx.Err(); err != nil {
+			unlockAll()
+			return RepartitionReport{}, fmt.Errorf("chiller: repartition: %w", err)
+		}
+		time.Sleep(2 * time.Microsecond)
 	}
 	// Copies first: a transaction routed by the new layout the instant
-	// it installs must find its record already at the new home.
+	// it installs must find its record already at the new home. Each
+	// copy keeps the record's stamp — under MVCC an unstamped copy would
+	// read as older than every snapshot.
 	holds := make([]map[transport.NodeID]bool, len(moves))
+	fresh := map[transport.NodeID]bool{}
 	for i, m := range moves {
 		holds[i] = make(map[transport.NodeID]bool)
 		for _, target := range append([]transport.NodeID{db.topo.Primary(m.to)}, db.topo.Replicas(m.to)...) {
 			if tbl := nodes[int(target)].Store().Table(m.rid.Table); tbl != nil {
-				// An unstamped copy: a node that already holds the
-				// record (it replicates both homes) keeps its stamp.
-				if b := tbl.Bucket(m.rid.Key); b.Insert(m.rid.Key, m.val) == storage.ErrExists {
-					_ = b.Put(m.rid.Key, m.val)
+				if _, _, err := tbl.Bucket(m.rid.Key).Get(m.rid.Key); err != nil {
+					fresh[target] = true
 				}
+				_ = tbl.Write(m.rid.Key, m.val, m.ts, storage.WriteUpsert) // upsert cannot fail
 				holds[i][target] = true
 			}
 		}
 	}
+	for target := range fresh {
+		nodes[int(target)].Store().SetWatermark(newest) // a no-op without a clock
+	}
 	res.Layout.Install(db.dir)
+	// The old copies' deletes are stamped at a reserved timestamp, so a
+	// snapshot below it — one routed before the flip — still reads the
+	// record from the tombstone's version chain. 0 without a clock.
+	var delTS uint64
+	if clock != nil {
+		delTS = clock.Reserve()
+	}
 	for i, m := range moves {
 		// With few nodes the old and new homes may share physical
 		// machines (a node primaries one partition and replicates
@@ -546,10 +583,11 @@ func (db *DB) Repartition(ctx context.Context) (RepartitionReport, error) {
 				continue
 			}
 			if tbl := nodes[int(target)].Store().Table(m.rid.Table); tbl != nil {
-				_ = tbl.Bucket(m.rid.Key).Delete(m.rid.Key)
+				_ = tbl.Write(m.rid.Key, nil, delTS, storage.WriteDelete)
 			}
 		}
 	}
+	clock.Release(delTS)
 	unlockAll()
 
 	return RepartitionReport{

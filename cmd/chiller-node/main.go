@@ -57,7 +57,7 @@ func main() {
 	}
 }
 
-func run(id int, listen, peersFlag string, replication, lanes, customers, items int, dataDir string, peerTimeout time.Duration, join bool, joinPart int) error {
+func run(id int, listen, peersFlag string, replication, lanes, customers, items int, dataDir string, peerTimeout time.Duration, join bool, joinPart int) (err error) {
 	if peersFlag == "" {
 		return fmt.Errorf("-peers is required")
 	}
@@ -132,7 +132,13 @@ func run(id int, listen, peersFlag string, replication, lanes, customers, items 
 		return err
 	}
 	// Close runs the deployment close order: drain, fabric, lanes, WAL.
-	defer node.Close()
+	// Its error — a failed background snapshot's included — fails the
+	// exit.
+	defer func() {
+		if cerr := node.Close(); cerr != nil && err == nil {
+			err = fmt.Errorf("shutdown: %w", cerr)
+		}
+	}()
 	if node.Recovered {
 		fmt.Printf("chiller-node %d: recovered durable state from %s (last lsn %d)\n",
 			id, dataDir, node.WAL().LastLSN())

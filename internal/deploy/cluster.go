@@ -309,7 +309,8 @@ func (c *Cluster) gcLoop() {
 // closed fabric delivers no new lane work, so the lanes drain
 // deterministically); stop every node's lane executors; and close the
 // WALs last, so every record a lane logged is flushed before the files
-// are released. Idempotent; returns the first WAL close error.
+// are released. Idempotent; returns every node's WAL close error, a
+// failed background snapshot's included, joined.
 func (c *Cluster) Close() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -332,13 +333,11 @@ func (c *Cluster) Close() error {
 	for _, n := range nodes {
 		n.Node.Close()
 	}
-	var err error
+	var errs []error
 	for _, n := range nodes {
-		if cerr := n.closeWAL(); cerr != nil && err == nil {
-			err = cerr
-		}
+		errs = append(errs, n.closeWAL())
 	}
-	return err
+	return errors.Join(errs...)
 }
 
 // Engine returns the engine of the given kind coordinated at node i.

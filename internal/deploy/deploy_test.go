@@ -4,6 +4,9 @@ import (
 	"context"
 	"encoding/binary"
 	"fmt"
+	"os"
+	"path/filepath"
+	"strings"
 	"sync/atomic"
 	"testing"
 
@@ -272,6 +275,27 @@ func TestClusterRecoversAndLoadYields(t *testing.T) {
 	// The recovered clock is past every replayed version: new commits and
 	// snapshots keep working.
 	run(t, c, EngineChiller, 1, 1, perPartition+1)
+}
+
+// A background snapshot that fails costs a longer log, not a commit, so
+// nothing stops for it then — Close reports it. A directory squats on
+// the snapshot's temporary path, and a tiny SnapshotBytes makes the
+// first commit trigger a snapshot on every node it writes.
+func TestCloseReportsFailedSnapshot(t *testing.T) {
+	testutil.CheckLeaks(t)
+	walDir := t.TempDir()
+	c := bank(t, Config{Partitions: 2, Replication: 2, Lanes: 2,
+		WALDir: walDir, WALPolicy: wal.Policy{NoSync: true, SnapshotBytes: 1}})
+	for _, n := range c.Nodes() {
+		if err := os.Mkdir(filepath.Join(walDir, fmt.Sprintf("node-%d", n.ID()), "log.snap.tmp"), 0o755); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run(t, c, EngineChiller, 0, 0, perPartition)
+	err := c.Close()
+	if err == nil || !strings.Contains(err.Error(), "snapshot") {
+		t.Fatalf("Close after a failed snapshot = %v, want an error naming the snapshot", err)
+	}
 }
 
 // Settle is one lane barrier per node because a drained engine leaves

@@ -20,6 +20,7 @@
 package deploy
 
 import (
+	"errors"
 	"fmt"
 	"path/filepath"
 
@@ -117,7 +118,7 @@ func newNode(ep transport.Endpoint, fab *tcpnet.Fabric, home cluster.PartitionID
 		// previous incarnation logged is back in the store before the
 		// first transaction message can be served.
 		dir := filepath.Join(spec.WALDir, fmt.Sprintf("node-%d", ep.ID()))
-		l, rec, err := wal.Recover(dir, spec.Dir.Lanes(), spec.WALPolicy)
+		l, rec, err := wal.Recover(dir, spec.WALPolicy)
 		if err == nil && !rec.Empty() {
 			n.Recovered = true
 			var maxTS uint64
@@ -167,18 +168,28 @@ func (n *Node) closeFabric() {
 	}
 }
 
+// closeWAL closes the node's log and reports, with the log's own close
+// error, the last background snapshot that failed: a failed snapshot
+// costs a longer log, not a commit, so nothing stops for it — but the
+// owner hears of it here.
 func (n *Node) closeWAL() error {
-	if l := n.WAL(); l != nil {
-		return l.Close()
+	l := n.WAL()
+	if l == nil {
+		return nil
 	}
-	return nil
+	err := l.Close()
+	if serr := n.SnapshotErr(); serr != nil {
+		err = errors.Join(fmt.Errorf("deploy: node %d: background snapshot failed: %w", n.ID(), serr), err)
+	}
+	return err
 }
 
 // Close tears a single node down in the deployment close order: drain
 // the engines, stop the fabric (a closed fabric delivers no new lane
 // work), stop the lane executors, and only then release the WAL, so
-// every record a lane logged is flushed first. Members of a Cluster are
-// closed by Cluster.Close instead.
+// every record a lane logged is flushed first. The error is the log's
+// close error joined with a failed background snapshot's. Members of a
+// Cluster are closed by Cluster.Close instead.
 func (n *Node) Close() error {
 	n.Drain()
 	n.closeFabric()

@@ -11,18 +11,16 @@ import (
 
 // Durability integration: when a node has a write-ahead log attached,
 // every commit-point apply (participant commit, inner-region unilateral
-// commit, replica stream apply) appends its write set to the owning
-// lane's log *after* applying and *before* acknowledging, and the ack
-// waits for the group-commit flush. The append happens while the
-// transaction still holds its bucket lock words, so within one lane the
-// log's record order equals commit order — the invariant replay relies
-// on. Without a log attached every hook is a no-op and the hot path is
-// untouched (a nil check).
+// commit, replica stream apply) appends its write set to the node's log
+// *after* applying and *before* acknowledging, and the ack waits for the
+// group-commit flush. The append happens while the transaction still
+// holds its bucket lock words (a replica's, on the record's lane
+// executor), so for any record the log's order equals commit order —
+// the invariant replay relies on. Without a log attached every hook is
+// a no-op and the hot path is untouched (a nil check).
 
 // SetWAL attaches a write-ahead log to the node. Call before the node
-// serves traffic; the lane count of the log should match the node's
-// (Append tolerates mismatch by folding lanes together, which loses
-// parallelism but not correctness).
+// serves traffic.
 func (n *Node) SetWAL(l *wal.Log) { n.wal = l }
 
 // WAL returns the attached log, or nil.
@@ -38,130 +36,100 @@ func (n *Node) SnapshotErr() error {
 	return nil
 }
 
-// logWrites appends a committed write set to the WAL, one record per
-// owning lane, and returns the ticket of the last one: LSNs are
-// node-global and batches land in order, so it covers the whole set. The
-// zero Ticket — no WAL attached, or an empty write set — is already
-// durable. Wait on it after releasing the transaction's locks, and never
-// on a lane executor (the flush wait must extend neither lock hold times
-// nor the lane's serial schedule — that is the whole point of group
-// commit riding the async tails).
+// logWrites appends a committed write set to the WAL as one record,
+// encoded straight into the log's buffer, arms the snapshot trigger, and
+// returns the record's ticket. The zero Ticket — no WAL attached, or an
+// empty write set — is already durable. Wait on it after releasing the
+// transaction's locks, and never on a lane executor (the flush wait must
+// extend neither lock hold times nor the lane's serial schedule — that
+// is the whole point of group commit riding the async tails).
 func (n *Node) logWrites(txnID, ts uint64, writes []WriteOp) wal.Ticket {
-	var tk wal.Ticket
 	if n.wal == nil || len(writes) == 0 {
-		return tk
+		return wal.Ticket{}
 	}
-	var buf [4]laneGroup
-	for _, g := range n.groupByLane(writes, buf[:]) {
-		tk = n.logLane(txnID, ts, g.lane, g.writes)
-	}
-	return tk
-}
-
-// logLane appends one lane's slice of a write set, encoded straight
-// into the lane's log buffer, and arms the lane's snapshot trigger.
-func (n *Node) logLane(txnID, ts uint64, lane int, writes []WriteOp) wal.Ticket {
-	tk := n.wal.AppendFunc(lane, wal.RecCommit, func(dst []byte) []byte {
+	tk := n.wal.AppendFunc(wal.RecCommit, func(dst []byte) []byte {
 		w := wire.AppendTo(dst)
 		EncodeWritesTo(&w, txnID, ts, writes)
 		return w.Bytes()
 	})
-	n.maybeSnapshot(lane)
+	n.maybeSnapshot()
 	return tk
 }
 
-// maybeSnapshot starts a background snapshot of the lane when its log
-// has outgrown the policy threshold. At most one snapshot per lane runs
-// at a time; the build scans the store for the lane's records while the
-// lane's appends are blocked (see wal.Snapshot for why the cutoff is
-// safe).
-func (n *Node) maybeSnapshot(lane int) {
+// maybeSnapshot starts a background snapshot when the log has outgrown
+// the policy threshold. At most one snapshot runs at a time; the build
+// scans the store while every append of the node is blocked (see
+// wal.Snapshot for why the cutoff is safe).
+func (n *Node) maybeSnapshot() {
 	l := n.wal
-	if !l.NeedsSnapshot(lane) || !l.TrySnapshotLock(lane) {
+	if !l.NeedsSnapshot() || !l.TrySnapshotLock() {
 		return
 	}
 	go func() {
-		defer l.SnapshotUnlock(lane)
-		err := l.Snapshot(lane, func() []byte { return n.encodeLaneSnapshot(lane) })
-		if err != nil {
+		defer l.SnapshotUnlock()
+		if err := l.Snapshot(n.encodeSnapshot); err != nil {
 			n.snapErr.Store(err)
 		}
 	}()
 }
 
-// SnapshotAll snapshots every WAL lane synchronously and truncates the
-// logs — the clean-shutdown path. Log-size pressure (maybeSnapshot) only
-// compacts lanes that outgrow the policy threshold, so a node that exits
-// cleanly after moderate traffic would otherwise leave its entire commit
-// tail behind and replay every record ever logged on the next start;
-// after SnapshotAll a restart replays one snapshot per lane plus an
-// empty tail. Waits out any in-flight pressure-triggered background
-// snapshot of the same lane. No-op without a WAL. Call after the node's
-// engines drain, so the snapshots cover every acknowledged commit.
+// SnapshotAll snapshots the node synchronously and truncates its log —
+// the clean-shutdown path. Log-size pressure (maybeSnapshot) only
+// compacts a log that outgrows the policy threshold, so a node that
+// exits cleanly after moderate traffic would otherwise leave its entire
+// commit tail behind and replay every record ever logged on the next
+// start; after SnapshotAll a restart replays one snapshot plus an empty
+// tail. Waits out any in-flight pressure-triggered background snapshot.
+// No-op without a WAL. Call after the node's engines drain, so the
+// snapshot covers every acknowledged commit.
 func (n *Node) SnapshotAll() error {
 	l := n.wal
 	if l == nil {
 		return nil
 	}
-	var firstErr error
-	for lane := 0; lane < l.Lanes(); lane++ {
-		for !l.TrySnapshotLock(lane) {
-			time.Sleep(100 * time.Microsecond)
-		}
-		err := l.Snapshot(lane, func() []byte { return n.encodeLaneSnapshot(lane) })
-		l.SnapshotUnlock(lane)
-		if err != nil && firstErr == nil {
-			firstErr = err
-		}
+	for !l.TrySnapshotLock() {
+		time.Sleep(100 * time.Microsecond)
 	}
-	return firstErr
+	defer l.SnapshotUnlock()
+	return l.Snapshot(n.encodeSnapshot)
 }
 
-// encodeLaneSnapshot serializes every record the lane owns, grouped per
-// table: [table u32][nBuckets u32][count u32] then count × ([key u64]
-// [ts u64][value bytes32]). Bucket counts ride along so recovery into a
-// fresh store can recreate tables before the application's own
-// CreateTable calls (which are idempotent and adopt the recovered
-// table). Each record carries its commit timestamp: a snapshot keeps
-// only the newest version per key, so recovery raises the MVCC
-// watermark to the highest snapshot timestamp — the history a snapshot
-// discarded is exactly what the watermark declares unreadable.
-func (n *Node) encodeLaneSnapshot(lane int) []byte {
-	lane = n.laneIndex(lane)
+// encodeSnapshot serializes every record of the store in one scan,
+// grouped per table: [table u32][nBuckets u32][count u32] then count ×
+// ([key u64][ts u64][value bytes32]). Bucket counts ride along so
+// recovery into a fresh store can recreate tables before the
+// application's own CreateTable calls (which are idempotent and adopt
+// the recovered table). Each record carries its commit timestamp: a
+// snapshot keeps only the newest version per key, so recovery raises the
+// MVCC watermark to the highest snapshot timestamp — the history a
+// snapshot discarded is exactly what the watermark declares unreadable.
+func (n *Node) encodeSnapshot() []byte {
 	w := wire.NewWriter(4096)
 	for _, tid := range n.store.Tables() {
 		tbl := n.store.Table(tid)
 		if tbl == nil {
 			continue
 		}
-		var keys []storage.Key
-		var vals [][]byte
-		var stamps []uint64
-		tbl.RangeTS(func(key storage.Key, value []byte, _, ts uint64) bool {
-			if n.Lane(storage.RID{Table: tid, Key: key}) == lane {
-				keys = append(keys, key)
-				vals = append(vals, value)
-				stamps = append(stamps, ts)
-			}
-			return true
-		})
-		if len(keys) == 0 {
-			continue
-		}
+		// The count is patched in once the table's scan is done.
 		w.Uint32(uint32(tid))
 		w.Uint32(uint32(tbl.NumBuckets()))
-		w.Uint32(uint32(len(keys)))
-		for i, k := range keys {
-			w.Uint64(uint64(k))
-			w.Uint64(stamps[i])
-			w.Bytes32(vals[i])
-		}
+		at := w.Len()
+		w.Uint32(0)
+		var count uint32
+		tbl.RangeTS(func(key storage.Key, value []byte, _, ts uint64) bool {
+			w.Uint64(uint64(key))
+			w.Uint64(ts)
+			w.Bytes32(value)
+			count++
+			return true
+		})
+		w.SetUint32(at, count)
 	}
 	return w.Bytes()
 }
 
-// RecoverStore replays recovered durable state into a store: snapshots
-// first, then the cross-lane tail in LSN order. Missing tables are
+// RecoverStore replays recovered durable state into a store: the
+// snapshot first, then the tail in LSN order. Missing tables are
 // created (snapshot groups carry their bucket counts; tail-only tables
 // get the default sizing). Replay is idempotent — records carry full
 // values and apply with upsert semantics — so recovering into a store
@@ -175,15 +143,9 @@ func (n *Node) encodeLaneSnapshot(lane int) []byte {
 // advances the commit clock past it so post-recovery reservations never
 // collide with replayed versions.
 func RecoverStore(st *storage.Store, rec *wal.Recovered) (maxTS uint64, err error) {
-	var snapTS uint64
-	for _, snap := range rec.Snapshots {
-		ts, err := applyLaneSnapshot(st, snap.Payload)
-		if err != nil {
-			return 0, err
-		}
-		if ts > snapTS {
-			snapTS = ts
-		}
+	snapTS, err := applySnapshot(st, rec.Snapshot)
+	if err != nil {
+		return 0, err
 	}
 	maxTS = snapTS
 	for _, tr := range rec.Tail {
@@ -205,9 +167,9 @@ func RecoverStore(st *storage.Store, rec *wal.Recovered) (maxTS uint64, err erro
 	return maxTS, nil
 }
 
-// applyLaneSnapshot loads one lane snapshot, returning the highest
-// record timestamp it carried.
-func applyLaneSnapshot(st *storage.Store, p []byte) (maxTS uint64, err error) {
+// applySnapshot loads a snapshot payload (none when p is empty),
+// returning the highest record timestamp it carried.
+func applySnapshot(st *storage.Store, p []byte) (maxTS uint64, err error) {
 	r := wire.NewReader(p)
 	for r.Err() == nil && r.Remaining() > 0 {
 		tid := storage.TableID(r.Uint32())

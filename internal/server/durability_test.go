@@ -9,13 +9,12 @@ import (
 )
 
 // TestCleanShutdownSnapshotBoundsReplay pins the clean-shutdown contract
-// chiller-node relies on: SnapshotAll compacts every lane, so a restart
-// replays one snapshot per lane and an EMPTY tail — not the node's full
+// chiller-node relies on: SnapshotAll compacts the log, so a restart
+// replays one snapshot and an EMPTY tail — not the node's full
 // commit history. The no-snapshot control run shows the tail the
 // compaction saves (one record per logged commit), proving the assertion
 // has teeth.
 func TestCleanShutdownSnapshotBoundsReplay(t *testing.T) {
-	const lanes = 2
 	const commits = 40
 	policy := wal.Policy{NoSync: true}
 
@@ -37,7 +36,7 @@ func TestCleanShutdownSnapshotBoundsReplay(t *testing.T) {
 
 	// Control: no shutdown snapshot. The restart replays every commit.
 	ctrl, _ := newTestNode(t)
-	l, rec, err := wal.Recover(t.TempDir(), lanes, policy)
+	l, rec, err := wal.Recover(t.TempDir(), policy)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,10 +54,10 @@ func TestCleanShutdownSnapshotBoundsReplay(t *testing.T) {
 	l.Close()
 
 	// Clean shutdown: SnapshotAll, then restart. Bounded replay — an
-	// empty tail, with the state carried entirely by the lane snapshots.
+	// empty tail, with the state carried entirely by the snapshot.
 	n, _ := newTestNode(t)
 	dir := t.TempDir()
-	l, _, err = wal.Recover(dir, lanes, policy)
+	l, _, err = wal.Recover(dir, policy)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +70,7 @@ func TestCleanShutdownSnapshotBoundsReplay(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	l2, rec, err := wal.Recover(dir, lanes, policy)
+	l2, rec, err := wal.Recover(dir, policy)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,8 +78,8 @@ func TestCleanShutdownSnapshotBoundsReplay(t *testing.T) {
 	if len(rec.Tail) != 0 {
 		t.Fatalf("tail after clean shutdown = %d records, want 0", len(rec.Tail))
 	}
-	if len(rec.Snapshots) == 0 {
-		t.Fatal("no snapshots after clean shutdown")
+	if rec.Snapshot == nil {
+		t.Fatal("no snapshot after clean shutdown")
 	}
 	st := storage.NewStore()
 	if _, err := RecoverStore(st, rec); err != nil {

@@ -180,18 +180,18 @@ func (n *Node) Lane(rid storage.RID) int {
 // messages for independent lanes no longer serialize on each other.
 //
 // With a WAL attached, each lane's slice of the write set is appended
-// to that lane's log right after applying (still on the lane executor,
-// so log order = apply order) and done is registered on the group-commit
-// batch of the set's last record: it runs once the flush has landed, on
-// no goroutine of its own — replicas are durable too, which is what
-// makes post-crash replica promotion safe. A flush failure here is
-// fatal (see CommitLocal).
+// to the node's log right after applying (still on the lane executor,
+// so each record's log order = its apply order) and done is registered
+// on the group-commit batch of the set's last record: it runs once the
+// flush has landed, on no goroutine of its own — replicas are durable
+// too, which is what makes post-crash replica promotion safe. A flush
+// failure here is fatal (see CommitLocal).
 func (n *Node) applyByLane(txnID, ts uint64, writes []WriteOp, done func(error)) {
 	// applyLog runs on the lane executor (or inline at <=1 lane): apply
-	// one lane's slice, then append it to the lane's log while still on
-	// the executor — the next stream message for this lane cannot apply,
-	// let alone append, until this closure returns, so log order = apply
-	// order per lane. The ticket is zero when nothing was logged.
+	// one lane's slice, then append it to the log while still on the
+	// executor — the next stream message for this lane cannot apply, let
+	// alone append, until this closure returns, so a record's log order
+	// is its apply order. The ticket is zero when nothing was logged.
 	//
 	// The apply is tolerant, where a primary's is strict (applyWrites):
 	// a warming node added mid-handoff legitimately sees commit-stream
@@ -199,11 +199,11 @@ func (n *Node) applyByLane(txnID, ts uint64, writes []WriteOp, done func(error))
 	// to a missing key must land as an insert, and a missing table must
 	// be created, exactly the WAL-replay semantics. Primaries keep the
 	// strict apply (CommitLocal); only replicated write sets come here.
-	applyLog := func(lane int, ws []WriteOp) (wal.Ticket, error) {
-		if err := applyWrites(n.store, ts, ws, true); err != nil || n.wal == nil {
+	applyLog := func(ws []WriteOp) (wal.Ticket, error) {
+		if err := applyWrites(n.store, ts, ws, true); err != nil {
 			return wal.Ticket{}, err
 		}
-		return n.logLane(txnID, ts, lane, ws), nil
+		return n.logWrites(txnID, ts, ws), nil
 	}
 	// finish invokes done once tk is durable. The flush is never waited
 	// for here — this is a lane executor or the fabric dispatcher, and a
@@ -229,22 +229,22 @@ func (n *Node) applyByLane(txnID, ts uint64, writes []WriteOp, done func(error))
 	if len(groups) == 1 {
 		g := groups[0]
 		if len(n.lanes) <= 1 {
-			finish(applyLog(g.lane, g.writes)) // inline, as before lanes
+			finish(applyLog(g.writes)) // inline, as before lanes
 			return
 		}
 		n.SubmitLane(g.lane, func() {
-			finish(applyLog(g.lane, g.writes))
+			finish(applyLog(g.writes))
 		})
 		return
 	}
-	// One ticket stands for the set: the highest LSN any lane logged.
+	// One ticket stands for the set: the highest LSN its lanes logged.
 	var mu sync.Mutex
 	pending := len(groups)
 	var errs []error
 	var last wal.Ticket
 	for _, g := range groups {
 		n.SubmitLane(g.lane, func() {
-			tk, err := applyLog(g.lane, g.writes)
+			tk, err := applyLog(g.writes)
 			mu.Lock()
 			if err != nil {
 				errs = append(errs, err)

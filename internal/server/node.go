@@ -438,8 +438,8 @@ func (n *Node) lockRead(txnID uint64, entries []LockEntry, resp *LockResponse) {
 
 // CommitLocal applies the write set and releases the transaction's locks
 // on this participant. With a WAL attached, the write set is appended to
-// the log before the locks release (so per-lane log order equals commit
-// order) and the call returns only once the record's group-commit flush
+// the log before the locks release (so the log's order of each record's
+// writes equals commit order) and the call returns only once the record's group-commit flush
 // has landed: a CommitLocal acknowledgement implies durability. The
 // store copies the values, so a commit frame's may alias the doorbell
 // buffer.

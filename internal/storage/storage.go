@@ -28,8 +28,11 @@ package storage
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"math/bits"
+	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 	"unsafe"
 )
@@ -57,8 +60,12 @@ var ErrExists = errors.New("storage: key already exists")
 
 // Store is one partition's storage engine. It is safe for concurrent use.
 type Store struct {
-	mu     sync.RWMutex
-	tables map[TableID]*Table
+	// tables is published copy-on-write: every record lookup reads it
+	// with one load, and CreateTable, the one writer, installs a copy
+	// under mu — a replica's tolerant apply may still create a missing
+	// table while lookups run.
+	mu     sync.Mutex
+	tables atomic.Pointer[map[TableID]*Table]
 	// mv is the store-wide MVCC switchboard (version retention flag and
 	// GC watermark), shared with every table. See mvcc.go.
 	mv *mvccMeta
@@ -66,7 +73,9 @@ type Store struct {
 
 // NewStore creates an empty store.
 func NewStore() *Store {
-	return &Store{tables: make(map[TableID]*Table), mv: &mvccMeta{}}
+	s := &Store{mv: &mvccMeta{}}
+	s.tables.Store(&map[TableID]*Table{})
+	return s
 }
 
 // CreateTable creates a table with nBuckets hash buckets. It returns the
@@ -78,7 +87,8 @@ func (s *Store) CreateTable(id TableID, nBuckets int) *Table {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if t, ok := s.tables[id]; ok {
+	old := *s.tables.Load()
+	if t, ok := old[id]; ok {
 		return t
 	}
 	t := &Table{
@@ -89,26 +99,18 @@ func (s *Store) CreateTable(id TableID, nBuckets int) *Table {
 	for i := range t.buckets {
 		t.buckets[i].table = t
 	}
-	s.tables[id] = t
+	tables := maps.Clone(old)
+	tables[id] = t
+	s.tables.Store(&tables)
 	return t
 }
 
 // Table returns the table with the given id, or nil.
-func (s *Store) Table(id TableID) *Table {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.tables[id]
-}
+func (s *Store) Table(id TableID) *Table { return (*s.tables.Load())[id] }
 
 // Tables returns a snapshot of all table IDs.
 func (s *Store) Tables() []TableID {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	out := make([]TableID, 0, len(s.tables))
-	for id := range s.tables {
-		out = append(out, id)
-	}
-	return out
+	return slices.Collect(maps.Keys(*s.tables.Load()))
 }
 
 // Bucket looks up the bucket that owns key in table id. It returns nil if

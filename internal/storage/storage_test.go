@@ -180,6 +180,64 @@ func TestCreateTableIdempotent(t *testing.T) {
 	}
 }
 
+// Tables are created while lookups run (a replica's tolerant apply
+// creates a missing table mid-handoff): concurrent creators of the same
+// and of different ids must each get one table, and a reader that sees
+// a table must keep seeing that same table.
+func TestCreateTableWhileLookingUp(t *testing.T) {
+	s := NewStore()
+	const ids = 64
+	got := make([][ids]*Table, 4)
+	var wg sync.WaitGroup
+	for w := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for id := 0; id < ids; id++ {
+				got[w][id] = s.CreateTable(TableID(id), 4)
+			}
+		}()
+	}
+	stop := make(chan struct{})
+	var readers sync.WaitGroup
+	readers.Add(1)
+	go func() {
+		defer readers.Done()
+		var seen [ids]*Table
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			for id := range seen {
+				tbl := s.Table(TableID(id))
+				if seen[id] != nil && tbl != seen[id] {
+					t.Errorf("table %d changed identity under a reader", id)
+					return
+				}
+				if tbl != nil {
+					seen[id] = tbl
+				}
+			}
+			_ = s.Tables()
+		}
+	}()
+	wg.Wait()
+	close(stop)
+	readers.Wait()
+	for id := 0; id < ids; id++ {
+		for w := range got {
+			if got[w][id] != s.Table(TableID(id)) {
+				t.Fatalf("creator %d got a different table %d than the store holds", w, id)
+			}
+		}
+	}
+	if n := len(s.Tables()); n != ids {
+		t.Fatalf("Tables() lists %d tables, want %d", n, ids)
+	}
+}
+
 // --- lock tests ---
 
 func TestLockSharedCompatible(t *testing.T) {

@@ -1,20 +1,18 @@
 // Package wal is Chiller's durability subsystem: one append-only log
-// per execution lane, group-committed with batched fsyncs, plus
-// per-lane snapshots with log truncation and a replay path that
-// rebuilds a node's store after a crash.
+// per node, group-committed with batched fsyncs, plus at most one
+// snapshot with log truncation and a replay path that rebuilds a node's
+// store after a crash.
 //
-// The per-lane layout is the cheap path the lane architecture was built
-// for: a lane serializes execution of its records, and commit-time
-// appends happen under the committing transaction's bucket locks, so
-// within one lane file the record order for any given record equals its
-// commit order — no log-level latching beyond a per-lane append mutex.
-// Records carry a node-global logical sequence number (LSN) so replay
-// can merge the lane tails into one cluster of writes ordered
-// consistently even when a record migrates lanes (MarkHot,
-// Repartition) between runs.
+// Replay needs each record's writes in commit order, and one file gives
+// that for free: commit-time appends happen under the committing
+// transaction's bucket locks (a replica's on the record's lane
+// executor), and a record's LSN is assigned and its bytes framed under
+// one hold of the append mutex, so file order is LSN order and, for any
+// given record, commit order. Nothing depends on how many lanes the node
+// ran with, so a node may reopen with any lane count.
 //
 // Group commit is self-clocked: Append frames the record straight into
-// the lane's reused userspace buffer and joins the open batch; a single
+// the log's reused userspace buffer and joins the open batch; a single
 // flusher goroutine runs whenever a batch has members and sleeps only
 // when none does. A batch is therefore whatever arrived while the
 // previous write (and fsync) was in progress — a lone committer pays one
@@ -44,6 +42,7 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"sync/atomic"
 )
@@ -60,13 +59,26 @@ const recHeaderSize = 8
 // recBodyPrefix is type u8 + lsn u64, the framed bytes before the payload.
 const recBodyPrefix = 9
 
-// maxSpareBuf is the largest drained lane buffer kept for reuse; a burst
+// maxSpareBuf is the largest drained buffer kept for reuse; a burst
 // that grew one past it gives the memory back.
 const maxSpareBuf = 1 << 20
+
+// The log's two files in its directory.
+const (
+	logFile  = "log.wal"
+	snapFile = "log.snap"
+)
 
 // ErrClosed is the result of a ticket taken after Close: its record was
 // never written.
 var ErrClosed = errors.New("wal: log closed")
+
+// ErrLaneFiles is Open's refusal of a directory written by the per-lane
+// layout (lane-*.wal, lane-*.snap): its acknowledged commits are in
+// files this layout does not read, so opening over them would silently
+// undo them. Recover such a directory with the release that wrote it,
+// snapshot it there, and move its state over by a reload.
+var ErrLaneFiles = errors.New("wal: directory holds per-lane log files")
 
 // Policy configures group commit and snapshotting.
 type Policy struct {
@@ -74,9 +86,9 @@ type Policy struct {
 	// OS (surviving process death within the same boot, which is what
 	// the simulated crash harness exercises) but not a power failure.
 	NoSync bool
-	// SnapshotBytes, when > 0, arms NeedsSnapshot: a lane whose log
-	// grows past this many bytes since its last snapshot reports that
-	// it wants one. 0 disables automatic snapshot pressure.
+	// SnapshotBytes, when > 0, arms NeedsSnapshot: a log that grows past
+	// this many bytes since its last snapshot reports that it wants one.
+	// 0 disables automatic snapshot pressure.
 	SnapshotBytes int64
 }
 
@@ -91,19 +103,8 @@ type Stats struct {
 	Snapshots atomic.Uint64
 }
 
-// laneLog is one lane's append state. Its two buffers swap at every
-// flush and are reused, so steady-state appends allocate nothing.
-type laneLog struct {
-	mu        sync.Mutex // serializes appends and snapshot/truncate
-	wmu       sync.Mutex // serializes file writes vs truncation (mu → wmu)
-	f         *os.File
-	buf       []byte // records framed since the last drain
-	spare     []byte // the drained buffer of the pair; flusher-owned
-	sinceSnap int64  // bytes appended since the last snapshot
-}
-
 // batch is one group commit: every ticket taken while it was open.
-// The flusher seals it (opens the next), drains the lanes, and releases
+// The flusher seals it (opens the next), drains the buffer, and releases
 // it; n, landed and after are guarded by Log.fmu.
 type batch struct {
 	flushed sync.WaitGroup // released once the batch's records are on file
@@ -119,20 +120,27 @@ func newBatch() *batch {
 	return b
 }
 
-// Log is a node's write-ahead log: one append-only file per lane plus
-// one snapshot file per lane, all under a single directory.
+// Log is a node's write-ahead log: one append-only file and at most one
+// snapshot file, under a single directory.
 type Log struct {
 	dir    string
 	policy Policy
-	lanes  []*laneLog
 	stats  Stats
 
-	lsn atomic.Uint64 // last assigned LSN
+	// The append state. buf and spare swap at every flush and are
+	// reused, so steady-state appends allocate nothing.
+	mu        sync.Mutex // serializes appends and snapshot/truncate
+	wmu       sync.Mutex // serializes file writes vs truncation (mu → wmu)
+	f         *os.File
+	buf       []byte       // records framed since the last drain
+	spare     []byte       // the drained buffer of the pair; flusher-owned
+	sinceSnap atomic.Int64 // bytes appended since the last snapshot; written under mu
+	lsn       atomic.Uint64
 
 	// Corruption lists the named errors (*CorruptError) Open hit while
-	// scanning existing lane files; the valid prefix before each was
-	// kept and the files were truncated to it, so appends continue
-	// cleanly. Callers decide whether a corrupt tail is fatal.
+	// scanning the existing log; the valid prefix before the damage was
+	// kept and the file truncated to it, so appends continue cleanly.
+	// Callers decide whether a corrupt tail is fatal.
 	Corruption []error
 
 	fmu    sync.Mutex
@@ -146,59 +154,64 @@ type Log struct {
 	flushErr  error
 	afterFree []func(error)
 
-	flusherGone  sync.WaitGroup
-	snapInFlight []atomic.Bool
+	flusherGone sync.WaitGroup
+	snapMu      sync.Mutex // the snapshot slot
 }
 
-// Open creates or reopens the log directory with one file per lane.
-// Existing lane files are scanned: the LSN counter resumes past the
-// highest record found, a torn final record (short write at EOF — the
-// normal crash artifact) is silently dropped, and a CRC mismatch
-// truncates the file at the corruption point and is reported in
-// Corruption as a *CorruptError. Replay reads the state back.
+// Open creates or reopens the log in dir. The lanes argument is ignored
+// (benchmark/ compiles against this signature): a node has one log
+// whatever its lane count. An existing log is scanned: the LSN counter
+// resumes past the highest record found, a torn final record (short
+// write at EOF — the normal crash artifact) is silently dropped, and a
+// CRC mismatch truncates the file at the corruption point and is
+// reported in Corruption as a *CorruptError. Replay reads the state
+// back. A directory holding per-lane files fails with ErrLaneFiles and
+// is left untouched.
 func Open(dir string, lanes int, policy Policy) (*Log, error) {
-	if lanes < 1 {
-		lanes = 1
-	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("wal: open %s: %w", dir, err)
 	}
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		return nil, fmt.Errorf("wal: open %s: %w", dir, err)
+	}
+	for _, e := range ents {
+		if name := e.Name(); strings.HasPrefix(name, "lane-") && (strings.HasSuffix(name, ".wal") || strings.HasSuffix(name, ".snap")) {
+			return nil, fmt.Errorf("%w: %s", ErrLaneFiles, filepath.Join(dir, name))
+		}
+	}
 	l := &Log{
-		dir:          dir,
-		policy:       policy,
-		lanes:        make([]*laneLog, lanes),
-		open:         newBatch(),
-		wake:         make(chan struct{}, 1),
-		snapInFlight: make([]atomic.Bool, lanes),
+		dir:    dir,
+		policy: policy,
+		open:   newBatch(),
+		wake:   make(chan struct{}, 1),
 	}
 	var maxLSN uint64
-	for i := range l.lanes {
-		path := l.lanePath(i)
-		valid, corrupt, err := walkLane(path, i, func(_ uint8, lsn uint64, _ []byte) { maxLSN = max(maxLSN, lsn) })
-		if err != nil {
-			return nil, err
-		}
-		if corrupt != nil {
-			l.Corruption = append(l.Corruption, corrupt)
-		}
-		f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR, 0o644)
-		if err != nil {
-			return nil, fmt.Errorf("wal: open lane %d: %w", i, err)
-		}
-		// Drop the torn/corrupt tail so new appends start at a record
-		// boundary.
-		if err := f.Truncate(valid); err != nil {
-			f.Close()
-			return nil, fmt.Errorf("wal: truncate lane %d: %w", i, err)
-		}
-		if _, err := f.Seek(valid, 0); err != nil {
-			f.Close()
-			return nil, fmt.Errorf("wal: seek lane %d: %w", i, err)
-		}
-		l.lanes[i] = &laneLog{f: f, sinceSnap: valid}
-		if cut, _, err := readSnapshotFile(l.snapPath(i)); err == nil && cut > maxLSN {
-			maxLSN = cut
-		}
+	valid, corrupt, err := walk(l.logPath(), func(_ uint8, lsn uint64, _ []byte) { maxLSN = max(maxLSN, lsn) })
+	if err != nil {
+		return nil, err
+	}
+	if corrupt != nil {
+		l.Corruption = append(l.Corruption, corrupt)
+	}
+	f, err := os.OpenFile(l.logPath(), os.O_CREATE|os.O_RDWR, 0o644)
+	if err != nil {
+		return nil, fmt.Errorf("wal: open: %w", err)
+	}
+	// Drop the torn/corrupt tail so new appends start at a record
+	// boundary.
+	if err := f.Truncate(valid); err != nil {
+		f.Close()
+		return nil, fmt.Errorf("wal: truncate: %w", err)
+	}
+	if _, err := f.Seek(valid, 0); err != nil {
+		f.Close()
+		return nil, fmt.Errorf("wal: seek: %w", err)
+	}
+	l.f = f
+	l.sinceSnap.Store(valid)
+	if cut, _, err := readSnapshotFile(l.snapPath()); err == nil {
+		maxLSN = max(maxLSN, cut)
 	}
 	l.lsn.Store(maxLSN)
 	l.flusherGone.Add(1)
@@ -206,22 +219,11 @@ func Open(dir string, lanes int, policy Policy) (*Log, error) {
 	return l, nil
 }
 
-// Dir returns the log's directory.
-func (l *Log) Dir() string { return l.dir }
-
 // Stats returns the log's activity counters.
 func (l *Log) Stats() *Stats { return &l.stats }
 
-// Lanes returns the number of lane files.
-func (l *Log) Lanes() int { return len(l.lanes) }
-
-func (l *Log) lanePath(lane int) string {
-	return filepath.Join(l.dir, fmt.Sprintf("lane-%03d.wal", lane))
-}
-
-func (l *Log) snapPath(lane int) string {
-	return filepath.Join(l.dir, fmt.Sprintf("lane-%03d.snap", lane))
-}
+func (l *Log) logPath() string  { return filepath.Join(l.dir, logFile) }
+func (l *Log) snapPath() string { return filepath.Join(l.dir, snapFile) }
 
 // Ticket is one append's durability handle: the batch its record joined.
 // Batches land in order and a landed batch covers every LSN at or below
@@ -266,35 +268,32 @@ func (t Ticket) Notify(f func(error)) {
 	f(t.b.err)
 }
 
-// Append frames payload as a record of the given type on the lane's
-// log, assigns it the next LSN, and returns a Ticket for the group
-// commit. The write lands in a userspace buffer; durability comes from
-// the ticket. Safe for concurrent use across lanes; appends to one lane
-// serialize on the lane's mutex (callers already hold the records'
-// bucket locks, so this adds no new ordering constraint).
+// Append frames payload as a record of the given type, assigns it the
+// next LSN, and returns a Ticket for the group commit. The lane argument
+// is ignored (benchmark/ compiles against this signature). The write
+// lands in a userspace buffer; durability comes from the ticket. Safe
+// for concurrent use.
 func (l *Log) Append(lane int, typ uint8, payload []byte) Ticket {
-	return l.AppendFunc(lane, typ, func(dst []byte) []byte { return append(dst, payload...) })
+	return l.AppendFunc(typ, func(dst []byte) []byte { return append(dst, payload...) })
 }
 
 // AppendFunc is Append for a payload that does not exist yet: enc
-// appends it to dst — the lane's buffer, past the record's framing —
-// and returns the extended slice, so the payload is encoded once, where
-// it will be written from. enc runs under the lane's mutex and must do
+// appends it to dst — the log's buffer, past the record's framing — and
+// returns the extended slice, so the payload is encoded once, where it
+// will be written from. enc runs under the append mutex and must do
 // nothing but append.
-func (l *Log) AppendFunc(lane int, typ uint8, enc func(dst []byte) []byte) Ticket {
-	ll := l.lanes[lane%len(l.lanes)]
-	ll.mu.Lock()
+func (l *Log) AppendFunc(typ uint8, enc func(dst []byte) []byte) Ticket {
+	l.mu.Lock()
 	lsn := l.lsn.Add(1)
-	start := len(ll.buf)
-	ll.buf = enc(append(ll.buf, make([]byte, recHeaderSize+recBodyPrefix)...))
-	size := len(ll.buf) - start
-	sealRecord(ll.buf[start:], typ, lsn)
-	ll.sinceSnap += int64(size)
-	ll.mu.Unlock()
+	start := len(l.buf)
+	l.buf = enc(append(l.buf, make([]byte, recHeaderSize+recBodyPrefix)...))
+	sealRecord(l.buf[start:], typ, lsn)
+	l.sinceSnap.Add(int64(len(l.buf) - start))
+	l.mu.Unlock()
 	l.stats.Appends.Add(1)
 
 	// Join after the record is in the buffer: whoever seals this batch
-	// drains the lanes afterwards and so finds it.
+	// drains the buffer afterwards and so finds it.
 	return Ticket{l: l, b: l.join(), lsn: lsn}
 }
 
@@ -333,7 +332,7 @@ func (l *Log) sync() { l.join().flushed.Wait() }
 
 // flusher is the group-commit loop. It parks only after seeing the open
 // batch empty under fmu, and the append that makes it non-empty sends a
-// wake after releasing fmu — so a record that lands after its lane was
+// wake after releasing fmu — so a record that lands after the buffer was
 // drained always starts the next flush.
 func (l *Log) flusher() {
 	defer l.flusherGone.Done()
@@ -359,42 +358,36 @@ func (l *Log) flusher() {
 	}
 }
 
-// flush drains every lane buffer to its file (fsyncing unless NoSync)
-// and releases the sealed batch b. Every member's record was in its
-// lane's buffer before b was sealed, and so was every record with a
-// lower LSN (an LSN is assigned and its record framed under one hold of
-// the lane's mutex, which the drain takes in turn) — unless an earlier
-// flush already wrote it.
+// flush drains the buffer to the file (fsyncing unless NoSync) and
+// releases the sealed batch b. Every member's record was in the buffer
+// before b was sealed, and so was every record with a lower LSN (an LSN
+// is assigned and its record framed under one hold of the append mutex,
+// which the drain takes in turn) — unless an earlier flush already wrote
+// it or a snapshot dropped it.
 func (l *Log) flush(b *batch) {
-	wrote := false
-	for _, ll := range l.lanes {
-		ll.mu.Lock()
-		out := ll.buf
-		if len(out) == 0 {
-			ll.mu.Unlock()
-			continue
-		}
-		ll.buf, ll.spare = ll.spare, nil
-		ll.mu.Unlock()
+	l.mu.Lock()
+	out := l.buf
+	if len(out) > 0 {
+		l.buf, l.spare = l.spare, nil
+	}
+	l.mu.Unlock()
+	if len(out) > 0 {
 		// wmu keeps this write from interleaving with a concurrent
 		// Snapshot truncation (which holds mu, then wmu) — without it a
 		// stale buffer could land mid-truncate at a racing file offset.
-		ll.wmu.Lock()
-		_, err := ll.f.Write(out)
+		l.wmu.Lock()
+		_, err := l.f.Write(out)
 		if err == nil && !l.policy.NoSync {
-			err = ll.f.Sync()
+			err = l.f.Sync()
 		}
-		ll.wmu.Unlock()
+		l.wmu.Unlock()
 		if err != nil && l.flushErr == nil {
 			l.flushErr = fmt.Errorf("wal: flush: %w", err)
 		}
-		wrote = true
-		if cap(out) <= maxSpareBuf {
-			ll.spare = out[:0]
-		}
-	}
-	if wrote {
 		l.stats.Flushes.Add(1)
+		if cap(out) <= maxSpareBuf {
+			l.spare = out[:0]
+		}
 	}
 	b.err = l.flushErr
 	l.fmu.Lock()
@@ -410,68 +403,65 @@ func (l *Log) flush(b *batch) {
 	l.afterFree = after[:0]
 }
 
-// NeedsSnapshot reports whether the lane's log has grown past the
-// policy's snapshot threshold since its last snapshot (always false
-// when SnapshotBytes is 0).
-func (l *Log) NeedsSnapshot(lane int) bool {
-	if l.policy.SnapshotBytes <= 0 {
-		return false
-	}
-	ll := l.lanes[lane%len(l.lanes)]
-	ll.mu.Lock()
-	defer ll.mu.Unlock()
-	return ll.sinceSnap >= l.policy.SnapshotBytes
+// NeedsSnapshot reports whether the log has grown past the policy's
+// snapshot threshold since its last snapshot (always false when
+// SnapshotBytes is 0).
+func (l *Log) NeedsSnapshot() bool {
+	return l.policy.SnapshotBytes > 0 && l.sinceSnap.Load() >= l.policy.SnapshotBytes
 }
 
-// TrySnapshotLock claims the lane's single snapshot slot; the caller
-// must pair a successful claim with SnapshotUnlock. It keeps concurrent
+// TrySnapshotLock claims the log's single snapshot slot; the caller must
+// pair a successful claim with SnapshotUnlock. It keeps concurrent
 // triggers from stacking snapshot scans behind one another.
-func (l *Log) TrySnapshotLock(lane int) bool {
-	return l.snapInFlight[lane%len(l.lanes)].CompareAndSwap(false, true)
-}
+func (l *Log) TrySnapshotLock() bool { return l.snapMu.TryLock() }
 
 // SnapshotUnlock releases the slot claimed by TrySnapshotLock.
-func (l *Log) SnapshotUnlock(lane int) {
-	l.snapInFlight[lane%len(l.lanes)].Store(false)
-}
+func (l *Log) SnapshotUnlock() { l.snapMu.Unlock() }
 
-// Snapshot captures the lane's state and truncates its log. build runs
-// with the lane's appends blocked and must return a payload covering
-// every record of the lane as currently applied (internal/server scans
-// the store); the snapshot's cutoff LSN is taken before build, so a
-// write is either applied before build sees the store (in the payload)
-// or appended after the cutoff (replayed from the tail) — replay
-// converges either way because write sets carry full values.
+// Snapshot captures the node's state and truncates the log. build runs
+// with every append blocked and must return a payload covering every
+// record as currently applied (internal/server scans the store); the
+// snapshot's cutoff LSN is taken before build, so a write is either
+// applied before build sees the store (in the payload) or appended
+// after the cutoff (replayed from the tail) — replay converges either
+// way because write sets carry full values.
 //
 // The snapshot file is written atomically (tmp+rename, fsynced) before
 // the log truncates, so a crash at any point leaves either the old
-// snapshot+full log or the new snapshot+empty log.
-func (l *Log) Snapshot(lane int, build func() []byte) error {
-	ll := l.lanes[lane%len(l.lanes)]
-	ll.mu.Lock()
-	defer ll.mu.Unlock()
+// snapshot+full log or the new snapshot+empty log. Call it holding the
+// snapshot slot (TrySnapshotLock), which Close waits for: after Close it
+// fails with ErrClosed.
+func (l *Log) Snapshot(build func() []byte) error {
+	l.fmu.Lock()
+	closed := l.closed
+	l.fmu.Unlock()
+	if closed {
+		return ErrClosed
+	}
+	l.mu.Lock()
+	defer l.mu.Unlock()
 
 	cutoff := l.lsn.Load()
 	payload := build()
 
-	if err := writeSnapshotFile(l.snapPath(lane), cutoff, payload, l.policy.NoSync); err != nil {
+	if err := writeSnapshotFile(l.snapPath(), cutoff, payload, l.policy.NoSync); err != nil {
 		return err
 	}
-	// Truncate the lane log: buffered-but-unwritten records all have
-	// LSN <= cutoff (their appends finished before we took the lane
-	// mutex) and are covered by the snapshot, so the buffer drops too.
-	// Their tickets land with the next flush. wmu waits out any in-flight
+	// Truncate the log: buffered-but-unwritten records all have LSN <=
+	// cutoff (their appends finished before we took the append mutex)
+	// and are covered by the snapshot, so the buffer drops too. Their
+	// tickets land with the next flush. wmu waits out any in-flight
 	// flusher write of a stale buffer.
-	ll.buf = ll.buf[:0]
-	ll.wmu.Lock()
-	defer ll.wmu.Unlock()
-	if err := ll.f.Truncate(0); err != nil {
+	l.buf = l.buf[:0]
+	l.wmu.Lock()
+	defer l.wmu.Unlock()
+	if err := l.f.Truncate(0); err != nil {
 		return fmt.Errorf("wal: truncate after snapshot: %w", err)
 	}
-	if _, err := ll.f.Seek(0, 0); err != nil {
+	if _, err := l.f.Seek(0, 0); err != nil {
 		return fmt.Errorf("wal: seek after snapshot: %w", err)
 	}
-	ll.sinceSnap = 0
+	l.sinceSnap.Store(0)
 	l.stats.Snapshots.Add(1)
 	return nil
 }
@@ -480,22 +470,19 @@ func (l *Log) Snapshot(lane int, build func() []byte) error {
 func (l *Log) LastLSN() uint64 { return l.lsn.Load() }
 
 // Close flushes and fsyncs outstanding records — every ticket taken
-// before the call lands — and closes the files.
+// before the call lands — and closes the file. A snapshot in flight
+// finishes first; one started later fails with ErrClosed.
 func (l *Log) Close() error {
+	l.snapMu.Lock()
 	l.fmu.Lock()
-	if l.closed {
-		l.fmu.Unlock()
-		return nil
-	}
+	wasClosed := l.closed
 	l.closed = true
 	l.fmu.Unlock()
+	l.snapMu.Unlock()
+	if wasClosed {
+		return nil
+	}
 	l.wakeFlusher()
 	l.flusherGone.Wait()
-	var firstErr error
-	for _, ll := range l.lanes {
-		if err := ll.f.Close(); err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	return firstErr
+	return l.f.Close()
 }

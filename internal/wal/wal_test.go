@@ -17,12 +17,12 @@ func testPolicy() Policy {
 	return Policy{NoSync: true}
 }
 
-// TestRoundTrip appends records across lanes, reopens the directory,
-// and checks Replay returns every record with payloads intact and the
-// cross-lane tail in LSN order.
+// TestRoundTrip appends records, reopens the directory, and checks
+// Replay returns every record with payloads intact and the tail in LSN
+// order.
 func TestRoundTrip(t *testing.T) {
 	dir := t.TempDir()
-	l, err := Open(dir, 3, testPolicy())
+	l, err := Open(dir, 1, testPolicy())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,7 +30,7 @@ func TestRoundTrip(t *testing.T) {
 	var last Ticket
 	for i := 0; i < 50; i++ {
 		payload := []byte(fmt.Sprintf("record-%d", i))
-		tk := l.Append(i%3, RecCommit, payload)
+		tk := l.Append(0, RecCommit, payload)
 		want[tk.lsn] = payload
 		last = tk
 	}
@@ -41,7 +41,7 @@ func TestRoundTrip(t *testing.T) {
 		t.Fatalf("close: %v", err)
 	}
 
-	l2, rec, err := Recover(dir, 3, testPolicy())
+	l2, rec, err := Recover(dir, testPolicy())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +88,7 @@ func TestTornFinalRecordDropped(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	path := filepath.Join(dir, "lane-000.wal")
+	path := filepath.Join(dir, logFile)
 	full, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -99,7 +99,7 @@ func TestTornFinalRecordDropped(t *testing.T) {
 		if err := os.WriteFile(path, append(append([]byte{}, full...), torn[:cut]...), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		l2, rec, err := Recover(dir, 1, testPolicy())
+		l2, rec, err := Recover(dir, testPolicy())
 		if err != nil {
 			t.Fatalf("cut %d: %v", cut, err)
 		}
@@ -134,7 +134,7 @@ func TestCRCMismatchNamed(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	path := filepath.Join(dir, "lane-000.wal")
+	path := filepath.Join(dir, logFile)
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -146,7 +146,7 @@ func TestCRCMismatchNamed(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	l2, rec, err := Recover(dir, 1, testPolicy())
+	l2, rec, err := Recover(dir, testPolicy())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,8 +158,8 @@ func TestCRCMismatchNamed(t *testing.T) {
 	if !errors.As(l2.Corruption[0], &ce) {
 		t.Fatalf("corruption error %T not a *CorruptError", l2.Corruption[0])
 	}
-	if ce.Lane != 0 || ce.Offset != int64(6*recLen) {
-		t.Fatalf("CorruptError = %+v, want lane 0 offset %d", ce, 6*recLen)
+	if ce.Offset != int64(6*recLen) {
+		t.Fatalf("CorruptError = %+v, want offset %d", ce, 6*recLen)
 	}
 	if len(rec.Tail) != 6 {
 		t.Fatalf("replayed %d records past corruption, want 6", len(rec.Tail))
@@ -183,7 +183,7 @@ func TestBadLengthNamed(t *testing.T) {
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(dir, "lane-000.wal")
+	path := filepath.Join(dir, logFile)
 	data, _ := os.ReadFile(path)
 	bad := make([]byte, recHeaderSize+4)
 	binary.LittleEndian.PutUint32(bad[0:], 2) // < recBodyPrefix
@@ -201,50 +201,64 @@ func TestBadLengthNamed(t *testing.T) {
 	}
 }
 
-// TestSnapshotTruncatesAndReplays snapshots a lane mid-stream and
+// TestSnapshotTruncatesAndReplays snapshots the log mid-stream and
 // checks replay returns the snapshot plus only the records past its
-// cutoff, and that the lane file shrank.
+// cutoff, and that the log file shrank. Then it restores the log as it
+// stood before the truncation — a crash between the snapshot's rename
+// and the truncate — and checks the records the snapshot covers are
+// skipped, not replayed twice.
 func TestSnapshotTruncatesAndReplays(t *testing.T) {
 	dir := t.TempDir()
-	l, err := Open(dir, 2, testPolicy())
+	l, err := Open(dir, 1, testPolicy())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer l.Close()
 	for i := 0; i < 20; i++ {
-		l.Append(i%2, RecCommit, []byte(fmt.Sprintf("pre-%d", i)))
+		l.Append(0, RecCommit, []byte(fmt.Sprintf("pre-%d", i)))
 	}
-	snapPayload := []byte("lane0-state-at-cutoff")
-	if err := l.Snapshot(0, func() []byte { return snapPayload }); err != nil {
+	l.sync()
+	path := filepath.Join(dir, logFile)
+	full, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	snapPayload := []byte("state-at-cutoff")
+	if err := l.Snapshot(func() []byte { return snapPayload }); err != nil {
 		t.Fatal(err)
 	}
 	cutoff := l.LastLSN()
 	tkA := l.Append(0, RecCommit, []byte("post-a"))
-	l.Append(1, RecCommit, []byte("post-b"))
+	tkB := l.Append(0, RecCommit, []byte("post-b"))
 
 	rec, err := l.Replay()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rec.Snapshots) != 1 || !bytes.Equal(rec.Snapshots[0].Payload, snapPayload) {
-		t.Fatalf("snapshots = %+v", rec.Snapshots)
+	if !bytes.Equal(rec.Snapshot, snapPayload) {
+		t.Fatalf("snapshot = %q, want %q", rec.Snapshot, snapPayload)
 	}
-	if rec.Snapshots[0].Cutoff != cutoff {
-		t.Fatalf("cutoff %d, want %d", rec.Snapshots[0].Cutoff, cutoff)
+	if len(rec.Tail) != 2 || rec.Tail[0].LSN != tkA.lsn || rec.Tail[1].LSN != tkB.lsn ||
+		string(rec.Tail[0].Payload) != "post-a" || string(rec.Tail[1].Payload) != "post-b" {
+		t.Fatalf("tail = %+v, want post-a, post-b", rec.Tail)
 	}
-	// Lane 0's tail: only post-a. Lane 1 has no snapshot, so its whole
-	// log (10 pre records + post-b) replays.
-	var lane0 []TailRecord
-	for _, r := range rec.Tail {
-		if r.Lane == 0 {
-			lane0 = append(lane0, r)
-		}
+	if tkA.lsn <= cutoff {
+		t.Fatalf("post-snapshot lsn %d not past cutoff %d", tkA.lsn, cutoff)
 	}
-	if len(lane0) != 1 || lane0[0].LSN != tkA.lsn || string(lane0[0].Payload) != "post-a" {
-		t.Fatalf("lane 0 tail = %+v", lane0)
+	if fi, err := os.Stat(path); err != nil || fi.Size() >= int64(len(full)) {
+		t.Fatalf("log did not shrink: %v bytes before, stat %v %v", len(full), fi, err)
 	}
-	if got := len(rec.Tail) - len(lane0); got != 11 {
-		t.Fatalf("lane 1 tail %d records, want 11", got)
+
+	// The crash window: the snapshot renamed into place, the log not
+	// yet truncated.
+	if err := os.WriteFile(path, full, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if rec, err = l.Replay(); err != nil {
+		t.Fatal(err)
+	}
+	if len(rec.Tail) != 0 || !bytes.Equal(rec.Snapshot, snapPayload) {
+		t.Fatalf("untruncated log replayed %d records past the snapshot, want 0", len(rec.Tail))
 	}
 }
 
@@ -259,39 +273,40 @@ func TestSnapshotPressure(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer l.Close()
-	if l.NeedsSnapshot(0) {
+	if l.NeedsSnapshot() {
 		t.Fatal("fresh log wants a snapshot")
 	}
 	for i := 0; i < 8; i++ {
 		l.Append(0, RecCommit, make([]byte, 32))
 	}
-	if !l.NeedsSnapshot(0) {
+	if !l.NeedsSnapshot() {
 		t.Fatal("log past threshold does not want a snapshot")
 	}
-	if !l.TrySnapshotLock(0) {
+	if !l.TrySnapshotLock() {
 		t.Fatal("snapshot slot unavailable")
 	}
-	if l.TrySnapshotLock(0) {
+	if l.TrySnapshotLock() {
 		t.Fatal("snapshot slot double-claimed")
 	}
-	if err := l.Snapshot(0, func() []byte { return []byte("s") }); err != nil {
+	if err := l.Snapshot(func() []byte { return []byte("s") }); err != nil {
 		t.Fatal(err)
 	}
-	l.SnapshotUnlock(0)
-	if l.NeedsSnapshot(0) {
+	l.SnapshotUnlock()
+	if l.NeedsSnapshot() {
 		t.Fatal("snapshot did not clear pressure")
 	}
 }
 
-// TestGroupCommitBatching drives concurrent appenders across lanes and
-// checks (a) every ticket resolves, (b) the flusher batched: fsync
-// batches are strictly fewer than appends once concurrency is real. It
+// TestGroupCommitBatching drives concurrent appenders and checks (a)
+// every ticket resolves, (b) the flusher batched: fsync batches are
+// strictly fewer than appends once concurrency is real, (c) the file
+// holds every record in LSN order, with no sort on the way back. It
 // fsyncs: a batch is whatever arrived during the previous write+fsync,
 // and a NoSync write is too short for appenders to reliably pile up.
 func TestGroupCommitBatching(t *testing.T) {
 	dir := t.TempDir()
 	p := Policy{}
-	l, err := Open(dir, 4, p)
+	l, err := Open(dir, 1, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -306,7 +321,7 @@ func TestGroupCommitBatching(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < perWorker; i++ {
-				tk := l.Append(w%4, RecCommit, []byte(fmt.Sprintf("w%d-%d", w, i)))
+				tk := l.Append(0, RecCommit, []byte(fmt.Sprintf("w%d-%d", w, i)))
 				if err := tk.Wait(); err != nil {
 					errCh <- err
 					return
@@ -333,7 +348,7 @@ func TestGroupCommitBatching(t *testing.T) {
 	}
 
 	// Everything acknowledged must be on disk.
-	l2, rec, err := Recover(dir, 4, p)
+	l2, rec, err := Recover(dir, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -341,13 +356,18 @@ func TestGroupCommitBatching(t *testing.T) {
 	if len(rec.Tail) != workers*perWorker {
 		t.Fatalf("recovered %d records, want %d", len(rec.Tail), workers*perWorker)
 	}
+	for i, r := range rec.Tail {
+		if r.LSN != uint64(i+1) {
+			t.Fatalf("record %d of the file has lsn %d, want %d", i, r.LSN, i+1)
+		}
+	}
 }
 
 // TestSoloAppendNeedsNoTimer pins the idle floor of the default policy:
 // a lone committer's wait is one write, not a flush window. 2 000
 // sequential Append+Wait took ~2.2 s behind the 200 µs timer.
 func TestSoloAppendNeedsNoTimer(t *testing.T) {
-	l, err := Open(t.TempDir(), 2, Policy{NoSync: true})
+	l, err := Open(t.TempDir(), 1, Policy{NoSync: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -356,7 +376,7 @@ func TestSoloAppendNeedsNoTimer(t *testing.T) {
 	payload := make([]byte, 256)
 	start := time.Now()
 	for i := 0; i < n; i++ {
-		if err := l.Append(i%2, RecCommit, payload).Wait(); err != nil {
+		if err := l.Append(0, RecCommit, payload).Wait(); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -369,38 +389,33 @@ func TestSoloAppendNeedsNoTimer(t *testing.T) {
 }
 
 // TestAckedRecordIsOnFile is the durability contract: once Wait
-// returns, a fresh read of the lane file — the log still open, other
+// returns, a fresh read of the log file — the log still open, other
 // appenders still running — finds that LSN with a valid CRC. Under
 // either policy, and through Notify as well as Wait.
 func TestAckedRecordIsOnFile(t *testing.T) {
 	for name, p := range map[string]Policy{"nosync": {NoSync: true}, "fsync": {}} {
 		t.Run(name, func(t *testing.T) {
-			const lanes, workers, perWorker = 2, 4, 40
-			l, err := Open(t.TempDir(), lanes, p)
+			const workers, perWorker = 4, 40
+			l, err := Open(t.TempDir(), 1, p)
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer l.Close()
-			onFile := func(lane int, lsn uint64) bool {
-				tail, err := readLaneTail(l.lanePath(lane), lane, 0) // stops at a bad CRC
+			onFile := func(lsn uint64) bool {
+				found := false
+				_, _, err := walk(l.logPath(), func(_ uint8, got uint64, _ []byte) { found = found || got == lsn }) // stops at a bad CRC
 				if err != nil {
 					t.Error(err)
 				}
-				for _, r := range tail {
-					if r.LSN == lsn {
-						return true
-					}
-				}
-				return false
+				return found
 			}
 			var wg sync.WaitGroup
 			for w := 0; w < workers; w++ {
 				wg.Add(1)
 				go func() {
 					defer wg.Done()
-					lane := w % lanes
 					for i := 0; i < perWorker; i++ {
-						tk := l.Append(lane, RecCommit, []byte(fmt.Sprintf("w%d-%d", w, i)))
+						tk := l.Append(0, RecCommit, []byte(fmt.Sprintf("w%d-%d", w, i)))
 						if i%2 == 0 {
 							if err := tk.Wait(); err != nil {
 								t.Error(err)
@@ -414,8 +429,8 @@ func TestAckedRecordIsOnFile(t *testing.T) {
 								return
 							}
 						}
-						if !onFile(lane, tk.LSN()) {
-							t.Errorf("lsn %d acknowledged but not on lane %d's file", tk.LSN(), lane)
+						if !onFile(tk.LSN()) {
+							t.Errorf("lsn %d acknowledged but not on file", tk.LSN())
 							return
 						}
 					}
@@ -427,7 +442,7 @@ func TestAckedRecordIsOnFile(t *testing.T) {
 }
 
 // TestNoLostWakeup pins the self-clocked flusher's one hazard: a record
-// appended after its lane was drained but before the flusher parks must
+// appended after the buffer was drained but before the flusher parks must
 // start the next flush. Eight appenders in append-then-wait lockstep
 // keep the flusher on the edge of idle; a lost wake-up leaves a Wait
 // parked for good, which the watchdog turns into a failure.
@@ -437,7 +452,7 @@ func TestNoLostWakeup(t *testing.T) {
 		run = 500 * time.Millisecond
 	}
 	const appenders, limit = 8, 100 * time.Millisecond
-	l, err := Open(t.TempDir(), 4, Policy{NoSync: true})
+	l, err := Open(t.TempDir(), 1, Policy{NoSync: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -449,7 +464,7 @@ func TestNoLostWakeup(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for !stop.Load() {
-				tk := l.Append(a%4, RecCommit, []byte("lockstep"))
+				tk := l.Append(0, RecCommit, []byte("lockstep"))
 				waitingSince[a].Store(time.Now().UnixNano())
 				err := tk.Wait()
 				waitingSince[a].Store(0)
@@ -482,9 +497,9 @@ func TestNoLostWakeup(t *testing.T) {
 
 // TestFlushErrorIsSticky checks a failed write fails its own batch and
 // every later one — Wait and Notify alike — instead of acknowledging
-// records the disk never took.
+// records the disk never took, even once the disk takes writes again.
 func TestFlushErrorIsSticky(t *testing.T) {
-	l, err := Open(t.TempDir(), 2, Policy{NoSync: true})
+	l, err := Open(t.TempDir(), 1, Policy{NoSync: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -492,12 +507,21 @@ func TestFlushErrorIsSticky(t *testing.T) {
 	if err := l.Append(0, RecCommit, []byte("fine")).Wait(); err != nil {
 		t.Fatal(err)
 	}
-	l.lanes[0].f.Close() // the disk goes away under lane 0
+	l.wmu.Lock()
+	l.f.Close() // the disk goes away
+	l.wmu.Unlock()
 	if err := l.Append(0, RecCommit, []byte("lost")).Wait(); err == nil {
 		t.Fatal("a record that failed to write was acknowledged")
 	}
-	// Lane 1's file is healthy, but no append is durable after a failure.
-	tk := l.Append(1, RecCommit, []byte("after"))
+	// The disk comes back, but no append is durable after a failure.
+	healthy, err := os.Create(filepath.Join(t.TempDir(), logFile))
+	if err != nil {
+		t.Fatal(err)
+	}
+	l.wmu.Lock()
+	l.f = healthy
+	l.wmu.Unlock()
+	tk := l.Append(0, RecCommit, []byte("after"))
 	if err := tk.Wait(); err == nil {
 		t.Fatal("flush error was not sticky")
 	}
@@ -509,7 +533,8 @@ func TestFlushErrorIsSticky(t *testing.T) {
 }
 
 // TestTicketAfterClose checks Close lands every earlier ticket and that
-// a ticket taken afterwards fails instead of parking forever.
+// a ticket taken afterwards fails instead of parking forever, as does a
+// snapshot.
 func TestTicketAfterClose(t *testing.T) {
 	l, err := Open(t.TempDir(), 1, Policy{NoSync: true})
 	if err != nil {
@@ -524,6 +549,9 @@ func TestTicketAfterClose(t *testing.T) {
 	}
 	if err := l.Append(0, RecCommit, []byte("after")).Wait(); !errors.Is(err, ErrClosed) {
 		t.Fatalf("ticket taken after Close: %v, want ErrClosed", err)
+	}
+	if err := l.Snapshot(func() []byte { return nil }); !errors.Is(err, ErrClosed) {
+		t.Fatalf("snapshot after Close: %v, want ErrClosed", err)
 	}
 }
 
@@ -541,8 +569,34 @@ func TestCloseIdempotent(t *testing.T) {
 	}
 }
 
-// appendRecord frames one record onto buf, as AppendFunc does in a lane
-// buffer.
+// TestOpenRefusesLaneFiles checks a directory written by the per-lane
+// layout is refused, not opened over: its commits live in files this
+// layout does not read. The file must be left as it was.
+func TestOpenRefusesLaneFiles(t *testing.T) {
+	for _, name := range []string{"lane-000.wal", "lane-003.snap"} {
+		dir := t.TempDir()
+		path := filepath.Join(dir, name)
+		old := appendRecord(nil, RecCommit, 1, []byte("acknowledged"))
+		if err := os.WriteFile(path, old, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if l, err := Open(dir, 1, testPolicy()); !errors.Is(err, ErrLaneFiles) {
+			if l != nil {
+				l.Close()
+			}
+			t.Fatalf("%s: Open = %v, want ErrLaneFiles", name, err)
+		}
+		if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, old) {
+			t.Fatalf("%s: file changed by a refused Open: %q, %v", name, got, err)
+		}
+		if _, err := os.Stat(filepath.Join(dir, logFile)); !errors.Is(err, os.ErrNotExist) {
+			t.Fatalf("%s: a refused Open created %s (%v)", name, logFile, err)
+		}
+	}
+}
+
+// appendRecord frames one record onto buf, as AppendFunc does in the
+// log's buffer.
 func appendRecord(buf []byte, typ uint8, lsn uint64, payload []byte) []byte {
 	start := len(buf)
 	buf = append(append(buf, make([]byte, recHeaderSize+recBodyPrefix)...), payload...)

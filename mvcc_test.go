@@ -4,6 +4,9 @@ import (
 	"context"
 	"errors"
 	"testing"
+
+	"github.com/chillerdb/chiller/internal/cluster"
+	"github.com/chillerdb/chiller/internal/storage"
 )
 
 // A read-only procedure on a WithMVCC deployment executes on the
@@ -209,5 +212,63 @@ func TestMVCCRecoveredSnapshotReads(t *testing.T) {
 		if v, _ := res.Read(0); v[0] != 4 {
 			t.Fatalf("key %d after post-recovery write = %v, want [4]", k, v)
 		}
+	}
+}
+
+// Repartition moves a record with its commit stamp. A new-home copy
+// stamped 0 would read as older than every snapshot, so a snapshot from
+// before the record's last write would see that write. So each moved
+// copy must carry its old stamp, and a snapshot below it must
+// stale-abort on the fresh holder rather than read the copy.
+func TestRepartitionKeepsStamps(t *testing.T) {
+	db := openBank(t, 4, WithMVCC(), WithSampling(1))
+	ctx := context.Background()
+	for i := 0; i < 500; i++ {
+		k := int64(i % 5)
+		if _, err := db.ExecuteWithRetry(ctx, Retry{}, "bank.transfer", k, 200+k, 1); err != nil {
+			t.Fatalf("transfer %d: %v", i, err)
+		}
+	}
+	db.c.Drain()
+	stampAt := func(rid storage.RID) (uint64, bool) {
+		node := db.c.Nodes()[int(db.topo.Primary(db.dir.Partition(rid)))]
+		for _, r := range node.Store().Table(rid.Table).Bucket(rid.Key).SnapshotTS() {
+			if r.Key == rid.Key {
+				return r.TS, true
+			}
+		}
+		return 0, false
+	}
+	before := map[storage.RID]uint64{}
+	home := map[storage.RID]cluster.PartitionID{}
+	for k := 0; k < 5; k++ {
+		for _, key := range []storage.Key{storage.Key(k), storage.Key(200 + k)} {
+			rid := storage.RID{Table: storage.TableID(tAccounts), Key: key}
+			ts, ok := stampAt(rid)
+			if !ok || ts == 0 {
+				t.Fatalf("record %v before the move: stamp %d (present %v)", rid, ts, ok)
+			}
+			before[rid], home[rid] = ts, db.dir.Partition(rid)
+		}
+	}
+	if _, err := db.Repartition(ctx); err != nil {
+		t.Fatal(err)
+	}
+	moved := 0
+	for rid, ts := range before {
+		if db.dir.Partition(rid) == home[rid] {
+			continue
+		}
+		moved++
+		if got, _ := stampAt(rid); got != ts {
+			t.Errorf("record %v: stamp %d at its new home, %d before the move", rid, got, ts)
+		}
+		node := db.c.Nodes()[int(db.topo.Primary(db.dir.Partition(rid)))]
+		if _, err := node.Store().Table(rid.Table).ReadAt(rid.Key, ts-1); !errors.Is(err, storage.ErrStaleRead) {
+			t.Errorf("record %v: a snapshot below its stamp %d read %v at the new home, want a stale read", rid, ts, err)
+		}
+	}
+	if moved == 0 {
+		t.Fatal("repartition moved none of the transferred records")
 	}
 }

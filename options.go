@@ -197,7 +197,7 @@ func WithRangePartitioner(maxKey map[Table]Key) Option {
 		for t, k := range maxKey {
 			mk[storage.TableID(t)] = storage.Key(k)
 		}
-		c.partitioner = rangePartitioner{maxKey: mk}
+		c.partitioner = cluster.RangePartitioner{MaxKey: mk} // Open fills in N
 		return nil
 	}
 }
@@ -211,7 +211,9 @@ func WithPartitionFunc(name string, fn func(table Table, key Key) int) Option {
 		if fn == nil {
 			return fmt.Errorf("chiller: nil partition func: %w", ErrBadConfig)
 		}
-		c.partitioner = funcPartitioner{name: name, fn: fn}
+		c.partitioner = cluster.FuncPartitioner{Label: name, Fn: func(rid storage.RID) cluster.PartitionID {
+			return cluster.PartitionID(fn(Table(rid.Table), Key(rid.Key)))
+		}}
 		return nil
 	}
 }
@@ -259,21 +261,23 @@ type FsyncPolicy struct {
 	// failure. Substantially faster; the durability contract weakens
 	// from crash-safe to process-death-safe.
 	NoSync bool
-	// SnapshotBytes, when > 0, snapshots a lane's records and truncates
+	// SnapshotBytes, when > 0, snapshots a node's records and truncates
 	// its log once the log grows past this many bytes (default: no
-	// automatic snapshots; the log grows until Close).
+	// automatic snapshots; the log grows until Close). A snapshot blocks
+	// the node's appends for one scan of its store; a failed one is
+	// reported by Close.
 	SnapshotBytes int64
 }
 
 // WithDurability attaches a write-ahead log under dir — one directory
-// per node, one append-only log per execution lane — making every
-// acknowledged commit durable: a transaction's acknowledgement waits
-// for its log records' group-commit flush, and a subsequent Open with
-// the same dir replays snapshot+tail into the stores before serving
-// traffic, so records Loaded or committed in a previous process
-// incarnation come back. Simulation-only: over TransportTCP the data
-// (and its durability, via chiller-node's -data-dir flag) lives in the
-// node processes.
+// and one append-only log per node — making every acknowledged commit
+// durable: a transaction's acknowledgement waits for its log records'
+// group-commit flush, and a subsequent Open with the same dir replays
+// snapshot+tail into the stores before serving traffic, so records
+// Loaded or committed in a previous process incarnation come back,
+// whatever WithLanes either Open used. Simulation-only: over
+// TransportTCP the data (and its durability, via chiller-node's
+// -data-dir flag) lives in the node processes.
 func WithDurability(dir string) Option {
 	return func(c *config) error {
 		if dir == "" {
@@ -346,34 +350,4 @@ func WithListenAddr(addr string) Option {
 		c.listenAddr = addr
 		return nil
 	}
-}
-
-// rangePartitioner adapts cluster.RangePartitioner to a deferred
-// partition count (Open fills n after options are applied).
-type rangePartitioner struct {
-	n      int
-	maxKey map[storage.TableID]storage.Key
-}
-
-func (r rangePartitioner) Partition(rid storage.RID) cluster.PartitionID {
-	return cluster.RangePartitioner{N: r.n, MaxKey: r.maxKey}.Partition(rid)
-}
-
-func (r rangePartitioner) Name() string { return "range" }
-
-// funcPartitioner adapts a public partition func.
-type funcPartitioner struct {
-	name string
-	fn   func(Table, Key) int
-}
-
-func (f funcPartitioner) Partition(rid storage.RID) cluster.PartitionID {
-	return cluster.PartitionID(f.fn(Table(rid.Table), Key(rid.Key)))
-}
-
-func (f funcPartitioner) Name() string {
-	if f.name == "" {
-		return "func"
-	}
-	return f.name
 }

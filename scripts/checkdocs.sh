@@ -76,6 +76,15 @@
 #      or names LockWord, and no .go file names the deleted second list
 #      or its bridges (BorrowLock, EnterPartition, LeavePartition,
 #      innerLockRef).
+#  17. One participant dispatch: the participant steps run only from
+#      Node.serve, and a ring has one way to complete.
+#  18. One record memory: slot arrays and overflow buckets are carved
+#      from their table's slab.
+#  19. One log per node: internal/wal keeps one append-only file and at
+#      most one snapshot per node directory — no .go file names the
+#      deleted per-lane state or its readers (laneLog, LaneSnapshot,
+#      readLaneTail, walkLane, logLane, encodeLaneSnapshot,
+#      applyLaneSnapshot) or a lane-%03d file name.
 #
 # Exits non-zero with a list of offenders on failure.
 set -eu
@@ -271,6 +280,15 @@ offenders=$(grep -rnE --include='*.go' --exclude='*_test.go' 'make\(\[\]entry|&B
     grep -v '^internal/storage/slab\.go:' || true)
 if [ -n "$offenders" ]; then
     echo "a slot array or an overflow bucket allocated outside the table's slab (internal/storage/slab.go):" >&2
+    echo "$offenders" >&2
+    fail=1
+fi
+
+# --- 19. one log per node ---------------------------------------------------
+offenders=$(grep -rnE --include='*.go' \
+        'laneLog|LaneSnapshot|readLaneTail|walkLane|logLane|encodeLaneSnapshot|applyLaneSnapshot|lane-%03d' . || true)
+if [ -n "$offenders" ]; then
+    echo "per-lane log state (a node has one log; see docs/DURABILITY.md):" >&2
     echo "$offenders" >&2
     fail=1
 fi
