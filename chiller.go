@@ -142,7 +142,6 @@ func Open(opts ...Option) (*DB, error) {
 		Partitions:  cfg.partitions,
 		Replication: cfg.replication,
 		Latency:     cfg.latency,
-		Jitter:      cfg.jitter,
 		Seed:        cfg.seed,
 		SampleRate:  cfg.sampleRate,
 		Lanes:       cfg.lanes,

@@ -73,7 +73,7 @@ var (
 	// ErrBadConfig is returned by Open when options are invalid or
 	// mutually exclusive — an out-of-range value, WithPeers without
 	// WithTransport(TransportTCP), or a simulation-only option (latency,
-	// jitter, sampling, partition count) combined with the TCP transport.
+	// sampling, partition count) combined with the TCP transport.
 	ErrBadConfig = errors.New("invalid configuration")
 	// ErrUnsupported is returned by DB methods that need direct access to
 	// every node's store — CreateTable, Load, Get, MarkHot, Repartition —

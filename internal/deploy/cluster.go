@@ -29,7 +29,7 @@ const (
 	TransportSim = "simnet"
 	// TransportTCP assembles the cluster over loopback TCP: every node
 	// gets its own tcpnet fabric on 127.0.0.1, and every verb crosses a
-	// real socket. Simulated latency and jitter do not apply (the kernel
+	// real socket. Simulated latency does not apply (the kernel
 	// provides the latency); fault injection does.
 	TransportTCP = "tcp"
 )
@@ -46,9 +46,7 @@ type Config struct {
 	Replication int
 	// Latency is the simulated one-way network latency between nodes.
 	Latency time.Duration
-	// Jitter adds random extra delay in [0, Jitter).
-	Jitter time.Duration
-	// Seed makes runs reproducible.
+	// Seed seeds the access sampler.
 	Seed int64
 	// SampleRate enables access sampling on every node at the given rate
 	// (0 disables; the paper samples ~0.1%).
@@ -144,11 +142,7 @@ func NewCluster(cfg Config, def cluster.DefaultPartitioner) (*Cluster, error) {
 	cfg.Lanes = c.Dir.Lanes()
 	switch cfg.Transport {
 	case "", TransportSim:
-		c.Net = simfab.New(simfab.Config{
-			Latency: cfg.Latency,
-			Jitter:  cfg.Jitter,
-			Seed:    cfg.Seed,
-		})
+		c.Net = simfab.New(simfab.Config{Latency: cfg.Latency})
 	case TransportTCP: // addNode gives every node a fabric of its own
 	default:
 		return nil, fmt.Errorf("deploy: unknown transport %q: %w", cfg.Transport, ErrInvalid)

@@ -23,10 +23,10 @@ import (
 // word plus a record READ, which the handler performs as one atomic
 // unit.
 //
-// The one-sided path deliberately bypasses the per-link FIFO queues and
-// carries no jitter: one-sided verbs have no ordering interaction with
-// two-sided messages in our protocols. Anything that relies on per-link
-// ordering — the §5 inner replication stream — must stay two-sided.
+// The one-sided path deliberately bypasses the delivery queue: one-sided
+// verbs have no ordering interaction with two-sided messages in our
+// protocols. Anything that relies on per-link ordering — the §5 inner
+// replication stream — must stay two-sided.
 
 // pendingOneSided is an in-flight doorbell ring started by GoOneSided.
 // Pendings are pooled: Wait recycles the value, so it must not be used
@@ -64,7 +64,7 @@ func (p *pendingOneSided) Wait() ([]byte, error) {
 //
 // Cost model: one round trip and two fabric messages per doorbell,
 // however many verbs it posts — doorbell batching's whole point. Unlike
-// two-sided RPC, nothing is scheduled: no link queue, no dispatcher
+// two-sided RPC, nothing is scheduled: no queue, no dispatcher
 // pass, no handler goroutine, no timer. The verb is serviced on the
 // caller's goroutine at ring time — destination state changes promptly
 // and deterministically (a

@@ -8,18 +8,22 @@
 // argument actually depends on is (a) network round trips being one to two
 // orders of magnitude slower than local memory, and (b) messages on a queue
 // pair arriving in send order (the inner-region replication protocol of §5
-// relies on this). simnet reproduces both properties in-process with a
+// relies on this). simnet reproduces both properties in-process with one
 // configurable one-way latency, which lets the benchmark harness sweep the
 // network/memory latency ratio directly.
 //
 // The fabric offers two transports:
 //
-//   - Two-sided RPC (Call/Send): messages traverse a per-link FIFO
-//     queue drained by a single dispatcher goroutine, and handlers run at
-//     the destination — on its dispatcher or its execution lanes. This is
-//     the path for what must observe per-link ordering (the §5
-//     replication stream) or run real destination-side logic
-//     (transaction routing, the handoff control plane).
+//   - Two-sided RPC (Call/Send): every message between distinct nodes
+//     joins one fabric-wide queue and waits the same Latency, so the
+//     queue is in delivery order and each link's messages stay in send
+//     order. A single dispatcher goroutine drains it and starts the
+//     handlers at the destination — on the dispatcher or the node's
+//     execution lanes. This is the path for what must observe per-link
+//     ordering (the §5 replication stream) or run real destination-side
+//     logic (transaction routing, the handoff control plane). A node's
+//     request to itself is served at once on the sender's goroutine, as
+//     tcpnet serves it, and is no fabric message.
 //   - One-sided verbs (the doorbell-batched verb path, HandleOneSided +
 //     GoOneSided): serviced after the same latency but without involving
 //     the destination's dispatcher, modelling NIC-executed RDMA verbs. A
@@ -40,7 +44,6 @@ package simnet
 
 import (
 	"fmt"
-	"math/rand"
 	"sync"
 	"time"
 
@@ -52,18 +55,12 @@ import (
 // tests and the simfab adapter read naturally.
 type NodeID = transport.NodeID
 
-// Config controls the fabric's timing model. A node messaging itself
-// takes the loopback shortcut: no Latency (Jitter still applies to its
-// two-sided sends). Link queues are unbounded.
+// Config controls the fabric's timing model. The queue is unbounded.
 type Config struct {
-	// Latency is the one-way delay for messages between distinct nodes.
-	// With RDMA this is on the order of 1-3us; classic TCP is 30-100us.
+	// Latency is the one-way delay for messages between distinct nodes;
+	// a node's messages to itself take none. With RDMA this is on the
+	// order of 1-3us; classic TCP is 30-100us.
 	Latency time.Duration
-	// Jitter adds a uniformly distributed extra delay in [0, Jitter).
-	Jitter time.Duration
-	// Seed seeds the jitter source; 0 means a fixed default so runs are
-	// reproducible unless the caller opts into variation.
-	Seed int64
 }
 
 // Stats aggregates fabric-wide counters (see transport.Stats).
@@ -75,31 +72,42 @@ type Network struct {
 	cfg   Config
 	stats Stats
 
-	mu     sync.RWMutex
-	nodes  map[NodeID]*Endpoint
-	links  map[linkKey]*link
-	closed bool
-	wg     sync.WaitGroup
+	mu    sync.RWMutex
+	nodes map[NodeID]*Endpoint
 
-	// Delivery is driven by a single dispatcher goroutine over all
-	// links: per-message timer wake-ups (one goroutine per link) were
-	// the fabric's dominant CPU cost at benchmark message rates. The
-	// dispatcher sleeps until the earliest pending delivery across the
-	// fabric, then drains every due message in per-link FIFO order.
-	dmu    sync.Mutex
-	active []*link // links with queued messages
-	nudge  chan struct{}
-	done   chan struct{}
+	// Delivery is one queue drained by one dispatcher goroutine with one
+	// timer: per-message timer wake-ups were the fabric's dominant CPU
+	// cost at benchmark message rates. Every envelope waits the same
+	// Latency from its enqueue, stamped under qmu, so q[head:] is in
+	// delivery order and the dispatcher only ever looks at its head.
+	qmu   sync.Mutex
+	q     []envelope
+	head  int
+	nudge chan struct{}
+
+	done      chan struct{}
+	closeOnce sync.Once
+	wg        sync.WaitGroup
 }
 
-type linkKey struct{ from, to NodeID }
+// envelope is a request in flight between two nodes. Responses never
+// ride the queue (see call.respond); reply is where the handler's answer
+// goes: the caller's completion for a Call, transport.NoReply for a
+// one-way Send.
+type envelope struct {
+	deliver time.Time
+	dst     *Endpoint
+	from    NodeID
+	method  string
+	payload []byte
+	reply   func([]byte, error)
+}
 
 // New creates a fabric with the given timing configuration.
 func New(cfg Config) *Network {
 	n := &Network{
 		cfg:   cfg,
 		nodes: make(map[NodeID]*Endpoint),
-		links: make(map[linkKey]*link),
 		nudge: make(chan struct{}, 1),
 		done:  make(chan struct{}),
 	}
@@ -114,16 +122,10 @@ func (n *Network) Stats() *Stats { return &n.stats }
 // Close tears the fabric down. Outstanding calls fail with
 // transport.ErrClosed.
 func (n *Network) Close() {
-	n.mu.Lock()
-	if n.closed {
-		n.mu.Unlock()
-		return
-	}
-	n.closed = true
-	n.mu.Unlock()
-
-	close(n.done)
-	n.wg.Wait()
+	n.closeOnce.Do(func() {
+		close(n.done)
+		n.wg.Wait()
+	})
 }
 
 // Endpoint returns (creating if necessary) the endpoint for node id.
@@ -145,159 +147,48 @@ func (n *Network) endpoint(id NodeID) (*Endpoint, bool) {
 	return e, ok
 }
 
-// link is a directed FIFO queue between two nodes, drained by the
-// fabric's dispatcher in order: a message never overtakes an earlier one
-// on the same link, even with jitter (the load-bearing property for the
-// §5 replication stream).
-type link struct {
-	net   *Network
-	from  NodeID
-	to    NodeID
-	local bool
-	rng   *rand.Rand
-	rngMu sync.Mutex // protects jitter draws made on the send path
-
-	qmu    sync.Mutex
-	q      []*envelope
-	head   int
-	queued bool // registered in net.active
-}
-
-type envelope struct {
-	msg     message
-	deliver time.Time
-}
-
-// envPool recycles envelopes: at benchmark rates the fabric moves
-// hundreds of thousands of messages per second and per-message envelope
-// garbage showed up in allocation profiles.
-var envPool = sync.Pool{New: func() any { return new(envelope) }}
-
-// message is a request on a link. Responses never traverse one (see
-// call.respond); reply is where the handler's answer goes: the caller's
-// completion for a Call, transport.NoReply for a one-way Send.
-type message struct {
-	reply   func([]byte, error)
-	from    NodeID
-	method  string
-	payload []byte
-}
-
-func (n *Network) getLink(from, to NodeID) (*link, error) {
-	key := linkKey{from, to}
-	n.mu.RLock()
-	l, ok := n.links[key]
-	closed := n.closed
-	n.mu.RUnlock()
-	if closed {
-		return nil, transport.ErrClosed
-	}
-	if ok {
-		return l, nil
-	}
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if n.closed {
-		return nil, transport.ErrClosed
-	}
-	if l, ok = n.links[key]; ok {
-		return l, nil
-	}
-	seed := n.cfg.Seed
-	if seed == 0 {
-		seed = 0x5eed
-	}
-	l = &link{
-		net:   n,
-		from:  from,
-		to:    to,
-		local: from == to,
-		rng:   rand.New(rand.NewSource(seed ^ int64(from)<<32 ^ int64(to))),
-	}
-	n.links[key] = l
-	return l, nil
-}
-
 // dispatch is the fabric's delivery loop: one goroutine, one timer. It
-// wakes at the earliest pending delivery time (or when a sender nudges
-// it with new work), drains every due message across all links in
-// per-link FIFO order, and runs the request handlers inline — which
-// serializes handler starts exactly as the per-link drain goroutines
-// did, just without a timer wake-up per message.
+// takes every due envelope off the queue's head, runs their request
+// handlers inline in queue order — which starts each link's handlers in
+// send order — and then sleeps until the new head is due or a sender
+// nudges it.
 func (n *Network) dispatch() {
 	defer n.wg.Done()
 	timer := time.NewTimer(time.Hour)
 	defer timer.Stop()
-	var scratch []*link
+	var due []envelope
 	for {
 		now := time.Now()
-		var next time.Time
-
-		n.dmu.Lock()
-		scratch = append(scratch[:0], n.active...)
-		n.dmu.Unlock()
-
-		for _, l := range scratch {
-			for {
-				l.qmu.Lock()
-				if l.head >= len(l.q) {
-					// Drained; keep the registration (`queued`) until the
-					// de-registration pass below so a concurrent sender
-					// cannot double-register the link.
-					l.q = l.q[:0]
-					l.head = 0
-					l.qmu.Unlock()
-					break
-				}
-				env := l.q[l.head]
-				if env.deliver.After(now) {
-					if next.IsZero() || env.deliver.Before(next) {
-						next = env.deliver
-					}
-					l.qmu.Unlock()
-					break
-				}
-				l.q[l.head] = nil
-				l.head++
-				l.qmu.Unlock()
-
-				msg := env.msg
-				*env = envelope{}
-				envPool.Put(env)
-				if dst, ok := n.endpoint(l.to); ok {
-					dst.Serve(msg.from, msg.method, msg.payload, msg.reply)
-				}
-				now = time.Now()
-			}
-		}
-
-		// De-register links that drained; senders re-register on the
-		// next enqueue. queued flips only here (under both locks), so a
-		// link is in the active list exactly once.
-		n.dmu.Lock()
-		kept := n.active[:0]
-		for _, l := range n.active {
-			l.qmu.Lock()
-			if l.head >= len(l.q) {
-				l.queued = false
-			} else {
-				kept = append(kept, l)
-			}
-			l.qmu.Unlock()
-		}
-		for i := len(kept); i < len(n.active); i++ {
-			n.active[i] = nil
-		}
-		n.active = kept
-		n.dmu.Unlock()
-
 		wait := time.Hour
-		if !next.IsZero() {
-			wait = time.Until(next)
-			if wait < 0 {
-				wait = 0
+		n.qmu.Lock()
+		for n.head < len(n.q) && !n.q[n.head].deliver.After(now) {
+			due = append(due, n.q[n.head])
+			n.q[n.head] = envelope{}
+			n.head++
+		}
+		if n.head == len(n.q) {
+			n.q, n.head = n.q[:0], 0
+		} else {
+			wait = n.q[n.head].deliver.Sub(now)
+			if n.head > len(n.q)/2 { // amortized: move the tail down
+				k := copy(n.q, n.q[n.head:])
+				clear(n.q[k:])
+				n.q, n.head = n.q[:k], 0
 			}
 		}
+		n.qmu.Unlock()
+
+		for i := range due {
+			e := &due[i]
+			e.dst.Serve(e.from, e.method, e.payload, e.reply)
+			*e = envelope{}
+		}
+		if len(due) > 0 {
+			// More may have come due while the handlers ran.
+			due = due[:0]
+			continue
+		}
+
 		timer.Reset(wait)
 		select {
 		case <-n.done:
@@ -314,57 +205,11 @@ func (n *Network) dispatch() {
 	}
 }
 
-func (l *link) latency() time.Duration {
-	cfg := &l.net.cfg
-	base := cfg.Latency
-	if l.local {
-		base = 0
-	}
-	if cfg.Jitter > 0 {
-		l.rngMu.Lock()
-		base += time.Duration(l.rng.Int63n(int64(cfg.Jitter)))
-		l.rngMu.Unlock()
-	}
-	return base
-}
-
-// send enqueues msg for delivery after the link latency.
-func (l *link) send(msg message) error {
-	select {
-	case <-l.net.done:
-		return transport.ErrClosed
-	default:
-	}
-	env := envPool.Get().(*envelope)
-	env.msg = msg
-	env.deliver = time.Now().Add(l.latency())
-
-	l.qmu.Lock()
-	l.q = append(l.q, env)
-	register := !l.queued
-	if register {
-		l.queued = true
-	}
-	l.qmu.Unlock()
-	if register {
-		l.net.dmu.Lock()
-		l.net.active = append(l.net.active, l)
-		l.net.dmu.Unlock()
-	}
-	// Wake the dispatcher; a pending nudge already covers us.
-	select {
-	case l.net.nudge <- struct{}{}:
-	default:
-	}
-	l.net.stats.MessagesSent.Add(1)
-	l.net.stats.BytesSent.Add(uint64(len(msg.payload)))
-	return nil
-}
-
 // Endpoint is one node's attachment to the fabric. Its handler table is
 // the embedded transport.Handlers: two-sided handlers run inline on the
 // dispatcher (preserving per-link ordering of handler starts; handlers
-// that need concurrency hand off to their own goroutines or lanes), and
+// that need concurrency hand off to their own goroutines or lanes), or
+// on the sender's goroutine for a node's request to itself, and
 // one-sided handlers on the ringing caller's goroutine (onesided.go).
 type Endpoint struct {
 	transport.Handlers
@@ -385,20 +230,44 @@ func (e *Endpoint) Stats() *Stats { return &e.net.stats }
 // transport.ErrClosed instead of hanging, as a pending Call does.
 func (e *Endpoint) Closed() <-chan struct{} { return e.net.done }
 
-// link returns the link to node to, which must exist.
-func (e *Endpoint) link(to NodeID) (*link, error) {
-	if _, ok := e.net.endpoint(to); !ok {
-		return nil, fmt.Errorf("%w: %d", transport.ErrNoSuchNode, to)
+// post delivers a request from e to node to: served at once on this
+// goroutine when to is e itself, else queued for the dispatcher, one
+// message, Latency from now.
+func (e *Endpoint) post(to NodeID, method string, payload []byte, reply func([]byte, error)) error {
+	n := e.net
+	select {
+	case <-n.done:
+		return transport.ErrClosed
+	default:
 	}
-	return e.net.getLink(e.id, to)
+	if to == e.id {
+		e.Serve(e.id, method, payload, reply)
+		return nil
+	}
+	dst, ok := n.endpoint(to)
+	if !ok {
+		return fmt.Errorf("%w: %d", transport.ErrNoSuchNode, to)
+	}
+	n.qmu.Lock()
+	n.q = append(n.q, envelope{deliver: time.Now().Add(n.cfg.Latency), dst: dst, from: e.id, method: method, payload: payload, reply: reply})
+	n.qmu.Unlock()
+	// Wake the dispatcher; a pending nudge already covers us.
+	select {
+	case n.nudge <- struct{}{}:
+	default:
+	}
+	n.stats.MessagesSent.Add(1)
+	n.stats.BytesSent.Add(uint64(len(payload)))
+	return nil
 }
 
 // call is one in-flight Call. The pool binds its reply once, so serving
 // a call allocates nothing; a call the fabric's close abandoned is never
 // recycled, so a late reply cannot land in a reuse.
 type call struct {
-	l      *link
+	net    *Network
 	method string
+	self   bool // served on the caller's node: no response message
 	ch     chan rpcResult
 	reply  func([]byte, error)
 }
@@ -419,17 +288,20 @@ var callPool = sync.Pool{New: func() any {
 }}
 
 // respond hands the response directly to the caller, stamped with its
-// simulated arrival time. Responses never traverse a link: each is
+// simulated arrival time. Responses never ride the queue: each is
 // independent, so per-link FIFO — which the replication protocol needs
-// for *requests* — buys nothing here, and skipping the reverse queue
-// halves the scheduling cost of every round trip.
+// for *requests* — buys nothing here, and skipping the return trip
+// through the dispatcher halves the scheduling cost of every round trip.
 func (c *call) respond(resp []byte, err error) {
-	st := &c.l.net.stats
-	st.MessagesSent.Add(1)
-	st.BytesSent.Add(uint64(len(resp)))
-	res := rpcResult{payload: resp, at: time.Now().Add(c.l.latency())}
+	res := rpcResult{payload: resp}
 	if err != nil {
-		res = rpcResult{err: &transport.RemoteError{Method: c.method, Msg: err.Error()}, at: res.at}
+		res = rpcResult{err: &transport.RemoteError{Method: c.method, Msg: err.Error()}}
+	}
+	if !c.self {
+		st := &c.net.stats
+		st.MessagesSent.Add(1)
+		st.BytesSent.Add(uint64(len(resp)))
+		res.at = time.Now().Add(c.net.cfg.Latency)
 	}
 	c.ch <- res
 }
@@ -438,13 +310,9 @@ func (c *call) respond(resp []byte, err error) {
 // network round trip (two one-way latencies). A fabric that closes
 // first fails it with transport.ErrClosed.
 func (e *Endpoint) Call(to NodeID, method string, req []byte) ([]byte, error) {
-	l, err := e.link(to)
-	if err != nil {
-		return nil, err
-	}
 	c := callPool.Get().(*call)
-	c.l, c.method = l, method
-	if err := l.send(message{reply: c.reply, from: e.id, method: method, payload: req}); err != nil {
+	c.net, c.method, c.self = e.net, method, to == e.id
+	if err := e.post(to, method, req, c.reply); err != nil {
 		callPool.Put(c)
 		return nil, err
 	}
@@ -465,9 +333,5 @@ func (e *Endpoint) Call(to NodeID, method string, req []byte) ([]byte, error) {
 // Send delivers a one-way message (no response) to node `to`. Used by the
 // inner-region replication stream, where the primary must not wait.
 func (e *Endpoint) Send(to NodeID, method string, payload []byte) error {
-	l, err := e.link(to)
-	if err != nil {
-		return err
-	}
-	return l.send(message{reply: transport.NoReply, from: e.id, method: method, payload: payload})
+	return e.post(to, method, payload, transport.NoReply)
 }

@@ -92,34 +92,51 @@ func TestLatencyIsApplied(t *testing.T) {
 }
 
 // FIFO ordering is the load-bearing property for §5 replication: messages
-// from one sender to one receiver must arrive in send order even with jitter.
+// from one sender to one receiver must arrive in send order. Two links
+// share the one delivery queue, each fed by two concurrent senders; a
+// link's mutex fixes its send order, and its handler starts must follow
+// it.
 func TestPerLinkFIFOOrdering(t *testing.T) {
-	n := New(Config{Latency: 100 * time.Microsecond, Jitter: 500 * time.Microsecond})
+	n := New(Config{Latency: 100 * time.Microsecond})
 	defer n.Close()
-	a := n.Endpoint(1)
-	b := n.Endpoint(2)
+	dst := n.Endpoint(3)
 
-	const count = 200
+	const perSender = 100
+	const count = 2 * perSender // per link
 	var mu sync.Mutex
-	var got []uint64
-	done := make(chan struct{})
-	b.Handle("seq", func(_ NodeID, req []byte) ([]byte, error) {
+	got := map[NodeID][]uint64{}
+	var wg sync.WaitGroup
+	wg.Add(2 * count)
+	dst.Handle("seq", func(from NodeID, req []byte) ([]byte, error) {
 		mu.Lock()
-		got = append(got, binary.LittleEndian.Uint64(req))
-		if len(got) == count {
-			close(done)
-		}
+		got[from] = append(got[from], binary.LittleEndian.Uint64(req))
 		mu.Unlock()
+		wg.Done()
 		return nil, nil
 	})
 
-	for i := 0; i < count; i++ {
-		buf := make([]byte, 8)
-		binary.LittleEndian.PutUint64(buf, uint64(i))
-		if err := a.Send(2, "seq", buf); err != nil {
-			t.Fatal(err)
+	for _, from := range []NodeID{1, 2} {
+		src := n.Endpoint(from)
+		var linkMu sync.Mutex
+		var next uint64
+		for range 2 {
+			go func() {
+				for range perSender {
+					linkMu.Lock()
+					buf := binary.LittleEndian.AppendUint64(nil, next)
+					next++
+					err := src.Send(3, "seq", buf)
+					linkMu.Unlock()
+					if err != nil {
+						t.Error(err)
+						wg.Done()
+					}
+				}
+			}()
 		}
 	}
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
 	select {
 	case <-done:
 	case <-time.After(10 * time.Second):
@@ -127,9 +144,14 @@ func TestPerLinkFIFOOrdering(t *testing.T) {
 	}
 	mu.Lock()
 	defer mu.Unlock()
-	for i, v := range got {
-		if v != uint64(i) {
-			t.Fatalf("message %d arrived with seq %d: FIFO violated", i, v)
+	for _, from := range []NodeID{1, 2} {
+		if len(got[from]) != count {
+			t.Fatalf("link %d->3 delivered %d of %d messages", from, len(got[from]), count)
+		}
+		for i, v := range got[from] {
+			if v != uint64(i) {
+				t.Fatalf("link %d->3: message %d arrived with seq %d: FIFO violated", from, i, v)
+			}
 		}
 	}
 }
@@ -245,7 +267,8 @@ func TestStatsCounters(t *testing.T) {
 }
 
 func TestSelfCall(t *testing.T) {
-	n := New(Config{Latency: time.Millisecond})
+	const lat = 50 * time.Millisecond
+	n := New(Config{Latency: lat})
 	defer n.Close()
 	a := n.Endpoint(1)
 	a.Handle("self", func(from NodeID, req []byte) ([]byte, error) {
@@ -256,7 +279,8 @@ func TestSelfCall(t *testing.T) {
 	if err != nil || string(resp) != "ok" {
 		t.Fatalf("resp=%q err=%v", resp, err)
 	}
-	if e := time.Since(start); e > 500*time.Microsecond {
-		t.Logf("self call took %v; local latency should be ~0", e)
+	// Served on the caller's goroutine: no latency to sleep out.
+	if e := time.Since(start); e >= lat {
+		t.Fatalf("self call took %v; it must not wait the %v latency", e, lat)
 	}
 }

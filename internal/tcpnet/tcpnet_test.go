@@ -3,6 +3,7 @@ package tcpnet
 import (
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"sync"
 	"testing"
@@ -11,6 +12,7 @@ import (
 	"github.com/chillerdb/chiller/internal/testutil"
 	"github.com/chillerdb/chiller/internal/transport"
 	"github.com/chillerdb/chiller/internal/transport/simfab"
+	"github.com/chillerdb/chiller/internal/wire"
 )
 
 // pair builds a two-node loopback cluster and wires the peer maps.
@@ -123,6 +125,66 @@ func TestSendFIFO(t *testing.T) {
 		if v != i {
 			t.Fatalf("send %d arrived out of order (got %d)", i, v)
 		}
+	}
+}
+
+// The reader frames the byte stream, not the reads: several frames in one
+// Write and a frame trickled in a byte at a time each start their
+// handler exactly once, in order.
+func TestReaderFramesTheStream(t *testing.T) {
+	_, b := pair(t)
+	var mu sync.Mutex
+	var got []byte
+	b.Handle("seq", func(_ transport.NodeID, req []byte) ([]byte, error) {
+		mu.Lock()
+		got = append(got, req[0])
+		mu.Unlock()
+		return nil, nil
+	})
+	frame := func(kind uint8, seq byte) []byte {
+		w := wire.NewWriter(64)
+		w.Uint32(0)
+		w.Uint8(kind)
+		w.Uint64(uint64(seq))
+		w.Uint32(0)
+		w.String("seq")
+		w.String("")
+		w.Bytes32([]byte{seq})
+		w.SetUint32(0, uint32(w.Len()-4))
+		return w.Bytes()
+	}
+	nc, err := net.Dial("tcp", b.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nc.Close()
+	var burst []byte
+	for seq := byte(0); seq < 3; seq++ {
+		burst = append(burst, frame(kindOneWay, seq)...)
+	}
+	if _, err := nc.Write(burst); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range frame(kindOneWay, 3) {
+		if _, err := nc.Write([]byte{c}); err != nil {
+			t.Fatal(err)
+		}
+		time.Sleep(100 * time.Microsecond) // one segment per byte
+	}
+	// The last frame is a call: its response means every earlier
+	// frame's handler has run (per-link FIFO, handlers inline).
+	if _, err := nc.Write(frame(kindRequest, 4)); err != nil {
+		t.Fatal(err)
+	}
+	nc.SetReadDeadline(time.Now().Add(5 * time.Second))
+	var lenBuf [4]byte
+	if _, err := io.ReadFull(nc, lenBuf[:]); err != nil {
+		t.Fatalf("no response to the closing call: %v", err)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if string(got) != "\x00\x01\x02\x03\x04" {
+		t.Fatalf("handler starts %v, want [0 1 2 3 4]", got)
 	}
 }
 

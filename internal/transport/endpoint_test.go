@@ -9,6 +9,7 @@ import (
 	"slices"
 	"sort"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -54,6 +55,39 @@ func TestSendIsOneMessage(t *testing.T) {
 		}
 		if n := sent() - before; n != 4 {
 			t.Fatalf("two sends and one call counted %d messages, want 4 (1 + 1 + 2)", n)
+		}
+	})
+}
+
+// A node's request to itself is served on the sender's goroutine before
+// Send or Call returns, and is no fabric message, on either fabric.
+func TestSelfRequestIsServedInline(t *testing.T) {
+	eachFabric(t, func(t *testing.T, pair pairFunc) {
+		a, _ := pair(t)
+		var served atomic.Int32
+		a.Handle("self", func(from transport.NodeID, req []byte) ([]byte, error) {
+			if from != a.ID() {
+				t.Errorf("self request from node %d, want %d", from, a.ID())
+			}
+			served.Add(1)
+			return req, nil
+		})
+		before := a.Stats().MessagesSent.Load()
+		if err := a.Send(a.ID(), "self", []byte("x")); err != nil {
+			t.Fatal(err)
+		}
+		if served.Load() != 1 {
+			t.Fatal("Send to self returned before its handler ran")
+		}
+		resp, err := a.Call(a.ID(), "self", []byte("y"))
+		if err != nil || string(resp) != "y" {
+			t.Fatalf("Call to self: resp %q, err %v", resp, err)
+		}
+		if served.Load() != 2 {
+			t.Fatalf("handler served %d requests, want 2", served.Load())
+		}
+		if n := a.Stats().MessagesSent.Load() - before; n != 0 {
+			t.Fatalf("a Send and a Call to self counted %d messages, want 0", n)
 		}
 	})
 }

@@ -183,6 +183,13 @@ type Pending interface {
 // traffic — anything that needs per-link FIFO (the §5 inner replication
 // stream) must stay two-sided.
 //
+// A node's Call or Send to itself is served at once, on the sender's
+// goroutine, before it returns (a synchronous handler has finished; an
+// asynchronous one has started), and is no fabric message: MessagesSent
+// does not move. So a two-sided handler must never wait on the lane its
+// sender runs on — for a request to itself, that lane is the one it
+// runs on.
+//
 // Every method has a caller outside the fabrics (TestEndpointHasCallers
 // keeps it so): a method nothing calls is a path nobody certifies.
 type Endpoint interface {

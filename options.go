@@ -29,14 +29,15 @@ type TransportKind string
 // The two fabrics a DB can be opened on.
 const (
 	// TransportSim is the default: an embedded, simulated multi-node
-	// cluster inside this process, with configurable latency, jitter,
-	// and deterministic fault injection.
+	// cluster inside this process, with configurable latency and
+	// deterministic fault injection.
 	TransportSim TransportKind = "simnet"
 	// TransportTCP joins a cluster of chiller-node processes over TCP as
 	// a coordinator-only client. Requires WithPeers; the
-	// simulation-only options (WithPartitions, WithLatency, WithJitter,
-	// WithSampling) are rejected with ErrBadConfig, and store-touching
-	// DB methods return ErrUnsupported (the data lives in the node
+	// simulation-only options (WithPartitions, WithLatency,
+	// WithSampling and every other that configures the embedded
+	// cluster) are rejected with ErrBadConfig, and store-touching DB
+	// methods return ErrUnsupported (the data lives in the node
 	// processes). See docs/NETWORK.md for the transport semantics.
 	TransportTCP TransportKind = "tcp"
 )
@@ -46,7 +47,6 @@ type config struct {
 	partitions  int
 	replication int
 	latency     time.Duration
-	jitter      time.Duration
 	lanes       int
 	seed        int64
 	engine      EngineKind
@@ -112,18 +112,6 @@ func WithLatency(d time.Duration) Option {
 	}
 }
 
-// WithJitter adds random extra delay in [0, d) to every message.
-func WithJitter(d time.Duration) Option {
-	return func(c *config) error {
-		if d < 0 {
-			return fmt.Errorf("chiller: negative jitter %v: %w", d, ErrBadConfig)
-		}
-		c.jitter = d
-		c.simOnly = append(c.simOnly, "WithJitter")
-		return nil
-	}
-}
-
 // WithLanes sets the number of single-threaded execution lanes per node
 // — the paper's one-engine-per-core deployment. 0 (the default) derives
 // a count from the host's CPUs (capped at 4); 1 restores
@@ -157,8 +145,8 @@ func WithMVCC() Option {
 	}
 }
 
-// WithSeed makes the simulated fabric's jitter and sampling
-// reproducible.
+// WithSeed seeds the access sampler and the repartitioner, so a
+// repartition of the same sampled workload is reproducible.
 func WithSeed(seed int64) Option {
 	return func(c *config) error {
 		c.seed = seed

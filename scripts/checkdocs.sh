@@ -293,6 +293,21 @@ if [ -n "$offenders" ]; then
     fail=1
 fi
 
+# --- 20. one delivery queue -----------------------------------------------
+# simnet delivers two-sided messages from one queue in one order: every
+# message between distinct nodes waits the same Latency, so nothing
+# per-link and nothing random belongs in it. Delay faults are
+# transport.Faults' (rule 9).
+offenders=$({
+    grep -rnE --include='*.go' --exclude='*_test.go' '"math/rand(/v2)?"|^type link\b|^[[:space:]]+link[[:space:]]+struct' internal/simnet
+    grep -rnw --include='*.go' 'WithJitter' .
+} || true)
+if [ -n "$offenders" ]; then
+    echo "per-link state, a random source or WithJitter on the simulated fabric (one delivery queue; delays are transport.Faults'):" >&2
+    echo "$offenders" >&2
+    fail=1
+fi
+
 # --- 3. markdown links --------------------------------------------------
 # Pull out ](target) occurrences, keep relative targets, strip anchors.
 for md in README.md docs/*.md; do

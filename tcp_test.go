@@ -244,7 +244,6 @@ func TestOpenTCPConfigErrors(t *testing.T) {
 		{"empty peer list", []Option{WithTransport(TransportTCP), WithPeers()}},
 		{"tcp with partitions", []Option{WithTransport(TransportTCP), WithPeers("127.0.0.1:1"), WithPartitions(3)}},
 		{"tcp with latency", []Option{WithTransport(TransportTCP), WithPeers("127.0.0.1:1"), WithLatency(time.Millisecond)}},
-		{"tcp with jitter", []Option{WithTransport(TransportTCP), WithPeers("127.0.0.1:1"), WithJitter(time.Millisecond)}},
 		{"tcp with sampling", []Option{WithTransport(TransportTCP), WithPeers("127.0.0.1:1"), WithSampling(0.1)}},
 	}
 	for _, tc := range cases {
