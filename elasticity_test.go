@@ -42,7 +42,13 @@ func TestRepartitionRaceLosesNoWrites(t *testing.T) {
 				}
 				// Everyone keeps hammering the hot account so the race
 				// window (writer vs mid-migration record) actually hits.
-				src, dst := int64(0), int64(1+(g*37+i)%199)
+				// Each writer pays back what it took (0 → dst, then
+				// dst → 0), so account 0 stays funded however many
+				// transfers a host fits into the passes.
+				src, dst := int64(0), int64(1+(g*37+i/2)%199)
+				if i%2 == 1 {
+					src, dst = dst, src
+				}
 				if _, err := db.ExecuteWithRetry(ctx, Retry{}, "bank.transfer", src, dst, 1); err != nil {
 					errs <- err
 					return
@@ -111,14 +117,22 @@ func TestMVCCChainDepthBounded(t *testing.T) {
 			t.Fatalf("bump %d: %v", i, err)
 		}
 	}
-	// Let the GC loop observe the stable clock; no write follows.
-	time.Sleep(10 * gcInterval)
-
+	// No write follows. Wait, up to a deadline, for the state the bounds
+	// describe: the GC loop has raised the watermark to the final stable
+	// point less the retention window, and its sweep has pruned the
+	// chains it passed.
 	st := db.nodeList()[0].Store()
+	accounts := st.Table(storage.TableID(tAccounts))
+	for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); time.Sleep(gcInterval) {
+		if st.Watermark()+gcRetention >= db.c.Clock.Stable() &&
+			accounts.ChainDepth(storage.Key(0)) <= 2*gcRetention &&
+			accounts.ChainDepth(storage.Key(cold)) == 0 {
+			break
+		}
+	}
 	if st.Watermark() == 0 {
 		t.Fatal("GC watermark never advanced under pure uptime")
 	}
-	accounts := st.Table(storage.TableID(tAccounts))
 	depth := accounts.ChainDepth(storage.Key(0))
 	if depth == 0 {
 		t.Fatal("no versions retained — MVCC off?")

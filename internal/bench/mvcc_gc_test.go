@@ -37,14 +37,23 @@ func TestMVCCChainDepthBounded(t *testing.T) {
 		transfer(0, 1)
 	}
 	c.Drain()
-	// Let the GC loop observe the stable clock; no write follows.
-	time.Sleep(10 * deploy.GCInterval)
 
+	// No write follows. Wait, up to a deadline, for the state the bounds
+	// describe: the GC loop has raised the watermark to the final stable
+	// point less the retention window, and its sweep has pruned the
+	// chains it passed.
 	st := c.Nodes[0].Store()
+	accounts := st.Table(BankTable)
+	for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); time.Sleep(deploy.GCInterval) {
+		if st.Watermark()+deploy.GCRetention >= c.Clock.Stable() &&
+			accounts.ChainDepth(0) <= 2*deploy.GCRetention &&
+			accounts.ChainDepth(2)+accounts.ChainDepth(3) == 0 {
+			break
+		}
+	}
 	if st.Watermark() == 0 {
 		t.Fatal("GC watermark never advanced under pure uptime")
 	}
-	accounts := st.Table(BankTable)
 	depth := accounts.ChainDepth(0)
 	if depth == 0 {
 		t.Fatal("no versions retained — MVCC off?")

@@ -221,9 +221,11 @@ func (n *Node) registerHandoffVerbs(ep transport.Endpoint) {
 }
 
 // handleHandoffFlush is dispatched in per-link arrival order, so every
-// stream message sent before the flush call has already been handed to
-// applyByLane; the barrier (off the dispatcher — it must not block
-// message delivery) waits those applies out before replying.
+// stream message sent before the flush call has already been queued on
+// its link's lane (applyStream); the barrier (off the dispatcher — it
+// must not block message delivery) waits those applies out before
+// replying. Only then may a record's writes come from a new primary, on
+// another link.
 func (n *Node) handleHandoffFlush(_ transport.NodeID, req []byte, reply func([]byte, error)) {
 	_, warming, err := DecodeHandoffFlush(req)
 	if err != nil {

@@ -1,13 +1,10 @@
 package server
 
 import (
-	"errors"
 	"fmt"
-	"slices"
 	"sync"
 
-	"github.com/chillerdb/chiller/internal/storage"
-	"github.com/chillerdb/chiller/internal/wal"
+	"github.com/chillerdb/chiller/internal/transport"
 )
 
 // Execution lanes: each node shards its execution engine into N
@@ -17,9 +14,11 @@ import (
 // submitted to the same lane runs strictly in submission order and never
 // overlaps, while distinct lanes run concurrently. The record→lane
 // mapping lives in the routing directory (Directory.Lane), so every
-// layer — inner-region execution, per-lane replica apply, the
+// layer that places work by record — inner-region execution, the
 // partitioner's sub-partition placement — agrees on which lane owns a
-// record.
+// record. A replica's stream apply is placed by link instead: each
+// message runs whole on the lane of the link it arrived on
+// (applyStream).
 //
 // The queue is deliberately unbounded: lane work is submitted from the
 // fabric's single dispatcher goroutine, which must never block (a
@@ -163,144 +162,49 @@ func (n *Node) Close() {
 	})
 }
 
-// Lane returns the execution lane that owns a record on this node
-// (shorthand for the directory mapping).
-func (n *Node) Lane(rid storage.RID) int {
-	return n.laneIndex(n.dir.Lane(rid))
-}
-
-// applyByLane applies a replicated write set with each record's writes
-// executed on the record's owning lane, then invokes done exactly once
-// with the join of all apply errors. Grouping preserves per-lane
-// submission order, which equals fabric arrival order when called from
-// a verb handler — the in-order-apply property the §5 replication
-// stream relies on, now maintained per lane instead of per node: two
-// stream messages writing the same record always land on the same lane
-// (the mapping is stable), so they apply in arrival order, while
-// messages for independent lanes no longer serialize on each other.
+// applyStream applies one replication-stream message, whole, as one job
+// on the lane of the link it arrived on (inline at one lane), then calls
+// done once. Per-link FIFO delivers a sender's messages in its send
+// order, and a lane runs its jobs in submission order, so every message
+// from one primary applies in the order it was sent — which is the
+// primary's lock order, so each record's writes land in commit order
+// wherever its lane placement points. A record changes primary only
+// after its old primary's links are drained (FlushStreams →
+// handleHandoffFlush → LaneBarrier), so no second sender can overtake.
 //
-// With a WAL attached, each lane's slice of the write set is appended
-// to the node's log right after applying (still on the lane executor,
-// so each record's log order = its apply order) and done is registered
-// on the group-commit batch of the set's last record: it runs once the
-// flush has landed, on no goroutine of its own — replicas are durable
-// too, which is what makes post-crash replica promotion safe. A flush
-// failure here is fatal (see CommitLocal).
-func (n *Node) applyByLane(txnID, ts uint64, writes []WriteOp, done func(error)) {
-	// applyLog runs on the lane executor (or inline at <=1 lane): apply
-	// one lane's slice, then append it to the log while still on the
-	// executor — the next stream message for this lane cannot apply, let
-	// alone append, until this closure returns, so a record's log order
-	// is its apply order. The ticket is zero when nothing was logged.
-	//
-	// The apply is tolerant, where a primary's is strict (applyWrites):
-	// a warming node added mid-handoff legitimately sees commit-stream
-	// messages for records its backfill has not copied yet — an update
-	// to a missing key must land as an insert, and a missing table must
-	// be created, exactly the WAL-replay semantics. Primaries keep the
-	// strict apply (CommitLocal); only replicated write sets come here.
-	applyLog := func(ws []WriteOp) (wal.Ticket, error) {
-		if err := applyWrites(n.store, ts, ws, true); err != nil {
-			return wal.Ticket{}, err
-		}
-		return n.logWrites(txnID, ts, ws), nil
-	}
-	// finish invokes done once tk is durable. The flush is never waited
-	// for here — this is a lane executor or the fabric dispatcher, and a
-	// write or fsync must not stall them: the log's flusher calls back.
-	finish := func(tk wal.Ticket, err error) {
-		if n.wal == nil { // no callback closure on the volatile path
+// The job applies the set tolerantly, where a primary's apply is strict
+// (applyWrites): a warming node added mid-handoff legitimately sees
+// stream messages for records its backfill has not copied yet — an
+// update to a missing key lands as an insert and a missing table is
+// created, exactly the WAL-replay semantics. It then appends the set to
+// the node's log as one record, still on the lane, so a message's log
+// order is its apply order, and registers done on that record's
+// group-commit batch: done runs once the flush has landed, on no
+// goroutine of its own — a lane or the fabric dispatcher must not stall
+// on a write or fsync. Replicas are durable too, which is what makes
+// post-crash replica promotion safe; a flush failure is fatal (see
+// CommitLocal).
+func (n *Node) applyStream(from transport.NodeID, txnID, ts uint64, writes []WriteOp, done func(error)) {
+	job := func() {
+		if err := applyWrites(n.store, ts, writes, true); err != nil {
 			done(err)
+			return
+		}
+		tk := n.logWrites(txnID, ts, writes)
+		if n.wal == nil { // no callback closure on the volatile path
+			done(nil)
 			return
 		}
 		tk.Notify(func(ferr error) {
 			if ferr != nil {
 				panic(fmt.Sprintf("server: node %d: replica apply %d not durable: %v", n.ID(), txnID, ferr))
 			}
-			done(err)
+			done(nil)
 		})
 	}
-	if len(writes) == 0 {
-		done(nil)
+	if len(n.lanes) <= 1 {
+		job() // one lane: no executor hop
 		return
 	}
-	var buf [4]laneGroup
-	groups := n.groupByLane(writes, buf[:])
-	if len(groups) == 1 {
-		g := groups[0]
-		if len(n.lanes) <= 1 {
-			finish(applyLog(g.writes)) // inline, as before lanes
-			return
-		}
-		n.SubmitLane(g.lane, func() {
-			finish(applyLog(g.writes))
-		})
-		return
-	}
-	// One ticket stands for the set: the highest LSN its lanes logged.
-	var mu sync.Mutex
-	pending := len(groups)
-	var errs []error
-	var last wal.Ticket
-	for _, g := range groups {
-		n.SubmitLane(g.lane, func() {
-			tk, err := applyLog(g.writes)
-			mu.Lock()
-			if err != nil {
-				errs = append(errs, err)
-			}
-			if tk.LSN() > last.LSN() {
-				last = tk
-			}
-			pending--
-			joined := pending == 0
-			mu.Unlock()
-			if joined {
-				finish(last, errors.Join(errs...))
-			}
-		})
-	}
-}
-
-// laneGroup is one lane's share of a write set.
-type laneGroup struct {
-	lane   int
-	writes []WriteOp
-}
-
-// groupByLane splits a write set by owning lane, each share keeping the
-// set's order. Every write's lane is resolved once; the shares are then
-// dealt, lane by lane in order of first appearance, into one array of
-// the set's exact size — the call's one allocation while the groups fit
-// buf (a small array off the caller's stack). A set that belongs to one
-// lane costs none: its group is the caller's slice, not a copy.
-func (n *Node) groupByLane(writes []WriteOp, buf []laneGroup) []laneGroup {
-	var laneBuf [64]int // on the stack up to 64 writes
-	lanes := laneBuf[:0]
-	groups := buf[:0]
-	for i := range writes {
-		lane := 0
-		if len(n.lanes) > 1 {
-			lane = n.Lane(storage.RID{Table: writes[i].Table, Key: writes[i].Key})
-		}
-		lanes = append(lanes, lane)
-		if !slices.ContainsFunc(groups, func(g laneGroup) bool { return g.lane == lane }) {
-			groups = append(groups, laneGroup{lane: lane})
-		}
-	}
-	if len(groups) == 1 {
-		groups[0].writes = writes
-		return groups
-	}
-	dealt := make([]WriteOp, 0, len(writes))
-	for g := range groups {
-		start := len(dealt)
-		for i, lane := range lanes {
-			if lane == groups[g].lane {
-				dealt = append(dealt, writes[i])
-			}
-		}
-		groups[g].writes = dealt[start:len(dealt):len(dealt)]
-	}
-	return groups
+	n.SubmitLane(int(from), job) // the link's lane: SubmitLane clamps the id
 }

@@ -123,29 +123,104 @@ func TestLaneFIFO(t *testing.T) {
 	}
 }
 
-// applyByLane must apply every write exactly once and signal done once
-// with the records landed, regardless of how the set spreads over lanes.
-func TestApplyByLaneAppliesAll(t *testing.T) {
+// applyStream must apply every write exactly once and signal done once
+// with the records landed, however the set spreads over record lanes.
+func TestApplyStreamAppliesAll(t *testing.T) {
 	n := newLanedNode(t, 4)
 	var writes []WriteOp
 	for k := storage.Key(0); k < 40; k++ {
 		writes = append(writes, WriteOp{Table: 1, Key: k, Type: txn.OpInsert, Value: []byte{byte(k)}})
 	}
+	var calls atomic.Int32
 	doneCh := make(chan error, 1)
-	n.applyByLane(1, 0, writes, func(err error) { doneCh <- err })
+	n.applyStream(1, 1, 0, writes, func(err error) {
+		calls.Add(1)
+		doneCh <- err
+	})
 	select {
 	case err := <-doneCh:
 		if err != nil {
 			t.Fatal(err)
 		}
 	case <-time.After(5 * time.Second):
-		t.Fatal("applyByLane never signalled done")
+		t.Fatal("applyStream never signalled done")
+	}
+	n.LaneBarrier()
+	if got := calls.Load(); got != 1 {
+		t.Fatalf("done called %d times, want once", got)
 	}
 	tbl := n.Store().Table(1)
 	for k := storage.Key(0); k < 40; k++ {
-		if _, _, err := tbl.Bucket(k).Get(k); err != nil {
-			t.Fatalf("key %d not applied: %v", k, err)
+		// An insert applied twice would have failed the set: the key exists.
+		if v, _, err := tbl.Bucket(k).Get(k); err != nil || len(v) != 1 || v[0] != byte(k) {
+			t.Fatalf("key %d: %v, %v", k, v, err)
 		}
+	}
+}
+
+// A replica applies one link's stream messages in arrival order wherever
+// the records' lane placements point. DB.Repartition installs new lanes
+// for every hot record but flushes the streams only of records whose
+// partition changes, so a record's placement can move between two of its
+// writes: the later write must still win.
+func TestStreamOrderSurvivesLaneMove(t *testing.T) {
+	net := simfab.New(simfab.Config{Latency: 2 * time.Microsecond})
+	dir := cluster.NewDirectory(cluster.NewTopology(2, 1), cluster.HashPartitioner{N: 2})
+	dir.SetLanes(2)
+	mk := func(id simfab.NodeID) *Node {
+		st := storage.NewStore()
+		st.CreateTable(1, 64)
+		return New(net.Endpoint(id), st, txn.NewRegistry(), dir, cluster.PartitionID(id))
+	}
+	sender, replica := mk(0), mk(1)
+	t.Cleanup(func() {
+		net.Close()
+		sender.Close()
+		replica.Close()
+	})
+	gate := make(chan struct{})
+	var once sync.Once
+	release := func() { once.Do(func() { close(gate) }) }
+	t.Cleanup(release) // runs first: Close drains the lanes
+
+	// r starts on the lane of the sender's link, so the gate holds its
+	// first write however the replica places stream messages.
+	rid := storage.RID{Table: 1}
+	for dir.Lane(rid) != replica.laneIndex(int(sender.ID())) {
+		rid.Key++
+	}
+	gated := dir.Lane(rid)
+	replica.SubmitLane(gated, func() { <-gate })
+	acks := sender.OpenAcks()
+	// stream sends one write of r, then a ping on the same link: its
+	// answer means the replica has dispatched the write.
+	stream := func(v byte) {
+		t.Helper()
+		if err := sender.Endpoint().Send(replica.ID(), VerbInnerRepl, EncodeInnerRepl(acks.id, 0, sender.ID(), update(rid.Key, v))); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := sender.Endpoint().Call(replica.ID(), VerbPing, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	stream(1)
+	dir.SetHotPlacement(rid, dir.Partition(rid), 1, 1-gated)
+	stream(2)
+	replica.WithLaneSerial(1-gated, func() {}) // the ungated lane runs what it was handed
+	release()
+	acks.Resolve(2)
+	awaited := make(chan error, 1)
+	go func() { awaited <- acks.Await() }()
+	select {
+	case err := <-awaited:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("the replica never acked both writes")
+	}
+	if v, _, err := replica.Store().Table(1).Bucket(rid.Key).Get(rid.Key); err != nil || len(v) != 1 || v[0] != 2 {
+		t.Fatalf("replica holds %v (err %v), want the later write 2", v, err)
 	}
 }
 

@@ -161,8 +161,8 @@ func New(ep transport.Endpoint, st *storage.Store, reg *txn.Registry, dir *clust
 		go n.lanes[i].run(&n.laneWG)
 	}
 	// Two-sided verbs are the ones that need a serial executor or per-link
-	// FIFO: the replication stream's applies run on the owning record's
-	// lane (see applyByLane), acks count down inline.
+	// FIFO: each replication-stream message applies whole on its link's
+	// lane, in arrival order (see applyStream); acks count down inline.
 	ep.HandleAsync(VerbInnerRepl, n.handleInnerRepl)
 	ep.Handle(VerbInnerAck, n.handleInnerAck)
 	ep.Handle(VerbPing, func(transport.NodeID, []byte) ([]byte, error) { return nil, nil })
@@ -595,10 +595,10 @@ func DecodeInnerRepl(p []byte) (txnID, ts uint64, coordinator transport.NodeID, 
 	return txnID, ts, coordinator, writes, r.Err()
 }
 
-// handleInnerRepl runs on a replica: apply the streamed write set —
-// each record on its owning lane, preserving the stream's per-record
-// arrival order (see applyByLane) — then ack to the node the message
-// names: the transaction's coordinator (the primary that streamed has
+// handleInnerRepl runs on a replica: apply the streamed write set as
+// one job on the lane of the link it arrived on, so the link's messages
+// apply in arrival order (see applyStream) — then ack to the node the
+// message names: the transaction's coordinator (the primary that streamed has
 // already moved on, Fig 6), or the primary itself for a backfill.
 //
 // A replica that cannot apply must not go silent: the stream is one-way,
@@ -611,7 +611,7 @@ func (n *Node) handleInnerRepl(from transport.NodeID, req []byte, reply func([]b
 	if err != nil {
 		panic(fmt.Sprintf("server: replica %d: undecodable replication stream message: %v", n.ID(), err))
 	}
-	n.applyByLane(txnID, ts, writes, func(aerr error) {
+	n.applyStream(from, txnID, ts, writes, func(aerr error) {
 		if aerr != nil {
 			panic(fmt.Sprintf("server: replica %d: apply of committed write set failed: %v", n.ID(), aerr))
 		}

@@ -5,10 +5,8 @@ import (
 	"runtime"
 	"testing"
 
-	"github.com/chillerdb/chiller/internal/cluster"
 	"github.com/chillerdb/chiller/internal/storage"
 	"github.com/chillerdb/chiller/internal/testutil"
-	"github.com/chillerdb/chiller/internal/transport/simfab"
 	"github.com/chillerdb/chiller/internal/txn"
 	"github.com/chillerdb/chiller/internal/wire"
 )
@@ -72,33 +70,19 @@ func TestForgedCountsRejected(t *testing.T) {
 	}
 }
 
-// Write-set codecs and the lane grouping allocate what they return and
-// nothing else. These are the machine-independent halves of the
-// per-commit allocation budget (docs/ARCHITECTURE.md): a regression
-// fails here, not in the next benchmark run.
+// Write-set codecs allocate what they return and nothing else. These
+// are the machine-independent halves of the per-commit allocation
+// budget (docs/ARCHITECTURE.md): a regression fails here, not in the
+// next benchmark run.
 func TestWriteSetAllocations(t *testing.T) {
 	if testutil.Race {
 		t.Skip("the race detector's instrumentation allocates")
 	}
-	net := simfab.New(simfab.Config{})
-	defer net.Close()
-	dir := cluster.NewDirectory(cluster.NewTopology(1, 1), cluster.HashPartitioner{N: 1})
-	dir.SetLanes(2)
-	n := New(net.Endpoint(0), storage.NewStore(), txn.NewRegistry(), dir, 0)
-	defer n.Close()
-
 	writes := make([]WriteOp, 13)
-	lanes := map[int]int{}
 	for i := range writes {
 		writes[i] = WriteOp{Table: 1, Key: storage.Key(i * 31), Type: txn.OpUpdate, Value: make([]byte, 40+i)}
-		lanes[n.Lane(storage.RID{Table: 1, Key: writes[i].Key})]++
-	}
-	if len(lanes) != 2 {
-		t.Fatalf("the 13 writes fall on lanes %v, want both lanes", lanes)
 	}
 	encoded := EncodeInnerRepl(7, 9, 3, writes)
-
-	var groups []laneGroup
 	for _, tc := range []struct {
 		name string
 		max  float64
@@ -107,35 +91,9 @@ func TestWriteSetAllocations(t *testing.T) {
 		{"EncodeInnerRepl", 1, func() { encoded = EncodeInnerRepl(7, 9, 3, writes) }},
 		{"EncodeWrites", 1, func() { encoded = EncodeWrites(7, 9, writes) }},
 		{"DecodeWrites", 1, func() { _, _, writes, _ = DecodeWrites(encoded) }},
-		{"groupByLane", 2, func() {
-			var buf [4]laneGroup
-			groups = n.groupByLane(writes, buf[:])
-		}},
 	} {
 		if got := testing.AllocsPerRun(100, tc.fn); got > tc.max {
 			t.Errorf("%s: %v allocations per call, want at most %v", tc.name, got, tc.max)
 		}
-	}
-	// The grouping must also be right: every write once, on its own
-	// lane, in the set's order.
-	seen := 0
-	for _, g := range groups {
-		last := -1
-		for _, w := range g.writes {
-			if n.Lane(storage.RID{Table: w.Table, Key: w.Key}) != g.lane {
-				t.Errorf("write %d grouped under lane %d", w.Key, g.lane)
-			}
-			if int(w.Key) <= last {
-				t.Errorf("lane %d: write %d out of order", g.lane, w.Key)
-			}
-			last = int(w.Key)
-			seen++
-		}
-		if cap(g.writes) != len(g.writes) {
-			t.Errorf("lane %d: group has spare capacity into its neighbour", g.lane)
-		}
-	}
-	if len(groups) != 2 || seen != len(writes) {
-		t.Errorf("grouped %d writes into %d groups, want %d into 2", seen, len(groups), len(writes))
 	}
 }

@@ -85,6 +85,11 @@
 #      deleted per-lane state or its readers (laneLog, LaneSnapshot,
 #      readLaneTail, walkLane, logLane, encodeLaneSnapshot,
 #      applyLaneSnapshot) or a lane-%03d file name.
+#  20. One delivery queue: simnet holds no per-link state and no random
+#      source, and nothing names WithJitter.
+#  21. One stream order: a replica applies each stream message whole on
+#      the lane of its link — no non-test .go file in internal/server
+#      declares groupByLane or laneGroup, the per-record-lane split.
 #
 # Exits non-zero with a list of offenders on failure.
 set -eu
@@ -304,6 +309,17 @@ offenders=$({
 } || true)
 if [ -n "$offenders" ]; then
     echo "per-link state, a random source or WithJitter on the simulated fabric (one delivery queue; delays are transport.Faults'):" >&2
+    echo "$offenders" >&2
+    fail=1
+fi
+
+# --- 21. one stream order -------------------------------------------------
+# Per-link FIFO is the stream's order; re-splitting a message by record
+# lane made apply order depend on lane placements staying put.
+offenders=$(grep -rnE --include='*.go' --exclude='*_test.go' \
+        '^func (\([^)]*\) )?groupByLane\b|^type laneGroup\b' internal/server || true)
+if [ -n "$offenders" ]; then
+    echo "a replica re-splits stream messages by record lane (each applies whole on its link's lane; see applyStream):" >&2
     echo "$offenders" >&2
     fail=1
 fi
