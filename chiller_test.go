@@ -110,6 +110,36 @@ func TestExecuteCommitAndReads(t *testing.T) {
 	}
 }
 
+// A MutateFunc error aborts with ErrConstraint on every path, Chiller's
+// outer region included: the Example's transfer from a cold account that
+// lacks the funds to the hot account 0 debits in the outer region, whose
+// writes are computed before the inner region commits. Nothing is
+// applied, and the same transfer within the funds then commits.
+func TestOuterMutatorFailureAborts(t *testing.T) {
+	db := openBank(t, 2)
+	if err := db.MarkHot(tAccounts, 0); err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	balances := func(when string, src, dst int64) {
+		t.Helper()
+		if v, err := db.Get(tAccounts, 150); err != nil || decBal(v) != src {
+			t.Errorf("%s: account 150 = %d (err %v), want %d", when, decBal(v), err, src)
+		}
+		if v, err := db.Get(tAccounts, 0); err != nil || decBal(v) != dst {
+			t.Errorf("%s: account 0 = %d (err %v), want %d", when, decBal(v), err, dst)
+		}
+	}
+	if _, err := db.Execute(ctx, "bank.transfer", 150, 0, 5000); !errors.Is(err, ErrConstraint) {
+		t.Fatalf("overdraft into the hot account: err = %v, want ErrConstraint", err)
+	}
+	balances("after the overdraft", 1000, 1000)
+	if _, err := db.Execute(ctx, "bank.transfer", 150, 0, 25); err != nil {
+		t.Fatalf("transfer within the funds: %v", err)
+	}
+	balances("after the transfer", 975, 1025)
+}
+
 func TestTypedErrors(t *testing.T) {
 	db := openBank(t, 2)
 	ctx := context.Background()

@@ -148,7 +148,7 @@ func NewTxn(n *server.Node, req *txn.Request, proc *txn.Procedure) *Txn {
 // Release clears the context, value pointers included — the pool pins no
 // record and nothing leaks into the next transaction — and pools it.
 func (t *Txn) Release() {
-	t.DropWrites()
+	t.dropAll()
 	clear(t.owns)
 	t.Buf.Drop()
 	*t = Txn{
@@ -526,17 +526,31 @@ func (t *Txn) group(pid cluster.PartitionID) *writeGroup {
 func (t *Txn) WriteSets() map[cluster.PartitionID][]server.WriteOp {
 	clear(t.byPID)
 	for _, g := range t.writes {
-		t.byPID[g.pid] = g.ws
+		if len(g.ws) > 0 {
+			t.byPID[g.pid] = g.ws
+		}
 	}
 	return t.byPID
 }
 
-// DropWrites empties the buffered write set, keeping the own-write
-// index: Chiller's inner region has applied its writes itself, and what
-// the outer region buffers afterwards is all the commit tail may apply.
-// The groups' keys go with it: the pool is process-wide, and a partition
-// id means nothing to the next deployment.
-func (t *Txn) DropWrites() {
+// Writes returns the writes buffered for pid, in Step order. Valid until
+// the next Step or DropWrites.
+func (t *Txn) Writes(pid cluster.PartitionID) []server.WriteOp { return t.group(pid).ws }
+
+// DropWrites forgets the first n writes buffered for pid, keeping the
+// own-write index: Chiller's inner region has applied them itself, and
+// what stays buffered is all the commit tail may apply.
+func (t *Txn) DropWrites(pid cluster.PartitionID, n int) {
+	g := t.group(pid)
+	kept := copy(g.ws, g.ws[n:])
+	clear(g.ws[kept:])
+	g.ws = g.ws[:kept]
+}
+
+// dropAll empties the buffered write set. The groups' keys go with it:
+// the pool is process-wide, and a partition id means nothing to the
+// next deployment.
+func (t *Txn) dropAll() {
 	for i := range t.writes {
 		clear(t.writes[i].ws)
 	}
@@ -548,7 +562,7 @@ func (t *Txn) DropWrites() {
 // buffered writes and their index entries — keeping what is merely
 // announced: a re-requested inner region starts clean.
 func (t *Txn) Unbuffer() {
-	t.DropWrites()
+	t.dropAll()
 	kept := t.owns[:0]
 	for _, o := range t.owns {
 		if !o.set {

@@ -19,8 +19,8 @@ func testSet(v byte) txn.MutateFunc {
 // batch, write group or own-write entry, no read set, and — over the
 // whole capacity of every array it recycles — no pointer to a value a
 // mutator built, so the pool pins no record. The abort path (Unbuffer,
-// as a re-requested inner region does) and the commit path (DropWrites)
-// are both walked first.
+// as a re-requested inner region does) and the inner region's commit
+// path (DropWrites, a prefix of a group, then the rest) are walked first.
 func TestReleasePinsNothing(t *testing.T) {
 	ops := []txn.OpSpec{
 		{ID: 0, Type: txn.OpUpdate, Table: 1, Key: testKey(7), Mutate: testSet(70)},
@@ -53,9 +53,13 @@ func TestReleasePinsNothing(t *testing.T) {
 		t.Fatalf("Unbuffer left %d write groups, %d own-write entries", len(c.writes), len(c.owns))
 	}
 	run(c)
-	c.DropWrites()
-	if len(c.writes) != 0 || len(c.owns) != 3 {
-		t.Fatalf("DropWrites left %d write groups, %d own-write entries (want 0 and 3: the index stays)", len(c.writes), len(c.owns))
+	c.DropWrites(0, 2) // an inner region's writes, ahead of the outer ones
+	if ws := c.Writes(0); len(ws) != 1 || ws[0].Type != txn.OpDelete {
+		t.Fatalf("DropWrites(0, 2) kept %v, want the delete buffered last", ws)
+	}
+	c.DropWrites(0, 1)
+	if len(c.WriteSets()) != 0 || len(c.owns) != 3 {
+		t.Fatalf("DropWrites left %d write sets, %d own-write entries (want 0 and 3: the index stays)", len(c.WriteSets()), len(c.owns))
 	}
 	run(c)
 	c.Release()

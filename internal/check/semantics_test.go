@@ -131,21 +131,6 @@ func TestOpSemanticsAgree(t *testing.T) {
 						ops[id].ID = id
 					}
 					proc := &txn.Procedure{Name: "sem", Ops: ops}
-					if tc.aborts && sh.name == "Chiller outer" {
-						// The one cell that cannot agree, by design: the outer
-						// region's writes are deferred past the inner commit,
-						// so the value a shadowed outer read sees — and its
-						// Check — exist only once the transaction can no
-						// longer abort. A failing one is the documented
-						// invariant violation (core.runTwoRegion), observable
-						// where the coordinator runs on the caller's goroutine.
-						if nodes == 1 {
-							if _, err := semRun(nodes, nodes, sh, proc); err == nil || !strings.Contains(err.Error(), "after inner commit") {
-								t.Errorf("%s: err = %v, want the after-inner-commit panic", sh.name, err)
-							}
-						}
-						continue
-					}
 					got, err := semRun(nodes, nodes, sh, proc)
 					if err != nil {
 						t.Fatalf("%s: %v", sh.name, err)

@@ -262,7 +262,8 @@ func (e *Engine) runTwoRegion(ctx context.Context, req *txn.Request, proc *txn.P
 	// Step 4: execute and commit the inner region, on the lane owning the
 	// plan's hottest record, chosen once: inner regions competing for that
 	// record share one single-threaded lane and never NO_WAIT-abort each
-	// other (lock words arbitrate any other overlap). A lock conflict
+	// other (lock words arbitrate any other overlap); it computes the
+	// outer writes too, so every abort happens here. A lock conflict
 	// inside it means some other transaction's outer region holds one of
 	// our hot records — a window of at most a couple of round trips. The
 	// outer locks we already hold are cold (uncontended), so tearing the
@@ -273,13 +274,13 @@ func (e *Engine) runTwoRegion(ctx context.Context, req *txn.Request, proc *txn.P
 	hottest := &proc.Ops[dec.Hottest]
 	hotKey, _ := hottest.Key(req.Args, nil) // a hot op's key resolves from args
 	lane := n.Directory().Lane(storage.RID{Table: hottest.Table, Key: hotKey})
-	reason := s.execInnerOnLane(n, lane, proc, req.Args, dec.InnerOps)
+	reason := s.execInnerOnLane(n, lane, proc, req.Args, dec.InnerOps, dec.OuterOps)
 	for attempt := 0; attempt < hotWaveRetries && reason == txn.AbortLockConflict; attempt++ {
 		if !rerequestPause(ctx, attempt) {
 			reason = txn.AbortCancelled
 			break
 		}
-		reason = s.execInnerOnLane(n, lane, proc, req.Args, dec.InnerOps)
+		reason = s.execInnerOnLane(n, lane, proc, req.Args, dec.InnerOps, dec.OuterOps)
 	}
 	if reason != txn.AbortNone {
 		return abort(reason)
@@ -297,19 +298,6 @@ func (e *Engine) runTwoRegion(ctx context.Context, req *txn.Request, proc *txn.P
 	// half-applied transaction. Zero when MVCC is off (Release(0) is a
 	// no-op).
 
-	// Step 5: commit the outer region. Compute the deferred outer writes
-	// now — their mutators may consume values produced by the inner region
-	// — so the work overlaps the wait for the inner region's acks.
-	if reason := e.materializeOuter(proc, req.Args, dec.OuterOps, s); reason != txn.AbortNone {
-		// Mutators of outer write ops must be infallible once the inner
-		// region has committed (all value constraints belong in reads'
-		// Check hooks or inner mutators). The same holds for the Check of
-		// an outer op that an earlier op of the transaction shadows: its
-		// value exists only now, so it is evaluated here, past the point
-		// where it could abort. Surface loudly.
-		panic(fmt.Sprintf("core: outer op failed after inner commit (txn %d, proc %s): %v", s.ID, proc.Name, reason))
-	}
-
 	// Wait for the inner region's replicas to acknowledge (to us, the
 	// coordinator — Figure 6) before completing the transaction.
 	if err := s.ack.Await(); err != nil {
@@ -319,7 +307,7 @@ func (e *Engine) runTwoRegion(ctx context.Context, req *txn.Request, proc *txn.P
 		return abort(txn.AbortInternal)
 	}
 
-	// Final step: one wave over every outer participant (finish). The
+	// Step 5: one wave over every outer participant (finish). The
 	// transaction's outcome and read set are already final, so the wave
 	// runs as a detached tail when it would otherwise block on the network
 	// — the client gets its result one round trip earlier. The tail owns
@@ -548,27 +536,4 @@ func (e *Engine) lockWave(proc *txn.Procedure, args txn.Args, wave []int, s *scr
 		})
 	}
 	return s.LockWave(e.node)
-}
-
-// materializeOuter gives the outer ops their deferred half, in op order,
-// now that both outer and inner reads are available: an op an earlier op
-// of the transaction wrote to is observed again — its read-set entry
-// becomes that write's value, which is what history's replay needs to
-// reproduce the committed write — and every write op's mutator runs, its
-// result buffered by partition for the commit tail.
-func (e *Engine) materializeOuter(proc *txn.Procedure, args txn.Args, outerOps []int, s *scratch) txn.AbortReason {
-	dir := e.node.Directory()
-	for _, opID := range outerOps {
-		op := &proc.Ops[opID]
-		// Every outer key resolved during lockOuter, so it resolves now.
-		key, ok := op.Key(args, s.Reads)
-		if !ok {
-			return txn.AbortInternal
-		}
-		pid := dir.Partition(storage.RID{Table: op.Table, Key: key})
-		if reason := s.Step(op, args, key, pid, true); reason != txn.AbortNone {
-			return reason
-		}
-	}
-	return txn.AbortNone
 }

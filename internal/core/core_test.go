@@ -15,6 +15,7 @@ import (
 	"github.com/chillerdb/chiller/internal/transport"
 	"github.com/chillerdb/chiller/internal/transport/simfab"
 	"github.com/chillerdb/chiller/internal/txn"
+	"github.com/chillerdb/chiller/internal/wal"
 	"github.com/chillerdb/chiller/internal/wire"
 )
 
@@ -55,7 +56,7 @@ func execInnerOn(n *server.Node, txnID uint64, proc *txn.Procedure, args txn.Arg
 	op := &proc.Ops[innerOps[0]]
 	k, _ := op.Key(args, reads)
 	lane := n.Directory().Lane(storage.RID{Table: op.Table, Key: k})
-	reason := s.execInnerOnLane(n, lane, proc, args, innerOps)
+	reason := s.execInnerOnLane(n, lane, proc, args, innerOps, nil)
 	if reason == txn.AbortNone && s.ack.Await() != nil {
 		panic("fabric closed under an inner region")
 	}
@@ -474,6 +475,90 @@ func TestTailExitsWhenFabricClosesMidJoin(t *testing.T) {
 	}
 }
 
+// A two-region transaction whose outer mutator fails aborts before its
+// commit point and leaves no trace: no stream message, replicate or
+// commit frame after the lock wave, no log record anywhere, the inner and
+// outer records as loaded, no node holding participant state, and no
+// commit timestamp reserved — the next commit's stamp becomes stable.
+func TestFailingOuterMutatorLeavesNoTrace(t *testing.T) {
+	engines, nodes, _, _ := replicatedHarness(t, nil, 2) // partition 1 streams to node 2
+	clock := storage.NewClock()
+	logs := make([]*wal.Log, len(nodes))
+	for i, n := range nodes {
+		n.SetClock(clock)
+		l, err := wal.Open(t.TempDir(), 1, wal.Policy{NoSync: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { l.Close() })
+		n.SetWAL(l)
+		logs[i] = l
+	}
+	// Outer: key 210 on node 2, whose mutator fails when args[0] is 1.
+	// Inner: hot key 110 on node 1, the coordinator.
+	nodes[0].Directory().SetHot(storage.RID{Table: 1, Key: 110}, 1)
+	nodes[0].Registry().MustRegister(&txn.Procedure{
+		Name: "outer.fails",
+		Ops: []txn.OpSpec{
+			{ID: 0, Type: txn.OpUpdate, Table: 1, Key: key(210), Mutate: func(_ []byte, args txn.Args, _ txn.ReadSet) ([]byte, error) {
+				if args[0] == 1 {
+					return nil, txn.NewAbort(txn.AbortConstraint, "refused")
+				}
+				return []byte{21}, nil
+			}},
+			{ID: 1, Type: txn.OpUpdate, Table: 1, Key: key(110), Mutate: setVal(11)},
+		},
+	})
+	for _, n := range nodes {
+		n.VerbMetrics().Reset()
+	}
+
+	res := engines[1].Run(context.Background(), &txn.Request{Proc: "outer.fails", Args: txn.Args{1}})
+	if res.Committed || res.Reason != txn.AbortConstraint {
+		t.Fatalf("res = %+v, want a constraint abort", res)
+	}
+	drainAll(engines)
+	for _, n := range nodes {
+		verbs := n.VerbMetrics().Snapshot()
+		for _, kind := range []string{server.KindInnerRepl, server.KindInnerAck, server.KindReplicate, server.KindReplApply, server.KindCommit} {
+			if c := verbs[kind].Count; c != 0 {
+				t.Errorf("node %d: %d %s verbs after the abort", n.ID(), c, kind)
+			}
+		}
+	}
+	for i, l := range logs {
+		if a := l.Stats().Appends.Load(); a != 0 {
+			t.Errorf("node %d appended %d log records", i, a)
+		}
+	}
+	assertUntouched(t, nodes)
+	if v, _, _ := nodes[2].Store().Table(1).Bucket(110).Get(110); v != nil {
+		t.Errorf("the inner replica holds %v, want nothing", v)
+	}
+	outer := nodes[2].Store().Table(1).Bucket(210)
+	if v, _, _ := outer.Get(210); len(v) != 1 || v[0] != 210 || outer.Lock.Held() {
+		t.Errorf("outer record = %v (locked %v), want the loaded [210], unlocked", v, outer.Lock.Held())
+	}
+	if got := clock.Stable(); got != 0 {
+		t.Fatalf("stable timestamp %d before any commit", got)
+	}
+
+	if res := engines[1].Run(context.Background(), &txn.Request{Proc: "outer.fails", Args: txn.Args{0}}); !res.Committed {
+		t.Fatalf("the passing transaction aborted: %v %s", res.Reason, res.Detail)
+	}
+	drainAll(engines)
+	if got := clock.Stable(); got != 1 {
+		t.Errorf("stable timestamp %d after one commit, want 1: the abort held a reservation back", got)
+	}
+	if v, _, _ := outer.Get(210); len(v) != 1 || v[0] != 21 {
+		t.Errorf("outer record = %v after the commit, want [21]", v)
+	}
+	// The instruments above do see a commit.
+	if nodes[1].VerbMetrics().Snapshot()[server.KindInnerRepl].Count == 0 || logs[1].Stats().Appends.Load() == 0 {
+		t.Error("the commit streamed or logged nothing at the inner host")
+	}
+}
+
 // An inner region's unilateral commit fails cleanly only while nothing
 // has reached any replica. A first send that fails aborts the region:
 // nothing is applied anywhere, its commit timestamp and its locks are
@@ -487,7 +572,7 @@ func TestInnerStreamFailsCleanlyOnlyBeforeAnySend(t *testing.T) {
 	commit := func(n *server.Node) (*scratch, txn.AbortReason) {
 		s := newScratch(n, &txn.Request{ID: n.NextTxnID()}, proc)
 		s.Reads = txn.ReadSet{}
-		reason, durable := s.execInner(n, proc, nil, []int{0})
+		reason, durable := s.execInner(n, proc, nil, []int{0}, nil)
 		if err := durable.Wait(); err != nil {
 			t.Fatal(err)
 		}
@@ -717,7 +802,7 @@ func TestScratchDoesNotLeakAbortedWrites(t *testing.T) {
 
 	// The same scratch, re-entered without going through the pool.
 	s := newScratch(node, &txn.Request{ID: 1}, aborter)
-	if reason, _ := s.execInner(node, aborter, nil, []int{0, 1, 2}); reason != txn.AbortConstraint {
+	if reason, _ := s.execInner(node, aborter, nil, []int{0, 1, 2}, nil); reason != txn.AbortConstraint {
 		t.Fatalf("aborting region: %v", reason)
 	}
 	if got := len(s.WriteSets()[0]); got != 2 {
@@ -725,7 +810,7 @@ func TestScratchDoesNotLeakAbortedWrites(t *testing.T) {
 	}
 	reads := txn.ReadSet{}
 	s.ID, s.Reads = 2, reads
-	if reason, _ := s.execInner(node, reader, nil, []int{0, 1}); reason != txn.AbortNone {
+	if reason, _ := s.execInner(node, reader, nil, []int{0, 1}, nil); reason != txn.AbortNone {
 		t.Fatalf("reading region: %v", reason)
 	}
 	check("re-entered scratch", reads)

@@ -98,16 +98,16 @@ func (e *Engine) route(host transport.NodeID, req *txn.Request) txn.Result {
 // region's values on entry) is extended in place with the inner reads,
 // and on success — txn.AbortNone — s.TS and s.ack carry the commit
 // timestamp and the replica-ack waiter.
-func (s *scratch) execInnerOnLane(n *server.Node, lane int, proc *txn.Procedure, args txn.Args, innerOps []int) txn.AbortReason {
+func (s *scratch) execInnerOnLane(n *server.Node, lane int, proc *txn.Procedure, args txn.Args, innerOps, outerOps []int) txn.AbortReason {
 	var reason txn.AbortReason
 	var durable wal.Ticket
 	n.WithLaneSerial(lane, func() {
-		reason, durable = s.execInner(n, proc, args, innerOps)
+		reason, durable = s.execInner(n, proc, args, innerOps, outerOps)
 	})
 	// Durability wait off the lane, on the coordinator's goroutine: the
 	// lane is free to run the next inner region while this commit's
-	// group flush lands, and the coordinator cannot acknowledge (or
-	// build outer writes on) the region before it is durable.
+	// group flush lands, and the coordinator cannot acknowledge the region
+	// before it is durable.
 	if err := durable.Wait(); err != nil {
 		panic(fmt.Sprintf("core: inner commit %d not durable: %v", s.ID, err))
 	}
@@ -117,11 +117,11 @@ func (s *scratch) execInnerOnLane(n *server.Node, lane int, proc *txn.Procedure,
 // execInner runs the inner region on the current goroutine (the owning
 // lane's executor) as one lock step: the inner region's policy over
 // cc.Txn takes each op's bucket lock, reads under it, and gives the op
-// its meaning at once. The buffered writes are reset on entry, so a
-// re-requested region starts clean. The second return is the durability
-// ticket of the unilateral commit — zero when nothing needs flushing —
-// which the caller must wait out off-lane before building on the region.
-func (s *scratch) execInner(n *server.Node, proc *txn.Procedure, args txn.Args, innerOps []int) (txn.AbortReason, wal.Ticket) {
+// its meaning at once; then the outer ops get theirs. The buffered writes
+// are reset on entry, so a re-requested region starts clean. The second
+// return is the durability ticket of the unilateral commit — zero when
+// nothing needs flushing — which the caller must wait out off-lane.
+func (s *scratch) execInner(n *server.Node, proc *txn.Procedure, args txn.Args, innerOps, outerOps []int) (txn.AbortReason, wal.Ticket) {
 	s.Unbuffer() // a failed earlier attempt's values must not linger
 	r := n.BeginRegion(s.ID)
 	defer r.End()
@@ -157,22 +157,41 @@ func (s *scratch) execInner(n *server.Node, proc *txn.Procedure, args txn.Args, 
 			return reason, wal.Ticket{}
 		}
 	}
+	// The outer ops' deferred half, in op order (their mutators may
+	// consume inner reads), still ahead of the commit point: a failing
+	// mutator or Check aborts with nothing committed. An op an earlier op
+	// wrote to is observed again — its read-set entry becomes that write's
+	// value, as history's replay needs. The writes buffer for the tail,
+	// behind the inner ops' writes, which lead the inner partition's group.
+	inner := len(s.Writes(innerPID))
+	for _, opID := range outerOps {
+		op := &proc.Ops[opID]
+		key, ok := op.Key(args, s.Reads) // resolved once already, in lockOuter
+		if !ok {
+			return txn.AbortInternal, wal.Ticket{}
+		}
+		pid := n.Directory().Partition(storage.RID{Table: op.Table, Key: key})
+		if reason := s.Step(op, args, key, pid, true); reason != txn.AbortNone {
+			return reason, wal.Ticket{}
+		}
+	}
 	// Unilateral commit (§3.3 step 4). Reserve the commit timestamp here —
 	// under the hot records' locks, past the last abortable check — so
 	// per-key timestamp order equals lock order. It stamps the inner stream
 	// and apply and (through s.TS) every outer apply; the coordinator
-	// releases it at the end of its tail. The re-request ladder cannot
-	// double-reserve: a lock conflict aborts before this point.
+	// releases it at the end of its tail. Every abort — a re-requested
+	// region's lock conflict included — comes before this point but a
+	// failed send's, which releases it.
 	var ts uint64
 	clock := n.Clock()
 	if clock != nil {
 		ts = clock.Reserve()
 	}
-	// Stream, apply and log, as a participant's [replicate, commit] frames
-	// do; a failed first send applied nothing anywhere. The durability
-	// wait happens off this lane (see execInnerOnLane), after End has
-	// released the region's locks.
-	ack, durable, err := n.CommitInner(innerPID, s.ID, ts, s.WriteSets()[innerPID])
+	// Stream, apply and log the inner writes, as a participant's [replicate,
+	// commit] frames do; a failed first send applied nothing anywhere. The
+	// durability wait happens off this lane (see execInnerOnLane), after
+	// End has released the region's locks.
+	ack, durable, err := n.CommitInner(innerPID, s.ID, ts, s.Writes(innerPID)[:inner])
 	if err != nil {
 		if clock != nil {
 			clock.Release(ts)
@@ -181,8 +200,8 @@ func (s *scratch) execInner(n *server.Node, proc *txn.Procedure, args txn.Args, 
 		return txn.AbortInternal, wal.Ticket{}
 	}
 	// Applied, streamed and logged: the tail must not commit them again.
-	// Their values stay in the own-write index for the outer ops.
-	s.DropWrites()
+	// Their values stay in the own-write index.
+	s.DropWrites(innerPID, inner)
 	s.TS, s.ack = ts, ack
 	return txn.AbortNone, durable
 }

@@ -221,11 +221,24 @@ type result struct {
 
 // pending is an in-flight call or doorbell ring. Unlike simnet there is
 // no simulated-latency residual to sleep out: Wait blocks on the wire.
-type pending struct{ ch chan result }
+// Pendings are pooled: Wait, called exactly once, hands p back.
+type pending struct {
+	ch    chan result
+	reply func([]byte, error) // p.complete, bound once
+}
+
+var pendingPool = sync.Pool{New: func() any {
+	p := &pending{ch: make(chan result, 1)}
+	p.reply = p.complete
+	return p
+}}
+
+func (p *pending) complete(resp []byte, err error) { p.ch <- result{payload: resp, err: err} }
 
 // Wait blocks until the response or failure arrives.
 func (p *pending) Wait() ([]byte, error) {
 	res := <-p.ch
+	pendingPool.Put(p)
 	return res.payload, res.err
 }
 
@@ -233,13 +246,12 @@ func (p *pending) Wait() ([]byte, error) {
 // or a ring (kindRing) — and returns where the answer lands. A request
 // to this node itself is served inline, off the wire.
 func (f *Fabric) post(to transport.NodeID, kind uint8, method string, payload []byte) (*pending, error) {
-	p := &pending{ch: make(chan result, 1)}
 	if to == f.id {
+		p := pendingPool.Get().(*pending)
 		if kind == kindRing {
-			resp, err := f.ServeOneSided(f.id, method, payload)
-			p.ch <- result{payload: resp, err: err}
+			p.complete(f.ServeOneSided(f.id, method, payload))
 		} else {
-			f.Serve(f.id, method, payload, func(resp []byte, err error) { p.ch <- result{payload: resp, err: err} })
+			f.Serve(f.id, method, payload, p.reply)
 		}
 		return p, nil
 	}
@@ -247,8 +259,11 @@ func (f *Fabric) post(to transport.NodeID, kind uint8, method string, payload []
 	if err != nil {
 		return nil, err
 	}
+	p := pendingPool.Get().(*pending)
 	id := c.register(p.ch)
 	if err := c.writeFrame(kind, id, f.id, method, "", payload); err != nil {
+		// Dropped, never pooled: the connection's fail may already have
+		// put a result in p.ch.
 		c.unregister(id)
 		return nil, err
 	}

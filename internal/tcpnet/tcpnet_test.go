@@ -444,3 +444,72 @@ func TestReverseRouteToAddresslessPeer(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 }
+
+// A ring's completion is pooled, as simnet's are: a ring and its wait
+// allocate at most 3 times, both ends counted (6 while every ring built
+// its completion afresh).
+func TestRingAllocations(t *testing.T) {
+	if testutil.Race {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	a, b := pair(t)
+	b.HandleOneSided("bell", func(_ transport.NodeID, req []byte) ([]byte, error) { return req, nil })
+	payload := []byte("ring")
+	ring := func() {
+		p, err := a.GoOneSided(1, "bell", payload, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := p.Wait(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ring() // dial
+	if got := testing.AllocsPerRun(500, ring); got > 3 {
+		t.Errorf("GoOneSided + Wait = %.1f allocations, want at most 3", got)
+	}
+}
+
+// A broken connection fails every ring in flight on it, each exactly
+// once, and leaves no stale result in a pooled completion: the rings
+// after it, on a fresh connection, each get their own answer.
+func TestBrokenConnFailsEveryRingOnce(t *testing.T) {
+	a, b := pair(t)
+	entered, block := make(chan struct{}, 1), make(chan struct{})
+	b.HandleOneSided("bell", func(_ transport.NodeID, req []byte) ([]byte, error) {
+		if req[0] == 0 { // the rings to fail: hold the reader
+			select {
+			case entered <- struct{}{}:
+			default:
+			}
+			<-block
+		}
+		return req, nil
+	})
+	const inFlight = 8
+	pends := make([]transport.Pending, inFlight)
+	for i := range pends {
+		p, err := a.GoOneSided(1, "bell", []byte{0}, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pends[i] = p
+	}
+	<-entered
+	a.cmu.Lock()
+	c := a.conns[1]
+	a.cmu.Unlock()
+	c.nc.Close()
+	for i, p := range pends {
+		if _, err := p.Wait(); !errors.Is(err, transport.ErrUnreachable) {
+			t.Fatalf("in-flight ring %d: err = %v, want unreachable", i, err)
+		}
+	}
+	close(block)
+	for i := 1; i <= 4*inFlight; i++ {
+		resp, err := a.CallOneSided(1, "bell", []byte{byte(i)}, 1)
+		if err != nil || len(resp) != 1 || resp[0] != byte(i) {
+			t.Fatalf("ring %d after the break: %v, %v", i, resp, err)
+		}
+	}
+}

@@ -90,6 +90,9 @@
 #  21. One stream order: a replica applies each stream message whole on
 #      the lane of its link — no non-test .go file in internal/server
 #      declares groupByLane or laneGroup, the per-record-lane split.
+#  22. One abort point: a Chiller transaction's every abort lies before
+#      its inner region's commit — no non-test .go file under
+#      internal/core says "outer op failed" or "infallible".
 #
 # Exits non-zero with a list of offenders on failure.
 set -eu
@@ -320,6 +323,16 @@ offenders=$(grep -rnE --include='*.go' --exclude='*_test.go' \
         '^func (\([^)]*\) )?groupByLane\b|^type laneGroup\b' internal/server || true)
 if [ -n "$offenders" ]; then
     echo "a replica re-splits stream messages by record lane (each applies whole on its link's lane; see applyStream):" >&2
+    echo "$offenders" >&2
+    fail=1
+fi
+
+# --- 22. one abort point ---------------------------------------------------
+# The inner region computes the outer writes before it commits, so a
+# failing mutator or Check aborts; nothing past the commit point may.
+offenders=$(grep -rnE --include='*.go' --exclude='*_test.go' 'outer op failed|infallible' internal/core || true)
+if [ -n "$offenders" ]; then
+    echo "a Chiller op that may fail past the inner commit (the outer writes are computed inside the inner region, before its commit point):" >&2
     echo "$offenders" >&2
     fail=1
 fi
